@@ -13,14 +13,14 @@
 //! (hit-rate cliff, shed onset, queue-wait blow-up) is the reproducible
 //! part.
 
-use dlrm_core::model::{build_model, rm};
+use dlrm_bench::harness::{replicated_cluster, smoke_spec};
+use dlrm_core::model::rm;
+use dlrm_core::serving::fault::FaultPlan;
 use dlrm_core::serving::frontend::{
     materialize_frontend_requests, run_frontend, FrontendConfig,
 };
-use dlrm_core::serving::threaded::ThreadedShardPool;
-use dlrm_core::sharding::{partition_with_clients, plan, ShardService, ShardingStrategy};
+use dlrm_core::sharding::{plan, ShardingStrategy};
 use dlrm_core::workload::{ArrivalSchedule, PoolingProfile, TraceDb};
-use std::sync::Arc;
 use std::time::Duration;
 
 const SEED: u64 = 23;
@@ -30,19 +30,18 @@ fn main() {
     println!("frontend QPS sweep: open-loop Poisson vs 2-shard RM1, SLA 150 ms");
     println!("(latency-bounded QPS counts only SLA-meeting completions)\n");
 
-    let mut spec = rm::rm1().scaled_to_bytes(1 << 20);
-    spec.mean_items_per_request = 4.0;
-    spec.default_batch_size = 8;
+    let spec = smoke_spec(rm::rm1(), 1 << 20, 4.0, 8);
     let profile = PoolingProfile::from_spec(&spec);
     let p = plan(&spec, &profile, ShardingStrategy::CapacityBalanced(2)).expect("plan");
-    let model = build_model(&spec, SEED).expect("build");
-    let services: Vec<Arc<ShardService>> = p
-        .shards()
-        .map(|s| Arc::new(ShardService::build(&model.tables, &p, s)))
-        .collect();
-    let pool = ThreadedShardPool::spawn(services.clone());
-    let dist = partition_with_clients(model, &p, services, pool.clients()).expect("partition");
+    let (dist, pool) = replicated_cluster(&spec, &p, SEED, 1, Duration::ZERO, &FaultPlan::none());
     let db = TraceDb::generate(&dist.spec, REQUESTS, SEED);
+    let cfg = FrontendConfig {
+        queue_capacity: 16,
+        max_batch_requests: 4,
+        batch_timeout: Duration::from_millis(10),
+        sla: Duration::from_millis(150),
+        workers: 2,
+    };
 
     println!(
         "{:>8} | {:>8} {:>10} {:>5} | {:>9} {:>9} {:>9} | e2e tail (ms)",
@@ -51,13 +50,6 @@ fn main() {
     for qps in [10.0, 30.0, 60.0, 120.0, 300.0] {
         let requests = materialize_frontend_requests(&dist.spec, &db, SEED ^ 1);
         let schedule = ArrivalSchedule::poisson(requests.len(), qps, SEED ^ 2);
-        let cfg = FrontendConfig {
-            queue_capacity: 16,
-            max_batch_requests: 4,
-            batch_timeout: Duration::from_millis(10),
-            sla: Duration::from_millis(150),
-            workers: 2,
-        };
         let mut report = run_frontend(&dist, requests, &schedule, &cfg);
         let tail = report.tail();
         println!(
@@ -72,26 +64,12 @@ fn main() {
             tail,
         );
     }
-    pool.shutdown();
     println!("\ndiurnal trace-replay at the knee (same mean rate, ±25% rate swing):");
     {
         let requests = materialize_frontend_requests(&dist.spec, &db, SEED ^ 1);
         let schedule =
             ArrivalSchedule::trace_replay(requests.len(), 60.0, 0.25, 5.0, SEED ^ 3);
-        // Re-spawn: the pool above shut down with the sweep.
-        let services: Vec<Arc<ShardService>> = dist.shards.to_vec();
-        let pool = ThreadedShardPool::spawn(services.clone());
-        let model = build_model(&dist.spec, SEED).expect("build");
-        let dist2 =
-            partition_with_clients(model, &p, services, pool.clients()).expect("partition");
-        let cfg = FrontendConfig {
-            queue_capacity: 16,
-            max_batch_requests: 4,
-            batch_timeout: Duration::from_millis(10),
-            sla: Duration::from_millis(150),
-            workers: 2,
-        };
-        let mut report = run_frontend(&dist2, requests, &schedule, &cfg);
+        let mut report = run_frontend(&dist, requests, &schedule, &cfg);
         let tail = report.tail();
         println!(
             "  60/s diurnal | hit rate {:.4} | lat-bnd {:.1}/s | shed {} | {}",
@@ -100,6 +78,6 @@ fn main() {
             report.shed,
             tail,
         );
-        pool.shutdown();
     }
+    pool.shutdown();
 }

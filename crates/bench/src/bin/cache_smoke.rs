@@ -29,6 +29,7 @@ use dlrm_core::tensor::Matrix;
 use dlrm_core::workload::{
     materialize_request_with, BatchInputs, IndexDist, PoolingProfile, RowStats, TraceDb,
 };
+use std::time::Duration;
 
 const SEED: u64 = 61;
 const SHARDS: usize = 2;
@@ -58,7 +59,7 @@ fn run_plan(
     p: &ShardingPlan,
     inputs: &[BatchInputs],
 ) -> (Vec<Matrix>, dlrm_core::serving::replica::TransportSummary) {
-    let (dist, pool) = replicated_cluster(spec, p, SEED, 1, &FaultPlan::none());
+    let (dist, pool) = replicated_cluster(spec, p, SEED, 1, Duration::ZERO, &FaultPlan::none());
     let out = inputs
         .iter()
         .map(|inp| {

@@ -46,7 +46,7 @@ fn run_cluster(faults: &FaultPlan, policy: RpcPolicy, qps: f64) -> (FrontendRepo
     let spec = spec();
     let profile = PoolingProfile::from_spec(&spec);
     let p = plan(&spec, &profile, ShardingStrategy::CapacityBalanced(SHARDS)).expect("plan");
-    let (mut dist, pool) = replicated_cluster(&spec, &p, SEED, REPLICAS, faults);
+    let (mut dist, pool) = replicated_cluster(&spec, &p, SEED, REPLICAS, Duration::ZERO, faults);
     if dist.set_rpc_policy(policy) == 0 {
         fail("no SparseRpc operator accepted the policy");
     }

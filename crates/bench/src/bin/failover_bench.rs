@@ -15,16 +15,14 @@
 //! (config, percentile) — alongside a human-readable comparison. Not a
 //! verify gate: numbers here are wall-clock and machine-dependent.
 
+use dlrm_bench::harness::{replicated_cluster, smoke_spec};
 use dlrm_bench::report::{write_bench_json, BenchRecord};
 use dlrm_core::model::graph::NoopObserver;
-use dlrm_core::model::{build_model, rm, ModelSpec, Workspace};
+use dlrm_core::model::{rm, ModelSpec, Workspace};
 use dlrm_core::serving::fault::{FaultAction, FaultPlan, ReplicaFaultSchedule};
-use dlrm_core::serving::replica::{HealthPolicy, ReplicatedShardPool};
-use dlrm_core::sharding::{
-    partition_with_clients, plan, RpcPolicy, ShardService, ShardingStrategy,
-};
-use dlrm_core::workload::{materialize_request, PoolingProfile, TraceDb};
-use std::sync::Arc;
+use dlrm_core::serving::frontend::materialize_whole;
+use dlrm_core::sharding::{plan, RpcPolicy, ShardingStrategy};
+use dlrm_core::workload::{PoolingProfile, TraceDb};
 use std::time::{Duration, Instant};
 
 const SEED: u64 = 31;
@@ -35,10 +33,7 @@ const STALL_MS: u64 = 20;
 const STALL_PERIOD: u64 = 4;
 
 fn spec() -> ModelSpec {
-    let mut spec = rm::rm1().scaled_to_bytes(1 << 20);
-    spec.mean_items_per_request = 4.0;
-    spec.default_batch_size = 4;
-    spec
+    smoke_spec(rm::rm1(), 1 << 20, 4.0, 4)
 }
 
 /// Runs `REQUESTS` closed-loop inferences under `policy` against a
@@ -48,11 +43,6 @@ fn run_config(policy: RpcPolicy) -> Vec<f64> {
     let spec = spec();
     let profile = PoolingProfile::from_spec(&spec);
     let p = plan(&spec, &profile, ShardingStrategy::OneShard).expect("plan");
-    let model = build_model(&spec, SEED).expect("build");
-    let services: Vec<Arc<ShardService>> = p
-        .shards()
-        .map(|s| Arc::new(ShardService::build(&model.tables, &p, s)))
-        .collect();
     let mut schedule = ReplicaFaultSchedule::none();
     let mut ordinal = 0;
     // Enough stall points to cover every request replica 0 could see,
@@ -62,24 +52,13 @@ fn run_config(policy: RpcPolicy) -> Vec<f64> {
         ordinal += STALL_PERIOD;
     }
     let faults = FaultPlan::none().with(0, 0, schedule);
-    let pool = ReplicatedShardPool::spawn(
-        services.clone(),
-        2,
-        Duration::ZERO,
-        &faults,
-        HealthPolicy::default(),
-    );
-    let mut dist =
-        partition_with_clients(model, &p, services, pool.clients()).expect("partition");
+    let (mut dist, pool) = replicated_cluster(&spec, &p, SEED, 2, Duration::ZERO, &faults);
     assert!(dist.set_rpc_policy(policy) >= 1);
 
     let db = TraceDb::generate(&spec, REQUESTS, SEED);
     let mut samples = Vec::with_capacity(REQUESTS);
     for i in 0..REQUESTS {
-        let inputs = materialize_request(&spec, db.get(i), usize::MAX, SEED ^ 7)
-            .into_iter()
-            .next()
-            .expect("one engine batch per request");
+        let inputs = materialize_whole(&spec, db.get(i), SEED ^ 7);
         let mut ws = Workspace::new();
         inputs.load_into(&spec, &mut ws);
         let start = Instant::now();

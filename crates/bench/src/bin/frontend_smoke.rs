@@ -17,18 +17,14 @@
 //! and generous bands, never exact times. Exits non-zero on any
 //! violation — invoked from `scripts/verify.sh` as the frontend gate.
 
-use dlrm_core::model::graph::NoopObserver;
-use dlrm_core::model::{build_model, rm, Workspace};
-use dlrm_core::serving::frontend::{
-    materialize_frontend_requests, run_frontend, FrontendConfig, FrontendRequest,
-};
-use dlrm_core::serving::threaded::ThreadedShardPool;
-use dlrm_core::sharding::{
-    partition_with_clients, plan, DistributedModel, ShardService, ShardingStrategy,
-};
+use dlrm_bench::harness::{fail, predictions_on, replicated_cluster, smoke_spec};
+use dlrm_core::model::rm;
+use dlrm_core::serving::fault::FaultPlan;
+use dlrm_core::serving::frontend::{materialize_frontend_requests, run_frontend, FrontendConfig};
+use dlrm_core::serving::replica::ReplicatedShardPool;
+use dlrm_core::sharding::{plan, DistributedModel, ShardingStrategy};
 use dlrm_core::trace::{gantt, SpanKind, TraceId};
 use dlrm_core::workload::{ArrivalSchedule, PoolingProfile, TraceDb};
-use std::sync::Arc;
 use std::time::Duration;
 
 const SEED: u64 = 17;
@@ -37,54 +33,24 @@ const SEED: u64 = 17;
 /// below 0.9 means the pipeline itself is broken, not noisy.
 const LIGHT_HIT_RATE_MIN: f64 = 0.9;
 
-fn build(delay: Duration) -> (DistributedModel, ThreadedShardPool, TraceDb) {
+fn build(delay: Duration) -> (DistributedModel, ReplicatedShardPool, TraceDb) {
     // ~36 ms/request at this scale (measured in release): light load at
     // 30 qps sits well inside two workers' capacity, and the 500 ms SLA
     // leaves an order of magnitude of headroom for CI noise.
-    let mut spec = rm::rm1().scaled_to_bytes(1 << 20);
-    spec.mean_items_per_request = 4.0;
-    spec.default_batch_size = 8;
+    let spec = smoke_spec(rm::rm1(), 1 << 20, 4.0, 8);
     let profile = PoolingProfile::from_spec(&spec);
     let p = plan(&spec, &profile, ShardingStrategy::CapacityBalanced(2)).expect("plan");
-    let model = build_model(&spec, SEED).expect("build");
-    let services: Vec<Arc<ShardService>> = p
-        .shards()
-        .map(|s| Arc::new(ShardService::build(&model.tables, &p, s)))
-        .collect();
-    assert!(services.len() >= 2, "smoke needs ≥2 shards");
-    let pool = ThreadedShardPool::spawn_with_delay(services.clone(), delay);
-    let dist = partition_with_clients(model, &p, services, pool.clients()).expect("partition");
+    let (dist, pool) = replicated_cluster(&spec, &p, SEED, 1, delay, &FaultPlan::none());
+    assert!(pool.len() >= 2, "smoke needs ≥2 shards");
     let db = TraceDb::generate(&dist.spec, 24, SEED);
     (dist, pool, db)
-}
-
-fn solo_predictions(
-    dist: &DistributedModel,
-    requests: &[FrontendRequest],
-) -> Vec<(u64, dlrm_core::tensor::Matrix)> {
-    requests
-        .iter()
-        .map(|r| {
-            let mut ws = Workspace::new();
-            r.inputs.load_into(&dist.spec, &mut ws);
-            let out = dist
-                .run_overlapped(&mut ws, &mut NoopObserver)
-                .expect("solo run");
-            (r.id, out)
-        })
-        .collect()
-}
-
-fn fail(msg: &str) -> ! {
-    eprintln!("FAIL: {msg}");
-    std::process::exit(1);
 }
 
 fn main() {
     // ---- Phase 1: light load, everything admitted, bit-exactness. ----
     let (dist, pool, db) = build(Duration::ZERO);
     let requests = materialize_frontend_requests(&dist.spec, &db, SEED ^ 1);
-    let expected = solo_predictions(&dist, &requests);
+    let expected = predictions_on(&dist, &requests);
     let n = requests.len();
     let schedule = ArrivalSchedule::poisson(n, 30.0, SEED ^ 2);
     let cfg = FrontendConfig {

@@ -19,13 +19,11 @@ use dlrm_bench::report::{write_bench_json, BenchRecord};
 use dlrm_core::model::graph::NoopObserver;
 use dlrm_core::model::{build_model, rm, ModelSpec, Workspace};
 use dlrm_core::serving::fault::FaultPlan;
+use dlrm_core::serving::frontend::materialize_whole;
 use dlrm_core::serving::replica::HealthPolicy;
 use dlrm_core::serving::shard_server::TcpShardPool;
-use dlrm_core::sharding::{
-    partition, partition_with_clients, plan, DistributedModel, ShardService, ShardingStrategy,
-};
-use dlrm_core::workload::{materialize_request, BatchInputs, PoolingProfile, TraceDb};
-use std::sync::Arc;
+use dlrm_core::sharding::{partition, plan, DistributedModel, ShardingStrategy};
+use dlrm_core::workload::{BatchInputs, PoolingProfile, TraceDb};
 use std::time::{Duration, Instant};
 
 const SEED: u64 = 37;
@@ -41,14 +39,9 @@ fn spec() -> ModelSpec {
 }
 
 fn inputs_for(spec: &ModelSpec) -> Vec<BatchInputs> {
-    let db = TraceDb::generate(spec, REQUESTS, SEED);
-    (0..REQUESTS)
-        .map(|i| {
-            materialize_request(spec, db.get(i), usize::MAX, SEED ^ 7)
-                .into_iter()
-                .next()
-                .expect("one engine batch per request")
-        })
+    TraceDb::generate(spec, REQUESTS, SEED)
+        .iter()
+        .map(|shape| materialize_whole(spec, shape, SEED ^ 7))
         .collect()
 }
 
@@ -95,20 +88,11 @@ fn main() {
     drop(dist);
 
     // ---- TCP loopback: every RPC crosses a socket. ----
-    let model = build_model(&spec, SEED).expect("build");
-    let services: Vec<Arc<ShardService>> = p
-        .shards()
-        .map(|s| Arc::new(ShardService::build(&model.tables, &p, s)))
-        .collect();
-    let pool = TcpShardPool::spawn(
-        services.clone(),
-        1,
-        Duration::ZERO,
-        &FaultPlan::none(),
-        HealthPolicy::default(),
-    )
-    .expect("spawn tcp pool");
-    let dist = partition_with_clients(model, &p, services, pool.clients()).expect("partition");
+    let (dist, pool) = TcpShardPool::assemble(&spec, &p, SEED, |services| {
+        let (delay, faults, health) = (Duration::ZERO, FaultPlan::none(), HealthPolicy::default());
+        TcpShardPool::spawn(services, 1, delay, &faults, health).map_err(|e| e.to_string())
+    })
+    .expect("assemble tcp cluster");
     let wall_start = Instant::now();
     let mut tcp = closed_loop(&dist, &inputs);
     let tcp_wall_ns = wall_start.elapsed().as_secs_f64() * 1e9;

@@ -25,19 +25,16 @@
 //! - orchestrated shutdown stops the surviving fleet.
 
 use dlrm_bench::harness::{check_identities, fail, smoke_spec, solo_predictions};
-use dlrm_core::model::{build_model, rm, ModelSpec};
-use dlrm_core::serving::control;
+use dlrm_core::model::{rm, ModelSpec};
+use dlrm_core::serving::control::{self, TcpCluster};
 use dlrm_core::serving::frontend::{
     materialize_frontend_requests, run_frontend, FrontendConfig,
 };
 use dlrm_core::serving::replica::HealthPolicy;
-use dlrm_core::sharding::{
-    partition_with_clients, plan, RpcPolicy, ShardService, ShardingStrategy,
-};
+use dlrm_core::sharding::{plan, RpcPolicy, ShardingStrategy};
 use dlrm_core::workload::{ArrivalSchedule, PoolingProfile, TraceDb};
 use std::io::BufRead as _;
 use std::process::{Child, Command, Stdio};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const SEED: u64 = 23;
@@ -164,22 +161,19 @@ fn main() {
     }
 
     // ---- Client bootstrap from the routing table. ----
-    let cluster = control::connect_cluster(
-        &control_addr,
-        Duration::from_secs(10),
-        HealthPolicy::default(),
-    )
+    // The "pool" is the remote fleet: nothing to spawn, only connect.
+    let (mut dist, cluster) = TcpCluster::assemble(&spec, &p, SEED, |_| {
+        control::connect_cluster(
+            &control_addr,
+            Duration::from_secs(10),
+            HealthPolicy::default(),
+        )
+        .map_err(|e| e.to_string())
+    })
     .unwrap_or_else(|e| fail(&format!("connect_cluster: {e}")));
-    if !cluster.routes.complete || cluster.routes.shard_count() != SHARDS {
-        fail(&format!("bad routing table: {:?}", cluster.routes));
+    if !cluster.routes().complete || cluster.routes().shard_count() != SHARDS {
+        fail(&format!("bad routing table: {:?}", cluster.routes()));
     }
-    let model = build_model(&spec, SEED).expect("build");
-    let services: Vec<Arc<ShardService>> = p
-        .shards()
-        .map(|s| Arc::new(ShardService::build(&model.tables, &p, s)))
-        .collect();
-    let mut dist =
-        partition_with_clients(model, &p, services, cluster.clients()).expect("partition");
     if dist.set_rpc_policy(RpcPolicy::resilient().with_hedge_from_p99_ms(1.0)) == 0 {
         fail("no SparseRpc operator accepted the policy");
     }

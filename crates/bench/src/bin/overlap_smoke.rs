@@ -12,14 +12,14 @@
 //! Exits non-zero on any violated bound — invoked from
 //! `scripts/verify.sh` as the CI overlap gate.
 
-use dlrm_core::model::{build_model, rm, Workspace};
-use dlrm_core::serving::engine_trace::RpcTracingObserver;
-use dlrm_core::serving::threaded::ThreadedShardPool;
-use dlrm_core::sharding::{partition_with_clients, plan, ShardService, ShardingStrategy};
-use dlrm_core::trace::{gantt, TraceId};
+use dlrm_bench::harness::{replicated_cluster, smoke_spec};
 use dlrm_core::model::graph::NoopObserver;
+use dlrm_core::model::{rm, Workspace};
+use dlrm_core::serving::engine_trace::RpcTracingObserver;
+use dlrm_core::serving::fault::FaultPlan;
+use dlrm_core::sharding::{plan, ShardingStrategy};
+use dlrm_core::trace::{gantt, TraceId};
 use dlrm_core::workload::{materialize_request, PoolingProfile, TraceDb};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Injected per-shard service delay. Chosen large against the model's
@@ -31,21 +31,12 @@ const DELAY_MS: u64 = 60;
 const BOUND_FRACTION: f64 = 0.8;
 
 fn main() {
-    let mut spec = rm::rm1().scaled_to_bytes(2 << 20);
-    spec.mean_items_per_request = 8.0;
-    spec.default_batch_size = 4;
+    let spec = smoke_spec(rm::rm1(), 2 << 20, 8.0, 4);
     let profile = PoolingProfile::from_spec(&spec);
     let p = plan(&spec, &profile, ShardingStrategy::CapacityBalanced(2)).expect("plan");
-    let model = build_model(&spec, 7).expect("build");
-    let services: Vec<Arc<ShardService>> = p
-        .shards()
-        .map(|s| Arc::new(ShardService::build(&model.tables, &p, s)))
-        .collect();
-    assert!(services.len() >= 2, "smoke needs ≥2 shards");
     let delay = Duration::from_millis(DELAY_MS);
-    let pool = ThreadedShardPool::spawn_with_delay(services.clone(), delay);
-    let dist =
-        partition_with_clients(model, &p, services, pool.clients()).expect("partition");
+    let (dist, pool) = replicated_cluster(&spec, &p, 7, 1, delay, &FaultPlan::none());
+    assert!(pool.len() >= 2, "smoke needs ≥2 shards");
 
     let db = TraceDb::generate(&spec, 1, 5);
     let batch = &materialize_request(&spec, db.get(0), 4, 5)[0];
@@ -66,7 +57,7 @@ fn main() {
     let rpcs = obs.rpc_count() as usize;
     let collector = obs.finish();
 
-    let summaries = pool.rpc_summaries();
+    let summaries = pool.replica_rpc_summaries();
     pool.shutdown();
 
     println!("{}", gantt::render(&collector, TraceId(0), 64));

@@ -16,19 +16,15 @@
 //! The correctness side (bit-exactness, hit-rate band, conservation)
 //! is gated by `cache_smoke` in `scripts/verify.sh`; this bin measures.
 
+use dlrm_bench::harness::{replicated_cluster, smoke_spec};
 use dlrm_bench::report::{write_bench_json, BenchRecord};
-use dlrm_core::model::{build_model, rm, ModelSpec};
+use dlrm_core::model::{rm, ModelSpec};
 use dlrm_core::serving::fault::FaultPlan;
 use dlrm_core::serving::frontend::{run_frontend, FrontendConfig, FrontendRequest};
-use dlrm_core::serving::replica::{HealthPolicy, ReplicatedShardPool};
-use dlrm_core::sharding::{
-    partition_with_clients, plan, plan_with_stats, HotRowConfig, ShardService, ShardingPlan,
-    ShardingStrategy,
-};
+use dlrm_core::sharding::{plan, plan_with_stats, HotRowConfig, ShardingPlan, ShardingStrategy};
 use dlrm_core::workload::{
     materialize_request_with, ArrivalSchedule, IndexDist, PoolingProfile, RowStats, TraceDb,
 };
-use std::sync::Arc;
 use std::time::Duration;
 
 const SEED: u64 = 71;
@@ -39,12 +35,7 @@ const SKEWS: [f64; 2] = [0.8, 1.2];
 fn specs() -> Vec<ModelSpec> {
     [rm::rm1(), rm::rm2(), rm::rm3()]
         .into_iter()
-        .map(|m| {
-            let mut spec = m.scaled_to_bytes(1 << 20);
-            spec.mean_items_per_request = 4.0;
-            spec.default_batch_size = 8;
-            spec
-        })
+        .map(|m| smoke_spec(m, 1 << 20, 4.0, 8))
         .collect()
 }
 
@@ -79,22 +70,7 @@ struct Measured {
 /// One open-loop frontend pass of `requests` over a replicated
 /// deployment of `p`.
 fn run_config(spec: &ModelSpec, p: &ShardingPlan, requests: Vec<FrontendRequest>) -> Measured {
-    let model = build_model(spec, SEED).expect("build");
-    let services: Vec<Arc<ShardService>> = p
-        .shards()
-        .map(|s| Arc::new(ShardService::build(&model.tables, p, s)))
-        .collect();
-    let pool = ReplicatedShardPool::spawn(
-        services.clone(),
-        1,
-        Duration::ZERO,
-        &FaultPlan::none(),
-        HealthPolicy::default(),
-    );
-    let dist = partition_with_clients(model, p, services, pool.clients()).expect("partition");
-    if let Some(cache) = &dist.cache {
-        pool.attach_cache(Arc::clone(cache));
-    }
+    let (dist, pool) = replicated_cluster(spec, p, SEED, 1, Duration::ZERO, &FaultPlan::none());
 
     let n = requests.len();
     let schedule = ArrivalSchedule::poisson(n, 600.0, SEED ^ 4);

@@ -26,7 +26,9 @@
 
 use dlrm_bench::harness::{deterministic_policy, fail, smoke_spec, solo_predictions};
 use dlrm_core::model::{rm, ModelSpec};
-use dlrm_core::serving::frontend::{run_frontend_live, FrontendConfig, FrontendRequest};
+use dlrm_core::serving::frontend::{
+    run_lane, EpochSource, FrontendConfig, FrontendRequest, Lane,
+};
 use dlrm_core::serving::rebalance::{
     build_epoch_serving, EpochSwitch, RebalanceConfig, Rebalancer,
 };
@@ -91,7 +93,10 @@ fn main() {
         cooldown_ticks: 30,
         min_replicas: 1,
         max_replicas: 2,
-        scale_up_calls_per_tick: 3,
+        // Calls, not rows: under backlog the frontend's admission
+        // backpressure fills every batch to its cap, so a busy shard
+        // sees ~1–2 (large) RPCs per 20 ms tick.
+        scale_up_calls_per_tick: 2,
         scale_down_calls_per_tick: 0,
         sustain_ticks: 2,
         max_migrations: 2,
@@ -141,7 +146,10 @@ fn main() {
         SHARDS,
         1
     );
-    let report = run_frontend_live(&switch, requests, &schedule, &cfg, Some(&profiler));
+    // One lane behind the switch, feeding the controller's profiler.
+    let mut lane = Lane::new(EpochSource::Switch(&switch), requests, &schedule, &cfg);
+    lane.profiler = Some(&profiler);
+    let report = run_lane(lane, &cfg);
 
     // Controller milestones, polled with deadlines (the controller
     // keeps ticking on its own thread after traffic ends): replicas

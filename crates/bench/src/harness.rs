@@ -11,11 +11,8 @@ use dlrm_core::model::{build_model, ModelSpec, Workspace};
 use dlrm_core::serving::fault::FaultPlan;
 use dlrm_core::serving::frontend::{FrontendReport, FrontendRequest};
 use dlrm_core::serving::replica::{HealthPolicy, ReplicatedShardPool};
-use dlrm_core::sharding::{
-    partition, partition_with_clients, DistributedModel, RpcPolicy, ShardService, ShardingPlan,
-};
+use dlrm_core::sharding::{partition, DistributedModel, RpcPolicy, ShardingPlan};
 use dlrm_core::tensor::Matrix;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Prints `FAIL: msg` and exits non-zero — the smoke-gate verdict.
@@ -54,35 +51,30 @@ pub fn deterministic_policy() -> RpcPolicy {
     }
 }
 
-/// Builds `plan`'s shards, spawns a replicated pool over them under
-/// `faults`, and partitions the model onto the pool's clients (hot-row
-/// cache attached when the plan carries one). The caller owns the
-/// pool's shutdown.
+/// Builds `plan`'s shards, spawns a thread-backed pool over them
+/// (`replicas` workers per shard, each sleeping `delay` per request,
+/// under `faults`), and partitions the model onto the pool's clients
+/// (hot-row cache attached when the plan carries one) — the one
+/// cluster-assembly block, [`ReplicatedShardPool::assemble`]. The
+/// caller owns the pool's shutdown.
 pub fn replicated_cluster(
     spec: &ModelSpec,
     plan: &ShardingPlan,
     seed: u64,
     replicas: usize,
+    delay: Duration,
     faults: &FaultPlan,
 ) -> (DistributedModel, ReplicatedShardPool) {
-    let model = build_model(spec, seed).unwrap_or_else(|e| fail(&format!("build model: {e}")));
-    let services: Vec<Arc<ShardService>> = plan
-        .shards()
-        .map(|s| Arc::new(ShardService::build(&model.tables, plan, s)))
-        .collect();
-    let pool = ReplicatedShardPool::spawn(
-        services.clone(),
-        replicas,
-        Duration::ZERO,
-        faults,
-        HealthPolicy::default(),
-    );
-    let dist = partition_with_clients(model, plan, services, pool.clients())
-        .unwrap_or_else(|e| fail(&format!("partition: {e}")));
-    if let Some(cache) = &dist.cache {
-        pool.attach_cache(Arc::clone(cache));
-    }
-    (dist, pool)
+    ReplicatedShardPool::assemble(spec, plan, seed, |services| {
+        Ok(ReplicatedShardPool::spawn(
+            services,
+            replicas,
+            delay,
+            faults,
+            HealthPolicy::default(),
+        ))
+    })
+    .unwrap_or_else(|e| fail(&format!("assemble cluster: {e}")))
 }
 
 /// Fault-free baseline predictions for `requests` on an in-process
@@ -168,7 +160,7 @@ mod tests {
         let db = TraceDb::generate(&spec, 4, 9);
         let requests = materialize_frontend_requests(&spec, &db, 11);
         let solo = solo_predictions(&spec, &p, 7, &requests);
-        let (dist, pool) = replicated_cluster(&spec, &p, 7, 2, &FaultPlan::none());
+        let (dist, pool) = replicated_cluster(&spec, &p, 7, 2, Duration::ZERO, &FaultPlan::none());
         let clustered = predictions_on(&dist, &requests);
         pool.shutdown();
         for ((ia, a), (ib, b)) in solo.iter().zip(&clustered) {

@@ -1,9 +1,9 @@
 //! `dlrm-runtime`: the intra-op parallel kernel runtime.
 //!
-//! The serving stack exploits extra cores at three granularities:
-//! request-level (frontend workers), batch-level
-//! (`dlrm_serving::local`), and — this crate — *operator*-level: one
-//! FC GEMM or one SparseLengthsSum pooling pass split across cores.
+//! The serving stack exploits extra cores at two granularities:
+//! request- and batch-level (the worker pool of
+//! `dlrm_serving::frontend::serve`), and — this crate — *operator*-level:
+//! one FC GEMM or one SparseLengthsSum pooling pass split across cores.
 //! DeepRecSys (Gupta et al., ISCA 2020) shows latency-bounded QPS is
 //! gated by exactly these per-operator costs, so the hot kernels in
 //! `dlrm-tensor` and `dlrm-model` accept a [`Pool`] and fan their

@@ -451,7 +451,7 @@ mod tests {
 
     #[test]
     fn dropping_receiver_fails_senders() {
-        // The shutdown path ThreadedShardPool::shutdown relies on: once
+        // The shutdown path ShardPool::shutdown relies on: once
         // the worker (receiver) is gone, client sends error out rather
         // than hanging — including senders blocked on a full queue.
         let (tx, rx) = bounded::<u8>(1);

@@ -25,26 +25,21 @@
 //!
 //! [`connect_cluster`] is the client-side bootstrap: poll routes until
 //! complete, fetch metadata, and build one replicated TCP client per
-//! shard on a shared [`ReplicaGroupSet`] — the exact failover stack the
-//! in-process pools use.
+//! shard on a [`ShardPool`] — the exact failover stack the in-process
+//! pools use.
 
-use crate::replica::{HealthPolicy, ReplicaGroupSet, TransportSummary};
-use crate::tcp::TcpShardClient;
-use crate::threaded::ShardRpcSummary;
+use crate::replica::{HealthPolicy, ReplicaGroupSet, ShardPool};
+use crate::tcp::{listen_loopback, TcpShardClient, POLL_TICK};
 use crate::wire::{
     self, Assignment, ClusterMeta, Message, ReadError, RouteEntry, RoutingTable,
 };
 use dlrm_sharding::rpc::SparseShardClient;
 use dlrm_sharding::ShardId;
-use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// How often blocked reads and route polls wake up.
-const POLL_TICK: Duration = Duration::from_millis(20);
 
 /// A control-plane or cluster-bootstrap failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -121,14 +116,6 @@ impl ControlPlane {
             shards: plan.num_shards(),
             replicas: replicas.max(1),
         };
-        let listener = TcpListener::bind("127.0.0.1:0")
-            .map_err(|e| ControlError::new(format!("bind: {e}")))?;
-        let addr = listener
-            .local_addr()
-            .map_err(|e| ControlError::new(format!("local_addr: {e}")))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| ControlError::new(format!("nonblocking: {e}")))?;
         let shared = Arc::new(CpShared {
             meta,
             state: Mutex::new(CpState {
@@ -137,11 +124,13 @@ impl ControlPlane {
             }),
             stop: AtomicBool::new(false),
         });
-        let accept_shared = Arc::clone(&shared);
-        let accept_handle = std::thread::Builder::new()
-            .name(format!("control-plane:{}", addr.port()))
-            .spawn(move || accept_loop(&listener, &accept_shared))
-            .expect("spawn control accept loop");
+        let (addr, accept_handle) = listen_loopback(
+            "control-plane",
+            &shared,
+            |shared| shared.stop.load(Ordering::SeqCst),
+            serve_connection,
+        )
+        .map_err(|e| ControlError::new(format!("listen: {e}")))?;
         Ok(Self {
             addr,
             shared,
@@ -174,13 +163,9 @@ impl ControlPlane {
         }
     }
 
-    /// Stops the control plane without touching the shard servers.
-    pub fn shutdown(mut self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.accept_handle.take() {
-            let _ = h.join();
-        }
-    }
+    /// Stops the control plane without touching the shard servers
+    /// (what dropping it does).
+    pub fn shutdown(self) {}
 }
 
 impl Drop for ControlPlane {
@@ -189,31 +174,6 @@ impl Drop for ControlPlane {
         if let Some(h) = self.accept_handle.take() {
             let _ = h.join();
         }
-    }
-}
-
-fn accept_loop(listener: &TcpListener, shared: &Arc<CpShared>) {
-    let mut handles: Vec<JoinHandle<()>> = Vec::new();
-    while !shared.stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((conn, _peer)) => {
-                let conn_shared = Arc::clone(shared);
-                if let Ok(h) = std::thread::Builder::new()
-                    .name("control-conn".to_string())
-                    .spawn(move || serve_connection(conn, &conn_shared))
-                {
-                    handles.push(h);
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL_TICK);
-            }
-            Err(_) => break,
-        }
-        handles.retain(|h| !h.is_finished());
-    }
-    for h in handles {
-        let _ = h.join();
     }
 }
 
@@ -395,6 +355,23 @@ pub fn call(addr: &str, msg: &Message, timeout: Duration) -> Result<Message, Con
     }
 }
 
+/// The error for a reply of the wrong kind.
+fn unexpected(wanted: &str, got: &Message) -> ControlError {
+    ControlError::new(format!("expected {wanted}, got frame kind {}", got.kind()))
+}
+
+/// Sends `msg` to the control plane and expects an [`Message::Assign`].
+fn call_for_assignment(
+    control_addr: &str,
+    msg: &Message,
+    timeout: Duration,
+) -> Result<Assignment, ControlError> {
+    match call(control_addr, msg, timeout)? {
+        Message::Assign(a) => Ok(a),
+        other => Err(unexpected("Assign", &other)),
+    }
+}
+
 /// Registers a shard server with the control plane and returns its
 /// assignment.
 ///
@@ -406,19 +383,8 @@ pub fn register(
     my_addr: &str,
     timeout: Duration,
 ) -> Result<Assignment, ControlError> {
-    match call(
-        control_addr,
-        &Message::Register {
-            addr: my_addr.to_string(),
-        },
-        timeout,
-    )? {
-        Message::Assign(a) => Ok(a),
-        other => Err(ControlError::new(format!(
-            "expected Assign, got frame kind {}",
-            other.kind()
-        ))),
-    }
+    let addr = my_addr.to_string();
+    call_for_assignment(control_addr, &Message::Register { addr }, timeout)
 }
 
 /// Standby-side half of the re-seating protocol: asks the control plane
@@ -434,19 +400,8 @@ pub fn poll_seats(
     my_addr: &str,
     timeout: Duration,
 ) -> Result<Assignment, ControlError> {
-    match call(
-        control_addr,
-        &Message::PollSeats {
-            addr: my_addr.to_string(),
-        },
-        timeout,
-    )? {
-        Message::Assign(a) => Ok(a),
-        other => Err(ControlError::new(format!(
-            "expected Assign, got frame kind {}",
-            other.kind()
-        ))),
-    }
+    let addr = my_addr.to_string();
+    call_for_assignment(control_addr, &Message::PollSeats { addr }, timeout)
 }
 
 /// Asks the control plane to gracefully stop the whole cluster (drain +
@@ -458,50 +413,29 @@ pub fn poll_seats(
 pub fn shutdown_cluster(control_addr: &str, timeout: Duration) -> Result<(), ControlError> {
     match call(control_addr, &Message::Shutdown, timeout)? {
         Message::ShutdownAck => Ok(()),
-        other => Err(ControlError::new(format!(
-            "expected ShutdownAck, got frame kind {}",
-            other.kind()
-        ))),
+        other => Err(unexpected("ShutdownAck", &other)),
     }
 }
 
-/// A client-side handle to a TCP shard cluster: the cluster metadata
-/// plus one replicated client per shard.
-#[derive(Debug)]
-pub struct TcpCluster {
+/// The remote [`ShardPool`]: one replicated client per shard of a TCP
+/// cluster whose servers are other processes. The backend is only what
+/// the control plane said about them — this side owns no seat, so
+/// [`ShardPool::shutdown`] stops nothing (stop the fleet with
+/// [`shutdown_cluster`]).
+pub type TcpCluster = ShardPool<(ClusterMeta, RoutingTable)>;
+
+impl ShardPool<(ClusterMeta, RoutingTable)> {
     /// Spec/plan text, weight seed, and fleet shape from the control
     /// plane.
-    pub meta: ClusterMeta,
+    #[must_use]
+    pub fn meta(&self) -> &ClusterMeta {
+        &self.backend.0
+    }
+
     /// The routing table the clients were built from.
-    pub routes: RoutingTable,
-    set: ReplicaGroupSet,
-}
-
-impl TcpCluster {
-    /// One replicated client per shard, ordered by [`ShardId`] — feed
-    /// these to `partition_with_clients`.
     #[must_use]
-    pub fn clients(&self) -> Vec<Arc<dyn SparseShardClient>> {
-        self.set.clients()
-    }
-
-    /// Snapshot of failover/ejection/probe/recovery activity plus wire
-    /// totals across every shard-server connection.
-    #[must_use]
-    pub fn transport_summary(&self) -> TransportSummary {
-        self.set.transport_summary()
-    }
-
-    /// Attaches a hot-row cache so its counters appear in
-    /// [`Self::transport_summary`].
-    pub fn attach_cache(&self, cache: std::sync::Arc<dlrm_sharding::HotRowCache>) {
-        self.set.attach_cache(cache);
-    }
-
-    /// Per-replica RPC instrumentation in (shard, replica) order.
-    #[must_use]
-    pub fn replica_rpc_summaries(&self) -> Vec<ShardRpcSummary> {
-        self.set.replica_rpc_summaries()
+    pub fn routes(&self) -> &RoutingTable {
+        &self.backend.1
     }
 }
 
@@ -532,22 +466,12 @@ pub fn connect_cluster(
                 }
                 std::thread::sleep(POLL_TICK);
             }
-            other => {
-                return Err(ControlError::new(format!(
-                    "expected Routes, got frame kind {}",
-                    other.kind()
-                )))
-            }
+            other => return Err(unexpected("Routes", &other)),
         }
     };
     let meta = match call(control_addr, &Message::FetchMeta, timeout)? {
         Message::Meta(m) => m,
-        other => {
-            return Err(ControlError::new(format!(
-                "expected Meta, got frame kind {}",
-                other.kind()
-            )))
-        }
+        other => return Err(unexpected("Meta", &other)),
     };
     let mut set = ReplicaGroupSet::new(health);
     for shard in 0..meta.shards {
@@ -565,5 +489,5 @@ pub fn connect_cluster(
         }
         set.add_group(shard, seats);
     }
-    Ok(TcpCluster { meta, routes, set })
+    Ok(TcpCluster::new(set, (meta, routes)))
 }

@@ -198,12 +198,11 @@ impl ExecutionObserver for RpcTracingObserver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::threaded::ThreadedShardPool;
+    use crate::rebalance::{build_epoch_serving, RebalanceConfig};
     use dlrm_model::{build_model, rm, Workspace};
-    use dlrm_sharding::{partition_with_clients, plan, ShardService, ShardingStrategy};
+    use dlrm_sharding::{plan, ShardingStrategy};
     use dlrm_trace::gantt;
     use dlrm_workload::{materialize_request, PoolingProfile, TraceDb};
-    use std::sync::Arc;
     use std::time::Duration;
 
     #[test]
@@ -213,15 +212,14 @@ mod tests {
         spec.default_batch_size = 8;
         let profile = PoolingProfile::from_spec(&spec);
         let p = plan(&spec, &profile, ShardingStrategy::CapacityBalanced(2)).unwrap();
-        let model = build_model(&spec, 3).unwrap();
-        let services: Vec<Arc<ShardService>> = p
-            .shards()
-            .map(|s| Arc::new(ShardService::build(&model.tables, &p, s)))
-            .collect();
         // The injected delay makes the outstanding windows long enough
         // that overlap is unambiguous in wall-clock terms.
-        let pool = ThreadedShardPool::spawn_with_delay(services.clone(), Duration::from_millis(15));
-        let dist = partition_with_clients(model, &p, services, pool.clients()).unwrap();
+        let cfg = RebalanceConfig {
+            worker_delay: Duration::from_millis(15),
+            ..RebalanceConfig::default()
+        };
+        let serving = build_epoch_serving(&spec, &p, 3, 1, &cfg).unwrap();
+        let dist = &serving.model;
 
         let db = TraceDb::generate(&spec, 1, 5);
         let batch = &materialize_request(&spec, db.get(0), 8, 5)[0];
@@ -231,7 +229,6 @@ mod tests {
         dist.run_overlapped(&mut ws, &mut obs).unwrap();
         assert!(obs.rpc_count() >= 2, "expected ≥2 RPC span pairs per net");
         let collector = obs.finish();
-        pool.shutdown();
 
         let outstanding: Vec<_> = collector
             .spans()
@@ -265,21 +262,19 @@ mod tests {
         spec.default_batch_size = 4;
         let profile = PoolingProfile::from_spec(&spec);
         let p = plan(&spec, &profile, ShardingStrategy::OneShard).unwrap();
-        let model = build_model(&spec, 3).unwrap();
-        let services: Vec<Arc<ShardService>> = p
-            .shards()
-            .map(|s| Arc::new(ShardService::build(&model.tables, &p, s)))
-            .collect();
         // The shard's first request fails with an injected transient
         // error; the resilient policy retries and succeeds.
-        let faults = FaultPlan::none().with(
-            0,
-            0,
-            ReplicaFaultSchedule::none().with(0, FaultAction::TransientError),
-        );
-        let pool = ThreadedShardPool::spawn_with_faults(services.clone(), Duration::ZERO, &faults);
-        let mut dist = partition_with_clients(model, &p, services, pool.clients()).unwrap();
-        assert!(dist.set_rpc_policy(RpcPolicy::resilient()) >= 1);
+        let cfg = RebalanceConfig {
+            warm_faults: FaultPlan::none().with(
+                0,
+                0,
+                ReplicaFaultSchedule::none().with(0, FaultAction::TransientError),
+            ),
+            rpc_policy: Some(RpcPolicy::resilient()),
+            ..RebalanceConfig::default()
+        };
+        let serving = build_epoch_serving(&spec, &p, 3, 1, &cfg).unwrap();
+        let dist = &serving.model;
 
         let db = TraceDb::generate(&spec, 1, 5);
         let batch = &materialize_request(&spec, db.get(0), 4, 5)[0];
@@ -290,7 +285,6 @@ mod tests {
         assert!(obs.rpc_retries() >= 1, "the injected fault forces a retry");
         assert_eq!(obs.degraded_rpcs(), 0);
         let collector = obs.finish();
-        pool.shutdown();
 
         let retries: Vec<_> = collector
             .spans()

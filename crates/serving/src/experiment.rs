@@ -164,30 +164,6 @@ pub fn run_config(
     })
 }
 
-/// Runs the full Table III sweep for one model, sharing one trace
-/// database across configurations (the paired-comparison methodology of
-/// §V-B).
-///
-/// # Errors
-///
-/// Propagates the first infeasible configuration.
-pub fn run_sweep(
-    spec: &ModelSpec,
-    strategies: &[ShardingStrategy],
-    options: &ConfigOptions,
-) -> Result<Vec<ConfigResult>, PlanError> {
-    let db = TraceDb::generate_with(
-        spec,
-        options.requests.max(1000),
-        options.seed,
-        &trace_config_for(spec),
-    );
-    strategies
-        .iter()
-        .map(|&s| run_config(spec, &db, s, options))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

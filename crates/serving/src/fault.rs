@@ -11,6 +11,8 @@
 //! ordinal, so the same seed injects the same faults at the same points
 //! in every rerun.
 
+use dlrm_sharding::rpc::{RpcError, ShardRequest, ShardResponse};
+use dlrm_sharding::ShardService;
 use dlrm_sim::SimRng;
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -213,6 +215,72 @@ impl FaultPlan {
     pub fn is_empty(&self) -> bool {
         self.schedules.is_empty()
     }
+}
+
+/// What a seat did with one request under its fault schedule.
+pub(crate) enum Served {
+    /// [`FaultAction::Crash`]: the seat dies before serving — a worker
+    /// thread exits with its queue undrained, a server process stand-in
+    /// takes its listener and every connection with it.
+    Crashed,
+    /// [`FaultAction::DropReply`]: served, but the reply is lost — the
+    /// caller sees a transport loss, exactly like a connection reset
+    /// after the request was accepted.
+    Dropped,
+    /// The reply to deliver: the service's answer, an injected
+    /// transient error, or a caught panic as [`RpcError::Poisoned`].
+    Reply(Result<ShardResponse, RpcError>),
+}
+
+/// Serves `request` on `service` the way every seat backend does — a
+/// worker thread or a TCP server alike: sleep the injected base `delay`,
+/// apply `action` (the schedule's entry for this request ordinal), and
+/// catch panics while serving, injected or organic, so they surface as
+/// a typed error instead of killing the seat.
+pub(crate) fn serve_under_fault(
+    service: &ShardService,
+    request: &ShardRequest,
+    delay: Duration,
+    action: Option<FaultAction>,
+) -> Served {
+    if action == Some(FaultAction::Crash) {
+        return Served::Crashed;
+    }
+    if !delay.is_zero() {
+        std::thread::sleep(delay);
+    }
+    match action {
+        Some(FaultAction::Delay(spike)) => std::thread::sleep(spike),
+        Some(FaultAction::DropReply) => {
+            let _ = service.execute(request);
+            return Served::Dropped;
+        }
+        Some(FaultAction::TransientError) => {
+            return Served::Reply(Err(RpcError::Transport {
+                shard: service.shard_id(),
+                message: "injected transient fault".to_string(),
+            }));
+        }
+        _ => {}
+    }
+    let inject_panic = action == Some(FaultAction::Panic);
+    let served = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        assert!(!inject_panic, "injected worker panic");
+        service.execute(request)
+    }));
+    Served::Reply(served.unwrap_or_else(|payload| {
+        let message = if let Some(s) = payload.downcast_ref::<&'static str>() {
+            (*s).to_string()
+        } else if let Some(s) = payload.downcast_ref::<String>() {
+            s.clone()
+        } else {
+            "non-string panic payload".to_string()
+        };
+        Err(RpcError::Poisoned {
+            shard: service.shard_id(),
+            message,
+        })
+    }))
 }
 
 #[cfg(test)]

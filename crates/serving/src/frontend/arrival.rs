@@ -13,13 +13,13 @@ use std::time::{Duration, Instant};
 
 /// One admitted request in flight through the frontend pipeline.
 #[derive(Debug)]
-pub struct QueuedRequest {
+pub(crate) struct QueuedRequest {
     /// The request's identity and inputs.
-    pub request: FrontendRequest,
+    pub(crate) request: FrontendRequest,
     /// Scheduled arrival offset from run origin, milliseconds.
-    pub arrival_ms: f64,
+    pub(crate) arrival_ms: f64,
     /// When the load generator enqueued it (the E2E clock start).
-    pub enqueued_at: Instant,
+    pub(crate) enqueued_at: Instant,
 }
 
 /// Replays `schedule` against `requests` in wall time, offering each
@@ -30,7 +30,7 @@ pub struct QueuedRequest {
 /// # Panics
 ///
 /// Panics if the schedule and request list differ in length.
-pub fn generate_load(
+pub(crate) fn generate_load(
     origin: Instant,
     schedule: &ArrivalSchedule,
     requests: Vec<FrontendRequest>,

@@ -17,7 +17,7 @@
 
 use super::arrival::QueuedRequest;
 use super::queue::Dequeuer;
-use crate::channel::{RecvTimeoutError, Sender};
+use crate::channel::RecvTimeoutError;
 use dlrm_model::graph::SparseInput;
 use dlrm_tensor::Matrix;
 use dlrm_workload::BatchInputs;
@@ -26,31 +26,34 @@ use std::time::{Duration, Instant};
 /// One request inside a formed batch, with its pickup timestamp (the
 /// boundary between queue-wait and batch-assembly time).
 #[derive(Debug)]
-pub struct BatchEntry {
+pub(crate) struct BatchEntry {
     /// The queued request.
-    pub queued: QueuedRequest,
+    pub(crate) queued: QueuedRequest,
     /// When the batcher dequeued it.
-    pub dequeued_at: Instant,
+    pub(crate) dequeued_at: Instant,
 }
 
 /// A closed batch ready for a worker.
 #[derive(Debug)]
-pub struct FormedBatch {
+pub(crate) struct FormedBatch {
     /// Member requests in pickup order; the first is the *lead* request
     /// whose trace id labels the batch's execution spans.
-    pub entries: Vec<BatchEntry>,
+    pub(crate) entries: Vec<BatchEntry>,
     /// When the batch closed (size or deadline reached).
-    pub closed_at: Instant,
+    pub(crate) closed_at: Instant,
 }
 
 /// Runs the batch-formation loop until the admission queue disconnects:
 /// dequeue a lead request (blocking), then fill until `max_requests` or
-/// `lead pickup + timeout`, whichever first, and emit the batch.
-pub fn batcher_loop(
+/// `lead pickup + timeout`, whichever first, and `emit` the batch —
+/// which may block (a full ready-queue lane; arrivals then back up into
+/// the admission queue and shed there) and returns `false` when nobody
+/// is left to execute batches.
+pub(crate) fn batcher_loop(
     dequeuer: Dequeuer<QueuedRequest>,
     max_requests: usize,
     timeout: Duration,
-    batches: Sender<FormedBatch>,
+    mut emit: impl FnMut(FormedBatch) -> bool,
 ) {
     assert!(max_requests > 0, "batches must hold at least one request");
     'outer: loop {
@@ -81,11 +84,10 @@ pub fn batcher_loop(
             entries,
             closed_at: Instant::now(),
         };
-        if batches.send(batch).is_err() || disconnected {
+        if !emit(batch) || disconnected {
             break 'outer; // workers gone, or no more arrivals possible
         }
     }
-    // `batches` sender drops here: workers drain and observe disconnect.
 }
 
 /// Row-concatenates request inputs into one engine batch, returning the
@@ -157,7 +159,6 @@ pub fn split_rows(merged: &Matrix, row_counts: &[usize]) -> Vec<Matrix> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::channel;
     use crate::frontend::queue::admission_queue;
     use crate::frontend::FrontendRequest;
 
@@ -206,24 +207,26 @@ mod tests {
     #[test]
     fn size_closes_batch_before_deadline() {
         let (adm, deq, _stats) = admission_queue(16);
-        let (tx, rx) = channel::unbounded();
         for i in 0..5 {
             adm.offer(queued(i, 1)).unwrap();
         }
         drop(adm);
-        batcher_loop(deq, 2, Duration::from_secs(60), tx);
-        let sizes: Vec<usize> = std::iter::from_fn(|| rx.recv().ok())
-            .map(|b: FormedBatch| b.entries.len())
-            .collect();
+        let mut sizes = Vec::new();
+        batcher_loop(deq, 2, Duration::from_secs(60), |b| {
+            sizes.push(b.entries.len());
+            true
+        });
         assert_eq!(sizes, vec![2, 2, 1]);
     }
 
     #[test]
     fn deadline_closes_undersized_batch() {
         let (adm, deq, _stats) = admission_queue(16);
-        let (tx, rx) = channel::unbounded();
+        let (tx, rx) = crate::channel::unbounded();
         adm.offer(queued(0, 1)).unwrap();
-        let t = std::thread::spawn(move || batcher_loop(deq, 64, Duration::from_millis(10), tx));
+        let t = std::thread::spawn(move || {
+            batcher_loop(deq, 64, Duration::from_millis(10), |b| tx.send(b).is_ok());
+        });
         let b = rx.recv().expect("deadline should close the batch");
         assert_eq!(b.entries.len(), 1);
         drop(adm);
@@ -233,15 +236,16 @@ mod tests {
     #[test]
     fn disconnect_flushes_partial_batch() {
         let (adm, deq, _stats) = admission_queue(16);
-        let (tx, rx) = channel::unbounded();
         for i in 0..3 {
             adm.offer(queued(i, 1)).unwrap();
         }
         drop(adm);
-        batcher_loop(deq, 64, Duration::from_secs(60), tx);
-        let b = rx.recv().unwrap();
-        assert_eq!(b.entries.len(), 3);
-        assert!(rx.recv().is_err(), "batch sender must close after flush");
+        let mut sizes = Vec::new();
+        batcher_loop(deq, 64, Duration::from_secs(60), |b| {
+            sizes.push(b.entries.len());
+            true
+        });
+        assert_eq!(sizes, vec![3], "one flushed batch, then the loop ends");
     }
 
     #[test]

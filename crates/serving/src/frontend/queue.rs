@@ -41,14 +41,14 @@ pub struct QueueStats {
 /// A cloneable handle that can snapshot [`QueueStats`] after both queue
 /// ends have been dropped.
 #[derive(Debug, Clone)]
-pub struct QueueStatsHandle {
+pub(crate) struct QueueStatsHandle {
     counters: Arc<QueueCounters>,
 }
 
 impl QueueStatsHandle {
     /// Current counter values.
     #[must_use]
-    pub fn snapshot(&self) -> QueueStats {
+    pub(crate) fn snapshot(&self) -> QueueStats {
         QueueStats {
             offered: self.counters.offered.load(Ordering::Acquire),
             admitted: self.counters.admitted.load(Ordering::Acquire),
@@ -61,14 +61,14 @@ impl QueueStatsHandle {
 
 /// The producer end: offers requests, shedding on overflow.
 #[derive(Debug)]
-pub struct Admitter<T> {
+pub(crate) struct Admitter<T> {
     tx: Sender<T>,
     counters: Arc<QueueCounters>,
 }
 
 /// The consumer end: dequeues admitted requests.
 #[derive(Debug)]
-pub struct Dequeuer<T> {
+pub(crate) struct Dequeuer<T> {
     rx: Receiver<T>,
     counters: Arc<QueueCounters>,
 }
@@ -78,8 +78,7 @@ pub struct Dequeuer<T> {
 /// # Panics
 ///
 /// Panics if `capacity` is zero (a zero-capacity queue sheds everything).
-#[must_use]
-pub fn admission_queue<T>(capacity: usize) -> (Admitter<T>, Dequeuer<T>, QueueStatsHandle) {
+pub(crate) fn admission_queue<T>(capacity: usize) -> (Admitter<T>, Dequeuer<T>, QueueStatsHandle) {
     assert!(capacity > 0, "admission queue capacity must be non-zero");
     let (tx, rx) = channel::bounded(capacity);
     let counters = Arc::new(QueueCounters::default());
@@ -100,7 +99,7 @@ impl<T> Admitter<T> {
     /// Offers one request. Returns `Ok(())` on admission; on a full
     /// queue (or a shut-down consumer) the request is shed and handed
     /// back as `Err` so the caller can account for it.
-    pub fn offer(&self, value: T) -> Result<(), T> {
+    pub(crate) fn offer(&self, value: T) -> Result<(), T> {
         self.counters.offered.fetch_add(1, Ordering::AcqRel);
         // Increment depth BEFORE the message becomes visible: once
         // try_send succeeds the consumer may dequeue (and decrement)
@@ -124,7 +123,7 @@ impl<T> Admitter<T> {
 impl<T> Dequeuer<T> {
     /// Blocks for the next admitted request; `Err` means every
     /// [`Admitter`] is gone and the queue has drained.
-    pub fn recv(&self) -> Result<T, RecvError> {
+    pub(crate) fn recv(&self) -> Result<T, RecvError> {
         let v = self.rx.recv()?;
         self.counters.depth.fetch_sub(1, Ordering::AcqRel);
         Ok(v)
@@ -137,7 +136,7 @@ impl<T> Dequeuer<T> {
     ///
     /// `Timeout` if the deadline passes first; `Disconnected` once every
     /// admitter is dropped and the queue is empty.
-    pub fn recv_deadline(&self, deadline: Instant) -> Result<T, RecvTimeoutError> {
+    pub(crate) fn recv_deadline(&self, deadline: Instant) -> Result<T, RecvTimeoutError> {
         let v = self.rx.recv_deadline(deadline)?;
         self.counters.depth.fetch_sub(1, Ordering::AcqRel);
         Ok(v)

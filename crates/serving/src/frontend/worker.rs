@@ -1,134 +1,107 @@
 //! Worker pool: OS threads draining formed batches through the
 //! overlapped executor.
 //!
-//! Each worker merges a batch's request inputs ([`merge_inputs`]), runs
-//! the distributed model under [`DistributedModel::run_overlapped`] —
-//! so shard round-trips overlap with dense compute exactly as in PR 2's
-//! executor — then splits the predictions back per request
-//! ([`split_rows`]) and records the request's timeline spans.
-//!
-//! The batch receiver is shared behind a mutex: pickup is serialized
-//! (the blocked `recv` holds the lock) but execution is fully parallel,
-//! which is the right trade for batch-granular work items.
+//! Each worker blocks on the [`ReadyQueue`] for its next batch,
+//! resolves the owning lane's serving epoch, merges the batch's request
+//! inputs ([`merge_inputs`]), runs the distributed model under
+//! [`DistributedModel::run_overlapped`] — so shard round-trips overlap
+//! with dense compute exactly as in PR 2's executor — then splits the
+//! predictions back per request ([`split_rows`]) and records the
+//! request's timeline spans.
 
 use super::batcher::{merge_inputs, split_rows, FormedBatch};
+use super::queue::QueueStatsHandle;
+use super::ready::ReadyQueue;
 use super::sla::RequestRecord;
-use crate::channel::Receiver;
+use super::EpochSource;
 use crate::engine_trace::RpcTracingObserver;
-use crate::rebalance::EpochSwitch;
 use dlrm_model::RuntimeCtx;
 use dlrm_sharding::DistributedModel;
 use dlrm_trace::{ServerId, Span, SpanKind, TraceCollector, TraceId};
 use dlrm_workload::OnlineProfiler;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
+
+/// A partitioned graph's static per-blob consumer counts.
+type ConsumerCounts = Arc<HashMap<String, usize>>;
 
 /// Milliseconds from `origin` to `at` (zero if `at` precedes it).
 fn ms(origin: Instant, at: Instant) -> f64 {
     at.saturating_duration_since(origin).as_secs_f64() * 1e3
 }
 
-/// Drains batches until the batcher disconnects. Per batch: merge →
-/// `run_overlapped` → split; per member request: push a
-/// [`RequestRecord`] and its QueueWait / BatchAssembly / BatchExecute /
-/// RequestE2E spans (frontend clock, main server). The lead request
-/// additionally carries the executor's re-based per-op and
-/// RpcOutstanding spans, so one Gantt render shows batch formation next
-/// to the overlap rows.
-pub fn worker_loop(
-    model: &DistributedModel,
-    origin: Instant,
-    batches: &Mutex<Receiver<FormedBatch>>,
-    batch_seq: &AtomicU64,
-    records: &Mutex<Vec<RequestRecord>>,
-    trace: &Mutex<TraceCollector>,
-) {
+/// One lane's run state: where its batches execute, where their
+/// outcomes land, and what its [`LaneRun`](super::LaneRun) reports.
+pub(crate) struct LaneSink<'a> {
+    pub(crate) source: EpochSource<'a>,
+    pub(crate) profiler: Option<&'a OnlineProfiler>,
+    pub(crate) records: Mutex<Vec<RequestRecord>>,
+    pub(crate) trace: Mutex<TraceCollector>,
+    pub(crate) queue: QueueStatsHandle,
+    pub(crate) sla_ms: f64,
+}
+
+/// Drains `ready` until every batcher has closed. Per batch: resolve
+/// the owning lane's epoch **once** — a cutover published mid-run takes
+/// effect at the next pickup, and no batch ever mixes two epochs'
+/// state — feed the lane's profiler, then [`run_batch`].
+pub(crate) fn worker_loop(lanes: &[LaneSink<'_>], ready: &ReadyQueue, origin: Instant) {
+    let _live = ready.worker();
     // Per-worker runtime context: after the first few batches the
     // buffer pool holds every dense store the model needs, so
     // steady-state batches allocate no f32 backing stores. Consumer
-    // counts are static per graph — computed once, shared by every
-    // batch workspace.
+    // counts are static per partitioned graph — computed once per
+    // (lane, epoch) and shared by every batch workspace.
     let ctx = RuntimeCtx::from_env();
-    let consumers = Arc::new(model.consumer_counts());
-    loop {
-        let batch = {
-            let rx = batches.lock().expect("batch receiver lock poisoned");
-            match rx.recv() {
-                Ok(b) => b,
-                Err(_) => break, // batcher finished and queue drained
+    let mut consumers: Vec<Option<(u64, ConsumerCounts)>> = vec![None; lanes.len()];
+    while let Some((i, seq, batch)) = ready.pop() {
+        let lane = &lanes[i];
+        // A switch lane holds its epoch's `Arc` for exactly this batch:
+        // the drain protocol depends on it being released promptly.
+        let held;
+        let (model, epoch) = match lane.source {
+            EpochSource::Pinned(model) => (model, 0),
+            EpochSource::Switch(switch) => {
+                held = switch.current();
+                (&held.model, held.epoch)
             }
         };
-        let seq = batch_seq.fetch_add(1, Ordering::AcqRel);
-        run_batch(model, 0, &ctx, &consumers, origin, seq, batch, records, trace);
-    }
-}
-
-/// [`worker_loop`] over an [`EpochSwitch`] instead of a pinned model:
-/// every batch resolves the *current* epoch exactly once — a cutover
-/// published mid-run takes effect at the next batch pickup, and no
-/// batch ever mixes two epochs' state. Batches optionally feed the
-/// shared [`OnlineProfiler`], closing the loop the rebalance controller
-/// replans from. Consumer counts are cached per epoch (they are static
-/// per partitioned graph).
-pub fn worker_loop_live(
-    switch: &EpochSwitch,
-    profiler: Option<&OnlineProfiler>,
-    origin: Instant,
-    batches: &Mutex<Receiver<FormedBatch>>,
-    batch_seq: &AtomicU64,
-    records: &Mutex<Vec<RequestRecord>>,
-    trace: &Mutex<TraceCollector>,
-) {
-    let ctx = RuntimeCtx::from_env();
-    let mut consumers_by_epoch: HashMap<u64, Arc<HashMap<String, usize>>> = HashMap::new();
-    loop {
-        let batch = {
-            let rx = batches.lock().expect("batch receiver lock poisoned");
-            match rx.recv() {
-                Ok(b) => b,
-                Err(_) => break,
-            }
-        };
-        // Resolve the serving epoch once per batch and hold it for the
-        // batch's whole execution: the drain protocol depends on this
-        // Arc being released promptly after the batch completes.
-        let epoch = switch.current();
-        if let Some(p) = profiler {
+        if let Some(p) = lane.profiler {
             for entry in &batch.entries {
                 p.observe(&entry.queued.request.inputs);
             }
         }
-        let consumers = consumers_by_epoch
-            .entry(epoch.epoch)
-            .or_insert_with(|| Arc::new(epoch.model.consumer_counts()));
-        let seq = batch_seq.fetch_add(1, Ordering::AcqRel);
+        let counts = match &mut consumers[i] {
+            Some((cached, counts)) if *cached == epoch => &*counts,
+            slot => &slot.insert((epoch, Arc::new(model.consumer_counts()))).1,
+        };
         run_batch(
-            &epoch.model,
-            epoch.epoch,
+            model,
+            epoch,
             &ctx,
-            consumers,
+            counts,
             origin,
             seq,
             batch,
-            records,
-            trace,
+            &lane.records,
+            &lane.trace,
         );
     }
 }
 
 /// Executes one formed batch against `model` and records every member
-/// request's timeline. Shared by the single-tenant worker loops above
-/// and the multi-tenant dispatcher
-/// ([`crate::tenancy::run_tenant_set`]), which resolves a per-tenant
-/// epoch before calling in.
+/// request's timeline: a [`RequestRecord`] and its QueueWait /
+/// BatchAssembly / BatchExecute / RequestE2E spans (frontend clock, main
+/// server). The lead request additionally carries the executor's
+/// re-based per-op and RpcOutstanding spans, so one Gantt render shows
+/// batch formation next to the overlap rows.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_batch(
+fn run_batch(
     model: &DistributedModel,
     epoch: u64,
     ctx: &RuntimeCtx,
-    consumers: &Arc<HashMap<String, usize>>,
+    consumers: &ConsumerCounts,
     origin: Instant,
     seq: u64,
     batch: FormedBatch,

@@ -35,7 +35,6 @@ pub mod engine_trace;
 pub mod experiment;
 pub mod fault;
 pub mod frontend;
-pub mod local;
 pub mod paging;
 pub mod control;
 pub mod rebalance;

@@ -1,5 +1,6 @@
 //! Epoch-versioned serving state: the atomically-swappable routing
-//! table behind live resharding.
+//! table behind live resharding, and the one pipeline every epoch
+//! transition goes through.
 //!
 //! One *epoch* is one immutable serving configuration — a partitioned
 //! [`DistributedModel`] wired to its replica pool, stamped with the
@@ -7,15 +8,29 @@
 //! epoch: an atomic `Arc` swap that takes effect on the next batch any
 //! frontend worker picks up. Workers resolve the current epoch *once
 //! per batch*, so no batch ever mixes two epochs' state — the invariant
-//! the chaos tests pin. The retired epoch's `Arc` drains naturally:
-//! when the last in-flight batch holding it completes, the controller
-//! observes the refcount reach one and shuts the vacated pool down
-//! gracefully (workers finish queued envelopes before exiting).
+//! the chaos tests pin.
+//!
+//! [`EpochSwitch::transition`] is the sequence both controllers (the
+//! [`Rebalancer`](super::Rebalancer) and the tenancy
+//! [`PressureController`](crate::tenancy::PressureController)) run:
+//! take a built successor → **verify** it by replaying probe inputs
+//! against expected outputs ([`ProbeCheck`]) → **publish** → hand the
+//! retiree to a [`DrainQueue`], which shuts its pool down once the last
+//! in-flight batch holding its `Arc` completes. A successor that fails
+//! to build or to verify is shut down here and nothing is published.
+//! The controllers keep only what differs: deciding when to transition
+//! and recording what happened.
 
-use crate::replica::ReplicatedShardPool;
+use crate::engine_trace::RpcTracingObserver;
+use crate::replica::{ReplicatedShardPool, TransportSummary};
+use dlrm_model::{ModelSpec, Workspace};
 use dlrm_sharding::DistributedModel;
+use dlrm_tensor::Matrix;
+use dlrm_trace::TraceId;
+use dlrm_workload::{BatchInputs, TraceDb};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
+use std::time::{Duration, Instant};
 
 /// One immutable serving epoch: the partitioned model and the replica
 /// pool backing its shard clients.
@@ -29,7 +44,7 @@ pub struct EpochServing {
     pub model: DistributedModel,
     /// The worker pool behind `model`'s shard clients. `None` when the
     /// epoch serves over a transport the controller does not own (e.g.
-    /// TCP seats managed by a control plane).
+    /// in-process tiered clients).
     pub pool: Option<ReplicatedShardPool>,
 }
 
@@ -69,8 +84,7 @@ impl EpochSwitch {
     }
 
     /// Atomically cuts over to `next` and returns the retired epoch for
-    /// the caller to drain (see
-    /// [`Rebalancer::drain_retired`](super::Rebalancer::drain_retired)).
+    /// the caller to drain (see [`DrainQueue`]).
     pub fn publish(&self, next: EpochServing) -> Arc<EpochServing> {
         let mut slot = self.current.write().expect("epoch switch lock");
         let old = std::mem::replace(&mut *slot, Arc::new(next));
@@ -84,17 +98,174 @@ impl EpochSwitch {
     pub fn cutovers(&self) -> u64 {
         self.cutovers.load(Ordering::Relaxed)
     }
+
+    /// The transition pipeline: verify `candidate` against `check`,
+    /// publish it, and queue the retired epoch on `drain`. On any abort
+    /// — the build failed, a probe errored or came back degraded, or
+    /// the outputs diverged — the candidate's pool is shut down, the
+    /// serving epoch and [`cutovers`](Self::cutovers) stay as they
+    /// were, and the reason is returned.
+    ///
+    /// # Errors
+    ///
+    /// The abort reason.
+    pub fn transition(
+        &self,
+        candidate: Result<EpochServing, String>,
+        check: &ProbeCheck<'_>,
+        drain: &mut DrainQueue,
+    ) -> Result<(), String> {
+        let next = candidate.map_err(|e| format!("warm failed: {e}"))?;
+        if let Err(reason) = check.verify(&next.model) {
+            if let Some(pool) = next.pool {
+                pool.shutdown();
+            }
+            return Err(reason);
+        }
+        drain.retire(self.publish(next));
+        Ok(())
+    }
+}
+
+/// Seeded probe inputs for dual-read verification: `n` whole requests
+/// drawn from `spec`'s trace distribution.
+#[must_use]
+pub fn probe_inputs(spec: &ModelSpec, n: usize, seed: u64) -> Vec<BatchInputs> {
+    TraceDb::generate(spec, n, seed)
+        .iter()
+        .map(|shape| crate::frontend::materialize_whole(spec, shape, seed))
+        .collect()
+}
+
+/// Replays every probe input through `model`, demanding full-fidelity
+/// answers: any engine error or degraded RPC is a failure.
+///
+/// # Errors
+///
+/// The first failing probe, by index.
+pub fn probe_all(
+    spec: &ModelSpec,
+    model: &DistributedModel,
+    inputs: &[BatchInputs],
+) -> Result<Vec<Matrix>, String> {
+    inputs
+        .iter()
+        .enumerate()
+        .map(|(i, inputs)| {
+            let mut ws = Workspace::new();
+            inputs.load_into(spec, &mut ws);
+            let mut obs = RpcTracingObserver::new(TraceId(u64::MAX));
+            let out = model
+                .run_overlapped(&mut ws, &mut obs)
+                .map_err(|e| format!("probe {i}: {e}"))?;
+            if obs.degraded_rpcs() > 0 {
+                return Err(format!("probe {i}: degraded response during dual read"));
+            }
+            Ok(out)
+        })
+        .collect()
+}
+
+/// What a candidate epoch must reproduce before it may publish.
+#[derive(Debug, Clone, Copy)]
+pub struct ProbeCheck<'a> {
+    /// The model spec the inputs were drawn for.
+    pub spec: &'a ModelSpec,
+    /// Probe requests replayed through the candidate.
+    pub inputs: &'a [BatchInputs],
+    /// The outputs it must reproduce, one per input.
+    pub expected: &'a [Matrix],
+    /// Largest allowed absolute output drift; 0 demands bitwise-equal
+    /// predictions.
+    pub tolerance: f32,
+}
+
+impl ProbeCheck<'_> {
+    /// The dual read: replays the probe inputs through `candidate` and
+    /// compares against the expected outputs under the tolerance.
+    ///
+    /// # Errors
+    ///
+    /// The first probe that errors, degrades, or diverges.
+    pub fn verify(&self, candidate: &DistributedModel) -> Result<(), String> {
+        let got = probe_all(self.spec, candidate, self.inputs)
+            .map_err(|e| format!("warmed epoch: {e}"))?;
+        for (i, (out, want)) in got.iter().zip(self.expected).enumerate() {
+            let same = if self.tolerance == 0.0 {
+                out == want
+            } else {
+                out.max_abs_diff(want) <= self.tolerance
+            };
+            if !same {
+                return Err(format!(
+                    "probe {i}: dual read diverges from the expected output by {} (tolerance {})",
+                    out.max_abs_diff(want),
+                    self.tolerance
+                ));
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Retired epochs waiting for their last in-flight batch. Workers
+/// release their per-batch `Arc`s promptly, so an epoch usually drains
+/// within one batch time of its cutover.
+#[derive(Debug, Default)]
+pub struct DrainQueue {
+    retired: Vec<Arc<EpochServing>>,
+    transport: TransportSummary,
+}
+
+impl DrainQueue {
+    /// Queues a retired epoch.
+    pub fn retire(&mut self, epoch: Arc<EpochServing>) {
+        self.retired.push(epoch);
+    }
+
+    /// Shuts down every retired epoch nobody references any more (its
+    /// pool stops, its transport summary is absorbed); epochs still
+    /// held by an in-flight batch stay queued.
+    pub fn poll(&mut self) {
+        for entry in std::mem::take(&mut self.retired) {
+            match Arc::try_unwrap(entry) {
+                Ok(epoch) => {
+                    if let Some(pool) = epoch.pool {
+                        self.transport.absorb_retired(&pool.transport_summary());
+                        pool.shutdown();
+                    }
+                }
+                Err(still_held) => self.retired.push(still_held),
+            }
+        }
+    }
+
+    /// Polls until the queue is empty or `deadline` passes; returns how
+    /// many epochs are still undrained (they stay queued).
+    pub fn finish(&mut self, deadline: Instant) -> usize {
+        loop {
+            self.poll();
+            if self.retired.is_empty() || Instant::now() >= deadline {
+                return self.retired.len();
+            }
+            std::thread::sleep(Duration::from_micros(200));
+        }
+    }
+
+    /// Transport activity of every drained epoch, folded together.
+    #[must_use]
+    pub fn transport(&self) -> &TransportSummary {
+        &self.transport
+    }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::super::{build_epoch_serving, RebalanceConfig};
     use super::*;
-    use crate::fault::FaultPlan;
-    use crate::replica::HealthPolicy;
-    use dlrm_model::{build_model, rm};
-    use dlrm_sharding::{partition_with_clients, plan, ShardingStrategy};
+    use dlrm_model::rm;
+    use dlrm_sharding::{plan, ShardingStrategy};
     use dlrm_workload::PoolingProfile;
-    use std::time::Duration;
 
     fn epoch_state(epoch: u64) -> EpochServing {
         let mut spec = rm::rm1().scaled_to_bytes(1 << 20);
@@ -102,47 +273,29 @@ mod tests {
         spec.default_batch_size = 4;
         let profile = PoolingProfile::from_spec(&spec);
         let p = plan(&spec, &profile, ShardingStrategy::OneShard).unwrap();
-        let model = build_model(&spec, 1).unwrap();
-        let services: Vec<_> = p
-            .shards()
-            .map(|s| {
-                std::sync::Arc::new(dlrm_sharding::ShardService::build(&model.tables, &p, s))
-            })
-            .collect();
-        let pool = ReplicatedShardPool::spawn(
-            services.clone(),
-            1,
-            Duration::ZERO,
-            &FaultPlan::none(),
-            HealthPolicy::default(),
-        );
-        let dist = partition_with_clients(model, &p, services, pool.clients()).unwrap();
-        EpochServing {
-            epoch,
-            model: dist,
-            pool: Some(pool),
-        }
+        let mut serving =
+            build_epoch_serving(&spec, &p, 1, 1, &RebalanceConfig::default()).unwrap();
+        serving.epoch = epoch;
+        serving
     }
 
     #[test]
-    fn publish_swaps_atomically_and_returns_the_retiree() {
+    fn publish_swaps_atomically_and_the_retiree_drains_once_released() {
         let switch = EpochSwitch::new(epoch_state(0));
         assert_eq!(switch.epoch(), 0);
         assert_eq!(switch.cutovers(), 0);
         let held = switch.current();
-        let old = switch.publish(epoch_state(1));
-        assert_eq!(old.epoch, 0);
+        let mut drain = DrainQueue::default();
+        drain.retire(switch.publish(epoch_state(1)));
         assert_eq!(switch.epoch(), 1);
         assert_eq!(switch.cutovers(), 1);
         // The held Arc still serves epoch 0 — a batch that resolved the
-        // switch before the cutover finishes on the old state.
+        // switch before the cutover finishes on the old state, and the
+        // retiree cannot drain under it.
         assert_eq!(held.epoch, 0);
+        assert_eq!(drain.finish(Instant::now()), 1);
         drop(held);
-        // With the last outside reference gone, the retiree is
-        // exclusively ours and can be drained.
-        let retired = Arc::try_unwrap(old).expect("no other holders");
-        if let Some(pool) = retired.pool {
-            pool.shutdown();
-        }
+        // With the last outside reference gone the retiree drains.
+        assert_eq!(drain.finish(Instant::now()), 0);
     }
 }

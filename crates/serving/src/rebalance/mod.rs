@@ -31,19 +31,14 @@
 
 pub mod epoch;
 
-pub use epoch::{EpochServing, EpochSwitch};
+pub use epoch::{probe_all, probe_inputs, DrainQueue, EpochServing, EpochSwitch, ProbeCheck};
 
-use crate::engine_trace::RpcTracingObserver;
 use crate::fault::FaultPlan;
 use crate::replica::{HealthPolicy, ReplicatedShardPool, TransportSummary};
-use dlrm_model::{build_model, ModelSpec, Workspace};
+use dlrm_model::ModelSpec;
 use dlrm_sharding::rpc::RpcPolicy;
-use dlrm_sharding::{
-    partition_with_clients, plan_with_stats, HotRowConfig, ShardId, ShardService,
-    ShardingPlan, ShardingStrategy,
-};
-use dlrm_trace::TraceId;
-use dlrm_workload::{materialize_request, OnlineProfiler, PoolingProfile, TraceDb};
+use dlrm_sharding::{plan_with_stats, HotRowConfig, ShardId, ShardingPlan, ShardingStrategy};
+use dlrm_workload::{OnlineProfiler, PoolingProfile};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -263,23 +258,15 @@ pub fn build_epoch_serving(
     replicas_per_shard: usize,
     cfg: &RebalanceConfig,
 ) -> Result<EpochServing, String> {
-    let model = build_model(spec, seed).map_err(|e| e.to_string())?;
-    let services: Vec<Arc<ShardService>> = plan
-        .shards()
-        .map(|s| Arc::new(ShardService::build(&model.tables, plan, s)))
-        .collect();
-    let pool = ReplicatedShardPool::spawn(
-        services.clone(),
-        replicas_per_shard,
-        cfg.worker_delay,
-        &cfg.warm_faults,
-        cfg.health,
-    );
-    let mut dist = partition_with_clients(model, plan, services, pool.clients())
-        .map_err(|e| e.to_string())?;
-    if let Some(cache) = &dist.cache {
-        pool.attach_cache(Arc::clone(cache));
-    }
+    let (mut dist, pool) = ReplicatedShardPool::assemble(spec, plan, seed, |services| {
+        Ok(ReplicatedShardPool::spawn(
+            services,
+            replicas_per_shard,
+            cfg.worker_delay,
+            &cfg.warm_faults,
+            cfg.health,
+        ))
+    })?;
     if let Some(policy) = cfg.rpc_policy {
         dist.set_rpc_policy(policy);
     }
@@ -302,10 +289,9 @@ pub struct Rebalancer {
     profiler: Arc<OnlineProfiler>,
     cfg: RebalanceConfig,
     dual_inputs: Vec<dlrm_workload::BatchInputs>,
-    draining: Vec<Arc<EpochServing>>,
+    drain: DrainQueue,
     migrations: Vec<MigrationRecord>,
     scale_events: Vec<ScaleEvent>,
-    retired_transport: TransportSummary,
     /// Autoscaler state, valid for `last_epoch` only.
     last_epoch: u64,
     last_calls: Vec<u64>,
@@ -317,7 +303,7 @@ pub struct Rebalancer {
 impl Rebalancer {
     /// A controller for the tier behind `switch`, profiling via
     /// `profiler` (share it with the frontend — see
-    /// `run_frontend_live`). `seed` must be the seed the *serving*
+    /// [`Lane::profiler`](crate::frontend::Lane)). `seed` must be the seed the *serving*
     /// model was built from: successor epochs rebuild weights from it,
     /// which is what makes cutovers bit-exact.
     #[must_use]
@@ -329,15 +315,7 @@ impl Rebalancer {
         cfg: RebalanceConfig,
     ) -> Self {
         let profile = PoolingProfile::from_spec(&spec);
-        let db = TraceDb::generate(&spec, cfg.dual_read_requests, cfg.dual_read_seed);
-        let dual_inputs = (0..db.len())
-            .map(|i| {
-                materialize_request(&spec, db.get(i), usize::MAX, cfg.dual_read_seed)
-                    .into_iter()
-                    .next()
-                    .expect("request shapes have at least one item")
-            })
-            .collect();
+        let dual_inputs = probe_inputs(&spec, cfg.dual_read_requests, cfg.dual_read_seed);
         Self {
             spec,
             seed,
@@ -346,10 +324,9 @@ impl Rebalancer {
             profiler,
             cfg,
             dual_inputs,
-            draining: Vec::new(),
+            drain: DrainQueue::default(),
             migrations: Vec::new(),
             scale_events: Vec::new(),
-            retired_transport: TransportSummary::default(),
             last_epoch: u64::MAX,
             last_calls: Vec::new(),
             streak_up: Vec::new(),
@@ -362,38 +339,13 @@ impl Rebalancer {
     /// in-flight batch has completed, consider a migration, then apply
     /// autoscaling decisions.
     pub fn tick(&mut self) {
-        self.drain_retired();
+        self.drain.poll();
         if self.cooldown > 0 {
             self.cooldown -= 1;
         } else {
             self.maybe_migrate();
         }
         self.autoscale();
-    }
-
-    /// Shuts down every retired epoch whose `Arc` refcount has reached
-    /// one (no batch in flight on it anymore), absorbing its transport
-    /// summary. Epochs still referenced stay queued for the next tick.
-    pub fn drain_retired(&mut self) {
-        let pending = std::mem::take(&mut self.draining);
-        for entry in pending {
-            match Arc::try_unwrap(entry) {
-                Ok(retired) => {
-                    if let Some(pool) = retired.pool {
-                        self.retired_transport
-                            .absorb_retired(&pool.transport_summary());
-                        pool.shutdown();
-                    }
-                }
-                Err(still_held) => self.draining.push(still_held),
-            }
-        }
-    }
-
-    /// Retired epochs not yet drained.
-    #[must_use]
-    pub fn undrained(&self) -> usize {
-        self.draining.len()
     }
 
     fn maybe_migrate(&mut self) {
@@ -439,73 +391,46 @@ impl Rebalancer {
             abort_reason: None,
         };
 
-        // Background warm: stateless rebuild from spec + plan + seed.
-        let warmed = build_epoch_serving(
-            &self.spec,
-            &versioned,
-            self.seed,
-            self.cfg.min_replicas.max(1),
-            &self.cfg,
-        );
-        record.warm_ms = started.elapsed().as_secs_f64() * 1e3;
-        let next = match warmed {
-            Ok(next) => next,
+        // Dual read, serving side: what the successor must reproduce,
+        // bit for bit, is whatever the serving epoch answers right now.
+        let expected = probe_all(&self.spec, &current.model, &self.dual_inputs)
+            .map_err(|e| format!("serving epoch: {e}"));
+        let outcome = expected.and_then(|expected| {
+            // Background warm: stateless rebuild from spec + plan + seed.
+            let warm_started = Instant::now();
+            let warmed = build_epoch_serving(
+                &self.spec,
+                &versioned,
+                self.seed,
+                self.cfg.min_replicas.max(1),
+                &self.cfg,
+            );
+            record.warm_ms = warm_started.elapsed().as_secs_f64() * 1e3;
+            let check = ProbeCheck {
+                spec: &self.spec,
+                inputs: &self.dual_inputs,
+                expected: &expected,
+                tolerance: 0.0,
+            };
+            // Release the serving epoch so it can drain once retired.
+            drop(current);
+            self.switch.transition(warmed, &check, &mut self.drain)
+        });
+        record.total_ms = started.elapsed().as_secs_f64() * 1e3;
+        record.dual_read_ms = record.total_ms - record.warm_ms;
+        self.cooldown = self.cfg.cooldown_ticks;
+        match outcome {
+            Ok(()) => {
+                self.profiler.reset();
+                // Autoscaler state belongs to the retired epoch now.
+                self.last_epoch = u64::MAX;
+            }
             Err(reason) => {
                 record.aborted = true;
-                record.abort_reason = Some(format!("warm failed: {reason}"));
-                record.total_ms = started.elapsed().as_secs_f64() * 1e3;
-                self.migrations.push(record);
-                self.cooldown = self.cfg.cooldown_ticks;
-                return;
+                record.abort_reason = Some(reason);
             }
-        };
-
-        // Dual-read verification: both epochs must answer every probe
-        // non-degraded and bit-exactly alike.
-        let dual_started = Instant::now();
-        let verdict = self.dual_read(&current.model, &next.model);
-        record.dual_read_ms = dual_started.elapsed().as_secs_f64() * 1e3;
-        if let Err(reason) = verdict {
-            record.aborted = true;
-            record.abort_reason = Some(reason);
-            record.total_ms = started.elapsed().as_secs_f64() * 1e3;
-            if let Some(pool) = next.pool {
-                pool.shutdown();
-            }
-            self.migrations.push(record);
-            self.cooldown = self.cfg.cooldown_ticks;
-            return;
         }
-
-        // Atomic cutover; the old epoch joins the drain queue.
-        drop(current);
-        let old = self.switch.publish(next);
-        self.draining.push(old);
-        record.total_ms = started.elapsed().as_secs_f64() * 1e3;
         self.migrations.push(record);
-        self.profiler.reset();
-        self.cooldown = self.cfg.cooldown_ticks;
-        // Autoscaler state belongs to the retired epoch now.
-        self.last_epoch = u64::MAX;
-    }
-
-    /// Runs every probe input against both epochs' models. `Err`
-    /// carries the first discrepancy.
-    fn dual_read(
-        &self,
-        old: &dlrm_sharding::DistributedModel,
-        new: &dlrm_sharding::DistributedModel,
-    ) -> Result<(), String> {
-        for (i, inputs) in self.dual_inputs.iter().enumerate() {
-            let a = probe(&self.spec, old, inputs)
-                .map_err(|e| format!("probe {i} on serving epoch: {e}"))?;
-            let b = probe(&self.spec, new, inputs)
-                .map_err(|e| format!("probe {i} on warmed epoch: {e}"))?;
-            if a != b {
-                return Err(format!("probe {i}: predictions diverge between epochs"));
-            }
-        }
-        Ok(())
     }
 
     fn autoscale(&mut self) {
@@ -582,22 +507,14 @@ impl Rebalancer {
     /// owner.
     #[must_use]
     pub fn finish(mut self) -> RebalanceReport {
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            self.drain_retired();
-            if self.draining.is_empty() || Instant::now() >= deadline {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        let cutovers = self.switch.cutovers();
+        let undrained = self.drain.finish(Instant::now() + Duration::from_secs(5));
         RebalanceReport {
             migrations: self.migrations,
             scale_events: self.scale_events,
-            cutovers,
+            cutovers: self.switch.cutovers(),
             final_epoch: self.switch.epoch(),
-            retired_transport: self.retired_transport,
-            undrained: self.draining.len(),
+            retired_transport: self.drain.transport().clone(),
+            undrained,
         }
     }
 
@@ -639,25 +556,6 @@ impl RebalanceHandle {
         self.stop.store(true, Ordering::Relaxed);
         self.handle.join().expect("rebalancer thread panicked")
     }
-}
-
-/// Runs one probe request through `model`, demanding a full-fidelity
-/// answer: any engine error or degraded RPC is a verification failure.
-/// Shared with the tenancy pressure controller, whose demotion
-/// verification is the same dual-read discipline.
-pub(crate) fn probe(
-    spec: &ModelSpec,
-    model: &dlrm_sharding::DistributedModel,
-    inputs: &dlrm_workload::BatchInputs,
-) -> Result<dlrm_tensor::Matrix, String> {
-    let mut ws = Workspace::new();
-    inputs.load_into(spec, &mut ws);
-    let mut obs = RpcTracingObserver::new(TraceId(u64::MAX));
-    let out = model.run_overlapped(&mut ws, &mut obs).map_err(|e| e.to_string())?;
-    if obs.degraded_rpcs() > 0 {
-        return Err("degraded response during dual read".to_string());
-    }
-    Ok(out)
 }
 
 /// Tables whose placement or hot set differs between `old` and `new`,

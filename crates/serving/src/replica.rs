@@ -3,9 +3,11 @@
 //! §VII-C of the paper plans *replication* for sparse shards: a QPS
 //! target is met by running each shard on several servers. The
 //! [`crate::replication`] module sizes those replica sets on paper;
-//! this module makes them real. [`ReplicatedShardPool`] spawns one
-//! worker thread per (shard, replica) — every replica of a shard
-//! serving the same [`ShardService`] — and [`ReplicatedClient`] is the
+//! this module makes them real. [`ShardPool`] is the one pool type —
+//! replica groups plus the backend running their seats; its thread
+//! instantiation [`ReplicatedShardPool`] spawns one worker thread per
+//! (shard, replica), every replica of a shard serving the same
+//! [`ShardService`] — and [`ReplicatedClient`] is the
 //! connection the partitioned graph sees: one logical client per shard
 //! that round-robins across healthy replicas, fails over when a replica
 //! errors or its worker dies, ejects replicas after consecutive
@@ -14,15 +16,19 @@
 //! transport that keeps availability up when individual replicas crash.
 
 use crate::channel::Sender;
-use crate::fault::FaultPlan;
+use crate::fault::{FaultPlan, ReplicaFaultSchedule};
 use crate::threaded::{spawn_worker, RpcStats, ShardRpcSummary, ThreadedClient, WireTotals, WorkerMsg};
 use dlrm_metrics::CauseCounts;
+use dlrm_model::{build_model, ModelSpec};
 use dlrm_sharding::rpc::{
     RpcCompletion, RpcError, ShardRequest, ShardResponse, SparseShardClient, WaitOutcome,
 };
-use dlrm_sharding::{CacheTotals, HotRowCache, ShardId, ShardService};
+use dlrm_sharding::{
+    partition_with_clients, CacheTotals, DistributedModel, HotRowCache, ShardId, ShardService,
+    ShardingPlan,
+};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -155,11 +161,11 @@ pub struct TransportSummary {
     /// whose [`WireTotals`] stay zero.
     pub rows_sent: u64,
     /// Hot-row cache activity, when a cache is attached to the pool
-    /// (see [`ReplicaGroupSet::attach_cache`]); zero otherwise. When the
+    /// (see [`ShardPool::attach_cache`]); zero otherwise. When the
     /// cache has been refreshed, this is the *current* cache's activity —
     /// post-refresh hits live here, pre-refresh hits in `cache_retired`.
     pub cache: CacheTotals,
-    /// Activity of caches retired by [`ReplicaGroupSet::attach_cache`]
+    /// Activity of caches retired by [`ShardPool::attach_cache`]
     /// replacements — the pre-refresh hit/miss totals, folded forward so
     /// conservation identities keep holding across refreshes.
     pub cache_retired: CacheTotals,
@@ -234,13 +240,13 @@ pub(crate) struct SeatConn {
 
 /// Replica groups for every shard behind one shared health policy and
 /// one shared counter set: the transport-agnostic core of replicated
-/// serving. Both pools — [`ReplicatedShardPool`] (worker threads) and
-/// the TCP pools in [`crate::shard_server`]/[`crate::control`] — build
-/// one of these and hand out its [`ReplicatedClient`]s, so failover,
+/// serving. Every [`ShardPool`] instantiation — worker threads,
+/// loopback servers, a remote cluster — builds one of these and hands
+/// out its [`ReplicatedClient`]s, so failover,
 /// ejection, half-open probing, and wire accounting behave identically
 /// whether a replica is a thread or a process across a socket.
 #[derive(Debug)]
-pub struct ReplicaGroupSet {
+pub(crate) struct ReplicaGroupSet {
     policy: HealthPolicy,
     counters: Arc<TransportCounters>,
     /// Each shard's seats behind a shared lock: [`ReplicatedClient`]s
@@ -252,7 +258,7 @@ pub struct ReplicaGroupSet {
     /// partitioned under a hot-row-aware plan; its totals are folded
     /// into [`TransportSummary`].
     cache: Mutex<Option<Arc<HotRowCache>>>,
-    /// Totals of caches replaced by [`Self::attach_cache`] — the
+    /// Totals of caches replaced by [`ShardPool::attach_cache`] — the
     /// pre-refresh activity.
     retired_cache: Mutex<CacheTotals>,
     cache_refreshes: AtomicU64,
@@ -260,8 +266,7 @@ pub struct ReplicaGroupSet {
 
 impl ReplicaGroupSet {
     /// An empty set under `policy`.
-    #[must_use]
-    pub fn new(policy: HealthPolicy) -> Self {
+    pub(crate) fn new(policy: HealthPolicy) -> Self {
         Self {
             policy,
             counters: Arc::new(TransportCounters::default()),
@@ -269,25 +274,6 @@ impl ReplicaGroupSet {
             cache: Mutex::new(None),
             retired_cache: Mutex::new(CacheTotals::default()),
             cache_refreshes: AtomicU64::new(0),
-        }
-    }
-
-    /// Attaches the partitioned model's hot-row cache so its hit/miss
-    /// counters appear in [`Self::transport_summary`]. Call after
-    /// partitioning, with
-    /// [`DistributedModel::cache`](dlrm_sharding::DistributedModel).
-    /// Replacing an already-attached cache counts as a *refresh*: the
-    /// old cache's totals fold into the pre-refresh bucket so the
-    /// summary distinguishes hits served before and after the hot set
-    /// was re-profiled.
-    pub fn attach_cache(&self, cache: Arc<HotRowCache>) {
-        let mut slot = self.cache.lock().expect("cache slot lock");
-        if let Some(old) = slot.replace(cache) {
-            self.retired_cache
-                .lock()
-                .expect("retired cache lock")
-                .merge(&old.totals());
-            self.cache_refreshes.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -310,6 +296,16 @@ impl ReplicaGroupSet {
         self.groups.push((shard, Arc::new(RwLock::new(seats))));
     }
 
+    /// Write access to `shard`'s seat list; panics if it has no group.
+    fn seats_of(&self, shard: ShardId) -> std::sync::RwLockWriteGuard<'_, Vec<SeatConn>> {
+        let (_, seats) = self
+            .groups
+            .iter()
+            .find(|(s, _)| *s == shard)
+            .unwrap_or_else(|| panic!("no replica group for {shard}"));
+        seats.write().expect("seat list lock")
+    }
+
     /// Adds one replica seat to an existing shard group, live: clients
     /// built before this call start rotating onto the new seat on their
     /// next request. Returns the new replica count.
@@ -323,12 +319,7 @@ impl ReplicaGroupSet {
         client: Arc<dyn SparseShardClient>,
         stats: Arc<RpcStats>,
     ) -> usize {
-        let (_, seats) = self
-            .groups
-            .iter()
-            .find(|(s, _)| *s == shard)
-            .unwrap_or_else(|| panic!("no replica group for {shard}"));
-        let mut seats = seats.write().expect("seat list lock");
+        let mut seats = self.seats_of(shard);
         seats.push(SeatConn {
             client,
             stats,
@@ -348,31 +339,83 @@ impl ReplicaGroupSet {
     ///
     /// Panics if `shard` has no group.
     pub(crate) fn remove_seat(&self, shard: ShardId) -> Option<usize> {
-        let (_, seats) = self
-            .groups
-            .iter()
-            .find(|(s, _)| *s == shard)
-            .unwrap_or_else(|| panic!("no replica group for {shard}"));
-        let mut seats = seats.write().expect("seat list lock");
+        let mut seats = self.seats_of(shard);
         if seats.len() <= 1 {
             return None;
         }
         seats.pop();
         Some(seats.len())
     }
+}
 
-    /// One [`ReplicatedClient`] per shard, ordered by [`ShardId`].
+/// The one shard pool: replica groups ([`ReplicaGroupSet`]) plus
+/// whatever runs their seats — the *backend* `B`. Every accessor the
+/// serving stack needs is implemented here once; the three
+/// instantiations differ only in their constructor and backend:
+///
+/// | alias | backend | seats are |
+/// |---|---|---|
+/// | [`ReplicatedShardPool`] | [`WorkerThreads`] | in-process worker threads over channels |
+/// | [`TcpShardPool`](crate::shard_server::TcpShardPool) | `Vec<TcpShardServer>` | in-process servers behind loopback sockets |
+/// | [`TcpCluster`](crate::control::TcpCluster) | cluster metadata only | remote processes this side does not own |
+///
+/// Dropping the backend stops the seats it owns (workers drain their
+/// queues and join; servers stop listening), so dropping the pool — or
+/// calling [`shutdown`](Self::shutdown) — is an orderly stop.
+#[derive(Debug)]
+pub struct ShardPool<B> {
+    set: ReplicaGroupSet,
+    pub(crate) backend: B,
+}
+
+impl<B> ShardPool<B> {
+    pub(crate) fn new(set: ReplicaGroupSet, backend: B) -> Self {
+        Self { set, backend }
+    }
+
+    /// The cluster-assembly block every bench, smoke and epoch build
+    /// shares: deterministic model weights from `seed`, one stateless
+    /// [`ShardService`] per plan shard, the pool `spawn` stands up over
+    /// them, and the model partitioned onto the pool's clients (hot-row
+    /// cache attached when the plan carries hot sets).
+    ///
+    /// # Errors
+    ///
+    /// The builder's, `spawn`'s or the partitioner's error message.
+    pub fn assemble(
+        spec: &ModelSpec,
+        plan: &ShardingPlan,
+        seed: u64,
+        spawn: impl FnOnce(Vec<Arc<ShardService>>) -> Result<Self, String>,
+    ) -> Result<(DistributedModel, Self), String> {
+        let model = build_model(spec, seed).map_err(|e| e.to_string())?;
+        let services: Vec<Arc<ShardService>> = plan
+            .shards()
+            .map(|s| Arc::new(ShardService::build(&model.tables, plan, s)))
+            .collect();
+        let pool = spawn(services.clone())?;
+        let dist = partition_with_clients(model, plan, services, pool.clients())
+            .map_err(|e| e.to_string())?;
+        if let Some(cache) = &dist.cache {
+            pool.attach_cache(Arc::clone(cache));
+        }
+        Ok((dist, pool))
+    }
+
+    /// One [`ReplicatedClient`] per shard for the partitioner, ordered
+    /// by [`ShardId`].
     #[must_use]
     pub fn clients(&self) -> Vec<Arc<dyn SparseShardClient>> {
-        self.groups
+        self.set
+            .groups
             .iter()
             .map(|(shard, seats)| {
                 Arc::new(ReplicatedClient {
                     shard: *shard,
                     replicas: Arc::clone(seats),
                     next: AtomicUsize::new(0),
-                    policy: self.policy,
-                    counters: Arc::clone(&self.counters),
+                    policy: self.set.policy,
+                    counters: Arc::clone(&self.set.counters),
                 }) as Arc<dyn SparseShardClient>
             })
             .collect()
@@ -381,7 +424,8 @@ impl ReplicaGroupSet {
     /// Replica counts per shard, in [`ShardId`] order.
     #[must_use]
     pub fn replica_counts(&self) -> Vec<usize> {
-        self.groups
+        self.set
+            .groups
             .iter()
             .map(|(_, seats)| seats.read().expect("seat list lock").len())
             .collect()
@@ -393,13 +437,14 @@ impl ReplicaGroupSet {
     pub fn transport_summary(&self) -> TransportSummary {
         let mut wire = WireTotals::default();
         let mut rows_sent = 0u64;
-        for (_, seats) in &self.groups {
+        for (_, seats) in &self.set.groups {
             for seat in seats.read().expect("seat list lock").iter() {
                 wire.merge(&seat.stats.wire_totals());
                 rows_sent += seat.stats.rows_sent();
             }
         }
         let cache = self
+            .set
             .cache
             .lock()
             .expect("cache slot lock")
@@ -407,11 +452,12 @@ impl ReplicaGroupSet {
             .map(|c| c.totals())
             .unwrap_or_default();
         TransportSummary {
-            failovers: self.counters.failovers.load(Ordering::Relaxed),
-            ejections: self.counters.ejections.load(Ordering::Relaxed),
-            probes: self.counters.probes.load(Ordering::Relaxed),
-            recoveries: self.counters.recoveries.load(Ordering::Relaxed),
+            failovers: self.set.counters.failovers.load(Ordering::Relaxed),
+            ejections: self.set.counters.ejections.load(Ordering::Relaxed),
+            probes: self.set.counters.probes.load(Ordering::Relaxed),
+            recoveries: self.set.counters.recoveries.load(Ordering::Relaxed),
             errors_by_kind: self
+                .set
                 .counters
                 .errors
                 .lock()
@@ -420,8 +466,8 @@ impl ReplicaGroupSet {
             wire,
             rows_sent,
             cache,
-            cache_retired: *self.retired_cache.lock().expect("retired cache lock"),
-            cache_refreshes: self.cache_refreshes.load(Ordering::Relaxed),
+            cache_retired: *self.set.retired_cache.lock().expect("retired cache lock"),
+            cache_refreshes: self.set.cache_refreshes.load(Ordering::Relaxed),
         }
     }
 
@@ -429,7 +475,8 @@ impl ReplicaGroupSet {
     /// order; the `shard` field repeats for each replica of a shard.
     #[must_use]
     pub fn replica_rpc_summaries(&self) -> Vec<ShardRpcSummary> {
-        self.groups
+        self.set
+            .groups
             .iter()
             .flat_map(|(shard, seats)| {
                 seats
@@ -446,7 +493,8 @@ impl ReplicaGroupSet {
     /// ejected)` in (shard, replica) order.
     #[must_use]
     pub fn replica_states(&self) -> Vec<(ShardId, usize, bool)> {
-        self.groups
+        self.set
+            .groups
             .iter()
             .flat_map(|(shard, seats)| {
                 seats
@@ -459,35 +507,98 @@ impl ReplicaGroupSet {
             })
             .collect()
     }
+
+    /// Attaches the partitioned model's hot-row cache so its hit/miss
+    /// counters appear in [`Self::transport_summary`]. Call after
+    /// partitioning, with
+    /// [`DistributedModel::cache`](dlrm_sharding::DistributedModel).
+    /// Replacing an already-attached cache counts as a *refresh*: the
+    /// old cache's totals fold into the pre-refresh bucket so the
+    /// summary distinguishes hits served before and after the hot set
+    /// was re-profiled.
+    pub fn attach_cache(&self, cache: Arc<HotRowCache>) {
+        let mut slot = self.set.cache.lock().expect("cache slot lock");
+        if let Some(old) = slot.replace(cache) {
+            self.set
+                .retired_cache
+                .lock()
+                .expect("retired cache lock")
+                .merge(&old.totals());
+            self.set.cache_refreshes.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Total seats (worker threads / servers) across all replica sets.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.replica_counts().iter().sum()
+    }
+
+    /// Whether the pool has no seats.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Stops every seat the backend owns and joins it. Envelopes
+    /// already queued on (or in flight at) a worker thread when the stop
+    /// lands are *drained* first, so an RPC issued via
+    /// [`SparseShardClient::begin_execute`] but not yet collected still
+    /// completes. Safe to call while clients are still alive: their
+    /// subsequent calls fail with a "worker is down" transport error
+    /// instead of hanging.
+    pub fn shutdown(self) {
+        drop(self.backend);
+    }
 }
 
 /// One live worker thread: its control sender and join handle.
 type WorkerHandle = (Sender<WorkerMsg>, JoinHandle<()>);
 
-/// A pool of shard worker threads with `replicas ≥ 1` workers per
-/// shard, every replica of a shard serving the same (shared, stateless)
-/// [`ShardService`]. The [`clients`](ReplicatedShardPool::clients) are
-/// [`ReplicatedClient`]s that spread load and fail over inside each
-/// replica set.
+/// The thread backend: `replicas ≥ 1` worker threads per shard, every
+/// replica of a shard serving the same (shared, stateless)
+/// [`ShardService`] over the channel transport in [`crate::threaded`].
 #[derive(Debug)]
-pub struct ReplicatedShardPool {
-    set: ReplicaGroupSet,
-    /// The shared, stateless per-shard services — retained so
-    /// [`Self::scale_up`] can spawn extra replicas of a shard after the
-    /// pool is live.
+pub struct WorkerThreads {
+    /// Retained so [`ReplicatedShardPool::scale_up`] can spawn extra
+    /// replicas of a shard after the pool is live.
     services: Vec<Arc<ShardService>>,
     delay: Duration,
-    /// `workers[shard index][replica index]` — each worker's control
-    /// sender and join handle, kept parallel to the seat lists in
-    /// `set` so scale-down can stop exactly the vacated worker.
+    /// `workers[shard index][replica index]`, kept parallel to the seat
+    /// lists so scale-down can stop exactly the vacated worker.
     workers: Mutex<Vec<Vec<WorkerHandle>>>,
     /// Total replicas ever spawned per shard — labels new workers so a
     /// scale-down + scale-up pair never reuses a thread name.
     spawned: Mutex<Vec<usize>>,
 }
 
-impl ReplicatedShardPool {
-    /// Spawns `replicas_per_shard` workers for every service.
+impl Drop for WorkerThreads {
+    fn drop(&mut self) {
+        // Stop everyone first, then join, so the queues drain in
+        // parallel. A poisoned table still holds valid handles.
+        let workers = self
+            .workers
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner);
+        for (tx, _) in workers.iter().flatten() {
+            let _ = tx.send(WorkerMsg::Stop);
+        }
+        for (_, handle) in workers.drain(..).flatten() {
+            let _ = handle.join();
+        }
+    }
+}
+
+/// The thread-backed [`ShardPool`]; un-replicated serving is
+/// `replicas_per_shard = 1`.
+pub type ReplicatedShardPool = ShardPool<WorkerThreads>;
+
+impl ShardPool<WorkerThreads> {
+    /// Spawns `replicas_per_shard` workers (at least one) for every
+    /// service. Fault schedules are looked up in `faults` by `(service
+    /// index, replica index)`; `delay` is a uniform injected service
+    /// delay standing in for network + remote compute time (a serial
+    /// executor pays `shards × delay`, the overlap scheduler ≈ one).
     #[must_use]
     pub fn spawn(
         services: Vec<Arc<ShardService>>,
@@ -496,40 +607,11 @@ impl ReplicatedShardPool {
         faults: &FaultPlan,
         policy: HealthPolicy,
     ) -> Self {
-        let counts = vec![replicas_per_shard; services.len()];
-        Self::spawn_per_shard(services, &counts, delay, faults, policy)
-    }
-
-    /// Spawns `counts[i]` replica workers for the i-th service (at
-    /// least one each) — the shape a
-    /// [`crate::replication::ReplicationPlan`]'s `shard_replicas`
-    /// prescribes. Fault schedules are looked up in `faults` by
-    /// `(service index, replica index)`; `delay` is a uniform injected
-    /// service delay as in
-    /// [`ThreadedShardPool::spawn_with_delay`](crate::threaded::ThreadedShardPool::spawn_with_delay).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `counts.len()` differs from `services.len()`.
-    #[must_use]
-    pub fn spawn_per_shard(
-        services: Vec<Arc<ShardService>>,
-        counts: &[usize],
-        delay: Duration,
-        faults: &FaultPlan,
-        policy: HealthPolicy,
-    ) -> Self {
-        assert_eq!(
-            counts.len(),
-            services.len(),
-            "one replica count per shard service"
-        );
+        let replicas = replicas_per_shard.max(1);
         let mut set = ReplicaGroupSet::new(policy);
         let mut workers = Vec::with_capacity(services.len());
-        let mut spawned = Vec::with_capacity(services.len());
         for (index, service) in services.iter().enumerate() {
             let shard = service.shard_id();
-            let replicas = counts[index].max(1);
             let mut seats: Vec<(Arc<dyn SparseShardClient>, Arc<RpcStats>)> =
                 Vec::with_capacity(replicas);
             let mut shard_workers = Vec::with_capacity(replicas);
@@ -548,15 +630,17 @@ impl ReplicatedShardPool {
             }
             set.add_group(shard, seats);
             workers.push(shard_workers);
-            spawned.push(replicas);
         }
-        Self {
+        let spawned = Mutex::new(vec![replicas; services.len()]);
+        Self::new(
             set,
-            services,
-            delay,
-            workers: Mutex::new(workers),
-            spawned: Mutex::new(spawned),
-        }
+            WorkerThreads {
+                services,
+                delay,
+                workers: Mutex::new(workers),
+                spawned,
+            },
+        )
     }
 
     /// Adds one replica worker to shard `index` (position in the
@@ -570,33 +654,21 @@ impl ReplicatedShardPool {
     ///
     /// Panics if `index` is out of range.
     pub fn scale_up(&self, index: usize) -> usize {
-        self.scale_up_with_faults(index, crate::fault::ReplicaFaultSchedule::none())
-    }
-
-    /// [`Self::scale_up`] with an injected fault schedule on the new
-    /// worker — lets chaos tests crash a replica that joined mid-run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range.
-    pub fn scale_up_with_faults(
-        &self,
-        index: usize,
-        schedule: crate::fault::ReplicaFaultSchedule,
-    ) -> usize {
-        let service = Arc::clone(&self.services[index]);
+        let threads = &self.backend;
+        let service = Arc::clone(&threads.services[index]);
         let shard = service.shard_id();
         let label = {
-            let mut spawned = self.spawned.lock().expect("spawn counter lock");
+            let mut spawned = threads.spawned.lock().expect("spawn counter lock");
             let r = spawned[index];
             spawned[index] += 1;
             format!("{shard}r{r}")
         };
-        let (tx, stats, handle) = spawn_worker(service, self.delay, schedule, label);
+        let (tx, stats, handle) =
+            spawn_worker(service, threads.delay, ReplicaFaultSchedule::none(), label);
         let client = ThreadedClient::new(shard, tx.clone(), Arc::clone(&stats));
         // Register the worker before the seat: once the seat is
         // visible, a racing scale_down must find a worker to stop.
-        self.workers.lock().expect("worker table lock")[index].push((tx, handle));
+        threads.workers.lock().expect("worker table lock")[index].push((tx, handle));
         self.set.add_seat(shard, Arc::new(client), stats)
     }
 
@@ -610,90 +682,15 @@ impl ReplicatedShardPool {
     ///
     /// Panics if `index` is out of range.
     pub fn scale_down(&self, index: usize) -> Option<usize> {
-        let shard = self.services[index].shard_id();
+        let threads = &self.backend;
+        let shard = threads.services[index].shard_id();
         let remaining = self.set.remove_seat(shard)?;
-        let worker = self.workers.lock().expect("worker table lock")[index].pop();
+        let worker = threads.workers.lock().expect("worker table lock")[index].pop();
         if let Some((tx, handle)) = worker {
             let _ = tx.send(WorkerMsg::Stop);
             let _ = handle.join();
         }
         Some(remaining)
-    }
-
-    /// One [`ReplicatedClient`] per shard for the partitioner, ordered
-    /// by [`ShardId`].
-    #[must_use]
-    pub fn clients(&self) -> Vec<Arc<dyn SparseShardClient>> {
-        self.set.clients()
-    }
-
-    /// Replica counts per shard, in [`ShardId`] order.
-    #[must_use]
-    pub fn replica_counts(&self) -> Vec<usize> {
-        self.set.replica_counts()
-    }
-
-    /// Snapshot of failover/ejection/probe/recovery activity.
-    #[must_use]
-    pub fn transport_summary(&self) -> TransportSummary {
-        self.set.transport_summary()
-    }
-
-    /// Attaches a hot-row cache so its counters appear in
-    /// [`Self::transport_summary`].
-    pub fn attach_cache(&self, cache: Arc<HotRowCache>) {
-        self.set.attach_cache(cache);
-    }
-
-    /// Per-replica RPC instrumentation, flattened in (shard, replica)
-    /// order; the `shard` field repeats for each replica of a shard.
-    #[must_use]
-    pub fn replica_rpc_summaries(&self) -> Vec<ShardRpcSummary> {
-        self.set.replica_rpc_summaries()
-    }
-
-    /// Current ejection state per replica: `(shard, replica index,
-    /// ejected)` in (shard, replica) order.
-    #[must_use]
-    pub fn replica_states(&self) -> Vec<(ShardId, usize, bool)> {
-        self.set.replica_states()
-    }
-
-    /// Total worker threads across all replica sets.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.workers
-            .lock()
-            .expect("worker table lock")
-            .iter()
-            .map(Vec::len)
-            .sum()
-    }
-
-    /// Whether the pool has no workers.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Stops every replica worker and joins it (queued envelopes are
-    /// drained, as in the single-replica pool).
-    pub fn shutdown(mut self) {
-        self.stop_and_join();
-    }
-
-    fn stop_and_join(&mut self) {
-        let mut workers = self.workers.lock().expect("worker table lock");
-        for shard_workers in workers.iter_mut() {
-            for (tx, _) in shard_workers.iter() {
-                let _ = tx.send(WorkerMsg::Stop);
-            }
-        }
-        for shard_workers in workers.iter_mut() {
-            for (_, handle) in shard_workers.drain(..) {
-                let _ = handle.join();
-            }
-        }
     }
 }
 
@@ -875,25 +872,27 @@ impl RpcCompletion for TrackedCompletion {
 mod tests {
     use super::*;
     use crate::fault::{FaultAction, ReplicaFaultSchedule};
-    use dlrm_model::{build_model, rm, ModelSpec};
+    use crate::threaded::tests::{one_shard_services, toy_spec};
+    use dlrm_model::build_model;
     use dlrm_sharding::{plan, ShardingStrategy};
     use dlrm_workload::PoolingProfile;
 
-    fn toy_spec() -> ModelSpec {
-        let mut s = rm::rm1().scaled_to_bytes(2 << 20);
-        s.mean_items_per_request = 12.0;
-        s.default_batch_size = 6;
-        s
+    /// The one-shard services under `replicas` workers each.
+    fn pool(replicas: usize, faults: &FaultPlan, policy: HealthPolicy) -> ReplicatedShardPool {
+        ReplicatedShardPool::spawn(
+            one_shard_services(),
+            replicas,
+            Duration::ZERO,
+            faults,
+            policy,
+        )
     }
 
-    fn one_shard_services() -> Vec<Arc<ShardService>> {
-        let spec = toy_spec();
-        let profile = PoolingProfile::from_spec(&spec);
-        let p = plan(&spec, &profile, ShardingStrategy::OneShard).unwrap();
-        let model = build_model(&spec, 1).unwrap();
-        p.shards()
-            .map(|s| Arc::new(ShardService::build(&model.tables, &p, s)))
-            .collect()
+    fn eject_after(eject_after: u32, probe_after: Duration) -> HealthPolicy {
+        HealthPolicy {
+            eject_after,
+            probe_after,
+        }
     }
 
     fn empty_request() -> ShardRequest {
@@ -905,13 +904,7 @@ mod tests {
 
     #[test]
     fn spreads_requests_across_replicas() {
-        let pool = ReplicatedShardPool::spawn(
-            one_shard_services(),
-            3,
-            Duration::ZERO,
-            &FaultPlan::none(),
-            HealthPolicy::default(),
-        );
+        let pool = pool(3, &FaultPlan::none(), HealthPolicy::default());
         assert_eq!(pool.len(), 3);
         assert_eq!(pool.replica_counts(), vec![3]);
         let clients = pool.clients();
@@ -932,16 +925,7 @@ mod tests {
         // Replica 0 crashes on its first request; every subsequent call
         // must succeed by failing over to replica 1.
         let faults = FaultPlan::none().with(0, 0, ReplicaFaultSchedule::crash_at(0));
-        let pool = ReplicatedShardPool::spawn(
-            one_shard_services(),
-            2,
-            Duration::ZERO,
-            &faults,
-            HealthPolicy {
-                eject_after: 1,
-                probe_after: Duration::from_secs(3600),
-            },
-        );
+        let pool = pool(2, &faults, eject_after(1, Duration::from_secs(3600)));
         let clients = pool.clients();
         let mut failures = 0;
         for _ in 0..12 {
@@ -972,16 +956,7 @@ mod tests {
                 .with(0, FaultAction::TransientError)
                 .with(1, FaultAction::TransientError),
         );
-        let pool = ReplicatedShardPool::spawn(
-            one_shard_services(),
-            2,
-            Duration::ZERO,
-            &faults,
-            HealthPolicy {
-                eject_after: 2,
-                probe_after: Duration::from_millis(5),
-            },
-        );
+        let pool = pool(2, &faults, eject_after(2, Duration::from_millis(5)));
         let clients = pool.clients();
         // Drive enough traffic to trip both injected errors (the other
         // replica absorbs the rest via failover/rotation).
@@ -1011,13 +986,7 @@ mod tests {
         // Clients are built once, against a single replica; the pool
         // then scales to three and back to two without the clients
         // being rebuilt — the rotation must follow the seat list.
-        let pool = ReplicatedShardPool::spawn(
-            one_shard_services(),
-            1,
-            Duration::ZERO,
-            &FaultPlan::none(),
-            HealthPolicy::default(),
-        );
+        let pool = pool(1, &FaultPlan::none(), HealthPolicy::default());
         let clients = pool.clients();
         assert!(clients[0].execute(&empty_request()).is_ok());
         assert_eq!(pool.scale_up(0), 2);
@@ -1053,13 +1022,7 @@ mod tests {
         let profile = PoolingProfile::from_spec(&spec);
         let p = plan(&spec, &profile, ShardingStrategy::OneShard).unwrap();
         let model = build_model(&spec, 1).unwrap();
-        let pool = ReplicatedShardPool::spawn(
-            one_shard_services(),
-            1,
-            Duration::ZERO,
-            &FaultPlan::none(),
-            HealthPolicy::default(),
-        );
+        let pool = pool(1, &FaultPlan::none(), HealthPolicy::default());
         pool.attach_cache(Arc::new(HotRowCache::build(&model.tables, &p)));
         assert_eq!(pool.transport_summary().cache_refreshes, 0);
         pool.attach_cache(Arc::new(HotRowCache::build(&model.tables, &p)));
@@ -1116,16 +1079,7 @@ mod tests {
         let faults = FaultPlan::none()
             .with(0, 0, ReplicaFaultSchedule::crash_at(0))
             .with(0, 1, ReplicaFaultSchedule::crash_at(0));
-        let pool = ReplicatedShardPool::spawn(
-            one_shard_services(),
-            2,
-            Duration::ZERO,
-            &faults,
-            HealthPolicy {
-                eject_after: 1,
-                probe_after: Duration::from_millis(1),
-            },
-        );
+        let pool = pool(2, &faults, eject_after(1, Duration::from_millis(1)));
         let clients = pool.clients();
         let mut saw_error = false;
         for _ in 0..10 {

@@ -21,24 +21,23 @@
 //!
 //! Fault injection mirrors the in-process worker exactly (same
 //! [`ReplicaFaultSchedule`] consulted by per-seat request ordinal), with
-//! [`FaultAction::Crash`] escalated to whole-server death — the listener
-//! closes, in-flight replies are lost, later connects are refused —
+//! [`FaultAction::Crash`](crate::fault::FaultAction::Crash) escalated
+//! to whole-server death — the listener closes, in-flight replies are
+//! lost, later connects are refused —
 //! because a process, unlike a thread, takes all its seats with it.
 
-use crate::fault::{FaultAction, ReplicaFaultSchedule};
+use crate::fault::{serve_under_fault, ReplicaFaultSchedule, Served};
+use crate::tcp::{listen_loopback, POLL_TICK};
 use crate::wire::{self, Message, ReadError};
 use dlrm_sharding::rpc::{RpcError, ShardRequest};
 use dlrm_sharding::{ShardId, ShardService};
 use std::collections::HashMap;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
-
-/// How often blocked reads wake up to check the server state.
-const POLL_TICK: Duration = Duration::from_millis(20);
 
 /// Server lifecycle states (stored in an `AtomicU8`).
 const RUNNING: u8 = 0;
@@ -125,9 +124,6 @@ impl TcpShardServer {
     ///
     /// The bind error, if the loopback listener cannot be created.
     pub fn spawn_empty() -> io::Result<Self> {
-        let listener = TcpListener::bind("127.0.0.1:0")?;
-        let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let shared = Arc::new(ServerShared {
             seats: Mutex::new(HashMap::new()),
             state: AtomicU8::new(RUNNING),
@@ -135,11 +131,12 @@ impl TcpShardServer {
             served: AtomicU64::new(0),
             plan_epoch: AtomicU64::new(0),
         });
-        let accept_shared = Arc::clone(&shared);
-        let accept_handle = std::thread::Builder::new()
-            .name(format!("shard-server:{}", addr.port()))
-            .spawn(move || accept_loop(&listener, &accept_shared))
-            .expect("spawn accept loop");
+        let (addr, accept_handle) = listen_loopback(
+            "shard-server",
+            &shared,
+            |shared| shared.state() == STOPPED,
+            serve_connection,
+        )?;
         Ok(Self {
             addr,
             shared,
@@ -242,14 +239,10 @@ impl TcpShardServer {
         self.shared.raise_state(STOPPED);
     }
 
-    /// Stops serving and joins the accept loop. Does not drain — send
-    /// [`Message::Drain`] first for a graceful stop.
-    pub fn shutdown(mut self) {
-        self.shared.raise_state(STOPPED);
-        if let Some(h) = self.accept_handle.take() {
-            let _ = h.join();
-        }
-    }
+    /// Stops serving and joins the accept loop (what dropping the
+    /// server does). Does not drain — send [`Message::Drain`] first for
+    /// a graceful stop.
+    pub fn shutdown(self) {}
 
     /// Blocks until the server stops (the `shard_server` binary's main
     /// thread parks here).
@@ -267,36 +260,6 @@ impl Drop for TcpShardServer {
             let _ = h.join();
         }
     }
-}
-
-/// Accepts connections until the server stops. Nonblocking accept +
-/// sleep keeps the loop responsive to [`TcpShardServer::crash`] without
-/// needing a self-connect to unblock.
-fn accept_loop(listener: &TcpListener, shared: &Arc<ServerShared>) {
-    let mut conn_handles: Vec<JoinHandle<()>> = Vec::new();
-    while shared.state() != STOPPED {
-        match listener.accept() {
-            Ok((conn, _peer)) => {
-                let conn_shared = Arc::clone(shared);
-                if let Ok(handle) = std::thread::Builder::new()
-                    .name("shard-conn".to_string())
-                    .spawn(move || serve_connection(conn, &conn_shared))
-                {
-                    conn_handles.push(handle);
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL_TICK);
-            }
-            Err(_) => break,
-        }
-        // Reap finished connection threads so the vec stays bounded.
-        conn_handles.retain(|h| !h.is_finished());
-    }
-    for h in conn_handles {
-        let _ = h.join();
-    }
-    // Listener drops here: later connects are refused.
 }
 
 /// Serves one connection until it closes, errors, or the server stops.
@@ -404,84 +367,39 @@ fn execute_with_faults(
         });
     };
     let action = seat.faults.action_at(seat.ordinal.fetch_add(1, Ordering::SeqCst));
-    if action == Some(FaultAction::Crash) {
-        // A process crash takes the whole server: stop the listener and
-        // every connection, lose this reply.
-        shared.raise_state(STOPPED);
-        return (None, false);
-    }
-    if !seat.delay.is_zero() {
-        std::thread::sleep(seat.delay);
-    }
-    match action {
-        Some(FaultAction::Delay(spike)) => std::thread::sleep(spike),
-        Some(FaultAction::DropReply) => {
-            // Serve, then lose the reply by closing the connection —
-            // exactly a connection reset after the request was accepted.
-            let _ = seat.service.execute(request);
-            return (None, false);
+    match serve_under_fault(&seat.service, request, seat.delay, action) {
+        Served::Crashed => {
+            // A process crash takes the whole server: stop the listener
+            // and every connection, lose this reply.
+            shared.raise_state(STOPPED);
+            (None, false)
         }
-        Some(FaultAction::TransientError) => {
-            return reply_err(RpcError::Transport {
-                shard: seat.service.shard_id(),
-                message: "injected transient fault".to_string(),
-            });
-        }
-        _ => {}
-    }
-    let inject_panic = action == Some(FaultAction::Panic);
-    let served = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        assert!(!inject_panic, "injected worker panic");
-        seat.service.execute(request)
-    }));
-    let result = served.unwrap_or_else(|payload| {
-        Err(RpcError::Poisoned {
-            shard: seat.service.shard_id(),
-            message: panic_message(payload.as_ref()),
-        })
-    });
-    match result {
-        Ok(response) => (Some(Message::ReplyOk { id, response }), true),
-        Err(error) => reply_err(error),
-    }
-}
-
-/// Stringifies a caught panic payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&'static str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
+        // Lose the reply by closing the connection.
+        Served::Dropped => (None, false),
+        Served::Reply(Ok(response)) => (Some(Message::ReplyOk { id, response }), true),
+        Served::Reply(Err(error)) => reply_err(error),
     }
 }
 
 // ---------------------------------------------------------------------
-// TcpShardPool: the socket-backed twin of ReplicatedShardPool
+// TcpShardPool: the loopback-socket instantiation of ShardPool
 // ---------------------------------------------------------------------
 
 use crate::fault::FaultPlan;
-use crate::replica::{HealthPolicy, ReplicaGroupSet, TransportSummary};
+use crate::replica::{HealthPolicy, ReplicaGroupSet, ShardPool};
 use crate::tcp::TcpShardClient;
-use crate::threaded::ShardRpcSummary;
 use dlrm_sharding::rpc::SparseShardClient;
 
-/// A pool of in-process [`TcpShardServer`]s — one per (shard, replica)
-/// on its own ephemeral loopback port — fronted by the same replicated
-/// clients as [`crate::replica::ReplicatedShardPool`]. Drop-in for the
-/// threaded pool in tests and benches: every RPC genuinely crosses a
-/// socket, and the chaos stack (failover, ejection, half-open probing,
-/// degraded serving) runs unchanged on top.
-#[derive(Debug)]
-pub struct TcpShardPool {
-    /// Servers in (shard, replica) order.
-    servers: Vec<TcpShardServer>,
-    replicas_per_shard: usize,
-    set: ReplicaGroupSet,
-}
+/// The loopback-socket [`ShardPool`]: in-process [`TcpShardServer`]s —
+/// one per (shard, replica), in that order, each on its own ephemeral
+/// port — fronted by the same replicated clients as
+/// [`crate::replica::ReplicatedShardPool`]. Drop-in for the threaded
+/// pool in tests and benches: every RPC genuinely crosses a socket, and
+/// the chaos stack (failover, ejection, half-open probing, degraded
+/// serving) runs unchanged on top.
+pub type TcpShardPool = ShardPool<Vec<TcpShardServer>>;
 
-impl TcpShardPool {
+impl ShardPool<Vec<TcpShardServer>> {
     /// Spawns `replicas_per_shard` servers per service, each hosting a
     /// single seat, with fault schedules drawn from `faults` by
     /// `(service index, replica index)` — mirroring
@@ -522,67 +440,6 @@ impl TcpShardPool {
             }
             set.add_group(shard, seats);
         }
-        Ok(Self {
-            servers,
-            replicas_per_shard,
-            set,
-        })
-    }
-
-    /// One replicated client per shard, ordered by [`ShardId`].
-    #[must_use]
-    pub fn clients(&self) -> Vec<Arc<dyn SparseShardClient>> {
-        self.set.clients()
-    }
-
-    /// Snapshot of failover/ejection/probe/recovery activity plus wire
-    /// totals.
-    #[must_use]
-    pub fn transport_summary(&self) -> TransportSummary {
-        self.set.transport_summary()
-    }
-
-    /// Attaches a hot-row cache so its counters appear in
-    /// [`Self::transport_summary`].
-    pub fn attach_cache(&self, cache: std::sync::Arc<dlrm_sharding::HotRowCache>) {
-        self.set.attach_cache(cache);
-    }
-
-    /// Per-replica RPC instrumentation in (shard, replica) order.
-    #[must_use]
-    pub fn replica_rpc_summaries(&self) -> Vec<ShardRpcSummary> {
-        self.set.replica_rpc_summaries()
-    }
-
-    /// Current ejection state per replica.
-    #[must_use]
-    pub fn replica_states(&self) -> Vec<(ShardId, usize, bool)> {
-        self.set.replica_states()
-    }
-
-    /// The server hosting `(shard index, replica)` — chaos hook for
-    /// crashing a specific replica server.
-    #[must_use]
-    pub fn server(&self, shard_index: usize, replica: usize) -> &TcpShardServer {
-        &self.servers[shard_index * self.replicas_per_shard + replica]
-    }
-
-    /// Total servers.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.servers.len()
-    }
-
-    /// Whether the pool has no servers.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.servers.is_empty()
-    }
-
-    /// Stops every server.
-    pub fn shutdown(self) {
-        for server in self.servers {
-            server.shutdown();
-        }
+        Ok(Self::new(set, servers))
     }
 }

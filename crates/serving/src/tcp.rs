@@ -27,10 +27,65 @@ use dlrm_sharding::rpc::{
     RpcCompletion, RpcError, ShardRequest, ShardResponse, SparseShardClient, WaitOutcome,
 };
 use dlrm_sharding::ShardId;
-use std::net::{SocketAddr, TcpStream};
+use std::io;
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// How often blocked accepts, reads and route polls wake up to check
+/// whether their server has stopped.
+pub(crate) const POLL_TICK: Duration = Duration::from_millis(20);
+
+/// The listener both servers ([`crate::shard_server::TcpShardServer`],
+/// [`crate::control::ControlPlane`]) run: binds `127.0.0.1:0` (the OS
+/// picks an ephemeral port, so tests never collide) and accepts on a
+/// background thread until `stopped(shared)`, serving each connection
+/// on its own thread with `serve`. Nonblocking accept + sleep keeps the
+/// loop responsive to a stop without needing a self-connect to unblock.
+/// Joining the returned handle joins every connection thread; the
+/// listener closes with it, so later connects are refused.
+///
+/// # Errors
+///
+/// Bind, address or thread-spawn errors.
+pub(crate) fn listen_loopback<S: Send + Sync + 'static>(
+    name: &'static str,
+    shared: &Arc<S>,
+    stopped: fn(&S) -> bool,
+    serve: fn(TcpStream, &Arc<S>),
+) -> io::Result<(SocketAddr, JoinHandle<()>)> {
+    let listener = TcpListener::bind("127.0.0.1:0")?;
+    let addr = listener.local_addr()?;
+    listener.set_nonblocking(true)?;
+    let shared = Arc::clone(shared);
+    let accept = move || {
+        let mut conns: Vec<JoinHandle<()>> = Vec::new();
+        while !stopped(&shared) {
+            match listener.accept() {
+                Ok((conn, _peer)) => {
+                    let shared = Arc::clone(&shared);
+                    let spawned = std::thread::Builder::new()
+                        .name(format!("{name}-conn"))
+                        .spawn(move || serve(conn, &shared));
+                    conns.extend(spawned);
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => std::thread::sleep(POLL_TICK),
+                Err(_) => break,
+            }
+            // Reap finished connection threads so the vec stays bounded.
+            conns.retain(|h| !h.is_finished());
+        }
+        for h in conns {
+            let _ = h.join();
+        }
+    };
+    let handle = std::thread::Builder::new()
+        .name(format!("{name}:{}", addr.port()))
+        .spawn(accept)?;
+    Ok((addr, handle))
+}
 
 /// Idle connections kept per client; excess connections are closed on
 /// check-in. Two covers the steady state (primary + one hedge).
@@ -50,7 +105,7 @@ struct ConnPool {
 
 impl ConnPool {
     /// Checks out an idle connection or dials a new one.
-    fn checkout(&self) -> std::io::Result<TcpStream> {
+    fn checkout(&self) -> io::Result<TcpStream> {
         if let Some(conn) = self.idle.lock().expect("conn pool lock").pop() {
             return Ok(conn);
         }

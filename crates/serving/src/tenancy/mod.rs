@@ -9,20 +9,23 @@
 //! colocation layer over the existing serving stack:
 //!
 //! ```text
-//!  per-tenant load gen ─▶ per-tenant bounded admission queue ─▶ shed
-//!        │ (one each)            │ per-tenant batcher
-//!        ▼                       ▼
-//!  shared worker pool ◀── smooth weighted-fair dispatch ──▶ per-tenant
-//!        │ resolves the tenant's EpochSwitch per batch      records
+//!  frontend::serve, one lane per tenant:
+//!    load gen ─▶ bounded admission queue ─▶ shed      (per tenant)
+//!                  │ batcher ─▶ ≤ `workers` ready batches
+//!                  ▼
+//!    shared worker pool ◀── smooth weighted-fair pick, blocking
+//!        │ resolves the tenant's EpochSwitch per batch
 //!        ▼
 //!  PressureController tick: Σ resident bytes vs DRAM budget
 //!        demote coldest tables DRAM → quantized → paged, promote back
 //! ```
 //!
 //! **Isolation comes from the queues**: each tenant sheds out of its
-//! *own* bounded admission queue, so an overloaded tenant's excess
-//! traffic is turned away at its door and never occupies shared
-//! workers. The weighted-fair dispatcher then divides worker capacity
+//! *own* bounded admission queue, and at most `workers` of its formed
+//! batches wait for a worker at any time, so an overloaded tenant's
+//! excess traffic is turned away at its door — under a burst or under
+//! sustained overload — and never occupies more than its share of the
+//! pipeline. The weighted-fair dispatcher then divides worker capacity
 //! among tenants with ready batches in proportion to their weights.
 //! Under capacity pressure the [`PressureController`] moves the
 //! coldest tenants' coldest tables down the storage ladder
@@ -41,22 +44,15 @@ pub use tiered::{
 };
 
 use crate::frontend::{
-    admission_queue, arrival, batcher, worker, FormedBatch, FrontendReport, FrontendRequest,
-    QueueStats, RequestRecord, TenantBreakdown,
+    serve, EpochSource, FrontendReport, FrontendRequest, Lane, QueueStats, TenantBreakdown,
 };
-use crate::rebalance::{EpochSwitch, probe};
-use crate::channel::{Receiver, TryRecvError};
-use dlrm_model::{ModelSpec, RuntimeCtx};
+use crate::rebalance::{probe_all, probe_inputs, EpochSwitch};
+use dlrm_model::ModelSpec;
 use dlrm_sharding::{plan as make_plan, ShardingPlan, ShardingStrategy};
 use dlrm_tensor::Matrix;
-use dlrm_trace::TraceCollector;
-use dlrm_workload::{
-    materialize_request, ArrivalSchedule, BatchInputs, OnlineProfiler, PoolingProfile, TraceDb,
-};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use dlrm_workload::{ArrivalSchedule, BatchInputs, OnlineProfiler, PoolingProfile};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// The static description of one colocated tenant.
 #[derive(Debug, Clone)]
@@ -101,7 +97,7 @@ pub struct TenantRuntime {
     pub(crate) plan: ShardingPlan,
     pub(crate) weight: u64,
     pub(crate) queue_capacity: usize,
-    pub(crate) sla_ms: f64,
+    pub(crate) sla: Duration,
     pub(crate) switch: EpochSwitch,
     pub(crate) state: Mutex<TenantTierState>,
     pub(crate) profiler: OnlineProfiler,
@@ -149,11 +145,11 @@ impl TenantRuntime {
     ///
     /// Any engine error or degraded RPC during a probe.
     pub fn probe_current(&self) -> Result<Vec<Matrix>, String> {
-        let epoch = self.switch.current();
-        self.golden_inputs
-            .iter()
-            .map(|i| probe(&self.spec, &epoch.model, i))
-            .collect()
+        probe_all(
+            &self.spec,
+            &self.switch.current().model,
+            &self.golden_inputs,
+        )
     }
 
     /// The all-DRAM golden predictions captured at build time.
@@ -203,19 +199,9 @@ impl TenantSet {
                 build_tiered_epoch(&t.spec, &plan, t.seed, &tiers, epoch0)
                     .map_err(|e| format!("{}: {e}", t.name))?;
 
-            let db = TraceDb::generate(&t.spec, pressure.verify_requests, pressure.verify_seed);
-            let golden_inputs: Vec<BatchInputs> = (0..db.len())
-                .map(|i| {
-                    materialize_request(&t.spec, db.get(i), usize::MAX, pressure.verify_seed)
-                        .into_iter()
-                        .next()
-                        .expect("request shapes have at least one item")
-                })
-                .collect();
-            let golden = golden_inputs
-                .iter()
-                .map(|i| probe(&t.spec, &serving.model, i))
-                .collect::<Result<Vec<_>, _>>()
+            let golden_inputs =
+                probe_inputs(&t.spec, pressure.verify_requests, pressure.verify_seed);
+            let golden = probe_all(&t.spec, &serving.model, &golden_inputs)
                 .map_err(|e| format!("{} golden probe: {e}", t.name))?;
 
             tenants.push(Arc::new(TenantRuntime {
@@ -232,7 +218,7 @@ impl TenantSet {
                 plan,
                 weight: t.weight,
                 queue_capacity: t.queue_capacity,
-                sla_ms: t.sla.as_secs_f64() * 1e3,
+                sla: t.sla,
                 golden_inputs,
                 golden,
             }));
@@ -358,111 +344,6 @@ pub struct TenancyReport {
     pub verify_failures: Vec<String>,
 }
 
-/// Smooth weighted round-robin over tenants with ready batches: each
-/// pick adds every tenant's weight to its running credit, serves the
-/// highest-credit tenant that has work, and charges it the total
-/// weight. Credits are clamped so an idle tenant cannot bank unbounded
-/// priority.
-#[derive(Debug)]
-struct WeightedDispatch {
-    credits: Vec<i64>,
-    weights: Vec<i64>,
-    total: i64,
-}
-
-impl WeightedDispatch {
-    fn new(weights: &[u64]) -> Self {
-        let weights: Vec<i64> = weights.iter().map(|&w| w as i64).collect();
-        let total = weights.iter().sum();
-        Self {
-            credits: vec![0; weights.len()],
-            weights,
-            total,
-        }
-    }
-
-    /// Tenant indices in serve-preference order for one pick.
-    fn order(&mut self) -> Vec<usize> {
-        let cap = self.total * 2;
-        for (c, &w) in self.credits.iter_mut().zip(&self.weights) {
-            *c = (*c + w).min(cap);
-        }
-        let mut order: Vec<usize> = (0..self.credits.len()).collect();
-        order.sort_by_key(|&i| std::cmp::Reverse(self.credits[i]));
-        order
-    }
-
-    /// Charges the tenant actually served.
-    fn served(&mut self, tenant: usize) {
-        self.credits[tenant] -= self.total;
-    }
-}
-
-/// Shared-pool worker: weighted-fair pickup across all tenants' batch
-/// streams, resolving the *owning tenant's* current epoch per batch.
-#[allow(clippy::too_many_arguments)]
-fn tenant_worker_loop(
-    tenants: &[Arc<TenantRuntime>],
-    receivers: &[Mutex<Receiver<FormedBatch>>],
-    dispatch: &Mutex<WeightedDispatch>,
-    origin: Instant,
-    batch_seq: &AtomicU64,
-    records: &[Mutex<Vec<RequestRecord>>],
-    traces: &[Mutex<TraceCollector>],
-) {
-    let ctx = RuntimeCtx::from_env();
-    let mut consumers: Vec<HashMap<u64, Arc<HashMap<String, usize>>>> =
-        vec![HashMap::new(); tenants.len()];
-    loop {
-        let order = dispatch.lock().expect("dispatch lock").order();
-        let mut picked = None;
-        let mut all_disconnected = true;
-        for i in order {
-            match receivers[i].lock().expect("batch receiver lock").try_recv() {
-                Ok(batch) => {
-                    picked = Some((i, batch));
-                    break;
-                }
-                Err(TryRecvError::Empty) => all_disconnected = false,
-                Err(TryRecvError::Disconnected) => {}
-            }
-        }
-        let Some((i, batch)) = picked else {
-            if all_disconnected {
-                break;
-            }
-            std::thread::sleep(Duration::from_micros(200));
-            continue;
-        };
-        dispatch.lock().expect("dispatch lock").served(i);
-
-        let tenant = &tenants[i];
-        // Resolve the owning tenant's serving epoch once per batch —
-        // the same atomicity contract as the single-tenant live loop: a
-        // pressure cutover takes effect at the next pickup, and no
-        // batch mixes two epochs' tiers.
-        let epoch = tenant.switch.current();
-        for entry in &batch.entries {
-            tenant.profiler.observe(&entry.queued.request.inputs);
-        }
-        let consumer_counts = consumers[i]
-            .entry(epoch.epoch)
-            .or_insert_with(|| Arc::new(epoch.model.consumer_counts()));
-        let seq = batch_seq.fetch_add(1, Ordering::AcqRel);
-        worker::run_batch(
-            &epoch.model,
-            epoch.epoch,
-            &ctx,
-            consumer_counts,
-            origin,
-            seq,
-            batch,
-            &records[i],
-            &traces[i],
-        );
-    }
-}
-
 /// Drives one multi-tenant open-loop run to completion: per-tenant load
 /// generators and batchers, a shared weighted-fair worker pool, and
 /// (optionally) the pressure controller ticking on the side. Returns
@@ -480,99 +361,59 @@ pub fn run_tenant_set(
     workloads: Vec<TenantWorkload>,
     cfg: &TenancyRunConfig,
 ) -> TenancyReport {
-    assert!(cfg.workers > 0, "need at least one worker");
-    assert!(cfg.max_batch_requests > 0, "need a non-zero batch size");
     assert_eq!(
         workloads.len(),
         set.len(),
         "one workload per tenant, in tenant order"
     );
-    for (w, t) in workloads.iter().zip(set.tenants()) {
-        assert_eq!(
-            w.schedule.len(),
-            w.requests.len(),
-            "tenant {}: arrival schedule and request list must pair 1:1",
-            t.name
-        );
-    }
-
     let n = set.len();
     let tenants = set.tenants();
-    let mut admitters = Vec::with_capacity(n);
-    let mut dequeuers = Vec::with_capacity(n);
-    let mut stats = Vec::with_capacity(n);
-    let mut batch_txs = Vec::with_capacity(n);
-    let mut receivers = Vec::with_capacity(n);
-    for t in tenants {
-        let (a, d, s) = admission_queue(t.queue_capacity);
-        admitters.push(a);
-        dequeuers.push(d);
-        stats.push(s);
-        let (tx, rx) = crate::channel::unbounded();
-        batch_txs.push(tx);
-        receivers.push(Mutex::new(rx));
-    }
-    let weights: Vec<u64> = tenants.iter().map(|t| t.weight).collect();
-    let dispatch = Mutex::new(WeightedDispatch::new(&weights));
-    let batch_seq = AtomicU64::new(0);
-    let records: Vec<Mutex<Vec<RequestRecord>>> =
-        (0..n).map(|_| Mutex::new(Vec::new())).collect();
-    let traces: Vec<Mutex<TraceCollector>> =
-        (0..n).map(|_| Mutex::new(TraceCollector::new())).collect();
-
-    let origin = Instant::now();
-    std::thread::scope(|s| {
-        for (dequeuer, tx) in dequeuers.into_iter().zip(batch_txs) {
-            s.spawn(move || {
-                batcher::batcher_loop(dequeuer, cfg.max_batch_requests, cfg.batch_timeout, tx);
-            });
-        }
-        for _ in 0..cfg.workers {
-            s.spawn(|| {
-                tenant_worker_loop(
-                    tenants, &receivers, &dispatch, origin, &batch_seq, &records, &traces,
-                );
-            });
-        }
-        let mut generators = Vec::with_capacity(n);
-        for (w, admitter) in workloads.into_iter().zip(admitters) {
-            generators.push(s.spawn(move || {
-                arrival::generate_load(origin, &w.schedule, w.requests, admitter);
-            }));
-        }
-        // The pressure loop rides the main thread while traffic flows.
-        let mut next_tick = cfg.pressure_every.map(|every| Instant::now() + every);
-        while !generators.iter().all(|g| g.is_finished()) {
-            if let (Some(every), Some(at)) = (cfg.pressure_every, next_tick) {
-                if Instant::now() >= at {
-                    let _ = set.pressure_tick();
-                    next_tick = Some(Instant::now() + every);
-                }
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-    });
-    let wall_ms = origin.elapsed().as_secs_f64() * 1e3;
+    let (requests, schedules): (Vec<_>, Vec<_>) = workloads
+        .into_iter()
+        .map(|w| (w.requests, w.schedule))
+        .unzip();
+    let lanes = tenants
+        .iter()
+        .zip(requests)
+        .zip(&schedules)
+        .map(|((t, requests), schedule)| Lane {
+            requests,
+            schedule,
+            queue_capacity: t.queue_capacity,
+            sla: t.sla,
+            weight: t.weight,
+            profiler: Some(&t.profiler),
+            source: EpochSource::Switch(&t.switch),
+        })
+        .collect();
+    // The pressure loop rides the calling thread while traffic flows.
+    let pressure_tick = || drop(set.pressure_tick());
+    let runs = serve(
+        lanes,
+        cfg.max_batch_requests,
+        cfg.batch_timeout,
+        cfg.workers,
+        cfg.pressure_every
+            .map(|every| (every, &pressure_tick as &dyn Fn())),
+    );
 
     let mut per_tenant = Vec::with_capacity(n);
     let mut all_records = Vec::new();
     let mut merged_stats = QueueStats::default();
     let mut breakdowns = Vec::with_capacity(n);
     let mut max_sla = 0.0f64;
-    for (i, t) in tenants.iter().enumerate() {
-        let recs = std::mem::take(
-            &mut *records[i].lock().expect("request record lock"),
-        );
-        all_records.extend(recs.iter().cloned());
-        let qs = stats[i].snapshot();
+    let mut wall_ms = 0.0;
+    for (t, run) in tenants.iter().zip(runs) {
+        all_records.extend(run.records.iter().cloned());
+        let qs = run.queue;
+        wall_ms = run.wall_ms;
         merged_stats.offered += qs.offered;
         merged_stats.admitted += qs.admitted;
         merged_stats.shed += qs.shed;
         merged_stats.depth += qs.depth;
         merged_stats.max_depth = merged_stats.max_depth.max(qs.max_depth);
-        max_sla = max_sla.max(t.sla_ms);
-        let mut report = FrontendReport::assemble(qs, recs, t.sla_ms, wall_ms);
-        report.trace = std::mem::take(&mut *traces[i].lock().expect("trace lock"));
+        max_sla = max_sla.max(run.sla_ms);
+        let report = run.into_report();
         breakdowns.push(TenantBreakdown {
             name: t.name.clone(),
             offered: report.offered,
@@ -581,7 +422,7 @@ pub fn run_tenant_set(
             completed: report.completed,
             failed: report.failed,
             degraded: report.degraded,
-            sla_ms: t.sla_ms,
+            sla_ms: report.sla_ms,
             sla_hit_rate: report.sla_hit_rate(),
             availability: report.availability(),
             bytes: t.bytes_by_tier(),
@@ -607,6 +448,7 @@ mod tests {
     use super::*;
     use crate::frontend::materialize_frontend_requests;
     use dlrm_model::rm;
+    use dlrm_workload::TraceDb;
 
     fn tenant(name: &str, spec: ModelSpec, seed: u64, shards: usize) -> TenantSpec {
         TenantSpec {
@@ -653,19 +495,6 @@ mod tests {
                 assert_eq!(a.as_slice(), g.as_slice());
             }
         }
-    }
-
-    #[test]
-    fn weighted_dispatch_prefers_heavier_tenants() {
-        let mut d = WeightedDispatch::new(&[3, 1]);
-        let mut served = [0usize; 2];
-        for _ in 0..40 {
-            let first = d.order()[0];
-            served[first] += 1;
-            d.served(first);
-        }
-        assert_eq!(served[0], 30, "3:1 weights must serve 3:1");
-        assert_eq!(served[1], 10);
     }
 
     #[test]

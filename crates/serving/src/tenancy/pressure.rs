@@ -31,6 +31,7 @@
 
 use super::tiered::{build_tiered_epoch, Tier, TierBytes};
 use super::TenantRuntime;
+use crate::rebalance::{DrainQueue, ProbeCheck};
 use dlrm_model::TableId;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -117,6 +118,7 @@ pub struct PressureController {
     budget: AtomicU64,
     actions: Mutex<Vec<TierAction>>,
     failures: Mutex<Vec<String>>,
+    drain: Mutex<DrainQueue>,
     demotions: AtomicU64,
     promotions: AtomicU64,
 }
@@ -131,6 +133,7 @@ impl PressureController {
             budget: AtomicU64::new(budget),
             actions: Mutex::new(Vec::new()),
             failures: Mutex::new(Vec::new()),
+            drain: Mutex::new(DrainQueue::default()),
             demotions: AtomicU64::new(0),
             promotions: AtomicU64::new(0),
         }
@@ -182,12 +185,17 @@ impl PressureController {
             let promote_below =
                 (budget as f64 * (1.0 - self.cfg.headroom_frac)).max(0.0) as u64;
             let step = if resident > budget {
-                self.coldest_demotable(tenants)
-                    .map(|(t, table, from)| (t, table, from, from.demoted().expect("demotable")))
+                rank(tenants, false, |_, _, from| from.demoted())
             } else if resident < promote_below {
-                self.warmest_promotable(tenants, resident, promote_below).map(
-                    |(t, table, from)| (t, table, from, from.promoted().expect("promotable")),
-                )
+                // Promote only what still fits inside the headroom band
+                // (estimated from spec bytes before building).
+                rank(tenants, true, |tenant, t, from| {
+                    from.promoted().filter(|&up| {
+                        resident - resident_estimate(tenant, t, from)
+                            + resident_estimate(tenant, t, up)
+                            <= promote_below
+                    })
+                })
             } else {
                 None
             };
@@ -206,54 +214,6 @@ impl PressureController {
             }
         }
         published
-    }
-
-    /// The `(tenant, table)` pair with the fewest observed accesses per
-    /// resident byte among tables not yet on the coldest rung.
-    fn coldest_demotable(&self, tenants: &[Arc<TenantRuntime>]) -> Option<(usize, usize, Tier)> {
-        let mut best: Option<(f64, usize, usize, Tier)> = None;
-        for (i, tenant) in tenants.iter().enumerate() {
-            let accesses = tenant.profiler.table_accesses();
-            let tiers = tenant.tiers();
-            for (t, &tier) in tiers.iter().enumerate() {
-                if tier.demoted().is_none() {
-                    continue;
-                }
-                let score = coldness(tenant, &accesses, t);
-                if best.is_none_or(|(s, ..)| score < s) {
-                    best = Some((score, i, t, tier));
-                }
-            }
-        }
-        best.map(|(_, i, t, tier)| (i, t, tier))
-    }
-
-    /// The warmest demoted pair whose promotion still fits in the
-    /// headroom band (estimated from spec bytes before building).
-    fn warmest_promotable(
-        &self,
-        tenants: &[Arc<TenantRuntime>],
-        resident: u64,
-        promote_below: u64,
-    ) -> Option<(usize, usize, Tier)> {
-        let mut best: Option<(f64, usize, usize, Tier)> = None;
-        for (i, tenant) in tenants.iter().enumerate() {
-            let accesses = tenant.profiler.table_accesses();
-            let tiers = tenant.tiers();
-            for (t, &tier) in tiers.iter().enumerate() {
-                let Some(up) = tier.promoted() else { continue };
-                let grown = resident - resident_estimate(tenant, t, tier)
-                    + resident_estimate(tenant, t, up);
-                if grown > promote_below {
-                    continue;
-                }
-                let score = coldness(tenant, &accesses, t);
-                if best.is_none_or(|(s, ..)| score > s) {
-                    best = Some((score, i, t, tier));
-                }
-            }
-        }
-        best.map(|(_, i, t, tier)| (i, t, tier))
     }
 
     /// Builds, verifies, and publishes one tier transition atomically
@@ -275,36 +235,40 @@ impl PressureController {
             return Err(format!("tier raced: expected {from}, found {}", tiers[table]));
         }
         tiers[table] = to;
-        let (serving, services) =
-            build_tiered_epoch(&tenant.spec, &tenant.plan, tenant.seed, &tiers, next_epoch)?;
+        let (candidate, services) =
+            match build_tiered_epoch(&tenant.spec, &tenant.plan, tenant.seed, &tiers, next_epoch) {
+                Ok((serving, services)) => (Ok(serving), services),
+                Err(e) => (Err(e), Vec::new()),
+            };
 
         // Dual read: the candidate must reproduce the tenant's golden
         // (all-DRAM) predictions. Bitwise unless a quantized rung is in
         // play anywhere in the assignment.
-        let tolerance = if tiers.contains(&Tier::Quantized) {
-            self.cfg.quantized_tolerance
-        } else {
-            0.0
+        let check = ProbeCheck {
+            spec: &tenant.spec,
+            inputs: &tenant.golden_inputs,
+            expected: &tenant.golden,
+            tolerance: if tiers.contains(&Tier::Quantized) {
+                self.cfg.quantized_tolerance
+            } else {
+                0.0
+            },
         };
-        for (inputs, golden) in tenant.golden_inputs.iter().zip(&tenant.golden) {
-            let out = crate::rebalance::probe(&tenant.spec, &serving.model, inputs)?;
-            let drift = out.max_abs_diff(golden);
-            if drift > tolerance {
-                return Err(format!(
-                    "dual read drift {drift} exceeds tolerance {tolerance}"
-                ));
-            }
-        }
-
-        let retired = {
+        {
             let mut st = tenant.state.lock().expect("tenant state lock");
-            let retired = tenant.switch.publish(serving);
+            let mut drain = self.drain.lock().expect("drain lock");
+            tenant.switch.transition(candidate, &check, &mut drain)?;
             st.tiers = tiers;
             st.services = services;
             st.next_epoch += 1;
-            retired
-        };
-        drain(retired);
+        }
+        // Wait (bounded) for the retiree's last in-flight batch so its
+        // memory is back before the next action builds another epoch;
+        // past the deadline it stays queued for the next action's poll.
+        self.drain
+            .lock()
+            .expect("drain lock")
+            .finish(Instant::now() + Duration::from_secs(2));
         let action = TierAction {
             tenant: tenant.name.clone(),
             table: TableId(table),
@@ -324,6 +288,31 @@ impl PressureController {
             .push(action.clone());
         Ok(action)
     }
+}
+
+/// The next ladder step: among every `(tenant, table)` that `next_rung`
+/// gives a destination tier, the one with the fewest observed accesses
+/// per byte — or the most, with `warmest` — as `(tenant, table, from,
+/// to)`. Ties go to the first pair in tenant, then table order.
+fn rank(
+    tenants: &[Arc<TenantRuntime>],
+    warmest: bool,
+    next_rung: impl Fn(&TenantRuntime, usize, Tier) -> Option<Tier>,
+) -> Option<(usize, usize, Tier, Tier)> {
+    let mut best: Option<(f64, (usize, usize, Tier, Tier))> = None;
+    for (i, tenant) in tenants.iter().enumerate() {
+        let accesses = tenant.profiler.table_accesses();
+        for (t, &from) in tenant.tiers().iter().enumerate() {
+            let Some(to) = next_rung(tenant, t, from) else {
+                continue;
+            };
+            let score = coldness(tenant, &accesses, t) * if warmest { -1.0 } else { 1.0 };
+            if best.is_none_or(|(s, _)| score < s) {
+                best = Some((score, (i, t, from, to)));
+            }
+        }
+    }
+    best.map(|(_, step)| step)
 }
 
 /// Accesses per spec byte; tables nobody touches demote first, and a
@@ -353,28 +342,4 @@ pub(super) fn total_resident(tenants: &[Arc<TenantRuntime>]) -> TierBytes {
         b.absorb(t.bytes_by_tier());
     }
     b
-}
-
-/// Blocks until the retired epoch's refcount drops (workers release
-/// their per-batch `Arc`s promptly) and frees it. Bounded: gives up
-/// after two seconds and lets the last holder free it on release.
-fn drain(mut retired: Arc<crate::rebalance::EpochServing>) {
-    let deadline = Instant::now() + Duration::from_secs(2);
-    loop {
-        match Arc::try_unwrap(retired) {
-            Ok(epoch) => {
-                if let Some(pool) = epoch.pool {
-                    pool.shutdown();
-                }
-                return;
-            }
-            Err(still_held) => {
-                if Instant::now() >= deadline {
-                    return;
-                }
-                retired = still_held;
-                std::thread::sleep(Duration::from_micros(200));
-            }
-        }
-    }
 }

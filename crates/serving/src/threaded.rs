@@ -6,9 +6,11 @@
 //! a request queue, and [`ThreadedClient`] is the connection object the
 //! partitioned graph's `SparseRpc` operators call. Requests cross a real
 //! thread boundary (channel send → remote execution → channel receive),
-//! so concurrent batch execution ([`crate::local`]) genuinely overlaps
-//! shard work — the asynchronous parallelism of Fig. 3 with actual OS
-//! concurrency rather than a simulator.
+//! so concurrent batch execution (the frontend's workers) genuinely
+//! overlaps shard work — the asynchronous parallelism of Fig. 3 with
+//! actual OS concurrency rather than a simulator. This module is the
+//! channel *transport* only; the pool that owns the workers is
+//! [`ReplicatedShardPool`](crate::replica::ReplicatedShardPool).
 //!
 //! Workers are fault-aware: each consults a
 //! [`ReplicaFaultSchedule`](crate::fault::ReplicaFaultSchedule) by
@@ -17,7 +19,7 @@
 //! and surfaced as [`RpcError::Poisoned`] instead of killing the worker.
 
 use crate::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
-use crate::fault::{FaultAction, FaultPlan, ReplicaFaultSchedule};
+use crate::fault::{serve_under_fault, ReplicaFaultSchedule, Served};
 use dlrm_metrics::{Histogram, Summary};
 use dlrm_sharding::rpc::{
     RpcCompletion, RpcError, ShardRequest, ShardResponse, SparseShardClient, WaitOutcome,
@@ -211,7 +213,8 @@ impl RpcStats {
 }
 
 /// A snapshot of one shard's RPC instrumentation, surfaced in run
-/// summaries (see [`ThreadedShardPool::rpc_summaries`]).
+/// summaries (see
+/// [`ShardPool::replica_rpc_summaries`](crate::replica::ShardPool::replica_rpc_summaries)).
 #[derive(Debug, Clone)]
 pub struct ShardRpcSummary {
     /// The shard.
@@ -253,9 +256,8 @@ impl std::fmt::Display for ShardRpcSummary {
 }
 
 /// Spawns one shard worker thread serving `service` with the given
-/// injected base `delay` and fault schedule. Shared between
-/// [`ThreadedShardPool`] (one worker per shard) and the replicated pool
-/// (one worker per replica of each shard).
+/// injected base `delay` and fault schedule — one per replica of each
+/// shard in the replicated pool.
 pub(crate) fn spawn_worker(
     service: Arc<ShardService>,
     delay: Duration,
@@ -271,152 +273,10 @@ pub(crate) fn spawn_worker(
     (tx, stats, handle)
 }
 
-/// A pool of shard worker threads, one per sparse shard.
-///
-/// Dropping the pool shuts the workers down (their request channels
-/// close); [`ThreadedShardPool::shutdown`] does so explicitly and joins.
-///
-/// # Examples
-///
-/// ```
-/// use dlrm_serving::threaded::ThreadedShardPool;
-/// use dlrm_sharding::{plan, partition_with_clients, ShardingStrategy};
-/// use dlrm_workload::PoolingProfile;
-/// use std::sync::Arc;
-///
-/// let spec = dlrm_model::rm::rm3().scaled_to_bytes(1 << 20);
-/// let profile = PoolingProfile::from_spec(&spec);
-/// let p = plan(&spec, &profile, ShardingStrategy::OneShard)?;
-/// let model = dlrm_model::build_model(&spec, 1).unwrap();
-/// let services: Vec<_> = p
-///     .shards()
-///     .map(|s| Arc::new(dlrm_sharding::ShardService::build(&model.tables, &p, s)))
-///     .collect();
-/// let pool = ThreadedShardPool::spawn(services.clone());
-/// let dist = partition_with_clients(model, &p, services, pool.clients()).unwrap();
-/// assert_eq!(dist.shards.len(), 1);
-/// pool.shutdown();
-/// # Ok::<(), dlrm_sharding::PlanError>(())
-/// ```
-#[derive(Debug)]
-pub struct ThreadedShardPool {
-    senders: Vec<(ShardId, Sender<WorkerMsg>, Arc<RpcStats>)>,
-    handles: Vec<JoinHandle<()>>,
-}
-
-impl ThreadedShardPool {
-    /// Spawns one worker thread per service.
-    #[must_use]
-    pub fn spawn(services: Vec<Arc<ShardService>>) -> Self {
-        Self::spawn_with_delay(services, Duration::ZERO)
-    }
-
-    /// Spawns one worker thread per service, sleeping `delay` before
-    /// serving each request — an injected per-shard service delay that
-    /// stands in for network + remote compute time, used to demonstrate
-    /// and test RPC overlap (a serial executor pays `shards × delay`;
-    /// the overlap scheduler pays ≈ one `delay`).
-    #[must_use]
-    pub fn spawn_with_delay(services: Vec<Arc<ShardService>>, delay: Duration) -> Self {
-        Self::spawn_with_faults(services, delay, &FaultPlan::none())
-    }
-
-    /// Spawns one worker thread per service with an injected fault
-    /// plan. Each shard's worker runs the plan's schedule for replica 0
-    /// of that shard (a plain pool has exactly one replica per shard;
-    /// the replicated pool consults every replica index).
-    #[must_use]
-    pub fn spawn_with_faults(
-        services: Vec<Arc<ShardService>>,
-        delay: Duration,
-        faults: &FaultPlan,
-    ) -> Self {
-        let mut senders = Vec::with_capacity(services.len());
-        let mut handles = Vec::with_capacity(services.len());
-        for (index, service) in services.into_iter().enumerate() {
-            let shard = service.shard_id();
-            let schedule = faults
-                .schedule(index, 0)
-                .cloned()
-                .unwrap_or_default();
-            let (tx, stats, handle) =
-                spawn_worker(service, delay, schedule, format!("{shard}"));
-            senders.push((shard, tx, stats));
-            handles.push(handle);
-        }
-        Self { senders, handles }
-    }
-
-    /// Client handles for the partitioner, ordered by [`ShardId`].
-    #[must_use]
-    pub fn clients(&self) -> Vec<Arc<dyn SparseShardClient>> {
-        self.senders
-            .iter()
-            .map(|(shard, tx, stats)| {
-                Arc::new(ThreadedClient::new(*shard, tx.clone(), Arc::clone(stats)))
-                    as Arc<dyn SparseShardClient>
-            })
-            .collect()
-    }
-
-    /// Snapshots each shard's RPC instrumentation (latency histogram
-    /// quantiles + concurrency watermark), ordered by [`ShardId`].
-    #[must_use]
-    pub fn rpc_summaries(&self) -> Vec<ShardRpcSummary> {
-        self.senders
-            .iter()
-            .map(|(shard, _, stats)| stats.summarize(*shard))
-            .collect()
-    }
-
-    /// Number of shard workers.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.handles.len()
-    }
-
-    /// Whether the pool has no workers.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.handles.is_empty()
-    }
-
-    /// Stops every worker and joins it. Envelopes already queued (or in
-    /// flight on a worker) when the stop lands are *drained*: the worker
-    /// serves them and delivers their replies before exiting, so an RPC
-    /// issued via [`SparseShardClient::begin_execute`] but not yet
-    /// collected still completes. Safe to call while [`ThreadedClient`]s
-    /// are still alive: their subsequent calls fail with a "worker is
-    /// down" error instead of hanging.
-    pub fn shutdown(mut self) {
-        self.stop_and_join();
-    }
-
-    fn stop_and_join(&mut self) {
-        for (_, tx, _) in self.senders.drain(..) {
-            let _ = tx.send(WorkerMsg::Stop);
-        }
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-/// Stringifies a caught panic payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&'static str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 /// The shard worker's service loop: serve calls until a stop arrives or
 /// every client is gone, then drain what is already queued. Faults from
 /// `faults` are injected by request ordinal; a
-/// [`FaultAction::Crash`] kills the worker outright (queued and future
+/// [`FaultAction::Crash`](crate::fault::FaultAction::Crash) kills the worker outright (queued and future
 /// requests fail as transport errors). Panics while serving — injected
 /// or organic — are caught and returned as [`RpcError::Poisoned`].
 fn worker_loop(
@@ -426,52 +286,22 @@ fn worker_loop(
     faults: &ReplicaFaultSchedule,
 ) {
     let mut ordinal: u64 = 0;
-    // Serves one envelope; `false` means the worker crashed.
+    // Serves one envelope; `false` means the worker crashed (the
+    // envelope's reply sender drops, so the caller sees a transport
+    // loss, and every later send to this replica fails too).
     let mut serve = |envelope: Envelope| -> bool {
         let action = faults.action_at(ordinal);
         ordinal += 1;
-        if action == Some(FaultAction::Crash) {
-            // Hard crash before serving: the envelope's reply sender is
-            // dropped (caller sees a transport loss) and the worker
-            // dies, so every later send to this replica fails too.
-            return false;
-        }
-        if !delay.is_zero() {
-            std::thread::sleep(delay);
-        }
-        match action {
-            Some(FaultAction::Delay(spike)) => std::thread::sleep(spike),
-            Some(FaultAction::DropReply) => {
-                // Serve, then lose the reply: the caller's receive sees
-                // a disconnect, exactly like a connection reset after
-                // the request was accepted.
-                let _ = service.execute(&envelope.request);
-                return true;
+        match serve_under_fault(service, &envelope.request, delay, action) {
+            Served::Crashed => false,
+            Served::Dropped => true,
+            Served::Reply(result) => {
+                // A dropped reply channel means the caller gave up;
+                // nothing to do (stateless).
+                let _ = envelope.reply.send(result);
+                true
             }
-            Some(FaultAction::TransientError) => {
-                let _ = envelope.reply.send(Err(RpcError::Transport {
-                    shard: service.shard_id(),
-                    message: "injected transient fault".to_string(),
-                }));
-                return true;
-            }
-            _ => {}
         }
-        let inject_panic = action == Some(FaultAction::Panic);
-        let served = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            assert!(!inject_panic, "injected worker panic");
-            service.execute(&envelope.request)
-        }));
-        let result = served.unwrap_or_else(|payload| {
-            Err(RpcError::Poisoned {
-                shard: service.shard_id(),
-                message: panic_message(payload.as_ref()),
-            })
-        });
-        // A dropped reply channel means the caller gave up; nothing to
-        // do (stateless).
-        let _ = envelope.reply.send(result);
-        true
     };
     loop {
         match rx.recv() {
@@ -587,47 +417,56 @@ impl SparseShardClient for ThreadedClient {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::fault::{FaultAction, FaultPlan};
+    use crate::replica::{HealthPolicy, ReplicatedShardPool};
     use dlrm_model::graph::NoopObserver;
     use dlrm_model::{build_model, rm, ModelSpec, Workspace};
-    use dlrm_sharding::{partition, partition_with_clients, plan, ShardingStrategy};
+    use dlrm_sharding::{partition, plan, ShardingStrategy};
     use dlrm_workload::{materialize_request, PoolingProfile, TraceDb};
 
-    fn toy_spec() -> ModelSpec {
+    pub(crate) fn toy_spec() -> ModelSpec {
         let mut s = rm::rm1().scaled_to_bytes(2 << 20);
         s.mean_items_per_request = 12.0;
         s.default_batch_size = 6;
         s
     }
 
+    /// One worker per shard: un-replicated serving is `replicas = 1`.
+    fn spawn_pool(
+        services: Vec<Arc<ShardService>>,
+        delay: Duration,
+        faults: &FaultPlan,
+    ) -> ReplicatedShardPool {
+        ReplicatedShardPool::spawn(services, 1, delay, faults, HealthPolicy::default())
+    }
+
     fn build_threaded(
         spec: &ModelSpec,
         strategy: ShardingStrategy,
         seed: u64,
-    ) -> (dlrm_sharding::DistributedModel, ThreadedShardPool) {
+    ) -> (dlrm_sharding::DistributedModel, ReplicatedShardPool) {
         let profile = PoolingProfile::from_spec(spec);
         let p = plan(spec, &profile, strategy).unwrap();
-        let model = build_model(spec, seed).unwrap();
-        let services: Vec<Arc<ShardService>> = p
-            .shards()
-            .map(|s| Arc::new(ShardService::build(&model.tables, &p, s)))
-            .collect();
-        let pool = ThreadedShardPool::spawn(services.clone());
-        let dist = partition_with_clients(model, &p, services, pool.clients()).unwrap();
-        (dist, pool)
+        ReplicatedShardPool::assemble(spec, &p, seed, |services| {
+            Ok(spawn_pool(services, Duration::ZERO, &FaultPlan::none()))
+        })
+        .unwrap()
     }
 
-    fn one_shard_pool_with_faults(faults: &FaultPlan) -> (ThreadedShardPool, ShardRequest) {
+    pub(crate) fn one_shard_services() -> Vec<Arc<ShardService>> {
         let spec = toy_spec();
         let profile = PoolingProfile::from_spec(&spec);
         let p = plan(&spec, &profile, ShardingStrategy::OneShard).unwrap();
         let model = build_model(&spec, 1).unwrap();
-        let services: Vec<Arc<ShardService>> = p
-            .shards()
+        p.shards()
             .map(|s| Arc::new(ShardService::build(&model.tables, &p, s)))
-            .collect();
-        let pool = ThreadedShardPool::spawn_with_faults(services, Duration::ZERO, faults);
+            .collect()
+    }
+
+    fn one_shard_pool_with_faults(faults: &FaultPlan) -> (ReplicatedShardPool, ShardRequest) {
+        let pool = spawn_pool(one_shard_services(), Duration::ZERO, faults);
         let request = ShardRequest {
             net: dlrm_model::NetId(0),
             slices: vec![],
@@ -672,8 +511,20 @@ mod tests {
                 threaded.run(&mut ws, &mut NoopObserver).unwrap()
             })
             .collect();
-        let parallel =
-            crate::local::rank_request_parallel(&threaded, &spec, &batches, 4).unwrap();
+        // Every batch on its own thread, all sharing the shard workers.
+        let parallel: Vec<_> = std::thread::scope(|s| {
+            let handles: Vec<_> = batches
+                .iter()
+                .map(|b| {
+                    s.spawn(|| {
+                        let mut ws = Workspace::new();
+                        b.load_into(&spec, &mut ws);
+                        threaded.run_overlapped(&mut ws, &mut NoopObserver).unwrap()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
         assert_eq!(sequential, parallel);
         pool.shutdown();
     }
@@ -721,18 +572,13 @@ mod tests {
         // Regression: an RPC issued via begin_execute before shutdown
         // must still produce its reply — the worker drains queued
         // envelopes behind the stop message instead of abandoning them.
-        let spec = toy_spec();
-        let profile = PoolingProfile::from_spec(&spec);
-        let p = plan(&spec, &profile, ShardingStrategy::OneShard).unwrap();
-        let model = build_model(&spec, 1).unwrap();
-        let services: Vec<Arc<ShardService>> = p
-            .shards()
-            .map(|s| Arc::new(ShardService::build(&model.tables, &p, s)))
-            .collect();
         // A service delay widens the race window: the stop message is
         // queued while the request is still unserved.
-        let pool =
-            ThreadedShardPool::spawn_with_delay(services, std::time::Duration::from_millis(20));
+        let pool = spawn_pool(
+            one_shard_services(),
+            Duration::from_millis(20),
+            &FaultPlan::none(),
+        );
         let clients = pool.clients();
         let request = dlrm_sharding::rpc::ShardRequest {
             net: dlrm_model::NetId(0),
@@ -760,7 +606,7 @@ mod tests {
             batch.load_into(&spec, &mut ws);
             threaded.run_overlapped(&mut ws, &mut NoopObserver).unwrap();
         }
-        let summaries = pool.rpc_summaries();
+        let summaries = pool.replica_rpc_summaries();
         assert_eq!(summaries.len(), 2);
         for s in &summaries {
             assert!(s.calls > 0, "{s}");

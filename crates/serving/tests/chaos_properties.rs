@@ -24,10 +24,7 @@ use dlrm_serving::engine_trace::RpcTracingObserver;
 use dlrm_serving::fault::{FaultPlan, FaultSpec};
 use dlrm_serving::frontend::{materialize_frontend_requests, run_frontend, FrontendConfig};
 use dlrm_serving::replica::{HealthPolicy, ReplicatedShardPool};
-use dlrm_sharding::{
-    partition, partition_with_clients, plan, DistributedModel, RpcPolicy, ShardService,
-    ShardingStrategy,
-};
+use dlrm_sharding::{partition, plan, DistributedModel, RpcPolicy, ShardingPlan, ShardingStrategy};
 use dlrm_tensor::Matrix;
 use dlrm_trace::TraceId;
 use dlrm_workload::{materialize_request, ArrivalSchedule, BatchInputs, PoolingProfile, TraceDb};
@@ -43,18 +40,33 @@ fn chaos_spec() -> ModelSpec {
     spec
 }
 
-fn services_for(
-    spec: &ModelSpec,
-    shards: usize,
-) -> (dlrm_sharding::ShardingPlan, Vec<Arc<ShardService>>) {
+fn capacity_plan(spec: &ModelSpec, shards: usize) -> ShardingPlan {
     let profile = PoolingProfile::from_spec(spec);
-    let p = plan(spec, &profile, ShardingStrategy::CapacityBalanced(shards)).expect("plan");
-    let model = build_model(spec, SEED).expect("build");
-    let services: Vec<Arc<ShardService>> = p
-        .shards()
-        .map(|s| Arc::new(ShardService::build(&model.tables, &p, s)))
-        .collect();
-    (p, services)
+    plan(spec, &profile, ShardingStrategy::CapacityBalanced(shards)).expect("plan")
+}
+
+/// `p` served by two replicas per shard under faults sampled from
+/// `fault_seed`/`fault_spec`, with `policy` on every RPC operator.
+fn faulted_cluster(
+    spec: &ModelSpec,
+    p: &ShardingPlan,
+    (fault_seed, fault_spec): (u64, &FaultSpec),
+    health: HealthPolicy,
+    policy: RpcPolicy,
+) -> (DistributedModel, ReplicatedShardPool) {
+    let faults = FaultPlan::sample(fault_seed, p.num_shards(), 2, fault_spec);
+    let (mut dist, pool) = ReplicatedShardPool::assemble(spec, p, SEED, |services| {
+        Ok(ReplicatedShardPool::spawn(
+            services,
+            2,
+            Duration::ZERO,
+            &faults,
+            health,
+        ))
+    })
+    .expect("assemble");
+    assert!(dist.set_rpc_policy(policy) >= 1);
+    (dist, pool)
 }
 
 /// A policy whose outcomes depend only on the fault schedule, never the
@@ -116,7 +128,7 @@ fn non_degraded_completions_are_bit_exact_under_faults() {
     let inputs = request_inputs(&spec, 16);
 
     // Fault-free baseline through the in-process transport.
-    let (p, _) = services_for(&spec, 2);
+    let p = capacity_plan(&spec, 2);
     let baseline_dist = partition(build_model(&spec, SEED).expect("build"), &p).expect("partition");
     let baseline: Vec<Matrix> = inputs
         .iter()
@@ -131,27 +143,17 @@ fn non_degraded_completions_are_bit_exact_under_faults() {
 
     // Chaos run: 2 replicas per shard under a sampled fault plan with
     // a deliberately high crash rate.
-    let (p, services) = services_for(&spec, 2);
-    let faults = FaultPlan::sample(
-        SEED ^ 0xC4A0,
-        services.len(),
-        2,
-        &FaultSpec {
-            crash_prob: 0.5,
-            ..FaultSpec::default()
-        },
-    );
-    let pool = ReplicatedShardPool::spawn(
-        services.clone(),
-        2,
-        Duration::ZERO,
-        &faults,
+    let fault_spec = FaultSpec {
+        crash_prob: 0.5,
+        ..FaultSpec::default()
+    };
+    let (dist, pool) = faulted_cluster(
+        &spec,
+        &p,
+        (SEED ^ 0xC4A0, &fault_spec),
         no_ejection(),
+        deterministic_policy(),
     );
-    let mut dist =
-        partition_with_clients(build_model(&spec, SEED).expect("build"), &p, services, pool.clients())
-            .expect("partition");
-    assert!(dist.set_rpc_policy(deterministic_policy()) >= 1);
 
     let outcomes = closed_loop(&dist, &inputs);
     pool.shutdown();
@@ -177,33 +179,19 @@ fn same_fault_seed_reproduces_per_request_outcomes() {
     let inputs = request_inputs(&spec, 12);
 
     let run = || {
-        let (p, services) = services_for(&spec, 2);
-        let faults = FaultPlan::sample(
-            SEED ^ 0xFA11,
-            services.len(),
-            2,
-            &FaultSpec {
-                crash_prob: 0.4,
-                transient_prob: 0.1,
-                drop_prob: 0.05,
-                ..FaultSpec::default()
-            },
-        );
-        let pool = ReplicatedShardPool::spawn(
-            services.clone(),
-            2,
-            Duration::ZERO,
-            &faults,
+        let fault_spec = FaultSpec {
+            crash_prob: 0.4,
+            transient_prob: 0.1,
+            drop_prob: 0.05,
+            ..FaultSpec::default()
+        };
+        let (dist, pool) = faulted_cluster(
+            &spec,
+            &capacity_plan(&spec, 2),
+            (SEED ^ 0xFA11, &fault_spec),
             no_ejection(),
+            deterministic_policy(),
         );
-        let mut dist = partition_with_clients(
-            build_model(&spec, SEED).expect("build"),
-            &p,
-            services,
-            pool.clients(),
-        )
-        .expect("partition");
-        assert!(dist.set_rpc_policy(deterministic_policy()) >= 1);
         let outcomes: Vec<(bool, u64, u64)> = closed_loop(&dist, &inputs)
             .into_iter()
             .map(|(out, degraded, retries)| (out.is_some(), degraded, retries))
@@ -228,28 +216,18 @@ fn same_fault_seed_reproduces_per_request_outcomes() {
 #[test]
 fn frontend_accounting_identities_hold_under_faults() {
     let spec = chaos_spec();
-    let (p, services) = services_for(&spec, 2);
-    let faults = FaultPlan::sample(
-        SEED ^ 0xACC7,
-        services.len(),
-        2,
-        &FaultSpec {
-            crash_prob: 0.5,
-            transient_prob: 0.05,
-            ..FaultSpec::default()
-        },
-    );
-    let pool = ReplicatedShardPool::spawn(
-        services.clone(),
-        2,
-        Duration::ZERO,
-        &faults,
+    let fault_spec = FaultSpec {
+        crash_prob: 0.5,
+        transient_prob: 0.05,
+        ..FaultSpec::default()
+    };
+    let (dist, pool) = faulted_cluster(
+        &spec,
+        &capacity_plan(&spec, 2),
+        (SEED ^ 0xACC7, &fault_spec),
         HealthPolicy::default(),
+        RpcPolicy::resilient(),
     );
-    let mut dist =
-        partition_with_clients(build_model(&spec, SEED).expect("build"), &p, services, pool.clients())
-            .expect("partition");
-    assert!(dist.set_rpc_policy(RpcPolicy::resilient()) >= 1);
 
     let db = TraceDb::generate(&spec, 20, SEED ^ 4);
     let requests = materialize_frontend_requests(&spec, &db, SEED ^ 5);
@@ -339,13 +317,6 @@ fn hot_row_cache_survives_replica_crashes() {
     let p = hot_plan_for(&spec, 2, skew);
     assert!(p.has_hot_rows());
 
-    let services_for_plan = || -> Vec<Arc<ShardService>> {
-        let model = build_model(&spec, SEED).expect("build");
-        p.shards()
-            .map(|s| Arc::new(ShardService::build(&model.tables, &p, s)))
-            .collect()
-    };
-
     // Fault-free run: baseline predictions and baseline cache totals.
     let dist = partition(build_model(&spec, SEED).expect("build"), &p).expect("partition");
     let baseline: Vec<Matrix> = inputs
@@ -361,27 +332,18 @@ fn hot_row_cache_survives_replica_crashes() {
     assert!(clean_totals.hits > 0, "skewed traffic must hit: {clean_totals}");
 
     // Chaos run: same traffic, same plan, replicas crashing underneath.
-    let services = services_for_plan();
-    let faults = FaultPlan::sample(
-        SEED ^ 0xCAC4E,
-        services.len(),
-        2,
-        &FaultSpec {
-            crash_prob: 0.5,
-            ..FaultSpec::default()
-        },
-    );
-    let pool = ReplicatedShardPool::spawn(services.clone(), 2, Duration::ZERO, &faults, no_ejection());
-    let mut dist = partition_with_clients(
-        build_model(&spec, SEED).expect("build"),
+    let fault_spec = FaultSpec {
+        crash_prob: 0.5,
+        ..FaultSpec::default()
+    };
+    let (dist, pool) = faulted_cluster(
+        &spec,
         &p,
-        services,
-        pool.clients(),
-    )
-    .expect("partition");
+        (SEED ^ 0xCAC4E, &fault_spec),
+        no_ejection(),
+        deterministic_policy(),
+    );
     let cache = Arc::clone(dist.cache.as_ref().expect("cache installed"));
-    pool.attach_cache(Arc::clone(&cache));
-    assert!(dist.set_rpc_policy(deterministic_policy()) >= 1);
 
     let outcomes = closed_loop(&dist, &inputs);
     let summary = pool.transport_summary();
@@ -413,31 +375,19 @@ fn frontend_identities_hold_with_cache_under_faults() {
     let spec = chaos_spec();
     let skew = 1.2;
     let p = hot_plan_for(&spec, 2, skew);
-    let model = build_model(&spec, SEED).expect("build");
-    let services: Vec<Arc<ShardService>> = p
-        .shards()
-        .map(|s| Arc::new(ShardService::build(&model.tables, &p, s)))
-        .collect();
-    let faults = FaultPlan::sample(
-        SEED ^ 0xFACADE,
-        services.len(),
-        2,
-        &FaultSpec {
-            crash_prob: 0.5,
-            transient_prob: 0.05,
-            ..FaultSpec::default()
-        },
-    );
-    let pool = ReplicatedShardPool::spawn(
-        services.clone(),
-        2,
-        Duration::ZERO,
-        &faults,
+    let fault_spec = FaultSpec {
+        crash_prob: 0.5,
+        transient_prob: 0.05,
+        ..FaultSpec::default()
+    };
+    let (dist, pool) = faulted_cluster(
+        &spec,
+        &p,
+        (SEED ^ 0xFACADE, &fault_spec),
         HealthPolicy::default(),
+        RpcPolicy::resilient(),
     );
-    let mut dist = partition_with_clients(model, &p, services, pool.clients()).expect("partition");
-    pool.attach_cache(Arc::clone(dist.cache.as_ref().expect("cache installed")));
-    assert!(dist.set_rpc_policy(RpcPolicy::resilient()) >= 1);
+    assert!(dist.cache.is_some(), "cache installed");
 
     let db = TraceDb::generate(&spec, 20, SEED ^ 4);
     let requests = materialize_frontend_requests(&spec, &db, SEED ^ 5);

@@ -9,16 +9,21 @@
 
 use dlrm_model::graph::NoopObserver;
 use dlrm_model::{build_model, ModelSpec, NetId, NetSpec, TableId, TableSpec, Workspace};
+use dlrm_serving::fault::FaultPlan;
 use dlrm_serving::frontend::{
-    materialize_frontend_requests, merge_inputs, run_frontend, split_rows, FrontendConfig,
+    materialize_frontend_requests, merge_inputs, run_frontend, serve, split_rows, EpochSource,
+    FrontendConfig, FrontendRequest, Lane, LaneRun,
 };
-use dlrm_serving::threaded::ThreadedShardPool;
-use dlrm_sharding::{partition, partition_with_clients, plan, ShardService, ShardingStrategy};
+use dlrm_serving::rebalance::{build_epoch_serving, DrainQueue, EpochSwitch, RebalanceConfig};
+use dlrm_serving::replica::{HealthPolicy, ReplicatedShardPool};
+use dlrm_sharding::{partition, plan, DistributedModel, ShardingPlan, ShardingStrategy};
 use dlrm_sim::SimRng;
 use dlrm_tensor::Matrix;
-use dlrm_workload::{materialize_request, ArrivalSchedule, BatchInputs, TraceDb};
-use std::sync::Arc;
-use std::time::Duration;
+use dlrm_workload::{
+    materialize_request, ArrivalSchedule, BatchInputs, OnlineProfiler, PoolingProfile, TraceDb,
+};
+use std::collections::HashMap;
+use std::time::{Duration, Instant};
 
 /// Draws a small but structurally varied model spec: 1–2 nets, 1–3
 /// tables per net, 1–2 MLP layers per stack (same generator family as
@@ -73,11 +78,25 @@ fn random_strategy(rng: &mut SimRng) -> ShardingStrategy {
     }
 }
 
+/// `p` over one fault-free worker thread per shard, each sleeping
+/// `delay` per request.
+fn threaded_cluster(
+    spec: &ModelSpec,
+    p: &ShardingPlan,
+    seed: u64,
+    delay: Duration,
+) -> (DistributedModel, ReplicatedShardPool) {
+    ReplicatedShardPool::assemble(spec, p, seed, |services| {
+        let (faults, health) = (FaultPlan::none(), HealthPolicy::default());
+        Ok(ReplicatedShardPool::spawn(
+            services, 1, delay, &faults, health,
+        ))
+    })
+    .unwrap()
+}
+
 /// Runs each request alone through the overlapped executor.
-fn sequential_predictions(
-    dist: &dlrm_sharding::DistributedModel,
-    inputs: &[BatchInputs],
-) -> Vec<Matrix> {
+fn sequential_predictions(dist: &DistributedModel, inputs: &[BatchInputs]) -> Vec<Matrix> {
     inputs
         .iter()
         .map(|b| {
@@ -89,10 +108,7 @@ fn sequential_predictions(
 }
 
 /// Runs a group of requests as ONE merged engine batch and splits back.
-fn batched_predictions(
-    dist: &dlrm_sharding::DistributedModel,
-    inputs: &[BatchInputs],
-) -> Vec<Matrix> {
+fn batched_predictions(dist: &DistributedModel, inputs: &[BatchInputs]) -> Vec<Matrix> {
     let parts: Vec<&BatchInputs> = inputs.iter().collect();
     let (merged, counts) = merge_inputs(&parts);
     let mut ws = Workspace::new();
@@ -164,13 +180,7 @@ fn batched_bit_identical_over_threaded_transport() {
         let Ok(p) = plan(&spec, &profile, ShardingStrategy::CapacityBalanced(shards)) else {
             continue;
         };
-        let model = build_model(&spec, seed).unwrap();
-        let services: Vec<Arc<ShardService>> = p
-            .shards()
-            .map(|s| Arc::new(ShardService::build(&model.tables, &p, s)))
-            .collect();
-        let pool = ThreadedShardPool::spawn(services.clone());
-        let dist = partition_with_clients(model, &p, services, pool.clients()).unwrap();
+        let (dist, pool) = threaded_cluster(&spec, &p, seed, Duration::ZERO);
 
         let inputs: Vec<BatchInputs> = (0..db.len())
             .map(|i| {
@@ -236,4 +246,265 @@ fn full_frontend_run_is_bit_exact_and_accounts_exactly() {
             assert_eq!(pred, want, "case {case}: request {id} batched != solo");
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// The one run loop: lanes × epoch sources, backpressure, shutdown
+// ---------------------------------------------------------------------
+
+fn lane_spec() -> ModelSpec {
+    let mut spec = dlrm_model::rm::rm1().scaled_to_bytes(1 << 20);
+    spec.mean_items_per_request = 4.0;
+    spec.default_batch_size = 4;
+    spec
+}
+
+/// Checks one lane's run: the admission identities, a single epoch per
+/// batch, and every prediction bit-exact with its solo run.
+fn check_lane(run: &LaneRun, offered: usize, expected: &HashMap<u64, Matrix>, ctx: &str) {
+    assert_eq!(run.queue.offered, offered as u64, "{ctx}");
+    assert_eq!(
+        run.queue.offered,
+        run.queue.admitted + run.queue.shed,
+        "{ctx}"
+    );
+    // One record per admitted request, completed or failed.
+    assert_eq!(run.records.len() as u64, run.queue.admitted, "{ctx}");
+    let mut batch_epoch: HashMap<u64, u64> = HashMap::new();
+    for r in &run.records {
+        let epoch = *batch_epoch.entry(r.batch_seq).or_insert(r.epoch);
+        assert_eq!(epoch, r.epoch, "{ctx}: batch {} mixes epochs", r.batch_seq);
+        let got = r
+            .prediction
+            .as_ref()
+            .unwrap_or_else(|| panic!("{ctx}: request {} failed", r.id));
+        assert_eq!(
+            got, &expected[&r.id],
+            "{ctx}: request {} batched != solo",
+            r.id
+        );
+    }
+}
+
+/// lanes ∈ {1, 2, 3} × pinned/switch sources × seeds, with a publisher
+/// cutting every switch lane over mid-run: each lane accounts exactly,
+/// every batch runs on one epoch, predictions stay bit-exact with
+/// sequential `run_overlapped`, and traffic after the cutover lands on
+/// the new epoch.
+#[test]
+fn lanes_of_every_source_account_exactly_and_stay_bit_exact_across_a_cutover() {
+    let spec = lane_spec();
+    let profile = PoolingProfile::from_spec(&spec);
+    let p = plan(&spec, &profile, ShardingStrategy::CapacityBalanced(2)).unwrap();
+    let successor = p.clone().succeed(&p);
+    let cfg = FrontendConfig {
+        queue_capacity: 64,
+        max_batch_requests: 3,
+        batch_timeout: Duration::from_millis(1),
+        sla: Duration::from_millis(500),
+        workers: 2,
+    };
+    for seed in [3u64, 11] {
+        let pinned = partition(build_model(&spec, seed).unwrap(), &p).unwrap();
+        for lanes in 1..=3usize {
+            // Lane i is a switch lane when i + seed is odd, so every
+            // lane count sees both kinds (and their mixes).
+            let is_switch = |i: usize| (i as u64 + seed) % 2 == 1;
+            let streams: Vec<(Vec<FrontendRequest>, ArrivalSchedule)> = (0..lanes)
+                .map(|i| {
+                    let lane_seed = seed * 31 + i as u64;
+                    let db = TraceDb::generate(&spec, 24, lane_seed);
+                    // The first half arrives at once, the rest spread
+                    // over ~120 ms: the cutover (published as soon as
+                    // the first batch is picked up) lands in between.
+                    let schedule =
+                        ArrivalSchedule::poisson_burst(24, 100.0, 500.0, 0.0, 0.5, lane_seed);
+                    (
+                        materialize_frontend_requests(&spec, &db, lane_seed ^ 1),
+                        schedule,
+                    )
+                })
+                .collect();
+            let expected: Vec<HashMap<u64, Matrix>> = streams
+                .iter()
+                .map(|(requests, _)| {
+                    let inputs: Vec<BatchInputs> =
+                        requests.iter().map(|r| r.inputs.clone()).collect();
+                    requests
+                        .iter()
+                        .map(|r| r.id)
+                        .zip(sequential_predictions(&pinned, &inputs))
+                        .collect()
+                })
+                .collect();
+            let rb = RebalanceConfig::default();
+            let switches: Vec<EpochSwitch> = (0..lanes)
+                .map(|_| EpochSwitch::new(build_epoch_serving(&spec, &p, seed, 1, &rb).unwrap()))
+                .collect();
+            let profilers: Vec<OnlineProfiler> = (0..lanes)
+                .map(|_| OnlineProfiler::for_spec(&spec))
+                .collect();
+
+            let runs = std::thread::scope(|s| {
+                for i in (0..lanes).filter(|&i| is_switch(i)) {
+                    let (switch, profiler) = (&switches[i], &profilers[i]);
+                    let next = build_epoch_serving(&spec, &successor, seed, 1, &rb).unwrap();
+                    s.spawn(move || {
+                        let deadline = Instant::now() + Duration::from_secs(30);
+                        while profiler.total_accesses() == 0 {
+                            assert!(Instant::now() < deadline, "lane {i} never served");
+                            std::thread::sleep(Duration::from_millis(1));
+                        }
+                        let mut drain = DrainQueue::default();
+                        drain.retire(switch.publish(next));
+                        assert_eq!(drain.finish(deadline), 0, "retired epoch never drained");
+                    });
+                }
+                let lane_list = streams
+                    .iter()
+                    .enumerate()
+                    .map(|(i, (requests, schedule))| {
+                        let source = if is_switch(i) {
+                            EpochSource::Switch(&switches[i])
+                        } else {
+                            EpochSource::Pinned(&pinned)
+                        };
+                        let mut lane = Lane::new(source, requests.clone(), schedule, &cfg);
+                        lane.profiler = Some(&profilers[i]);
+                        lane
+                    })
+                    .collect();
+                serve(
+                    lane_list,
+                    cfg.max_batch_requests,
+                    cfg.batch_timeout,
+                    cfg.workers,
+                    None,
+                )
+            });
+
+            assert_eq!(runs.len(), lanes);
+            for (i, run) in runs.iter().enumerate() {
+                let ctx = format!("seed {seed}, {lanes} lanes, lane {i}");
+                check_lane(run, 24, &expected[i], &ctx);
+                assert_eq!(run.queue.shed, 0, "{ctx}: queue sized for everything");
+                let last = run
+                    .records
+                    .iter()
+                    .max_by(|a, b| a.exec_start_ms.total_cmp(&b.exec_start_ms))
+                    .expect("records");
+                if is_switch(i) {
+                    assert_eq!(switches[i].cutovers(), 1, "{ctx}");
+                    assert_eq!(
+                        last.epoch,
+                        successor.epoch(),
+                        "{ctx}: tail missed the cutover"
+                    );
+                } else {
+                    assert!(
+                        run.records.iter().all(|r| r.epoch == 0),
+                        "{ctx}: pinned is epoch 0"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// A lane with nothing to offer terminates beside a busy one and
+/// reports zeros.
+#[test]
+fn a_lane_with_zero_requests_terminates() {
+    let spec = lane_spec();
+    let profile = PoolingProfile::from_spec(&spec);
+    let p = plan(&spec, &profile, ShardingStrategy::CapacityBalanced(2)).unwrap();
+    let dist = partition(build_model(&spec, 5).unwrap(), &p).unwrap();
+    let db = TraceDb::generate(&spec, 8, 5);
+    let requests = materialize_frontend_requests(&spec, &db, 6);
+    let busy = ArrivalSchedule::poisson(requests.len(), 5_000.0, 7);
+    let idle = ArrivalSchedule::poisson(0, 5_000.0, 7);
+    let cfg = FrontendConfig::default();
+    let lanes = vec![
+        Lane::new(EpochSource::Pinned(&dist), requests, &busy, &cfg),
+        Lane::new(EpochSource::Pinned(&dist), Vec::new(), &idle, &cfg),
+    ];
+    let runs = serve(
+        lanes,
+        cfg.max_batch_requests,
+        cfg.batch_timeout,
+        cfg.workers,
+        None,
+    );
+    assert_eq!(runs[0].records.len(), 8);
+    assert_eq!(runs[1].queue.offered, 0);
+    assert!(runs[1].records.is_empty());
+    let report = runs.into_iter().nth(1).unwrap().into_report();
+    assert_eq!((report.completed, report.batches), (0, 0));
+}
+
+/// Regression (the admission queue is the shed point): under
+/// *sustained* overload the bounded admission queue must shed, and the
+/// pipeline behind it stays structurally bounded — the parent drained
+/// the queue into an unbounded batch channel and never shed. The run
+/// also ends with its batcher blocked on a full lane (the generator
+/// finishes long before the backlog drains), which must terminate.
+#[test]
+fn sustained_overload_sheds_at_admission_and_bounds_the_pipeline() {
+    let spec = lane_spec();
+    let profile = PoolingProfile::from_spec(&spec);
+    let p = plan(&spec, &profile, ShardingStrategy::CapacityBalanced(2)).unwrap();
+    // 5 ms per shard RPC caps one worker well under 200 requests/s; 400/s
+    // are offered, each picked up by the batcher the moment it arrives
+    // (so the parent's queue stayed near-empty and shed nothing).
+    let (dist, pool) = threaded_cluster(&spec, &p, 9, Duration::from_millis(5));
+    let cfg = FrontendConfig {
+        queue_capacity: 4,
+        max_batch_requests: 2,
+        batch_timeout: Duration::from_millis(1),
+        sla: Duration::from_millis(50),
+        workers: 1,
+    };
+    for seed in [1u64, 2, 3] {
+        let db = TraceDb::generate(&spec, 80, seed);
+        let requests = materialize_frontend_requests(&spec, &db, seed ^ 5);
+        let schedule = ArrivalSchedule::poisson(requests.len(), 400.0, seed);
+        let lane = Lane::new(EpochSource::Pinned(&dist), requests, &schedule, &cfg);
+        let run = serve(
+            vec![lane],
+            cfg.max_batch_requests,
+            cfg.batch_timeout,
+            cfg.workers,
+            None,
+        )
+        .pop()
+        .unwrap();
+
+        assert_eq!(run.queue.offered, 80);
+        assert_eq!(run.queue.offered, run.queue.admitted + run.queue.shed);
+        assert_eq!(run.records.len() as u64, run.queue.admitted);
+        assert!(
+            run.queue.shed > 0,
+            "seed {seed}: sustained 2x overload never shed"
+        );
+
+        // In the system at any instant: the admission queue (capacity),
+        // one batch the batcher holds, `workers` batches in the lane,
+        // and one batch per worker executing — at a completion, that
+        // worker's batch is done: capacity + 2·workers·max_batch. Two
+        // more for stamp skew: `enqueued` is read before the offer and
+        // `dequeued` after the pickup, so one request on each edge of
+        // the queue can be counted on both sides of it.
+        let bound = cfg.queue_capacity + 2 * cfg.workers * cfg.max_batch_requests + 2;
+        for done in &run.records {
+            let at = done.exec_end_ms;
+            let admitted = run.records.iter().filter(|r| r.enqueued_ms <= at).count();
+            let completed = run.records.iter().filter(|r| r.exec_end_ms <= at).count();
+            assert!(
+                admitted - completed <= bound,
+                "seed {seed}: {} in the system at {at:.1} ms, bound {bound}",
+                admitted - completed
+            );
+        }
+    }
+    pool.shutdown();
 }

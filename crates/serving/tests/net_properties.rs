@@ -31,7 +31,7 @@ use dlrm_serving::wire::Message;
 use dlrm_sharding::rpc::{ShardRequest, SparseShardClient};
 use dlrm_sharding::{
     partition, partition_with_clients, plan, DistributedModel, RpcPolicy, ShardService,
-    ShardingStrategy,
+    ShardingPlan, ShardingStrategy,
 };
 use dlrm_tensor::Matrix;
 use dlrm_trace::TraceId;
@@ -48,18 +48,36 @@ fn chaos_spec() -> ModelSpec {
     spec
 }
 
-fn services_for(
-    spec: &ModelSpec,
-    shards: usize,
-) -> (dlrm_sharding::ShardingPlan, Vec<Arc<ShardService>>) {
+fn capacity_plan(spec: &ModelSpec, shards: usize) -> ShardingPlan {
     let profile = PoolingProfile::from_spec(spec);
-    let p = plan(spec, &profile, ShardingStrategy::CapacityBalanced(shards)).expect("plan");
+    plan(spec, &profile, ShardingStrategy::CapacityBalanced(shards)).expect("plan")
+}
+
+fn services_for(spec: &ModelSpec, shards: usize) -> (ShardingPlan, Vec<Arc<ShardService>>) {
+    let p = capacity_plan(spec, shards);
     let model = build_model(spec, SEED).expect("build");
     let services: Vec<Arc<ShardService>> = p
         .shards()
         .map(|s| Arc::new(ShardService::build(&model.tables, &p, s)))
         .collect();
     (p, services)
+}
+
+/// `p` behind loopback sockets: two single-seat servers per shard under
+/// `faults`, with `policy` on every RPC operator.
+fn tcp_cluster(
+    spec: &ModelSpec,
+    p: &ShardingPlan,
+    faults: &FaultPlan,
+    health: HealthPolicy,
+    policy: RpcPolicy,
+) -> (DistributedModel, TcpShardPool) {
+    let (mut dist, pool) = TcpShardPool::assemble(spec, p, SEED, |services| {
+        TcpShardPool::spawn(services, 2, Duration::ZERO, faults, health).map_err(|e| e.to_string())
+    })
+    .expect("assemble tcp cluster");
+    assert!(dist.set_rpc_policy(policy) >= 1);
+    (dist, pool)
 }
 
 /// Outcomes must depend only on the fault schedule, never the wall
@@ -124,7 +142,7 @@ fn tcp_non_degraded_completions_are_bit_exact_under_faults() {
     let inputs = request_inputs(&spec, 16);
 
     // Fault-free baseline through the in-process transport.
-    let (p, _) = services_for(&spec, 2);
+    let p = capacity_plan(&spec, 2);
     let baseline_dist = partition(build_model(&spec, SEED).expect("build"), &p).expect("partition");
     let baseline: Vec<Matrix> = inputs
         .iter()
@@ -140,26 +158,17 @@ fn tcp_non_degraded_completions_are_bit_exact_under_faults() {
     // Chaos run over sockets: 2 single-seat servers per shard under the
     // same sampled fault plan the threaded twin uses. A `Crash` here
     // kills a whole server process stand-in — listener and all.
-    let (p, services) = services_for(&spec, 2);
+    let p = capacity_plan(&spec, 2);
     let faults = FaultPlan::sample(
         SEED ^ 0xC4A0,
-        services.len(),
+        p.num_shards(),
         2,
         &FaultSpec {
             crash_prob: 0.5,
             ..FaultSpec::default()
         },
     );
-    let pool = TcpShardPool::spawn(services.clone(), 2, Duration::ZERO, &faults, no_ejection())
-        .expect("spawn tcp pool");
-    let mut dist = partition_with_clients(
-        build_model(&spec, SEED).expect("build"),
-        &p,
-        services,
-        pool.clients(),
-    )
-    .expect("partition");
-    assert!(dist.set_rpc_policy(deterministic_policy()) >= 1);
+    let (dist, pool) = tcp_cluster(&spec, &p, &faults, no_ejection(), deterministic_policy());
 
     let outcomes = closed_loop(&dist, &inputs);
 
@@ -187,10 +196,10 @@ fn tcp_same_fault_seed_reproduces_per_request_outcomes() {
     let inputs = request_inputs(&spec, 12);
 
     let run = || {
-        let (p, services) = services_for(&spec, 2);
+        let p = capacity_plan(&spec, 2);
         let faults = FaultPlan::sample(
             SEED ^ 0xFA11,
-            services.len(),
+            p.num_shards(),
             2,
             &FaultSpec {
                 crash_prob: 0.4,
@@ -199,16 +208,7 @@ fn tcp_same_fault_seed_reproduces_per_request_outcomes() {
                 ..FaultSpec::default()
             },
         );
-        let pool = TcpShardPool::spawn(services.clone(), 2, Duration::ZERO, &faults, no_ejection())
-            .expect("spawn tcp pool");
-        let mut dist = partition_with_clients(
-            build_model(&spec, SEED).expect("build"),
-            &p,
-            services,
-            pool.clients(),
-        )
-        .expect("partition");
-        assert!(dist.set_rpc_policy(deterministic_policy()) >= 1);
+        let (dist, pool) = tcp_cluster(&spec, &p, &faults, no_ejection(), deterministic_policy());
         let outcomes: Vec<(bool, u64)> = closed_loop(&dist, &inputs)
             .into_iter()
             // Retry *counts* can differ by a race on a crashing server
@@ -236,10 +236,10 @@ fn tcp_same_fault_seed_reproduces_per_request_outcomes() {
 #[test]
 fn tcp_frontend_accounting_identities_hold_under_faults() {
     let spec = chaos_spec();
-    let (p, services) = services_for(&spec, 2);
+    let p = capacity_plan(&spec, 2);
     let faults = FaultPlan::sample(
         SEED ^ 0xACC7,
-        services.len(),
+        p.num_shards(),
         2,
         &FaultSpec {
             crash_prob: 0.5,
@@ -247,22 +247,13 @@ fn tcp_frontend_accounting_identities_hold_under_faults() {
             ..FaultSpec::default()
         },
     );
-    let pool = TcpShardPool::spawn(
-        services.clone(),
-        2,
-        Duration::ZERO,
+    let (dist, pool) = tcp_cluster(
+        &spec,
+        &p,
         &faults,
         HealthPolicy::default(),
-    )
-    .expect("spawn tcp pool");
-    let mut dist = partition_with_clients(
-        build_model(&spec, SEED).expect("build"),
-        &p,
-        services,
-        pool.clients(),
-    )
-    .expect("partition");
-    assert!(dist.set_rpc_policy(RpcPolicy::resilient()) >= 1);
+        RpcPolicy::resilient(),
+    );
 
     let db = TraceDb::generate(&spec, 20, SEED ^ 4);
     let requests = materialize_frontend_requests(&spec, &db, SEED ^ 5);
@@ -431,14 +422,14 @@ fn control_plane_routes_clients_end_to_end() {
     // ephemeral ports, and the metadata reproduces the published spec.
     let cluster = control::connect_cluster(&control_addr, Duration::from_secs(5), no_ejection())
         .expect("connect cluster");
-    assert!(cluster.routes.complete);
-    assert_eq!(cluster.routes.shard_count(), 2);
-    assert_eq!(cluster.meta.replicas, 2);
-    assert_eq!(cluster.meta.spec_text, spec_text);
+    assert!(cluster.routes().complete);
+    assert_eq!(cluster.routes().shard_count(), 2);
+    assert_eq!(cluster.meta().replicas, 2);
+    assert_eq!(cluster.meta().spec_text, spec_text);
     for (k, server) in servers.iter().enumerate() {
         for shard in p.shards() {
             assert_eq!(
-                cluster.routes.addr(shard, k),
+                cluster.routes().addr(shard, k),
                 Some(server.addr().to_string().as_str()),
                 "route for ({shard}, replica {k})"
             );
@@ -535,8 +526,8 @@ fn standby_takes_over_vacated_seats_after_server_death() {
 
     let before = control::connect_cluster(&control_addr, Duration::from_secs(5), no_ejection())
         .expect("connect before takeover");
-    let version_before = before.routes.version;
-    assert!(before.routes.complete);
+    let version_before = before.routes().version;
+    assert!(before.routes().complete);
 
     // While every seated server is alive, polling vacates nothing and
     // the routing version stays put.
@@ -568,15 +559,15 @@ fn standby_takes_over_vacated_seats_after_server_death() {
     let after = control::connect_cluster(&control_addr, Duration::from_secs(5), no_ejection())
         .expect("connect after takeover");
     assert!(
-        after.routes.version > version_before,
+        after.routes().version > version_before,
         "takeover must bump the routing version ({} -> {})",
         version_before,
-        after.routes.version
+        after.routes().version
     );
-    assert!(after.routes.complete);
+    assert!(after.routes().complete);
     for shard in p.shards() {
         assert_eq!(
-            after.routes.addr(shard, 0),
+            after.routes().addr(shard, 0),
             Some(standby_addr.as_str()),
             "route for {shard} not moved to the standby"
         );

@@ -8,7 +8,8 @@
 
 use dlrm_model::graph::NoopObserver;
 use dlrm_model::{build_model, ModelSpec, NetId, NetSpec, TableId, TableSpec, Workspace};
-use dlrm_serving::threaded::ThreadedShardPool;
+use dlrm_serving::fault::FaultPlan;
+use dlrm_serving::replica::{HealthPolicy, ReplicatedShardPool};
 use dlrm_sharding::rpc::{RpcError, ShardRequest, ShardResponse, SparseShardClient};
 use dlrm_sharding::{
     partition, partition_with_clients, plan, InProcessClient, ShardId, ShardService,
@@ -17,6 +18,7 @@ use dlrm_sharding::{
 use dlrm_sim::SimRng;
 use dlrm_workload::{materialize_request, TraceDb};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Draws a small but structurally varied model spec: 1–2 nets, 1–3
 /// tables per net, 1–2 MLP layers per stack.
@@ -117,6 +119,18 @@ fn overlapped_bit_identical_to_sequential_across_random_specs() {
     );
 }
 
+/// One fault-free worker thread per shard, each sleeping `delay` per
+/// request.
+fn threaded_pool(services: Vec<Arc<ShardService>>, delay: Duration) -> ReplicatedShardPool {
+    ReplicatedShardPool::spawn(
+        services,
+        1,
+        delay,
+        &FaultPlan::none(),
+        HealthPolicy::default(),
+    )
+}
+
 /// Same property through the thread-backed transport: real concurrency
 /// must not change a single bit of the predictions.
 #[test]
@@ -131,13 +145,10 @@ fn overlapped_bit_identical_over_threaded_transport() {
         let Ok(p) = plan(&spec, &profile, ShardingStrategy::CapacityBalanced(shards)) else {
             continue;
         };
-        let model = build_model(&spec, seed).unwrap();
-        let services: Vec<Arc<ShardService>> = p
-            .shards()
-            .map(|s| Arc::new(ShardService::build(&model.tables, &p, s)))
-            .collect();
-        let pool = ThreadedShardPool::spawn(services.clone());
-        let dist = partition_with_clients(model, &p, services, pool.clients()).unwrap();
+        let (dist, pool) = ReplicatedShardPool::assemble(&spec, &p, seed, |services| {
+            Ok(threaded_pool(services, Duration::ZERO))
+        })
+        .unwrap();
         for batch in materialize_request(&spec, db.get(0), spec.default_batch_size, seed ^ 5) {
             let mut ws_seq = Workspace::new();
             batch.load_into(&spec, &mut ws_seq);
@@ -246,8 +257,7 @@ fn shard_failure_propagates_over_threaded_transport() {
         .shards()
         .map(|s| Arc::new(ShardService::build(&model.tables, &p, s)))
         .collect();
-    let pool =
-        ThreadedShardPool::spawn_with_delay(services.clone(), std::time::Duration::from_millis(10));
+    let pool = threaded_pool(services.clone(), Duration::from_millis(10));
     // Shard 0 is threaded (slow → genuinely in flight); shard 1 fails.
     let clients: Vec<Arc<dyn SparseShardClient>> = vec![
         pool.clients()[0].clone(),

@@ -22,14 +22,13 @@ use dlrm_serving::replica::{HealthPolicy, ReplicatedShardPool};
 use dlrm_serving::shard_server::TcpShardPool;
 use dlrm_sharding::publish::{plan_from_text, plan_to_text};
 use dlrm_sharding::{
-    partition, partition_with_clients, plan, plan_with_stats, DistributedModel, HotRowConfig,
-    ShardService, ShardingPlan, ShardingStrategy,
+    partition, plan, plan_with_stats, DistributedModel, HotRowConfig, ShardingPlan,
+    ShardingStrategy,
 };
 use dlrm_tensor::Matrix;
 use dlrm_workload::{
     materialize_request_with, BatchInputs, IndexDist, PoolingProfile, RowStats, TraceDb,
 };
-use std::sync::Arc;
 use std::time::Duration;
 
 const SEED: u64 = 53;
@@ -80,11 +79,24 @@ fn hot_plan(spec: &ModelSpec, shards: usize, skew: f64) -> ShardingPlan {
     .expect("hot-row plan")
 }
 
-fn services_for(spec: &ModelSpec, p: &ShardingPlan) -> Vec<Arc<ShardService>> {
-    let model = build_model(spec, SEED).expect("build");
-    p.shards()
-        .map(|s| Arc::new(ShardService::build(&model.tables, p, s)))
-        .collect()
+/// `p` served fault-free over the threaded replica transport, hot-row
+/// cache attached to the pool when the plan carries one.
+fn threaded_cluster(
+    spec: &ModelSpec,
+    p: &ShardingPlan,
+    replicas: usize,
+) -> (DistributedModel, ReplicatedShardPool) {
+    ReplicatedShardPool::assemble(spec, p, SEED, |services| {
+        let (faults, health) = (FaultPlan::none(), HealthPolicy::default());
+        Ok(ReplicatedShardPool::spawn(
+            services,
+            replicas,
+            Duration::ZERO,
+            &faults,
+            health,
+        ))
+    })
+    .expect("assemble")
 }
 
 // ---------------------------------------------------------------------
@@ -163,23 +175,8 @@ fn threaded_cache_tier_is_bit_exact_across_specs_and_skews() {
         assert_eq!(run_all(&dist, &inputs), baseline, "{label}: in-process diverged");
 
         // Threaded replica transport with the cache attached to the pool.
-        let services = services_for(&spec, &p);
-        let pool = ReplicatedShardPool::spawn(
-            services.clone(),
-            2,
-            Duration::ZERO,
-            &FaultPlan::none(),
-            HealthPolicy::default(),
-        );
-        let dist = partition_with_clients(
-            build_model(&spec, SEED).expect("build"),
-            &p,
-            services,
-            pool.clients(),
-        )
-        .expect("partition");
+        let (dist, pool) = threaded_cluster(&spec, &p, 2);
         let cache = dist.cache.as_ref().expect("hot plan installs a cache");
-        pool.attach_cache(Arc::clone(cache));
         assert_eq!(run_all(&dist, &inputs), baseline, "{label}: threaded diverged");
 
         let summary = pool.transport_summary();
@@ -224,24 +221,12 @@ fn tcp_cache_tier_round_trips_the_plan_and_stays_bit_exact() {
         })
         .collect();
 
-    let services = services_for(&spec, &p);
-    let pool = TcpShardPool::spawn(
-        services.clone(),
-        1,
-        Duration::ZERO,
-        &FaultPlan::none(),
-        HealthPolicy::default(),
-    )
-    .expect("spawn tcp pool");
-    let dist = partition_with_clients(
-        build_model(&spec, SEED).expect("build"),
-        &p,
-        services,
-        pool.clients(),
-    )
-    .expect("partition");
-    let cache = dist.cache.as_ref().expect("hot plan installs a cache");
-    pool.attach_cache(Arc::clone(cache));
+    let (dist, pool) = TcpShardPool::assemble(&spec, &p, SEED, |services| {
+        let (faults, health) = (FaultPlan::none(), HealthPolicy::default());
+        TcpShardPool::spawn(services, 1, Duration::ZERO, &faults, health).map_err(|e| e.to_string())
+    })
+    .expect("assemble tcp cluster");
+    assert!(dist.cache.is_some(), "hot plan installs a cache");
 
     assert_eq!(run_all(&dist, &inputs), baseline, "TCP cache tier diverged");
 
@@ -267,24 +252,7 @@ fn hot_row_plan_sends_fewer_rows_over_the_wire_at_high_skew() {
     // The same traffic through a capacity-only plan and the hot-row
     // plan, both over the threaded replica transport.
     let rows_sent = |p: &ShardingPlan| {
-        let services = services_for(&spec, p);
-        let pool = ReplicatedShardPool::spawn(
-            services.clone(),
-            1,
-            Duration::ZERO,
-            &FaultPlan::none(),
-            HealthPolicy::default(),
-        );
-        let dist = partition_with_clients(
-            build_model(&spec, SEED).expect("build"),
-            p,
-            services,
-            pool.clients(),
-        )
-        .expect("partition");
-        if let Some(cache) = &dist.cache {
-            pool.attach_cache(Arc::clone(cache));
-        }
+        let (dist, pool) = threaded_cluster(&spec, p, 1);
         let out = run_all(&dist, &inputs);
         let summary = pool.transport_summary();
         pool.shutdown();

@@ -22,10 +22,11 @@ use dlrm_model::graph::NoopObserver;
 use dlrm_model::{build_model, ModelSpec, Workspace};
 use dlrm_serving::fault::{FaultPlan, ReplicaFaultSchedule};
 use dlrm_serving::frontend::{
-    materialize_frontend_requests, run_frontend_live, FrontendConfig,
+    materialize_frontend_requests, run_lane, EpochSource, FrontendConfig, Lane,
 };
 use dlrm_serving::rebalance::{
-    build_epoch_serving, EpochSwitch, RebalanceConfig, Rebalancer, ScaleDirection,
+    build_epoch_serving, probe_all, probe_inputs, DrainQueue, EpochServing, EpochSwitch,
+    ProbeCheck, RebalanceConfig, Rebalancer, ScaleDirection,
 };
 use dlrm_sharding::rpc::RpcPolicy;
 use dlrm_sharding::{partition, plan, plan_with_stats, ShardingStrategy};
@@ -398,7 +399,9 @@ fn mid_migration_replica_crash_is_covered_by_failover() {
         sla: Duration::from_millis(250),
         workers: 2,
     };
-    let report = run_frontend_live(&switch, requests, &schedule, &cfg, Some(&profiler));
+    let mut lane = Lane::new(EpochSource::Switch(&switch), requests, &schedule, &cfg);
+    lane.profiler = Some(&profiler);
+    let report = run_lane(lane, &cfg);
     // Give the controller a post-traffic tick: the profile threshold is
     // guaranteed met by now, so at least one migration must land even
     // if every in-traffic tick raced the warm phase.
@@ -438,4 +441,102 @@ fn mid_migration_replica_crash_is_covered_by_failover() {
             .expect("baseline covers every request");
         assert_eq!(pred, expect, "request {id} diverged from the static plan");
     }
+}
+
+/// The transition pipeline's abort paths — the successor failed to
+/// warm, its probe outputs diverge, or a probe came back degraded —
+/// each leave the serving epoch, `cutovers()` and the drain queue as
+/// they were, shut the candidate's pool down, and name the reason; the
+/// same candidate shape built cleanly then publishes and the retiree
+/// drains.
+#[test]
+fn transition_aborts_leave_serving_untouched_and_stop_the_candidate() {
+    let spec = rebalance_spec();
+    let profile = PoolingProfile::from_spec(&spec);
+    let p = plan(&spec, &profile, ShardingStrategy::CapacityBalanced(2)).expect("plan");
+    let successor = p.clone().succeed(&p);
+    let cfg = RebalanceConfig {
+        rpc_policy: Some(deterministic_policy()),
+        ..RebalanceConfig::default()
+    };
+    let switch = EpochSwitch::new(build_epoch_serving(&spec, &p, SEED, 1, &cfg).expect("epoch 0"));
+    let inputs = probe_inputs(&spec, 3, SEED ^ 5);
+    let expected = probe_all(&spec, &switch.current().model, &inputs).expect("serving probes");
+    let check = ProbeCheck {
+        spec: &spec,
+        inputs: &inputs,
+        expected: &expected,
+        tolerance: 0.0,
+    };
+    let mut drain = DrainQueue::default();
+    let request = dlrm_sharding::rpc::ShardRequest {
+        net: dlrm_model::NetId(0),
+        slices: vec![],
+    };
+
+    // A replica that crashes on first use degrades the first probe
+    // (the deterministic policy falls back to zero embeddings).
+    let crashing = RebalanceConfig {
+        warm_faults: FaultPlan::none().with(0, 0, ReplicaFaultSchedule::crash_at(0)),
+        ..cfg.clone()
+    };
+    let aborts: [(&str, Result<EpochServing, String>); 3] = [
+        ("warm failed", Err("no capacity".to_string())),
+        // Same plan, different weights: every probe answers, none matches.
+        (
+            "diverges",
+            build_epoch_serving(&spec, &successor, SEED + 1, 1, &cfg),
+        ),
+        (
+            "degraded",
+            build_epoch_serving(&spec, &successor, SEED, 1, &crashing),
+        ),
+    ];
+    for (reason, candidate) in aborts {
+        let clients = candidate
+            .as_ref()
+            .ok()
+            .map(|c| c.pool.as_ref().expect("candidate pool").clients());
+        let err = switch
+            .transition(candidate, &check, &mut drain)
+            .unwrap_err();
+        assert!(err.contains(reason), "expected {reason:?} in {err:?}");
+        assert_eq!(
+            (switch.epoch(), switch.cutovers()),
+            (0, 0),
+            "{reason}: cut over anyway"
+        );
+        assert_eq!(
+            drain.finish(std::time::Instant::now()),
+            0,
+            "{reason}: something retired"
+        );
+        for client in clients.iter().flatten() {
+            // The last shard's worker never crashed; only a pool
+            // shutdown takes it down.
+            let down = client.execute(&request).unwrap_err().to_string();
+            assert!(
+                down.contains("down"),
+                "{reason}: candidate pool still serving: {down}"
+            );
+        }
+        // The serving epoch still answers, bit for bit.
+        let again = probe_all(&spec, &switch.current().model, &inputs).expect("serving probes");
+        assert_eq!(again, expected, "{reason}: serving epoch disturbed");
+    }
+
+    let clean = build_epoch_serving(&spec, &successor, SEED, 1, &cfg);
+    switch
+        .transition(clean, &check, &mut drain)
+        .expect("clean successor publishes");
+    assert_eq!((switch.epoch(), switch.cutovers()), (1, 1));
+    assert_eq!(
+        drain.finish(std::time::Instant::now()),
+        0,
+        "retiree never drained"
+    );
+    assert!(
+        drain.transport().rows_sent > 0,
+        "retiree's transport summary lost"
+    );
 }

@@ -13,13 +13,13 @@
 //!   the smoke band, because the excess never reaches the shared
 //!   workers.
 
-use dlrm_model::{rm, ModelSpec};
-use dlrm_serving::frontend::materialize_frontend_requests;
+use dlrm_model::{build_model, rm, ModelSpec};
+use dlrm_serving::frontend::{materialize_frontend_requests, run_frontend, FrontendConfig};
 use dlrm_serving::tenancy::{
     run_tenant_set, PressureConfig, TenancyRunConfig, TenantSet, TenantSpec, TenantWorkload, Tier,
 };
-use dlrm_sharding::ShardingStrategy;
-use dlrm_workload::{ArrivalSchedule, TraceDb};
+use dlrm_sharding::{partition, plan, ShardingStrategy};
+use dlrm_workload::{ArrivalSchedule, PoolingProfile, TraceDb};
 use std::time::Duration;
 
 /// The quantized rung serves approximations; everything else on the
@@ -220,4 +220,60 @@ fn overloaded_tenant_sheds_locally_and_neighbor_keeps_its_solo_sla() {
         solo_b.sla_hit_rate
     );
     assert!(report.verify_failures.is_empty());
+}
+
+/// One run loop, two entry points: a one-tenant `run_tenant_set` and
+/// `run_frontend` on the same model, requests, schedule and knobs agree
+/// on every count and every prediction, for every seed swept.
+#[test]
+fn one_tenant_set_and_run_frontend_agree_on_counts_and_predictions() {
+    let spec = small_spec(rm::rm1());
+    let cfg = FrontendConfig {
+        queue_capacity: 64,
+        max_batch_requests: 4,
+        batch_timeout: Duration::from_millis(1),
+        sla: Duration::from_millis(500),
+        workers: 2,
+    };
+    for seed in [2u64, 9, 17] {
+        let db = TraceDb::generate(&spec, 16, seed);
+        let requests = materialize_frontend_requests(&spec, &db, seed ^ 1);
+        let schedule = ArrivalSchedule::poisson(requests.len(), 2_000.0, seed ^ 2);
+
+        let t = tenant("solo", spec.clone(), seed, cfg.queue_capacity);
+        let set = TenantSet::build(vec![t], PressureConfig::default()).expect("build");
+        let workload = TenantWorkload {
+            requests: requests.clone(),
+            schedule: schedule.clone(),
+        };
+        let run_cfg = TenancyRunConfig {
+            max_batch_requests: cfg.max_batch_requests,
+            batch_timeout: cfg.batch_timeout,
+            workers: cfg.workers,
+            pressure_every: None,
+        };
+        let tenancy = run_tenant_set(&set, vec![workload], &run_cfg);
+
+        let profile = PoolingProfile::from_spec(&spec);
+        let p = plan(&spec, &profile, ShardingStrategy::CapacityBalanced(2)).expect("plan");
+        let dist = partition(build_model(&spec, seed).expect("build"), &p).expect("partition");
+        let single = run_frontend(&dist, requests, &schedule, &cfg);
+
+        for multi in [&tenancy.per_tenant[0], &tenancy.combined] {
+            let counts = |r: &dlrm_serving::frontend::FrontendReport| {
+                (
+                    r.offered,
+                    r.admitted,
+                    r.shed,
+                    r.completed,
+                    r.failed,
+                    r.degraded,
+                )
+            };
+            assert_eq!(counts(multi), counts(&single), "seed {seed}");
+            assert_eq!(counts(multi), (16, 16, 0, 16, 0, 0), "seed {seed}");
+            // Reports sort predictions by request id.
+            assert_eq!(multi.predictions, single.predictions, "seed {seed}");
+        }
+    }
 }

@@ -1,0 +1,70 @@
+#!/usr/bin/env bash
+# Structure gate for the serving control path: there is one run loop,
+# one shard pool and one epoch-transition pipeline, and the code that
+# was deleted to get there stays deleted. Prints the current counts and
+# fails when a deleted symbol reappears, when non-test code under
+# crates/serving/src grows a second thread::scope or a second
+# Arc::try_unwrap drain site, or when a size ceiling is exceeded.
+#
+# Usage: scripts/structure_gate.sh
+
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+# Ceilings (measured at PR 12: 9 184 / 286 / 4 103; the parent had
+# 9 541 / 316 / 4 238). Lower them when code goes; raising one needs a
+# reason in CHANGES.md.
+MAX_SERVING_CODE_LINES=9200
+MAX_SERVING_PUB_ITEMS=295
+MAX_BENCH_CODE_LINES=4150
+
+fail=0
+flunk() {
+  echo "FAIL: $*" >&2
+  fail=1
+}
+
+# Source text of every file under $1 with `#[cfg(test)]` modules (which
+# close each file here) and `//` comment lines dropped.
+non_test_code() {
+  find "$1" -name '*.rs' -print0 | sort -z | xargs -0 awk '
+    FNR == 1 { in_tests = 0 }
+    /^#\[cfg\(test\)\]/ { in_tests = 1 }
+    !in_tests && !/^[[:space:]]*\/\// { print FILENAME ":" FNR ":" $0 }'
+}
+
+code_lines() {
+  find "$1" -name '*.rs' -print0 | xargs -0 cat | grep -vcE '^\s*(//|$)'
+}
+
+deleted='ThreadedShardPool|worker_loop_live|tenant_worker_loop|BatchRanker|rank_request_parallel|run_sweep|mod local\b'
+if hits=$(grep -rnE "$deleted" crates src tests examples); then
+  flunk "deleted symbols are back:"
+  echo "$hits" >&2
+fi
+
+serving_non_test=$(non_test_code crates/serving/src)
+scopes=$(grep -c 'thread::scope' <<<"$serving_non_test" || true)
+drains=$(grep -c 'Arc::try_unwrap' <<<"$serving_non_test" || true)
+[ "$scopes" -eq 1 ] || flunk "$scopes thread::scope sites in non-test serving code (want 1: frontend::serve)"
+[ "$drains" -eq 1 ] || flunk "$drains Arc::try_unwrap sites in non-test serving code (want 1: DrainQueue::poll)"
+
+# The only sleeps in the run loop are the generator's (to the next
+# arrival); the pressure tick waits on a condvar.
+sleeps=$(non_test_code crates/serving/src/frontend | grep 'sleep(' | grep -vc 'frontend/arrival.rs' || true)
+tenancy_sleeps=$(non_test_code crates/serving/src/tenancy | grep -c 'sleep(' || true)
+[ "$sleeps" -eq 0 ] || flunk "$sleeps sleep( sites in frontend/ outside the load generator"
+[ "$tenancy_sleeps" -eq 0 ] || flunk "$tenancy_sleeps sleep( sites in tenancy/"
+
+serving_lines=$(code_lines crates/serving/src)
+bench_lines=$(code_lines crates/bench)
+pub_items=$(grep -rhE '^\s*pub (fn|struct|enum|trait|type|const) ' crates/serving/src | wc -l)
+echo "crates/serving/src: $serving_lines code lines (ceiling $MAX_SERVING_CODE_LINES), $pub_items public items (ceiling $MAX_SERVING_PUB_ITEMS)"
+echo "crates/bench: $bench_lines code lines (ceiling $MAX_BENCH_CODE_LINES)"
+echo "non-test serving code: $scopes thread::scope, $drains Arc::try_unwrap"
+[ "$serving_lines" -le "$MAX_SERVING_CODE_LINES" ] || flunk "crates/serving/src code lines over the ceiling"
+[ "$pub_items" -le "$MAX_SERVING_PUB_ITEMS" ] || flunk "crates/serving/src public items over the ceiling"
+[ "$bench_lines" -le "$MAX_BENCH_CODE_LINES" ] || flunk "crates/bench code lines over the ceiling"
+
+[ "$fail" -eq 0 ] || exit 1
+echo "OK: one run loop, one pool, one transition pipeline; sizes under their ceilings"

@@ -17,6 +17,10 @@ cargo test -q --workspace --offline
 echo "==> cargo clippy --offline -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "==> structure gate: one run loop, one shard pool, one transition pipeline;"
+echo "    deleted paths stay deleted; code-line and public-item ceilings"
+scripts/structure_gate.sh
+
 echo "==> runtime smoke: predictions bit-exact across worker counts,"
 echo "    blocked GEMM >= 3x the naive reference, SIMD GEMM >= 2x blocked"
 echo "    (parallel speedup gated on cores, SIMD ratio gated on AVX2)"
@@ -67,6 +71,16 @@ cargo run --release --offline -p dlrm-bench --bin tenant_smoke
 echo "==> tenant bench: per-tenant e2e p50/p99 + latency-bounded QPS, solo vs"
 echo "    colocated at two DRAM budgets -> BENCH_tenants.json"
 cargo run --release --offline -p dlrm-bench --bin tenant_bench
+
+echo "==> sysbench: the benchmark builds against these crates, passes its unit"
+echo "    tests, and two workloads (the one-lane frontend, the tenants under tier"
+echo "    churn) pass their output check against Model::run (exit code only; a"
+echo "    4 s run measures nothing)"
+# Same target directory as run.sh, so the crates compile once.
+CARGO_TARGET_DIR="$PWD/target" cargo test -q --offline --manifest-path sysbench/Cargo.toml
+for workload in rm3_dense_inproc coloc2_rm2_churn; do
+  bash sysbench/run.sh --workload "$workload" --seed 1 --seconds 4 --trace 0 >/dev/null
+done
 
 echo "==> dependency audit: cargo tree must list only workspace members"
 # --edges all includes dev- and build-dependencies; every line of the
