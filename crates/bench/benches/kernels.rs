@@ -3,8 +3,10 @@
 //! (plain f32, pruned, 8/4-bit quantized) and dense GEMM (plain and
 //! FC-transposed), each swept across the dispatch tiers the host
 //! supports (scalar / exact AVX2 / FMA-contracted) plus the naive
-//! reference, then quantization, sharding planning, and one
-//! end-to-end simulated replay.
+//! reference, FC at the serving shapes (small batches against the
+//! models' MLP layers, per-call pack vs prepacked, beside a stream-copy
+//! ceiling), then quantization, sharding planning, and one end-to-end
+//! simulated replay.
 //!
 //! Run with `cargo bench -p dlrm-bench --offline`. Pass `--quick` (or
 //! set `DLRM_BENCH_QUICK=1`) for a fast smoke run, and an optional
@@ -25,7 +27,7 @@ use dlrm_core::runtime::{KernelDispatch, Pool};
 use dlrm_core::serving::experiment::trace_config_for;
 use dlrm_core::serving::{simulate, Cluster, CostModel, RunConfig};
 use dlrm_core::sharding::{plan, ShardingStrategy};
-use dlrm_core::tensor::Matrix;
+use dlrm_core::tensor::{matmul_packed_into, matmul_transb_into, Matrix, PackedWeights};
 use dlrm_core::workload::{PoolingProfile, TraceDb};
 use std::hint::black_box;
 
@@ -40,24 +42,26 @@ impl Runner {
         self.filter.as_deref().is_none_or(|f| name.contains(f))
     }
 
-    /// Runs one bench (subject to the name filter) and records its p50.
-    /// `throughput` is `(unit, work-per-iteration)` in the unit's
-    /// numerator — e.g. GFLOPs for `GFLOP/s`, bags for `bags/s` — from
-    /// which the per-second rate is derived.
+    /// Runs one bench (subject to the name filter), records its p50 and
+    /// returns it in nanoseconds. `throughput` is `(unit,
+    /// work-per-iteration)` in the unit's numerator — e.g. GFLOPs for
+    /// `GFLOP/s`, bags for `bags/s` — from which the per-second rate is
+    /// derived.
     fn bench<R>(
         &mut self,
         name: &str,
         throughput: Option<(&str, f64)>,
         routine: impl FnMut() -> R,
-    ) {
+    ) -> Option<f64> {
         if !self.wants(name) {
-            return;
+            return None;
         }
         let median_ns = self.harness.bench(name, routine).median_ns();
         let mut record = BenchRecord::p50(name, median_ns);
         record.throughput = throughput
             .map(|(unit, work)| (unit.to_string(), work / (median_ns * 1e-9).max(1e-15)));
         self.records.push(record);
+        Some(median_ns)
     }
 }
 
@@ -164,6 +168,55 @@ fn bench_gemm(r: &mut Runner) {
         r.bench(&name, Some(("GFLOP/s", fc_gflop)), || {
             black_box(x.matmul_transb_par(black_box(&w), &pool))
         });
+    }
+}
+
+/// FC as the serving path runs it: a 1/4/16-row batch against the
+/// widest top-MLP, a mid and a bottom-MLP layer shape. At these batch
+/// sizes the layer is bound by streaming the weights once, so each row
+/// also reports the weight bytes moved per second and that rate as a
+/// share of a large-copy ceiling (bytes read plus written, the
+/// definition `sysbench`'s `host.stream_gbps` uses).
+fn bench_fc_serving(r: &mut Runner) {
+    let src = vec![1.0f32; 16 << 20];
+    let mut dst = vec![0.0f32; 16 << 20];
+    let copy_gb = 2.0 * (src.len() * 4) as f64 / 1e9;
+    let ceiling = r
+        .bench("stream_copy_64mib", Some(("GB/s", copy_gb)), || {
+            dst.copy_from_slice(black_box(&src));
+        })
+        .map(|ns| copy_gb / (ns * 1e-9));
+    let pool = Pool::with_dispatch(1, KernelDispatch::detect());
+    for (k, n) in [(13_400usize, 512usize), (2_900, 256), (512, 256)] {
+        let w = Matrix::from_vec(n, k, (0..n * k).map(|i| (i % 13) as f32 * 0.01).collect());
+        let packed = PackedWeights::pack(&w);
+        for m in [1usize, 4, 16] {
+            let x = Matrix::from_vec(m, k, (0..m * k).map(|i| (i % 17) as f32 * 0.1).collect());
+            let mut out = Matrix::zeros(m, n);
+            let gflop = 2.0 * (m * k * n) as f64 / 1e9;
+            for (mode, prepacked) in [("percall", false), ("prepacked", true)] {
+                let name = format!("fc_m{m}_k{k}_n{n}_{mode}");
+                let Some(ns) = r.bench(&name, Some(("GFLOP/s", gflop)), || {
+                    if prepacked {
+                        matmul_packed_into(black_box(&x), &packed, &mut out, &pool);
+                    } else {
+                        matmul_transb_into(black_box(&x), &w, &mut out, &pool);
+                    }
+                }) else {
+                    continue;
+                };
+                let weight_gbps = (n * k * 4) as f64 / ns;
+                r.records
+                    .push(BenchRecord::scalar(format!("{name}_weight_gbps"), weight_gbps, "GB/s"));
+                if let Some(ceiling) = ceiling {
+                    r.records.push(BenchRecord::scalar(
+                        format!("{name}_share_of_stream"),
+                        weight_gbps / ceiling,
+                        "share",
+                    ));
+                }
+            }
+        }
     }
 }
 
@@ -280,6 +333,7 @@ fn main() {
 
     bench_sls(&mut runner);
     bench_gemm(&mut runner);
+    bench_fc_serving(&mut runner);
     bench_planner(&mut runner);
     bench_quantize(&mut runner);
     bench_simulate(&mut runner);

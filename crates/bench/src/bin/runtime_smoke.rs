@@ -6,7 +6,9 @@
 //! 1. **Determinism** — predictions from the full model are bit-exact
 //!    across explicit 1-worker and 4-worker pools (and against the
 //!    plain sequential executor). Always asserted: the contract holds
-//!    on any machine.
+//!    on any machine. The same runs must do **zero** per-call weight
+//!    packs (`KernelStats::gemm_packs`, a count): FC weights are packed
+//!    once at model build.
 //! 2. **Single-thread GEMM throughput** — the blocked/register-tiled
 //!    *scalar* kernel (dispatch pinned to scalar) must beat the naive
 //!    reference by ≥3× at 256×512×512. Always asserted: this is an
@@ -36,7 +38,7 @@
 
 use dlrm_core::model::graph::NoopObserver;
 use dlrm_core::model::{build_model, rm, Pool, RuntimeCtx, Workspace};
-use dlrm_core::runtime::KernelDispatch;
+use dlrm_core::runtime::{KernelDispatch, KernelStats};
 use dlrm_core::tensor::Matrix;
 use dlrm_core::workload::{materialize_request, TraceDb};
 use std::sync::Arc;
@@ -101,6 +103,7 @@ fn main() {
     };
 
     // --- 1. Determinism across worker counts.
+    let kernels_before = KernelStats::global().summary();
     let sequential = {
         let mut ws = Workspace::new();
         batch.load_into(&spec, &mut ws);
@@ -116,6 +119,15 @@ fn main() {
         );
     } else {
         println!("FAIL determinism: predictions differ across worker counts");
+        failures += 1;
+    }
+    let kernels = KernelStats::global().summary().since(&kernels_before);
+    let pack_free = kernels.gemm_packs == 0 && kernels.total() > 0;
+    println!(
+        "{} pack-free (0 per-call weight packs over run + run_overlapped) — {kernels}",
+        if pack_free { "PASS" } else { "FAIL" }
+    );
+    if !pack_free {
         failures += 1;
     }
 

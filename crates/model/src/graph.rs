@@ -346,6 +346,13 @@ pub trait Operator: std::fmt::Debug + Send + Sync {
         None
     }
 
+    /// Downcast hook for weight inspection (tests recompute a forward
+    /// pass from the unpacked weights): `Some` when this operator is a
+    /// [`crate::ops::FullyConnected`]. Default: `None`.
+    fn as_fully_connected(&self) -> Option<&crate::ops::FullyConnected> {
+        None
+    }
+
     /// The asynchronous (issue/collect) form of this operator, when it
     /// has one. RPC operators return `Some`; purely local compute is
     /// synchronous and returns `None` (the default), so the scheduler

@@ -4,24 +4,29 @@ use crate::graph::{Blob, GraphError, Operator, Workspace};
 use crate::spec::OpGroup;
 use crate::EmbeddingTable;
 use dlrm_sim::SimRng;
-use dlrm_tensor::{concat_cols_into, matmul_transb_into, relu_inplace, sigmoid_inplace, Matrix};
+use dlrm_tensor::{
+    concat_cols_into, matmul_packed_into, relu_inplace, sigmoid_inplace, Matrix, PackedWeights,
+};
 use std::sync::Arc;
 
 /// Fully-connected layer: `Y = X · Wᵀ + b`.
 ///
-/// Weights are stored one output neuron per row (`out × in`), matching
-/// Caffe2's `FC` operator layout.
+/// Weights are logically one output neuron per row (`out × in`),
+/// matching Caffe2's `FC` operator layout, and held **only** in the
+/// GEMM kernels' panel-major packing: they never change, so they are
+/// packed once here and [`Operator::run`] never packs.
 #[derive(Debug)]
 pub struct FullyConnected {
     name: String,
     input: String,
     output: String,
-    weights: Matrix,
+    weights: PackedWeights,
     bias: Vec<f32>,
 }
 
 impl FullyConnected {
-    /// Creates an FC layer with explicit parameters.
+    /// Creates an FC layer with explicit parameters (`weights` is
+    /// row-major `out × in`; it is packed and dropped).
     ///
     /// # Panics
     ///
@@ -32,6 +37,16 @@ impl FullyConnected {
         input: impl Into<String>,
         output: impl Into<String>,
         weights: Matrix,
+        bias: Vec<f32>,
+    ) -> Self {
+        Self::from_packed(name, input, output, PackedWeights::pack(&weights), bias)
+    }
+
+    fn from_packed(
+        name: impl Into<String>,
+        input: impl Into<String>,
+        output: impl Into<String>,
+        weights: PackedWeights,
         bias: Vec<f32>,
     ) -> Self {
         assert_eq!(
@@ -50,6 +65,8 @@ impl FullyConnected {
 
     /// Creates an FC layer with reproducible random parameters scaled by
     /// `1/sqrt(in_dim)` (keeps activations bounded through deep stacks).
+    /// Weights are drawn in row-major order straight into the packed
+    /// layout, then the bias.
     #[must_use]
     pub fn seeded(
         name: impl Into<String>,
@@ -61,19 +78,12 @@ impl FullyConnected {
     ) -> Self {
         let mut rng = SimRng::seed_from(seed);
         let scale = 1.0 / (in_dim.max(1) as f32).sqrt();
-        let data: Vec<f32> = (0..in_dim * out_dim)
-            .map(|_| (rng.next_f32() - 0.5) * 2.0 * scale)
-            .collect();
+        let weights =
+            PackedWeights::from_fn(out_dim, in_dim, || (rng.next_f32() - 0.5) * 2.0 * scale);
         let bias: Vec<f32> = (0..out_dim)
             .map(|_| (rng.next_f32() - 0.5) * 0.1)
             .collect();
-        Self::new(
-            name,
-            input,
-            output,
-            Matrix::from_vec(out_dim, in_dim, data),
-            bias,
-        )
+        Self::from_packed(name, input, output, weights, bias)
     }
 
     /// Output width (number of neurons).
@@ -81,9 +91,25 @@ impl FullyConnected {
     pub fn out_dim(&self) -> usize {
         self.weights.rows()
     }
+
+    /// The packed weights (`out × in`).
+    #[must_use]
+    pub fn weights(&self) -> &PackedWeights {
+        &self.weights
+    }
+
+    /// The per-neuron bias.
+    #[must_use]
+    pub fn bias(&self) -> &[f32] {
+        &self.bias
+    }
 }
 
 impl Operator for FullyConnected {
+    fn as_fully_connected(&self) -> Option<&FullyConnected> {
+        Some(self)
+    }
+
     fn name(&self) -> &str {
         &self.name
     }
@@ -109,7 +135,7 @@ impl Operator for FullyConnected {
             });
         }
         let mut y = ws.alloc_dense(x.rows(), self.weights.rows());
-        matmul_transb_into(x, &self.weights, &mut y, ws.pool());
+        matmul_packed_into(x, &self.weights, &mut y, ws.pool());
         y.add_row_bias(&self.bias);
         ws.put(self.output.clone(), Blob::Dense(y));
         Ok(())
@@ -570,6 +596,23 @@ mod tests {
         a.run(&mut wa).unwrap();
         b.run(&mut wb).unwrap();
         assert_eq!(wa.dense("y", "t").unwrap(), wb.dense("y", "t").unwrap());
+    }
+
+    /// The weights an FC layer draws must not depend on the layout it
+    /// stores them in: `seeded` yields the row-major draw sequence
+    /// (weights, then bias) of the pre-packing implementation.
+    #[test]
+    fn seeded_fc_draws_row_major_weights_then_bias() {
+        let (in_dim, out_dim, seed) = (5, 19, 11);
+        let fc = FullyConnected::seeded("fc", "x", "y", in_dim, out_dim, seed);
+        let mut rng = SimRng::seed_from(seed);
+        let scale = 1.0 / (in_dim as f32).sqrt();
+        let weights: Vec<f32> = (0..in_dim * out_dim)
+            .map(|_| (rng.next_f32() - 0.5) * 2.0 * scale)
+            .collect();
+        let bias: Vec<f32> = (0..out_dim).map(|_| (rng.next_f32() - 0.5) * 0.1).collect();
+        assert_eq!(fc.weights().unpack(), Matrix::from_vec(out_dim, in_dim, weights));
+        assert_eq!(fc.bias(), bias);
     }
 
     #[test]

@@ -1,0 +1,92 @@
+//! The prepacked FC path against an independent oracle.
+//!
+//! No golden predictions are pinned anywhere in the workspace, so
+//! "the packed kernels changed no bit" needs a reference that does not
+//! run them: a forward pass recomputed operator by operator in which
+//! every `FullyConnected` is replaced by the naive
+//! `matmul_transb_reference` on its `unpack()`ed weights plus bias, and
+//! every other operator runs as is. `Model::run` and `run_overlapped`
+//! must equal it bit for bit on scaled RM1 and RM3 (all their real MLP
+//! widths, ragged ones included), at batch sizes that land on each
+//! row tile of the kernels.
+
+use dlrm_model::builder::blobs;
+use dlrm_model::graph::{NoopObserver, SparseInput};
+use dlrm_model::{build_model, rm, Blob, Model, ModelSpec, Workspace};
+use dlrm_sim::SimRng;
+use dlrm_tensor::Matrix;
+
+fn load(rng: &mut SimRng, spec: &ModelSpec, batch: usize) -> Workspace {
+    let mut ws = Workspace::new();
+    let dense: Vec<f32> = (0..batch * spec.dense_features)
+        .map(|_| rng.next_range(-1.0, 1.0) as f32)
+        .collect();
+    ws.put(
+        blobs::DENSE_INPUT,
+        Blob::Dense(Matrix::from_vec(batch, spec.dense_features, dense)),
+    );
+    for t in &spec.tables {
+        let lengths: Vec<u32> = (0..batch).map(|_| 1 + rng.next_index(4) as u32).collect();
+        let total: usize = lengths.iter().map(|&l| l as usize).sum();
+        let indices: Vec<u64> = (0..total).map(|_| rng.next_u64_below(t.rows)).collect();
+        ws.put(blobs::sparse_input(t), Blob::Sparse(SparseInput { indices, lengths }));
+    }
+    ws
+}
+
+/// The forward pass with every FC recomputed by the naive reference.
+fn oracle(model: &Model, ws: &mut Workspace) -> Matrix {
+    for op in model.nets.iter().flat_map(|net| net.ops()) {
+        match op.as_fully_connected() {
+            Some(fc) => {
+                let x = ws.dense(&op.inputs()[0], "oracle").expect("fc input");
+                let mut y = x.matmul_transb_reference(&fc.weights().unpack());
+                y.add_row_bias(fc.bias());
+                ws.put(op.outputs().remove(0), Blob::Dense(y));
+            }
+            None => op.run(ws).expect("non-fc op"),
+        }
+    }
+    ws.take_dense(&model.output_blob, "oracle").expect("prediction")
+}
+
+#[test]
+fn model_run_equals_reference_forward_pass_bitwise() {
+    for spec in [rm::rm1(), rm::rm3()] {
+        let spec = spec.scaled_to_bytes(2 << 20);
+        let model = build_model(&spec, 37).expect("build model");
+        let mut rng = SimRng::seed_from(0x9AC4ED);
+        for batch in [1, 4, 7] {
+            let mut ws = load(&mut rng, &spec, batch);
+            let expect = oracle(&model, &mut ws.clone());
+            let sequential = model.run(&mut ws.clone(), &mut NoopObserver).expect("run");
+            let overlapped = model
+                .run_overlapped(&mut ws, &mut NoopObserver)
+                .expect("run_overlapped");
+            assert_eq!(sequential, expect, "{} run at batch {batch}", spec.name);
+            assert_eq!(overlapped, expect, "{} run_overlapped at batch {batch}", spec.name);
+        }
+    }
+}
+
+/// The packed layout replaced the row-major weights; it is not kept
+/// beside them: each layer holds `out × in × 4` bytes plus under one
+/// cache line of alignment slack.
+#[test]
+fn fully_connected_holds_one_copy_of_its_weights() {
+    let model = build_model(&rm::rm3().scaled_to_bytes(2 << 20), 37).expect("build model");
+    let mut layers = 0;
+    for fc in model.nets.iter().flat_map(|net| net.ops()).filter_map(|op| op.as_fully_connected()) {
+        let exact = fc.weights().rows() * fc.weights().cols() * 4;
+        assert_eq!(fc.weights().rows(), fc.out_dim());
+        assert!(
+            (exact..exact + 64).contains(&fc.weights().bytes()),
+            "{} x {} layer holds {} bytes",
+            fc.weights().rows(),
+            fc.weights().cols(),
+            fc.weights().bytes()
+        );
+        layers += 1;
+    }
+    assert!(layers > 0, "the model has FC layers to check");
+}

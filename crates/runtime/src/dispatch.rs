@@ -185,6 +185,7 @@ pub struct KernelStats {
     gemm_scalar: AtomicU64,
     gemm_avx2: AtomicU64,
     gemm_fma: AtomicU64,
+    gemm_packs: AtomicU64,
     sls_scalar: AtomicU64,
     sls_avx2: AtomicU64,
     qsls_scalar: AtomicU64,
@@ -196,6 +197,7 @@ static KERNEL_STATS: KernelStats = KernelStats {
     gemm_scalar: AtomicU64::new(0),
     gemm_avx2: AtomicU64::new(0),
     gemm_fma: AtomicU64::new(0),
+    gemm_packs: AtomicU64::new(0),
     sls_scalar: AtomicU64::new(0),
     sls_avx2: AtomicU64::new(0),
     qsls_scalar: AtomicU64::new(0),
@@ -217,6 +219,13 @@ impl KernelStats {
             SimdLevel::Avx2Fma => &self.gemm_fma,
         }
         .fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Records one per-call pack of a GEMM's right operand — work the
+    /// prepacked FC path never does, so a serving run should leave this
+    /// at zero.
+    pub fn record_gemm_pack(&self) {
+        self.gemm_packs.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records one f32 SparseLengthsSum dispatch (pruned tables count
@@ -250,6 +259,7 @@ impl KernelStats {
             gemm_scalar: self.gemm_scalar.load(Ordering::Relaxed),
             gemm_avx2: self.gemm_avx2.load(Ordering::Relaxed),
             gemm_fma: self.gemm_fma.load(Ordering::Relaxed),
+            gemm_packs: self.gemm_packs.load(Ordering::Relaxed),
             sls_scalar: self.sls_scalar.load(Ordering::Relaxed),
             sls_avx2: self.sls_avx2.load(Ordering::Relaxed),
             qsls_scalar: self.qsls_scalar.load(Ordering::Relaxed),
@@ -271,6 +281,9 @@ pub struct KernelSummary {
     pub gemm_avx2: u64,
     /// Dense GEMMs that ran the FMA-contracted (tolerance-mode) kernels.
     pub gemm_fma: u64,
+    /// Right-operand packs done per GEMM call (not counted in
+    /// [`Self::total`]: a pack is overhead, not a kernel dispatch).
+    pub gemm_packs: u64,
     /// f32 SLS passes (plain and pruned tables) on the scalar kernel.
     pub sls_scalar: u64,
     /// f32 SLS passes on the AVX2 accumulate kernel.
@@ -292,6 +305,7 @@ impl KernelSummary {
             gemm_scalar: self.gemm_scalar.saturating_sub(earlier.gemm_scalar),
             gemm_avx2: self.gemm_avx2.saturating_sub(earlier.gemm_avx2),
             gemm_fma: self.gemm_fma.saturating_sub(earlier.gemm_fma),
+            gemm_packs: self.gemm_packs.saturating_sub(earlier.gemm_packs),
             sls_scalar: self.sls_scalar.saturating_sub(earlier.sls_scalar),
             sls_avx2: self.sls_avx2.saturating_sub(earlier.sls_avx2),
             qsls_scalar: self.qsls_scalar.saturating_sub(earlier.qsls_scalar),
@@ -328,12 +342,13 @@ impl std::fmt::Display for KernelSummary {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "dispatch {}: gemm {}/{}/{} (scalar/avx2/fma), sls {}/{} (scalar/avx2), \
-             qsls {}/{} (scalar/avx2), {:.3} simd fraction",
+            "dispatch {}: gemm {}/{}/{} (scalar/avx2/fma) with {} per-call packs, \
+             sls {}/{} (scalar/avx2), qsls {}/{} (scalar/avx2), {:.3} simd fraction",
             self.level,
             self.gemm_scalar,
             self.gemm_avx2,
             self.gemm_fma,
+            self.gemm_packs,
             self.sls_scalar,
             self.sls_avx2,
             self.qsls_scalar,
@@ -379,9 +394,11 @@ mod tests {
         KernelStats::global().record_gemm(SimdLevel::Scalar);
         KernelStats::global().record_gemm(SimdLevel::Avx2);
         KernelStats::global().record_gemm(SimdLevel::Avx2Fma);
+        KernelStats::global().record_gemm_pack();
         KernelStats::global().record_sls(SimdLevel::Avx2);
         KernelStats::global().record_qsls(SimdLevel::Scalar);
         let delta = KernelStats::global().summary().since(&before);
+        assert!(delta.gemm_packs >= 1);
         assert!(delta.gemm_scalar >= 1);
         assert!(delta.gemm_avx2 >= 1);
         assert!(delta.gemm_fma >= 1);

@@ -335,12 +335,21 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
+/// Appends `vals` as `N`-byte little-endian words in one bulk pass
+/// (grow once, then fill fixed-size chunks) — the index, length and
+/// matrix-element arrays are all but a few bytes of a data-plane frame.
+fn put_words<T: Copy, const N: usize>(out: &mut Vec<u8>, vals: &[T], le: impl Fn(T) -> [u8; N]) {
+    let at = out.len();
+    out.resize(at + vals.len() * N, 0);
+    for (dst, &v) in out[at..].chunks_exact_mut(N).zip(vals) {
+        dst.copy_from_slice(&le(v));
+    }
+}
+
 fn put_matrix(out: &mut Vec<u8>, m: &Matrix) {
     put_u32(out, m.rows() as u32);
     put_u32(out, m.cols() as u32);
-    for &v in m.as_slice() {
-        put_u32(out, v.to_bits());
-    }
+    put_words(out, m.as_slice(), |v| v.to_bits().to_le_bytes());
 }
 
 fn put_request(out: &mut Vec<u8>, id: u64, shard: ShardId, request: &ShardRequest) {
@@ -352,12 +361,26 @@ fn put_request(out: &mut Vec<u8>, id: u64, shard: ShardId, request: &ShardReques
         put_u32(out, s.table.0 as u32);
         put_u32(out, s.indices.len() as u32);
         put_u32(out, s.lengths.len() as u32);
-        for &i in &s.indices {
-            put_u64(out, i);
+        put_words(out, &s.indices, u64::to_le_bytes);
+        put_words(out, &s.lengths, u32::to_le_bytes);
+    }
+}
+
+/// Exact payload size of a request, so its frame is allocated once.
+fn request_payload_len(request: &ShardRequest) -> usize {
+    let slices = request.slices.iter();
+    20 + slices.map(|s| 12 + s.indices.len() * 8 + s.lengths.len() * 4).sum::<usize>()
+}
+
+/// Payload size to allocate for `msg` up front: exact for the two
+/// data-plane kinds that carry arrays, a small guess for the rest.
+fn payload_len_hint(msg: &Message) -> usize {
+    match msg {
+        Message::Request { request, .. } => request_payload_len(request),
+        Message::ReplyOk { response, .. } => {
+            12 + response.pooled.iter().map(|(_, m)| 12 + m.len() * 4).sum::<usize>()
         }
-        for &l in &s.lengths {
-            put_u32(out, l);
-        }
+        _ => 64,
     }
 }
 
@@ -426,8 +449,8 @@ fn encode_payload(msg: &Message, out: &mut Vec<u8>) {
     }
 }
 
-fn frame_with(kind: u8, fill: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64);
+fn frame_with(kind: u8, payload_len: usize, fill: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut out = Vec::with_capacity(HEADER_LEN + payload_len);
     out.extend_from_slice(&MAGIC);
     out.push(WIRE_VERSION);
     out.push(kind);
@@ -442,7 +465,7 @@ fn frame_with(kind: u8, fill: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
 /// Encodes one complete frame (header + payload).
 #[must_use]
 pub fn encode_message(msg: &Message) -> Vec<u8> {
-    frame_with(msg.kind(), |out| encode_payload(msg, out))
+    frame_with(msg.kind(), payload_len_hint(msg), |out| encode_payload(msg, out))
 }
 
 /// Encodes a data-plane request frame without cloning the request —
@@ -450,7 +473,7 @@ pub fn encode_message(msg: &Message) -> Vec<u8> {
 /// going through [`encode_message`] would copy every index vector).
 #[must_use]
 pub fn encode_request_frame(id: u64, shard: ShardId, request: &ShardRequest) -> Vec<u8> {
-    frame_with(1, |out| put_request(out, id, shard, request))
+    frame_with(1, request_payload_len(request), |out| put_request(out, id, shard, request))
 }
 
 // ---------------------------------------------------------------------
@@ -521,17 +544,31 @@ impl<'a> Cur<'a> {
         }
     }
 
+    /// Reads `count` `N`-byte little-endian words in one bulk pass:
+    /// one bounds check for the whole array ([`Self::check_count`],
+    /// which also keeps a corrupt count from allocating), then
+    /// fixed-size chunks.
+    fn words<T, const N: usize>(
+        &mut self,
+        count: usize,
+        what: &str,
+        from_le: impl Fn([u8; N]) -> T,
+    ) -> Result<Vec<T>, WireError> {
+        self.check_count(count, N, what)?;
+        let bytes = self.take(count * N, what)?;
+        Ok(bytes
+            .chunks_exact(N)
+            .map(|c| from_le(c.try_into().expect("chunks_exact yields N bytes")))
+            .collect())
+    }
+
     fn matrix(&mut self) -> Result<Matrix, WireError> {
         let rows = self.u32("matrix rows")? as usize;
         let cols = self.u32("matrix cols")? as usize;
         let n = rows
             .checked_mul(cols)
             .ok_or_else(|| WireError::new("matrix shape overflow"))?;
-        self.check_count(n, 4, "matrix elements")?;
-        let mut data = Vec::with_capacity(n);
-        for _ in 0..n {
-            data.push(f32::from_bits(self.u32("matrix element")?));
-        }
+        let data = self.words(n, "matrix elements", |b| f32::from_bits(u32::from_le_bytes(b)))?;
         if rows == 0 || cols == 0 {
             // Matrix::from_vec(0, c, []) is a valid empty matrix only
             // through zeros(); normalize.
@@ -556,16 +593,8 @@ fn decode_payload(kind: u8, payload: &[u8]) -> Result<Message, WireError> {
                 let table = TableId(c.u32("table id")? as usize);
                 let n_idx = c.u32("index count")? as usize;
                 let n_len = c.u32("length count")? as usize;
-                c.check_count(n_idx, 8, "indices")?;
-                let mut indices = Vec::with_capacity(n_idx);
-                for _ in 0..n_idx {
-                    indices.push(c.u64("index")?);
-                }
-                c.check_count(n_len, 4, "lengths")?;
-                let mut lengths = Vec::with_capacity(n_len);
-                for _ in 0..n_len {
-                    lengths.push(c.u32("length")?);
-                }
+                let indices = c.words(n_idx, "indices", u64::from_le_bytes)?;
+                let lengths = c.words(n_len, "lengths", u32::from_le_bytes)?;
                 slices.push(TableSlice {
                     table,
                     indices,
@@ -794,45 +823,51 @@ pub struct FrameIn {
 /// again to resume), [`ReadError::Io`] on transport failure or
 /// mid-frame EOF, [`ReadError::Malformed`] on undecodable bytes.
 pub fn read_message<R: Read>(r: &mut R, scratch: &mut Vec<u8>) -> Result<FrameIn, ReadError> {
-    let mut chunk = [0u8; 16 * 1024];
     let mut decode_time = Duration::ZERO;
     loop {
         let t0 = std::time::Instant::now();
         let decoded = try_decode(scratch).map_err(ReadError::Malformed)?;
         decode_time += t0.elapsed();
-        match decoded {
-            Some((msg, consumed)) => {
-                scratch.drain(..consumed);
-                return Ok(FrameIn {
-                    message: msg,
-                    bytes: consumed,
-                    decode_time,
-                });
+        if let Some((message, consumed)) = decoded {
+            // A frame that was the whole buffer leaves no tail to move.
+            scratch.drain(..consumed);
+            return Ok(FrameIn {
+                message,
+                bytes: consumed,
+                decode_time,
+            });
+        }
+        // Read exactly what the frame still needs — the header first,
+        // then (`try_decode` accepted it, so its length is within
+        // MAX_PAYLOAD) the rest in one reservation — straight into the
+        // buffer's spare capacity. An error mid-way (a timeout) keeps
+        // the bytes already read, so the next call resumes.
+        let total = match scratch.get(8..HEADER_LEN) {
+            Some(len) => HEADER_LEN + u32::from_le_bytes(len.try_into().expect("4 bytes")) as usize,
+            None => HEADER_LEN,
+        };
+        let missing = total - scratch.len();
+        scratch.reserve(missing);
+        // (`read_to_end` retries an interrupted read itself.)
+        let n = match r.by_ref().take(missing as u64).read_to_end(scratch) {
+            Ok(n) => n,
+            Err(e)
+                if e.kind() == std::io::ErrorKind::WouldBlock
+                    || e.kind() == std::io::ErrorKind::TimedOut =>
+            {
+                return Err(ReadError::TimedOut)
             }
-            None => {
-                let n = match r.read(&mut chunk) {
-                    Ok(n) => n,
-                    Err(e)
-                        if e.kind() == std::io::ErrorKind::WouldBlock
-                            || e.kind() == std::io::ErrorKind::TimedOut =>
-                    {
-                        return Err(ReadError::TimedOut)
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                    Err(e) => return Err(ReadError::Io(e)),
-                };
-                if n == 0 {
-                    return Err(if scratch.is_empty() {
-                        ReadError::Closed
-                    } else {
-                        ReadError::Io(std::io::Error::new(
-                            std::io::ErrorKind::UnexpectedEof,
-                            "stream ended mid-frame",
-                        ))
-                    });
-                }
-                scratch.extend_from_slice(&chunk[..n]);
-            }
+            Err(e) => return Err(ReadError::Io(e)),
+        };
+        if n == 0 {
+            return Err(if scratch.is_empty() {
+                ReadError::Closed
+            } else {
+                ReadError::Io(std::io::Error::new(
+                    std::io::ErrorKind::UnexpectedEof,
+                    "stream ended mid-frame",
+                ))
+            });
         }
     }
 }
@@ -867,6 +902,7 @@ mod tests {
     fn request_round_trips() {
         let msg = sample_request();
         let frame = encode_message(&msg);
+        assert_eq!(frame.len(), HEADER_LEN + payload_len_hint(&msg), "sized up front");
         let (back, consumed) = try_decode(&frame).unwrap().unwrap();
         assert_eq!(consumed, frame.len());
         assert_eq!(back, msg);
@@ -882,6 +918,7 @@ mod tests {
             },
         };
         let frame = encode_message(&msg);
+        assert_eq!(frame.len(), HEADER_LEN + payload_len_hint(&msg), "sized up front");
         let (back, _) = try_decode(&frame).unwrap().unwrap();
         let Message::ReplyOk { response, .. } = back else {
             panic!("wrong kind");

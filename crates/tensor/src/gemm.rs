@@ -1,33 +1,32 @@
-//! Blocked, register-tiled, row-parallel GEMM kernels.
+//! Row-parallel GEMM drivers over the packed-panel layout.
 //!
-//! Two layouts cover every dense matrix product in the DLRM operator
-//! vocabulary:
+//! Every dense product in the DLRM operator vocabulary is `A · Wᵀ`
+//! against a [`PackedWeights`] operand:
 //!
-//! - [`matmul_into`]: `out = A · B` — the i/k/j ("saxpy") order with a
-//!   4-wide k-unroll, streaming rows of `B` while the current output
-//!   row stays hot. The inner j-loop is lane-independent, so the
-//!   autovectorizer turns it into SIMD without reassociating anything.
-//! - [`matmul_transb_into`]: `out = A · Bᵀ` — the FC layout (`B` is
-//!   one output neuron per row). Register-tiled 4×2: eight independent
-//!   accumulator chains share each weight-row load, hiding FP-add
-//!   latency that serializes the naive one-accumulator dot product.
+//! - [`matmul_packed_into`]: the weights are already packed — the FC
+//!   serving path, which packs once at model build and never again.
+//! - [`matmul_transb_into`] (`W` row-major, one output neuron per row)
+//!   and [`matmul_into`] (`out = A · B`, so `W = Bᵀ`): pack per call,
+//!   then the same driver.
+//!
+//! The driver splits output rows across the pool and hands each block
+//! to `simd::packed_rows`, which walks the panels with the kernel tier
+//! the pool's dispatch selects.
 //!
 //! # Bit-exactness
 //!
-//! Both kernels keep **one accumulator per output element**, folding
+//! Every tier keeps **one accumulator per output element**, folding
 //! `k` in ascending order — the exact float-op sequence of the naive
 //! reference kernels ([`Matrix::matmul_reference`],
-//! [`Matrix::matmul_transb_reference`]). Blocking and tiling only
-//! regroup *independent* output elements, and parallelism partitions
-//! output rows (each row owned by one task), so results are bit-exact
-//! across blocked/naive and across any worker count. The property
-//! suite in `crates/tensor/tests/kernel_properties.rs` asserts both.
+//! [`Matrix::matmul_transb_reference`]). Packing only moves values,
+//! tiling only regroups *independent* output elements, and parallelism
+//! partitions output rows (each row owned by one task), so results are
+//! bit-exact across packed/naive and across any worker count. The
+//! property suite in `crates/tensor/tests/kernel_properties.rs` asserts
+//! both.
 
-use crate::{simd, Matrix};
-use dlrm_runtime::{KernelStats, Pool, SimdLevel};
-
-/// Rows of `A` processed per register tile in the `A · Bᵀ` kernel.
-const TRANSB_ROW_TILE: usize = 4;
+use crate::{simd, Matrix, PackedWeights};
+use dlrm_runtime::{KernelStats, Pool};
 
 /// Minimum multiply-add count before a GEMM forks the pool; below
 /// this the fork overhead dominates and the kernel runs inline.
@@ -45,7 +44,7 @@ fn rows_per_chunk(m: usize, macs: usize, pool: &Pool) -> usize {
     }
 }
 
-/// `out = a · b`, row-parallel on `pool`.
+/// `out = a · b`, row-parallel on `pool`; packs `b` on every call.
 ///
 /// # Panics
 ///
@@ -60,72 +59,12 @@ pub fn matmul_into(a: &Matrix, b: &Matrix, out: &mut Matrix, pool: &Pool) {
         b.rows(),
         b.cols()
     );
-    assert_eq!(
-        (out.rows(), out.cols()),
-        (a.rows(), b.cols()),
-        "matmul output must be {}x{}",
-        a.rows(),
-        b.cols()
-    );
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    out.as_mut_slice().fill(0.0);
-    if m == 0 || n == 0 || k == 0 {
-        return;
-    }
-    let chunk_rows = rows_per_chunk(m, m * n * k, pool);
-    let a_data = a.as_slice();
-    let b_data = b.as_slice();
-    let level = simd::effective_level(pool.dispatch().level());
-    KernelStats::global().record_gemm(level);
-    pool.par_chunks_mut(out.as_mut_slice(), chunk_rows * n, |start, chunk| {
-        let i0 = start / n;
-        let rows = chunk.len() / n;
-        let a_block = &a_data[i0 * k..(i0 + rows) * k];
-        if level == SimdLevel::Scalar || !simd::matmul_rows_simd(level, a_block, k, b_data, n, chunk)
-        {
-            matmul_rows(a_block, k, b, chunk);
-        }
-    });
-}
-
-/// Sequential i/k/j kernel over a contiguous block of `A` rows and the
-/// matching (pre-zeroed) block of output rows.
-fn matmul_rows(a_rows: &[f32], k: usize, b: &Matrix, out_rows: &mut [f32]) {
-    let n = b.cols();
-    let b_data = b.as_slice();
-    for (a_row, out_row) in a_rows.chunks_exact(k).zip(out_rows.chunks_exact_mut(n)) {
-        let mut kk = 0;
-        // 4-wide k-unroll: one pass over the output row folds four B
-        // rows, in ascending-k order per element.
-        while kk + 4 <= k {
-            let (a0, a1, a2, a3) = (a_row[kk], a_row[kk + 1], a_row[kk + 2], a_row[kk + 3]);
-            let b0 = &b_data[kk * n..kk * n + n];
-            let b1 = &b_data[(kk + 1) * n..(kk + 1) * n + n];
-            let b2 = &b_data[(kk + 2) * n..(kk + 2) * n + n];
-            let b3 = &b_data[(kk + 3) * n..(kk + 3) * n + n];
-            for j in 0..n {
-                let mut x = out_row[j];
-                x += a0 * b0[j];
-                x += a1 * b1[j];
-                x += a2 * b2[j];
-                x += a3 * b3[j];
-                out_row[j] = x;
-            }
-            kk += 4;
-        }
-        while kk < k {
-            let av = a_row[kk];
-            let b_row = &b_data[kk * n..kk * n + n];
-            for j in 0..n {
-                out_row[j] += av * b_row[j];
-            }
-            kk += 1;
-        }
-    }
+    KernelStats::global().record_gemm_pack();
+    matmul_packed_into(a, &PackedWeights::pack_transposed(b), out, pool);
 }
 
 /// `out = a · bᵀ` (the FC layout: `b` stores one output neuron per
-/// row), row-parallel on `pool`.
+/// row), row-parallel on `pool`; packs `b` on every call.
 ///
 /// # Panics
 ///
@@ -140,14 +79,34 @@ pub fn matmul_transb_into(a: &Matrix, b: &Matrix, out: &mut Matrix, pool: &Pool)
         b.rows(),
         b.cols()
     );
+    KernelStats::global().record_gemm_pack();
+    matmul_packed_into(a, &PackedWeights::pack(b), out, pool);
+}
+
+/// `out = a · wᵀ` against prepacked weights, row-parallel on `pool`:
+/// the pack-free path (every element of `out` is written).
+///
+/// # Panics
+///
+/// Panics if `a.cols() != w.cols()` or `out` is not `a.rows() × w.rows()`.
+pub fn matmul_packed_into(a: &Matrix, w: &PackedWeights, out: &mut Matrix, pool: &Pool) {
+    assert_eq!(
+        a.cols(),
+        w.cols(),
+        "packed matmul shape mismatch: {}x{} × ({}x{})ᵀ",
+        a.rows(),
+        a.cols(),
+        w.rows(),
+        w.cols()
+    );
     assert_eq!(
         (out.rows(), out.cols()),
-        (a.rows(), b.rows()),
-        "matmul_transb output must be {}x{}",
+        (a.rows(), w.rows()),
+        "matmul output must be {}x{}",
         a.rows(),
-        b.rows()
+        w.rows()
     );
-    let (m, k, n) = (a.rows(), a.cols(), b.rows());
+    let (m, k, n) = (a.rows(), a.cols(), w.rows());
     if m == 0 || n == 0 {
         return;
     }
@@ -157,115 +116,13 @@ pub fn matmul_transb_into(a: &Matrix, b: &Matrix, out: &mut Matrix, pool: &Pool)
     }
     let chunk_rows = rows_per_chunk(m, m * n * k, pool);
     let a_data = a.as_slice();
-    let b_data = b.as_slice();
     let level = simd::effective_level(pool.dispatch().level());
     KernelStats::global().record_gemm(level);
     pool.par_chunks_mut(out.as_mut_slice(), chunk_rows * n, |start, chunk| {
         let i0 = start / n;
         let rows = chunk.len() / n;
-        let a_block = &a_data[i0 * k..(i0 + rows) * k];
-        if level == SimdLevel::Scalar || !simd::transb_rows_simd(level, a_block, k, b_data, n, chunk)
-        {
-            transb_rows(a_block, k, b, chunk);
-        }
+        simd::packed_rows(level, &a_data[i0 * k..(i0 + rows) * k], k, w.panels(), n, chunk);
     });
-}
-
-/// Sequential register-tiled kernel over a contiguous block of `A`
-/// rows and the matching block of output rows (every element written).
-fn transb_rows(a_rows: &[f32], k: usize, b: &Matrix, out_rows: &mut [f32]) {
-    let n = b.rows();
-    let rows = a_rows.len() / k;
-    let mut i = 0;
-    while i + TRANSB_ROW_TILE <= rows {
-        let a0 = &a_rows[i * k..i * k + k];
-        let a1 = &a_rows[(i + 1) * k..(i + 1) * k + k];
-        let a2 = &a_rows[(i + 2) * k..(i + 2) * k + k];
-        let a3 = &a_rows[(i + 3) * k..(i + 3) * k + k];
-        let mut j = 0;
-        while j + 2 <= n {
-            let b0 = &b.row(j)[..k];
-            let b1 = &b.row(j + 1)[..k];
-            let acc = tile4x2(a0, a1, a2, a3, b0, b1, k);
-            out_rows[i * n + j] = acc[0];
-            out_rows[i * n + j + 1] = acc[1];
-            out_rows[(i + 1) * n + j] = acc[2];
-            out_rows[(i + 1) * n + j + 1] = acc[3];
-            out_rows[(i + 2) * n + j] = acc[4];
-            out_rows[(i + 2) * n + j + 1] = acc[5];
-            out_rows[(i + 3) * n + j] = acc[6];
-            out_rows[(i + 3) * n + j + 1] = acc[7];
-            j += 2;
-        }
-        if j < n {
-            let b0 = &b.row(j)[..k];
-            out_rows[i * n + j] = dot(a0, b0);
-            out_rows[(i + 1) * n + j] = dot(a1, b0);
-            out_rows[(i + 2) * n + j] = dot(a2, b0);
-            out_rows[(i + 3) * n + j] = dot(a3, b0);
-        }
-        i += TRANSB_ROW_TILE;
-    }
-    while i < rows {
-        let a0 = &a_rows[i * k..i * k + k];
-        let out_row = &mut out_rows[i * n..(i + 1) * n];
-        let mut j = 0;
-        while j + 2 <= n {
-            let acc = tile1x2(a0, &b.row(j)[..k], &b.row(j + 1)[..k], k);
-            out_row[j] = acc[0];
-            out_row[j + 1] = acc[1];
-            j += 2;
-        }
-        if j < n {
-            out_row[j] = dot(a0, &b.row(j)[..k]);
-        }
-        i += 1;
-    }
-}
-
-/// Eight independent dot-product chains (4 activation rows × 2 weight
-/// rows), each folding `k` in ascending order with one accumulator —
-/// the same float-op sequence per element as the naive dot product.
-#[inline]
-fn tile4x2(a0: &[f32], a1: &[f32], a2: &[f32], a3: &[f32], b0: &[f32], b1: &[f32], k: usize) -> [f32; 8] {
-    let (a0, a1, a2, a3) = (&a0[..k], &a1[..k], &a2[..k], &a3[..k]);
-    let (b0, b1) = (&b0[..k], &b1[..k]);
-    let mut acc = [0.0f32; 8];
-    for kk in 0..k {
-        let (w0, w1) = (b0[kk], b1[kk]);
-        acc[0] += a0[kk] * w0;
-        acc[1] += a0[kk] * w1;
-        acc[2] += a1[kk] * w0;
-        acc[3] += a1[kk] * w1;
-        acc[4] += a2[kk] * w0;
-        acc[5] += a2[kk] * w1;
-        acc[6] += a3[kk] * w0;
-        acc[7] += a3[kk] * w1;
-    }
-    acc
-}
-
-/// Two independent dot-product chains (1 activation row × 2 weight rows).
-#[inline]
-fn tile1x2(a0: &[f32], b0: &[f32], b1: &[f32], k: usize) -> [f32; 2] {
-    let a0 = &a0[..k];
-    let (b0, b1) = (&b0[..k], &b1[..k]);
-    let mut acc = [0.0f32; 2];
-    for kk in 0..k {
-        acc[0] += a0[kk] * b0[kk];
-        acc[1] += a0[kk] * b1[kk];
-    }
-    acc
-}
-
-/// Single sequential-accumulator dot product (ascending `k`).
-#[inline]
-fn dot(a: &[f32], b: &[f32]) -> f32 {
-    let mut acc = 0.0f32;
-    for (&x, &y) in a.iter().zip(b.iter()) {
-        acc += x * y;
-    }
-    acc
 }
 
 #[cfg(test)]

@@ -7,9 +7,11 @@
 //! `SparseLengthsSum` gather-and-pool (which lives in `dlrm-model` on top
 //! of this crate's [`Matrix`] storage). This crate provides exactly those
 //! dense kernels — row-major, with every `unsafe` block confined to the
-//! audited AVX2/FMA tier in [`simd`]. The GEMMs are cache-blocked and
-//! register-tiled (see [`matmul_into`] and [`matmul_transb_into`]),
-//! optionally output-row-parallel on a `dlrm_runtime::Pool`, and pick a
+//! audited AVX2/FMA tier in [`simd`]. The GEMMs read one panel-major
+//! operand layout ([`PackedWeights`]: packed once for FC weights via
+//! [`matmul_packed_into`], per call for [`matmul_into`] and
+//! [`matmul_transb_into`]), are register-tiled and optionally
+//! output-row-parallel on a `dlrm_runtime::Pool`, and pick a
 //! vectorized inner tile when the pool's `KernelDispatch` allows it —
 //! while staying **bit-exact** with the naive reference kernels
 //! ([`Matrix::matmul_reference`], [`Matrix::matmul_transb_reference`])
@@ -41,10 +43,12 @@
 mod gemm;
 mod matrix;
 mod ops;
+mod packed;
 pub mod simd;
 
-pub use gemm::{matmul_into, matmul_transb_into};
+pub use gemm::{matmul_into, matmul_packed_into, matmul_transb_into};
 pub use matrix::Matrix;
+pub use packed::PackedWeights;
 pub use ops::{concat_cols, concat_cols_into, relu, relu_inplace, sigmoid, sigmoid_inplace};
 
 /// Absolute tolerance used by [`Matrix::approx_eq`] in tests and

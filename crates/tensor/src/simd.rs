@@ -18,9 +18,9 @@
 //! ascending order, one rounding per multiply and one per add. Lanes
 //! never interact (no horizontal reductions), so results are
 //! **bitwise identical** to the scalar oracles for every shape,
-//! including ragged tails, which run the scalar loop itself. The
-//! `A · Bᵀ` kernel packs 8-row panels of `B` into column-major scratch
-//! first; packing is pure data movement and changes no bits.
+//! including ragged tails, which run the scalar kernel itself. All
+//! tiers read the same packed-panel operand ([`crate::PackedWeights`]);
+//! packing is pure data movement and changes no bits.
 //!
 //! The FMA tier ([`SimdLevel::Avx2Fma`], GEMM only) contracts each
 //! mul/add pair into `vfmaddps`, dropping one rounding per
@@ -45,6 +45,8 @@
 #![allow(unsafe_code)]
 
 pub use dlrm_runtime::{level_supported, KernelDispatch, SimdLevel};
+
+use crate::packed::panel_width;
 
 /// Downgrades a requested level to what the running CPU can execute:
 /// the tier kernels will actually take (and counters should record).
@@ -207,179 +209,114 @@ fn decode_u4_scalar<const ACCUM: bool>(
     }
 }
 
-/// Vectorized `out = A · B` over a contiguous block of `A` rows
-/// (`a_rows`, `rows × k`) against `b` (`k × n`), writing the matching
-/// output block (`rows × n`). Returns `false` (computing nothing) when
-/// `level` resolves to scalar on this CPU — the caller then runs the
-/// scalar kernel.
+/// `out = A · Wᵀ` over a contiguous block of `A` rows (`a_rows`,
+/// `rows × k`) against packed weights (`panels`, the `k · n` floats of
+/// a [`crate::PackedWeights`]), writing every element of the matching
+/// `rows × n` output block.
 ///
-/// Packs `B`'s vectorizable columns panel-major in one sequential
-/// sweep (pure data movement, no arithmetic), then runs
-/// register-accumulator panel kernels: 16-column panels on the main
-/// path, one 8-column panel for the remainder, scalar ascending-k dots
-/// for ragged tail columns. Register accumulators fold `k` in
-/// ascending order — one accumulator per output element — so the exact
-/// tier is bitwise-equal to the scalar kernel, and the output row is
-/// touched once per panel instead of once per k-step.
+/// Walks the panels in storage order and hands each to the kernel the
+/// tier selects: AVX2 / FMA register tiles for 16- and 8-wide panels,
+/// the portable [`panel_scalar`] for the scalar tier and for the
+/// 1-wide ragged-tail panels of every tier. Each kernel keeps one
+/// accumulator per output element and folds `k` in ascending order, so
+/// all exact tiers agree bitwise.
 ///
 /// # Panics
 ///
-/// Panics if slice lengths are inconsistent with `(k, n)`.
-pub(crate) fn matmul_rows_simd(
+/// Panics if `k` or `n` is zero or slice lengths disagree with them.
+pub(crate) fn packed_rows(
     level: SimdLevel,
     a_rows: &[f32],
     k: usize,
-    b: &[f32],
+    panels: &[f32],
     n: usize,
     out_rows: &mut [f32],
-) -> bool {
-    if k == 0 || n == 0 {
-        return false;
-    }
+) {
+    assert!(k > 0 && n > 0, "empty products are the caller's case");
     assert_eq!(a_rows.len() % k, 0, "a block must be whole rows");
-    let rows = a_rows.len() / k;
-    assert_eq!(b.len(), k * n, "b must be k x n");
-    assert_eq!(out_rows.len(), rows * n, "output block must be rows x n");
-    let fma = effective_level(level) == SimdLevel::Avx2Fma;
-    #[cfg(target_arch = "x86_64")]
-    if fma || usable(level) {
-        let n16 = n / 16 * 16;
-        let n8 = n / 8 * 8;
-        // Panel-major pack: pack[p·k·16 + kk·16 + l] = B[kk][16p + l]
-        // for the 16-wide panels, then (at most) one 8-wide panel at
-        // offset k·n16. One sequential pass over B keeps the pack
-        // prefetch-friendly; the kernels then read each panel
-        // contiguously. The pack start is nudged to a 64-byte boundary
-        // so each 16-wide k-step reads exactly one cache line — a
-        // 16-byte-aligned Vec would split half the 32-byte loads
-        // across lines.
-        let mut buf = vec![0.0f32; k * n8 + 15];
-        let misalign = (buf.as_ptr() as usize) % 64;
-        let skip = if misalign == 0 { 0 } else { (64 - misalign) / 4 };
-        let pack = &mut buf[skip..skip + k * n8];
-        for kk in 0..k {
-            let brow = &b[kk * n..kk * n + n8];
-            let mut j = 0usize;
-            while j + 16 <= n8 {
-                let dst = (j / 16) * k * 16 + kk * 16;
-                pack[dst..dst + 16].copy_from_slice(&brow[j..j + 16]);
-                j += 16;
+    assert_eq!(panels.len(), k * n, "packed weights must hold k x n");
+    assert_eq!(out_rows.len(), a_rows.len() / k * n, "output block must be rows x n");
+    let level = effective_level(level);
+    let mut j = 0usize;
+    while j < n {
+        let w = panel_width(n, j);
+        let panel = &panels[k * j..k * (j + w)];
+        match (w, level) {
+            #[cfg(target_arch = "x86_64")]
+            (16, SimdLevel::Avx2Fma) => {
+                // SAFETY: `effective_level` verified the CPU runs
+                // AVX2+FMA; `panel` holds k full 16-lane groups and
+                // j + 16 <= n bounds every output store; the asserts
+                // above give a_rows = rows·k and out_rows = rows·n.
+                unsafe { x86::panel_fma::<2>(a_rows, k, panel, out_rows, n, j) }
             }
-            if j < n8 {
-                let dst = k * n16 + kk * 8;
-                pack[dst..dst + 8].copy_from_slice(&brow[j..j + 8]);
-            }
-        }
-        let mut j = 0usize;
-        while j + 16 <= n {
-            let panel = &pack[(j / 16) * k * 16..(j / 16) * k * 16 + k * 16];
-            if fma {
-                // SAFETY: AVX2+FMA verified via effective_level; panel
-                // holds k full 16-lane groups and j + 16 <= n bounds
-                // every output store.
-                unsafe { x86::panel16_fma(a_rows, k, panel, out_rows, n, j) };
-            } else {
+            #[cfg(target_arch = "x86_64")]
+            (16, SimdLevel::Avx2) => {
                 // SAFETY: AVX2 verified; bounds as above.
-                unsafe { x86::panel16_avx2(a_rows, k, panel, out_rows, n, j) };
+                unsafe { x86::panel_avx2::<2>(a_rows, k, panel, out_rows, n, j) }
             }
-            j += 16;
-        }
-        if j + 8 <= n {
-            let panel = &pack[k * n16..k * n16 + k * 8];
-            if fma {
-                // SAFETY: AVX2+FMA verified; panel holds k full 8-lane
+            #[cfg(target_arch = "x86_64")]
+            (8, SimdLevel::Avx2Fma) => {
+                // SAFETY: AVX2+FMA verified; `panel` holds k full 8-lane
                 // groups and j + 8 <= n bounds every output store.
-                unsafe { x86::panel8_fma(a_rows, k, panel, out_rows, n, j) };
-            } else {
+                unsafe { x86::panel_fma::<1>(a_rows, k, panel, out_rows, n, j) }
+            }
+            #[cfg(target_arch = "x86_64")]
+            (8, SimdLevel::Avx2) => {
                 // SAFETY: AVX2 verified; bounds as above.
-                unsafe { x86::panel8_avx2(a_rows, k, panel, out_rows, n, j) };
+                unsafe { x86::panel_avx2::<1>(a_rows, k, panel, out_rows, n, j) }
             }
-            j += 8;
+            (16, _) => panel_scalar::<16>(a_rows, k, panel, out_rows, n, j),
+            (8, _) => panel_scalar::<8>(a_rows, k, panel, out_rows, n, j),
+            _ => panel_scalar::<1>(a_rows, k, panel, out_rows, n, j),
         }
-        // Ragged tail columns: single-accumulator ascending-k dots, the
-        // scalar kernel's own sequence.
-        for i in 0..rows {
-            let a = &a_rows[i * k..(i + 1) * k];
-            for jj in j..n {
-                let mut acc = 0.0f32;
-                for (kk, &x) in a.iter().enumerate() {
-                    acc += x * b[kk * n + jj];
-                }
-                out_rows[i * n + jj] = acc;
-            }
-        }
-        return true;
+        j += w;
     }
-    let _ = (level, fma, rows);
-    false
 }
 
-/// Vectorized `out = A · Bᵀ` over a contiguous block of `A` rows
-/// against `b` stored row-major `n × k` (the FC weight layout), writing
-/// the matching `rows × n` output block. Packs 8-row panels of `B` into
-/// column-major scratch (pure data movement), then runs the same
-/// broadcast-multiply-accumulate inner loop as [`matmul_rows_simd`].
-/// Returns `false` when `level` resolves to scalar.
-///
-/// # Panics
-///
-/// Panics if slice lengths are inconsistent with `(k, n)`.
-pub(crate) fn transb_rows_simd(
-    level: SimdLevel,
+/// The portable panel kernel: output columns `j..j + W` for every row
+/// of the block, from one `W`-wide packed panel. Two rows per pass give
+/// the FP adder independent chains; the `W` lanes of a row never
+/// interact, so the autovectorizer may widen them without
+/// reassociating anything.
+fn panel_scalar<const W: usize>(
     a_rows: &[f32],
     k: usize,
-    b: &[f32],
+    panel: &[f32],
+    out: &mut [f32],
     n: usize,
-    out_rows: &mut [f32],
-) -> bool {
-    if k == 0 || n == 0 {
-        return false;
-    }
-    assert_eq!(a_rows.len() % k, 0, "a block must be whole rows");
+    j: usize,
+) {
     let rows = a_rows.len() / k;
-    assert_eq!(b.len(), n * k, "b must be n x k");
-    assert_eq!(out_rows.len(), rows * n, "output block must be rows x n");
-    let fma = effective_level(level) == SimdLevel::Avx2Fma;
-    #[cfg(target_arch = "x86_64")]
-    if fma || usable(level) {
-        let mut pack = vec![0.0f32; k * 8];
-        let mut j = 0usize;
-        while j + 8 <= n {
-            // Pack B rows j..j+8 column-major: pack[kk*8 + l] holds
-            // B[j+l][kk]. Bit-copy only — no arithmetic.
-            for l in 0..8 {
-                let brow = &b[(j + l) * k..(j + l + 1) * k];
-                for (kk, &w) in brow.iter().enumerate() {
-                    pack[kk * 8 + l] = w;
-                }
-            }
-            if fma {
-                // SAFETY: AVX2+FMA verified; pack holds k full 8-lane
-                // groups and j + 8 <= n bounds every output store.
-                unsafe { x86::panel8_fma(a_rows, k, &pack, out_rows, n, j) };
-            } else {
-                // SAFETY: AVX2 verified; bounds as above.
-                unsafe { x86::panel8_avx2(a_rows, k, &pack, out_rows, n, j) };
-            }
-            j += 8;
-        }
-        // Ragged tail columns: single-accumulator ascending-k dots, the
-        // scalar kernel's own sequence.
-        for i in 0..rows {
-            let a = &a_rows[i * k..(i + 1) * k];
-            for jj in j..n {
-                let brow = &b[jj * k..(jj + 1) * k];
-                let mut acc = 0.0f32;
-                for (x, y) in a.iter().zip(brow) {
-                    acc += x * y;
-                }
-                out_rows[i * n + jj] = acc;
-            }
-        }
-        return true;
+    let row = |i: usize| &a_rows[i * k..(i + 1) * k];
+    let mut i = 0usize;
+    while i + 2 <= rows {
+        let acc = tile_scalar::<W, 2>([row(i), row(i + 1)], panel);
+        out[i * n + j..i * n + j + W].copy_from_slice(&acc[0]);
+        out[(i + 1) * n + j..(i + 1) * n + j + W].copy_from_slice(&acc[1]);
+        i += 2;
     }
-    let _ = (fma, rows);
-    false
+    if i < rows {
+        let acc = tile_scalar::<W, 1>([row(i)], panel);
+        out[i * n + j..i * n + j + W].copy_from_slice(&acc[0]);
+    }
+}
+
+/// `R × W` independent accumulators, each folding `k` in ascending
+/// order with a separate multiply and add — the reference kernels'
+/// float-op sequence per element.
+#[inline(always)]
+fn tile_scalar<const W: usize, const R: usize>(a: [&[f32]; R], panel: &[f32]) -> [[f32; W]; R] {
+    let mut acc = [[0.0f32; W]; R];
+    for (kk, group) in panel.chunks_exact(W).enumerate() {
+        for r in 0..R {
+            let x = a[r][kk];
+            for l in 0..W {
+                acc[r][l] += x * group[l];
+            }
+        }
+    }
+    acc
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -401,128 +338,66 @@ mod x86 {
         }
     }
 
-    /// Shared 16-column panel body for `A · B`: 6 `A` rows per
-    /// register tile, 12 accumulator vectors, one contiguous packed
-    /// panel read per k-step shared by all six rows (15 of 16 vector
-    /// registers live — the widest tile that doesn't spill).
-    /// Accumulators fold `k` in ascending order — one per output
-    /// element — so the exact tier matches the scalar kernel bitwise.
-    /// The `ROWS` const loops are fully unrolled by the compiler, so
-    /// the accumulator array lives entirely in registers.
+    /// One k-step of a register tile: load the panel's `VECS` lane
+    /// groups once, broadcast each row's `A[kk]`, accumulate.
     #[inline(always)]
-    unsafe fn panel16_body<const FMA: bool>(
-        a_rows: &[f32],
+    unsafe fn k_step<const FMA: bool, const ROWS: usize, const VECS: usize>(
+        a: *const f32,
         k: usize,
-        pack: &[f32],
-        out: &mut [f32],
-        n: usize,
-        j: usize,
+        pp: *const f32,
+        kk: usize,
+        acc: &mut [[__m256; VECS]; ROWS],
     ) {
-        const ROWS: usize = 6;
-        let rows = a_rows.len() / k;
-        let ap = a_rows.as_ptr();
-        let pp = pack.as_ptr();
-        let op = out.as_mut_ptr();
-        let mut i = 0usize;
-        while i + ROWS <= rows {
-            let mut a = [core::ptr::null::<f32>(); ROWS];
-            for (r, slot) in a.iter_mut().enumerate() {
-                *slot = ap.add((i + r) * k);
-            }
-            let mut c0 = [_mm256_setzero_ps(); ROWS];
-            let mut c1 = [_mm256_setzero_ps(); ROWS];
-            // 2-deep k-unroll keeps issue under the 4-wide frontend
-            // limit; per-element fold order stays strictly ascending k.
-            let mut kk = 0usize;
-            while kk + 2 <= k {
-                let vb0 = _mm256_loadu_ps(pp.add(kk * 16));
-                let vb1 = _mm256_loadu_ps(pp.add(kk * 16 + 8));
-                for r in 0..ROWS {
-                    let va = _mm256_set1_ps(*a[r].add(kk));
-                    c0[r] = mad::<FMA>(va, vb0, c0[r]);
-                    c1[r] = mad::<FMA>(va, vb1, c1[r]);
-                }
-                let wb0 = _mm256_loadu_ps(pp.add(kk * 16 + 16));
-                let wb1 = _mm256_loadu_ps(pp.add(kk * 16 + 24));
-                for r in 0..ROWS {
-                    let wa = _mm256_set1_ps(*a[r].add(kk + 1));
-                    c0[r] = mad::<FMA>(wa, wb0, c0[r]);
-                    c1[r] = mad::<FMA>(wa, wb1, c1[r]);
-                }
-                kk += 2;
-            }
-            if kk < k {
-                let vb0 = _mm256_loadu_ps(pp.add(kk * 16));
-                let vb1 = _mm256_loadu_ps(pp.add(kk * 16 + 8));
-                for r in 0..ROWS {
-                    let va = _mm256_set1_ps(*a[r].add(kk));
-                    c0[r] = mad::<FMA>(va, vb0, c0[r]);
-                    c1[r] = mad::<FMA>(va, vb1, c1[r]);
-                }
-            }
-            for r in 0..ROWS {
-                _mm256_storeu_ps(op.add((i + r) * n + j), c0[r]);
-                _mm256_storeu_ps(op.add((i + r) * n + j + 8), c1[r]);
-            }
-            i += ROWS;
+        let mut vb = [_mm256_setzero_ps(); VECS];
+        for (v, slot) in vb.iter_mut().enumerate() {
+            *slot = _mm256_loadu_ps(pp.add((kk * VECS + v) * 8));
         }
-        while i < rows {
-            let a = ap.add(i * k);
-            let mut c0 = _mm256_setzero_ps();
-            let mut c1 = _mm256_setzero_ps();
-            for kk in 0..k {
-                let va = _mm256_set1_ps(*a.add(kk));
-                c0 = mad::<FMA>(va, _mm256_loadu_ps(pp.add(kk * 16)), c0);
-                c1 = mad::<FMA>(va, _mm256_loadu_ps(pp.add(kk * 16 + 8)), c1);
+        for (r, row) in acc.iter_mut().enumerate() {
+            let va = _mm256_set1_ps(*a.add(r * k + kk));
+            for v in 0..VECS {
+                row[v] = mad::<FMA>(va, vb[v], row[v]);
             }
-            _mm256_storeu_ps(op.add(i * n + j), c0);
-            _mm256_storeu_ps(op.add(i * n + j + 8), c1);
-            i += 1;
         }
     }
 
-    /// Exact-tier 16-column panel kernel (separate mul/add).
-    ///
-    /// # Safety
-    ///
-    /// Caller verifies AVX2 support, `a_rows.len() = rows·k` with
-    /// `k > 0`, `pack.len() ≥ k·16`, `out.len() = rows·n`, and
-    /// `j + 16 ≤ n` (asserted/maintained by the safe wrapper).
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn panel16_avx2(
-        a_rows: &[f32],
-        k: usize,
-        pack: &[f32],
-        out: &mut [f32],
-        n: usize,
-        j: usize,
-    ) {
-        panel16_body::<false>(a_rows, k, pack, out, n, j);
-    }
-
-    /// FMA-contracted 16-column panel kernel (tolerance mode).
-    ///
-    /// # Safety
-    ///
-    /// As [`panel16_avx2`], plus FMA support.
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn panel16_fma(
-        a_rows: &[f32],
-        k: usize,
-        pack: &[f32],
-        out: &mut [f32],
-        n: usize,
-        j: usize,
-    ) {
-        panel16_body::<true>(a_rows, k, pack, out, n, j);
-    }
-
-    /// Shared 8-column panel body over pre-packed columns `j..j+8`
-    /// (`pack[kk·8 + l]` = column `j+l` at row `kk`, whatever the
-    /// source layout); 4 `A` rows per register tile for ILP. The
-    /// remainder panel of `A · B` and the main path of `A · Bᵀ`.
+    /// A `ROWS × (8·VECS)` register tile over one packed panel: `a`
+    /// points at the tile's first `A` row, `o` at its first output
+    /// element. Accumulators fold `k` in ascending order — one per
+    /// output element — so the exact tier matches the scalar kernel
+    /// bitwise. The const loops unroll fully, so the accumulator array
+    /// lives in registers (6 × 2 uses 15 of 16 — the widest tile that
+    /// doesn't spill); the 2-deep k-unroll keeps issue under the
+    /// 4-wide frontend limit.
     #[inline(always)]
-    unsafe fn panel8_body<const FMA: bool>(
+    unsafe fn tile<const FMA: bool, const ROWS: usize, const VECS: usize>(
+        a: *const f32,
+        k: usize,
+        pp: *const f32,
+        o: *mut f32,
+        n: usize,
+    ) {
+        let mut acc = [[_mm256_setzero_ps(); VECS]; ROWS];
+        let mut kk = 0usize;
+        while kk + 2 <= k {
+            k_step::<FMA, ROWS, VECS>(a, k, pp, kk, &mut acc);
+            k_step::<FMA, ROWS, VECS>(a, k, pp, kk + 1, &mut acc);
+            kk += 2;
+        }
+        if kk < k {
+            k_step::<FMA, ROWS, VECS>(a, k, pp, kk, &mut acc);
+        }
+        for (r, row) in acc.iter().enumerate() {
+            for (v, &c) in row.iter().enumerate() {
+                _mm256_storeu_ps(o.add(r * n + v * 8), c);
+            }
+        }
+    }
+
+    /// Output columns `j..j + 8·VECS` for every row of the block: 6-row
+    /// tiles, then one tile of exactly the rows left, so a block of at
+    /// most six rows — a serving batch — streams the panel once.
+    #[inline(always)]
+    unsafe fn panel_body<const FMA: bool, const VECS: usize>(
         a_rows: &[f32],
         k: usize,
         pack: &[f32],
@@ -531,52 +406,34 @@ mod x86 {
         j: usize,
     ) {
         let rows = a_rows.len() / k;
-        let ap = a_rows.as_ptr();
         let pp = pack.as_ptr();
-        let op = out.as_mut_ptr();
-        let mut i = 0usize;
-        while i + 4 <= rows {
-            let a0 = ap.add(i * k);
-            let a1 = ap.add((i + 1) * k);
-            let a2 = ap.add((i + 2) * k);
-            let a3 = ap.add((i + 3) * k);
-            let mut c0 = _mm256_setzero_ps();
-            let mut c1 = _mm256_setzero_ps();
-            let mut c2 = _mm256_setzero_ps();
-            let mut c3 = _mm256_setzero_ps();
-            for kk in 0..k {
-                let vb = _mm256_loadu_ps(pp.add(kk * 8));
-                c0 = mad::<FMA>(_mm256_set1_ps(*a0.add(kk)), vb, c0);
-                c1 = mad::<FMA>(_mm256_set1_ps(*a1.add(kk)), vb, c1);
-                c2 = mad::<FMA>(_mm256_set1_ps(*a2.add(kk)), vb, c2);
-                c3 = mad::<FMA>(_mm256_set1_ps(*a3.add(kk)), vb, c3);
-            }
-            _mm256_storeu_ps(op.add(i * n + j), c0);
-            _mm256_storeu_ps(op.add((i + 1) * n + j), c1);
-            _mm256_storeu_ps(op.add((i + 2) * n + j), c2);
-            _mm256_storeu_ps(op.add((i + 3) * n + j), c3);
-            i += 4;
+        let mut a = a_rows.as_ptr();
+        let mut o = out.as_mut_ptr().add(j);
+        for _ in 0..rows / 6 {
+            tile::<FMA, 6, VECS>(a, k, pp, o, n);
+            a = a.add(6 * k);
+            o = o.add(6 * n);
         }
-        while i < rows {
-            let a = ap.add(i * k);
-            let mut acc = _mm256_setzero_ps();
-            for kk in 0..k {
-                acc = mad::<FMA>(_mm256_set1_ps(*a.add(kk)), _mm256_loadu_ps(pp.add(kk * 8)), acc);
-            }
-            _mm256_storeu_ps(op.add(i * n + j), acc);
-            i += 1;
+        match rows % 6 {
+            5 => tile::<FMA, 5, VECS>(a, k, pp, o, n),
+            4 => tile::<FMA, 4, VECS>(a, k, pp, o, n),
+            3 => tile::<FMA, 3, VECS>(a, k, pp, o, n),
+            2 => tile::<FMA, 2, VECS>(a, k, pp, o, n),
+            1 => tile::<FMA, 1, VECS>(a, k, pp, o, n),
+            _ => {}
         }
     }
 
-    /// Exact-tier 8-column panel kernel (separate mul/add).
+    /// Exact-tier panel kernel (separate mul/add) over one `8·VECS`-wide
+    /// packed panel.
     ///
     /// # Safety
     ///
     /// Caller verifies AVX2 support, `a_rows.len() = rows·k` with
-    /// `k > 0`, `pack.len() ≥ k·8`, `out.len() = rows·n`, and
-    /// `j + 8 ≤ n` (asserted/maintained by the safe wrapper).
+    /// `k > 0`, `pack.len() ≥ k·8·VECS`, `out.len() = rows·n`, and
+    /// `j + 8·VECS ≤ n` (asserted/maintained by the safe wrapper).
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn panel8_avx2(
+    pub(super) unsafe fn panel_avx2<const VECS: usize>(
         a_rows: &[f32],
         k: usize,
         pack: &[f32],
@@ -584,16 +441,16 @@ mod x86 {
         n: usize,
         j: usize,
     ) {
-        panel8_body::<false>(a_rows, k, pack, out, n, j);
+        panel_body::<false, VECS>(a_rows, k, pack, out, n, j);
     }
 
-    /// FMA-contracted 8-column panel kernel (tolerance mode).
+    /// FMA-contracted panel kernel (tolerance mode).
     ///
     /// # Safety
     ///
-    /// As [`panel8_avx2`], plus FMA support.
+    /// As [`panel_avx2`], plus FMA support.
     #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn panel8_fma(
+    pub(super) unsafe fn panel_fma<const VECS: usize>(
         a_rows: &[f32],
         k: usize,
         pack: &[f32],
@@ -601,7 +458,7 @@ mod x86 {
         n: usize,
         j: usize,
     ) {
-        panel8_body::<true>(a_rows, k, pack, out, n, j);
+        panel_body::<true, VECS>(a_rows, k, pack, out, n, j);
     }
 
     /// 8-lane `out += src`.

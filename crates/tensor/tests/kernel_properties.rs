@@ -9,10 +9,16 @@
 //! 2. Results are identical for any worker count — row partitioning
 //!    assigns each output row to exactly one task, so 1, 2, 4 and 8
 //!    workers produce the same bits.
+//!
+//! Both hold for the prepacked path ([`matmul_packed_into`]) as for the
+//! pack-per-call entry points, on every kernel tier.
 
 use dlrm_runtime::{KernelDispatch, Pool};
 use dlrm_sim::SimRng;
-use dlrm_tensor::{concat_cols, concat_cols_into, matmul_into, matmul_transb_into, Matrix};
+use dlrm_tensor::{
+    concat_cols, concat_cols_into, matmul_into, matmul_packed_into, matmul_transb_into, Matrix,
+    PackedWeights,
+};
 
 const CASES: usize = 48;
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -218,6 +224,68 @@ fn fma_gemm_matches_scalar_within_documented_tolerance() {
         let mut got = Matrix::zeros(m, n);
         matmul_transb_into(&a, &bt, &mut got, &pool);
         assert!(got.approx_eq(&oracle_t, tol), "case {case}: {m}x{k}x({n}x{k})T");
+    }
+}
+
+/// The prepacked path over ragged shapes: the `n` values cover every
+/// panel mix (16-wide, the single 8-wide, 1-wide tails, and each
+/// alone), `k` is odd so the kernels' 2-deep k-unroll takes its
+/// remainder step, and `m` in 1..=13 runs every row tile (6 and each
+/// remainder 1–5) of the SIMD tiers and both scalar tiles. Scalar and exact AVX2 must
+/// equal the reference bit for bit (hence each other); FMA must stay
+/// inside the k-scaled tolerance of
+/// `fma_gemm_matches_scalar_within_documented_tolerance`; and packing
+/// must be lossless.
+#[test]
+fn packed_matches_reference_on_every_tier_panel_and_tile() {
+    let mut exact = vec![Pool::with_dispatch(1, KernelDispatch::scalar())];
+    exact.extend(KernelDispatch::forced_avx2().map(|d| Pool::with_dispatch(1, d)));
+    let fma = KernelDispatch::forced_fma().map(|d| Pool::with_dispatch(1, d));
+    let mut rng = SimRng::seed_from(0x0B10_C4ED).fork(11);
+    for n in [1, 7, 8, 9, 15, 16, 17, 24, 33] {
+        for k in [1, 7, 33] {
+            let w = matrix(&mut rng, n, k);
+            let packed = PackedWeights::pack(&w);
+            assert_eq!((packed.rows(), packed.cols()), (n, k));
+            assert_eq!(packed.unpack(), w, "unpack(pack(W)) for {n}x{k}");
+            for m in 1..=13 {
+                let a = matrix(&mut rng, m, k);
+                let oracle = a.matmul_transb_reference(&w);
+                for pool in &exact {
+                    // Dirty output: every element must be overwritten.
+                    let mut got = Matrix::from_vec(m, n, vec![f32::NAN; m * n]);
+                    matmul_packed_into(&a, &packed, &mut got, pool);
+                    let tier = pool.dispatch().level();
+                    assert_eq!(got, oracle, "{m}x{k}x({n}x{k})T on {tier}");
+                }
+                if let Some(pool) = &fma {
+                    let tol = 32.0 * k as f32 * f32::EPSILON * 16.0;
+                    let mut got = Matrix::zeros(m, n);
+                    matmul_packed_into(&a, &packed, &mut got, pool);
+                    assert!(got.approx_eq(&oracle, tol), "{m}x{k}x({n}x{k})T on fma");
+                }
+            }
+        }
+    }
+}
+
+/// Row-parallelism over prepacked weights: chunking only partitions
+/// output rows, so 1–8 workers agree with the reference bitwise. The
+/// fixed shape clears the parallel-grain threshold so pools genuinely
+/// fork; 13 rows over 8 workers leaves ragged (and empty) chunks.
+#[test]
+fn packed_bit_exact_across_worker_counts() {
+    let mut rng = SimRng::seed_from(0x0B10_C4ED).fork(12);
+    for (m, k, n) in [(96, 64, 64), (13, 129, 161), (7, 5, 3)] {
+        let a = matrix(&mut rng, m, k);
+        let w = matrix(&mut rng, n, k);
+        let packed = PackedWeights::pack(&w);
+        let oracle = a.matmul_transb_reference(&w);
+        for workers in 1..=8 {
+            let mut got = Matrix::zeros(m, n);
+            matmul_packed_into(&a, &packed, &mut got, &Pool::new(workers));
+            assert_eq!(got, oracle, "{m}x{k}x({n}x{k})T at {workers} workers");
+        }
     }
 }
 
