@@ -5,8 +5,9 @@
 //! supports (scalar / exact AVX2 / FMA-contracted) plus the naive
 //! reference, FC at the serving shapes (small batches against the
 //! models' MLP layers, per-call pack vs prepacked, beside a stream-copy
-//! ceiling), then quantization, sharding planning, and one end-to-end
-//! simulated replay.
+//! ceiling) and SLS at the serving shape (one whole RM1 request against
+//! the same ceiling), then quantization, sharding planning, and one
+//! end-to-end simulated replay.
 //!
 //! Run with `cargo bench -p dlrm-bench --offline`. Pass `--quick` (or
 //! set `DLRM_BENCH_QUICK=1`) for a fast smoke run, and an optional
@@ -27,6 +28,7 @@ use dlrm_core::runtime::{KernelDispatch, Pool};
 use dlrm_core::serving::experiment::trace_config_for;
 use dlrm_core::serving::{simulate, Cluster, CostModel, RunConfig};
 use dlrm_core::sharding::{plan, ShardingStrategy};
+use dlrm_core::sim::SimRng;
 use dlrm_core::tensor::{matmul_packed_into, matmul_transb_into, Matrix, PackedWeights};
 use dlrm_core::workload::{PoolingProfile, TraceDb};
 use std::hint::black_box;
@@ -171,21 +173,88 @@ fn bench_gemm(r: &mut Runner) {
     }
 }
 
+/// A large-copy ceiling in GB/s (bytes read plus written, the
+/// definition `sysbench`'s `host.stream_gbps` uses) for the
+/// serving-shape rows to report their share of.
+fn bench_stream_copy(r: &mut Runner) -> Option<f64> {
+    let src = vec![1.0f32; 16 << 20];
+    let mut dst = vec![0.0f32; 16 << 20];
+    let copy_gb = 2.0 * (src.len() * 4) as f64 / 1e9;
+    r.bench("stream_copy_64mib", Some(("GB/s", copy_gb)), || {
+        dst.copy_from_slice(black_box(&src));
+    })
+    .map(|ns| copy_gb / (ns * 1e-9))
+}
+
+/// SLS as a sparse shard runs it: one whole RM1 @ 512 MiB request —
+/// every table, its pooling factor split over the request's bags as the
+/// materializer splits it, uniform indices, so nearly every row is a
+/// cache miss. Each row also reports ns per gathered row, the gathered
+/// GB/s (rows × dim × 4: the row bytes the kernel must read, nothing
+/// else counted) and that rate as a share of the copy ceiling.
+fn bench_sls_serving(r: &mut Runner, ceiling: Option<f64>) {
+    if !r.wants("sls_rm1_request") {
+        return;
+    }
+    let spec = rm::rm1().scaled_to_bytes(512 << 20);
+    let tables: Vec<EmbeddingTable> =
+        spec.tables.iter().map(|t| EmbeddingTable::from_spec(t, 37)).collect();
+    for bags in [4usize, 16] {
+        // Eight different requests taken in turn: one request gathers
+        // ~30 MB of rows, which a large L3 would otherwise keep.
+        let mut rng = SimRng::seed_from(bags as u64);
+        let requests: Vec<Vec<(Vec<u64>, Vec<u32>)>> = (0..8)
+            .map(|_| {
+                let slices = spec.tables.iter().map(|t| {
+                    let l = t.pooling_factor.round() as usize;
+                    let lengths = (0..bags).map(|b| (l / bags + usize::from(b < l % bags)) as u32);
+                    ((0..l).map(|_| rng.next_u64_below(t.rows)).collect(), lengths.collect())
+                });
+                slices.collect()
+            })
+            .collect();
+        let mut outs: Vec<Matrix> =
+            spec.tables.iter().map(|t| Matrix::zeros(bags, t.dim as usize)).collect();
+        let rows: usize = requests[0].iter().map(|(indices, _)| indices.len()).sum();
+        let bytes: usize =
+            requests[0].iter().zip(&outs).map(|((i, _), o)| i.len() * o.cols() * 4).sum();
+        for (tier, pool) in dispatch_tiers() {
+            if tier == "fma" {
+                continue;
+            }
+            let name = format!("sls_rm1_request_{bags}bags_{tier}");
+            let mut turn = 0usize;
+            let Some(ns) = r.bench(&name, Some(("rows/s", rows as f64)), || {
+                turn += 1;
+                let request = &requests[turn % requests.len()];
+                for ((table, (indices, lengths)), out) in tables.iter().zip(request).zip(&mut outs) {
+                    table.sparse_lengths_sum_into(black_box(indices), lengths, out, &pool);
+                }
+            }) else {
+                continue;
+            };
+            let gbps = bytes as f64 / ns;
+            r.records
+                .push(BenchRecord::scalar(format!("{name}_ns_per_row"), ns / rows as f64, "ns"));
+            r.records
+                .push(BenchRecord::scalar(format!("{name}_gathered_gbps"), gbps, "GB/s"));
+            if let Some(ceiling) = ceiling {
+                r.records.push(BenchRecord::scalar(
+                    format!("{name}_share_of_stream"),
+                    gbps / ceiling,
+                    "share",
+                ));
+            }
+        }
+    }
+}
+
 /// FC as the serving path runs it: a 1/4/16-row batch against the
 /// widest top-MLP, a mid and a bottom-MLP layer shape. At these batch
 /// sizes the layer is bound by streaming the weights once, so each row
 /// also reports the weight bytes moved per second and that rate as a
-/// share of a large-copy ceiling (bytes read plus written, the
-/// definition `sysbench`'s `host.stream_gbps` uses).
-fn bench_fc_serving(r: &mut Runner) {
-    let src = vec![1.0f32; 16 << 20];
-    let mut dst = vec![0.0f32; 16 << 20];
-    let copy_gb = 2.0 * (src.len() * 4) as f64 / 1e9;
-    let ceiling = r
-        .bench("stream_copy_64mib", Some(("GB/s", copy_gb)), || {
-            dst.copy_from_slice(black_box(&src));
-        })
-        .map(|ns| copy_gb / (ns * 1e-9));
+/// share of the copy ceiling.
+fn bench_fc_serving(r: &mut Runner, ceiling: Option<f64>) {
     let pool = Pool::with_dispatch(1, KernelDispatch::detect());
     for (k, n) in [(13_400usize, 512usize), (2_900, 256), (512, 256)] {
         let w = Matrix::from_vec(n, k, (0..n * k).map(|i| (i % 13) as f32 * 0.01).collect());
@@ -333,7 +402,9 @@ fn main() {
 
     bench_sls(&mut runner);
     bench_gemm(&mut runner);
-    bench_fc_serving(&mut runner);
+    let ceiling = bench_stream_copy(&mut runner);
+    bench_fc_serving(&mut runner, ceiling);
+    bench_sls_serving(&mut runner, ceiling);
     bench_planner(&mut runner);
     bench_quantize(&mut runner);
     bench_simulate(&mut runner);

@@ -2,10 +2,8 @@
 
 use dlrm_model::EmbeddingTable;
 use dlrm_runtime::{KernelStats, Pool, SimdLevel};
-use dlrm_tensor::{simd, Matrix};
-
-/// Minimum lookups before the pruned SLS forks the pool.
-const SLS_PAR_MIN_LOOKUPS: usize = 2048;
+use dlrm_tensor::simd::{self, GatherError};
+use dlrm_tensor::Matrix;
 
 /// Result of pruning a table: the surviving rows and the remapping.
 #[derive(Debug, Clone, PartialEq)]
@@ -54,43 +52,38 @@ impl PrunedTable {
             return out;
         }
         let level = simd::effective_level(pool.dispatch().level());
-        KernelStats::global().record_sls(level);
-        if pool.threads() <= 1 || total < SLS_PAR_MIN_LOOKUPS || lengths.len() <= 1 {
-            self.pool_bags(indices, lengths, out.as_mut_slice(), level);
-            return out;
-        }
-        let mut offsets: Vec<usize> = Vec::with_capacity(lengths.len());
-        let mut cursor = 0usize;
-        for &len in lengths {
-            offsets.push(cursor);
-            cursor += len as usize;
-        }
-        let bags_per_chunk = lengths.len().div_ceil(pool.threads()).max(1);
-        pool.par_chunks_mut(out.as_mut_slice(), bags_per_chunk * dim, |start, chunk| {
-            let b0 = start / dim;
-            let bags = chunk.len() / dim;
-            let lo = offsets[b0];
-            let hi = offsets.get(b0 + bags).copied().unwrap_or(indices.len());
-            self.pool_bags(&indices[lo..hi], &lengths[b0..b0 + bags], chunk, level);
-        });
+        KernelStats::global().record_sls(level, total);
+        pool.par_bags(indices, lengths, dim, out.as_mut_slice(), |indices, lengths, out_rows| {
+            self.pool_bags(level, indices, lengths, out_rows)
+        })
+        .unwrap_or_else(|e| panic!("{e} in table {}", self.table.name()));
         out
     }
 
-    /// Pools a contiguous run of bags into `out_rows` (already zeroed).
-    fn pool_bags(&self, indices: &[u64], lengths: &[u32], out_rows: &mut [f32], level: SimdLevel) {
-        let dim = self.table.dim();
+    /// Pools a contiguous run of bags: resolves the surviving rows
+    /// through `remap` into a scratch run of compacted-table indices
+    /// (pruned rows simply drop out of their bag), then gathers that.
+    fn pool_bags(
+        &self,
+        level: SimdLevel,
+        indices: &[u64],
+        lengths: &[u32],
+        out_rows: &mut [f32],
+    ) -> Result<(), GatherError> {
+        let mut kept: Vec<u64> = Vec::with_capacity(indices.len());
+        let mut kept_lengths: Vec<u32> = Vec::with_capacity(lengths.len());
         let mut cursor = 0usize;
-        for (b, &len) in lengths.iter().enumerate() {
-            let out_row = &mut out_rows[b * dim..(b + 1) * dim];
-            for &idx in &indices[cursor..cursor + len as usize] {
-                let idx = usize::try_from(idx).expect("index fits");
-                if let Some(new) = self.remap[idx] {
-                    let row = self.table.row(usize::try_from(new).expect("fits"));
-                    simd::add_assign(level, out_row, row);
-                }
-            }
+        for &len in lengths {
+            let before = kept.len();
+            let bag = &indices[cursor..cursor + len as usize];
+            kept.extend(bag.iter().filter_map(|&idx| {
+                self.remap[usize::try_from(idx).expect("index fits")]
+            }));
+            kept_lengths.push((kept.len() - before) as u32);
             cursor += len as usize;
         }
+        let slab = self.table.weights().as_slice();
+        simd::sls_bags(level, slab, self.table.dim(), &kept, &kept_lengths, out_rows)
     }
 }
 

@@ -4,9 +4,6 @@ use dlrm_model::{EmbeddingTable, Footprint};
 use dlrm_runtime::{KernelDispatch, KernelStats, Pool, SimdLevel};
 use dlrm_tensor::{simd, Matrix};
 
-/// Minimum lookups before the quantized SLS forks the pool.
-const SLS_PAR_MIN_LOOKUPS: usize = 2048;
-
 /// A row-wise linearly quantized embedding table.
 ///
 /// Each row stores `dim` fixed-point codes plus an `f32` scale and bias:
@@ -213,24 +210,9 @@ impl QuantizedTable {
         }
         let level = simd::effective_level(pool.dispatch().level());
         KernelStats::global().record_qsls(level);
-        if pool.threads() <= 1 || total < SLS_PAR_MIN_LOOKUPS || lengths.len() <= 1 {
-            self.pool_bags(indices, lengths, out.as_mut_slice(), level);
-            return out;
-        }
-        let mut offsets: Vec<usize> = Vec::with_capacity(lengths.len());
-        let mut cursor = 0usize;
-        for &len in lengths {
-            offsets.push(cursor);
-            cursor += len as usize;
-        }
-        let dim = self.dim;
-        let bags_per_chunk = lengths.len().div_ceil(pool.threads()).max(1);
-        pool.par_chunks_mut(out.as_mut_slice(), bags_per_chunk * dim, |start, chunk| {
-            let b0 = start / dim;
-            let bags = chunk.len() / dim;
-            let lo = offsets[b0];
-            let hi = offsets.get(b0 + bags).copied().unwrap_or(indices.len());
-            self.pool_bags(&indices[lo..hi], &lengths[b0..b0 + bags], chunk, level);
+        let Ok(()) = pool.par_bags(indices, lengths, self.dim, out.as_mut_slice(), |i, l, o| {
+            self.pool_bags(i, l, o, level);
+            Ok::<(), std::convert::Infallible>(())
         });
         out
     }

@@ -11,7 +11,7 @@
 use crate::QuantizedTable;
 use dlrm_model::EmbeddingTable;
 use dlrm_sharding::rpc::{RpcError, ShardRequest, ShardResponse, SparseShardClient};
-use dlrm_sharding::{ShardId, ShardService, ShardingPlan};
+use dlrm_sharding::{check_slice_range, ShardId, ShardService, ShardingPlan};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -105,15 +105,7 @@ impl QuantizedShardService {
                 .tables
                 .get(&slice.table)
                 .ok_or_else(|| fault(format!("{} not hosted on {}", slice.table, self.shard)))?;
-            if let Some(&max) = slice.indices.iter().max() {
-                if max as usize >= table.rows() {
-                    return Err(fault(format!(
-                        "index {max} out of range for {} ({} local rows)",
-                        slice.table,
-                        table.rows()
-                    )));
-                }
-            }
+            check_slice_range(slice, table.rows()).map_err(fault)?;
             pooled.push((
                 slice.table,
                 table.sparse_lengths_sum(&slice.indices, &slice.lengths),

@@ -1,13 +1,10 @@
 //! Materialized embedding tables and the SparseLengthsSum kernel.
 
 use crate::spec::TableSpec;
-use dlrm_runtime::{KernelStats, Pool, SimdLevel};
+use dlrm_runtime::{KernelStats, Pool};
 use dlrm_sim::SimRng;
-use dlrm_tensor::{simd, Matrix};
-
-/// Minimum number of lookups before SparseLengthsSum forks the pool;
-/// below this the fork overhead dominates the pooling work.
-const SLS_PAR_MIN_LOOKUPS: usize = 2048;
+use dlrm_tensor::simd::{self, GatherError};
+use dlrm_tensor::Matrix;
 
 /// A materialized (in-memory, `f32`) embedding table.
 ///
@@ -160,7 +157,7 @@ impl EmbeddingTable {
 
     /// [`Self::sparse_lengths_sum`] into a caller-provided output matrix
     /// (so serving paths reuse recycled backing stores), bag-parallel on
-    /// `pool`.
+    /// `pool`. Every element of `out` is overwritten.
     ///
     /// # Panics
     ///
@@ -173,74 +170,46 @@ impl EmbeddingTable {
         out: &mut Matrix,
         pool: &Pool,
     ) {
-        let total: usize = lengths.iter().map(|&l| l as usize).sum();
-        assert_eq!(
-            total,
-            indices.len(),
-            "lengths sum {total} != indices len {} in table {}",
-            indices.len(),
-            self.name
-        );
-        assert_eq!(
-            (out.rows(), out.cols()),
-            (lengths.len(), self.dim()),
-            "SLS output must be {}x{}",
-            lengths.len(),
-            self.dim()
-        );
-        out.as_mut_slice().fill(0.0);
-        let dim = self.dim();
-        if lengths.is_empty() || dim == 0 {
-            return;
+        if let Err(e) = self.try_sparse_lengths_sum_into(indices, lengths, out, pool) {
+            panic!("{e} in table {}", self.name);
         }
-        let level = simd::effective_level(pool.dispatch().level());
-        KernelStats::global().record_sls(level);
-        if pool.threads() <= 1 || total < SLS_PAR_MIN_LOOKUPS || lengths.len() <= 1 {
-            self.pool_bags(indices, lengths, out.as_mut_slice(), level);
-            return;
-        }
-        // Cursor positions are a prefix sum over lengths, so a chunk of
-        // bags needs its starting offset into `indices`.
-        let mut offsets: Vec<usize> = Vec::with_capacity(lengths.len());
-        let mut cursor = 0usize;
-        for &len in lengths {
-            offsets.push(cursor);
-            cursor += len as usize;
-        }
-        let bags_per_chunk = lengths.len().div_ceil(pool.threads()).max(1);
-        pool.par_chunks_mut(out.as_mut_slice(), bags_per_chunk * dim, |start, chunk| {
-            let b0 = start / dim;
-            let bags = chunk.len() / dim;
-            let lo = offsets[b0];
-            let hi = offsets
-                .get(b0 + bags)
-                .copied()
-                .unwrap_or(indices.len());
-            self.pool_bags(&indices[lo..hi], &lengths[b0..b0 + bags], chunk, level);
-        });
     }
 
-    /// Pools a contiguous run of bags into `out_rows` (one row per
-    /// bag, already zeroed). The row-accumulate step is element-wise,
-    /// so the vectorized tier keeps the exact per-element row order —
-    /// bitwise-equal to the scalar loop.
-    fn pool_bags(&self, indices: &[u64], lengths: &[u32], out_rows: &mut [f32], level: SimdLevel) {
+    /// [`Self::sparse_lengths_sum_into`] for requests that come from
+    /// outside the process: the gather kernel's one validation pass is
+    /// the only scan of `indices`, and its verdict comes back as a value.
+    ///
+    /// # Errors
+    ///
+    /// [`GatherError`] when the lengths don't cover `indices` exactly or
+    /// an index is out of range; `out` is then unspecified.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` is not `lengths.len() × dim`.
+    pub fn try_sparse_lengths_sum_into(
+        &self,
+        indices: &[u64],
+        lengths: &[u32],
+        out: &mut Matrix,
+        pool: &Pool,
+    ) -> Result<(), GatherError> {
         let dim = self.dim();
-        let mut cursor = 0usize;
-        for (b, &len) in lengths.iter().enumerate() {
-            let out_row = &mut out_rows[b * dim..(b + 1) * dim];
-            for &idx in &indices[cursor..cursor + len as usize] {
-                let idx = usize::try_from(idx).expect("index exceeds usize");
-                assert!(
-                    idx < self.weights.rows(),
-                    "index {idx} out of range for table {} ({} rows)",
-                    self.name,
-                    self.weights.rows()
-                );
-                simd::add_assign(level, out_row, self.weights.row(idx));
-            }
-            cursor += len as usize;
+        assert_eq!(
+            (out.rows(), out.cols()),
+            (lengths.len(), dim),
+            "SLS output must be {}x{dim}",
+            lengths.len(),
+        );
+        if dim == 0 {
+            return Ok(());
         }
+        let level = simd::effective_level(pool.dispatch().level());
+        KernelStats::global().record_sls(level, indices.len());
+        let slab = self.weights.as_slice();
+        pool.par_bags(indices, lengths, dim, out.as_mut_slice(), |indices, lengths, out_rows| {
+            simd::sls_bags(level, slab, dim, indices, lengths, out_rows)
+        })
     }
 
     /// SparseLengthsSum with mean pooling instead of sum pooling

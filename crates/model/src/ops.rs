@@ -365,19 +365,13 @@ impl Operator for SparseLengthsSum {
     }
     fn run(&self, ws: &mut Workspace) -> Result<(), GraphError> {
         let s = ws.sparse(&self.input, &self.name)?;
-        let max = s.indices.iter().copied().max().unwrap_or(0);
-        if !s.indices.is_empty() && max as usize >= self.table.rows() {
-            return Err(GraphError::OpFailed {
-                op: self.name.clone(),
-                message: format!(
-                    "index {max} out of range for {} rows",
-                    self.table.rows()
-                ),
-            });
-        }
         let mut out = ws.alloc_dense(s.lengths.len(), self.table.dim());
         self.table
-            .sparse_lengths_sum_into(&s.indices, &s.lengths, &mut out, ws.pool());
+            .try_sparse_lengths_sum_into(&s.indices, &s.lengths, &mut out, ws.pool())
+            .map_err(|e| GraphError::OpFailed {
+                op: self.name.clone(),
+                message: e.to_string(),
+            })?;
         ws.put(self.output.clone(), Blob::Dense(out));
         Ok(())
     }

@@ -1,14 +1,17 @@
-//! The prepacked FC path against an independent oracle.
+//! The prepacked FC path and the fused SLS gather against an
+//! independent oracle.
 //!
 //! No golden predictions are pinned anywhere in the workspace, so
-//! "the packed kernels changed no bit" needs a reference that does not
-//! run them: a forward pass recomputed operator by operator in which
-//! every `FullyConnected` is replaced by the naive
-//! `matmul_transb_reference` on its `unpack()`ed weights plus bias, and
-//! every other operator runs as is. `Model::run` and `run_overlapped`
-//! must equal it bit for bit on scaled RM1 and RM3 (all their real MLP
-//! widths, ragged ones included), at batch sizes that land on each
-//! row tile of the kernels.
+//! "the kernels changed no bit" needs a reference that does not run
+//! them: a forward pass recomputed operator by operator in which every
+//! `FullyConnected` is replaced by the naive `matmul_transb_reference`
+//! on its `unpack()`ed weights plus bias, every `SparseLengthsSum` by
+//! the per-row loop the fused gather replaced (zero the bag's row, then
+//! `out += row` per lookup in index order), and every other operator
+//! runs as is. `Model::run` and `run_overlapped` must equal it bit for
+//! bit on scaled RM1, RM2 and RM3 (all their real MLP widths and
+//! embedding dims), at batch sizes that land on each row tile of the
+//! GEMM kernels.
 
 use dlrm_model::builder::blobs;
 use dlrm_model::graph::{NoopObserver, SparseInput};
@@ -34,17 +37,30 @@ fn load(rng: &mut SimRng, spec: &ModelSpec, batch: usize) -> Workspace {
     ws
 }
 
-/// The forward pass with every FC recomputed by the naive reference.
+/// The forward pass with every FC and every SLS recomputed by its
+/// naive reference.
 fn oracle(model: &Model, ws: &mut Workspace) -> Matrix {
     for op in model.nets.iter().flat_map(|net| net.ops()) {
-        match op.as_fully_connected() {
-            Some(fc) => {
-                let x = ws.dense(&op.inputs()[0], "oracle").expect("fc input");
-                let mut y = x.matmul_transb_reference(&fc.weights().unpack());
-                y.add_row_bias(fc.bias());
-                ws.put(op.outputs().remove(0), Blob::Dense(y));
+        if let Some(fc) = op.as_fully_connected() {
+            let x = ws.dense(&op.inputs()[0], "oracle").expect("fc input");
+            let mut y = x.matmul_transb_reference(&fc.weights().unpack());
+            y.add_row_bias(fc.bias());
+            ws.put(op.outputs().remove(0), Blob::Dense(y));
+        } else if let Some(sls) = op.as_sparse_lengths_sum() {
+            let s = ws.sparse(sls.input_blob(), "oracle").expect("sls input");
+            let mut y = Matrix::zeros(s.lengths.len(), sls.table().dim());
+            let mut cursor = 0usize;
+            for (b, &len) in s.lengths.iter().enumerate() {
+                for &idx in &s.indices[cursor..cursor + len as usize] {
+                    for (o, &v) in y.row_mut(b).iter_mut().zip(sls.table().row(idx as usize)) {
+                        *o += v;
+                    }
+                }
+                cursor += len as usize;
             }
-            None => op.run(ws).expect("non-fc op"),
+            ws.put(op.outputs().remove(0), Blob::Dense(y));
+        } else {
+            op.run(ws).expect("op outside the oracle");
         }
     }
     ws.take_dense(&model.output_blob, "oracle").expect("prediction")
@@ -52,7 +68,7 @@ fn oracle(model: &Model, ws: &mut Workspace) -> Matrix {
 
 #[test]
 fn model_run_equals_reference_forward_pass_bitwise() {
-    for spec in [rm::rm1(), rm::rm3()] {
+    for spec in [rm::rm1(), rm::rm2(), rm::rm3()] {
         let spec = spec.scaled_to_bytes(2 << 20);
         let model = build_model(&spec, 37).expect("build model");
         let mut rng = SimRng::seed_from(0x9AC4ED);

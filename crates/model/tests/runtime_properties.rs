@@ -114,17 +114,18 @@ fn predictions_bit_exact_across_worker_counts() {
     }
 }
 
-/// The SparseLengthsSum row-accumulate is element-wise, so the AVX2
-/// tier must be bitwise-equal to the scalar kernel — across ragged
-/// embedding dims (not multiples of 8), empty bags, and every worker
-/// count. Skips on hosts without AVX2.
+/// The fused gather keeps one accumulator per output element, started
+/// at +0.0 and fed the bag's rows in index order, so both tiers must
+/// equal the per-row `out += row` loop bitwise — across ragged
+/// embedding dims (below 8, not multiples of 8, past one 128-float
+/// block), empty bags, and every worker count. The AVX2 half skips on
+/// hosts without it.
 #[test]
 fn sls_avx2_matches_scalar_bitwise_with_empty_bags_and_ragged_dims() {
-    let Some(avx2) = KernelDispatch::forced_avx2() else {
-        return;
-    };
+    let mut tiers = vec![KernelDispatch::scalar()];
+    tiers.extend(KernelDispatch::forced_avx2());
     let mut rng = SimRng::seed_from(0x52_55_4E).fork(4);
-    for dim in [1u32, 3, 8, 13, 16, 27, 64] {
+    for dim in [1u32, 3, 8, 13, 16, 27, 64, 129, 200] {
         let table = EmbeddingTable::seeded("simd-sls", 500, dim, 7 + u64::from(dim));
         // 300 bags averaging ~10 lookups clears the 2048-lookup parallel
         // threshold; every 5th bag is empty (absent-feature semantics).
@@ -133,15 +134,22 @@ fn sls_avx2_matches_scalar_bitwise_with_empty_bags_and_ragged_dims() {
             .collect();
         let total: usize = lengths.iter().map(|&l| l as usize).sum();
         let indices: Vec<u64> = (0..total).map(|_| rng.next_u64_below(500)).collect();
-        let oracle = table.sparse_lengths_sum_par(
-            &indices,
-            &lengths,
-            &Pool::with_dispatch(1, KernelDispatch::scalar()),
-        );
-        for workers in [1, 2, 4, 8] {
-            let got =
-                table.sparse_lengths_sum_par(&indices, &lengths, &Pool::with_dispatch(workers, avx2));
-            assert_eq!(got, oracle, "dim {dim} at {workers} workers");
+        let mut oracle = Matrix::zeros(lengths.len(), dim as usize);
+        let mut cursor = 0usize;
+        for (b, &len) in lengths.iter().enumerate() {
+            for &idx in &indices[cursor..cursor + len as usize] {
+                for (o, &v) in oracle.row_mut(b).iter_mut().zip(table.row(idx as usize)) {
+                    *o += v;
+                }
+            }
+            cursor += len as usize;
+        }
+        for &tier in &tiers {
+            for workers in [1, 2, 4, 8] {
+                let pool = Pool::with_dispatch(workers, tier);
+                let got = table.sparse_lengths_sum_par(&indices, &lengths, &pool);
+                assert_eq!(got, oracle, "dim {dim} on {} at {workers} workers", tier.level());
+            }
         }
     }
 }

@@ -188,6 +188,7 @@ pub struct KernelStats {
     gemm_packs: AtomicU64,
     sls_scalar: AtomicU64,
     sls_avx2: AtomicU64,
+    sls_rows: AtomicU64,
     qsls_scalar: AtomicU64,
     qsls_avx2: AtomicU64,
 }
@@ -200,6 +201,7 @@ static KERNEL_STATS: KernelStats = KernelStats {
     gemm_packs: AtomicU64::new(0),
     sls_scalar: AtomicU64::new(0),
     sls_avx2: AtomicU64::new(0),
+    sls_rows: AtomicU64::new(0),
     qsls_scalar: AtomicU64::new(0),
     qsls_avx2: AtomicU64::new(0),
 };
@@ -228,15 +230,17 @@ impl KernelStats {
         self.gemm_packs.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records one f32 SparseLengthsSum dispatch (pruned tables count
-    /// here too — same accumulate kernel).
-    pub fn record_sls(&self, level: SimdLevel) {
+    /// Records one f32 SparseLengthsSum dispatch gathering `rows` rows
+    /// (pruned tables and the hot-row cache count here too — same
+    /// gather kernel).
+    pub fn record_sls(&self, level: SimdLevel, rows: usize) {
         if level.is_simd() {
             &self.sls_avx2
         } else {
             &self.sls_scalar
         }
         .fetch_add(1, Ordering::Relaxed);
+        self.sls_rows.fetch_add(rows as u64, Ordering::Relaxed);
     }
 
     /// Records one quantized decode-accumulate SLS dispatch. The
@@ -262,6 +266,7 @@ impl KernelStats {
             gemm_packs: self.gemm_packs.load(Ordering::Relaxed),
             sls_scalar: self.sls_scalar.load(Ordering::Relaxed),
             sls_avx2: self.sls_avx2.load(Ordering::Relaxed),
+            sls_rows: self.sls_rows.load(Ordering::Relaxed),
             qsls_scalar: self.qsls_scalar.load(Ordering::Relaxed),
             qsls_avx2: self.qsls_avx2.load(Ordering::Relaxed),
         }
@@ -286,8 +291,12 @@ pub struct KernelSummary {
     pub gemm_packs: u64,
     /// f32 SLS passes (plain and pruned tables) on the scalar kernel.
     pub sls_scalar: u64,
-    /// f32 SLS passes on the AVX2 accumulate kernel.
+    /// f32 SLS passes on the AVX2 gather kernel.
     pub sls_avx2: u64,
+    /// Rows those f32 SLS passes gathered (not counted in
+    /// [`Self::total`]: work done, not a kernel dispatch) — a window's
+    /// rows over its wall time is the live gather rate.
+    pub sls_rows: u64,
     /// Quantized decode-accumulate SLS passes on the scalar kernel.
     pub qsls_scalar: u64,
     /// Quantized decode-accumulate SLS passes on the AVX2 kernel.
@@ -308,6 +317,7 @@ impl KernelSummary {
             gemm_packs: self.gemm_packs.saturating_sub(earlier.gemm_packs),
             sls_scalar: self.sls_scalar.saturating_sub(earlier.sls_scalar),
             sls_avx2: self.sls_avx2.saturating_sub(earlier.sls_avx2),
+            sls_rows: self.sls_rows.saturating_sub(earlier.sls_rows),
             qsls_scalar: self.qsls_scalar.saturating_sub(earlier.qsls_scalar),
             qsls_avx2: self.qsls_avx2.saturating_sub(earlier.qsls_avx2),
         }
@@ -343,7 +353,8 @@ impl std::fmt::Display for KernelSummary {
         write!(
             f,
             "dispatch {}: gemm {}/{}/{} (scalar/avx2/fma) with {} per-call packs, \
-             sls {}/{} (scalar/avx2), qsls {}/{} (scalar/avx2), {:.3} simd fraction",
+             sls {}/{} (scalar/avx2) over {} rows, qsls {}/{} (scalar/avx2), \
+             {:.3} simd fraction",
             self.level,
             self.gemm_scalar,
             self.gemm_avx2,
@@ -351,6 +362,7 @@ impl std::fmt::Display for KernelSummary {
             self.gemm_packs,
             self.sls_scalar,
             self.sls_avx2,
+            self.sls_rows,
             self.qsls_scalar,
             self.qsls_avx2,
             self.simd_fraction()
@@ -395,10 +407,11 @@ mod tests {
         KernelStats::global().record_gemm(SimdLevel::Avx2);
         KernelStats::global().record_gemm(SimdLevel::Avx2Fma);
         KernelStats::global().record_gemm_pack();
-        KernelStats::global().record_sls(SimdLevel::Avx2);
+        KernelStats::global().record_sls(SimdLevel::Avx2, 40);
         KernelStats::global().record_qsls(SimdLevel::Scalar);
         let delta = KernelStats::global().summary().since(&before);
         assert!(delta.gemm_packs >= 1);
+        assert!(delta.sls_rows >= 40);
         assert!(delta.gemm_scalar >= 1);
         assert!(delta.gemm_avx2 >= 1);
         assert!(delta.gemm_fma >= 1);
@@ -406,13 +419,13 @@ mod tests {
         assert!(delta.qsls_scalar >= 1);
         assert!(delta.total() >= 5);
         let line = delta.to_string();
-        assert!(line.contains("gemm"), "{line}");
+        assert!(line.contains("gemm") && line.contains("rows"), "{line}");
     }
 
     #[test]
     fn fma_level_counts_exact_paths_for_non_gemm() {
         let before = KernelStats::global().summary();
-        KernelStats::global().record_sls(SimdLevel::Avx2Fma);
+        KernelStats::global().record_sls(SimdLevel::Avx2Fma, 0);
         KernelStats::global().record_qsls(SimdLevel::Avx2Fma);
         let delta = KernelStats::global().summary().since(&before);
         assert!(delta.sls_avx2 >= 1);

@@ -23,6 +23,11 @@
 
 use crate::dispatch::KernelDispatch;
 use std::ops::Range;
+use std::sync::Mutex;
+
+/// Minimum number of lookups before a SparseLengthsSum forks the pool;
+/// below this the fork overhead dominates the pooling work.
+const SLS_PAR_MIN_LOOKUPS: usize = 2048;
 
 /// Fork-join worker pool; see the [module docs](self) for the
 /// determinism contract.
@@ -172,6 +177,75 @@ impl Pool {
                 }
             }
         });
+    }
+
+    /// The bag-parallel SparseLengthsSum driver every table kind pools
+    /// through: bag `b` owns the next `lengths[b]` entries of `indices`
+    /// and the `dim` floats of `out` at `b · dim`. `f` pools one
+    /// contiguous run of bags — `(indices, lengths, out_rows)` — and is
+    /// called once with everything when the run is too small to fork,
+    /// or once per worker with that worker's bags. Each output row is
+    /// pooled by exactly one call, so the result does not depend on the
+    /// worker count.
+    ///
+    /// A run whose lengths do not cover its indices cannot be split; it
+    /// goes to `f` whole, for `f` to reject.
+    ///
+    /// # Errors
+    ///
+    /// The error of the earliest run `f` failed on.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` is not `lengths.len() × dim` or a forking run has
+    /// `dim == 0`, and propagates the first panic raised inside `f`.
+    pub fn par_bags<E, F>(
+        &self,
+        indices: &[u64],
+        lengths: &[u32],
+        dim: usize,
+        out: &mut [f32],
+        f: F,
+    ) -> Result<(), E>
+    where
+        E: Send,
+        F: Fn(&[u64], &[u32], &mut [f32]) -> Result<(), E> + Sync,
+    {
+        assert_eq!(out.len(), lengths.len() * dim, "output must be one row per bag");
+        let total: usize = lengths.iter().map(|&l| l as usize).sum();
+        if self.threads <= 1
+            || total < SLS_PAR_MIN_LOOKUPS
+            || lengths.len() <= 1
+            || total != indices.len()
+        {
+            return f(indices, lengths, out);
+        }
+        // Cursor positions are a prefix sum over lengths, so a chunk of
+        // bags needs its starting offset into `indices`.
+        let mut offsets: Vec<usize> = Vec::with_capacity(lengths.len() + 1);
+        let mut cursor = 0usize;
+        for &len in lengths {
+            offsets.push(cursor);
+            cursor += len as usize;
+        }
+        offsets.push(cursor);
+        let first_error: Mutex<Option<(usize, E)>> = Mutex::new(None);
+        let bags_per_chunk = lengths.len().div_ceil(self.threads);
+        self.par_chunks_mut(out, bags_per_chunk * dim, |start, chunk| {
+            let b0 = start / dim;
+            let b1 = b0 + chunk.len() / dim;
+            let run = &indices[offsets[b0]..offsets[b1]];
+            if let Err(e) = f(run, &lengths[b0..b1], chunk) {
+                let mut slot = first_error.lock().expect("no panic while holding the slot");
+                if slot.as_ref().is_none_or(|(at, _)| b0 < *at) {
+                    *slot = Some((b0, e));
+                }
+            }
+        });
+        match first_error.into_inner().expect("no panic while holding the slot") {
+            Some((_, e)) => Err(e),
+            None => Ok(()),
+        }
     }
 
     /// Runs `f` over every `grain`-sized index range of `0..n_items`

@@ -27,9 +27,9 @@
 use crate::paging::PagedTable;
 use crate::rebalance::EpochServing;
 use dlrm_compress::QuantizedTable;
-use dlrm_model::{build_model, EmbeddingTable, Footprint, ModelSpec, TableId};
+use dlrm_model::{build_model, EmbeddingTable, Footprint, ModelSpec, Pool, TableId};
 use dlrm_sharding::rpc::{RpcError, ShardRequest, ShardResponse, SparseShardClient};
-use dlrm_sharding::{partition_with_clients, ShardId, ShardingPlan};
+use dlrm_sharding::{check_slice_range, partition_with_clients, pool_slice, ShardId, ShardingPlan};
 use dlrm_tensor::Matrix;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -257,17 +257,13 @@ impl TieredShardService {
                 .tables
                 .get(&slice.table)
                 .ok_or_else(|| fault(format!("{} not hosted on {}", slice.table, self.shard)))?;
-            if let Some(&max) = slice.indices.iter().max() {
-                if max as usize >= table.rows() {
-                    return Err(fault(format!(
-                        "index {max} out of range for {} ({} local rows)",
-                        slice.table,
-                        table.rows()
-                    )));
-                }
+            // The DRAM rung's gather kernel validates its slice itself;
+            // the other rungs' row decoders assert, so check for them.
+            if !matches!(table, TierTable::Dram(_)) {
+                check_slice_range(slice, table.rows()).map_err(fault)?;
             }
             let out = match table {
-                TierTable::Dram(t) => t.sparse_lengths_sum(&slice.indices, &slice.lengths),
+                TierTable::Dram(t) => pool_slice(t, slice, &Pool::sequential()).map_err(fault)?,
                 TierTable::Quantized(t) => t.sparse_lengths_sum(&slice.indices, &slice.lengths),
                 TierTable::Paged(t) => t
                     .sparse_lengths_sum(&slice.indices, &slice.lengths)

@@ -18,7 +18,7 @@
 
 use crate::plan::ShardingPlan;
 use dlrm_model::{EmbeddingTable, TableId};
-use dlrm_tensor::simd;
+use dlrm_tensor::simd::{self, SimdLevel};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -90,25 +90,34 @@ impl TableCache {
         self.rows.binary_search(&row).ok()
     }
 
-    /// Whether every index of `bag` is resident.
-    pub(crate) fn covers(&self, bag: &[u64]) -> bool {
-        bag.iter().all(|&r| self.slot(r).is_some())
+    /// Resolves `bag` (global row ids) to resident slots, one lookup
+    /// per row: `true` with `slots` holding the bag's slots in bag
+    /// order when every row is resident, `false` (contents unspecified)
+    /// at the first cold row. `slots` is the caller's scratch, reused
+    /// across bags.
+    pub(crate) fn resolve(&self, bag: &[u64], slots: &mut Vec<u64>) -> bool {
+        slots.clear();
+        bag.iter().all(|&row| match self.slot(row) {
+            Some(slot) => {
+                slots.push(slot as u64);
+                true
+            }
+            None => false,
+        })
     }
 
-    /// Pools `bag` (global row ids) into `out` by summing resident rows
-    /// in index order — the same sequential accumulation the shard-side
-    /// SLS kernel uses per bag, so the result is bit-identical.
+    /// Pools one resolved bag into `out` with the gather kernel the
+    /// shard-side tables use — rows added in bag order from `+0.0` — so
+    /// the result is bit-identical to the shard's.
     ///
     /// # Panics
     ///
-    /// Panics if a row is not resident or `out` is not `dim` wide.
-    pub(crate) fn pool_into(&self, bag: &[u64], out: &mut [f32]) {
-        assert_eq!(out.len(), self.dim, "cache pool output width");
-        let level = simd::effective_level(simd::KernelDispatch::detect().level());
-        for &row in bag {
-            let slot = self.slot(row).expect("pooled row must be resident");
-            simd::add_assign(level, out, &self.data[slot * self.dim..(slot + 1) * self.dim]);
-        }
+    /// Panics if `out` is not `dim` wide or `slots` did not come from
+    /// [`Self::resolve`].
+    pub(crate) fn pool_slots(&self, level: SimdLevel, slots: &[u64], out: &mut [f32]) {
+        let len = u32::try_from(slots.len()).expect("bag length fits u32");
+        simd::sls_bags(level, &self.data, self.dim, slots, &[len], out)
+            .expect("resolved slots are resident");
     }
 }
 
@@ -255,10 +264,13 @@ mod tests {
         let t = table(10, 4, 0.25);
         let cache = HotRowCache::build(std::slice::from_ref(&t), &one_table_plan(vec![1, 3, 7]));
         let tc = cache.table(TableId(0)).unwrap();
-        assert!(tc.covers(&[3, 1, 7, 1]));
-        assert!(!tc.covers(&[3, 2]));
-        let mut out = vec![0.0f32; 4];
-        tc.pool_into(&[3, 1, 7, 1], &mut out);
+        let mut slots = Vec::new();
+        assert!(!tc.resolve(&[3, 2], &mut slots));
+        assert!(tc.resolve(&[3, 1, 7, 1], &mut slots));
+        assert_eq!(slots, [1, 0, 2, 0]);
+        // Dirty output: the kernel stores every element.
+        let mut out = vec![f32::NAN; 4];
+        tc.pool_slots(SimdLevel::Scalar, &slots, &mut out);
         let expect = t.sparse_lengths_sum(&[3, 1, 7, 1], &[4]);
         assert_eq!(out.as_slice(), expect.row(0));
     }

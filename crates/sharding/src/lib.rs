@@ -52,5 +52,5 @@ pub use partition::{partition, partition_with_clients, DistributedModel, Partiti
 pub use rpc::{RpcError, RpcPolicy};
 pub use plan::{Location, ShardId, ShardingPlan, TablePlacement};
 pub use planner::{plan, plan_with_stats, HotRowConfig, PlanError};
-pub use shard_service::{InProcessClient, ShardService};
+pub use shard_service::{check_slice_range, pool_slice, InProcessClient, ShardService};
 pub use strategy::ShardingStrategy;

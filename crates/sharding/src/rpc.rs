@@ -18,6 +18,7 @@ use dlrm_model::graph::{
     SparseInput, Workspace,
 };
 use dlrm_model::{NetId, OpGroup, TableId};
+use dlrm_tensor::simd::{self, KernelStats};
 use dlrm_tensor::Matrix;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -471,6 +472,8 @@ impl SparseRpc {
             local_rows: 0,
         };
         let mut slices = Vec::new();
+        let level = simd::effective_level(ws.pool().dispatch().level());
+        let mut slots: Vec<u64> = Vec::new();
         for (fi, f) in self.fetches.iter().enumerate() {
             let sparse = ws.sparse(&f.input_blob, &self.name)?;
             let bags = route_bags_global(f, sparse);
@@ -479,14 +482,14 @@ impl SparseRpc {
             match cache.table(f.table) {
                 Some(tc) => {
                     for (b, bag) in bags.iter().enumerate() {
-                        if tc.covers(bag) {
+                        if tc.resolve(bag, &mut slots) {
                             // Empty routed bags are vacuously local but
                             // say nothing about the cache — skip counts.
                             if !bag.is_empty() {
                                 split.hits += 1;
                                 split.local_rows += bag.len() as u64;
                             }
-                            tc.pool_into(bag, out.row_mut(b));
+                            tc.pool_slots(level, &slots, out.row_mut(b));
                         } else {
                             split.misses += 1;
                             remote.push(b);
@@ -519,6 +522,9 @@ impl SparseRpc {
             split.remote_bags.push(remote);
         }
         cache.record(split.hits, split.misses, split.local_rows);
+        if split.local_rows > 0 {
+            KernelStats::global().record_sls(level, split.local_rows as usize);
+        }
         Ok((
             ShardRequest {
                 net: self.net,

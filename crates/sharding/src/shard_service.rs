@@ -1,11 +1,52 @@
 //! Sparse-shard services: the remote side of the RPC operators.
 
 use crate::plan::{ShardId, ShardingPlan};
-use crate::rpc::{RpcError, ShardRequest, ShardResponse, SparseShardClient};
+use crate::rpc::{RpcError, ShardRequest, ShardResponse, SparseShardClient, TableSlice};
 use dlrm_model::{EmbeddingTable, Pool, TableId};
+use dlrm_tensor::simd::GatherError;
 use dlrm_tensor::Matrix;
 use std::collections::HashMap;
 use std::sync::Arc;
+
+/// The fault text every shard service gives for an index past its
+/// local rows.
+fn out_of_range(slice: &TableSlice, index: u64, rows: usize) -> String {
+    format!("index {index} out of range for {} ({rows} local rows)", slice.table)
+}
+
+/// Range-checks a wire slice for a table kind whose row decoders assert
+/// (quantized, paged). An f32 table needs no such scan: [`pool_slice`]'s
+/// kernel checks as it validates.
+///
+/// # Errors
+///
+/// The fault message naming the largest index when it is `>= rows`.
+pub fn check_slice_range(slice: &TableSlice, rows: usize) -> Result<(), String> {
+    match slice.indices.iter().max() {
+        Some(&max) if max as usize >= rows => Err(out_of_range(slice, max, rows)),
+        _ => Ok(()),
+    }
+}
+
+/// Pools one wire slice from a shard's f32 copy of its table. The
+/// gather kernel validates the slice once — the only scan of its
+/// indices — and a rejection comes back as the text of the caller's
+/// [`RpcError::ShardFault`].
+///
+/// # Errors
+///
+/// The fault message when an index is out of range or the lengths do
+/// not cover the indices.
+pub fn pool_slice(table: &EmbeddingTable, slice: &TableSlice, pool: &Pool) -> Result<Matrix, String> {
+    let mut out = Matrix::zeros(slice.lengths.len(), table.dim());
+    table
+        .try_sparse_lengths_sum_into(&slice.indices, &slice.lengths, &mut out, pool)
+        .map_err(|e| match e {
+            GatherError::IndexOutOfRange { index, rows } => out_of_range(slice, index, rows),
+            GatherError::LengthMismatch { .. } => format!("{e} for {}", slice.table),
+        })?;
+    Ok(out)
+}
 
 /// A stateless sparse-shard service: holds this shard's (slices of)
 /// embedding tables and answers pooled lookups.
@@ -107,8 +148,8 @@ impl ShardService {
     /// # Errors
     ///
     /// [`RpcError::ShardFault`] naming the offending table when it is
-    /// not hosted here or an index is out of range — deterministic
-    /// rejections, never retried.
+    /// not hosted here, an index is out of range or the lengths do not
+    /// cover the indices — deterministic rejections, never retried.
     pub fn execute(&self, request: &ShardRequest) -> Result<ShardResponse, RpcError> {
         let fault = |message: String| RpcError::ShardFault {
             shard: self.shard,
@@ -120,19 +161,7 @@ impl ShardService {
                 .tables
                 .get(&slice.table)
                 .ok_or_else(|| fault(format!("{} not hosted on {}", slice.table, self.shard)))?;
-            if let Some(&max) = slice.indices.iter().max() {
-                if max as usize >= table.rows() {
-                    return Err(fault(format!(
-                        "index {max} out of range for {} ({} local rows)",
-                        slice.table,
-                        table.rows()
-                    )));
-                }
-            }
-            pooled.push((
-                slice.table,
-                table.sparse_lengths_sum_par(&slice.indices, &slice.lengths, &self.pool),
-            ));
+            pooled.push((slice.table, pool_slice(table, slice, &self.pool).map_err(fault)?));
         }
         Ok(ShardResponse { pooled })
     }
@@ -272,6 +301,25 @@ mod tests {
             })
             .unwrap_err();
         assert!(err.to_string().contains("out of range"));
+        assert_eq!(err.kind(), "shard-fault");
+    }
+
+    #[test]
+    fn lengths_that_do_not_cover_the_indices_are_a_fault_not_a_panic() {
+        let tables = vec![table(2)];
+        let plan = ShardingPlan::new(ShardingStrategy::OneShard, 1, vec![whole(0, 0)]);
+        let svc = ShardService::build(&tables, &plan, ShardId(0));
+        let err = svc
+            .execute(&ShardRequest {
+                net: NetId(0),
+                slices: vec![TableSlice {
+                    table: TableId(0),
+                    indices: vec![0, 1],
+                    lengths: vec![1],
+                }],
+            })
+            .unwrap_err();
+        assert!(err.to_string().contains("lengths sum 1 != indices len 2"), "{err}");
         assert_eq!(err.kind(), "shard-fault");
     }
 

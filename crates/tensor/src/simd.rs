@@ -22,6 +22,13 @@
 //! tiers read the same packed-panel operand ([`crate::PackedWeights`]);
 //! packing is pure data movement and changes no bits.
 //!
+//! [`sls_bags`] is the workspace's one f32 SparseLengthsSum inner loop
+//! (plain tables, the hot-row cache and pruned tables all gather
+//! through it): it keeps a bag's accumulators in registers from `+0.0`
+//! and stores each output element once, which per element is the same
+//! sequence of adds as zeroing the row and adding each looked-up row
+//! to it — only the store-to-load round trip per lookup is gone.
+//!
 //! The FMA tier ([`SimdLevel::Avx2Fma`], GEMM only) contracts each
 //! mul/add pair into `vfmaddps`, dropping one rounding per
 //! multiply-add. That *changes* low-order bits, so it is never
@@ -35,7 +42,8 @@
 //! slice-length preconditions are asserted in the safe wrappers, all
 //! pointer arithmetic stays inside the asserted bounds (the loop
 //! conditions `j + LANES <= n` guarantee every 32-byte load/store is
-//! in-bounds), and unaligned load/store intrinsics (`loadu`/`storeu`)
+//! in-bounds; the gather range-checks every index before its first
+//! load), and unaligned load/store intrinsics (`loadu`/`storeu`)
 //! are used throughout so no alignment assumption exists. The only
 //! remaining obligation — the CPU actually supports AVX2 — is
 //! discharged by `level_supported` before every unsafe call. On
@@ -44,7 +52,7 @@
 
 #![allow(unsafe_code)]
 
-pub use dlrm_runtime::{level_supported, KernelDispatch, SimdLevel};
+pub use dlrm_runtime::{level_supported, KernelDispatch, KernelStats, SimdLevel};
 
 use crate::packed::panel_width;
 
@@ -79,26 +87,144 @@ fn usable(level: SimdLevel) -> bool {
     level.is_simd() && level_supported(SimdLevel::Avx2)
 }
 
-/// `out[i] += src[i]` — the SparseLengthsSum row-accumulate step.
-/// Element-wise, so the vectorized path is trivially bitwise-equal to
-/// the scalar loop.
+/// How many lookups ahead of the row being added the gather prefetches.
+/// Measured on RM1 @ 512 MiB (all 257 tables, 134 676 uniform lookups
+/// per request, one thread, exact AVX2; `sls_rm1_request_*` in
+/// `benches/kernels.rs`): 8, 16 and 32 are a plateau at 13.1–15.0
+/// ns/row against 15.3–16.2 with no prefetch; 4 is too short to cover a
+/// DRAM miss and 64 is back at the no-prefetch time. A constant, not a
+/// knob.
+pub const SLS_PREFETCH_ROWS: usize = 16;
+
+/// Why [`sls_bags`] refused a run of bags. Both are properties of the
+/// caller's request, checked once per call before any row is read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GatherError {
+    /// `Σ lengths` does not equal `indices.len()`.
+    LengthMismatch {
+        /// Sum of the bag lengths.
+        lengths_sum: usize,
+        /// Number of indices supplied.
+        indices: usize,
+    },
+    /// An index addresses a row the slab does not have.
+    IndexOutOfRange {
+        /// The largest index of the run.
+        index: u64,
+        /// Rows in the slab.
+        rows: usize,
+    },
+}
+
+impl std::fmt::Display for GatherError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            Self::LengthMismatch { lengths_sum, indices } => {
+                write!(f, "lengths sum {lengths_sum} != indices len {indices}")
+            }
+            Self::IndexOutOfRange { index, rows } => {
+                write!(f, "index {index} out of range ({rows} rows)")
+            }
+        }
+    }
+}
+
+impl std::error::Error for GatherError {}
+
+/// The workspace's one f32 SparseLengthsSum inner loop: pools a
+/// contiguous run of bags from a row-major `slab` of `dim`-float rows.
+/// Bag `b` owns the next `lengths[b]` entries of `indices` and output
+/// row `b` of `out_rows`.
+///
+/// Each bag is pooled in registers: a block of columns keeps its
+/// accumulators live across the whole bag, starts them at `+0.0`, adds
+/// the bag's rows in index order and stores every output element
+/// exactly once — so `out_rows` needs no zeroing and an empty bag
+/// writes zeros. Per element that is the float-op sequence of the
+/// naive "zero the row, `out += row` per lookup" loop, so every tier
+/// is bitwise equal to it (a bag holding only `-0.0` still pools to
+/// `+0.0`). The AVX2 tier also prefetches the row
+/// [`SLS_PREFETCH_ROWS`] lookups ahead, across bag boundaries.
+///
+/// # Errors
+///
+/// [`GatherError`] when the lengths do not cover the indices or an
+/// index is out of range; nothing is read from `slab` or written to
+/// `out_rows` in that case.
 ///
 /// # Panics
 ///
-/// Panics if the slices disagree in length.
-pub fn add_assign(level: SimdLevel, out: &mut [f32], src: &[f32]) {
-    assert_eq!(out.len(), src.len(), "add_assign length mismatch");
+/// Panics if `dim` is zero, `slab` is not whole rows, or `out_rows` is
+/// not `lengths.len() × dim`.
+pub fn sls_bags(
+    level: SimdLevel,
+    slab: &[f32],
+    dim: usize,
+    indices: &[u64],
+    lengths: &[u32],
+    out_rows: &mut [f32],
+) -> Result<(), GatherError> {
+    assert!(dim > 0 && slab.len().is_multiple_of(dim), "slab must be whole rows of dim > 0");
+    assert_eq!(out_rows.len(), lengths.len() * dim, "output must be one row per bag");
+    let rows = slab.len() / dim;
+    let lengths_sum: usize = lengths.iter().map(|&l| l as usize).sum();
+    if lengths_sum != indices.len() {
+        return Err(GatherError::LengthMismatch {
+            lengths_sum,
+            indices: indices.len(),
+        });
+    }
+    let max = indices.iter().fold(0u64, |m, &i| m.max(i));
+    if !indices.is_empty() && max >= rows as u64 {
+        return Err(GatherError::IndexOutOfRange { index: max, rows });
+    }
     #[cfg(target_arch = "x86_64")]
     if usable(level) {
-        // SAFETY: AVX2 verified by `usable`; slices are equal-length
-        // and the kernel only touches indices < out.len().
-        unsafe { x86::add_assign_avx2(out, src) };
-        return;
+        // SAFETY: AVX2 verified by `usable`. The checks above are the
+        // kernel's whole contract: every index addresses a full row
+        // inside `slab`, the bag lengths partition `indices` exactly,
+        // and `out_rows` holds one `dim`-float row per bag.
+        unsafe { x86::sls_bags_avx2(slab, dim, indices, lengths, out_rows) };
+        return Ok(());
     }
     let _ = level;
-    for (o, &v) in out.iter_mut().zip(src) {
-        *o += v;
+    let mut start = 0usize;
+    for (&len, out) in lengths.iter().zip(out_rows.chunks_exact_mut(dim)) {
+        let bag = &indices[start..start + len as usize];
+        start += len as usize;
+        let mut c = 0usize;
+        while c < dim {
+            c += match dim - c {
+                32.. => bag_block_scalar::<32>(slab, dim, bag, c, out),
+                8.. => bag_block_scalar::<8>(slab, dim, bag, c, out),
+                _ => bag_block_scalar::<1>(slab, dim, bag, c, out),
+            };
+        }
     }
+    Ok(())
+}
+
+/// Columns `c..c + W` of one bag on the portable tier: `W` independent
+/// accumulators in a fixed-size array (the autovectorizer may widen
+/// them; lanes never interact), rows added in index order, one store
+/// per element. Returns `W`.
+#[inline(always)]
+fn bag_block_scalar<const W: usize>(
+    slab: &[f32],
+    dim: usize,
+    bag: &[u64],
+    c: usize,
+    out: &mut [f32],
+) -> usize {
+    let mut acc = [0.0f32; W];
+    for &idx in bag {
+        let at = idx as usize * dim + c;
+        for (a, &v) in acc.iter_mut().zip(&slab[at..at + W]) {
+            *a += v;
+        }
+    }
+    out[c..c + W].copy_from_slice(&acc);
+    W
 }
 
 /// Quantized 8-bit decode-accumulate — the hot inner loop of the
@@ -324,8 +450,8 @@ mod x86 {
     use core::arch::x86_64::{
         __m256, _mm256_add_ps, _mm256_cvtepi32_ps, _mm256_cvtepu8_epi32, _mm256_fmadd_ps,
         _mm256_loadu_ps, _mm256_mul_ps, _mm256_set1_ps, _mm256_setzero_ps, _mm256_storeu_ps,
-        _mm_and_si128, _mm_loadl_epi64, _mm_set1_epi8, _mm_srli_epi16, _mm_srli_si128,
-        _mm_unpacklo_epi8,
+        _mm_and_si128, _mm_loadl_epi64, _mm_prefetch, _mm_set1_epi8, _mm_srli_epi16,
+        _mm_srli_si128, _mm_unpacklo_epi8, _MM_HINT_T0,
     };
 
     /// `acc + a*b`: contracted when `FMA`, two rounded ops otherwise.
@@ -461,25 +587,136 @@ mod x86 {
         panel_body::<true, VECS>(a_rows, k, pack, out, n, j);
     }
 
-    /// 8-lane `out += src`.
+    /// What every bag pass of one [`sls_bags_avx2`] call shares.
+    struct Gather {
+        slab: *const f32,
+        dim: usize,
+        indices: *const u64,
+        /// `indices.len()`: the look-ahead stops here, not at the bag's
+        /// end, so a bag's tail prefetches the next bag's head.
+        n: usize,
+    }
+
+    /// Prefetches every cache line of the `dim`-float row at `row`.
+    #[inline(always)]
+    unsafe fn prefetch_row(row: *const f32, dim: usize) {
+        let bytes = row.cast::<i8>();
+        let last = dim * 4 - 1;
+        let mut off = 0usize;
+        loop {
+            // Rows are only 4-byte aligned, so the row's last byte may
+            // sit one line past the last 64-byte step.
+            _mm_prefetch::<_MM_HINT_T0>(bytes.add(off.min(last)));
+            if off >= last {
+                break;
+            }
+            off += 64;
+        }
+    }
+
+    /// Lookup `p` of a bag pass at column `c`: on the bag's first pass
+    /// prefetches the row `SLS_PREFETCH_ROWS` lookups ahead, then
+    /// returns the current row's columns from `c`. Every index was
+    /// range-checked, so both pointers stay inside the slab.
+    #[inline(always)]
+    unsafe fn gather_step(g: &Gather, p: usize, c: usize) -> *const f32 {
+        let ahead = p + super::SLS_PREFETCH_ROWS;
+        if c == 0 && ahead < g.n {
+            prefetch_row(g.slab.add(*g.indices.add(ahead) as usize * g.dim), g.dim);
+        }
+        g.slab.add(*g.indices.add(p) as usize * g.dim + c)
+    }
+
+    /// Columns `c..c + 8·NV` of the bag at `indices[start..end]`: `NV`
+    /// `ymm` accumulators from `+0.0`, rows added in index order, each
+    /// output element stored once. The const loops unroll, the loads
+    /// fold into `vaddps`, so 16 accumulators use all 16 registers
+    /// without spilling.
+    #[inline(always)]
+    unsafe fn bag_block<const NV: usize>(
+        g: &Gather,
+        start: usize,
+        end: usize,
+        c: usize,
+        out: *mut f32,
+    ) -> usize {
+        let mut acc = [_mm256_setzero_ps(); NV];
+        for p in start..end {
+            let row = gather_step(g, p, c);
+            for (v, a) in acc.iter_mut().enumerate() {
+                *a = _mm256_add_ps(*a, _mm256_loadu_ps(row.add(8 * v)));
+            }
+        }
+        for (v, &a) in acc.iter().enumerate() {
+            _mm256_storeu_ps(out.add(c + 8 * v), a);
+        }
+        8 * NV
+    }
+
+    /// The last `w < 8` columns of a bag, on scalar accumulators.
+    #[inline(always)]
+    unsafe fn bag_tail(
+        g: &Gather,
+        start: usize,
+        end: usize,
+        c: usize,
+        w: usize,
+        out: *mut f32,
+    ) -> usize {
+        let mut acc = [0.0f32; 7];
+        for p in start..end {
+            let row = gather_step(g, p, c);
+            for (l, a) in acc.iter_mut().enumerate().take(w) {
+                *a += *row.add(l);
+            }
+        }
+        for (l, &a) in acc.iter().enumerate().take(w) {
+            *out.add(c + l) = a;
+        }
+        w
+    }
+
+    /// The bag-fused gather (see [`super::sls_bags`]): per bag, column
+    /// blocks of 16/8/4/2/1 `ymm` accumulators and a scalar tail, so a
+    /// `dim ≤ 128` power of two is one pass over the bag and wider or
+    /// ragged rows take further passes over the same (now cached) rows.
     ///
     /// # Safety
     ///
-    /// Caller verifies AVX2 support and `out.len() == src.len()`.
+    /// Caller verifies AVX2 support, `dim > 0`, every index `<
+    /// slab.len() / dim`, `Σ lengths == indices.len()` and
+    /// `out_rows.len() == lengths.len() · dim`.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn add_assign_avx2(out: &mut [f32], src: &[f32]) {
-        let n = out.len();
-        let op = out.as_mut_ptr();
-        let sp = src.as_ptr();
-        let mut j = 0usize;
-        while j + 8 <= n {
-            let sum = _mm256_add_ps(_mm256_loadu_ps(op.add(j)), _mm256_loadu_ps(sp.add(j)));
-            _mm256_storeu_ps(op.add(j), sum);
-            j += 8;
-        }
-        while j < n {
-            *op.add(j) += *sp.add(j);
-            j += 1;
+    pub(super) unsafe fn sls_bags_avx2(
+        slab: &[f32],
+        dim: usize,
+        indices: &[u64],
+        lengths: &[u32],
+        out_rows: &mut [f32],
+    ) {
+        let g = Gather {
+            slab: slab.as_ptr(),
+            dim,
+            indices: indices.as_ptr(),
+            n: indices.len(),
+        };
+        let mut out = out_rows.as_mut_ptr();
+        let mut start = 0usize;
+        for &len in lengths {
+            let end = start + len as usize;
+            let mut c = 0usize;
+            while c < dim {
+                c += match dim - c {
+                    128.. => bag_block::<16>(&g, start, end, c, out),
+                    64.. => bag_block::<8>(&g, start, end, c, out),
+                    32.. => bag_block::<4>(&g, start, end, c, out),
+                    16.. => bag_block::<2>(&g, start, end, c, out),
+                    8.. => bag_block::<1>(&g, start, end, c, out),
+                    w => bag_tail(&g, start, end, c, w, out),
+                };
+            }
+            start = end;
+            out = out.add(dim);
         }
     }
 
@@ -633,25 +870,6 @@ mod tests {
 
     fn avx2() -> Option<SimdLevel> {
         level_supported(SimdLevel::Avx2).then_some(SimdLevel::Avx2)
-    }
-
-    #[test]
-    fn add_assign_matches_scalar_on_ragged_lengths() {
-        for n in [0, 1, 7, 8, 9, 15, 16, 17, 64, 101] {
-            let src: Vec<f32> = (0..n).map(|i| i as f32 * 0.37 - 3.0).collect();
-            let mut scalar: Vec<f32> = (0..n).map(|i| (i as f32).sin()).collect();
-            let mut simd = scalar.clone();
-            add_assign(SimdLevel::Scalar, &mut scalar, &src);
-            let Some(level) = avx2() else {
-                return;
-            };
-            add_assign(level, &mut simd, &src);
-            assert_eq!(
-                scalar.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                simd.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "n={n}"
-            );
-        }
     }
 
     #[test]

@@ -11,10 +11,13 @@
 //!    workers produce the same bits.
 //!
 //! Both hold for the prepacked path ([`matmul_packed_into`]) as for the
-//! pack-per-call entry points, on every kernel tier.
+//! pack-per-call entry points, on every kernel tier — and for the
+//! bag-fused SLS gather ([`sls_bags`]) against the per-row loop it
+//! replaced.
 
-use dlrm_runtime::{KernelDispatch, Pool};
+use dlrm_runtime::{KernelDispatch, Pool, SimdLevel};
 use dlrm_sim::SimRng;
+use dlrm_tensor::simd::{sls_bags, GatherError, SLS_PREFETCH_ROWS};
 use dlrm_tensor::{
     concat_cols, concat_cols_into, matmul_into, matmul_packed_into, matmul_transb_into, Matrix,
     PackedWeights,
@@ -287,6 +290,152 @@ fn packed_bit_exact_across_worker_counts() {
             assert_eq!(got, oracle, "{m}x{k}x({n}x{k})T at {workers} workers");
         }
     }
+}
+
+/// The SLS inner loop the fused gather replaced, kept as the oracle:
+/// zero the bag's output row, then `out += row` per lookup in index
+/// order.
+fn sls_per_row(slab: &[f32], dim: usize, indices: &[u64], lengths: &[u32]) -> Vec<f32> {
+    let mut out = vec![0.0f32; lengths.len() * dim];
+    let mut cursor = 0usize;
+    for (&len, out_row) in lengths.iter().zip(out.chunks_exact_mut(dim)) {
+        for &idx in &indices[cursor..cursor + len as usize] {
+            let row = &slab[idx as usize * dim..(idx as usize + 1) * dim];
+            for (o, &v) in out_row.iter_mut().zip(row) {
+                *o += v;
+            }
+        }
+        cursor += len as usize;
+    }
+    out
+}
+
+fn bits(values: &[f32]) -> Vec<u32> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+/// The exact tiers the host can run the gather on.
+fn sls_tiers() -> Vec<SimdLevel> {
+    let mut tiers = vec![SimdLevel::Scalar];
+    tiers.extend(KernelDispatch::forced_avx2().map(KernelDispatch::level));
+    tiers
+}
+
+const SLS_ROWS: usize = 97;
+
+/// A 97-row slab whose row 0 is all `-0.0`, row 1 all `+∞` and row 2
+/// all `-∞`, and a run of bags built to hit the kernel's edges: bag
+/// lengths on both sides of the prefetch distance `D`, a 1 000-row bag
+/// (plenty of duplicate indices), a bag of one repeated index, a bag
+/// holding only the `-0.0` row (the per-row loop pools it to `+0.0`, so
+/// accumulators must start there, not at the first row), empty bags
+/// between full ones, and a final bag shorter than `D` whose last
+/// lookup is the slab's last row — every look-ahead from it must stay
+/// inside `indices`.
+fn sls_case(rng: &mut SimRng, dim: usize) -> (Vec<f32>, Vec<u64>, Vec<u32>) {
+    let d = SLS_PREFETCH_ROWS as u32;
+    let mut slab: Vec<f32> = (0..SLS_ROWS * dim).map(|_| rng.next_range(-4.0, 4.0) as f32).collect();
+    slab[..dim].fill(-0.0);
+    slab[dim..2 * dim].fill(f32::INFINITY);
+    slab[2 * dim..3 * dim].fill(f32::NEG_INFINITY);
+    let lengths = vec![1000, 0, d, 0, 0, d + 1, 1, 2 * d + 3, 0, d - 1, 2, 1000, 0, 3];
+    let mut indices: Vec<u64> = Vec::new();
+    let rows = SLS_ROWS as u64;
+    for &len in &lengths {
+        match len {
+            1 => indices.push(0),
+            2 => indices.extend([5, 5]),
+            // The 1 000-row bags stay finite, so most elements compare
+            // as sums rather than as NaN.
+            1000 => indices.extend((0..len).map(|_| 3 + rng.next_u64_below(rows - 3))),
+            _ => indices.extend((0..len).map(|_| rng.next_u64_below(rows))),
+        }
+    }
+    *indices.last_mut().expect("the final bag has rows") = rows - 1;
+    (slab, indices, lengths)
+}
+
+const SLS_DIMS: [usize; 18] = [1, 3, 7, 8, 9, 13, 16, 27, 31, 32, 33, 64, 100, 128, 129, 136, 200, 300];
+
+/// The fused gather pools each bag in registers and stores each output
+/// element once; per element that is still "start at +0.0, add the
+/// rows in index order", so both tiers must equal the per-row loop bit
+/// for bit — for every column-block mix (`dim` below 8, ragged, one
+/// 128-float block, more than one), every bag length around the
+/// prefetch distance, and into an output full of garbage.
+#[test]
+fn fused_sls_matches_the_per_row_loop_bitwise_on_every_tier() {
+    let mut rng = SimRng::seed_from(0x0B10_C4ED).fork(13);
+    for dim in SLS_DIMS {
+        let (slab, indices, lengths) = sls_case(&mut rng, dim);
+        let oracle = sls_per_row(&slab, dim, &indices, &lengths);
+        assert_eq!(oracle[6 * dim].to_bits(), 0.0f32.to_bits(), "a -0.0 bag pools to +0.0");
+        for level in sls_tiers() {
+            let mut got = vec![f32::NAN; lengths.len() * dim];
+            sls_bags(level, &slab, dim, &indices, &lengths, &mut got).expect("a valid run");
+            assert_eq!(bits(&got), bits(&oracle), "dim {dim} on {level}");
+        }
+    }
+}
+
+/// The bag-parallel driver hands each worker a contiguous run of bags;
+/// every output row is pooled by one kernel call, so 1–8 workers agree
+/// with the per-row loop bitwise (2 089 lookups clear the fork
+/// threshold; 14 bags over 8 workers leaves ragged chunks).
+#[test]
+fn fused_sls_bit_exact_across_worker_counts() {
+    let mut rng = SimRng::seed_from(0x0B10_C4ED).fork(14);
+    for dim in [3, 64, 129] {
+        let (slab, indices, lengths) = sls_case(&mut rng, dim);
+        let oracle = sls_per_row(&slab, dim, &indices, &lengths);
+        for level in sls_tiers() {
+            for workers in 1..=8 {
+                let mut got = vec![f32::NAN; lengths.len() * dim];
+                Pool::new(workers)
+                    .par_bags(&indices, &lengths, dim, &mut got, |indices, lengths, out_rows| {
+                        sls_bags(level, &slab, dim, indices, lengths, out_rows)
+                    })
+                    .expect("a valid run");
+                assert_eq!(bits(&got), bits(&oracle), "dim {dim} on {level} at {workers} workers");
+            }
+        }
+    }
+}
+
+/// A bad run is rejected by the kernel's one validation pass, before
+/// any row is gathered: the error names the largest index, and the
+/// output is untouched. `u64::MAX` as a row would fault if it were ever
+/// turned into an address. The driver hands an uncovered run over
+/// whole, so the same verdict comes back through it.
+#[test]
+fn fused_sls_rejects_bad_runs_without_gathering() {
+    let slab = vec![1.0f32; 4 * 8];
+    for level in sls_tiers() {
+        let mut out = vec![7.0f32; 2 * 8];
+        let err = sls_bags(level, &slab, 8, &[0, 4, u64::MAX], &[2, 1], &mut out).unwrap_err();
+        assert_eq!(err, GatherError::IndexOutOfRange { index: u64::MAX, rows: 4 });
+        let err = sls_bags(level, &slab, 8, &[0, 1, 2], &[2, 2], &mut out).unwrap_err();
+        assert_eq!(err, GatherError::LengthMismatch { lengths_sum: 4, indices: 3 });
+        assert_eq!(out, vec![7.0f32; 2 * 8], "a rejected run writes nothing");
+    }
+    let lengths = vec![100u32; 30];
+    let mut out = vec![0.0f32; 30 * 8];
+    let short = vec![0u64; 2999];
+    let err = Pool::new(4)
+        .par_bags(&short, &lengths, 8, &mut out, |indices, lengths, out_rows| {
+            sls_bags(SimdLevel::Scalar, &slab, 8, indices, lengths, out_rows)
+        })
+        .unwrap_err();
+    assert_eq!(err, GatherError::LengthMismatch { lengths_sum: 3000, indices: 2999 });
+    let mut far = vec![0u64; 3000];
+    far[2500] = 9;
+    far[700] = 4;
+    let err = Pool::new(4)
+        .par_bags(&far, &lengths, 8, &mut out, |indices, lengths, out_rows| {
+            sls_bags(SimdLevel::Scalar, &slab, 8, indices, lengths, out_rows)
+        })
+        .unwrap_err();
+    assert_eq!(err, GatherError::IndexOutOfRange { index: 4, rows: 4 }, "the earliest run's error");
 }
 
 #[test]
