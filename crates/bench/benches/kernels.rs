@@ -2,12 +2,13 @@
 //! timing harness (`dlrm_bench::timing`): the SparseLengthsSum family
 //! (plain f32, pruned, 8/4-bit quantized) and dense GEMM (plain and
 //! FC-transposed), each swept across the dispatch tiers the host
-//! supports (scalar / exact AVX2 / FMA-contracted) plus the naive
-//! reference, FC at the serving shapes (small batches against the
-//! models' MLP layers, per-call pack vs prepacked, beside a stream-copy
-//! ceiling) and SLS at the serving shape (one whole RM1 request against
-//! the same ceiling), then quantization, sharding planning, and one
-//! end-to-end simulated replay.
+//! supports (scalar / exact AVX2 / exact AVX-512 / FMA-contracted) plus
+//! the naive reference, FC at the serving shapes (small batches against
+//! the models' MLP layers, prepacked, per exact SIMD tier, beside a
+//! stream-copy ceiling and the tier's separate-mul-add peak) and SLS at
+//! the serving shape (one whole RM1 request against the same ceiling),
+//! then quantization, sharding planning, and one end-to-end simulated
+//! replay.
 //!
 //! Run with `cargo bench -p dlrm-bench --offline`. Pass `--quick` (or
 //! set `DLRM_BENCH_QUICK=1`) for a fast smoke run, and an optional
@@ -29,7 +30,8 @@ use dlrm_core::serving::experiment::trace_config_for;
 use dlrm_core::serving::{simulate, Cluster, CostModel, RunConfig};
 use dlrm_core::sharding::{plan, ShardingStrategy};
 use dlrm_core::sim::SimRng;
-use dlrm_core::tensor::{matmul_packed_into, matmul_transb_into, Matrix, PackedWeights};
+use dlrm_core::tensor::simd::exact_peak_probe;
+use dlrm_core::tensor::{matmul_packed_into, Matrix, PackedWeights};
 use dlrm_core::workload::{PoolingProfile, TraceDb};
 use std::hint::black_box;
 
@@ -68,17 +70,17 @@ impl Runner {
 }
 
 /// The dispatch tiers the kernel matrix covers: a 1-worker pool pinned
-/// to each level the host supports. `scalar` is always present; `avx2`
-/// and `fma` appear only on capable hardware, so the emitted JSON is
-/// honest about what actually ran.
+/// to each level the host supports. `scalar` is always present; `avx2`,
+/// `avx512` and `fma` appear only on capable hardware, so the emitted
+/// JSON is honest about what actually ran.
 fn dispatch_tiers() -> Vec<(&'static str, Pool)> {
+    let simd = [
+        ("avx2", KernelDispatch::forced_avx2()),
+        ("avx512", KernelDispatch::forced_avx512()),
+        ("fma", KernelDispatch::forced_fma()),
+    ];
     let mut tiers = vec![("scalar", Pool::with_dispatch(1, KernelDispatch::scalar()))];
-    if let Some(avx2) = KernelDispatch::forced_avx2() {
-        tiers.push(("avx2", Pool::with_dispatch(1, avx2)));
-    }
-    if let Some(fma) = KernelDispatch::forced_fma() {
-        tiers.push(("fma", Pool::with_dispatch(1, fma)));
-    }
+    tiers.extend(simd.into_iter().filter_map(|(name, d)| Some((name, Pool::with_dispatch(1, d?)))));
     tiers
 }
 
@@ -89,13 +91,13 @@ fn bench_sls(r: &mut Runner) {
     let bags = lengths.len() as f64;
 
     // Plain f32, pruned, and 8/4-bit quantized SLS, each per dispatch
-    // tier (the SLS kernels have no FMA path — the fma tier measures
-    // the same exact kernel the avx2 tier does, so skip it).
+    // tier (the SLS kernels have no FMA or AVX-512 path — those tiers
+    // measure the same exact kernel the avx2 tier does, so skip them).
     let pruned = prune_by_magnitude(&table, 0.5);
     let q8 = QuantizedTable::quantize(&table, 8);
     let q4 = QuantizedTable::quantize(&table, 4);
     for (tier, pool) in dispatch_tiers() {
-        if tier == "fma" {
+        if matches!(tier, "fma" | "avx512") {
             continue;
         }
         r.bench(
@@ -219,7 +221,7 @@ fn bench_sls_serving(r: &mut Runner, ceiling: Option<f64>) {
         let bytes: usize =
             requests[0].iter().zip(&outs).map(|((i, _), o)| i.len() * o.cols() * 4).sum();
         for (tier, pool) in dispatch_tiers() {
-            if tier == "fma" {
+            if matches!(tier, "fma" | "avx512") {
                 continue;
             }
             let name = format!("sls_rm1_request_{bags}bags_{tier}");
@@ -249,40 +251,67 @@ fn bench_sls_serving(r: &mut Runner, ceiling: Option<f64>) {
     }
 }
 
-/// FC as the serving path runs it: a 1/4/16-row batch against the
-/// widest top-MLP, a mid and a bottom-MLP layer shape. At these batch
-/// sizes the layer is bound by streaming the weights once, so each row
-/// also reports the weight bytes moved per second and that rate as a
-/// share of the copy ceiling.
-fn bench_fc_serving(r: &mut Runner, ceiling: Option<f64>) {
-    let pool = Pool::with_dispatch(1, KernelDispatch::detect());
-    for (k, n) in [(13_400usize, 512usize), (2_900, 256), (512, 256)] {
-        let w = Matrix::from_vec(n, k, (0..n * k).map(|i| (i % 13) as f32 * 0.01).collect());
-        let packed = PackedWeights::pack(&w);
-        for m in [1usize, 4, 16] {
+/// The exact tiers' real ceilings: register-resident separate multiply
+/// and add at each tile's vector width (`simd::exact_peak_probe`; the
+/// fused-multiply-add peak is twice this). Returns `(row suffix, pool,
+/// GFLOP/s)` per exact SIMD tier the host runs; the AVX2 suffix is
+/// empty, so its FC rows keep the names they have had since PR 13.
+fn bench_exact_peaks(r: &mut Runner) -> Vec<(&'static str, Pool, Option<f64>)> {
+    const ITERS: u64 = 1 << 20;
+    let tiers = [
+        ("", "ymm", KernelDispatch::forced_avx2()),
+        ("_avx512", "zmm", KernelDispatch::forced_avx512()),
+    ];
+    let mut peaks = Vec::new();
+    for (tier, width, dispatch) in tiers {
+        let Some(dispatch) = dispatch else { continue };
+        let gflop = (exact_peak_probe(dispatch.level(), 1) * ITERS) as f64 / 1e9;
+        let ns = r.bench(&format!("exact_peak_{width}_gflops"), Some(("GFLOP/s", gflop)), || {
+            black_box(exact_peak_probe(dispatch.level(), black_box(ITERS)))
+        });
+        peaks.push((tier, Pool::with_dispatch(1, dispatch), ns.map(|ns| gflop / (ns * 1e-9))));
+    }
+    peaks
+}
+
+/// FC as the serving path runs it: a 1- to 32-row batch (steady batches
+/// are 4–6 rows, saturated ones 6–36) against the widest top-MLP, a mid
+/// and a bottom-MLP layer shape, prepacked, on each exact SIMD tier.
+/// The widest layer's 27 MB would sit in a large L3 if one copy were
+/// replayed, so four copies take turns. Each row also reports the
+/// weight bytes moved per second, that rate as a share of the copy
+/// ceiling (what binds a short batch) and its GFLOP/s as a share of the
+/// tier's exact peak (what binds a tall one).
+fn bench_fc_serving(r: &mut Runner, ceiling: Option<f64>, tiers: &[(&str, Pool, Option<f64>)]) {
+    for (k, n, copies) in [(13_400usize, 512usize, 4usize), (2_900, 256, 1), (512, 256, 1)] {
+        let packed: Vec<PackedWeights> = (0..copies)
+            .map(|c| {
+                let mut i = c;
+                PackedWeights::from_fn(n, k, || {
+                    i += 1;
+                    (i % 13) as f32 * 0.01
+                })
+            })
+            .collect();
+        for m in [1usize, 4, 8, 16, 32] {
             let x = Matrix::from_vec(m, k, (0..m * k).map(|i| (i % 17) as f32 * 0.1).collect());
             let mut out = Matrix::zeros(m, n);
             let gflop = 2.0 * (m * k * n) as f64 / 1e9;
-            for (mode, prepacked) in [("percall", false), ("prepacked", true)] {
-                let name = format!("fc_m{m}_k{k}_n{n}_{mode}");
+            for (tier, pool, peak) in tiers {
+                let name = format!("fc_m{m}_k{k}_n{n}_prepacked{tier}");
+                let mut turn = 0usize;
                 let Some(ns) = r.bench(&name, Some(("GFLOP/s", gflop)), || {
-                    if prepacked {
-                        matmul_packed_into(black_box(&x), &packed, &mut out, &pool);
-                    } else {
-                        matmul_transb_into(black_box(&x), &w, &mut out, &pool);
-                    }
+                    turn += 1;
+                    matmul_packed_into(black_box(&x), &packed[turn % copies], &mut out, pool);
                 }) else {
                     continue;
                 };
                 let weight_gbps = (n * k * 4) as f64 / ns;
-                r.records
-                    .push(BenchRecord::scalar(format!("{name}_weight_gbps"), weight_gbps, "GB/s"));
-                if let Some(ceiling) = ceiling {
-                    r.records.push(BenchRecord::scalar(
-                        format!("{name}_share_of_stream"),
-                        weight_gbps / ceiling,
-                        "share",
-                    ));
+                let mut derived = vec![("weight_gbps", weight_gbps, "GB/s")];
+                derived.extend(ceiling.map(|c| ("share_of_stream", weight_gbps / c, "share")));
+                derived.extend(peak.map(|p| ("share_of_exact_peak", gflop / (ns * 1e-9) / p, "share")));
+                for (what, value, unit) in derived {
+                    r.records.push(BenchRecord::scalar(format!("{name}_{what}"), value, unit));
                 }
             }
         }
@@ -403,7 +432,8 @@ fn main() {
     bench_sls(&mut runner);
     bench_gemm(&mut runner);
     let ceiling = bench_stream_copy(&mut runner);
-    bench_fc_serving(&mut runner, ceiling);
+    let exact_tiers = bench_exact_peaks(&mut runner);
+    bench_fc_serving(&mut runner, ceiling, &exact_tiers);
     bench_sls_serving(&mut runner, ceiling);
     bench_planner(&mut runner);
     bench_quantize(&mut runner);

@@ -26,15 +26,18 @@
 //!    passable bound. Auto-skipped on hosts without AVX2 (the ratio
 //!    gate only; bit-exactness has nothing to check there since the
 //!    tier cannot run).
+//!    Where the host has `avx512f`, the exact AVX-512 tier must also be
+//!    bit-exact with the reference and ≥1.3× the exact AVX2 tier on the
+//!    same shape (256 rows run as full 28-row `zmm` tiles).
 //! 4. **Parallel speedup** — a large-batch model run on a 4-worker
 //!    pool must be ≥1.5× faster than on a 1-worker pool. Only asserted
 //!    when the host actually has ≥4 cores (otherwise printed as SKIP —
 //!    forking 4 ways on 1 core cannot speed anything up).
 //!
 //! Exits non-zero on any violated bound — invoked from
-//! `scripts/verify.sh` as the runtime gate, once under the default
-//! dispatch and once under `DLRM_SIMD=off` so both code paths stay
-//! exercised.
+//! `scripts/verify.sh` as the runtime gate, once per exact dispatch
+//! tier (`DLRM_SIMD=off`, `=avx2`, unset) so the model-level checks run
+//! on every code path.
 
 use dlrm_core::model::graph::NoopObserver;
 use dlrm_core::model::{build_model, rm, Pool, RuntimeCtx, Workspace};
@@ -48,6 +51,8 @@ use std::time::Instant;
 const GEMM_SPEEDUP_BOUND: f64 = 3.0;
 /// Fastest SIMD tier vs scalar-blocked GEMM bound (only on AVX2 hosts).
 const SIMD_SPEEDUP_BOUND: f64 = 2.0;
+/// Exact AVX-512 vs exact AVX2 GEMM bound (only on `avx512f` hosts).
+const ZMM_SPEEDUP_BOUND: f64 = 1.3;
 /// Relative error budget for the FMA-contracted tier against the
 /// reference kernel (mirrors the property-suite tolerance: one
 /// contraction per mul/add pair over a k-long fold).
@@ -170,7 +175,7 @@ fn main() {
         // the exact tier otherwise.
         let (tier, fast_pool) = match KernelDispatch::forced_fma() {
             Some(fma) => ("fma", Pool::with_dispatch(1, fma)),
-            None => ("avx2", avx2_pool),
+            None => ("avx2", avx2_pool.clone()),
         };
         let fast = a.matmul_par(&b, &fast_pool);
         let max_rel = reference
@@ -197,6 +202,28 @@ fn main() {
         );
         if simd_speedup < SIMD_SPEEDUP_BOUND {
             failures += 1;
+        }
+        if let Some(avx512) = KernelDispatch::forced_avx512() {
+            let zmm_pool = Pool::with_dispatch(1, avx512);
+            if a.matmul_par(&b, &zmm_pool) != reference {
+                println!("FAIL simd gemm: exact AVX-512 tier is not bit-exact with the reference");
+                failures += 1;
+            }
+            let ymm = time_median(5, || a.matmul_par(&b, &avx2_pool));
+            let zmm = time_median(5, || a.matmul_par(&b, &zmm_pool));
+            let zmm_speedup = ymm / zmm.max(1e-12);
+            println!(
+                "{} simd gemm {m}x{k}x{n}: avx512 {:.2} GFLOP/s vs exact avx2 {:.2} GFLOP/s — \
+                 {zmm_speedup:.2}x (bound {ZMM_SPEEDUP_BOUND}x)",
+                if zmm_speedup >= ZMM_SPEEDUP_BOUND { "PASS" } else { "FAIL" },
+                gflop / zmm,
+                gflop / ymm,
+            );
+            if zmm_speedup < ZMM_SPEEDUP_BOUND {
+                failures += 1;
+            }
+        } else {
+            println!("SKIP avx512 gemm: host lacks avx512f, ratio gate not applicable");
         }
     } else {
         println!("SKIP simd gemm: host lacks AVX2, ratio gate not applicable");

@@ -3,10 +3,11 @@
 //! The vectorized u8/u4 decode-accumulate performs the same three
 //! roundings per element as the scalar expression
 //! `*o += f32::from(code) * scale + bias` (widen, mul, add-bias, then
-//! accumulate), so quantized SLS under AVX2 dispatch must be **bitwise
-//! identical** to scalar dispatch — across both bit widths, ragged and
-//! odd embedding dims, empty bags, and every worker count. Every test
-//! skips (vacuously passes) on hosts without AVX2.
+//! accumulate), so quantized SLS under every SIMD dispatch the host
+//! runs must be **bitwise identical** to scalar dispatch — across both
+//! bit widths, ragged and odd embedding dims, empty bags, and every
+//! worker count. The AVX-512 level widens the GEMM only: the decode
+//! runs its AVX2 body under it, and must give the AVX2 bits.
 
 use dlrm_compress::QuantizedTable;
 use dlrm_model::EmbeddingTable;
@@ -25,10 +26,8 @@ fn bags(rng: &mut SimRng, rows: u64, n_bags: usize) -> (Vec<u64>, Vec<u32>) {
 }
 
 #[test]
-fn quantized_sls_avx2_matches_scalar_bitwise_across_widths_and_dims() {
-    let Some(avx2) = KernelDispatch::forced_avx2() else {
-        return;
-    };
+fn quantized_sls_simd_matches_scalar_bitwise_across_widths_and_dims() {
+    let simd_tiers: Vec<KernelDispatch> = KernelDispatch::exact_tiers().split_off(1);
     let mut rng = SimRng::seed_from(0xDEC0).fork(1);
     for bits in [4u8, 8] {
         // Odd dims exercise the 4-bit high-nibble tail; 1 and 3 stay
@@ -44,13 +43,13 @@ fn quantized_sls_avx2_matches_scalar_bitwise_across_widths_and_dims() {
                 &lengths,
                 &Pool::with_dispatch(1, KernelDispatch::scalar()),
             );
-            for workers in [1, 2, 4, 8] {
-                let got = q.sparse_lengths_sum_par(
-                    &indices,
-                    &lengths,
-                    &Pool::with_dispatch(workers, avx2),
-                );
-                assert_eq!(got, oracle, "{bits}-bit dim {dim} at {workers} workers");
+            for &tier in &simd_tiers {
+                for workers in [1, 2, 4, 8] {
+                    let pool = Pool::with_dispatch(workers, tier);
+                    let got = q.sparse_lengths_sum_par(&indices, &lengths, &pool);
+                    let level = tier.level();
+                    assert_eq!(got, oracle, "{bits}-bit dim {dim} on {level} at {workers} workers");
+                }
             }
         }
     }

@@ -118,12 +118,11 @@ fn predictions_bit_exact_across_worker_counts() {
 /// at +0.0 and fed the bag's rows in index order, so both tiers must
 /// equal the per-row `out += row` loop bitwise — across ragged
 /// embedding dims (below 8, not multiples of 8, past one 128-float
-/// block), empty bags, and every worker count. The AVX2 half skips on
-/// hosts without it.
+/// block), empty bags, and every worker count. Tiers the host lacks are
+/// skipped; under the AVX-512 level the gather runs its AVX2 body.
 #[test]
-fn sls_avx2_matches_scalar_bitwise_with_empty_bags_and_ragged_dims() {
-    let mut tiers = vec![KernelDispatch::scalar()];
-    tiers.extend(KernelDispatch::forced_avx2());
+fn sls_simd_matches_scalar_bitwise_with_empty_bags_and_ragged_dims() {
+    let tiers = KernelDispatch::exact_tiers();
     let mut rng = SimRng::seed_from(0x52_55_4E).fork(4);
     for dim in [1u32, 3, 8, 13, 16, 27, 64, 129, 200] {
         let table = EmbeddingTable::seeded("simd-sls", 500, dim, 7 + u64::from(dim));
@@ -154,23 +153,25 @@ fn sls_avx2_matches_scalar_bitwise_with_empty_bags_and_ragged_dims() {
     }
 }
 
-/// Whole-model predictions under forced-AVX2 dispatch are bitwise
-/// identical to forced-scalar dispatch: every kernel tier the graph
-/// touches (GEMM, transb GEMM, SLS) is exact by construction.
+/// Whole-model predictions are bitwise identical under every exact
+/// dispatch tier the host runs, forced through the context's pool:
+/// every kernel the graph touches (GEMM, transb GEMM, SLS) is exact by
+/// construction. 128 rows over 2 workers are two full 28-row `zmm`
+/// tiles and an 8-row one per worker.
 #[test]
 fn predictions_bit_exact_across_dispatch_tiers() {
-    let Some(avx2) = KernelDispatch::forced_avx2() else {
-        return;
-    };
     let spec = spec(4);
     let model = build_model(&spec, 41).expect("build");
     let mut rng = SimRng::seed_from(0x52_55_4E).fork(5);
     let (dense, sparse) = inputs(&mut rng, &spec, 128);
-    let scalar_ctx = RuntimeCtx::new(Pool::with_dispatch(2, KernelDispatch::scalar()));
-    let simd_ctx = RuntimeCtx::new(Pool::with_dispatch(2, avx2));
-    let scalar_pred = run_once(&model, &scalar_ctx, None, &dense, &sparse);
-    let simd_pred = run_once(&model, &simd_ctx, None, &dense, &sparse);
-    assert_eq!(simd_pred, scalar_pred);
+    let predict = |tier| {
+        let ctx = RuntimeCtx::new(Pool::with_dispatch(2, tier));
+        run_once(&model, &ctx, None, &dense, &sparse)
+    };
+    let scalar_pred = predict(KernelDispatch::scalar());
+    for tier in KernelDispatch::exact_tiers().into_iter().skip(1) {
+        assert_eq!(predict(tier), scalar_pred, "{} vs scalar", tier.level());
+    }
 }
 
 #[test]

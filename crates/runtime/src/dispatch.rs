@@ -2,22 +2,25 @@
 //! override, and process-wide dispatch counters.
 //!
 //! The hot kernels (GEMM, SparseLengthsSum, quantized
-//! decode-accumulate) exist in two or three tiers: the portable scalar
-//! kernels that double as bit-exactness oracles, an AVX2 tier whose
-//! per-output-element float-op sequence is *identical* to the scalar
-//! kernels (vectorization across output columns with separate mul/add —
-//! bitwise-equal results), and an FMA-contracted GEMM tier that changes
-//! rounding and is therefore never auto-selected (tolerance-checked
-//! mode for the simulator only).
+//! decode-accumulate) exist in up to four tiers. Three are *exact*: the
+//! portable scalar kernels that double as bit-exactness oracles, an
+//! AVX2 tier and an AVX-512 tier whose per-output-element float-op
+//! sequence is *identical* to the scalar kernels (vectorization across
+//! output columns with separate mul/add — bitwise-equal results at any
+//! vector width). AVX-512 widens the GEMM only; every other kernel is
+//! bandwidth-bound and keeps its AVX2 body under that level. The fourth
+//! is an FMA-contracted AVX2 GEMM that changes rounding and is
+//! therefore never auto-selected (tolerance-checked mode for the
+//! simulator only).
 //!
 //! Which tier runs is decided **once per process** by
-//! [`KernelDispatch::detect`]: `is_x86_feature_detected!("avx2")`
-//! gated by the `DLRM_SIMD` environment variable (`off`/`scalar`,
-//! `avx2`, `fma`; unset = auto: AVX2 when the CPU has it). The resolved
-//! decision rides on every [`Pool`](crate::Pool) — and thereby on
-//! [`RuntimeCtx`](crate::RuntimeCtx) — so kernels read it from the pool
-//! they already receive. On non-x86_64 targets detection always
-//! resolves to [`SimdLevel::Scalar`].
+//! [`KernelDispatch::detect`]: CPU feature detection gated by the
+//! `DLRM_SIMD` environment variable (`off`/`scalar`/`0`, `avx2`,
+//! `fma`; unset or `avx512` = auto: the widest exact tier the CPU has).
+//! The resolved decision rides on every [`Pool`](crate::Pool) — and
+//! thereby on [`RuntimeCtx`](crate::RuntimeCtx) — so kernels read it
+//! from the pool they already receive. On non-x86_64 targets detection
+//! always resolves to [`SimdLevel::Scalar`].
 //!
 //! Every top-level kernel invocation records which tier it took in the
 //! process-wide [`KernelStats`], surfaced as a [`KernelSummary`] (the
@@ -34,6 +37,10 @@ pub enum SimdLevel {
     /// AVX2 column-vectorized kernels, bitwise-equal to scalar
     /// (separate mul/add, per-element fold order preserved).
     Avx2,
+    /// AVX-512 GEMM register tiles (one `zmm` per 16-lane weight panel,
+    /// separate mul/add), bitwise-equal to scalar. Every non-GEMM
+    /// kernel takes its exact AVX2 path under this level.
+    Avx512,
     /// AVX2 + FMA-contracted GEMM: fused multiply-add changes rounding,
     /// so this tier is only reachable through the explicit `DLRM_SIMD=fma`
     /// override or [`KernelDispatch::forced_fma`] — the tolerance-checked
@@ -55,6 +62,7 @@ impl SimdLevel {
         match self {
             SimdLevel::Scalar => "scalar",
             SimdLevel::Avx2 => "avx2",
+            SimdLevel::Avx512 => "avx512",
             SimdLevel::Avx2Fma => "avx2+fma",
         }
     }
@@ -75,6 +83,12 @@ pub fn level_supported(level: SimdLevel) -> bool {
         SimdLevel::Scalar => true,
         #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
+        // The non-GEMM kernels run AVX2 bodies under this level.
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx512 => {
+            std::arch::is_x86_feature_detected!("avx2")
+                && std::arch::is_x86_feature_detected!("avx512f")
+        }
         #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx2Fma => {
             std::arch::is_x86_feature_detected!("avx2")
@@ -115,30 +129,70 @@ impl Default for KernelDispatch {
     }
 }
 
+/// What a `DLRM_SIMD` value asks for. `Auto` is the widest exact tier
+/// the CPU runs — which is also all that `avx512` can ask for, so that
+/// value is a spelled-out synonym of unset.
+enum Request {
+    Auto,
+    Scalar,
+    Avx2,
+    Fma,
+}
+
+/// The meaning of a (trimmed) `DLRM_SIMD` value; `None` for a value
+/// that is set, non-empty and not recognised.
+fn parse_request(requested: Option<&str>) -> Option<Request> {
+    Some(match requested {
+        None | Some("" | "avx512") => Request::Auto,
+        Some("off" | "scalar" | "0") => Request::Scalar,
+        Some("avx2") => Request::Avx2,
+        Some("fma" | "avx2+fma" | "avx2-fma") => Request::Fma,
+        Some(_) => return None,
+    })
+}
+
+/// The tier a `DLRM_SIMD` value resolves to on a CPU with the given
+/// features: the requested tier when the CPU runs it, otherwise the
+/// next *exact* tier down (AVX-512 → AVX2 → scalar; an unsupported FMA
+/// request lands on AVX2). Unset or unrecognised values auto-select
+/// the widest exact tier. FMA is reachable only by asking for it.
+fn resolve(requested: Option<&str>, has_avx2: bool, has_fma: bool, has_avx512: bool) -> SimdLevel {
+    match parse_request(requested).unwrap_or(Request::Auto) {
+        Request::Scalar => SimdLevel::Scalar,
+        Request::Fma if has_avx2 && has_fma => SimdLevel::Avx2Fma,
+        Request::Auto if has_avx2 && has_avx512 => SimdLevel::Avx512,
+        _ if has_avx2 => SimdLevel::Avx2,
+        _ => SimdLevel::Scalar,
+    }
+}
+
 impl KernelDispatch {
     /// The process-wide dispatch decision, resolved exactly once:
-    /// `DLRM_SIMD=off|scalar` forces scalar, `DLRM_SIMD=avx2` requests
-    /// AVX2, `DLRM_SIMD=fma` requests the FMA-contracted GEMM tier, and
-    /// unset/unrecognized auto-selects AVX2 when the CPU supports it.
-    /// Requested tiers the CPU lacks fall back to scalar; FMA is never
-    /// chosen without the explicit override.
+    /// `DLRM_SIMD=off|scalar|0` forces scalar, `avx2` pins the exact
+    /// AVX2 tier, `fma` requests the FMA-contracted GEMM tier, and
+    /// unset — or `avx512`, its synonym — auto-selects the widest exact
+    /// tier the CPU supports (the AVX-512 GEMM tier where it exists). A requested tier the CPU
+    /// lacks falls to the next exact tier down; an unrecognised value
+    /// is reported on stderr once and then treated as unset. FMA is
+    /// never chosen without the explicit override.
     #[must_use]
     pub fn detect() -> Self {
         static RESOLVED: OnceLock<SimdLevel> = OnceLock::new();
         let level = *RESOLVED.get_or_init(|| {
             let requested = std::env::var("DLRM_SIMD").ok();
             let requested = requested.as_deref().map(str::trim);
-            let candidate = match requested {
-                Some("off" | "scalar" | "0") => SimdLevel::Scalar,
-                Some("fma" | "avx2+fma" | "avx2-fma") => SimdLevel::Avx2Fma,
-                // `avx2`, unset, or unrecognized: auto (exact SIMD only).
-                _ => SimdLevel::Avx2,
-            };
-            if level_supported(candidate) {
-                candidate
-            } else {
-                SimdLevel::Scalar
+            if parse_request(requested).is_none() {
+                eprintln!(
+                    "DLRM_SIMD={:?} is not one of off|scalar|0, avx2, avx512, fma; auto-detecting",
+                    requested.unwrap_or_default()
+                );
             }
+            resolve(
+                requested,
+                level_supported(SimdLevel::Avx2),
+                level_supported(SimdLevel::Avx2Fma),
+                level_supported(SimdLevel::Avx512),
+            )
         });
         Self { level }
     }
@@ -158,6 +212,31 @@ impl KernelDispatch {
         level_supported(SimdLevel::Avx2).then_some(Self {
             level: SimdLevel::Avx2,
         })
+    }
+
+    /// A dispatch pinned to the exact AVX-512 GEMM tier, or `None` when
+    /// the CPU lacks `avx512f`.
+    #[must_use]
+    pub fn forced_avx512() -> Option<Self> {
+        level_supported(SimdLevel::Avx512).then_some(Self {
+            level: SimdLevel::Avx512,
+        })
+    }
+
+    /// Every exact tier this CPU runs, scalar first — what a test
+    /// iterates to pin "same bits under every dispatch". A tier the CPU
+    /// lacks is named on stderr, so a green run on such a host does not
+    /// read as proof about a kernel that never ran.
+    #[must_use]
+    pub fn exact_tiers() -> Vec<Self> {
+        let mut tiers = vec![Self::scalar()];
+        for (tier, name) in [(Self::forced_avx2(), "AVX2"), (Self::forced_avx512(), "AVX-512")] {
+            match tier {
+                Some(tier) => tiers.push(tier),
+                None => eprintln!("note: this CPU lacks the {name} tier; it is skipped"),
+            }
+        }
+        tiers
     }
 
     /// A dispatch pinned to the FMA-contracted GEMM tier (tolerance
@@ -184,6 +263,7 @@ impl KernelDispatch {
 pub struct KernelStats {
     gemm_scalar: AtomicU64,
     gemm_avx2: AtomicU64,
+    gemm_avx512: AtomicU64,
     gemm_fma: AtomicU64,
     gemm_packs: AtomicU64,
     sls_scalar: AtomicU64,
@@ -197,6 +277,7 @@ pub struct KernelStats {
 static KERNEL_STATS: KernelStats = KernelStats {
     gemm_scalar: AtomicU64::new(0),
     gemm_avx2: AtomicU64::new(0),
+    gemm_avx512: AtomicU64::new(0),
     gemm_fma: AtomicU64::new(0),
     gemm_packs: AtomicU64::new(0),
     sls_scalar: AtomicU64::new(0),
@@ -218,6 +299,7 @@ impl KernelStats {
         match level {
             SimdLevel::Scalar => &self.gemm_scalar,
             SimdLevel::Avx2 => &self.gemm_avx2,
+            SimdLevel::Avx512 => &self.gemm_avx512,
             SimdLevel::Avx2Fma => &self.gemm_fma,
         }
         .fetch_add(1, Ordering::Relaxed);
@@ -245,7 +327,7 @@ impl KernelStats {
 
     /// Records one quantized decode-accumulate SLS dispatch. The
     /// quantized path keeps its exact mul/add sequence even under the
-    /// FMA level, so it only distinguishes scalar from AVX2.
+    /// FMA and AVX-512 levels, so it only distinguishes scalar from AVX2.
     pub fn record_qsls(&self, level: SimdLevel) {
         if level.is_simd() {
             &self.qsls_avx2
@@ -262,6 +344,7 @@ impl KernelStats {
             level: KernelDispatch::detect().level(),
             gemm_scalar: self.gemm_scalar.load(Ordering::Relaxed),
             gemm_avx2: self.gemm_avx2.load(Ordering::Relaxed),
+            gemm_avx512: self.gemm_avx512.load(Ordering::Relaxed),
             gemm_fma: self.gemm_fma.load(Ordering::Relaxed),
             gemm_packs: self.gemm_packs.load(Ordering::Relaxed),
             sls_scalar: self.sls_scalar.load(Ordering::Relaxed),
@@ -284,6 +367,8 @@ pub struct KernelSummary {
     pub gemm_scalar: u64,
     /// Dense GEMMs that ran the exact AVX2 kernels.
     pub gemm_avx2: u64,
+    /// Dense GEMMs that ran the exact AVX-512 kernels.
+    pub gemm_avx512: u64,
     /// Dense GEMMs that ran the FMA-contracted (tolerance-mode) kernels.
     pub gemm_fma: u64,
     /// Right-operand packs done per GEMM call (not counted in
@@ -313,6 +398,7 @@ impl KernelSummary {
             level: self.level,
             gemm_scalar: self.gemm_scalar.saturating_sub(earlier.gemm_scalar),
             gemm_avx2: self.gemm_avx2.saturating_sub(earlier.gemm_avx2),
+            gemm_avx512: self.gemm_avx512.saturating_sub(earlier.gemm_avx512),
             gemm_fma: self.gemm_fma.saturating_sub(earlier.gemm_fma),
             gemm_packs: self.gemm_packs.saturating_sub(earlier.gemm_packs),
             sls_scalar: self.sls_scalar.saturating_sub(earlier.sls_scalar),
@@ -328,6 +414,7 @@ impl KernelSummary {
     pub fn total(&self) -> u64 {
         self.gemm_scalar
             + self.gemm_avx2
+            + self.gemm_avx512
             + self.gemm_fma
             + self.sls_scalar
             + self.sls_avx2
@@ -343,7 +430,8 @@ impl KernelSummary {
         if total == 0 {
             return 0.0;
         }
-        let simd = self.gemm_avx2 + self.gemm_fma + self.sls_avx2 + self.qsls_avx2;
+        let simd =
+            self.gemm_avx2 + self.gemm_avx512 + self.gemm_fma + self.sls_avx2 + self.qsls_avx2;
         simd as f64 / total as f64
     }
 }
@@ -352,12 +440,13 @@ impl std::fmt::Display for KernelSummary {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "dispatch {}: gemm {}/{}/{} (scalar/avx2/fma) with {} per-call packs, \
+            "dispatch {}: gemm {}/{}/{}/{} (scalar/avx2/avx512/fma) with {} per-call packs, \
              sls {}/{} (scalar/avx2) over {} rows, qsls {}/{} (scalar/avx2), \
              {:.3} simd fraction",
             self.level,
             self.gemm_scalar,
             self.gemm_avx2,
+            self.gemm_avx512,
             self.gemm_fma,
             self.gemm_packs,
             self.sls_scalar,
@@ -398,6 +487,52 @@ mod tests {
             Some(d) => assert_eq!(d.level(), SimdLevel::Avx2Fma),
             None => assert!(!level_supported(SimdLevel::Avx2Fma)),
         }
+        match KernelDispatch::forced_avx512() {
+            Some(d) => assert_eq!(d.level(), SimdLevel::Avx512),
+            None => assert!(!level_supported(SimdLevel::Avx512)),
+        }
+        let exact = KernelDispatch::exact_tiers();
+        assert_eq!(exact[0], KernelDispatch::scalar());
+        assert!(exact.iter().all(|d| d.level() != SimdLevel::Avx2Fma));
+    }
+
+    #[test]
+    fn dlrm_simd_values_resolve_to_the_documented_tiers() {
+        use SimdLevel::{Avx2, Avx2Fma, Avx512, Scalar};
+        // (value, [no SIMD, AVX2 only, AVX2+FMA, AVX2+FMA+AVX-512])
+        let table: [(Option<&str>, [SimdLevel; 4]); 10] = [
+            (None, [Scalar, Avx2, Avx2, Avx512]),
+            (Some("off"), [Scalar; 4]),
+            (Some("scalar"), [Scalar; 4]),
+            (Some("0"), [Scalar; 4]),
+            (Some("avx2"), [Scalar, Avx2, Avx2, Avx2]),
+            (Some("avx512"), [Scalar, Avx2, Avx2, Avx512]),
+            (Some("fma"), [Scalar, Avx2, Avx2Fma, Avx2Fma]),
+            (Some("avx2+fma"), [Scalar, Avx2, Avx2Fma, Avx2Fma]),
+            // Typos auto-detect (after one stderr line from `detect`).
+            (Some("avx-512"), [Scalar, Avx2, Avx2, Avx512]),
+            // Set but empty is how a shell spells unset.
+            (Some(""), [Scalar, Avx2, Avx2, Avx512]),
+        ];
+        let hosts = [
+            (false, false, false),
+            (true, false, false),
+            (true, true, false),
+            (true, true, true),
+        ];
+        for (value, want) in table {
+            for ((avx2, fma, avx512), want) in hosts.into_iter().zip(want) {
+                assert_eq!(
+                    resolve(value, avx2, fma, avx512),
+                    want,
+                    "{value:?} on {avx2}/{fma}/{avx512}"
+                );
+            }
+        }
+        // FMA without AVX2 is no tier, and nothing but an FMA request selects it.
+        assert_eq!(resolve(Some("fma"), false, true, false), Scalar);
+        assert!(parse_request(Some("avx-512")).is_none());
+        assert!(parse_request(None).is_some() && parse_request(Some("")).is_some());
     }
 
     #[test]
@@ -405,6 +540,7 @@ mod tests {
         let before = KernelStats::global().summary();
         KernelStats::global().record_gemm(SimdLevel::Scalar);
         KernelStats::global().record_gemm(SimdLevel::Avx2);
+        KernelStats::global().record_gemm(SimdLevel::Avx512);
         KernelStats::global().record_gemm(SimdLevel::Avx2Fma);
         KernelStats::global().record_gemm_pack();
         KernelStats::global().record_sls(SimdLevel::Avx2, 40);
@@ -414,21 +550,30 @@ mod tests {
         assert!(delta.sls_rows >= 40);
         assert!(delta.gemm_scalar >= 1);
         assert!(delta.gemm_avx2 >= 1);
+        assert!(delta.gemm_avx512 >= 1);
         assert!(delta.gemm_fma >= 1);
         assert!(delta.sls_avx2 >= 1);
         assert!(delta.qsls_scalar >= 1);
-        assert!(delta.total() >= 5);
+        assert!(delta.total() >= 6);
+        let only_zmm = KernelSummary {
+            gemm_avx512: 3,
+            ..delta.since(&delta)
+        };
+        assert_eq!(only_zmm.total(), 3);
+        assert!((only_zmm.simd_fraction() - 1.0).abs() < f64::EPSILON);
         let line = delta.to_string();
         assert!(line.contains("gemm") && line.contains("rows"), "{line}");
     }
 
     #[test]
-    fn fma_level_counts_exact_paths_for_non_gemm() {
+    fn gemm_only_levels_count_avx2_paths_for_non_gemm() {
         let before = KernelStats::global().summary();
-        KernelStats::global().record_sls(SimdLevel::Avx2Fma, 0);
-        KernelStats::global().record_qsls(SimdLevel::Avx2Fma);
+        for level in [SimdLevel::Avx2Fma, SimdLevel::Avx512] {
+            KernelStats::global().record_sls(level, 0);
+            KernelStats::global().record_qsls(level);
+        }
         let delta = KernelStats::global().summary().since(&before);
-        assert!(delta.sls_avx2 >= 1);
-        assert!(delta.qsls_avx2 >= 1);
+        assert!(delta.sls_avx2 >= 2);
+        assert!(delta.qsls_avx2 >= 2);
     }
 }

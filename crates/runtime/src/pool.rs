@@ -80,8 +80,8 @@ impl Pool {
 
     /// The SIMD kernel-dispatch decision kernels forked on this pool
     /// consult. Dispatch never changes *what* is computed for the exact
-    /// tiers (scalar and AVX2 are bitwise-equal by construction), only
-    /// how fast.
+    /// tiers (scalar, AVX2 and AVX-512 are bitwise-equal by
+    /// construction), only how fast.
     #[must_use]
     pub fn dispatch(&self) -> KernelDispatch {
         self.dispatch

@@ -107,7 +107,8 @@ pub fn merge_inputs(parts: &[&BatchInputs]) -> (BatchInputs, Vec<usize>) {
     let cols = parts[0].dense.cols();
     let tables = parts[0].sparse.len();
     let mut row_counts = Vec::with_capacity(parts.len());
-    let mut dense_data = Vec::new();
+    // Sized once, up front: growing from empty re-copies at every doubling.
+    let mut dense_data = Vec::with_capacity(parts.iter().map(|p| p.dense.as_slice().len()).sum());
     for p in parts {
         assert_eq!(p.dense.cols(), cols, "dense feature width mismatch");
         assert_eq!(p.sparse.len(), tables, "table count mismatch");
@@ -118,12 +119,10 @@ pub fn merge_inputs(parts: &[&BatchInputs]) -> (BatchInputs, Vec<usize>) {
     let dense = Matrix::from_vec(total_rows, cols, dense_data);
     let sparse = (0..tables)
         .map(|ti| {
-            let mut indices = Vec::new();
-            let mut lengths = Vec::new();
-            for p in parts {
-                indices.extend_from_slice(&p.sparse[ti].indices);
-                lengths.extend_from_slice(&p.sparse[ti].lengths);
-            }
+            // `concat` allocates each merged vector once, at its final size.
+            let of_table = || parts.iter().map(|p| &p.sparse[ti]);
+            let indices = of_table().map(|s| s.indices.as_slice()).collect::<Vec<_>>().concat();
+            let lengths = of_table().map(|s| s.lengths.as_slice()).collect::<Vec<_>>().concat();
             SparseInput::new(indices, lengths)
         })
         .collect();

@@ -113,7 +113,7 @@ fn run_batch(
     let (merged, row_counts) = merge_inputs(&parts);
     let mut ws = dlrm_model::Workspace::with_ctx(ctx.clone());
     ws.set_consumer_counts(Arc::clone(consumers));
-    merged.load_into(&model.spec, &mut ws);
+    merged.load_owned(&model.spec, &mut ws);
 
     let lead_trace = TraceId(batch.entries[0].queued.request.id);
     // The observer's clock starts at its construction; capture the same

@@ -205,7 +205,7 @@ impl TenantSet {
                 .map_err(|e| format!("{} golden probe: {e}", t.name))?;
 
             tenants.push(Arc::new(TenantRuntime {
-                profiler: OnlineProfiler::for_spec(&t.spec),
+                profiler: OnlineProfiler::without_rows(&t.spec),
                 switch: EpochSwitch::new(serving),
                 state: Mutex::new(TenantTierState {
                     tiers,

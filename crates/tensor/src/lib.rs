@@ -7,7 +7,7 @@
 //! `SparseLengthsSum` gather-and-pool (which lives in `dlrm-model` on top
 //! of this crate's [`Matrix`] storage). This crate provides exactly those
 //! dense kernels — row-major, with every `unsafe` block confined to the
-//! audited AVX2/FMA tier in [`simd`]. The GEMMs read one panel-major
+//! audited SIMD tiers in [`simd`]. The GEMMs read one panel-major
 //! operand layout ([`PackedWeights`]: packed once for FC weights via
 //! [`matmul_packed_into`], per call for [`matmul_into`] and
 //! [`matmul_transb_into`]), are register-tiled and optionally
@@ -16,8 +16,8 @@
 //! while staying **bit-exact** with the naive reference kernels
 //! ([`Matrix::matmul_reference`], [`Matrix::matmul_transb_reference`])
 //! and across any worker count: every kernel tier keeps one accumulator
-//! per output element folded in ascending-`k` order (the exact AVX2
-//! tier vectorizes across output *columns*, one element per lane, with
+//! per output element folded in ascending-`k` order (the exact AVX2 and
+//! AVX-512 tiers vectorize across output *columns*, one per lane, with
 //! separate mul/add — see the [`simd`] module docs), and parallelism
 //! only partitions output rows. The FMA-contracted tier is the one
 //! deliberate exception, gated behind `DLRM_SIMD=fma` and

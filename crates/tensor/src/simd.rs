@@ -1,4 +1,5 @@
-//! AVX2/FMA SIMD kernel tier (`core::arch::x86_64`, std-only).
+//! The SIMD kernel tiers (`core::arch::x86_64`, std-only): exact AVX2,
+//! exact AVX-512 (GEMM only) and FMA-contracted AVX2 (GEMM only).
 //!
 //! Every `unsafe` block in the workspace lives in this module, behind
 //! safe dispatch wrappers. The wrappers take the resolved
@@ -6,21 +7,31 @@
 //! CPU support at the boundary — `is_x86_feature_detected!` caches, so
 //! the re-check is one atomic load — which makes every public function
 //! here sound even if a caller fabricates a level the host cannot run:
-//! it simply falls back to the scalar loop.
+//! it simply falls back to the widest exact tier the host does run.
 //!
 //! # Bit-exactness by construction
 //!
-//! The exact AVX2 tier vectorizes across **output columns** (one
-//! output element per SIMD lane) with *separate* multiply and add
+//! The exact tiers vectorize across **output columns** (one output
+//! element per SIMD lane) with *separate* multiply and add
 //! instructions — never FMA contraction. Each lane therefore performs
 //! exactly the float-op sequence of the scalar kernel for that output
 //! element: one accumulator, folding `k` (GEMM) or bag rows (SLS) in
 //! ascending order, one rounding per multiply and one per add. Lanes
-//! never interact (no horizontal reductions), so results are
-//! **bitwise identical** to the scalar oracles for every shape,
-//! including ragged tails, which run the scalar kernel itself. All
-//! tiers read the same packed-panel operand ([`crate::PackedWeights`]);
-//! packing is pure data movement and changes no bits.
+//! never interact (no horizontal reductions), so how many lanes a
+//! register holds — 8 in a `ymm`, 16 in a `zmm` — cannot reach the
+//! bits, and results are **bitwise identical** to the scalar oracles
+//! for every shape, including ragged tails, which run the scalar kernel
+//! itself. All tiers read the same packed-panel operand
+//! ([`crate::PackedWeights`]); packing is pure data movement and
+//! changes no bits.
+//!
+//! The AVX-512 tier ([`SimdLevel::Avx512`]) widens the GEMM only, and
+//! only for blocks of at least [`ZMM_MIN_ROWS`] rows: one `zmm` holds a
+//! whole 16-lane weight panel group, and a register tile of up to
+//! [`ZMM_TILE_ROWS`] rows reads it once. The gather and the
+//! quantized decode are bound by memory bandwidth, not issue width, so
+//! under that level they run the same AVX2 bodies — as they do under
+//! the FMA level.
 //!
 //! [`sls_bags`] is the workspace's one f32 SparseLengthsSum inner loop
 //! (plain tables, the hot-row cache and pruned tables all gather
@@ -34,21 +45,22 @@
 //! multiply-add. That *changes* low-order bits, so it is never
 //! auto-selected and is property-tested against the scalar oracle
 //! within a documented tolerance instead (see
-//! `crates/tensor/tests/kernel_properties.rs`).
+//! `crates/tensor/tests/kernel_properties.rs`). There is no fused
+//! AVX-512 kernel.
 //!
 //! # Unsafe audit notes
 //!
 //! Each `#[target_feature]` function documents its safety contract:
 //! slice-length preconditions are asserted in the safe wrappers, all
 //! pointer arithmetic stays inside the asserted bounds (the loop
-//! conditions `j + LANES <= n` guarantee every 32-byte load/store is
-//! in-bounds; the gather range-checks every index before its first
-//! load), and unaligned load/store intrinsics (`loadu`/`storeu`)
-//! are used throughout so no alignment assumption exists. The only
-//! remaining obligation — the CPU actually supports AVX2 — is
-//! discharged by `level_supported` before every unsafe call. On
-//! non-x86_64 targets the module compiles to the scalar fallbacks
-//! only.
+//! conditions `j + LANES <= n` guarantee every 32- or 64-byte
+//! load/store is in-bounds; the gather range-checks every index before
+//! its first load), and unaligned load/store intrinsics
+//! (`loadu`/`storeu`) are used throughout so no alignment assumption
+//! exists. The only remaining obligation — the CPU actually supports
+//! the instructions — is discharged by `level_supported` before every
+//! unsafe call. On non-x86_64 targets the module compiles to the scalar
+//! fallbacks only.
 
 #![allow(unsafe_code)]
 
@@ -58,26 +70,16 @@ use crate::packed::panel_width;
 
 /// Downgrades a requested level to what the running CPU can execute:
 /// the tier kernels will actually take (and counters should record).
+/// An unsupported SIMD level lands on the exact AVX2 tier when the CPU
+/// has that, else on scalar — never on FMA.
 #[must_use]
 pub fn effective_level(level: SimdLevel) -> SimdLevel {
-    match level {
-        SimdLevel::Scalar => SimdLevel::Scalar,
-        SimdLevel::Avx2Fma => {
-            if level_supported(SimdLevel::Avx2Fma) {
-                SimdLevel::Avx2Fma
-            } else if level_supported(SimdLevel::Avx2) {
-                SimdLevel::Avx2
-            } else {
-                SimdLevel::Scalar
-            }
-        }
-        SimdLevel::Avx2 => {
-            if level_supported(SimdLevel::Avx2) {
-                SimdLevel::Avx2
-            } else {
-                SimdLevel::Scalar
-            }
-        }
+    if level_supported(level) {
+        level
+    } else if level_supported(SimdLevel::Avx2) {
+        SimdLevel::Avx2
+    } else {
+        SimdLevel::Scalar
     }
 }
 
@@ -86,6 +88,34 @@ pub fn effective_level(level: SimdLevel) -> SimdLevel {
 fn usable(level: SimdLevel) -> bool {
     level.is_simd() && level_supported(SimdLevel::Avx2)
 }
+
+/// Rows of the AVX-512 GEMM register tile: 28 `zmm` accumulators, the
+/// panel's lane group and one product fill 30 of the 32 registers, so
+/// a merged serving batch of at most 28 rows reads each weight panel
+/// once. Height is what pays: one thread on a Xeon (Ice Lake, model
+/// 106), 2 900 × 256 weights, a single tile of M rows runs 72 GFLOP/s
+/// at M = 8, 75 at 12, 81 at 16 and 82 at 20–28 (the exact `ymm` tile:
+/// 49 at every M ≥ 4); on 13 400 × 512 weights streamed from DRAM, 54
+/// at M = 16, 60 at 20, 65 at 24 and 67 at 28. A constant, not a knob.
+pub const ZMM_TILE_ROWS: usize = 28;
+
+/// The fewest rows of a block the AVX-512 tier runs on `zmm`
+/// registers: a block the `ymm` kernel covers in one pass over each
+/// panel (a batch of at most six rows) stays on the `ymm` kernel —
+/// same bits. In a hot loop `zmm` already wins from three rows (same
+/// host, 512 × 256: 16.3 → 12.8 µs at M = 3, 21.4 → 14.8 at M = 4),
+/// but a serving worker is not a hot loop, and 512-bit execution
+/// lowers the core's clock for the next millisecond or so, taxing
+/// whatever runs after it. With 3–6-row batches on `zmm`,
+/// `rm3_dense_inproc` measured `steady_p50_ms` 2.499 against 2.475 and
+/// `saturation_qps` no better (11.87k against 12.02k req/s; `sysbench`,
+/// six runs a side). Raising the bar further trades the other way: at
+/// 13 rows a back-to-back loop of single requests never touches `zmm`
+/// (`model.singular_ms` 0.200–0.205 ms against 0.198–0.226 at 7, parent
+/// 0.197–0.204) but saturated batches of 7–12 rows lose their ×1.3–1.5
+/// and `saturation_qps` gains 16 % instead of 33 %. A property of the
+/// input, not a knob.
+pub const ZMM_MIN_ROWS: usize = 7;
 
 /// How many lookups ahead of the row being added the gather prefetches.
 /// Measured on RM1 @ 512 MiB (all 257 tables, 134 676 uniform lookups
@@ -341,11 +371,14 @@ fn decode_u4_scalar<const ACCUM: bool>(
 /// `rows × n` output block.
 ///
 /// Walks the panels in storage order and hands each to the kernel the
-/// tier selects: AVX2 / FMA register tiles for 16- and 8-wide panels,
-/// the portable [`panel_scalar`] for the scalar tier and for the
-/// 1-wide ragged-tail panels of every tier. Each kernel keeps one
-/// accumulator per output element and folds `k` in ascending order, so
-/// all exact tiers agree bitwise.
+/// tier selects: `zmm` register tiles for the 16-wide panels of the
+/// AVX-512 tier when the block has at least [`ZMM_MIN_ROWS`] rows,
+/// `ymm` tiles (exact or FMA) for the 16- and 8-wide panels of the AVX2
+/// tiers, for the 8-wide panel of the AVX-512 tier and for its shorter
+/// blocks, the portable [`panel_scalar`] for the scalar tier and for
+/// the 1-wide ragged-tail panels of every tier. Each kernel keeps one accumulator
+/// per output element and folds `k` in ascending order, so all exact
+/// tiers agree bitwise.
 ///
 /// # Panics
 ///
@@ -363,22 +396,30 @@ pub(crate) fn packed_rows(
     assert_eq!(panels.len(), k * n, "packed weights must hold k x n");
     assert_eq!(out_rows.len(), a_rows.len() / k * n, "output block must be rows x n");
     let level = effective_level(level);
+    #[cfg(target_arch = "x86_64")]
+    let zmm_block = a_rows.len() / k >= ZMM_MIN_ROWS;
     let mut j = 0usize;
     while j < n {
         let w = panel_width(n, j);
         let panel = &panels[k * j..k * (j + w)];
         match (w, level) {
             #[cfg(target_arch = "x86_64")]
-            (16, SimdLevel::Avx2Fma) => {
+            (16, SimdLevel::Avx512) if zmm_block => {
                 // SAFETY: `effective_level` verified the CPU runs
-                // AVX2+FMA; `panel` holds k full 16-lane groups and
-                // j + 16 <= n bounds every output store; the asserts
+                // AVX-512F and AVX2; `panel` holds k full 16-lane groups
+                // and j + 16 <= n bounds every output store; the asserts
                 // above give a_rows = rows·k and out_rows = rows·n.
+                unsafe { x86::panel_avx512(a_rows, k, panel, out_rows, n, j) }
+            }
+            #[cfg(target_arch = "x86_64")]
+            (16, SimdLevel::Avx2Fma) => {
+                // SAFETY: AVX2+FMA verified; bounds as above.
                 unsafe { x86::panel_fma::<2>(a_rows, k, panel, out_rows, n, j) }
             }
             #[cfg(target_arch = "x86_64")]
-            (16, SimdLevel::Avx2) => {
-                // SAFETY: AVX2 verified; bounds as above.
+            (16, SimdLevel::Avx2 | SimdLevel::Avx512) => {
+                // SAFETY: AVX2 verified (the AVX-512 level requires it
+                // too); bounds as above.
                 unsafe { x86::panel_avx2::<2>(a_rows, k, panel, out_rows, n, j) }
             }
             #[cfg(target_arch = "x86_64")]
@@ -388,7 +429,7 @@ pub(crate) fn packed_rows(
                 unsafe { x86::panel_fma::<1>(a_rows, k, panel, out_rows, n, j) }
             }
             #[cfg(target_arch = "x86_64")]
-            (8, SimdLevel::Avx2) => {
+            (8, SimdLevel::Avx2 | SimdLevel::Avx512) => {
                 // SAFETY: AVX2 verified; bounds as above.
                 unsafe { x86::panel_avx2::<1>(a_rows, k, panel, out_rows, n, j) }
             }
@@ -397,6 +438,44 @@ pub(crate) fn packed_rows(
             _ => panel_scalar::<1>(a_rows, k, panel, out_rows, n, j),
         }
         j += w;
+    }
+}
+
+/// Independent chains the roofline probe keeps in flight: enough to
+/// cover a 4-cycle multiply feeding a 4-cycle add on up to three ports.
+const PROBE_CHAINS: usize = 12;
+
+/// Roofline probe for the exact GEMM tiers: `iters` rounds of
+/// [`PROBE_CHAINS`] independent register-resident chains
+/// `x = x·m + c` — a separate multiply and add per lane, nothing loaded
+/// or stored — at the vector width `level`'s GEMM tile uses. Returns
+/// the FLOPs executed (for a bench to divide by its wall time), or 0
+/// when `level` is not an exact SIMD tier this CPU runs. The exact
+/// tiers cannot beat this rate; the fused-multiply-add peak is twice it.
+#[must_use]
+pub fn exact_peak_probe(level: SimdLevel, iters: u64) -> u64 {
+    #[cfg(target_arch = "x86_64")]
+    {
+        // SAFETY (both arms): `level_supported` verified the CPU runs
+        // the instructions; the probes touch no memory but their own
+        // stack.
+        let lanes = match level {
+            SimdLevel::Avx512 if level_supported(level) => {
+                std::hint::black_box(unsafe { x86::probe_zmm(iters) });
+                16
+            }
+            SimdLevel::Avx2 if level_supported(level) => {
+                std::hint::black_box(unsafe { x86::probe_ymm(iters) });
+                8
+            }
+            _ => 0,
+        };
+        iters * (PROBE_CHAINS * lanes * 2) as u64
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        let _ = (level, iters);
+        0
     }
 }
 
@@ -450,8 +529,9 @@ mod x86 {
     use core::arch::x86_64::{
         __m256, _mm256_add_ps, _mm256_cvtepi32_ps, _mm256_cvtepu8_epi32, _mm256_fmadd_ps,
         _mm256_loadu_ps, _mm256_mul_ps, _mm256_set1_ps, _mm256_setzero_ps, _mm256_storeu_ps,
-        _mm_and_si128, _mm_loadl_epi64, _mm_prefetch, _mm_set1_epi8, _mm_srli_epi16,
-        _mm_srli_si128, _mm_unpacklo_epi8, _MM_HINT_T0,
+        _mm512_add_ps, _mm512_loadu_ps, _mm512_mul_ps, _mm512_set1_ps, _mm512_setzero_ps,
+        _mm512_storeu_ps, _mm_and_si128, _mm_loadl_epi64, _mm_prefetch, _mm_set1_epi8,
+        _mm_srli_epi16, _mm_srli_si128, _mm_unpacklo_epi8, _MM_HINT_T0,
     };
 
     /// `acc + a*b`: contracted when `FMA`, two rounded ops otherwise.
@@ -586,6 +666,112 @@ mod x86 {
     ) {
         panel_body::<true, VECS>(a_rows, k, pack, out, n, j);
     }
+
+    /// A `ROWS × 16` register tile of the AVX-512 tier over one 16-wide
+    /// packed panel: per `k` one `zmm` load of the panel's lane group,
+    /// then per row a broadcast of `A[r][kk]`, a multiply and an add —
+    /// separate instructions, never a fused one — into that row's
+    /// accumulator, which starts at `+0.0` and folds `k` in ascending
+    /// order. A lane is one output element, so this is the scalar
+    /// kernel's float-op sequence per element whatever the vector
+    /// width. `ROWS` accumulators, the panel group and one product
+    /// live in registers: 28 rows use 30 of the 32.
+    #[inline(always)]
+    unsafe fn tile512<const ROWS: usize>(
+        a: *const f32,
+        k: usize,
+        pp: *const f32,
+        o: *mut f32,
+        n: usize,
+    ) {
+        let mut acc = [_mm512_setzero_ps(); ROWS];
+        for kk in 0..k {
+            let vb = _mm512_loadu_ps(pp.add(kk * 16));
+            for (r, c) in acc.iter_mut().enumerate() {
+                let va = _mm512_set1_ps(*a.add(r * k + kk));
+                *c = _mm512_add_ps(*c, _mm512_mul_ps(va, vb));
+            }
+        }
+        for (r, &c) in acc.iter().enumerate() {
+            _mm512_storeu_ps(o.add(r * n), c);
+        }
+    }
+
+    /// Exact AVX-512 panel kernel over one 16-wide packed panel:
+    /// [`super::ZMM_TILE_ROWS`]-row tiles, then one tile of exactly the
+    /// rows left, so a block of at most that many rows — a merged
+    /// serving batch — streams the panel once.
+    ///
+    /// # Safety
+    ///
+    /// Caller verifies AVX-512F support, `a_rows.len() = rows·k` with
+    /// `k > 0`, `pack.len() ≥ k·16`, `out.len() = rows·n`, and
+    /// `j + 16 ≤ n` (asserted/maintained by the safe wrapper).
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn panel_avx512(
+        a_rows: &[f32],
+        k: usize,
+        pack: &[f32],
+        out: &mut [f32],
+        n: usize,
+        j: usize,
+    ) {
+        const FULL: usize = super::ZMM_TILE_ROWS;
+        let rows = a_rows.len() / k;
+        let pp = pack.as_ptr();
+        let mut a = a_rows.as_ptr();
+        let mut o = out.as_mut_ptr().add(j);
+        for _ in 0..rows / FULL {
+            tile512::<FULL>(a, k, pp, o, n);
+            a = a.add(FULL * k);
+            o = o.add(FULL * n);
+        }
+        // Tile heights are const generics: one arm per remainder.
+        const _: () = assert!(FULL == 28);
+        macro_rules! remainder {
+            ($($r:literal)+) => {
+                match rows % FULL {
+                    $($r => tile512::<$r>(a, k, pp, o, n),)+
+                    _ => {}
+                }
+            };
+        }
+        remainder!(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24 25 26 27);
+    }
+
+    /// [`super::exact_peak_probe`] at one vector width — one body for
+    /// both register files, so the bench-only unsafe surface is a
+    /// single loop.
+    ///
+    /// # Safety
+    ///
+    /// Caller of the generated fn verifies `$feature` support.
+    macro_rules! probe {
+        ($name:ident, $feature:literal, $lanes:literal, $set1:ident, $mul:ident, $add:ident, $store:ident) => {
+            #[target_feature(enable = $feature)]
+            pub(super) unsafe fn $name(iters: u64) -> f32 {
+                let (m, c) = ($set1(0.999_999), $set1(1e-6));
+                let mut x = [$set1(0.5); super::PROBE_CHAINS];
+                for _ in 0..iters {
+                    // Multiplies, then adds: issued pairwise the two
+                    // ports fill unevenly and the loop reads 5 % under
+                    // the real rate.
+                    for v in &mut x {
+                        *v = $mul(*v, m);
+                    }
+                    for v in &mut x {
+                        *v = $add(*v, c);
+                    }
+                }
+                let mut lanes = [0.0f32; $lanes];
+                let sum = x.iter().fold($set1(0.0), |s, &v| $add(s, v));
+                $store(lanes.as_mut_ptr(), sum);
+                lanes[0]
+            }
+        };
+    }
+    probe!(probe_zmm, "avx512f", 16, _mm512_set1_ps, _mm512_mul_ps, _mm512_add_ps, _mm512_storeu_ps);
+    probe!(probe_ymm, "avx2", 8, _mm256_set1_ps, _mm256_mul_ps, _mm256_add_ps, _mm256_storeu_ps);
 
     /// What every bag pass of one [`sls_bags_avx2`] call shares.
     struct Gather {
@@ -868,14 +1054,19 @@ mod x86 {
 mod tests {
     use super::*;
 
-    fn avx2() -> Option<SimdLevel> {
-        level_supported(SimdLevel::Avx2).then_some(SimdLevel::Avx2)
+    /// The SIMD levels whose decode bodies this CPU runs (one AVX2 body
+    /// serves them all; each level must reach it).
+    fn simd_levels() -> Vec<SimdLevel> {
+        let all = [SimdLevel::Avx2, SimdLevel::Avx512, SimdLevel::Avx2Fma];
+        all.into_iter().filter(|&l| level_supported(l)).collect()
     }
 
     #[test]
     fn u8_decode_matches_scalar_bitwise() {
-        let Some(level) = avx2() else { return };
-        for n in [1, 5, 8, 13, 16, 33, 64, 100] {
+        for (level, n) in simd_levels()
+            .into_iter()
+            .flat_map(|l| [1, 5, 8, 13, 16, 33, 64, 100].map(|n| (l, n)))
+        {
             let codes: Vec<u8> = (0..n).map(|i| (i * 37 % 256) as u8).collect();
             let (scale, bias) = (0.017_f32, -1.3_f32);
             let mut scalar = vec![0.25f32; n];
@@ -885,20 +1076,22 @@ mod tests {
             assert_eq!(
                 scalar.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                 simd.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "accumulate n={n}"
+                "accumulate n={n} on {level}"
             );
             let mut scalar_row = vec![f32::NAN; n];
             let mut simd_row = vec![f32::NAN; n];
             decode_row_u8(SimdLevel::Scalar, &codes, scale, bias, &mut scalar_row);
             decode_row_u8(level, &codes, scale, bias, &mut simd_row);
-            assert_eq!(scalar_row, simd_row, "store n={n}");
+            assert_eq!(scalar_row, simd_row, "store n={n} on {level}");
         }
     }
 
     #[test]
     fn u4_decode_matches_scalar_bitwise_including_odd_dims() {
-        let Some(level) = avx2() else { return };
-        for n in [1usize, 2, 7, 15, 16, 17, 31, 32, 33, 63] {
+        for (level, n) in simd_levels()
+            .into_iter()
+            .flat_map(|l| [1usize, 2, 7, 15, 16, 17, 31, 32, 33, 63].map(|n| (l, n)))
+        {
             let codes: Vec<u8> = (0..n.div_ceil(2)).map(|i| (i * 73 % 256) as u8).collect();
             let (scale, bias) = (0.21_f32, 0.4_f32);
             let mut scalar = vec![1.5f32; n];
@@ -908,24 +1101,38 @@ mod tests {
             assert_eq!(
                 scalar.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                 simd.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "accumulate n={n}"
+                "accumulate n={n} on {level}"
             );
             let mut scalar_row = vec![f32::NAN; n];
             let mut simd_row = vec![f32::NAN; n];
             decode_row_u4(SimdLevel::Scalar, &codes, scale, bias, &mut scalar_row);
             decode_row_u4(level, &codes, scale, bias, &mut simd_row);
-            assert_eq!(scalar_row, simd_row, "store n={n}");
+            assert_eq!(scalar_row, simd_row, "store n={n} on {level}");
         }
     }
 
     #[test]
     fn effective_level_downgrades_only_when_unsupported() {
-        assert_eq!(effective_level(SimdLevel::Scalar), SimdLevel::Scalar);
-        if level_supported(SimdLevel::Avx2) {
-            assert_eq!(effective_level(SimdLevel::Avx2), SimdLevel::Avx2);
-        } else {
-            assert_eq!(effective_level(SimdLevel::Avx2), SimdLevel::Scalar);
-            assert_eq!(effective_level(SimdLevel::Avx2Fma), SimdLevel::Scalar);
+        use SimdLevel::{Avx2, Avx2Fma, Avx512, Scalar};
+        assert_eq!(effective_level(Scalar), Scalar);
+        let below = if level_supported(Avx2) { Avx2 } else { Scalar };
+        for level in [Avx2, Avx512, Avx2Fma] {
+            let want = if level_supported(level) { level } else { below };
+            assert_eq!(effective_level(level), want, "{level}");
+        }
+    }
+
+    #[test]
+    fn peak_probe_counts_flops_per_lane_width() {
+        assert_eq!(exact_peak_probe(SimdLevel::Scalar, 10), 0);
+        assert_eq!(exact_peak_probe(SimdLevel::Avx2Fma, 10), 0);
+        for (level, lanes) in [(SimdLevel::Avx2, 8), (SimdLevel::Avx512, 16)] {
+            let want = if level_supported(level) {
+                10 * PROBE_CHAINS as u64 * lanes * 2
+            } else {
+                0
+            };
+            assert_eq!(exact_peak_probe(level, 10), want, "{level}");
         }
     }
 }

@@ -11,9 +11,9 @@
 //!    workers produce the same bits.
 //!
 //! Both hold for the prepacked path ([`matmul_packed_into`]) as for the
-//! pack-per-call entry points, on every kernel tier — and for the
-//! bag-fused SLS gather ([`sls_bags`]) against the per-row loop it
-//! replaced.
+//! pack-per-call entry points, on every exact kernel tier the host
+//! runs (scalar, AVX2, AVX-512) — and for the bag-fused SLS gather
+//! ([`sls_bags`]) against the per-row loop it replaced.
 
 use dlrm_runtime::{KernelDispatch, Pool, SimdLevel};
 use dlrm_sim::SimRng;
@@ -25,6 +25,21 @@ use dlrm_tensor::{
 
 const CASES: usize = 48;
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
+
+/// Raw bit patterns: `-0.0` and `+0.0` differ, and so do two NaNs with
+/// different signs or payloads.
+fn bits(values: &[f32]) -> Vec<u32> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+/// Bit patterns with every NaN mapped to one, for the salted GEMM cases
+/// only: IEEE 754 leaves the sign and payload of `NaN * NaN` or
+/// `NaN + NaN` to the operand order the compiler picks for the scalar
+/// oracle, and the tiers need only agree that the element *is* NaN.
+fn bits_nan_class(values: &[f32]) -> Vec<u32> {
+    let class = |v: &f32| if v.is_nan() { f32::NAN.to_bits() } else { v.to_bits() };
+    values.iter().map(class).collect()
+}
 
 /// An `r × c` matrix with elements uniform in `[-4, 4)` — small enough
 /// to keep products finite, irregular enough to expose ordering bugs.
@@ -120,52 +135,34 @@ fn transb_bit_exact_across_worker_counts() {
     }
 }
 
-/// The exact AVX2 tier must be bitwise-equal to the scalar kernel:
-/// it vectorizes across output columns with separate mul/add, so each
-/// element's ascending-k fold is unchanged (DESIGN §3.8). Shapes from
-/// `shape()` include plenty of dims that are not multiples of 8, so
-/// every ragged-tail path is exercised. Skips (vacuously passes) on
-/// hosts without AVX2.
+/// The exact SIMD tiers must be bitwise-equal to the scalar kernel:
+/// they vectorize across output columns with separate mul/add, so each
+/// element's ascending-k fold is unchanged whatever the vector width
+/// (DESIGN §3.8). Shapes from `shape()` include plenty of dims that are
+/// not multiples of 8 or 16 and row counts on both sides of the
+/// 28-row `zmm` tile, so every ragged-tail path is exercised — through
+/// both pack-per-call entry points (packing is pure data movement).
 #[test]
-fn avx2_matmul_matches_scalar_bitwise_including_ragged_tails() {
-    let Some(avx2) = KernelDispatch::forced_avx2() else {
-        return;
-    };
+fn simd_gemm_matches_scalar_bitwise_including_ragged_tails() {
     let scalar = Pool::with_dispatch(1, KernelDispatch::scalar());
-    let simd = Pool::with_dispatch(1, avx2);
-    let mut rng = SimRng::seed_from(0x0B10_C4ED).fork(7);
-    for case in 0..CASES {
-        let (m, k, n) = shape(&mut rng);
-        let a = matrix(&mut rng, m, k);
-        let b = matrix(&mut rng, k, n);
-        let mut expect = Matrix::zeros(m, n);
-        let mut got = Matrix::zeros(m, n);
-        matmul_into(&a, &b, &mut expect, &scalar);
-        matmul_into(&a, &b, &mut got, &simd);
-        assert_eq!(got, expect, "case {case}: {m}x{k}x{n}");
-    }
-}
-
-/// As above for the `A · Bᵀ` kernel: the 8-column panel packing is pure
-/// data movement, so the vectorized kernel must match the scalar tiles
-/// bit for bit on every shape, ragged tails included.
-#[test]
-fn avx2_transb_matches_scalar_bitwise_including_ragged_tails() {
-    let Some(avx2) = KernelDispatch::forced_avx2() else {
-        return;
-    };
-    let scalar = Pool::with_dispatch(1, KernelDispatch::scalar());
-    let simd = Pool::with_dispatch(1, avx2);
-    let mut rng = SimRng::seed_from(0x0B10_C4ED).fork(8);
-    for case in 0..CASES {
-        let (m, k, n) = shape(&mut rng);
-        let a = matrix(&mut rng, m, k);
-        let b = matrix(&mut rng, n, k);
-        let mut expect = Matrix::zeros(m, n);
-        let mut got = Matrix::zeros(m, n);
-        matmul_transb_into(&a, &b, &mut expect, &scalar);
-        matmul_transb_into(&a, &b, &mut got, &simd);
-        assert_eq!(got, expect, "case {case}: {m}x{k}x({n}x{k})T");
+    for tier in KernelDispatch::exact_tiers().into_iter().skip(1) {
+        let simd = Pool::with_dispatch(1, tier);
+        let level = tier.level();
+        let mut rng = SimRng::seed_from(0x0B10_C4ED).fork(7);
+        for case in 0..CASES {
+            let (m, k, n) = shape(&mut rng);
+            let a = matrix(&mut rng, m, k);
+            let b = matrix(&mut rng, k, n);
+            let bt = matrix(&mut rng, n, k);
+            let mut expect = Matrix::zeros(m, n);
+            let mut got = Matrix::zeros(m, n);
+            matmul_into(&a, &b, &mut expect, &scalar);
+            matmul_into(&a, &b, &mut got, &simd);
+            assert_eq!(got, expect, "case {case}: {m}x{k}x{n} on {level}");
+            matmul_transb_into(&a, &bt, &mut expect, &scalar);
+            matmul_transb_into(&a, &bt, &mut got, &simd);
+            assert_eq!(got, expect, "case {case}: {m}x{k}x({n}x{k})T on {level}");
+        }
     }
 }
 
@@ -173,29 +170,32 @@ fn avx2_transb_matches_scalar_bitwise_including_ragged_tails() {
 /// must stay bit-exact with the reference oracle for every worker
 /// count, because chunking still only partitions output rows.
 #[test]
-fn avx2_kernels_bit_exact_across_worker_counts() {
-    let Some(avx2) = KernelDispatch::forced_avx2() else {
-        return;
-    };
-    let mut rng = SimRng::seed_from(0x0B10_C4ED).fork(9);
-    let mut shapes = vec![(96, 64, 64)];
-    for _ in 0..8 {
-        shapes.push(shape(&mut rng));
-    }
-    for (m, k, n) in shapes {
-        let a = matrix(&mut rng, m, k);
-        let b = matrix(&mut rng, k, n);
-        let bt = matrix(&mut rng, n, k);
-        let oracle = a.matmul_reference(&b);
-        let oracle_t = a.matmul_transb_reference(&bt);
-        for workers in WORKER_COUNTS {
-            let pool = Pool::with_dispatch(workers, avx2);
-            let mut out = Matrix::zeros(m, n);
-            matmul_into(&a, &b, &mut out, &pool);
-            assert_eq!(out, oracle, "{m}x{k}x{n} at {workers} workers");
-            let mut out = Matrix::zeros(m, n);
-            matmul_transb_into(&a, &bt, &mut out, &pool);
-            assert_eq!(out, oracle_t, "{m}x{k}x({n}x{k})T at {workers} workers");
+fn simd_kernels_bit_exact_across_worker_counts() {
+    for tier in KernelDispatch::exact_tiers().into_iter().skip(1) {
+        let level = tier.level();
+        let mut rng = SimRng::seed_from(0x0B10_C4ED).fork(9);
+        let mut shapes = vec![(96, 64, 64)];
+        for _ in 0..8 {
+            shapes.push(shape(&mut rng));
+        }
+        for (m, k, n) in shapes {
+            let a = matrix(&mut rng, m, k);
+            let b = matrix(&mut rng, k, n);
+            let bt = matrix(&mut rng, n, k);
+            let oracle = a.matmul_reference(&b);
+            let oracle_t = a.matmul_transb_reference(&bt);
+            for workers in WORKER_COUNTS {
+                let pool = Pool::with_dispatch(workers, tier);
+                let mut out = Matrix::zeros(m, n);
+                matmul_into(&a, &b, &mut out, &pool);
+                assert_eq!(out, oracle, "{m}x{k}x{n} on {level} at {workers} workers");
+                let mut out = Matrix::zeros(m, n);
+                matmul_transb_into(&a, &bt, &mut out, &pool);
+                assert_eq!(
+                    out, oracle_t,
+                    "{m}x{k}x({n}x{k})T on {level} at {workers} workers"
+                );
+            }
         }
     }
 }
@@ -230,19 +230,35 @@ fn fma_gemm_matches_scalar_within_documented_tolerance() {
     }
 }
 
+/// `values` with a few elements overwritten by the operands a kernel
+/// could mishandle: signed zeros, both infinities and NaN.
+fn with_specials(rng: &mut SimRng, mut values: Matrix) -> Matrix {
+    const SPECIALS: [f32; 6] = [-0.0, 0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN, 1.0];
+    let data = values.as_mut_slice();
+    for _ in 0..1 + data.len() / 16 {
+        data[rng.next_index(data.len())] = SPECIALS[rng.next_index(SPECIALS.len())];
+    }
+    values
+}
+
 /// The prepacked path over ragged shapes: the `n` values cover every
 /// panel mix (16-wide, the single 8-wide, 1-wide tails, and each
-/// alone), `k` is odd so the kernels' 2-deep k-unroll takes its
-/// remainder step, and `m` in 1..=13 runs every row tile (6 and each
-/// remainder 1–5) of the SIMD tiers and both scalar tiles. Scalar and exact AVX2 must
-/// equal the reference bit for bit (hence each other); FMA must stay
-/// inside the k-scaled tolerance of
-/// `fma_gemm_matches_scalar_within_documented_tolerance`; and packing
-/// must be lossless.
+/// alone), `k` is odd so the `ymm` kernels' 2-deep k-unroll takes its
+/// remainder step, and `m` in 1..=33 runs every row tile of every
+/// tier: the `ymm` tiers' 6 and each remainder 1–5, the `zmm` tier's
+/// 28 and each remainder 1–27 (blocks under 7 rows it hands to the `ymm`
+/// kernel), and both scalar tiles. Every exact tier
+/// must equal the reference bit for bit (hence each other) on finite
+/// operands and on operands salted with −0.0, ±∞ and NaN, into an
+/// output full of garbage; FMA must stay inside the k-scaled tolerance
+/// of `fma_gemm_matches_scalar_within_documented_tolerance`; and
+/// packing must be lossless.
 #[test]
 fn packed_matches_reference_on_every_tier_panel_and_tile() {
-    let mut exact = vec![Pool::with_dispatch(1, KernelDispatch::scalar())];
-    exact.extend(KernelDispatch::forced_avx2().map(|d| Pool::with_dispatch(1, d)));
+    let exact: Vec<Pool> = KernelDispatch::exact_tiers()
+        .into_iter()
+        .map(|d| Pool::with_dispatch(1, d))
+        .collect();
     let fma = KernelDispatch::forced_fma().map(|d| Pool::with_dispatch(1, d));
     let mut rng = SimRng::seed_from(0x0B10_C4ED).fork(11);
     for n in [1, 7, 8, 9, 15, 16, 17, 24, 33] {
@@ -251,15 +267,30 @@ fn packed_matches_reference_on_every_tier_panel_and_tile() {
             let packed = PackedWeights::pack(&w);
             assert_eq!((packed.rows(), packed.cols()), (n, k));
             assert_eq!(packed.unpack(), w, "unpack(pack(W)) for {n}x{k}");
-            for m in 1..=13 {
+            let salted_w = with_specials(&mut rng, w.clone());
+            let salted_packed = PackedWeights::pack(&salted_w);
+            for m in 1..=33 {
                 let a = matrix(&mut rng, m, k);
                 let oracle = a.matmul_transb_reference(&w);
+                let salted_a = with_specials(&mut rng, a.clone());
+                let salted_oracle = salted_a.matmul_transb_reference(&salted_w);
                 for pool in &exact {
+                    let tier = pool.dispatch().level();
                     // Dirty output: every element must be overwritten.
                     let mut got = Matrix::from_vec(m, n, vec![f32::NAN; m * n]);
                     matmul_packed_into(&a, &packed, &mut got, pool);
-                    let tier = pool.dispatch().level();
-                    assert_eq!(got, oracle, "{m}x{k}x({n}x{k})T on {tier}");
+                    assert_eq!(
+                        bits(got.as_slice()),
+                        bits(oracle.as_slice()),
+                        "{m}x{k}x({n}x{k})T on {tier}"
+                    );
+                    got.as_mut_slice().fill(7.0);
+                    matmul_packed_into(&salted_a, &salted_packed, &mut got, pool);
+                    assert_eq!(
+                        bits_nan_class(got.as_slice()),
+                        bits_nan_class(salted_oracle.as_slice()),
+                        "salted {m}x{k}x({n}x{k})T on {tier}"
+                    );
                 }
                 if let Some(pool) = &fma {
                     let tol = 32.0 * k as f32 * f32::EPSILON * 16.0;
@@ -273,9 +304,12 @@ fn packed_matches_reference_on_every_tier_panel_and_tile() {
 }
 
 /// Row-parallelism over prepacked weights: chunking only partitions
-/// output rows, so 1–8 workers agree with the reference bitwise. The
-/// fixed shape clears the parallel-grain threshold so pools genuinely
-/// fork; 13 rows over 8 workers leaves ragged (and empty) chunks.
+/// output rows, so 1–8 workers agree with the reference bitwise on
+/// every exact tier. The fixed shape clears the parallel-grain
+/// threshold so pools genuinely fork (one worker runs 96 rows as three
+/// full `zmm` tiles and a 12-row one, eight run one 12-row tile each);
+/// 13 rows over 8 workers leaves ragged (and empty) chunks, each short
+/// enough for the `ymm` kernel.
 #[test]
 fn packed_bit_exact_across_worker_counts() {
     let mut rng = SimRng::seed_from(0x0B10_C4ED).fork(12);
@@ -284,10 +318,16 @@ fn packed_bit_exact_across_worker_counts() {
         let w = matrix(&mut rng, n, k);
         let packed = PackedWeights::pack(&w);
         let oracle = a.matmul_transb_reference(&w);
-        for workers in 1..=8 {
-            let mut got = Matrix::zeros(m, n);
-            matmul_packed_into(&a, &packed, &mut got, &Pool::new(workers));
-            assert_eq!(got, oracle, "{m}x{k}x({n}x{k})T at {workers} workers");
+        for tier in KernelDispatch::exact_tiers() {
+            for workers in 1..=8 {
+                let mut got = Matrix::zeros(m, n);
+                matmul_packed_into(&a, &packed, &mut got, &Pool::with_dispatch(workers, tier));
+                let level = tier.level();
+                assert_eq!(
+                    got, oracle,
+                    "{m}x{k}x({n}x{k})T on {level} at {workers} workers"
+                );
+            }
         }
     }
 }
@@ -310,15 +350,13 @@ fn sls_per_row(slab: &[f32], dim: usize, indices: &[u64], lengths: &[u32]) -> Ve
     out
 }
 
-fn bits(values: &[f32]) -> Vec<u32> {
-    values.iter().map(|v| v.to_bits()).collect()
-}
-
-/// The exact tiers the host can run the gather on.
+/// The exact tiers the host can run the gather on (under the AVX-512
+/// level the gather keeps its AVX2 body; `Avx2`'s bits are the claim).
 fn sls_tiers() -> Vec<SimdLevel> {
-    let mut tiers = vec![SimdLevel::Scalar];
-    tiers.extend(KernelDispatch::forced_avx2().map(KernelDispatch::level));
-    tiers
+    KernelDispatch::exact_tiers()
+        .into_iter()
+        .map(KernelDispatch::level)
+        .collect()
 }
 
 const SLS_ROWS: usize = 97;

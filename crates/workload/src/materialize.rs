@@ -29,16 +29,20 @@ impl BatchInputs {
         self.dense.rows()
     }
 
-    /// Loads this batch's blobs into a workspace using the builder's
-    /// blob-naming convention.
+    /// Loads a copy of this batch's blobs into a workspace using the
+    /// builder's blob-naming convention.
     pub fn load_into(&self, spec: &ModelSpec, ws: &mut dlrm_model::Workspace) {
+        self.clone().load_owned(spec, ws);
+    }
+
+    /// [`Self::load_into`] for a batch the caller is done with: the
+    /// workspace takes the dense matrix and every index vector as they
+    /// are, copying nothing.
+    pub fn load_owned(self, spec: &ModelSpec, ws: &mut dlrm_model::Workspace) {
         use dlrm_model::builder::blobs;
-        ws.put(
-            blobs::DENSE_INPUT,
-            dlrm_model::Blob::Dense(self.dense.clone()),
-        );
-        for (t, s) in spec.tables.iter().zip(&self.sparse) {
-            ws.put(blobs::sparse_input(t), dlrm_model::Blob::Sparse(s.clone()));
+        ws.put(blobs::DENSE_INPUT, dlrm_model::Blob::Dense(self.dense));
+        for (t, s) in spec.tables.iter().zip(self.sparse) {
+            ws.put(blobs::sparse_input(t), dlrm_model::Blob::Sparse(s));
         }
     }
 }
@@ -272,5 +276,8 @@ mod tests {
         batches[0].load_into(&spec, &mut ws);
         // dense + one sparse per table.
         assert_eq!(ws.len(), 1 + spec.tables.len());
+        let mut owned = dlrm_model::Workspace::new();
+        batches[0].clone().load_owned(&spec, &mut owned);
+        assert_eq!(owned.len(), ws.len());
     }
 }

@@ -1,5 +1,5 @@
-//! Online access profiling: per-table row-frequency counts accumulated
-//! from live serving traffic.
+//! Online access profiling: per-table access totals and (optionally)
+//! row-frequency counts accumulated from live serving traffic.
 //!
 //! The offline path samples a synthetic Zipf trace ([`RowStats::
 //! sample_zipf`]) before the model is ever deployed; this module is its
@@ -15,52 +15,67 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// Per-table row-access accumulator for live traffic. Thread-safe:
-/// workers observe concurrently, a controller snapshots concurrently.
+/// Per-table access accumulator for live traffic. Thread-safe: workers
+/// observe concurrently, a controller reads concurrently.
+///
+/// Two shapes. [`Self::for_spec`] also keeps a `(row → count)`
+/// histogram per table for [`Self::snapshot`] — what a rebalancer
+/// replans from, at the cost of hashing every looked-up row under one
+/// lock. [`Self::without_rows`] keeps only the per-table totals — what
+/// the tenancy pressure controller ranks tables by — and costs one
+/// relaxed add per table per batch.
 #[derive(Debug)]
 pub struct OnlineProfiler {
     /// Row count per table (indexed by table id) — carried into every
     /// snapshot so the planner can validate coverage.
     rows: Vec<u64>,
-    /// Accumulated `(row → count)` per table.
-    counts: Mutex<Vec<HashMap<u64, u64>>>,
-    /// Total accesses observed since the last [`Self::reset`].
-    observed: AtomicU64,
+    /// Accesses per table since the last [`Self::reset`]; read without
+    /// the histogram lock.
+    totals: Vec<AtomicU64>,
+    /// Accumulated `(row → count)` per table, when rows are tracked.
+    counts: Option<Mutex<Vec<HashMap<u64, u64>>>>,
 }
 
 impl OnlineProfiler {
-    /// An empty profiler shaped for `spec`'s tables.
+    /// An empty profiler shaped for `spec`'s tables, tracking rows.
     #[must_use]
     pub fn for_spec(spec: &dlrm_model::ModelSpec) -> Self {
         Self {
-            rows: spec.tables.iter().map(|t| t.rows).collect(),
-            counts: Mutex::new(vec![HashMap::new(); spec.tables.len()]),
-            observed: AtomicU64::new(0),
+            counts: Some(Mutex::new(vec![HashMap::new(); spec.tables.len()])),
+            ..Self::without_rows(spec)
         }
     }
 
-    /// Folds one batch's sparse lookups into the per-table counts.
+    /// An empty profiler that keeps per-table totals only:
+    /// [`Self::snapshot`] is always `None`.
+    #[must_use]
+    pub fn without_rows(spec: &dlrm_model::ModelSpec) -> Self {
+        Self {
+            rows: spec.tables.iter().map(|t| t.rows).collect(),
+            totals: spec.tables.iter().map(|_| AtomicU64::new(0)).collect(),
+            counts: None,
+        }
+    }
+
+    /// Folds one batch's sparse lookups into the per-table totals (and
+    /// row histograms, when tracked).
     pub fn observe(&self, inputs: &BatchInputs) {
-        let mut counts = self.counts.lock().expect("profiler counts lock");
-        let mut seen = 0u64;
-        for (t, sparse) in inputs.sparse.iter().enumerate() {
-            if t >= counts.len() {
-                break;
-            }
-            let table = &mut counts[t];
+        for (total, sparse) in self.totals.iter().zip(&inputs.sparse) {
+            total.fetch_add(sparse.indices.len() as u64, Ordering::Relaxed);
+        }
+        let Some(counts) = &self.counts else { return };
+        let mut counts = counts.lock().expect("profiler counts lock");
+        for (table, sparse) in counts.iter_mut().zip(&inputs.sparse) {
             for &row in &sparse.indices {
                 *table.entry(row).or_insert(0) += 1;
             }
-            seen += sparse.indices.len() as u64;
         }
-        drop(counts);
-        self.observed.fetch_add(seen, Ordering::Relaxed);
     }
 
     /// Total lookups observed since construction or the last reset.
     #[must_use]
     pub fn total_accesses(&self) -> u64 {
-        self.observed.load(Ordering::Relaxed)
+        self.totals.iter().map(|t| t.load(Ordering::Relaxed)).sum()
     }
 
     /// Per-table access totals, indexed by table id — the coldness
@@ -68,8 +83,10 @@ impl OnlineProfiler {
     /// by (fewest accesses per resident byte demotes first).
     #[must_use]
     pub fn table_accesses(&self) -> Vec<u64> {
-        let counts = self.counts.lock().expect("profiler counts lock");
-        counts.iter().map(|t| t.values().sum::<u64>()).collect()
+        self.totals
+            .iter()
+            .map(|t| t.load(Ordering::Relaxed))
+            .collect()
     }
 
     /// The smallest per-table access total — the coverage floor a
@@ -77,22 +94,18 @@ impl OnlineProfiler {
     /// cannot be profiled).
     #[must_use]
     pub fn min_table_accesses(&self) -> u64 {
-        let counts = self.counts.lock().expect("profiler counts lock");
-        counts
-            .iter()
-            .map(|t| t.values().sum::<u64>())
-            .min()
-            .unwrap_or(0)
+        self.totals.iter().map(|t| t.load(Ordering::Relaxed)).min().unwrap_or(0)
     }
 
     /// Snapshots the accumulated counts into one [`RowStats`] per table
     /// (indexed by table id), or `None` until *every* table has at
     /// least one observed access — `plan_with_stats` requires full
-    /// coverage. The accumulator keeps counting; use [`Self::reset`] to
-    /// start a fresh window after a cutover.
+    /// coverage — and always `None` for a profiler built
+    /// [`Self::without_rows`]. The accumulator keeps counting; use
+    /// [`Self::reset`] to start a fresh window after a cutover.
     #[must_use]
     pub fn snapshot(&self) -> Option<Vec<RowStats>> {
-        let counts = self.counts.lock().expect("profiler counts lock");
+        let counts = self.counts.as_ref()?.lock().expect("profiler counts lock");
         counts
             .iter()
             .zip(&self.rows)
@@ -106,12 +119,14 @@ impl OnlineProfiler {
     /// window (typically right after a plan cutover, so the next
     /// migration decision reflects post-cutover traffic only).
     pub fn reset(&self) {
-        let mut counts = self.counts.lock().expect("profiler counts lock");
-        for table in counts.iter_mut() {
-            table.clear();
+        if let Some(counts) = &self.counts {
+            for table in counts.lock().expect("profiler counts lock").iter_mut() {
+                table.clear();
+            }
         }
-        drop(counts);
-        self.observed.store(0, Ordering::Relaxed);
+        for total in &self.totals {
+            total.store(0, Ordering::Relaxed);
+        }
     }
 }
 
@@ -171,6 +186,46 @@ mod tests {
             "top-16 coverage {:.3} too flat for Zipf(1.4)",
             biggest.coverage_of_top(16)
         );
+    }
+
+    #[test]
+    fn totals_equal_histogram_sums_and_reset_clears_both() {
+        let spec = spec();
+        let with_rows = OnlineProfiler::for_spec(&spec);
+        let totals_only = OnlineProfiler::without_rows(&spec);
+        let db = TraceDb::generate(&spec, 4, 19);
+        for i in 0..4 {
+            for b in materialize_request_with(&spec, db.get(i), 8, 23, IndexDist::Zipf(1.1)) {
+                with_rows.observe(&b);
+                totals_only.observe(&b);
+            }
+        }
+        let histogram_sums: Vec<u64> = with_rows
+            .snapshot()
+            .expect("all tables touched")
+            .iter()
+            .map(RowStats::total_accesses)
+            .collect();
+        assert_eq!(with_rows.table_accesses(), histogram_sums);
+        assert_eq!(totals_only.table_accesses(), histogram_sums);
+        assert_eq!(
+            totals_only.total_accesses(),
+            histogram_sums.iter().sum::<u64>()
+        );
+        assert_eq!(
+            totals_only.min_table_accesses(),
+            *histogram_sums.iter().min().unwrap()
+        );
+        assert!(
+            totals_only.snapshot().is_none(),
+            "no rows tracked, nothing to snapshot"
+        );
+        for p in [&with_rows, &totals_only] {
+            p.reset();
+            assert_eq!(p.total_accesses(), 0);
+            assert!(p.table_accesses().iter().all(|&t| t == 0));
+            assert!(p.snapshot().is_none());
+        }
     }
 
     #[test]

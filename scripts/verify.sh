@@ -21,14 +21,17 @@ echo "==> structure gate: one run loop, one shard pool, one transition pipeline;
 echo "    deleted paths stay deleted; code-line and public-item ceilings"
 scripts/structure_gate.sh
 
-echo "==> runtime smoke: predictions bit-exact across worker counts,"
-echo "    blocked GEMM >= 3x the naive reference, SIMD GEMM >= 2x blocked"
-echo "    (parallel speedup gated on cores, SIMD ratio gated on AVX2)"
-cargo run --release --offline -p dlrm-bench --bin runtime_smoke
-
-echo "==> runtime smoke under DLRM_SIMD=off: the scalar-dispatch path must"
-echo "    hold the same determinism and blocked-GEMM bounds"
-DLRM_SIMD=off cargo run --release --offline -p dlrm-bench --bin runtime_smoke
+echo "==> kernel tiers: the GEMM property suite, the model-level FC/SLS oracle and"
+echo "    the runtime smoke (predictions bit-exact across worker counts, blocked"
+echo "    GEMM >= 3x the naive reference, SIMD GEMM >= 2x blocked, AVX-512 >= 1.3x"
+echo "    AVX2; ratio gates skip on hosts without the tier) once per exact dispatch"
+echo "    tier: scalar, AVX2, and unset = the widest the host runs"
+for simd in off avx2 ""; do
+  echo "--> DLRM_SIMD=${simd:-<unset>}"
+  DLRM_SIMD="$simd" cargo test -q --offline -p dlrm-tensor --test kernel_properties
+  DLRM_SIMD="$simd" cargo test -q --offline -p dlrm-model --test packed_fc_oracle
+  DLRM_SIMD="$simd" cargo run --release --offline -p dlrm-bench --bin runtime_smoke
+done
 
 echo "==> overlap smoke: shard RPCs must overlap under the scheduler"
 cargo run --release --offline -p dlrm-bench --bin overlap_smoke
@@ -76,10 +79,12 @@ echo "==> sysbench: the benchmark builds against these crates, passes its unit"
 echo "    tests, and two workloads (the one-lane frontend, the tenants under tier"
 echo "    churn) pass their output check against Model::run (exit code only; a"
 echo "    4 s run measures nothing)"
-# Same target directory as run.sh, so the crates compile once.
+# Same target directory as run.sh, so the crates compile once. The
+# benchmark refuses to run under a DLRM_SIMD override (it measures the
+# default dispatch), so drop one this script was started with.
 CARGO_TARGET_DIR="$PWD/target" cargo test -q --offline --manifest-path sysbench/Cargo.toml
 for workload in rm3_dense_inproc coloc2_rm2_churn; do
-  bash sysbench/run.sh --workload "$workload" --seed 1 --seconds 4 --trace 0 >/dev/null
+  env -u DLRM_SIMD bash sysbench/run.sh --workload "$workload" --seed 1 --seconds 4 --trace 0 >/dev/null
 done
 
 echo "==> dependency audit: cargo tree must list only workspace members"
