@@ -38,9 +38,9 @@ fn main() {
     let cfg = FrontendConfig {
         queue_capacity: 16,
         max_batch_requests: 4,
-        batch_timeout: Duration::from_millis(10),
         sla: Duration::from_millis(150),
         workers: 2,
+        ..FrontendConfig::default()
     };
 
     println!(

@@ -58,9 +58,9 @@ fn run_cluster(faults: &FaultPlan, policy: RpcPolicy, qps: f64) -> (FrontendRepo
     let cfg = FrontendConfig {
         queue_capacity: n, // everything fits: shed must be zero
         max_batch_requests: 4,
-        batch_timeout: Duration::from_millis(20),
         sla: Duration::from_millis(500),
         workers: 2,
+        ..FrontendConfig::default()
     };
     let mut report = run_frontend(&dist, requests, &schedule, &cfg);
     report.transport = Some(pool.transport_summary());

@@ -1,15 +1,23 @@
 //! Frontend smoke test: the open-loop serving frontend end to end.
 //!
-//! Two phases against 2 thread-backed sparse shards:
+//! Three phases against 2 thread-backed sparse shards:
 //!
 //! 1. **Light load** — Poisson arrivals the pipeline can absorb, queue
 //!    sized to admit everything. Asserts: zero prediction mismatches
 //!    against solo per-request runs (batching is semantically
 //!    invisible), exact admission accounting
 //!    (`offered == admitted + shed`, `completed + failed == admitted`),
-//!    SLA hit rate inside a pinned band, and a Gantt render showing the
-//!    new queue-wait/batch rows next to the executor's RPC rows.
-//! 2. **Overload** — injected shard delay, tiny admission queue, and an
+//!    SLA hit rate inside a pinned band, **no request held for
+//!    company** (batching is work-conserving: every batch closes the
+//!    instant it is picked up, and the run ends two orders of magnitude
+//!    before the 60 s `batch_timeout` it is configured with could
+//!    fire), and a Gantt render showing the queue-wait/batch rows next
+//!    to the executor's RPC rows.
+//! 2. **Burst** — the same requests offered at ≥ 100× the service rate
+//!    into a queue that holds them all. Asserts the backlog rides in
+//!    full batches (mean batch ≥ cap − 1) with bit-exact predictions:
+//!    batches grow exactly when the workers are the bottleneck.
+//! 3. **Overload** — injected shard delay, tiny admission queue, and an
 //!    arrival rate far above service capacity. Asserts load shedding
 //!    actually engages and the accounting identities still close.
 //!
@@ -20,9 +28,13 @@
 use dlrm_bench::harness::{fail, predictions_on, replicated_cluster, smoke_spec};
 use dlrm_core::model::rm;
 use dlrm_core::serving::fault::FaultPlan;
-use dlrm_core::serving::frontend::{materialize_frontend_requests, run_frontend, FrontendConfig};
+use dlrm_core::serving::frontend::{
+    materialize_frontend_requests, run_frontend, serve, EpochSource, FrontendConfig,
+    FrontendReport, Lane,
+};
 use dlrm_core::serving::replica::ReplicatedShardPool;
 use dlrm_core::sharding::{plan, DistributedModel, ShardingStrategy};
+use dlrm_core::tensor::Matrix;
 use dlrm_core::trace::{gantt, SpanKind, TraceId};
 use dlrm_core::workload::{ArrivalSchedule, PoolingProfile, TraceDb};
 use std::time::Duration;
@@ -32,6 +44,9 @@ const SEED: u64 = 17;
 /// is enormous against this model's per-batch compute, so anything
 /// below 0.9 means the pipeline itself is broken, not noisy.
 const LIGHT_HIT_RATE_MIN: f64 = 0.9;
+/// The light-load schedule spans ~0.8 s; a frontend that held any
+/// request for its (60 s) `batch_timeout` would overshoot this 30-fold.
+const LIGHT_WALL_MAX_MS: f64 = 2_000.0;
 
 fn build(delay: Duration) -> (DistributedModel, ReplicatedShardPool, TraceDb) {
     // ~36 ms/request at this scale (measured in release): light load at
@@ -56,14 +71,19 @@ fn main() {
     let cfg = FrontendConfig {
         queue_capacity: n, // everything fits: shed must be zero
         max_batch_requests: 4,
-        // Long enough that consecutive 30-qps arrivals (mean 33 ms gap)
-        // actually co-batch; the 500 ms SLA still dwarfs it.
-        batch_timeout: Duration::from_millis(50),
+        // Nothing may wait on this: see LIGHT_WALL_MAX_MS.
+        batch_timeout: Duration::from_secs(60),
         sla: Duration::from_millis(500),
         workers: 2,
     };
-    let report = run_frontend(&dist, requests, &schedule, &cfg);
-    pool.shutdown();
+    let lane = Lane::new(EpochSource::Pinned(&dist), requests.clone(), &schedule, &cfg);
+    let run = serve(vec![lane], cfg.max_batch_requests, cfg.workers, None)
+        .pop()
+        .expect("one lane in, one run out");
+    if run.records.iter().any(|r| r.dequeued_ms != r.batch_closed_ms) {
+        fail("a request waited between its pickup and its batch closing");
+    }
+    let report = run.into_report();
 
     println!("== phase 1: light load ({n} requests, Poisson 30 qps) ==");
     print!("{report}");
@@ -80,15 +100,15 @@ fn main() {
     if report.failed != 0 {
         fail("engine failures under light load");
     }
-    let mut mismatches = 0;
-    for (id, pred) in &report.predictions {
-        let (_, want) = expected.iter().find(|(e, _)| e == id).expect("known id");
-        if pred != want {
-            mismatches += 1;
-        }
-    }
-    if mismatches != 0 {
-        fail(&format!("{mismatches} batched predictions differ from solo runs"));
+    let mismatches = |report: &FrontendReport| {
+        let differs = |(id, pred): &&(u64, Matrix)| {
+            let (_, want) = expected.iter().find(|(e, _)| e == id).expect("known id");
+            pred != want
+        };
+        report.predictions.iter().filter(differs).count()
+    };
+    if mismatches(&report) != 0 {
+        fail("batched predictions differ from solo runs");
     }
     let hit_rate = report.sla_hit_rate();
     if !(LIGHT_HIT_RATE_MIN..=1.0).contains(&hit_rate) {
@@ -96,10 +116,8 @@ fn main() {
             "SLA hit rate {hit_rate:.4} outside pinned band [{LIGHT_HIT_RATE_MIN}, 1.0]"
         ));
     }
-    // Some batch must have actually grouped requests, else the batcher
-    // degenerated to one-request batches throughout.
-    if report.max_batch_requests < 2 {
-        fail("no batch ever held ≥2 requests under light load");
+    if report.wall_ms > LIGHT_WALL_MAX_MS {
+        fail("light load overran its wall-clock ceiling: something held requests on a timer");
     }
 
     // A lead request's Gantt shows the frontend rows next to the
@@ -119,7 +137,26 @@ fn main() {
         }
     }
 
-    // ---- Phase 2: overload — shedding must engage. ----
+    // ---- Phase 2: burst — a backlog rides in full batches. ----
+    let schedule = ArrivalSchedule::poisson(n, 100_000.0, SEED ^ 4);
+    let cfg = FrontendConfig { workers: 1, ..cfg };
+    let report = run_frontend(&dist, requests, &schedule, &cfg);
+    pool.shutdown();
+
+    println!("== phase 2: burst ({n} requests, Poisson 100k qps, 1 worker) ==");
+    print!("{report}");
+
+    if report.shed != 0 || report.failed != 0 || report.completed != n as u64 {
+        fail("burst: not every request completed despite a full-size queue");
+    }
+    if mismatches(&report) != 0 {
+        fail("burst: merged predictions differ from solo runs");
+    }
+    if report.mean_batch_requests < (cfg.max_batch_requests - 1) as f64 {
+        fail("burst: mean batch below cap - 1: pickups left queued requests behind");
+    }
+
+    // ---- Phase 3: overload — shedding must engage. ----
     let (dist, pool, db) = build(Duration::from_millis(20));
     let requests = materialize_frontend_requests(&dist.spec, &db, SEED ^ 1);
     let n = requests.len();
@@ -127,14 +164,14 @@ fn main() {
     let cfg = FrontendConfig {
         queue_capacity: 2,
         max_batch_requests: 2,
-        batch_timeout: Duration::from_millis(1),
         sla: Duration::from_millis(25),
         workers: 1,
+        ..FrontendConfig::default()
     };
     let report = run_frontend(&dist, requests, &schedule, &cfg);
     pool.shutdown();
 
-    println!("== phase 2: overload ({n} requests, Poisson 5000 qps, 20 ms shard delay) ==");
+    println!("== phase 3: overload ({n} requests, Poisson 5000 qps, 20 ms shard delay) ==");
     print!("{report}");
 
     if report.offered != n as u64 || report.offered != report.admitted + report.shed {
@@ -150,5 +187,8 @@ fn main() {
         fail("overload met its SLA perfectly: the gate is not stressing anything");
     }
 
-    println!("\nOK: frontend batching bit-exact, accounting closed, shedding engages under overload");
+    println!(
+        "\nOK: frontend batching bit-exact and work-conserving (no hold under light load, \
+         full batches under backlog), accounting closed, shedding engages under overload"
+    );
 }

@@ -187,9 +187,9 @@ fn main() {
     let cfg = FrontendConfig {
         queue_capacity: n, // everything fits: shed must be zero
         max_batch_requests: 4,
-        batch_timeout: Duration::from_millis(20),
         sla: Duration::from_millis(500),
         workers: 2,
+        ..FrontendConfig::default()
     };
     let victim = servers.remove(0);
     let killer = std::thread::spawn(move || {

@@ -77,9 +77,9 @@ fn run_config(spec: &ModelSpec, p: &ShardingPlan, requests: Vec<FrontendRequest>
     let cfg = FrontendConfig {
         queue_capacity: n,
         max_batch_requests: 4,
-        batch_timeout: Duration::from_millis(2),
         sla: Duration::from_millis(250),
         workers: 2,
+        ..FrontendConfig::default()
     };
     let mut report = run_frontend(&dist, requests, &schedule, &cfg);
     let summary = pool.transport_summary();

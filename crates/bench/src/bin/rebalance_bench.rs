@@ -98,8 +98,8 @@ fn run_scale(bytes: u64) -> ScaleResult {
         cooldown_ticks: 0,
         max_migrations: 1,
         // Autoscaling off: this bench isolates the migration cost.
-        scale_up_calls_per_tick: u64::MAX,
-        scale_down_calls_per_tick: 0,
+        scale_up_rows_per_tick: u64::MAX,
+        scale_down_rows_per_tick: 0,
         rpc_policy: Some(deterministic_policy()),
         ..RebalanceConfig::default()
     };

@@ -93,11 +93,11 @@ fn main() {
         cooldown_ticks: 30,
         min_replicas: 1,
         max_replicas: 2,
-        // Calls, not rows: under backlog the frontend's admission
-        // backpressure fills every batch to its cap, so a busy shard
-        // sees ~1–2 (large) RPCs per 20 ms tick.
-        scale_up_calls_per_tick: 2,
-        scale_down_calls_per_tick: 0,
+        // A busy shard is asked for one or two full batches' rows per
+        // 20 ms tick, ~40 000 rows each (measured here over three runs
+        // at batches of ~3.9: 38 005 – 46 878 rows per call).
+        scale_up_rows_per_tick: 80_000,
+        scale_down_rows_per_tick: 0,
         sustain_ticks: 2,
         max_migrations: 2,
         rpc_policy: Some(deterministic_policy()),
@@ -135,9 +135,9 @@ fn main() {
     let cfg = FrontendConfig {
         queue_capacity: REQUESTS,
         max_batch_requests: 4,
-        batch_timeout: Duration::from_millis(2),
         sla: Duration::from_millis(250),
         workers: 2,
+        ..FrontendConfig::default()
     };
     println!(
         "rebalance_smoke: {} requests over {:.0}ms ({}x{} shards/replicas initially)",

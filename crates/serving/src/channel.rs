@@ -33,41 +33,12 @@ impl<T> fmt::Display for SendError<T> {
     }
 }
 
-/// Error returned by [`Sender::try_send`]; carries the unsent message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TrySendError<T> {
-    /// The bounded queue is at capacity (the admission-control signal
-    /// load shedding keys off).
-    Full(T),
-    /// The receiver has been dropped.
-    Disconnected(T),
-}
-
-impl<T> TrySendError<T> {
-    /// The message that could not be sent.
-    pub fn into_inner(self) -> T {
-        match self {
-            TrySendError::Full(v) | TrySendError::Disconnected(v) => v,
-        }
-    }
-}
-
-impl<T> fmt::Display for TrySendError<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TrySendError::Full(_) => write!(f, "sending on a full channel"),
-            TrySendError::Disconnected(_) => write!(f, "sending on a disconnected channel"),
-        }
-    }
-}
-
 /// Error returned by [`Receiver::recv_timeout`] / [`Receiver::recv_deadline`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecvTimeoutError {
     /// The wait expired with the channel still empty but senders alive.
     /// Distinguishable from [`RecvTimeoutError::Disconnected`] so a
-    /// deadline-driven batcher can tell "close the batch" from "the load
-    /// generator is done".
+    /// deadline-driven waiter can tell "not yet" from "never".
     Timeout,
     /// The channel is empty and every sender is gone.
     Disconnected,
@@ -185,30 +156,6 @@ impl<T> Sender<T> {
                         .expect("channel lock");
                 }
                 _ => break,
-            }
-        }
-        state.queue.push_back(value);
-        drop(state);
-        self.shared.not_empty.notify_one();
-        Ok(())
-    }
-
-    /// Enqueues `value` without blocking.
-    ///
-    /// # Errors
-    ///
-    /// [`TrySendError::Full`] if a bounded queue is at capacity (the
-    /// caller decides whether to shed, retry, or block),
-    /// [`TrySendError::Disconnected`] if the receiver has been dropped.
-    /// Both variants return the message.
-    pub fn try_send(&self, value: T) -> Result<(), TrySendError<T>> {
-        let mut state = self.shared.state.lock().expect("channel lock");
-        if !state.receiver_alive {
-            return Err(TrySendError::Disconnected(value));
-        }
-        if let Some(cap) = self.shared.capacity {
-            if state.queue.len() >= cap {
-                return Err(TrySendError::Full(value));
             }
         }
         state.queue.push_back(value);
@@ -495,29 +442,6 @@ mod tests {
     }
 
     #[test]
-    fn try_send_sheds_on_full_and_reports_disconnect() {
-        let (tx, rx) = bounded::<u8>(2);
-        assert_eq!(tx.try_send(1), Ok(()));
-        assert_eq!(tx.try_send(2), Ok(()));
-        // At capacity: the message comes back, nothing blocks.
-        assert_eq!(tx.try_send(3), Err(TrySendError::Full(3)));
-        assert_eq!(rx.recv(), Ok(1));
-        assert_eq!(tx.try_send(3), Ok(()));
-        drop(rx);
-        assert_eq!(tx.try_send(4), Err(TrySendError::Disconnected(4)));
-        assert_eq!(TrySendError::Full(7u8).into_inner(), 7);
-    }
-
-    #[test]
-    fn try_send_on_unbounded_never_reports_full() {
-        let (tx, rx) = unbounded::<u32>();
-        for i in 0..1000 {
-            assert_eq!(tx.try_send(i), Ok(()));
-        }
-        assert_eq!(rx.recv(), Ok(0));
-    }
-
-    #[test]
     fn recv_timeout_times_out_on_an_open_empty_channel() {
         let (tx, rx) = unbounded::<u8>();
         let t0 = std::time::Instant::now();
@@ -533,8 +457,8 @@ mod tests {
 
     #[test]
     fn recv_timeout_reports_disconnect_not_timeout() {
-        // The batcher's close condition depends on telling these apart:
-        // Timeout = close the batch, Disconnected = generator finished.
+        // A pending RPC's wait depends on telling these apart: Timeout =
+        // still pending, Disconnected = the worker is gone.
         let (tx, rx) = unbounded::<u8>();
         tx.send(1).unwrap();
         drop(tx);

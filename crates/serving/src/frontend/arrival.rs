@@ -34,7 +34,7 @@ pub(crate) fn generate_load(
     origin: Instant,
     schedule: &ArrivalSchedule,
     requests: Vec<FrontendRequest>,
-    admitter: Admitter<QueuedRequest>,
+    admitter: Admitter<'_, QueuedRequest>,
 ) {
     assert_eq!(
         schedule.len(),
@@ -53,13 +53,13 @@ pub(crate) fn generate_load(
             enqueued_at: Instant::now(),
         });
     }
-    // admitter drops here: the batcher sees Disconnected once drained.
+    // admitter drops here: the lane closes, workers exit once all drain.
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frontend::queue::admission_queue;
+    use crate::frontend::queue::LaneQueues;
     use dlrm_tensor::Matrix;
 
     fn req(id: u64) -> FrontendRequest {
@@ -75,16 +75,18 @@ mod tests {
     #[test]
     fn replays_every_arrival_in_schedule_order() {
         let schedule = ArrivalSchedule::poisson(20, 5000.0, 3);
-        let (adm, deq, stats) = admission_queue(32);
+        let queues = LaneQueues::new(&[(1, 32)], 1, 32);
         let origin = Instant::now();
-        generate_load(origin, &schedule, (0..20).map(req).collect(), adm);
+        generate_load(origin, &schedule, (0..20).map(req).collect(), queues.admitter(0));
         let mut ids = Vec::new();
-        while let Ok(q) = deq.recv() {
-            assert!(q.enqueued_at >= origin);
-            ids.push(q.request.id);
+        while let Some((_, _, batch)) = queues.pickup() {
+            for q in batch {
+                assert!(q.enqueued_at >= origin);
+                ids.push(q.request.id);
+            }
         }
         assert_eq!(ids, (0..20).collect::<Vec<u64>>());
-        let s = stats.snapshot();
+        let s = queues.stats(0);
         assert_eq!(s.offered, 20);
         assert_eq!(s.admitted + s.shed, 20);
     }
@@ -92,20 +94,20 @@ mod tests {
     #[test]
     fn open_loop_sheds_when_nobody_consumes() {
         let schedule = ArrivalSchedule::poisson(10, 50_000.0, 1);
-        let (adm, deq, stats) = admission_queue(2);
-        generate_load(Instant::now(), &schedule, (0..10).map(req).collect(), adm);
-        let s = stats.snapshot();
+        let queues = LaneQueues::new(&[(1, 2)], 1, 2);
+        let requests = (0..10).map(req).collect();
+        generate_load(Instant::now(), &schedule, requests, queues.admitter(0));
+        let s = queues.stats(0);
         assert_eq!(s.offered, 10);
         assert_eq!(s.admitted, 2);
         assert_eq!(s.shed, 8);
-        drop(deq);
     }
 
     #[test]
     #[should_panic(expected = "1:1")]
     fn mismatched_lengths_rejected() {
         let schedule = ArrivalSchedule::poisson(3, 100.0, 1);
-        let (adm, _deq, _stats) = admission_queue(4);
-        generate_load(Instant::now(), &schedule, vec![req(0)], adm);
+        let queues = LaneQueues::new(&[(1, 4)], 1, 4);
+        generate_load(Instant::now(), &schedule, vec![req(0)], queues.admitter(0));
     }
 }

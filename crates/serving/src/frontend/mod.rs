@@ -9,28 +9,32 @@
 //!
 //! ```text
 //!  per lane:  ArrivalSchedule ──▶ load generator (open loop, wall clock)
-//!                                    │ offer
-//!                             bounded admission queue ── full? ──▶ shed
-//!                                    │ recv / recv_deadline
-//!                             dynamic batcher (max-size OR deadline, first wins)
-//!                                    │ FormedBatch (blocks while the lane is full)
-//!  shared:    ready queue: per-lane deque, ≤ `workers` batches each,
-//!                          weighted-fair pick
-//!                                    │ blocking pop
+//!                                    │ offer (never blocks)
+//!                             bounded lane queue ── full? ──▶ shed
+//!                                    │
+//!  shared:    all lane queues behind one lock, weighted-fair pick
+//!                                    │ blocking pickup: what the lane
+//!                                    │ already holds, ≤ max_batch_requests
 //!             worker pool (OS threads): resolve the lane's epoch,
-//!                          run_overlapped, split predictions
+//!                          merge, run_overlapped, split predictions
 //!                                    │
 //!             per lane:  LaneRun ──▶ FrontendReport (SLA hit rate, breakdown, trace)
 //! ```
 //!
 //! [`run_frontend`] is one lane pinned to a model;
 //! [`crate::tenancy::run_tenant_set`] is one lane per tenant, each
-//! behind its own [`EpochSwitch`]. **Shedding happens at admission and
-//! only there**: a lane's ready-queue slot holds at most `workers`
-//! formed batches, a batcher holding one more blocks, its admission
-//! queue fills behind it, and further arrivals are turned away at the
-//! door — so an overloaded lane never occupies more than its bounded
-//! share of the pipeline, for a burst or for sustained overload alike.
+//! behind its own [`EpochSwitch`]. **Batching is work-conserving**: a
+//! batch is formed by the worker that will run it, at the moment it
+//! becomes free, from the requests already queued — nothing holds a
+//! request back hoping for company, so a request arriving at an idle
+//! frontend starts executing one wake-up later, and batches grow
+//! exactly when, and as far as, the workers are the bottleneck.
+//! **Shedding happens at admission and only there**: a request is
+//! either in its lane's queue (at most `queue_capacity`) or in a batch
+//! a worker is executing (at most `max_batch_requests` per worker), so
+//! at most `queue_capacity + workers · max_batch_requests` of a lane's
+//! requests are in the system, for a burst or for sustained overload
+//! alike, and further arrivals are turned away at the door.
 //!
 //! Determinism: arrival schedules and request inputs are seeded
 //! ([`dlrm_workload::ArrivalSchedule`], [`materialize_frontend_requests`]),
@@ -44,7 +48,6 @@
 mod arrival;
 pub(crate) mod batcher;
 mod queue;
-mod ready;
 pub(crate) mod sla;
 mod worker;
 
@@ -59,8 +62,7 @@ use dlrm_trace::TraceCollector;
 use dlrm_workload::{
     materialize_request, ArrivalSchedule, BatchInputs, OnlineProfiler, RequestShape, TraceDb,
 };
-use queue::admission_queue;
-use ready::ReadyQueue;
+use queue::LaneQueues;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 use worker::LaneSink;
@@ -68,16 +70,17 @@ use worker::LaneSink;
 /// Frontend tuning knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrontendConfig {
-    /// Admission-queue slots; arrivals beyond this are shed.
+    /// Lane-queue slots; arrivals beyond this are shed.
     pub queue_capacity: usize,
-    /// Batch closes when it holds this many requests...
+    /// The most requests one worker pickup merges into a batch.
     pub max_batch_requests: usize,
-    /// ...or when this much time has passed since its lead request was
-    /// picked up, whichever happens first.
+    /// Unused: batches form at pickup and nothing waits on a timer.
+    /// Declared only while `sysbench/` builds this struct field by
+    /// field; the next benchmark PR deletes it.
     pub batch_timeout: Duration,
     /// The SLA window end-to-end latency is judged against.
     pub sla: Duration,
-    /// Worker threads draining formed batches.
+    /// Worker threads picking up and executing batches.
     pub workers: usize,
 }
 
@@ -86,7 +89,7 @@ impl Default for FrontendConfig {
         Self {
             queue_capacity: 64,
             max_batch_requests: 8,
-            batch_timeout: Duration::from_millis(2),
+            batch_timeout: Duration::ZERO,
             sla: Duration::from_millis(100),
             workers: 2,
         }
@@ -114,7 +117,7 @@ pub fn materialize_whole(spec: &ModelSpec, shape: &RequestShape, seed: u64) -> B
 }
 
 /// Materializes every shape in `db` into a [`FrontendRequest`], one
-/// engine batch per request (the frontend's own batcher decides how
+/// engine batch per request (the frontend decides at pickup how
 /// requests group, so request inputs are not pre-split).
 #[must_use]
 pub fn materialize_frontend_requests(
@@ -141,7 +144,7 @@ pub enum EpochSource<'a> {
 }
 
 /// One request stream through [`serve`]: what is offered and when, its
-/// own admission queue and SLA, its share of the workers, and where its
+/// own bounded queue and SLA, its share of the workers, and where its
 /// batches execute.
 #[derive(Debug)]
 pub struct Lane<'a> {
@@ -149,7 +152,7 @@ pub struct Lane<'a> {
     pub requests: Vec<FrontendRequest>,
     /// Open-loop arrival offsets (must pair 1:1 with `requests`).
     pub schedule: &'a ArrivalSchedule,
-    /// Admission-queue slots; overload sheds here.
+    /// Lane-queue slots; overload sheds here.
     pub queue_capacity: usize,
     /// The SLA window this lane's report is judged against.
     pub sla: Duration,
@@ -211,16 +214,15 @@ impl LaneRun {
 
 /// The one serving run loop: drives every lane's open-loop stream to
 /// completion. Per lane a load generator replays the schedule into a
-/// bounded admission queue and a batcher closes batches (at most
-/// `max_batch_requests`, or `batch_timeout` after the lead request,
-/// first wins); `workers` shared threads execute the batches in
-/// weighted-fair order via [`DistributedModel::run_overlapped`]. With
-/// `tick = Some((every, f))` the calling thread runs `f` every `every`
-/// while traffic flows (the pressure controller's seat).
+/// bounded queue; `workers` shared threads each pick a lane in
+/// weighted-fair order, take what it already holds (at most
+/// `max_batch_requests`) and execute that batch via
+/// [`DistributedModel::run_overlapped`]. With `tick = Some((every, f))`
+/// the calling thread runs `f` every `every` while the generators are
+/// offering (the pressure controller's seat).
 ///
-/// Shutdown cascades: a generator drops its admitter when its schedule
-/// ends, the batcher flushes its partial batch and closes its lane, and
-/// the workers exit once every lane is closed and drained.
+/// Shutdown cascades: a generator closes its lane when its schedule
+/// ends, and the workers exit once every lane is closed and drained.
 ///
 /// # Panics
 ///
@@ -231,18 +233,17 @@ impl LaneRun {
 pub fn serve(
     lanes: Vec<Lane<'_>>,
     max_batch_requests: usize,
-    batch_timeout: Duration,
     workers: usize,
     tick: Option<(Duration, &dyn Fn())>,
 ) -> Vec<LaneRun> {
     assert!(workers > 0, "need at least one worker");
     assert!(max_batch_requests > 0, "need a non-zero batch size");
-    let weights: Vec<u64> = lanes.iter().map(|l| l.weight).collect();
     assert!(
-        weights.iter().all(|&w| w > 0),
+        lanes.iter().all(|l| l.weight > 0),
         "lanes need a non-zero weight"
     );
-    let ready = ReadyQueue::new(&weights, workers);
+    let shapes: Vec<(u64, usize)> = lanes.iter().map(|l| (l.weight, l.queue_capacity)).collect();
+    let queues = LaneQueues::new(&shapes, workers, max_batch_requests);
 
     let mut streams = Vec::with_capacity(lanes.len());
     let mut sinks = Vec::with_capacity(lanes.len());
@@ -252,35 +253,27 @@ pub fn serve(
             lane.requests.len(),
             "arrival schedule and request list must pair 1:1"
         );
-        let (admitter, dequeuer, queue) = admission_queue(lane.queue_capacity);
         sinks.push(LaneSink {
             source: lane.source,
             profiler: lane.profiler,
             records: Mutex::new(Vec::with_capacity(lane.requests.len())),
             trace: Mutex::new(TraceCollector::new()),
-            queue,
             sla_ms: lane.sla.as_secs_f64() * 1e3,
         });
-        streams.push((lane.schedule, lane.requests, admitter, dequeuer));
+        streams.push((lane.schedule, lane.requests));
     }
 
     let origin = Instant::now();
     std::thread::scope(|s| {
         for _ in 0..workers {
-            s.spawn(|| worker::worker_loop(&sinks, &ready, origin));
+            s.spawn(|| worker::worker_loop(&sinks, &queues, origin));
         }
-        for (i, (schedule, requests, admitter, dequeuer)) in streams.into_iter().enumerate() {
-            let ready = &ready;
-            s.spawn(move || {
-                batcher::batcher_loop(dequeuer, max_batch_requests, batch_timeout, |batch| {
-                    ready.push(i, batch)
-                });
-                ready.close();
-            });
+        for (i, (schedule, requests)) in streams.into_iter().enumerate() {
+            let admitter = queues.admitter(i);
             s.spawn(move || arrival::generate_load(origin, schedule, requests, admitter));
         }
         if let Some((every, tick)) = tick {
-            while ready.wait_closed(Instant::now() + every) {
+            while queues.wait_closed(Instant::now() + every) {
                 tick();
             }
         }
@@ -289,8 +282,9 @@ pub fn serve(
 
     sinks
         .into_iter()
-        .map(|sink| LaneRun {
-            queue: sink.queue.snapshot(),
+        .enumerate()
+        .map(|(i, sink)| LaneRun {
+            queue: queues.stats(i),
             records: sink.records.into_inner().expect("records lock poisoned"),
             trace: sink.trace.into_inner().expect("trace lock poisoned"),
             sla_ms: sink.sla_ms,
@@ -299,7 +293,7 @@ pub fn serve(
         .collect()
 }
 
-/// [`serve`] for a single lane under `cfg`'s batching and worker knobs,
+/// [`serve`] for a single lane under `cfg`'s batch cap and worker count,
 /// folded into its [`FrontendReport`] — how a run behind an
 /// [`EpochSwitch`] (and with a profiler) is driven: build the lane with
 /// [`Lane::new`], set what differs, run it.
@@ -309,8 +303,7 @@ pub fn serve(
 /// As [`serve`].
 #[must_use]
 pub fn run_lane(lane: Lane<'_>, cfg: &FrontendConfig) -> FrontendReport {
-    let (batch, timeout) = (cfg.max_batch_requests, cfg.batch_timeout);
-    serve(vec![lane], batch, timeout, cfg.workers, None)
+    serve(vec![lane], cfg.max_batch_requests, cfg.workers, None)
         .pop()
         .expect("one lane in, one run out")
         .into_report()
@@ -361,9 +354,9 @@ mod tests {
         let cfg = FrontendConfig {
             queue_capacity: 32,
             max_batch_requests: 4,
-            batch_timeout: Duration::from_millis(1),
             sla: Duration::from_millis(250),
             workers: 2,
+            ..FrontendConfig::default()
         };
         let report = run_frontend(&dist, requests, &schedule, &cfg);
         assert_eq!(report.offered, 12);

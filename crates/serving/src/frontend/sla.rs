@@ -36,9 +36,10 @@ pub struct RequestRecord {
     pub arrival_ms: f64,
     /// When the load generator enqueued it (E2E clock start).
     pub enqueued_ms: f64,
-    /// When the batcher picked it up (queue-wait end).
+    /// When a worker picked it up (queue-wait end).
     pub dequeued_ms: f64,
-    /// When its batch closed.
+    /// When its batch closed: the pickup forms the batch, so this
+    /// equals `dequeued_ms`.
     pub batch_closed_ms: f64,
     /// When its batch started executing on a worker.
     pub exec_start_ms: f64,
@@ -92,14 +93,14 @@ impl RequestRecord {
         self.dequeued_ms - self.enqueued_ms
     }
 
-    /// Time spent in batch formation (pickup to batch close, plus any
-    /// wait for a free worker before execution started).
+    /// Time spent in batch formation: worker pickup to execution start
+    /// (merging the member requests' inputs).
     #[must_use]
     pub fn batch_wait_ms(&self) -> f64 {
         self.exec_start_ms - self.dequeued_ms
     }
 
-    /// Time spent in batch execution (merge, overlapped run, split).
+    /// Time spent in batch execution (the overlapped run).
     #[must_use]
     pub fn compute_ms(&self) -> f64 {
         self.exec_end_ms - self.exec_start_ms

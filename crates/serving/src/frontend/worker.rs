@@ -1,24 +1,26 @@
-//! Worker pool: OS threads draining formed batches through the
-//! overlapped executor.
+//! Worker pool: OS threads that pick their own batches off the lane
+//! queues and run them through the overlapped executor.
 //!
-//! Each worker blocks on the [`ReadyQueue`] for its next batch,
-//! resolves the owning lane's serving epoch, merges the batch's request
-//! inputs ([`merge_inputs`]), runs the distributed model under
+//! Each worker blocks on the [`LaneQueues`] for its next batch — what
+//! the picked lane already holds, up to the cap — resolves the owning
+//! lane's serving epoch, merges the batch's request inputs
+//! ([`merge_inputs`]; a lone request's inputs are moved, not copied),
+//! runs the distributed model under
 //! [`DistributedModel::run_overlapped`] — so shard round-trips overlap
 //! with dense compute exactly as in PR 2's executor — then splits the
 //! predictions back per request ([`split_rows`]) and records the
 //! request's timeline spans.
 
-use super::batcher::{merge_inputs, split_rows, FormedBatch};
-use super::queue::QueueStatsHandle;
-use super::ready::ReadyQueue;
+use super::arrival::QueuedRequest;
+use super::batcher::{merge_inputs, split_rows};
+use super::queue::LaneQueues;
 use super::sla::RequestRecord;
 use super::EpochSource;
 use crate::engine_trace::RpcTracingObserver;
 use dlrm_model::RuntimeCtx;
 use dlrm_sharding::DistributedModel;
 use dlrm_trace::{ServerId, Span, SpanKind, TraceCollector, TraceId};
-use dlrm_workload::OnlineProfiler;
+use dlrm_workload::{BatchInputs, OnlineProfiler};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -38,16 +40,19 @@ pub(crate) struct LaneSink<'a> {
     pub(crate) profiler: Option<&'a OnlineProfiler>,
     pub(crate) records: Mutex<Vec<RequestRecord>>,
     pub(crate) trace: Mutex<TraceCollector>,
-    pub(crate) queue: QueueStatsHandle,
     pub(crate) sla_ms: f64,
 }
 
-/// Drains `ready` until every batcher has closed. Per batch: resolve
+/// Drains `queues` until every generator has closed. Per batch: resolve
 /// the owning lane's epoch **once** — a cutover published mid-run takes
 /// effect at the next pickup, and no batch ever mixes two epochs'
 /// state — feed the lane's profiler, then [`run_batch`].
-pub(crate) fn worker_loop(lanes: &[LaneSink<'_>], ready: &ReadyQueue, origin: Instant) {
-    let _live = ready.worker();
+pub(crate) fn worker_loop(
+    lanes: &[LaneSink<'_>],
+    queues: &LaneQueues<QueuedRequest>,
+    origin: Instant,
+) {
+    let _live = queues.worker();
     // Per-worker runtime context: after the first few batches the
     // buffer pool holds every dense store the model needs, so
     // steady-state batches allocate no f32 backing stores. Consumer
@@ -55,7 +60,8 @@ pub(crate) fn worker_loop(lanes: &[LaneSink<'_>], ready: &ReadyQueue, origin: In
     // (lane, epoch) and shared by every batch workspace.
     let ctx = RuntimeCtx::from_env();
     let mut consumers: Vec<Option<(u64, ConsumerCounts)>> = vec![None; lanes.len()];
-    while let Some((i, seq, batch)) = ready.pop() {
+    while let Some((i, seq, batch)) = queues.pickup() {
+        let picked_at = Instant::now();
         let lane = &lanes[i];
         // A switch lane holds its epoch's `Arc` for exactly this batch:
         // the drain protocol depends on it being released promptly.
@@ -68,8 +74,8 @@ pub(crate) fn worker_loop(lanes: &[LaneSink<'_>], ready: &ReadyQueue, origin: In
             }
         };
         if let Some(p) = lane.profiler {
-            for entry in &batch.entries {
-                p.observe(&entry.queued.request.inputs);
+            for queued in &batch {
+                p.observe(&queued.request.inputs);
             }
         }
         let counts = match &mut consumers[i] {
@@ -84,18 +90,20 @@ pub(crate) fn worker_loop(lanes: &[LaneSink<'_>], ready: &ReadyQueue, origin: In
             origin,
             seq,
             batch,
+            picked_at,
             &lane.records,
             &lane.trace,
         );
     }
 }
 
-/// Executes one formed batch against `model` and records every member
-/// request's timeline: a [`RequestRecord`] and its QueueWait /
-/// BatchAssembly / BatchExecute / RequestE2E spans (frontend clock, main
-/// server). The lead request additionally carries the executor's
-/// re-based per-op and RpcOutstanding spans, so one Gantt render shows
-/// batch formation next to the overlap rows.
+/// Executes one picked-up batch against `model` and records every
+/// member request's timeline: a [`RequestRecord`] and its QueueWait /
+/// BatchAssembly (pickup to execution start: the merge) / BatchExecute /
+/// RequestE2E spans (frontend clock, main server). The lead request
+/// additionally carries the executor's re-based per-op and
+/// RpcOutstanding spans, so one Gantt render shows batch formation next
+/// to the overlap rows.
 #[allow(clippy::too_many_arguments)]
 fn run_batch(
     model: &DistributedModel,
@@ -104,18 +112,29 @@ fn run_batch(
     consumers: &ConsumerCounts,
     origin: Instant,
     seq: u64,
-    batch: FormedBatch,
+    batch: Vec<QueuedRequest>,
+    picked_at: Instant,
     records: &Mutex<Vec<RequestRecord>>,
     trace: &Mutex<TraceCollector>,
 ) {
-    let parts: Vec<&dlrm_workload::BatchInputs> =
-        batch.entries.iter().map(|e| &e.queued.request.inputs).collect();
-    let (merged, row_counts) = merge_inputs(&parts);
+    let batch_requests = batch.len();
+    let lead_trace = TraceId(batch[0].request.id);
+    let (inputs, arrivals): (Vec<BatchInputs>, Vec<_>) = batch
+        .into_iter()
+        .map(|q| (q.request.inputs, (q.request.id, q.arrival_ms, q.enqueued_at)))
+        .unzip();
+    // A lone request — what traffic below saturation mostly is — runs on
+    // its own inputs and keeps its own prediction matrix: nothing is
+    // copied to merge or to split. Both forms feed the same
+    // `run_overlapped`, so they agree bit for bit.
+    let (merged, row_counts) = match <[BatchInputs; 1]>::try_from(inputs) {
+        Ok([only]) => (only, Vec::new()),
+        Err(inputs) => merge_inputs(&inputs.iter().collect::<Vec<_>>()),
+    };
     let mut ws = dlrm_model::Workspace::with_ctx(ctx.clone());
     ws.set_consumer_counts(Arc::clone(consumers));
     merged.load_owned(&model.spec, &mut ws);
 
-    let lead_trace = TraceId(batch.entries[0].queued.request.id);
     // The observer's clock starts at its construction; capture the same
     // instant so its spans re-base onto the frontend clock exactly.
     let exec_start = Instant::now();
@@ -134,12 +153,15 @@ fn run_batch(
         .map(|e| super::sla::classify_failure(&e.to_string()));
     let engine_spans = obs.finish();
 
-    let predictions: Option<Vec<_>> = result.ok().map(|m| {
+    let mut predictions = result.ok().map(|m| {
+        if batch_requests == 1 {
+            return vec![m].into_iter();
+        }
         let rows = split_rows(&m, &row_counts);
         // Predictions are copied out per request above; hand the
         // batch-level store back for the next batch to reuse.
         ctx.buffers.release(m.into_vec());
-        rows
+        rows.into_iter()
     });
     // Every leftover blob (inputs, multi-consumer intermediates) feeds
     // the buffer pool before the workspace drops.
@@ -147,19 +169,18 @@ fn run_batch(
 
     let exec_start_ms = ms(origin, exec_start);
     let exec_end_ms = ms(origin, exec_end);
-    let closed_ms = ms(origin, batch.closed_at);
-    let batch_requests = batch.entries.len();
+    // Pickup forms the batch: dequeue and batch close are one instant.
+    let picked_ms = ms(origin, picked_at);
 
     let mut recs = Vec::with_capacity(batch_requests);
     let mut spans = Vec::new();
-    for (i, entry) in batch.entries.into_iter().enumerate() {
-        let id = entry.queued.request.id;
+    for (id, arrival_ms, enqueued_at) in arrivals {
         let rec = RequestRecord {
             id,
-            arrival_ms: entry.queued.arrival_ms,
-            enqueued_ms: ms(origin, entry.queued.enqueued_at),
-            dequeued_ms: ms(origin, entry.dequeued_at),
-            batch_closed_ms: closed_ms,
+            arrival_ms,
+            enqueued_ms: ms(origin, enqueued_at),
+            dequeued_ms: picked_ms,
+            batch_closed_ms: picked_ms,
             exec_start_ms,
             exec_end_ms,
             batch_seq: seq,
@@ -172,7 +193,7 @@ fn run_batch(
             cache_misses: batch_cache_misses,
             cache_local_rows: batch_cache_local_rows,
             failure_cause,
-            prediction: predictions.as_ref().map(|p| p[i].clone()),
+            prediction: predictions.as_mut().and_then(Iterator::next),
         };
         let t = TraceId(id);
         let interval = |kind, start: f64, end: f64| Span {
@@ -183,12 +204,8 @@ fn run_batch(
             duration: (end - start).max(0.0),
             cpu: false,
         };
-        spans.push(interval(SpanKind::QueueWait, rec.enqueued_ms, rec.dequeued_ms));
-        spans.push(interval(
-            SpanKind::BatchAssembly,
-            rec.dequeued_ms,
-            rec.batch_closed_ms,
-        ));
+        spans.push(interval(SpanKind::QueueWait, rec.enqueued_ms, picked_ms));
+        spans.push(interval(SpanKind::BatchAssembly, picked_ms, exec_start_ms));
         spans.push(interval(SpanKind::BatchExecute, exec_start_ms, exec_end_ms));
         spans.push(interval(SpanKind::RequestE2E, rec.enqueued_ms, exec_end_ms));
         recs.push(rec);

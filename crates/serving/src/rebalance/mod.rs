@@ -61,12 +61,15 @@ pub struct RebalanceConfig {
     /// Shard count of successor plans
     /// ([`ShardingStrategy::HotRowAware`]).
     pub strategy_shards: usize,
-    /// Scale **up** a shard when its per-replica call delta per tick
-    /// sustains at or above this.
-    pub scale_up_calls_per_tick: u64,
-    /// Scale **down** a shard when its *total* call delta per tick
-    /// sustains at or below this.
-    pub scale_down_calls_per_tick: u64,
+    /// Scale **up** a shard when the embedding rows requested of it per
+    /// tick, per replica, sustain at or above this. Rows, not calls: a
+    /// merged batch of four is one call carrying four requests' rows,
+    /// so only rows read the same load the same way at every batch
+    /// size.
+    pub scale_up_rows_per_tick: u64,
+    /// Scale **down** a shard when the rows requested of it per tick,
+    /// over *all* its replicas, sustain at or below this.
+    pub scale_down_rows_per_tick: u64,
     /// Consecutive ticks a pressure/idle condition must hold before the
     /// controller acts on it (anti-flap).
     pub sustain_ticks: u32,
@@ -100,8 +103,10 @@ impl Default for RebalanceConfig {
             dual_read_seed: 17,
             hot_rows: HotRowConfig::default(),
             strategy_shards: 2,
-            scale_up_calls_per_tick: 200,
-            scale_down_calls_per_tick: 10,
+            // The former 200 / 10 calls per tick at the ~40 000 rows a
+            // call carried in `rebalance_smoke` (batches of ~3.9).
+            scale_up_rows_per_tick: 8_000_000,
+            scale_down_rows_per_tick: 400_000,
             sustain_ticks: 2,
             min_replicas: 1,
             max_replicas: 4,
@@ -160,9 +165,9 @@ pub struct ScaleEvent {
     pub direction: ScaleDirection,
     /// Replica count after the action.
     pub replicas_after: usize,
-    /// The call delta per tick that triggered it (per replica for up,
-    /// total for down).
-    pub calls_per_tick: u64,
+    /// The rows requested per tick that triggered it (per replica for
+    /// up, total for down).
+    pub rows_per_tick: u64,
 }
 
 /// Everything a rebalancer run did, for reports and gates.
@@ -294,7 +299,7 @@ pub struct Rebalancer {
     scale_events: Vec<ScaleEvent>,
     /// Autoscaler state, valid for `last_epoch` only.
     last_epoch: u64,
-    last_calls: Vec<u64>,
+    last_rows: Vec<u64>,
     streak_up: Vec<u32>,
     streak_down: Vec<u32>,
     cooldown: u32,
@@ -328,7 +333,7 @@ impl Rebalancer {
             migrations: Vec::new(),
             scale_events: Vec::new(),
             last_epoch: u64::MAX,
-            last_calls: Vec::new(),
+            last_rows: Vec::new(),
             streak_up: Vec::new(),
             streak_down: Vec::new(),
             cooldown: 0,
@@ -436,32 +441,32 @@ impl Rebalancer {
     fn autoscale(&mut self) {
         let current = self.switch.current();
         let Some(pool) = &current.pool else { return };
-        // Aggregate per-shard call totals and replica counts, in the
+        // Aggregate per-shard row totals and replica counts, in the
         // pool's shard order (flattened summaries repeat the shard per
         // replica).
         let mut shards: Vec<(ShardId, u64, usize)> = Vec::new();
         for s in pool.replica_rpc_summaries() {
             match shards.last_mut() {
                 Some(entry) if entry.0 == s.shard => {
-                    entry.1 += s.calls;
+                    entry.1 += s.rows;
                     entry.2 += 1;
                 }
-                _ => shards.push((s.shard, s.calls, 1)),
+                _ => shards.push((s.shard, s.rows, 1)),
             }
         }
-        if current.epoch != self.last_epoch || self.last_calls.len() != shards.len() {
+        if current.epoch != self.last_epoch || self.last_rows.len() != shards.len() {
             // First tick on this epoch: baseline only.
             self.last_epoch = current.epoch;
-            self.last_calls = shards.iter().map(|s| s.1).collect();
+            self.last_rows = shards.iter().map(|s| s.1).collect();
             self.streak_up = vec![0; shards.len()];
             self.streak_down = vec![0; shards.len()];
             return;
         }
-        for (i, (shard, calls, replicas)) in shards.into_iter().enumerate() {
-            let delta = calls.saturating_sub(self.last_calls[i]);
-            self.last_calls[i] = calls;
+        for (i, (shard, rows, replicas)) in shards.into_iter().enumerate() {
+            let delta = rows.saturating_sub(self.last_rows[i]);
+            self.last_rows[i] = rows;
             let per_replica = delta / replicas as u64;
-            if per_replica >= self.cfg.scale_up_calls_per_tick
+            if per_replica >= self.cfg.scale_up_rows_per_tick
                 && replicas < self.cfg.max_replicas
             {
                 self.streak_down[i] = 0;
@@ -474,10 +479,10 @@ impl Rebalancer {
                         shard,
                         direction: ScaleDirection::Up,
                         replicas_after: after,
-                        calls_per_tick: per_replica,
+                        rows_per_tick: per_replica,
                     });
                 }
-            } else if delta <= self.cfg.scale_down_calls_per_tick
+            } else if delta <= self.cfg.scale_down_rows_per_tick
                 && replicas > self.cfg.min_replicas.max(1)
             {
                 self.streak_up[i] = 0;
@@ -490,7 +495,7 @@ impl Rebalancer {
                             shard,
                             direction: ScaleDirection::Down,
                             replicas_after: after,
-                            calls_per_tick: delta,
+                            rows_per_tick: delta,
                         });
                     }
                 }

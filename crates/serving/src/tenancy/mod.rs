@@ -10,10 +10,11 @@
 //!
 //! ```text
 //!  frontend::serve, one lane per tenant:
-//!    load gen ─▶ bounded admission queue ─▶ shed      (per tenant)
-//!                  │ batcher ─▶ ≤ `workers` ready batches
+//!    load gen ─▶ bounded lane queue ─▶ shed           (per tenant)
+//!                  │
 //!                  ▼
-//!    shared worker pool ◀── smooth weighted-fair pick, blocking
+//!    shared worker pool ◀── smooth weighted-fair pick, blocking;
+//!        │ takes what the picked tenant's queue already holds
 //!        │ resolves the tenant's EpochSwitch per batch
 //!        ▼
 //!  PressureController tick: Σ resident bytes vs DRAM budget
@@ -21,12 +22,12 @@
 //! ```
 //!
 //! **Isolation comes from the queues**: each tenant sheds out of its
-//! *own* bounded admission queue, and at most `workers` of its formed
-//! batches wait for a worker at any time, so an overloaded tenant's
-//! excess traffic is turned away at its door — under a burst or under
-//! sustained overload — and never occupies more than its share of the
-//! pipeline. The weighted-fair dispatcher then divides worker capacity
-//! among tenants with ready batches in proportion to their weights.
+//! *own* bounded queue and nothing of its traffic waits anywhere else,
+//! so an overloaded tenant's excess traffic is turned away at its door
+//! — under a burst or under sustained overload — and never occupies
+//! more than its share of the pipeline. The weighted-fair dispatcher
+//! then divides worker pickups among tenants with queued requests in
+//! proportion to their weights.
 //! Under capacity pressure the [`PressureController`] moves the
 //! coldest tenants' coldest tables down the storage ladder
 //! ([`Tier`]) — every transition dual-read verified against golden
@@ -305,9 +306,11 @@ pub struct TenantWorkload {
 /// Knobs for one multi-tenant run.
 #[derive(Debug, Clone, Copy)]
 pub struct TenancyRunConfig {
-    /// Batch-size cap per tenant batcher.
+    /// The most requests one worker pickup merges into a batch.
     pub max_batch_requests: usize,
-    /// Batch-formation deadline per tenant batcher.
+    /// Unused: batches form at pickup and nothing waits on a timer.
+    /// Declared only while `sysbench/` builds this struct field by
+    /// field; the next benchmark PR deletes it.
     pub batch_timeout: Duration,
     /// Shared worker threads executing all tenants' batches.
     pub workers: usize,
@@ -320,7 +323,7 @@ impl Default for TenancyRunConfig {
     fn default() -> Self {
         Self {
             max_batch_requests: 8,
-            batch_timeout: Duration::from_millis(2),
+            batch_timeout: Duration::ZERO,
             workers: 2,
             pressure_every: None,
         }
@@ -345,7 +348,7 @@ pub struct TenancyReport {
 }
 
 /// Drives one multi-tenant open-loop run to completion: per-tenant load
-/// generators and batchers, a shared weighted-fair worker pool, and
+/// generators and queues, a shared weighted-fair worker pool, and
 /// (optionally) the pressure controller ticking on the side. Returns
 /// per-tenant reports plus the combined report with its
 /// [`TenantBreakdown`] rows.
@@ -391,7 +394,6 @@ pub fn run_tenant_set(
     let runs = serve(
         lanes,
         cfg.max_batch_requests,
-        cfg.batch_timeout,
         cfg.workers,
         cfg.pressure_every
             .map(|every| (every, &pressure_tick as &dyn Fn())),

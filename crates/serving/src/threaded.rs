@@ -202,6 +202,7 @@ impl RpcStats {
         ShardRpcSummary {
             shard,
             calls: guard.1.count(),
+            rows: self.rows_sent(),
             mean_ms: guard.1.mean(),
             p50_ms: guard.0.quantile(0.5),
             p99_ms: guard.0.quantile(0.99),
@@ -221,6 +222,10 @@ pub struct ShardRpcSummary {
     pub shard: ShardId,
     /// Completed round trips.
     pub calls: u64,
+    /// Embedding rows requested over those (and any still in flight):
+    /// the load signal that does not depend on how requests were
+    /// batched into calls.
+    pub rows: u64,
     /// Mean round-trip latency in milliseconds.
     pub mean_ms: f64,
     /// p50 round-trip latency (histogram bucket upper bound), ms.
@@ -239,9 +244,10 @@ impl std::fmt::Display for ShardRpcSummary {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{}: calls={} mean={:.3}ms p50={:.3}ms p99={:.3}ms max={:.3}ms max_in_flight={}",
+            "{}: calls={} rows={} mean={:.3}ms p50={:.3}ms p99={:.3}ms max={:.3}ms max_in_flight={}",
             self.shard,
             self.calls,
+            self.rows,
             self.mean_ms,
             self.p50_ms,
             self.p99_ms,

@@ -236,9 +236,9 @@ fn frontend_accounting_identities_hold_under_faults() {
     let cfg = FrontendConfig {
         queue_capacity: n,
         max_batch_requests: 4,
-        batch_timeout: Duration::from_millis(2),
         sla: Duration::from_millis(250),
         workers: 2,
+        ..FrontendConfig::default()
     };
     let mut report = run_frontend(&dist, requests, &schedule, &cfg);
     report.transport = Some(pool.transport_summary());
@@ -396,9 +396,9 @@ fn frontend_identities_hold_with_cache_under_faults() {
     let cfg = FrontendConfig {
         queue_capacity: n,
         max_batch_requests: 4,
-        batch_timeout: Duration::from_millis(2),
         sla: Duration::from_millis(250),
         workers: 2,
+        ..FrontendConfig::default()
     };
     let mut report = run_frontend(&dist, requests, &schedule, &cfg);
     report.transport = Some(pool.transport_summary());

@@ -198,8 +198,9 @@ fn batched_bit_identical_over_threaded_transport() {
 }
 
 /// A full open-loop frontend run: every completed request's predictions
-/// must match its solo run bit for bit, and the admission accounting
-/// identities must hold exactly.
+/// must match its solo run bit for bit — under a batch cap of 1, of 8
+/// and of a drawn value alike — and the admission accounting identities
+/// must hold exactly.
 #[test]
 fn full_frontend_run_is_bit_exact_and_accounts_exactly() {
     let mut rng = SimRng::seed_from(0x00f0_7e57).fork(2);
@@ -224,26 +225,35 @@ fn full_frontend_run_is_bit_exact_and_accounts_exactly() {
             .collect();
 
         let schedule = ArrivalSchedule::poisson(requests.len(), 20_000.0, seed ^ 4);
-        let cfg = FrontendConfig {
-            queue_capacity: 64,
-            max_batch_requests: 1 + rng.next_index(6),
-            batch_timeout: Duration::from_millis(1),
-            sla: Duration::from_millis(500),
-            workers: 1 + rng.next_index(3),
-        };
-        let report = run_frontend(&dist, requests, &schedule, &cfg);
+        let drawn = 1 + rng.next_index(6);
+        let workers = 1 + rng.next_index(3);
+        // Cap 1 takes the batch-of-one path for every request (inputs
+        // moved in, the prediction matrix handed over); 8 merges
+        // whatever queued up. Both must equal the solo runs, hence
+        // each other.
+        for max_batch_requests in [1, drawn, 8] {
+            let cfg = FrontendConfig {
+                queue_capacity: 64,
+                max_batch_requests,
+                sla: Duration::from_millis(500),
+                workers,
+                ..FrontendConfig::default()
+            };
+            let ctx = format!("case {case}, cap {max_batch_requests}");
+            let report = run_frontend(&dist, requests.clone(), &schedule, &cfg);
 
-        assert_eq!(report.offered, report.admitted + report.shed, "case {case}");
-        assert_eq!(
-            report.completed + report.failed,
-            report.admitted,
-            "case {case}"
-        );
-        assert_eq!(report.shed, 0, "case {case}: queue sized for everything");
-        assert_eq!(report.failed, 0, "case {case}");
-        for (id, pred) in &report.predictions {
-            let (_, want) = expected.iter().find(|(e, _)| e == id).unwrap();
-            assert_eq!(pred, want, "case {case}: request {id} batched != solo");
+            assert_eq!(report.offered, report.admitted + report.shed, "{ctx}");
+            assert_eq!(report.completed + report.failed, report.admitted, "{ctx}");
+            assert_eq!(report.shed, 0, "{ctx}: queue sized for everything");
+            assert_eq!(report.failed, 0, "{ctx}");
+            assert_eq!(report.predictions.len(), expected.len(), "{ctx}");
+            if max_batch_requests == 1 {
+                assert_eq!(report.batches, report.completed, "{ctx}");
+            }
+            for (id, pred) in &report.predictions {
+                let (_, want) = expected.iter().find(|(e, _)| e == id).unwrap();
+                assert_eq!(pred, want, "{ctx}: request {id} batched != solo");
+            }
         }
     }
 }
@@ -300,9 +310,9 @@ fn lanes_of_every_source_account_exactly_and_stay_bit_exact_across_a_cutover() {
     let cfg = FrontendConfig {
         queue_capacity: 64,
         max_batch_requests: 3,
-        batch_timeout: Duration::from_millis(1),
         sla: Duration::from_millis(500),
         workers: 2,
+        ..FrontendConfig::default()
     };
     for seed in [3u64, 11] {
         let pinned = partition(build_model(&spec, seed).unwrap(), &p).unwrap();
@@ -374,13 +384,7 @@ fn lanes_of_every_source_account_exactly_and_stay_bit_exact_across_a_cutover() {
                         lane
                     })
                     .collect();
-                serve(
-                    lane_list,
-                    cfg.max_batch_requests,
-                    cfg.batch_timeout,
-                    cfg.workers,
-                    None,
-                )
+                serve(lane_list, cfg.max_batch_requests, cfg.workers, None)
             });
 
             assert_eq!(runs.len(), lanes);
@@ -428,13 +432,7 @@ fn a_lane_with_zero_requests_terminates() {
         Lane::new(EpochSource::Pinned(&dist), requests, &busy, &cfg),
         Lane::new(EpochSource::Pinned(&dist), Vec::new(), &idle, &cfg),
     ];
-    let runs = serve(
-        lanes,
-        cfg.max_batch_requests,
-        cfg.batch_timeout,
-        cfg.workers,
-        None,
-    );
+    let runs = serve(lanes, cfg.max_batch_requests, cfg.workers, None);
     assert_eq!(runs[0].records.len(), 8);
     assert_eq!(runs[1].queue.offered, 0);
     assert!(runs[1].records.is_empty());
@@ -442,42 +440,34 @@ fn a_lane_with_zero_requests_terminates() {
     assert_eq!((report.completed, report.batches), (0, 0));
 }
 
-/// Regression (the admission queue is the shed point): under
-/// *sustained* overload the bounded admission queue must shed, and the
-/// pipeline behind it stays structurally bounded — the parent drained
-/// the queue into an unbounded batch channel and never shed. The run
-/// also ends with its batcher blocked on a full lane (the generator
-/// finishes long before the backlog drains), which must terminate.
+/// Regression (the lane queue is the shed point): under *sustained*
+/// overload the bounded queue must shed, and what is behind it stays
+/// structurally bounded. The run also ends with the generator finished
+/// long before the backlog drains, which must terminate with every
+/// admitted request served.
 #[test]
 fn sustained_overload_sheds_at_admission_and_bounds_the_pipeline() {
     let spec = lane_spec();
     let profile = PoolingProfile::from_spec(&spec);
     let p = plan(&spec, &profile, ShardingStrategy::CapacityBalanced(2)).unwrap();
-    // 5 ms per shard RPC caps one worker well under 200 requests/s; 400/s
-    // are offered, each picked up by the batcher the moment it arrives
-    // (so the parent's queue stayed near-empty and shed nothing).
+    // 5 ms per shard RPC caps one worker well under 200 requests/s;
+    // 400/s are offered.
     let (dist, pool) = threaded_cluster(&spec, &p, 9, Duration::from_millis(5));
     let cfg = FrontendConfig {
         queue_capacity: 4,
         max_batch_requests: 2,
-        batch_timeout: Duration::from_millis(1),
         sla: Duration::from_millis(50),
         workers: 1,
+        ..FrontendConfig::default()
     };
     for seed in [1u64, 2, 3] {
         let db = TraceDb::generate(&spec, 80, seed);
         let requests = materialize_frontend_requests(&spec, &db, seed ^ 5);
         let schedule = ArrivalSchedule::poisson(requests.len(), 400.0, seed);
         let lane = Lane::new(EpochSource::Pinned(&dist), requests, &schedule, &cfg);
-        let run = serve(
-            vec![lane],
-            cfg.max_batch_requests,
-            cfg.batch_timeout,
-            cfg.workers,
-            None,
-        )
-        .pop()
-        .unwrap();
+        let run = serve(vec![lane], cfg.max_batch_requests, cfg.workers, None)
+            .pop()
+            .unwrap();
 
         assert_eq!(run.queue.offered, 80);
         assert_eq!(run.queue.offered, run.queue.admitted + run.queue.shed);
@@ -487,14 +477,11 @@ fn sustained_overload_sheds_at_admission_and_bounds_the_pipeline() {
             "seed {seed}: sustained 2x overload never shed"
         );
 
-        // In the system at any instant: the admission queue (capacity),
-        // one batch the batcher holds, `workers` batches in the lane,
-        // and one batch per worker executing — at a completion, that
-        // worker's batch is done: capacity + 2·workers·max_batch. Two
-        // more for stamp skew: `enqueued` is read before the offer and
-        // `dequeued` after the pickup, so one request on each edge of
-        // the queue can be counted on both sides of it.
-        let bound = cfg.queue_capacity + 2 * cfg.workers * cfg.max_batch_requests + 2;
+        // In the system at any instant: the lane queue (capacity) and
+        // one batch per worker executing — nothing else holds a
+        // request. One more for the request in the generator's hand:
+        // `enqueued` is stamped just before the offer.
+        let bound = cfg.queue_capacity + cfg.workers * cfg.max_batch_requests + 1;
         for done in &run.records {
             let at = done.exec_end_ms;
             let admitted = run.records.iter().filter(|r| r.enqueued_ms <= at).count();
@@ -506,5 +493,89 @@ fn sustained_overload_sheds_at_admission_and_bounds_the_pipeline() {
             );
         }
     }
+    pool.shutdown();
+}
+
+/// Pull semantics through the whole run loop, no timer anywhere: a
+/// burst lands while the one worker is busy with its first pickup, so
+/// every later pickup finds the rest queued and takes a full batch —
+/// FIFO within and across batches — until the remainder. The generator
+/// is long done while the queue is still non-empty; every admitted
+/// request is served all the same.
+#[test]
+fn a_burst_behind_a_busy_worker_rides_in_full_fifo_batches() {
+    let spec = lane_spec();
+    let profile = PoolingProfile::from_spec(&spec);
+    let p = plan(&spec, &profile, ShardingStrategy::CapacityBalanced(2)).unwrap();
+    let (dist, pool) = threaded_cluster(&spec, &p, 9, Duration::from_millis(5));
+    let cfg = FrontendConfig {
+        queue_capacity: 32,
+        max_batch_requests: 4,
+        sla: Duration::from_millis(500),
+        workers: 1,
+        ..FrontendConfig::default()
+    };
+    for seed in [1u64, 2] {
+        let db = TraceDb::generate(&spec, 22, seed);
+        let requests = materialize_frontend_requests(&spec, &db, seed ^ 5);
+        let offered: Vec<u64> = requests.iter().map(|r| r.id).collect();
+        // 22 arrivals about a microsecond apart: all in well before the
+        // first batch's 5 ms shard round trip returns.
+        let schedule = ArrivalSchedule::poisson(requests.len(), 1e6, seed);
+        let lane = Lane::new(EpochSource::Pinned(&dist), requests, &schedule, &cfg);
+        let mut run = serve(vec![lane], cfg.max_batch_requests, cfg.workers, None)
+            .pop()
+            .unwrap();
+
+        assert_eq!((run.queue.offered, run.queue.shed), (22, 0), "seed {seed}");
+        assert_eq!(run.records.len() as u64, run.queue.admitted, "seed {seed}");
+        assert!(run.records.iter().all(|r| r.prediction.is_some()), "seed {seed}");
+        // One worker: completion order is batch order.
+        assert!(run.records.windows(2).all(|w| w[0].batch_seq <= w[1].batch_seq));
+        let served: Vec<u64> = run.records.iter().map(|r| r.id).collect();
+        assert_eq!(served, offered, "seed {seed}: not FIFO");
+        run.records.dedup_by_key(|r| r.batch_seq);
+        let sizes: Vec<usize> = run.records.iter().map(|r| r.batch_requests).collect();
+        assert_eq!(sizes.iter().sum::<usize>(), 22, "seed {seed}");
+        assert!(
+            sizes[1..sizes.len() - 1].iter().all(|&s| s == 4),
+            "seed {seed}: a pickup behind the first left queued requests behind: {sizes:?}"
+        );
+    }
+    pool.shutdown();
+}
+
+/// Every worker dies mid-run (a merge of two requests that disagree on
+/// their table count panics): the generator must not wedge on a queue
+/// nobody drains — it sheds the rest, closes its lane, and `serve`
+/// ends by propagating the panic instead of hanging.
+#[test]
+fn a_run_whose_workers_all_panic_terminates() {
+    let spec = lane_spec();
+    let profile = PoolingProfile::from_spec(&spec);
+    let p = plan(&spec, &profile, ShardingStrategy::CapacityBalanced(2)).unwrap();
+    let (dist, pool) = threaded_cluster(&spec, &p, 9, Duration::from_millis(5));
+    let db = TraceDb::generate(&spec, 40, 4);
+    let mut requests = materialize_frontend_requests(&spec, &db, 5);
+    // A trailing sparse input no table consumes: harmless alone, fatal
+    // to merge with a request that lacks it — and any two neighbours
+    // differ.
+    for r in requests.iter_mut().step_by(2) {
+        let extra = r.inputs.sparse[0].clone();
+        r.inputs.sparse.push(extra);
+    }
+    let schedule = ArrivalSchedule::poisson(requests.len(), 2_000.0, 4);
+    let cfg = FrontendConfig {
+        queue_capacity: 4,
+        workers: 1,
+        ..FrontendConfig::default()
+    };
+    let tick = || ();
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let lane = Lane::new(EpochSource::Pinned(&dist), requests, &schedule, &cfg);
+        let tick = Some((Duration::from_millis(1), &tick as &dyn Fn()));
+        serve(vec![lane], cfg.max_batch_requests, cfg.workers, tick)
+    }));
+    assert!(outcome.is_err(), "no two requests ever merged");
     pool.shutdown();
 }

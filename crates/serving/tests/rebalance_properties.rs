@@ -272,8 +272,8 @@ fn autoscaler_adds_and_removes_replicas_under_sustained_pressure() {
     let cfg = RebalanceConfig {
         // Migration disabled: this test isolates the autoscaler.
         profile_min_accesses: u64::MAX,
-        scale_up_calls_per_tick: 5,
-        scale_down_calls_per_tick: 0,
+        scale_up_rows_per_tick: 5,
+        scale_down_rows_per_tick: 0,
         sustain_ticks: 1,
         min_replicas: 1,
         max_replicas: 2,
@@ -296,9 +296,9 @@ fn autoscaler_adds_and_removes_replicas_under_sustained_pressure() {
     let pool = current.pool.as_ref().expect("serving pool");
     assert_eq!(pool.replica_counts(), vec![1, 1]);
 
-    rb.tick(); // baseline tick: records current call totals only
+    rb.tick(); // baseline tick: records current row totals only
 
-    // Sustained pressure: every shard sees well over 5 calls/replica.
+    // Sustained pressure: every shard sees well over 5 rows/replica.
     let _ = run_all(&spec, &current.model, &inputs);
     rb.tick();
     assert_eq!(
@@ -307,7 +307,7 @@ fn autoscaler_adds_and_removes_replicas_under_sustained_pressure() {
         "pressure did not add replicas"
     );
 
-    // Sustained idleness: zero call delta per tick scales back down,
+    // Sustained idleness: zero row delta per tick scales back down,
     // stopping at the floor.
     rb.tick();
     assert_eq!(
@@ -330,7 +330,74 @@ fn autoscaler_adds_and_removes_replicas_under_sustained_pressure() {
     assert!(report
         .scale_events
         .iter()
-        .any(|e| e.direction == ScaleDirection::Up && e.calls_per_tick >= 5));
+        .any(|e| e.direction == ScaleDirection::Up && e.rows_per_tick >= 5));
+}
+
+/// The autoscaler reads rows, so how the frontend happened to batch a
+/// stream does not change what it decides: the same three bursts served
+/// one request per call and up to eight per call trip the same scale
+/// events at the same ticks on the same row deltas — while the call
+/// counts the signal used to compare differ by the merge factor.
+#[test]
+fn scale_decisions_do_not_depend_on_the_batch_cap() {
+    let spec = rebalance_spec();
+    let profile = PoolingProfile::from_spec(&spec);
+    let initial = plan(&spec, &profile, ShardingStrategy::CapacityBalanced(2)).expect("plan");
+    let db = TraceDb::generate(&spec, 24, SEED);
+    let requests = materialize_frontend_requests(&spec, &db, SEED ^ 5);
+    // Each burst lands within about a millisecond; one worker behind
+    // 2 ms shard round trips is still on its first batch by then, so
+    // the rest of the burst is queued when it comes back.
+    let burst = ArrivalSchedule::poisson(8, 1e6, SEED);
+
+    let decide = |max_batch_requests: usize| {
+        let cfg = RebalanceConfig {
+            profile_min_accesses: u64::MAX,
+            scale_up_rows_per_tick: 100,
+            scale_down_rows_per_tick: 0,
+            sustain_ticks: 1,
+            min_replicas: 1,
+            max_replicas: 2,
+            worker_delay: Duration::from_millis(2),
+            rpc_policy: Some(deterministic_policy()),
+            ..RebalanceConfig::default()
+        };
+        let epoch0 = build_epoch_serving(&spec, &initial, SEED, 1, &cfg).expect("epoch 0");
+        let switch = Arc::new(EpochSwitch::new(epoch0));
+        let profiler = Arc::new(OnlineProfiler::for_spec(&spec));
+        let mut rb = Rebalancer::new(spec.clone(), SEED, Arc::clone(&switch), profiler, cfg);
+        let frontend = FrontendConfig {
+            queue_capacity: 8,
+            max_batch_requests,
+            workers: 1,
+            ..FrontendConfig::default()
+        };
+        rb.tick(); // baseline
+        for chunk in requests.chunks(8) {
+            let lane = Lane::new(EpochSource::Switch(&switch), chunk.to_vec(), &burst, &frontend);
+            assert_eq!(run_lane(lane, &frontend).completed, 8);
+            rb.tick();
+        }
+        rb.tick(); // idle
+        let current = switch.current();
+        let pool = current.pool.as_ref().expect("serving pool");
+        let calls: u64 = pool.replica_rpc_summaries().iter().map(|s| s.calls).sum();
+        drop(current);
+        let events: Vec<_> = (rb.finish().scale_events.iter())
+            .map(|e| (e.epoch, e.shard, e.direction, e.replicas_after, e.rows_per_tick))
+            .collect();
+        (events, calls)
+    };
+
+    let (lone, lone_calls) = decide(1);
+    let (merged, merged_calls) = decide(8);
+    assert_eq!(lone, merged, "the batch cap changed a scale decision");
+    let ups = lone.iter().filter(|e| e.2 == ScaleDirection::Up).count();
+    assert_eq!((ups, lone.len() - ups), (2, 2), "one up and one down per shard: {lone:?}");
+    assert!(
+        merged_calls < lone_calls,
+        "nothing merged ({merged_calls} vs {lone_calls} calls): the case proves nothing"
+    );
 }
 
 #[test]
@@ -357,8 +424,8 @@ fn mid_migration_replica_crash_is_covered_by_failover() {
         cooldown_ticks: 2,
         min_replicas: 2,
         // Autoscaling disabled: replicas pinned at 2 for this test.
-        scale_up_calls_per_tick: u64::MAX,
-        scale_down_calls_per_tick: 0,
+        scale_up_rows_per_tick: u64::MAX,
+        scale_down_rows_per_tick: 0,
         rpc_policy: Some(deterministic_policy()),
         ..RebalanceConfig::default()
     };
@@ -395,9 +462,9 @@ fn mid_migration_replica_crash_is_covered_by_failover() {
     let cfg = FrontendConfig {
         queue_capacity: n,
         max_batch_requests: 4,
-        batch_timeout: Duration::from_millis(2),
         sla: Duration::from_millis(250),
         workers: 2,
+        ..FrontendConfig::default()
     };
     let mut lane = Lane::new(EpochSource::Switch(&switch), requests, &schedule, &cfg);
     lane.profiler = Some(&profiler);

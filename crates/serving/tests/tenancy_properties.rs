@@ -233,9 +233,9 @@ fn one_tenant_set_and_run_frontend_agree_on_counts_and_predictions() {
     let cfg = FrontendConfig {
         queue_capacity: 64,
         max_batch_requests: 4,
-        batch_timeout: Duration::from_millis(1),
         sla: Duration::from_millis(500),
         workers: 2,
+        ..FrontendConfig::default()
     };
     for seed in [2u64, 9, 17] {
         let db = TraceDb::generate(&spec, 16, seed);
@@ -250,9 +250,9 @@ fn one_tenant_set_and_run_frontend_agree_on_counts_and_predictions() {
         };
         let run_cfg = TenancyRunConfig {
             max_batch_requests: cfg.max_batch_requests,
-            batch_timeout: cfg.batch_timeout,
             workers: cfg.workers,
             pressure_every: None,
+            ..TenancyRunConfig::default()
         };
         let tenancy = run_tenant_set(&set, vec![workload], &run_cfg);
 

@@ -77,11 +77,12 @@ pub enum SpanKind {
     ShardDeser(RpcId),
     /// Sparse shard: serializing the pooled response.
     ShardSer(RpcId),
-    /// Frontend: admission to batcher pickup. *Not* CPU time — the
-    /// request sits in the bounded queue waiting for a batcher slot.
+    /// Frontend: admission to worker pickup. *Not* CPU time — the
+    /// request sits in its lane's bounded queue waiting for a free
+    /// worker.
     QueueWait,
-    /// Frontend: batcher pickup to batch close (the window spent waiting
-    /// for co-batched requests or the batching deadline). Not CPU time.
+    /// Frontend: worker pickup (which forms the batch) to execution
+    /// start — merging the member requests' inputs.
     BatchAssembly,
     /// Frontend: the formed batch's execution window on a worker thread,
     /// dispatch to predictions split.

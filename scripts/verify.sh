@@ -37,7 +37,8 @@ echo "==> overlap smoke: shard RPCs must overlap under the scheduler"
 cargo run --release --offline -p dlrm-bench --bin overlap_smoke
 
 echo "==> frontend smoke: open-loop serving must be bit-exact, account"
-echo "    exactly, hold its SLA band under light load, and shed under overload"
+echo "    exactly, hold its SLA band under light load with no request held on"
+echo "    a timer, ride a burst in full batches, and shed under overload"
 cargo run --release --offline -p dlrm-bench --bin frontend_smoke
 
 echo "==> chaos smoke: replica crashes must not dent availability or change"
