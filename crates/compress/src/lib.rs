@@ -11,6 +11,8 @@
 //! This crate implements the real kernels ([`QuantizedTable`],
 //! [`prune`]) applied to materialized tables, plus analytic size
 //! accounting ([`CompressionPolicy`]) for paper-scale virtual tables.
+//! Table codecs only: the shard service that holds a table quantized is
+//! `dlrm_sharding::ShardService`, which depends on this crate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -18,8 +20,6 @@
 pub mod policy;
 pub mod prune;
 mod quantize;
-pub mod serving;
 
 pub use policy::CompressionPolicy;
 pub use quantize::QuantizedTable;
-pub use serving::{QuantizedClient, QuantizedShardService};

@@ -355,12 +355,16 @@ mod tests {
     fn a_parked_worker_starts_on_the_first_offer_without_waiting_for_company() {
         let q = LaneQueues::<u32>::new(&[(1, 8)], 1, 8);
         let adm = q.admitter(0);
-        let (parked, picked) = (std::sync::Barrier::new(2), std::sync::Barrier::new(2));
+        use std::sync::Barrier;
+        let (parked, picked, offered) = (Barrier::new(2), Barrier::new(2), Barrier::new(2));
         std::thread::scope(|s| {
             let worker = s.spawn(|| {
                 parked.wait();
                 let first = q.pickup();
                 picked.wait();
+                // Both later offers are in before the next pickup, so
+                // what it takes does not depend on who runs first.
+                offered.wait();
                 (first, q.pickup(), q.pickup())
             });
             parked.wait();
@@ -370,6 +374,7 @@ mod tests {
             picked.wait();
             adm.offer(8).unwrap();
             adm.offer(9).unwrap();
+            offered.wait();
             drop(adm);
             let (first, rest, end) = worker.join().unwrap();
             assert_eq!(first, Some((0, 0, vec![7])));

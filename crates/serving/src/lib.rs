@@ -28,7 +28,6 @@
 #![warn(missing_docs)]
 
 pub mod capacity;
-pub mod channel;
 mod cluster;
 mod cost;
 pub mod engine_trace;

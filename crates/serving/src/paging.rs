@@ -3,26 +3,15 @@
 //! §X lists "additional system-level solutions such as paging-from-disk"
 //! as future design-space work, and §I notes that on-demand paging
 //! "requires fast solid-state drives (SSD) to meet latency constraints".
-//! This module provides both halves of that alternative:
-//!
-//! - [`PagingModel`]: the analytic cost model — keep the whole model on
-//!   one server's SSD, cache the hottest embedding rows in DRAM, pay
-//!   device reads for misses, and compare against distributed
-//!   inference's RPC overhead.
-//! - [`PagedTable`]: a *servable* file-backed embedding table — the
-//!   coldest rung of the tenancy demotion ladder
-//!   (DRAM → quantized → paged). Rows live on disk as little-endian
-//!   `f32` and are read per lookup; the SLS accumulates rows in index
-//!   order with the same element-wise adds as the DRAM kernel, so a
-//!   paged table answers **bitwise identically** to its DRAM twin —
-//!   only slower.
+//! This module is the analytic half of that alternative:
+//! [`PagingModel`] keeps the whole model on one server's SSD, caches the
+//! hottest embedding rows in DRAM, pays device reads for misses, and
+//! [`compare`]s against distributed inference's RPC overhead. The
+//! *servable* half — a file-backed table that answers lookups — is
+//! [`dlrm_sharding::PagedTable`], the coldest storage tier of the shard
+//! service.
 
-use dlrm_model::{EmbeddingTable, ModelSpec};
-use dlrm_tensor::Matrix;
-use std::fs::File;
-use std::io::{self, Write};
-use std::os::unix::fs::FileExt;
-use std::sync::atomic::{AtomicU64, Ordering};
+use dlrm_model::ModelSpec;
 
 /// An SSD-paging configuration for serving one model from a single
 /// server.
@@ -83,161 +72,6 @@ impl PagingModel {
     #[must_use]
     pub fn cache_fraction(&self, spec: &ModelSpec) -> f64 {
         (self.cache_bytes as f64 / spec.total_bytes() as f64).min(1.0)
-    }
-}
-
-/// Distinguishes concurrently created paged-table backing files within
-/// one process.
-static PAGED_FILE_SEQ: AtomicU64 = AtomicU64::new(0);
-
-/// A file-backed embedding table: the servable paged tier.
-///
-/// The weights are spilled to an anonymous temp file (unlinked at
-/// creation, so the space is reclaimed when the table drops) and read
-/// back row-by-row per lookup via positional reads — no mmap, no
-/// unsafe. DRAM residency is metadata only, which is what makes
-/// demoting a table here free the pressure controller's budget.
-///
-/// # Examples
-///
-/// ```
-/// use dlrm_model::EmbeddingTable;
-/// use dlrm_serving::paging::PagedTable;
-///
-/// let dram = EmbeddingTable::seeded("t", 32, 8, 7);
-/// let paged = PagedTable::from_table(&dram).unwrap();
-/// let a = dram.sparse_lengths_sum(&[1, 5, 9], &[2, 1]);
-/// let b = paged.sparse_lengths_sum(&[1, 5, 9], &[2, 1]).unwrap();
-/// assert_eq!(a.as_slice(), b.as_slice()); // bitwise, not approximate
-/// ```
-#[derive(Debug)]
-pub struct PagedTable {
-    name: String,
-    rows: usize,
-    dim: usize,
-    file: File,
-}
-
-impl PagedTable {
-    /// Spills `table` to an unlinked temp file in row-major
-    /// little-endian `f32`.
-    ///
-    /// # Errors
-    ///
-    /// Any I/O error creating or writing the backing file.
-    pub fn from_table(table: &EmbeddingTable) -> io::Result<Self> {
-        let seq = PAGED_FILE_SEQ.fetch_add(1, Ordering::Relaxed);
-        let path = std::env::temp_dir().join(format!(
-            "dlrm-paged-{}-{}.bin",
-            std::process::id(),
-            seq
-        ));
-        let mut file = File::options()
-            .read(true)
-            .write(true)
-            .create_new(true)
-            .open(&path)?;
-        // Unlink immediately: the open handle keeps the data reachable,
-        // and the kernel reclaims it on drop even if the process dies.
-        std::fs::remove_file(&path)?;
-        let mut buf = Vec::with_capacity(table.dim() * 4);
-        for r in 0..table.rows() {
-            buf.clear();
-            for &v in table.row(r) {
-                buf.extend_from_slice(&v.to_le_bytes());
-            }
-            file.write_all(&buf)?;
-        }
-        Ok(Self {
-            name: table.name().to_string(),
-            rows: table.rows(),
-            dim: table.dim(),
-            file,
-        })
-    }
-
-    /// Table name.
-    #[must_use]
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Number of rows.
-    #[must_use]
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Embedding dimension.
-    #[must_use]
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Bytes occupied on the backing device (`rows × dim × 4`).
-    #[must_use]
-    pub fn backing_bytes(&self) -> u64 {
-        self.rows as u64 * self.dim as u64 * 4
-    }
-
-    /// Reads row `r` from the backing file into `out`.
-    ///
-    /// # Errors
-    ///
-    /// Any I/O error on the positional read.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r` is out of range or `out.len() != dim`.
-    pub fn row_into(&self, r: usize, out: &mut [f32]) -> io::Result<()> {
-        assert!(r < self.rows, "row {r} out of range for {}", self.name);
-        assert_eq!(out.len(), self.dim, "row buffer must be dim-sized");
-        let mut bytes = vec![0u8; self.dim * 4];
-        self.file.read_exact_at(&mut bytes, (r * self.dim * 4) as u64)?;
-        for (v, chunk) in out.iter_mut().zip(bytes.chunks_exact(4)) {
-            *v = f32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-        }
-        Ok(())
-    }
-
-    /// SparseLengthsSum against the backing file: rows are read and
-    /// accumulated per bag in index order with plain element-wise adds —
-    /// the same order and operation as [`EmbeddingTable::
-    /// sparse_lengths_sum`], so the result is bitwise identical to the
-    /// DRAM tier.
-    ///
-    /// # Errors
-    ///
-    /// Any I/O error reading a row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths don't cover `indices` exactly or any index
-    /// is out of range.
-    pub fn sparse_lengths_sum(&self, indices: &[u64], lengths: &[u32]) -> io::Result<Matrix> {
-        let total: usize = lengths.iter().map(|&l| l as usize).sum();
-        assert_eq!(
-            total,
-            indices.len(),
-            "lengths sum {total} != indices len {} in table {}",
-            indices.len(),
-            self.name
-        );
-        let mut out = Matrix::zeros(lengths.len(), self.dim);
-        let mut row = vec![0.0f32; self.dim];
-        let mut cursor = 0usize;
-        for (b, &len) in lengths.iter().enumerate() {
-            let out_row = out.row_mut(b);
-            for &idx in &indices[cursor..cursor + len as usize] {
-                let idx = usize::try_from(idx).expect("index exceeds usize");
-                self.row_into(idx, &mut row)?;
-                for (o, &v) in out_row.iter_mut().zip(&row) {
-                    *o += v;
-                }
-            }
-            cursor += len as usize;
-        }
-        Ok(out)
     }
 }
 
@@ -335,39 +169,6 @@ mod tests {
             cmp.paging_penalty_ms,
             cmp.distributed_penalty_ms
         );
-    }
-
-    #[test]
-    fn paged_table_round_trips_rows_bitwise() {
-        let dram = EmbeddingTable::seeded("rt", 64, 12, 19);
-        let paged = PagedTable::from_table(&dram).unwrap();
-        assert_eq!(paged.rows(), 64);
-        assert_eq!(paged.dim(), 12);
-        assert_eq!(paged.backing_bytes(), 64 * 12 * 4);
-        let mut row = vec![0.0f32; 12];
-        for r in [0usize, 1, 31, 63] {
-            paged.row_into(r, &mut row).unwrap();
-            assert_eq!(row.as_slice(), dram.row(r), "row {r}");
-        }
-    }
-
-    #[test]
-    fn paged_sls_is_bit_exact_with_dram() {
-        let dram = EmbeddingTable::seeded("sls", 40, 8, 23);
-        let paged = PagedTable::from_table(&dram).unwrap();
-        let indices = [3u64, 3, 17, 0, 39, 21];
-        let lengths = [2u32, 0, 3, 1];
-        let a = dram.sparse_lengths_sum(&indices, &lengths);
-        let b = paged.sparse_lengths_sum(&indices, &lengths).unwrap();
-        assert_eq!(a.as_slice(), b.as_slice());
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn paged_rejects_out_of_range_index() {
-        let dram = EmbeddingTable::seeded("oob", 4, 2, 1);
-        let paged = PagedTable::from_table(&dram).unwrap();
-        let _ = paged.sparse_lengths_sum(&[9], &[1]);
     }
 
     #[test]

@@ -15,7 +15,6 @@
 //! the retry/hedge policy in `dlrm_sharding::rpc`, this is the
 //! transport that keeps availability up when individual replicas crash.
 
-use crate::channel::Sender;
 use crate::fault::{FaultPlan, ReplicaFaultSchedule};
 use crate::threaded::{spawn_worker, RpcStats, ShardRpcSummary, ThreadedClient, WireTotals, WorkerMsg};
 use dlrm_metrics::CauseCounts;
@@ -28,6 +27,7 @@ use dlrm_sharding::{
     ShardingPlan,
 };
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::Sender;
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};

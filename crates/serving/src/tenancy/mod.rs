@@ -40,9 +40,11 @@ pub mod pressure;
 pub mod tiered;
 
 pub use pressure::{PressureConfig, PressureController, TierAction};
-pub use tiered::{
-    build_tiered_epoch, Tier, TierBytes, TieredClient, TieredShardService, DEMOTED_BITS,
-};
+pub use tiered::{build_tiered_epoch, TieredShardService};
+// The tier vocabulary lives with the shard service that stores by it;
+// re-exported here for sysbench, until the next `benchmark` PR imports
+// it from `dlrm_sharding`.
+pub use dlrm_sharding::{Tier, TierBytes, DEMOTED_BITS};
 
 use crate::frontend::{
     serve, EpochSource, FrontendReport, FrontendRequest, Lane, QueueStats, TenantBreakdown,
@@ -82,8 +84,6 @@ pub struct TenantSpec {
 pub(crate) struct TenantTierState {
     /// Current tier per table, indexed by `TableId`.
     pub(crate) tiers: Vec<Tier>,
-    /// The live epoch's shard services (byte accounting).
-    pub(crate) services: Vec<Arc<TieredShardService>>,
     /// Epoch number the next cutover publishes as.
     pub(crate) next_epoch: u64,
 }
@@ -124,9 +124,8 @@ impl TenantRuntime {
     /// The live epoch's byte totals, split by tier.
     #[must_use]
     pub fn bytes_by_tier(&self) -> TierBytes {
-        let st = self.state.lock().expect("tenant state lock");
         let mut b = TierBytes::default();
-        for s in &st.services {
+        for s in &self.switch.current().model.shards {
             b.absorb(s.bytes_by_tier());
         }
         b
@@ -196,9 +195,8 @@ impl TenantSet {
                 .map_err(|e| format!("{}: {e}", t.name))?;
             let tiers = vec![Tier::Dram; t.spec.tables.len()];
             let epoch0 = plan.epoch();
-            let (serving, services) =
-                build_tiered_epoch(&t.spec, &plan, t.seed, &tiers, epoch0)
-                    .map_err(|e| format!("{}: {e}", t.name))?;
+            let (serving, _) = build_tiered_epoch(&t.spec, &plan, t.seed, &tiers, epoch0)
+                .map_err(|e| format!("{}: {e}", t.name))?;
 
             let golden_inputs =
                 probe_inputs(&t.spec, pressure.verify_requests, pressure.verify_seed);
@@ -210,7 +208,6 @@ impl TenantSet {
                 switch: EpochSwitch::new(serving),
                 state: Mutex::new(TenantTierState {
                     tiers,
-                    services,
                     next_epoch: epoch0 + 1,
                 }),
                 name: t.name,

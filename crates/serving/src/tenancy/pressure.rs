@@ -29,10 +29,11 @@
 //! verification publishes nothing and is reported via
 //! [`PressureController::verify_failures`].
 
-use super::tiered::{build_tiered_epoch, Tier, TierBytes};
+use super::tiered::build_tiered_epoch;
 use super::TenantRuntime;
 use crate::rebalance::{DrainQueue, ProbeCheck};
 use dlrm_model::TableId;
+use dlrm_sharding::{Tier, TierBytes};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -235,11 +236,9 @@ impl PressureController {
             return Err(format!("tier raced: expected {from}, found {}", tiers[table]));
         }
         tiers[table] = to;
-        let (candidate, services) =
-            match build_tiered_epoch(&tenant.spec, &tenant.plan, tenant.seed, &tiers, next_epoch) {
-                Ok((serving, services)) => (Ok(serving), services),
-                Err(e) => (Err(e), Vec::new()),
-            };
+        let candidate =
+            build_tiered_epoch(&tenant.spec, &tenant.plan, tenant.seed, &tiers, next_epoch)
+                .map(|(serving, _)| serving);
 
         // Dual read: the candidate must reproduce the tenant's golden
         // (all-DRAM) predictions. Bitwise unless a quantized rung is in
@@ -259,7 +258,6 @@ impl PressureController {
             let mut drain = self.drain.lock().expect("drain lock");
             tenant.switch.transition(candidate, &check, &mut drain)?;
             st.tiers = tiers;
-            st.services = services;
             st.next_epoch += 1;
         }
         // Wait (bounded) for the retiree's last in-flight batch so its

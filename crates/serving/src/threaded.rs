@@ -18,7 +18,6 @@
 //! errors, panics, hard crashes), and panics while serving are caught
 //! and surfaced as [`RpcError::Poisoned`] instead of killing the worker.
 
-use crate::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
 use crate::fault::{serve_under_fault, ReplicaFaultSchedule, Served};
 use dlrm_metrics::{Histogram, Summary};
 use dlrm_sharding::rpc::{
@@ -26,6 +25,7 @@ use dlrm_sharding::rpc::{
 };
 use dlrm_sharding::{ShardId, ShardService};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{channel, sync_channel, Receiver, RecvTimeoutError, Sender, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -91,7 +91,7 @@ impl std::fmt::Display for WireTotals {
 /// One in-flight RPC: the request plus the reply channel.
 pub(crate) struct Envelope {
     request: ShardRequest,
-    reply: Sender<Result<ShardResponse, RpcError>>,
+    reply: SyncSender<Result<ShardResponse, RpcError>>,
 }
 
 /// A message to a shard worker: a call, or an orderly stop.
@@ -270,7 +270,7 @@ pub(crate) fn spawn_worker(
     faults: ReplicaFaultSchedule,
     thread_name: String,
 ) -> (Sender<WorkerMsg>, Arc<RpcStats>, JoinHandle<()>) {
-    let (tx, rx) = unbounded::<WorkerMsg>();
+    let (tx, rx) = channel::<WorkerMsg>();
     let stats = Arc::new(RpcStats::new());
     let handle = std::thread::Builder::new()
         .name(thread_name)
@@ -372,7 +372,8 @@ impl RpcCompletion for ThreadedCompletion {
     }
 
     fn wait_deadline(mut self: Box<Self>, deadline: Instant) -> WaitOutcome {
-        match self.reply_rx.recv_deadline(deadline) {
+        let left = deadline.saturating_duration_since(Instant::now());
+        match self.reply_rx.recv_timeout(left) {
             Ok(result) => WaitOutcome::Ready(self.settle(Ok(result))),
             Err(RecvTimeoutError::Timeout) => WaitOutcome::Pending(self),
             Err(RecvTimeoutError::Disconnected) => WaitOutcome::Ready(self.settle(Err(()))),
@@ -399,7 +400,7 @@ impl SparseShardClient for ThreadedClient {
     }
 
     fn begin_execute(&self, request: &ShardRequest) -> Result<Box<dyn RpcCompletion>, RpcError> {
-        let (reply_tx, reply_rx) = bounded(1);
+        let (reply_tx, reply_rx) = sync_channel(1);
         let issued_at = Instant::now();
         self.tx
             .send(WorkerMsg::Call(Envelope {

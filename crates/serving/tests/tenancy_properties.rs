@@ -17,10 +17,8 @@ use dlrm_model::{build_model, rm, ModelSpec};
 use dlrm_serving::frontend::{materialize_frontend_requests, run_frontend, FrontendConfig};
 use dlrm_serving::tenancy::{
     run_tenant_set, PressureConfig, TenancyRunConfig, TenantSet, TenantSpec, TenantWorkload, Tier,
-    TieredShardService,
 };
-use dlrm_sharding::rpc::{ShardRequest, TableSlice};
-use dlrm_sharding::{partition, plan, ShardId, ShardingStrategy};
+use dlrm_sharding::{partition, plan, ShardingStrategy};
 use dlrm_workload::{ArrivalSchedule, PoolingProfile, TraceDb};
 use std::time::Duration;
 
@@ -277,29 +275,5 @@ fn one_tenant_set_and_run_frontend_agree_on_counts_and_predictions() {
             // Reports sort predictions by request id.
             assert_eq!(multi.predictions, single.predictions, "seed {seed}");
         }
-    }
-}
-
-/// An out-of-range index is the same deterministic shard fault on every
-/// rung of the ladder — from the gather kernel's own validation on
-/// DRAM, from the range scan in front of the rungs whose row decoders
-/// assert.
-#[test]
-fn every_rung_rejects_an_out_of_range_index_with_the_same_fault() {
-    let spec = small_spec(rm::rm2());
-    let profile = PoolingProfile::from_spec(&spec);
-    let p = plan(&spec, &profile, ShardingStrategy::CapacityBalanced(2)).expect("plan");
-    let model = build_model(&spec, 1).expect("build");
-    let placed = p.placements().iter().find(|pl| pl.part_on(ShardId(0)).is_some());
-    let hosted = placed.expect("shard 0 hosts a table").table;
-    for tier in [Tier::Dram, Tier::Quantized, Tier::Paged] {
-        let tiers = vec![tier; spec.tables.len()];
-        let svc = TieredShardService::build(&model.tables, &p, ShardId(0), &tiers).expect("build");
-        let slice = TableSlice { table: hosted, indices: vec![0, u64::MAX], lengths: vec![2] };
-        let request = ShardRequest { net: spec.table(hosted).net, slices: vec![slice] };
-        let err = svc.execute(&request).unwrap_err();
-        assert!(!err.is_retryable(), "{tier:?}: {err}");
-        let text = err.to_string();
-        assert!(text.contains(&format!("index {} out of range for {hosted} (", u64::MAX)), "{text}");
     }
 }

@@ -18,6 +18,9 @@
 //!   sparse nets and replaces the main net's SLS operators with
 //!   [`rpc::SparseRpc`] operators, verified bit-compatible with singular
 //!   execution;
+//! - [`ShardService`]: the one sparse-shard service, holding each hosted
+//!   table at its storage [`Tier`] (DRAM f32, 8-bit quantized, or paged
+//!   to a backing file);
 //! - [`auto`]: an automatic sharding search (the paper's proposed future
 //!   work) used for ablation benches.
 //!
@@ -45,6 +48,7 @@ mod planner;
 pub mod publish;
 pub mod rpc;
 mod shard_service;
+mod store;
 mod strategy;
 
 pub use cache::{CacheTotals, HotRowCache};
@@ -52,5 +56,6 @@ pub use partition::{partition, partition_with_clients, DistributedModel, Partiti
 pub use rpc::{RpcError, RpcPolicy};
 pub use plan::{Location, ShardId, ShardingPlan, TablePlacement};
 pub use planner::{plan, plan_with_stats, HotRowConfig, PlanError};
-pub use shard_service::{check_slice_range, pool_slice, InProcessClient, ShardService};
+pub use shard_service::{InProcessClient, ShardService};
+pub use store::{PagedTable, Tier, TierBytes, DEMOTED_BITS};
 pub use strategy::ShardingStrategy;

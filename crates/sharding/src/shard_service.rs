@@ -1,65 +1,25 @@
-//! Sparse-shard services: the remote side of the RPC operators.
+//! The sparse-shard service: the remote side of the RPC operators.
 
 use crate::plan::{ShardId, ShardingPlan};
-use crate::rpc::{RpcError, ShardRequest, ShardResponse, SparseShardClient, TableSlice};
+use crate::rpc::{RpcError, ShardRequest, ShardResponse, SparseShardClient};
+use crate::store::{local_slice, TableStore, Tier, TierBytes};
 use dlrm_model::{EmbeddingTable, Pool, TableId};
-use dlrm_tensor::simd::GatherError;
-use dlrm_tensor::Matrix;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// The fault text every shard service gives for an index past its
-/// local rows.
-fn out_of_range(slice: &TableSlice, index: u64, rows: usize) -> String {
-    format!("index {index} out of range for {} ({rows} local rows)", slice.table)
-}
-
-/// Range-checks a wire slice for a table kind whose row decoders assert
-/// (quantized, paged). An f32 table needs no such scan: [`pool_slice`]'s
-/// kernel checks as it validates.
-///
-/// # Errors
-///
-/// The fault message naming the largest index when it is `>= rows`.
-pub fn check_slice_range(slice: &TableSlice, rows: usize) -> Result<(), String> {
-    match slice.indices.iter().max() {
-        Some(&max) if max as usize >= rows => Err(out_of_range(slice, max, rows)),
-        _ => Ok(()),
-    }
-}
-
-/// Pools one wire slice from a shard's f32 copy of its table. The
-/// gather kernel validates the slice once — the only scan of its
-/// indices — and a rejection comes back as the text of the caller's
-/// [`RpcError::ShardFault`].
-///
-/// # Errors
-///
-/// The fault message when an index is out of range or the lengths do
-/// not cover the indices.
-pub fn pool_slice(table: &EmbeddingTable, slice: &TableSlice, pool: &Pool) -> Result<Matrix, String> {
-    let mut out = Matrix::zeros(slice.lengths.len(), table.dim());
-    table
-        .try_sparse_lengths_sum_into(&slice.indices, &slice.lengths, &mut out, pool)
-        .map_err(|e| match e {
-            GatherError::IndexOutOfRange { index, rows } => out_of_range(slice, index, rows),
-            GatherError::LengthMismatch { .. } => format!("{e} for {}", slice.table),
-        })?;
-    Ok(out)
-}
-
 /// A stateless sparse-shard service: holds this shard's (slices of)
-/// embedding tables and answers pooled lookups.
+/// embedding tables, each at its storage [`Tier`], and answers pooled
+/// lookups.
 ///
 /// Statelessness is a hard constraint in the paper's design: "each shard
 /// is stateless to avoid further complexity ... shards may fail and need
 /// to restart or replicas may be added" (§III-A1). Accordingly the
 /// service is immutable after construction and every request carries all
-/// the state it needs.
+/// the state it needs; a tier change means building a new service.
 #[derive(Debug)]
 pub struct ShardService {
     shard: ShardId,
-    tables: HashMap<TableId, Arc<EmbeddingTable>>,
+    tables: HashMap<TableId, TableStore>,
     /// Intra-op pool the SLS kernels fan out on (sequential unless
     /// configured via [`Self::with_pool`]). Bag-parallel pooling is
     /// bit-exact for any worker count, so this never changes results.
@@ -67,13 +27,9 @@ pub struct ShardService {
 }
 
 impl ShardService {
-    /// Builds the shard's table slices from the full model tables and
-    /// the plan.
-    ///
-    /// For a whole table, the shard shares the model's `Arc` directly.
-    /// For a row-sharded table, the shard materializes its partition:
-    /// local row `j` is global row `j * parts + part` (the modulus
-    /// layout of §III-A1).
+    /// Builds the shard's table slices, all in DRAM, from the full model
+    /// tables and the plan: [`Self::build_tiered`] with every table at
+    /// [`Tier::Dram`].
     ///
     /// # Panics
     ///
@@ -84,38 +40,47 @@ impl ShardService {
         plan: &ShardingPlan,
         shard: ShardId,
     ) -> Self {
+        let tiers = vec![Tier::Dram; model_tables.len()];
+        Self::build_tiered(model_tables, plan, shard, &tiers).expect("a DRAM store opens no file")
+    }
+
+    /// Builds the shard's table slices, storing each at the tier `tiers`
+    /// assigns its table (indexed by [`TableId`]).
+    ///
+    /// Slicing does not depend on the tier: a whole table is the model's
+    /// `Arc` (shared, not copied, when it stays in DRAM); a row-sharded
+    /// table materializes its partition in the modulus layout of
+    /// §III-A1.
+    ///
+    /// # Errors
+    ///
+    /// An I/O error message if a paged table's backing file cannot be
+    /// created.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `model_tables` or `tiers` do not cover the plan's
+    /// tables.
+    pub fn build_tiered(
+        model_tables: &[Arc<EmbeddingTable>],
+        plan: &ShardingPlan,
+        shard: ShardId,
+        tiers: &[Tier],
+    ) -> Result<Self, String> {
         let mut tables = HashMap::new();
         for placement in plan.placements() {
             let Some(part) = placement.part_on(shard) else {
                 continue;
             };
-            let full = &model_tables[placement.table.0];
-            let parts = placement.parts();
-            let local: Arc<EmbeddingTable> = if parts == 1 {
-                Arc::clone(full)
-            } else {
-                let rows = full.rows();
-                let local_rows = rows.div_ceil(parts).max(1);
-                let dim = full.dim();
-                let mut m = Matrix::zeros(local_rows, dim);
-                for j in 0..local_rows {
-                    let global = j * parts + part;
-                    if global < rows {
-                        m.row_mut(j).copy_from_slice(full.row(global));
-                    }
-                }
-                Arc::new(EmbeddingTable::from_weights(
-                    format!("{}[part {part}/{parts}]", full.name()),
-                    m,
-                ))
-            };
-            tables.insert(placement.table, local);
+            let id = placement.table;
+            let local = local_slice(&model_tables[id.0], placement.parts(), part);
+            tables.insert(id, TableStore::new(local, tiers[id.0])?);
         }
-        Self {
+        Ok(Self {
             shard,
             tables,
             pool: Pool::sequential(),
-        }
+        })
     }
 
     /// Returns the service with its SLS kernels fanning out on `pool`.
@@ -137,19 +102,33 @@ impl ShardService {
         self.tables.len()
     }
 
-    /// Bytes of embedding weights materialized on this shard.
+    /// Byte totals of the hosted slices, split by tier.
     #[must_use]
-    pub fn capacity_bytes(&self) -> usize {
-        self.tables.values().map(|t| t.bytes()).sum()
+    pub fn bytes_by_tier(&self) -> TierBytes {
+        let mut b = TierBytes::default();
+        for t in self.tables.values() {
+            b.absorb(t.bytes());
+        }
+        b
     }
 
-    /// Executes one RPC: pools every requested slice.
+    /// Bytes of embedding weights materialized on this shard, on every
+    /// tier.
+    #[must_use]
+    pub fn capacity_bytes(&self) -> usize {
+        let b = self.bytes_by_tier();
+        usize::try_from(b.resident() + b.paged).expect("shard fits in memory")
+    }
+
+    /// Executes one RPC: pools every requested slice from wherever its
+    /// rows live.
     ///
     /// # Errors
     ///
     /// [`RpcError::ShardFault`] naming the offending table when it is
-    /// not hosted here, an index is out of range or the lengths do not
-    /// cover the indices — deterministic rejections, never retried.
+    /// not hosted here, an index is out of range, the lengths do not
+    /// cover the indices or a paged read fails — deterministic
+    /// rejections, never retried.
     pub fn execute(&self, request: &ShardRequest) -> Result<ShardResponse, RpcError> {
         let fault = |message: String| RpcError::ShardFault {
             shard: self.shard,
@@ -161,7 +140,7 @@ impl ShardService {
                 .tables
                 .get(&slice.table)
                 .ok_or_else(|| fault(format!("{} not hosted on {}", slice.table, self.shard)))?;
-            pooled.push((slice.table, pool_slice(table, slice, &self.pool).map_err(fault)?));
+            pooled.push((slice.table, table.pool(slice, &self.pool).map_err(fault)?));
         }
         Ok(ShardResponse { pooled })
     }
@@ -193,23 +172,20 @@ impl SparseShardClient for InProcessClient {
     }
 }
 
-/// Convenience: one placement with the whole table on one shard.
-#[cfg(test)]
-fn whole(table: usize, shard: usize) -> crate::plan::TablePlacement {
-    crate::plan::TablePlacement {
-        table: TableId(table),
-        location: crate::plan::Location::Shards(vec![ShardId(shard)]),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::Location;
+    use crate::plan::{Location, TablePlacement};
     use crate::rpc::TableSlice;
+    use crate::store::DEMOTED_BITS;
     use crate::ShardingStrategy;
+    use dlrm_compress::QuantizedTable;
     use dlrm_model::NetId;
+    use dlrm_tensor::Matrix;
 
+    const TIERS: [Tier; 3] = [Tier::Dram, Tier::Quantized, Tier::Paged];
+
+    /// Rows `[2r, 2r + 1]`.
     fn table(rows: usize) -> Arc<EmbeddingTable> {
         let data: Vec<f32> = (0..rows * 2).map(|k| k as f32).collect();
         Arc::new(EmbeddingTable::from_weights(
@@ -218,128 +194,123 @@ mod tests {
         ))
     }
 
+    /// Table 0 on shards `0..parts`.
+    fn plan_over(parts: usize) -> ShardingPlan {
+        let strategy = match parts {
+            1 => ShardingStrategy::OneShard,
+            n => ShardingStrategy::NetSpecificBinPacking(n),
+        };
+        let placement = TablePlacement {
+            table: TableId(0),
+            location: Location::Shards((0..parts).map(ShardId).collect()),
+        };
+        ShardingPlan::new(strategy, parts, vec![placement])
+    }
+
+    fn request(table: usize, indices: Vec<u64>, lengths: Vec<u32>) -> ShardRequest {
+        ShardRequest {
+            net: NetId(0),
+            slices: vec![TableSlice {
+                table: TableId(table),
+                indices,
+                lengths,
+            }],
+        }
+    }
+
+    /// `got` is what the DRAM tier answers (`want`) for one bag of `bag`
+    /// rows of `local`: bit for bit, except on the quantized tier, which
+    /// may be off by the table's dequantization error per row pooled.
+    fn assert_pooled(tier: Tier, local: &EmbeddingTable, bag: usize, got: &[f32], want: &[f32]) {
+        if tier != Tier::Quantized {
+            assert_eq!(got, want, "{tier}");
+            return;
+        }
+        let err = QuantizedTable::quantize(local, DEMOTED_BITS).max_dequantization_error(local);
+        for (g, w) in got.iter().zip(want) {
+            assert!((g - w).abs() <= bag as f32 * err + 1e-6, "{tier}: {g} vs {w}");
+        }
+    }
+
     #[test]
     fn whole_table_shared_not_copied() {
+        for tier in TIERS {
+            let tables = vec![table(4)];
+            let svc = ShardService::build_tiered(&tables, &plan_over(1), ShardId(0), &[tier]).unwrap();
+            assert_eq!(svc.table_count(), 1);
+            // DRAM holds the model's own allocation; a colder tier holds
+            // its own encoding and lets the f32 rows go.
+            let shared = tier == Tier::Dram;
+            assert_eq!(Arc::strong_count(&tables[0]), 1 + usize::from(shared), "{tier}");
+            let b = svc.bytes_by_tier();
+            let f32_bytes = 4 * 2 * 4;
+            match tier {
+                Tier::Dram => assert_eq!((b.dram, b.quantized + b.paged), (f32_bytes, 0)),
+                Tier::Quantized => assert!(b.quantized > 0 && b.dram + b.paged == 0, "{b:?}"),
+                Tier::Paged => assert_eq!((b.paged, b.resident()), (f32_bytes, 0)),
+            }
+            assert_eq!(svc.capacity_bytes() as u64, b.resident() + b.paged);
+            let resp = svc.execute(&request(0, vec![1, 3], vec![2])).unwrap();
+            assert_pooled(tier, &tables[0], 2, resp.pooled[0].1.row(0), &[2.0 + 6.0, 3.0 + 7.0]);
+        }
         let tables = vec![table(4)];
-        let plan = ShardingPlan::new(ShardingStrategy::OneShard, 1, vec![whole(0, 0)]);
-        let svc = ShardService::build(&tables, &plan, ShardId(0));
-        assert_eq!(svc.table_count(), 1);
+        let svc = ShardService::build(&tables, &plan_over(1), ShardId(0));
+        assert_eq!(Arc::strong_count(&tables[0]), 2, "build is all-DRAM");
         assert_eq!(svc.capacity_bytes(), 4 * 2 * 4);
     }
 
     #[test]
     fn row_sharded_slices_interleave() {
         let tables = vec![table(5)];
-        let plan = ShardingPlan::new(
-            ShardingStrategy::NetSpecificBinPacking(2),
-            2,
-            vec![crate::plan::TablePlacement {
-                table: TableId(0),
-                location: Location::Shards(vec![ShardId(0), ShardId(1)]),
-            }],
-        );
-        let s0 = ShardService::build(&tables, &plan, ShardId(0));
-        let s1 = ShardService::build(&tables, &plan, ShardId(1));
-        // Global rows 0,2,4 on shard 0; 1,3 on shard 1.
-        // Row values: row r = [2r, 2r+1].
-        let resp0 = s0
-            .execute(&ShardRequest {
-                net: NetId(0),
-                slices: vec![TableSlice {
-                    table: TableId(0),
-                    indices: vec![0, 1, 2], // global 0, 2, 4
-                    lengths: vec![3],
-                }],
-            })
-            .unwrap();
-        assert_eq!(resp0.pooled[0].1.row(0), &[0.0 + 4.0 + 8.0, 1.0 + 5.0 + 9.0]);
-        let resp1 = s1
-            .execute(&ShardRequest {
-                net: NetId(0),
-                slices: vec![TableSlice {
-                    table: TableId(0),
-                    indices: vec![0, 1], // global 1, 3
-                    lengths: vec![2],
-                }],
-            })
-            .unwrap();
-        assert_eq!(resp1.pooled[0].1.row(0), &[2.0 + 6.0, 3.0 + 7.0]);
+        let plan = plan_over(2);
+        for tier in TIERS {
+            // Global rows 0,2,4 on shard 0; 1,3 on shard 1.
+            for (part, indices, want) in [
+                (0, vec![0u64, 1, 2], [0.0 + 4.0 + 8.0, 1.0 + 5.0 + 9.0]),
+                (1, vec![0u64, 1], [2.0 + 6.0, 3.0 + 7.0]),
+            ] {
+                let svc = ShardService::build_tiered(&tables, &plan, ShardId(part), &[tier]).unwrap();
+                let bag = indices.len();
+                let resp = svc.execute(&request(0, indices, vec![bag as u32])).unwrap();
+                let local = local_slice(&tables[0], 2, part);
+                assert_pooled(tier, &local, bag, resp.pooled[0].1.row(0), &want);
+            }
+        }
     }
 
+    /// A malformed request is the same deterministic fault on every
+    /// tier, raised before any row decoder (which would assert) runs.
     #[test]
-    fn unknown_table_rejected() {
+    fn every_tier_rejects_a_bad_request_with_the_same_fault() {
         let tables = vec![table(2)];
-        let plan = ShardingPlan::new(ShardingStrategy::OneShard, 1, vec![whole(0, 0)]);
-        let svc = ShardService::build(&tables, &plan, ShardId(0));
-        let err = svc
-            .execute(&ShardRequest {
-                net: NetId(0),
-                slices: vec![TableSlice {
-                    table: TableId(9),
-                    indices: vec![],
-                    lengths: vec![],
-                }],
-            })
-            .unwrap_err();
-        assert!(err.to_string().contains("not hosted"));
-        assert!(!err.is_retryable());
-    }
-
-    #[test]
-    fn out_of_range_local_index_rejected() {
-        let tables = vec![table(2)];
-        let plan = ShardingPlan::new(ShardingStrategy::OneShard, 1, vec![whole(0, 0)]);
-        let svc = ShardService::build(&tables, &plan, ShardId(0));
-        let err = svc
-            .execute(&ShardRequest {
-                net: NetId(0),
-                slices: vec![TableSlice {
-                    table: TableId(0),
-                    indices: vec![7],
-                    lengths: vec![1],
-                }],
-            })
-            .unwrap_err();
-        assert!(err.to_string().contains("out of range"));
-        assert_eq!(err.kind(), "shard-fault");
-    }
-
-    #[test]
-    fn lengths_that_do_not_cover_the_indices_are_a_fault_not_a_panic() {
-        let tables = vec![table(2)];
-        let plan = ShardingPlan::new(ShardingStrategy::OneShard, 1, vec![whole(0, 0)]);
-        let svc = ShardService::build(&tables, &plan, ShardId(0));
-        let err = svc
-            .execute(&ShardRequest {
-                net: NetId(0),
-                slices: vec![TableSlice {
-                    table: TableId(0),
-                    indices: vec![0, 1],
-                    lengths: vec![1],
-                }],
-            })
-            .unwrap_err();
-        assert!(err.to_string().contains("lengths sum 1 != indices len 2"), "{err}");
-        assert_eq!(err.kind(), "shard-fault");
+        let cases = [
+            (request(9, vec![], vec![]), "t9 not hosted on shard0"),
+            (request(0, vec![7], vec![1]), "index 7 out of range for t0 (2 local rows)"),
+            (
+                request(0, vec![0, u64::MAX], vec![2]),
+                "index 18446744073709551615 out of range for t0 (2 local rows)",
+            ),
+            (request(0, vec![0, 1], vec![1]), "lengths sum 1 != indices len 2 for t0"),
+            (request(0, vec![0, 9], vec![1]), "lengths sum 1 != indices len 2 for t0"),
+        ];
+        for tier in TIERS {
+            let svc = ShardService::build_tiered(&tables, &plan_over(1), ShardId(0), &[tier]).unwrap();
+            for (bad, message) in &cases {
+                let err = svc.execute(bad).unwrap_err();
+                assert_eq!(err.kind(), "shard-fault", "{tier}");
+                assert!(!err.is_retryable(), "{tier}");
+                assert_eq!(err.to_string(), format!("shard-fault on shard0: {message}"), "{tier}");
+            }
+        }
     }
 
     #[test]
     fn in_process_client_passes_through() {
         let tables = vec![table(3)];
-        let plan = ShardingPlan::new(ShardingStrategy::OneShard, 1, vec![whole(0, 0)]);
-        let svc = Arc::new(ShardService::build(&tables, &plan, ShardId(0)));
+        let svc = Arc::new(ShardService::build(&tables, &plan_over(1), ShardId(0)));
         let client = InProcessClient::new(Arc::clone(&svc));
         assert_eq!(client.shard_id(), ShardId(0));
-        let resp = client
-            .execute(&ShardRequest {
-                net: NetId(0),
-                slices: vec![TableSlice {
-                    table: TableId(0),
-                    indices: vec![2],
-                    lengths: vec![1],
-                }],
-            })
-            .unwrap();
+        let resp = client.execute(&request(0, vec![2], vec![1])).unwrap();
         assert_eq!(resp.pooled[0].1.row(0), &[4.0, 5.0]);
     }
 }

@@ -161,6 +161,31 @@ impl std::fmt::Display for GatherError {
 
 impl std::error::Error for GatherError {}
 
+/// The request contract every SLS kernel shares: the bag lengths
+/// partition `indices` exactly and every index addresses one of `rows`
+/// rows. [`sls_bags`] runs it as its one validation pass; a store whose
+/// row decoder asserts instead (quantized, paged) runs it first.
+///
+/// # Errors
+///
+/// [`GatherError::LengthMismatch`], else [`GatherError::IndexOutOfRange`]
+/// naming the largest index.
+#[inline]
+pub fn check_bags(indices: &[u64], lengths: &[u32], rows: usize) -> Result<(), GatherError> {
+    let lengths_sum: usize = lengths.iter().map(|&l| l as usize).sum();
+    if lengths_sum != indices.len() {
+        return Err(GatherError::LengthMismatch {
+            lengths_sum,
+            indices: indices.len(),
+        });
+    }
+    let max = indices.iter().fold(0u64, |m, &i| m.max(i));
+    if !indices.is_empty() && max >= rows as u64 {
+        return Err(GatherError::IndexOutOfRange { index: max, rows });
+    }
+    Ok(())
+}
+
 /// The workspace's one f32 SparseLengthsSum inner loop: pools a
 /// contiguous run of bags from a row-major `slab` of `dim`-float rows.
 /// Bag `b` owns the next `lengths[b]` entries of `indices` and output
@@ -196,18 +221,7 @@ pub fn sls_bags(
 ) -> Result<(), GatherError> {
     assert!(dim > 0 && slab.len().is_multiple_of(dim), "slab must be whole rows of dim > 0");
     assert_eq!(out_rows.len(), lengths.len() * dim, "output must be one row per bag");
-    let rows = slab.len() / dim;
-    let lengths_sum: usize = lengths.iter().map(|&l| l as usize).sum();
-    if lengths_sum != indices.len() {
-        return Err(GatherError::LengthMismatch {
-            lengths_sum,
-            indices: indices.len(),
-        });
-    }
-    let max = indices.iter().fold(0u64, |m, &i| m.max(i));
-    if !indices.is_empty() && max >= rows as u64 {
-        return Err(GatherError::IndexOutOfRange { index: max, rows });
-    }
+    check_bags(indices, lengths, slab.len() / dim)?;
     #[cfg(target_arch = "x86_64")]
     if usable(level) {
         // SAFETY: AVX2 verified by `usable`. The checks above are the

@@ -5,8 +5,8 @@
 # fails when a deleted symbol reappears, when non-test code under
 # crates/serving/src grows a second thread::scope or a second
 # Arc::try_unwrap drain site, when a batcher thread or a read of the
-# retired batch_timeout knob comes back, or when a size ceiling is
-# exceeded.
+# retired batch_timeout knob comes back, when a second shard service or
+# slicer appears, or when a size ceiling is exceeded.
 #
 # Usage: scripts/structure_gate.sh
 
@@ -28,10 +28,16 @@ cd "$(dirname "$0")/.."
 # lines and 295 → 283 public items (286 measured before it): the
 # batcher loop, the ready queue and the channel's try_send went. It
 # raised the bench ceiling by the 29 lines frontend_smoke's burst phase
-# and no-hold gates added (measured 4 287).
-MAX_SERVING_CODE_LINES=8973
-MAX_SERVING_PUB_ITEMS=283
+# and no-hold gates added (measured 4 287). PR 21 (one shard service)
+# lowered the serving ceilings to what it measured, 8 973 → 8 257 code
+# lines and 283 → 248 public items (the tiered service and client, the
+# in-tree channel and PagedTable's move), and added the combined ceiling
+# over serving + sharding + compress so a move between the three cannot
+# read as a deletion (13 688 at its parent, 13 007 measured).
+MAX_SERVING_CODE_LINES=8257
+MAX_SERVING_PUB_ITEMS=248
 MAX_BENCH_CODE_LINES=4287
+MAX_ROW_SERVING_CODE_LINES=13007
 
 fail=0
 flunk() {
@@ -52,7 +58,7 @@ code_lines() {
   find "$1" -name '*.rs' -print0 | xargs -0 cat | grep -vcE '^\s*(//|$)'
 }
 
-deleted='ThreadedShardPool|worker_loop_live|tenant_worker_loop|BatchRanker|rank_request_parallel|run_sweep|mod local\b|batcher_loop|FormedBatch'
+deleted='ThreadedShardPool|worker_loop_live|tenant_worker_loop|BatchRanker|rank_request_parallel|run_sweep|mod local\b|batcher_loop|FormedBatch|QuantizedShardService|QuantizedClient|TieredClient|TierTable|mod channel'
 if hits=$(grep -rnE "$deleted" crates src tests examples); then
   flunk "deleted symbols are back:"
   echo "$hits" >&2
@@ -94,6 +100,18 @@ avx512_sites=$( (grep -rn 'is_x86_feature_detected!("avx512f")' crates src || tr
 zmm_fused=$( (grep -rn '_mm512_fmadd' crates src sysbench/src || true) | wc -l)
 [ "$zmm_fused" -eq 0 ] || flunk "$zmm_fused _mm512_fmadd uses (the AVX-512 tier is exact)"
 
+# One shard service: the modulus-layout slicer is written once
+# (sharding/src/store.rs), and ShardService::execute is the only
+# inherent `execute` over a ShardRequest — the others are the
+# SparseShardClient impls that carry a request to it.
+slicers=$(grep -rn 'j \* parts + part' crates/*/src | grep -vcE '^[^:]*:[0-9]+:[[:space:]]*//' || true)
+[ "$slicers" -eq 1 ] || flunk "$slicers 'j * parts + part' slicer sites in crates/*/src code (want 1: sharding/src/store.rs)"
+executes=$(find crates/*/src -name '*.rs' -print0 | sort -z | xargs -0 awk '
+  /^impl/ { client = /SparseShardClient for/ }
+  !client && /pub fn execute\(&self, request: &ShardRequest\)/ { n++ }
+  END { print n + 0 }')
+[ "$executes" -eq 1 ] || flunk "$executes shard-service execute definitions (want 1: ShardService)"
+
 serving_non_test=$(non_test_code crates/serving/src)
 scopes=$(grep -c 'thread::scope' <<<"$serving_non_test" || true)
 drains=$(grep -c 'Arc::try_unwrap' <<<"$serving_non_test" || true)
@@ -121,15 +139,19 @@ fi
 
 serving_lines=$(code_lines crates/serving/src)
 bench_lines=$(code_lines crates/bench)
+row_serving_lines=$((serving_lines + $(code_lines crates/sharding/src) + $(code_lines crates/compress/src)))
 pub_items=$(grep -rhE '^\s*pub (fn|struct|enum|trait|type|const) ' crates/serving/src | wc -l)
 echo "crates/serving/src: $serving_lines code lines (ceiling $MAX_SERVING_CODE_LINES), $pub_items public items (ceiling $MAX_SERVING_PUB_ITEMS)"
+echo "crates/{serving,sharding,compress}/src: $row_serving_lines code lines (ceiling $MAX_ROW_SERVING_CODE_LINES)"
 echo "crates/bench: $bench_lines code lines (ceiling $MAX_BENCH_CODE_LINES)"
+echo "shard service: $slicers slicer site, $executes execute definition outside client impls (expect 1 and 1)"
 echo "non-test serving code: $scopes thread::scope, $drains Arc::try_unwrap, $serve_spawns spawn( in frontend/mod.rs (expect 1, 1 and 2)"
 echo "f32 SLS: $sls_min_defs SLS_PAR_MIN_LOOKUPS definition, $prefetch_sites _mm_prefetch site (expect 1 and 1)"
 echo "simd: $(grep -c . <<<"$unsafe_files" || true) files with unsafe outside tensor/src/simd.rs, $avx512_sites avx512f detection site, $zmm_fused _mm512_fmadd (expect 0, 1 and 0)"
 [ "$serving_lines" -le "$MAX_SERVING_CODE_LINES" ] || flunk "crates/serving/src code lines over the ceiling"
 [ "$pub_items" -le "$MAX_SERVING_PUB_ITEMS" ] || flunk "crates/serving/src public items over the ceiling"
+[ "$row_serving_lines" -le "$MAX_ROW_SERVING_CODE_LINES" ] || flunk "serving + sharding + compress code lines over the combined ceiling"
 [ "$bench_lines" -le "$MAX_BENCH_CODE_LINES" ] || flunk "crates/bench code lines over the ceiling"
 
 [ "$fail" -eq 0 ] || exit 1
-echo "OK: one run loop, one pool, one transition pipeline; sizes under their ceilings"
+echo "OK: one run loop, one pool, one transition pipeline, one shard service; sizes under their ceilings"
