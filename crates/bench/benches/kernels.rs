@@ -2,7 +2,7 @@
 //! timing harness (`dlrm_bench::timing`): the SparseLengthsSum family
 //! (plain f32, pruned, 8/4-bit quantized) and dense GEMM (plain and
 //! FC-transposed), each swept across the dispatch tiers the host
-//! supports (scalar / exact AVX2 / exact AVX-512 / FMA-contracted) plus
+//! supports (scalar / exact AVX2 / exact AVX-512) plus
 //! the naive reference, FC at the serving shapes (small batches against
 //! the models' MLP layers, prepacked, per exact SIMD tier, beside a
 //! stream-copy ceiling and the tier's separate-mul-add peak) and SLS at
@@ -70,14 +70,13 @@ impl Runner {
 }
 
 /// The dispatch tiers the kernel matrix covers: a 1-worker pool pinned
-/// to each level the host supports. `scalar` is always present; `avx2`,
-/// `avx512` and `fma` appear only on capable hardware, so the emitted
-/// JSON is honest about what actually ran.
+/// to each level the host supports. `scalar` is always present; `avx2`
+/// and `avx512` appear only on capable hardware, so the emitted JSON is
+/// honest about what actually ran.
 fn dispatch_tiers() -> Vec<(&'static str, Pool)> {
     let simd = [
         ("avx2", KernelDispatch::forced_avx2()),
         ("avx512", KernelDispatch::forced_avx512()),
-        ("fma", KernelDispatch::forced_fma()),
     ];
     let mut tiers = vec![("scalar", Pool::with_dispatch(1, KernelDispatch::scalar()))];
     tiers.extend(simd.into_iter().filter_map(|(name, d)| Some((name, Pool::with_dispatch(1, d?)))));
@@ -91,13 +90,13 @@ fn bench_sls(r: &mut Runner) {
     let bags = lengths.len() as f64;
 
     // Plain f32, pruned, and 8/4-bit quantized SLS, each per dispatch
-    // tier (the SLS kernels have no FMA or AVX-512 path — those tiers
-    // measure the same exact kernel the avx2 tier does, so skip them).
+    // tier (the SLS kernels have no AVX-512 path — that tier measures
+    // the same kernel the avx2 tier does, so skip it).
     let pruned = prune_by_magnitude(&table, 0.5);
     let q8 = QuantizedTable::quantize(&table, 8);
     let q4 = QuantizedTable::quantize(&table, 4);
     for (tier, pool) in dispatch_tiers() {
-        if matches!(tier, "fma" | "avx512") {
+        if tier == "avx512" {
             continue;
         }
         r.bench(
@@ -221,7 +220,7 @@ fn bench_sls_serving(r: &mut Runner, ceiling: Option<f64>) {
         let bytes: usize =
             requests[0].iter().zip(&outs).map(|((i, _), o)| i.len() * o.cols() * 4).sum();
         for (tier, pool) in dispatch_tiers() {
-            if matches!(tier, "fma" | "avx512") {
+            if tier == "avx512" {
                 continue;
             }
             let name = format!("sls_rm1_request_{bags}bags_{tier}");

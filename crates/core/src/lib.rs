@@ -38,7 +38,7 @@ pub use dlrm_model as model;
 pub use dlrm_sim as sim;
 /// Sharding strategies, planner and graph partitioner.
 pub use dlrm_sharding as sharding;
-/// The simulated serving tier and experiment harness.
+/// The serving engine, the simulated serving tier and the experiment harness.
 pub use dlrm_serving as serving;
 /// Cross-layer distributed tracing.
 pub use dlrm_trace as trace;

@@ -1,6 +1,6 @@
 //! Builds an executable [`Model`] from a [`ModelSpec`].
 
-use crate::graph::{Model, NetDef};
+use crate::graph::{external_input_blobs, Model, NetDef, Schedule};
 use crate::ops::{Concat, DotInteraction, FullyConnected, Relu, Sigmoid, SparseLengthsSum};
 use crate::spec::ModelSpec;
 use crate::EmbeddingTable;
@@ -18,7 +18,7 @@ pub enum BuildError {
         /// The configured guard.
         limit: u64,
     },
-    /// The constructed graph failed [`Model::validate`]: some operator
+    /// The constructed graph failed [`Schedule::compile`]: some operator
     /// declared an input no earlier operator produces and no external
     /// load provides.
     InvalidGraph(String),
@@ -289,18 +289,17 @@ pub fn build_model_with_options(
     }
 
     let output_blob = blobs::net_output(spec.nets.last().expect("validated").id);
-    let model = Model {
+    // Compiling the overlap plan is also the graph check: a declared
+    // input that nothing produces fails here rather than mid-run.
+    let schedule = Schedule::compile(&nets, external_input_blobs(spec), &output_blob)
+        .map_err(|e| BuildError::InvalidGraph(e.to_string()))?;
+    Ok(Model {
         spec: spec.clone(),
         nets,
         tables,
         output_blob,
-    };
-    // The overlap scheduler trusts declared inputs/outputs; reject a
-    // graph with dishonest declarations here rather than mid-run.
-    model
-        .validate()
-        .map_err(|e| BuildError::InvalidGraph(e.to_string()))?;
-    Ok(model)
+        schedule,
+    })
 }
 
 #[cfg(test)]
@@ -510,11 +509,9 @@ mod tests {
     }
 
     #[test]
-    fn built_models_pass_graph_validation() {
-        // build_model validates internally; re-validating the returned
-        // model confirms the declarations stay honest post-construction.
-        let model = build_model(&two_net_spec(), 7).unwrap();
-        model.validate().unwrap();
+    fn built_models_schedule_every_op_once_in_list_order() {
+        // A singular model has no asynchronous operator, so its compiled
+        // plan is the sequential order.
         let uniform = crate::builder::build_model_with_options(
             &uniform_spec(),
             7,
@@ -522,7 +519,11 @@ mod tests {
             InteractionKind::Dot,
         )
         .unwrap();
-        uniform.validate().unwrap();
+        for model in [build_model(&two_net_spec(), 7).unwrap(), uniform] {
+            let ops = model.nets.iter().map(|net| net.ops().len()).sum();
+            let steps = model.schedule.steps().iter().copied();
+            assert!(steps.eq((0..ops).map(crate::graph::Step::Run)));
+        }
     }
 
     #[test]

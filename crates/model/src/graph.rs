@@ -13,23 +13,24 @@
 //! - [`NetDef::run`] is the strictly sequential executor (every operator
 //!   blocks until done) — retained for the simulator's cost model and as
 //!   the bit-exactness reference.
-//! - [`NetDef::run_overlapped`] is the dependency-aware scheduler:
+//! - [`Schedule`] is the overlap plan, compiled once per model from the
+//!   operators' declared [`Operator::inputs`] / [`Operator::outputs`]:
 //!   operators that expose an asynchronous issue/collect form
-//!   ([`AsyncOperator`], i.e. the RPC ops) are *issued* as soon as their
-//!   declared inputs are ready, synchronous operators run in list order
-//!   while those RPCs are in flight, and completions are *collected*
-//!   only when an operator demands one of their outputs. With N sparse
-//!   shards this overlaps all N shard round-trips with each other and
-//!   with the bottom-MLP dense compute, instead of paying them serially.
+//!   ([`AsyncOperator`], i.e. the RPC ops) are *issued* at the earliest
+//!   step their inputs are ready — across nets, so an RPC that reads
+//!   only request inputs leaves at step 0 — synchronous operators run in
+//!   list order while those RPCs are in flight, and a completion is
+//!   *collected* only in front of the first operator that reads one of
+//!   its outputs. [`Schedule::walk`] executes the plan per request with
+//!   no readiness bookkeeping of its own.
 //!
-//! The scheduler trusts the operators' declared [`Operator::inputs`] /
-//! [`Operator::outputs`]; [`NetDef::validate`] checks those declarations
-//! against the list order at model-construction time.
+//! A graph whose declarations cannot be scheduled (an input nothing
+//! produces) fails to compile; that is the model-construction check.
 
 use crate::spec::{ModelSpec, OpGroup};
 use dlrm_runtime::{Pool, RuntimeCtx};
 use dlrm_tensor::Matrix;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -104,15 +105,16 @@ pub enum GraphError {
         /// Failure description.
         message: String,
     },
-    /// Static validation failure: an operator declared an input that no
-    /// earlier operator produces and no external load provides. The
-    /// overlap scheduler depends on honest declarations, so this is
-    /// rejected at model construction rather than discovered mid-run.
+    /// The graph cannot be scheduled. At compile ([`Schedule::compile`]):
+    /// an operator declares an input that no earlier operator produces
+    /// and no external load provides, or nothing produces the output
+    /// blob. At run ([`Schedule::walk`]): the nets were edited after
+    /// their schedule was compiled.
     InvalidGraph {
-        /// The operator with the unsatisfiable input.
+        /// The operator (or net) at fault.
         op: String,
-        /// The input blob nobody produces.
-        blob: String,
+        /// What is wrong with it.
+        message: String,
     },
 }
 
@@ -126,11 +128,9 @@ impl std::fmt::Display for GraphError {
                 write!(f, "blob {blob} is not {expected}")
             }
             GraphError::OpFailed { op, message } => write!(f, "operator {op} failed: {message}"),
-            GraphError::InvalidGraph { op, blob } => write!(
-                f,
-                "invalid graph: operator {op} declares input {blob}, which no \
-                 earlier operator produces and no external load provides"
-            ),
+            GraphError::InvalidGraph { op, message } => {
+                write!(f, "invalid graph: {op} {message}")
+            }
         }
     }
 }
@@ -314,11 +314,6 @@ impl Workspace {
     pub fn is_empty(&self) -> bool {
         self.blobs.is_empty()
     }
-
-    /// Iterates over blob names (arbitrary order).
-    pub fn names(&self) -> impl Iterator<Item = &str> {
-        self.blobs.keys().map(String::as_str)
-    }
 }
 
 /// A graph operator: reads named blobs, writes named blobs.
@@ -373,9 +368,9 @@ pub trait Operator: std::fmt::Debug + Send + Sync {
 /// An operator that can split execution into a non-blocking *issue*
 /// (read inputs, fire the remote call) and a deferred *collect* (wait
 /// for the reply, write outputs) — the paper's asynchronous RPC ops
-/// (§IV-A). [`NetDef::run_overlapped`] issues every ready async
-/// operator immediately and collects each one only when its outputs are
-/// demanded, overlapping all in-flight calls with local compute.
+/// (§IV-A). A [`Schedule`] issues each one as soon as its inputs are
+/// ready and collects it only when its outputs are demanded, overlapping
+/// all in-flight calls with local compute.
 pub trait AsyncOperator {
     /// Reads this operator's inputs from the workspace and starts the
     /// operation without waiting for it, returning the pending handle.
@@ -464,10 +459,10 @@ pub struct RpcOutcome {
 /// compute attribution.
 pub trait ExecutionObserver {
     /// Called after each operator with its measured wall time. For
-    /// asynchronous operators under [`NetDef::run_overlapped`], the
-    /// reported time spans issue through collect (the outstanding
-    /// window is *included*); use the RPC hooks below to separate the
-    /// non-CPU outstanding window.
+    /// asynchronous operators under [`Schedule::walk`], the reported
+    /// time is what was spent inside `issue` plus inside `collect`
+    /// (blocking on the reply included); use the RPC hooks below to
+    /// separate the non-CPU outstanding window.
     fn on_op(&mut self, net: &str, op: &dyn Operator, elapsed_secs: f64);
 
     /// Called when the scheduler issues an asynchronous operator.
@@ -612,189 +607,186 @@ impl NetDef {
         }
         Ok(())
     }
+}
 
-    /// Checks every operator's declared [`Operator::inputs`] against
-    /// list order: each input must be in `available` (externally loaded
-    /// or produced by an earlier net) or produced by an earlier operator
-    /// of this net. On success, `available` is extended with this net's
-    /// outputs so nets can be validated in sequence.
-    ///
-    /// The overlap scheduler ([`Self::run_overlapped`]) derives blob
-    /// readiness purely from these declarations, so dishonest ones would
-    /// silently reorder execution; this check makes them a hard error at
-    /// model construction.
-    ///
-    /// # Errors
-    ///
-    /// [`GraphError::InvalidGraph`] naming the first unsatisfiable
-    /// (operator, input) pair.
-    pub fn validate(&self, available: &mut HashSet<String>) -> Result<(), GraphError> {
-        for op in &self.ops {
-            for input in op.inputs() {
-                if !available.contains(&input) {
-                    return Err(GraphError::InvalidGraph {
-                        op: op.name().to_string(),
-                        blob: input,
-                    });
-                }
-            }
-            for output in op.outputs() {
-                available.insert(output);
-            }
-        }
-        Ok(())
+/// One step of a [`Schedule`]. The operand is the operator's position
+/// in the concatenation of all nets' operator lists, in net order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Step {
+    /// Start an asynchronous operator without waiting for it.
+    Issue(usize),
+    /// Run a synchronous operator to completion.
+    Run(usize),
+    /// Wait for an issued operator and write its outputs.
+    Collect(usize),
+}
+
+/// The overlap plan of a model's nets, compiled once at construction and
+/// walked per request (§IV-A: every shard request leaves before dense
+/// compute blocks on any of them).
+///
+/// Blob values are bit-identical to running the nets with
+/// [`NetDef::run`]: each operator computes the same function on the same
+/// inputs and every blob is written by exactly one operator, so only
+/// *when* an asynchronous operator's outputs land differs.
+#[derive(Debug)]
+pub struct Schedule {
+    steps: Vec<Step>,
+    /// Operators across all nets at compile; another count at walk means
+    /// the nets were edited since.
+    ops: usize,
+}
+
+/// The operators of `nets` in execution order, each beside its net.
+fn flatten(nets: &[NetDef]) -> Vec<(&NetDef, &dyn Operator)> {
+    let mut ops = Vec::new();
+    for net in nets {
+        ops.extend(net.ops().iter().map(|op| (net, op.as_ref())));
     }
+    ops
+}
 
-    /// Runs the net under the dependency-aware overlap scheduler.
-    ///
-    /// Repeatedly: (1) every not-yet-started [`AsyncOperator`] whose
-    /// declared inputs are all ready is issued immediately; (2) the
-    /// earliest not-yet-started operator is examined — any of its inputs
-    /// still owed by an in-flight operator forces that operator to be
-    /// collected (demand-driven), then the operator runs (synchronous)
-    /// or is issued on the next pass (asynchronous). Once every operator
-    /// has started, remaining in-flight operators are collected in list
-    /// order.
-    ///
-    /// Blob values are bit-identical to [`Self::run`]: each operator
-    /// computes the same function on the same inputs, and every blob is
-    /// written by exactly one operator (enforced by list-order
-    /// semantics), so only *when* writes land differs.
+impl Schedule {
+    /// Compiles the plan for `nets` executed in order, with `external`
+    /// the blobs loaded from outside the graph. Repeatedly: every
+    /// not-yet-issued [`AsyncOperator`] — of any net — whose declared
+    /// inputs are all ready is issued; then the earliest unstarted
+    /// operator has the in-flight producers of its missing inputs
+    /// collected and, when synchronous, runs. In-flight operators nobody
+    /// reads are collected last, in list order.
     ///
     /// # Errors
     ///
-    /// Propagates the first operator failure. Operators still in flight
-    /// at that point are abandoned (their replies are discarded).
-    pub fn run_overlapped(
-        &self,
-        ws: &mut Workspace,
-        observer: &mut dyn ExecutionObserver,
-    ) -> Result<(), GraphError> {
-        let n = self.ops.len();
-        let mut slots: Vec<Slot> = (0..n).map(|_| Slot::Waiting).collect();
-        // Blobs present at entry are the net's external inputs.
-        let mut ready: HashSet<String> = ws.names().map(str::to_string).collect();
-        // Which in-flight operator will produce each not-yet-ready blob.
-        let mut in_flight_producer: HashMap<String, usize> = HashMap::new();
-
-        loop {
-            // Issue every ready asynchronous operator up front (§IV-A:
-            // all sparse-shard requests go out before dense compute
-            // blocks on any of them).
-            for (i, slot) in slots.iter_mut().enumerate() {
-                if !matches!(slot, Slot::Waiting) {
-                    continue;
+    /// [`GraphError::InvalidGraph`] naming the first operator with an
+    /// input that neither `external` nor an earlier operator provides,
+    /// or `output_blob` when nothing produces it.
+    pub fn compile(
+        nets: &[NetDef],
+        external: HashSet<String>,
+        output_blob: &str,
+    ) -> Result<Self, GraphError> {
+        let unproduced = |op: &str, blob: &str| GraphError::InvalidGraph {
+            op: op.to_string(),
+            message: format!("reads {blob}, which nothing before it produces or loads"),
+        };
+        let ops = flatten(nets);
+        let mut ready = external;
+        // Which issued, uncollected operator owes each not-yet-ready blob.
+        let mut owed: HashMap<String, usize> = HashMap::new();
+        let mut started = vec![false; ops.len()];
+        let mut steps = Vec::new();
+        while let Some(next) = started.iter().position(|&s| !s) {
+            for (i, (_, op)) in ops.iter().enumerate() {
+                let inputs_ready = || op.inputs().iter().all(|b| ready.contains(b));
+                if !started[i] && op.as_async().is_some() && inputs_ready() {
+                    steps.push(Step::Issue(i));
+                    started[i] = true;
+                    owed.extend(op.outputs().into_iter().map(|out| (out, i)));
                 }
-                let op = &self.ops[i];
-                let Some(async_op) = op.as_async() else { continue };
-                if !op.inputs().iter().all(|b| ready.contains(b)) {
-                    continue;
-                }
-                let issued_at = Instant::now();
-                let pending = async_op.issue(ws)?;
-                let issue_secs = issued_at.elapsed().as_secs_f64();
-                observer.on_rpc_issued(&self.name, op.as_ref(), issued_at);
-                for out in op.outputs() {
-                    in_flight_producer.insert(out, i);
-                }
-                *slot = Slot::InFlight {
-                    pending,
-                    issued_at,
-                    issue_secs,
-                };
             }
-
-            // The earliest unstarted operator drives demand.
-            let Some(i) = slots.iter().position(|s| matches!(s, Slot::Waiting)) else {
-                // Everything issued or done: drain in-flight ops in
-                // list order, then finish.
-                for j in 0..n {
-                    if matches!(slots[j], Slot::InFlight { .. }) {
-                        self.collect_in_flight(j, &mut slots, &mut ready, ws, observer)?;
-                    }
-                }
-                return Ok(());
-            };
-
-            // Collect the in-flight producers of any input it misses.
-            let op = &self.ops[i];
+            if started[next] {
+                continue;
+            }
+            let op = ops[next].1;
             for input in op.inputs() {
                 if ready.contains(&input) {
                     continue;
                 }
-                let Some(&j) = in_flight_producer.get(&input) else {
-                    return Err(GraphError::MissingBlob {
-                        blob: input,
-                        op: op.name().to_string(),
-                    });
+                let Some(&producer) = owed.get(&input) else {
+                    return Err(unproduced(op.name(), &input));
                 };
-                self.collect_in_flight(j, &mut slots, &mut ready, ws, observer)?;
+                steps.push(Step::Collect(producer));
+                for out in ops[producer].1.outputs() {
+                    owed.remove(&out);
+                    ready.insert(out);
+                }
             }
-            if op.as_async().is_some() {
-                // Inputs are ready now; the next pass issues it.
-                continue;
+            // An asynchronous operator's inputs are ready now: the next
+            // pass issues it.
+            if op.as_async().is_none() {
+                steps.push(Step::Run(next));
+                started[next] = true;
+                ready.extend(op.outputs());
             }
-            let start = Instant::now();
-            op.run(ws)?;
-            observer.on_op(&self.name, op.as_ref(), start.elapsed().as_secs_f64());
-            for out in op.outputs() {
-                ready.insert(out);
-            }
-            slots[i] = Slot::Done;
         }
+        if !ready.contains(output_blob) && !owed.contains_key(output_blob) {
+            return Err(unproduced("model-output", output_blob));
+        }
+        let leftover: BTreeSet<usize> = owed.into_values().collect();
+        steps.extend(leftover.into_iter().map(Step::Collect));
+        Ok(Self {
+            steps,
+            ops: ops.len(),
+        })
     }
 
-    /// Collects in-flight operator `j`: waits for it, writes its
-    /// outputs, notifies the observer.
-    fn collect_in_flight(
+    /// The compiled steps, in execution order.
+    #[must_use]
+    pub fn steps(&self) -> &[Step] {
+        &self.steps
+    }
+
+    /// Executes the plan over `nets` — the nets it was compiled from.
+    /// Observer callbacks carry the name of each operator's own net.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first operator failure; operators still in flight
+    /// at that point are abandoned (their replies are discarded).
+    /// [`GraphError::InvalidGraph`] when the nets gained, lost or
+    /// swapped operators since compile — nothing runs out of order.
+    pub fn walk(
         &self,
-        j: usize,
-        slots: &mut [Slot],
-        ready: &mut HashSet<String>,
+        nets: &[NetDef],
         ws: &mut Workspace,
         observer: &mut dyn ExecutionObserver,
     ) -> Result<(), GraphError> {
-        let Slot::InFlight {
-            pending,
-            issued_at,
-            issue_secs,
-        } = std::mem::replace(&mut slots[j], Slot::Done)
-        else {
-            unreachable!("collect_in_flight called on a non-in-flight slot");
+        let edited = |op: &str| GraphError::InvalidGraph {
+            op: op.to_string(),
+            message: "was added, removed or replaced after the schedule was compiled".into(),
         };
-        let collect_start = Instant::now();
-        let outcome = pending.collect(ws)?;
-        let collected_at = Instant::now();
-        let op = self.ops[j].as_ref();
-        observer.on_rpc_collected(&self.name, op, issued_at, collected_at);
-        if let Some(outcome) = outcome {
-            observer.on_rpc_outcome(&self.name, op, &outcome);
+        let ops = flatten(nets);
+        if ops.len() != self.ops {
+            return Err(edited("an operator"));
         }
-        observer.on_op(
-            &self.name,
-            op,
-            issue_secs + collected_at.duration_since(collect_start).as_secs_f64(),
-        );
-        for out in op.outputs() {
-            ready.insert(out);
+        // Per issued, uncollected operator: its handle, when it was
+        // issued and the seconds spent inside `issue`.
+        let mut in_flight: Vec<_> = ops.iter().map(|_| None).collect();
+        for &step in &self.steps {
+            let (Step::Issue(i) | Step::Run(i) | Step::Collect(i)) = step;
+            let (net, op) = ops[i];
+            match step {
+                Step::Issue(_) => {
+                    let async_op = op.as_async().ok_or_else(|| edited(op.name()))?;
+                    let issued_at = Instant::now();
+                    let pending = async_op.issue(ws)?;
+                    let issue_secs = issued_at.elapsed().as_secs_f64();
+                    observer.on_rpc_issued(net.name(), op, issued_at);
+                    in_flight[i] = Some((pending, issued_at, issue_secs));
+                }
+                Step::Run(_) => {
+                    let start = Instant::now();
+                    op.run(ws)?;
+                    observer.on_op(net.name(), op, start.elapsed().as_secs_f64());
+                }
+                Step::Collect(_) => {
+                    let (pending, issued_at, issue_secs) = in_flight[i]
+                        .take()
+                        .expect("compile emits each Collect after its Issue, once");
+                    let collect_start = Instant::now();
+                    let outcome = pending.collect(ws)?;
+                    let collected_at = Instant::now();
+                    observer.on_rpc_collected(net.name(), op, issued_at, collected_at);
+                    if let Some(outcome) = outcome {
+                        observer.on_rpc_outcome(net.name(), op, &outcome);
+                    }
+                    let collect_secs = collected_at.duration_since(collect_start).as_secs_f64();
+                    observer.on_op(net.name(), op, issue_secs + collect_secs);
+                }
+            }
         }
         Ok(())
     }
-}
-
-/// Per-operator execution state of the overlap scheduler.
-enum Slot {
-    /// Not started.
-    Waiting,
-    /// Issued asynchronously; outputs owed.
-    InFlight {
-        pending: Box<dyn PendingOp>,
-        issued_at: Instant,
-        /// CPU seconds spent inside `issue` (request build + send).
-        issue_secs: f64,
-    },
-    /// Ran or collected; outputs ready.
-    Done,
 }
 
 /// A complete executable model: its spec, its nets in execution order,
@@ -810,6 +802,8 @@ pub struct Model {
     pub tables: Vec<Arc<crate::EmbeddingTable>>,
     /// Name of the blob holding the final prediction.
     pub output_blob: String,
+    /// The overlap plan of `nets`, compiled by the builder.
+    pub(crate) schedule: Schedule,
 }
 
 impl Model {
@@ -831,8 +825,8 @@ impl Model {
         ws.take_dense(&self.output_blob, "model-output")
     }
 
-    /// Runs all nets in order under the overlap scheduler
-    /// ([`NetDef::run_overlapped`]); bit-exact with [`Self::run`].
+    /// Walks the compiled overlap plan ([`Schedule::walk`]); bit-exact
+    /// with [`Self::run`].
     ///
     /// # Errors
     ///
@@ -842,9 +836,7 @@ impl Model {
         ws: &mut Workspace,
         observer: &mut dyn ExecutionObserver,
     ) -> Result<Matrix, GraphError> {
-        for net in &self.nets {
-            net.run_overlapped(ws, observer)?;
-        }
+        self.schedule.walk(&self.nets, ws, observer)?;
         ws.take_dense(&self.output_blob, "model-output")
     }
 
@@ -860,29 +852,6 @@ impl Model {
         let mut counts = consumer_counts_of(self.nets.iter());
         *counts.entry(self.output_blob.clone()).or_insert(0) += 1;
         counts
-    }
-
-    /// Validates every net's declared inputs/outputs against list order
-    /// (see [`NetDef::validate`]), with the spec's externally loaded
-    /// blobs (dense features, per-table sparse inputs) as the starting
-    /// set, and checks the output blob is produced. Run at model
-    /// construction.
-    ///
-    /// # Errors
-    ///
-    /// [`GraphError::InvalidGraph`] on the first dishonest declaration.
-    pub fn validate(&self) -> Result<(), GraphError> {
-        let mut available = external_input_blobs(&self.spec);
-        for net in &self.nets {
-            net.validate(&mut available)?;
-        }
-        if !available.contains(&self.output_blob) {
-            return Err(GraphError::InvalidGraph {
-                op: "model-output".into(),
-                blob: self.output_blob.clone(),
-            });
-        }
-        Ok(())
     }
 }
 
@@ -906,7 +875,7 @@ pub fn consumer_counts_of<'a>(
 
 /// The blobs loaded into the workspace from outside the graph (the
 /// builder's naming convention): the dense-feature matrix plus one
-/// sparse input per table. These seed graph validation's available set.
+/// sparse input per table. These are ready at step 0 of a [`Schedule`].
 #[must_use]
 pub fn external_input_blobs(spec: &ModelSpec) -> HashSet<String> {
     let mut blobs: HashSet<String> = spec
@@ -1144,6 +1113,18 @@ mod tests {
         }
     }
 
+    /// Compiles `nets` with "x" loaded from outside and `output` as the
+    /// model's output blob.
+    fn compile(nets: &[NetDef], output: &str) -> Result<Schedule, GraphError> {
+        Schedule::compile(nets, ["x".to_string()].into(), output)
+    }
+
+    /// Compiles `net` and walks it.
+    fn compile_and_walk(net: NetDef, output: &str, ws: &mut Workspace) -> Result<(), GraphError> {
+        let nets = [net];
+        compile(&nets, output)?.walk(&nets, ws, &mut NoopObserver)
+    }
+
     fn logged_add_one(name: &str, input: &str, output: &str, events: &EventLog) -> LoggedAddOne {
         LoggedAddOne {
             inner: AddOne {
@@ -1165,7 +1146,7 @@ mod tests {
         net.push(Box::new(logged_add_one("D", "b", "d", &events)));
         let mut ws = Workspace::new();
         ws.put("x", Blob::Dense(Matrix::zeros(1, 1)));
-        net.run_overlapped(&mut ws, &mut NoopObserver).unwrap();
+        compile_and_walk(net, "d", &mut ws).unwrap();
         assert_eq!(
             *events.lock().unwrap(),
             vec!["issue:A", "issue:B", "collect:A", "run:C", "collect:B", "run:D"],
@@ -1184,7 +1165,7 @@ mod tests {
         net.push(Box::new(logged_add_one("C", "a", "c", &events)));
         let mut ws = Workspace::new();
         ws.put("x", Blob::Dense(Matrix::zeros(1, 1)));
-        net.run_overlapped(&mut ws, &mut NoopObserver).unwrap();
+        compile_and_walk(net, "c", &mut ws).unwrap();
         assert_eq!(
             *events.lock().unwrap(),
             vec!["issue:A", "run:S", "collect:A", "run:C"],
@@ -1203,7 +1184,7 @@ mod tests {
         net.push(Box::new(TestRpc::new("B", "a", "b", &events)));
         let mut ws = Workspace::new();
         ws.put("x", Blob::Dense(Matrix::zeros(1, 1)));
-        net.run_overlapped(&mut ws, &mut NoopObserver).unwrap();
+        compile_and_walk(net, "b", &mut ws).unwrap();
         assert_eq!(
             *events.lock().unwrap(),
             vec!["issue:A", "collect:A", "issue:B", "collect:B"]
@@ -1228,7 +1209,7 @@ mod tests {
         ws_seq.put("x", Blob::Dense(Matrix::from_rows(&[&[1.5, -2.0]])));
         let mut ws_ovl = ws_seq.clone();
         net.run(&mut ws_seq, &mut NoopObserver).unwrap();
-        net.run_overlapped(&mut ws_ovl, &mut NoopObserver).unwrap();
+        compile_and_walk(net, "d", &mut ws_ovl).unwrap();
         for blob in ["p", "a", "b", "c", "d"] {
             assert_eq!(
                 ws_seq.dense(blob, "t").unwrap(),
@@ -1247,7 +1228,7 @@ mod tests {
         net.push(Box::new(bad));
         let mut ws = Workspace::new();
         ws.put("x", Blob::Dense(Matrix::zeros(1, 1)));
-        let err = net.run_overlapped(&mut ws, &mut NoopObserver).unwrap_err();
+        let err = compile_and_walk(net, "a", &mut ws).unwrap_err();
         assert!(matches!(err, GraphError::OpFailed { .. }), "{err}");
     }
 
@@ -1264,7 +1245,7 @@ mod tests {
         net.push(Box::new(logged_add_one("C", "a", "c", &events)));
         let mut ws = Workspace::new();
         ws.put("x", Blob::Dense(Matrix::zeros(1, 1)));
-        let err = net.run_overlapped(&mut ws, &mut NoopObserver).unwrap_err();
+        let err = compile_and_walk(net, "c", &mut ws).unwrap_err();
         assert_eq!(
             err,
             GraphError::OpFailed {
@@ -1281,17 +1262,18 @@ mod tests {
 
     #[test]
     fn overlap_reports_missing_blob_like_sequential() {
+        // "x" is an external input the caller never loaded.
         let mut net = NetDef::new("n");
         net.push(Box::new(AddOne {
-            input: "nope".into(),
+            input: "x".into(),
             output: "y".into(),
         }));
         let mut ws = Workspace::new();
-        let err = net.run_overlapped(&mut ws, &mut NoopObserver).unwrap_err();
+        let err = compile_and_walk(net, "y", &mut ws).unwrap_err();
         assert_eq!(
             err,
             GraphError::MissingBlob {
-                blob: "nope".into(),
+                blob: "x".into(),
                 op: "add_one".into()
             }
         );
@@ -1330,7 +1312,9 @@ mod tests {
         let mut ws = Workspace::new();
         ws.put("x", Blob::Dense(Matrix::zeros(1, 1)));
         let mut obs = SpanObserver::default();
-        net.run_overlapped(&mut ws, &mut obs).unwrap();
+        let nets = [net];
+        let schedule = compile(&nets, "c").unwrap();
+        schedule.walk(&nets, &mut ws, &mut obs).unwrap();
         assert_eq!(obs.issued, vec!["A"]);
         assert_eq!(obs.collected, vec!["A"]);
         assert_eq!(obs.ops, vec!["A", "C"], "on_op fires for async ops at collect");
@@ -1409,41 +1393,68 @@ mod tests {
     }
 
     #[test]
-    fn validate_accepts_honest_declarations() {
+    fn compile_rejects_unproduced_input_and_unproduced_output() {
+        let events: EventLog = Arc::default();
         let mut net = NetDef::new("n");
-        net.push(Box::new(AddOne {
-            input: "x".into(),
-            output: "y".into(),
-        }));
-        net.push(Box::new(AddOne {
-            input: "y".into(),
-            output: "z".into(),
-        }));
-        let mut available: HashSet<String> = ["x".to_string()].into();
-        net.validate(&mut available).unwrap();
-        assert!(available.contains("z"));
+        // "y" is produced only *after* the op that reads it.
+        net.push(Box::new(logged_add_one("A", "y", "z", &events)));
+        net.push(Box::new(logged_add_one("B", "x", "y", &events)));
+        let err = compile(&[net], "z").unwrap_err();
+        assert!(matches!(err, GraphError::InvalidGraph { .. }));
+        assert!(err.to_string().contains("A reads y,"), "{err}");
+        let mut net = NetDef::new("n");
+        net.push(Box::new(logged_add_one("B", "x", "y", &events)));
+        let err = compile(&[net], "prediction").unwrap_err().to_string();
+        assert!(err.contains("model-output reads prediction,"), "{err}");
     }
 
     #[test]
-    fn validate_rejects_unproduced_input() {
-        let mut net = NetDef::new("n");
-        // "y" is produced only *after* the op that reads it.
-        net.push(Box::new(AddOne {
-            input: "y".into(),
-            output: "z".into(),
-        }));
-        net.push(Box::new(AddOne {
-            input: "x".into(),
-            output: "y".into(),
-        }));
-        let mut available: HashSet<String> = ["x".to_string()].into();
-        let err = net.validate(&mut available).unwrap_err();
-        assert_eq!(
-            err,
-            GraphError::InvalidGraph {
-                op: "add_one".into(),
-                blob: "y".into()
+    fn second_nets_external_rpc_is_issued_first_and_an_edited_net_is_rejected() {
+        // Net 2's RPC reads only the request input, so it leaves before
+        // net 1's first dense op and comes back after net 1's last.
+        #[derive(Default)]
+        struct NetObserver(Vec<String>);
+        impl ExecutionObserver for NetObserver {
+            fn on_op(&mut self, net: &str, op: &dyn Operator, _secs: f64) {
+                self.0.push(format!("{net}/{}", op.name()));
             }
+        }
+        let events: EventLog = Arc::default();
+        let mut first = NetDef::new("first");
+        first.push(Box::new(logged_add_one("S1", "x", "s1", &events)));
+        first.push(Box::new(logged_add_one("S2", "s1", "s2", &events)));
+        let mut second = NetDef::new("second");
+        second.push(Box::new(logged_add_one("T", "s2", "t", &events)));
+        second.push(Box::new(TestRpc::new("R", "x", "r", &events)));
+        second.push(Box::new(logged_add_one("U", "r", "u", &events)));
+        let mut nets = [first, second];
+        let mut ws_seq = Workspace::new();
+        ws_seq.put("x", Blob::Dense(Matrix::from_rows(&[&[0.25, -3.0]])));
+        let mut ws_ovl = ws_seq.clone();
+        let mut obs = NetObserver::default();
+        let schedule = compile(&nets, "u").unwrap();
+        schedule.walk(&nets, &mut ws_ovl, &mut obs).unwrap();
+        assert_eq!(
+            *events.lock().unwrap(),
+            vec!["issue:R", "run:S1", "run:S2", "run:T", "collect:R", "run:U"]
         );
+        assert_eq!(
+            obs.0,
+            vec!["first/S1", "first/S2", "second/T", "second/R", "second/U"],
+            "each callback names the operator's own net"
+        );
+        for net in &nets {
+            net.run(&mut ws_seq, &mut NoopObserver).unwrap();
+        }
+        for blob in ["s1", "s2", "t", "r", "u"] {
+            assert_eq!(ws_seq.blob(blob), ws_ovl.blob(blob), "{blob}");
+        }
+
+        // An op pushed after compile: rejected before anything runs.
+        nets[1].push(Box::new(logged_add_one("V", "u", "v", &events)));
+        events.lock().unwrap().clear();
+        let err = schedule.walk(&nets, &mut ws_ovl, &mut obs).unwrap_err();
+        assert!(matches!(err, GraphError::InvalidGraph { .. }), "{err}");
+        assert!(events.lock().unwrap().is_empty(), "nothing may run");
     }
 }

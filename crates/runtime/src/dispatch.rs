@@ -2,21 +2,19 @@
 //! override, and process-wide dispatch counters.
 //!
 //! The hot kernels (GEMM, SparseLengthsSum, quantized
-//! decode-accumulate) exist in up to four tiers. Three are *exact*: the
+//! decode-accumulate) exist in up to three tiers, all *exact*: the
 //! portable scalar kernels that double as bit-exactness oracles, an
 //! AVX2 tier and an AVX-512 tier whose per-output-element float-op
 //! sequence is *identical* to the scalar kernels (vectorization across
-//! output columns with separate mul/add — bitwise-equal results at any
-//! vector width). AVX-512 widens the GEMM only; every other kernel is
-//! bandwidth-bound and keeps its AVX2 body under that level. The fourth
-//! is an FMA-contracted AVX2 GEMM that changes rounding and is
-//! therefore never auto-selected (tolerance-checked mode for the
-//! simulator only).
+//! output columns with separate mul/add, never a fused multiply-add —
+//! bitwise-equal results at any vector width). AVX-512 widens the GEMM
+//! only; every other kernel is bandwidth-bound and keeps its AVX2 body
+//! under that level.
 //!
 //! Which tier runs is decided **once per process** by
 //! [`KernelDispatch::detect`]: CPU feature detection gated by the
-//! `DLRM_SIMD` environment variable (`off`/`scalar`/`0`, `avx2`,
-//! `fma`; unset or `avx512` = auto: the widest exact tier the CPU has).
+//! `DLRM_SIMD` environment variable (`off`/`scalar`/`0`, `avx2`; unset
+//! or `avx512` = auto: the widest tier the CPU has).
 //! The resolved decision rides on every [`Pool`](crate::Pool) — and
 //! thereby on [`RuntimeCtx`](crate::RuntimeCtx) — so kernels read it
 //! from the pool they already receive. On non-x86_64 targets detection
@@ -41,12 +39,6 @@ pub enum SimdLevel {
     /// separate mul/add), bitwise-equal to scalar. Every non-GEMM
     /// kernel takes its exact AVX2 path under this level.
     Avx512,
-    /// AVX2 + FMA-contracted GEMM: fused multiply-add changes rounding,
-    /// so this tier is only reachable through the explicit `DLRM_SIMD=fma`
-    /// override or [`KernelDispatch::forced_fma`] — the tolerance-checked
-    /// mode for the simulator. Non-GEMM kernels still take their exact
-    /// AVX2 paths under this level.
-    Avx2Fma,
 }
 
 impl SimdLevel {
@@ -63,7 +55,6 @@ impl SimdLevel {
             SimdLevel::Scalar => "scalar",
             SimdLevel::Avx2 => "avx2",
             SimdLevel::Avx512 => "avx512",
-            SimdLevel::Avx2Fma => "avx2+fma",
         }
     }
 }
@@ -88,11 +79,6 @@ pub fn level_supported(level: SimdLevel) -> bool {
         SimdLevel::Avx512 => {
             std::arch::is_x86_feature_detected!("avx2")
                 && std::arch::is_x86_feature_detected!("avx512f")
-        }
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2Fma => {
-            std::arch::is_x86_feature_detected!("avx2")
-                && std::arch::is_x86_feature_detected!("fma")
         }
         #[cfg(not(target_arch = "x86_64"))]
         _ => false,
@@ -129,14 +115,13 @@ impl Default for KernelDispatch {
     }
 }
 
-/// What a `DLRM_SIMD` value asks for. `Auto` is the widest exact tier
+/// What a `DLRM_SIMD` value asks for. `Auto` is the widest tier
 /// the CPU runs — which is also all that `avx512` can ask for, so that
 /// value is a spelled-out synonym of unset.
 enum Request {
     Auto,
     Scalar,
     Avx2,
-    Fma,
 }
 
 /// The meaning of a (trimmed) `DLRM_SIMD` value; `None` for a value
@@ -146,20 +131,17 @@ fn parse_request(requested: Option<&str>) -> Option<Request> {
         None | Some("" | "avx512") => Request::Auto,
         Some("off" | "scalar" | "0") => Request::Scalar,
         Some("avx2") => Request::Avx2,
-        Some("fma" | "avx2+fma" | "avx2-fma") => Request::Fma,
         Some(_) => return None,
     })
 }
 
 /// The tier a `DLRM_SIMD` value resolves to on a CPU with the given
 /// features: the requested tier when the CPU runs it, otherwise the
-/// next *exact* tier down (AVX-512 → AVX2 → scalar; an unsupported FMA
-/// request lands on AVX2). Unset or unrecognised values auto-select
-/// the widest exact tier. FMA is reachable only by asking for it.
-fn resolve(requested: Option<&str>, has_avx2: bool, has_fma: bool, has_avx512: bool) -> SimdLevel {
+/// next tier down (AVX-512 → AVX2 → scalar). Unset or unrecognised
+/// values auto-select the widest tier.
+fn resolve(requested: Option<&str>, has_avx2: bool, has_avx512: bool) -> SimdLevel {
     match parse_request(requested).unwrap_or(Request::Auto) {
         Request::Scalar => SimdLevel::Scalar,
-        Request::Fma if has_avx2 && has_fma => SimdLevel::Avx2Fma,
         Request::Auto if has_avx2 && has_avx512 => SimdLevel::Avx512,
         _ if has_avx2 => SimdLevel::Avx2,
         _ => SimdLevel::Scalar,
@@ -168,13 +150,12 @@ fn resolve(requested: Option<&str>, has_avx2: bool, has_fma: bool, has_avx512: b
 
 impl KernelDispatch {
     /// The process-wide dispatch decision, resolved exactly once:
-    /// `DLRM_SIMD=off|scalar|0` forces scalar, `avx2` pins the exact
-    /// AVX2 tier, `fma` requests the FMA-contracted GEMM tier, and
-    /// unset — or `avx512`, its synonym — auto-selects the widest exact
-    /// tier the CPU supports (the AVX-512 GEMM tier where it exists). A requested tier the CPU
-    /// lacks falls to the next exact tier down; an unrecognised value
-    /// is reported on stderr once and then treated as unset. FMA is
-    /// never chosen without the explicit override.
+    /// `DLRM_SIMD=off|scalar|0` forces scalar, `avx2` pins the AVX2
+    /// tier, and unset — or `avx512`, its synonym — auto-selects the
+    /// widest tier the CPU supports (the AVX-512 GEMM tier where it
+    /// exists). A requested tier the CPU lacks falls to the next tier
+    /// down; an unrecognised value is reported on stderr once and then
+    /// treated as unset.
     #[must_use]
     pub fn detect() -> Self {
         static RESOLVED: OnceLock<SimdLevel> = OnceLock::new();
@@ -183,14 +164,13 @@ impl KernelDispatch {
             let requested = requested.as_deref().map(str::trim);
             if parse_request(requested).is_none() {
                 eprintln!(
-                    "DLRM_SIMD={:?} is not one of off|scalar|0, avx2, avx512, fma; auto-detecting",
+                    "DLRM_SIMD={:?} is not one of off|scalar|0, avx2, avx512; auto-detecting",
                     requested.unwrap_or_default()
                 );
             }
             resolve(
                 requested,
                 level_supported(SimdLevel::Avx2),
-                level_supported(SimdLevel::Avx2Fma),
                 level_supported(SimdLevel::Avx512),
             )
         });
@@ -239,15 +219,6 @@ impl KernelDispatch {
         tiers
     }
 
-    /// A dispatch pinned to the FMA-contracted GEMM tier (tolerance
-    /// mode), or `None` when the CPU lacks AVX2+FMA.
-    #[must_use]
-    pub fn forced_fma() -> Option<Self> {
-        level_supported(SimdLevel::Avx2Fma).then_some(Self {
-            level: SimdLevel::Avx2Fma,
-        })
-    }
-
     /// The resolved tier.
     #[must_use]
     pub fn level(self) -> SimdLevel {
@@ -264,7 +235,6 @@ pub struct KernelStats {
     gemm_scalar: AtomicU64,
     gemm_avx2: AtomicU64,
     gemm_avx512: AtomicU64,
-    gemm_fma: AtomicU64,
     gemm_packs: AtomicU64,
     sls_scalar: AtomicU64,
     sls_avx2: AtomicU64,
@@ -278,7 +248,6 @@ static KERNEL_STATS: KernelStats = KernelStats {
     gemm_scalar: AtomicU64::new(0),
     gemm_avx2: AtomicU64::new(0),
     gemm_avx512: AtomicU64::new(0),
-    gemm_fma: AtomicU64::new(0),
     gemm_packs: AtomicU64::new(0),
     sls_scalar: AtomicU64::new(0),
     sls_avx2: AtomicU64::new(0),
@@ -300,7 +269,6 @@ impl KernelStats {
             SimdLevel::Scalar => &self.gemm_scalar,
             SimdLevel::Avx2 => &self.gemm_avx2,
             SimdLevel::Avx512 => &self.gemm_avx512,
-            SimdLevel::Avx2Fma => &self.gemm_fma,
         }
         .fetch_add(1, Ordering::Relaxed);
     }
@@ -326,8 +294,8 @@ impl KernelStats {
     }
 
     /// Records one quantized decode-accumulate SLS dispatch. The
-    /// quantized path keeps its exact mul/add sequence even under the
-    /// FMA and AVX-512 levels, so it only distinguishes scalar from AVX2.
+    /// quantized path runs its AVX2 body under the AVX-512 level too, so
+    /// it only distinguishes scalar from AVX2.
     pub fn record_qsls(&self, level: SimdLevel) {
         if level.is_simd() {
             &self.qsls_avx2
@@ -345,7 +313,6 @@ impl KernelStats {
             gemm_scalar: self.gemm_scalar.load(Ordering::Relaxed),
             gemm_avx2: self.gemm_avx2.load(Ordering::Relaxed),
             gemm_avx512: self.gemm_avx512.load(Ordering::Relaxed),
-            gemm_fma: self.gemm_fma.load(Ordering::Relaxed),
             gemm_packs: self.gemm_packs.load(Ordering::Relaxed),
             sls_scalar: self.sls_scalar.load(Ordering::Relaxed),
             sls_avx2: self.sls_avx2.load(Ordering::Relaxed),
@@ -369,8 +336,6 @@ pub struct KernelSummary {
     pub gemm_avx2: u64,
     /// Dense GEMMs that ran the exact AVX-512 kernels.
     pub gemm_avx512: u64,
-    /// Dense GEMMs that ran the FMA-contracted (tolerance-mode) kernels.
-    pub gemm_fma: u64,
     /// Right-operand packs done per GEMM call (not counted in
     /// [`Self::total`]: a pack is overhead, not a kernel dispatch).
     pub gemm_packs: u64,
@@ -399,7 +364,6 @@ impl KernelSummary {
             gemm_scalar: self.gemm_scalar.saturating_sub(earlier.gemm_scalar),
             gemm_avx2: self.gemm_avx2.saturating_sub(earlier.gemm_avx2),
             gemm_avx512: self.gemm_avx512.saturating_sub(earlier.gemm_avx512),
-            gemm_fma: self.gemm_fma.saturating_sub(earlier.gemm_fma),
             gemm_packs: self.gemm_packs.saturating_sub(earlier.gemm_packs),
             sls_scalar: self.sls_scalar.saturating_sub(earlier.sls_scalar),
             sls_avx2: self.sls_avx2.saturating_sub(earlier.sls_avx2),
@@ -415,7 +379,6 @@ impl KernelSummary {
         self.gemm_scalar
             + self.gemm_avx2
             + self.gemm_avx512
-            + self.gemm_fma
             + self.sls_scalar
             + self.sls_avx2
             + self.qsls_scalar
@@ -430,8 +393,7 @@ impl KernelSummary {
         if total == 0 {
             return 0.0;
         }
-        let simd =
-            self.gemm_avx2 + self.gemm_avx512 + self.gemm_fma + self.sls_avx2 + self.qsls_avx2;
+        let simd = self.gemm_avx2 + self.gemm_avx512 + self.sls_avx2 + self.qsls_avx2;
         simd as f64 / total as f64
     }
 }
@@ -440,14 +402,13 @@ impl std::fmt::Display for KernelSummary {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "dispatch {}: gemm {}/{}/{}/{} (scalar/avx2/avx512/fma) with {} per-call packs, \
+            "dispatch {}: gemm {}/{}/{} (scalar/avx2/avx512) with {} per-call packs, \
              sls {}/{} (scalar/avx2) over {} rows, qsls {}/{} (scalar/avx2), \
              {:.3} simd fraction",
             self.level,
             self.gemm_scalar,
             self.gemm_avx2,
             self.gemm_avx512,
-            self.gemm_fma,
             self.gemm_packs,
             self.sls_scalar,
             self.sls_avx2,
@@ -483,53 +444,42 @@ mod tests {
             }
             None => assert!(!level_supported(SimdLevel::Avx2)),
         }
-        match KernelDispatch::forced_fma() {
-            Some(d) => assert_eq!(d.level(), SimdLevel::Avx2Fma),
-            None => assert!(!level_supported(SimdLevel::Avx2Fma)),
-        }
         match KernelDispatch::forced_avx512() {
             Some(d) => assert_eq!(d.level(), SimdLevel::Avx512),
             None => assert!(!level_supported(SimdLevel::Avx512)),
         }
         let exact = KernelDispatch::exact_tiers();
         assert_eq!(exact[0], KernelDispatch::scalar());
-        assert!(exact.iter().all(|d| d.level() != SimdLevel::Avx2Fma));
     }
 
     #[test]
     fn dlrm_simd_values_resolve_to_the_documented_tiers() {
-        use SimdLevel::{Avx2, Avx2Fma, Avx512, Scalar};
-        // (value, [no SIMD, AVX2 only, AVX2+FMA, AVX2+FMA+AVX-512])
-        let table: [(Option<&str>, [SimdLevel; 4]); 9] = [
-            (None, [Scalar, Avx2, Avx2, Avx512]),
-            (Some("off"), [Scalar; 4]),
-            (Some("scalar"), [Scalar; 4]),
-            (Some("0"), [Scalar; 4]),
-            (Some("avx2"), [Scalar, Avx2, Avx2, Avx2]),
-            (Some("fma"), [Scalar, Avx2, Avx2Fma, Avx2Fma]),
-            (Some("avx2+fma"), [Scalar, Avx2, Avx2Fma, Avx2Fma]),
-            // Typos auto-detect (after one stderr line from `detect`).
-            (Some("avx-512"), [Scalar, Avx2, Avx2, Avx512]),
+        use SimdLevel::{Avx2, Avx512, Scalar};
+        // (value, [no SIMD, AVX2 only, AVX2+AVX-512])
+        let table: [(Option<&str>, [SimdLevel; 3]); 8] = [
+            (None, [Scalar, Avx2, Avx512]),
+            (Some("off"), [Scalar; 3]),
+            (Some("scalar"), [Scalar; 3]),
+            (Some("0"), [Scalar; 3]),
+            (Some("avx2"), [Scalar, Avx2, Avx2]),
+            // Typos — and the retired `fma` — auto-detect (after one
+            // stderr line from `detect`).
+            (Some("avx-512"), [Scalar, Avx2, Avx512]),
+            (Some("fma"), [Scalar, Avx2, Avx512]),
             // Set but empty is how a shell spells unset.
-            (Some(""), [Scalar, Avx2, Avx2, Avx512]),
+            (Some(""), [Scalar, Avx2, Avx512]),
         ];
-        let hosts = [
-            (false, false, false),
-            (true, false, false),
-            (true, true, false),
-            (true, true, true),
-        ];
+        let hosts = [(false, false), (true, false), (true, true)];
         for (value, want) in table {
-            for ((avx2, fma, avx512), want) in hosts.into_iter().zip(want) {
+            for ((avx2, avx512), want) in hosts.into_iter().zip(want) {
                 assert_eq!(
-                    resolve(value, avx2, fma, avx512),
+                    resolve(value, avx2, avx512),
                     want,
-                    "{value:?} on {avx2}/{fma}/{avx512}"
+                    "{value:?} on {avx2}/{avx512}"
                 );
             }
         }
-        // FMA without AVX2 is no tier, and nothing but an FMA request selects it.
-        assert_eq!(resolve(Some("fma"), false, true, false), Scalar);
+        assert!(parse_request(Some("fma")).is_none());
         assert!(parse_request(Some("avx-512")).is_none());
         // The documented synonym of unset: the `None` row above is its row.
         assert!(matches!(parse_request(Some("avx512")), Some(Request::Auto)));
@@ -542,7 +492,6 @@ mod tests {
         KernelStats::global().record_gemm(SimdLevel::Scalar);
         KernelStats::global().record_gemm(SimdLevel::Avx2);
         KernelStats::global().record_gemm(SimdLevel::Avx512);
-        KernelStats::global().record_gemm(SimdLevel::Avx2Fma);
         KernelStats::global().record_gemm_pack();
         KernelStats::global().record_sls(SimdLevel::Avx2, 40);
         KernelStats::global().record_qsls(SimdLevel::Scalar);
@@ -552,10 +501,9 @@ mod tests {
         assert!(delta.gemm_scalar >= 1);
         assert!(delta.gemm_avx2 >= 1);
         assert!(delta.gemm_avx512 >= 1);
-        assert!(delta.gemm_fma >= 1);
         assert!(delta.sls_avx2 >= 1);
         assert!(delta.qsls_scalar >= 1);
-        assert!(delta.total() >= 6);
+        assert!(delta.total() >= 5);
         let only_zmm = KernelSummary {
             gemm_avx512: 3,
             ..delta.since(&delta)
@@ -567,14 +515,12 @@ mod tests {
     }
 
     #[test]
-    fn gemm_only_levels_count_avx2_paths_for_non_gemm() {
+    fn gemm_only_level_counts_avx2_paths_for_non_gemm() {
         let before = KernelStats::global().summary();
-        for level in [SimdLevel::Avx2Fma, SimdLevel::Avx512] {
-            KernelStats::global().record_sls(level, 0);
-            KernelStats::global().record_qsls(level);
-        }
+        KernelStats::global().record_sls(SimdLevel::Avx512, 0);
+        KernelStats::global().record_qsls(SimdLevel::Avx512);
         let delta = KernelStats::global().summary().since(&before);
-        assert!(delta.sls_avx2 >= 2);
-        assert!(delta.qsls_avx2 >= 2);
+        assert!(delta.sls_avx2 >= 1);
+        assert!(delta.qsls_avx2 >= 1);
     }
 }

@@ -3,7 +3,7 @@
 //! The simulator's cluster model emits Fig. 3-style traces from
 //! simulated timestamps; this module produces the same span vocabulary
 //! from *measured* wall-clock time of the real engine's overlap
-//! scheduler ([`dlrm_model::graph::NetDef::run_overlapped`]). Each
+//! schedule ([`dlrm_model::graph::Schedule::walk`]). Each
 //! asynchronous RPC operator contributes one
 //! [`SpanKind::RpcOutstanding`] span covering its issue → collect
 //! window (not CPU time — the async op frees the core, §IV-A), so the

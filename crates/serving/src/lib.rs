@@ -1,10 +1,16 @@
-//! The simulated distributed-inference serving tier.
+//! Distributed-inference serving: the real engine and the simulator.
 //!
-//! The paper characterizes its system on reserved bare-metal datacenter
-//! servers running customized Thrift + Caffe2 (§III-C, §V-B). This crate
-//! substitutes a deterministic discrete-event simulation of that tier,
-//! with every latency/compute component the paper's cross-layer trace
-//! distinguishes modeled as an explicitly calibrated cost:
+//! Most of this crate is the real engine — the open-loop [`frontend`],
+//! the shard transports ([`threaded`], [`tcp`], [`shard_server`],
+//! [`wire`]), [`replica`] pools, live [`rebalance`] and multi-tenant
+//! [`tenancy`] — serving `dlrm-sharding`'s partitioned models.
+//!
+//! The rest is the simulator. The paper characterizes its system on
+//! reserved bare-metal datacenter servers running customized Thrift +
+//! Caffe2 (§III-C, §V-B); these modules substitute a deterministic
+//! discrete-event simulation of that tier, with every latency/compute
+//! component the paper's cross-layer trace distinguishes modeled as an
+//! explicitly calibrated cost:
 //!
 //! - [`PlatformSpec`]: SC-Large / SC-Small server classes (§V-B);
 //! - [`CostModel`]: per-model calibrated operator, serialization,
@@ -20,9 +26,10 @@
 //! - [`replication`]: the §VII-C resource-efficiency planner (servers
 //!   and DRAM needed to serve a QPS target, singular vs distributed).
 //!
-//! Every run is deterministic in its seed: paired request streams,
-//! network draws and skews across configurations, which is what makes
-//! the per-configuration comparisons of Tables III/IV meaningful.
+//! Every simulated run is deterministic in its seed: paired request
+//! streams, network draws and skews across configurations, which is
+//! what makes the per-configuration comparisons of Tables III/IV
+//! meaningful.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

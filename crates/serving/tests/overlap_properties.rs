@@ -2,21 +2,23 @@
 //! model specs, shardings and inputs (deterministic [`SimRng`] streams —
 //! the in-tree replacement for proptest), the dependency-aware executor
 //! must produce bit-identical predictions to the strictly sequential
-//! reference, through in-process and thread-backed transports alike;
-//! and a shard failure while other RPCs are in flight must propagate as
+//! reference, through in-process and thread-backed transports alike,
+//! with every RPC of every net on the wire before the first reply is
+//! waited for; and a shard failure while other RPCs are in flight must propagate as
 //! an error, not a hang or a wrong answer.
 
 use dlrm_model::graph::NoopObserver;
 use dlrm_model::{build_model, ModelSpec, NetId, NetSpec, TableId, TableSpec, Workspace};
 use dlrm_serving::fault::FaultPlan;
 use dlrm_serving::replica::{HealthPolicy, ReplicatedShardPool};
-use dlrm_sharding::rpc::{RpcError, ShardRequest, ShardResponse, SparseShardClient};
+use dlrm_sharding::rpc::{RpcCompletion, RpcError, ShardRequest, ShardResponse, SparseShardClient};
 use dlrm_sharding::{
-    partition, partition_with_clients, plan, InProcessClient, ShardId, ShardService,
-    ShardingStrategy,
+    partition_with_clients, plan, DistributedModel, InProcessClient, ShardId, ShardService,
+    ShardingPlan, ShardingStrategy,
 };
 use dlrm_sim::SimRng;
-use dlrm_workload::{materialize_request, TraceDb};
+use dlrm_workload::{materialize_request, BatchInputs, TraceDb};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -72,6 +74,110 @@ fn random_strategy(rng: &mut SimRng) -> ShardingStrategy {
     }
 }
 
+/// What the [`CountingClient`]s of one model saw: how many requests
+/// were sent, and how many of them had been sent when the first reply
+/// was handed back.
+#[derive(Debug, Default)]
+struct IssueTally {
+    issued: AtomicUsize,
+    /// 0 until a `wait` returns.
+    issued_at_first_wait: AtomicUsize,
+}
+
+/// A shard client that forwards to `inner` and records the issue order
+/// in a tally shared by all clients of the model.
+#[derive(Debug)]
+struct CountingClient {
+    inner: Arc<dyn SparseShardClient>,
+    tally: Arc<IssueTally>,
+}
+
+struct CountingCompletion {
+    inner: Box<dyn RpcCompletion>,
+    tally: Arc<IssueTally>,
+}
+
+impl SparseShardClient for CountingClient {
+    fn shard_id(&self) -> ShardId {
+        self.inner.shard_id()
+    }
+    fn execute(&self, request: &ShardRequest) -> Result<ShardResponse, RpcError> {
+        self.inner.execute(request)
+    }
+    fn begin_execute(&self, request: &ShardRequest) -> Result<Box<dyn RpcCompletion>, RpcError> {
+        self.tally.issued.fetch_add(1, Ordering::SeqCst);
+        Ok(Box::new(CountingCompletion {
+            inner: self.inner.begin_execute(request)?,
+            tally: Arc::clone(&self.tally),
+        }))
+    }
+}
+
+impl RpcCompletion for CountingCompletion {
+    fn wait(self: Box<Self>) -> Result<ShardResponse, RpcError> {
+        let reply = self.inner.wait();
+        let issued = self.tally.issued.load(Ordering::SeqCst);
+        let first = &self.tally.issued_at_first_wait;
+        let _ = first.compare_exchange(0, issued, Ordering::SeqCst, Ordering::SeqCst);
+        reply
+    }
+}
+
+/// Partitions a freshly built model onto `clients`, each wrapped in a
+/// [`CountingClient`].
+fn partition_counted(
+    spec: &ModelSpec,
+    p: &ShardingPlan,
+    seed: u64,
+    services: Vec<Arc<ShardService>>,
+    clients: Vec<Arc<dyn SparseShardClient>>,
+) -> (DistributedModel, Arc<IssueTally>) {
+    let tally = Arc::new(IssueTally::default());
+    let counted = clients
+        .into_iter()
+        .map(|inner| {
+            let tally = Arc::clone(&tally);
+            Arc::new(CountingClient { inner, tally }) as Arc<dyn SparseShardClient>
+        })
+        .collect();
+    let model = build_model(spec, seed).unwrap();
+    let dist = partition_with_clients(model, p, services, counted).unwrap();
+    (dist, tally)
+}
+
+fn shard_services(spec: &ModelSpec, p: &ShardingPlan, seed: u64) -> Vec<Arc<ShardService>> {
+    let model = build_model(spec, seed).unwrap();
+    p.shards()
+        .map(|s| Arc::new(ShardService::build(&model.tables, p, s)))
+        .collect()
+}
+
+/// Runs `batch` sequentially and overlapped; the predictions must agree
+/// bit for bit, and the overlapped run must have sent every RPC of
+/// every net before it waited for the first reply.
+fn assert_overlap_exact_and_all_issued_first(
+    dist: &DistributedModel,
+    tally: &IssueTally,
+    batch: &BatchInputs,
+    what: &str,
+) {
+    let mut ws_seq = Workspace::new();
+    batch.load_into(&dist.spec, &mut ws_seq);
+    let mut ws_ovl = ws_seq.clone();
+    let a = dist.run(&mut ws_seq, &mut NoopObserver).unwrap();
+    tally.issued.store(0, Ordering::SeqCst);
+    tally.issued_at_first_wait.store(0, Ordering::SeqCst);
+    let b = dist.run_overlapped(&mut ws_ovl, &mut NoopObserver).unwrap();
+    assert_eq!(a, b, "{what}");
+    let rpcs = dist.rpc_ops_per_inference();
+    assert_eq!(tally.issued.load(Ordering::SeqCst), rpcs, "{what}");
+    assert_eq!(
+        tally.issued_at_first_wait.load(Ordering::SeqCst),
+        rpcs,
+        "{what}: an RPC was still unsent when the first wait returned"
+    );
+}
+
 /// Overlap scheduler ≡ sequential executor, bit for bit, across random
 /// specs — singular models and in-process-partitioned models.
 #[test]
@@ -102,15 +208,16 @@ fn overlapped_bit_identical_to_sequential_across_random_specs() {
         let Ok(p) = plan(&spec, &profile, strategy) else {
             continue;
         };
-        let dist = partition(build_model(&spec, seed).unwrap(), &p).unwrap();
+        let services = shard_services(&spec, &p, seed);
+        let clients = services
+            .iter()
+            .map(|s| Arc::new(InProcessClient::new(Arc::clone(s))) as Arc<dyn SparseShardClient>)
+            .collect();
+        let (dist, tally) = partition_counted(&spec, &p, seed, services, clients);
         distributed_cases += 1;
         for batch in &batches {
-            let mut ws_seq = Workspace::new();
-            batch.load_into(&spec, &mut ws_seq);
-            let mut ws_ovl = ws_seq.clone();
-            let a = dist.run(&mut ws_seq, &mut NoopObserver).unwrap();
-            let b = dist.run_overlapped(&mut ws_ovl, &mut NoopObserver).unwrap();
-            assert_eq!(a, b, "case {case}: distributed under {strategy}");
+            let what = format!("case {case}: distributed under {strategy}");
+            assert_overlap_exact_and_all_issued_first(&dist, &tally, batch, &what);
         }
     }
     assert!(
@@ -145,17 +252,12 @@ fn overlapped_bit_identical_over_threaded_transport() {
         let Ok(p) = plan(&spec, &profile, ShardingStrategy::CapacityBalanced(shards)) else {
             continue;
         };
-        let (dist, pool) = ReplicatedShardPool::assemble(&spec, &p, seed, |services| {
-            Ok(threaded_pool(services, Duration::ZERO))
-        })
-        .unwrap();
+        let services = shard_services(&spec, &p, seed);
+        let pool = threaded_pool(services.clone(), Duration::ZERO);
+        let (dist, tally) = partition_counted(&spec, &p, seed, services, pool.clients());
         for batch in materialize_request(&spec, db.get(0), spec.default_batch_size, seed ^ 5) {
-            let mut ws_seq = Workspace::new();
-            batch.load_into(&spec, &mut ws_seq);
-            let mut ws_ovl = ws_seq.clone();
-            let a = dist.run(&mut ws_seq, &mut NoopObserver).unwrap();
-            let b = dist.run_overlapped(&mut ws_ovl, &mut NoopObserver).unwrap();
-            assert_eq!(a, b, "case {case}");
+            let what = format!("case {case}");
+            assert_overlap_exact_and_all_issued_first(&dist, &tally, &batch, &what);
         }
         pool.shutdown();
     }
@@ -209,11 +311,7 @@ fn shard_failure_propagates_while_other_rpcs_in_flight() {
     let db = TraceDb::generate(&spec, 1, 3);
     let profile = db.pooling_profile(db.len());
     let p = plan(&spec, &profile, ShardingStrategy::CapacityBalanced(3)).unwrap();
-    let model = build_model(&spec, 3).unwrap();
-    let services: Vec<Arc<ShardService>> = p
-        .shards()
-        .map(|s| Arc::new(ShardService::build(&model.tables, &p, s)))
-        .collect();
+    let services = shard_services(&spec, &p, 3);
 
     for fail_at_issue in [false, true] {
         // Shard 1 fails; shards 0 and 2 answer in-process.
@@ -253,10 +351,7 @@ fn shard_failure_propagates_over_threaded_transport() {
     let profile = db.pooling_profile(db.len());
     let p = plan(&spec, &profile, ShardingStrategy::CapacityBalanced(2)).unwrap();
     let model = build_model(&spec, 9).unwrap();
-    let services: Vec<Arc<ShardService>> = p
-        .shards()
-        .map(|s| Arc::new(ShardService::build(&model.tables, &p, s)))
-        .collect();
+    let services = shard_services(&spec, &p, 9);
     let pool = threaded_pool(services.clone(), Duration::from_millis(10));
     // Shard 0 is threaded (slow → genuinely in flight); shard 1 fails.
     let clients: Vec<Arc<dyn SparseShardClient>> = vec![

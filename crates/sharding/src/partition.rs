@@ -12,7 +12,10 @@ use crate::cache::HotRowCache;
 use crate::plan::{ShardId, ShardingPlan};
 use crate::rpc::{RpcFetch, SparseRpc, SparseShardClient};
 use crate::{InProcessClient, ShardService};
-use dlrm_model::graph::{ExecutionObserver, GraphError, NetDef, Operator, Workspace};
+use dlrm_model::graph::{
+    external_input_blobs, ExecutionObserver, GraphError, NetDef, Operator, Schedule, Step,
+    Workspace,
+};
 use dlrm_model::ops::ElementwiseSum;
 use dlrm_model::{Model, ModelSpec, NetId, TableId};
 use dlrm_tensor::Matrix;
@@ -31,8 +34,8 @@ pub enum PartitionError {
         /// The unknown table name.
         table: String,
     },
-    /// The rewritten nets failed graph validation (a rewrite bug: some
-    /// operator's declared input is produced by nothing).
+    /// The rewritten nets do not compile to a schedule (a rewrite bug:
+    /// some operator's declared input is produced by nothing).
     InvalidGraph(String),
 }
 
@@ -69,6 +72,8 @@ pub struct DistributedModel {
     /// [`SparseRpc`] operator; its [`HotRowCache::totals`] accumulate
     /// across requests.
     pub cache: Option<Arc<HotRowCache>>,
+    /// The overlap plan of `nets`, compiled by the partitioner.
+    schedule: Schedule,
 }
 
 impl DistributedModel {
@@ -89,11 +94,11 @@ impl DistributedModel {
         ws.take_dense(&self.output_blob, "distributed-output")
     }
 
-    /// Runs all main-shard nets under the overlap scheduler
-    /// ([`NetDef::run_overlapped`]): every [`SparseRpc`] whose inputs
-    /// are ready is issued before anything blocks, so all shard
-    /// round-trips overlap with each other and with the bottom-MLP dense
-    /// compute (§IV-A). Bit-exact with [`Self::run`].
+    /// Walks the compiled overlap plan ([`Schedule::walk`]): every
+    /// [`SparseRpc`] of every net reads only request inputs, so all
+    /// shard requests leave before the first dense operator and overlap
+    /// with each other and with the dense compute of both nets (§IV-A).
+    /// Bit-exact with [`Self::run`].
     ///
     /// # Errors
     ///
@@ -104,9 +109,7 @@ impl DistributedModel {
         ws: &mut Workspace,
         observer: &mut dyn ExecutionObserver,
     ) -> Result<Matrix, GraphError> {
-        for net in &self.nets {
-            net.run_overlapped(ws, observer)?;
-        }
+        self.schedule.walk(&self.nets, ws, observer)?;
         ws.take_dense(&self.output_blob, "distributed-output")
     }
 
@@ -144,17 +147,8 @@ impl DistributedModel {
     /// to (§VI-C1).
     #[must_use]
     pub fn rpc_ops_per_inference(&self) -> usize {
-        self.nets
-            .iter()
-            .map(|n| {
-                n.ops()
-                    .iter()
-                    .filter(|op| op.outputs().iter().any(|o| o.starts_with("pooled/")))
-                    .filter(|op| op.as_sparse_lengths_sum().is_none())
-                    .filter(|op| !op.name().contains("combine"))
-                    .count()
-            })
-            .sum()
+        let issues = self.schedule.steps().iter();
+        issues.filter(|step| matches!(step, Step::Issue(_))).count()
     }
 }
 
@@ -315,18 +309,10 @@ pub fn partition_with_clients(
         new_nets.push(new_net);
     }
 
-    // The rewrite moved and replaced operators; re-validate the nets so
-    // a partitioner bug surfaces here, not inside the overlap scheduler.
-    let mut available = dlrm_model::graph::external_input_blobs(&spec);
-    for net in &new_nets {
-        net.validate(&mut available)
-            .map_err(|e| PartitionError::InvalidGraph(e.to_string()))?;
-    }
-    if !available.contains(&output_blob) {
-        return Err(PartitionError::InvalidGraph(format!(
-            "output blob {output_blob} is produced by no operator"
-        )));
-    }
+    // The rewrite moved and replaced operators: compiling the overlap
+    // plan is where a partitioner bug surfaces, not mid-run.
+    let schedule = Schedule::compile(&new_nets, external_input_blobs(&spec), &output_blob)
+        .map_err(|e| PartitionError::InvalidGraph(e.to_string()))?;
 
     Ok(DistributedModel {
         spec,
@@ -335,6 +321,7 @@ pub fn partition_with_clients(
         plan: plan.clone(),
         output_blob,
         cache,
+        schedule,
     })
 }
 

@@ -366,10 +366,12 @@ pub struct RpcFetch {
 /// skips the network entirely.
 #[derive(Debug)]
 pub struct SparseRpc {
-    name: String,
+    /// `Arc`ed, like `fetches`: every [`PendingSparseRpc`] this operator
+    /// issues shares them instead of copying two strings per table.
+    name: Arc<str>,
     net: NetId,
     client: Arc<dyn SparseShardClient>,
-    fetches: Vec<RpcFetch>,
+    fetches: Arc<[RpcFetch]>,
     policy: RpcPolicy,
     cache: Option<Arc<HotRowCache>>,
 }
@@ -390,10 +392,10 @@ impl SparseRpc {
     ) -> Self {
         assert!(!fetches.is_empty(), "RPC op must fetch at least one table");
         Self {
-            name: name.into(),
+            name: Arc::from(name.into()),
             net,
             client,
-            fetches,
+            fetches: fetches.into(),
             policy: RpcPolicy::default(),
             cache: None,
         }
@@ -423,12 +425,6 @@ impl SparseRpc {
         self.client.shard_id()
     }
 
-    /// The tables fetched.
-    #[must_use]
-    pub fn fetches(&self) -> &[RpcFetch] {
-        &self.fetches
-    }
-
     /// Builds the wire request from the workspace (exposed for tests and
     /// for the serving layer's cost accounting).
     ///
@@ -437,7 +433,7 @@ impl SparseRpc {
     /// Propagates missing/mistyped sparse input blobs.
     pub fn build_request(&self, ws: &Workspace) -> Result<ShardRequest, GraphError> {
         let mut slices = Vec::with_capacity(self.fetches.len());
-        for f in &self.fetches {
+        for f in self.fetches.iter() {
             let sparse = ws.sparse(&f.input_blob, &self.name)?;
             slices.push(route_slice(f, sparse));
         }
@@ -548,44 +544,36 @@ impl SparseRpc {
     /// failures the policy cannot absorb.
     pub fn begin(&self, ws: &Workspace) -> Result<PendingSparseRpc, GraphError> {
         let (request, split) = self.build_request_and_split(ws)?;
-        if request.slices.is_empty() {
+        let (attempt, first_error) = if request.slices.is_empty() {
             // Every bag was pooled from the cache: nothing to send, the
             // collect half just writes the locally-pooled outputs.
-            return Ok(PendingSparseRpc {
-                op: self.name.clone(),
-                fetches: self.fetches.clone(),
-                client: Arc::clone(&self.client),
-                request,
-                policy: self.policy,
-                attempt: None,
-                first_error: None,
-                split,
-            });
-        }
-        let (attempt, first_error) = match self.client.begin_execute(&request) {
-            Ok(completion) => (
-                Some(InFlightAttempt {
-                    completion,
-                    issued_at: Instant::now(),
-                    kind: RpcAttemptKind::Primary,
-                }),
-                None,
-            ),
-            Err(e) => {
-                let absorbable =
-                    e.is_retryable() && (self.policy.max_attempts > 1 || self.policy.degraded_fallback);
-                if !absorbable {
-                    return Err(GraphError::OpFailed {
-                        op: self.name.clone(),
-                        message: e.to_string(),
-                    });
+            (None, None)
+        } else {
+            match self.client.begin_execute(&request) {
+                Ok(completion) => (
+                    Some(InFlightAttempt {
+                        completion,
+                        issued_at: Instant::now(),
+                        kind: RpcAttemptKind::Primary,
+                    }),
+                    None,
+                ),
+                Err(e) => {
+                    let absorbable = e.is_retryable()
+                        && (self.policy.max_attempts > 1 || self.policy.degraded_fallback);
+                    if !absorbable {
+                        return Err(GraphError::OpFailed {
+                            op: self.name.to_string(),
+                            message: e.to_string(),
+                        });
+                    }
+                    (None, Some(e))
                 }
-                (None, Some(e))
             }
         };
         Ok(PendingSparseRpc {
-            op: self.name.clone(),
-            fetches: self.fetches.clone(),
+            op: Arc::clone(&self.name),
+            fetches: Arc::clone(&self.fetches),
             client: Arc::clone(&self.client),
             request,
             policy: self.policy,
@@ -632,8 +620,8 @@ struct InFlightAttempt {
 /// attempt is exhausted — then validates the reply against the fetch
 /// list and writes the pooled output blobs.
 pub struct PendingSparseRpc {
-    op: String,
-    fetches: Vec<RpcFetch>,
+    op: Arc<str>,
+    fetches: Arc<[RpcFetch]>,
     client: Arc<dyn SparseShardClient>,
     request: ShardRequest,
     policy: RpcPolicy,
@@ -941,7 +929,7 @@ impl PendingSparseRpc {
             return Ok(outcome);
         }
         Err(GraphError::OpFailed {
-            op: self.op.clone(),
+            op: self.op.to_string(),
             message: err.to_string(),
         })
     }
@@ -956,7 +944,7 @@ impl PendingSparseRpc {
         if let Some(split) = self.split.take() {
             if response.pooled.len() != split.remote_fetches.len() {
                 return Err(GraphError::OpFailed {
-                    op: self.op.clone(),
+                    op: self.op.to_string(),
                     message: format!(
                         "shard returned {} tables, expected {} remote",
                         response.pooled.len(),
@@ -970,14 +958,14 @@ impl PendingSparseRpc {
                 let f = &self.fetches[fi];
                 if table != f.table {
                     return Err(GraphError::OpFailed {
-                        op: self.op.clone(),
+                        op: self.op.to_string(),
                         message: format!("shard answered {table}, expected {}", f.table),
                     });
                 }
                 let bags = &split.remote_bags[k];
                 if pooled.rows() != bags.len() || pooled.cols() != f.dim {
                     return Err(GraphError::OpFailed {
-                        op: self.op.clone(),
+                        op: self.op.to_string(),
                         message: format!(
                             "shard returned {}x{} for {table}, expected {}x{}",
                             pooled.rows(),
@@ -998,7 +986,7 @@ impl PendingSparseRpc {
         }
         if response.pooled.len() != self.fetches.len() {
             return Err(GraphError::OpFailed {
-                op: self.op.clone(),
+                op: self.op.to_string(),
                 message: format!(
                     "shard returned {} tables, expected {}",
                     response.pooled.len(),
@@ -1009,7 +997,7 @@ impl PendingSparseRpc {
         for (f, (table, pooled)) in self.fetches.iter().zip(response.pooled) {
             if table != f.table {
                 return Err(GraphError::OpFailed {
-                    op: self.op.clone(),
+                    op: self.op.to_string(),
                     message: format!("shard answered {table}, expected {}", f.table),
                 });
             }
@@ -1508,8 +1496,11 @@ mod tests {
 
         // Pure path: no cache attached.
         let pure_client = Arc::new(PoolingClient::new(table.clone()));
-        let mut pure = SparseRpc::new("rpc", NetId(0), pure_client, vec![dim2_fetch()]);
-        pure.fetches[0].output_blob = "out_pure".into();
+        let pure_fetch = RpcFetch {
+            output_blob: "out_pure".into(),
+            ..dim2_fetch()
+        };
+        let pure = SparseRpc::new("rpc", NetId(0), pure_client, vec![pure_fetch]);
         pure.begin(&ws).unwrap().collect(&mut ws).unwrap();
 
         // Cached path.

@@ -19,9 +19,7 @@
 //! per output element folded in ascending-`k` order (the exact AVX2 and
 //! AVX-512 tiers vectorize across output *columns*, one per lane, with
 //! separate mul/add — see the [`simd`] module docs), and parallelism
-//! only partitions output rows. The FMA-contracted tier is the one
-//! deliberate exception, gated behind `DLRM_SIMD=fma` and
-//! tolerance-checked rather than bit-checked.
+//! only partitions output rows.
 //!
 //! # Examples
 //!

@@ -1,5 +1,5 @@
-//! The SIMD kernel tiers (`core::arch::x86_64`, std-only): exact AVX2,
-//! exact AVX-512 (GEMM only) and FMA-contracted AVX2 (GEMM only).
+//! The SIMD kernel tiers (`core::arch::x86_64`, std-only): exact AVX2
+//! and exact AVX-512 (GEMM only).
 //!
 //! Every `unsafe` block in the workspace lives in this module, behind
 //! safe dispatch wrappers. The wrappers take the resolved
@@ -7,13 +7,14 @@
 //! CPU support at the boundary — `is_x86_feature_detected!` caches, so
 //! the re-check is one atomic load — which makes every public function
 //! here sound even if a caller fabricates a level the host cannot run:
-//! it simply falls back to the widest exact tier the host does run.
+//! it simply falls back to the widest tier the host does run.
 //!
 //! # Bit-exactness by construction
 //!
-//! The exact tiers vectorize across **output columns** (one output
+//! Both tiers vectorize across **output columns** (one output
 //! element per SIMD lane) with *separate* multiply and add
-//! instructions — never FMA contraction. Each lane therefore performs
+//! instructions — never a fused multiply-add, which would drop one
+//! rounding per pair and change low-order bits. Each lane therefore performs
 //! exactly the float-op sequence of the scalar kernel for that output
 //! element: one accumulator, folding `k` (GEMM) or bag rows (SLS) in
 //! ascending order, one rounding per multiply and one per add. Lanes
@@ -30,8 +31,7 @@
 //! whole 16-lane weight panel group, and a register tile of up to
 //! [`ZMM_TILE_ROWS`] rows reads it once. The gather and the
 //! quantized decode are bound by memory bandwidth, not issue width, so
-//! under that level they run the same AVX2 bodies — as they do under
-//! the FMA level.
+//! under that level they run the same AVX2 bodies.
 //!
 //! [`sls_bags`] is the workspace's one f32 SparseLengthsSum inner loop
 //! (plain tables, the hot-row cache and pruned tables all gather
@@ -39,14 +39,6 @@
 //! and stores each output element once, which per element is the same
 //! sequence of adds as zeroing the row and adding each looked-up row
 //! to it — only the store-to-load round trip per lookup is gone.
-//!
-//! The FMA tier ([`SimdLevel::Avx2Fma`], GEMM only) contracts each
-//! mul/add pair into `vfmaddps`, dropping one rounding per
-//! multiply-add. That *changes* low-order bits, so it is never
-//! auto-selected and is property-tested against the scalar oracle
-//! within a documented tolerance instead (see
-//! `crates/tensor/tests/kernel_properties.rs`). There is no fused
-//! AVX-512 kernel.
 //!
 //! # Unsafe audit notes
 //!
@@ -70,8 +62,8 @@ use crate::packed::panel_width;
 
 /// Downgrades a requested level to what the running CPU can execute:
 /// the tier kernels will actually take (and counters should record).
-/// An unsupported SIMD level lands on the exact AVX2 tier when the CPU
-/// has that, else on scalar — never on FMA.
+/// An unsupported SIMD level lands on the AVX2 tier when the CPU has
+/// that, else on scalar.
 #[must_use]
 pub fn effective_level(level: SimdLevel) -> SimdLevel {
     if level_supported(level) {
@@ -387,8 +379,8 @@ fn decode_u4_scalar<const ACCUM: bool>(
 /// Walks the panels in storage order and hands each to the kernel the
 /// tier selects: `zmm` register tiles for the 16-wide panels of the
 /// AVX-512 tier when the block has at least [`ZMM_MIN_ROWS`] rows,
-/// `ymm` tiles (exact or FMA) for the 16- and 8-wide panels of the AVX2
-/// tiers, for the 8-wide panel of the AVX-512 tier and for its shorter
+/// `ymm` tiles for the 16- and 8-wide panels of the AVX2
+/// tier, for the 8-wide panel of the AVX-512 tier and for its shorter
 /// blocks, the portable [`panel_scalar`] for the scalar tier and for
 /// the 1-wide ragged-tail panels of every tier. Each kernel keeps one accumulator
 /// per output element and folds `k` in ascending order, so all exact
@@ -426,25 +418,15 @@ pub(crate) fn packed_rows(
                 unsafe { x86::panel_avx512(a_rows, k, panel, out_rows, n, j) }
             }
             #[cfg(target_arch = "x86_64")]
-            (16, SimdLevel::Avx2Fma) => {
-                // SAFETY: AVX2+FMA verified; bounds as above.
-                unsafe { x86::panel_fma::<2>(a_rows, k, panel, out_rows, n, j) }
-            }
-            #[cfg(target_arch = "x86_64")]
             (16, SimdLevel::Avx2 | SimdLevel::Avx512) => {
                 // SAFETY: AVX2 verified (the AVX-512 level requires it
                 // too); bounds as above.
                 unsafe { x86::panel_avx2::<2>(a_rows, k, panel, out_rows, n, j) }
             }
             #[cfg(target_arch = "x86_64")]
-            (8, SimdLevel::Avx2Fma) => {
-                // SAFETY: AVX2+FMA verified; `panel` holds k full 8-lane
-                // groups and j + 8 <= n bounds every output store.
-                unsafe { x86::panel_fma::<1>(a_rows, k, panel, out_rows, n, j) }
-            }
-            #[cfg(target_arch = "x86_64")]
             (8, SimdLevel::Avx2 | SimdLevel::Avx512) => {
-                // SAFETY: AVX2 verified; bounds as above.
+                // SAFETY: AVX2 verified; `panel` holds k full 8-lane
+                // groups and j + 8 <= n bounds every output store.
                 unsafe { x86::panel_avx2::<1>(a_rows, k, panel, out_rows, n, j) }
             }
             (16, _) => panel_scalar::<16>(a_rows, k, panel, out_rows, n, j),
@@ -541,27 +523,17 @@ fn tile_scalar<const W: usize, const R: usize>(a: [&[f32]; R], panel: &[f32]) ->
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use core::arch::x86_64::{
-        __m256, _mm256_add_ps, _mm256_cvtepi32_ps, _mm256_cvtepu8_epi32, _mm256_fmadd_ps,
+        __m256, _mm256_add_ps, _mm256_cvtepi32_ps, _mm256_cvtepu8_epi32,
         _mm256_loadu_ps, _mm256_mul_ps, _mm256_set1_ps, _mm256_setzero_ps, _mm256_storeu_ps,
         _mm512_add_ps, _mm512_loadu_ps, _mm512_mul_ps, _mm512_set1_ps, _mm512_setzero_ps,
         _mm512_storeu_ps, _mm_and_si128, _mm_loadl_epi64, _mm_prefetch, _mm_set1_epi8,
         _mm_srli_epi16, _mm_srli_si128, _mm_unpacklo_epi8, _MM_HINT_T0,
     };
 
-    /// `acc + a*b`: contracted when `FMA`, two rounded ops otherwise.
-    #[inline(always)]
-    unsafe fn mad<const FMA: bool>(a: __m256, b: __m256, acc: __m256) -> __m256 {
-        if FMA {
-            _mm256_fmadd_ps(a, b, acc)
-        } else {
-            _mm256_add_ps(acc, _mm256_mul_ps(a, b))
-        }
-    }
-
     /// One k-step of a register tile: load the panel's `VECS` lane
     /// groups once, broadcast each row's `A[kk]`, accumulate.
     #[inline(always)]
-    unsafe fn k_step<const FMA: bool, const ROWS: usize, const VECS: usize>(
+    unsafe fn k_step<const ROWS: usize, const VECS: usize>(
         a: *const f32,
         k: usize,
         pp: *const f32,
@@ -575,7 +547,7 @@ mod x86 {
         for (r, row) in acc.iter_mut().enumerate() {
             let va = _mm256_set1_ps(*a.add(r * k + kk));
             for v in 0..VECS {
-                row[v] = mad::<FMA>(va, vb[v], row[v]);
+                row[v] = _mm256_add_ps(row[v], _mm256_mul_ps(va, vb[v]));
             }
         }
     }
@@ -583,13 +555,13 @@ mod x86 {
     /// A `ROWS × (8·VECS)` register tile over one packed panel: `a`
     /// points at the tile's first `A` row, `o` at its first output
     /// element. Accumulators fold `k` in ascending order — one per
-    /// output element — so the exact tier matches the scalar kernel
-    /// bitwise. The const loops unroll fully, so the accumulator array
+    /// output element, a multiply then an add, never a fused one — so
+    /// the tile matches the scalar kernel bitwise. The const loops unroll fully, so the accumulator array
     /// lives in registers (6 × 2 uses 15 of 16 — the widest tile that
     /// doesn't spill); the 2-deep k-unroll keeps issue under the
     /// 4-wide frontend limit.
     #[inline(always)]
-    unsafe fn tile<const FMA: bool, const ROWS: usize, const VECS: usize>(
+    unsafe fn tile<const ROWS: usize, const VECS: usize>(
         a: *const f32,
         k: usize,
         pp: *const f32,
@@ -599,12 +571,12 @@ mod x86 {
         let mut acc = [[_mm256_setzero_ps(); VECS]; ROWS];
         let mut kk = 0usize;
         while kk + 2 <= k {
-            k_step::<FMA, ROWS, VECS>(a, k, pp, kk, &mut acc);
-            k_step::<FMA, ROWS, VECS>(a, k, pp, kk + 1, &mut acc);
+            k_step::<ROWS, VECS>(a, k, pp, kk, &mut acc);
+            k_step::<ROWS, VECS>(a, k, pp, kk + 1, &mut acc);
             kk += 2;
         }
         if kk < k {
-            k_step::<FMA, ROWS, VECS>(a, k, pp, kk, &mut acc);
+            k_step::<ROWS, VECS>(a, k, pp, kk, &mut acc);
         }
         for (r, row) in acc.iter().enumerate() {
             for (v, &c) in row.iter().enumerate() {
@@ -613,39 +585,10 @@ mod x86 {
         }
     }
 
-    /// Output columns `j..j + 8·VECS` for every row of the block: 6-row
-    /// tiles, then one tile of exactly the rows left, so a block of at
-    /// most six rows — a serving batch — streams the panel once.
-    #[inline(always)]
-    unsafe fn panel_body<const FMA: bool, const VECS: usize>(
-        a_rows: &[f32],
-        k: usize,
-        pack: &[f32],
-        out: &mut [f32],
-        n: usize,
-        j: usize,
-    ) {
-        let rows = a_rows.len() / k;
-        let pp = pack.as_ptr();
-        let mut a = a_rows.as_ptr();
-        let mut o = out.as_mut_ptr().add(j);
-        for _ in 0..rows / 6 {
-            tile::<FMA, 6, VECS>(a, k, pp, o, n);
-            a = a.add(6 * k);
-            o = o.add(6 * n);
-        }
-        match rows % 6 {
-            5 => tile::<FMA, 5, VECS>(a, k, pp, o, n),
-            4 => tile::<FMA, 4, VECS>(a, k, pp, o, n),
-            3 => tile::<FMA, 3, VECS>(a, k, pp, o, n),
-            2 => tile::<FMA, 2, VECS>(a, k, pp, o, n),
-            1 => tile::<FMA, 1, VECS>(a, k, pp, o, n),
-            _ => {}
-        }
-    }
-
-    /// Exact-tier panel kernel (separate mul/add) over one `8·VECS`-wide
-    /// packed panel.
+    /// Output columns `j..j + 8·VECS` of one packed panel for every row
+    /// of the block: 6-row tiles, then one tile of exactly the rows
+    /// left, so a block of at most six rows — a serving batch — streams
+    /// the panel once.
     ///
     /// # Safety
     ///
@@ -661,24 +604,23 @@ mod x86 {
         n: usize,
         j: usize,
     ) {
-        panel_body::<false, VECS>(a_rows, k, pack, out, n, j);
-    }
-
-    /// FMA-contracted panel kernel (tolerance mode).
-    ///
-    /// # Safety
-    ///
-    /// As [`panel_avx2`], plus FMA support.
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn panel_fma<const VECS: usize>(
-        a_rows: &[f32],
-        k: usize,
-        pack: &[f32],
-        out: &mut [f32],
-        n: usize,
-        j: usize,
-    ) {
-        panel_body::<true, VECS>(a_rows, k, pack, out, n, j);
+        let rows = a_rows.len() / k;
+        let pp = pack.as_ptr();
+        let mut a = a_rows.as_ptr();
+        let mut o = out.as_mut_ptr().add(j);
+        for _ in 0..rows / 6 {
+            tile::<6, VECS>(a, k, pp, o, n);
+            a = a.add(6 * k);
+            o = o.add(6 * n);
+        }
+        match rows % 6 {
+            5 => tile::<5, VECS>(a, k, pp, o, n),
+            4 => tile::<4, VECS>(a, k, pp, o, n),
+            3 => tile::<3, VECS>(a, k, pp, o, n),
+            2 => tile::<2, VECS>(a, k, pp, o, n),
+            1 => tile::<1, VECS>(a, k, pp, o, n),
+            _ => {}
+        }
     }
 
     /// A `ROWS × 16` register tile of the AVX-512 tier over one 16-wide
@@ -1071,7 +1013,7 @@ mod tests {
     /// The SIMD levels whose decode bodies this CPU runs (one AVX2 body
     /// serves them all; each level must reach it).
     fn simd_levels() -> Vec<SimdLevel> {
-        let all = [SimdLevel::Avx2, SimdLevel::Avx512, SimdLevel::Avx2Fma];
+        let all = [SimdLevel::Avx2, SimdLevel::Avx512];
         all.into_iter().filter(|&l| level_supported(l)).collect()
     }
 
@@ -1127,10 +1069,10 @@ mod tests {
 
     #[test]
     fn effective_level_downgrades_only_when_unsupported() {
-        use SimdLevel::{Avx2, Avx2Fma, Avx512, Scalar};
+        use SimdLevel::{Avx2, Avx512, Scalar};
         assert_eq!(effective_level(Scalar), Scalar);
         let below = if level_supported(Avx2) { Avx2 } else { Scalar };
-        for level in [Avx2, Avx512, Avx2Fma] {
+        for level in [Avx2, Avx512] {
             let want = if level_supported(level) { level } else { below };
             assert_eq!(effective_level(level), want, "{level}");
         }
@@ -1139,7 +1081,6 @@ mod tests {
     #[test]
     fn peak_probe_counts_flops_per_lane_width() {
         assert_eq!(exact_peak_probe(SimdLevel::Scalar, 10), 0);
-        assert_eq!(exact_peak_probe(SimdLevel::Avx2Fma, 10), 0);
         for (level, lanes) in [(SimdLevel::Avx2, 8), (SimdLevel::Avx512, 16)] {
             let want = if level_supported(level) {
                 10 * PROBE_CHAINS as u64 * lanes * 2
