@@ -159,32 +159,11 @@ impl QuantizedTable {
         EmbeddingTable::from_weights(self.name.clone(), m)
     }
 
-    /// Decodes row `r` on the fly, accumulating it into `out_row`
-    /// without materializing an intermediate `Vec` — the hot inner loop
-    /// of the quantized SLS. The vectorized tier widens 8 codes at a
-    /// time (u8→f32) and applies the same `code * scale + bias` then
-    /// accumulate sequence per element as the scalar loop, so results
-    /// are bitwise equal.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r` is out of range.
-    fn accumulate_row(&self, r: usize, out_row: &mut [f32], level: SimdLevel) {
-        assert!(r < self.rows, "row {r} out of range");
-        let (scale, bias) = (self.scales[r], self.biases[r]);
-        if self.bits == 8 {
-            let codes = &self.codes[r * self.dim..r * self.dim + self.dim];
-            simd::decode_accumulate_u8(level, codes, scale, bias, out_row);
-        } else {
-            let packed_row = self.dim.div_ceil(2);
-            let codes = &self.codes[r * packed_row..r * packed_row + packed_row];
-            simd::decode_accumulate_u4(level, codes, scale, bias, out_row);
-        }
-    }
-
     /// SparseLengthsSum with on-the-fly dequantization — what the
     /// serving stack runs against compressed tables. Rows are decoded
-    /// inline into the accumulator (no per-lookup allocation).
+    /// inline into the accumulator (no per-lookup allocation): an 8-bit
+    /// table pools each bag in registers through [`simd::sls_bags_u8`],
+    /// a 4-bit table decode-accumulates row by row into the output.
     ///
     /// # Panics
     ///
@@ -210,20 +189,42 @@ impl QuantizedTable {
         }
         let level = simd::effective_level(pool.dispatch().level());
         KernelStats::global().record_qsls(level);
-        let Ok(()) = pool.par_bags(indices, lengths, self.dim, out.as_mut_slice(), |i, l, o| {
-            self.pool_bags(i, l, o, level);
-            Ok::<(), std::convert::Infallible>(())
-        });
+        let pooled = if self.bits == 8 {
+            let rows = simd::U8Rows::new(&self.codes, &self.scales, &self.biases, self.dim);
+            pool.par_bags(indices, lengths, self.dim, out.as_mut_slice(), |i, l, o| {
+                simd::sls_bags_u8(level, rows, i, l, o)
+            })
+        } else {
+            pool.par_bags(indices, lengths, self.dim, out.as_mut_slice(), |i, l, o| {
+                self.pool_bags_u4(i, l, o, level);
+                Ok(())
+            })
+        };
+        if let Err(e) = pooled {
+            panic!("{e} in table {}", self.name);
+        }
         out
     }
 
-    /// Pools a contiguous run of bags into `out_rows` (already zeroed).
-    fn pool_bags(&self, indices: &[u64], lengths: &[u32], out_rows: &mut [f32], level: SimdLevel) {
+    /// Pools a contiguous run of bags of a 4-bit table into `out`
+    /// (already zeroed), decode-accumulating row by row. The vectorized
+    /// tier widens 16 nibbles at a time and applies the same `code *
+    /// scale + bias` then accumulate sequence per element as the scalar
+    /// loop, so results are bitwise equal.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an index is out of range.
+    fn pool_bags_u4(&self, indices: &[u64], lengths: &[u32], out: &mut [f32], level: SimdLevel) {
+        let packed_row = self.dim.div_ceil(2);
         let mut cursor = 0usize;
         for (b, &len) in lengths.iter().enumerate() {
-            let out_row = &mut out_rows[b * self.dim..(b + 1) * self.dim];
+            let out_row = &mut out[b * self.dim..(b + 1) * self.dim];
             for &idx in &indices[cursor..cursor + len as usize] {
-                self.accumulate_row(usize::try_from(idx).expect("index fits"), out_row, level);
+                let r = usize::try_from(idx).expect("index fits");
+                assert!(r < self.rows, "row {r} out of range");
+                let codes = &self.codes[r * packed_row..(r + 1) * packed_row];
+                simd::decode_accumulate_u4(level, codes, self.scales[r], self.biases[r], out_row);
             }
             cursor += len as usize;
         }

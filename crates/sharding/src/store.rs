@@ -15,7 +15,9 @@
 //!    ([`QuantizedTable`]), ~4× smaller, answers within the
 //!    quantization error bound.
 //! 3. **Paged** — the f32 rows live in a backing file ([`PagedTable`]),
-//!    DRAM holds only metadata; bit-exact with DRAM, only slower.
+//!    DRAM holds only metadata; a slice reads each page it touches once
+//!    and pools it with the DRAM tier's kernel, so it is bit-exact with
+//!    DRAM, only slower.
 
 use crate::rpc::TableSlice;
 use dlrm_compress::QuantizedTable;
@@ -23,7 +25,8 @@ use dlrm_model::{EmbeddingTable, Footprint, Pool};
 use dlrm_tensor::simd::{check_bags, GatherError};
 use dlrm_tensor::Matrix;
 use std::fs::File;
-use std::io::{self, Write};
+use std::io::{self, BufWriter, Write};
+use std::ops::Range;
 use std::os::unix::fs::FileExt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -190,8 +193,9 @@ impl TableStore {
 
     /// Pools one wire slice from wherever its rows live. Every tier
     /// validates the slice once, before any row is read, and rejects it
-    /// with the same text: the f32 gather kernel checks as its own single
-    /// pass, the tiers whose row decoders assert are checked in front.
+    /// with the same text: the f32 gather kernel and the paged table
+    /// check as their own first pass, the quantized table, whose 4-bit
+    /// decoder asserts, is checked in front.
     ///
     /// # Errors
     ///
@@ -217,14 +221,21 @@ impl TableStore {
                 check_bags(indices, lengths, t.rows()).map_err(malformed)?;
                 Ok(t.sparse_lengths_sum_par(indices, lengths, pool))
             }
-            Self::Paged(t) => {
-                check_bags(indices, lengths, t.rows()).map_err(malformed)?;
-                t.sparse_lengths_sum(indices, lengths)
-                    .map_err(|e| format!("paged read for {}: {e}", slice.table))
-            }
+            Self::Paged(t) => t.sparse_lengths_sum_par(indices, lengths, pool).map_err(|e| {
+                match e.get_ref().and_then(|inner| inner.downcast_ref::<GatherError>()) {
+                    Some(&g) => malformed(g),
+                    None => format!("paged read for {}: {e}", slice.table),
+                }
+            }),
         }
     }
 }
+
+/// The paged tier's read granularity: one page of the page cache.
+const PAGE_BYTES: usize = 4096;
+
+/// Bytes per write when a table is spilled to its backing file.
+const SPILL_BYTES: usize = 1 << 20;
 
 /// Distinguishes concurrently created paged-table backing files within
 /// one process.
@@ -234,12 +245,15 @@ static PAGED_FILE_SEQ: AtomicU64 = AtomicU64::new(0);
 ///
 /// The weights are spilled to an anonymous temp file (unlinked at
 /// creation, so the space is reclaimed when the table drops) and read
-/// back row-by-row per lookup via positional reads — no mmap, no
-/// unsafe. DRAM residency is metadata only, which is what makes
-/// demoting a table here free the pressure controller's budget. The SLS
-/// accumulates rows in index order with the same element-wise adds as
-/// the DRAM kernel, so a paged table answers **bitwise identically** to
-/// its DRAM twin — only slower.
+/// back per slice via positional reads — no mmap, no unsafe. A slice
+/// reads every block it touches once (a block is one 4 KiB page rounded
+/// down to whole rows, at least one row), touched rows less than a
+/// block apart in one read, into a compact slab that lives for the
+/// call; DRAM residency is metadata only, which is what makes demoting
+/// a table here free the pressure controller's budget. The slab is
+/// pooled as a DRAM [`EmbeddingTable`], by the DRAM tier's own kernel,
+/// over the same rows in the same order, so a paged table answers
+/// **bitwise identically** to its DRAM twin — only slower.
 ///
 /// # Examples
 ///
@@ -275,7 +289,7 @@ impl PagedTable {
             std::process::id(),
             seq
         ));
-        let mut file = File::options()
+        let file = File::options()
             .read(true)
             .write(true)
             .create_new(true)
@@ -283,14 +297,12 @@ impl PagedTable {
         // Unlink immediately: the open handle keeps the data reachable,
         // and the kernel reclaims it on drop even if the process dies.
         std::fs::remove_file(&path)?;
-        let mut buf = Vec::with_capacity(table.dim() * 4);
-        for r in 0..table.rows() {
-            buf.clear();
-            for &v in table.row(r) {
-                buf.extend_from_slice(&v.to_le_bytes());
-            }
-            file.write_all(&buf)?;
+        let mut image = BufWriter::with_capacity(SPILL_BYTES, &file);
+        for &v in table.weights().as_slice() {
+            image.write_all(&v.to_le_bytes())?;
         }
+        image.flush()?;
+        drop(image);
         Ok(Self {
             name: table.name().to_string(),
             rows: table.rows(),
@@ -323,63 +335,91 @@ impl PagedTable {
         self.rows as u64 * self.dim as u64 * 4
     }
 
-    /// Reads row `r` from the backing file into `out`.
-    ///
-    /// # Errors
-    ///
-    /// Any I/O error on the positional read.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r` is out of range or `out.len() != dim`.
-    pub fn row_into(&self, r: usize, out: &mut [f32]) -> io::Result<()> {
-        assert!(r < self.rows, "row {r} out of range for {}", self.name);
-        assert_eq!(out.len(), self.dim, "row buffer must be dim-sized");
-        let mut bytes = vec![0u8; self.dim * 4];
-        self.file.read_exact_at(&mut bytes, (r * self.dim * 4) as u64)?;
-        for (v, chunk) in out.iter_mut().zip(bytes.chunks_exact(4)) {
-            *v = f32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-        }
-        Ok(())
+    /// Rows per read block: one [`PAGE_BYTES`] page rounded down to
+    /// whole rows, at least one row.
+    fn block_rows(&self) -> usize {
+        (PAGE_BYTES / (self.dim * 4)).max(1)
     }
 
-    /// SparseLengthsSum against the backing file: rows are read and
-    /// accumulated per bag in index order with plain element-wise adds —
-    /// the same order and operation as [`EmbeddingTable::
-    /// sparse_lengths_sum`], so the result is bitwise identical to the
-    /// DRAM tier.
+    /// The positional reads one slice needs, ascending: its distinct
+    /// in-range rows, where two consecutive ones share a read when fewer
+    /// than a block of rows lies between them, each read running from
+    /// its first row through its last. Rows of one block always share a
+    /// read, so every touched block is read once; a dense slice reads
+    /// the table in one go, and a sparse one about the rows it pools —
+    /// a read never crosses a page of rows nobody asked for to save a
+    /// syscall (copying the bytes costs more than the call).
+    fn reads(&self, indices: &[u64]) -> Vec<Range<usize>> {
+        let block = self.block_rows();
+        let mut rows: Vec<usize> = indices.iter().map(|&i| i as usize).collect();
+        rows.sort_unstable();
+        rows.dedup();
+        rows.chunk_by(|a, b| b - a <= block)
+            .map(|run| run[0]..run[run.len() - 1] + 1)
+            .collect()
+    }
+
+    /// SparseLengthsSum against the backing file, on one worker; see
+    /// [`Self::sparse_lengths_sum_par`].
     ///
     /// # Errors
     ///
-    /// Any I/O error reading a row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths don't cover `indices` exactly or any index
-    /// is out of range.
+    /// As [`Self::sparse_lengths_sum_par`].
     pub fn sparse_lengths_sum(&self, indices: &[u64], lengths: &[u32]) -> io::Result<Matrix> {
-        let total: usize = lengths.iter().map(|&l| l as usize).sum();
-        assert_eq!(
-            total,
-            indices.len(),
-            "lengths sum {total} != indices len {} in table {}",
-            indices.len(),
-            self.name
-        );
-        let mut out = Matrix::zeros(lengths.len(), self.dim);
-        let mut row = vec![0.0f32; self.dim];
-        let mut cursor = 0usize;
-        for (b, &len) in lengths.iter().enumerate() {
-            let out_row = out.row_mut(b);
-            for &idx in &indices[cursor..cursor + len as usize] {
-                let idx = usize::try_from(idx).expect("index exceeds usize");
-                self.row_into(idx, &mut row)?;
-                for (o, &v) in out_row.iter_mut().zip(&row) {
-                    *o += v;
-                }
-            }
-            cursor += len as usize;
+        self.sparse_lengths_sum_par(indices, lengths, &Pool::sequential())
+    }
+
+    /// SparseLengthsSum against the backing file: checks the slice,
+    /// reads the rows it touches once into a compact slab (one read per
+    /// run of touched blocks), then pools the slab bag-parallel on
+    /// `pool` with the DRAM tier's kernel — the same rows in the same
+    /// order as [`EmbeddingTable::sparse_lengths_sum`], so the result is
+    /// bitwise identical to the DRAM tier. The slab is dropped before
+    /// returning.
+    ///
+    /// # Errors
+    ///
+    /// [`io::ErrorKind::InvalidInput`] wrapping the [`GatherError`] when
+    /// the lengths do not cover `indices` or an index is out of range
+    /// (nothing is read then), or any I/O error reading the file.
+    pub fn sparse_lengths_sum_par(
+        &self,
+        indices: &[u64],
+        lengths: &[u32],
+        pool: &Pool,
+    ) -> io::Result<Matrix> {
+        let invalid = |e: GatherError| io::Error::new(io::ErrorKind::InvalidInput, e);
+        check_bags(indices, lengths, self.rows).map_err(invalid)?;
+        let dim = self.dim;
+        let mut out = Matrix::zeros(lengths.len(), dim);
+        if dim == 0 {
+            return Ok(out);
         }
+        let reads = self.reads(indices);
+        let rows_read = reads.iter().map(ExactSizeIterator::len);
+        let mut bytes = vec![0u8; rows_read.clone().max().unwrap_or(0) * dim * 4];
+        let mut slab = Vec::with_capacity(rows_read.sum::<usize>() * dim);
+        // Slab row of each read's first row.
+        let mut starts = Vec::with_capacity(reads.len());
+        for rows in &reads {
+            starts.push(slab.len() / dim);
+            let run = &mut bytes[..rows.len() * dim * 4];
+            self.file.read_exact_at(run, (rows.start * dim * 4) as u64)?;
+            slab.extend(run.chunks_exact(4).map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]])));
+        }
+        drop(bytes);
+        let local: Vec<u64> = indices
+            .iter()
+            .map(|&i| {
+                let i = i as usize;
+                let k = reads.partition_point(|rows| rows.end <= i);
+                (starts[k] + i - reads[k].start) as u64
+            })
+            .collect();
+        let slab = Matrix::from_vec(slab.len() / dim, dim, slab);
+        EmbeddingTable::from_weights(self.name.as_str(), slab)
+            .try_sparse_lengths_sum_into(&local, lengths, &mut out, pool)
+            .map_err(invalid)?;
         Ok(out)
     }
 }
@@ -395,11 +435,33 @@ mod tests {
         assert_eq!(paged.rows(), 64);
         assert_eq!(paged.dim(), 12);
         assert_eq!(paged.backing_bytes(), 64 * 12 * 4);
-        let mut row = vec![0.0f32; 12];
-        for r in [0usize, 1, 31, 63] {
-            paged.row_into(r, &mut row).unwrap();
-            assert_eq!(row.as_slice(), dram.row(r), "row {r}");
+        let rows = [0u64, 1, 31, 63];
+        let pooled = paged.sparse_lengths_sum(&rows, &[1; 4]).unwrap();
+        for (b, &r) in rows.iter().enumerate() {
+            assert_eq!(pooled.row(b), dram.row(r as usize), "row {r}");
         }
+    }
+
+    /// One positional read per run of touched rows less than a block
+    /// apart, spanning the run's first to last row: rows of 192 floats
+    /// (768 bytes) make blocks of 5 rows, and 23 rows end in a partial
+    /// block (rows 20..23).
+    #[test]
+    fn a_slice_reads_each_touched_block_once() {
+        let paged = PagedTable::from_table(&EmbeddingTable::seeded("io", 23, 192, 3)).unwrap();
+        assert_eq!(paged.block_rows(), 5);
+        let every_row: Vec<u64> = (0..23).rev().chain(0..23).collect();
+        assert_eq!(paged.reads(&every_row), vec![0..23], "every row: 1 read");
+        assert_eq!(paged.reads(&[12, 3]), vec![3..4, 12..13], "blocks 0 and 2: 2 reads");
+        assert_eq!(paged.reads(&[9, 5]), vec![5..10], "one block: 1 read");
+        assert_eq!(paged.reads(&[17, 3, 12, 22, 19]), vec![3..4, 12..23]);
+        assert_eq!(paged.reads(&[4, 1, 4, 6]), vec![1..7], "4 rows apart: 1 read");
+        assert_eq!(paged.reads(&[0, 9]), vec![0..1, 9..10], "8 rows apart: 2 reads");
+        assert_eq!(paged.reads(&[]), vec![]);
+        let wide = PagedTable::from_table(&EmbeddingTable::seeded("w", 3, 2000, 3)).unwrap();
+        assert_eq!(wide.block_rows(), 1, "a row wider than a page is its own block");
+        assert_eq!(wide.reads(&[2, 0]), vec![0..1, 2..3]);
+        assert_eq!(wide.reads(&[1, 0]), vec![0..2]);
     }
 
     #[test]
@@ -414,10 +476,17 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "out of range")]
     fn paged_rejects_out_of_range_index() {
         let dram = EmbeddingTable::seeded("oob", 4, 2, 1);
         let paged = PagedTable::from_table(&dram).unwrap();
-        let _ = paged.sparse_lengths_sum(&[9], &[1]);
+        for (indices, lengths, want) in [
+            (&[9u64][..], &[1u32][..], GatherError::IndexOutOfRange { index: 9, rows: 4 }),
+            (&[0, 1], &[1], GatherError::LengthMismatch { lengths_sum: 1, indices: 2 }),
+        ] {
+            let err = paged.sparse_lengths_sum(indices, lengths).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+            let inner = err.get_ref().and_then(|e| e.downcast_ref::<GatherError>());
+            assert_eq!(inner, Some(&want));
+        }
     }
 }

@@ -34,11 +34,13 @@
 //! under that level they run the same AVX2 bodies.
 //!
 //! [`sls_bags`] is the workspace's one f32 SparseLengthsSum inner loop
-//! (plain tables, the hot-row cache and pruned tables all gather
-//! through it): it keeps a bag's accumulators in registers from `+0.0`
-//! and stores each output element once, which per element is the same
-//! sequence of adds as zeroing the row and adding each looked-up row
-//! to it — only the store-to-load round trip per lookup is gone.
+//! (plain tables, the hot-row cache, pruned tables and the slab a paged
+//! table reads per call all gather through it): it keeps a bag's
+//! accumulators in registers from `+0.0` and stores each output element
+//! once, which per element is the same sequence of adds as zeroing the
+//! row and adding each looked-up row to it — only the store-to-load
+//! round trip per lookup is gone. [`sls_bags_u8`] is the same loop over
+//! 8-bit row-wise quantized rows, decoding each row in registers.
 //!
 //! # Unsafe audit notes
 //!
@@ -224,66 +226,142 @@ pub fn sls_bags(
         return Ok(());
     }
     let _ = level;
+    bags_scalar(dim, 0, indices, lengths, out_rows, |acc, r, c| {
+        for (a, &v) in acc.iter_mut().zip(&slab[r * dim + c..]) {
+            *a += v;
+        }
+    });
+    Ok(())
+}
+
+/// An 8-bit row-wise quantized table as [`sls_bags_u8`] reads it: `dim`
+/// codes per row, row-major, and one `f32` scale and bias per row; row
+/// `r` decodes to `f32(code) * scales[r] + biases[r]`.
+#[derive(Debug, Clone, Copy)]
+pub struct U8Rows<'a> {
+    codes: &'a [u8],
+    scales: &'a [f32],
+    biases: &'a [f32],
+    dim: usize,
+}
+
+impl<'a> U8Rows<'a> {
+    /// Views `scales.len()` rows of `dim` codes each.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dim` is zero or the three slices disagree on the row
+    /// count.
+    #[must_use]
+    pub fn new(codes: &'a [u8], scales: &'a [f32], biases: &'a [f32], dim: usize) -> Self {
+        assert!(
+            dim > 0 && codes.len() == scales.len() * dim && biases.len() == scales.len(),
+            "u8 rows must be whole {dim}-code rows with one scale and bias each"
+        );
+        Self {
+            codes,
+            scales,
+            biases,
+            dim,
+        }
+    }
+}
+
+/// The 8-bit quantized SparseLengthsSum loop: pools a contiguous run of
+/// bags of `rows` as [`sls_bags`] pools f32 rows. Per bag, a block of
+/// columns keeps its accumulators in registers from `+0.0` and adds each
+/// looked-up row's `f32(code) * scale + bias` in index order — a
+/// multiply, an add, then the accumulating add, never fused — and every
+/// output element is stored once. Per element that is the float-op
+/// sequence of zeroing the row and adding each decoded row to it, so
+/// every tier is bitwise equal to that loop. The AVX2 tier prefetches
+/// the row's codes, scale and bias [`SLS_PREFETCH_ROWS`] lookups ahead.
+///
+/// # Errors
+///
+/// As [`sls_bags`]: nothing is read or written on a [`GatherError`].
+///
+/// # Panics
+///
+/// Panics if `out_rows` is not `lengths.len() × dim`.
+pub fn sls_bags_u8(
+    level: SimdLevel,
+    rows: U8Rows<'_>,
+    indices: &[u64],
+    lengths: &[u32],
+    out_rows: &mut [f32],
+) -> Result<(), GatherError> {
+    let dim = rows.dim;
+    assert_eq!(out_rows.len(), lengths.len() * dim, "output must be one row per bag");
+    check_bags(indices, lengths, rows.scales.len())?;
+    let add_row = |acc: &mut [f32], r: usize, c: usize| {
+        let (scale, bias) = (rows.scales[r], rows.biases[r]);
+        for (a, &code) in acc.iter_mut().zip(&rows.codes[r * dim + c..]) {
+            *a += f32::from(code) * scale + bias;
+        }
+    };
+    #[cfg(target_arch = "x86_64")]
+    if usable(level) {
+        // SAFETY: AVX2 verified by `usable`. `U8Rows::new` made the
+        // codes whole `dim`-byte rows with one scale and bias each, and
+        // the checks above put every index inside them, partition
+        // `indices` by the bag lengths and give `out_rows` one
+        // `dim`-float row per bag.
+        unsafe { x86::sls_bags_u8_avx2(rows, indices, lengths, out_rows) };
+        // The vector loop pools whole groups of 8 columns.
+        bags_scalar(dim, dim - dim % 8, indices, lengths, out_rows, add_row);
+        return Ok(());
+    }
+    let _ = level;
+    bags_scalar(dim, 0, indices, lengths, out_rows, add_row);
+    Ok(())
+}
+
+/// The portable tier of both bag loops, over columns `from..dim`: per
+/// bag, column blocks of 32 and 8 accumulators and one pass for the
+/// last `< 8`; `add_row(acc, r, c)` adds row `r`'s columns
+/// `c..c + acc.len()` into `acc`.
+fn bags_scalar(
+    dim: usize,
+    from: usize,
+    indices: &[u64],
+    lengths: &[u32],
+    out_rows: &mut [f32],
+    add_row: impl Fn(&mut [f32], usize, usize),
+) {
     let mut start = 0usize;
     for (&len, out) in lengths.iter().zip(out_rows.chunks_exact_mut(dim)) {
         let bag = &indices[start..start + len as usize];
         start += len as usize;
-        let mut c = 0usize;
+        let mut c = from;
         while c < dim {
             c += match dim - c {
-                32.. => bag_block_scalar::<32>(slab, dim, bag, c, out),
-                8.. => bag_block_scalar::<8>(slab, dim, bag, c, out),
-                _ => bag_block_scalar::<1>(slab, dim, bag, c, out),
+                32.. => bag_block_scalar::<32>(bag, c, 32, out, &add_row),
+                8.. => bag_block_scalar::<8>(bag, c, 8, out, &add_row),
+                w => bag_block_scalar::<7>(bag, c, w, out, &add_row),
             };
         }
     }
-    Ok(())
 }
 
-/// Columns `c..c + W` of one bag on the portable tier: `W` independent
-/// accumulators in a fixed-size array (the autovectorizer may widen
-/// them; lanes never interact), rows added in index order, one store
-/// per element. Returns `W`.
+/// Columns `c..c + w` (`w ≤ W`) of one bag on the portable tier: `w`
+/// independent accumulators from `+0.0` in a fixed-size array (the
+/// autovectorizer may widen them; lanes never interact), rows added in
+/// index order, one store per element. Returns `w`.
 #[inline(always)]
 fn bag_block_scalar<const W: usize>(
-    slab: &[f32],
-    dim: usize,
     bag: &[u64],
     c: usize,
+    w: usize,
     out: &mut [f32],
+    add_row: &impl Fn(&mut [f32], usize, usize),
 ) -> usize {
     let mut acc = [0.0f32; W];
     for &idx in bag {
-        let at = idx as usize * dim + c;
-        for (a, &v) in acc.iter_mut().zip(&slab[at..at + W]) {
-            *a += v;
-        }
+        add_row(&mut acc[..w], idx as usize, c);
     }
-    out[c..c + W].copy_from_slice(&acc);
-    W
-}
-
-/// Quantized 8-bit decode-accumulate — the hot inner loop of the
-/// quantized SLS: `out[i] += f32(codes[i]) * scale + bias`. Widen
-/// (u8→f32), multiply, add bias, accumulate: the same three roundings
-/// per element as the scalar expression, so bitwise-equal.
-///
-/// # Panics
-///
-/// Panics if `codes.len() != out.len()`.
-pub fn decode_accumulate_u8(level: SimdLevel, codes: &[u8], scale: f32, bias: f32, out: &mut [f32]) {
-    assert_eq!(codes.len(), out.len(), "u8 decode length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if usable(level) {
-        // SAFETY: AVX2 verified; codes.len() == out.len() asserted, and
-        // the kernel's 8-byte loads stop at out.len() - 8.
-        unsafe { x86::decode_u8_accumulate_avx2(codes, scale, bias, out) };
-        return;
-    }
-    let _ = level;
-    for (o, &code) in out.iter_mut().zip(codes) {
-        *o += f32::from(code) * scale + bias;
-    }
+    out[c..c + w].copy_from_slice(&acc[..w]);
+    w
 }
 
 /// Quantized 8-bit decode (overwrite): `out[i] = f32(codes[i]) * scale
@@ -296,7 +374,8 @@ pub fn decode_row_u8(level: SimdLevel, codes: &[u8], scale: f32, bias: f32, out:
     assert_eq!(codes.len(), out.len(), "u8 decode length mismatch");
     #[cfg(target_arch = "x86_64")]
     if usable(level) {
-        // SAFETY: as for `decode_accumulate_u8`.
+        // SAFETY: AVX2 verified; codes.len() == out.len() asserted, and
+        // the kernel's 8-byte loads stop at out.len() - 8.
         unsafe { x86::decode_u8_store_avx2(codes, scale, bias, out) };
         return;
     }
@@ -739,15 +818,14 @@ mod x86 {
         n: usize,
     }
 
-    /// Prefetches every cache line of the `dim`-float row at `row`.
+    /// Prefetches every cache line of the `len > 0` bytes at `bytes`.
     #[inline(always)]
-    unsafe fn prefetch_row(row: *const f32, dim: usize) {
-        let bytes = row.cast::<i8>();
-        let last = dim * 4 - 1;
+    unsafe fn prefetch(bytes: *const i8, len: usize) {
+        let last = len - 1;
         let mut off = 0usize;
         loop {
-            // Rows are only 4-byte aligned, so the row's last byte may
-            // sit one line past the last 64-byte step.
+            // Rows are not line-aligned, so the row's last byte may sit
+            // one line past the last 64-byte step.
             _mm_prefetch::<_MM_HINT_T0>(bytes.add(off.min(last)));
             if off >= last {
                 break;
@@ -764,7 +842,7 @@ mod x86 {
     unsafe fn gather_step(g: &Gather, p: usize, c: usize) -> *const f32 {
         let ahead = p + super::SLS_PREFETCH_ROWS;
         if c == 0 && ahead < g.n {
-            prefetch_row(g.slab.add(*g.indices.add(ahead) as usize * g.dim), g.dim);
+            prefetch(g.slab.add(*g.indices.add(ahead) as usize * g.dim).cast(), g.dim * 4);
         }
         g.slab.add(*g.indices.add(p) as usize * g.dim + c)
     }
@@ -862,10 +940,94 @@ mod x86 {
         }
     }
 
-    /// Shared 8-bit decode body: widen u8→f32, `t = w·scale + bias`,
-    /// then accumulate or store.
+    /// Columns `c..c + 8·NV` of the 8-bit bag at `indices[start..end]`:
+    /// `NV` `ymm` accumulators from `+0.0`; per row the codes are
+    /// widened u8→f32, multiplied by the broadcast scale, the bias is
+    /// added and the result accumulated — three separate roundings, in
+    /// index order — and each output element is stored once. Up to 8
+    /// accumulators, the scale, the bias and the decoded row fit the 16
+    /// registers without spilling. On the bag's first pass each lookup
+    /// prefetches the codes, scale and bias of the row
+    /// `SLS_PREFETCH_ROWS` lookups ahead, across bag boundaries; every
+    /// index was range-checked, so all pointers stay inside the table.
     #[inline(always)]
-    unsafe fn decode_u8_body<const ACCUM: bool>(
+    unsafe fn bag_block_u8<const NV: usize>(
+        rows: &super::U8Rows<'_>,
+        indices: &[u64],
+        (start, end): (usize, usize),
+        c: usize,
+        out: *mut f32,
+    ) -> usize {
+        let (codes, scales) = (rows.codes.as_ptr(), rows.scales.as_ptr());
+        let (biases, at) = (rows.biases.as_ptr(), indices.as_ptr());
+        let mut acc = [_mm256_setzero_ps(); NV];
+        for p in start..end {
+            let ahead = p + super::SLS_PREFETCH_ROWS;
+            if c == 0 && ahead < indices.len() {
+                let r = *at.add(ahead) as usize;
+                prefetch(codes.add(r * rows.dim).cast(), rows.dim);
+                prefetch(scales.add(r).cast(), 4);
+                prefetch(biases.add(r).cast(), 4);
+            }
+            let r = *at.add(p) as usize;
+            let row = codes.add(r * rows.dim + c);
+            let (vs, vb) = (_mm256_set1_ps(*scales.add(r)), _mm256_set1_ps(*biases.add(r)));
+            for (v, a) in acc.iter_mut().enumerate() {
+                let raw = _mm_loadl_epi64(row.add(8 * v).cast());
+                let w = _mm256_cvtepi32_ps(_mm256_cvtepu8_epi32(raw));
+                *a = _mm256_add_ps(*a, _mm256_add_ps(_mm256_mul_ps(w, vs), vb));
+            }
+        }
+        for (v, &a) in acc.iter().enumerate() {
+            _mm256_storeu_ps(out.add(c + 8 * v), a);
+        }
+        8 * NV
+    }
+
+    /// The 8-bit bag loop (see [`super::sls_bags_u8`]) over every whole
+    /// group of 8 columns: per bag, column blocks of 8/4/2/1 `ymm`
+    /// accumulators, so a `dim ≤ 64` multiple of 8 is one pass over the
+    /// bag and wider rows take further passes over the same (now cached)
+    /// rows. The last `dim % 8` columns are left to the caller.
+    ///
+    /// # Safety
+    ///
+    /// Caller verifies AVX2 support, every index `< rows`, `Σ lengths ==
+    /// indices.len()` and `out_rows.len() == lengths.len() · dim`
+    /// (`U8Rows::new` already holds the table to whole rows).
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn sls_bags_u8_avx2(
+        rows: super::U8Rows<'_>,
+        indices: &[u64],
+        lengths: &[u32],
+        out_rows: &mut [f32],
+    ) {
+        let mut out = out_rows.as_mut_ptr();
+        let mut start = 0usize;
+        for &len in lengths {
+            let bag = (start, start + len as usize);
+            let mut c = 0usize;
+            while c + 8 <= rows.dim {
+                c += match rows.dim - c {
+                    64.. => bag_block_u8::<8>(&rows, indices, bag, c, out),
+                    32.. => bag_block_u8::<4>(&rows, indices, bag, c, out),
+                    16.. => bag_block_u8::<2>(&rows, indices, bag, c, out),
+                    _ => bag_block_u8::<1>(&rows, indices, bag, c, out),
+                };
+            }
+            start = bag.1;
+            out = out.add(rows.dim);
+        }
+    }
+
+    /// 8-bit decode-overwrite (`row_into`): widen u8→f32, then
+    /// `w·scale + bias`.
+    ///
+    /// # Safety
+    ///
+    /// Caller verifies AVX2 support and `codes.len() == out.len()`.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn decode_u8_store_avx2(
         codes: &[u8],
         scale: f32,
         bias: f32,
@@ -880,54 +1042,13 @@ mod x86 {
         while j + 8 <= n {
             let raw = _mm_loadl_epi64(cp.add(j).cast());
             let w = _mm256_cvtepi32_ps(_mm256_cvtepu8_epi32(raw));
-            let t = _mm256_add_ps(_mm256_mul_ps(w, vs), vb);
-            let v = if ACCUM {
-                _mm256_add_ps(_mm256_loadu_ps(op.add(j)), t)
-            } else {
-                t
-            };
-            _mm256_storeu_ps(op.add(j), v);
+            _mm256_storeu_ps(op.add(j), _mm256_add_ps(_mm256_mul_ps(w, vs), vb));
             j += 8;
         }
         while j < n {
-            let t = f32::from(*cp.add(j)) * scale + bias;
-            if ACCUM {
-                *op.add(j) += t;
-            } else {
-                *op.add(j) = t;
-            }
+            *op.add(j) = f32::from(*cp.add(j)) * scale + bias;
             j += 1;
         }
-    }
-
-    /// 8-bit decode-accumulate.
-    ///
-    /// # Safety
-    ///
-    /// Caller verifies AVX2 support and `codes.len() == out.len()`.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn decode_u8_accumulate_avx2(
-        codes: &[u8],
-        scale: f32,
-        bias: f32,
-        out: &mut [f32],
-    ) {
-        decode_u8_body::<true>(codes, scale, bias, out);
-    }
-
-    /// 8-bit decode-overwrite (`row_into`).
-    ///
-    /// # Safety
-    ///
-    /// As [`decode_u8_accumulate_avx2`].
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn decode_u8_store_avx2(
-        codes: &[u8],
-        scale: f32,
-        bias: f32,
-        out: &mut [f32],
-    ) {
-        decode_u8_body::<false>(codes, scale, bias, out);
     }
 
     /// Shared 4-bit decode body: 8 packed bytes → 16 nibbles in column
@@ -1025,15 +1146,6 @@ mod tests {
         {
             let codes: Vec<u8> = (0..n).map(|i| (i * 37 % 256) as u8).collect();
             let (scale, bias) = (0.017_f32, -1.3_f32);
-            let mut scalar = vec![0.25f32; n];
-            let mut simd = scalar.clone();
-            decode_accumulate_u8(SimdLevel::Scalar, &codes, scale, bias, &mut scalar);
-            decode_accumulate_u8(level, &codes, scale, bias, &mut simd);
-            assert_eq!(
-                scalar.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                simd.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "accumulate n={n} on {level}"
-            );
             let mut scalar_row = vec![f32::NAN; n];
             let mut simd_row = vec![f32::NAN; n];
             decode_row_u8(SimdLevel::Scalar, &codes, scale, bias, &mut scalar_row);

@@ -12,12 +12,13 @@
 //!
 //! Both hold for the prepacked path ([`matmul_packed_into`]) as for the
 //! pack-per-call entry points, on every exact kernel tier the host
-//! runs (scalar, AVX2, AVX-512) — and for the bag-fused SLS gather
-//! ([`sls_bags`]) against the per-row loop it replaced.
+//! runs (scalar, AVX2, AVX-512) — and for the bag-fused SLS gathers,
+//! f32 ([`sls_bags`]) and 8-bit ([`sls_bags_u8`]), against the per-row
+//! loops they replaced.
 
 use dlrm_runtime::{KernelDispatch, Pool, SimdLevel};
 use dlrm_sim::SimRng;
-use dlrm_tensor::simd::{sls_bags, GatherError, SLS_PREFETCH_ROWS};
+use dlrm_tensor::simd::{sls_bags, sls_bags_u8, GatherError, U8Rows, SLS_PREFETCH_ROWS};
 use dlrm_tensor::{
     concat_cols, concat_cols_into, matmul_into, matmul_packed_into, matmul_transb_into, Matrix,
     PackedWeights,
@@ -373,6 +374,60 @@ fn fused_sls_matches_the_per_row_loop_bitwise_on_every_tier() {
             let mut got = vec![f32::NAN; lengths.len() * dim];
             sls_bags(level, &slab, dim, &indices, &lengths, &mut got).expect("a valid run");
             assert_eq!(bits(&got), bits(&oracle), "dim {dim} on {level}");
+        }
+    }
+}
+
+/// The 8-bit SLS loop the bag loop replaced, kept as the oracle: zero
+/// the bag's output row, then `out += f32(code) * scale + bias` per
+/// lookup in index order.
+fn sls_u8_per_row(
+    (codes, scales, biases): (&[u8], &[f32], &[f32]),
+    dim: usize,
+    indices: &[u64],
+    lengths: &[u32],
+) -> Vec<f32> {
+    let mut out = vec![0.0f32; lengths.len() * dim];
+    let mut cursor = 0usize;
+    for (&len, out_row) in lengths.iter().zip(out.chunks_exact_mut(dim)) {
+        for &idx in &indices[cursor..cursor + len as usize] {
+            let r = idx as usize;
+            for (o, &code) in out_row.iter_mut().zip(&codes[r * dim..(r + 1) * dim]) {
+                *o += f32::from(code) * scales[r] + biases[r];
+            }
+        }
+        cursor += len as usize;
+    }
+    out
+}
+
+/// The 8-bit loop pools each bag in registers and stores each output
+/// element once; per element that is still "start at +0.0, add each
+/// decoded row in index order", so every tier must equal the per-row
+/// loop bit for bit — over the same bags and dims as the f32 gather.
+/// Row 0 decodes to all `-0.0` (scale and bias `-0.0`), so its bag of
+/// one pools to `+0.0`; rows 1 and 2 have `±∞` biases.
+#[test]
+fn u8_sls_matches_the_per_row_loop_bitwise_on_every_tier() {
+    let mut rng = SimRng::seed_from(0x0B10_C4ED).fork(15);
+    for dim in SLS_DIMS {
+        let (_, indices, lengths) = sls_case(&mut rng, dim);
+        let codes: Vec<u8> = (0..SLS_ROWS * dim).map(|_| rng.next_u64_below(256) as u8).collect();
+        let mut row_f32 = |lo, hi| -> Vec<f32> {
+            (0..SLS_ROWS).map(|_| rng.next_range(lo, hi) as f32).collect()
+        };
+        let (mut scales, mut biases) = (row_f32(0.0, 0.05), row_f32(-4.0, 0.0));
+        (scales[0], biases[0]) = (-0.0, -0.0);
+        (biases[1], biases[2]) = (f32::INFINITY, f32::NEG_INFINITY);
+        let oracle = sls_u8_per_row((&codes, &scales, &biases), dim, &indices, &lengths);
+        assert_eq!(oracle[6 * dim].to_bits(), 0.0f32.to_bits(), "a -0.0 bag pools to +0.0");
+        let rows = U8Rows::new(&codes, &scales, &biases, dim);
+        for level in sls_tiers() {
+            let mut got = vec![f32::NAN; lengths.len() * dim];
+            sls_bags_u8(level, rows, &indices, &lengths, &mut got).expect("a valid run");
+            assert_eq!(bits(&got), bits(&oracle), "dim {dim} on {level}");
+            let err = sls_bags_u8(level, rows, &[0, u64::MAX], &[2], &mut got[..dim]).unwrap_err();
+            assert_eq!(err, GatherError::IndexOutOfRange { index: u64::MAX, rows: SLS_ROWS });
         }
     }
 }

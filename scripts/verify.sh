@@ -21,11 +21,12 @@ echo "==> structure gate: one run loop, one shard pool, one transition pipeline;
 echo "    deleted paths stay deleted; code-line and public-item ceilings"
 scripts/structure_gate.sh
 
-echo "==> kernel tiers: the GEMM property suite, the model-level FC/SLS oracle and"
-echo "    the runtime smoke (predictions bit-exact across worker counts, blocked"
-echo "    GEMM >= 3x the naive reference, exact AVX2 GEMM >= 1.5x blocked, AVX-512 >= 1.3x"
-echo "    AVX2; ratio gates skip on hosts without the tier) once per exact dispatch"
-echo "    tier: scalar, AVX2, and unset = the widest the host runs"
+echo "==> kernel tiers: the GEMM and SLS property suite (f32 and 8-bit bag loops),"
+echo "    the model-level FC/SLS oracle and the runtime smoke (predictions bit-exact"
+echo "    across worker counts, blocked GEMM >= 3x the naive reference, exact AVX2"
+echo "    GEMM >= 1.5x blocked, the AVX-512 pool's GEMMs counted on the AVX-512 tier;"
+echo "    tier checks skip on hosts without the tier) once per exact dispatch tier:"
+echo "    scalar, AVX2, and unset = the widest the host runs"
 for simd in off avx2 ""; do
   echo "--> DLRM_SIMD=${simd:-<unset>}"
   DLRM_SIMD="$simd" cargo test -q --offline -p dlrm-tensor --test kernel_properties
