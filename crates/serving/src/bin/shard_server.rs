@@ -117,14 +117,7 @@ fn main() {
         .iter()
         .map(|(s, r)| format!("{s}r{r}"))
         .collect();
-    if !server.install_seats_epoch(seats, delay, plan.epoch()) {
-        eprintln!(
-            "shard_server: refusing stale assignment (plan epoch {} < installed {})",
-            plan.epoch(),
-            server.plan_epoch()
-        );
-        std::process::exit(1)
-    }
+    server.install_seats(seats, delay);
     println!("shard_server serving seats [{}]", seat_names.join(", "));
 
     // Park until a control-frame shutdown stops the accept loop.

@@ -3,8 +3,9 @@
 //! transition goes through.
 //!
 //! One *epoch* is one immutable serving configuration — a partitioned
-//! [`DistributedModel`] wired to its replica pool, stamped with the
-//! plan's epoch number. Cutting over to a new plan is publishing a new
+//! [`DistributedModel`] wired to its replica pool. The switch numbers
+//! epochs: the first is 0 and every successor is the serving epoch + 1
+//! (plans carry no epoch). Cutting over to a new plan is publishing a new
 //! epoch: an atomic `Arc` swap that takes effect on the next batch any
 //! frontend worker picks up. Workers resolve the current epoch *once
 //! per batch*, so no batch ever mixes two epochs' state — the invariant
@@ -36,8 +37,8 @@ use std::time::{Duration, Instant};
 /// pool backing its shard clients.
 #[derive(Debug)]
 pub struct EpochServing {
-    /// The plan epoch this configuration serves (see
-    /// [`dlrm_sharding::ShardingPlan::epoch`]).
+    /// The epoch number: 0 for the first configuration behind a switch,
+    /// [`EpochSwitch::epoch`] + 1 for each successor.
     pub epoch: u64,
     /// The model partitioned under this epoch's plan, its RPC operators
     /// wired to `pool`'s replicated clients.

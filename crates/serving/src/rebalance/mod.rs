@@ -251,7 +251,8 @@ impl std::fmt::Display for RebalanceReport {
 /// weights from `seed`, one stateless [`ShardService`] per plan shard,
 /// a replicated worker pool, and the partitioned model wired to the
 /// pool's clients (hot-row cache attached when the plan carries hot
-/// sets). The epoch number is the plan's.
+/// sets). It is epoch 0; a controller building a successor renumbers
+/// it to the serving epoch + 1.
 ///
 /// # Errors
 ///
@@ -276,7 +277,7 @@ pub fn build_epoch_serving(
         dist.set_rpc_policy(policy);
     }
     Ok(EpochServing {
-        epoch: plan.epoch(),
+        epoch: 0,
         model: dist,
         pool: Some(pool),
     })
@@ -381,12 +382,12 @@ impl Rebalancer {
             return;
         }
         let started = Instant::now();
-        let versioned = candidate.succeed(&current.model.plan);
+        let to_epoch = current.epoch + 1;
         let (moved_tables, moved_bytes) =
-            moved_capacity(&self.spec, &current.model.plan, &versioned);
+            moved_capacity(&self.spec, &current.model.plan, &candidate);
         let mut record = MigrationRecord {
             from_epoch: current.epoch,
-            to_epoch: versioned.epoch(),
+            to_epoch,
             moved_tables,
             moved_bytes,
             warm_ms: 0.0,
@@ -405,11 +406,15 @@ impl Rebalancer {
             let warm_started = Instant::now();
             let warmed = build_epoch_serving(
                 &self.spec,
-                &versioned,
+                &candidate,
                 self.seed,
                 self.cfg.min_replicas.max(1),
                 &self.cfg,
-            );
+            )
+            .map(|serving| EpochServing {
+                epoch: to_epoch,
+                ..serving
+            });
             record.warm_ms = warm_started.elapsed().as_secs_f64() * 1e3;
             let check = ProbeCheck {
                 spec: &self.spec,

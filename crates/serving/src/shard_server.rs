@@ -62,10 +62,6 @@ struct ServerShared {
     in_flight: AtomicU64,
     /// Lifetime completed requests (reported in `DrainAck`).
     served: AtomicU64,
-    /// Sharding-plan epoch of the installed seats. Seat installs
-    /// carrying an older epoch are refused — a delayed assignment from a
-    /// superseded plan must never roll a server's state backwards.
-    plan_epoch: AtomicU64,
 }
 
 impl ServerShared {
@@ -129,7 +125,6 @@ impl TcpShardServer {
             state: AtomicU8::new(RUNNING),
             in_flight: AtomicU64::new(0),
             served: AtomicU64::new(0),
-            plan_epoch: AtomicU64::new(0),
         });
         let (addr, accept_handle) = listen_loopback(
             "shard-server",
@@ -144,39 +139,17 @@ impl TcpShardServer {
         })
     }
 
-    /// Installs (or replaces) the hosted seats at the server's current
-    /// plan epoch — always accepted. Epoch-checked installs go through
-    /// [`Self::install_seats_epoch`].
+    /// Installs (or replaces) the hosted seats. Placement is static per
+    /// process over TCP: the `shard_server` binary installs once, at
+    /// start-up or on standby takeover. The seat lock is held while the
+    /// map is replaced, so a request sees the old seats or the new ones,
+    /// never a half-built map.
     pub fn install_seats(
         &self,
         seats: Vec<(Arc<ShardService>, ReplicaFaultSchedule)>,
         delay: Duration,
     ) {
-        let current = self.shared.plan_epoch.load(Ordering::SeqCst);
-        let accepted = self.install_seats_epoch(seats, delay, current);
-        debug_assert!(accepted, "same-epoch install can never be stale");
-    }
-
-    /// Installs (or replaces) the hosted seats, tagged with the sharding
-    /// plan epoch they were built from. Returns `false` — installing
-    /// nothing — when `epoch` is older than the epoch already installed:
-    /// a delayed assignment from a superseded plan must not overwrite
-    /// newer state. Same-epoch installs are accepted (standby takeover
-    /// reseats within one plan epoch).
-    #[must_use]
-    pub fn install_seats_epoch(
-        &self,
-        seats: Vec<(Arc<ShardService>, ReplicaFaultSchedule)>,
-        delay: Duration,
-        epoch: u64,
-    ) -> bool {
-        // Hold the seat lock across the epoch check and the install so
-        // two racing installs serialize and the loser is refused.
         let mut map = self.shared.seats.lock().expect("seat map lock");
-        if epoch < self.shared.plan_epoch.load(Ordering::SeqCst) {
-            return false;
-        }
-        self.shared.plan_epoch.store(epoch, Ordering::SeqCst);
         map.clear();
         for (service, faults) in seats {
             map.insert(
@@ -189,13 +162,6 @@ impl TcpShardServer {
                 }),
             );
         }
-        true
-    }
-
-    /// The sharding-plan epoch of the installed seats.
-    #[must_use]
-    pub fn plan_epoch(&self) -> u64 {
-        self.shared.plan_epoch.load(Ordering::SeqCst)
     }
 
     /// The bound (ephemeral) address.

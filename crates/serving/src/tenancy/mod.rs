@@ -78,16 +78,6 @@ pub struct TenantSpec {
     pub sla: Duration,
 }
 
-/// Per-tenant mutable tier state, guarded by one lock so a transition
-/// (retier → verify → publish) is atomic against concurrent readers.
-#[derive(Debug)]
-pub(crate) struct TenantTierState {
-    /// Current tier per table, indexed by `TableId`.
-    pub(crate) tiers: Vec<Tier>,
-    /// Epoch number the next cutover publishes as.
-    pub(crate) next_epoch: u64,
-}
-
 /// One tenant's full runtime: spec, plan, serving epoch, profiler, and
 /// the golden probes its tier transitions are verified against.
 #[derive(Debug)]
@@ -100,7 +90,10 @@ pub struct TenantRuntime {
     pub(crate) queue_capacity: usize,
     pub(crate) sla: Duration,
     pub(crate) switch: EpochSwitch,
-    pub(crate) state: Mutex<TenantTierState>,
+    /// Current tier per table, indexed by `TableId`. Held across a
+    /// transition's verify and publish, so the tiers and the serving
+    /// epoch change together.
+    pub(crate) tiers: Mutex<Vec<Tier>>,
     pub(crate) profiler: OnlineProfiler,
     /// Probe inputs replayed to verify every tier transition.
     pub(crate) golden_inputs: Vec<BatchInputs>,
@@ -118,7 +111,7 @@ impl TenantRuntime {
     /// Current tier per table.
     #[must_use]
     pub fn tiers(&self) -> Vec<Tier> {
-        self.state.lock().expect("tenant state lock").tiers.clone()
+        self.tiers.lock().expect("tenant tiers lock").clone()
     }
 
     /// The live epoch's byte totals, split by tier.
@@ -135,6 +128,13 @@ impl TenantRuntime {
     #[must_use]
     pub fn cutovers(&self) -> u64 {
         self.switch.cutovers()
+    }
+
+    /// The serving epoch: 0 at build, one more per published tier
+    /// transition.
+    #[must_use]
+    pub fn epoch(&self) -> u64 {
+        self.switch.epoch()
     }
 
     /// Replays the golden probe inputs through the *current* epoch and
@@ -194,8 +194,7 @@ impl TenantSet {
             let plan = make_plan(&t.spec, &profile, t.strategy)
                 .map_err(|e| format!("{}: {e}", t.name))?;
             let tiers = vec![Tier::Dram; t.spec.tables.len()];
-            let epoch0 = plan.epoch();
-            let (serving, _) = build_tiered_epoch(&t.spec, &plan, t.seed, &tiers, epoch0)
+            let (serving, _) = build_tiered_epoch(&t.spec, &plan, t.seed, &tiers, 0)
                 .map_err(|e| format!("{}: {e}", t.name))?;
 
             let golden_inputs =
@@ -206,10 +205,7 @@ impl TenantSet {
             tenants.push(Arc::new(TenantRuntime {
                 profiler: OnlineProfiler::without_rows(&t.spec),
                 switch: EpochSwitch::new(serving),
-                state: Mutex::new(TenantTierState {
-                    tiers,
-                    next_epoch: epoch0 + 1,
-                }),
+                tiers: Mutex::new(tiers),
                 name: t.name,
                 spec: t.spec,
                 seed: t.seed,

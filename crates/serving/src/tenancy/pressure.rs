@@ -228,17 +228,19 @@ impl PressureController {
         to: Tier,
     ) -> Result<TierAction, String> {
         let tenant = &tenants[tenant_idx];
-        let (next_epoch, mut tiers) = {
-            let st = tenant.state.lock().expect("tenant state lock");
-            (st.next_epoch, st.tiers.clone())
+        // The switch publishes only under the tiers lock, so the epoch
+        // read beside the tiers names the state this transition builds
+        // on; if it moved by publish time, another transition won.
+        let (epoch, mut tiers) = {
+            let current = tenant.tiers.lock().expect("tenant tiers lock");
+            (tenant.switch.epoch() + 1, current.clone())
         };
         if tiers[table] != from {
             return Err(format!("tier raced: expected {from}, found {}", tiers[table]));
         }
         tiers[table] = to;
-        let candidate =
-            build_tiered_epoch(&tenant.spec, &tenant.plan, tenant.seed, &tiers, next_epoch)
-                .map(|(serving, _)| serving);
+        let candidate = build_tiered_epoch(&tenant.spec, &tenant.plan, tenant.seed, &tiers, epoch)
+            .map(|(serving, _)| serving);
 
         // Dual read: the candidate must reproduce the tenant's golden
         // (all-DRAM) predictions. Bitwise unless a quantized rung is in
@@ -254,11 +256,13 @@ impl PressureController {
             },
         };
         {
-            let mut st = tenant.state.lock().expect("tenant state lock");
+            let mut current = tenant.tiers.lock().expect("tenant tiers lock");
+            if tenant.switch.epoch() + 1 != epoch {
+                return Err(format!("tier raced: epoch {epoch} published first"));
+            }
             let mut drain = self.drain.lock().expect("drain lock");
             tenant.switch.transition(candidate, &check, &mut drain)?;
-            st.tiers = tiers;
-            st.next_epoch += 1;
+            *current = tiers;
         }
         // Wait (bounded) for the retiree's last in-flight batch so its
         // memory is back before the next action builds another epoch;
@@ -272,7 +276,7 @@ impl PressureController {
             table: TableId(table),
             from,
             to,
-            epoch: next_epoch,
+            epoch,
             resident_after: total_resident(tenants).resident(),
         };
         if action.is_demotion() {

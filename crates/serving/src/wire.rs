@@ -130,68 +130,6 @@ impl RoutingTable {
     }
 }
 
-const ROUTES_HEADER: &str = "dlrm-routes v1";
-
-/// Serializes a routing table in the `publish` text conventions — one
-/// `route <shard> <replica> <addr>` record per line. Used for logging
-/// and for hand-inspection of a live control plane.
-#[must_use]
-pub fn routes_to_text(table: &RoutingTable) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(out, "{ROUTES_HEADER}");
-    let _ = writeln!(out, "version {}", table.version);
-    let _ = writeln!(out, "complete {}", if table.complete { 1 } else { 0 });
-    for e in &table.entries {
-        let _ = writeln!(out, "route {} {} {}", e.shard.0, e.replica, e.addr);
-    }
-    out
-}
-
-/// Parses the v1 routing-table text format.
-///
-/// # Errors
-///
-/// [`WireError`] naming the offending record.
-pub fn routes_from_text(text: &str) -> Result<RoutingTable, WireError> {
-    let mut lines = text.lines();
-    let header = lines.next().ok_or_else(|| WireError::new("empty routes"))?;
-    if header.trim() != ROUTES_HEADER {
-        return Err(WireError::new(format!("bad routes header {header:?}")));
-    }
-    let mut table = RoutingTable::default();
-    for raw in lines {
-        let trimmed = raw.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            continue;
-        }
-        let fields: Vec<&str> = trimmed.split_whitespace().collect();
-        match fields.as_slice() {
-            ["version", v] => {
-                table.version = v
-                    .parse()
-                    .map_err(|_| WireError::new(format!("bad version {v:?}")))?;
-            }
-            ["complete", v] => table.complete = *v == "1",
-            ["route", shard, replica, addr] => table.entries.push(RouteEntry {
-                shard: ShardId(
-                    shard
-                        .parse()
-                        .map_err(|_| WireError::new(format!("bad shard {shard:?}")))?,
-                ),
-                replica: replica
-                    .parse()
-                    .map_err(|_| WireError::new(format!("bad replica {replica:?}")))?,
-                addr: (*addr).to_string(),
-            }),
-            other => {
-                return Err(WireError::new(format!("unknown routes record {other:?}")));
-            }
-        }
-    }
-    Ok(table)
-}
-
 /// What a shard-server seat is told to serve, and everything it needs
 /// to build the service deterministically: the published model spec and
 /// sharding plan plus the weight seed.
@@ -201,7 +139,8 @@ pub struct Assignment {
     pub seats: Vec<(ShardId, usize)>,
     /// The model spec, in `dlrm_model::publish` v1 text.
     pub spec_text: String,
-    /// The sharding plan, in `dlrm_sharding::publish` v1 text.
+    /// The sharding plan, in `dlrm_sharding::publish` text (v1, or v2
+    /// with hot rows).
     pub plan_text: String,
     /// Seed the embedding weights are built from.
     pub seed: u64,
@@ -213,7 +152,8 @@ pub struct Assignment {
 pub struct ClusterMeta {
     /// The model spec, in `dlrm_model::publish` v1 text.
     pub spec_text: String,
-    /// The sharding plan, in `dlrm_sharding::publish` v1 text.
+    /// The sharding plan, in `dlrm_sharding::publish` text (v1, or v2
+    /// with hot rows).
     pub plan_text: String,
     /// Seed the embedding weights are built from.
     pub seed: u64,
@@ -1036,7 +976,7 @@ mod tests {
     }
 
     #[test]
-    fn routes_text_round_trips() {
+    fn routing_table_lookups() {
         let table = RoutingTable {
             version: 4,
             complete: true,
@@ -1058,15 +998,12 @@ mod tests {
                 },
             ],
         };
-        let text = routes_to_text(&table);
-        assert_eq!(routes_from_text(&text).unwrap(), table);
         assert_eq!(table.shard_count(), 2);
         assert_eq!(table.addr(ShardId(0), 1), Some("127.0.0.1:4001"));
         assert_eq!(
             table.replicas_of(ShardId(0)),
             vec!["127.0.0.1:4000", "127.0.0.1:4001"]
         );
-        assert!(routes_from_text("garbage").is_err());
     }
 
     #[test]

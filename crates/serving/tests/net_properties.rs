@@ -514,7 +514,7 @@ fn standby_takes_over_vacated_seats_after_server_death() {
                 )
             })
             .collect();
-        assert!(server.install_seats_epoch(built, Duration::ZERO, p.epoch()));
+        server.install_seats(built, Duration::ZERO);
     };
     install(&seated, &assignment.seats);
 
@@ -602,37 +602,33 @@ fn standby_takes_over_vacated_seats_after_server_death() {
 }
 
 #[test]
-fn stale_epoch_seat_installs_are_refused() {
+fn seat_installs_replace_the_whole_seat_map() {
     let spec = chaos_spec();
     let (_p, services) = services_for(&spec, 1);
-    let seat = || {
-        vec![(
-            Arc::clone(&services[0]),
-            ReplicaFaultSchedule::none(),
-        )]
-    };
+    let shard = services[0].shard_id();
     let server = TcpShardServer::spawn_empty().expect("spawn server");
-    assert_eq!(server.plan_epoch(), 0);
-    assert!(server.install_seats_epoch(seat(), Duration::ZERO, 3));
-    assert_eq!(server.plan_epoch(), 3);
-    // Same-epoch reinstalls are allowed (standby reseat within a plan).
-    assert!(server.install_seats_epoch(seat(), Duration::ZERO, 3));
-    // A stale assignment is refused outright: epoch and seats untouched.
-    assert!(!server.install_seats_epoch(vec![], Duration::ZERO, 2));
-    assert_eq!(server.plan_epoch(), 3);
-    assert_eq!(server.shards(), vec![services[0].shard_id()]);
-    // The surviving seats still serve.
-    let client = TcpShardClient::new(
-        services[0].shard_id(),
-        &server.addr().to_string(),
-        Duration::from_secs(1),
-    )
-    .expect("client");
+    let client = TcpShardClient::new(shard, &server.addr().to_string(), Duration::from_secs(1))
+        .expect("client");
     let request = ShardRequest {
         net: NetId(0),
         slices: vec![],
     };
+    let not_hosted = |client: &TcpShardClient| {
+        let err = client.execute(&request).unwrap_err().to_string();
+        assert!(err.contains("not hosted"), "{err}");
+    };
+    // Seatless until the first install: refused, retryably.
+    not_hosted(&client);
+    server.install_seats(
+        vec![(Arc::clone(&services[0]), ReplicaFaultSchedule::none())],
+        Duration::ZERO,
+    );
+    assert_eq!(server.shards(), vec![shard]);
     assert!(client.execute(&request).is_ok());
+    // A later install replaces the map rather than merging into it.
+    server.install_seats(vec![], Duration::ZERO);
+    assert!(server.shards().is_empty());
+    not_hosted(&client);
     server.shutdown();
 }
 

@@ -11,6 +11,8 @@
 //!   both the threaded (in-process replica) and TCP loopback
 //!   transports. The TCP variant round-trips the plan through the v2
 //!   text format first, exactly as the control plane would publish it.
+//! - **Hostile plan text** — truncated or byte-edited published plans
+//!   parse to `Ok` or `Err`, never a panic.
 //! - **Fan-out reduction** — at high skew the cache tier sends fewer
 //!   embedding rows over the wire than a capacity-only plan for the
 //!   same traffic, which is the whole point.
@@ -25,6 +27,7 @@ use dlrm_sharding::{
     partition, plan, plan_with_stats, DistributedModel, HotRowConfig, ShardingPlan,
     ShardingStrategy,
 };
+use dlrm_sim::SimRng;
 use dlrm_tensor::Matrix;
 use dlrm_workload::{
     materialize_request_with, BatchInputs, IndexDist, PoolingProfile, RowStats, TraceDb,
@@ -235,6 +238,73 @@ fn tcp_cache_tier_round_trips_the_plan_and_stays_bit_exact() {
     assert!(summary.cache.hits > 0, "no cache hits under Zipf traffic");
     assert!(summary.cache.local_rows > 0);
     pool.shutdown();
+}
+
+// ---------------------------------------------------------------------
+// Hostile plan text
+// ---------------------------------------------------------------------
+
+/// Plan text reaches the `shard_server` binary over a socket, so no
+/// input may panic the parser: every prefix of, and random byte edits
+/// to, the documents published for RM1–RM3 plans (v1, and v2 with hot
+/// rows) parse to `Ok` or `Err`.
+#[test]
+fn mangled_plan_text_never_panics() {
+    const EDITS_PER_DOC: usize = 2_000;
+    const ALPHABET: &[u8] = b" \n\t,#-0123456789abcdeghilmnoprstv";
+
+    let mut docs = vec![
+        // A shard count no allocation can hold.
+        "dlrm-plan v1\nstrategy 1-shard\nshards 18446744073709551615\nplace 0 0\n".to_string(),
+    ];
+    for (spec, strategy) in [
+        (rm::rm1(), ShardingStrategy::LoadBalanced(4)),
+        (rm::rm2(), ShardingStrategy::CapacityBalanced(2)),
+        (rm::rm3(), ShardingStrategy::NetSpecificBinPacking(8)),
+    ] {
+        let profile = PoolingProfile::from_spec(&spec);
+        docs.push(plan_to_text(
+            &plan(&spec, &profile, strategy).expect("plan"),
+        ));
+    }
+    let spec = rm::rm1().scaled_to_bytes(32 << 20);
+    let hot = plan_with_stats(
+        &spec,
+        &PoolingProfile::from_spec(&spec),
+        ShardingStrategy::HotRowAware(2),
+        &RowStats::for_spec(&spec, 1_000, 1.2, SEED),
+        // A small cache keeps the document, and so every-prefix
+        // parsing, short.
+        &HotRowConfig {
+            budget_fraction: 0.005,
+            ..HotRowConfig::default()
+        },
+    )
+    .expect("hot-row plan");
+    docs.push(plan_to_text(&hot));
+    assert!(docs.iter().any(|d| d.starts_with("dlrm-plan v1\n")));
+    assert!(docs.last().expect("docs").starts_with("dlrm-plan v2\n"));
+
+    let parse = |bytes: &[u8]| plan_from_text(&String::from_utf8_lossy(bytes));
+    let mut rng = SimRng::seed_from(0x504C_414E); // "PLAN"
+    for doc in &docs {
+        let bytes = doc.as_bytes();
+        for cut in 0..=bytes.len() {
+            let _ = parse(&bytes[..cut]);
+        }
+        for _ in 0..EDITS_PER_DOC {
+            let mut edited = bytes.to_vec();
+            for _ in 0..1 + rng.next_index(4) {
+                let at = rng.next_index(edited.len());
+                edited[at] = if rng.next_index(2) == 0 {
+                    ALPHABET[rng.next_index(ALPHABET.len())]
+                } else {
+                    rng.next_u64() as u8
+                };
+            }
+            let _ = parse(&edited);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -521,7 +521,6 @@ fn transition_aborts_leave_serving_untouched_and_stop_the_candidate() {
     let spec = rebalance_spec();
     let profile = PoolingProfile::from_spec(&spec);
     let p = plan(&spec, &profile, ShardingStrategy::CapacityBalanced(2)).expect("plan");
-    let successor = p.clone().succeed(&p);
     let cfg = RebalanceConfig {
         rpc_policy: Some(deterministic_policy()),
         ..RebalanceConfig::default()
@@ -552,11 +551,11 @@ fn transition_aborts_leave_serving_untouched_and_stop_the_candidate() {
         // Same plan, different weights: every probe answers, none matches.
         (
             "diverges",
-            build_epoch_serving(&spec, &successor, SEED + 1, 1, &cfg),
+            build_epoch_serving(&spec, &p, SEED + 1, 1, &cfg),
         ),
         (
             "degraded",
-            build_epoch_serving(&spec, &successor, SEED, 1, &crashing),
+            build_epoch_serving(&spec, &p, SEED, 1, &crashing),
         ),
     ];
     for (reason, candidate) in aborts {
@@ -592,7 +591,8 @@ fn transition_aborts_leave_serving_untouched_and_stop_the_candidate() {
         assert_eq!(again, expected, "{reason}: serving epoch disturbed");
     }
 
-    let clean = build_epoch_serving(&spec, &successor, SEED, 1, &cfg);
+    let clean =
+        build_epoch_serving(&spec, &p, SEED, 1, &cfg).map(|e| EpochServing { epoch: 1, ..e });
     switch
         .transition(clean, &check, &mut drain)
         .expect("clean successor publishes");

@@ -6,7 +6,10 @@
 //!   bytes exactly and its predictions bit for bit; the quantized rung
 //!   serves within the published drift tolerance, the paged rung
 //!   bit-exactly. Every other tenant's epoch and predictions are
-//!   bitwise untouched at *every* step of the walk.
+//!   bitwise untouched at *every* step of the walk. The tenant's switch
+//!   numbers the epochs: each published step is the next one, and a
+//!   refused step (skipped rung, lost race, failed dual read) moves
+//!   neither the epoch nor the tiers.
 //! - **Isolation** — a tenant offered 4× its admission capacity sheds
 //!   the overload out of its own bounded queue; its neighbor's SLA hit
 //!   rate and availability match that neighbor's solo-run values within
@@ -91,11 +94,11 @@ fn full_ladder_round_trip_is_bit_exact_and_neighbors_never_move() {
 
     // Walk two different tables through the ladder so the property
     // covers more than one slicing geometry.
+    let mut epoch = 0;
     for table in [0usize, 1] {
         // Down: DRAM -> quantized. Serving drifts, but inside the
         // published tolerance — and only for the affected tenant.
-        set.force_transition(0, table, Tier::Quantized)
-            .expect("demote to quantized");
+        step(&set, table, Tier::Quantized, &mut epoch);
         let quantized = set.tenant(0).probe_current().expect("quantized probe");
         let mut drift = 0.0f32;
         for (a, g) in quantized.iter().zip(set.tenant(0).golden()) {
@@ -109,7 +112,7 @@ fn full_ladder_round_trip_is_bit_exact_and_neighbors_never_move() {
 
         // Down: quantized -> paged. Paged rows are the same f32 bits
         // read from disk: predictions return to bit-exact.
-        set.force_transition(0, table, Tier::Paged).expect("demote to paged");
+        step(&set, table, Tier::Paged, &mut epoch);
         let paged = set.tenant(0).probe_current().expect("paged probe");
         for (a, g) in paged.iter().zip(set.tenant(0).golden()) {
             assert_eq!(a.as_slice(), g.as_slice(), "paged tier must be bit-exact");
@@ -118,11 +121,11 @@ fn full_ladder_round_trip_is_bit_exact_and_neighbors_never_move() {
         assert_neighbors_untouched(&set, 0, &witnesses, "after page-out");
 
         // Back up the ladder.
-        set.force_transition(0, table, Tier::Quantized)
-            .expect("promote to quantized");
-        set.force_transition(0, table, Tier::Dram).expect("promote to dram");
+        step(&set, table, Tier::Quantized, &mut epoch);
+        step(&set, table, Tier::Dram, &mut epoch);
         assert_neighbors_untouched(&set, 0, &witnesses, "after promote");
     }
+    assert_eq!(set.tenant(0).cutovers(), epoch);
 
     // Round trip complete: resident bytes restored exactly, predictions
     // bit-exact with the all-DRAM goldens, every transition verified.
@@ -135,6 +138,71 @@ fn full_ladder_round_trip_is_bit_exact_and_neighbors_never_move() {
     assert!(set.controller().verify_failures().is_empty());
     assert_eq!(set.controller().demotions(), 4);
     assert_eq!(set.controller().promotions(), 4);
+
+    // Refused steps move neither the epoch nor the tiers. A skipped
+    // rung is refused up front.
+    assert!(set.force_transition(0, 0, Tier::Paged).is_err());
+    assert_serving(&set, 0, epoch, Tier::Dram);
+    // Two racers for the same demotion: exactly one publishes, as the
+    // next epoch; the loser is refused whichever side of the cutover it
+    // read the tiers on. The barrier lines both up so both usually build
+    // from the same tiers and meet at publish.
+    let start = std::sync::Barrier::new(2);
+    let raced: Vec<_> = std::thread::scope(|s| {
+        let racers: Vec<_> = (0..2)
+            .map(|_| {
+                s.spawn(|| {
+                    start.wait();
+                    set.force_transition(0, 0, Tier::Quantized)
+                })
+            })
+            .collect();
+        racers
+            .into_iter()
+            .map(|r| r.join().expect("racer"))
+            .collect()
+    });
+    let won: Vec<_> = raced.iter().filter_map(|r| r.as_ref().ok()).collect();
+    assert_eq!(won.len(), 1, "exactly one racer publishes: {raced:?}");
+    epoch += 1;
+    assert_eq!(won[0].epoch, epoch);
+    assert_serving(&set, 0, epoch, Tier::Quantized);
+    assert_eq!(set.tenant(0).cutovers(), epoch);
+    step(&set, 0, Tier::Dram, &mut epoch);
+
+    // A failed dual read: with no drift allowed, the quantized rung
+    // cannot verify.
+    let strict = TenantSet::build(
+        vec![tenant("rm2", small_spec(rm::rm2()), 5, 64)],
+        PressureConfig {
+            quantized_tolerance: 0.0,
+            ..PressureConfig::default()
+        },
+    )
+    .expect("build strict tenant set");
+    let err = strict
+        .force_transition(0, 0, Tier::Quantized)
+        .expect_err("a quantized epoch must fail a bitwise dual read");
+    assert!(err.contains("diverges"), "{err}");
+    assert_serving(&strict, 0, 0, Tier::Dram);
+    assert_eq!(strict.tenant(0).cutovers(), 0);
+}
+
+/// Forces one ladder step on tenant 0's `table`: the action publishes
+/// as `*epoch + 1`, which the tenant then serves.
+fn step(set: &TenantSet, table: usize, to: Tier, epoch: &mut u64) {
+    let action = set
+        .force_transition(0, table, to)
+        .unwrap_or_else(|e| panic!("table {table} -> {to}: {e}"));
+    *epoch += 1;
+    assert_eq!(action.epoch, *epoch, "table {table} -> {to}: action epoch");
+    assert_serving(set, table, *epoch, to);
+}
+
+/// Tenant 0 serves `epoch` with `table` on `tier`.
+fn assert_serving(set: &TenantSet, table: usize, epoch: u64, tier: Tier) {
+    assert_eq!(set.tenant(0).epoch(), epoch, "serving epoch");
+    assert_eq!(set.tenant(0).tiers()[table], tier, "table {table} tier");
 }
 
 /// One tenant's open-loop workload: `n` seeded requests at `qps`.

@@ -457,34 +457,3 @@ fn read_message_classifies_eof_and_garbage() {
         Err(ReadError::Malformed(_))
     ));
 }
-
-// ---------------------------------------------------------------------
-// Routing-table text publishing
-// ---------------------------------------------------------------------
-
-#[test]
-fn routes_text_round_trips() {
-    let mut rng = SimRng::seed_from(0x2007);
-    for _ in 0..50 {
-        let table = rand_routes(&mut rng);
-        let text = wire::routes_to_text(&table);
-        let back = wire::routes_from_text(&text).expect("parse own output");
-        assert_eq!(back, table, "text was:\n{text}");
-    }
-}
-
-#[test]
-fn malformed_routes_text_is_rejected() {
-    for bad in [
-        "",
-        "dlrm-routes v2\nversion 1\ncomplete 1\n",
-        "dlrm-routes v1\nversion x\ncomplete 1\n",
-        "dlrm-routes v1\nversion 1\ncomplete 1\nroute 0\n",
-        "dlrm-routes v1\nversion 1\ncomplete 1\nbogus line\n",
-    ] {
-        assert!(
-            wire::routes_from_text(bad).is_err(),
-            "accepted malformed routes text {bad:?}"
-        );
-    }
-}

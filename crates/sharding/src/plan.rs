@@ -91,14 +91,6 @@ pub struct ShardingPlan {
     /// main-shard copy the serving layer may consult instead of the
     /// wire.
     hot_rows: Vec<Vec<u64>>,
-    /// Migration epoch: 0 for a freshly planned layout, bumped once per
-    /// live cutover (see [`Self::succeed`]). A server holding a plan of
-    /// epoch `e` must reject assignments whose plan epoch is `< e`.
-    epoch: u64,
-    /// Per-shard generation (parallel to the shard ids): bumped for the
-    /// shards whose table set or hot-row set changed in a migration, so
-    /// a routing layer can tell *which* shards a cutover rebuilt.
-    generations: Vec<u64>,
 }
 
 impl ShardingPlan {
@@ -127,14 +119,11 @@ impl ShardingPlan {
             }
         }
         let hot_rows = vec![Vec::new(); placements.len()];
-        let generations = vec![0; num_shards];
         Self {
             strategy,
             num_shards,
             placements,
             hot_rows,
-            epoch: 0,
-            generations,
         }
     }
 
@@ -186,88 +175,14 @@ impl ShardingPlan {
         self.hot_rows.iter().map(Vec::len).sum()
     }
 
-    /// Migration epoch (0 for a freshly planned layout).
-    #[must_use]
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Per-shard generations, indexed by shard id.
-    #[must_use]
-    pub fn generations(&self) -> &[u64] {
-        &self.generations
-    }
-
-    /// One shard's generation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard` is out of range.
-    #[must_use]
-    pub fn generation(&self, shard: ShardId) -> u64 {
-        self.generations[shard.0]
-    }
-
-    /// Sets the epoch and per-shard generations directly — the parser's
-    /// entry point for v3 plan documents.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `generations` is not parallel to the shard ids.
-    #[must_use]
-    pub fn with_versioning(mut self, epoch: u64, generations: Vec<u64>) -> Self {
-        assert_eq!(
-            generations.len(),
-            self.num_shards,
-            "one generation per shard"
-        );
-        self.epoch = epoch;
-        self.generations = generations;
-        self
-    }
-
-    /// Whether two plans place rows identically (placements and hot-row
-    /// sets), ignoring strategy labels and migration versioning — the
+    /// Whether two plans place rows identically (shard count,
+    /// placements and hot-row sets), ignoring the strategy label — the
     /// "is a migration even worth it" predicate.
     #[must_use]
     pub fn same_layout(&self, other: &Self) -> bool {
         self.num_shards == other.num_shards
             && self.placements == other.placements
             && self.hot_rows == other.hot_rows
-    }
-
-    /// Versions `self` as the successor of `predecessor` in a live
-    /// migration: the epoch becomes `predecessor.epoch() + 1`, and each
-    /// shard whose table set or hot-row set differs from the
-    /// predecessor's gets its generation bumped (shards new to this plan
-    /// start one past the predecessor's highest generation; unchanged
-    /// shards carry their generation forward).
-    #[must_use]
-    pub fn succeed(mut self, predecessor: &Self) -> Self {
-        let fresh = predecessor.generations.iter().copied().max().unwrap_or(0) + 1;
-        self.epoch = predecessor.epoch + 1;
-        let generations: Vec<u64> = self
-            .shards()
-            .map(|s| {
-                if s.0 >= predecessor.num_shards {
-                    return fresh;
-                }
-                let tables_match = self
-                    .tables_on(s)
-                    .map(|p| (p.table, p.part_on(s)))
-                    .eq(predecessor.tables_on(s).map(|p| (p.table, p.part_on(s))));
-                let hot_match = self
-                    .tables_on(s)
-                    .all(|p| self.hot_rows(p.table) == predecessor.hot_rows(p.table));
-                if tables_match && hot_match {
-                    predecessor.generations[s.0]
-                } else {
-                    predecessor.generations[s.0] + 1
-                }
-            })
-            .collect();
-        self.generations = generations;
-        self
     }
 
     /// The strategy that produced this plan.
@@ -509,7 +424,7 @@ mod tests {
     }
 
     #[test]
-    fn succession_bumps_epoch_and_changed_shard_generations() {
+    fn same_layout_ignores_strategy_but_not_rows() {
         let spec = two_table_spec();
         let placements: Vec<TablePlacement> = spec
             .tables
@@ -521,44 +436,22 @@ mod tests {
             })
             .collect();
         let old = ShardingPlan::new(ShardingStrategy::CapacityBalanced(2), 2, placements.clone());
-        assert_eq!(old.epoch(), 0);
-        assert_eq!(old.generations(), &[0, 0]);
+        let relabelled =
+            ShardingPlan::new(ShardingStrategy::LoadBalanced(2), 2, placements.clone());
+        assert!(old.same_layout(&relabelled));
 
-        // Same placements, but shard 0's table gains a hot-row set:
-        // only shard 0's generation moves.
+        // Same placements, but a table gains a hot-row set.
         let mut hot = vec![Vec::new(); placements.len()];
         hot[0] = vec![1, 7];
         let new = ShardingPlan::new(ShardingStrategy::HotRowAware(2), 2, placements.clone())
-            .with_hot_rows(hot)
-            .succeed(&old);
-        assert_eq!(new.epoch(), 1);
-        assert_eq!(new.generation(ShardId(0)), 1);
-        assert_eq!(new.generation(ShardId(1)), 0);
+            .with_hot_rows(hot);
         assert!(!new.same_layout(&old));
-        assert!(old.same_layout(&old.clone()));
 
-        // A shard count increase: the new shard starts past the
-        // predecessor's highest generation.
+        // A shard count increase.
         let mut wider: Vec<TablePlacement> = placements;
         wider[0].location = Location::Shards(vec![ShardId(2)]);
-        let wide = ShardingPlan::new(ShardingStrategy::CapacityBalanced(3), 3, wider).succeed(&new);
-        assert_eq!(wide.epoch(), 2);
-        assert_eq!(wide.generation(ShardId(2)), 2);
-    }
-
-    #[test]
-    fn with_versioning_round_trips_through_accessors() {
-        let plan = ShardingPlan::new(
-            ShardingStrategy::OneShard,
-            1,
-            vec![TablePlacement {
-                table: TableId(0),
-                location: Location::Shards(vec![ShardId(0)]),
-            }],
-        )
-        .with_versioning(5, vec![3]);
-        assert_eq!(plan.epoch(), 5);
-        assert_eq!(plan.generation(ShardId(0)), 3);
+        let wide = ShardingPlan::new(ShardingStrategy::CapacityBalanced(3), 3, wider);
+        assert!(!wide.same_layout(&old));
     }
 
     #[test]
