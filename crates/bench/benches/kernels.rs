@@ -1,6 +1,6 @@
 //! Microbenchmarks of the reproduction's hot kernels, on the in-tree
 //! timing harness (`dlrm_bench::timing`): the SparseLengthsSum family
-//! (plain f32, pruned, 8/4-bit quantized) and dense GEMM (plain and
+//! (plain f32, 8-bit quantized) and dense GEMM (plain and
 //! FC-transposed), each swept across the dispatch tiers the host
 //! supports (scalar / exact AVX2 / exact AVX-512) plus
 //! the naive reference, FC at the serving shapes (small batches against
@@ -22,7 +22,6 @@
 
 use dlrm_bench::report::{write_bench_json, BenchRecord};
 use dlrm_bench::timing::Harness;
-use dlrm_core::compress::prune::prune_by_magnitude;
 use dlrm_core::compress::QuantizedTable;
 use dlrm_core::model::{rm, EmbeddingTable};
 use dlrm_core::runtime::{KernelDispatch, Pool};
@@ -89,12 +88,10 @@ fn bench_sls(r: &mut Runner) {
     let lengths = vec![64u32; 64];
     let bags = lengths.len() as f64;
 
-    // Plain f32, pruned, and 8/4-bit quantized SLS, each per dispatch
-    // tier (the SLS kernels have no AVX-512 path — that tier measures
-    // the same kernel the avx2 tier does, so skip it).
-    let pruned = prune_by_magnitude(&table, 0.5);
+    // Plain f32 and 8-bit quantized SLS, each per dispatch tier (the
+    // SLS kernels have no AVX-512 path — that tier measures the same
+    // kernel the avx2 tier does, so skip it).
     let q8 = QuantizedTable::quantize(&table, 8);
-    let q4 = QuantizedTable::quantize(&table, 4);
     for (tier, pool) in dispatch_tiers() {
         if tier == "avx512" {
             continue;
@@ -105,19 +102,9 @@ fn bench_sls(r: &mut Runner) {
             || black_box(table.sparse_lengths_sum_par(black_box(&indices), &lengths, &pool)),
         );
         r.bench(
-            &format!("sls_pruned50_4096_lookups_{tier}"),
-            Some(("bags/s", bags)),
-            || black_box(pruned.sparse_lengths_sum_par(black_box(&indices), &lengths, &pool)),
-        );
-        r.bench(
             &format!("sls_quantized8_4096_lookups_{tier}"),
             Some(("bags/s", bags)),
             || black_box(q8.sparse_lengths_sum_par(black_box(&indices), &lengths, &pool)),
-        );
-        r.bench(
-            &format!("sls_quantized4_4096_lookups_{tier}"),
-            Some(("bags/s", bags)),
-            || black_box(q4.sparse_lengths_sum_par(black_box(&indices), &lengths, &pool)),
         );
     }
 

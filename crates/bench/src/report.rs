@@ -45,9 +45,9 @@ pub fn header(id: &str, title: &str) -> String {
     format!("\n==== {id}: {title} ====")
 }
 
-/// One benchmark's machine-readable result: its headline p50, an
-/// optional p99 tail, and an optional derived throughput (`GFLOP/s`
-/// for GEMMs, `bags/s` for the SparseLengthsSum family).
+/// One benchmark's machine-readable result: its headline p50 and an
+/// optional derived throughput (`GFLOP/s` for GEMMs, `bags/s` for the
+/// SparseLengthsSum family).
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchRecord {
     /// Benchmark name, as printed by the timing harness.
@@ -55,9 +55,6 @@ pub struct BenchRecord {
     /// Median (p50) per-iteration value — nanoseconds unless `unit`
     /// says otherwise.
     pub median_ns: f64,
-    /// Tail (p99) value in the same unit, when the harness collected
-    /// enough samples to report one.
-    pub p99_ns: Option<f64>,
     /// Unit of the headline values; `None` means nanoseconds. Set this
     /// for records whose quantity is not a latency (bytes, row counts)
     /// so consumers stop reading everything as `p50_ns`.
@@ -73,18 +70,8 @@ impl BenchRecord {
         BenchRecord {
             name: name.into(),
             median_ns,
-            p99_ns: None,
             unit: None,
             throughput: None,
-        }
-    }
-
-    /// A latency record carrying both the median and the p99 tail.
-    #[must_use]
-    pub fn tail(name: impl Into<String>, median_ns: f64, p99_ns: f64) -> Self {
-        BenchRecord {
-            p99_ns: Some(p99_ns),
-            ..Self::p50(name, median_ns)
         }
     }
 
@@ -128,17 +115,14 @@ fn json_num(v: f64) -> String {
 pub fn bench_records_json(records: &[BenchRecord]) -> String {
     let mut out = String::from("[\n");
     for (i, r) in records.iter().enumerate() {
-        // Historical key names: `p50_ns`/`p99_ns` keep their suffix even
-        // when `unit` overrides the quantity — the unit field is the
-        // source of truth for non-latency records.
+        // Historical key name: `p50_ns` keeps its suffix even when
+        // `unit` overrides the quantity — the unit field is the source
+        // of truth for non-latency records.
         out.push_str(&format!(
             "  {{\"name\": \"{}\", \"p50_ns\": {}",
             json_escape(&r.name),
             json_num(r.median_ns)
         ));
-        if let Some(p99) = r.p99_ns {
-            out.push_str(&format!(", \"p99_ns\": {}", json_num(p99)));
-        }
         if let Some(unit) = &r.unit {
             out.push_str(&format!(", \"unit\": \"{}\"", json_escape(unit)));
         }
@@ -194,7 +178,7 @@ mod tests {
 
     #[test]
     fn bench_records_serialize_as_json() {
-        let mut gemm = BenchRecord::tail("gemm", 1234.5, 5678.25);
+        let mut gemm = BenchRecord::p50("gemm", 1234.5);
         gemm.throughput = Some(("GFLOP/s".into(), 42.25));
         let records = vec![
             gemm,
@@ -203,14 +187,15 @@ mod tests {
         ];
         let json = bench_records_json(&records);
         assert!(json.starts_with("[\n"));
-        assert!(json.contains("\"name\": \"gemm\", \"p50_ns\": 1234.500, \"p99_ns\": 5678.250"));
-        assert!(json.contains("\"throughput_unit\": \"GFLOP/s\", \"throughput\": 42.250"));
+        assert!(json.contains(
+            "\"name\": \"gemm\", \"p50_ns\": 1234.500, \"throughput_unit\": \"GFLOP/s\", \"throughput\": 42.250}"
+        ));
         assert!(json.contains("sls \\\"quoted\\\""));
         assert!(json.contains("\"p50_ns\": 0.000"));
         assert!(json.contains("\"name\": \"wire_bytes\", \"p50_ns\": 4096.000, \"unit\": \"bytes\""));
-        // A p50-only record carries no phantom p99 key.
+        // A p50-only record carries no phantom throughput key.
         let sls_line = json.lines().find(|l| l.contains("sls")).unwrap();
-        assert!(!sls_line.contains("p99_ns"));
+        assert!(!sls_line.contains("throughput"));
         // Exactly two separating commas between the three objects.
         assert_eq!(json.matches("},\n").count(), 2);
     }

@@ -8,7 +8,7 @@ use dlrm_model::{ModelSpec, TableSpec};
 ///
 /// Applied analytically to a [`ModelSpec`] (whose tables are virtual at
 /// paper scale) to compute the compressed footprint of Table V; the
-/// real kernels live in [`crate::QuantizedTable`] and [`crate::prune`].
+/// one real kernel is the 8-bit [`crate::QuantizedTable`].
 ///
 /// # Examples
 ///

@@ -1,14 +1,14 @@
 //! Row-wise linear quantization.
 
 use dlrm_model::{EmbeddingTable, Footprint};
-use dlrm_runtime::{KernelDispatch, KernelStats, Pool, SimdLevel};
-use dlrm_tensor::{simd, Matrix};
+use dlrm_runtime::{KernelDispatch, KernelStats, Pool};
+use dlrm_tensor::simd::{self, GatherError};
+use dlrm_tensor::Matrix;
 
 /// A row-wise linearly quantized embedding table.
 ///
-/// Each row stores `dim` fixed-point codes plus an `f32` scale and bias:
-/// `value ≈ code * scale + bias`, with `code` in `[0, 2^bits - 1]`.
-/// 4-bit codes are packed two per byte.
+/// Each row stores `dim` 8-bit codes plus an `f32` scale and bias:
+/// `value ≈ code * scale + bias`, with `code` in `[0, 255]`.
 ///
 /// # Examples
 ///
@@ -26,7 +26,6 @@ pub struct QuantizedTable {
     name: String,
     rows: usize,
     dim: usize,
-    bits: u8,
     codes: Vec<u8>,
     scales: Vec<f32>,
     biases: Vec<f32>,
@@ -37,18 +36,18 @@ impl QuantizedTable {
     ///
     /// # Panics
     ///
-    /// Panics unless `bits` is 4 or 8 (the precisions deployed on
-    /// "current data-center models", §VII-D).
+    /// Panics unless `bits` is 8, the one precision the engine serves
+    /// (Table V's 4-bit share is sized analytically by
+    /// [`crate::CompressionPolicy`]).
     #[must_use]
     pub fn quantize(table: &EmbeddingTable, bits: u8) -> Self {
-        assert!(bits == 4 || bits == 8, "supported precisions: 4, 8 bits");
+        assert!(bits == 8, "supported precision: 8 bits");
         let rows = table.rows();
         let dim = table.dim();
-        let levels = ((1u32 << bits) - 1) as f32;
+        let levels = f32::from(u8::MAX);
         let mut scales = Vec::with_capacity(rows);
         let mut biases = Vec::with_capacity(rows);
-        let packed_row = if bits == 4 { dim.div_ceil(2) } else { dim };
-        let mut codes = vec![0u8; rows * packed_row];
+        let mut codes = vec![0u8; rows * dim];
 
         for r in 0..rows {
             let row = table.row(r);
@@ -57,21 +56,9 @@ impl QuantizedTable {
             let scale = if max > min { (max - min) / levels } else { 0.0 };
             scales.push(scale);
             biases.push(min);
-            for (c, &v) in row.iter().enumerate() {
-                let code = if scale > 0.0 {
-                    (((v - min) / scale).round() as u32).min(levels as u32) as u8
-                } else {
-                    0
-                };
-                if bits == 8 {
-                    codes[r * packed_row + c] = code;
-                } else {
-                    let byte = &mut codes[r * packed_row + c / 2];
-                    if c % 2 == 0 {
-                        *byte |= code & 0x0F;
-                    } else {
-                        *byte |= (code & 0x0F) << 4;
-                    }
+            for (code, &v) in codes[r * dim..(r + 1) * dim].iter_mut().zip(row) {
+                if scale > 0.0 {
+                    *code = (((v - min) / scale).round() as u32).min(u32::from(u8::MAX)) as u8;
                 }
             }
         }
@@ -79,17 +66,10 @@ impl QuantizedTable {
             name: table.name().to_string(),
             rows,
             dim,
-            bits,
             codes,
             scales,
             biases,
         }
-    }
-
-    /// Quantization precision in bits.
-    #[must_use]
-    pub fn bits(&self) -> u8 {
-        self.bits
     }
 
     /// Number of rows.
@@ -138,15 +118,8 @@ impl QuantizedTable {
         assert!(r < self.rows, "row {r} out of range");
         assert_eq!(out.len(), self.dim, "row buffer must be dim-sized");
         let level = simd::effective_level(KernelDispatch::detect().level());
-        let (scale, bias) = (self.scales[r], self.biases[r]);
-        if self.bits == 8 {
-            let codes = &self.codes[r * self.dim..r * self.dim + self.dim];
-            simd::decode_row_u8(level, codes, scale, bias, out);
-        } else {
-            let packed_row = self.dim.div_ceil(2);
-            let codes = &self.codes[r * packed_row..r * packed_row + packed_row];
-            simd::decode_row_u4(level, codes, scale, bias, out);
-        }
+        let codes = &self.codes[r * self.dim..(r + 1) * self.dim];
+        simd::decode_row_u8(level, codes, self.scales[r], self.biases[r], out);
     }
 
     /// Decodes the whole table back to `f32`.
@@ -161,9 +134,8 @@ impl QuantizedTable {
 
     /// SparseLengthsSum with on-the-fly dequantization — what the
     /// serving stack runs against compressed tables. Rows are decoded
-    /// inline into the accumulator (no per-lookup allocation): an 8-bit
-    /// table pools each bag in registers through [`simd::sls_bags_u8`],
-    /// a 4-bit table decode-accumulates row by row into the output.
+    /// inline into the accumulator (no per-lookup allocation): each bag
+    /// is pooled in registers through [`simd::sls_bags_u8`].
     ///
     /// # Panics
     ///
@@ -181,53 +153,36 @@ impl QuantizedTable {
     /// As for [`Self::sparse_lengths_sum`].
     #[must_use]
     pub fn sparse_lengths_sum_par(&self, indices: &[u64], lengths: &[u32], pool: &Pool) -> Matrix {
-        let total: usize = lengths.iter().map(|&l| l as usize).sum();
-        assert_eq!(total, indices.len(), "lengths must cover indices");
+        self.try_sparse_lengths_sum_par(indices, lengths, pool)
+            .unwrap_or_else(|e| panic!("{e} in table {}", self.name))
+    }
+
+    /// [`Self::sparse_lengths_sum_par`] returning a malformed request as
+    /// a [`GatherError`] instead of panicking — the shard service's
+    /// entry point.
+    ///
+    /// # Errors
+    ///
+    /// [`GatherError`] when the lengths do not cover the indices or an
+    /// index is out of range.
+    pub fn try_sparse_lengths_sum_par(
+        &self,
+        indices: &[u64],
+        lengths: &[u32],
+        pool: &Pool,
+    ) -> Result<Matrix, GatherError> {
         let mut out = Matrix::zeros(lengths.len(), self.dim);
         if lengths.is_empty() || self.dim == 0 {
-            return out;
+            simd::check_bags(indices, lengths, self.rows)?;
+            return Ok(out);
         }
         let level = simd::effective_level(pool.dispatch().level());
         KernelStats::global().record_qsls(level);
-        let pooled = if self.bits == 8 {
-            let rows = simd::U8Rows::new(&self.codes, &self.scales, &self.biases, self.dim);
-            pool.par_bags(indices, lengths, self.dim, out.as_mut_slice(), |i, l, o| {
-                simd::sls_bags_u8(level, rows, i, l, o)
-            })
-        } else {
-            pool.par_bags(indices, lengths, self.dim, out.as_mut_slice(), |i, l, o| {
-                self.pool_bags_u4(i, l, o, level);
-                Ok(())
-            })
-        };
-        if let Err(e) = pooled {
-            panic!("{e} in table {}", self.name);
-        }
-        out
-    }
-
-    /// Pools a contiguous run of bags of a 4-bit table into `out`
-    /// (already zeroed), decode-accumulating row by row. The vectorized
-    /// tier widens 16 nibbles at a time and applies the same `code *
-    /// scale + bias` then accumulate sequence per element as the scalar
-    /// loop, so results are bitwise equal.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an index is out of range.
-    fn pool_bags_u4(&self, indices: &[u64], lengths: &[u32], out: &mut [f32], level: SimdLevel) {
-        let packed_row = self.dim.div_ceil(2);
-        let mut cursor = 0usize;
-        for (b, &len) in lengths.iter().enumerate() {
-            let out_row = &mut out[b * self.dim..(b + 1) * self.dim];
-            for &idx in &indices[cursor..cursor + len as usize] {
-                let r = usize::try_from(idx).expect("index fits");
-                assert!(r < self.rows, "row {r} out of range");
-                let codes = &self.codes[r * packed_row..(r + 1) * packed_row];
-                simd::decode_accumulate_u4(level, codes, self.scales[r], self.biases[r], out_row);
-            }
-            cursor += len as usize;
-        }
+        let rows = simd::U8Rows::new(&self.codes, &self.scales, &self.biases, self.dim);
+        pool.par_bags(indices, lengths, self.dim, out.as_mut_slice(), |i, l, o| {
+            simd::sls_bags_u8(level, rows, i, l, o)
+        })?;
+        Ok(out)
     }
 
     /// Largest absolute element error versus the original table.
@@ -276,25 +231,13 @@ mod tests {
     }
 
     #[test]
-    fn four_bit_error_bounded_and_larger_than_eight_bit() {
-        let t = table();
-        let q8 = QuantizedTable::quantize(&t, 8);
-        let q4 = QuantizedTable::quantize(&t, 4);
-        assert!(q4.max_dequantization_error(&t) <= 0.5 / 15.0 + 1e-5);
-        assert!(q4.max_dequantization_error(&t) > q8.max_dequantization_error(&t));
-    }
-
-    #[test]
     fn size_reduction_ratios() {
         let t = EmbeddingTable::seeded("t", 1000, 64, 1);
         let orig = t.bytes();
         let q8 = QuantizedTable::quantize(&t, 8);
-        let q4 = QuantizedTable::quantize(&t, 4);
-        // 8-bit ≈ 4× smaller minus per-row overhead; 4-bit ≈ 8×.
+        // 8-bit ≈ 4× smaller minus per-row overhead.
         let r8 = orig as f64 / q8.bytes() as f64;
-        let r4 = orig as f64 / q4.bytes() as f64;
         assert!(r8 > 3.4 && r8 < 4.0, "8-bit ratio {r8}");
-        assert!(r4 > 6.0 && r4 < 8.0, "4-bit ratio {r4}");
     }
 
     #[test]
@@ -313,20 +256,13 @@ mod tests {
     fn constant_row_quantizes_exactly() {
         let m = Matrix::from_rows(&[&[3.5, 3.5, 3.5]]);
         let t = EmbeddingTable::from_weights("c", m);
-        let q = QuantizedTable::quantize(&t, 4);
+        let q = QuantizedTable::quantize(&t, 8);
         assert_eq!(q.row(0), vec![3.5, 3.5, 3.5]);
     }
 
     #[test]
-    fn odd_dim_four_bit_roundtrip() {
-        let t = EmbeddingTable::seeded("odd", 8, 7, 3);
-        let q = QuantizedTable::quantize(&t, 4);
-        assert!(q.max_dequantization_error(&t) <= 0.5 / 15.0 + 1e-5);
-    }
-
-    #[test]
-    #[should_panic(expected = "supported precisions")]
+    #[should_panic(expected = "supported precision: 8 bits")]
     fn rejects_weird_bit_width() {
-        let _ = QuantizedTable::quantize(&table(), 16);
+        let _ = QuantizedTable::quantize(&table(), 4);
     }
 }

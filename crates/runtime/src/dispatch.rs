@@ -281,8 +281,7 @@ impl KernelStats {
     }
 
     /// Records one f32 SparseLengthsSum dispatch gathering `rows` rows
-    /// (pruned tables and the hot-row cache count here too — same
-    /// gather kernel).
+    /// (the hot-row cache counts here too — same gather kernel).
     pub fn record_sls(&self, level: SimdLevel, rows: usize) {
         if level.is_simd() {
             &self.sls_avx2
@@ -339,7 +338,7 @@ pub struct KernelSummary {
     /// Right-operand packs done per GEMM call (not counted in
     /// [`Self::total`]: a pack is overhead, not a kernel dispatch).
     pub gemm_packs: u64,
-    /// f32 SLS passes (plain and pruned tables) on the scalar kernel.
+    /// f32 SLS passes on the scalar kernel.
     pub sls_scalar: u64,
     /// f32 SLS passes on the AVX2 gather kernel.
     pub sls_avx2: u64,

@@ -239,7 +239,10 @@ fn threaded_pool(services: Vec<Arc<ShardService>>, delay: Duration) -> Replicate
 }
 
 /// Same property through the thread-backed transport: real concurrency
-/// must not change a single bit of the predictions.
+/// must not change a single bit of the predictions. Odd cases give each
+/// shard worker a 2 ms service delay, so replies arrive while other RPCs
+/// are still outstanding; in every case the pool's RPC instrumentation
+/// must count each call of both runs and have seen one in flight.
 #[test]
 fn overlapped_bit_identical_over_threaded_transport() {
     let mut rng = SimRng::seed_from(0x7472_616e).fork(3);
@@ -253,12 +256,21 @@ fn overlapped_bit_identical_over_threaded_transport() {
             continue;
         };
         let services = shard_services(&spec, &p, seed);
-        let pool = threaded_pool(services.clone(), Duration::ZERO);
+        let delay = Duration::from_millis(2 * (case % 2) as u64);
+        let pool = threaded_pool(services.clone(), delay);
         let (dist, tally) = partition_counted(&spec, &p, seed, services, pool.clients());
-        for batch in materialize_request(&spec, db.get(0), spec.default_batch_size, seed ^ 5) {
+        let batches = materialize_request(&spec, db.get(0), spec.default_batch_size, seed ^ 5);
+        for batch in &batches {
             let what = format!("case {case}");
-            assert_overlap_exact_and_all_issued_first(&dist, &tally, &batch, &what);
+            assert_overlap_exact_and_all_issued_first(&dist, &tally, batch, &what);
         }
+        let summaries = pool.replica_rpc_summaries();
+        // Every batch ran each RPC op twice: sequentially, then overlapped.
+        let calls: u64 = summaries.iter().map(|s| s.calls).sum();
+        let want = 2 * dist.rpc_ops_per_inference() * batches.len();
+        assert_eq!(calls, want as u64, "case {case}: RPC calls counted");
+        let max_in_flight = summaries.iter().map(|s| s.max_in_flight).max().unwrap_or(0);
+        assert!(max_in_flight >= 1, "case {case}: no RPC seen in flight");
         pool.shutdown();
     }
 }

@@ -60,8 +60,9 @@ fn run_all(dist: &DistributedModel, inputs: &[BatchInputs]) -> Vec<Matrix> {
 
 /// Cache budget for the property runs: generous enough that skewed
 /// traffic reliably lands whole bags in the hot set (the all-or-nothing
-/// serving rule needs every row of a bag resident). The *default*
-/// config's hit-rate band is pinned by the `cache_smoke` gate instead.
+/// serving rule needs every row of a bag resident). Its hit-rate band
+/// at Zipf(1.2) is pinned by
+/// `hot_row_plan_sends_fewer_rows_over_the_wire_at_high_skew`.
 fn test_config() -> HotRowConfig {
     HotRowConfig {
         coverage: 0.95,
@@ -337,6 +338,15 @@ fn hot_row_plan_sends_fewer_rows_over_the_wire_at_high_skew() {
 
     assert_eq!(hot_out, base_out, "plans must agree bit for bit");
     assert_eq!(base.cache, Default::default(), "capacity plan has no cache");
+    // Everything is seeded, so the whole-bag hit rate is fixed; the band
+    // admits planner tuning, and failing it means the hot set stopped
+    // absorbing the skew (or started caching everything).
+    let hit_rate = hot.cache.hit_rate();
+    assert!(
+        (0.20..=0.98).contains(&hit_rate),
+        "whole-bag hit rate {hit_rate:.4} outside [0.20, 0.98] ({})",
+        hot.cache
+    );
     assert!(
         hot.rows_sent < base.rows_sent,
         "hot-row plan must shrink wire traffic: {} vs {}",

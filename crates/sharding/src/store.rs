@@ -192,10 +192,8 @@ impl TableStore {
     }
 
     /// Pools one wire slice from wherever its rows live. Every tier
-    /// validates the slice once, before any row is read, and rejects it
-    /// with the same text: the f32 gather kernel and the paged table
-    /// check as their own first pass, the quantized table, whose 4-bit
-    /// decoder asserts, is checked in front.
+    /// validates the slice once, as its kernel's first pass, before any
+    /// row is read, and rejects it with the same text.
     ///
     /// # Errors
     ///
@@ -217,10 +215,9 @@ impl TableStore {
                     .map_err(malformed)?;
                 Ok(out)
             }
-            Self::Quantized(t) => {
-                check_bags(indices, lengths, t.rows()).map_err(malformed)?;
-                Ok(t.sparse_lengths_sum_par(indices, lengths, pool))
-            }
+            Self::Quantized(t) => t
+                .try_sparse_lengths_sum_par(indices, lengths, pool)
+                .map_err(malformed),
             Self::Paged(t) => t.sparse_lengths_sum_par(indices, lengths, pool).map_err(|e| {
                 match e.get_ref().and_then(|inner| inner.downcast_ref::<GatherError>()) {
                     Some(&g) => malformed(g),

@@ -34,8 +34,8 @@
 //! under that level they run the same AVX2 bodies.
 //!
 //! [`sls_bags`] is the workspace's one f32 SparseLengthsSum inner loop
-//! (plain tables, the hot-row cache, pruned tables and the slab a paged
-//! table reads per call all gather through it): it keeps a bag's
+//! (plain tables, the hot-row cache and the slab a paged table reads
+//! per call all gather through it): it keeps a bag's
 //! accumulators in registers from `+0.0` and stores each output element
 //! once, which per element is the same sequence of adds as zeroing the
 //! row and adding each looked-up row to it — only the store-to-load
@@ -157,8 +157,9 @@ impl std::error::Error for GatherError {}
 
 /// The request contract every SLS kernel shares: the bag lengths
 /// partition `indices` exactly and every index addresses one of `rows`
-/// rows. [`sls_bags`] runs it as its one validation pass; a store whose
-/// row decoder asserts instead (quantized, paged) runs it first.
+/// rows. [`sls_bags`] and [`sls_bags_u8`] run it as their one
+/// validation pass; the paged table, whose row reads assert, runs it
+/// first.
 ///
 /// # Errors
 ///
@@ -385,71 +386,6 @@ pub fn decode_row_u8(level: SimdLevel, codes: &[u8], scale: f32, bias: f32, out:
     }
 }
 
-/// Quantized 4-bit decode-accumulate over packed nibbles: column `c`
-/// reads the low (even `c`) or high (odd `c`) nibble of `codes[c / 2]`.
-///
-/// # Panics
-///
-/// Panics if `codes.len() != out.len().div_ceil(2)`.
-pub fn decode_accumulate_u4(level: SimdLevel, codes: &[u8], scale: f32, bias: f32, out: &mut [f32]) {
-    assert_eq!(
-        codes.len(),
-        out.len().div_ceil(2),
-        "u4 decode length mismatch"
-    );
-    #[cfg(target_arch = "x86_64")]
-    if usable(level) {
-        // SAFETY: AVX2 verified; the kernel's 8-byte loads at c/2 stop
-        // at c + 16 <= out.len(), i.e. c/2 + 8 <= codes.len().
-        unsafe { x86::decode_u4_accumulate_avx2(codes, scale, bias, out) };
-        return;
-    }
-    let _ = level;
-    decode_u4_scalar::<true>(codes, scale, bias, out, 0);
-}
-
-/// Quantized 4-bit decode (overwrite) over packed nibbles.
-///
-/// # Panics
-///
-/// Panics if `codes.len() != out.len().div_ceil(2)`.
-pub fn decode_row_u4(level: SimdLevel, codes: &[u8], scale: f32, bias: f32, out: &mut [f32]) {
-    assert_eq!(
-        codes.len(),
-        out.len().div_ceil(2),
-        "u4 decode length mismatch"
-    );
-    #[cfg(target_arch = "x86_64")]
-    if usable(level) {
-        // SAFETY: as for `decode_accumulate_u4`.
-        unsafe { x86::decode_u4_store_avx2(codes, scale, bias, out) };
-        return;
-    }
-    let _ = level;
-    decode_u4_scalar::<false>(codes, scale, bias, out, 0);
-}
-
-/// Scalar nibble decode from absolute column `from` — also the ragged
-/// tail of the vectorized 4-bit kernels.
-fn decode_u4_scalar<const ACCUM: bool>(
-    codes: &[u8],
-    scale: f32,
-    bias: f32,
-    out: &mut [f32],
-    from: usize,
-) {
-    for (c, o) in out.iter_mut().enumerate().skip(from) {
-        let byte = codes[c / 2];
-        let code = if c % 2 == 0 { byte & 0x0F } else { byte >> 4 };
-        let t = f32::from(code) * scale + bias;
-        if ACCUM {
-            *o += t;
-        } else {
-            *o = t;
-        }
-    }
-}
-
 /// `out = A · Wᵀ` over a contiguous block of `A` rows (`a_rows`,
 /// `rows × k`) against packed weights (`panels`, the `k · n` floats of
 /// a [`crate::PackedWeights`]), writing every element of the matching
@@ -605,8 +541,7 @@ mod x86 {
         __m256, _mm256_add_ps, _mm256_cvtepi32_ps, _mm256_cvtepu8_epi32,
         _mm256_loadu_ps, _mm256_mul_ps, _mm256_set1_ps, _mm256_setzero_ps, _mm256_storeu_ps,
         _mm512_add_ps, _mm512_loadu_ps, _mm512_mul_ps, _mm512_set1_ps, _mm512_setzero_ps,
-        _mm512_storeu_ps, _mm_and_si128, _mm_loadl_epi64, _mm_prefetch, _mm_set1_epi8,
-        _mm_srli_epi16, _mm_srli_si128, _mm_unpacklo_epi8, _MM_HINT_T0,
+        _mm512_storeu_ps, _mm_loadl_epi64, _mm_prefetch, _MM_HINT_T0,
     };
 
     /// One k-step of a register tile: load the panel's `VECS` lane
@@ -1050,81 +985,6 @@ mod x86 {
             j += 1;
         }
     }
-
-    /// Shared 4-bit decode body: 8 packed bytes → 16 nibbles in column
-    /// order (low nibble = even column), widened and decoded as two
-    /// 8-lane groups.
-    #[inline(always)]
-    unsafe fn decode_u4_body<const ACCUM: bool>(
-        codes: &[u8],
-        scale: f32,
-        bias: f32,
-        out: &mut [f32],
-    ) {
-        let n = out.len();
-        let vs = _mm256_set1_ps(scale);
-        let vb = _mm256_set1_ps(bias);
-        let nibble = _mm_set1_epi8(0x0F);
-        let cp = codes.as_ptr();
-        let op = out.as_mut_ptr();
-        let mut c = 0usize;
-        while c + 16 <= n {
-            let raw = _mm_loadl_epi64(cp.add(c / 2).cast());
-            let lo = _mm_and_si128(raw, nibble);
-            let hi = _mm_and_si128(_mm_srli_epi16::<4>(raw), nibble);
-            // Interleave low/high nibbles back into column order:
-            // c, c+1, c+2, ... for 16 consecutive columns.
-            let codes16 = _mm_unpacklo_epi8(lo, hi);
-            let w0 = _mm256_cvtepi32_ps(_mm256_cvtepu8_epi32(codes16));
-            let w1 = _mm256_cvtepi32_ps(_mm256_cvtepu8_epi32(_mm_srli_si128::<8>(codes16)));
-            let t0 = _mm256_add_ps(_mm256_mul_ps(w0, vs), vb);
-            let t1 = _mm256_add_ps(_mm256_mul_ps(w1, vs), vb);
-            if ACCUM {
-                _mm256_storeu_ps(op.add(c), _mm256_add_ps(_mm256_loadu_ps(op.add(c)), t0));
-                _mm256_storeu_ps(
-                    op.add(c + 8),
-                    _mm256_add_ps(_mm256_loadu_ps(op.add(c + 8)), t1),
-                );
-            } else {
-                _mm256_storeu_ps(op.add(c), t0);
-                _mm256_storeu_ps(op.add(c + 8), t1);
-            }
-            c += 16;
-        }
-        super::decode_u4_scalar::<ACCUM>(codes, scale, bias, out, c);
-    }
-
-    /// 4-bit decode-accumulate.
-    ///
-    /// # Safety
-    ///
-    /// Caller verifies AVX2 support and `codes.len() ==
-    /// out.len().div_ceil(2)` — the kernel's 8-byte loads at `c/2` then
-    /// stay in bounds because `c + 16 ≤ out.len()`.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn decode_u4_accumulate_avx2(
-        codes: &[u8],
-        scale: f32,
-        bias: f32,
-        out: &mut [f32],
-    ) {
-        decode_u4_body::<true>(codes, scale, bias, out);
-    }
-
-    /// 4-bit decode-overwrite (`row_into`).
-    ///
-    /// # Safety
-    ///
-    /// As [`decode_u4_accumulate_avx2`].
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn decode_u4_store_avx2(
-        codes: &[u8],
-        scale: f32,
-        bias: f32,
-        out: &mut [f32],
-    ) {
-        decode_u4_body::<false>(codes, scale, bias, out);
-    }
 }
 
 #[cfg(test)]
@@ -1150,31 +1010,6 @@ mod tests {
             let mut simd_row = vec![f32::NAN; n];
             decode_row_u8(SimdLevel::Scalar, &codes, scale, bias, &mut scalar_row);
             decode_row_u8(level, &codes, scale, bias, &mut simd_row);
-            assert_eq!(scalar_row, simd_row, "store n={n} on {level}");
-        }
-    }
-
-    #[test]
-    fn u4_decode_matches_scalar_bitwise_including_odd_dims() {
-        for (level, n) in simd_levels()
-            .into_iter()
-            .flat_map(|l| [1usize, 2, 7, 15, 16, 17, 31, 32, 33, 63].map(|n| (l, n)))
-        {
-            let codes: Vec<u8> = (0..n.div_ceil(2)).map(|i| (i * 73 % 256) as u8).collect();
-            let (scale, bias) = (0.21_f32, 0.4_f32);
-            let mut scalar = vec![1.5f32; n];
-            let mut simd = scalar.clone();
-            decode_accumulate_u4(SimdLevel::Scalar, &codes, scale, bias, &mut scalar);
-            decode_accumulate_u4(level, &codes, scale, bias, &mut simd);
-            assert_eq!(
-                scalar.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                simd.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "accumulate n={n} on {level}"
-            );
-            let mut scalar_row = vec![f32::NAN; n];
-            let mut simd_row = vec![f32::NAN; n];
-            decode_row_u4(SimdLevel::Scalar, &codes, scale, bias, &mut scalar_row);
-            decode_row_u4(level, &codes, scale, bias, &mut simd_row);
             assert_eq!(scalar_row, simd_row, "store n={n} on {level}");
         }
     }
