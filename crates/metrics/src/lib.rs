@@ -9,8 +9,6 @@
 //! - [`PercentileSketch`]: exact percentile estimation over a recorded
 //!   sample set (the study's request counts are small enough that exact
 //!   order statistics are preferable to approximate digests),
-//! - [`StreamingQuantile`]: a P² streaming estimator for long-running
-//!   monitors where storing every observation is undesirable,
 //! - [`Histogram`]: log-bucketed latency histogram,
 //! - [`Summary`]: count/mean/min/max/stddev accumulator,
 //! - [`CauseCounts`]: failure counters keyed by cause, for the serving
@@ -38,13 +36,11 @@
 mod causes;
 mod histogram;
 mod percentile;
-mod streaming;
 mod summary;
 
 pub use causes::CauseCounts;
 pub use histogram::Histogram;
 pub use percentile::{PercentileSketch, Percentiles, TailPercentiles};
-pub use streaming::StreamingQuantile;
 pub use summary::Summary;
 
 /// Relative overhead of `value` versus `baseline`, in percent.

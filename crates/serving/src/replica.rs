@@ -19,9 +19,7 @@ use crate::fault::{FaultPlan, ReplicaFaultSchedule};
 use crate::threaded::{spawn_worker, RpcStats, ShardRpcSummary, ThreadedClient, WireTotals, WorkerMsg};
 use dlrm_metrics::CauseCounts;
 use dlrm_model::{build_model, ModelSpec};
-use dlrm_sharding::rpc::{
-    RpcCompletion, RpcError, ShardRequest, ShardResponse, SparseShardClient, WaitOutcome,
-};
+use dlrm_sharding::rpc::{RpcCompletion, RpcError, ShardRequest, ShardResponse, SparseShardClient};
 use dlrm_sharding::{
     partition_with_clients, CacheTotals, DistributedModel, HotRowCache, ShardId, ShardService,
     ShardingPlan,
@@ -792,7 +790,7 @@ impl ReplicatedClient {
                     self.counters.failovers.fetch_add(bypassed, Ordering::Relaxed);
                 }
                 Ok(Box::new(TrackedCompletion {
-                    inner: Some(inner),
+                    inner,
                     health: Arc::clone(&conn.health),
                     policy: self.policy,
                     counters: Arc::clone(&self.counters),
@@ -810,7 +808,7 @@ impl ReplicatedClient {
 /// Wraps a replica's completion so the eventual reply (or its absence)
 /// updates that replica's health record and the pool counters.
 struct TrackedCompletion {
-    inner: Option<Box<dyn RpcCompletion>>,
+    inner: Box<dyn RpcCompletion>,
     health: Arc<ReplicaHealth>,
     policy: HealthPolicy,
     counters: Arc<TransportCounters>,
@@ -833,38 +831,18 @@ impl TrackedCompletion {
 }
 
 impl RpcCompletion for TrackedCompletion {
-    fn wait(mut self: Box<Self>) -> Result<ShardResponse, RpcError> {
-        let result = self.inner.take().expect("completion waited twice").wait();
+    fn wait_until(&mut self, deadline: Option<Instant>) -> Option<Result<ShardResponse, RpcError>> {
+        let result = self.inner.wait_until(deadline)?;
         self.observe(&result);
-        result
+        Some(result)
     }
 
-    fn wait_deadline(mut self: Box<Self>, deadline: Instant) -> WaitOutcome {
-        match self
-            .inner
-            .take()
-            .expect("completion waited twice")
-            .wait_deadline(deadline)
-        {
-            WaitOutcome::Ready(result) => {
-                self.observe(&result);
-                WaitOutcome::Ready(result)
-            }
-            WaitOutcome::Pending(inner) => {
-                self.inner = Some(inner);
-                WaitOutcome::Pending(self)
-            }
-        }
-    }
-
-    fn abandon_timed_out(mut self: Box<Self>) {
+    fn abandon_timed_out(self: Box<Self>) {
         // The caller's deadline passed with no reply: charge the
         // replica, unlike dropping a losing hedge (plain drop).
         self.health.record_failure(&self.policy, &self.counters);
         self.counters.record_error("timeout");
-        if let Some(inner) = self.inner.take() {
-            inner.abandon_timed_out();
-        }
+        self.inner.abandon_timed_out();
     }
 }
 

@@ -23,9 +23,7 @@
 
 use crate::threaded::RpcStats;
 use crate::wire::{self, Message, ReadError};
-use dlrm_sharding::rpc::{
-    RpcCompletion, RpcError, ShardRequest, ShardResponse, SparseShardClient, WaitOutcome,
-};
+use dlrm_sharding::rpc::{RpcCompletion, RpcError, ShardRequest, ShardResponse, SparseShardClient};
 use dlrm_sharding::ShardId;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -321,27 +319,19 @@ impl TcpCompletion {
 }
 
 impl RpcCompletion for TcpCompletion {
-    fn wait(mut self: Box<Self>) -> Result<ShardResponse, RpcError> {
+    fn wait_until(&mut self, deadline: Option<Instant>) -> Option<Result<ShardResponse, RpcError>> {
         loop {
-            if let Some(result) = self.poll_reply(None) {
+            // A bounded read lasts at least MIN_READ_TIMEOUT, so even a
+            // deadline that already passed reads the socket once.
+            let timeout = deadline
+                .map(|d| d.saturating_duration_since(Instant::now()).max(MIN_READ_TIMEOUT));
+            if let Some(result) = self.poll_reply(timeout) {
                 let reusable = Self::reusable(&result);
-                return self.settle(result, reusable);
+                return Some(self.settle(result, reusable));
             }
-            // None with an unbounded timeout can only mean a spurious
-            // WouldBlock; retry.
-        }
-    }
-
-    fn wait_deadline(mut self: Box<Self>, deadline: Instant) -> WaitOutcome {
-        loop {
-            let now = Instant::now();
-            if now >= deadline {
-                return WaitOutcome::Pending(self);
-            }
-            let remaining = (deadline - now).max(MIN_READ_TIMEOUT);
-            if let Some(result) = self.poll_reply(Some(remaining)) {
-                let reusable = Self::reusable(&result);
-                return WaitOutcome::Ready(self.settle(result, reusable));
+            // With no deadline, only a spurious WouldBlock gets here.
+            if deadline.is_some_and(|d| Instant::now() >= d) {
+                return None;
             }
         }
     }
@@ -441,7 +431,7 @@ mod tests {
     }
 
     #[test]
-    fn wait_deadline_pends_then_settles_and_reuses_the_connection() {
+    fn wait_until_returns_none_then_settles_and_reuses_the_connection() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let server = std::thread::spawn(move || {
@@ -462,18 +452,13 @@ mod tests {
         });
         let client =
             TcpShardClient::new(ShardId(0), &addr.to_string(), Duration::from_secs(1)).unwrap();
-        let pending = match client
-            .begin_execute(&empty_request())
-            .unwrap()
-            .wait_deadline(Instant::now() + Duration::from_millis(1))
-        {
-            WaitOutcome::Pending(p) => p,
-            WaitOutcome::Ready(r) => panic!("30ms reply arrived in 1ms: {r:?}"),
-        };
-        match pending.wait_deadline(Instant::now() + Duration::from_secs(10)) {
-            WaitOutcome::Ready(r) => assert!(r.is_ok(), "{r:?}"),
-            WaitOutcome::Pending(_) => panic!("reply never arrived"),
+        let mut pending = client.begin_execute(&empty_request()).unwrap();
+        if let Some(r) = pending.wait_until(Some(Instant::now() + Duration::from_millis(1))) {
+            panic!("30ms reply arrived in 1ms: {r:?}");
         }
+        let settled = pending.wait_until(Some(Instant::now() + Duration::from_secs(10)));
+        let r = settled.expect("reply never arrived");
+        assert!(r.is_ok(), "{r:?}");
         // The settled connection went back to the pool; the second call
         // must reuse it (the server only accepts once).
         assert_eq!(client.pool.idle.lock().unwrap().len(), 1);

@@ -20,9 +20,7 @@
 
 use crate::fault::{serve_under_fault, ReplicaFaultSchedule, Served};
 use dlrm_metrics::{Histogram, Summary};
-use dlrm_sharding::rpc::{
-    RpcCompletion, RpcError, ShardRequest, ShardResponse, SparseShardClient, WaitOutcome,
-};
+use dlrm_sharding::rpc::{RpcCompletion, RpcError, ShardRequest, ShardResponse, SparseShardClient};
 use dlrm_sharding::{ShardId, ShardService};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, sync_channel, Receiver, RecvTimeoutError, Sender, SyncSender};
@@ -366,18 +364,18 @@ impl ThreadedCompletion {
 }
 
 impl RpcCompletion for ThreadedCompletion {
-    fn wait(mut self: Box<Self>) -> Result<ShardResponse, RpcError> {
-        let received = self.reply_rx.recv().map_err(|_| ());
-        self.settle(received)
-    }
-
-    fn wait_deadline(mut self: Box<Self>, deadline: Instant) -> WaitOutcome {
-        let left = deadline.saturating_duration_since(Instant::now());
-        match self.reply_rx.recv_timeout(left) {
-            Ok(result) => WaitOutcome::Ready(self.settle(Ok(result))),
-            Err(RecvTimeoutError::Timeout) => WaitOutcome::Pending(self),
-            Err(RecvTimeoutError::Disconnected) => WaitOutcome::Ready(self.settle(Err(()))),
-        }
+    fn wait_until(&mut self, deadline: Option<Instant>) -> Option<Result<ShardResponse, RpcError>> {
+        let received = match deadline {
+            None => self.reply_rx.recv().map_err(|_| ()),
+            Some(deadline) => {
+                let left = deadline.saturating_duration_since(Instant::now());
+                match self.reply_rx.recv_timeout(left) {
+                    Err(RecvTimeoutError::Timeout) => return None,
+                    received => received.map_err(|_| ()),
+                }
+            }
+        };
+        Some(self.settle(received))
     }
 }
 
@@ -708,7 +706,7 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn wait_deadline_returns_pending_then_ready() {
+    fn wait_until_returns_none_then_the_reply() {
         let plan = FaultPlan::none().with(
             0,
             0,
@@ -716,17 +714,15 @@ pub(crate) mod tests {
         );
         let (pool, request) = one_shard_pool_with_faults(&plan);
         let clients = pool.clients();
-        let completion = clients[0].begin_execute(&request).unwrap();
-        // Deadline in the near past: the slow reply cannot be there yet.
-        let pending = match completion.wait_deadline(Instant::now()) {
-            WaitOutcome::Pending(p) => p,
-            WaitOutcome::Ready(r) => panic!("50ms reply arrived instantly: {r:?}"),
-        };
-        // A generous deadline settles it.
-        match pending.wait_deadline(Instant::now() + Duration::from_secs(10)) {
-            WaitOutcome::Ready(r) => assert!(r.is_ok(), "{r:?}"),
-            WaitOutcome::Pending(_) => panic!("reply never arrived"),
+        let mut completion = clients[0].begin_execute(&request).unwrap();
+        // Deadline now: the slow reply cannot be there yet.
+        if let Some(r) = completion.wait_until(Some(Instant::now())) {
+            panic!("50ms reply arrived instantly: {r:?}");
         }
+        // A generous deadline settles it.
+        let settled = completion.wait_until(Some(Instant::now() + Duration::from_secs(10)));
+        let r = settled.expect("reply never arrived");
+        assert!(r.is_ok(), "{r:?}");
         pool.shutdown();
     }
 }

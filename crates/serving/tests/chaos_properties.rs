@@ -18,13 +18,16 @@
 //!    double-count), and the degraded/availability figures are
 //!    consistent with the counts they summarize.
 
-use dlrm_model::graph::NoopObserver;
-use dlrm_model::{build_model, ModelSpec, Workspace};
+use dlrm_model::graph::{NoopObserver, RpcAttemptKind, RpcOutcome, SparseInput};
+use dlrm_model::{build_model, Blob, ModelSpec, NetId, TableId, Workspace};
 use dlrm_serving::engine_trace::RpcTracingObserver;
-use dlrm_serving::fault::{FaultPlan, FaultSpec};
+use dlrm_serving::fault::{FaultPlan, FaultSpec, ReplicaFaultSchedule};
 use dlrm_serving::frontend::{materialize_frontend_requests, run_frontend, FrontendConfig};
 use dlrm_serving::replica::{HealthPolicy, ReplicatedShardPool};
-use dlrm_sharding::{partition, plan, DistributedModel, RpcPolicy, ShardingPlan, ShardingStrategy};
+use dlrm_sharding::rpc::{RpcFetch, SparseRpc, SparseShardClient};
+use dlrm_sharding::{
+    partition, plan, DistributedModel, RpcPolicy, ShardService, ShardingPlan, ShardingStrategy,
+};
 use dlrm_tensor::Matrix;
 use dlrm_trace::TraceId;
 use dlrm_workload::{materialize_request, ArrivalSchedule, BatchInputs, PoolingProfile, TraceDb};
@@ -267,6 +270,57 @@ fn frontend_accounting_identities_hold_under_faults() {
     let text = report.to_string();
     assert!(text.contains("availability"), "{text}");
     assert!(text.contains("transport:"), "{text}");
+}
+
+// ---------------------------------------------------------------------
+// Hedging
+// ---------------------------------------------------------------------
+
+/// One RPC for table 0 through `client`, allowed one hedge after 2 ms
+/// and no deadline: how it settled.
+fn hedged_rpc(spec: &ModelSpec, client: Arc<dyn SparseShardClient>) -> RpcOutcome {
+    let fetch = RpcFetch {
+        table: TableId(0),
+        input_blob: "in".into(),
+        output_blob: "out".into(),
+        parts: 1,
+        part: 0,
+        dim: spec.table(TableId(0)).dim as usize,
+    };
+    let mut op = SparseRpc::new("hedged", NetId(0), client, vec![fetch]);
+    op.set_policy(RpcPolicy {
+        max_attempts: 2,
+        hedge_after: Some(Duration::from_millis(2)),
+        ..RpcPolicy::default()
+    });
+    let mut ws = Workspace::new();
+    ws.put("in", Blob::Sparse(SparseInput::new(vec![0, 1], vec![2])));
+    op.begin(&ws).expect("send").collect(&mut ws).expect("a reply")
+}
+
+/// The threaded twin of `net_properties::tcp_hedge_wins_against_a_slow_primary`.
+#[test]
+fn hedge_wins_against_a_slow_primary() {
+    let spec = chaos_spec();
+    let p = capacity_plan(&spec, 1);
+    let model = build_model(&spec, SEED).expect("build");
+    let services = p
+        .shards()
+        .map(|s| Arc::new(ShardService::build(&model.tables, &p, s)))
+        .collect();
+    // Round robin sends the primary to the slow replica 0 and the hedge
+    // to replica 1.
+    let faults = FaultPlan::none().with(
+        0,
+        0,
+        ReplicaFaultSchedule::always_slow(Duration::from_millis(100)),
+    );
+    let pool = ReplicatedShardPool::spawn(services, 2, Duration::ZERO, &faults, no_ejection());
+    let outcome = hedged_rpc(&spec, pool.clients().remove(0));
+    pool.shutdown();
+    let winner = outcome.attempts.iter().find(|a| a.winner).expect("a winner");
+    assert_eq!(winner.kind, RpcAttemptKind::Hedge, "{outcome:?}");
+    assert_eq!(outcome.hedges, 1);
 }
 
 // ---------------------------------------------------------------------

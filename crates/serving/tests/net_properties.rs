@@ -18,8 +18,8 @@
 //! - **Robustness** — a peer speaking garbage is dropped without
 //!   disturbing the server or other connections.
 
-use dlrm_model::graph::NoopObserver;
-use dlrm_model::{build_model, ModelSpec, NetId, Workspace};
+use dlrm_model::graph::{NoopObserver, RpcAttemptKind, RpcOutcome, SparseInput};
+use dlrm_model::{build_model, Blob, ModelSpec, NetId, TableId, Workspace};
 use dlrm_serving::control::{self, ControlPlane};
 use dlrm_serving::engine_trace::RpcTracingObserver;
 use dlrm_serving::fault::{FaultPlan, FaultSpec, ReplicaFaultSchedule};
@@ -28,7 +28,7 @@ use dlrm_serving::replica::HealthPolicy;
 use dlrm_serving::shard_server::{TcpShardPool, TcpShardServer};
 use dlrm_serving::tcp::TcpShardClient;
 use dlrm_serving::wire::Message;
-use dlrm_sharding::rpc::{ShardRequest, SparseShardClient};
+use dlrm_sharding::rpc::{RpcFetch, ShardRequest, SparseRpc, SparseShardClient};
 use dlrm_sharding::{
     partition, partition_with_clients, plan, DistributedModel, RpcPolicy, ShardService,
     ShardingPlan, ShardingStrategy,
@@ -292,6 +292,55 @@ fn tcp_frontend_accounting_identities_hold_under_faults() {
     let text = report.to_string();
     assert!(text.contains("transport:"), "{text}");
     assert!(text.contains("wire:"), "{text}");
+}
+
+// ---------------------------------------------------------------------
+// Hedging over sockets
+// ---------------------------------------------------------------------
+
+/// One RPC for table 0 through `client`, allowed one hedge after 2 ms
+/// and no deadline: how it settled.
+fn hedged_rpc(spec: &ModelSpec, client: Arc<dyn SparseShardClient>) -> RpcOutcome {
+    let fetch = RpcFetch {
+        table: TableId(0),
+        input_blob: "in".into(),
+        output_blob: "out".into(),
+        parts: 1,
+        part: 0,
+        dim: spec.table(TableId(0)).dim as usize,
+    };
+    let mut op = SparseRpc::new("hedged", NetId(0), client, vec![fetch]);
+    op.set_policy(RpcPolicy {
+        max_attempts: 2,
+        hedge_after: Some(Duration::from_millis(2)),
+        ..RpcPolicy::default()
+    });
+    let mut ws = Workspace::new();
+    ws.put("in", Blob::Sparse(SparseInput::new(vec![0, 1], vec![2])));
+    op.begin(&ws).expect("send").collect(&mut ws).expect("a reply")
+}
+
+/// Every racing attempt is read while another pends: the hedge's
+/// socket must be polled even though the slow primary's read never
+/// returns a frame.
+#[test]
+fn tcp_hedge_wins_against_a_slow_primary() {
+    let spec = chaos_spec();
+    let (_p, services) = services_for(&spec, 1);
+    // Round robin sends the primary to the slow replica 0 and the hedge
+    // to replica 1.
+    let faults = FaultPlan::none().with(
+        0,
+        0,
+        ReplicaFaultSchedule::always_slow(Duration::from_millis(100)),
+    );
+    let pool = TcpShardPool::spawn(services, 2, Duration::ZERO, &faults, no_ejection())
+        .expect("spawn tcp pool");
+    let outcome = hedged_rpc(&spec, pool.clients().remove(0));
+    pool.shutdown();
+    let winner = outcome.attempts.iter().find(|a| a.winner).expect("a winner");
+    assert_eq!(winner.kind, RpcAttemptKind::Hedge, "{outcome:?}");
+    assert_eq!(outcome.hedges, 1);
 }
 
 // ---------------------------------------------------------------------

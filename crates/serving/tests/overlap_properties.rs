@@ -20,7 +20,7 @@ use dlrm_sim::SimRng;
 use dlrm_workload::{materialize_request, BatchInputs, TraceDb};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Draws a small but structurally varied model spec: 1–2 nets, 1–3
 /// tables per net, 1–2 MLP layers per stack.
@@ -114,12 +114,12 @@ impl SparseShardClient for CountingClient {
 }
 
 impl RpcCompletion for CountingCompletion {
-    fn wait(self: Box<Self>) -> Result<ShardResponse, RpcError> {
-        let reply = self.inner.wait();
+    fn wait_until(&mut self, deadline: Option<Instant>) -> Option<Result<ShardResponse, RpcError>> {
+        let reply = self.inner.wait_until(deadline)?;
         let issued = self.tally.issued.load(Ordering::SeqCst);
         let first = &self.tally.issued_at_first_wait;
         let _ = first.compare_exchange(0, issued, Ordering::SeqCst, Ordering::SeqCst);
-        reply
+        Some(reply)
     }
 }
 

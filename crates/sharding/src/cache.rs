@@ -95,9 +95,9 @@ impl TableCache {
     /// order when every row is resident, `false` (contents unspecified)
     /// at the first cold row. `slots` is the caller's scratch, reused
     /// across bags.
-    pub(crate) fn resolve(&self, bag: &[u64], slots: &mut Vec<u64>) -> bool {
+    pub(crate) fn resolve(&self, bag: impl IntoIterator<Item = u64>, slots: &mut Vec<u64>) -> bool {
         slots.clear();
-        bag.iter().all(|&row| match self.slot(row) {
+        bag.into_iter().all(|row| match self.slot(row) {
             Some(slot) => {
                 slots.push(slot as u64);
                 true
@@ -265,8 +265,8 @@ mod tests {
         let cache = HotRowCache::build(std::slice::from_ref(&t), &one_table_plan(vec![1, 3, 7]));
         let tc = cache.table(TableId(0)).unwrap();
         let mut slots = Vec::new();
-        assert!(!tc.resolve(&[3, 2], &mut slots));
-        assert!(tc.resolve(&[3, 1, 7, 1], &mut slots));
+        assert!(!tc.resolve([3, 2], &mut slots));
+        assert!(tc.resolve([3, 1, 7, 1], &mut slots));
         assert_eq!(slots, [1, 0, 2, 0]);
         // Dirty output: the kernel stores every element.
         let mut out = vec![f32::NAN; 4];

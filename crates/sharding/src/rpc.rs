@@ -18,7 +18,7 @@ use dlrm_model::graph::{
     SparseInput, Workspace,
 };
 use dlrm_model::{NetId, OpGroup, TableId};
-use dlrm_tensor::simd::{self, KernelStats};
+use dlrm_tensor::simd::{self, KernelStats, SimdLevel};
 use dlrm_tensor::Matrix;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -200,46 +200,41 @@ pub trait SparseShardClient: std::fmt::Debug + Send + Sync {
     /// synchronously and wraps the finished result, which is correct
     /// (though unoverlapped) for direct-call clients; real transports
     /// (the thread-backed pool) override it to send now and receive at
-    /// [`RpcCompletion::wait`].
+    /// [`RpcCompletion::wait_until`].
     ///
     /// # Errors
     ///
     /// A typed [`RpcError`] when the request cannot be sent at all
     /// (transport down). Shard-side failures may instead surface from
-    /// [`RpcCompletion::wait`].
+    /// the completion.
     fn begin_execute(&self, request: &ShardRequest) -> Result<Box<dyn RpcCompletion>, RpcError> {
         Ok(Box::new(ReadyResponse(self.execute(request))))
     }
-}
-
-/// What a bounded wait on an [`RpcCompletion`] produced: either the
-/// settled call, or the still-pending completion handed back so the
-/// caller can keep waiting (or race it against a hedge).
-pub enum WaitOutcome {
-    /// The call settled (reply or error).
-    Ready(Result<ShardResponse, RpcError>),
-    /// The deadline passed first; the completion is returned untouched.
-    Pending(Box<dyn RpcCompletion>),
 }
 
 /// A shard RPC that has been sent but whose response has not been
 /// consumed yet. Dropping a completion abandons the call: the shard
 /// still executes it, the reply is discarded.
 pub trait RpcCompletion: Send {
+    /// Blocks until the call settles or `deadline` passes, whichever
+    /// comes first (`None`: no deadline). Returns the reply or the typed
+    /// [`RpcError`] the call settled with, or `None` when the deadline
+    /// passed first: the call is still pending and may be waited on
+    /// again. A settled call is not waited on again.
+    fn wait_until(&mut self, deadline: Option<Instant>) -> Option<Result<ShardResponse, RpcError>>;
+
     /// Blocks until the response arrives.
     ///
     /// # Errors
     ///
     /// A typed [`RpcError`] when the shard rejected the request or the
     /// transport died while the call was in flight.
-    fn wait(self: Box<Self>) -> Result<ShardResponse, RpcError>;
-
-    /// Blocks until the response arrives or `deadline` passes,
-    /// whichever happens first. The default implementation ignores the
-    /// deadline and waits — correct for completions that already hold
-    /// their result; real transports override it.
-    fn wait_deadline(self: Box<Self>, _deadline: Instant) -> WaitOutcome {
-        WaitOutcome::Ready(self.wait())
+    fn wait(mut self: Box<Self>) -> Result<ShardResponse, RpcError> {
+        loop {
+            if let Some(result) = self.wait_until(None) {
+                return result;
+            }
+        }
     }
 
     /// Notifies the transport that the caller is giving up on this call
@@ -254,8 +249,10 @@ pub trait RpcCompletion: Send {
 pub struct ReadyResponse(pub Result<ShardResponse, RpcError>);
 
 impl RpcCompletion for ReadyResponse {
-    fn wait(self: Box<Self>) -> Result<ShardResponse, RpcError> {
-        self.0
+    fn wait_until(&mut self, _deadline: Option<Instant>) -> Option<Result<ShardResponse, RpcError>> {
+        // Settles at once; the empty reply left behind is never read.
+        let empty = Ok(ShardResponse { pooled: Vec::new() });
+        Some(std::mem::replace(&mut self.0, empty))
     }
 }
 
@@ -358,12 +355,12 @@ pub struct RpcFetch {
 /// only indices with `idx % parts == part` are sent, translated to local
 /// rows `idx / parts`.
 ///
-/// With a hot-row cache attached ([`SparseRpc::set_cache`]), each bag
-/// whose routed indices are *all* cache-resident is pooled locally and
-/// dropped from the wire request; bags with any cold row go to the
-/// shard whole, so per-bag float summation order — and therefore every
-/// output bit — is unchanged. An operator whose bags are all local
-/// skips the network entirely.
+/// With a hot-row cache attached ([`SparseRpc::set_cache`]), the routed
+/// request is compacted: each bag whose indices are *all*
+/// cache-resident is pooled locally and dropped from the wire request;
+/// bags with any cold row go to the shard whole, so per-bag float
+/// summation order — and therefore every output bit — is unchanged. An
+/// operator whose bags are all local skips the network entirely.
 #[derive(Debug)]
 pub struct SparseRpc {
     /// `Arc`ed, like `fetches`: every [`PendingSparseRpc`] this operator
@@ -443,95 +440,9 @@ impl SparseRpc {
         })
     }
 
-    /// Splits the operator's bags against the attached cache: pools
-    /// fully-resident bags locally and builds the compacted wire
-    /// request holding only the remote remainder. Returns `None` for
-    /// the split when no cache is attached or no fetched table has a
-    /// hot set — the request is then the unsplit [`Self::build_request`]
-    /// and every byte of behavior matches the cacheless operator.
-    fn build_request_and_split(
-        &self,
-        ws: &Workspace,
-    ) -> Result<(ShardRequest, Option<LocalSplit>), GraphError> {
-        let Some(cache) = &self.cache else {
-            return Ok((self.build_request(ws)?, None));
-        };
-        if !self.fetches.iter().any(|f| cache.table(f.table).is_some()) {
-            return Ok((self.build_request(ws)?, None));
-        }
-        let mut split = LocalSplit {
-            outs: Vec::with_capacity(self.fetches.len()),
-            remote_fetches: Vec::new(),
-            remote_bags: Vec::new(),
-            hits: 0,
-            misses: 0,
-            local_rows: 0,
-        };
-        let mut slices = Vec::new();
-        let level = simd::effective_level(ws.pool().dispatch().level());
-        let mut slots: Vec<u64> = Vec::new();
-        for (fi, f) in self.fetches.iter().enumerate() {
-            let sparse = ws.sparse(&f.input_blob, &self.name)?;
-            let bags = route_bags_global(f, sparse);
-            let mut out = Matrix::zeros(bags.len(), f.dim);
-            let mut remote: Vec<usize> = Vec::new();
-            match cache.table(f.table) {
-                Some(tc) => {
-                    for (b, bag) in bags.iter().enumerate() {
-                        if tc.resolve(bag, &mut slots) {
-                            // Empty routed bags are vacuously local but
-                            // say nothing about the cache — skip counts.
-                            if !bag.is_empty() {
-                                split.hits += 1;
-                                split.local_rows += bag.len() as u64;
-                            }
-                            tc.pool_slots(level, &slots, out.row_mut(b));
-                        } else {
-                            split.misses += 1;
-                            remote.push(b);
-                        }
-                    }
-                }
-                None => remote.extend(0..bags.len()),
-            }
-            split.outs.push(out);
-            if remote.is_empty() {
-                continue;
-            }
-            let mut indices = Vec::new();
-            let mut lengths = Vec::with_capacity(remote.len());
-            for &b in &remote {
-                let bag = &bags[b];
-                lengths.push(u32::try_from(bag.len()).expect("bag length fits u32"));
-                if f.parts == 1 {
-                    indices.extend_from_slice(bag);
-                } else {
-                    indices.extend(bag.iter().map(|&idx| idx / f.parts as u64));
-                }
-            }
-            slices.push(TableSlice {
-                table: f.table,
-                indices,
-                lengths,
-            });
-            split.remote_fetches.push(fi);
-            split.remote_bags.push(remote);
-        }
-        cache.record(split.hits, split.misses, split.local_rows);
-        if split.local_rows > 0 {
-            KernelStats::global().record_sls(level, split.local_rows as usize);
-        }
-        Ok((
-            ShardRequest {
-                net: self.net,
-                slices,
-            },
-            Some(split),
-        ))
-    }
-
     /// Issue half of the operator: builds the request from the
-    /// workspace and sends it without waiting for the reply.
+    /// workspace — compacted to its cold bags when a cache is attached —
+    /// and sends it without waiting for the reply.
     ///
     /// When the send itself fails with a retryable error and the policy
     /// has attempts or a degraded fallback left, the failure is
@@ -543,67 +454,34 @@ impl SparseRpc {
     /// Propagates missing/mistyped input blobs, and send-time transport
     /// failures the policy cannot absorb.
     pub fn begin(&self, ws: &Workspace) -> Result<PendingSparseRpc, GraphError> {
-        let (request, split) = self.build_request_and_split(ws)?;
-        let (attempt, first_error) = if request.slices.is_empty() {
-            // Every bag was pooled from the cache: nothing to send, the
-            // collect half just writes the locally-pooled outputs.
-            (None, None)
-        } else {
-            match self.client.begin_execute(&request) {
-                Ok(completion) => (
-                    Some(InFlightAttempt {
-                        completion,
-                        issued_at: Instant::now(),
-                        kind: RpcAttemptKind::Primary,
-                    }),
-                    None,
-                ),
-                Err(e) => {
-                    let absorbable = e.is_retryable()
-                        && (self.policy.max_attempts > 1 || self.policy.degraded_fallback);
-                    if !absorbable {
-                        return Err(GraphError::OpFailed {
-                            op: self.name.to_string(),
-                            message: e.to_string(),
-                        });
-                    }
-                    (None, Some(e))
-                }
-            }
-        };
-        Ok(PendingSparseRpc {
+        let mut pending = PendingSparseRpc {
             op: Arc::clone(&self.name),
             fetches: Arc::clone(&self.fetches),
             client: Arc::clone(&self.client),
-            request,
+            request: self.build_request(ws)?,
             policy: self.policy,
-            attempt,
-            first_error,
-            split,
-        })
+            outs: vec![None; self.fetches.len()],
+            wired: (0..self.fetches.len()).map(|fi| (fi, None)).collect(),
+            outcome: RpcOutcome::default(),
+            in_flight: Vec::with_capacity(2),
+            last_error: None,
+        };
+        if let Some(cache) = &self.cache {
+            pending.split_cached(cache, simd::effective_level(ws.pool().dispatch().level()));
+        }
+        // A fully cache-served op has nothing to send.
+        if !pending.request.slices.is_empty() {
+            pending.send(RpcAttemptKind::Primary);
+        }
+        if let Some(e) = &pending.last_error {
+            let absorbable = e.is_retryable()
+                && (self.policy.max_attempts > 1 || self.policy.degraded_fallback);
+            if !absorbable {
+                return Err(pending.op_failed(e.to_string()));
+            }
+        }
+        Ok(pending)
     }
-}
-
-/// The hot/cold bag split of one issued operator: per-fetch output
-/// matrices pre-filled with the locally-pooled bags, plus the mapping
-/// from compacted wire-response rows back to output rows.
-struct LocalSplit {
-    /// One `total_bags × dim` output per fetch; local bags already
-    /// pooled, remote bags zero until the reply (or left zero when
-    /// degraded).
-    outs: Vec<Matrix>,
-    /// Indices into `fetches` that still need the wire (≥ 1 cold bag),
-    /// in fetch order — parallel to the request's slices.
-    remote_fetches: Vec<usize>,
-    /// For each remote fetch, the output-row index of every bag that
-    /// went remote, in wire order.
-    remote_bags: Vec<Vec<usize>>,
-    /// Bags pooled entirely locally (non-empty ones).
-    hits: u64,
-    /// Bags with at least one cold row.
-    misses: u64,
-    /// Row lookups served from the cache.
-    local_rows: u64,
 }
 
 /// One in-flight transmission tracked by the collect half.
@@ -617,22 +495,26 @@ struct InFlightAttempt {
 /// for a reply under the operator's [`RpcPolicy`] — enforcing the
 /// per-attempt deadline, retrying with capped backoff, hedging the
 /// straggler tail, and falling back to zero embeddings when every
-/// attempt is exhausted — then validates the reply against the fetch
-/// list and writes the pooled output blobs.
+/// attempt is exhausted — then validates the reply against the wired
+/// slices and writes the pooled output blobs.
 pub struct PendingSparseRpc {
     op: Arc<str>,
     fetches: Arc<[RpcFetch]>,
     client: Arc<dyn SparseShardClient>,
     request: ShardRequest,
     policy: RpcPolicy,
-    /// The primary attempt, when the send succeeded. `None` together
-    /// with no `first_error` means the op was fully served from the
-    /// hot-row cache and nothing was sent.
-    attempt: Option<InFlightAttempt>,
-    /// The send-time error when it did not (collect retries from here).
-    first_error: Option<RpcError>,
-    /// The hot/cold bag split when a cache absorbed part of the op.
-    split: Option<LocalSplit>,
+    /// One output per fetch: pooled from the cache at issue time (its
+    /// cold bags still zero), or `None` until the reply fills it.
+    outs: Vec<Option<Matrix>>,
+    /// For each wired slice, in request order: its fetch and, when the
+    /// cache split that fetch, the output row of each wired bag.
+    wired: Vec<(usize, Option<Vec<usize>>)>,
+    /// The cache counters, then every attempt as it settles.
+    outcome: RpcOutcome,
+    in_flight: Vec<InFlightAttempt>,
+    /// The latest attempt failure: what a retry answers and what an
+    /// exhausted budget reports.
+    last_error: Option<RpcError>,
 }
 
 /// How long each bounded poll lasts when two attempts are being raced
@@ -646,380 +528,283 @@ impl PendingSparseRpc {
     /// # Errors
     ///
     /// Propagates shard/transport failures the policy cannot absorb and
-    /// malformed responses (wrong table count or order).
+    /// malformed responses (wrong table count, order or shape).
     pub fn collect(mut self, ws: &mut Workspace) -> Result<RpcOutcome, GraphError> {
-        let mut outcome = RpcOutcome::default();
-        if let Some(split) = &self.split {
-            outcome.cache_hits = split.hits;
-            outcome.cache_misses = split.misses;
-            outcome.cache_local_rows = split.local_rows;
+        if self.request.slices.is_empty() {
+            // Fully cache-served: nothing was sent.
+            self.write_outputs(ws);
+            return Ok(self.outcome);
         }
-        // Fully cache-served op: nothing was sent, write the locally
-        // pooled outputs and settle without any attempt.
-        if self.attempt.is_none() && self.first_error.is_none() {
-            let split = self.split.take().expect("sendless op implies a split");
-            for (f, out) in self.fetches.iter().zip(split.outs) {
-                ws.put(f.output_blob.clone(), Blob::Dense(out));
-            }
-            return Ok(outcome);
-        }
-        let mut in_flight: Vec<InFlightAttempt> = Vec::with_capacity(2);
-        // Transmissions used so far (primary counts even if its send
-        // failed — the wire was tried).
-        let mut attempts_used: u32 = 1;
-        let mut last_error: Option<RpcError> = match self.first_error.take() {
-            Some(e) => {
-                outcome.attempts.push(RpcAttempt {
-                    kind: RpcAttemptKind::Primary,
-                    issued_at: Instant::now(),
-                    settled_at: Instant::now(),
-                    winner: false,
-                    error: Some(e.to_string()),
-                });
-                Some(e)
-            }
-            None => {
-                in_flight.push(self.attempt.take().expect("attempt or error"));
-                None
-            }
-        };
-
         loop {
-            // Re-transmit (retry) after a failure when budget remains.
-            if in_flight.is_empty() {
-                let Some(err) = last_error.take() else {
-                    unreachable!("no attempt in flight and no error recorded")
-                };
-                if !err.is_retryable() || attempts_used >= self.policy.max_attempts {
-                    return self.settle_exhausted(ws, outcome, err);
+            // Transmissions so far: the primary (counted even when its
+            // send failed — the wire was tried), retries and hedges.
+            let used = 1 + self.outcome.retries + self.outcome.hedges;
+            if self.in_flight.is_empty() {
+                let err = self
+                    .last_error
+                    .take()
+                    .expect("no attempt in flight and no error recorded");
+                if !err.is_retryable() || used >= self.policy.max_attempts {
+                    return self.settle_exhausted(ws, err);
                 }
-                let retry_no = outcome.retries + 1;
-                let backoff = self.policy.backoff(retry_no);
+                self.outcome.retries += 1;
+                let backoff = self.policy.backoff(self.outcome.retries);
                 if !backoff.is_zero() {
                     std::thread::sleep(backoff);
                 }
-                attempts_used += 1;
-                outcome.retries += 1;
-                match self.client.begin_execute(&self.request) {
-                    Ok(completion) => in_flight.push(InFlightAttempt {
-                        completion,
-                        issued_at: Instant::now(),
-                        kind: RpcAttemptKind::Retry,
-                    }),
-                    Err(e) => {
-                        outcome.attempts.push(RpcAttempt {
-                            kind: RpcAttemptKind::Retry,
-                            issued_at: Instant::now(),
-                            settled_at: Instant::now(),
-                            winner: false,
-                            error: Some(e.to_string()),
-                        });
-                        last_error = Some(e);
-                        continue;
-                    }
-                }
+                self.send(RpcAttemptKind::Retry);
+                continue;
             }
-
-            // The current attempt's deadline (the oldest in-flight
-            // transmission anchors the window).
-            let anchor = in_flight[0].issued_at;
-            let attempt_deadline = self.policy.attempt_timeout.and_then(|t| anchor.checked_add(t));
-            // When does the hedge fire? Only one duplicate at a time,
-            // and only if transmission budget remains.
-            let hedge_at = match self.policy.hedge_after {
-                Some(d) if in_flight.len() == 1 && attempts_used < self.policy.max_attempts => {
-                    anchor.checked_add(d)
-                }
-                _ => None,
-            };
-
-            // Wait for the next event: a settled attempt, the hedge
-            // timer, or the attempt deadline.
-            match Self::race(&mut in_flight, attempt_deadline, hedge_at) {
-                RaceResult::Settled {
-                    kind,
-                    issued_at,
-                    result: Ok(response),
-                } => {
-                    let now = Instant::now();
-                    outcome.attempts.push(RpcAttempt {
-                        kind,
-                        issued_at,
-                        settled_at: now,
-                        winner: true,
-                        error: None,
-                    });
-                    // Losing hedges are abandoned (their replicas are
-                    // healthy — the reply just lost the race).
-                    for loser in in_flight.drain(..) {
-                        outcome.attempts.push(RpcAttempt {
-                            kind: loser.kind,
-                            issued_at: loser.issued_at,
-                            settled_at: now,
-                            winner: false,
-                            error: None,
-                        });
+            // The oldest in-flight transmission anchors the attempt
+            // deadline and the hedge timer. One duplicate at a time,
+            // and only while transmission budget remains.
+            let anchor = self.in_flight[0].issued_at;
+            let deadline = self.policy.attempt_timeout.and_then(|t| anchor.checked_add(t));
+            let hedge_at = self
+                .policy
+                .hedge_after
+                .filter(|_| self.in_flight.len() == 1 && used < self.policy.max_attempts)
+                .and_then(|d| anchor.checked_add(d));
+            match race(&mut self.in_flight, deadline.into_iter().chain(hedge_at).min()) {
+                Some((winner, Ok(response))) => {
+                    self.record(winner.kind, winner.issued_at, true, None);
+                    // Losing hedges are dropped, not abandoned: their
+                    // replicas are healthy, the reply just lost the race.
+                    for loser in std::mem::take(&mut self.in_flight) {
+                        self.record(loser.kind, loser.issued_at, false, None);
                     }
                     self.write_response(ws, response)?;
-                    return Ok(outcome);
+                    return Ok(self.outcome);
                 }
-                RaceResult::Settled {
-                    kind,
-                    issued_at,
-                    result: Err(e),
-                } => {
-                    outcome.attempts.push(RpcAttempt {
-                        kind,
-                        issued_at,
-                        settled_at: Instant::now(),
-                        winner: false,
-                        error: Some(e.to_string()),
-                    });
+                Some((attempt, Err(e))) => {
+                    self.record(attempt.kind, attempt.issued_at, false, Some(&e));
                     if !e.is_retryable() {
-                        // Deterministic rejection: abandon everything
-                        // and fail now.
-                        return self.settle_exhausted(ws, outcome, e);
+                        // Deterministic rejection: fail now.
+                        return self.settle_exhausted(ws, e);
                     }
-                    if in_flight.is_empty() {
-                        last_error = Some(e);
-                    }
-                    // Else: the other transmission may still win; loop
-                    // and keep waiting on it.
+                    // Retried once no other transmission is in flight.
+                    self.last_error = Some(e);
                 }
-                RaceResult::HedgeDue => {
-                    attempts_used += 1;
-                    outcome.hedges += 1;
-                    match self.client.begin_execute(&self.request) {
-                        Ok(completion) => in_flight.push(InFlightAttempt {
-                            completion,
-                            issued_at: Instant::now(),
-                            kind: RpcAttemptKind::Hedge,
-                        }),
-                        Err(e) => {
-                            outcome.attempts.push(RpcAttempt {
-                                kind: RpcAttemptKind::Hedge,
-                                issued_at: Instant::now(),
-                                settled_at: Instant::now(),
-                                winner: false,
-                                error: Some(e.to_string()),
-                            });
-                        }
-                    }
-                }
-                RaceResult::DeadlinePassed => {
-                    // Every in-flight transmission of this attempt window
-                    // timed out together.
-                    let now = Instant::now();
-                    let waited = now.saturating_duration_since(anchor);
+                None if deadline.is_some_and(|d| Instant::now() >= d) => {
+                    // Every in-flight transmission of this attempt
+                    // window timed out together.
                     let err = RpcError::Timeout {
                         shard: self.client.shard_id(),
-                        waited,
+                        waited: anchor.elapsed(),
                     };
-                    for attempt in in_flight.drain(..) {
-                        outcome.attempts.push(RpcAttempt {
-                            kind: attempt.kind,
-                            issued_at: attempt.issued_at,
-                            settled_at: now,
-                            winner: false,
-                            error: Some(err.to_string()),
-                        });
+                    for attempt in std::mem::take(&mut self.in_flight) {
+                        self.record(attempt.kind, attempt.issued_at, false, Some(&err));
                         attempt.completion.abandon_timed_out();
                     }
-                    last_error = Some(err);
+                    self.last_error = Some(err);
+                }
+                None => {
+                    self.outcome.hedges += 1;
+                    self.send(RpcAttemptKind::Hedge);
                 }
             }
         }
     }
 
-    /// Waits until one in-flight attempt settles, the hedge timer
-    /// fires, or the attempt deadline passes — whichever is first. A
-    /// settled attempt is removed from `in_flight`; any remaining
-    /// entries are still pending.
-    fn race(
-        in_flight: &mut Vec<InFlightAttempt>,
-        attempt_deadline: Option<Instant>,
-        hedge_at: Option<Instant>,
-    ) -> RaceResult {
-        loop {
-            let now = Instant::now();
-            if let Some(d) = attempt_deadline {
-                if now >= d {
-                    return RaceResult::DeadlinePassed;
-                }
-            }
-            if let Some(h) = hedge_at {
-                if now >= h {
-                    return RaceResult::HedgeDue;
-                }
-            }
-            // One transmission and no timers: block until it settles.
-            if in_flight.len() == 1 && attempt_deadline.is_none() && hedge_at.is_none() {
-                let attempt = in_flight.remove(0);
-                return RaceResult::Settled {
-                    kind: attempt.kind,
-                    issued_at: attempt.issued_at,
-                    result: attempt.completion.wait(),
-                };
-            }
-            // Bounded wait: straight to the next timer when there is
-            // only one transmission, otherwise a short slice so the
-            // racing transmissions are polled alternately.
-            let mut until = if in_flight.len() == 1 {
-                Instant::now() + Duration::from_secs(3600)
-            } else {
-                now + RACE_POLL_SLICE
+    /// Compacts the routed request against the hot-row cache: each bag
+    /// whose rows are all resident is pooled into its fetch's output
+    /// here, and only the bags with a cold row stay on the wire. The
+    /// cache is keyed by global row, `local · parts + part`.
+    fn split_cached(&mut self, cache: &HotRowCache, level: SimdLevel) {
+        let (mut hits, mut misses, mut local_rows) = (0u64, 0u64, 0u64);
+        let mut slots = Vec::new();
+        let routed = std::mem::take(&mut self.request.slices);
+        self.wired.clear();
+        for (fi, slice) in routed.into_iter().enumerate() {
+            let f = &self.fetches[fi];
+            let Some(tc) = cache.table(f.table) else {
+                self.request.slices.push(slice);
+                self.wired.push((fi, None));
+                continue;
             };
-            if let Some(d) = attempt_deadline {
-                until = until.min(d);
-            }
-            if let Some(h) = hedge_at {
-                until = until.min(h);
-            }
-            for index in 0..in_flight.len() {
-                let attempt = in_flight.remove(index);
-                let kind = attempt.kind;
-                let issued_at = attempt.issued_at;
-                match attempt.completion.wait_deadline(until) {
-                    WaitOutcome::Ready(result) => {
-                        return RaceResult::Settled {
-                            kind,
-                            issued_at,
-                            result,
-                        };
+            let (parts, part) = (f.parts as u64, f.part as u64);
+            let mut out = Matrix::zeros(slice.lengths.len(), f.dim);
+            let mut cold = TableSlice {
+                table: f.table,
+                indices: Vec::new(),
+                lengths: Vec::new(),
+            };
+            let mut rows = Vec::new();
+            let mut cursor = 0usize;
+            for (b, &len) in slice.lengths.iter().enumerate() {
+                let bag = &slice.indices[cursor..cursor + len as usize];
+                cursor += len as usize;
+                if tc.resolve(bag.iter().map(|&local| local * parts + part), &mut slots) {
+                    // Empty routed bags are vacuously local but say
+                    // nothing about the cache — skip counts.
+                    if len > 0 {
+                        hits += 1;
+                        local_rows += u64::from(len);
                     }
-                    WaitOutcome::Pending(completion) => {
-                        in_flight.insert(
-                            index,
-                            InFlightAttempt {
-                                completion,
-                                issued_at,
-                                kind,
-                            },
-                        );
-                    }
+                    tc.pool_slots(level, &slots, out.row_mut(b));
+                } else {
+                    misses += 1;
+                    cold.indices.extend_from_slice(bag);
+                    cold.lengths.push(len);
+                    rows.push(b);
                 }
             }
+            self.outs[fi] = Some(out);
+            if !rows.is_empty() {
+                self.request.slices.push(cold);
+                self.wired.push((fi, Some(rows)));
+            }
+        }
+        cache.record(hits, misses, local_rows);
+        if local_rows > 0 {
+            KernelStats::global().record_sls(level, local_rows as usize);
+        }
+        self.outcome.cache_hits = hits;
+        self.outcome.cache_misses = misses;
+        self.outcome.cache_local_rows = local_rows;
+    }
+
+    /// Transmits the request once — primary, retry or hedge. A send that
+    /// fails at once is recorded as a failed attempt and becomes the
+    /// last error.
+    fn send(&mut self, kind: RpcAttemptKind) {
+        match self.client.begin_execute(&self.request) {
+            Ok(completion) => self.in_flight.push(InFlightAttempt {
+                completion,
+                issued_at: Instant::now(),
+                kind,
+            }),
+            Err(e) => {
+                self.record(kind, Instant::now(), false, Some(&e));
+                self.last_error = Some(e);
+            }
+        }
+    }
+
+    /// Records one transmission, settled now.
+    fn record(
+        &mut self,
+        kind: RpcAttemptKind,
+        issued_at: Instant,
+        winner: bool,
+        error: Option<&RpcError>,
+    ) {
+        self.outcome.attempts.push(RpcAttempt {
+            kind,
+            issued_at,
+            settled_at: Instant::now(),
+            winner,
+            error: error.map(ToString::to_string),
+        });
+    }
+
+    fn op_failed(&self, message: String) -> GraphError {
+        GraphError::OpFailed {
+            op: self.op.to_string(),
+            message,
         }
     }
 
     /// Terminal path: the budget is spent (or the error is not
-    /// retryable). Either substitute the degraded zero-embedding
-    /// fallback or surface the typed error as an operator failure.
+    /// retryable). Either write the degraded fallback — cache-served
+    /// bags keep their values, wired bags read zero — or surface the
+    /// typed error as an operator failure.
     fn settle_exhausted(
-        &mut self,
+        mut self,
         ws: &mut Workspace,
-        mut outcome: RpcOutcome,
         err: RpcError,
     ) -> Result<RpcOutcome, GraphError> {
-        if self.policy.degraded_fallback && err.is_retryable() {
-            if let Some(split) = self.split.take() {
-                // Cache-served bags keep their real values; only the
-                // remote positions stay zero.
-                for (f, out) in self.fetches.iter().zip(split.outs) {
-                    ws.put(f.output_blob.clone(), Blob::Dense(out));
-                }
-            } else {
-                for (f, slice) in self.fetches.iter().zip(&self.request.slices) {
-                    let rows = slice.lengths.len();
-                    ws.put(f.output_blob.clone(), Blob::Dense(Matrix::zeros(rows, f.dim)));
-                }
-            }
-            outcome.degraded = true;
-            outcome.error_kind = Some(err.kind().to_string());
-            return Ok(outcome);
+        if !(self.policy.degraded_fallback && err.is_retryable()) {
+            return Err(self.op_failed(err.to_string()));
         }
-        Err(GraphError::OpFailed {
-            op: self.op.to_string(),
-            message: err.to_string(),
-        })
+        self.write_outputs(ws);
+        self.outcome.degraded = true;
+        self.outcome.error_kind = Some(err.kind().to_string());
+        Ok(self.outcome)
     }
 
-    /// Validates the winning response and writes the pooled blobs.
-    ///
-    /// With a hot/cold split in play the response is *compacted*: one
-    /// entry per remote fetch, one row per remote bag. Those rows are
-    /// scattered back into the pre-pooled output matrices; without a
-    /// split the response maps 1:1 onto the fetch list as before.
+    /// Validates the winning reply — one `bags × dim` matrix per wired
+    /// slice, in request order — and writes the outputs: a fetch wired
+    /// whole takes its matrix, a cache-split fetch gets the rows
+    /// scattered back to its cold bags.
     fn write_response(&mut self, ws: &mut Workspace, response: ShardResponse) -> Result<(), GraphError> {
-        if let Some(split) = self.split.take() {
-            if response.pooled.len() != split.remote_fetches.len() {
-                return Err(GraphError::OpFailed {
-                    op: self.op.to_string(),
-                    message: format!(
-                        "shard returned {} tables, expected {} remote",
-                        response.pooled.len(),
-                        split.remote_fetches.len()
-                    ),
-                });
-            }
-            let mut outs = split.outs;
-            for (k, (table, pooled)) in response.pooled.into_iter().enumerate() {
-                let fi = split.remote_fetches[k];
-                let f = &self.fetches[fi];
-                if table != f.table {
-                    return Err(GraphError::OpFailed {
-                        op: self.op.to_string(),
-                        message: format!("shard answered {table}, expected {}", f.table),
-                    });
-                }
-                let bags = &split.remote_bags[k];
-                if pooled.rows() != bags.len() || pooled.cols() != f.dim {
-                    return Err(GraphError::OpFailed {
-                        op: self.op.to_string(),
-                        message: format!(
-                            "shard returned {}x{} for {table}, expected {}x{}",
-                            pooled.rows(),
-                            pooled.cols(),
-                            bags.len(),
-                            f.dim
-                        ),
-                    });
-                }
-                for (j, &b) in bags.iter().enumerate() {
-                    outs[fi].row_mut(b).copy_from_slice(pooled.row(j));
-                }
-            }
-            for (f, out) in self.fetches.iter().zip(outs) {
-                ws.put(f.output_blob.clone(), Blob::Dense(out));
-            }
-            return Ok(());
+        if response.pooled.len() != self.wired.len() {
+            return Err(self.op_failed(format!(
+                "shard returned {} tables, expected {}",
+                response.pooled.len(),
+                self.wired.len()
+            )));
         }
-        if response.pooled.len() != self.fetches.len() {
-            return Err(GraphError::OpFailed {
-                op: self.op.to_string(),
-                message: format!(
-                    "shard returned {} tables, expected {}",
-                    response.pooled.len(),
-                    self.fetches.len()
-                ),
-            });
-        }
-        for (f, (table, pooled)) in self.fetches.iter().zip(response.pooled) {
+        let wired = self.request.slices.iter().zip(&self.wired);
+        for ((table, pooled), (slice, (fi, rows))) in response.pooled.into_iter().zip(wired) {
+            let f = &self.fetches[*fi];
             if table != f.table {
-                return Err(GraphError::OpFailed {
-                    op: self.op.to_string(),
-                    message: format!("shard answered {table}, expected {}", f.table),
-                });
+                return Err(self.op_failed(format!("shard answered {table}, expected {}", f.table)));
             }
-            ws.put(f.output_blob.clone(), Blob::Dense(pooled));
+            let bags = slice.lengths.len();
+            if pooled.rows() != bags || pooled.cols() != f.dim {
+                return Err(self.op_failed(format!(
+                    "shard returned {}x{} for {table}, expected {bags}x{}",
+                    pooled.rows(),
+                    pooled.cols(),
+                    f.dim
+                )));
+            }
+            match rows {
+                None => self.outs[*fi] = Some(pooled),
+                Some(rows) => {
+                    let out = self.outs[*fi].as_mut().expect("a split fetch is pooled at issue");
+                    for (j, &b) in rows.iter().enumerate() {
+                        out.row_mut(b).copy_from_slice(pooled.row(j));
+                    }
+                }
+            }
         }
+        self.write_outputs(ws);
         Ok(())
+    }
+
+    /// The one output writer, for a reply, a degraded fallback and a
+    /// cache-only op alike: every fetch's output goes to its blob, and a
+    /// wired fetch no reply filled reads zero.
+    fn write_outputs(&mut self, ws: &mut Workspace) {
+        for (slice, &(fi, _)) in self.request.slices.iter().zip(&self.wired) {
+            if self.outs[fi].is_none() {
+                self.outs[fi] = Some(Matrix::zeros(slice.lengths.len(), self.fetches[fi].dim));
+            }
+        }
+        for (f, out) in self.fetches.iter().zip(self.outs.drain(..)) {
+            let out = out.expect("every fetch is pooled, answered or zeroed");
+            ws.put(f.output_blob.clone(), Blob::Dense(out));
+        }
     }
 }
 
-/// What ended one bounded wait in the collect loop.
-enum RaceResult {
-    /// One in-flight transmission settled (and was removed from the
-    /// in-flight set).
-    Settled {
-        kind: RpcAttemptKind,
-        issued_at: Instant,
-        result: Result<ShardResponse, RpcError>,
-    },
-    /// The hedge timer fired before anything settled.
-    HedgeDue,
-    /// The per-attempt deadline passed before anything settled.
-    DeadlinePassed,
+/// Waits until one in-flight attempt settles — removing it and returning
+/// it with its result — or until `until` passes (`None`). A lone attempt
+/// waits straight to `until`; racing attempts are polled in turn, each
+/// for a slice of its own, so every one is read while another pends.
+fn race(
+    in_flight: &mut Vec<InFlightAttempt>,
+    until: Option<Instant>,
+) -> Option<(InFlightAttempt, Result<ShardResponse, RpcError>)> {
+    loop {
+        for i in 0..in_flight.len() {
+            let now = Instant::now();
+            if until.is_some_and(|u| now >= u) {
+                return None;
+            }
+            let end = if in_flight.len() == 1 {
+                until
+            } else {
+                let slice_end = now + RACE_POLL_SLICE;
+                Some(until.map_or(slice_end, |u| u.min(slice_end)))
+            };
+            if let Some(result) = in_flight[i].completion.wait_until(end) {
+                return Some((in_flight.remove(i), result));
+            }
+        }
+    }
 }
 
 impl PendingOp for PendingSparseRpc {
@@ -1064,29 +849,6 @@ fn route_slice(fetch: &RpcFetch, sparse: &SparseInput) -> TableSlice {
         indices,
         lengths,
     }
-}
-
-/// Modulus routing that keeps bag structure and *global* row ids: for
-/// each batch element, the global indices belonging to this fetch's
-/// part, in input order. The cache split needs global ids (the cache
-/// is keyed by them) and per-bag boundaries (local serving is
-/// all-or-nothing per bag).
-fn route_bags_global(fetch: &RpcFetch, sparse: &SparseInput) -> Vec<Vec<u64>> {
-    let parts = fetch.parts as u64;
-    let part = fetch.part as u64;
-    let mut bags = Vec::with_capacity(sparse.lengths.len());
-    let mut cursor = 0usize;
-    for &len in &sparse.lengths {
-        let slice = &sparse.indices[cursor..cursor + len as usize];
-        let bag = if fetch.parts == 1 {
-            slice.to_vec()
-        } else {
-            slice.iter().copied().filter(|&i| i % parts == part).collect()
-        };
-        bags.push(bag);
-        cursor += len as usize;
-    }
-    bags
 }
 
 impl Operator for SparseRpc {
@@ -1222,6 +984,55 @@ mod tests {
                 return Err(self.error.clone());
             }
             ZeroClient.execute(request)
+        }
+    }
+
+    /// A client whose first `stuck` sends never settle — a bounded wait
+    /// on one sleeps out its deadline, and an unbounded one would hang,
+    /// so it panics — while later sends answer like [`ZeroClient`].
+    /// Counts the stuck calls given up as timed out.
+    #[derive(Debug)]
+    struct StuckClient {
+        stuck: u32,
+        sends: AtomicU32,
+        abandoned: Arc<AtomicU32>,
+    }
+
+    impl StuckClient {
+        fn new(stuck: u32) -> Self {
+            Self {
+                stuck,
+                sends: AtomicU32::new(0),
+                abandoned: Arc::default(),
+            }
+        }
+    }
+
+    struct StuckCompletion(Arc<AtomicU32>);
+
+    impl RpcCompletion for StuckCompletion {
+        fn wait_until(&mut self, deadline: Option<Instant>) -> Option<Result<ShardResponse, RpcError>> {
+            let deadline = deadline.expect("unbounded wait on a call that never settles");
+            std::thread::sleep(deadline.saturating_duration_since(Instant::now()));
+            None
+        }
+        fn abandon_timed_out(self: Box<Self>) {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    impl SparseShardClient for StuckClient {
+        fn shard_id(&self) -> ShardId {
+            ShardId(0)
+        }
+        fn execute(&self, request: &ShardRequest) -> Result<ShardResponse, RpcError> {
+            ZeroClient.execute(request)
+        }
+        fn begin_execute(&self, request: &ShardRequest) -> Result<Box<dyn RpcCompletion>, RpcError> {
+            if self.sends.fetch_add(1, Ordering::SeqCst) < self.stuck {
+                return Ok(Box::new(StuckCompletion(Arc::clone(&self.abandoned))));
+            }
+            Ok(Box::new(ReadyResponse(self.execute(request))))
         }
     }
 
@@ -1419,6 +1230,59 @@ mod tests {
         assert!(ws.dense("out", "t").is_ok());
     }
 
+    #[test]
+    fn attempt_timeout_abandons_the_primary_once_and_the_retry_wins() {
+        let client = Arc::new(StuckClient::new(1));
+        let op = rpc_with(
+            Arc::clone(&client) as Arc<dyn SparseShardClient>,
+            RpcPolicy {
+                attempt_timeout: Some(Duration::from_millis(5)),
+                max_attempts: 2,
+                backoff_base: Duration::ZERO,
+                ..RpcPolicy::default()
+            },
+        );
+        let mut ws = ws_with_input();
+        let outcome = op.begin(&ws).unwrap().collect(&mut ws).unwrap();
+        let kinds: Vec<_> = outcome.attempts.iter().map(|a| (a.kind, a.winner)).collect();
+        assert_eq!(kinds, [(RpcAttemptKind::Primary, false), (RpcAttemptKind::Retry, true)]);
+        let error = outcome.attempts[0].error.as_deref().expect("the primary failed");
+        assert!(error.starts_with("timeout"), "{error}");
+        assert_eq!(client.abandoned.load(Ordering::SeqCst), 1);
+        assert_eq!((outcome.retries, outcome.hedges), (1, 0));
+        assert!(ws.dense("out", "t").is_ok());
+    }
+
+    #[test]
+    fn hedge_beats_a_primary_that_never_settles() {
+        let client = Arc::new(StuckClient::new(1));
+        let op = rpc_with(
+            Arc::clone(&client) as Arc<dyn SparseShardClient>,
+            RpcPolicy {
+                max_attempts: 2,
+                hedge_after: Some(Duration::from_millis(1)),
+                ..RpcPolicy::default()
+            },
+        );
+        let mut ws = ws_with_input();
+        let outcome = op.begin(&ws).unwrap().collect(&mut ws).unwrap();
+        assert_eq!((outcome.retries, outcome.hedges), (0, 1));
+        let winner = outcome.attempts.iter().find(|a| a.winner).expect("a winner");
+        assert_eq!(winner.kind, RpcAttemptKind::Hedge);
+        let primary = outcome
+            .attempts
+            .iter()
+            .find(|a| a.kind == RpcAttemptKind::Primary)
+            .expect("the losing primary is recorded");
+        assert!(!primary.winner && primary.error.is_none(), "{primary:?}");
+        assert_eq!(
+            client.abandoned.load(Ordering::SeqCst),
+            0,
+            "a lost race drops the primary, it is not abandoned as timed out"
+        );
+        assert!(ws.dense("out", "t").is_ok());
+    }
+
     use crate::plan::{Location, ShardingPlan, TablePlacement};
     use crate::ShardingStrategy;
     use dlrm_model::EmbeddingTable;
@@ -1524,6 +1388,57 @@ mod tests {
     }
 
     #[test]
+    fn cache_split_of_a_row_sharded_fetch_maps_local_rows_to_global_ids() {
+        // Part 1 of 2 serves the odd global rows: local row j is global
+        // row 2j + 1 of the full table the cache copies from.
+        let table = test_table(16, 2);
+        let odd: Vec<f32> = (0..8).flat_map(|j| table.row(2 * j + 1).to_vec()).collect();
+        let shard_table = EmbeddingTable::from_weights("t", Matrix::from_vec(8, 2, odd));
+        // Global bags: [1,3,4] routes to [1,3] (all hot); [1,5] routes
+        // to [1,5] (5 is cold); [2,4] routes to nothing.
+        let mut ws = Workspace::new();
+        ws.put(
+            "in",
+            Blob::Sparse(SparseInput::new(vec![1, 3, 4, 1, 5, 2, 4], vec![3, 2, 2])),
+        );
+        let odd_part = RpcFetch {
+            parts: 2,
+            part: 1,
+            ..dim2_fetch()
+        };
+
+        let pure_fetch = RpcFetch {
+            output_blob: "out_pure".into(),
+            ..odd_part.clone()
+        };
+        let pure_client = Arc::new(PoolingClient::new(shard_table.clone()));
+        let pure = SparseRpc::new("rpc", NetId(0), pure_client, vec![pure_fetch]);
+        pure.begin(&ws).unwrap().collect(&mut ws).unwrap();
+
+        let client = Arc::new(PoolingClient::new(shard_table));
+        let mut op = SparseRpc::new("rpc", NetId(0), Arc::clone(&client) as _, vec![odd_part]);
+        op.set_cache(cache_for(&table, vec![1, 2, 3]));
+        let pending = op.begin(&ws).unwrap();
+        // Only the cold bag is wired, in local rows (global 1, 5 → 0, 2).
+        assert_eq!(pending.request.slices.len(), 1);
+        assert_eq!(pending.request.slices[0].indices, vec![0, 2]);
+        assert_eq!(pending.request.slices[0].lengths, vec![2]);
+        assert_eq!(pending.wired, vec![(0, Some(vec![1]))]);
+        let outcome = pending.collect(&mut ws).unwrap();
+
+        let cached = ws.dense("out", "t").unwrap();
+        let expect = ws.dense("out_pure", "t").unwrap();
+        let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(cached), bits(expect), "cache split must be bit-exact");
+        assert_eq!(client.calls.load(Ordering::SeqCst), 1);
+        assert_eq!(client.lookups.load(Ordering::SeqCst), 2);
+        assert_eq!(
+            (outcome.cache_hits, outcome.cache_misses, outcome.cache_local_rows),
+            (1, 1, 2)
+        );
+    }
+
+    #[test]
     fn fully_cached_op_skips_the_network_entirely() {
         /// A client whose execute must never be reached.
         #[derive(Debug)]
@@ -1606,14 +1521,16 @@ mod tests {
         // Cache keyed to table 0 only (the plan has one table; attach a
         // cache whose table 1 entry is absent).
         op.set_cache(cache_for(&table, vec![1, 2]));
-        let (request, split) = op.build_request_and_split(&ws).unwrap();
-        let split = split.expect("table 0 has a hot set");
-        assert_eq!(split.remote_fetches, vec![1]);
-        assert_eq!(request.slices.len(), 1);
+        let pending = op.begin(&ws).unwrap();
+        assert_eq!(pending.wired, vec![(1, None)], "table 1 is wired whole");
+        assert_eq!(pending.request.slices.len(), 1);
         let pure = op.build_request(&ws).unwrap();
-        assert_eq!(request.slices[0], pure.slices[1], "uncached slice unchanged");
+        assert_eq!(pending.request.slices[0], pure.slices[1], "uncached slice unchanged");
         // Uncached-table bags are not counted as misses.
-        assert_eq!((split.hits, split.misses), (1, 0));
+        let outcome = pending.collect(&mut ws).unwrap();
+        assert_eq!((outcome.cache_hits, outcome.cache_misses), (1, 0));
+        let expect = table.sparse_lengths_sum(&[4, 6, 3], &[2, 1]);
+        assert_eq!(ws.dense("out1", "t").unwrap(), &expect);
     }
 
     #[test]

@@ -20,9 +20,8 @@ use std::sync::Arc;
 pub struct ShardService {
     shard: ShardId,
     tables: HashMap<TableId, TableStore>,
-    /// Intra-op pool the SLS kernels fan out on (sequential unless
-    /// configured via [`Self::with_pool`]). Bag-parallel pooling is
-    /// bit-exact for any worker count, so this never changes results.
+    /// Intra-op pool the SLS kernels run on: sequential, since a shard
+    /// scales by its replicas and serving threads, not inside one call.
     pool: Pool,
 }
 
@@ -81,13 +80,6 @@ impl ShardService {
             tables,
             pool: Pool::sequential(),
         })
-    }
-
-    /// Returns the service with its SLS kernels fanning out on `pool`.
-    #[must_use]
-    pub fn with_pool(mut self, pool: Pool) -> Self {
-        self.pool = pool;
-        self
     }
 
     /// The shard this service implements.
