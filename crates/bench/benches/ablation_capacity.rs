@@ -6,9 +6,9 @@
 
 use dlrm_bench::report::header;
 use dlrm_core::model::rm;
-use dlrm_core::serving::capacity::{max_qps_under_sla, SlaTarget};
-use dlrm_core::serving::experiment::trace_config_for;
-use dlrm_core::serving::{Cluster, CostModel};
+use dlrm_core::cluster::capacity::{max_qps_under_sla, SlaTarget};
+use dlrm_core::cluster::experiment::trace_config_for;
+use dlrm_core::cluster::{Cluster, CostModel};
 use dlrm_core::sharding::{plan, ShardingStrategy};
 use dlrm_core::workload::TraceDb;
 

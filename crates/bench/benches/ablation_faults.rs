@@ -9,7 +9,7 @@
 
 use dlrm_bench::report::{header, repro_requests};
 use dlrm_core::model::rm;
-use dlrm_core::serving::ShardFault;
+use dlrm_core::cluster::ShardFault;
 use dlrm_core::sharding::ShardingStrategy;
 use dlrm_core::Study;
 
@@ -29,14 +29,11 @@ fn main() {
         ShardingStrategy::NetSpecificBinPacking(8),
     ] {
         let run = |fault: Option<ShardFault>| {
-            let study = Study::new(rm::rm1())
+            Study::new(rm::rm1())
                 .with_requests(requests)
-                .with_qps(25.0);
-            let mut opts = study.options().clone();
-            opts.fault = fault;
-            // Study doesn't expose fault directly; run through the
-            // lower-level harness with the same trace.
-            dlrm_core::serving::run_config(study.spec(), study.db(), strategy, &opts)
+                .with_qps(25.0)
+                .with_fault(fault)
+                .run(strategy)
                 .expect("config runs")
         };
         let healthy = run(None);

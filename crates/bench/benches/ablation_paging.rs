@@ -4,8 +4,8 @@
 
 use dlrm_bench::report::header;
 use dlrm_core::model::rm;
-use dlrm_core::serving::paging::{compare, PagingModel};
-use dlrm_core::serving::CostModel;
+use dlrm_core::cluster::paging::{compare, PagingModel};
+use dlrm_core::cluster::CostModel;
 
 fn main() {
     println!(

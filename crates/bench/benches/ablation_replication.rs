@@ -4,8 +4,8 @@
 
 use dlrm_bench::report::header;
 use dlrm_core::model::rm;
-use dlrm_core::serving::replication::plan_replication;
-use dlrm_core::serving::{CostModel, PlatformSpec};
+use dlrm_core::cluster::replication::plan_replication;
+use dlrm_core::cluster::{CostModel, PlatformSpec};
 use dlrm_core::sharding::{plan, ShardingStrategy};
 use dlrm_core::workload::PoolingProfile;
 

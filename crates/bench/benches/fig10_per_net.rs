@@ -5,7 +5,7 @@
 use dlrm_bench::report::{bar, header, repro_requests};
 use dlrm_core::model::{rm, NetId};
 use dlrm_core::sharding::{plan, Location, ShardingStrategy};
-use dlrm_core::serving::experiment::trace_config_for;
+use dlrm_core::cluster::experiment::trace_config_for;
 use dlrm_core::workload::TraceDb;
 use dlrm_core::Study;
 

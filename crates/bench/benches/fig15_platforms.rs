@@ -4,7 +4,7 @@
 
 use dlrm_bench::report::{header, repro_requests};
 use dlrm_core::model::rm;
-use dlrm_core::serving::Cluster;
+use dlrm_core::cluster::Cluster;
 use dlrm_core::sharding::ShardingStrategy;
 use dlrm_core::Study;
 

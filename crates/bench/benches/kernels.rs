@@ -25,8 +25,8 @@ use dlrm_bench::timing::Harness;
 use dlrm_core::compress::QuantizedTable;
 use dlrm_core::model::{rm, EmbeddingTable};
 use dlrm_core::runtime::{KernelDispatch, Pool};
-use dlrm_core::serving::experiment::trace_config_for;
-use dlrm_core::serving::{simulate, Cluster, CostModel, RunConfig};
+use dlrm_core::cluster::experiment::trace_config_for;
+use dlrm_core::cluster::{simulate, Cluster, CostModel, RunConfig};
 use dlrm_core::sharding::{plan, ShardingStrategy};
 use dlrm_core::sim::SimRng;
 use dlrm_core::tensor::simd::exact_peak_probe;

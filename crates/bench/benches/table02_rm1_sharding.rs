@@ -6,7 +6,7 @@ use dlrm_bench::paper;
 use dlrm_bench::report::header;
 use dlrm_core::model::{rm, GIB};
 use dlrm_core::sharding::{plan, ShardingStrategy};
-use dlrm_core::serving::experiment::trace_config_for;
+use dlrm_core::cluster::experiment::trace_config_for;
 use dlrm_core::workload::TraceDb;
 
 fn main() {

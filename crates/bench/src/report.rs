@@ -2,7 +2,7 @@
 
 use crate::paper::PaperCell;
 use dlrm_core::metrics::Percentiles;
-use dlrm_core::serving::ConfigResult;
+use dlrm_core::cluster::ConfigResult;
 
 /// Formats one paper-vs-measured row for a Table III/IV-style report.
 #[must_use]

@@ -1,8 +1,8 @@
 //! The `Study` facade: one model, one workload, many configurations.
 
+use crate::experiment::{run_config, trace_config_for, ConfigOptions, ConfigResult};
+use crate::{ArrivalProcess, Cluster, ShardFault};
 use dlrm_model::ModelSpec;
-use dlrm_serving::experiment::{run_config, trace_config_for, ConfigOptions, ConfigResult};
-use dlrm_serving::{ArrivalProcess, Cluster};
 use dlrm_sharding::{PlanError, ShardingStrategy};
 use dlrm_workload::TraceDb;
 
@@ -13,9 +13,10 @@ use dlrm_workload::TraceDb;
 /// # Examples
 ///
 /// ```
-/// use dlrm_core::{Study, sharding::ShardingStrategy};
+/// use dlrm_cluster::Study;
+/// use dlrm_sharding::ShardingStrategy;
 ///
-/// let mut study = Study::new(dlrm_core::model::rm::rm3()).with_requests(30);
+/// let mut study = Study::new(dlrm_model::rm::rm3()).with_requests(30);
 /// let results = study
 ///     .sweep(&ShardingStrategy::rm3_sweep())
 ///     .unwrap();
@@ -79,13 +80,6 @@ impl Study {
         self
     }
 
-    /// Switches back to serial (closed-loop) arrivals.
-    #[must_use]
-    pub fn serial(mut self) -> Self {
-        self.options.arrivals = ArrivalProcess::Serial;
-        self
-    }
-
     /// Sets the cluster platforms (§VII-B's SC-Small experiment).
     #[must_use]
     pub fn with_cluster(mut self, cluster: Cluster) -> Self {
@@ -102,7 +96,7 @@ impl Study {
 
     /// Injects a transient shard fault (failure-injection experiments).
     #[must_use]
-    pub fn with_fault(mut self, fault: Option<dlrm_serving::ShardFault>) -> Self {
+    pub fn with_fault(mut self, fault: Option<ShardFault>) -> Self {
         self.options.fault = fault;
         self
     }
@@ -120,18 +114,6 @@ impl Study {
     #[must_use]
     pub fn spec(&self) -> &ModelSpec {
         &self.spec
-    }
-
-    /// The replayed trace database.
-    #[must_use]
-    pub fn db(&self) -> &TraceDb {
-        &self.db
-    }
-
-    /// The current options.
-    #[must_use]
-    pub fn options(&self) -> &ConfigOptions {
-        &self.options
     }
 
     /// Runs one configuration.
@@ -178,11 +160,29 @@ mod tests {
             .with_qps(100.0);
         let r = study.run(ShardingStrategy::OneShard).unwrap();
         assert!(r.e2e.p50 > 0.0);
-        let back = Study::new(rm::rm3()).with_requests(20).serial();
-        assert!(matches!(
-            back.options().arrivals,
-            ArrivalProcess::Serial
-        ));
+    }
+
+    #[test]
+    fn with_fault_runs_run_config_with_that_fault() {
+        let fault = ShardFault {
+            shard: 0,
+            start_ms: 0.0,
+            duration_ms: 1e9,
+            slowdown: 4.0,
+        };
+        let strategy = ShardingStrategy::NetSpecificBinPacking(4);
+        let mut study = Study::new(rm::rm3()).with_requests(30);
+        let clean = study.run(strategy).unwrap();
+        let options = ConfigOptions {
+            fault: Some(fault),
+            ..study.options.clone()
+        };
+        let want = run_config(&study.spec, &study.db, strategy, &options).unwrap();
+        let got = study.with_fault(Some(fault)).run(strategy).unwrap();
+        assert_ne!(got.e2e, clean.e2e, "the fault must change the run");
+        assert_eq!(got.e2e, want.e2e);
+        assert_eq!(got.cpu, want.cpu);
+        assert_eq!(got.per_shard_sls_ms, want.per_shard_sls_ms);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! streams (the in-tree replacement for proptest).
 
 use dlrm_model::rm;
-use dlrm_serving::{
+use dlrm_cluster::{
     simulate, ArrivalProcess, Cluster, CostModel, RunConfig, ShardFault,
 };
 use dlrm_sharding::{plan, ShardingStrategy};

@@ -8,10 +8,13 @@
 //! 2. **Shard** it ([`sharding::plan`], Table I's strategies).
 //! 3. **Verify** the distributed transformation against singular
 //!    execution with the real f32 engine ([`verify_distributed_equivalence`]).
-//! 4. **Simulate** serving ([`Study`]) to obtain the paper's
-//!    measurements: E2E latency / CPU-time percentiles (Tables III–IV),
-//!    cross-layer stacks (Figs. 8–9), per-shard breakdowns
-//!    (Figs. 10–12), batching/platform/QPS effects (Figs. 13–16).
+//! 4. **Simulate** serving ([`Study`], the front door of [`cluster`])
+//!    to obtain the paper's measurements: E2E latency / CPU-time
+//!    percentiles (Tables III–IV), cross-layer stacks (Figs. 8–9),
+//!    per-shard breakdowns (Figs. 10–12), batching/platform/QPS effects
+//!    (Figs. 13–16).
+//! 5. **Serve** it for real on the engine in [`serving`]: the open-loop
+//!    frontend, shard transports, replicas and tenancy.
 //!
 //! ```
 //! use dlrm_core::{Study, sharding::ShardingStrategy};
@@ -24,10 +27,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod study;
 mod verify;
 
-pub use study::Study;
+pub use dlrm_cluster::Study;
 pub use verify::{verify_distributed_equivalence, EquivalenceReport, VerifyError};
 
 /// Measurement primitives (percentiles, histograms, overheads).
@@ -38,8 +40,10 @@ pub use dlrm_model as model;
 pub use dlrm_sim as sim;
 /// Sharding strategies, planner and graph partitioner.
 pub use dlrm_sharding as sharding;
-/// The serving engine, the simulated serving tier and the experiment harness.
+/// The serving engine: frontend, shard transports, replicas, tenancy.
 pub use dlrm_serving as serving;
+/// The calibrated cluster simulator and its experiment harness.
+pub use dlrm_cluster as cluster;
 /// Cross-layer distributed tracing.
 pub use dlrm_trace as trace;
 /// Quantization/pruning (Table V).

@@ -109,11 +109,6 @@ impl EmbeddingTable {
         self.weights.row(row)
     }
 
-    /// Mutable access to the raw weights (used by the compression crate).
-    pub fn weights_mut(&mut self) -> &mut Matrix {
-        &mut self.weights
-    }
-
     /// Read access to the raw weights.
     #[must_use]
     pub fn weights(&self) -> &Matrix {

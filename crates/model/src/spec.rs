@@ -146,15 +146,6 @@ impl ModelSpec {
         self.total_bytes() as f64 / GIB
     }
 
-    /// The largest table's size in GiB.
-    #[must_use]
-    pub fn max_table_gib(&self) -> f64 {
-        self.tables
-            .iter()
-            .map(TableSpec::gib)
-            .fold(0.0, f64::max)
-    }
-
     /// Sum of per-table pooling factors (the model's expected lookups
     /// per request; the "Estimated Pooling Factor" for a 1-shard
     /// configuration in Table II).

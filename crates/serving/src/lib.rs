@@ -1,47 +1,17 @@
-//! Distributed-inference serving: the real engine and the simulator.
+//! Distributed-inference serving: the real engine.
 //!
-//! Most of this crate is the real engine — the open-loop [`frontend`],
-//! the shard transports ([`threaded`], [`tcp`], [`shard_server`],
-//! [`wire`]), [`replica`] pools, live [`rebalance`] and multi-tenant
-//! [`tenancy`] — serving `dlrm-sharding`'s partitioned models.
-//!
-//! The rest is the simulator. The paper characterizes its system on
-//! reserved bare-metal datacenter servers running customized Thrift +
-//! Caffe2 (§III-C, §V-B); these modules substitute a deterministic
-//! discrete-event simulation of that tier, with every latency/compute
-//! component the paper's cross-layer trace distinguishes modeled as an
-//! explicitly calibrated cost:
-//!
-//! - [`PlatformSpec`]: SC-Large / SC-Small server classes (§V-B);
-//! - [`CostModel`]: per-model calibrated operator, serialization,
-//!   service, scheduling and network costs (§IV-B's layers);
-//! - [`Cluster`] + [`simulate`]: the event-driven execution of a request
-//!   trace against a sharding plan — per-batch asynchronous RPC fan-out,
-//!   FCFS cores on every server, per-request batch lanes, memory-
-//!   bandwidth contention between co-located SLS operators, clock skew
-//!   between servers, Poisson or closed-loop (serial) arrivals;
-//! - [`experiment`]: one-call reproduction of a (model, strategy)
-//!   configuration yielding the paper's reporting unit — E2E latency and
-//!   aggregate CPU-time percentiles plus cross-layer stacks;
-//! - [`replication`]: the §VII-C resource-efficiency planner (servers
-//!   and DRAM needed to serve a QPS target, singular vs distributed).
-//!
-//! Every simulated run is deterministic in its seed: paired request
-//! streams, network draws and skews across configurations, which is
-//! what makes the per-configuration comparisons of Tables III/IV
-//! meaningful.
+//! The open-loop [`frontend`], the shard transports ([`threaded`],
+//! [`tcp`], [`shard_server`], [`wire`]), [`replica`] pools, live
+//! [`rebalance`] and multi-tenant [`tenancy`] serve `dlrm-sharding`'s
+//! partitioned models. The calibrated simulator of the paper's serving
+//! tier is a separate crate, `dlrm-cluster`; the two share no code.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod capacity;
-mod cluster;
-mod cost;
 pub mod engine_trace;
-pub mod experiment;
 pub mod fault;
 pub mod frontend;
-pub mod paging;
 pub mod control;
 pub mod rebalance;
 pub mod replica;
@@ -49,11 +19,4 @@ pub mod shard_server;
 pub mod tcp;
 pub mod tenancy;
 pub mod threaded;
-mod platform;
-pub mod replication;
 pub mod wire;
-
-pub use cluster::{simulate, ArrivalProcess, Cluster, RunConfig, RunResult, ShardFault};
-pub use cost::CostModel;
-pub use experiment::{run_config, ConfigOptions, ConfigResult};
-pub use platform::PlatformSpec;

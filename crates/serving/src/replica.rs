@@ -2,8 +2,8 @@
 //!
 //! §VII-C of the paper plans *replication* for sparse shards: a QPS
 //! target is met by running each shard on several servers. The
-//! [`crate::replication`] module sizes those replica sets on paper;
-//! this module makes them real. [`ShardPool`] is the one pool type —
+//! simulator's `dlrm_cluster::replication` sizes those replica sets on
+//! paper; this module makes them real. [`ShardPool`] is the one pool type —
 //! replica groups plus the backend running their seats; its thread
 //! instantiation [`ReplicatedShardPool`] spawns one worker thread per
 //! (shard, replica), every replica of a shard serving the same

@@ -10,8 +10,8 @@
 //! QPS (default 2000).
 
 use dlrm_core::model::{rm, GIB};
-use dlrm_core::serving::replication::plan_replication;
-use dlrm_core::serving::{CostModel, PlatformSpec};
+use dlrm_core::cluster::replication::plan_replication;
+use dlrm_core::cluster::{CostModel, PlatformSpec};
 use dlrm_core::sharding::{plan, ShardingStrategy};
 use dlrm_core::workload::PoolingProfile;
 

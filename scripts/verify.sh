@@ -63,6 +63,12 @@ echo "==> sysbench: the benchmark builds against these crates, passes its unit"
 echo "    tests, and two workloads (the one-lane frontend, the tenants under tier"
 echo "    churn) pass their output check against Model::run (exit code only; a"
 echo "    4 s run measures nothing)"
+# Cargo rewrites sysbench/Cargo.lock whenever the workspace's crate
+# graph differs from the committed lock; put the committed lock back on
+# exit, so a run leaves no tracked file modified.
+lock_snapshot=$(mktemp)
+cp sysbench/Cargo.lock "$lock_snapshot"
+trap 'cp "$lock_snapshot" sysbench/Cargo.lock; rm -f "$lock_snapshot"' EXIT
 # Same target directory as run.sh, so the crates compile once. The
 # benchmark refuses to run under a DLRM_SIMD override (it measures the
 # default dispatch), so drop one this script was started with.

@@ -2,10 +2,10 @@
 //! (§III-A1) exercised end-to-end.
 
 use dlrm_core::model::rm;
-use dlrm_core::serving::{run_config, ConfigOptions, ShardFault};
+use dlrm_core::cluster::{run_config, ConfigOptions, ShardFault};
 use dlrm_core::sharding::ShardingStrategy;
 use dlrm_core::workload::TraceDb;
-use dlrm_core::serving::experiment::trace_config_for;
+use dlrm_core::cluster::experiment::trace_config_for;
 
 fn options(fault: Option<ShardFault>) -> ConfigOptions {
     ConfigOptions {

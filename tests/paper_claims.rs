@@ -6,7 +6,7 @@
 
 use dlrm_core::compress::CompressionPolicy;
 use dlrm_core::model::rm;
-use dlrm_core::serving::Cluster;
+use dlrm_core::cluster::Cluster;
 use dlrm_core::sharding::ShardingStrategy;
 use dlrm_core::Study;
 
