@@ -51,7 +51,10 @@
 //! load/store is in-bounds; the gather range-checks every index before
 //! its first load), and unaligned load/store intrinsics
 //! (`loadu`/`storeu`) are used throughout so no alignment assumption
-//! exists. The only remaining obligation — the CPU actually supports
+//! exists. The GEMM tiles' weight prefetches go through
+//! `gemm_prefetch_offset`, which clamps every address to the last byte
+//! of the packed buffer, as the gather's `prefetch` clamps to the
+//! row's last byte. The only remaining obligation — the CPU actually supports
 //! the instructions — is discharged by `level_supported` before every
 //! unsafe call. On non-x86_64 targets the module compiles to the scalar
 //! fallbacks only.
@@ -119,6 +122,30 @@ pub const ZMM_MIN_ROWS: usize = 7;
 /// DRAM miss and 64 is back at the no-prefetch time. A constant, not a
 /// knob.
 pub const SLS_PREFETCH_ROWS: usize = 16;
+
+/// How far ahead of the k-step being multiplied the exact GEMM tiles
+/// prefetch the packed weights: one `prefetcht0` per 64-byte panel line
+/// consumed, this many bytes further on. Measured on 13 400 × 512
+/// weights evicted by an RM1-shaped gather before each call
+/// (`fc_m*_k13400_n512_cold*` in `benches/kernels.rs`, one thread, Xeon
+/// model 207), median ms at M = 4 on the AVX2 / AVX-512 tiers over two
+/// alternating rounds: no prefetch 4.8 / 4.7, 1 KiB 3.3–3.6 / 3.5,
+/// 2 KiB 2.9–3.2 / 2.9, 4 KiB 2.9–3.0 / 2.9–3.0, 8 KiB 2.8 / 2.7,
+/// 16 KiB 2.9–6.0 / 3.0–3.2. 4–8 KiB is the plateau at M = 1, 4 and 16; 4 KiB is its short end,
+/// which fetches least past the end of a small layer. A constant, not a
+/// knob.
+pub const GEMM_PREFETCH_BYTES: usize = 4096;
+
+/// The byte a GEMM tile prefetches on reaching byte `at` of its panel:
+/// [`GEMM_PREFETCH_BYTES`] further on, clamped to the last of the
+/// `rest > 0` bytes from the panel's start to the end of the packed
+/// weights. Panels are contiguous, so past a panel's end this is the
+/// head of the next panel, which the walk reads next; the clamp keeps
+/// the address inside the buffer.
+#[inline(always)]
+fn gemm_prefetch_offset(at: usize, rest: usize) -> usize {
+    (at + GEMM_PREFETCH_BYTES).min(rest - 1)
+}
 
 /// Why [`sls_bags`] refused a run of bags. Both are properties of the
 /// caller's request, checked once per call before any row is read.
@@ -422,27 +449,30 @@ pub(crate) fn packed_rows(
     let mut j = 0usize;
     while j < n {
         let w = panel_width(n, j);
-        let panel = &panels[k * j..k * (j + w)];
+        // The panel and every panel after it: the SIMD tiles read the
+        // first `k·w` floats and prefetch up to the last.
+        let rest = &panels[k * j..];
+        let panel = &rest[..k * w];
         match (w, level) {
             #[cfg(target_arch = "x86_64")]
             (16, SimdLevel::Avx512) if zmm_block => {
                 // SAFETY: `effective_level` verified the CPU runs
-                // AVX-512F and AVX2; `panel` holds k full 16-lane groups
-                // and j + 16 <= n bounds every output store; the asserts
-                // above give a_rows = rows·k and out_rows = rows·n.
-                unsafe { x86::panel_avx512(a_rows, k, panel, out_rows, n, j) }
+                // AVX-512F and AVX2; `rest` starts with k full 16-lane
+                // groups and j + 16 <= n bounds every output store; the
+                // asserts above give a_rows = rows·k and out_rows = rows·n.
+                unsafe { x86::panel_avx512(a_rows, k, rest, out_rows, n, j) }
             }
             #[cfg(target_arch = "x86_64")]
             (16, SimdLevel::Avx2 | SimdLevel::Avx512) => {
                 // SAFETY: AVX2 verified (the AVX-512 level requires it
                 // too); bounds as above.
-                unsafe { x86::panel_avx2::<2>(a_rows, k, panel, out_rows, n, j) }
+                unsafe { x86::panel_avx2::<2>(a_rows, k, rest, out_rows, n, j) }
             }
             #[cfg(target_arch = "x86_64")]
             (8, SimdLevel::Avx2 | SimdLevel::Avx512) => {
-                // SAFETY: AVX2 verified; `panel` holds k full 8-lane
+                // SAFETY: AVX2 verified; `rest` starts with k full 8-lane
                 // groups and j + 8 <= n bounds every output store.
-                unsafe { x86::panel_avx2::<1>(a_rows, k, panel, out_rows, n, j) }
+                unsafe { x86::panel_avx2::<1>(a_rows, k, rest, out_rows, n, j) }
             }
             (16, _) => panel_scalar::<16>(a_rows, k, panel, out_rows, n, j),
             (8, _) => panel_scalar::<8>(a_rows, k, panel, out_rows, n, j),
@@ -544,6 +574,14 @@ mod x86 {
         _mm512_storeu_ps, _mm_loadl_epi64, _mm_prefetch, _MM_HINT_T0,
     };
 
+    /// Prefetches the line holding byte `gemm_prefetch_offset(at, rest)`
+    /// of the packed weights from the panel start `pp`, which `rest`
+    /// bytes separate from the end of the buffer.
+    #[inline(always)]
+    unsafe fn fetch_ahead(pp: *const f32, at: usize, rest: usize) {
+        _mm_prefetch::<_MM_HINT_T0>(pp.cast::<i8>().add(super::gemm_prefetch_offset(at, rest)));
+    }
+
     /// One k-step of a register tile: load the panel's `VECS` lane
     /// groups once, broadcast each row's `A[kk]`, accumulate.
     #[inline(always)]
@@ -573,23 +611,30 @@ mod x86 {
     /// the tile matches the scalar kernel bitwise. The const loops unroll fully, so the accumulator array
     /// lives in registers (6 × 2 uses 15 of 16 — the widest tile that
     /// doesn't spill); the 2-deep k-unroll keeps issue under the
-    /// 4-wide frontend limit.
+    /// 4-wide frontend limit. A k-step pair consumes `VECS` whole panel
+    /// lines (the panel is 64-byte aligned) and prefetches each one's
+    /// counterpart [`super::GEMM_PREFETCH_BYTES`] ahead; the odd last
+    /// step starts a line and prefetches once.
     #[inline(always)]
     unsafe fn tile<const ROWS: usize, const VECS: usize>(
         a: *const f32,
         k: usize,
-        pp: *const f32,
+        (pp, rest): (*const f32, usize),
         o: *mut f32,
         n: usize,
     ) {
         let mut acc = [[_mm256_setzero_ps(); VECS]; ROWS];
         let mut kk = 0usize;
         while kk + 2 <= k {
+            for line in 0..VECS {
+                fetch_ahead(pp, kk * VECS * 32 + line * 64, rest);
+            }
             k_step::<ROWS, VECS>(a, k, pp, kk, &mut acc);
             k_step::<ROWS, VECS>(a, k, pp, kk + 1, &mut acc);
             kk += 2;
         }
         if kk < k {
+            fetch_ahead(pp, kk * VECS * 32, rest);
             k_step::<ROWS, VECS>(a, k, pp, kk, &mut acc);
         }
         for (r, row) in acc.iter().enumerate() {
@@ -599,8 +644,9 @@ mod x86 {
         }
     }
 
-    /// Output columns `j..j + 8·VECS` of one packed panel for every row
-    /// of the block: 6-row tiles, then one tile of exactly the rows
+    /// Output columns `j..j + 8·VECS` of the packed panel at the head
+    /// of `pack` (the rest of the buffer is only prefetched) for every
+    /// row of the block: 6-row tiles, then one tile of exactly the rows
     /// left, so a block of at most six rows — a serving batch — streams
     /// the panel once.
     ///
@@ -619,20 +665,20 @@ mod x86 {
         j: usize,
     ) {
         let rows = a_rows.len() / k;
-        let pp = pack.as_ptr();
+        let panel = (pack.as_ptr(), pack.len() * 4);
         let mut a = a_rows.as_ptr();
         let mut o = out.as_mut_ptr().add(j);
         for _ in 0..rows / 6 {
-            tile::<6, VECS>(a, k, pp, o, n);
+            tile::<6, VECS>(a, k, panel, o, n);
             a = a.add(6 * k);
             o = o.add(6 * n);
         }
         match rows % 6 {
-            5 => tile::<5, VECS>(a, k, pp, o, n),
-            4 => tile::<4, VECS>(a, k, pp, o, n),
-            3 => tile::<3, VECS>(a, k, pp, o, n),
-            2 => tile::<2, VECS>(a, k, pp, o, n),
-            1 => tile::<1, VECS>(a, k, pp, o, n),
+            5 => tile::<5, VECS>(a, k, panel, o, n),
+            4 => tile::<4, VECS>(a, k, panel, o, n),
+            3 => tile::<3, VECS>(a, k, panel, o, n),
+            2 => tile::<2, VECS>(a, k, panel, o, n),
+            1 => tile::<1, VECS>(a, k, panel, o, n),
             _ => {}
         }
     }
@@ -645,17 +691,20 @@ mod x86 {
     /// order. A lane is one output element, so this is the scalar
     /// kernel's float-op sequence per element whatever the vector
     /// width. `ROWS` accumulators, the panel group and one product
-    /// live in registers: 28 rows use 30 of the 32.
+    /// live in registers: 28 rows use 30 of the 32. Each k-step consumes
+    /// one panel line and prefetches the line
+    /// [`super::GEMM_PREFETCH_BYTES`] ahead.
     #[inline(always)]
     unsafe fn tile512<const ROWS: usize>(
         a: *const f32,
         k: usize,
-        pp: *const f32,
+        (pp, rest): (*const f32, usize),
         o: *mut f32,
         n: usize,
     ) {
         let mut acc = [_mm512_setzero_ps(); ROWS];
         for kk in 0..k {
+            fetch_ahead(pp, kk * 64, rest);
             let vb = _mm512_loadu_ps(pp.add(kk * 16));
             for (r, c) in acc.iter_mut().enumerate() {
                 let va = _mm512_set1_ps(*a.add(r * k + kk));
@@ -667,7 +716,8 @@ mod x86 {
         }
     }
 
-    /// Exact AVX-512 panel kernel over one 16-wide packed panel:
+    /// Exact AVX-512 panel kernel over the 16-wide packed panel at the
+    /// head of `pack` (the rest is only prefetched):
     /// [`super::ZMM_TILE_ROWS`]-row tiles, then one tile of exactly the
     /// rows left, so a block of at most that many rows — a merged
     /// serving batch — streams the panel once.
@@ -688,11 +738,11 @@ mod x86 {
     ) {
         const FULL: usize = super::ZMM_TILE_ROWS;
         let rows = a_rows.len() / k;
-        let pp = pack.as_ptr();
+        let panel = (pack.as_ptr(), pack.len() * 4);
         let mut a = a_rows.as_ptr();
         let mut o = out.as_mut_ptr().add(j);
         for _ in 0..rows / FULL {
-            tile512::<FULL>(a, k, pp, o, n);
+            tile512::<FULL>(a, k, panel, o, n);
             a = a.add(FULL * k);
             o = o.add(FULL * n);
         }
@@ -701,7 +751,7 @@ mod x86 {
         macro_rules! remainder {
             ($($r:literal)+) => {
                 match rows % FULL {
-                    $($r => tile512::<$r>(a, k, pp, o, n),)+
+                    $($r => tile512::<$r>(a, k, panel, o, n),)+
                     _ => {}
                 }
             };
@@ -1022,6 +1072,34 @@ mod tests {
         for level in [Avx2, Avx512] {
             let want = if level_supported(level) { level } else { below };
             assert_eq!(effective_level(level), want, "{level}");
+        }
+    }
+
+    /// The last k-steps of the last SIMD panel prefetch inside the
+    /// packed buffer, clamped to its last byte, for weights smaller than
+    /// the prefetch distance, a last panel 8 wide and a 1-wide ragged
+    /// tail after it; no prefetch anywhere leaves the buffer or falls
+    /// behind the line being consumed.
+    #[test]
+    fn gemm_prefetch_is_clamped_to_the_packed_weights() {
+        let d = GEMM_PREFETCH_BYTES;
+        for (n, k) in [(16, d / 128), (24, d / 16 + 3), (25, d / 16 + 5)] {
+            let total = n * k * 4;
+            let mut last = None;
+            let mut j = 0;
+            while j < n {
+                let (w, start) = (panel_width(n, j), k * j * 4);
+                // The tiles prefetch once per 64-byte line of a SIMD
+                // panel; the 1-wide panels run the scalar kernel.
+                let simd_bytes = if w > 1 { k * w * 4 } else { 0 };
+                for at in (0..simd_bytes).step_by(64) {
+                    let byte = start + gemm_prefetch_offset(at, total - start);
+                    assert!(byte < total && byte >= start + at, "{n}x{k}: line {at} of panel {j}");
+                    last = Some(byte);
+                }
+                j += w;
+            }
+            assert_eq!(last, Some(total - 1), "{n}x{k}: the last line's prefetch is clamped");
         }
     }
 

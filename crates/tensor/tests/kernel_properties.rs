@@ -18,7 +18,9 @@
 
 use dlrm_runtime::{KernelDispatch, Pool, SimdLevel};
 use dlrm_sim::SimRng;
-use dlrm_tensor::simd::{sls_bags, sls_bags_u8, GatherError, U8Rows, SLS_PREFETCH_ROWS};
+use dlrm_tensor::simd::{
+    sls_bags, sls_bags_u8, GatherError, U8Rows, GEMM_PREFETCH_BYTES, SLS_PREFETCH_ROWS,
+};
 use dlrm_tensor::{
     concat_cols, concat_cols_into, matmul_into, matmul_packed_into, matmul_transb_into, Matrix,
     PackedWeights,
@@ -271,11 +273,19 @@ fn packed_matches_reference_on_every_tier_panel_and_tile() {
 /// threshold so pools genuinely fork (one worker runs 96 rows as three
 /// full `zmm` tiles and a 12-row one, eight run one 12-row tile each);
 /// 13 rows over 8 workers leaves ragged (and empty) chunks, each short
-/// enough for the `ymm` kernel.
+/// enough for the `ymm` kernel. The other shapes are where the weight
+/// prefetch's clamp binds: `k·64` bytes (one 16-wide panel) just under,
+/// at and just over [`GEMM_PREFETCH_BYTES`], over n = 8 (one 8-wide
+/// panel), 16, 24 (16 + 8) and 25 (16 + 8 + a 1-wide tail), with one
+/// row (the `ymm` tile), seven (the `zmm` tile) and 600 (past the grain).
 #[test]
 fn packed_bit_exact_across_worker_counts() {
     let mut rng = SimRng::seed_from(0x0B10_C4ED).fork(12);
-    for (m, k, n) in [(96, 64, 64), (13, 129, 161), (7, 5, 3)] {
+    let line_k = GEMM_PREFETCH_BYTES / 64;
+    let clamped = [line_k - 1, line_k, line_k + 1].into_iter().flat_map(|k| {
+        [8, 16, 24, 25].into_iter().flat_map(move |n| [1, 7, 600].map(|m| (m, k, n)))
+    });
+    for (m, k, n) in [(96, 64, 64), (13, 129, 161), (7, 5, 3)].into_iter().chain(clamped) {
         let a = matrix(&mut rng, m, k);
         let w = matrix(&mut rng, n, k);
         let packed = PackedWeights::pack(&w);
@@ -286,7 +296,8 @@ fn packed_bit_exact_across_worker_counts() {
                 matmul_packed_into(&a, &packed, &mut got, &Pool::with_dispatch(workers, tier));
                 let level = tier.level();
                 assert_eq!(
-                    got, oracle,
+                    bits(got.as_slice()),
+                    bits(oracle.as_slice()),
                     "{m}x{k}x({n}x{k})T on {level} at {workers} workers"
                 );
             }

@@ -81,13 +81,19 @@ cd "$(dirname "$0")/.."
 # (weights_mut, max_table_gib) lowered model + sharding 7 206 -> 7 196,
 # and ablation_faults calling Study::with_fault lowered bench 3 275 ->
 # 3 274.
+# The GEMM tiles' weight-stream prefetch raised two ceilings by exactly
+# the lines it added: tensor + runtime 2 144 -> 2 179 (GEMM_PREFETCH_BYTES,
+# the clamped offset helper, one prefetch per panel line in the ymm and
+# zmm tiles, and the clamp's unit test) and bench 3 274 -> 3 314 (the
+# fc_m*_k13400_n512_cold rows, which time the FC after an RM1-shaped
+# gather, and the record helper they share with Runner::bench).
 MAX_SERVING_CODE_LINES=6557
 MAX_SERVING_PUB_ITEMS=204
 MAX_CLUSTER_CODE_LINES=1712
-MAX_BENCH_CODE_LINES=3274
+MAX_BENCH_CODE_LINES=3314
 MAX_ROW_SERVING_CODE_LINES=10884
 MAX_GRAPH_CODE_LINES=7196
-MAX_KERNEL_CODE_LINES=2144
+MAX_KERNEL_CODE_LINES=2179
 
 fail=0
 flunk() {
@@ -260,7 +266,7 @@ echo "crates/{tensor,runtime}/src: $kernel_lines code lines (ceiling $MAX_KERNEL
 echo "overlap schedule: $overlap_entries run_overlapped entry points, $graph_maps HashSet|HashMap mentions in non-test graph.rs, $walker_maps inside the walker (expect 2, the build-time ones, and 0)"
 echo "shard service: $slicers slicer site, $executes execute definition outside client impls (expect 1 and 1)"
 echo "non-test serving code: $scopes thread::scope, $drains Arc::try_unwrap, $serve_spawns spawn( in frontend/mod.rs (expect 1, 1 and 2)"
-echo "f32 SLS: $sls_min_defs SLS_PAR_MIN_LOOKUPS definition, $prefetch_sites _mm_prefetch site (expect 1 and 1)"
+echo "f32 SLS: $sls_min_defs SLS_PAR_MIN_LOOKUPS definition, $prefetch_sites _mm_prefetch sites (expect 1 and 2: the gather's and the GEMM tiles')"
 echo "simd: $(grep -c . <<<"$unsafe_files" || true) files with unsafe outside tensor/src/simd.rs, $avx512_sites avx512f detection site, $zmm_fused _mm512_fmadd (expect 0, 1 and 0)"
 [ "$serving_lines" -le "$MAX_SERVING_CODE_LINES" ] || flunk "crates/serving/src code lines over the ceiling"
 [ "$pub_items" -le "$MAX_SERVING_PUB_ITEMS" ] || flunk "crates/serving/src public items over the ceiling"
