@@ -154,7 +154,7 @@ fn main() {
             report.degraded, report.completed
         ));
     }
-    if report.sla_hits() != 0 {
+    if report.sla_hit_count != 0 {
         fail("degraded responses must not count as SLA hits");
     }
 

@@ -123,46 +123,46 @@ fn main() {
         ..TenancyRunConfig::default()
     };
     let report = run_tenant_set(&set, workloads, &cfg);
-    print!("{}", report.combined);
+    let tenants: Vec<_> = set.tenants().iter().zip(&report.per_tenant).collect();
 
     // ---- Gate 1: per-tenant accounting identities, zero failures. ----
-    for t in &report.combined.tenants {
-        if t.offered != t.admitted + t.shed {
-            fail(&format!("{}: offered != admitted + shed", t.name));
+    for (t, r) in &tenants {
+        let name = t.name();
+        println!("---- tenant {name}: {} ----\n{r}", t.bytes_by_tier());
+        if r.offered != r.admitted + r.shed {
+            fail(&format!("{name}: offered != admitted + shed"));
         }
-        if t.completed + t.failed != t.admitted {
-            fail(&format!("{}: completed + failed != admitted", t.name));
+        if r.completed + r.failed != r.admitted {
+            fail(&format!("{name}: completed + failed != admitted"));
         }
-        if t.failed != 0 {
-            fail(&format!("{}: {} requests failed", t.name, t.failed));
+        if r.failed != 0 {
+            fail(&format!("{name}: {} requests failed", r.failed));
         }
-        if t.degraded != 0 {
-            fail(&format!("{}: {} degraded responses", t.name, t.degraded));
+        if r.degraded != 0 {
+            fail(&format!("{name}: {} degraded responses", r.degraded));
         }
     }
 
     // ---- Gate 2: the overload stays A's problem. ----
-    let a = &report.combined.tenants[0];
+    let a = tenants[0].1;
     if a.shed == 0 {
         fail("tenant A's burst never overflowed its admission queue");
     }
-    for t in &report.combined.tenants[1..] {
-        if t.shed != 0 {
+    for (t, r) in &tenants[1..] {
+        let name = t.name();
+        if r.shed != 0 {
+            fail(&format!("{name} shed {} requests under tenant A's overload", r.shed));
+        }
+        if r.availability() < AVAILABILITY_FLOOR {
             fail(&format!(
-                "{} shed {} requests under tenant A's overload",
-                t.name, t.shed
+                "{name} availability {:.4} under colocation (floor {AVAILABILITY_FLOOR})",
+                r.availability()
             ));
         }
-        if t.availability < AVAILABILITY_FLOOR {
+        if r.sla_hit_rate() < SLA_FLOOR {
             fail(&format!(
-                "{} availability {:.4} under colocation (floor {AVAILABILITY_FLOOR})",
-                t.name, t.availability
-            ));
-        }
-        if t.sla_hit_rate < SLA_FLOOR {
-            fail(&format!(
-                "{} SLA hit rate {:.4} under colocation (floor {SLA_FLOOR})",
-                t.name, t.sla_hit_rate
+                "{name} SLA hit rate {:.4} under colocation (floor {SLA_FLOOR})",
+                r.sla_hit_rate()
             ));
         }
     }
@@ -250,10 +250,10 @@ fn main() {
          {} demotions + {} promotions, all verified, all-DRAM restored bit-exact",
         a.shed,
         a.offered,
-        report.combined.tenants[1].availability,
-        report.combined.tenants[2].availability,
-        report.combined.tenants[1].sla_hit_rate,
-        report.combined.tenants[2].sla_hit_rate,
+        tenants[1].1.availability(),
+        tenants[2].1.availability(),
+        tenants[1].1.sla_hit_rate(),
+        tenants[2].1.sla_hit_rate(),
         set.controller().demotions(),
         set.controller().promotions()
     );

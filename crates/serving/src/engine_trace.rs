@@ -12,8 +12,22 @@
 
 use dlrm_model::graph::{ExecutionObserver, Operator, RpcAttemptKind, RpcOutcome};
 use dlrm_model::OpGroup;
+use dlrm_sharding::CacheTotals;
 use dlrm_trace::{RpcId, ServerId, Span, SpanKind, TraceCollector, TraceId};
 use std::time::Instant;
+
+/// What the RPCs of one observed run did, summed over its RPCs.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RpcTally {
+    /// Retry attempts.
+    pub retries: u64,
+    /// Hedge attempts.
+    pub hedges: u64,
+    /// RPCs that settled in degraded mode (zero-embedding fallback).
+    pub degraded: u64,
+    /// What the hot-row cache absorbed.
+    pub cache: CacheTotals,
+}
 
 /// An [`ExecutionObserver`] that records the overlap scheduler's
 /// execution as trace spans on the main server's timeline.
@@ -28,12 +42,7 @@ pub struct RpcTracingObserver {
     origin: Instant,
     trace: TraceId,
     next_rpc: u64,
-    rpc_retries: u64,
-    rpc_hedges: u64,
-    degraded_rpcs: u64,
-    cache_hits: u64,
-    cache_misses: u64,
-    cache_local_rows: u64,
+    tally: RpcTally,
     collector: TraceCollector,
 }
 
@@ -46,12 +55,7 @@ impl RpcTracingObserver {
             origin: Instant::now(),
             trace,
             next_rpc: 0,
-            rpc_retries: 0,
-            rpc_hedges: 0,
-            degraded_rpcs: 0,
-            cache_hits: 0,
-            cache_misses: 0,
-            cache_local_rows: 0,
+            tally: RpcTally::default(),
             collector: TraceCollector::new(),
         }
     }
@@ -67,41 +71,10 @@ impl RpcTracingObserver {
         self.next_rpc
     }
 
-    /// Retry attempts across all RPCs observed so far.
+    /// What the RPCs observed so far did.
     #[must_use]
-    pub fn rpc_retries(&self) -> u64 {
-        self.rpc_retries
-    }
-
-    /// Hedge attempts across all RPCs observed so far.
-    #[must_use]
-    pub fn rpc_hedges(&self) -> u64 {
-        self.rpc_hedges
-    }
-
-    /// RPCs that settled in degraded mode (zero-embedding fallback).
-    #[must_use]
-    pub fn degraded_rpcs(&self) -> u64 {
-        self.degraded_rpcs
-    }
-
-    /// Bags served entirely from the hot-row cache across all RPCs
-    /// observed so far.
-    #[must_use]
-    pub fn cache_hits(&self) -> u64 {
-        self.cache_hits
-    }
-
-    /// Bags that needed the wire (at least one cold row).
-    #[must_use]
-    pub fn cache_misses(&self) -> u64 {
-        self.cache_misses
-    }
-
-    /// Row lookups served from the hot-row cache instead of the wire.
-    #[must_use]
-    pub fn cache_local_rows(&self) -> u64 {
-        self.cache_local_rows
+    pub fn tally(&self) -> RpcTally {
+        self.tally
     }
 
     /// Closes the request with a [`SpanKind::RequestE2E`] span ending
@@ -168,12 +141,13 @@ impl ExecutionObserver for RpcTracingObserver {
         // Called right after on_rpc_collected, which already advanced
         // the counter — the RPC being described is the previous one.
         let rpc = RpcId(self.next_rpc.saturating_sub(1));
-        self.rpc_retries += u64::from(outcome.retries);
-        self.rpc_hedges += u64::from(outcome.hedges);
-        self.degraded_rpcs += u64::from(outcome.degraded);
-        self.cache_hits += outcome.cache_hits;
-        self.cache_misses += outcome.cache_misses;
-        self.cache_local_rows += outcome.cache_local_rows;
+        let t = &mut self.tally;
+        t.retries += u64::from(outcome.retries);
+        t.hedges += u64::from(outcome.hedges);
+        t.degraded += u64::from(outcome.degraded);
+        t.cache.hits += outcome.cache_hits;
+        t.cache.misses += outcome.cache_misses;
+        t.cache.local_rows += outcome.cache_local_rows;
         for attempt in &outcome.attempts {
             let kind = match attempt.kind {
                 // The primary attempt's window is the RpcOutstanding
@@ -282,8 +256,8 @@ mod tests {
         batch.load_into(&spec, &mut ws);
         let mut obs = RpcTracingObserver::new(TraceId(2));
         dist.run_overlapped(&mut ws, &mut obs).unwrap();
-        assert!(obs.rpc_retries() >= 1, "the injected fault forces a retry");
-        assert_eq!(obs.degraded_rpcs(), 0);
+        assert!(obs.tally().retries >= 1, "the injected fault forces a retry");
+        assert_eq!(obs.tally().degraded, 0);
         let collector = obs.finish();
 
         let retries: Vec<_> = collector

@@ -16,8 +16,6 @@ use std::time::{Duration, Instant};
 pub(crate) struct QueuedRequest {
     /// The request's identity and inputs.
     pub(crate) request: FrontendRequest,
-    /// Scheduled arrival offset from run origin, milliseconds.
-    pub(crate) arrival_ms: f64,
     /// When the load generator enqueued it (the E2E clock start).
     pub(crate) enqueued_at: Instant,
 }
@@ -49,7 +47,6 @@ pub(crate) fn generate_load(
         // Shed requests are accounted by the queue and dropped here.
         let _ = admitter.offer(QueuedRequest {
             request,
-            arrival_ms: offset_ms,
             enqueued_at: Instant::now(),
         });
     }

@@ -53,7 +53,7 @@ mod worker;
 
 pub use batcher::{merge_inputs, split_rows};
 pub use queue::QueueStats;
-pub use sla::{FrontendReport, RequestRecord, TenantBreakdown};
+pub use sla::{BatchMember, BatchRecord, FrontendReport};
 
 use crate::rebalance::EpochSwitch;
 use dlrm_model::ModelSpec;
@@ -191,8 +191,9 @@ impl<'a> Lane<'a> {
 pub struct LaneRun {
     /// The lane's admission counters.
     pub queue: QueueStats,
-    /// One record per admitted request, in completion order.
-    pub records: Vec<RequestRecord>,
+    /// One record per executed batch, in completion order; together
+    /// their members are every admitted request.
+    pub batches: Vec<BatchRecord>,
     /// The lane's request spans plus its lead requests' executor spans.
     pub trace: TraceCollector,
     /// The lane's SLA window, milliseconds.
@@ -202,11 +203,12 @@ pub struct LaneRun {
 }
 
 impl LaneRun {
-    /// Folds the lane's counters, records and trace into its report.
+    /// Folds the lane's counters, batch records and trace into its
+    /// report.
     #[must_use]
     pub fn into_report(self) -> FrontendReport {
         let mut report =
-            FrontendReport::assemble(self.queue, self.records, self.sla_ms, self.wall_ms);
+            FrontendReport::assemble(self.queue, self.batches, self.sla_ms, self.wall_ms);
         report.trace = self.trace;
         report
     }
@@ -256,7 +258,7 @@ pub fn serve(
         sinks.push(LaneSink {
             source: lane.source,
             profiler: lane.profiler,
-            records: Mutex::new(Vec::with_capacity(lane.requests.len())),
+            batches: Mutex::new(Vec::new()),
             trace: Mutex::new(TraceCollector::new()),
             sla_ms: lane.sla.as_secs_f64() * 1e3,
         });
@@ -285,7 +287,7 @@ pub fn serve(
         .enumerate()
         .map(|(i, sink)| LaneRun {
             queue: queues.stats(i),
-            records: sink.records.into_inner().expect("records lock poisoned"),
+            batches: sink.batches.into_inner().expect("batches lock poisoned"),
             trace: sink.trace.into_inner().expect("trace lock poisoned"),
             sla_ms: sink.sla_ms,
             wall_ms,

@@ -1,163 +1,58 @@
-//! SLA accounting: per-request timelines and the frontend report.
+//! SLA accounting: per-batch records and the frontend report.
 //!
-//! The figure of merit is *latency-bounded throughput* (DeepRecSys):
-//! the rate of requests completing within the SLA window. Shed and
-//! failed requests count as SLA misses — a request turned away at
+//! The batch is the unit of execution and the request the unit of SLA
+//! (DeepRecSys): a worker writes one [`BatchRecord`] per executed
+//! batch, and [`FrontendReport::assemble`] judges each member request
+//! against the SLA window. The figure of merit is *latency-bounded
+//! throughput*: the rate of requests completing within the window. Shed
+//! and failed requests count as SLA misses — a request turned away at
 //! admission is a miss the user observed, so the hit-rate denominator
 //! is everything *offered*, not everything served.
 
 use super::queue::QueueStats;
+use crate::engine_trace::RpcTally;
 use crate::replica::TransportSummary;
-use dlrm_metrics::{CauseCounts, PercentileSketch, Summary, TailPercentiles};
+use dlrm_metrics::{CauseCounts, PercentileSketch, Summary};
 use dlrm_runtime::{KernelStats, KernelSummary};
+use dlrm_sharding::CacheTotals;
 use dlrm_tensor::Matrix;
 use dlrm_trace::TraceCollector;
+use std::collections::BTreeMap;
 
-/// Maps an engine failure message to the stable cause vocabulary of
-/// [`dlrm_sharding::RpcError::kind`] (the typed error is stringified by
-/// the time it crosses the graph boundary as a `GraphError`). Failures
-/// that did not originate in the RPC taxonomy classify as `"engine"`.
-pub(crate) fn classify_failure(message: &str) -> &'static str {
-    for kind in ["timeout", "poisoned", "shard-fault", "transport"] {
-        if message.contains(kind) {
-            return kind;
-        }
-    }
-    "engine"
-}
-
-/// The measured timeline of one completed (or failed) request, all
-/// timestamps in milliseconds on the frontend clock.
+/// One admitted request as its batch recorded it.
 #[derive(Debug, Clone)]
-pub struct RequestRecord {
+pub struct BatchMember {
     /// Request id (the trace id of its spans).
     pub id: u64,
-    /// Scheduled open-loop arrival offset.
-    pub arrival_ms: f64,
-    /// When the load generator enqueued it (E2E clock start).
+    /// When the load generator enqueued it (E2E clock start), ms.
     pub enqueued_ms: f64,
-    /// When a worker picked it up (queue-wait end).
-    pub dequeued_ms: f64,
-    /// When its batch closed: the pickup forms the batch, so this
-    /// equals `dequeued_ms`.
-    pub batch_closed_ms: f64,
-    /// When its batch started executing on a worker.
-    pub exec_start_ms: f64,
-    /// When predictions were split back (E2E clock end).
-    pub exec_end_ms: f64,
-    /// Sequence number of the batch it rode in (unique per run).
-    pub batch_seq: u64,
-    /// How many requests rode in the same batch.
-    pub batch_requests: usize,
-    /// Serving epoch whose model executed the request's batch (0 on the
-    /// static path). Each batch resolves its epoch exactly once, so all
-    /// members of a batch share this value.
-    pub epoch: u64,
-    /// Whether any RPC in the request's batch settled via the
-    /// zero-embedding degraded fallback — the predictions exist but were
-    /// computed without (some of) the sparse features.
-    pub degraded: bool,
-    /// RPC retry attempts during the batch this request rode in
-    /// (batch-level: shared by all members).
-    pub rpc_retries: u64,
-    /// RPC hedge attempts during the batch this request rode in
-    /// (batch-level: shared by all members).
-    pub rpc_hedges: u64,
-    /// Bags served entirely from the hot-row cache during the batch this
-    /// request rode in (batch-level: shared by all members).
-    pub cache_hits: u64,
-    /// Bags that went over the wire because at least one of their rows
-    /// was cold (batch-level: shared by all members).
-    pub cache_misses: u64,
-    /// Embedding rows pooled locally instead of fetched remotely during
-    /// the batch this request rode in (batch-level: shared by all
-    /// members).
-    pub cache_local_rows: u64,
-    /// Failure cause ([`classify_failure`] vocabulary) when the engine
-    /// failed the batch; `None` on success.
-    pub failure_cause: Option<&'static str>,
-    /// The request's predictions; `None` if the engine failed.
+    /// The request's predictions; `None` if the engine failed its batch.
     pub prediction: Option<Matrix>,
 }
 
-impl RequestRecord {
-    /// End-to-end latency: admission to predictions split.
-    #[must_use]
-    pub fn e2e_ms(&self) -> f64 {
-        self.exec_end_ms - self.enqueued_ms
-    }
-
-    /// Time spent waiting in the admission queue.
-    #[must_use]
-    pub fn queue_wait_ms(&self) -> f64 {
-        self.dequeued_ms - self.enqueued_ms
-    }
-
-    /// Time spent in batch formation: worker pickup to execution start
-    /// (merging the member requests' inputs).
-    #[must_use]
-    pub fn batch_wait_ms(&self) -> f64 {
-        self.exec_start_ms - self.dequeued_ms
-    }
-
-    /// Time spent in batch execution (the overlapped run).
-    #[must_use]
-    pub fn compute_ms(&self) -> f64 {
-        self.exec_end_ms - self.exec_start_ms
-    }
-}
-
-/// One tenant's slice of a multi-tenant run's accounting: admission
-/// outcomes, SLA verdicts against the *tenant's own* window, and where
-/// its embedding bytes currently live on the storage ladder. Attached
-/// to the combined [`FrontendReport`] by
-/// [`crate::tenancy::run_tenant_set`].
+/// One executed batch, recorded once: every timestamp is milliseconds
+/// on the frontend clock, and every fact here holds for all members.
 #[derive(Debug, Clone)]
-pub struct TenantBreakdown {
-    /// Tenant name (e.g. the model it serves).
-    pub name: String,
-    /// Requests presented for admission to this tenant's queue.
-    pub offered: u64,
-    /// Requests accepted into this tenant's queue.
-    pub admitted: u64,
-    /// Requests this tenant's bounded queue turned away — overload
-    /// sheds *here*, inside the tenant, never in a neighbor's queue.
-    pub shed: u64,
-    /// Requests that completed with predictions.
-    pub completed: u64,
-    /// Admitted requests whose batch failed in the engine.
-    pub failed: u64,
-    /// Completed requests served degraded.
-    pub degraded: u64,
-    /// The SLA window this tenant is judged against, milliseconds.
-    pub sla_ms: f64,
-    /// Fraction of offered requests completing within the tenant's SLA.
-    pub sla_hit_rate: f64,
-    /// Fraction of offered requests that completed at all.
-    pub availability: f64,
-    /// The tenant's embedding bytes split by storage tier.
-    pub bytes: crate::tenancy::TierBytes,
-}
-
-impl std::fmt::Display for TenantBreakdown {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{}: offered {} | admitted {} | shed {} | completed {} | failed {} | degraded {} \
-             | availability {:.4} | SLA {:.1}ms hit rate {:.4} | {}",
-            self.name,
-            self.offered,
-            self.admitted,
-            self.shed,
-            self.completed,
-            self.failed,
-            self.degraded,
-            self.availability,
-            self.sla_ms,
-            self.sla_hit_rate,
-            self.bytes
-        )
-    }
+pub struct BatchRecord {
+    /// Pickup sequence number (unique per run).
+    pub seq: u64,
+    /// Serving epoch whose model executed the batch (0 on a pinned
+    /// lane), resolved once at pickup.
+    pub epoch: u64,
+    /// When a worker picked the batch up: its members' queue wait ends
+    /// and the batch forms at this one instant.
+    pub picked_ms: f64,
+    /// When the batch started executing (pickup to here is the merge).
+    pub exec_start_ms: f64,
+    /// When the predictions were split back (E2E clock end).
+    pub exec_end_ms: f64,
+    /// What the batch's RPCs did.
+    pub rpc: RpcTally,
+    /// Failure cause ([`dlrm_sharding::RpcError::kind`] vocabulary, or
+    /// `"engine"`) when the engine failed the batch; `None` on success.
+    pub failure_cause: Option<&'static str>,
+    /// The requests it carried, in pickup (FIFO) order.
+    pub members: Vec<BatchMember>,
 }
 
 /// Everything one frontend run reports: admission accounting, the
@@ -232,107 +127,85 @@ pub struct FrontendReport {
     /// Per-request queue/batch/execute spans plus the lead requests'
     /// re-based executor spans.
     pub trace: TraceCollector,
-    /// Per-tenant breakdown when this report covers a multi-tenant run
-    /// ([`crate::tenancy::run_tenant_set`]); empty on single-tenant
-    /// runs.
-    pub tenants: Vec<TenantBreakdown>,
 }
 
 impl FrontendReport {
     /// Assembles the report from the queue counters and the workers'
-    /// request records.
+    /// batch records: batch tallies sum, every member of a failed batch
+    /// counts under the batch's cause, and every completion is credited
+    /// to its batch's epoch.
     #[must_use]
     pub(crate) fn assemble(
         queue: QueueStats,
-        mut records: Vec<RequestRecord>,
+        batches: Vec<BatchRecord>,
         sla_ms: f64,
         wall_ms: f64,
     ) -> Self {
-        records.sort_by_key(|r| r.id);
+        let requests: usize = batches.iter().map(|b| b.members.len()).sum();
+        let max_batch = batches.iter().map(|b| b.members.len()).max().unwrap_or(0);
+        let batch_count = batches.len() as u64;
         let mut queue_wait = Summary::new();
         let mut batch_wait = Summary::new();
         let mut compute = Summary::new();
-        let mut e2e = PercentileSketch::with_capacity(records.len());
-        let mut predictions = Vec::new();
-        let mut failed = 0u64;
+        let mut e2e = PercentileSketch::with_capacity(requests);
+        let mut predictions = Vec::with_capacity(requests);
         let mut degraded = 0u64;
         let mut sla_hit_count = 0u64;
         let mut failed_by_cause = CauseCounts::new();
-        // Retry/hedge/cache counters are batch-level (every member record
-        // of a batch carries the same totals), so dedupe by batch
-        // sequence.
-        let mut batch_attempts: std::collections::HashMap<u64, (u64, u64, u64, u64, u64)> =
-            std::collections::HashMap::new();
-        let mut batch_sizes: std::collections::HashMap<u64, usize> =
-            std::collections::HashMap::new();
-        let mut by_epoch: std::collections::BTreeMap<u64, u64> = std::collections::BTreeMap::new();
-        let mut max_batch = 0usize;
-        for mut r in records {
-            batch_sizes.insert(r.batch_seq, r.batch_requests);
-            batch_attempts.insert(
-                r.batch_seq,
-                (
-                    r.rpc_retries,
-                    r.rpc_hedges,
-                    r.cache_hits,
-                    r.cache_misses,
-                    r.cache_local_rows,
-                ),
-            );
-            max_batch = max_batch.max(r.batch_requests);
-            if let Some(prediction) = r.prediction.take() {
-                *by_epoch.entry(r.epoch).or_insert(0) += 1;
-                queue_wait.record(r.queue_wait_ms());
-                batch_wait.record(r.batch_wait_ms());
-                compute.record(r.compute_ms());
-                e2e.record(r.e2e_ms());
-                if r.degraded {
+        let (mut rpc_retries, mut rpc_hedges) = (0, 0);
+        let mut cache = CacheTotals::default();
+        let mut by_epoch = BTreeMap::new();
+        for b in batches {
+            rpc_retries += b.rpc.retries;
+            rpc_hedges += b.rpc.hedges;
+            cache.merge(&b.rpc.cache);
+            for m in b.members {
+                let Some(prediction) = m.prediction else {
+                    failed_by_cause.record(b.failure_cause.unwrap_or("engine"));
+                    continue;
+                };
+                *by_epoch.entry(b.epoch).or_insert(0) += 1;
+                let latency = b.exec_end_ms - m.enqueued_ms;
+                queue_wait.record(b.picked_ms - m.enqueued_ms);
+                batch_wait.record(b.exec_start_ms - b.picked_ms);
+                compute.record(b.exec_end_ms - b.exec_start_ms);
+                e2e.record(latency);
+                if b.rpc.degraded > 0 {
                     degraded += 1;
-                } else if r.e2e_ms() < sla_ms {
+                } else if latency < sla_ms {
                     // Degraded responses never count as SLA hits: the
                     // user got an answer, but not the model's answer.
                     sla_hit_count += 1;
                 }
-                predictions.push((r.id, prediction));
-            } else {
-                failed += 1;
-                failed_by_cause.record(r.failure_cause.unwrap_or("engine"));
+                predictions.push((m.id, prediction));
             }
         }
-        let batches = batch_sizes.len() as u64;
-        let batched_requests: usize = batch_sizes.values().sum();
-        let (rpc_retries, rpc_hedges, cache_hits, cache_misses, cache_local_rows) =
-            batch_attempts.values().fold(
-                (0, 0, 0, 0, 0),
-                |(r, h, ch, cm, cl), &(br, bh, bch, bcm, bcl)| {
-                    (r + br, h + bh, ch + bch, cm + bcm, cl + bcl)
-                },
-            );
+        predictions.sort_by_key(|&(id, _)| id);
         FrontendReport {
             offered: queue.offered,
             admitted: queue.admitted,
             shed: queue.shed,
             completed: predictions.len() as u64,
-            failed,
+            failed: failed_by_cause.total(),
             degraded,
             sla_hit_count,
             failed_by_cause,
             rpc_retries,
             rpc_hedges,
-            cache_hits,
-            cache_misses,
-            cache_local_rows,
+            cache_hits: cache.hits,
+            cache_misses: cache.misses,
+            cache_local_rows: cache.local_rows,
             transport: None,
             kernels: KernelStats::global().summary(),
             epochs_served: by_epoch.into_iter().collect(),
             max_queue_depth: queue.max_depth,
             sla_ms,
             wall_ms,
-            batches,
-            mean_batch_requests: if batches == 0 {
+            batches: batch_count,
+            mean_batch_requests: if batch_count == 0 {
                 0.0
             } else {
-                batched_requests as f64 / batches as f64
+                requests as f64 / batch_count as f64
             },
             max_batch_requests: max_batch,
             queue_wait_ms: queue_wait,
@@ -341,15 +214,7 @@ impl FrontendReport {
             e2e_ms: e2e,
             predictions,
             trace: TraceCollector::new(),
-            tenants: Vec::new(),
         }
-    }
-
-    /// Requests that completed within the SLA window, excluding
-    /// degraded responses (counted exactly at assembly).
-    #[must_use]
-    pub fn sla_hits(&self) -> u64 {
-        self.sla_hit_count
     }
 
     /// Fraction of *offered* requests that received a response at all
@@ -383,7 +248,7 @@ impl FrontendReport {
         if self.offered == 0 {
             return 1.0;
         }
-        self.sla_hits() as f64 / self.offered as f64
+        self.sla_hit_count as f64 / self.offered as f64
     }
 
     /// Latency-bounded throughput: SLA-meeting completions per second
@@ -393,13 +258,7 @@ impl FrontendReport {
         if self.wall_ms <= 0.0 {
             return 0.0;
         }
-        self.sla_hits() as f64 / (self.wall_ms / 1e3)
-    }
-
-    /// End-to-end latency tail percentiles over completed requests.
-    #[must_use]
-    pub fn tail(&mut self) -> TailPercentiles {
-        self.e2e_ms.tail_percentiles()
+        self.sla_hit_count as f64 / (self.wall_ms / 1e3)
     }
 }
 
@@ -443,7 +302,7 @@ impl std::fmt::Display for FrontendReport {
             "SLA {:.1}ms: hit rate {:.4} ({} hits) | latency-bounded {:.1} qps | wall {:.1}ms",
             self.sla_ms,
             self.sla_hit_rate(),
-            self.sla_hits(),
+            self.sla_hit_count,
             self.latency_bounded_qps(),
             self.wall_ms
         )?;
@@ -460,9 +319,6 @@ impl std::fmt::Display for FrontendReport {
                 .collect();
             writeln!(f, "served by {}", parts.join(" | "))?;
         }
-        for t in &self.tenants {
-            writeln!(f, "tenant {t}")?;
-        }
         writeln!(f, "e2e      {}", e2e.tail_percentiles())?;
         writeln!(
             f,
@@ -477,27 +333,26 @@ impl std::fmt::Display for FrontendReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dlrm_sharding::RpcError;
 
-    fn rec(id: u64, e2e: f64, ok: bool) -> RequestRecord {
-        RequestRecord {
-            id,
-            arrival_ms: 0.0,
-            enqueued_ms: 0.0,
-            dequeued_ms: e2e * 0.25,
-            batch_closed_ms: e2e * 0.5,
+    /// A batch whose members all take `e2e` ms: enqueued at 0, picked
+    /// up at a quarter, executing from half to the end.
+    fn batch(seq: u64, ids: std::ops::Range<u64>, e2e: f64, ok: bool) -> BatchRecord {
+        BatchRecord {
+            seq,
+            epoch: 0,
+            picked_ms: e2e * 0.25,
             exec_start_ms: e2e * 0.5,
             exec_end_ms: e2e,
-            batch_seq: id,
-            batch_requests: 1,
-            epoch: 0,
-            degraded: false,
-            rpc_retries: 0,
-            rpc_hedges: 0,
-            cache_hits: 0,
-            cache_misses: 0,
-            cache_local_rows: 0,
+            rpc: RpcTally::default(),
             failure_cause: (!ok).then_some("engine"),
-            prediction: ok.then(|| Matrix::zeros(1, 1)),
+            members: ids
+                .map(|id| BatchMember {
+                    id,
+                    enqueued_ms: 0.0,
+                    prediction: ok.then(|| Matrix::zeros(1, 1)),
+                })
+                .collect(),
         }
     }
 
@@ -514,17 +369,18 @@ mod tests {
     #[test]
     fn shed_and_failed_count_as_sla_misses() {
         // 10 offered: 2 shed, 1 failed, 7 completed (5 within 10ms SLA).
-        let mut records: Vec<RequestRecord> =
-            (0..5).map(|i| rec(i, 5.0, true)).collect();
-        records.push(rec(5, 50.0, true));
-        records.push(rec(6, 60.0, true));
-        records.push(rec(7, 1.0, false));
-        let report = FrontendReport::assemble(stats(10, 8), records, 10.0, 1000.0);
+        let batches = vec![
+            batch(0, 0..5, 5.0, true),
+            batch(1, 5..6, 50.0, true),
+            batch(2, 6..7, 60.0, true),
+            batch(3, 7..8, 1.0, false),
+        ];
+        let report = FrontendReport::assemble(stats(10, 8), batches, 10.0, 1000.0);
         assert_eq!(report.offered, 10);
         assert_eq!(report.shed, 2);
         assert_eq!(report.failed, 1);
         assert_eq!(report.completed, 7);
-        assert_eq!(report.sla_hits(), 5);
+        assert_eq!(report.sla_hit_count, 5);
         assert_eq!(report.sla_hit_rate(), 0.5);
         assert_eq!(report.latency_bounded_qps(), 5.0);
         assert_eq!(report.offered, report.admitted + report.shed);
@@ -538,24 +394,21 @@ mod tests {
     fn degraded_responses_count_toward_availability_but_not_sla() {
         // 4 offered/admitted: 2 fast+full, 1 fast+degraded, 1 failed
         // with a classified cause.
-        let mut records = vec![rec(0, 5.0, true), rec(1, 5.0, true)];
-        let mut degraded = rec(2, 5.0, true);
-        degraded.degraded = true;
-        degraded.rpc_retries = 2;
-        degraded.rpc_hedges = 1;
-        records.push(degraded);
-        let mut failed = rec(3, 5.0, false);
-        failed.failure_cause = Some(classify_failure(
-            "op sparse0: timeout on sparse shard 0: no reply within 1ms",
-        ));
-        records.push(failed);
-        let report = FrontendReport::assemble(stats(4, 4), records, 10.0, 1000.0);
+        let mut degraded = batch(1, 2..3, 5.0, true);
+        degraded.rpc.degraded = 1;
+        degraded.rpc.retries = 2;
+        degraded.rpc.hedges = 1;
+        let mut failed = batch(2, 3..4, 5.0, false);
+        failed.failure_cause =
+            RpcError::kind_in("op sparse0: timeout on sparse shard 0: no reply within 1ms");
+        let batches = vec![batch(0, 0..2, 5.0, true), degraded, failed];
+        let report = FrontendReport::assemble(stats(4, 4), batches, 10.0, 1000.0);
         assert_eq!(report.completed, 3);
         assert_eq!(report.degraded, 1);
         assert_eq!(report.availability(), 0.75);
         assert_eq!(report.degraded_rate(), 1.0 / 3.0);
         // The degraded response arrived in time but is not a hit.
-        assert_eq!(report.sla_hits(), 2);
+        assert_eq!(report.sla_hit_count, 2);
         assert_eq!(report.failed_by_cause.get("timeout"), 1);
         assert_eq!(report.rpc_retries, 2);
         assert_eq!(report.rpc_hedges, 1);
@@ -566,64 +419,75 @@ mod tests {
     }
 
     #[test]
-    fn batch_level_attempt_counters_dedupe_by_batch_seq() {
-        // Three requests riding the same batch each carry the batch's
-        // totals; the report must count them once.
-        let mut records: Vec<RequestRecord> = (0..3).map(|i| rec(i, 5.0, true)).collect();
-        for r in &mut records {
-            r.batch_seq = 42;
-            r.batch_requests = 3;
-            r.rpc_retries = 4;
-            r.rpc_hedges = 2;
-            r.cache_hits = 6;
-            r.cache_misses = 3;
-            r.cache_local_rows = 11;
-        }
-        let report = FrontendReport::assemble(stats(3, 3), records, 10.0, 100.0);
-        assert_eq!(report.rpc_retries, 4);
-        assert_eq!(report.rpc_hedges, 2);
-        assert_eq!(report.cache_hits, 6);
-        assert_eq!(report.cache_misses, 3);
-        assert_eq!(report.cache_local_rows, 11);
-        assert_eq!(report.batches, 1);
+    fn batch_tallies_sum_and_a_failed_batch_fails_every_member() {
+        // A three-request batch that completed and a two-request batch
+        // the transport failed: each tally counts once, exactly.
+        let mut done = batch(7, 0..3, 5.0, true);
+        done.rpc = RpcTally {
+            retries: 4,
+            hedges: 2,
+            degraded: 0,
+            cache: CacheTotals {
+                hits: 6,
+                misses: 3,
+                local_rows: 11,
+            },
+        };
+        let mut lost = batch(8, 3..5, 5.0, false);
+        lost.failure_cause = Some("transport");
+        lost.rpc = RpcTally {
+            retries: 1,
+            hedges: 1,
+            degraded: 0,
+            cache: CacheTotals {
+                hits: 1,
+                misses: 2,
+                local_rows: 3,
+            },
+        };
+        let report = FrontendReport::assemble(stats(5, 5), vec![done, lost], 10.0, 100.0);
+        assert_eq!(report.rpc_retries, 5);
+        assert_eq!(report.rpc_hedges, 3);
+        assert_eq!(report.cache_hits, 7);
+        assert_eq!(report.cache_misses, 5);
+        assert_eq!(report.cache_local_rows, 14);
+        assert_eq!(report.batches, 2);
+        assert_eq!((report.max_batch_requests, report.mean_batch_requests), (3, 2.5));
+        assert_eq!((report.completed, report.failed), (3, 2));
+        assert_eq!(report.failed_by_cause.get("transport"), 2);
+        assert_eq!(report.failed_by_cause.total(), 2);
         let text = report.to_string();
-        assert!(text.contains("cache hits 6 misses 3"), "missing cache line in {text}");
+        assert!(text.contains("cache hits 7 misses 5"), "missing cache line in {text}");
     }
 
     #[test]
     fn completed_requests_are_attributed_to_their_epoch() {
-        let mut records: Vec<RequestRecord> = (0..4).map(|i| rec(i, 5.0, true)).collect();
-        records[2].epoch = 1;
-        records[3].epoch = 1;
-        records.push(rec(4, 5.0, false)); // failed requests are not attributed
-        let report = FrontendReport::assemble(stats(5, 5), records, 10.0, 100.0);
+        let mut cutover = batch(1, 2..4, 5.0, true);
+        cutover.epoch = 1;
+        let batches = vec![
+            batch(0, 0..2, 5.0, true),
+            cutover,
+            batch(2, 4..5, 5.0, false), // failed requests are not attributed
+        ];
+        let report = FrontendReport::assemble(stats(5, 5), batches, 10.0, 100.0);
         assert_eq!(report.epochs_served, vec![(0, 2), (1, 2)]);
         let text = report.to_string();
         assert!(text.contains("served by epoch 0: 2 | epoch 1: 2"), "{text}");
 
         // A pure epoch-0 run keeps the display quiet.
-        let quiet = FrontendReport::assemble(stats(1, 1), vec![rec(0, 5.0, true)], 10.0, 100.0);
+        let quiet =
+            FrontendReport::assemble(stats(1, 1), vec![batch(0, 0..1, 5.0, true)], 10.0, 100.0);
         assert_eq!(quiet.epochs_served, vec![(0, 1)]);
         assert!(!quiet.to_string().contains("served by"));
     }
 
     #[test]
-    fn failure_classification_vocabulary() {
-        assert_eq!(classify_failure("timeout on sparse3: ..."), "timeout");
-        assert_eq!(classify_failure("transport error on sparse0: down"), "transport");
-        assert_eq!(classify_failure("shard-fault on sparse1: not hosted"), "shard-fault");
-        assert_eq!(
-            classify_failure("poisoned on sparse2: worker panicked: boom"),
-            "poisoned"
-        );
-        assert_eq!(classify_failure("blob missing"), "engine");
-    }
-
-    #[test]
     fn breakdown_sums_to_e2e() {
-        let r = rec(0, 40.0, true);
-        let total = r.queue_wait_ms() + r.batch_wait_ms() + r.compute_ms();
-        assert!((total - r.e2e_ms()).abs() < 1e-9);
+        let report =
+            FrontendReport::assemble(stats(1, 1), vec![batch(0, 0..1, 40.0, true)], 10.0, 100.0);
+        let total =
+            report.queue_wait_ms.sum() + report.batch_wait_ms.sum() + report.compute_ms.sum();
+        assert!((total - report.e2e_ms.mean()).abs() < 1e-9);
     }
 
     #[test]
@@ -636,7 +500,8 @@ mod tests {
 
     #[test]
     fn display_mentions_every_accounting_line() {
-        let report = FrontendReport::assemble(stats(2, 2), vec![rec(0, 5.0, true)], 10.0, 100.0);
+        let report =
+            FrontendReport::assemble(stats(2, 2), vec![batch(0, 0..1, 5.0, true)], 10.0, 100.0);
         let text = report.to_string();
         for needle in ["offered", "shed", "hit rate", "batches", "queue-wait"] {
             assert!(text.contains(needle), "missing {needle:?} in {text}");

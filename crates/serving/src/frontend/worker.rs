@@ -8,17 +8,17 @@
 //! runs the distributed model under
 //! [`DistributedModel::run_overlapped`] — so shard round-trips overlap
 //! with dense compute exactly as in PR 2's executor — then splits the
-//! predictions back per request ([`split_rows`]) and records the
-//! request's timeline spans.
+//! predictions back per request ([`split_rows`]) and records the batch
+//! once ([`BatchRecord`]) beside its member requests' timeline spans.
 
 use super::arrival::QueuedRequest;
 use super::batcher::{merge_inputs, split_rows};
 use super::queue::LaneQueues;
-use super::sla::RequestRecord;
+use super::sla::{BatchMember, BatchRecord};
 use super::EpochSource;
 use crate::engine_trace::RpcTracingObserver;
 use dlrm_model::RuntimeCtx;
-use dlrm_sharding::DistributedModel;
+use dlrm_sharding::{DistributedModel, RpcError};
 use dlrm_trace::{ServerId, Span, SpanKind, TraceCollector, TraceId};
 use dlrm_workload::{BatchInputs, OnlineProfiler};
 use std::collections::HashMap;
@@ -38,7 +38,7 @@ fn ms(origin: Instant, at: Instant) -> f64 {
 pub(crate) struct LaneSink<'a> {
     pub(crate) source: EpochSource<'a>,
     pub(crate) profiler: Option<&'a OnlineProfiler>,
-    pub(crate) records: Mutex<Vec<RequestRecord>>,
+    pub(crate) batches: Mutex<Vec<BatchRecord>>,
     pub(crate) trace: Mutex<TraceCollector>,
     pub(crate) sla_ms: f64,
 }
@@ -91,14 +91,14 @@ pub(crate) fn worker_loop(
             seq,
             batch,
             picked_at,
-            &lane.records,
+            &lane.batches,
             &lane.trace,
         );
     }
 }
 
-/// Executes one picked-up batch against `model` and records every
-/// member request's timeline: a [`RequestRecord`] and its QueueWait /
+/// Executes one picked-up batch against `model` and records it: one
+/// [`BatchRecord`], and every member request's QueueWait /
 /// BatchAssembly (pickup to execution start: the merge) / BatchExecute /
 /// RequestE2E spans (frontend clock, main server). The lead request
 /// additionally carries the executor's re-based per-op and
@@ -114,14 +114,14 @@ fn run_batch(
     seq: u64,
     batch: Vec<QueuedRequest>,
     picked_at: Instant,
-    records: &Mutex<Vec<RequestRecord>>,
+    batches: &Mutex<Vec<BatchRecord>>,
     trace: &Mutex<TraceCollector>,
 ) {
     let batch_requests = batch.len();
     let lead_trace = TraceId(batch[0].request.id);
     let (inputs, arrivals): (Vec<BatchInputs>, Vec<_>) = batch
         .into_iter()
-        .map(|q| (q.request.inputs, (q.request.id, q.arrival_ms, q.enqueued_at)))
+        .map(|q| (q.request.inputs, (q.request.id, q.enqueued_at)))
         .unzip();
     // A lone request — what traffic below saturation mostly is — runs on
     // its own inputs and keeps its own prediction matrix: nothing is
@@ -141,16 +141,11 @@ fn run_batch(
     let mut obs = RpcTracingObserver::new(lead_trace);
     let result = model.run_overlapped(&mut ws, &mut obs);
     let exec_end = Instant::now();
-    let batch_retries = obs.rpc_retries();
-    let batch_hedges = obs.rpc_hedges();
-    let batch_cache_hits = obs.cache_hits();
-    let batch_cache_misses = obs.cache_misses();
-    let batch_cache_local_rows = obs.cache_local_rows();
-    let batch_degraded = obs.degraded_rpcs() > 0;
+    let rpc = obs.tally();
     let failure_cause = result
         .as_ref()
         .err()
-        .map(|e| super::sla::classify_failure(&e.to_string()));
+        .map(|e| RpcError::kind_in(&e.to_string()).unwrap_or("engine"));
     let engine_spans = obs.finish();
 
     let mut predictions = result.ok().map(|m| {
@@ -169,32 +164,12 @@ fn run_batch(
 
     let exec_start_ms = ms(origin, exec_start);
     let exec_end_ms = ms(origin, exec_end);
-    // Pickup forms the batch: dequeue and batch close are one instant.
     let picked_ms = ms(origin, picked_at);
 
-    let mut recs = Vec::with_capacity(batch_requests);
+    let mut members = Vec::with_capacity(batch_requests);
     let mut spans = Vec::new();
-    for (id, arrival_ms, enqueued_at) in arrivals {
-        let rec = RequestRecord {
-            id,
-            arrival_ms,
-            enqueued_ms: ms(origin, enqueued_at),
-            dequeued_ms: picked_ms,
-            batch_closed_ms: picked_ms,
-            exec_start_ms,
-            exec_end_ms,
-            batch_seq: seq,
-            batch_requests,
-            epoch,
-            degraded: batch_degraded,
-            rpc_retries: batch_retries,
-            rpc_hedges: batch_hedges,
-            cache_hits: batch_cache_hits,
-            cache_misses: batch_cache_misses,
-            cache_local_rows: batch_cache_local_rows,
-            failure_cause,
-            prediction: predictions.as_mut().and_then(Iterator::next),
-        };
+    for (id, enqueued_at) in arrivals {
+        let enqueued_ms = ms(origin, enqueued_at);
         let t = TraceId(id);
         let interval = |kind, start: f64, end: f64| Span {
             trace: t,
@@ -204,11 +179,15 @@ fn run_batch(
             duration: (end - start).max(0.0),
             cpu: false,
         };
-        spans.push(interval(SpanKind::QueueWait, rec.enqueued_ms, picked_ms));
+        spans.push(interval(SpanKind::QueueWait, enqueued_ms, picked_ms));
         spans.push(interval(SpanKind::BatchAssembly, picked_ms, exec_start_ms));
         spans.push(interval(SpanKind::BatchExecute, exec_start_ms, exec_end_ms));
-        spans.push(interval(SpanKind::RequestE2E, rec.enqueued_ms, exec_end_ms));
-        recs.push(rec);
+        spans.push(interval(SpanKind::RequestE2E, enqueued_ms, exec_end_ms));
+        members.push(BatchMember {
+            id,
+            enqueued_ms,
+            prediction: predictions.as_mut().and_then(Iterator::next),
+        });
     }
 
     {
@@ -230,8 +209,17 @@ fn run_batch(
             });
         }
     }
-    records
+    batches
         .lock()
-        .expect("request record lock poisoned")
-        .extend(recs);
+        .expect("batch record lock poisoned")
+        .push(BatchRecord {
+            seq,
+            epoch,
+            picked_ms,
+            exec_start_ms,
+            exec_end_ms,
+            rpc,
+            failure_cause,
+            members,
+        });
 }

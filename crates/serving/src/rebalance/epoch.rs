@@ -159,7 +159,7 @@ pub fn probe_all(
             let out = model
                 .run_overlapped(&mut ws, &mut obs)
                 .map_err(|e| format!("probe {i}: {e}"))?;
-            if obs.degraded_rpcs() > 0 {
+            if obs.tally().degraded > 0 {
                 return Err(format!("probe {i}: degraded response during dual read"));
             }
             Ok(out)

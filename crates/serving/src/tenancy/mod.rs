@@ -46,9 +46,7 @@ pub use tiered::{build_tiered_epoch, TieredShardService};
 // it from `dlrm_sharding`.
 pub use dlrm_sharding::{Tier, TierBytes, DEMOTED_BITS};
 
-use crate::frontend::{
-    serve, EpochSource, FrontendReport, FrontendRequest, Lane, QueueStats, TenantBreakdown,
-};
+use crate::frontend::{serve, EpochSource, FrontendReport, FrontendRequest, Lane, LaneRun};
 use crate::rebalance::{probe_all, probe_inputs, EpochSwitch};
 use dlrm_model::ModelSpec;
 use dlrm_sharding::{plan as make_plan, ShardingPlan, ShardingStrategy};
@@ -326,12 +324,10 @@ impl Default for TenancyRunConfig {
 /// Everything one multi-tenant run reports.
 #[derive(Debug)]
 pub struct TenancyReport {
-    /// The combined report: totals across tenants, with
-    /// [`FrontendReport::tenants`] carrying the per-tenant breakdown.
-    /// SLA hits are judged per tenant against each tenant's own window.
-    pub combined: FrontendReport,
-    /// Full per-tenant reports (latency tails, predictions, traces), in
-    /// tenant order.
+    /// Each tenant's own report, in tenant order: its admission
+    /// outcomes, its SLA verdicts against its own window, its latency
+    /// tails, predictions and trace. Where its bytes live is
+    /// [`TenantRuntime::bytes_by_tier`].
     pub per_tenant: Vec<FrontendReport>,
     /// Every tier transition the pressure controller published, ever
     /// (across runs on the same [`TenantSet`]).
@@ -343,8 +339,7 @@ pub struct TenancyReport {
 /// Drives one multi-tenant open-loop run to completion: per-tenant load
 /// generators and queues, a shared weighted-fair worker pool, and
 /// (optionally) the pressure controller ticking on the side. Returns
-/// per-tenant reports plus the combined report with its
-/// [`TenantBreakdown`] rows.
+/// each tenant's own report.
 ///
 /// # Panics
 ///
@@ -362,13 +357,12 @@ pub fn run_tenant_set(
         set.len(),
         "one workload per tenant, in tenant order"
     );
-    let n = set.len();
-    let tenants = set.tenants();
     let (requests, schedules): (Vec<_>, Vec<_>) = workloads
         .into_iter()
         .map(|w| (w.requests, w.schedule))
         .unzip();
-    let lanes = tenants
+    let lanes = set
+        .tenants()
         .iter()
         .zip(requests)
         .zip(&schedules)
@@ -392,47 +386,8 @@ pub fn run_tenant_set(
             .map(|every| (every, &pressure_tick as &dyn Fn())),
     );
 
-    let mut per_tenant = Vec::with_capacity(n);
-    let mut all_records = Vec::new();
-    let mut merged_stats = QueueStats::default();
-    let mut breakdowns = Vec::with_capacity(n);
-    let mut max_sla = 0.0f64;
-    let mut wall_ms = 0.0;
-    for (t, run) in tenants.iter().zip(runs) {
-        all_records.extend(run.records.iter().cloned());
-        let qs = run.queue;
-        wall_ms = run.wall_ms;
-        merged_stats.offered += qs.offered;
-        merged_stats.admitted += qs.admitted;
-        merged_stats.shed += qs.shed;
-        merged_stats.depth += qs.depth;
-        merged_stats.max_depth = merged_stats.max_depth.max(qs.max_depth);
-        max_sla = max_sla.max(run.sla_ms);
-        let report = run.into_report();
-        breakdowns.push(TenantBreakdown {
-            name: t.name.clone(),
-            offered: report.offered,
-            admitted: report.admitted,
-            shed: report.shed,
-            completed: report.completed,
-            failed: report.failed,
-            degraded: report.degraded,
-            sla_ms: report.sla_ms,
-            sla_hit_rate: report.sla_hit_rate(),
-            availability: report.availability(),
-            bytes: t.bytes_by_tier(),
-        });
-        per_tenant.push(report);
-    }
-    let mut combined = FrontendReport::assemble(merged_stats, all_records, max_sla, wall_ms);
-    // Each tenant is judged against its own window; the combined hit
-    // count is the sum of per-tenant verdicts, not a single-window cut.
-    combined.sla_hit_count = per_tenant.iter().map(FrontendReport::sla_hits).sum();
-    combined.tenants = breakdowns;
-
     TenancyReport {
-        combined,
-        per_tenant,
+        per_tenant: runs.into_iter().map(LaneRun::into_report).collect(),
         actions: set.controller().actions(),
         verify_failures: set.controller().verify_failures(),
     }
@@ -508,23 +463,16 @@ mod tests {
             .collect();
         let report = run_tenant_set(&set, workloads, &TenancyRunConfig::default());
         assert_eq!(report.per_tenant.len(), 2);
-        assert_eq!(report.combined.tenants.len(), 2);
-        assert_eq!(report.combined.offered, 20);
         assert!(report.verify_failures.is_empty());
-        for (b, r) in report.combined.tenants.iter().zip(&report.per_tenant) {
-            assert_eq!(b.offered, 10);
-            assert_eq!(b.offered, b.admitted + b.shed);
-            assert_eq!(b.completed + b.failed, b.admitted);
-            assert_eq!(b.completed, r.completed);
-            assert!(b.bytes.dram > 0);
+        // The worker pool is shared, but accounting never bleeds: each
+        // tenant's report holds exactly its own ten requests.
+        for (t, r) in set.tenants().iter().zip(&report.per_tenant) {
+            assert_eq!(r.offered, 10, "{}", t.name());
+            assert_eq!(r.offered, r.admitted + r.shed);
+            assert_eq!(r.completed + r.failed, r.admitted);
+            assert_eq!(r.predictions.len() as u64, r.completed);
+            assert!(t.bytes_by_tier().dram > 0);
         }
-        let text = report.combined.to_string();
-        assert!(text.contains("tenant rm1:"), "{text}");
-        assert!(text.contains("tenant rm2:"), "{text}");
-        // Worker pool is shared, but accounting never bleeds: combined
-        // totals are exactly the per-tenant sums.
-        let sum: u64 = report.per_tenant.iter().map(|r| r.completed).sum();
-        assert_eq!(report.combined.completed, sum);
     }
 
     #[test]

@@ -120,7 +120,7 @@ fn closed_loop(
             inputs.load_into(&dist.spec, &mut ws);
             let mut obs = RpcTracingObserver::new(TraceId(i as u64));
             let out = dist.run_overlapped(&mut ws, &mut obs).ok();
-            (out, obs.degraded_rpcs(), obs.rpc_retries())
+            (out, obs.tally().degraded, obs.tally().retries)
         })
         .collect()
 }
@@ -258,7 +258,7 @@ fn frontend_accounting_identities_hold_under_faults() {
     ids.dedup();
     assert_eq!(ids.len(), report.completed as usize, "duplicate completions");
     assert!(report.degraded <= report.completed);
-    assert!(report.sla_hits() <= report.completed - report.degraded);
+    assert!(report.sla_hit_count <= report.completed - report.degraded);
     assert_eq!(report.failed_by_cause.total(), report.failed);
     let availability = report.availability();
     assert!((0.0..=1.0).contains(&availability));
@@ -466,7 +466,7 @@ fn frontend_identities_hold_with_cache_under_faults() {
     assert!(report.degraded <= report.completed);
     assert_eq!(report.failed_by_cause.total(), report.failed);
 
-    // The cache counters flowed batch-deduped into the report and agree
+    // The cache counters flowed once per batch into the report and agree
     // with the transport's view of the same cache. A failed batch's ops
     // record into the cache at issue time but never reach the observer,
     // so the report may undercount — never overcount — under faults.

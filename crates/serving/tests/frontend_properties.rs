@@ -269,8 +269,9 @@ fn lane_spec() -> ModelSpec {
     spec
 }
 
-/// Checks one lane's run: the admission identities, a single epoch per
-/// batch, and every prediction bit-exact with its solo run.
+/// Checks one lane's run: the admission identities, one record per
+/// pickup (each holding the one epoch its batch ran on), and every
+/// prediction bit-exact with its solo run.
 fn check_lane(run: &LaneRun, offered: usize, expected: &HashMap<u64, Matrix>, ctx: &str) {
     assert_eq!(run.queue.offered, offered as u64, "{ctx}");
     assert_eq!(
@@ -278,20 +279,23 @@ fn check_lane(run: &LaneRun, offered: usize, expected: &HashMap<u64, Matrix>, ct
         run.queue.admitted + run.queue.shed,
         "{ctx}"
     );
-    // One record per admitted request, completed or failed.
-    assert_eq!(run.records.len() as u64, run.queue.admitted, "{ctx}");
-    let mut batch_epoch: HashMap<u64, u64> = HashMap::new();
-    for r in &run.records {
-        let epoch = *batch_epoch.entry(r.batch_seq).or_insert(r.epoch);
-        assert_eq!(epoch, r.epoch, "{ctx}: batch {} mixes epochs", r.batch_seq);
-        let got = r
+    // One member per admitted request, completed or failed, and one
+    // batch record per pickup.
+    let members: Vec<_> = run.batches.iter().flat_map(|b| &b.members).collect();
+    assert_eq!(members.len() as u64, run.queue.admitted, "{ctx}");
+    let mut seqs: Vec<u64> = run.batches.iter().map(|b| b.seq).collect();
+    seqs.sort_unstable();
+    seqs.dedup();
+    assert_eq!(seqs.len(), run.batches.len(), "{ctx}: a pickup recorded twice");
+    for m in members {
+        let got = m
             .prediction
             .as_ref()
-            .unwrap_or_else(|| panic!("{ctx}: request {} failed", r.id));
+            .unwrap_or_else(|| panic!("{ctx}: request {} failed", m.id));
         assert_eq!(
-            got, &expected[&r.id],
+            got, &expected[&m.id],
             "{ctx}: request {} batched != solo",
-            r.id
+            m.id
         );
     }
 }
@@ -393,16 +397,16 @@ fn lanes_of_every_source_account_exactly_and_stay_bit_exact_across_a_cutover() {
                 check_lane(run, 24, &expected[i], &ctx);
                 assert_eq!(run.queue.shed, 0, "{ctx}: queue sized for everything");
                 let last = run
-                    .records
+                    .batches
                     .iter()
                     .max_by(|a, b| a.exec_start_ms.total_cmp(&b.exec_start_ms))
-                    .expect("records");
+                    .expect("batches");
                 if is_switch(i) {
                     assert_eq!(switches[i].cutovers(), 1, "{ctx}");
                     assert_eq!(last.epoch, 1, "{ctx}: tail missed the cutover");
                 } else {
                     assert!(
-                        run.records.iter().all(|r| r.epoch == 0),
+                        run.batches.iter().all(|b| b.epoch == 0),
                         "{ctx}: pinned is epoch 0"
                     );
                 }
@@ -429,9 +433,10 @@ fn a_lane_with_zero_requests_terminates() {
         Lane::new(EpochSource::Pinned(&dist), Vec::new(), &idle, &cfg),
     ];
     let runs = serve(lanes, cfg.max_batch_requests, cfg.workers, None);
-    assert_eq!(runs[0].records.len(), 8);
+    let served: usize = runs[0].batches.iter().map(|b| b.members.len()).sum();
+    assert_eq!(served, 8);
     assert_eq!(runs[1].queue.offered, 0);
-    assert!(runs[1].records.is_empty());
+    assert!(runs[1].batches.is_empty());
     let report = runs.into_iter().nth(1).unwrap().into_report();
     assert_eq!((report.completed, report.batches), (0, 0));
 }
@@ -467,7 +472,13 @@ fn sustained_overload_sheds_at_admission_and_bounds_the_pipeline() {
 
         assert_eq!(run.queue.offered, 80);
         assert_eq!(run.queue.offered, run.queue.admitted + run.queue.shed);
-        assert_eq!(run.records.len() as u64, run.queue.admitted);
+        // (enqueued, completed) per admitted request.
+        let spans: Vec<(f64, f64)> = run
+            .batches
+            .iter()
+            .flat_map(|b| b.members.iter().map(|m| (m.enqueued_ms, b.exec_end_ms)))
+            .collect();
+        assert_eq!(spans.len() as u64, run.queue.admitted);
         assert!(
             run.queue.shed > 0,
             "seed {seed}: sustained 2x overload never shed"
@@ -478,10 +489,9 @@ fn sustained_overload_sheds_at_admission_and_bounds_the_pipeline() {
         // request. One more for the request in the generator's hand:
         // `enqueued` is stamped just before the offer.
         let bound = cfg.queue_capacity + cfg.workers * cfg.max_batch_requests + 1;
-        for done in &run.records {
-            let at = done.exec_end_ms;
-            let admitted = run.records.iter().filter(|r| r.enqueued_ms <= at).count();
-            let completed = run.records.iter().filter(|r| r.exec_end_ms <= at).count();
+        for &(_, at) in &spans {
+            let admitted = spans.iter().filter(|&&(enq, _)| enq <= at).count();
+            let completed = spans.iter().filter(|&&(_, end)| end <= at).count();
             assert!(
                 admitted - completed <= bound,
                 "seed {seed}: {} in the system at {at:.1} ms, bound {bound}",
@@ -519,19 +529,19 @@ fn a_burst_behind_a_busy_worker_rides_in_full_fifo_batches() {
         // first batch's 5 ms shard round trip returns.
         let schedule = ArrivalSchedule::poisson(requests.len(), 1e6, seed);
         let lane = Lane::new(EpochSource::Pinned(&dist), requests, &schedule, &cfg);
-        let mut run = serve(vec![lane], cfg.max_batch_requests, cfg.workers, None)
+        let run = serve(vec![lane], cfg.max_batch_requests, cfg.workers, None)
             .pop()
             .unwrap();
 
         assert_eq!((run.queue.offered, run.queue.shed), (22, 0), "seed {seed}");
-        assert_eq!(run.records.len() as u64, run.queue.admitted, "seed {seed}");
-        assert!(run.records.iter().all(|r| r.prediction.is_some()), "seed {seed}");
+        let members: Vec<_> = run.batches.iter().flat_map(|b| &b.members).collect();
+        assert_eq!(members.len() as u64, run.queue.admitted, "seed {seed}");
+        assert!(members.iter().all(|m| m.prediction.is_some()), "seed {seed}");
         // One worker: completion order is batch order.
-        assert!(run.records.windows(2).all(|w| w[0].batch_seq <= w[1].batch_seq));
-        let served: Vec<u64> = run.records.iter().map(|r| r.id).collect();
+        assert!(run.batches.windows(2).all(|w| w[0].seq < w[1].seq));
+        let served: Vec<u64> = members.iter().map(|m| m.id).collect();
         assert_eq!(served, offered, "seed {seed}: not FIFO");
-        run.records.dedup_by_key(|r| r.batch_seq);
-        let sizes: Vec<usize> = run.records.iter().map(|r| r.batch_requests).collect();
+        let sizes: Vec<usize> = run.batches.iter().map(|b| b.members.len()).collect();
         assert_eq!(sizes.iter().sum::<usize>(), 22, "seed {seed}");
         assert!(
             sizes[1..sizes.len() - 1].iter().all(|&s| s == 4),

@@ -127,7 +127,7 @@ fn closed_loop(
             inputs.load_into(&dist.spec, &mut ws);
             let mut obs = RpcTracingObserver::new(TraceId(i as u64));
             let out = dist.run_overlapped(&mut ws, &mut obs).ok();
-            (out, obs.degraded_rpcs(), obs.rpc_retries())
+            (out, obs.tally().degraded, obs.tally().retries)
         })
         .collect()
 }

@@ -236,7 +236,7 @@ fn overloaded_tenant_sheds_locally_and_neighbor_keeps_its_solo_sla() {
         vec![workload(&b_spec, B_REQUESTS, B_QPS, 17)],
         &TenancyRunConfig::default(),
     );
-    let solo_b = &solo.combined.tenants[0];
+    let solo_b = &solo.per_tenant[0];
     assert_eq!(solo_b.shed, 0, "solo baseline must not shed");
     assert_eq!(solo_b.failed, 0);
 
@@ -259,8 +259,8 @@ fn overloaded_tenant_sheds_locally_and_neighbor_keeps_its_solo_sla() {
         ],
         &TenancyRunConfig::default(),
     );
-    let a = &report.combined.tenants[0];
-    let b = &report.combined.tenants[1];
+    let a = &report.per_tenant[0];
+    let b = &report.per_tenant[1];
 
     // A's overload is absorbed by A's own queue: real shedding, closed
     // accounting, and nothing admitted ever fails.
@@ -276,16 +276,16 @@ fn overloaded_tenant_sheds_locally_and_neighbor_keeps_its_solo_sla() {
     assert_eq!(b.shed, 0, "neighbor must not shed under A's overload");
     assert_eq!(b.failed, 0);
     assert!(
-        b.availability >= solo_b.availability - BAND,
+        b.availability() >= solo_b.availability() - BAND,
         "colocated availability {} fell out of band vs solo {}",
-        b.availability,
-        solo_b.availability
+        b.availability(),
+        solo_b.availability()
     );
     assert!(
-        b.sla_hit_rate >= solo_b.sla_hit_rate - BAND,
+        b.sla_hit_rate() >= solo_b.sla_hit_rate() - BAND,
         "colocated SLA hit rate {} fell out of band vs solo {}",
-        b.sla_hit_rate,
-        solo_b.sla_hit_rate
+        b.sla_hit_rate(),
+        solo_b.sla_hit_rate()
     );
     assert!(report.verify_failures.is_empty());
 }
@@ -327,21 +327,20 @@ fn one_tenant_set_and_run_frontend_agree_on_counts_and_predictions() {
         let dist = partition(build_model(&spec, seed).expect("build"), &p).expect("partition");
         let single = run_frontend(&dist, requests, &schedule, &cfg);
 
-        for multi in [&tenancy.per_tenant[0], &tenancy.combined] {
-            let counts = |r: &dlrm_serving::frontend::FrontendReport| {
-                (
-                    r.offered,
-                    r.admitted,
-                    r.shed,
-                    r.completed,
-                    r.failed,
-                    r.degraded,
-                )
-            };
-            assert_eq!(counts(multi), counts(&single), "seed {seed}");
-            assert_eq!(counts(multi), (16, 16, 0, 16, 0, 0), "seed {seed}");
-            // Reports sort predictions by request id.
-            assert_eq!(multi.predictions, single.predictions, "seed {seed}");
-        }
+        let multi = &tenancy.per_tenant[0];
+        let counts = |r: &dlrm_serving::frontend::FrontendReport| {
+            (
+                r.offered,
+                r.admitted,
+                r.shed,
+                r.completed,
+                r.failed,
+                r.degraded,
+            )
+        };
+        assert_eq!(counts(multi), counts(&single), "seed {seed}");
+        assert_eq!(counts(multi), (16, 16, 0, 16, 0, 0), "seed {seed}");
+        // Reports sort predictions by request id.
+        assert_eq!(multi.predictions, single.predictions, "seed {seed}");
     }
 }

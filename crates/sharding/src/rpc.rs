@@ -85,34 +85,57 @@ impl RpcError {
         !matches!(self, RpcError::ShardFault { .. })
     }
 
+    /// This variant's row of [`ERROR_KINDS`].
+    fn row(&self) -> (&'static str, &'static str) {
+        ERROR_KINDS[match self {
+            RpcError::Timeout { .. } => 0,
+            RpcError::Transport { .. } => 1,
+            RpcError::ShardFault { .. } => 2,
+            RpcError::Poisoned { .. } => 3,
+        }]
+    }
+
     /// Stable short classification, used as the failure-by-cause key in
     /// serving reports.
     #[must_use]
     pub fn kind(&self) -> &'static str {
-        match self {
-            RpcError::Timeout { .. } => "timeout",
-            RpcError::Transport { .. } => "transport",
-            RpcError::ShardFault { .. } => "shard-fault",
-            RpcError::Poisoned { .. } => "poisoned",
-        }
+        self.row().0
+    }
+
+    /// The inverse of `Display` for an error that crossed a string
+    /// boundary (a `GraphError` wraps it as `op <name>: <error>`): the
+    /// kind whose display prefix appears first in `message`, so detail
+    /// text that happens to name another kind ("could not arm read
+    /// timeout") cannot win. `None` when no prefix appears.
+    #[must_use]
+    pub fn kind_in(message: &str) -> Option<&'static str> {
+        ERROR_KINDS
+            .iter()
+            .filter_map(|&(kind, prefix)| message.find(prefix).map(|at| (at, kind)))
+            .min_by_key(|&(at, _)| at)
+            .map(|(_, kind)| kind)
     }
 }
 
+/// Each [`RpcError`] variant's kind and the prefix its `Display` text
+/// starts with, in variant order: the one table behind
+/// [`RpcError::kind`], `Display` and [`RpcError::kind_in`].
+const ERROR_KINDS: [(&str, &str); 4] = [
+    ("timeout", "timeout on "),
+    ("transport", "transport error on "),
+    ("shard-fault", "shard-fault on "),
+    ("poisoned", "poisoned on "),
+];
+
 impl std::fmt::Display for RpcError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}{}: ", self.row().1, self.shard())?;
         match self {
-            RpcError::Timeout { shard, waited } => {
-                write!(f, "timeout on {shard}: no reply within {waited:?}")
+            RpcError::Timeout { waited, .. } => write!(f, "no reply within {waited:?}"),
+            RpcError::Transport { message, .. } | RpcError::ShardFault { message, .. } => {
+                f.write_str(message)
             }
-            RpcError::Transport { shard, message } => {
-                write!(f, "transport error on {shard}: {message}")
-            }
-            RpcError::ShardFault { shard, message } => {
-                write!(f, "shard-fault on {shard}: {message}")
-            }
-            RpcError::Poisoned { shard, message } => {
-                write!(f, "poisoned on {shard}: worker panicked: {message}")
-            }
+            RpcError::Poisoned { message, .. } => write!(f, "worker panicked: {message}"),
         }
     }
 }
@@ -1077,6 +1100,26 @@ mod tests {
             message: "boom".into()
         }
         .is_retryable());
+    }
+
+    #[test]
+    fn failure_classification_vocabulary() {
+        let kind = RpcError::kind_in;
+        let wrapped_timeout = "op sparse3: timeout on shard3: no reply within 1ms";
+        assert_eq!(kind(wrapped_timeout), Some("timeout"));
+        assert_eq!(kind("transport error on sparse0: down"), Some("transport"));
+        assert_eq!(kind("shard-fault on sparse1: not hosted"), Some("shard-fault"));
+        assert_eq!(kind("poisoned on sparse2: worker panicked: boom"), Some("poisoned"));
+        assert_eq!(kind("blob missing"), None);
+        // Detail text naming another kind loses to the display prefix:
+        // the tcp transport's read-timeout failure, and a panic message.
+        let transport = "transport error on s0: could not arm read timeout";
+        assert_eq!(kind(transport), Some("transport"));
+        let poisoned = RpcError::Poisoned {
+            shard: ShardId(2),
+            message: "timeout on the lock".into(),
+        };
+        assert_eq!(kind(&format!("op sparse2: {poisoned}")), Some("poisoned"));
     }
 
     #[test]
