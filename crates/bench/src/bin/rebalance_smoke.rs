@@ -17,8 +17,9 @@
 //!    what any request computes.
 //! 4. **Account for the handoff** — requests land in
 //!    `FrontendReport::epochs_served` under the epoch that executed
-//!    them (≥ 2 epochs visible), and the retired hot-row cache's
-//!    counters survive under `cache_retired` with the refresh counted.
+//!    them (≥ 2 epochs visible), and the hot-row cache hits of the
+//!    successor epochs, retired or live, reach the report through each
+//!    batch's RPC tally.
 //!
 //! Wall-clock phases (warm timing, exactly when a tick fires) vary run
 //! to run, so the gates poll controller milestones with deadlines and
@@ -280,24 +281,23 @@ fn main() {
         ));
     }
 
-    // Gate 6: the retired hot-row cache's counters survived the
-    // handoff — epoch 1 served with a cache, and retiring it must have
-    // counted one refresh and preserved its totals under
-    // `cache_retired` (pre-refresh), distinct from the live epoch's
-    // own cache counters (post-refresh).
-    let retired = &rb_report.retired_transport;
-    if retired.cache_refreshes == 0 {
-        fail("retiring the cached epoch counted no cache refresh");
-    }
-    if retired.cache_retired.hits == 0 {
-        fail("retired epoch's cache hits vanished at handoff");
+    // Gate 6: the successor epochs' cache hits reached the report. The
+    // initial plan is capacity-only, so every hit was served by a
+    // hot-row epoch published by a migration, retired or live, and
+    // counted once, in its batch's RPC tally.
+    if report.cache_hits == 0 {
+        fail(&format!(
+            "no cache hits reported across {} served epochs",
+            report.epochs_served.len()
+        ));
     }
 
     println!(
-        "OK: {} migrations ({} epochs served traffic), {} scale-ups / {} scale-downs, \
-         {}/{} bit-exact, 0 shed / 0 failed / 0 degraded",
+        "OK: {} migrations ({} epochs served traffic, {} cache hits), {} scale-ups / {} \
+         scale-downs, {}/{} bit-exact, 0 shed / 0 failed / 0 degraded",
         rb_report.completed_migrations(),
         report.epochs_served.len(),
+        report.cache_hits,
         ups,
         downs,
         report.predictions.len(),

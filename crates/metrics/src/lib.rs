@@ -9,7 +9,6 @@
 //! - [`PercentileSketch`]: exact percentile estimation over a recorded
 //!   sample set (the study's request counts are small enough that exact
 //!   order statistics are preferable to approximate digests),
-//! - [`Histogram`]: log-bucketed latency histogram,
 //! - [`Summary`]: count/mean/min/max/stddev accumulator,
 //! - [`CauseCounts`]: failure counters keyed by cause, for the serving
 //!   tier's failure-by-cause breakdowns,
@@ -34,12 +33,10 @@
 #![warn(missing_docs)]
 
 mod causes;
-mod histogram;
 mod percentile;
 mod summary;
 
 pub use causes::CauseCounts;
-pub use histogram::Histogram;
 pub use percentile::{PercentileSketch, Percentiles, TailPercentiles};
 pub use summary::Summary;
 

@@ -446,19 +446,9 @@ impl Rebalancer {
     fn autoscale(&mut self) {
         let current = self.switch.current();
         let Some(pool) = &current.pool else { return };
-        // Aggregate per-shard row totals and replica counts, in the
-        // pool's shard order (flattened summaries repeat the shard per
-        // replica).
-        let mut shards: Vec<(ShardId, u64, usize)> = Vec::new();
-        for s in pool.replica_rpc_summaries() {
-            match shards.last_mut() {
-                Some(entry) if entry.0 == s.shard => {
-                    entry.1 += s.rows;
-                    entry.2 += 1;
-                }
-                _ => shards.push((s.shard, s.rows, 1)),
-            }
-        }
+        // Per-shard row totals (removed replicas' rows included, so a
+        // scale-down never reads as an idle tick) and replica counts.
+        let shards = pool.shard_rows();
         if current.epoch != self.last_epoch || self.last_rows.len() != shards.len() {
             // First tick on this epoch: baseline only.
             self.last_epoch = current.epoch;

@@ -21,8 +21,7 @@ use dlrm_metrics::CauseCounts;
 use dlrm_model::{build_model, ModelSpec};
 use dlrm_sharding::rpc::{RpcCompletion, RpcError, ShardRequest, ShardResponse, SparseShardClient};
 use dlrm_sharding::{
-    partition_with_clients, CacheTotals, DistributedModel, HotRowCache, ShardId, ShardService,
-    ShardingPlan,
+    partition_with_clients, DistributedModel, HotRowCache, ShardId, ShardService, ShardingPlan,
 };
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::Sender;
@@ -158,27 +157,12 @@ pub struct TransportSummary {
     /// placement reduces. Counts on every transport, including ones
     /// whose [`WireTotals`] stay zero.
     pub rows_sent: u64,
-    /// Hot-row cache activity, when a cache is attached to the pool
-    /// (see [`ShardPool::attach_cache`]); zero otherwise. When the
-    /// cache has been refreshed, this is the *current* cache's activity —
-    /// post-refresh hits live here, pre-refresh hits in `cache_retired`.
-    pub cache: CacheTotals,
-    /// Activity of caches retired by [`ShardPool::attach_cache`]
-    /// replacements — the pre-refresh hit/miss totals, folded forward so
-    /// conservation identities keep holding across refreshes.
-    pub cache_retired: CacheTotals,
-    /// How many times the attached cache was replaced by a fresh one
-    /// (plan cutovers re-profiling the hot set).
-    pub cache_refreshes: u64,
 }
 
 impl TransportSummary {
     /// Folds a retired transport's summary into this one — the
     /// aggregation a rebalance controller applies when an epoch's pool
-    /// is drained: counters add, the retired epoch's cache activity
-    /// (current *and* already-retired) moves under `cache_retired`, and
-    /// the handoff counts as one cache refresh when the retiree served
-    /// from a cache at all.
+    /// is drained: every counter adds.
     pub fn absorb_retired(&mut self, retired: &TransportSummary) {
         self.failovers += retired.failovers;
         self.ejections += retired.ejections;
@@ -189,12 +173,6 @@ impl TransportSummary {
         }
         self.wire.merge(&retired.wire);
         self.rows_sent += retired.rows_sent;
-        self.cache_retired.merge(&retired.cache);
-        self.cache_retired.merge(&retired.cache_retired);
-        self.cache_refreshes += retired.cache_refreshes;
-        if !retired.cache.is_zero() {
-            self.cache_refreshes += 1;
-        }
     }
 }
 
@@ -207,16 +185,6 @@ impl std::fmt::Display for TransportSummary {
         )?;
         if self.rows_sent > 0 {
             write!(f, " rows_sent={}", self.rows_sent)?;
-        }
-        if !self.cache.is_zero() {
-            write!(f, " cache[{}]", self.cache)?;
-        }
-        if self.cache_refreshes > 0 {
-            write!(
-                f,
-                " cache_refreshes={} pre_refresh[{}]",
-                self.cache_refreshes, self.cache_retired
-            )?;
         }
         if !self.wire.is_zero() {
             write!(f, " wire: {}", self.wire)?;
@@ -236,6 +204,37 @@ pub(crate) struct SeatConn {
     health: Arc<ReplicaHealth>,
 }
 
+/// One shard's replica group.
+#[derive(Debug)]
+struct ShardGroup {
+    shard: ShardId,
+    /// The live seats behind a shared lock: [`ReplicatedClient`]s hold
+    /// the same `Arc`, so a seat added or removed here (replica
+    /// autoscaling, standby re-seating) is visible to live clients on
+    /// their next request — no client rebuild, no request dropped.
+    seats: Arc<RwLock<Vec<SeatConn>>>,
+    /// Instrumentation of the seats a scale-down removed: their rows
+    /// and wire stay in the shard's totals, and calls still in flight on
+    /// them keep counting.
+    removed: Mutex<Vec<Arc<RpcStats>>>,
+}
+
+impl ShardGroup {
+    /// Rows and wire totals over every seat the shard has had, and its
+    /// live seat count.
+    fn totals(&self) -> (u64, WireTotals, usize) {
+        let seats = self.seats.read().expect("seat list lock");
+        let removed = self.removed.lock().expect("removed seats lock");
+        let mut rows = 0;
+        let mut wire = WireTotals::default();
+        for stats in seats.iter().map(|seat| &seat.stats).chain(removed.iter()) {
+            rows += stats.rows_sent();
+            wire.merge(&stats.wire_totals());
+        }
+        (rows, wire, seats.len())
+    }
+}
+
 /// Replica groups for every shard behind one shared health policy and
 /// one shared counter set: the transport-agnostic core of replicated
 /// serving. Every [`ShardPool`] instantiation — worker threads,
@@ -247,19 +246,8 @@ pub(crate) struct SeatConn {
 pub(crate) struct ReplicaGroupSet {
     policy: HealthPolicy,
     counters: Arc<TransportCounters>,
-    /// Each shard's seats behind a shared lock: [`ReplicatedClient`]s
-    /// hold the same `Arc`, so a seat added or removed here (replica
-    /// autoscaling, standby re-seating) is visible to live clients on
-    /// their next request — no client rebuild, no request dropped.
-    groups: Vec<(ShardId, Arc<RwLock<Vec<SeatConn>>>)>,
-    /// The main shard's hot-row cache, when the serving model was
-    /// partitioned under a hot-row-aware plan; its totals are folded
-    /// into [`TransportSummary`].
-    cache: Mutex<Option<Arc<HotRowCache>>>,
-    /// Totals of caches replaced by [`ShardPool::attach_cache`] — the
-    /// pre-refresh activity.
-    retired_cache: Mutex<CacheTotals>,
-    cache_refreshes: AtomicU64,
+    /// One group per shard, in [`ShardId`] order.
+    groups: Vec<ShardGroup>,
 }
 
 impl ReplicaGroupSet {
@@ -269,9 +257,6 @@ impl ReplicaGroupSet {
             policy,
             counters: Arc::new(TransportCounters::default()),
             groups: Vec::new(),
-            cache: Mutex::new(None),
-            retired_cache: Mutex::new(CacheTotals::default()),
-            cache_refreshes: AtomicU64::new(0),
         }
     }
 
@@ -291,17 +276,19 @@ impl ReplicaGroupSet {
                 health: Arc::new(ReplicaHealth::default()),
             })
             .collect();
-        self.groups.push((shard, Arc::new(RwLock::new(seats))));
+        self.groups.push(ShardGroup {
+            shard,
+            seats: Arc::new(RwLock::new(seats)),
+            removed: Mutex::new(Vec::new()),
+        });
     }
 
-    /// Write access to `shard`'s seat list; panics if it has no group.
-    fn seats_of(&self, shard: ShardId) -> std::sync::RwLockWriteGuard<'_, Vec<SeatConn>> {
-        let (_, seats) = self
-            .groups
+    /// `shard`'s group; panics if it has none.
+    fn group(&self, shard: ShardId) -> &ShardGroup {
+        self.groups
             .iter()
-            .find(|(s, _)| *s == shard)
-            .unwrap_or_else(|| panic!("no replica group for {shard}"));
-        seats.write().expect("seat list lock")
+            .find(|g| g.shard == shard)
+            .unwrap_or_else(|| panic!("no replica group for {shard}"))
     }
 
     /// Adds one replica seat to an existing shard group, live: clients
@@ -317,7 +304,7 @@ impl ReplicaGroupSet {
         client: Arc<dyn SparseShardClient>,
         stats: Arc<RpcStats>,
     ) -> usize {
-        let mut seats = self.seats_of(shard);
+        let mut seats = self.group(shard).seats.write().expect("seat list lock");
         seats.push(SeatConn {
             client,
             stats,
@@ -329,19 +316,23 @@ impl ReplicaGroupSet {
     /// Removes the highest-indexed replica seat of `shard`, live —
     /// in-flight requests issued on it complete normally (their
     /// completions hold their own references); new requests stop
-    /// rotating onto it immediately. Refuses to empty a group: returns
-    /// `None` when only one seat remains, otherwise the removed seat's
-    /// replica index.
+    /// rotating onto it immediately. The seat's instrumentation stays in
+    /// the shard's totals. Refuses to empty a group: returns `None` when
+    /// only one seat remains, otherwise the removed seat's replica
+    /// index.
     ///
     /// # Panics
     ///
     /// Panics if `shard` has no group.
     pub(crate) fn remove_seat(&self, shard: ShardId) -> Option<usize> {
-        let mut seats = self.seats_of(shard);
+        let group = self.group(shard);
+        let mut seats = group.seats.write().expect("seat list lock");
         if seats.len() <= 1 {
             return None;
         }
-        seats.pop();
+        let seat = seats.pop().expect("more than one seat");
+        let mut removed = group.removed.lock().expect("removed seats lock");
+        removed.push(seat.stats);
         Some(seats.len())
     }
 }
@@ -374,8 +365,7 @@ impl<B> ShardPool<B> {
     /// The cluster-assembly block every bench, smoke and epoch build
     /// shares: deterministic model weights from `seed`, one stateless
     /// [`ShardService`] per plan shard, the pool `spawn` stands up over
-    /// them, and the model partitioned onto the pool's clients (hot-row
-    /// cache attached when the plan carries hot sets).
+    /// them, and the model partitioned onto the pool's clients.
     ///
     /// # Errors
     ///
@@ -394,9 +384,6 @@ impl<B> ShardPool<B> {
         let pool = spawn(services.clone())?;
         let dist = partition_with_clients(model, plan, services, pool.clients())
             .map_err(|e| e.to_string())?;
-        if let Some(cache) = &dist.cache {
-            pool.attach_cache(Arc::clone(cache));
-        }
         Ok((dist, pool))
     }
 
@@ -407,10 +394,10 @@ impl<B> ShardPool<B> {
         self.set
             .groups
             .iter()
-            .map(|(shard, seats)| {
+            .map(|g| {
                 Arc::new(ReplicatedClient {
-                    shard: *shard,
-                    replicas: Arc::clone(seats),
+                    shard: g.shard,
+                    replicas: Arc::clone(&g.seats),
                     next: AtomicUsize::new(0),
                     policy: self.set.policy,
                     counters: Arc::clone(&self.set.counters),
@@ -425,30 +412,36 @@ impl<B> ShardPool<B> {
         self.set
             .groups
             .iter()
-            .map(|(_, seats)| seats.read().expect("seat list lock").len())
+            .map(|g| g.seats.read().expect("seat list lock").len())
+            .collect()
+    }
+
+    /// Row lookups sent to each shard, in [`ShardId`] order, with its
+    /// live replica count: the autoscaler's load signal. A seat removed
+    /// by a scale-down keeps its rows in its shard's total.
+    pub(crate) fn shard_rows(&self) -> Vec<(ShardId, u64, usize)> {
+        self.set
+            .groups
+            .iter()
+            .map(|g| {
+                let (rows, _, replicas) = g.totals();
+                (g.shard, rows, replicas)
+            })
             .collect()
     }
 
     /// Snapshot of failover/ejection/probe/recovery activity plus the
-    /// summed wire accounting of every replica client.
+    /// summed wire accounting of every replica client, removed ones
+    /// included.
     #[must_use]
     pub fn transport_summary(&self) -> TransportSummary {
         let mut wire = WireTotals::default();
         let mut rows_sent = 0u64;
-        for (_, seats) in &self.set.groups {
-            for seat in seats.read().expect("seat list lock").iter() {
-                wire.merge(&seat.stats.wire_totals());
-                rows_sent += seat.stats.rows_sent();
-            }
+        for g in &self.set.groups {
+            let (rows, seat_wire, _) = g.totals();
+            rows_sent += rows;
+            wire.merge(&seat_wire);
         }
-        let cache = self
-            .set
-            .cache
-            .lock()
-            .expect("cache slot lock")
-            .as_ref()
-            .map(|c| c.totals())
-            .unwrap_or_default();
         TransportSummary {
             failovers: self.set.counters.failovers.load(Ordering::Relaxed),
             ejections: self.set.counters.ejections.load(Ordering::Relaxed),
@@ -463,25 +456,23 @@ impl<B> ShardPool<B> {
                 .clone(),
             wire,
             rows_sent,
-            cache,
-            cache_retired: *self.set.retired_cache.lock().expect("retired cache lock"),
-            cache_refreshes: self.set.cache_refreshes.load(Ordering::Relaxed),
         }
     }
 
-    /// Per-replica RPC instrumentation, flattened in (shard, replica)
-    /// order; the `shard` field repeats for each replica of a shard.
+    /// Per-replica RPC instrumentation of the live seats, flattened in
+    /// (shard, replica) order; the `shard` field repeats for each
+    /// replica of a shard.
     #[must_use]
     pub fn replica_rpc_summaries(&self) -> Vec<ShardRpcSummary> {
         self.set
             .groups
             .iter()
-            .flat_map(|(shard, seats)| {
-                seats
+            .flat_map(|g| {
+                g.seats
                     .read()
                     .expect("seat list lock")
                     .iter()
-                    .map(|seat| seat.stats.summarize(*shard))
+                    .map(|seat| seat.stats.summarize(g.shard))
                     .collect::<Vec<_>>()
             })
             .collect()
@@ -494,37 +485,22 @@ impl<B> ShardPool<B> {
         self.set
             .groups
             .iter()
-            .flat_map(|(shard, seats)| {
-                seats
+            .flat_map(|g| {
+                g.seats
                     .read()
                     .expect("seat list lock")
                     .iter()
                     .enumerate()
-                    .map(|(r, seat)| (*shard, r, seat.health.is_ejected()))
+                    .map(|(r, seat)| (g.shard, r, seat.health.is_ejected()))
                     .collect::<Vec<_>>()
             })
             .collect()
     }
 
-    /// Attaches the partitioned model's hot-row cache so its hit/miss
-    /// counters appear in [`Self::transport_summary`]. Call after
-    /// partitioning, with
-    /// [`DistributedModel::cache`](dlrm_sharding::DistributedModel).
-    /// Replacing an already-attached cache counts as a *refresh*: the
-    /// old cache's totals fold into the pre-refresh bucket so the
-    /// summary distinguishes hits served before and after the hot set
-    /// was re-profiled.
-    pub fn attach_cache(&self, cache: Arc<HotRowCache>) {
-        let mut slot = self.set.cache.lock().expect("cache slot lock");
-        if let Some(old) = slot.replace(cache) {
-            self.set
-                .retired_cache
-                .lock()
-                .expect("retired cache lock")
-                .merge(&old.totals());
-            self.set.cache_refreshes.fetch_add(1, Ordering::Relaxed);
-        }
-    }
+    /// Does nothing: the cache counts nothing, and each op's cache split
+    /// travels in its `RpcTally`. Kept only while `sysbench/` calls it;
+    /// ROADMAP item 1 (b), which unpins `sysbench/`, deletes it.
+    pub fn attach_cache(&self, _cache: Arc<HotRowCache>) {}
 
     /// Total seats (worker threads / servers) across all replica sets.
     #[must_use]
@@ -850,10 +826,7 @@ impl RpcCompletion for TrackedCompletion {
 mod tests {
     use super::*;
     use crate::fault::{FaultAction, ReplicaFaultSchedule};
-    use crate::threaded::tests::{one_shard_services, toy_spec};
-    use dlrm_model::build_model;
-    use dlrm_sharding::{plan, ShardingStrategy};
-    use dlrm_workload::PoolingProfile;
+    use crate::threaded::tests::one_shard_services;
 
     /// The one-shard services under `replicas` workers each.
     fn pool(replicas: usize, faults: &FaultPlan, policy: HealthPolicy) -> ReplicatedShardPool {
@@ -994,59 +967,35 @@ mod tests {
     }
 
     #[test]
-    fn cache_refresh_counts_replacements() {
-        // The first attach is not a refresh; each replacement is one.
-        let spec = toy_spec();
-        let profile = PoolingProfile::from_spec(&spec);
-        let p = plan(&spec, &profile, ShardingStrategy::OneShard).unwrap();
-        let model = build_model(&spec, 1).unwrap();
-        let pool = pool(1, &FaultPlan::none(), HealthPolicy::default());
-        pool.attach_cache(Arc::new(HotRowCache::build(&model.tables, &p)));
-        assert_eq!(pool.transport_summary().cache_refreshes, 0);
-        pool.attach_cache(Arc::new(HotRowCache::build(&model.tables, &p)));
-        let summary = pool.transport_summary();
-        assert_eq!(summary.cache_refreshes, 1, "{summary}");
-        pool.shutdown();
-    }
-
-    #[test]
-    fn absorb_retired_splits_pre_and_post_refresh_totals() {
-        // A retired epoch served 5 cache hits from its live cache and
-        // 3 from an earlier already-retired one; absorbing it moves all
-        // 8 under the pre-refresh bucket and counts the handoff itself
-        // as a refresh on top of the retiree's own.
-        let retired = TransportSummary {
-            failovers: 2,
-            cache: CacheTotals {
-                hits: 5,
-                misses: 1,
-                local_rows: 10,
-            },
-            cache_retired: CacheTotals {
-                hits: 3,
-                misses: 0,
-                local_rows: 6,
-            },
-            cache_refreshes: 1,
-            rows_sent: 40,
-            ..TransportSummary::default()
+    fn scale_down_keeps_the_removed_replicas_counts() {
+        // Three lookups per call, spread over two replicas; removing
+        // one must not take its rows out of the pool's or the shard's
+        // totals (the autoscaler would read the drop as an idle tick).
+        let request = ShardRequest {
+            net: dlrm_model::NetId(0),
+            slices: vec![dlrm_sharding::rpc::TableSlice {
+                table: dlrm_model::TableId(0),
+                indices: vec![0, 1, 2],
+                lengths: vec![3],
+            }],
         };
-        let mut merged = TransportSummary::default();
-        merged.absorb_retired(&retired);
-        assert_eq!(merged.failovers, 2);
-        assert_eq!(merged.rows_sent, 40);
-        assert_eq!(merged.cache_refreshes, 2);
-        assert_eq!(merged.cache_retired.hits, 8);
-        assert_eq!(merged.cache_retired.local_rows, 16);
-        assert!(
-            merged.cache.is_zero(),
-            "the absorber's own live cache is untouched"
-        );
+        let pool = pool(2, &FaultPlan::none(), HealthPolicy::default());
+        let clients = pool.clients();
+        for _ in 0..4 {
+            assert!(clients[0].execute(&request).is_ok());
+        }
+        assert!(pool.replica_rpc_summaries().iter().all(|s| s.rows == 6));
+        let before = pool.transport_summary().rows_sent;
+        assert_eq!(before, 12);
+        assert_eq!(pool.shard_rows(), vec![(ShardId(0), 12, 2)]);
 
-        // A retiree that never served from a cache adds no refresh.
-        let mut quiet = TransportSummary::default();
-        quiet.absorb_retired(&TransportSummary::default());
-        assert_eq!(quiet.cache_refreshes, 0);
+        assert_eq!(pool.scale_down(0), Some(1));
+        let summary = pool.transport_summary();
+        assert_eq!(summary.rows_sent, before, "{summary}");
+        assert_eq!(pool.shard_rows(), vec![(ShardId(0), 12, 1)]);
+        assert!(clients[0].execute(&request).is_ok());
+        assert_eq!(pool.transport_summary().rows_sent, before + 3);
+        pool.shutdown();
     }
 
     #[test]

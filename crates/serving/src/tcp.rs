@@ -204,7 +204,6 @@ impl SparseShardClient for TcpShardClient {
             .pool
             .checkout()
             .map_err(|e| self.transport_err(format!("connect {}: {e}", self.pool.addr)))?;
-        let issued_at = Instant::now();
         {
             use std::io::Write as _;
             conn.write_all(&frame)
@@ -221,7 +220,6 @@ impl SparseShardClient for TcpShardClient {
             scratch: Vec::new(),
             pool: Arc::clone(&self.pool),
             stats: Arc::clone(&self.stats),
-            issued_at,
             settled: false,
         }))
     }
@@ -237,7 +235,6 @@ struct TcpCompletion {
     scratch: Vec<u8>,
     pool: Arc<ConnPool>,
     stats: Arc<RpcStats>,
-    issued_at: Instant,
     settled: bool,
 }
 
@@ -256,7 +253,6 @@ impl TcpCompletion {
         result: Result<ShardResponse, RpcError>,
         reusable: bool,
     ) -> Result<ShardResponse, RpcError> {
-        self.stats.record_latency(self.issued_at.elapsed());
         self.stats.on_settle();
         self.settled = true;
         match self.conn.take() {
@@ -343,7 +339,7 @@ impl Drop for TcpCompletion {
         // keep the in-flight gauge honest and close the socket — the
         // server sees the hangup and discards the reply.
         if !self.settled {
-            self.stats.on_settle();
+            self.stats.on_abandon();
         }
     }
 }

@@ -19,12 +19,11 @@
 //! and surfaced as [`RpcError::Poisoned`] instead of killing the worker.
 
 use crate::fault::{serve_under_fault, ReplicaFaultSchedule, Served};
-use dlrm_metrics::{Histogram, Summary};
 use dlrm_sharding::rpc::{RpcCompletion, RpcError, ShardRequest, ShardResponse, SparseShardClient};
 use dlrm_sharding::{ShardId, ShardService};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, sync_channel, Receiver, RecvTimeoutError, Sender, SyncSender};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -98,19 +97,19 @@ pub(crate) enum WorkerMsg {
     Stop,
 }
 
-/// Sub-buckets per power of two in the per-shard latency histograms.
-const LATENCY_SUB_BUCKETS: usize = 16;
-
-/// Per-shard RPC instrumentation shared between the client handles and
-/// the pool: round-trip latency and concurrency watermark.
+/// Per-seat RPC instrumentation shared between the client handles and
+/// the pool: settled calls, concurrency watermark, rows and wire
+/// totals. Round-trip windows are not kept here: the engine's trace
+/// spans (`RpcOutstanding`, `RpcRetry`, `RpcHedge`) record them.
 #[derive(Debug)]
 pub(crate) struct RpcStats {
     /// RPCs currently issued and not yet collected.
     in_flight: AtomicUsize,
     /// High-watermark of `in_flight` — >1 proves calls overlapped.
     max_in_flight: AtomicUsize,
-    /// Round-trip latency in milliseconds (issue → reply consumed).
-    latency_ms: Mutex<(Histogram, Summary)>,
+    /// Round trips settled by a reply or an error (abandoned calls are
+    /// not counted).
+    calls: AtomicU64,
     /// Wire accounting (stays zero for in-process transports).
     frames_sent: AtomicU64,
     frames_received: AtomicU64,
@@ -129,7 +128,7 @@ impl RpcStats {
         Self {
             in_flight: AtomicUsize::new(0),
             max_in_flight: AtomicUsize::new(0),
-            latency_ms: Mutex::new((Histogram::new(LATENCY_SUB_BUCKETS), Summary::new())),
+            calls: AtomicU64::new(0),
             frames_sent: AtomicU64::new(0),
             frames_received: AtomicU64::new(0),
             bytes_sent: AtomicU64::new(0),
@@ -144,15 +143,15 @@ impl RpcStats {
         self.max_in_flight.fetch_max(now, Ordering::SeqCst);
     }
 
+    /// One call settled by a reply or an error.
     pub(crate) fn on_settle(&self) {
-        self.in_flight.fetch_sub(1, Ordering::SeqCst);
+        self.calls.fetch_add(1, Ordering::Relaxed);
+        self.on_abandon();
     }
 
-    pub(crate) fn record_latency(&self, elapsed: Duration) {
-        let ms = elapsed.as_secs_f64() * 1e3;
-        let mut guard = self.latency_ms.lock().expect("rpc stats lock");
-        guard.0.record(ms);
-        guard.1.record(ms);
+    /// One call dropped before it settled.
+    pub(crate) fn on_abandon(&self) {
+        self.in_flight.fetch_sub(1, Ordering::SeqCst);
     }
 
     /// One frame of `bytes` written to the wire.
@@ -196,15 +195,10 @@ impl RpcStats {
 
     /// Snapshot as a [`ShardRpcSummary`] for `shard`.
     pub(crate) fn summarize(&self, shard: ShardId) -> ShardRpcSummary {
-        let guard = self.latency_ms.lock().expect("rpc stats lock");
         ShardRpcSummary {
             shard,
-            calls: guard.1.count(),
+            calls: self.calls.load(Ordering::Relaxed),
             rows: self.rows_sent(),
-            mean_ms: guard.1.mean(),
-            p50_ms: guard.0.quantile(0.5),
-            p99_ms: guard.0.quantile(0.99),
-            max_ms: guard.1.max(),
             max_in_flight: self.max_in_flight.load(Ordering::SeqCst),
             wire: self.wire_totals(),
         }
@@ -218,20 +212,12 @@ impl RpcStats {
 pub struct ShardRpcSummary {
     /// The shard.
     pub shard: ShardId,
-    /// Completed round trips.
+    /// Round trips settled by a reply or an error.
     pub calls: u64,
     /// Embedding rows requested over those (and any still in flight):
     /// the load signal that does not depend on how requests were
     /// batched into calls.
     pub rows: u64,
-    /// Mean round-trip latency in milliseconds.
-    pub mean_ms: f64,
-    /// p50 round-trip latency (histogram bucket upper bound), ms.
-    pub p50_ms: f64,
-    /// p99 round-trip latency (histogram bucket upper bound), ms.
-    pub p99_ms: f64,
-    /// Maximum round-trip latency in milliseconds.
-    pub max_ms: f64,
     /// High-watermark of concurrently outstanding RPCs to this shard.
     pub max_in_flight: usize,
     /// Wire accounting (zero for in-process transports).
@@ -242,15 +228,8 @@ impl std::fmt::Display for ShardRpcSummary {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{}: calls={} rows={} mean={:.3}ms p50={:.3}ms p99={:.3}ms max={:.3}ms max_in_flight={}",
-            self.shard,
-            self.calls,
-            self.rows,
-            self.mean_ms,
-            self.p50_ms,
-            self.p99_ms,
-            self.max_ms,
-            self.max_in_flight
+            "{}: calls={} rows={} max_in_flight={}",
+            self.shard, self.calls, self.rows, self.max_in_flight
         )?;
         if !self.wire.is_zero() {
             write!(f, " wire[{}]", self.wire)?;
@@ -347,13 +326,11 @@ struct ThreadedCompletion {
     shard: ShardId,
     reply_rx: Receiver<Result<ShardResponse, RpcError>>,
     stats: Arc<RpcStats>,
-    issued_at: Instant,
     settled: bool,
 }
 
 impl ThreadedCompletion {
     fn settle(&mut self, received: Result<Result<ShardResponse, RpcError>, ()>) -> Result<ShardResponse, RpcError> {
-        self.stats.record_latency(self.issued_at.elapsed());
         self.stats.on_settle();
         self.settled = true;
         received.map_err(|()| RpcError::Transport {
@@ -383,7 +360,7 @@ impl Drop for ThreadedCompletion {
     fn drop(&mut self) {
         // Abandoned without wait(): keep the in-flight gauge honest.
         if !self.settled {
-            self.stats.on_settle();
+            self.stats.on_abandon();
         }
     }
 }
@@ -399,7 +376,6 @@ impl SparseShardClient for ThreadedClient {
 
     fn begin_execute(&self, request: &ShardRequest) -> Result<Box<dyn RpcCompletion>, RpcError> {
         let (reply_tx, reply_rx) = sync_channel(1);
-        let issued_at = Instant::now();
         self.tx
             .send(WorkerMsg::Call(Envelope {
                 request: request.clone(),
@@ -415,7 +391,6 @@ impl SparseShardClient for ThreadedClient {
             shard: self.shard,
             reply_rx,
             stats: Arc::clone(&self.stats),
-            issued_at,
             settled: false,
         }))
     }
@@ -602,7 +577,7 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn rpc_summaries_report_latency_and_concurrency() {
+    fn rpc_summaries_report_calls_and_concurrency() {
         let spec = toy_spec();
         let (threaded, pool) = build_threaded(&spec, ShardingStrategy::CapacityBalanced(2), 5);
         let db = TraceDb::generate(&spec, 1, 3);
@@ -615,8 +590,7 @@ pub(crate) mod tests {
         assert_eq!(summaries.len(), 2);
         for s in &summaries {
             assert!(s.calls > 0, "{s}");
-            assert!(s.max_ms >= s.mean_ms || s.calls == 1, "{s}");
-            assert!(s.p99_ms >= 0.0);
+            assert!(s.rows > 0, "{s}");
             assert!(s.max_in_flight >= 1, "{s}");
             // Display formatting exercised (surfaced in run summaries).
             assert!(format!("{s}").contains("calls="));

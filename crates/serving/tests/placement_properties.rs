@@ -16,19 +16,24 @@
 //! - **Fan-out reduction** — at high skew the cache tier sends fewer
 //!   embedding rows over the wire than a capacity-only plan for the
 //!   same traffic, which is the whole point.
+//!
+//! Cache activity is read from the one place it is counted: each run's
+//! `RpcTally`, summed over the requests.
 
 use dlrm_model::graph::NoopObserver;
 use dlrm_model::{build_model, rm, ModelSpec, Workspace};
+use dlrm_serving::engine_trace::RpcTracingObserver;
 use dlrm_serving::fault::FaultPlan;
 use dlrm_serving::replica::{HealthPolicy, ReplicatedShardPool};
 use dlrm_serving::shard_server::TcpShardPool;
 use dlrm_sharding::publish::{plan_from_text, plan_to_text};
 use dlrm_sharding::{
-    partition, plan, plan_with_stats, DistributedModel, HotRowConfig, ShardingPlan,
+    partition, plan, plan_with_stats, CacheTotals, DistributedModel, HotRowConfig, ShardingPlan,
     ShardingStrategy,
 };
 use dlrm_sim::SimRng;
 use dlrm_tensor::Matrix;
+use dlrm_trace::TraceId;
 use dlrm_workload::{
     materialize_request_with, BatchInputs, IndexDist, PoolingProfile, RowStats, TraceDb,
 };
@@ -45,17 +50,23 @@ fn skewed_inputs(spec: &ModelSpec, requests: usize, skew: f64) -> Vec<BatchInput
         .collect()
 }
 
-/// Runs every input through `dist`, returning predictions.
-fn run_all(dist: &DistributedModel, inputs: &[BatchInputs]) -> Vec<Matrix> {
-    inputs
+/// Runs every input through `dist`, returning predictions and the
+/// cache split its RPCs reported, summed over the runs' tallies.
+fn run_all(dist: &DistributedModel, inputs: &[BatchInputs]) -> (Vec<Matrix>, CacheTotals) {
+    let mut cache = CacheTotals::default();
+    let out = inputs
         .iter()
-        .map(|inp| {
+        .enumerate()
+        .map(|(i, inp)| {
             let mut ws = Workspace::new();
             inp.load_into(&dist.spec, &mut ws);
-            dist.run_overlapped(&mut ws, &mut NoopObserver)
-                .expect("request")
+            let mut obs = RpcTracingObserver::new(TraceId(i as u64));
+            let out = dist.run_overlapped(&mut ws, &mut obs).expect("request");
+            cache.merge(&obs.tally().cache);
+            out
         })
-        .collect()
+        .collect();
+    (out, cache)
 }
 
 /// Cache budget for the property runs: generous enough that skewed
@@ -176,20 +187,20 @@ fn threaded_cache_tier_is_bit_exact_across_specs_and_skews() {
 
         // In-process clients (the `partition` default path).
         let dist = partition(build_model(&spec, SEED).expect("build"), &p).expect("partition");
-        assert_eq!(run_all(&dist, &inputs), baseline, "{label}: in-process diverged");
+        let (out, in_process) = run_all(&dist, &inputs);
+        assert_eq!(out, baseline, "{label}: in-process diverged");
 
-        // Threaded replica transport with the cache attached to the pool.
+        // Threaded replica transport: the cache split happens before the
+        // wire, so both transports report the same one.
         let (dist, pool) = threaded_cluster(&spec, &p, 2);
-        let cache = dist.cache.as_ref().expect("hot plan installs a cache");
-        assert_eq!(run_all(&dist, &inputs), baseline, "{label}: threaded diverged");
-
-        let summary = pool.transport_summary();
+        assert!(dist.cache.is_some(), "{label}: hot plan installs a cache");
+        let (out, threaded) = run_all(&dist, &inputs);
+        assert_eq!(out, baseline, "{label}: threaded diverged");
         assert!(
-            summary.cache.hits > 0,
-            "{label}: Zipf traffic never hit the hot set: {}",
-            summary.cache
+            threaded.hits > 0,
+            "{label}: Zipf traffic never hit the hot set: {threaded}"
         );
-        assert_eq!(summary.cache, cache.totals());
+        assert_eq!(threaded, in_process, "{label}");
         pool.shutdown();
     }
 }
@@ -232,12 +243,13 @@ fn tcp_cache_tier_round_trips_the_plan_and_stays_bit_exact() {
     .expect("assemble tcp cluster");
     assert!(dist.cache.is_some(), "hot plan installs a cache");
 
-    assert_eq!(run_all(&dist, &inputs), baseline, "TCP cache tier diverged");
+    let (out, cache) = run_all(&dist, &inputs);
+    assert_eq!(out, baseline, "TCP cache tier diverged");
 
     let summary = pool.transport_summary();
     assert!(!summary.wire.is_zero(), "cold rows must still cross the wire");
-    assert!(summary.cache.hits > 0, "no cache hits under Zipf traffic");
-    assert!(summary.cache.local_rows > 0);
+    assert!(cache.hits > 0, "no cache hits under Zipf traffic");
+    assert!(cache.local_rows > 0);
     pool.shutdown();
 }
 
@@ -324,28 +336,27 @@ fn hot_row_plan_sends_fewer_rows_over_the_wire_at_high_skew() {
     // plan, both over the threaded replica transport.
     let rows_sent = |p: &ShardingPlan| {
         let (dist, pool) = threaded_cluster(&spec, p, 1);
-        let out = run_all(&dist, &inputs);
+        let (out, cache) = run_all(&dist, &inputs);
         let summary = pool.transport_summary();
         pool.shutdown();
-        (out, summary)
+        (out, summary, cache)
     };
 
     let profile = PoolingProfile::from_spec(&spec);
     let capacity =
         plan(&spec, &profile, ShardingStrategy::CapacityBalanced(2)).expect("capacity plan");
-    let (base_out, base) = rows_sent(&capacity);
-    let (hot_out, hot) = rows_sent(&hot_plan(&spec, 2, skew));
+    let (base_out, base, base_cache) = rows_sent(&capacity);
+    let (hot_out, hot, hot_cache) = rows_sent(&hot_plan(&spec, 2, skew));
 
     assert_eq!(hot_out, base_out, "plans must agree bit for bit");
-    assert_eq!(base.cache, Default::default(), "capacity plan has no cache");
+    assert!(base_cache.is_zero(), "capacity plan has no cache activity");
     // Everything is seeded, so the whole-bag hit rate is fixed; the band
     // admits planner tuning, and failing it means the hot set stopped
     // absorbing the skew (or started caching everything).
-    let hit_rate = hot.cache.hit_rate();
+    let hit_rate = hot_cache.hit_rate();
     assert!(
         (0.20..=0.98).contains(&hit_rate),
-        "whole-bag hit rate {hit_rate:.4} outside [0.20, 0.98] ({})",
-        hot.cache
+        "whole-bag hit rate {hit_rate:.4} outside [0.20, 0.98] ({hot_cache})"
     );
     assert!(
         hot.rows_sent < base.rows_sent,
@@ -354,7 +365,7 @@ fn hot_row_plan_sends_fewer_rows_over_the_wire_at_high_skew() {
         base.rows_sent
     );
     assert_eq!(
-        hot.rows_sent + hot.cache.local_rows,
+        hot.rows_sent + hot_cache.local_rows,
         base.rows_sent,
         "every looked-up row is either wired or cache-served"
     );

@@ -98,9 +98,9 @@ fn rand_routes(rng: &mut SimRng) -> RoutingTable {
     }
 }
 
-/// One random message; over many draws this covers all 15 frame kinds.
+/// One random message; over many draws this covers all 16 frame kinds.
 fn rand_message(rng: &mut SimRng) -> Message {
-    match rng.next_index(15) {
+    match rng.next_index(16) {
         0 => Message::Request {
             id: rng.next_u64(),
             shard: ShardId(rng.next_index(64)),
@@ -147,6 +147,9 @@ fn rand_message(rng: &mut SimRng) -> Message {
         12 => Message::ShutdownAck,
         13 => Message::Ping,
         14 => Message::Pong,
+        15 => Message::PollSeats {
+            addr: rand_string(rng),
+        },
         _ => unreachable!(),
     }
 }
@@ -198,6 +201,9 @@ fn one_of_each() -> Vec<Message> {
         Message::ShutdownAck,
         Message::Ping,
         Message::Pong,
+        Message::PollSeats {
+            addr: "127.0.0.1:41701".to_string(),
+        },
     ]
 }
 
@@ -208,10 +214,10 @@ fn one_of_each() -> Vec<Message> {
 #[test]
 fn every_frame_kind_round_trips() {
     let msgs = one_of_each();
-    // All 15 kinds, each exactly once.
+    // All 16 kinds, each exactly once.
     let mut kinds: Vec<u8> = msgs.iter().map(Message::kind).collect();
     kinds.sort_unstable();
-    assert_eq!(kinds, (1..=15).collect::<Vec<u8>>());
+    assert_eq!(kinds, (1..=16).collect::<Vec<u8>>());
     for msg in &msgs {
         let buf = wire::encode_message(msg);
         let (decoded, consumed) = wire::try_decode(&buf)

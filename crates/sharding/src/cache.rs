@@ -19,11 +19,11 @@
 use crate::plan::ShardingPlan;
 use dlrm_model::{EmbeddingTable, TableId};
 use dlrm_tensor::simd::{self, SimdLevel};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Cache-tier counters: how much lookup traffic the hot-row cache
-/// absorbed.
+/// absorbed. Each RPC op reports its split in its `RpcOutcome`; these
+/// are sums of those reports — the cache itself counts nothing.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheTotals {
     /// Bags pooled entirely from the cache (no wire traffic).
@@ -122,14 +122,12 @@ impl TableCache {
 }
 
 /// The main shard's read-only hot-row cache, built from a plan's
-/// hot-row sets against the full embedding tables.
+/// hot-row sets against the full embedding tables. Immutable once
+/// built: what it absorbed is counted per op, in the op's `RpcOutcome`.
 #[derive(Debug)]
 pub struct HotRowCache {
     /// Per-table residency, indexed by table id (`None` = no hot set).
     tables: Vec<Option<TableCache>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    local_rows: AtomicU64,
 }
 
 impl HotRowCache {
@@ -173,12 +171,7 @@ impl HotRowCache {
                 })
             })
             .collect();
-        Self {
-            tables,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            local_rows: AtomicU64::new(0),
-        }
+        Self { tables }
     }
 
     /// The residency of one table, if it has a hot set.
@@ -210,25 +203,6 @@ impl HotRowCache {
             .flatten()
             .map(|t| t.data.len() * std::mem::size_of::<f32>())
             .sum()
-    }
-
-    /// Records one RPC op's split: `hits` fully-local bags, `misses`
-    /// bags that went remote, `local_rows` row lookups kept off the
-    /// wire.
-    pub(crate) fn record(&self, hits: u64, misses: u64, local_rows: u64) {
-        self.hits.fetch_add(hits, Ordering::Relaxed);
-        self.misses.fetch_add(misses, Ordering::Relaxed);
-        self.local_rows.fetch_add(local_rows, Ordering::Relaxed);
-    }
-
-    /// Counters accumulated since construction.
-    #[must_use]
-    pub fn totals(&self) -> CacheTotals {
-        CacheTotals {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            local_rows: self.local_rows.load(Ordering::Relaxed),
-        }
     }
 }
 
@@ -283,10 +257,15 @@ mod tests {
         assert!(!cache.covers(TableId(0), 4));
         assert_eq!(cache.resident_rows(), 2);
         assert_eq!(cache.resident_bytes(), 2 * 2 * 4);
-        assert!(cache.totals().is_zero());
-        cache.record(3, 1, 9);
-        cache.record(1, 0, 2);
-        let totals = cache.totals();
+        let mut totals = CacheTotals::default();
+        assert!(totals.is_zero());
+        for (hits, misses, local_rows) in [(3, 1, 9), (1, 0, 2)] {
+            totals.merge(&CacheTotals {
+                hits,
+                misses,
+                local_rows,
+            });
+        }
         assert_eq!(totals.hits, 4);
         assert_eq!(totals.misses, 1);
         assert_eq!(totals.local_rows, 11);

@@ -69,8 +69,8 @@ pub struct DistributedModel {
     pub output_blob: String,
     /// The main shard's hot-row cache, when the plan carries hot-row
     /// sets (see [`crate::plan_with_stats`]). Shared by every
-    /// [`SparseRpc`] operator; its [`HotRowCache::totals`] accumulate
-    /// across requests.
+    /// [`SparseRpc`] operator and read-only; each op reports what it
+    /// absorbed in its `RpcOutcome`.
     pub cache: Option<Arc<HotRowCache>>,
     /// The overlap plan of `nets`, compiled by the partitioner.
     schedule: Schedule,
@@ -460,8 +460,22 @@ mod tests {
 
     #[test]
     fn hot_row_aware_cache_matches_singular_bit_for_bit() {
-        use crate::{plan_with_stats, HotRowConfig};
+        use crate::{plan_with_stats, CacheTotals, HotRowConfig};
+        use dlrm_model::graph::{ExecutionObserver, Operator, RpcOutcome};
         use dlrm_workload::{materialize_request_with, IndexDist, RowStats};
+
+        /// Sums the cache split every collected RPC reports.
+        struct CacheTally(CacheTotals);
+        impl ExecutionObserver for CacheTally {
+            fn on_op(&mut self, _net: &str, _op: &dyn Operator, _elapsed_secs: f64) {}
+            fn on_rpc_outcome(&mut self, _net: &str, _op: &dyn Operator, o: &RpcOutcome) {
+                self.0.merge(&CacheTotals {
+                    hits: o.cache_hits,
+                    misses: o.cache_misses,
+                    local_rows: o.cache_local_rows,
+                });
+            }
+        }
 
         let spec = rm::rm1().scaled_to_bytes(4 << 20);
         let profile = PoolingProfile::from_spec(&spec);
@@ -481,6 +495,7 @@ mod tests {
 
         // Zipf traffic matching the profiled skew, so the hot set is
         // actually exercised.
+        let mut tally = CacheTally(CacheTotals::default());
         let db = TraceDb::generate(&spec, 2, 5);
         for batch in materialize_request_with(&spec, db.get(0), 8, 9, IndexDist::Zipf(1.1)) {
             let mut ws_a = Workspace::new();
@@ -489,11 +504,11 @@ mod tests {
             let mut ws_c = ws_a.clone();
             let a = singular.run(&mut ws_a, &mut NoopObserver).unwrap();
             let b = dist.run(&mut ws_b, &mut NoopObserver).unwrap();
-            let c = dist.run_overlapped(&mut ws_c, &mut NoopObserver).unwrap();
+            let c = dist.run_overlapped(&mut ws_c, &mut tally).unwrap();
             assert_eq!(a, b, "cache tier must be bit-exact with singular");
             assert_eq!(a, c, "overlapped cache tier must be bit-exact too");
         }
-        let totals = cache.totals();
+        let totals = tally.0;
         assert!(totals.hits > 0, "skewed traffic must hit the hot set: {totals}");
         assert!(totals.local_rows > 0);
     }

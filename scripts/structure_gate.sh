@@ -12,7 +12,8 @@
 # impl grows a second wait method, when the engine (dlrm-serving) and the
 # simulator (dlrm-cluster) depend on each other or a simulator definition
 # reappears in the engine, when the frontend report grows a dedupe map
-# again, or when a size ceiling is exceeded.
+# again, when the hot-row cache keeps counters again or something calls
+# the attach_cache shim, or when a size ceiling is exceeded.
 #
 # Usage: scripts/structure_gate.sh
 
@@ -99,12 +100,21 @@ cd "$(dirname "$0")/.."
 # both read, and the classification test that moved with it from
 # frontend/sla.rs and gained the two misclassified messages; serving +
 # sharding + compress fell 10 884 -> 10 748.
-MAX_SERVING_CODE_LINES=6393
+# Counting each RPC fact once lowered four ceilings to what it measured:
+# the hot-row cache's atomics, HotRowCache::record/totals, the pool's
+# cache slot, retired_cache, cache_refreshes and their TransportSummary
+# fields went, and so did RpcStats' latency histogram and the four
+# latency fields of ShardRpcSummary (a removed seat's counters now stay
+# in its shard's totals): serving 6 393 -> 6 315, serving + sharding +
+# compress 10 748 -> 10 662, model + sharding 7 224 -> 7 216. Bench
+# 3 314 -> 3 308: runtime_smoke checks the AVX2 and AVX-512 pools'
+# dispatch counts with one helper and no longer gates a ratio band.
+MAX_SERVING_CODE_LINES=6315
 MAX_SERVING_PUB_ITEMS=194
 MAX_CLUSTER_CODE_LINES=1712
-MAX_BENCH_CODE_LINES=3314
-MAX_ROW_SERVING_CODE_LINES=10748
-MAX_GRAPH_CODE_LINES=7224
+MAX_BENCH_CODE_LINES=3308
+MAX_ROW_SERVING_CODE_LINES=10662
+MAX_GRAPH_CODE_LINES=7216
 MAX_KERNEL_CODE_LINES=2179
 
 fail=0
@@ -126,9 +136,20 @@ code_lines() {
   find "$1" -name '*.rs' -print0 | xargs -0 cat | grep -vcE '^\s*(//|$)'
 }
 
-deleted='ThreadedShardPool|worker_loop_live|tenant_worker_loop|BatchRanker|rank_request_parallel|run_sweep|mod local\b|batcher_loop|FormedBatch|QuantizedShardService|QuantizedClient|TieredClient|TierTable|mod channel|collect_in_flight|in_flight_producer|Avx2Fma|forced_fma|panel_fma|decode_accumulate_u8|decode_u8_accumulate_avx2|install_seats_epoch|with_versioning|HEADER_V3|dlrm-plan v3|fn succeed|plan_epoch|routes_to_text|routes_from_text|next_epoch|Pruned[T]able|prune_by_[m]agnitude|decode_accumulate_u[4]|decode_row_u[4]|pool_bags_u[4]|decode_u[4]_|Wait[O]utcome|wait_[d]eadline|Race[R]esult|Local[S]plit|build_request_[a]nd_split|route_bags_[g]lobal|Streaming[Q]uantile|fn with_[p]ool|weights_[m]ut|max_table_[g]ib|Tenant[B]reakdown|RequestRec[o]rd|batch_closed_[m]s|(fn |\.)(rpc_retrie[s]|rpc_hedge[s]|degraded_rpc[s]|cache_hit[s]|cache_misse[s]|cache_local_row[s])\('
+deleted='ThreadedShardPool|worker_loop_live|tenant_worker_loop|BatchRanker|rank_request_parallel|run_sweep|mod local\b|batcher_loop|FormedBatch|QuantizedShardService|QuantizedClient|TieredClient|TierTable|mod channel|collect_in_flight|in_flight_producer|Avx2Fma|forced_fma|panel_fma|decode_accumulate_u8|decode_u8_accumulate_avx2|install_seats_epoch|with_versioning|HEADER_V3|dlrm-plan v3|fn succeed|plan_epoch|routes_to_text|routes_from_text|next_epoch|Pruned[T]able|prune_by_[m]agnitude|decode_accumulate_u[4]|decode_row_u[4]|pool_bags_u[4]|decode_u[4]_|Wait[O]utcome|wait_[d]eadline|Race[R]esult|Local[S]plit|build_request_[a]nd_split|route_bags_[g]lobal|Streaming[Q]uantile|fn with_[p]ool|weights_[m]ut|max_table_[g]ib|Tenant[B]reakdown|RequestRec[o]rd|batch_closed_[m]s|Histogra[m]|record_latenc[y]|LATENCY_SUB_BUCKET[S]|cache_retire[d]|cache_refreshe[s]|retired_cach[e]|(fn |\.)(rpc_retrie[s]|rpc_hedge[s]|degraded_rpc[s]|cache_hit[s]|cache_misse[s]|cache_local_row[s])\('
 if hits=$(grep -rnE "$deleted" crates src tests examples); then
   flunk "deleted symbols are back:"
+  echo "$hits" >&2
+fi
+
+# The hot-row cache is immutable: each op's cache split is counted once,
+# in its RpcOutcome, so non-test cache.rs holds no atomic counter, and
+# ShardPool::attach_cache is an empty shim kept only for sysbench/ —
+# nothing under the workspace's own sources calls it.
+cache_atomics=$(non_test_code crates/sharding/src/cache.rs | grep -c 'Atomic' || true)
+[ "$cache_atomics" -eq 0 ] || flunk "$cache_atomics Atomic mentions in non-test sharding/src/cache.rs (want 0: the cache counts nothing)"
+if hits=$(grep -rn 'attach_cache(' crates src tests examples | grep -v 'fn attach_cache('); then
+  flunk "attach_cache( is called (it is an empty shim for sysbench/):"
   echo "$hits" >&2
 fi
 
