@@ -11,8 +11,8 @@
 //! Two execution modes realize §IV-A's scheduling rule:
 //!
 //! - [`NetDef::run`] is the strictly sequential executor (every operator
-//!   blocks until done) — retained for the simulator's cost model and as
-//!   the bit-exactness reference.
+//!   blocks until done): the oracle the overlap properties compare
+//!   [`Schedule::walk`] against, bit for bit.
 //! - [`Schedule`] is the overlap plan, compiled once per model from the
 //!   operators' declared [`Operator::inputs`] / [`Operator::outputs`]:
 //!   operators that expose an asynchronous issue/collect form
@@ -377,9 +377,9 @@ pub trait AsyncOperator {
     ///
     /// # Errors
     ///
-    /// Propagates missing/mistyped input blobs and transport failures
-    /// that surface at send time. Failures of the remote computation
-    /// itself may instead be deferred to [`PendingOp::collect`].
+    /// Propagates missing/mistyped input blobs. Failures of the
+    /// remote call — a failed send included — settle in
+    /// [`PendingOp::collect`], which reports them with the outcome.
     fn issue(&self, ws: &Workspace) -> Result<Box<dyn PendingOp>, GraphError>;
 }
 
@@ -387,15 +387,11 @@ pub trait AsyncOperator {
 /// collected yet. Dropping a pending operation abandons it (the remote
 /// side completes; the reply is discarded).
 pub trait PendingOp: Send {
-    /// Waits for the operation to finish and writes its output blobs.
-    /// Operations with retry/hedge/fallback machinery return a
-    /// [`RpcOutcome`] describing what it took to settle; plain
-    /// operations return `None`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates remote failures and malformed responses.
-    fn collect(self: Box<Self>, ws: &mut Workspace) -> Result<Option<RpcOutcome>, GraphError>;
+    /// Waits for the operation to settle and writes its output blobs.
+    /// Returns what it took to settle — every attempt, failed ones
+    /// included — beside the result: an `Err` for a remote failure the
+    /// operation could not absorb or a malformed response.
+    fn collect(self: Box<Self>, ws: &mut Workspace) -> (RpcOutcome, Result<(), GraphError>);
 }
 
 /// What role one transmission played in settling an asynchronous
@@ -429,12 +425,13 @@ pub struct RpcAttempt {
 }
 
 /// How an asynchronous operation settled: every transmission it took,
-/// and whether the output is real or a degraded fallback. Forwarded to
-/// [`ExecutionObserver::on_rpc_outcome`] by the overlap scheduler so
-/// serving layers can count retries/hedges and trace attempt windows.
+/// and whether the output is real, a degraded fallback or missing (the
+/// operation failed). Forwarded to [`ExecutionObserver::on_rpc`] by the
+/// overlap scheduler so serving layers can count retries/hedges, trace
+/// attempt windows and name a failure's cause.
 #[derive(Debug, Clone, Default)]
 pub struct RpcOutcome {
-    /// Every transmission, in issue order (empty for plain local ops).
+    /// Every transmission, in issue order (empty when nothing was sent).
     pub attempts: Vec<RpcAttempt>,
     /// Re-transmissions after failure/timeout.
     pub retries: u32,
@@ -443,9 +440,10 @@ pub struct RpcOutcome {
     /// Whether the operation exhausted its attempts and substituted a
     /// degraded fallback output instead of failing.
     pub degraded: bool,
-    /// Classification of the terminal error when `degraded` (e.g.
-    /// "timeout", "transport").
-    pub error_kind: Option<String>,
+    /// Classification of the terminal error (e.g. "timeout",
+    /// "transport") when the operation degraded or, with `degraded`
+    /// false, failed.
+    pub error_kind: Option<&'static str>,
     /// Bags pooled entirely from the main shard's hot-row cache
     /// (no wire traffic for them).
     pub cache_hits: u64,
@@ -456,34 +454,28 @@ pub struct RpcOutcome {
 }
 
 /// Observes operator execution; used for the real engine's per-group
-/// compute attribution.
+/// compute attribution and RPC tracing.
 pub trait ExecutionObserver {
-    /// Called after each operator with its measured wall time. For
-    /// asynchronous operators under [`Schedule::walk`], the reported
-    /// time is what was spent inside `issue` plus inside `collect`
-    /// (blocking on the reply included); use the RPC hooks below to
-    /// separate the non-CPU outstanding window.
+    /// Called after each operator run to completion in one call, with
+    /// its measured wall time: under [`Schedule::walk`] every operator
+    /// without an asynchronous form, under the sequential
+    /// [`NetDef::run`] every operator.
     fn on_op(&mut self, net: &str, op: &dyn Operator, elapsed_secs: f64);
 
-    /// Called when the scheduler issues an asynchronous operator.
-    fn on_rpc_issued(&mut self, _net: &str, _op: &dyn Operator, _at: Instant) {}
-
-    /// Called when the scheduler collects an asynchronous operator:
+    /// Called once per asynchronous operator [`Schedule::walk`] issued,
+    /// when it is collected — settled, degraded or failed alike:
     /// `issued_at..collected_at` is the outstanding window (issue to
-    /// response consumed), the span pair Gantt export renders.
-    fn on_rpc_collected(
+    /// response consumed, or to the failure), and `outcome` every
+    /// transmission it took. Default: ignored.
+    fn on_rpc(
         &mut self,
         _net: &str,
         _op: &dyn Operator,
         _issued_at: Instant,
         _collected_at: Instant,
+        _outcome: &RpcOutcome,
     ) {
     }
-
-    /// Called right after [`Self::on_rpc_collected`] when the collected
-    /// operation reported how it settled: retries, hedges, per-attempt
-    /// windows, degraded fallback. Default: ignored.
-    fn on_rpc_outcome(&mut self, _net: &str, _op: &dyn Operator, _outcome: &RpcOutcome) {}
 }
 
 /// Observer that ignores everything.
@@ -727,7 +719,10 @@ impl Schedule {
     }
 
     /// Executes the plan over `nets` — the nets it was compiled from.
-    /// Observer callbacks carry the name of each operator's own net.
+    /// Observer callbacks carry the name of each operator's own net, and
+    /// every collected asynchronous operator reaches
+    /// [`ExecutionObserver::on_rpc`], a failed one before its error
+    /// propagates.
     ///
     /// # Errors
     ///
@@ -749,8 +744,8 @@ impl Schedule {
         if ops.len() != self.ops {
             return Err(edited("an operator"));
         }
-        // Per issued, uncollected operator: its handle, when it was
-        // issued and the seconds spent inside `issue`.
+        // Per issued, uncollected operator: its handle and when it was
+        // issued.
         let mut in_flight: Vec<_> = ops.iter().map(|_| None).collect();
         for &step in &self.steps {
             let (Step::Issue(i) | Step::Run(i) | Step::Collect(i)) = step;
@@ -759,10 +754,7 @@ impl Schedule {
                 Step::Issue(_) => {
                     let async_op = op.as_async().ok_or_else(|| edited(op.name()))?;
                     let issued_at = Instant::now();
-                    let pending = async_op.issue(ws)?;
-                    let issue_secs = issued_at.elapsed().as_secs_f64();
-                    observer.on_rpc_issued(net.name(), op, issued_at);
-                    in_flight[i] = Some((pending, issued_at, issue_secs));
+                    in_flight[i] = Some((async_op.issue(ws)?, issued_at));
                 }
                 Step::Run(_) => {
                     let start = Instant::now();
@@ -770,18 +762,12 @@ impl Schedule {
                     observer.on_op(net.name(), op, start.elapsed().as_secs_f64());
                 }
                 Step::Collect(_) => {
-                    let (pending, issued_at, issue_secs) = in_flight[i]
+                    let (pending, issued_at) = in_flight[i]
                         .take()
                         .expect("compile emits each Collect after its Issue, once");
-                    let collect_start = Instant::now();
-                    let outcome = pending.collect(ws)?;
-                    let collected_at = Instant::now();
-                    observer.on_rpc_collected(net.name(), op, issued_at, collected_at);
-                    if let Some(outcome) = outcome {
-                        observer.on_rpc_outcome(net.name(), op, &outcome);
-                    }
-                    let collect_secs = collected_at.duration_since(collect_start).as_secs_f64();
-                    observer.on_op(net.name(), op, issue_secs + collect_secs);
+                    let (outcome, result) = pending.collect(ws);
+                    observer.on_rpc(net.name(), op, issued_at, Instant::now(), &outcome);
+                    result?;
                 }
             }
         }
@@ -1063,7 +1049,7 @@ mod tests {
             vec![self.output.clone()]
         }
         fn run(&self, ws: &mut Workspace) -> Result<(), GraphError> {
-            AsyncOperator::issue(self, ws)?.collect(ws).map(|_| ())
+            AsyncOperator::issue(self, ws)?.collect(ws).1
         }
         fn as_async(&self) -> Option<&dyn AsyncOperator> {
             Some(self)
@@ -1100,16 +1086,17 @@ mod tests {
     }
 
     impl PendingOp for TestPending {
-        fn collect(self: Box<Self>, ws: &mut Workspace) -> Result<Option<RpcOutcome>, GraphError> {
+        fn collect(self: Box<Self>, ws: &mut Workspace) -> (RpcOutcome, Result<(), GraphError>) {
             log(&self.events, format!("collect:{}", self.name));
             if self.fail {
-                return Err(GraphError::OpFailed {
+                let err = GraphError::OpFailed {
                     op: self.name.clone(),
                     message: "injected collect failure".into(),
-                });
+                };
+                return (RpcOutcome::default(), Err(err));
             }
             ws.put(self.output, Blob::Dense(self.result));
-            Ok(None)
+            (RpcOutcome::default(), Ok(()))
         }
     }
 
@@ -1280,44 +1267,54 @@ mod tests {
     }
 
     #[test]
-    fn overlap_observer_sees_rpc_span_pairs() {
+    fn overlap_observer_sees_each_rpc_once_and_sync_ops_as_ops() {
         #[derive(Default)]
         struct SpanObserver {
-            issued: Vec<String>,
-            collected: Vec<String>,
+            rpcs: Vec<String>,
             ops: Vec<String>,
         }
         impl ExecutionObserver for SpanObserver {
             fn on_op(&mut self, _net: &str, op: &dyn Operator, _secs: f64) {
                 self.ops.push(op.name().to_string());
             }
-            fn on_rpc_issued(&mut self, _net: &str, op: &dyn Operator, _at: Instant) {
-                self.issued.push(op.name().to_string());
-            }
-            fn on_rpc_collected(
+            fn on_rpc(
                 &mut self,
                 _net: &str,
                 op: &dyn Operator,
                 issued_at: Instant,
                 collected_at: Instant,
+                _outcome: &RpcOutcome,
             ) {
-                assert!(collected_at >= issued_at);
-                self.collected.push(op.name().to_string());
+                assert!(issued_at <= collected_at);
+                self.rpcs.push(op.name().to_string());
             }
         }
-        let events: EventLog = Arc::default();
-        let mut net = NetDef::new("n");
-        net.push(Box::new(TestRpc::new("A", "x", "a", &events)));
-        net.push(Box::new(logged_add_one("C", "a", "c", &events)));
-        let mut ws = Workspace::new();
-        ws.put("x", Blob::Dense(Matrix::zeros(1, 1)));
-        let mut obs = SpanObserver::default();
-        let nets = [net];
-        let schedule = compile(&nets, "c").unwrap();
-        schedule.walk(&nets, &mut ws, &mut obs).unwrap();
-        assert_eq!(obs.issued, vec!["A"]);
-        assert_eq!(obs.collected, vec!["A"]);
-        assert_eq!(obs.ops, vec!["A", "C"], "on_op fires for async ops at collect");
+        let walk = |fail_at_collect: bool| {
+            let events: EventLog = Arc::default();
+            let mut net = NetDef::new("n");
+            net.push(Box::new(logged_add_one("S", "x", "s", &events)));
+            let mut rpc = TestRpc::new("A", "x", "a", &events);
+            rpc.fail_at_collect = fail_at_collect;
+            net.push(Box::new(rpc));
+            net.push(Box::new(TestRpc::new("B", "x", "b", &events)));
+            net.push(Box::new(logged_add_one("C", "a", "c", &events)));
+            let mut ws = Workspace::new();
+            ws.put("x", Blob::Dense(Matrix::zeros(1, 1)));
+            let mut obs = SpanObserver::default();
+            let nets = [net];
+            let result = compile(&nets, "c").unwrap().walk(&nets, &mut ws, &mut obs);
+            (result, obs)
+        };
+        let (result, obs) = walk(false);
+        result.unwrap();
+        assert_eq!(obs.rpcs, vec!["A", "B"], "on_rpc fires once per async op");
+        assert_eq!(obs.ops, vec!["S", "C"], "on_op fires for synchronous ops only");
+        // A failed collect is observed before its error propagates; the
+        // RPC still in flight is abandoned unobserved.
+        let (result, obs) = walk(true);
+        assert!(matches!(result, Err(GraphError::OpFailed { .. })));
+        assert_eq!(obs.rpcs, vec!["A"]);
+        assert_eq!(obs.ops, vec!["S"]);
     }
 
     #[test]
@@ -1416,6 +1413,9 @@ mod tests {
         struct NetObserver(Vec<String>);
         impl ExecutionObserver for NetObserver {
             fn on_op(&mut self, net: &str, op: &dyn Operator, _secs: f64) {
+                self.0.push(format!("{net}/{}", op.name()));
+            }
+            fn on_rpc(&mut self, net: &str, op: &dyn Operator, _: Instant, _: Instant, _: &RpcOutcome) {
                 self.0.push(format!("{net}/{}", op.name()));
             }
         }

@@ -27,16 +27,22 @@ pub struct RpcTally {
     pub degraded: u64,
     /// What the hot-row cache absorbed.
     pub cache: CacheTotals,
+    /// The kind ([`dlrm_sharding::RpcError::kind`] vocabulary) of the
+    /// RPC that failed the run, if one did.
+    pub failure: Option<&'static str>,
 }
 
 /// An [`ExecutionObserver`] that records the overlap scheduler's
 /// execution as trace spans on the main server's timeline.
 ///
 /// Synchronous operators become [`SpanKind::DenseOp`] /
-/// [`SpanKind::SparseOp`] CPU spans; each asynchronous operator becomes
-/// one non-CPU [`SpanKind::RpcOutstanding`] span per issue/collect pair,
-/// numbered in collect order. Call [`RpcTracingObserver::finish`] after
-/// the run to close the request-E2E span and take the collector.
+/// [`SpanKind::SparseOp`] CPU spans; each collected asynchronous
+/// operator — failed ones included — becomes one non-CPU
+/// [`SpanKind::RpcOutstanding`] span over its issue/collect window,
+/// numbered in collect order, plus one [`SpanKind::RpcRetry`] /
+/// [`SpanKind::RpcHedge`] span per extra attempt. Call
+/// [`RpcTracingObserver::finish`] after the run to close the
+/// request-E2E span and take the collector.
 #[derive(Debug)]
 pub struct RpcTracingObserver {
     origin: Instant,
@@ -65,7 +71,20 @@ impl RpcTracingObserver {
         at.duration_since(self.origin).as_secs_f64() * 1e3
     }
 
-    /// Number of RPC span pairs recorded so far.
+    /// Records a non-CPU span over `from..to`.
+    fn record_window(&mut self, kind: SpanKind, from: Instant, to: Instant) {
+        let start = self.ms_since_origin(from);
+        self.collector.record(Span {
+            trace: self.trace,
+            server: ServerId::MAIN,
+            kind,
+            start,
+            duration: self.ms_since_origin(to) - start,
+            cpu: false,
+        });
+    }
+
+    /// Number of RPCs recorded so far.
     #[must_use]
     pub fn rpc_count(&self) -> u64 {
         self.next_rpc
@@ -96,10 +115,6 @@ impl RpcTracingObserver {
 
 impl ExecutionObserver for RpcTracingObserver {
     fn on_op(&mut self, _net: &str, op: &dyn Operator, elapsed_secs: f64) {
-        if op.as_async().is_some() {
-            // Covered by the RpcOutstanding span from on_rpc_collected.
-            return;
-        }
         let duration = elapsed_secs * 1e3;
         let end = self.ms_since_origin(Instant::now());
         let kind = if op.group() == OpGroup::Sls {
@@ -117,30 +132,16 @@ impl ExecutionObserver for RpcTracingObserver {
         });
     }
 
-    fn on_rpc_collected(
+    fn on_rpc(
         &mut self,
         _net: &str,
         _op: &dyn Operator,
         issued_at: Instant,
         collected_at: Instant,
+        outcome: &RpcOutcome,
     ) {
         let rpc = RpcId(self.next_rpc);
         self.next_rpc += 1;
-        let start = self.ms_since_origin(issued_at);
-        self.collector.record(Span {
-            trace: self.trace,
-            server: ServerId::MAIN,
-            kind: SpanKind::RpcOutstanding(rpc),
-            start,
-            duration: self.ms_since_origin(collected_at) - start,
-            cpu: false,
-        });
-    }
-
-    fn on_rpc_outcome(&mut self, _net: &str, _op: &dyn Operator, outcome: &RpcOutcome) {
-        // Called right after on_rpc_collected, which already advanced
-        // the counter — the RPC being described is the previous one.
-        let rpc = RpcId(self.next_rpc.saturating_sub(1));
         let t = &mut self.tally;
         t.retries += u64::from(outcome.retries);
         t.hedges += u64::from(outcome.hedges);
@@ -148,23 +149,18 @@ impl ExecutionObserver for RpcTracingObserver {
         t.cache.hits += outcome.cache_hits;
         t.cache.misses += outcome.cache_misses;
         t.cache.local_rows += outcome.cache_local_rows;
+        if !outcome.degraded && outcome.error_kind.is_some() {
+            t.failure = outcome.error_kind;
+        }
+        self.record_window(SpanKind::RpcOutstanding(rpc), issued_at, collected_at);
         for attempt in &outcome.attempts {
             let kind = match attempt.kind {
-                // The primary attempt's window is the RpcOutstanding
-                // span recorded by on_rpc_collected.
+                // The primary attempt's window is the RpcOutstanding span.
                 RpcAttemptKind::Primary => continue,
                 RpcAttemptKind::Retry => SpanKind::RpcRetry(rpc),
                 RpcAttemptKind::Hedge => SpanKind::RpcHedge(rpc),
             };
-            let start = self.ms_since_origin(attempt.issued_at);
-            self.collector.record(Span {
-                trace: self.trace,
-                server: ServerId::MAIN,
-                kind,
-                start,
-                duration: self.ms_since_origin(attempt.settled_at) - start,
-                cpu: false,
-            });
+            self.record_window(kind, attempt.issued_at, attempt.settled_at);
         }
     }
 }

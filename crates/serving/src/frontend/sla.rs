@@ -48,8 +48,9 @@ pub struct BatchRecord {
     pub exec_end_ms: f64,
     /// What the batch's RPCs did.
     pub rpc: RpcTally,
-    /// Failure cause ([`dlrm_sharding::RpcError::kind`] vocabulary, or
-    /// `"engine"`) when the engine failed the batch; `None` on success.
+    /// Failure cause when the engine failed the batch: the failed RPC's
+    /// kind from [`RpcTally::failure`], or `"engine"` when no RPC
+    /// failed; `None` on success.
     pub failure_cause: Option<&'static str>,
     /// The requests it carried, in pickup (FIFO) order.
     pub members: Vec<BatchMember>,
@@ -333,7 +334,6 @@ impl std::fmt::Display for FrontendReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dlrm_sharding::RpcError;
 
     /// A batch whose members all take `e2e` ms: enqueued at 0, picked
     /// up at a quarter, executing from half to the end.
@@ -399,8 +399,7 @@ mod tests {
         degraded.rpc.retries = 2;
         degraded.rpc.hedges = 1;
         let mut failed = batch(2, 3..4, 5.0, false);
-        failed.failure_cause =
-            RpcError::kind_in("op sparse0: timeout on sparse shard 0: no reply within 1ms");
+        failed.failure_cause = Some("timeout");
         let batches = vec![batch(0, 0..2, 5.0, true), degraded, failed];
         let report = FrontendReport::assemble(stats(4, 4), batches, 10.0, 1000.0);
         assert_eq!(report.completed, 3);
@@ -432,6 +431,7 @@ mod tests {
                 misses: 3,
                 local_rows: 11,
             },
+            failure: None,
         };
         let mut lost = batch(8, 3..5, 5.0, false);
         lost.failure_cause = Some("transport");
@@ -444,6 +444,7 @@ mod tests {
                 misses: 2,
                 local_rows: 3,
             },
+            failure: Some("transport"),
         };
         let report = FrontendReport::assemble(stats(5, 5), vec![done, lost], 10.0, 100.0);
         assert_eq!(report.rpc_retries, 5);

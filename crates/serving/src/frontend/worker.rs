@@ -18,7 +18,7 @@ use super::sla::{BatchMember, BatchRecord};
 use super::EpochSource;
 use crate::engine_trace::RpcTracingObserver;
 use dlrm_model::RuntimeCtx;
-use dlrm_sharding::{DistributedModel, RpcError};
+use dlrm_sharding::DistributedModel;
 use dlrm_trace::{ServerId, Span, SpanKind, TraceCollector, TraceId};
 use dlrm_workload::{BatchInputs, OnlineProfiler};
 use std::collections::HashMap;
@@ -142,10 +142,7 @@ fn run_batch(
     let result = model.run_overlapped(&mut ws, &mut obs);
     let exec_end = Instant::now();
     let rpc = obs.tally();
-    let failure_cause = result
-        .as_ref()
-        .err()
-        .map(|e| RpcError::kind_in(&e.to_string()).unwrap_or("engine"));
+    let failure_cause = result.is_err().then(|| rpc.failure.unwrap_or("engine"));
     let engine_spans = obs.finish();
 
     let mut predictions = result.ok().map(|m| {

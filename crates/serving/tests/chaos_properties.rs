@@ -17,19 +17,28 @@
 //!    one prediction per completion (retries and hedges never
 //!    double-count), and the degraded/availability figures are
 //!    consistent with the counts they summarize.
+//! 4. **Attribution** — an RPC that fails its request is recorded like
+//!    any other: its attempts are counted and traced, and the frontend
+//!    files the failure under the RPC's own error kind.
 
 use dlrm_model::graph::{NoopObserver, RpcAttemptKind, RpcOutcome, SparseInput};
 use dlrm_model::{build_model, Blob, ModelSpec, NetId, TableId, Workspace};
 use dlrm_serving::engine_trace::{RpcTally, RpcTracingObserver};
 use dlrm_serving::fault::{FaultPlan, FaultSpec, ReplicaFaultSchedule};
-use dlrm_serving::frontend::{materialize_frontend_requests, run_frontend, FrontendConfig};
+use dlrm_serving::frontend::{
+    materialize_frontend_requests, run_frontend, FrontendConfig, FrontendReport,
+};
 use dlrm_serving::replica::{HealthPolicy, ReplicatedShardPool};
-use dlrm_sharding::rpc::{RpcFetch, SparseRpc, SparseShardClient};
+use dlrm_sharding::rpc::{
+    ReadyResponse, RpcCompletion, RpcFetch, ShardRequest, ShardResponse, SparseRpc,
+    SparseShardClient,
+};
 use dlrm_sharding::{
-    partition, plan, DistributedModel, RpcPolicy, ShardService, ShardingPlan, ShardingStrategy,
+    partition, partition_with_clients, plan, DistributedModel, RpcError, RpcPolicy, ShardId,
+    ShardService, ShardingPlan, ShardingStrategy,
 };
 use dlrm_tensor::Matrix;
-use dlrm_trace::TraceId;
+use dlrm_trace::{SpanKind, TraceId};
 use dlrm_workload::{materialize_request, ArrivalSchedule, BatchInputs, PoolingProfile, TraceDb};
 use std::sync::Arc;
 use std::time::Duration;
@@ -292,7 +301,9 @@ fn hedged_rpc(spec: &ModelSpec, client: Arc<dyn SparseShardClient>) -> RpcOutcom
     });
     let mut ws = Workspace::new();
     ws.put("in", Blob::Sparse(SparseInput::new(vec![0, 1], vec![2])));
-    op.begin(&ws).expect("send").collect(&mut ws).expect("a reply")
+    let (outcome, result) = op.begin(&ws).expect("the input is loaded").collect(&mut ws);
+    result.expect("a reply");
+    outcome
 }
 
 /// The threaded twin of `net_properties::tcp_hedge_wins_against_a_slow_primary`.
@@ -470,4 +481,143 @@ fn frontend_identities_hold_with_cache_under_faults() {
     assert!(report.cache_hits > 0, "no cache hits surfaced in the report");
     let text = report.to_string();
     assert!(text.contains("cache hits"), "{text}");
+}
+
+// ---------------------------------------------------------------------
+// Failed RPCs
+// ---------------------------------------------------------------------
+
+/// A shard that fails every call with `error`: at send when `at_send`,
+/// otherwise in the reply.
+#[derive(Debug)]
+struct FailingShard {
+    error: RpcError,
+    at_send: bool,
+}
+
+impl SparseShardClient for FailingShard {
+    fn shard_id(&self) -> ShardId {
+        self.error.shard()
+    }
+    fn execute(&self, _request: &ShardRequest) -> Result<ShardResponse, RpcError> {
+        Err(self.error.clone())
+    }
+    fn begin_execute(&self, request: &ShardRequest) -> Result<Box<dyn RpcCompletion>, RpcError> {
+        if self.at_send {
+            return Err(self.error.clone());
+        }
+        Ok(Box::new(ReadyResponse(self.execute(request))))
+    }
+}
+
+/// `spec` on one shard reached through `client`, under `policy`.
+fn one_shard_model(spec: &ModelSpec, client: FailingShard, policy: RpcPolicy) -> DistributedModel {
+    let p = plan(spec, &PoolingProfile::from_spec(spec), ShardingStrategy::OneShard).expect("plan");
+    let model = build_model(spec, SEED).expect("build");
+    let services = p
+        .shards()
+        .map(|s| Arc::new(ShardService::build(&model.tables, &p, s)))
+        .collect();
+    let mut dist =
+        partition_with_clients(model, &p, services, vec![Arc::new(client)]).expect("partition");
+    assert!(dist.set_rpc_policy(policy) >= 1);
+    dist
+}
+
+/// Six requests through one worker, one request per batch; with
+/// `drop_input`, each request lacks its last table's sparse input.
+fn frontend_run(spec: &ModelSpec, dist: &DistributedModel, drop_input: bool) -> FrontendReport {
+    let db = TraceDb::generate(spec, 6, SEED ^ 4);
+    let mut requests = materialize_frontend_requests(spec, &db, SEED ^ 5);
+    if drop_input {
+        for r in &mut requests {
+            r.inputs.sparse.pop();
+        }
+    }
+    let n = requests.len();
+    let schedule = ArrivalSchedule::poisson(n, 500.0, SEED ^ 6);
+    let cfg = FrontendConfig {
+        queue_capacity: n,
+        max_batch_requests: 1,
+        workers: 1,
+        ..FrontendConfig::default()
+    };
+    run_frontend(dist, requests, &schedule, &cfg)
+}
+
+/// Every request failed, and every failure is filed under `cause`.
+fn assert_all_failed_as(report: &FrontendReport, cause: &str) {
+    assert_eq!((report.completed, report.failed), (0, report.admitted));
+    let causes: Vec<(&str, u64)> = report.failed_by_cause.iter().collect();
+    assert_eq!(causes, [(cause, report.failed)], "{report}");
+}
+
+#[test]
+fn a_failed_rpc_is_counted_traced_and_names_its_cause() {
+    let spec = chaos_spec();
+    // A transport error whose detail names another kind: the cause must
+    // come from the error, not from its text.
+    let shard = FailingShard {
+        error: RpcError::Transport {
+            shard: ShardId(0),
+            message: "could not arm read timeout".into(),
+        },
+        at_send: false,
+    };
+    let policy = RpcPolicy {
+        max_attempts: 3,
+        backoff_base: Duration::from_micros(10),
+        backoff_cap: Duration::from_micros(40),
+        degraded_fallback: false,
+        ..RpcPolicy::default()
+    };
+    let dist = one_shard_model(&spec, shard, policy);
+
+    let mut ws = Workspace::new();
+    request_inputs(&spec, 1)[0].load_into(&spec, &mut ws);
+    let mut obs = RpcTracingObserver::new(TraceId(0));
+    assert!(dist.run_overlapped(&mut ws, &mut obs).is_err());
+    let tally = obs.tally();
+    assert_eq!((tally.retries, tally.failure), (2, Some("transport")), "{tally:?}");
+    assert_eq!(obs.rpc_count(), 1, "the failed RPC is recorded, once");
+    let trace = obs.finish();
+    let count = |kind: fn(&SpanKind) -> bool| trace.spans().iter().filter(|s| kind(&s.kind)).count();
+    assert_eq!(count(|k| matches!(k, SpanKind::RpcOutstanding(_))), 1);
+    assert_eq!(count(|k| matches!(k, SpanKind::RpcRetry(_))), 2);
+
+    let report = frontend_run(&spec, &dist, false);
+    assert_all_failed_as(&report, "transport");
+    assert_eq!(report.rpc_retries, 2 * report.batches, "two retries per failed batch");
+}
+
+#[test]
+fn failure_causes_come_from_the_failed_rpc_or_the_engine() {
+    let spec = chaos_spec();
+    // A send that fails under the default fail-hard policy settles at
+    // collect, as a transport failure.
+    let unsendable = FailingShard {
+        error: RpcError::Transport {
+            shard: ShardId(0),
+            message: "connection refused".into(),
+        },
+        at_send: true,
+    };
+    let dist = one_shard_model(&spec, unsendable, RpcPolicy::default());
+    assert_all_failed_as(&frontend_run(&spec, &dist, false), "transport");
+
+    // A panic message that names another kind.
+    let poisoned = FailingShard {
+        error: RpcError::Poisoned {
+            shard: ShardId(0),
+            message: "timeout on the lock".into(),
+        },
+        at_send: false,
+    };
+    let dist = one_shard_model(&spec, poisoned, RpcPolicy::default());
+    assert_all_failed_as(&frontend_run(&spec, &dist, false), "poisoned");
+
+    // No RPC failed: a request missing an input fails in the engine.
+    let dist = partition(build_model(&spec, SEED).expect("build"), &capacity_plan(&spec, 1))
+        .expect("partition");
+    assert_all_failed_as(&frontend_run(&spec, &dist, true), "engine");
 }

@@ -317,7 +317,9 @@ fn hedged_rpc(spec: &ModelSpec, client: Arc<dyn SparseShardClient>) -> RpcOutcom
     });
     let mut ws = Workspace::new();
     ws.put("in", Blob::Sparse(SparseInput::new(vec![0, 1], vec![2])));
-    op.begin(&ws).expect("send").collect(&mut ws).expect("a reply")
+    let (outcome, result) = op.begin(&ws).expect("the input is loaded").collect(&mut ws);
+    result.expect("a reply");
+    outcome
 }
 
 /// Every racing attempt is read while another pends: the hedge's

@@ -275,12 +275,13 @@ fn overlapped_bit_identical_over_threaded_transport() {
     }
 }
 
-/// A client whose shard always fails — either at send time (issue) or
-/// shard-side (surfacing at collect).
+/// A client whose shard always fails — either at send time or
+/// shard-side. Both settle at collect: a failed send is the RPC's first
+/// failed attempt.
 #[derive(Debug)]
 struct FailingClient {
     shard: ShardId,
-    fail_at_issue: bool,
+    fail_at_send: bool,
 }
 
 impl SparseShardClient for FailingClient {
@@ -299,7 +300,7 @@ impl SparseShardClient for FailingClient {
         &self,
         request: &ShardRequest,
     ) -> Result<Box<dyn dlrm_sharding::rpc::RpcCompletion>, RpcError> {
-        if self.fail_at_issue {
+        if self.fail_at_send {
             return Err(RpcError::Transport {
                 shard: self.shard,
                 message: "injected transport failure".to_string(),
@@ -325,7 +326,7 @@ fn shard_failure_propagates_while_other_rpcs_in_flight() {
     let p = plan(&spec, &profile, ShardingStrategy::CapacityBalanced(3)).unwrap();
     let services = shard_services(&spec, &p, 3);
 
-    for fail_at_issue in [false, true] {
+    for fail_at_send in [false, true] {
         // Shard 1 fails; shards 0 and 2 answer in-process.
         let clients: Vec<Arc<dyn SparseShardClient>> = services
             .iter()
@@ -333,7 +334,7 @@ fn shard_failure_propagates_while_other_rpcs_in_flight() {
                 if s.shard_id() == ShardId(1) {
                     Arc::new(FailingClient {
                         shard: ShardId(1),
-                        fail_at_issue,
+                        fail_at_send,
                     }) as Arc<dyn SparseShardClient>
                 } else {
                     Arc::new(InProcessClient::new(Arc::clone(s))) as Arc<dyn SparseShardClient>
@@ -348,7 +349,7 @@ fn shard_failure_propagates_while_other_rpcs_in_flight() {
         batch.load_into(&spec, &mut ws);
         let err = dist.run_overlapped(&mut ws, &mut NoopObserver).unwrap_err();
         let msg = err.to_string();
-        assert!(msg.contains("injected"), "fail_at_issue={fail_at_issue}: {msg}");
+        assert!(msg.contains("injected"), "fail_at_send={fail_at_send}: {msg}");
     }
 }
 
@@ -370,7 +371,7 @@ fn shard_failure_propagates_over_threaded_transport() {
         pool.clients()[0].clone(),
         Arc::new(FailingClient {
             shard: ShardId(1),
-            fail_at_issue: false,
+            fail_at_send: false,
         }),
     ];
     let dist = partition_with_clients(model, &p, services, clients).unwrap();

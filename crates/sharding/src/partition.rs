@@ -462,13 +462,14 @@ mod tests {
     fn hot_row_aware_cache_matches_singular_bit_for_bit() {
         use crate::{plan_with_stats, CacheTotals, HotRowConfig};
         use dlrm_model::graph::{ExecutionObserver, Operator, RpcOutcome};
+        use std::time::Instant;
         use dlrm_workload::{materialize_request_with, IndexDist, RowStats};
 
         /// Sums the cache split every collected RPC reports.
         struct CacheTally(CacheTotals);
         impl ExecutionObserver for CacheTally {
             fn on_op(&mut self, _net: &str, _op: &dyn Operator, _elapsed_secs: f64) {}
-            fn on_rpc_outcome(&mut self, _net: &str, _op: &dyn Operator, o: &RpcOutcome) {
+            fn on_rpc(&mut self, _: &str, _: &dyn Operator, _: Instant, _: Instant, o: &RpcOutcome) {
                 self.0.merge(&CacheTotals {
                     hits: o.cache_hits,
                     misses: o.cache_misses,

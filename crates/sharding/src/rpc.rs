@@ -6,7 +6,7 @@
 //! shard and receives the pooled embedding vectors back. This module
 //! defines those request/response types, the client abstraction (so the
 //! same operator runs against an in-process shard, a thread-backed
-//! shard, or the simulator's cost model), the typed [`RpcError`]
+//! shard, or a shard server over TCP), the typed [`RpcError`]
 //! taxonomy, the per-RPC [`RpcPolicy`] (deadline, capped-backoff
 //! retries, tail hedging, degraded fallback), and the [`SparseRpc`]
 //! graph operator itself.
@@ -85,57 +85,29 @@ impl RpcError {
         !matches!(self, RpcError::ShardFault { .. })
     }
 
-    /// This variant's row of [`ERROR_KINDS`].
-    fn row(&self) -> (&'static str, &'static str) {
-        ERROR_KINDS[match self {
-            RpcError::Timeout { .. } => 0,
-            RpcError::Transport { .. } => 1,
-            RpcError::ShardFault { .. } => 2,
-            RpcError::Poisoned { .. } => 3,
-        }]
-    }
-
     /// Stable short classification, used as the failure-by-cause key in
     /// serving reports.
     #[must_use]
     pub fn kind(&self) -> &'static str {
-        self.row().0
-    }
-
-    /// The inverse of `Display` for an error that crossed a string
-    /// boundary (a `GraphError` wraps it as `op <name>: <error>`): the
-    /// kind whose display prefix appears first in `message`, so detail
-    /// text that happens to name another kind ("could not arm read
-    /// timeout") cannot win. `None` when no prefix appears.
-    #[must_use]
-    pub fn kind_in(message: &str) -> Option<&'static str> {
-        ERROR_KINDS
-            .iter()
-            .filter_map(|&(kind, prefix)| message.find(prefix).map(|at| (at, kind)))
-            .min_by_key(|&(at, _)| at)
-            .map(|(_, kind)| kind)
+        match self {
+            RpcError::Timeout { .. } => "timeout",
+            RpcError::Transport { .. } => "transport",
+            RpcError::ShardFault { .. } => "shard-fault",
+            RpcError::Poisoned { .. } => "poisoned",
+        }
     }
 }
 
-/// Each [`RpcError`] variant's kind and the prefix its `Display` text
-/// starts with, in variant order: the one table behind
-/// [`RpcError::kind`], `Display` and [`RpcError::kind_in`].
-const ERROR_KINDS: [(&str, &str); 4] = [
-    ("timeout", "timeout on "),
-    ("transport", "transport error on "),
-    ("shard-fault", "shard-fault on "),
-    ("poisoned", "poisoned on "),
-];
-
 impl std::fmt::Display for RpcError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}{}: ", self.row().1, self.shard())?;
+        let shard = self.shard();
         match self {
-            RpcError::Timeout { waited, .. } => write!(f, "no reply within {waited:?}"),
-            RpcError::Transport { message, .. } | RpcError::ShardFault { message, .. } => {
-                f.write_str(message)
+            RpcError::Timeout { waited, .. } => write!(f, "timeout on {shard}: no reply within {waited:?}"),
+            RpcError::Transport { message, .. } => write!(f, "transport error on {shard}: {message}"),
+            RpcError::ShardFault { message, .. } => write!(f, "shard-fault on {shard}: {message}"),
+            RpcError::Poisoned { message, .. } => {
+                write!(f, "poisoned on {shard}: worker panicked: {message}")
             }
-            RpcError::Poisoned { message, .. } => write!(f, "worker panicked: {message}"),
         }
     }
 }
@@ -465,17 +437,13 @@ impl SparseRpc {
 
     /// Issue half of the operator: builds the request from the
     /// workspace — compacted to its cold bags when a cache is attached —
-    /// and sends it without waiting for the reply.
-    ///
-    /// When the send itself fails with a retryable error and the policy
-    /// has attempts or a degraded fallback left, the failure is
-    /// *deferred* to the collect half (which owns the retry loop)
-    /// instead of failing the whole run at issue time.
+    /// and sends it without waiting for the reply. A send that fails is
+    /// the first failed attempt: it settles in the collect half, which
+    /// owns the retry loop, like any other.
     ///
     /// # Errors
     ///
-    /// Propagates missing/mistyped input blobs, and send-time transport
-    /// failures the policy cannot absorb.
+    /// Propagates missing/mistyped input blobs.
     pub fn begin(&self, ws: &Workspace) -> Result<PendingSparseRpc, GraphError> {
         let mut pending = PendingSparseRpc {
             op: Arc::clone(&self.name),
@@ -495,13 +463,6 @@ impl SparseRpc {
         // A fully cache-served op has nothing to send.
         if !pending.request.slices.is_empty() {
             pending.send(RpcAttemptKind::Primary);
-        }
-        if let Some(e) = &pending.last_error {
-            let absorbable = e.is_retryable()
-                && (self.policy.max_attempts > 1 || self.policy.degraded_fallback);
-            if !absorbable {
-                return Err(pending.op_failed(e.to_string()));
-            }
         }
         Ok(pending)
     }
@@ -546,17 +507,23 @@ const RACE_POLL_SLICE: Duration = Duration::from_micros(200);
 
 impl PendingSparseRpc {
     /// Waits for a winning response under the policy and writes the
-    /// pooled blobs (real or zero-fallback).
-    ///
-    /// # Errors
-    ///
-    /// Propagates shard/transport failures the policy cannot absorb and
-    /// malformed responses (wrong table count, order or shape).
-    pub fn collect(mut self, ws: &mut Workspace) -> Result<RpcOutcome, GraphError> {
+    /// pooled blobs (real or zero-fallback). Returns every attempt it
+    /// took beside the result, which is an `Err` for a shard/transport
+    /// failure the policy cannot absorb — the outcome then names its
+    /// kind — or a malformed response (wrong table count, order or
+    /// shape).
+    pub fn collect(mut self, ws: &mut Workspace) -> (RpcOutcome, Result<(), GraphError>) {
+        let result = self.settle(ws);
+        (self.outcome, result)
+    }
+
+    /// The collect loop: settles the op and writes its outputs, or
+    /// fails it.
+    fn settle(&mut self, ws: &mut Workspace) -> Result<(), GraphError> {
         if self.request.slices.is_empty() {
             // Fully cache-served: nothing was sent.
             self.write_outputs(ws);
-            return Ok(self.outcome);
+            return Ok(());
         }
         loop {
             // Transmissions so far: the primary (counted even when its
@@ -596,8 +563,7 @@ impl PendingSparseRpc {
                     for loser in std::mem::take(&mut self.in_flight) {
                         self.record(loser.kind, loser.issued_at, false, None);
                     }
-                    self.write_response(ws, response)?;
-                    return Ok(self.outcome);
+                    return self.write_response(ws, response);
                 }
                 Some((attempt, Err(e))) => {
                     self.record(attempt.kind, attempt.issued_at, false, Some(&e));
@@ -728,21 +694,18 @@ impl PendingSparseRpc {
     }
 
     /// Terminal path: the budget is spent (or the error is not
-    /// retryable). Either write the degraded fallback — cache-served
-    /// bags keep their values, wired bags read zero — or surface the
-    /// typed error as an operator failure.
-    fn settle_exhausted(
-        mut self,
-        ws: &mut Workspace,
-        err: RpcError,
-    ) -> Result<RpcOutcome, GraphError> {
+    /// retryable). The outcome takes the error's kind; then either write
+    /// the degraded fallback — cache-served bags keep their values,
+    /// wired bags read zero — or surface the typed error as an operator
+    /// failure.
+    fn settle_exhausted(&mut self, ws: &mut Workspace, err: RpcError) -> Result<(), GraphError> {
+        self.outcome.error_kind = Some(err.kind());
         if !(self.policy.degraded_fallback && err.is_retryable()) {
             return Err(self.op_failed(err.to_string()));
         }
         self.write_outputs(ws);
         self.outcome.degraded = true;
-        self.outcome.error_kind = Some(err.kind().to_string());
-        Ok(self.outcome)
+        Ok(())
     }
 
     /// Validates the winning reply — one `bags × dim` matrix per wired
@@ -830,8 +793,8 @@ fn race(
 }
 
 impl PendingOp for PendingSparseRpc {
-    fn collect(self: Box<Self>, ws: &mut Workspace) -> Result<Option<RpcOutcome>, GraphError> {
-        PendingSparseRpc::collect(*self, ws).map(Some)
+    fn collect(self: Box<Self>, ws: &mut Workspace) -> (RpcOutcome, Result<(), GraphError>) {
+        PendingSparseRpc::collect(*self, ws)
     }
 }
 
@@ -888,7 +851,7 @@ impl Operator for SparseRpc {
     }
     fn run(&self, ws: &mut Workspace) -> Result<(), GraphError> {
         // Sequential form = issue immediately followed by collect.
-        self.begin(ws)?.collect(ws).map(|_| ())
+        self.begin(ws)?.collect(ws).1
     }
     fn as_async(&self) -> Option<&dyn AsyncOperator> {
         Some(self)
@@ -1077,6 +1040,12 @@ mod tests {
         ws
     }
 
+    /// The outcome of a collect that must have succeeded.
+    fn settled((outcome, result): (RpcOutcome, Result<(), GraphError>)) -> RpcOutcome {
+        result.unwrap();
+        outcome
+    }
+
     #[test]
     fn error_taxonomy_classification() {
         let t = RpcError::Timeout {
@@ -1103,22 +1072,22 @@ mod tests {
 
     #[test]
     fn failure_classification_vocabulary() {
-        let kind = RpcError::kind_in;
-        let wrapped_timeout = "op sparse3: timeout on shard3: no reply within 1ms";
-        assert_eq!(kind(wrapped_timeout), Some("timeout"));
-        assert_eq!(kind("transport error on sparse0: down"), Some("transport"));
-        assert_eq!(kind("shard-fault on sparse1: not hosted"), Some("shard-fault"));
-        assert_eq!(kind("poisoned on sparse2: worker panicked: boom"), Some("poisoned"));
-        assert_eq!(kind("blob missing"), None);
-        // Detail text naming another kind loses to the display prefix:
-        // the tcp transport's read-timeout failure, and a panic message.
-        let transport = "transport error on s0: could not arm read timeout";
-        assert_eq!(kind(transport), Some("transport"));
-        let poisoned = RpcError::Poisoned {
-            shard: ShardId(2),
-            message: "timeout on the lock".into(),
-        };
-        assert_eq!(kind(&format!("op sparse2: {poisoned}")), Some("poisoned"));
+        let (shard, waited, message) = (ShardId(3), Duration::from_millis(1), "boom");
+        let errors = [
+            RpcError::Timeout { shard, waited },
+            RpcError::Transport { shard, message: message.into() },
+            RpcError::ShardFault { shard, message: message.into() },
+            RpcError::Poisoned { shard, message: message.into() },
+        ];
+        let vocabulary = [
+            ("timeout", "timeout on shard3: no reply within 1ms"),
+            ("transport", "transport error on shard3: boom"),
+            ("shard-fault", "shard-fault on shard3: boom"),
+            ("poisoned", "poisoned on shard3: worker panicked: boom"),
+        ];
+        for (err, (kind, text)) in errors.iter().zip(vocabulary) {
+            assert_eq!((err.kind(), err.to_string().as_str()), (kind, text));
+        }
     }
 
     #[test]
@@ -1155,7 +1124,7 @@ mod tests {
         let op = SparseRpc::new("rpc", NetId(0), Arc::new(ZeroClient), vec![fetch()]);
         let mut ws = ws_with_input();
         let pending = op.begin(&ws).unwrap();
-        let outcome = pending.collect(&mut ws).unwrap();
+        let outcome = settled(pending.collect(&mut ws));
         assert!(ws.dense("out", "t").is_ok());
         assert_eq!(outcome.retries, 0);
         assert!(!outcome.degraded);
@@ -1179,7 +1148,7 @@ mod tests {
             },
         );
         let mut ws = ws_with_input();
-        let outcome = op.begin(&ws).unwrap().collect(&mut ws).unwrap();
+        let outcome = settled(op.begin(&ws).unwrap().collect(&mut ws));
         assert_eq!(outcome.retries, 2);
         assert!(!outcome.degraded);
         assert!(ws.dense("out", "t").is_ok());
@@ -1198,8 +1167,13 @@ mod tests {
             },
         );
         let mut ws = ws_with_input();
-        let err = op.begin(&ws).unwrap().collect(&mut ws).unwrap_err();
+        let (outcome, result) = op.begin(&ws).unwrap().collect(&mut ws);
+        let err = result.unwrap_err();
         assert!(err.to_string().contains("transport"), "{err}");
+        // The failed op still reports both attempts and its cause.
+        assert_eq!((outcome.attempts.len(), outcome.retries), (2, 1));
+        assert!(!outcome.degraded);
+        assert_eq!(outcome.error_kind, Some("transport"));
     }
 
     #[test]
@@ -1215,9 +1189,9 @@ mod tests {
             },
         );
         let mut ws = ws_with_input();
-        let outcome = op.begin(&ws).unwrap().collect(&mut ws).unwrap();
+        let outcome = settled(op.begin(&ws).unwrap().collect(&mut ws));
         assert!(outcome.degraded);
-        assert_eq!(outcome.error_kind.as_deref(), Some("transport"));
+        assert_eq!(outcome.error_kind, Some("transport"));
         assert_eq!(outcome.retries, 1);
         // The fallback is a zero matrix with one row per batch element
         // and the table's dim.
@@ -1245,7 +1219,7 @@ mod tests {
             },
         );
         let mut ws = ws_with_input();
-        let err = op.begin(&ws).unwrap().collect(&mut ws).unwrap_err();
+        let err = op.begin(&ws).unwrap().collect(&mut ws).1.unwrap_err();
         assert!(err.to_string().contains("not hosted"), "{err}");
         // Exactly one call went out: deterministic rejections burn no
         // retry budget.
@@ -1267,7 +1241,7 @@ mod tests {
         let mut ws = ws_with_input();
         // ReadyResponse defers the error to collect, so this exercises
         // the settled-error retry path.
-        let outcome = op.begin(&ws).unwrap().collect(&mut ws).unwrap();
+        let outcome = settled(op.begin(&ws).unwrap().collect(&mut ws));
         assert_eq!(outcome.retries, 1);
         assert!(ws.dense("out", "t").is_ok());
     }
@@ -1285,7 +1259,7 @@ mod tests {
             },
         );
         let mut ws = ws_with_input();
-        let outcome = op.begin(&ws).unwrap().collect(&mut ws).unwrap();
+        let outcome = settled(op.begin(&ws).unwrap().collect(&mut ws));
         let kinds: Vec<_> = outcome.attempts.iter().map(|a| (a.kind, a.winner)).collect();
         assert_eq!(kinds, [(RpcAttemptKind::Primary, false), (RpcAttemptKind::Retry, true)]);
         let error = outcome.attempts[0].error.as_deref().expect("the primary failed");
@@ -1307,7 +1281,7 @@ mod tests {
             },
         );
         let mut ws = ws_with_input();
-        let outcome = op.begin(&ws).unwrap().collect(&mut ws).unwrap();
+        let outcome = settled(op.begin(&ws).unwrap().collect(&mut ws));
         assert_eq!((outcome.retries, outcome.hedges), (0, 1));
         let winner = outcome.attempts.iter().find(|a| a.winner).expect("a winner");
         assert_eq!(winner.kind, RpcAttemptKind::Hedge);
@@ -1407,13 +1381,13 @@ mod tests {
             ..dim2_fetch()
         };
         let pure = SparseRpc::new("rpc", NetId(0), pure_client, vec![pure_fetch]);
-        pure.begin(&ws).unwrap().collect(&mut ws).unwrap();
+        settled(pure.begin(&ws).unwrap().collect(&mut ws));
 
         // Cached path.
         let client = Arc::new(PoolingClient::new(table.clone()));
         let mut op = SparseRpc::new("rpc", NetId(0), Arc::clone(&client) as _, vec![dim2_fetch()]);
         op.set_cache(cache_for(&table, vec![1, 2]));
-        let outcome = op.begin(&ws).unwrap().collect(&mut ws).unwrap();
+        let outcome = settled(op.begin(&ws).unwrap().collect(&mut ws));
 
         let cached = ws.dense("out", "t").unwrap().clone();
         let expect = ws.dense("out_pure", "t").unwrap();
@@ -1452,7 +1426,7 @@ mod tests {
         };
         let pure_client = Arc::new(PoolingClient::new(shard_table.clone()));
         let pure = SparseRpc::new("rpc", NetId(0), pure_client, vec![pure_fetch]);
-        pure.begin(&ws).unwrap().collect(&mut ws).unwrap();
+        settled(pure.begin(&ws).unwrap().collect(&mut ws));
 
         let client = Arc::new(PoolingClient::new(shard_table));
         let mut op = SparseRpc::new("rpc", NetId(0), Arc::clone(&client) as _, vec![odd_part]);
@@ -1463,7 +1437,7 @@ mod tests {
         assert_eq!(pending.request.slices[0].indices, vec![0, 2]);
         assert_eq!(pending.request.slices[0].lengths, vec![2]);
         assert_eq!(pending.wired, vec![(0, Some(vec![1]))]);
-        let outcome = pending.collect(&mut ws).unwrap();
+        let outcome = settled(pending.collect(&mut ws));
 
         let cached = ws.dense("out", "t").unwrap();
         let expect = ws.dense("out_pure", "t").unwrap();
@@ -1495,7 +1469,7 @@ mod tests {
         ws.put("in", Blob::Sparse(SparseInput::new(vec![1, 2, 2], vec![1, 2])));
         let mut op = SparseRpc::new("rpc", NetId(0), Arc::new(NoWire), vec![dim2_fetch()]);
         op.set_cache(cache_for(&table, vec![1, 2]));
-        let outcome = op.begin(&ws).unwrap().collect(&mut ws).unwrap();
+        let outcome = settled(op.begin(&ws).unwrap().collect(&mut ws));
         assert!(outcome.attempts.is_empty(), "nothing should have been sent");
         assert_eq!(outcome.cache_hits, 2);
         assert_eq!(outcome.cache_local_rows, 3);
@@ -1519,7 +1493,7 @@ mod tests {
             degraded_fallback: true,
             ..RpcPolicy::default()
         });
-        let outcome = op.begin(&ws).unwrap().collect(&mut ws).unwrap();
+        let outcome = settled(op.begin(&ws).unwrap().collect(&mut ws));
         assert!(outcome.degraded);
         assert_eq!(outcome.cache_hits, 1);
         assert_eq!(outcome.cache_misses, 1);
@@ -1566,7 +1540,7 @@ mod tests {
         let pure = op.build_request(&ws).unwrap();
         assert_eq!(pending.request.slices[0], pure.slices[1], "uncached slice unchanged");
         // Uncached-table bags are not counted as misses.
-        let outcome = pending.collect(&mut ws).unwrap();
+        let outcome = settled(pending.collect(&mut ws));
         assert_eq!((outcome.cache_hits, outcome.cache_misses), (1, 0));
         let expect = table.sparse_lengths_sum(&[4, 6, 3], &[2, 1]);
         assert_eq!(ws.dense("out1", "t").unwrap(), &expect);
