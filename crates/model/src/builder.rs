@@ -68,7 +68,16 @@ pub mod blobs {
     /// The sparse input blob feeding `table`'s SLS operator.
     #[must_use]
     pub fn sparse_input(table: &TableSpec) -> String {
-        format!("sparse/{}", table.name)
+        let mut name = String::new();
+        push_sparse_input(&mut name, table);
+        name
+    }
+
+    /// Appends [`sparse_input`]'s name to `buf`, so a caller naming
+    /// every table per batch reuses one buffer.
+    pub fn push_sparse_input(buf: &mut String, table: &TableSpec) {
+        buf.push_str("sparse/");
+        buf.push_str(&table.name);
     }
 
     /// The pooled (dense) output blob of `table`'s SLS operator.

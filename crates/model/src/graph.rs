@@ -139,6 +139,11 @@ impl std::error::Error for GraphError {}
 
 /// The blob store shared by all nets of one inference.
 ///
+/// A workspace outlives its batches: [`Self::recycle_all`] empties every
+/// blob into the context's pools but keeps the names, so a serving
+/// worker that reuses its workspace puts and reads the same blob names
+/// batch after batch without allocating a key.
+///
 /// # Examples
 ///
 /// ```
@@ -151,12 +156,14 @@ impl std::error::Error for GraphError {}
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Workspace {
-    blobs: HashMap<String, Blob>,
+    /// Every name ever put, holding its blob or, once taken or
+    /// recycled, nothing.
+    blobs: HashMap<String, Option<Blob>>,
     ctx: RuntimeCtx,
     /// Static consumer counts (reads per blob across all nets, plus one
-    /// for the model output): the oracle [`Self::take_dense`] consults
-    /// to decide move-vs-clone. Empty (the default) means "unknown", so
-    /// every take falls back to a clone.
+    /// for the model output): the oracle [`Self::take_dense`] and
+    /// [`Self::take_sparse`] consult to decide move-vs-copy. Empty (the
+    /// default) means "unknown", so every take falls back to a copy.
     consumers: Arc<HashMap<String, usize>>,
 }
 
@@ -170,13 +177,15 @@ impl Workspace {
 
     /// Creates an empty workspace executing on `ctx` — its fork-join
     /// pool parallelizes the kernels, and its (shared, `Arc`ed) buffer
-    /// pool supplies dense output allocations, so workspaces built from
-    /// clones of one context recycle each other's backing stores.
+    /// pools supply dense outputs and sparse vectors, so workspaces
+    /// built from clones of one context recycle each other's backing
+    /// stores.
     #[must_use]
     pub fn with_ctx(ctx: RuntimeCtx) -> Self {
         Self {
+            blobs: HashMap::new(),
             ctx,
-            ..Self::default()
+            consumers: Arc::default(),
         }
     }
 
@@ -199,11 +208,16 @@ impl Workspace {
         self.consumers = counts;
     }
 
-    /// Inserts or replaces a blob. A replaced dense blob's backing store
-    /// is recycled into the context's buffer pool.
-    pub fn put(&mut self, name: impl Into<String>, blob: Blob) {
-        if let Some(Blob::Dense(old)) = self.blobs.insert(name.into(), blob) {
-            self.ctx.buffers.release(old.into_vec());
+    /// Inserts or replaces a blob. A replaced blob's backing stores are
+    /// recycled into the context's pools, and a name put before (in
+    /// this batch or an earlier one) is not allocated again.
+    pub fn put<N: AsRef<str> + Into<String>>(&mut self, name: N, blob: Blob) {
+        let old = match self.blobs.get_mut(name.as_ref()) {
+            Some(slot) => slot.replace(blob),
+            None => self.blobs.insert(name.into(), Some(blob)).flatten(),
+        };
+        if let Some(old) = old {
+            recycle(&self.ctx, old);
         }
     }
 
@@ -213,6 +227,34 @@ impl Workspace {
     #[must_use]
     pub fn alloc_dense(&self, rows: usize, cols: usize) -> Matrix {
         Matrix::from_vec(rows, cols, self.ctx.buffers.acquire(rows * cols))
+    }
+
+    /// Whether the installed consumer counts prove `name` has exactly
+    /// one reader.
+    fn sole_reader(&self, name: &str) -> bool {
+        self.consumers.get(name).is_some_and(|&c| c == 1)
+    }
+
+    /// Moves blob `name` out when it holds the variant `is_wanted`
+    /// accepts; a mistyped blob stays where it is.
+    fn take_blob(
+        &mut self,
+        name: &str,
+        op: &str,
+        expected: &'static str,
+        is_wanted: fn(&Blob) -> bool,
+    ) -> Result<Blob, GraphError> {
+        match self.blobs.get_mut(name) {
+            Some(slot) if slot.as_ref().is_some_and(is_wanted) => Ok(slot.take().expect("checked")),
+            Some(Some(_)) => Err(GraphError::TypeMismatch {
+                blob: name.into(),
+                expected,
+            }),
+            _ => Err(GraphError::MissingBlob {
+                blob: name.into(),
+                op: op.into(),
+            }),
+        }
     }
 
     /// Fetches a dense blob *by value*: when the installed consumer
@@ -226,20 +268,10 @@ impl Workspace {
     ///
     /// [`GraphError::MissingBlob`] or [`GraphError::TypeMismatch`].
     pub fn take_dense(&mut self, name: &str, op: &str) -> Result<Matrix, GraphError> {
-        if self.consumers.get(name).is_some_and(|&c| c == 1) {
-            match self.blobs.remove(name) {
-                Some(Blob::Dense(m)) => Ok(m),
-                Some(other) => {
-                    self.blobs.insert(name.to_string(), other);
-                    Err(GraphError::TypeMismatch {
-                        blob: name.into(),
-                        expected: "dense",
-                    })
-                }
-                None => Err(GraphError::MissingBlob {
-                    blob: name.into(),
-                    op: op.into(),
-                }),
+        if self.sole_reader(name) {
+            match self.take_blob(name, op, "dense", |b| matches!(b, Blob::Dense(_)))? {
+                Blob::Dense(m) => Ok(m),
+                Blob::Sparse(_) => unreachable!("take_blob checked the variant"),
             }
         } else {
             let src = self.dense(name, op)?;
@@ -249,20 +281,38 @@ impl Workspace {
         }
     }
 
-    /// Drains every blob, recycling dense backing stores into the
-    /// context's buffer pool. Serving workers call this between requests
-    /// so the next request's activations reuse this one's allocations.
+    /// Moves a sparse blob out when the installed consumer counts prove
+    /// this operator is its only reader; `Ok(None)` when it has other
+    /// readers (or no counts are installed), so the caller reads it in
+    /// place with [`Self::sparse`].
+    ///
+    /// # Errors
+    ///
+    /// [`GraphError::MissingBlob`] or [`GraphError::TypeMismatch`].
+    pub fn take_sparse(&mut self, name: &str, op: &str) -> Result<Option<SparseInput>, GraphError> {
+        if !self.sole_reader(name) {
+            return Ok(None);
+        }
+        match self.take_blob(name, op, "sparse", |b| matches!(b, Blob::Sparse(_)))? {
+            Blob::Sparse(s) => Ok(Some(s)),
+            Blob::Dense(_) => unreachable!("take_blob checked the variant"),
+        }
+    }
+
+    /// Empties every blob, recycling dense backing stores and sparse
+    /// index and length vectors into the context's pools; the names
+    /// stay, so the next batch's puts allocate no key. Serving workers
+    /// call this between batches so the next batch reuses this one's
+    /// allocations.
     pub fn recycle_all(&mut self) {
-        for (_, blob) in self.blobs.drain() {
-            if let Blob::Dense(m) = blob {
-                self.ctx.buffers.release(m.into_vec());
-            }
+        for blob in self.blobs.values_mut().filter_map(Option::take) {
+            recycle(&self.ctx, blob);
         }
     }
 
     /// Fetches any blob.
     pub fn blob(&self, name: &str) -> Option<&Blob> {
-        self.blobs.get(name)
+        self.blobs.get(name).and_then(Option::as_ref)
     }
 
     /// Fetches a dense blob, attributing failures to operator `op`.
@@ -271,7 +321,7 @@ impl Workspace {
     ///
     /// [`GraphError::MissingBlob`] or [`GraphError::TypeMismatch`].
     pub fn dense(&self, name: &str, op: &str) -> Result<&Matrix, GraphError> {
-        match self.blobs.get(name) {
+        match self.blob(name) {
             Some(Blob::Dense(m)) => Ok(m),
             Some(_) => Err(GraphError::TypeMismatch {
                 blob: name.into(),
@@ -290,7 +340,7 @@ impl Workspace {
     ///
     /// [`GraphError::MissingBlob`] or [`GraphError::TypeMismatch`].
     pub fn sparse(&self, name: &str, op: &str) -> Result<&SparseInput, GraphError> {
-        match self.blobs.get(name) {
+        match self.blob(name) {
             Some(Blob::Sparse(s)) => Ok(s),
             Some(_) => Err(GraphError::TypeMismatch {
                 blob: name.into(),
@@ -306,13 +356,24 @@ impl Workspace {
     /// Number of stored blobs.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.blobs.len()
+        self.blobs.values().filter(|b| b.is_some()).count()
     }
 
     /// Whether the workspace is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.blobs.is_empty()
+        self.len() == 0
+    }
+}
+
+/// Hands a blob's backing stores to `ctx`'s pools.
+fn recycle(ctx: &RuntimeCtx, blob: Blob) {
+    match blob {
+        Blob::Dense(m) => ctx.buffers.release(m.into_vec()),
+        Blob::Sparse(s) => {
+            ctx.indices.release(s.indices);
+            ctx.lengths.release(s.lengths);
+        }
     }
 }
 
@@ -374,13 +435,15 @@ pub trait Operator: std::fmt::Debug + Send + Sync {
 pub trait AsyncOperator {
     /// Reads this operator's inputs from the workspace and starts the
     /// operation without waiting for it, returning the pending handle.
+    /// The workspace is `&mut` so an operator that is an input's only
+    /// reader can move it out instead of copying it.
     ///
     /// # Errors
     ///
     /// Propagates missing/mistyped input blobs. Failures of the
     /// remote call — a failed send included — settle in
     /// [`PendingOp::collect`], which reports them with the outcome.
-    fn issue(&self, ws: &Workspace) -> Result<Box<dyn PendingOp>, GraphError>;
+    fn issue(&self, ws: &mut Workspace) -> Result<Box<dyn PendingOp>, GraphError>;
 }
 
 /// An issued asynchronous operation whose outputs have not been
@@ -1057,7 +1120,7 @@ mod tests {
     }
 
     impl AsyncOperator for TestRpc {
-        fn issue(&self, ws: &Workspace) -> Result<Box<dyn PendingOp>, GraphError> {
+        fn issue(&self, ws: &mut Workspace) -> Result<Box<dyn PendingOp>, GraphError> {
             log(&self.events, format!("issue:{}", self.name));
             if self.fail_at_issue {
                 return Err(GraphError::OpFailed {
@@ -1353,9 +1416,9 @@ mod tests {
     #[test]
     fn put_and_recycle_feed_the_buffer_pool() {
         let mut ws = Workspace::new();
-        ws.put("x", Blob::Dense(Matrix::zeros(2, 2)));
+        ws.put("x", Blob::Dense(ws.alloc_dense(2, 2)));
         // Overwriting recycles the old store…
-        ws.put("x", Blob::Dense(Matrix::zeros(2, 2)));
+        ws.put("x", Blob::Dense(ws.alloc_dense(2, 2)));
         assert_eq!(ws.ctx().buffers.pooled_buffers(), 1);
         // …and draining recycles the rest.
         ws.recycle_all();

@@ -38,7 +38,7 @@ pub mod rm;
 pub mod spec;
 
 pub use builder::{build_model, build_model_with_options, InteractionKind};
-pub use dlrm_runtime::{Pool, RuntimeCtx};
+pub use dlrm_runtime::{BufferPool, Pool, RuntimeCtx};
 pub use embedding::EmbeddingTable;
 pub use footprint::Footprint;
 pub use graph::{consumer_counts_of, Blob, Model, NetDef, Workspace};

@@ -137,7 +137,7 @@ impl Operator for FullyConnected {
         let mut y = ws.alloc_dense(x.rows(), self.weights.rows());
         matmul_packed_into(x, &self.weights, &mut y, ws.pool());
         y.add_row_bias(&self.bias);
-        ws.put(self.output.clone(), Blob::Dense(y));
+        ws.put(self.output.as_str(), Blob::Dense(y));
         Ok(())
     }
 }
@@ -182,7 +182,7 @@ impl Operator for Relu {
     fn run(&self, ws: &mut Workspace) -> Result<(), GraphError> {
         let mut m = ws.take_dense(&self.input, &self.name)?;
         relu_inplace(&mut m);
-        ws.put(self.output.clone(), Blob::Dense(m));
+        ws.put(self.output.as_str(), Blob::Dense(m));
         Ok(())
     }
 }
@@ -227,7 +227,7 @@ impl Operator for Sigmoid {
     fn run(&self, ws: &mut Workspace) -> Result<(), GraphError> {
         let mut m = ws.take_dense(&self.input, &self.name)?;
         sigmoid_inplace(&mut m);
-        ws.put(self.output.clone(), Blob::Dense(m));
+        ws.put(self.output.as_str(), Blob::Dense(m));
         Ok(())
     }
 }
@@ -291,7 +291,7 @@ impl Operator for Concat {
         let mut out = ws.alloc_dense(rows, total_cols);
         concat_cols_into(&parts, &mut out);
         drop(parts);
-        ws.put(self.output.clone(), Blob::Dense(out));
+        ws.put(self.output.as_str(), Blob::Dense(out));
         Ok(())
     }
 }
@@ -372,7 +372,7 @@ impl Operator for SparseLengthsSum {
                 op: self.name.clone(),
                 message: e.to_string(),
             })?;
-        ws.put(self.output.clone(), Blob::Dense(out));
+        ws.put(self.output.as_str(), Blob::Dense(out));
         Ok(())
     }
 }
@@ -474,7 +474,7 @@ impl Operator for DotInteraction {
                 }
             }
         }
-        ws.put(self.output.clone(), Blob::Dense(out));
+        ws.put(self.output.as_str(), Blob::Dense(out));
         Ok(())
     }
 }
@@ -543,7 +543,7 @@ impl Operator for ElementwiseSum {
             }
             acc.add_assign(next);
         }
-        ws.put(self.output.clone(), Blob::Dense(acc));
+        ws.put(self.output.as_str(), Blob::Dense(acc));
         Ok(())
     }
 }

@@ -23,9 +23,10 @@
 //! # Allocation reuse
 //!
 //! [`BufferPool`] recycles the `Vec<f32>` backing stores of dense
-//! activations between requests, so a steady-state inference performs
-//! no `f32`-buffer heap allocations in the dense path (see
-//! [`BufferPool::fresh_allocs`] for the counter the tests assert on).
+//! activations, and the index and length vectors of sparse inputs,
+//! between requests, so a steady-state inference performs no buffer
+//! heap allocations per table (see [`BufferPool::fresh_allocs`] for the
+//! counter the tests assert on).
 //!
 //! # Examples
 //!
@@ -64,12 +65,24 @@ use std::sync::Arc;
 /// serving worker creates one context and clones it into the workspace
 /// of every request it executes — that sharing is what makes the
 /// steady state allocation-free.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct RuntimeCtx {
     /// Fork-join pool for row-parallel kernels.
     pub pool: Pool,
-    /// Recycled `Vec<f32>` backing stores for dense blobs.
+    /// Recycled `Vec<f32>` backing stores for dense blobs; its overflow
+    /// goes to [`BufferPool::shared`], where shard services draw their
+    /// pooled outputs.
     pub buffers: Arc<BufferPool>,
+    /// Recycled index vectors of sparse blobs and shard requests.
+    pub indices: Arc<BufferPool<u64>>,
+    /// Recycled length vectors of sparse blobs and shard requests.
+    pub lengths: Arc<BufferPool<u32>>,
+}
+
+impl Default for RuntimeCtx {
+    fn default() -> Self {
+        Self::new(Pool::default())
+    }
 }
 
 impl RuntimeCtx {
@@ -78,7 +91,9 @@ impl RuntimeCtx {
     pub fn new(pool: Pool) -> Self {
         Self {
             pool,
-            buffers: Arc::new(BufferPool::new()),
+            buffers: Arc::new(BufferPool::spilling_to(BufferPool::shared())),
+            indices: Arc::default(),
+            lengths: Arc::default(),
         }
     }
 
@@ -113,7 +128,7 @@ mod tests {
     fn ctx_clones_share_the_buffer_pool() {
         let ctx = RuntimeCtx::new(Pool::new(2));
         let other = ctx.clone();
-        other.buffers.release(vec![0.0; 16]);
+        other.buffers.release(ctx.buffers.acquire(16));
         assert_eq!(ctx.buffers.pooled_buffers(), 1);
     }
 

@@ -11,6 +11,7 @@
 //! this end to end.
 
 use dlrm_model::graph::SparseInput;
+use dlrm_model::RuntimeCtx;
 use dlrm_tensor::Matrix;
 use dlrm_workload::BatchInputs;
 
@@ -21,18 +22,24 @@ use dlrm_workload::BatchInputs;
 /// concatenate in the same order. Bit-exact by the row-independence
 /// argument in the module docs.
 ///
+/// The merged vectors are drawn from `ctx`'s pools, each sized once, up
+/// front: a worker whose previous batch was recycled into the same pools
+/// fills that batch's dense, index and length vectors again instead of
+/// allocating new ones.
+///
 /// # Panics
 ///
 /// Panics if `parts` is empty or the requests disagree on dense feature
 /// width or table count.
 #[must_use]
-pub fn merge_inputs(parts: &[&BatchInputs]) -> (BatchInputs, Vec<usize>) {
+pub fn merge_inputs(parts: &[&BatchInputs], ctx: &RuntimeCtx) -> (BatchInputs, Vec<usize>) {
     assert!(!parts.is_empty(), "cannot merge an empty batch");
     let cols = parts[0].dense.cols();
     let tables = parts[0].sparse.len();
     let mut row_counts = Vec::with_capacity(parts.len());
-    // Sized once, up front: growing from empty re-copies at every doubling.
-    let mut dense_data = Vec::with_capacity(parts.iter().map(|p| p.dense.as_slice().len()).sum());
+    let mut dense_data = ctx
+        .buffers
+        .acquire_empty(parts.iter().map(|p| p.dense.as_slice().len()).sum());
     for p in parts {
         assert_eq!(p.dense.cols(), cols, "dense feature width mismatch");
         assert_eq!(p.sparse.len(), tables, "table count mismatch");
@@ -43,11 +50,18 @@ pub fn merge_inputs(parts: &[&BatchInputs]) -> (BatchInputs, Vec<usize>) {
     let dense = Matrix::from_vec(total_rows, cols, dense_data);
     let sparse = (0..tables)
         .map(|ti| {
-            // `concat` allocates each merged vector once, at its final size.
             let of_table = || parts.iter().map(|p| &p.sparse[ti]);
-            let indices = of_table().map(|s| s.indices.as_slice()).collect::<Vec<_>>().concat();
-            let lengths = of_table().map(|s| s.lengths.as_slice()).collect::<Vec<_>>().concat();
-            SparseInput::new(indices, lengths)
+            let mut indices = ctx
+                .indices
+                .acquire_empty(of_table().map(|s| s.indices.len()).sum());
+            let mut lengths = ctx
+                .lengths
+                .acquire_empty(of_table().map(|s| s.lengths.len()).sum());
+            for s in of_table() {
+                indices.extend_from_slice(&s.indices);
+                lengths.extend_from_slice(&s.lengths);
+            }
+            SparseInput { indices, lengths }
         })
         .collect();
     (BatchInputs { dense, sparse }, row_counts)
@@ -96,7 +110,7 @@ mod tests {
     fn merge_then_split_roundtrips_dense_rows() {
         let a = inputs(2, 10.0);
         let b = inputs(3, 90.0);
-        let (merged, counts) = merge_inputs(&[&a, &b]);
+        let (merged, counts) = merge_inputs(&[&a, &b], &RuntimeCtx::default());
         assert_eq!(counts, vec![2, 3]);
         assert_eq!(merged.dense.rows(), 5);
         assert_eq!(merged.sparse[0].lengths.len(), 5);
@@ -109,7 +123,7 @@ mod tests {
     fn merge_concatenates_sparse_segments_in_order() {
         let a = inputs(1, 0.0);
         let b = inputs(2, 0.0);
-        let (merged, _) = merge_inputs(&[&a, &b]);
+        let (merged, _) = merge_inputs(&[&a, &b], &RuntimeCtx::default());
         assert_eq!(merged.sparse[0].indices, vec![0, 0, 1]);
         assert_eq!(merged.sparse[0].lengths, vec![1, 1, 1]);
     }

@@ -4,7 +4,8 @@
 //! Each worker blocks on the [`LaneQueues`] for its next batch — what
 //! the picked lane already holds, up to the cap — resolves the owning
 //! lane's serving epoch, merges the batch's request inputs
-//! ([`merge_inputs`]; a lone request's inputs are moved, not copied),
+//! ([`merge_inputs`]; a lone request's inputs are moved, not
+//! copied) into vectors its previous batch left in the worker's pools,
 //! runs the distributed model under
 //! [`DistributedModel::run_overlapped`] — so shard round-trips overlap
 //! with dense compute exactly as in PR 2's executor — then splits the
@@ -17,7 +18,7 @@ use super::queue::LaneQueues;
 use super::sla::{BatchMember, BatchRecord};
 use super::EpochSource;
 use crate::engine_trace::RpcTracingObserver;
-use dlrm_model::RuntimeCtx;
+use dlrm_model::{RuntimeCtx, Workspace};
 use dlrm_sharding::DistributedModel;
 use dlrm_trace::{ServerId, Span, SpanKind, TraceCollector, TraceId};
 use dlrm_workload::{BatchInputs, OnlineProfiler};
@@ -53,12 +54,14 @@ pub(crate) fn worker_loop(
     origin: Instant,
 ) {
     let _live = queues.worker();
-    // Per-worker runtime context: after the first few batches the
-    // buffer pool holds every dense store the model needs, so
-    // steady-state batches allocate no f32 backing stores. Consumer
-    // counts are static per partitioned graph — computed once per
-    // (lane, epoch) and shared by every batch workspace.
+    // Per-worker runtime context and workspace, kept across batches:
+    // each batch recycles its dense stores, index and length vectors
+    // into the context's pools and leaves its blob names in the
+    // workspace, and the next batch draws on both. Consumer counts are
+    // static per partitioned graph — computed once per (lane, epoch)
+    // and installed for each batch.
     let ctx = RuntimeCtx::from_env();
+    let mut ws = Workspace::with_ctx(ctx.clone());
     let mut consumers: Vec<Option<(u64, ConsumerCounts)>> = vec![None; lanes.len()];
     while let Some((i, seq, batch)) = queues.pickup() {
         let picked_at = Instant::now();
@@ -85,7 +88,7 @@ pub(crate) fn worker_loop(
         run_batch(
             model,
             epoch,
-            &ctx,
+            &mut ws,
             counts,
             origin,
             seq,
@@ -108,7 +111,7 @@ pub(crate) fn worker_loop(
 fn run_batch(
     model: &DistributedModel,
     epoch: u64,
-    ctx: &RuntimeCtx,
+    ws: &mut Workspace,
     consumers: &ConsumerCounts,
     origin: Instant,
     seq: u64,
@@ -129,17 +132,16 @@ fn run_batch(
     // `run_overlapped`, so they agree bit for bit.
     let (merged, row_counts) = match <[BatchInputs; 1]>::try_from(inputs) {
         Ok([only]) => (only, Vec::new()),
-        Err(inputs) => merge_inputs(&inputs.iter().collect::<Vec<_>>()),
+        Err(inputs) => merge_inputs(&inputs.iter().collect::<Vec<_>>(), ws.ctx()),
     };
-    let mut ws = dlrm_model::Workspace::with_ctx(ctx.clone());
     ws.set_consumer_counts(Arc::clone(consumers));
-    merged.load_owned(&model.spec, &mut ws);
+    merged.load_owned(&model.spec, ws);
 
     // The observer's clock starts at its construction; capture the same
     // instant so its spans re-base onto the frontend clock exactly.
     let exec_start = Instant::now();
     let mut obs = RpcTracingObserver::new(lead_trace);
-    let result = model.run_overlapped(&mut ws, &mut obs);
+    let result = model.run_overlapped(ws, &mut obs);
     let exec_end = Instant::now();
     let rpc = obs.tally();
     let failure_cause = result.is_err().then(|| rpc.failure.unwrap_or("engine"));
@@ -152,11 +154,11 @@ fn run_batch(
         let rows = split_rows(&m, &row_counts);
         // Predictions are copied out per request above; hand the
         // batch-level store back for the next batch to reuse.
-        ctx.buffers.release(m.into_vec());
+        ws.ctx().buffers.release(m.into_vec());
         rows.into_iter()
     });
     // Every leftover blob (inputs, multi-consumer intermediates) feeds
-    // the buffer pool before the workspace drops.
+    // the pools the next batch draws on.
     ws.recycle_all();
 
     let exec_start_ms = ms(origin, exec_start);

@@ -698,6 +698,24 @@ impl SparseShardClient for ReplicatedClient {
     }
 
     fn begin_execute(&self, request: &ShardRequest) -> Result<Box<dyn RpcCompletion>, RpcError> {
+        self.issue(|client| client.begin_execute(request))
+    }
+
+    fn begin_shared(
+        &self,
+        request: &Arc<ShardRequest>,
+    ) -> Result<Box<dyn RpcCompletion>, RpcError> {
+        self.issue(|client| client.begin_shared(request))
+    }
+}
+
+impl ReplicatedClient {
+    /// Sends one attempt, through `send`, to the next replica the
+    /// rotation and the health records allow.
+    fn issue(
+        &self,
+        send: impl Fn(&dyn SparseShardClient) -> Result<Box<dyn RpcCompletion>, RpcError>,
+    ) -> Result<Box<dyn RpcCompletion>, RpcError> {
         // Snapshot the seat list so a concurrent scale-up/scale-down
         // never blocks behind request IO (each seat is a bundle of
         // `Arc`s — the clone is cheap).
@@ -726,7 +744,7 @@ impl SparseShardClient for ReplicatedClient {
                 }
                 Selection::Healthy => {}
             }
-            match self.issue_on(conn, request, bypassed) {
+            match self.issue_on(conn, &send, bypassed) {
                 Ok(tracked) => return Ok(tracked),
                 Err(e) => {
                     last_err = Some(e);
@@ -741,26 +759,24 @@ impl SparseShardClient for ReplicatedClient {
             // into guaranteed failures.
             let conn = &seats[start];
             self.counters.probes.fetch_add(1, Ordering::Relaxed);
-            match self.issue_on(conn, request, bypassed) {
+            match self.issue_on(conn, &send, bypassed) {
                 Ok(tracked) => return Ok(tracked),
                 Err(e) => last_err = Some(e),
             }
         }
         Err(last_err.expect("at least one issue attempt was made"))
     }
-}
 
-impl ReplicatedClient {
     /// Issues one attempt on `conn`; on success wraps the completion so
     /// the reply outcome feeds the replica's health record. A send-side
     /// refusal (worker dead) is charged to the replica immediately.
     fn issue_on(
         &self,
         conn: &SeatConn,
-        request: &ShardRequest,
+        send: impl Fn(&dyn SparseShardClient) -> Result<Box<dyn RpcCompletion>, RpcError>,
         bypassed: u64,
     ) -> Result<Box<dyn RpcCompletion>, RpcError> {
-        match conn.client.begin_execute(request) {
+        match send(conn.client.as_ref()) {
             Ok(inner) => {
                 if bypassed > 0 {
                     self.counters.failovers.fetch_add(bypassed, Ordering::Relaxed);

@@ -29,6 +29,7 @@
 use crate::fault::{serve_under_fault, ReplicaFaultSchedule, Served};
 use crate::tcp::{listen_loopback, POLL_TICK};
 use crate::wire::{self, Message, ReadError};
+use dlrm_model::BufferPool;
 use dlrm_sharding::rpc::{RpcError, ShardRequest};
 use dlrm_sharding::{ShardId, ShardService};
 use std::collections::HashMap;
@@ -232,7 +233,10 @@ impl Drop for TcpShardServer {
 fn serve_connection(mut conn: TcpStream, shared: &Arc<ServerShared>) {
     let _ = conn.set_nodelay(true);
     let _ = conn.set_read_timeout(Some(POLL_TICK));
+    // Per-connection frame buffers: requests are read into `scratch`,
+    // replies encoded into `frame`, each grown once to its largest.
     let mut scratch = Vec::new();
+    let mut frame = Vec::new();
     loop {
         if shared.state() == STOPPED {
             return; // abrupt: in-flight replies on this conn are lost
@@ -246,7 +250,7 @@ fn serve_connection(mut conn: TcpStream, shared: &Arc<ServerShared>) {
         };
         match message {
             Message::Request { id, shard, request } => {
-                if !serve_request(&mut conn, shared, id, shard, &request) {
+                if !serve_request(&mut conn, &mut frame, shared, id, shard, &request) {
                     return;
                 }
             }
@@ -278,10 +282,24 @@ fn serve_connection(mut conn: TcpStream, shared: &Arc<ServerShared>) {
     }
 }
 
+/// Writes `msg` through the connection's reply buffer. A reply's pooled
+/// outputs go back to the shared pool the shard draws them from.
+fn send_reply(conn: &mut TcpStream, frame: &mut Vec<u8>, msg: Message) -> bool {
+    use std::io::Write as _;
+    wire::encode_message_into(&msg, frame);
+    if let Message::ReplyOk { response, .. } = msg {
+        for (_, pooled) in response.pooled {
+            BufferPool::shared().release(pooled.into_vec());
+        }
+    }
+    conn.write_all(frame).and_then(|()| conn.flush()).is_ok()
+}
+
 /// Serves one data-plane request. Returns `false` when the connection
 /// must close (crash fault, dropped reply, dead peer).
 fn serve_request(
     conn: &mut TcpStream,
+    frame: &mut Vec<u8>,
     shared: &Arc<ServerShared>,
     id: u64,
     shard: ShardId,
@@ -299,13 +317,13 @@ fn serve_request(
             shard,
             message: "server is draining".to_string(),
         };
-        return wire::write_message(conn, &Message::ReplyErr { id, error }).is_ok();
+        return send_reply(conn, frame, Message::ReplyErr { id, error });
     }
     let (reply, keep_conn) = execute_with_faults(shared, id, shard, request);
     shared.in_flight.fetch_sub(1, Ordering::SeqCst);
     shared.served.fetch_add(1, Ordering::SeqCst);
     match reply {
-        Some(msg) => keep_conn && wire::write_message(conn, &msg).is_ok(),
+        Some(msg) => keep_conn && send_reply(conn, frame, msg),
         None => keep_conn,
     }
 }

@@ -86,34 +86,49 @@ pub(crate) fn listen_loopback<S: Send + Sync + 'static>(
 }
 
 /// Idle connections kept per client; excess connections are closed on
-/// check-in. Two covers the steady state (primary + one hedge).
+/// check-in. The steady state needs one per RPC in flight to this seat
+/// at once: a primary and a hedge per concurrent batch.
 const POOL_CAP: usize = 4;
 
 /// Floor for socket read timeouts: `set_read_timeout(0)` is an error,
 /// and sub-100µs timeouts just burn syscalls.
 const MIN_READ_TIMEOUT: Duration = Duration::from_micros(100);
 
+/// One connection and the frame buffers that travel with it: the
+/// request it encodes into and the reply bytes it reads into, each
+/// grown once to the largest frame it has carried.
+#[derive(Debug)]
+struct Conn {
+    stream: TcpStream,
+    frame: Vec<u8>,
+    scratch: Vec<u8>,
+}
+
 /// A pool of idle connections to one shard-server address.
 #[derive(Debug)]
 struct ConnPool {
     addr: SocketAddr,
     connect_timeout: Duration,
-    idle: Mutex<Vec<TcpStream>>,
+    idle: Mutex<Vec<Conn>>,
 }
 
 impl ConnPool {
     /// Checks out an idle connection or dials a new one.
-    fn checkout(&self) -> io::Result<TcpStream> {
+    fn checkout(&self) -> io::Result<Conn> {
         if let Some(conn) = self.idle.lock().expect("conn pool lock").pop() {
             return Ok(conn);
         }
-        let conn = TcpStream::connect_timeout(&self.addr, self.connect_timeout)?;
-        conn.set_nodelay(true)?;
-        Ok(conn)
+        let stream = TcpStream::connect_timeout(&self.addr, self.connect_timeout)?;
+        stream.set_nodelay(true)?;
+        Ok(Conn {
+            stream,
+            frame: Vec::new(),
+            scratch: Vec::new(),
+        })
     }
 
     /// Returns a connection whose call settled cleanly.
-    fn checkin(&self, conn: TcpStream) {
+    fn checkin(&self, conn: Conn) {
         let mut idle = self.idle.lock().expect("conn pool lock");
         if idle.len() < POOL_CAP {
             idle.push(conn);
@@ -194,30 +209,39 @@ impl SparseShardClient for TcpShardClient {
         self.begin_execute(request)?.wait()
     }
 
+    /// Encodes the shared request straight into the connection's frame,
+    /// like a borrowed one.
+    fn begin_shared(
+        &self,
+        request: &Arc<ShardRequest>,
+    ) -> Result<Box<dyn RpcCompletion>, RpcError> {
+        self.begin_execute(request)
+    }
+
     fn begin_execute(&self, request: &ShardRequest) -> Result<Box<dyn RpcCompletion>, RpcError> {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let t0 = Instant::now();
-        let frame = wire::encode_request_frame(id, self.shard, request);
-        self.stats.add_serde(t0.elapsed());
-
         let mut conn = self
             .pool
             .checkout()
             .map_err(|e| self.transport_err(format!("connect {}: {e}", self.pool.addr)))?;
+        let t0 = Instant::now();
+        wire::encode_request_frame_into(id, self.shard, request, &mut conn.frame);
+        self.stats.add_serde(t0.elapsed());
         {
             use std::io::Write as _;
-            conn.write_all(&frame)
-                .and_then(|()| conn.flush())
+            let Conn { stream, frame, .. } = &mut conn;
+            stream
+                .write_all(frame)
+                .and_then(|()| stream.flush())
                 .map_err(|e| self.transport_err(format!("send to {}: {e}", self.pool.addr)))?;
         }
-        self.stats.on_wire_sent(frame.len());
+        self.stats.on_wire_sent(conn.frame.len());
         self.stats.on_issue();
         self.stats.add_rows_sent(request.total_lookups() as u64);
         Ok(Box::new(TcpCompletion {
             shard: self.shard,
             id,
             conn: Some(conn),
-            scratch: Vec::new(),
             pool: Arc::clone(&self.pool),
             stats: Arc::clone(&self.stats),
             settled: false,
@@ -229,10 +253,9 @@ impl SparseShardClient for TcpShardClient {
 struct TcpCompletion {
     shard: ShardId,
     id: u64,
-    /// The connection this call owns; `None` after settling.
-    conn: Option<TcpStream>,
-    /// Partial reply bytes carried across bounded waits.
-    scratch: Vec<u8>,
+    /// The connection this call owns, its scratch holding partial reply
+    /// bytes across bounded waits; `None` after settling.
+    conn: Option<Conn>,
     pool: Arc<ConnPool>,
     stats: Arc<RpcStats>,
     settled: bool,
@@ -256,7 +279,7 @@ impl TcpCompletion {
         self.stats.on_settle();
         self.settled = true;
         match self.conn.take() {
-            Some(conn) if reusable && self.scratch.is_empty() => self.pool.checkin(conn),
+            Some(conn) if reusable && conn.scratch.is_empty() => self.pool.checkin(conn),
             _ => {} // drop closes it
         }
         result
@@ -266,13 +289,13 @@ impl TcpCompletion {
     /// forever.
     fn poll_reply(&mut self, timeout: Option<Duration>) -> Option<Result<ShardResponse, RpcError>> {
         let conn = self.conn.as_mut().expect("unsettled completion has a conn");
-        if conn.set_read_timeout(timeout).is_err() {
+        if conn.stream.set_read_timeout(timeout).is_err() {
             return Some(Err(RpcError::Transport {
                 shard: self.shard,
                 message: "could not arm read timeout".to_string(),
             }));
         }
-        match wire::read_message(conn, &mut self.scratch) {
+        match wire::read_message(&mut conn.stream, &mut conn.scratch) {
             Ok(frame) => {
                 self.stats.on_wire_received(frame.bytes);
                 self.stats.add_serde(frame.decode_time);

@@ -85,9 +85,10 @@ impl std::fmt::Display for WireTotals {
     }
 }
 
-/// One in-flight RPC: the request plus the reply channel.
+/// One in-flight RPC: the request, shared with the caller, plus the
+/// reply channel.
 pub(crate) struct Envelope {
-    request: ShardRequest,
+    request: Arc<ShardRequest>,
     reply: SyncSender<Result<ShardResponse, RpcError>>,
 }
 
@@ -272,16 +273,20 @@ fn worker_loop(
     // Serves one envelope; `false` means the worker crashed (the
     // envelope's reply sender drops, so the caller sees a transport
     // loss, and every later send to this replica fails too).
-    let mut serve = |envelope: Envelope| -> bool {
+    let mut serve = |Envelope { request, reply }: Envelope| -> bool {
         let action = faults.action_at(ordinal);
         ordinal += 1;
-        match serve_under_fault(service, &envelope.request, delay, action) {
+        let served = serve_under_fault(service, &request, delay, action);
+        // Let go of the request before replying, so the caller that
+        // collects the reply holds it alone and can recycle its vectors.
+        drop(request);
+        match served {
             Served::Crashed => false,
             Served::Dropped => true,
             Served::Reply(result) => {
                 // A dropped reply channel means the caller gave up;
                 // nothing to do (stateless).
-                let _ = envelope.reply.send(result);
+                let _ = reply.send(result);
                 true
             }
         }
@@ -374,11 +379,17 @@ impl SparseShardClient for ThreadedClient {
         self.begin_execute(request)?.wait()
     }
 
-    fn begin_execute(&self, request: &ShardRequest) -> Result<Box<dyn RpcCompletion>, RpcError> {
+    /// Hands the shared request to the worker thread: no copy per send.
+    /// (The trait's `begin_execute` copies a borrowed request once and
+    /// sends it through here.)
+    fn begin_shared(
+        &self,
+        request: &Arc<ShardRequest>,
+    ) -> Result<Box<dyn RpcCompletion>, RpcError> {
         let (reply_tx, reply_rx) = sync_channel(1);
         self.tx
             .send(WorkerMsg::Call(Envelope {
-                request: request.clone(),
+                request: Arc::clone(request),
                 reply: reply_tx,
             }))
             .map_err(|_| RpcError::Transport {

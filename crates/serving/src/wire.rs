@@ -389,23 +389,36 @@ fn encode_payload(msg: &Message, out: &mut Vec<u8>) {
     }
 }
 
-fn frame_with(kind: u8, payload_len: usize, fill: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_LEN + payload_len);
+/// Replaces `out`'s contents with one frame, reserving its exact size
+/// up front: a buffer reused across frames stops growing once it has
+/// held the largest.
+fn frame_into(out: &mut Vec<u8>, kind: u8, payload_len: usize, fill: impl FnOnce(&mut Vec<u8>)) {
+    out.clear();
+    out.reserve(HEADER_LEN + payload_len);
     out.extend_from_slice(&MAGIC);
     out.push(WIRE_VERSION);
     out.push(kind);
-    put_u16(&mut out, 0); // reserved
-    put_u32(&mut out, 0); // payload length backpatched below
-    fill(&mut out);
+    put_u16(out, 0); // reserved
+    put_u32(out, 0); // payload length backpatched below
+    fill(out);
     let len = (out.len() - HEADER_LEN) as u32;
     out[8..12].copy_from_slice(&len.to_le_bytes());
-    out
 }
 
 /// Encodes one complete frame (header + payload).
 #[must_use]
 pub fn encode_message(msg: &Message) -> Vec<u8> {
-    frame_with(msg.kind(), payload_len_hint(msg), |out| encode_payload(msg, out))
+    let mut out = Vec::new();
+    encode_message_into(msg, &mut out);
+    out
+}
+
+/// [`encode_message`] into a caller's buffer, replacing its contents —
+/// the shard server reuses one per connection for its replies.
+pub(crate) fn encode_message_into(msg: &Message, out: &mut Vec<u8>) {
+    frame_into(out, msg.kind(), payload_len_hint(msg), |out| {
+        encode_payload(msg, out)
+    });
 }
 
 /// Encodes a data-plane request frame without cloning the request —
@@ -413,7 +426,22 @@ pub fn encode_message(msg: &Message) -> Vec<u8> {
 /// going through [`encode_message`] would copy every index vector).
 #[must_use]
 pub fn encode_request_frame(id: u64, shard: ShardId, request: &ShardRequest) -> Vec<u8> {
-    frame_with(1, request_payload_len(request), |out| put_request(out, id, shard, request))
+    let mut out = Vec::new();
+    encode_request_frame_into(id, shard, request, &mut out);
+    out
+}
+
+/// [`encode_request_frame`] into a caller's buffer, replacing its
+/// contents — the TCP client reuses one per pooled connection.
+pub(crate) fn encode_request_frame_into(
+    id: u64,
+    shard: ShardId,
+    request: &ShardRequest,
+    out: &mut Vec<u8>,
+) {
+    frame_into(out, 1, request_payload_len(request), |out| {
+        put_request(out, id, shard, request)
+    });
 }
 
 // ---------------------------------------------------------------------

@@ -301,7 +301,7 @@ fn hedged_rpc(spec: &ModelSpec, client: Arc<dyn SparseShardClient>) -> RpcOutcom
     });
     let mut ws = Workspace::new();
     ws.put("in", Blob::Sparse(SparseInput::new(vec![0, 1], vec![2])));
-    let (outcome, result) = op.begin(&ws).expect("the input is loaded").collect(&mut ws);
+    let (outcome, result) = op.begin(&mut ws).expect("the input is loaded").collect(&mut ws);
     result.expect("a reply");
     outcome
 }
@@ -502,7 +502,10 @@ impl SparseShardClient for FailingShard {
     fn execute(&self, _request: &ShardRequest) -> Result<ShardResponse, RpcError> {
         Err(self.error.clone())
     }
-    fn begin_execute(&self, request: &ShardRequest) -> Result<Box<dyn RpcCompletion>, RpcError> {
+    fn begin_shared(
+        &self,
+        request: &Arc<ShardRequest>,
+    ) -> Result<Box<dyn RpcCompletion>, RpcError> {
         if self.at_send {
             return Err(self.error.clone());
         }

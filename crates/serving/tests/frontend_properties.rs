@@ -110,8 +110,8 @@ fn sequential_predictions(dist: &DistributedModel, inputs: &[BatchInputs]) -> Ve
 /// Runs a group of requests as ONE merged engine batch and splits back.
 fn batched_predictions(dist: &DistributedModel, inputs: &[BatchInputs]) -> Vec<Matrix> {
     let parts: Vec<&BatchInputs> = inputs.iter().collect();
-    let (merged, counts) = merge_inputs(&parts);
     let mut ws = Workspace::new();
+    let (merged, counts) = merge_inputs(&parts, ws.ctx());
     merged.load_into(&dist.spec, &mut ws);
     let out = dist.run_overlapped(&mut ws, &mut NoopObserver).unwrap();
     split_rows(&out, &counts)

@@ -104,10 +104,13 @@ impl SparseShardClient for CountingClient {
     fn execute(&self, request: &ShardRequest) -> Result<ShardResponse, RpcError> {
         self.inner.execute(request)
     }
-    fn begin_execute(&self, request: &ShardRequest) -> Result<Box<dyn RpcCompletion>, RpcError> {
+    fn begin_shared(
+        &self,
+        request: &Arc<ShardRequest>,
+    ) -> Result<Box<dyn RpcCompletion>, RpcError> {
         self.tally.issued.fetch_add(1, Ordering::SeqCst);
         Ok(Box::new(CountingCompletion {
-            inner: self.inner.begin_execute(request)?,
+            inner: self.inner.begin_shared(request)?,
             tally: Arc::clone(&self.tally),
         }))
     }
@@ -296,9 +299,9 @@ impl SparseShardClient for FailingClient {
             message: "injected shard failure".to_string(),
         })
     }
-    fn begin_execute(
+    fn begin_shared(
         &self,
-        request: &ShardRequest,
+        request: &Arc<ShardRequest>,
     ) -> Result<Box<dyn dlrm_sharding::rpc::RpcCompletion>, RpcError> {
         if self.fail_at_send {
             return Err(RpcError::Transport {

@@ -17,8 +17,8 @@ use dlrm_model::graph::{
     AsyncOperator, Blob, GraphError, Operator, PendingOp, RpcAttempt, RpcAttemptKind, RpcOutcome,
     SparseInput, Workspace,
 };
-use dlrm_model::{NetId, OpGroup, TableId};
-use dlrm_tensor::simd::{self, KernelStats, SimdLevel};
+use dlrm_model::{BufferPool, NetId, OpGroup, TableId};
+use dlrm_tensor::simd::{self, KernelStats};
 use dlrm_tensor::Matrix;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -191,11 +191,10 @@ pub trait SparseShardClient: std::fmt::Debug + Send + Sync {
 
     /// Starts one request without waiting for the reply, returning a
     /// completion handle — the transport half of the asynchronous RPC
-    /// operators (§IV-A). The default implementation executes
-    /// synchronously and wraps the finished result, which is correct
-    /// (though unoverlapped) for direct-call clients; real transports
-    /// (the thread-backed pool) override it to send now and receive at
-    /// [`RpcCompletion::wait_until`].
+    /// operators (§IV-A). The default copies the borrowed request once
+    /// and sends the copy through [`Self::begin_shared`]; a transport
+    /// that can send straight from a borrow (TCP encodes it into a
+    /// frame) overrides this too.
     ///
     /// # Errors
     ///
@@ -203,6 +202,25 @@ pub trait SparseShardClient: std::fmt::Debug + Send + Sync {
     /// (transport down). Shard-side failures may instead surface from
     /// the completion.
     fn begin_execute(&self, request: &ShardRequest) -> Result<Box<dyn RpcCompletion>, RpcError> {
+        self.begin_shared(&Arc::new(request.clone()))
+    }
+
+    /// [`Self::begin_execute`] for a request the caller shares: the send
+    /// hook a transport overrides, and what the RPC operator sends
+    /// through, so a transport that hands the request to another thread
+    /// shares it instead of copying it — once per transmission, retries
+    /// and hedges included. The default executes synchronously and wraps
+    /// the finished result, which is correct (though unoverlapped) for
+    /// direct-call clients; real transports send now and receive at
+    /// [`RpcCompletion::wait_until`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::begin_execute`].
+    fn begin_shared(
+        &self,
+        request: &Arc<ShardRequest>,
+    ) -> Result<Box<dyn RpcCompletion>, RpcError> {
         Ok(Box::new(ReadyResponse(self.execute(request))))
     }
 }
@@ -240,7 +258,7 @@ pub trait RpcCompletion: Send {
 }
 
 /// An [`RpcCompletion`] that already holds its result — what the default
-/// synchronous [`SparseShardClient::begin_execute`] returns.
+/// synchronous [`SparseShardClient::begin_shared`] returns.
 pub struct ReadyResponse(pub Result<ShardResponse, RpcError>);
 
 impl RpcCompletion for ReadyResponse {
@@ -426,13 +444,26 @@ impl SparseRpc {
     pub fn build_request(&self, ws: &Workspace) -> Result<ShardRequest, GraphError> {
         let mut slices = Vec::with_capacity(self.fetches.len());
         for f in self.fetches.iter() {
-            let sparse = ws.sparse(&f.input_blob, &self.name)?;
-            slices.push(route_slice(f, sparse));
+            slices.push(self.routed_slice(f, ws)?);
         }
         Ok(ShardRequest {
             net: self.net,
             slices,
         })
+    }
+
+    /// One fetch's slice, routed from its input blob into index and
+    /// length vectors drawn from the workspace's pools.
+    fn routed_slice(&self, f: &RpcFetch, ws: &Workspace) -> Result<TableSlice, GraphError> {
+        let sparse = ws.sparse(&f.input_blob, &self.name)?;
+        let ctx = ws.ctx();
+        let mut slice = TableSlice {
+            table: f.table,
+            indices: ctx.indices.acquire_empty(sparse.indices.len()),
+            lengths: ctx.lengths.acquire_empty(sparse.lengths.len()),
+        };
+        route_into(f, sparse, &mut slice);
+        Ok(slice)
     }
 
     /// Issue half of the operator: builds the request from the
@@ -441,15 +472,40 @@ impl SparseRpc {
     /// the first failed attempt: it settles in the collect half, which
     /// owns the retry loop, like any other.
     ///
+    /// A whole-table input whose only reader is this operator (consumer
+    /// count 1) is moved into the request, so its indices are not copied
+    /// between the request and the shard at all. Any other input — a
+    /// row-split table's, which every part's operator reads, included —
+    /// is routed into vectors from the workspace's pools.
+    ///
     /// # Errors
     ///
     /// Propagates missing/mistyped input blobs.
-    pub fn begin(&self, ws: &Workspace) -> Result<PendingSparseRpc, GraphError> {
+    pub fn begin(&self, ws: &mut Workspace) -> Result<PendingSparseRpc, GraphError> {
+        let mut slices = Vec::with_capacity(self.fetches.len());
+        for f in self.fetches.iter() {
+            let moved = if f.parts == 1 {
+                ws.take_sparse(&f.input_blob, &self.name)?
+            } else {
+                None
+            };
+            slices.push(match moved {
+                Some(s) => TableSlice {
+                    table: f.table,
+                    indices: s.indices,
+                    lengths: s.lengths,
+                },
+                None => self.routed_slice(f, ws)?,
+            });
+        }
         let mut pending = PendingSparseRpc {
             op: Arc::clone(&self.name),
             fetches: Arc::clone(&self.fetches),
             client: Arc::clone(&self.client),
-            request: self.build_request(ws)?,
+            request: Arc::new(ShardRequest {
+                net: self.net,
+                slices,
+            }),
             policy: self.policy,
             outs: vec![None; self.fetches.len()],
             wired: (0..self.fetches.len()).map(|fi| (fi, None)).collect(),
@@ -458,7 +514,7 @@ impl SparseRpc {
             last_error: None,
         };
         if let Some(cache) = &self.cache {
-            pending.split_cached(cache, simd::effective_level(ws.pool().dispatch().level()));
+            pending.split_cached(cache, ws);
         }
         // A fully cache-served op has nothing to send.
         if !pending.request.slices.is_empty() {
@@ -485,14 +541,16 @@ pub struct PendingSparseRpc {
     op: Arc<str>,
     fetches: Arc<[RpcFetch]>,
     client: Arc<dyn SparseShardClient>,
-    request: ShardRequest,
+    /// Shared with every transmission; its vectors go back to the
+    /// workspace's pools at collect.
+    request: Arc<ShardRequest>,
     policy: RpcPolicy,
     /// One output per fetch: pooled from the cache at issue time (its
     /// cold bags still zero), or `None` until the reply fills it.
     outs: Vec<Option<Matrix>>,
     /// For each wired slice, in request order: its fetch and, when the
     /// cache split that fetch, the output row of each wired bag.
-    wired: Vec<(usize, Option<Vec<usize>>)>,
+    wired: Vec<(usize, Option<Vec<u32>>)>,
     /// The cache counters, then every attempt as it settles.
     outcome: RpcOutcome,
     in_flight: Vec<InFlightAttempt>,
@@ -514,6 +572,19 @@ impl PendingSparseRpc {
     /// shape).
     pub fn collect(mut self, ws: &mut Workspace) -> (RpcOutcome, Result<(), GraphError>) {
         let result = self.settle(ws);
+        // The request's vectors and the split's row lists feed the next
+        // batch — unless a losing hedge's transport still holds the
+        // request, which then frees it.
+        let ctx = ws.ctx();
+        if let Ok(request) = Arc::try_unwrap(self.request) {
+            for slice in request.slices {
+                ctx.indices.release(slice.indices);
+                ctx.lengths.release(slice.lengths);
+            }
+        }
+        for rows in self.wired.into_iter().filter_map(|(_, rows)| rows) {
+            ctx.lengths.release(rows);
+        }
         (self.outcome, result)
     }
 
@@ -597,52 +668,68 @@ impl PendingSparseRpc {
 
     /// Compacts the routed request against the hot-row cache: each bag
     /// whose rows are all resident is pooled into its fetch's output
-    /// here, and only the bags with a cold row stay on the wire. The
-    /// cache is keyed by global row, `local · parts + part`.
-    fn split_cached(&mut self, cache: &HotRowCache, level: SimdLevel) {
+    /// here, and only the bags with a cold row stay on the wire, in a
+    /// slice sized once from the first pass's count. The cache is keyed
+    /// by global row, `local · parts + part`. Outputs, row lists and
+    /// cold slices come from the workspace's pools, and the routed
+    /// slices go back to them.
+    fn split_cached(&mut self, cache: &HotRowCache, ws: &Workspace) {
+        let ctx = ws.ctx();
+        let level = simd::effective_level(ws.pool().dispatch().level());
         let (mut hits, mut misses, mut local_rows) = (0u64, 0u64, 0u64);
         let mut slots = Vec::new();
-        let routed = std::mem::take(&mut self.request.slices);
+        let request =
+            Arc::get_mut(&mut self.request).expect("a request is split before it is sent");
+        let routed = std::mem::take(&mut request.slices);
         self.wired.clear();
         for (fi, slice) in routed.into_iter().enumerate() {
             let f = &self.fetches[fi];
             let Some(tc) = cache.table(f.table) else {
-                self.request.slices.push(slice);
+                request.slices.push(slice);
                 self.wired.push((fi, None));
                 continue;
             };
             let (parts, part) = (f.parts as u64, f.part as u64);
-            let mut out = Matrix::zeros(slice.lengths.len(), f.dim);
-            let mut cold = TableSlice {
-                table: f.table,
-                indices: Vec::new(),
-                lengths: Vec::new(),
-            };
-            let mut rows = Vec::new();
-            let mut cursor = 0usize;
-            for (b, &len) in slice.lengths.iter().enumerate() {
-                let bag = &slice.indices[cursor..cursor + len as usize];
-                cursor += len as usize;
+            let mut out = ws.alloc_dense(slice.lengths.len(), f.dim);
+            let mut rows = ctx.lengths.acquire_empty(slice.lengths.len());
+            let mut cold_lookups = 0usize;
+            for (b, bag) in bags(&slice).enumerate() {
+                let len = bag.len() as u64;
                 if tc.resolve(bag.iter().map(|&local| local * parts + part), &mut slots) {
                     // Empty routed bags are vacuously local but say
                     // nothing about the cache — skip counts.
                     if len > 0 {
                         hits += 1;
-                        local_rows += u64::from(len);
+                        local_rows += len;
                     }
                     tc.pool_slots(level, &slots, out.row_mut(b));
                 } else {
                     misses += 1;
-                    cold.indices.extend_from_slice(bag);
-                    cold.lengths.push(len);
-                    rows.push(b);
+                    cold_lookups += bag.len();
+                    rows.push(u32::try_from(b).expect("batch rows fit u32"));
                 }
             }
             self.outs[fi] = Some(out);
-            if !rows.is_empty() {
-                self.request.slices.push(cold);
+            if rows.is_empty() {
+                ctx.lengths.release(rows);
+            } else {
+                let mut cold = TableSlice {
+                    table: f.table,
+                    indices: ctx.indices.acquire_empty(cold_lookups),
+                    lengths: ctx.lengths.acquire_empty(rows.len()),
+                };
+                let mut next = rows.iter().peekable();
+                for (b, bag) in bags(&slice).enumerate() {
+                    if next.next_if(|&&row| row as usize == b).is_some() {
+                        cold.indices.extend_from_slice(bag);
+                        cold.lengths.push(bag.len() as u32);
+                    }
+                }
+                request.slices.push(cold);
                 self.wired.push((fi, Some(rows)));
             }
+            ctx.indices.release(slice.indices);
+            ctx.lengths.release(slice.lengths);
         }
         if local_rows > 0 {
             KernelStats::global().record_sls(level, local_rows as usize);
@@ -656,7 +743,7 @@ impl PendingSparseRpc {
     /// fails at once is recorded as a failed attempt and becomes the
     /// last error.
     fn send(&mut self, kind: RpcAttemptKind) {
-        match self.client.begin_execute(&self.request) {
+        match self.client.begin_shared(&self.request) {
             Ok(completion) => self.in_flight.push(InFlightAttempt {
                 completion,
                 issued_at: Instant::now(),
@@ -712,7 +799,7 @@ impl PendingSparseRpc {
     /// slice, in request order — and writes the outputs: a fetch wired
     /// whole takes its matrix, a cache-split fetch gets the rows
     /// scattered back to its cold bags.
-    fn write_response(&mut self, ws: &mut Workspace, response: ShardResponse) -> Result<(), GraphError> {
+    fn write_response(&mut self, ws: &mut Workspace, mut response: ShardResponse) -> Result<(), GraphError> {
         if response.pooled.len() != self.wired.len() {
             return Err(self.op_failed(format!(
                 "shard returned {} tables, expected {}",
@@ -721,8 +808,8 @@ impl PendingSparseRpc {
             )));
         }
         let wired = self.request.slices.iter().zip(&self.wired);
-        for ((table, pooled), (slice, (fi, rows))) in response.pooled.into_iter().zip(wired) {
-            let f = &self.fetches[*fi];
+        for ((table, pooled), (slice, (fi, rows))) in response.pooled.iter_mut().zip(wired) {
+            let (table, f) = (*table, &self.fetches[*fi]);
             if table != f.table {
                 return Err(self.op_failed(format!("shard answered {table}, expected {}", f.table)));
             }
@@ -736,14 +823,20 @@ impl PendingSparseRpc {
                 )));
             }
             match rows {
-                None => self.outs[*fi] = Some(pooled),
+                None => self.outs[*fi] = Some(std::mem::replace(pooled, Matrix::zeros(0, 0))),
                 Some(rows) => {
                     let out = self.outs[*fi].as_mut().expect("a split fetch is pooled at issue");
                     for (j, &b) in rows.iter().enumerate() {
-                        out.row_mut(b).copy_from_slice(pooled.row(j));
+                        out.row_mut(b as usize).copy_from_slice(pooled.row(j));
                     }
                 }
             }
+        }
+        // The split fetches' reply stores go straight back to the shared
+        // pool the shards draw from, not to the workspace's, whose
+        // demand they are not part of.
+        for (_, pooled) in response.pooled {
+            BufferPool::shared().release(pooled.into_vec());
         }
         self.write_outputs(ws);
         Ok(())
@@ -755,12 +848,12 @@ impl PendingSparseRpc {
     fn write_outputs(&mut self, ws: &mut Workspace) {
         for (slice, &(fi, _)) in self.request.slices.iter().zip(&self.wired) {
             if self.outs[fi].is_none() {
-                self.outs[fi] = Some(Matrix::zeros(slice.lengths.len(), self.fetches[fi].dim));
+                self.outs[fi] = Some(ws.alloc_dense(slice.lengths.len(), self.fetches[fi].dim));
             }
         }
         for (f, out) in self.fetches.iter().zip(self.outs.drain(..)) {
             let out = out.expect("every fetch is pooled, answered or zeroed");
-            ws.put(f.output_blob.clone(), Blob::Dense(out));
+            ws.put(f.output_blob.as_str(), Blob::Dense(out));
         }
     }
 }
@@ -799,40 +892,41 @@ impl PendingOp for PendingSparseRpc {
 }
 
 impl AsyncOperator for SparseRpc {
-    fn issue(&self, ws: &Workspace) -> Result<Box<dyn PendingOp>, GraphError> {
+    fn issue(&self, ws: &mut Workspace) -> Result<Box<dyn PendingOp>, GraphError> {
         Ok(Box::new(self.begin(ws)?))
     }
 }
 
-/// Applies modulus routing to one sparse input.
-fn route_slice(fetch: &RpcFetch, sparse: &SparseInput) -> TableSlice {
+/// A slice's bags, in order: `lengths[b]` consecutive indices each.
+fn bags(slice: &TableSlice) -> impl Iterator<Item = &[u64]> {
+    let mut cursor = 0usize;
+    slice.lengths.iter().map(move |&len| {
+        cursor += len as usize;
+        &slice.indices[cursor - len as usize..cursor]
+    })
+}
+
+/// Applies modulus routing to one sparse input, appending to `slice`'s
+/// (empty) vectors.
+fn route_into(fetch: &RpcFetch, sparse: &SparseInput, slice: &mut TableSlice) {
     if fetch.parts == 1 {
-        return TableSlice {
-            table: fetch.table,
-            indices: sparse.indices.clone(),
-            lengths: sparse.lengths.clone(),
-        };
+        slice.indices.extend_from_slice(&sparse.indices);
+        slice.lengths.extend_from_slice(&sparse.lengths);
+        return;
     }
     let parts = fetch.parts as u64;
     let part = fetch.part as u64;
-    let mut indices = Vec::new();
-    let mut lengths = Vec::with_capacity(sparse.lengths.len());
     let mut cursor = 0usize;
     for &len in &sparse.lengths {
         let mut kept = 0u32;
         for &idx in &sparse.indices[cursor..cursor + len as usize] {
             if idx % parts == part {
-                indices.push(idx / parts);
+                slice.indices.push(idx / parts);
                 kept += 1;
             }
         }
-        lengths.push(kept);
+        slice.lengths.push(kept);
         cursor += len as usize;
-    }
-    TableSlice {
-        table: fetch.table,
-        indices,
-        lengths,
     }
 }
 
@@ -865,6 +959,16 @@ impl Operator for SparseRpc {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU32, Ordering};
+
+    fn route_slice(f: &RpcFetch, s: &SparseInput) -> TableSlice {
+        let mut slice = TableSlice {
+            table: f.table,
+            indices: Vec::new(),
+            lengths: Vec::new(),
+        };
+        route_into(f, s, &mut slice);
+        slice
+    }
 
     fn fetch() -> RpcFetch {
         RpcFetch {
@@ -1013,7 +1117,10 @@ mod tests {
         fn execute(&self, request: &ShardRequest) -> Result<ShardResponse, RpcError> {
             ZeroClient.execute(request)
         }
-        fn begin_execute(&self, request: &ShardRequest) -> Result<Box<dyn RpcCompletion>, RpcError> {
+        fn begin_shared(
+            &self,
+            request: &Arc<ShardRequest>,
+        ) -> Result<Box<dyn RpcCompletion>, RpcError> {
             if self.sends.fetch_add(1, Ordering::SeqCst) < self.stuck {
                 return Ok(Box::new(StuckCompletion(Arc::clone(&self.abandoned))));
             }
@@ -1123,7 +1230,7 @@ mod tests {
     fn issue_collect_round_trip_writes_outputs() {
         let op = SparseRpc::new("rpc", NetId(0), Arc::new(ZeroClient), vec![fetch()]);
         let mut ws = ws_with_input();
-        let pending = op.begin(&ws).unwrap();
+        let pending = op.begin(&mut ws).unwrap();
         let outcome = settled(pending.collect(&mut ws));
         assert!(ws.dense("out", "t").is_ok());
         assert_eq!(outcome.retries, 0);
@@ -1148,7 +1255,7 @@ mod tests {
             },
         );
         let mut ws = ws_with_input();
-        let outcome = settled(op.begin(&ws).unwrap().collect(&mut ws));
+        let outcome = settled(op.begin(&mut ws).unwrap().collect(&mut ws));
         assert_eq!(outcome.retries, 2);
         assert!(!outcome.degraded);
         assert!(ws.dense("out", "t").is_ok());
@@ -1167,7 +1274,7 @@ mod tests {
             },
         );
         let mut ws = ws_with_input();
-        let (outcome, result) = op.begin(&ws).unwrap().collect(&mut ws);
+        let (outcome, result) = op.begin(&mut ws).unwrap().collect(&mut ws);
         let err = result.unwrap_err();
         assert!(err.to_string().contains("transport"), "{err}");
         // The failed op still reports both attempts and its cause.
@@ -1189,7 +1296,7 @@ mod tests {
             },
         );
         let mut ws = ws_with_input();
-        let outcome = settled(op.begin(&ws).unwrap().collect(&mut ws));
+        let outcome = settled(op.begin(&mut ws).unwrap().collect(&mut ws));
         assert!(outcome.degraded);
         assert_eq!(outcome.error_kind, Some("transport"));
         assert_eq!(outcome.retries, 1);
@@ -1219,7 +1326,7 @@ mod tests {
             },
         );
         let mut ws = ws_with_input();
-        let err = op.begin(&ws).unwrap().collect(&mut ws).1.unwrap_err();
+        let err = op.begin(&mut ws).unwrap().collect(&mut ws).1.unwrap_err();
         assert!(err.to_string().contains("not hosted"), "{err}");
         // Exactly one call went out: deterministic rejections burn no
         // retry budget.
@@ -1241,7 +1348,7 @@ mod tests {
         let mut ws = ws_with_input();
         // ReadyResponse defers the error to collect, so this exercises
         // the settled-error retry path.
-        let outcome = settled(op.begin(&ws).unwrap().collect(&mut ws));
+        let outcome = settled(op.begin(&mut ws).unwrap().collect(&mut ws));
         assert_eq!(outcome.retries, 1);
         assert!(ws.dense("out", "t").is_ok());
     }
@@ -1259,7 +1366,7 @@ mod tests {
             },
         );
         let mut ws = ws_with_input();
-        let outcome = settled(op.begin(&ws).unwrap().collect(&mut ws));
+        let outcome = settled(op.begin(&mut ws).unwrap().collect(&mut ws));
         let kinds: Vec<_> = outcome.attempts.iter().map(|a| (a.kind, a.winner)).collect();
         assert_eq!(kinds, [(RpcAttemptKind::Primary, false), (RpcAttemptKind::Retry, true)]);
         let error = outcome.attempts[0].error.as_deref().expect("the primary failed");
@@ -1281,7 +1388,7 @@ mod tests {
             },
         );
         let mut ws = ws_with_input();
-        let outcome = settled(op.begin(&ws).unwrap().collect(&mut ws));
+        let outcome = settled(op.begin(&mut ws).unwrap().collect(&mut ws));
         assert_eq!((outcome.retries, outcome.hedges), (0, 1));
         let winner = outcome.attempts.iter().find(|a| a.winner).expect("a winner");
         assert_eq!(winner.kind, RpcAttemptKind::Hedge);
@@ -1381,13 +1488,13 @@ mod tests {
             ..dim2_fetch()
         };
         let pure = SparseRpc::new("rpc", NetId(0), pure_client, vec![pure_fetch]);
-        settled(pure.begin(&ws).unwrap().collect(&mut ws));
+        settled(pure.begin(&mut ws).unwrap().collect(&mut ws));
 
         // Cached path.
         let client = Arc::new(PoolingClient::new(table.clone()));
         let mut op = SparseRpc::new("rpc", NetId(0), Arc::clone(&client) as _, vec![dim2_fetch()]);
         op.set_cache(cache_for(&table, vec![1, 2]));
-        let outcome = settled(op.begin(&ws).unwrap().collect(&mut ws));
+        let outcome = settled(op.begin(&mut ws).unwrap().collect(&mut ws));
 
         let cached = ws.dense("out", "t").unwrap().clone();
         let expect = ws.dense("out_pure", "t").unwrap();
@@ -1426,12 +1533,12 @@ mod tests {
         };
         let pure_client = Arc::new(PoolingClient::new(shard_table.clone()));
         let pure = SparseRpc::new("rpc", NetId(0), pure_client, vec![pure_fetch]);
-        settled(pure.begin(&ws).unwrap().collect(&mut ws));
+        settled(pure.begin(&mut ws).unwrap().collect(&mut ws));
 
         let client = Arc::new(PoolingClient::new(shard_table));
         let mut op = SparseRpc::new("rpc", NetId(0), Arc::clone(&client) as _, vec![odd_part]);
         op.set_cache(cache_for(&table, vec![1, 2, 3]));
-        let pending = op.begin(&ws).unwrap();
+        let pending = op.begin(&mut ws).unwrap();
         // Only the cold bag is wired, in local rows (global 1, 5 → 0, 2).
         assert_eq!(pending.request.slices.len(), 1);
         assert_eq!(pending.request.slices[0].indices, vec![0, 2]);
@@ -1469,7 +1576,7 @@ mod tests {
         ws.put("in", Blob::Sparse(SparseInput::new(vec![1, 2, 2], vec![1, 2])));
         let mut op = SparseRpc::new("rpc", NetId(0), Arc::new(NoWire), vec![dim2_fetch()]);
         op.set_cache(cache_for(&table, vec![1, 2]));
-        let outcome = settled(op.begin(&ws).unwrap().collect(&mut ws));
+        let outcome = settled(op.begin(&mut ws).unwrap().collect(&mut ws));
         assert!(outcome.attempts.is_empty(), "nothing should have been sent");
         assert_eq!(outcome.cache_hits, 2);
         assert_eq!(outcome.cache_local_rows, 3);
@@ -1493,7 +1600,7 @@ mod tests {
             degraded_fallback: true,
             ..RpcPolicy::default()
         });
-        let outcome = settled(op.begin(&ws).unwrap().collect(&mut ws));
+        let outcome = settled(op.begin(&mut ws).unwrap().collect(&mut ws));
         assert!(outcome.degraded);
         assert_eq!(outcome.cache_hits, 1);
         assert_eq!(outcome.cache_misses, 1);
@@ -1534,7 +1641,7 @@ mod tests {
         // Cache keyed to table 0 only (the plan has one table; attach a
         // cache whose table 1 entry is absent).
         op.set_cache(cache_for(&table, vec![1, 2]));
-        let pending = op.begin(&ws).unwrap();
+        let pending = op.begin(&mut ws).unwrap();
         assert_eq!(pending.wired, vec![(1, None)], "table 1 is wired whole");
         assert_eq!(pending.request.slices.len(), 1);
         let pure = op.build_request(&ws).unwrap();

@@ -21,7 +21,7 @@
 
 use crate::rpc::TableSlice;
 use dlrm_compress::QuantizedTable;
-use dlrm_model::{EmbeddingTable, Footprint, Pool};
+use dlrm_model::{BufferPool, EmbeddingTable, Footprint, Pool};
 use dlrm_tensor::simd::{check_bags, GatherError};
 use dlrm_tensor::Matrix;
 use std::fs::File;
@@ -210,7 +210,11 @@ impl TableStore {
         let (indices, lengths) = (&slice.indices[..], &slice.lengths[..]);
         match self {
             Self::Dram(t) => {
-                let mut out = Matrix::zeros(lengths.len(), t.dim());
+                // The kernel writes every element (`sls_bags`), so the
+                // store, recycled through the shared pool, needs no zero
+                // fill.
+                let store = BufferPool::shared().acquire_unzeroed(lengths.len() * t.dim());
+                let mut out = Matrix::from_vec(lengths.len(), t.dim(), store);
                 t.try_sparse_lengths_sum_into(indices, lengths, &mut out, pool)
                     .map_err(malformed)?;
                 Ok(out)

@@ -37,12 +37,17 @@ impl BatchInputs {
 
     /// [`Self::load_into`] for a batch the caller is done with: the
     /// workspace takes the dense matrix and every index vector as they
-    /// are, copying nothing.
+    /// are, copying nothing. Every table's blob name is written into one
+    /// buffer, so a workspace that holds the names from an earlier batch
+    /// allocates no key.
     pub fn load_owned(self, spec: &ModelSpec, ws: &mut dlrm_model::Workspace) {
         use dlrm_model::builder::blobs;
         ws.put(blobs::DENSE_INPUT, dlrm_model::Blob::Dense(self.dense));
+        let mut name = String::new();
         for (t, s) in spec.tables.iter().zip(self.sparse) {
-            ws.put(blobs::sparse_input(t), dlrm_model::Blob::Sparse(s));
+            name.clear();
+            blobs::push_sparse_input(&mut name, t);
+            ws.put(name.as_str(), dlrm_model::Blob::Sparse(s));
         }
     }
 }
