@@ -197,6 +197,10 @@ impl std::fmt::Display for TransportSummary {
 /// its instrumentation, and its health record. Transport-agnostic — the
 /// client may be a [`ThreadedClient`] (in-process worker thread) or a
 /// [`crate::tcp::TcpShardClient`] (socket to a shard-server process).
+/// The seat, not the transport, keeps the call ledger in `stats`: a
+/// send that succeeds is issued and its rows counted
+/// ([`ReplicatedClient::issue_on`]), and its [`TrackedCompletion`]
+/// settles it or, dropped unsettled, abandons it.
 #[derive(Debug, Clone)]
 pub(crate) struct SeatConn {
     client: Arc<dyn SparseShardClient>,
@@ -499,7 +503,7 @@ impl<B> ShardPool<B> {
 
     /// Does nothing: the cache counts nothing, and each op's cache split
     /// travels in its `RpcTally`. Kept only while `sysbench/` calls it;
-    /// ROADMAP item 1 (b), which unpins `sysbench/`, deletes it.
+    /// ROADMAP item 4 (a), which unpins `sysbench/`, deletes it.
     pub fn attach_cache(&self, _cache: Arc<HotRowCache>) {}
 
     /// Total seats (worker threads / servers) across all replica sets.
@@ -516,8 +520,8 @@ impl<B> ShardPool<B> {
 
     /// Stops every seat the backend owns and joins it. Envelopes
     /// already queued on (or in flight at) a worker thread when the stop
-    /// lands are *drained* first, so an RPC issued via
-    /// [`SparseShardClient::begin_execute`] but not yet collected still
+    /// lands are *drained* first, so an RPC sent (through
+    /// [`SparseShardClient::begin_shared`]) but not yet collected still
     /// completes. Safe to call while clients are still alive: their
     /// subsequent calls fail with a "worker is down" transport error
     /// instead of hanging.
@@ -591,15 +595,12 @@ impl ShardPool<WorkerThreads> {
             let mut shard_workers = Vec::with_capacity(replicas);
             for r in 0..replicas {
                 let schedule = faults.schedule(index, r).cloned().unwrap_or_default();
-                let (tx, stats, handle) = spawn_worker(
-                    Arc::clone(service),
-                    delay,
-                    schedule,
-                    format!("{shard}r{r}"),
-                );
-                let client =
-                    ThreadedClient::new(shard, tx.clone(), Arc::clone(&stats));
-                seats.push((Arc::new(client), stats));
+                let (tx, handle) =
+                    spawn_worker(Arc::clone(service), delay, schedule, format!("{shard}r{r}"));
+                seats.push((
+                    Arc::new(ThreadedClient::new(shard, tx.clone())),
+                    Arc::default(),
+                ));
                 shard_workers.push((tx, handle));
             }
             set.add_group(shard, seats);
@@ -637,13 +638,13 @@ impl ShardPool<WorkerThreads> {
             spawned[index] += 1;
             format!("{shard}r{r}")
         };
-        let (tx, stats, handle) =
+        let (tx, handle) =
             spawn_worker(service, threads.delay, ReplicaFaultSchedule::none(), label);
-        let client = ThreadedClient::new(shard, tx.clone(), Arc::clone(&stats));
+        let client = ThreadedClient::new(shard, tx.clone());
         // Register the worker before the seat: once the seat is
         // visible, a racing scale_down must find a worker to stop.
         threads.workers.lock().expect("worker table lock")[index].push((tx, handle));
-        self.set.add_seat(shard, Arc::new(client), stats)
+        self.set.add_seat(shard, Arc::new(client), Arc::default())
     }
 
     /// Removes the most recently added replica of shard `index` and
@@ -672,7 +673,7 @@ impl ShardPool<WorkerThreads> {
 /// replicas, fails over past ejected or refusing replicas, and feeds
 /// reply outcomes back into the health records. Retry/backoff and
 /// hedging live one layer up, in the `SparseRpc` policy — each
-/// `begin_execute` here issues exactly one attempt to one replica, and
+/// `begin_shared` here issues exactly one attempt to one replica, and
 /// because the round-robin pointer advances per call, a retry or hedge
 /// naturally lands on a *different* replica.
 ///
@@ -693,28 +694,11 @@ impl SparseShardClient for ReplicatedClient {
         self.shard
     }
 
-    fn execute(&self, request: &ShardRequest) -> Result<ShardResponse, RpcError> {
-        self.begin_execute(request)?.wait()
-    }
-
-    fn begin_execute(&self, request: &ShardRequest) -> Result<Box<dyn RpcCompletion>, RpcError> {
-        self.issue(|client| client.begin_execute(request))
-    }
-
+    /// Sends one attempt to the next replica the rotation and the
+    /// health records allow.
     fn begin_shared(
         &self,
         request: &Arc<ShardRequest>,
-    ) -> Result<Box<dyn RpcCompletion>, RpcError> {
-        self.issue(|client| client.begin_shared(request))
-    }
-}
-
-impl ReplicatedClient {
-    /// Sends one attempt, through `send`, to the next replica the
-    /// rotation and the health records allow.
-    fn issue(
-        &self,
-        send: impl Fn(&dyn SparseShardClient) -> Result<Box<dyn RpcCompletion>, RpcError>,
     ) -> Result<Box<dyn RpcCompletion>, RpcError> {
         // Snapshot the seat list so a concurrent scale-up/scale-down
         // never blocks behind request IO (each seat is a bundle of
@@ -744,7 +728,7 @@ impl ReplicatedClient {
                 }
                 Selection::Healthy => {}
             }
-            match self.issue_on(conn, &send, bypassed) {
+            match self.issue_on(conn, request, bypassed) {
                 Ok(tracked) => return Ok(tracked),
                 Err(e) => {
                     last_err = Some(e);
@@ -759,33 +743,42 @@ impl ReplicatedClient {
             // into guaranteed failures.
             let conn = &seats[start];
             self.counters.probes.fetch_add(1, Ordering::Relaxed);
-            match self.issue_on(conn, &send, bypassed) {
+            match self.issue_on(conn, request, bypassed) {
                 Ok(tracked) => return Ok(tracked),
                 Err(e) => last_err = Some(e),
             }
         }
         Err(last_err.expect("at least one issue attempt was made"))
     }
+}
 
-    /// Issues one attempt on `conn`; on success wraps the completion so
-    /// the reply outcome feeds the replica's health record. A send-side
-    /// refusal (worker dead) is charged to the replica immediately.
+impl ReplicatedClient {
+    /// Issues one attempt on `conn`; on success enters it in the seat's
+    /// call ledger and wraps the completion so the reply outcome feeds
+    /// the replica's health record. A send-side refusal (worker dead) is
+    /// charged to the replica immediately and never enters the ledger.
     fn issue_on(
         &self,
         conn: &SeatConn,
-        send: impl Fn(&dyn SparseShardClient) -> Result<Box<dyn RpcCompletion>, RpcError>,
+        request: &Arc<ShardRequest>,
         bypassed: u64,
     ) -> Result<Box<dyn RpcCompletion>, RpcError> {
-        match send(conn.client.as_ref()) {
+        match conn.client.begin_shared(request) {
             Ok(inner) => {
                 if bypassed > 0 {
                     self.counters.failovers.fetch_add(bypassed, Ordering::Relaxed);
                 }
+                conn.stats.on_issue();
+                conn.stats.add_rows_sent(request.total_lookups() as u64);
                 Ok(Box::new(TrackedCompletion {
                     inner,
                     health: Arc::clone(&conn.health),
                     policy: self.policy,
                     counters: Arc::clone(&self.counters),
+                    ledger: Ledger {
+                        stats: Arc::clone(&conn.stats),
+                        settled: false,
+                    },
                 }))
             }
             Err(e) => {
@@ -798,12 +791,31 @@ impl ReplicatedClient {
 }
 
 /// Wraps a replica's completion so the eventual reply (or its absence)
-/// updates that replica's health record and the pool counters.
+/// updates that replica's health record, the pool counters and the
+/// seat's call ledger.
 struct TrackedCompletion {
     inner: Box<dyn RpcCompletion>,
     health: Arc<ReplicaHealth>,
     policy: HealthPolicy,
     counters: Arc<TransportCounters>,
+    ledger: Ledger,
+}
+
+/// One issued call's entry in its seat's ledger: settled when a wait
+/// returns its result, abandoned when dropped before that (a losing
+/// hedge, a timed-out call), which debits the in-flight gauge without
+/// counting a call.
+struct Ledger {
+    stats: Arc<RpcStats>,
+    settled: bool,
+}
+
+impl Drop for Ledger {
+    fn drop(&mut self) {
+        if !self.settled {
+            self.stats.on_abandon();
+        }
+    }
 }
 
 impl TrackedCompletion {
@@ -825,6 +837,8 @@ impl TrackedCompletion {
 impl RpcCompletion for TrackedCompletion {
     fn wait_until(&mut self, deadline: Option<Instant>) -> Option<Result<ShardResponse, RpcError>> {
         let result = self.inner.wait_until(deadline)?;
+        self.ledger.stats.on_settle();
+        self.ledger.settled = true;
         self.observe(&result);
         Some(result)
     }
@@ -867,6 +881,57 @@ mod tests {
             net: dlrm_model::NetId(0),
             slices: vec![],
         }
+    }
+
+    fn three_lookups() -> ShardRequest {
+        ShardRequest {
+            net: dlrm_model::NetId(0),
+            slices: vec![dlrm_sharding::rpc::TableSlice {
+                table: dlrm_model::TableId(0),
+                indices: vec![0, 1, 2],
+                lengths: vec![3],
+            }],
+        }
+    }
+
+    /// Two calls in flight, one settled and one dropped unsettled, then
+    /// two more settled, through `pool`'s one seat: its ledger summary.
+    fn exercise_seat_ledger<B>(pool: &ShardPool<B>) -> ShardRpcSummary {
+        let request = three_lookups();
+        let client = &pool.clients()[0];
+        let ledger = || pool.replica_rpc_summaries().remove(0);
+        let kept = client.begin_execute(&request).unwrap();
+        let dropped = client.begin_execute(&request).unwrap();
+        assert_eq!(ledger().max_in_flight, 2);
+        kept.wait().unwrap();
+        drop(dropped);
+        assert_eq!(ledger().calls, 1, "an abandoned call is not a call");
+        let more = [(); 2].map(|()| client.begin_execute(&request).unwrap());
+        for pending in more {
+            pending.wait().unwrap();
+        }
+        let s = ledger();
+        // A watermark of 3 would mean the abandoned call was never debited.
+        assert_eq!((s.max_in_flight, s.calls), (2, 3), "{s}");
+        assert_eq!(s.rows, 4 * request.total_lookups() as u64, "rows count at the send: {s}");
+        s
+    }
+
+    #[test]
+    fn the_seat_keeps_the_call_ledger_on_both_transports() {
+        let threaded = pool(1, &FaultPlan::none(), HealthPolicy::default());
+        exercise_seat_ledger(&threaded);
+        threaded.shutdown();
+        let tcp = crate::shard_server::TcpShardPool::spawn(
+            one_shard_services(),
+            1,
+            Duration::ZERO,
+            &FaultPlan::none(),
+            HealthPolicy::default(),
+        )
+        .unwrap();
+        assert_eq!(exercise_seat_ledger(&tcp).wire.frames_sent, 4);
+        tcp.shutdown();
     }
 
     #[test]
@@ -987,14 +1052,7 @@ mod tests {
         // Three lookups per call, spread over two replicas; removing
         // one must not take its rows out of the pool's or the shard's
         // totals (the autoscaler would read the drop as an idle tick).
-        let request = ShardRequest {
-            net: dlrm_model::NetId(0),
-            slices: vec![dlrm_sharding::rpc::TableSlice {
-                table: dlrm_model::TableId(0),
-                indices: vec![0, 1, 2],
-                lengths: vec![3],
-            }],
-        };
+        let request = three_lookups();
         let pool = pool(2, &FaultPlan::none(), HealthPolicy::default());
         let clients = pool.clients();
         for _ in 0..4 {

@@ -4,10 +4,12 @@
 //! This is the process-boundary twin of
 //! [`ThreadedClient`](crate::threaded::ThreadedClient): the same
 //! [`SparseShardClient`] contract (send now, collect at
-//! [`RpcCompletion::wait`]), the same [`RpcStats`] instrumentation, but
-//! the request crosses a real socket — serde and kernel time are paid,
-//! not simulated, and recorded in the client's
-//! [`WireTotals`](crate::threaded::WireTotals).
+//! [`RpcCompletion::wait`]), but the request crosses a real socket —
+//! serde and kernel time are paid, not simulated, and recorded in the
+//! client's [`WireTotals`](crate::threaded::WireTotals). The call ledger
+//! (in flight, calls, rows) is the replica seat's, as for every
+//! transport; this client records only what is specific to the wire:
+//! frames, bytes and serde time.
 //!
 //! Connection discipline: a small per-client pool of idle connections.
 //! Each in-flight RPC owns one connection exclusively (one request, one
@@ -140,8 +142,8 @@ impl ConnPool {
 /// A connection object to one remote shard seat (one `host:port`).
 ///
 /// Cloneable and cheap to share; clones share the connection pool and
-/// stats. Usually wrapped per-replica inside a
-/// [`ReplicatedClient`](crate::replica::ReplicaGroupSet) rather than
+/// wire totals. Usually a replica seat of a
+/// [`ReplicatedClient`](crate::replica::ReplicatedClient) rather than
 /// used directly.
 #[derive(Debug, Clone)]
 pub struct TcpShardClient {
@@ -176,12 +178,14 @@ impl TcpShardClient {
                 connect_timeout,
                 idle: Mutex::new(Vec::new()),
             }),
-            stats: Arc::new(RpcStats::new()),
+            stats: Arc::default(),
             next_id: Arc::new(AtomicU64::new(1)),
         })
     }
 
-    /// The client's instrumentation handle, shared with the pool layer.
+    /// The client's instrumentation, shared with the replica seat that
+    /// wraps it: this client writes the wire totals, the seat the call
+    /// ledger.
     pub(crate) fn stats(&self) -> Arc<RpcStats> {
         Arc::clone(&self.stats)
     }
@@ -205,20 +209,11 @@ impl SparseShardClient for TcpShardClient {
         self.shard
     }
 
-    fn execute(&self, request: &ShardRequest) -> Result<ShardResponse, RpcError> {
-        self.begin_execute(request)?.wait()
-    }
-
-    /// Encodes the shared request straight into the connection's frame,
-    /// like a borrowed one.
+    /// Encodes the shared request straight into the connection's frame.
     fn begin_shared(
         &self,
         request: &Arc<ShardRequest>,
     ) -> Result<Box<dyn RpcCompletion>, RpcError> {
-        self.begin_execute(request)
-    }
-
-    fn begin_execute(&self, request: &ShardRequest) -> Result<Box<dyn RpcCompletion>, RpcError> {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let mut conn = self
             .pool
@@ -236,15 +231,12 @@ impl SparseShardClient for TcpShardClient {
                 .map_err(|e| self.transport_err(format!("send to {}: {e}", self.pool.addr)))?;
         }
         self.stats.on_wire_sent(conn.frame.len());
-        self.stats.on_issue();
-        self.stats.add_rows_sent(request.total_lookups() as u64);
         Ok(Box::new(TcpCompletion {
             shard: self.shard,
             id,
             conn: Some(conn),
             pool: Arc::clone(&self.pool),
             stats: Arc::clone(&self.stats),
-            settled: false,
         }))
     }
 }
@@ -254,11 +246,12 @@ struct TcpCompletion {
     shard: ShardId,
     id: u64,
     /// The connection this call owns, its scratch holding partial reply
-    /// bytes across bounded waits; `None` after settling.
+    /// bytes across bounded waits; `None` after settling. Dropping an
+    /// unsettled call (losing hedge, timed-out call) closes the socket:
+    /// the server sees the hangup and discards the reply.
     conn: Option<Conn>,
     pool: Arc<ConnPool>,
     stats: Arc<RpcStats>,
-    settled: bool,
 }
 
 impl TcpCompletion {
@@ -269,15 +262,13 @@ impl TcpCompletion {
         }
     }
 
-    /// Marks the call settled and updates stats. `reusable` says the
-    /// connection finished the exchange cleanly and may be pooled.
+    /// Lets go of the call's connection: back to the pool when
+    /// `reusable` (the exchange finished cleanly), closed otherwise.
     fn settle(
         &mut self,
         result: Result<ShardResponse, RpcError>,
         reusable: bool,
     ) -> Result<ShardResponse, RpcError> {
-        self.stats.on_settle();
-        self.settled = true;
         match self.conn.take() {
             Some(conn) if reusable && conn.scratch.is_empty() => self.pool.checkin(conn),
             _ => {} // drop closes it
@@ -352,17 +343,6 @@ impl RpcCompletion for TcpCompletion {
             if deadline.is_some_and(|d| Instant::now() >= d) {
                 return None;
             }
-        }
-    }
-}
-
-impl Drop for TcpCompletion {
-    fn drop(&mut self) {
-        // Abandoned without settling (losing hedge, timed-out call):
-        // keep the in-flight gauge honest and close the socket — the
-        // server sees the hangup and discards the reply.
-        if !self.settled {
-            self.stats.on_abandon();
         }
     }
 }

@@ -98,11 +98,12 @@ pub(crate) enum WorkerMsg {
     Stop,
 }
 
-/// Per-seat RPC instrumentation shared between the client handles and
-/// the pool: settled calls, concurrency watermark, rows and wire
-/// totals. Round-trip windows are not kept here: the engine's trace
-/// spans (`RpcOutstanding`, `RpcRetry`, `RpcHedge`) record them.
-#[derive(Debug)]
+/// Per-seat RPC instrumentation: the call ledger (in flight, watermark,
+/// settled calls, rows), which only the replica seat layer
+/// ([`crate::replica`]) writes, and the wire totals, which only the TCP
+/// transport writes. Round-trip windows are not kept here: the engine's
+/// trace spans (`RpcOutstanding`, `RpcRetry`, `RpcHedge`) record them.
+#[derive(Debug, Default)]
 pub(crate) struct RpcStats {
     /// RPCs currently issued and not yet collected.
     in_flight: AtomicUsize,
@@ -117,7 +118,7 @@ pub(crate) struct RpcStats {
     bytes_sent: AtomicU64,
     bytes_received: AtomicU64,
     serde_ns: AtomicU64,
-    /// Embedding-row lookups shipped in requests through this client —
+    /// Embedding-row lookups shipped in requests through this seat —
     /// the fan-out quantity the hot-row cache exists to shrink. Tracked
     /// outside [`WireTotals`] because it counts on every transport,
     /// including in-process ones that move no bytes.
@@ -125,20 +126,7 @@ pub(crate) struct RpcStats {
 }
 
 impl RpcStats {
-    pub(crate) fn new() -> Self {
-        Self {
-            in_flight: AtomicUsize::new(0),
-            max_in_flight: AtomicUsize::new(0),
-            calls: AtomicU64::new(0),
-            frames_sent: AtomicU64::new(0),
-            frames_received: AtomicU64::new(0),
-            bytes_sent: AtomicU64::new(0),
-            bytes_received: AtomicU64::new(0),
-            serde_ns: AtomicU64::new(0),
-            rows_sent: AtomicU64::new(0),
-        }
-    }
-
+    /// One call sent.
     pub(crate) fn on_issue(&self) {
         let now = self.in_flight.fetch_add(1, Ordering::SeqCst) + 1;
         self.max_in_flight.fetch_max(now, Ordering::SeqCst);
@@ -147,7 +135,7 @@ impl RpcStats {
     /// One call settled by a reply or an error.
     pub(crate) fn on_settle(&self) {
         self.calls.fetch_add(1, Ordering::Relaxed);
-        self.on_abandon();
+        self.in_flight.fetch_sub(1, Ordering::SeqCst);
     }
 
     /// One call dropped before it settled.
@@ -247,14 +235,13 @@ pub(crate) fn spawn_worker(
     delay: Duration,
     faults: ReplicaFaultSchedule,
     thread_name: String,
-) -> (Sender<WorkerMsg>, Arc<RpcStats>, JoinHandle<()>) {
+) -> (Sender<WorkerMsg>, JoinHandle<()>) {
     let (tx, rx) = channel::<WorkerMsg>();
-    let stats = Arc::new(RpcStats::new());
     let handle = std::thread::Builder::new()
         .name(thread_name)
         .spawn(move || worker_loop(&service, &rx, delay, &faults))
         .expect("spawn shard worker");
-    (tx, stats, handle)
+    (tx, handle)
 }
 
 /// The shard worker's service loop: serve calls until a stop arrives or
@@ -317,12 +304,11 @@ fn worker_loop(
 pub struct ThreadedClient {
     shard: ShardId,
     tx: Sender<WorkerMsg>,
-    stats: Arc<RpcStats>,
 }
 
 impl ThreadedClient {
-    pub(crate) fn new(shard: ShardId, tx: Sender<WorkerMsg>, stats: Arc<RpcStats>) -> Self {
-        Self { shard, tx, stats }
+    pub(crate) fn new(shard: ShardId, tx: Sender<WorkerMsg>) -> Self {
+        Self { shard, tx }
     }
 }
 
@@ -330,43 +316,26 @@ impl ThreadedClient {
 struct ThreadedCompletion {
     shard: ShardId,
     reply_rx: Receiver<Result<ShardResponse, RpcError>>,
-    stats: Arc<RpcStats>,
-    settled: bool,
-}
-
-impl ThreadedCompletion {
-    fn settle(&mut self, received: Result<Result<ShardResponse, RpcError>, ()>) -> Result<ShardResponse, RpcError> {
-        self.stats.on_settle();
-        self.settled = true;
-        received.map_err(|()| RpcError::Transport {
-            shard: self.shard,
-            message: "worker dropped the request".to_string(),
-        })?
-    }
 }
 
 impl RpcCompletion for ThreadedCompletion {
     fn wait_until(&mut self, deadline: Option<Instant>) -> Option<Result<ShardResponse, RpcError>> {
         let received = match deadline {
-            None => self.reply_rx.recv().map_err(|_| ()),
+            None => self.reply_rx.recv().ok(),
             Some(deadline) => {
                 let left = deadline.saturating_duration_since(Instant::now());
                 match self.reply_rx.recv_timeout(left) {
                     Err(RecvTimeoutError::Timeout) => return None,
-                    received => received.map_err(|_| ()),
+                    received => received.ok(),
                 }
             }
         };
-        Some(self.settle(received))
-    }
-}
-
-impl Drop for ThreadedCompletion {
-    fn drop(&mut self) {
-        // Abandoned without wait(): keep the in-flight gauge honest.
-        if !self.settled {
-            self.stats.on_abandon();
-        }
+        Some(received.unwrap_or_else(|| {
+            Err(RpcError::Transport {
+                shard: self.shard,
+                message: "worker dropped the request".to_string(),
+            })
+        }))
     }
 }
 
@@ -375,13 +344,7 @@ impl SparseShardClient for ThreadedClient {
         self.shard
     }
 
-    fn execute(&self, request: &ShardRequest) -> Result<ShardResponse, RpcError> {
-        self.begin_execute(request)?.wait()
-    }
-
     /// Hands the shared request to the worker thread: no copy per send.
-    /// (The trait's `begin_execute` copies a borrowed request once and
-    /// sends it through here.)
     fn begin_shared(
         &self,
         request: &Arc<ShardRequest>,
@@ -396,13 +359,9 @@ impl SparseShardClient for ThreadedClient {
                 shard: self.shard,
                 message: "worker is down".to_string(),
             })?;
-        self.stats.on_issue();
-        self.stats.add_rows_sent(request.total_lookups() as u64);
         Ok(Box::new(ThreadedCompletion {
             shard: self.shard,
             reply_rx,
-            stats: Arc::clone(&self.stats),
-            settled: false,
         }))
     }
 }

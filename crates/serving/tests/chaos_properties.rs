@@ -30,8 +30,7 @@ use dlrm_serving::frontend::{
 };
 use dlrm_serving::replica::{HealthPolicy, ReplicatedShardPool};
 use dlrm_sharding::rpc::{
-    ReadyResponse, RpcCompletion, RpcFetch, ShardRequest, ShardResponse, SparseRpc,
-    SparseShardClient,
+    ReadyResponse, RpcCompletion, RpcFetch, ShardRequest, SparseRpc, SparseShardClient,
 };
 use dlrm_sharding::{
     partition, partition_with_clients, plan, DistributedModel, RpcError, RpcPolicy, ShardId,
@@ -499,17 +498,14 @@ impl SparseShardClient for FailingShard {
     fn shard_id(&self) -> ShardId {
         self.error.shard()
     }
-    fn execute(&self, _request: &ShardRequest) -> Result<ShardResponse, RpcError> {
-        Err(self.error.clone())
-    }
     fn begin_shared(
         &self,
-        request: &Arc<ShardRequest>,
+        _request: &Arc<ShardRequest>,
     ) -> Result<Box<dyn RpcCompletion>, RpcError> {
         if self.at_send {
             return Err(self.error.clone());
         }
-        Ok(Box::new(ReadyResponse(self.execute(request))))
+        Ok(Box::new(ReadyResponse(Err(self.error.clone()))))
     }
 }
 

@@ -11,7 +11,9 @@ use dlrm_model::graph::NoopObserver;
 use dlrm_model::{build_model, ModelSpec, NetId, NetSpec, TableId, TableSpec, Workspace};
 use dlrm_serving::fault::FaultPlan;
 use dlrm_serving::replica::{HealthPolicy, ReplicatedShardPool};
-use dlrm_sharding::rpc::{RpcCompletion, RpcError, ShardRequest, ShardResponse, SparseShardClient};
+use dlrm_sharding::rpc::{
+    ReadyResponse, RpcCompletion, RpcError, ShardRequest, ShardResponse, SparseShardClient,
+};
 use dlrm_sharding::{
     partition_with_clients, plan, DistributedModel, InProcessClient, ShardId, ShardService,
     ShardingPlan, ShardingStrategy,
@@ -100,9 +102,6 @@ struct CountingCompletion {
 impl SparseShardClient for CountingClient {
     fn shard_id(&self) -> ShardId {
         self.inner.shard_id()
-    }
-    fn execute(&self, request: &ShardRequest) -> Result<ShardResponse, RpcError> {
-        self.inner.execute(request)
     }
     fn begin_shared(
         &self,
@@ -245,7 +244,8 @@ fn threaded_pool(services: Vec<Arc<ShardService>>, delay: Duration) -> Replicate
 /// must not change a single bit of the predictions. Odd cases give each
 /// shard worker a 2 ms service delay, so replies arrive while other RPCs
 /// are still outstanding; in every case the pool's RPC instrumentation
-/// must count each call of both runs and have seen one in flight.
+/// must count each call of both runs and have seen every RPC of an
+/// overlapped run in flight at once.
 #[test]
 fn overlapped_bit_identical_over_threaded_transport() {
     let mut rng = SimRng::seed_from(0x7472_616e).fork(3);
@@ -272,8 +272,16 @@ fn overlapped_bit_identical_over_threaded_transport() {
         let calls: u64 = summaries.iter().map(|s| s.calls).sum();
         let want = 2 * dist.rpc_ops_per_inference() * batches.len();
         assert_eq!(calls, want as u64, "case {case}: RPC calls counted");
-        let max_in_flight = summaries.iter().map(|s| s.max_in_flight).max().unwrap_or(0);
-        assert!(max_in_flight >= 1, "case {case}: no RPC seen in flight");
+        // A seat counts a call in flight from its send to its settle, and
+        // the overlapped run sends every RPC before it waits: each seat's
+        // watermark is the number of RPC ops routed to it, so the
+        // watermarks sum to the ops per inference.
+        let watermarks: usize = summaries.iter().map(|s| s.max_in_flight).sum();
+        assert_eq!(
+            watermarks,
+            dist.rpc_ops_per_inference(),
+            "case {case}: RPCs in flight at once"
+        );
         pool.shutdown();
     }
 }
@@ -291,28 +299,23 @@ impl SparseShardClient for FailingClient {
     fn shard_id(&self) -> ShardId {
         self.shard
     }
-    fn execute(&self, _request: &ShardRequest) -> Result<ShardResponse, RpcError> {
-        // A deterministic shard-side rejection: not retryable, so the
-        // default policy surfaces it directly.
-        Err(RpcError::ShardFault {
-            shard: self.shard,
-            message: "injected shard failure".to_string(),
-        })
-    }
     fn begin_shared(
         &self,
-        request: &Arc<ShardRequest>,
-    ) -> Result<Box<dyn dlrm_sharding::rpc::RpcCompletion>, RpcError> {
+        _request: &Arc<ShardRequest>,
+    ) -> Result<Box<dyn RpcCompletion>, RpcError> {
         if self.fail_at_send {
             return Err(RpcError::Transport {
                 shard: self.shard,
                 message: "injected transport failure".to_string(),
             });
         }
-        // Defer the failure to collect, like a real shard-side error.
-        Ok(Box::new(dlrm_sharding::rpc::ReadyResponse(
-            self.execute(request),
-        )))
+        // A deterministic shard-side rejection, deferred to collect like
+        // a real one: not retryable, so the default policy surfaces it
+        // directly.
+        Ok(Box::new(ReadyResponse(Err(RpcError::ShardFault {
+            shard: self.shard,
+            message: "injected shard failure".to_string(),
+        }))))
     }
 }
 

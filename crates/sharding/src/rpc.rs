@@ -163,65 +163,56 @@ pub struct ShardResponse {
     pub pooled: Vec<(TableId, Matrix)>,
 }
 
-impl ShardResponse {
-    /// Approximate response payload in bytes (4 per f32).
-    #[must_use]
-    pub fn payload_bytes(&self) -> usize {
-        self.pooled.iter().map(|(_, m)| m.len() * 4).sum()
-    }
-}
-
 /// A connection to one sparse shard.
 ///
 /// Implementations: [`crate::InProcessClient`] (direct call, used for
 /// correctness verification) and the serving crate's thread-backed
-/// client (real concurrency) and replicated client (failover across a
-/// replica set).
+/// client (real concurrency), TCP client (a socket to a shard server)
+/// and replicated client (failover across a replica set).
+///
+/// A client implements one send, [`Self::begin_shared`]; the borrowed
+/// [`Self::begin_execute`] and the blocking [`Self::execute`] are
+/// wrappers around it that no client overrides, so a client that wraps
+/// another forwards the one send and every caller's RPCs go through it.
 pub trait SparseShardClient: std::fmt::Debug + Send + Sync {
     /// The shard this client reaches.
     fn shard_id(&self) -> ShardId;
 
-    /// Executes one request.
-    ///
-    /// # Errors
-    ///
-    /// A typed [`RpcError`] when the shard rejects the request or the
-    /// transport fails.
-    fn execute(&self, request: &ShardRequest) -> Result<ShardResponse, RpcError>;
-
     /// Starts one request without waiting for the reply, returning a
     /// completion handle — the transport half of the asynchronous RPC
-    /// operators (§IV-A). The default copies the borrowed request once
-    /// and sends the copy through [`Self::begin_shared`]; a transport
-    /// that can send straight from a borrow (TCP encodes it into a
-    /// frame) overrides this too.
+    /// operators (§IV-A). The request is shared, so a transport that
+    /// hands it to another thread does not copy it: the RPC operator
+    /// sends one request for every transmission, retries and hedges
+    /// included. A direct-call client executes here and returns a
+    /// [`ReadyResponse`]; real transports send now and receive at
+    /// [`RpcCompletion::wait_until`].
     ///
     /// # Errors
     ///
     /// A typed [`RpcError`] when the request cannot be sent at all
     /// (transport down). Shard-side failures may instead surface from
     /// the completion.
+    fn begin_shared(&self, request: &Arc<ShardRequest>)
+        -> Result<Box<dyn RpcCompletion>, RpcError>;
+
+    /// [`Self::begin_shared`] for a borrowed request, which it copies
+    /// once.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::begin_shared`].
     fn begin_execute(&self, request: &ShardRequest) -> Result<Box<dyn RpcCompletion>, RpcError> {
         self.begin_shared(&Arc::new(request.clone()))
     }
 
-    /// [`Self::begin_execute`] for a request the caller shares: the send
-    /// hook a transport overrides, and what the RPC operator sends
-    /// through, so a transport that hands the request to another thread
-    /// shares it instead of copying it — once per transmission, retries
-    /// and hedges included. The default executes synchronously and wraps
-    /// the finished result, which is correct (though unoverlapped) for
-    /// direct-call clients; real transports send now and receive at
-    /// [`RpcCompletion::wait_until`].
+    /// Executes one request and waits for its reply.
     ///
     /// # Errors
     ///
-    /// As [`Self::begin_execute`].
-    fn begin_shared(
-        &self,
-        request: &Arc<ShardRequest>,
-    ) -> Result<Box<dyn RpcCompletion>, RpcError> {
-        Ok(Box::new(ReadyResponse(self.execute(request))))
+    /// A typed [`RpcError`] when the shard rejects the request or the
+    /// transport fails.
+    fn execute(&self, request: &ShardRequest) -> Result<ShardResponse, RpcError> {
+        self.begin_execute(request)?.wait()
     }
 }
 
@@ -257,8 +248,8 @@ pub trait RpcCompletion: Send {
     fn abandon_timed_out(self: Box<Self>) {}
 }
 
-/// An [`RpcCompletion`] that already holds its result — what the default
-/// synchronous [`SparseShardClient::begin_shared`] returns.
+/// An [`RpcCompletion`] that already holds its result — what a
+/// direct-call client's [`SparseShardClient::begin_shared`] returns.
 pub struct ReadyResponse(pub Result<ShardResponse, RpcError>);
 
 impl RpcCompletion for ReadyResponse {
@@ -960,6 +951,9 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU32, Ordering};
 
+    /// What a test client's one send returns.
+    type Sent = Result<Box<dyn RpcCompletion>, RpcError>;
+
     fn route_slice(f: &RpcFetch, s: &SparseInput) -> TableSlice {
         let mut slice = TableSlice {
             table: f.table,
@@ -1034,14 +1028,14 @@ mod tests {
         fn shard_id(&self) -> ShardId {
             ShardId(0)
         }
-        fn execute(&self, request: &ShardRequest) -> Result<ShardResponse, RpcError> {
-            Ok(ShardResponse {
+        fn begin_shared(&self, request: &Arc<ShardRequest>) -> Sent {
+            Ok(Box::new(ReadyResponse(Ok(ShardResponse {
                 pooled: request
                     .slices
                     .iter()
                     .map(|s| (s.table, Matrix::zeros(1, 1)))
                     .collect(),
-            })
+            }))))
         }
     }
 
@@ -1066,13 +1060,13 @@ mod tests {
         fn shard_id(&self) -> ShardId {
             ShardId(0)
         }
-        fn execute(&self, request: &ShardRequest) -> Result<ShardResponse, RpcError> {
+        fn begin_shared(&self, request: &Arc<ShardRequest>) -> Sent {
             let left = self.failures.load(Ordering::SeqCst);
             if left > 0 {
                 self.failures.store(left - 1, Ordering::SeqCst);
-                return Err(self.error.clone());
+                return Ok(Box::new(ReadyResponse(Err(self.error.clone()))));
             }
-            ZeroClient.execute(request)
+            ZeroClient.begin_shared(request)
         }
     }
 
@@ -1114,17 +1108,11 @@ mod tests {
         fn shard_id(&self) -> ShardId {
             ShardId(0)
         }
-        fn execute(&self, request: &ShardRequest) -> Result<ShardResponse, RpcError> {
-            ZeroClient.execute(request)
-        }
-        fn begin_shared(
-            &self,
-            request: &Arc<ShardRequest>,
-        ) -> Result<Box<dyn RpcCompletion>, RpcError> {
+        fn begin_shared(&self, request: &Arc<ShardRequest>) -> Sent {
             if self.sends.fetch_add(1, Ordering::SeqCst) < self.stuck {
                 return Ok(Box::new(StuckCompletion(Arc::clone(&self.abandoned))));
             }
-            Ok(Box::new(ReadyResponse(self.execute(request))))
+            ZeroClient.begin_shared(request)
         }
     }
 
@@ -1335,7 +1323,7 @@ mod tests {
 
     #[test]
     fn send_failure_is_deferred_and_retried() {
-        // begin_execute itself fails (default impl wraps execute).
+        // The first send's reply is a transport error.
         let client = Arc::new(FlakyClient::failing(1, transient()));
         let op = rpc_with(
             client,
@@ -1452,17 +1440,17 @@ mod tests {
         fn shard_id(&self) -> ShardId {
             ShardId(0)
         }
-        fn execute(&self, request: &ShardRequest) -> Result<ShardResponse, RpcError> {
+        fn begin_shared(&self, request: &Arc<ShardRequest>) -> Sent {
             self.calls.fetch_add(1, Ordering::SeqCst);
             self.lookups
                 .fetch_add(request.total_lookups() as u32, Ordering::SeqCst);
-            Ok(ShardResponse {
+            Ok(Box::new(ReadyResponse(Ok(ShardResponse {
                 pooled: request
                     .slices
                     .iter()
                     .map(|s| (s.table, self.table.sparse_lengths_sum(&s.indices, &s.lengths)))
                     .collect(),
-            })
+            }))))
         }
     }
 
@@ -1560,14 +1548,14 @@ mod tests {
 
     #[test]
     fn fully_cached_op_skips_the_network_entirely() {
-        /// A client whose execute must never be reached.
+        /// A client whose send must never be reached.
         #[derive(Debug)]
         struct NoWire;
         impl SparseShardClient for NoWire {
             fn shard_id(&self) -> ShardId {
                 ShardId(0)
             }
-            fn execute(&self, _request: &ShardRequest) -> Result<ShardResponse, RpcError> {
+            fn begin_shared(&self, _request: &Arc<ShardRequest>) -> Sent {
                 panic!("fully-cached op must not touch the transport")
             }
         }

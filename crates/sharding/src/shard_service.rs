@@ -1,7 +1,9 @@
 //! The sparse-shard service: the remote side of the RPC operators.
 
 use crate::plan::{ShardId, ShardingPlan};
-use crate::rpc::{RpcError, ShardRequest, ShardResponse, SparseShardClient};
+use crate::rpc::{
+    ReadyResponse, RpcCompletion, RpcError, ShardRequest, ShardResponse, SparseShardClient,
+};
 use crate::store::{local_slice, TableStore, Tier, TierBytes};
 use dlrm_model::{EmbeddingTable, Pool, TableId};
 use std::collections::HashMap;
@@ -159,8 +161,11 @@ impl SparseShardClient for InProcessClient {
         self.service.shard_id()
     }
 
-    fn execute(&self, request: &ShardRequest) -> Result<ShardResponse, RpcError> {
-        self.service.execute(request)
+    fn begin_shared(
+        &self,
+        request: &Arc<ShardRequest>,
+    ) -> Result<Box<dyn RpcCompletion>, RpcError> {
+        Ok(Box::new(ReadyResponse(self.service.execute(request))))
     }
 }
 

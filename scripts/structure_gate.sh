@@ -15,8 +15,10 @@
 # again, when the hot-row cache keeps counters again or something calls
 # the attach_cache shim, when an RPC is reported through more than the
 # one on_rpc hook or a failure cause is parsed back out of error text,
-# when a transport copies its request in execute, begin_execute or
-# begin_shared, or when a size ceiling is exceeded.
+# when the shard client grows a second send to implement (execute or
+# begin_execute defined by an impl), when a transport copies its request
+# in begin_shared, when the per-call ledger is written outside the
+# replica seat, or when a size ceiling is exceeded.
 #
 # Usage: scripts/structure_gate.sh
 
@@ -139,12 +141,22 @@ cd "$(dirname "$0")/.."
 # not cloned (+5). Serving + sharding + compress 10 640 -> 10 788 is the
 # serving and sharding lines above. The send-path clone clause below
 # is new with it.
-MAX_SERVING_CODE_LINES=6382
+# One send per shard client, and the call ledger kept by the replica
+# seat, lowered three ceilings to what it measured. Serving 6 382 ->
+# 6 370: the threaded and TCP clients' execute/begin_execute bodies,
+# their completions' ledger fields, settle bookkeeping and Drop impls,
+# RpcStats::new (now derived) and the replicated client's send closure
+# went; the seat's Ledger guard and the seat-ledger test on both
+# transports came. Model + sharding 7 316 -> 7 308 and serving +
+# sharding + compress 10 788 -> 10 768: the trait's default bodies and
+# the unused ShardResponse::payload_bytes went, and the direct-call and
+# test clients implement begin_shared instead of execute.
+MAX_SERVING_CODE_LINES=6370
 MAX_SERVING_PUB_ITEMS=194
 MAX_CLUSTER_CODE_LINES=1712
 MAX_BENCH_CODE_LINES=3308
-MAX_ROW_SERVING_CODE_LINES=10788
-MAX_GRAPH_CODE_LINES=7316
+MAX_ROW_SERVING_CODE_LINES=10768
+MAX_GRAPH_CODE_LINES=7308
 MAX_KERNEL_CODE_LINES=2327
 
 fail=0
@@ -272,8 +284,7 @@ zmm_fused=$( (grep -rn '_mm512_fmadd' crates src sysbench/src || true) | wc -l)
 
 # One shard service: the modulus-layout slicer is written once
 # (sharding/src/store.rs), and ShardService::execute is the only
-# inherent `execute` over a ShardRequest — the others are the
-# SparseShardClient impls that carry a request to it.
+# inherent `execute` over a ShardRequest.
 slicers=$(grep -rn 'j \* parts + part' crates/*/src | grep -vcE '^[^:]*:[0-9]+:[[:space:]]*//' || true)
 [ "$slicers" -eq 1 ] || flunk "$slicers 'j * parts + part' slicer sites in crates/*/src code (want 1: sharding/src/store.rs)"
 executes=$(find crates/*/src -name '*.rs' -print0 | sort -z | xargs -0 awk '
@@ -282,14 +293,46 @@ executes=$(find crates/*/src -name '*.rs' -print0 | sort -z | xargs -0 awk '
   END { print n + 0 }')
 [ "$executes" -eq 1 ] || flunk "$executes shard-service execute definitions (want 1: ShardService)"
 
+# A shard client is one send: the SparseShardClient trait declares
+# exactly two methods without a body (shard_id and begin_shared), and no
+# impl of it — tests included — defines execute or begin_execute, the
+# trait's wrappers around begin_shared. So a client that wraps another
+# cannot forward one send form and miss the one the RPC operator uses.
+bodiless=$(awk '
+  /^pub trait SparseShardClient/ { on = 1; next }
+  on && /^}/ { on = 0 }
+  on && /^    fn / { sig = ""; match($0, /fn [a-z_]+/); name = substr($0, RSTART + 3, RLENGTH - 3) }
+  on && name != "" { sig = sig $0 }
+  on && name != "" && /[;{][[:space:]]*$/ { if (sig ~ /;[[:space:]]*$/) print name; name = "" }' crates/sharding/src/rpc.rs | sort | tr '\n' ' ')
+[ "$bodiless" = "begin_shared shard_id " ] || flunk "SparseShardClient methods without a body: '$bodiless' (want begin_shared and shard_id)"
+if hits=$(find crates src tests examples -name '*.rs' -print0 | sort -z | xargs -0 awk '
+  FNR == 1 { on = 0 }
+  /impl.* SparseShardClient for / { on = 1; match($0, /^ */); closing = substr($0, 1, RLENGTH) "}"; next }
+  on && /fn (execute|begin_execute)\(/ { print FILENAME ":" FNR ":" $0 }
+  on && $0 == closing { on = 0 }' | grep .); then
+  flunk "a SparseShardClient impl defines execute or begin_execute (implement begin_shared only):"
+  echo "$hits" >&2
+fi
+
+# One call ledger: a seat's in-flight gauge, watermark, calls and rows
+# are written only by the replica seat layer (ReplicatedClient::issue_on
+# for a send that succeeds, TrackedCompletion for a settle or an
+# unsettled drop), never by a transport.
+ledger_re='\.(on_issue|add_rows_sent|on_settle|on_abandon)\('
+if hits=$( { grep -rnE "$ledger_re" crates src tests examples | grep -v '^crates/serving/src/replica.rs:'
+  awk -v re="$ledger_re" '/^#\[cfg\(test\)\]/ { t = 1 } t && $0 ~ re { print FILENAME ":" FNR ":" $0 }' crates/serving/src/replica.rs
+  } | grep -vE '^[^:]*:[0-9]+:[[:space:]]*//'); then
+  flunk "the call ledger is written outside non-test crates/serving/src/replica.rs:"
+  echo "$hits" >&2
+fi
+
 # The RPC operator shares its request with every transmission, retries
-# and hedges included (SparseShardClient::begin_shared), so no transport
-# under crates/serving/src copies a request in its send path: execute,
-# begin_execute or begin_shared. (A borrowed request is copied once, by
-# the trait's default begin_execute.)
+# and hedges included, so no transport under crates/serving/src copies
+# a request in its send, begin_shared. (A borrowed request is copied
+# once, by the trait's begin_execute.)
 send_clones=$(non_test_code crates/serving/src | awk '
   { line = $0; sub(/^[^:]*:[0-9]+:/, "", line) }
-  line ~ /fn (execute|begin_execute|begin_shared)\(/ { on = 1; match(line, /^ */); closing = substr(line, 1, RLENGTH) "}" }
+  line ~ /fn begin_shared\(/ { on = 1; match(line, /^ */); closing = substr(line, 1, RLENGTH) "}" }
   on && line ~ /request[^,;]*\.clone\(\)|ShardRequest::clone/ { print }
   on && line == closing { on = 0 }')
 if [ -n "$send_clones" ]; then
@@ -354,6 +397,7 @@ echo "crates/{model,sharding}/src: $graph_lines code lines (ceiling $MAX_GRAPH_C
 echo "crates/{tensor,runtime}/src: $kernel_lines code lines (ceiling $MAX_KERNEL_CODE_LINES)"
 echo "overlap schedule: $overlap_entries run_overlapped entry points, $graph_maps HashSet|HashMap mentions in non-test graph.rs, $walker_maps inside the walker (expect 2, the build-time ones, and 0)"
 echo "observer: $observer_hooks ExecutionObserver methods (expect 2: on_op, on_rpc)"
+echo "shard client: methods without a body: $bodiless(expect begin_shared shard_id)"
 echo "shard service: $slicers slicer site, $executes execute definition outside client impls (expect 1 and 1)"
 echo "non-test serving code: $scopes thread::scope, $drains Arc::try_unwrap, $serve_spawns spawn( in frontend/mod.rs (expect 1, 1 and 2)"
 echo "f32 SLS: $sls_min_defs SLS_PAR_MIN_LOOKUPS definition, $prefetch_sites _mm_prefetch sites (expect 1 and 2: the gather's and the GEMM tiles')"
