@@ -57,8 +57,8 @@ pub use pool::Pool;
 
 use std::sync::Arc;
 
-/// The per-worker execution context threaded through [`Workspace`]
-/// (`dlrm_model::Workspace`): the fork-join pool kernels parallelize
+/// The per-worker execution context threaded through
+/// `dlrm_model::Workspace`: the fork-join pool kernels parallelize
 /// on, plus the recycled-buffer allocator dense outputs draw from.
 ///
 /// Cloning is cheap (the buffer pool is shared behind an `Arc`), so a

@@ -29,7 +29,7 @@ use std::sync::Mutex;
 /// below this the fork overhead dominates the pooling work.
 const SLS_PAR_MIN_LOOKUPS: usize = 2048;
 
-/// Fork-join worker pool; see the [module docs](self) for the
+/// Fork-join worker pool; the `pool` module's docs state its
 /// determinism contract.
 ///
 /// # Examples

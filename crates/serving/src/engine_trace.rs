@@ -168,7 +168,8 @@ impl ExecutionObserver for RpcTracingObserver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rebalance::{build_epoch_serving, RebalanceConfig};
+    use crate::epoch::build_epoch_serving;
+    use crate::fault::FaultPlan;
     use dlrm_model::{build_model, rm, Workspace};
     use dlrm_sharding::{plan, ShardingStrategy};
     use dlrm_trace::gantt;
@@ -184,11 +185,9 @@ mod tests {
         let p = plan(&spec, &profile, ShardingStrategy::CapacityBalanced(2)).unwrap();
         // The injected delay makes the outstanding windows long enough
         // that overlap is unambiguous in wall-clock terms.
-        let cfg = RebalanceConfig {
-            worker_delay: Duration::from_millis(15),
-            ..RebalanceConfig::default()
-        };
-        let serving = build_epoch_serving(&spec, &p, 3, 1, &cfg).unwrap();
+        let serving =
+            build_epoch_serving(&spec, &p, 3, Duration::from_millis(15), &FaultPlan::none())
+                .unwrap();
         let dist = &serving.model;
 
         let db = TraceDb::generate(&spec, 1, 5);
@@ -224,7 +223,7 @@ mod tests {
 
     #[test]
     fn retry_attempts_recorded_as_spans() {
-        use crate::fault::{FaultAction, FaultPlan, ReplicaFaultSchedule};
+        use crate::fault::{FaultAction, ReplicaFaultSchedule};
         use dlrm_sharding::RpcPolicy;
 
         let mut spec = rm::rm1().scaled_to_bytes(2 << 20);
@@ -234,16 +233,13 @@ mod tests {
         let p = plan(&spec, &profile, ShardingStrategy::OneShard).unwrap();
         // The shard's first request fails with an injected transient
         // error; the resilient policy retries and succeeds.
-        let cfg = RebalanceConfig {
-            warm_faults: FaultPlan::none().with(
-                0,
-                0,
-                ReplicaFaultSchedule::none().with(0, FaultAction::TransientError),
-            ),
-            rpc_policy: Some(RpcPolicy::resilient()),
-            ..RebalanceConfig::default()
-        };
-        let serving = build_epoch_serving(&spec, &p, 3, 1, &cfg).unwrap();
+        let faults = FaultPlan::none().with(
+            0,
+            0,
+            ReplicaFaultSchedule::none().with(0, FaultAction::TransientError),
+        );
+        let mut serving = build_epoch_serving(&spec, &p, 3, Duration::ZERO, &faults).unwrap();
+        serving.model.set_rpc_policy(RpcPolicy::resilient());
         let dist = &serving.model;
 
         let db = TraceDb::generate(&spec, 1, 5);

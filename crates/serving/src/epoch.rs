@@ -1,31 +1,30 @@
-//! Epoch-versioned serving state: the atomically-swappable routing
-//! table behind live resharding, and the one pipeline every epoch
-//! transition goes through.
+//! Epoch-versioned serving state: the atomically-swappable pointer a
+//! frontend lane reads, and the one pipeline every epoch transition goes
+//! through.
 //!
 //! One *epoch* is one immutable serving configuration — a partitioned
-//! [`DistributedModel`] wired to its replica pool. The switch numbers
+//! [`DistributedModel`] wired to its shard clients. The switch numbers
 //! epochs: the first is 0 and every successor is the serving epoch + 1
-//! (plans carry no epoch). Cutting over to a new plan is publishing a new
-//! epoch: an atomic `Arc` swap that takes effect on the next batch any
-//! frontend worker picks up. Workers resolve the current epoch *once
-//! per batch*, so no batch ever mixes two epochs' state — the invariant
-//! the chaos tests pin.
+//! (plans carry no epoch). Cutting over is publishing a new epoch: an
+//! atomic `Arc` swap that takes effect on the next batch any frontend
+//! worker picks up. Workers resolve the current epoch *once per batch*,
+//! so no batch ever mixes two epochs' state.
 //!
-//! [`EpochSwitch::transition`] is the sequence both controllers (the
-//! [`Rebalancer`](super::Rebalancer) and the tenancy
-//! [`PressureController`](crate::tenancy::PressureController)) run:
-//! take a built successor → **verify** it by replaying probe inputs
-//! against expected outputs ([`ProbeCheck`]) → **publish** → hand the
-//! retiree to a [`DrainQueue`], which shuts its pool down once the last
-//! in-flight batch holding its `Arc` completes. A successor that fails
-//! to build or to verify is shut down here and nothing is published.
-//! The controllers keep only what differs: deciding when to transition
-//! and recording what happened.
+//! [`EpochSwitch::transition`] is the sequence the tenancy
+//! [`PressureController`](crate::tenancy::PressureController) runs for
+//! every tier step: take a built successor → **verify** it by replaying
+//! probe inputs against expected outputs ([`ProbeCheck`]) → **publish**
+//! → hand the retiree to a [`DrainQueue`], which shuts its pool down
+//! once the last in-flight batch holding its `Arc` completes. A
+//! successor that fails to build or to verify is shut down here and
+//! nothing is published. Placement itself is static: no controller
+//! re-plans or reshards a serving tier.
 
 use crate::engine_trace::RpcTracingObserver;
-use crate::replica::{ReplicatedShardPool, TransportSummary};
+use crate::fault::FaultPlan;
+use crate::replica::{HealthPolicy, ReplicatedShardPool, TransportSummary};
 use dlrm_model::{ModelSpec, Workspace};
-use dlrm_sharding::DistributedModel;
+use dlrm_sharding::{DistributedModel, ShardingPlan};
 use dlrm_tensor::Matrix;
 use dlrm_trace::TraceId;
 use dlrm_workload::{BatchInputs, TraceDb};
@@ -44,8 +43,8 @@ pub struct EpochServing {
     /// wired to `pool`'s replicated clients.
     pub model: DistributedModel,
     /// The worker pool behind `model`'s shard clients. `None` when the
-    /// epoch serves over a transport the controller does not own (e.g.
-    /// in-process tiered clients).
+    /// epoch serves over a transport no pool owns (e.g. in-process
+    /// tiered clients).
     pub pool: Option<ReplicatedShardPool>,
 }
 
@@ -126,6 +125,42 @@ impl EpochSwitch {
         drain.retire(self.publish(next));
         Ok(())
     }
+}
+
+/// Builds one serving epoch from first principles: deterministic model
+/// weights from `seed`, one stateless
+/// [`ShardService`](dlrm_sharding::ShardService) per plan shard, one
+/// worker thread per shard (each with `delay` of injected service time
+/// and its schedule from `faults`, looked up by `(shard index, 0)`), and
+/// the partitioned model wired to the pool's clients. It is epoch 0; a
+/// successor published by hand is renumbered to the serving epoch + 1.
+/// The model keeps the partitioner's RPC policy; set another with
+/// [`DistributedModel::set_rpc_policy`].
+///
+/// # Errors
+///
+/// Returns the builder's or partitioner's error message.
+pub fn build_epoch_serving(
+    spec: &ModelSpec,
+    plan: &ShardingPlan,
+    seed: u64,
+    delay: Duration,
+    faults: &FaultPlan,
+) -> Result<EpochServing, String> {
+    let (model, pool) = ReplicatedShardPool::assemble(spec, plan, seed, |services| {
+        Ok(ReplicatedShardPool::spawn(
+            services,
+            1,
+            delay,
+            faults,
+            HealthPolicy::default(),
+        ))
+    })?;
+    Ok(EpochServing {
+        epoch: 0,
+        model,
+        pool: Some(pool),
+    })
 }
 
 /// Seeded probe inputs for dual-read verification: `n` whole requests
@@ -262,7 +297,6 @@ impl DrainQueue {
 
 #[cfg(test)]
 mod tests {
-    use super::super::{build_epoch_serving, RebalanceConfig};
     use super::*;
     use dlrm_model::rm;
     use dlrm_sharding::{plan, ShardingStrategy};
@@ -275,7 +309,7 @@ mod tests {
         let profile = PoolingProfile::from_spec(&spec);
         let p = plan(&spec, &profile, ShardingStrategy::OneShard).unwrap();
         let mut serving =
-            build_epoch_serving(&spec, &p, 1, 1, &RebalanceConfig::default()).unwrap();
+            build_epoch_serving(&spec, &p, 1, Duration::ZERO, &FaultPlan::none()).unwrap();
         serving.epoch = epoch;
         serving
     }

@@ -6,7 +6,7 @@
 //! modes that dominate real fleets — latency spikes, dropped replies,
 //! transient errors, worker panics, hard crashes — on a *fully seeded,
 //! reproducible* schedule: a [`FaultPlan`] is sampled from a
-//! [`SimRng`](dlrm_sim::SimRng) fork-salted per (shard, replica), and
+//! [`SimRng`] fork-salted per (shard, replica), and
 //! each replica worker consults its [`ReplicaFaultSchedule`] by request
 //! ordinal, so the same seed injects the same faults at the same points
 //! in every rerun.

@@ -55,7 +55,7 @@ pub use batcher::{merge_inputs, split_rows};
 pub use queue::QueueStats;
 pub use sla::{BatchMember, BatchRecord, FrontendReport};
 
-use crate::rebalance::EpochSwitch;
+use crate::epoch::EpochSwitch;
 use dlrm_model::ModelSpec;
 use dlrm_sharding::DistributedModel;
 use dlrm_trace::TraceCollector;

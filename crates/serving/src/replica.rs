@@ -15,7 +15,7 @@
 //! the retry/hedge policy in `dlrm_sharding::rpc`, this is the
 //! transport that keeps availability up when individual replicas crash.
 
-use crate::fault::{FaultPlan, ReplicaFaultSchedule};
+use crate::fault::FaultPlan;
 use crate::threaded::{spawn_worker, RpcStats, ShardRpcSummary, ThreadedClient, WireTotals, WorkerMsg};
 use dlrm_metrics::CauseCounts;
 use dlrm_model::{build_model, ModelSpec};
@@ -25,7 +25,7 @@ use dlrm_sharding::{
 };
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::Sender;
-use std::sync::{Arc, Mutex, PoisonError, RwLock};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -160,9 +160,9 @@ pub struct TransportSummary {
 }
 
 impl TransportSummary {
-    /// Folds a retired transport's summary into this one — the
-    /// aggregation a rebalance controller applies when an epoch's pool
-    /// is drained: every counter adds.
+    /// Folds a retired transport's summary into this one — what a
+    /// [`DrainQueue`](crate::epoch::DrainQueue) applies when a retired
+    /// epoch's pool is drained: every counter adds.
     pub fn absorb_retired(&mut self, retired: &TransportSummary) {
         self.failovers += retired.failovers;
         self.ejections += retired.ejections;
@@ -201,7 +201,7 @@ impl std::fmt::Display for TransportSummary {
 /// send that succeeds is issued and its rows counted
 /// ([`ReplicatedClient::issue_on`]), and its [`TrackedCompletion`]
 /// settles it or, dropped unsettled, abandons it.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct SeatConn {
     client: Arc<dyn SparseShardClient>,
     stats: Arc<RpcStats>,
@@ -212,31 +212,12 @@ pub(crate) struct SeatConn {
 #[derive(Debug)]
 struct ShardGroup {
     shard: ShardId,
-    /// The live seats behind a shared lock: [`ReplicatedClient`]s hold
-    /// the same `Arc`, so a seat added or removed here (replica
-    /// autoscaling, standby re-seating) is visible to live clients on
-    /// their next request — no client rebuild, no request dropped.
-    seats: Arc<RwLock<Vec<SeatConn>>>,
-    /// Instrumentation of the seats a scale-down removed: their rows
-    /// and wire stay in the shard's totals, and calls still in flight on
-    /// them keep counting.
-    removed: Mutex<Vec<Arc<RpcStats>>>,
-}
-
-impl ShardGroup {
-    /// Rows and wire totals over every seat the shard has had, and its
-    /// live seat count.
-    fn totals(&self) -> (u64, WireTotals, usize) {
-        let seats = self.seats.read().expect("seat list lock");
-        let removed = self.removed.lock().expect("removed seats lock");
-        let mut rows = 0;
-        let mut wire = WireTotals::default();
-        for stats in seats.iter().map(|seat| &seat.stats).chain(removed.iter()) {
-            rows += stats.rows_sent();
-            wire.merge(&stats.wire_totals());
-        }
-        (rows, wire, seats.len())
-    }
+    /// The seats, fixed once the group is built: [`ReplicatedClient`]s
+    /// share the slice and read it without a lock. A standby taking
+    /// over a dead server's seat changes the control plane's routing
+    /// table (`control::reseat_standby`), not this list: a client built
+    /// earlier fails over past the dead seat.
+    seats: Arc<[SeatConn]>,
 }
 
 /// Replica groups for every shard behind one shared health policy and
@@ -280,69 +261,12 @@ impl ReplicaGroupSet {
                 health: Arc::new(ReplicaHealth::default()),
             })
             .collect();
-        self.groups.push(ShardGroup {
-            shard,
-            seats: Arc::new(RwLock::new(seats)),
-            removed: Mutex::new(Vec::new()),
-        });
-    }
-
-    /// `shard`'s group; panics if it has none.
-    fn group(&self, shard: ShardId) -> &ShardGroup {
-        self.groups
-            .iter()
-            .find(|g| g.shard == shard)
-            .unwrap_or_else(|| panic!("no replica group for {shard}"))
-    }
-
-    /// Adds one replica seat to an existing shard group, live: clients
-    /// built before this call start rotating onto the new seat on their
-    /// next request. Returns the new replica count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard` has no group.
-    pub(crate) fn add_seat(
-        &self,
-        shard: ShardId,
-        client: Arc<dyn SparseShardClient>,
-        stats: Arc<RpcStats>,
-    ) -> usize {
-        let mut seats = self.group(shard).seats.write().expect("seat list lock");
-        seats.push(SeatConn {
-            client,
-            stats,
-            health: Arc::new(ReplicaHealth::default()),
-        });
-        seats.len()
-    }
-
-    /// Removes the highest-indexed replica seat of `shard`, live —
-    /// in-flight requests issued on it complete normally (their
-    /// completions hold their own references); new requests stop
-    /// rotating onto it immediately. The seat's instrumentation stays in
-    /// the shard's totals. Refuses to empty a group: returns `None` when
-    /// only one seat remains, otherwise the removed seat's replica
-    /// index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard` has no group.
-    pub(crate) fn remove_seat(&self, shard: ShardId) -> Option<usize> {
-        let group = self.group(shard);
-        let mut seats = group.seats.write().expect("seat list lock");
-        if seats.len() <= 1 {
-            return None;
-        }
-        let seat = seats.pop().expect("more than one seat");
-        let mut removed = group.removed.lock().expect("removed seats lock");
-        removed.push(seat.stats);
-        Some(seats.len())
+        self.groups.push(ShardGroup { shard, seats });
     }
 }
 
-/// The one shard pool: replica groups ([`ReplicaGroupSet`]) plus
-/// whatever runs their seats — the *backend* `B`. Every accessor the
+/// The one shard pool: replica groups, one per shard and fixed once
+/// built, plus whatever runs their seats — the *backend* `B`. Every accessor the
 /// serving stack needs is implemented here once; the three
 /// instantiations differ only in their constructor and backend:
 ///
@@ -401,7 +325,7 @@ impl<B> ShardPool<B> {
             .map(|g| {
                 Arc::new(ReplicatedClient {
                     shard: g.shard,
-                    replicas: Arc::clone(&g.seats),
+                    seats: Arc::clone(&g.seats),
                     next: AtomicUsize::new(0),
                     policy: self.set.policy,
                     counters: Arc::clone(&self.set.counters),
@@ -413,38 +337,18 @@ impl<B> ShardPool<B> {
     /// Replica counts per shard, in [`ShardId`] order.
     #[must_use]
     pub fn replica_counts(&self) -> Vec<usize> {
-        self.set
-            .groups
-            .iter()
-            .map(|g| g.seats.read().expect("seat list lock").len())
-            .collect()
-    }
-
-    /// Row lookups sent to each shard, in [`ShardId`] order, with its
-    /// live replica count: the autoscaler's load signal. A seat removed
-    /// by a scale-down keeps its rows in its shard's total.
-    pub(crate) fn shard_rows(&self) -> Vec<(ShardId, u64, usize)> {
-        self.set
-            .groups
-            .iter()
-            .map(|g| {
-                let (rows, _, replicas) = g.totals();
-                (g.shard, rows, replicas)
-            })
-            .collect()
+        self.set.groups.iter().map(|g| g.seats.len()).collect()
     }
 
     /// Snapshot of failover/ejection/probe/recovery activity plus the
-    /// summed wire accounting of every replica client, removed ones
-    /// included.
+    /// summed wire accounting of every replica client.
     #[must_use]
     pub fn transport_summary(&self) -> TransportSummary {
         let mut wire = WireTotals::default();
         let mut rows_sent = 0u64;
-        for g in &self.set.groups {
-            let (rows, seat_wire, _) = g.totals();
-            rows_sent += rows;
-            wire.merge(&seat_wire);
+        for seat in self.set.groups.iter().flat_map(|g| g.seats.iter()) {
+            rows_sent += seat.stats.rows_sent();
+            wire.merge(&seat.stats.wire_totals());
         }
         TransportSummary {
             failovers: self.set.counters.failovers.load(Ordering::Relaxed),
@@ -463,7 +367,7 @@ impl<B> ShardPool<B> {
         }
     }
 
-    /// Per-replica RPC instrumentation of the live seats, flattened in
+    /// Per-replica RPC instrumentation of the seats, flattened in
     /// (shard, replica) order; the `shard` field repeats for each
     /// replica of a shard.
     #[must_use]
@@ -471,14 +375,7 @@ impl<B> ShardPool<B> {
         self.set
             .groups
             .iter()
-            .flat_map(|g| {
-                g.seats
-                    .read()
-                    .expect("seat list lock")
-                    .iter()
-                    .map(|seat| seat.stats.summarize(g.shard))
-                    .collect::<Vec<_>>()
-            })
+            .flat_map(|g| g.seats.iter().map(|seat| seat.stats.summarize(g.shard)))
             .collect()
     }
 
@@ -491,12 +388,9 @@ impl<B> ShardPool<B> {
             .iter()
             .flat_map(|g| {
                 g.seats
-                    .read()
-                    .expect("seat list lock")
                     .iter()
                     .enumerate()
                     .map(|(r, seat)| (g.shard, r, seat.health.is_ejected()))
-                    .collect::<Vec<_>>()
             })
             .collect()
     }
@@ -538,30 +432,18 @@ type WorkerHandle = (Sender<WorkerMsg>, JoinHandle<()>);
 /// [`ShardService`] over the channel transport in [`crate::threaded`].
 #[derive(Debug)]
 pub struct WorkerThreads {
-    /// Retained so [`ReplicatedShardPool::scale_up`] can spawn extra
-    /// replicas of a shard after the pool is live.
-    services: Vec<Arc<ShardService>>,
-    delay: Duration,
-    /// `workers[shard index][replica index]`, kept parallel to the seat
-    /// lists so scale-down can stop exactly the vacated worker.
-    workers: Mutex<Vec<Vec<WorkerHandle>>>,
-    /// Total replicas ever spawned per shard — labels new workers so a
-    /// scale-down + scale-up pair never reuses a thread name.
-    spawned: Mutex<Vec<usize>>,
+    /// Every (shard, replica) worker, in seat order.
+    workers: Vec<WorkerHandle>,
 }
 
 impl Drop for WorkerThreads {
     fn drop(&mut self) {
         // Stop everyone first, then join, so the queues drain in
-        // parallel. A poisoned table still holds valid handles.
-        let workers = self
-            .workers
-            .get_mut()
-            .unwrap_or_else(PoisonError::into_inner);
-        for (tx, _) in workers.iter().flatten() {
+        // parallel.
+        for (tx, _) in &self.workers {
             let _ = tx.send(WorkerMsg::Stop);
         }
-        for (_, handle) in workers.drain(..).flatten() {
+        for (_, handle) in self.workers.drain(..) {
             let _ = handle.join();
         }
     }
@@ -587,12 +469,11 @@ impl ShardPool<WorkerThreads> {
     ) -> Self {
         let replicas = replicas_per_shard.max(1);
         let mut set = ReplicaGroupSet::new(policy);
-        let mut workers = Vec::with_capacity(services.len());
+        let mut workers = Vec::with_capacity(services.len() * replicas);
         for (index, service) in services.iter().enumerate() {
             let shard = service.shard_id();
             let mut seats: Vec<(Arc<dyn SparseShardClient>, Arc<RpcStats>)> =
                 Vec::with_capacity(replicas);
-            let mut shard_workers = Vec::with_capacity(replicas);
             for r in 0..replicas {
                 let schedule = faults.schedule(index, r).cloned().unwrap_or_default();
                 let (tx, handle) =
@@ -601,71 +482,11 @@ impl ShardPool<WorkerThreads> {
                     Arc::new(ThreadedClient::new(shard, tx.clone())),
                     Arc::default(),
                 ));
-                shard_workers.push((tx, handle));
+                workers.push((tx, handle));
             }
             set.add_group(shard, seats);
-            workers.push(shard_workers);
         }
-        let spawned = Mutex::new(vec![replicas; services.len()]);
-        Self::new(
-            set,
-            WorkerThreads {
-                services,
-                delay,
-                workers: Mutex::new(workers),
-                spawned,
-            },
-        )
-    }
-
-    /// Adds one replica worker to shard `index` (position in the
-    /// original `services` vector), live: a fresh worker thread starts
-    /// on the shared service and the seat joins the rotation every
-    /// existing [`ReplicatedClient`] sees. Returns the new replica
-    /// count. This is the scale-*up* arm of replica autoscaling
-    /// (§VII-C made live).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range.
-    pub fn scale_up(&self, index: usize) -> usize {
-        let threads = &self.backend;
-        let service = Arc::clone(&threads.services[index]);
-        let shard = service.shard_id();
-        let label = {
-            let mut spawned = threads.spawned.lock().expect("spawn counter lock");
-            let r = spawned[index];
-            spawned[index] += 1;
-            format!("{shard}r{r}")
-        };
-        let (tx, handle) =
-            spawn_worker(service, threads.delay, ReplicaFaultSchedule::none(), label);
-        let client = ThreadedClient::new(shard, tx.clone());
-        // Register the worker before the seat: once the seat is
-        // visible, a racing scale_down must find a worker to stop.
-        threads.workers.lock().expect("worker table lock")[index].push((tx, handle));
-        self.set.add_seat(shard, Arc::new(client), Arc::default())
-    }
-
-    /// Removes the most recently added replica of shard `index` and
-    /// stops its worker (queued envelopes drain first, exactly like
-    /// shutdown). Refuses to drop the last replica; returns the new
-    /// replica count, or `None` if the shard is already at one. The
-    /// scale-*down* arm of replica autoscaling.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range.
-    pub fn scale_down(&self, index: usize) -> Option<usize> {
-        let threads = &self.backend;
-        let shard = threads.services[index].shard_id();
-        let remaining = self.set.remove_seat(shard)?;
-        let worker = threads.workers.lock().expect("worker table lock")[index].pop();
-        if let Some((tx, handle)) = worker {
-            let _ = tx.send(WorkerMsg::Stop);
-            let _ = handle.join();
-        }
-        Some(remaining)
+        Self::new(set, WorkerThreads { workers })
     }
 }
 
@@ -675,15 +496,12 @@ impl ShardPool<WorkerThreads> {
 /// hedging live one layer up, in the `SparseRpc` policy — each
 /// `begin_shared` here issues exactly one attempt to one replica, and
 /// because the round-robin pointer advances per call, a retry or hedge
-/// naturally lands on a *different* replica.
-///
-/// The seat list is the *shared* one owned by [`ReplicaGroupSet`]: a
-/// seat added or removed there mid-flight changes this client's
-/// rotation on the very next request.
+/// naturally lands on a *different* replica. The seat list is its
+/// pool's, shared and fixed once the pool is built.
 #[derive(Debug)]
 pub struct ReplicatedClient {
     shard: ShardId,
-    replicas: Arc<RwLock<Vec<SeatConn>>>,
+    seats: Arc<[SeatConn]>,
     next: AtomicUsize,
     policy: HealthPolicy,
     counters: Arc<TransportCounters>,
@@ -700,10 +518,7 @@ impl SparseShardClient for ReplicatedClient {
         &self,
         request: &Arc<ShardRequest>,
     ) -> Result<Box<dyn RpcCompletion>, RpcError> {
-        // Snapshot the seat list so a concurrent scale-up/scale-down
-        // never blocks behind request IO (each seat is a bundle of
-        // `Arc`s — the clone is cheap).
-        let seats: Vec<SeatConn> = self.replicas.read().expect("seat list lock").clone();
+        let seats = &self.seats;
         let n = seats.len();
         if n == 0 {
             return Err(RpcError::Transport {
@@ -1010,65 +825,6 @@ mod tests {
             pool.replica_states().iter().all(|(_, _, e)| !*e),
             "replica 0 should be back in rotation"
         );
-        pool.shutdown();
-    }
-
-    #[test]
-    fn scale_up_and_down_rebalance_live_clients() {
-        // Clients are built once, against a single replica; the pool
-        // then scales to three and back to two without the clients
-        // being rebuilt — the rotation must follow the seat list.
-        let pool = pool(1, &FaultPlan::none(), HealthPolicy::default());
-        let clients = pool.clients();
-        assert!(clients[0].execute(&empty_request()).is_ok());
-        assert_eq!(pool.scale_up(0), 2);
-        assert_eq!(pool.scale_up(0), 3);
-        assert_eq!(pool.len(), 3);
-        assert_eq!(pool.replica_counts(), vec![3]);
-        for _ in 0..9 {
-            assert!(clients[0].execute(&empty_request()).is_ok());
-        }
-        let per_replica = pool.replica_rpc_summaries();
-        assert_eq!(per_replica.len(), 3);
-        assert!(
-            per_replica.iter().all(|s| s.calls >= 3),
-            "every replica (including the scaled-up ones) should serve: {per_replica:?}"
-        );
-        assert_eq!(pool.scale_down(0), Some(2));
-        assert_eq!(pool.len(), 2);
-        for _ in 0..4 {
-            assert!(clients[0].execute(&empty_request()).is_ok());
-        }
-        // The floor: the last replica of a shard cannot be removed.
-        assert_eq!(pool.scale_down(0), Some(1));
-        assert_eq!(pool.scale_down(0), None);
-        assert_eq!(pool.replica_counts(), vec![1]);
-        assert!(clients[0].execute(&empty_request()).is_ok());
-        pool.shutdown();
-    }
-
-    #[test]
-    fn scale_down_keeps_the_removed_replicas_counts() {
-        // Three lookups per call, spread over two replicas; removing
-        // one must not take its rows out of the pool's or the shard's
-        // totals (the autoscaler would read the drop as an idle tick).
-        let request = three_lookups();
-        let pool = pool(2, &FaultPlan::none(), HealthPolicy::default());
-        let clients = pool.clients();
-        for _ in 0..4 {
-            assert!(clients[0].execute(&request).is_ok());
-        }
-        assert!(pool.replica_rpc_summaries().iter().all(|s| s.rows == 6));
-        let before = pool.transport_summary().rows_sent;
-        assert_eq!(before, 12);
-        assert_eq!(pool.shard_rows(), vec![(ShardId(0), 12, 2)]);
-
-        assert_eq!(pool.scale_down(0), Some(1));
-        let summary = pool.transport_summary();
-        assert_eq!(summary.rows_sent, before, "{summary}");
-        assert_eq!(pool.shard_rows(), vec![(ShardId(0), 12, 1)]);
-        assert!(clients[0].execute(&request).is_ok());
-        assert_eq!(pool.transport_summary().rows_sent, before + 3);
         pool.shutdown();
     }
 

@@ -32,9 +32,8 @@
 //! coldest tenants' coldest tables down the storage ladder
 //! ([`Tier`]) — every transition dual-read verified against golden
 //! predictions and published atomically through the tenant's own
-//! [`EpochSwitch`], exactly like a rebalance cutover; the other
-//! tenants' epochs (and therefore their predictions) are untouched,
-//! bit for bit.
+//! [`EpochSwitch`]; the other tenants' epochs (and therefore their
+//! predictions) are untouched, bit for bit.
 
 pub mod pressure;
 pub mod tiered;
@@ -47,7 +46,7 @@ pub use tiered::{build_tiered_epoch, TieredShardService};
 pub use dlrm_sharding::{Tier, TierBytes, DEMOTED_BITS};
 
 use crate::frontend::{serve, EpochSource, FrontendReport, FrontendRequest, Lane, LaneRun};
-use crate::rebalance::{probe_all, probe_inputs, EpochSwitch};
+use crate::epoch::{probe_all, probe_inputs, EpochSwitch};
 use dlrm_model::ModelSpec;
 use dlrm_sharding::{plan as make_plan, ShardingPlan, ShardingStrategy};
 use dlrm_tensor::Matrix;

@@ -2,9 +2,8 @@
 //! resident bytes under the host DRAM budget by moving tables down the
 //! storage ladder, and back up when pressure clears.
 //!
-//! Modeled on the [`Rebalancer`](crate::rebalance::Rebalancer) tick
-//! loop: a single-threaded [`PressureController::tick`] you drive from
-//! your own loop (or the runner's background thread). Each tick
+//! A single-threaded [`PressureController::tick`] you drive from your
+//! own loop (or the runner's background thread). Each tick
 //! compares the sum of every tenant's resident bytes (DRAM +
 //! quantized tiers; paged backing does not count) against the budget:
 //!
@@ -24,14 +23,14 @@
 //! reproduce the tenant's all-DRAM golden predictions — bitwise when no
 //! table sits on the quantized rung, within the quantization bound
 //! otherwise. Only then does the new epoch publish through the tenant's
-//! [`EpochSwitch`](crate::rebalance::EpochSwitch); the retired epoch
-//! drains by refcount exactly like a rebalance cutover. A failed
+//! [`EpochSwitch`](crate::epoch::EpochSwitch); the retired epoch
+//! drains by refcount ([`DrainQueue`]). A failed
 //! verification publishes nothing and is reported via
 //! [`PressureController::verify_failures`].
 
 use super::tiered::build_tiered_epoch;
 use super::TenantRuntime;
-use crate::rebalance::{DrainQueue, ProbeCheck};
+use crate::epoch::{DrainQueue, ProbeCheck};
 use dlrm_model::TableId;
 use dlrm_sharding::{Tier, TierBytes};
 use std::sync::atomic::{AtomicU64, Ordering};

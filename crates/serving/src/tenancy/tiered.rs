@@ -8,10 +8,10 @@
 //! is [`dlrm_sharding::ShardService`]; this module only turns a
 //! per-table assignment into a serving epoch. The pressure controller
 //! calls it with a new assignment and cuts the tenant over atomically
-//! via [`EpochSwitch`](crate::rebalance::EpochSwitch) — no in-place
-//! mutation, every epoch immutable, exactly like a rebalance cutover.
+//! via [`EpochSwitch`](crate::epoch::EpochSwitch) — no in-place
+//! mutation, every epoch immutable.
 
-use crate::rebalance::EpochServing;
+use crate::epoch::EpochServing;
 use dlrm_model::{build_model, ModelSpec};
 use dlrm_sharding::rpc::SparseShardClient;
 use dlrm_sharding::{partition_with_clients, InProcessClient, ShardService, ShardingPlan, Tier};

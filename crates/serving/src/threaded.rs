@@ -13,7 +13,7 @@
 //! [`ReplicatedShardPool`](crate::replica::ReplicatedShardPool).
 //!
 //! Workers are fault-aware: each consults a
-//! [`ReplicaFaultSchedule`](crate::fault::ReplicaFaultSchedule) by
+//! [`ReplicaFaultSchedule`] by
 //! request ordinal (latency spikes, dropped replies, injected transient
 //! errors, panics, hard crashes), and panics while serving are caught
 //! and surfaced as [`RpcError::Poisoned`] instead of killing the worker.

@@ -9,13 +9,16 @@
 
 use dlrm_model::graph::NoopObserver;
 use dlrm_model::{build_model, ModelSpec, NetId, NetSpec, TableId, TableSpec, Workspace};
-use dlrm_serving::fault::FaultPlan;
+use dlrm_serving::epoch::{
+    build_epoch_serving, probe_all, probe_inputs, DrainQueue, EpochServing, EpochSwitch, ProbeCheck,
+};
+use dlrm_serving::fault::{FaultPlan, ReplicaFaultSchedule};
 use dlrm_serving::frontend::{
     materialize_frontend_requests, merge_inputs, run_frontend, serve, split_rows, EpochSource,
     FrontendConfig, FrontendRequest, Lane, LaneRun,
 };
-use dlrm_serving::rebalance::{build_epoch_serving, DrainQueue, EpochSwitch, RebalanceConfig};
 use dlrm_serving::replica::{HealthPolicy, ReplicatedShardPool};
+use dlrm_sharding::rpc::RpcPolicy;
 use dlrm_sharding::{partition, plan, DistributedModel, ShardingPlan, ShardingStrategy};
 use dlrm_sim::SimRng;
 use dlrm_tensor::Matrix;
@@ -350,10 +353,11 @@ fn lanes_of_every_source_account_exactly_and_stay_bit_exact_across_a_cutover() {
                         .collect()
                 })
                 .collect();
-            let rb = RebalanceConfig::default();
-            let switches: Vec<EpochSwitch> = (0..lanes)
-                .map(|_| EpochSwitch::new(build_epoch_serving(&spec, &p, seed, 1, &rb).unwrap()))
-                .collect();
+            let epoch0 = || {
+                build_epoch_serving(&spec, &p, seed, Duration::ZERO, &FaultPlan::none()).unwrap()
+            };
+            let switches: Vec<EpochSwitch> =
+                (0..lanes).map(|_| EpochSwitch::new(epoch0())).collect();
             let profilers: Vec<OnlineProfiler> = (0..lanes)
                 .map(|_| OnlineProfiler::for_spec(&spec))
                 .collect();
@@ -361,7 +365,7 @@ fn lanes_of_every_source_account_exactly_and_stay_bit_exact_across_a_cutover() {
             let runs = std::thread::scope(|s| {
                 for i in (0..lanes).filter(|&i| is_switch(i)) {
                     let (switch, profiler) = (&switches[i], &profilers[i]);
-                    let mut next = build_epoch_serving(&spec, &p, seed, 1, &rb).unwrap();
+                    let mut next = epoch0();
                     next.epoch = 1;
                     s.spawn(move || {
                         let deadline = Instant::now() + Duration::from_secs(30);
@@ -413,6 +417,111 @@ fn lanes_of_every_source_account_exactly_and_stay_bit_exact_across_a_cutover() {
             }
         }
     }
+}
+
+/// Outcomes must depend only on fault schedules, never the wall clock.
+fn deterministic_policy() -> RpcPolicy {
+    RpcPolicy {
+        attempt_timeout: None,
+        max_attempts: 4,
+        backoff_base: Duration::from_micros(100),
+        backoff_cap: Duration::from_millis(1),
+        hedge_after: None,
+        degraded_fallback: true,
+    }
+}
+
+/// The transition pipeline's abort paths — the successor failed to
+/// warm, its probe outputs diverge, or a probe came back degraded —
+/// each leave the serving epoch, `cutovers()` and the drain queue as
+/// they were, shut the candidate's pool down, and name the reason; the
+/// same candidate shape built cleanly then publishes and the retiree
+/// drains.
+#[test]
+fn transition_aborts_leave_serving_untouched_and_stop_the_candidate() {
+    const SEED: u64 = 33;
+    let mut spec = dlrm_model::rm::rm1().scaled_to_bytes(1 << 20);
+    spec.mean_items_per_request = 6.0;
+    spec.default_batch_size = 4;
+    let profile = PoolingProfile::from_spec(&spec);
+    let p = plan(&spec, &profile, ShardingStrategy::CapacityBalanced(2)).expect("plan");
+    let build = |seed: u64, faults: &FaultPlan| {
+        build_epoch_serving(&spec, &p, seed, Duration::ZERO, faults).map(|mut serving| {
+            serving.model.set_rpc_policy(deterministic_policy());
+            serving
+        })
+    };
+    let switch = EpochSwitch::new(build(SEED, &FaultPlan::none()).expect("epoch 0"));
+    let inputs = probe_inputs(&spec, 3, SEED ^ 5);
+    let expected = probe_all(&spec, &switch.current().model, &inputs).expect("serving probes");
+    let check = ProbeCheck {
+        spec: &spec,
+        inputs: &inputs,
+        expected: &expected,
+        tolerance: 0.0,
+    };
+    let mut drain = DrainQueue::default();
+    let request = dlrm_sharding::rpc::ShardRequest {
+        net: dlrm_model::NetId(0),
+        slices: vec![],
+    };
+
+    // A replica that crashes on first use degrades the first probe
+    // (the deterministic policy falls back to zero embeddings).
+    let crashing = FaultPlan::none().with(0, 0, ReplicaFaultSchedule::crash_at(0));
+    let aborts: [(&str, Result<EpochServing, String>); 3] = [
+        ("warm failed", Err("no capacity".to_string())),
+        // Same plan, different weights: every probe answers, none matches.
+        ("diverges", build(SEED + 1, &FaultPlan::none())),
+        ("degraded", build(SEED, &crashing)),
+    ];
+    for (reason, candidate) in aborts {
+        let clients = candidate
+            .as_ref()
+            .ok()
+            .map(|c| c.pool.as_ref().expect("candidate pool").clients());
+        let err = switch
+            .transition(candidate, &check, &mut drain)
+            .unwrap_err();
+        assert!(err.contains(reason), "expected {reason:?} in {err:?}");
+        assert_eq!(
+            (switch.epoch(), switch.cutovers()),
+            (0, 0),
+            "{reason}: cut over anyway"
+        );
+        assert_eq!(
+            drain.finish(std::time::Instant::now()),
+            0,
+            "{reason}: something retired"
+        );
+        for client in clients.iter().flatten() {
+            // The last shard's worker never crashed; only a pool
+            // shutdown takes it down.
+            let down = client.execute(&request).unwrap_err().to_string();
+            assert!(
+                down.contains("down"),
+                "{reason}: candidate pool still serving: {down}"
+            );
+        }
+        // The serving epoch still answers, bit for bit.
+        let again = probe_all(&spec, &switch.current().model, &inputs).expect("serving probes");
+        assert_eq!(again, expected, "{reason}: serving epoch disturbed");
+    }
+
+    let clean = build(SEED, &FaultPlan::none()).map(|e| EpochServing { epoch: 1, ..e });
+    switch
+        .transition(clean, &check, &mut drain)
+        .expect("clean successor publishes");
+    assert_eq!((switch.epoch(), switch.cutovers()), (1, 1));
+    assert_eq!(
+        drain.finish(std::time::Instant::now()),
+        0,
+        "retiree never drained"
+    );
+    assert!(
+        drain.transport().rows_sent > 0,
+        "retiree's transport summary lost"
+    );
 }
 
 /// A lane with nothing to offer terminates beside a busy one and

@@ -194,16 +194,6 @@ impl HotRowCache {
             .map(|t| t.rows.len())
             .sum()
     }
-
-    /// Total resident bytes (f32 weights only).
-    #[must_use]
-    pub fn resident_bytes(&self) -> usize {
-        self.tables
-            .iter()
-            .flatten()
-            .map(|t| t.data.len() * std::mem::size_of::<f32>())
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -256,7 +246,6 @@ mod tests {
         assert!(cache.covers(TableId(0), 5));
         assert!(!cache.covers(TableId(0), 4));
         assert_eq!(cache.resident_rows(), 2);
-        assert_eq!(cache.resident_bytes(), 2 * 2 * 4);
         let mut totals = CacheTotals::default();
         assert!(totals.is_zero());
         for (hits, misses, local_rows) in [(3, 1, 9), (1, 0, 2)] {

@@ -124,9 +124,10 @@ impl DistributedModel {
         counts
     }
 
-    /// Applies one fault-tolerance [`RpcPolicy`] to every [`SparseRpc`]
-    /// operator across all nets (via the [`Operator::as_any_mut`]
-    /// downcast hook), and returns how many operators were configured.
+    /// Applies one fault-tolerance [`RpcPolicy`](crate::rpc::RpcPolicy)
+    /// to every [`SparseRpc`] operator across all nets (via the
+    /// [`Operator::as_any_mut`] downcast hook), and returns how many
+    /// operators were configured.
     /// Call after partitioning, before serving.
     pub fn set_rpc_policy(&mut self, policy: crate::rpc::RpcPolicy) -> usize {
         let mut configured = 0;

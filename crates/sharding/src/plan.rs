@@ -175,16 +175,6 @@ impl ShardingPlan {
         self.hot_rows.iter().map(Vec::len).sum()
     }
 
-    /// Whether two plans place rows identically (shard count,
-    /// placements and hot-row sets), ignoring the strategy label — the
-    /// "is a migration even worth it" predicate.
-    #[must_use]
-    pub fn same_layout(&self, other: &Self) -> bool {
-        self.num_shards == other.num_shards
-            && self.placements == other.placements
-            && self.hot_rows == other.hot_rows
-    }
-
     /// The strategy that produced this plan.
     #[must_use]
     pub fn strategy(&self) -> ShardingStrategy {
@@ -421,37 +411,6 @@ mod tests {
         // Hot rows are serving-layer copies, not placements: the plan
         // still validates as-is.
         assert_eq!(plan.validate(&spec), Ok(()));
-    }
-
-    #[test]
-    fn same_layout_ignores_strategy_but_not_rows() {
-        let spec = two_table_spec();
-        let placements: Vec<TablePlacement> = spec
-            .tables
-            .iter()
-            .enumerate()
-            .map(|(i, t)| TablePlacement {
-                table: t.id,
-                location: Location::Shards(vec![ShardId(i % 2)]),
-            })
-            .collect();
-        let old = ShardingPlan::new(ShardingStrategy::CapacityBalanced(2), 2, placements.clone());
-        let relabelled =
-            ShardingPlan::new(ShardingStrategy::LoadBalanced(2), 2, placements.clone());
-        assert!(old.same_layout(&relabelled));
-
-        // Same placements, but a table gains a hot-row set.
-        let mut hot = vec![Vec::new(); placements.len()];
-        hot[0] = vec![1, 7];
-        let new = ShardingPlan::new(ShardingStrategy::HotRowAware(2), 2, placements.clone())
-            .with_hot_rows(hot);
-        assert!(!new.same_layout(&old));
-
-        // A shard count increase.
-        let mut wider: Vec<TablePlacement> = placements;
-        wider[0].location = Location::Shards(vec![ShardId(2)]);
-        let wide = ShardingPlan::new(ShardingStrategy::CapacityBalanced(3), 3, wider);
-        assert!(!wide.same_layout(&old));
     }
 
     #[test]

@@ -144,15 +144,6 @@ impl ShardRequest {
     pub fn total_lookups(&self) -> usize {
         self.slices.iter().map(|s| s.indices.len()).sum()
     }
-
-    /// Approximate request payload in bytes: 8 per index, 4 per length.
-    #[must_use]
-    pub fn payload_bytes(&self) -> usize {
-        self.slices
-            .iter()
-            .map(|s| s.indices.len() * 8 + s.lengths.len() * 4)
-            .sum()
-    }
 }
 
 /// The response: pooled embeddings per requested table, in request
@@ -1652,7 +1643,7 @@ mod tests {
     }
 
     #[test]
-    fn payload_bytes_accounting() {
+    fn total_lookups_accounting() {
         let req = ShardRequest {
             net: NetId(0),
             slices: vec![TableSlice {
@@ -1662,6 +1653,5 @@ mod tests {
             }],
         };
         assert_eq!(req.total_lookups(), 3);
-        assert_eq!(req.payload_bytes(), 3 * 8 + 4);
     }
 }

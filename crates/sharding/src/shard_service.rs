@@ -90,12 +90,6 @@ impl ShardService {
         self.shard
     }
 
-    /// Number of (possibly partial) tables hosted.
-    #[must_use]
-    pub fn table_count(&self) -> usize {
-        self.tables.len()
-    }
-
     /// Byte totals of the hosted slices, split by tier.
     #[must_use]
     pub fn bytes_by_tier(&self) -> TierBytes {
@@ -234,7 +228,7 @@ mod tests {
         for tier in TIERS {
             let tables = vec![table(4)];
             let svc = ShardService::build_tiered(&tables, &plan_over(1), ShardId(0), &[tier]).unwrap();
-            assert_eq!(svc.table_count(), 1);
+            assert_eq!(svc.tables.len(), 1);
             // DRAM holds the model's own allocation; a colder tier holds
             // its own encoding and lets the f32 rows go.
             let shared = tier == Tier::Dram;

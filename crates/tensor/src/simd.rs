@@ -392,8 +392,8 @@ fn bag_block_scalar<const W: usize>(
     w
 }
 
-/// Quantized 8-bit decode (overwrite): `out[i] = f32(codes[i]) * scale
-/// + bias` — the `row_into` primitive.
+/// Quantized 8-bit decode (overwrite):
+/// `out[i] = f32(codes[i]) * scale + bias` — the `row_into` primitive.
 ///
 /// # Panics
 ///
@@ -487,7 +487,7 @@ pub(crate) fn packed_rows(
 const PROBE_CHAINS: usize = 12;
 
 /// Roofline probe for the exact GEMM tiers: `iters` rounds of
-/// [`PROBE_CHAINS`] independent register-resident chains
+/// `PROBE_CHAINS` independent register-resident chains
 /// `x = x·m + c` — a separate multiply and add per lane, nothing loaded
 /// or stored — at the vector width `level`'s GEMM tile uses. Returns
 /// the FLOPs executed (for a bench to divide by its wall time), or 0

@@ -190,7 +190,7 @@ fn zipf_rank(rng: &mut SimRng, n: u64, s: f64) -> u64 {
 ///
 /// This is the RecShard-style input to statistics-driven placement: the
 /// planner reads the CDF to decide which rows deserve main-shard
-/// residency ([`dlrm_sharding`]'s `HotRowAware` strategy), and the
+/// residency (`dlrm_sharding`'s `HotRowAware` strategy), and the
 /// hot-set summary serializes so a control plane can ship it alongside
 /// the plan.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -4,11 +4,12 @@
 //! The offline path samples a synthetic Zipf trace ([`RowStats::
 //! sample_zipf`]) before the model is ever deployed; this module is its
 //! live twin. A serving tier shares one [`OnlineProfiler`] across its
-//! workers, calls [`OnlineProfiler::observe`] on every batch it
-//! executes, and a rebalance controller snapshots the accumulated
-//! counts into fresh [`RowStats`] to re-derive placement when the hot
-//! set the traffic actually touches has drifted away from the profiled
-//! one (RecShard's premise, made continuous).
+//! workers and calls [`OnlineProfiler::observe`] on every batch it
+//! executes. The per-table totals rank the tenancy pressure
+//! controller's demotion candidates; a snapshot of the row counts is
+//! fresh [`RowStats`] for an offline re-plan (`plan_with_stats`) from
+//! the hot set the traffic actually touched. Placement stays static
+//! while a tier serves.
 
 use crate::{BatchInputs, RowStats};
 use std::collections::HashMap;
@@ -19,8 +20,8 @@ use std::sync::Mutex;
 /// observe concurrently, a controller reads concurrently.
 ///
 /// Two shapes. [`Self::for_spec`] also keeps a `(row → count)`
-/// histogram per table for [`Self::snapshot`] — what a rebalancer
-/// replans from, at the cost of hashing every looked-up row under one
+/// histogram per table for [`Self::snapshot`] — what an offline
+/// re-plan reads, at the cost of hashing every looked-up row under one
 /// lock. [`Self::without_rows`] keeps only the per-table totals — what
 /// the tenancy pressure controller ranks tables by — and costs one
 /// relaxed add per table per batch.
@@ -29,8 +30,8 @@ pub struct OnlineProfiler {
     /// Row count per table (indexed by table id) — carried into every
     /// snapshot so the planner can validate coverage.
     rows: Vec<u64>,
-    /// Accesses per table since the last [`Self::reset`]; read without
-    /// the histogram lock.
+    /// Accesses per table since construction; read without the
+    /// histogram lock.
     totals: Vec<AtomicU64>,
     /// Accumulated `(row → count)` per table, when rows are tracked.
     counts: Option<Mutex<Vec<HashMap<u64, u64>>>>,
@@ -72,7 +73,7 @@ impl OnlineProfiler {
         }
     }
 
-    /// Total lookups observed since construction or the last reset.
+    /// Total lookups observed since construction.
     #[must_use]
     pub fn total_accesses(&self) -> u64 {
         self.totals.iter().map(|t| t.load(Ordering::Relaxed)).sum()
@@ -89,20 +90,11 @@ impl OnlineProfiler {
             .collect()
     }
 
-    /// The smallest per-table access total — the coverage floor a
-    /// controller gates replanning on (a table nobody touched yet
-    /// cannot be profiled).
-    #[must_use]
-    pub fn min_table_accesses(&self) -> u64 {
-        self.totals.iter().map(|t| t.load(Ordering::Relaxed)).min().unwrap_or(0)
-    }
-
     /// Snapshots the accumulated counts into one [`RowStats`] per table
     /// (indexed by table id), or `None` until *every* table has at
     /// least one observed access — `plan_with_stats` requires full
     /// coverage — and always `None` for a profiler built
-    /// [`Self::without_rows`]. The accumulator keeps counting; use
-    /// [`Self::reset`] to start a fresh window after a cutover.
+    /// [`Self::without_rows`]. The accumulator keeps counting.
     #[must_use]
     pub fn snapshot(&self) -> Option<Vec<RowStats>> {
         let counts = self.counts.as_ref()?.lock().expect("profiler counts lock");
@@ -113,20 +105,6 @@ impl OnlineProfiler {
                 RowStats::from_counts(rows, table.iter().map(|(&r, &c)| (r, c)))
             })
             .collect()
-    }
-
-    /// Clears the accumulated counts — the start of a fresh profiling
-    /// window (typically right after a plan cutover, so the next
-    /// migration decision reflects post-cutover traffic only).
-    pub fn reset(&self) {
-        if let Some(counts) = &self.counts {
-            for table in counts.lock().expect("profiler counts lock").iter_mut() {
-                table.clear();
-            }
-        }
-        for total in &self.totals {
-            total.store(0, Ordering::Relaxed);
-        }
     }
 }
 
@@ -158,7 +136,7 @@ mod tests {
         assert_eq!(stats.len(), spec.tables.len());
         let total: u64 = stats.iter().map(RowStats::total_accesses).sum();
         assert_eq!(total, profiler.total_accesses());
-        assert!(profiler.min_table_accesses() > 0);
+        assert!(profiler.table_accesses().iter().all(|&t| t > 0));
         for (t, s) in stats.iter().enumerate() {
             assert_eq!(s.rows(), spec.tables[t].rows, "table {t} row count");
         }
@@ -189,7 +167,7 @@ mod tests {
     }
 
     #[test]
-    fn totals_equal_histogram_sums_and_reset_clears_both() {
+    fn totals_equal_histogram_sums() {
         let spec = spec();
         let with_rows = OnlineProfiler::for_spec(&spec);
         let totals_only = OnlineProfiler::without_rows(&spec);
@@ -212,33 +190,9 @@ mod tests {
             totals_only.total_accesses(),
             histogram_sums.iter().sum::<u64>()
         );
-        assert_eq!(
-            totals_only.min_table_accesses(),
-            *histogram_sums.iter().min().unwrap()
-        );
         assert!(
             totals_only.snapshot().is_none(),
             "no rows tracked, nothing to snapshot"
         );
-        for p in [&with_rows, &totals_only] {
-            p.reset();
-            assert_eq!(p.total_accesses(), 0);
-            assert!(p.table_accesses().iter().all(|&t| t == 0));
-            assert!(p.snapshot().is_none());
-        }
-    }
-
-    #[test]
-    fn reset_starts_a_fresh_window() {
-        let spec = spec();
-        let profiler = OnlineProfiler::for_spec(&spec);
-        let db = TraceDb::generate(&spec, 2, 3);
-        for b in materialize_request_with(&spec, db.get(0), 8, 5, IndexDist::Uniform) {
-            profiler.observe(&b);
-        }
-        assert!(profiler.total_accesses() > 0);
-        profiler.reset();
-        assert_eq!(profiler.total_accesses(), 0);
-        assert!(profiler.snapshot().is_none());
     }
 }

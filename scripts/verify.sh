@@ -17,6 +17,9 @@ cargo test -q --workspace --offline
 echo "==> cargo clippy --offline -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "==> cargo doc --offline -- -D warnings: every intra-doc link resolves"
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
+
 echo "==> structure gate: one run loop, one shard pool, one transition pipeline;"
 echo "    deleted paths stay deleted; code-line and public-item ceilings"
 scripts/structure_gate.sh
@@ -47,11 +50,6 @@ echo "==> net smoke: real control-plane + shard-server processes over TCP;"
 echo "    killing one replica host mid-run must hold availability >= 99%"
 echo "    with bit-exact predictions and an orchestrated shutdown"
 cargo run --release --offline -p dlrm-bench --bin net_smoke
-
-echo "==> rebalance smoke: live resharding + replica autoscaling under diurnal"
-echo "    traffic; >= 2 cutovers, scale up and down, 0 shed/failed/degraded,"
-echo "    bit-exact across epochs, retired cache counters survive the handoff"
-cargo run --release --offline -p dlrm-bench --bin rebalance_smoke
 
 echo "==> tenant smoke: 3 colocated tenants under a tight DRAM budget and a"
 echo "    tenant-A admission burst; A sheds alone, B/C hold availability >= 99%"
