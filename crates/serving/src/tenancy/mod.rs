@@ -45,8 +45,8 @@ pub use tiered::{build_tiered_epoch, TieredShardService};
 // it from `dlrm_sharding`.
 pub use dlrm_sharding::{Tier, TierBytes, DEMOTED_BITS};
 
-use crate::frontend::{serve, EpochSource, FrontendReport, FrontendRequest, Lane, LaneRun};
 use crate::epoch::{probe_all, probe_inputs, EpochSwitch};
+use crate::frontend::{serve, EpochSource, FrontendReport, FrontendRequest, Lane, LaneRun};
 use dlrm_model::ModelSpec;
 use dlrm_sharding::{plan as make_plan, ShardingPlan, ShardingStrategy};
 use dlrm_tensor::Matrix;
