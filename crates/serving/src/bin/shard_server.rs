@@ -12,7 +12,9 @@
 //! published spec/plan + weight seed), rebuild the model tables
 //! deterministically from the seed, stand up one `ShardService` per
 //! assigned seat, and serve until a control-frame shutdown (or SIGKILL,
-//! which is what the chaos gate does to a replica).
+//! which is what the chaos gate does to a replica). Placement is fixed
+//! once served: a server registering beyond the cluster's replica count
+//! gets no seats, says so, and exits non-zero.
 
 use dlrm_serving::control;
 use dlrm_serving::fault::ReplicaFaultSchedule;
@@ -20,9 +22,6 @@ use dlrm_serving::shard_server::TcpShardServer;
 use dlrm_sharding::ShardService;
 use std::sync::Arc;
 use std::time::Duration;
-
-/// How often a standby asks the control plane for vacated seats.
-const STANDBY_POLL: Duration = Duration::from_millis(100);
 
 fn usage() -> ! {
     eprintln!("usage: shard_server --control HOST:PORT [--delay-us N]");
@@ -57,36 +56,15 @@ fn main() {
     let my_addr = server.addr().to_string();
     println!("shard_server listening on {my_addr}");
 
-    let mut assignment = control::register(&control_addr, &my_addr, Duration::from_secs(10))
+    let assignment = control::register(&control_addr, &my_addr, Duration::from_secs(10))
         .unwrap_or_else(|e| {
             eprintln!("shard_server: registration with {control_addr} failed: {e}");
             std::process::exit(1)
         });
 
-    // Registered beyond the cluster's replica count: we are a standby.
-    // Poll the control plane until a seated server dies and its seats
-    // are vacated to us (the listener is already up, so the moment the
-    // routing table points here we can serve).
     if assignment.seats.is_empty() {
-        println!("shard_server standing by (no seats assigned)");
-        loop {
-            if server.is_stopped() {
-                println!("shard_server stopped");
-                return;
-            }
-            std::thread::sleep(STANDBY_POLL);
-            match control::poll_seats(&control_addr, &my_addr, Duration::from_secs(2)) {
-                Ok(offer) if !offer.seats.is_empty() => {
-                    assignment = offer;
-                    break;
-                }
-                Ok(_) => {} // nothing vacated yet; keep standing by
-                Err(e) => {
-                    eprintln!("shard_server: seat poll failed ({e}); control plane gone");
-                    std::process::exit(1)
-                }
-            }
-        }
+        eprintln!("shard_server: {control_addr} assigned no seats (every replica seat is taken)");
+        std::process::exit(1)
     }
 
     let spec = dlrm_model::publish::spec_from_text(&assignment.spec_text).unwrap_or_else(|e| {

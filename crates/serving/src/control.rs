@@ -193,7 +193,6 @@ fn serve_connection(mut conn: TcpStream, shared: &Arc<CpShared>) {
         };
         let reply = match message {
             Message::Register { addr } => Some(register_server(shared, addr)),
-            Message::PollSeats { addr } => Some(reseat_standby(shared, addr)),
             Message::GetRoutes => Some(Message::Routes(
                 shared.state.lock().expect("cp state lock").routes.clone(),
             )),
@@ -220,10 +219,9 @@ fn register_server(shared: &Arc<CpShared>, addr: String) -> Message {
     let mut state = shared.state.lock().expect("cp state lock");
     let k = state.servers.len();
     state.servers.push(addr.clone());
-    // The k-th registrant hosts replica k of every shard. Registrants
-    // beyond the replica count are standbys with no seats: they send
-    // `PollSeats` until a seated server dies and `reseat_standby` hands
-    // them its vacated seats.
+    // The k-th registrant hosts replica k of every shard. A registrant
+    // beyond the replica count gets no seats (placement is fixed once
+    // served) but is still stopped by the orchestrated shutdown.
     let seats: Vec<(ShardId, usize)> = if k < shared.meta.replicas {
         (0..shared.meta.shards).map(|s| (ShardId(s), k)).collect()
     } else {
@@ -239,65 +237,6 @@ fn register_server(shared: &Arc<CpShared>, addr: String) -> Message {
     state.routes.version += 1;
     let expected = shared.meta.shards * shared.meta.replicas;
     state.routes.complete = state.routes.entries.len() >= expected;
-    Message::Assign(Assignment {
-        seats,
-        spec_text: shared.meta.spec_text.clone(),
-        plan_text: shared.meta.plan_text.clone(),
-        seed: shared.meta.seed,
-    })
-}
-
-/// How long a seated server has to answer a liveness probe before its
-/// seats are considered vacated.
-const RESEAT_PROBE_TIMEOUT: Duration = Duration::from_millis(250);
-
-/// Handles a standby's [`Message::PollSeats`]: probes every *other*
-/// server currently holding seats, vacates the seats of any that fail
-/// the probe, and re-offers all vacated seats to the poller in one
-/// [`Message::Assign`] (with the spec/plan/seed it needs to rebuild the
-/// shards from scratch — stateless takeover, no weight shipping). The
-/// routing-table version bumps exactly when seats actually moved; a
-/// healthy fleet yields an empty assignment and no version change.
-fn reseat_standby(shared: &Arc<CpShared>, poller: String) -> Message {
-    // Probe outside the state lock: a slow/dead server must not stall
-    // registrations and route fetches for the probe timeout.
-    let seated: Vec<String> = {
-        let state = shared.state.lock().expect("cp state lock");
-        let mut addrs: Vec<String> = state
-            .routes
-            .entries
-            .iter()
-            .map(|e| e.addr.clone())
-            .filter(|a| *a != poller)
-            .collect();
-        addrs.sort();
-        addrs.dedup();
-        addrs
-    };
-    let dead: Vec<String> = seated
-        .into_iter()
-        .filter(|addr| {
-            !matches!(
-                call(addr, &Message::Ping, RESEAT_PROBE_TIMEOUT),
-                Ok(Message::Pong)
-            )
-        })
-        .collect();
-    let mut state = shared.state.lock().expect("cp state lock");
-    let mut seats: Vec<(ShardId, usize)> = Vec::new();
-    if !dead.is_empty() {
-        for entry in &mut state.routes.entries {
-            if dead.contains(&entry.addr) {
-                seats.push((entry.shard, entry.replica));
-                entry.addr = poller.clone();
-            }
-        }
-    }
-    if !seats.is_empty() {
-        state.routes.version += 1;
-        let expected = shared.meta.shards * shared.meta.replicas;
-        state.routes.complete = state.routes.entries.len() >= expected;
-    }
     Message::Assign(Assignment {
         seats,
         spec_text: shared.meta.spec_text.clone(),
@@ -358,18 +297,6 @@ fn unexpected(wanted: &str, got: &Message) -> ControlError {
     ControlError::new(format!("expected {wanted}, got frame kind {}", got.kind()))
 }
 
-/// Sends `msg` to the control plane and expects an [`Message::Assign`].
-fn call_for_assignment(
-    control_addr: &str,
-    msg: &Message,
-    timeout: Duration,
-) -> Result<Assignment, ControlError> {
-    match call(control_addr, msg, timeout)? {
-        Message::Assign(a) => Ok(a),
-        other => Err(unexpected("Assign", &other)),
-    }
-}
-
 /// Registers a shard server with the control plane and returns its
 /// assignment.
 ///
@@ -382,24 +309,10 @@ pub fn register(
     timeout: Duration,
 ) -> Result<Assignment, ControlError> {
     let addr = my_addr.to_string();
-    call_for_assignment(control_addr, &Message::Register { addr }, timeout)
-}
-
-/// Standby-side half of the re-seating protocol: asks the control plane
-/// whether any seated server has died, receiving the vacated seats (and
-/// the spec/plan/seed to rebuild them) if so. An empty-seat assignment
-/// means the fleet is healthy — poll again later.
-///
-/// # Errors
-///
-/// [`ControlError`] on transport failure or an unexpected reply.
-pub fn poll_seats(
-    control_addr: &str,
-    my_addr: &str,
-    timeout: Duration,
-) -> Result<Assignment, ControlError> {
-    let addr = my_addr.to_string();
-    call_for_assignment(control_addr, &Message::PollSeats { addr }, timeout)
+    match call(control_addr, &Message::Register { addr }, timeout)? {
+        Message::Assign(a) => Ok(a),
+        other => Err(unexpected("Assign", &other)),
+    }
 }
 
 /// Asks the control plane to gracefully stop the whole cluster (drain +

@@ -168,13 +168,33 @@ impl ExecutionObserver for RpcTracingObserver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::epoch::build_epoch_serving;
     use crate::fault::FaultPlan;
-    use dlrm_model::{build_model, rm, Workspace};
-    use dlrm_sharding::{plan, ShardingStrategy};
+    use crate::replica::{HealthPolicy, ReplicatedShardPool};
+    use dlrm_model::{build_model, rm, ModelSpec, Workspace};
+    use dlrm_sharding::{plan, DistributedModel, ShardingPlan, ShardingStrategy};
     use dlrm_trace::gantt;
     use dlrm_workload::{materialize_request, PoolingProfile, TraceDb};
     use std::time::Duration;
+
+    /// The model over one worker thread per shard, and the pool behind
+    /// it (dropping the pool stops the workers).
+    fn threaded(
+        spec: &ModelSpec,
+        p: &ShardingPlan,
+        delay: Duration,
+        faults: &FaultPlan,
+    ) -> (DistributedModel, ReplicatedShardPool) {
+        ReplicatedShardPool::assemble(spec, p, 3, |services| {
+            Ok(ReplicatedShardPool::spawn(
+                services,
+                1,
+                delay,
+                faults,
+                HealthPolicy::default(),
+            ))
+        })
+        .unwrap()
+    }
 
     #[test]
     fn overlapped_run_yields_overlapping_outstanding_spans() {
@@ -185,10 +205,7 @@ mod tests {
         let p = plan(&spec, &profile, ShardingStrategy::CapacityBalanced(2)).unwrap();
         // The injected delay makes the outstanding windows long enough
         // that overlap is unambiguous in wall-clock terms.
-        let serving =
-            build_epoch_serving(&spec, &p, 3, Duration::from_millis(15), &FaultPlan::none())
-                .unwrap();
-        let dist = &serving.model;
+        let (dist, _pool) = threaded(&spec, &p, Duration::from_millis(15), &FaultPlan::none());
 
         let db = TraceDb::generate(&spec, 1, 5);
         let batch = &materialize_request(&spec, db.get(0), 8, 5)[0];
@@ -238,9 +255,8 @@ mod tests {
             0,
             ReplicaFaultSchedule::none().with(0, FaultAction::TransientError),
         );
-        let mut serving = build_epoch_serving(&spec, &p, 3, Duration::ZERO, &faults).unwrap();
-        serving.model.set_rpc_policy(RpcPolicy::resilient());
-        let dist = &serving.model;
+        let (mut dist, _pool) = threaded(&spec, &p, Duration::ZERO, &faults);
+        dist.set_rpc_policy(RpcPolicy::resilient());
 
         let db = TraceDb::generate(&spec, 1, 5);
         let batch = &materialize_request(&spec, db.get(0), 4, 5)[0];

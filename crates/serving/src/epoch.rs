@@ -14,17 +14,16 @@
 //! [`PressureController`](crate::tenancy::PressureController) runs for
 //! every tier step: take a built successor → **verify** it by replaying
 //! probe inputs against expected outputs ([`ProbeCheck`]) → **publish**
-//! → hand the retiree to a [`DrainQueue`], which shuts its pool down
-//! once the last in-flight batch holding its `Arc` completes. A
-//! successor that fails to build or to verify is shut down here and
-//! nothing is published. Placement itself is static: no controller
-//! re-plans or reshards a serving tier.
+//! → hand the retiree to a [`DrainQueue`], which drops it on the
+//! controller's thread once the last in-flight batch holding its `Arc`
+//! completes. A successor that fails to build or to verify is dropped
+//! and nothing is published. An epoch holds a model, not a pool: whoever
+//! spawned the transport behind a model's clients stops it. Placement
+//! itself is static: no controller re-plans or reshards a serving tier.
 
 use crate::engine_trace::RpcTracingObserver;
-use crate::fault::FaultPlan;
-use crate::replica::{HealthPolicy, ReplicatedShardPool, TransportSummary};
 use dlrm_model::{ModelSpec, Workspace};
-use dlrm_sharding::{DistributedModel, ShardingPlan};
+use dlrm_sharding::DistributedModel;
 use dlrm_tensor::Matrix;
 use dlrm_trace::TraceId;
 use dlrm_workload::{BatchInputs, TraceDb};
@@ -32,20 +31,16 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 
-/// One immutable serving epoch: the partitioned model and the replica
-/// pool backing its shard clients.
+/// One immutable serving epoch: the partitioned model, wired to its
+/// shard clients.
 #[derive(Debug)]
 pub struct EpochServing {
     /// The epoch number: 0 for the first configuration behind a switch,
-    /// [`EpochSwitch::epoch`] + 1 for each successor.
+    /// and [`EpochSwitch::publish`] sets each successor's to the serving
+    /// epoch + 1.
     pub epoch: u64,
-    /// The model partitioned under this epoch's plan, its RPC operators
-    /// wired to `pool`'s replicated clients.
+    /// The model partitioned under this epoch's plan.
     pub model: DistributedModel,
-    /// The worker pool behind `model`'s shard clients. `None` when the
-    /// epoch serves over a transport no pool owns (e.g. in-process
-    /// tiered clients).
-    pub pool: Option<ReplicatedShardPool>,
 }
 
 /// The atomically-swappable pointer to the current [`EpochServing`].
@@ -83,10 +78,12 @@ impl EpochSwitch {
         self.current().epoch
     }
 
-    /// Atomically cuts over to `next` and returns the retired epoch for
-    /// the caller to drain (see [`DrainQueue`]).
-    pub fn publish(&self, next: EpochServing) -> Arc<EpochServing> {
+    /// Atomically cuts over to `next`, numbered the serving epoch + 1
+    /// whatever it was built as, and returns the retired epoch for the
+    /// caller to drain (see [`DrainQueue`]).
+    pub fn publish(&self, mut next: EpochServing) -> Arc<EpochServing> {
         let mut slot = self.current.write().expect("epoch switch lock");
+        next.epoch = slot.epoch + 1;
         let old = std::mem::replace(&mut *slot, Arc::new(next));
         drop(slot);
         self.cutovers.fetch_add(1, Ordering::Relaxed);
@@ -102,9 +99,9 @@ impl EpochSwitch {
     /// The transition pipeline: verify `candidate` against `check`,
     /// publish it, and queue the retired epoch on `drain`. On any abort
     /// — the build failed, a probe errored or came back degraded, or
-    /// the outputs diverged — the candidate's pool is shut down, the
-    /// serving epoch and [`cutovers`](Self::cutovers) stay as they
-    /// were, and the reason is returned.
+    /// the outputs diverged — the candidate is dropped, the serving
+    /// epoch and [`cutovers`](Self::cutovers) stay as they were, and
+    /// the reason is returned.
     ///
     /// # Errors
     ///
@@ -116,51 +113,10 @@ impl EpochSwitch {
         drain: &mut DrainQueue,
     ) -> Result<(), String> {
         let next = candidate.map_err(|e| format!("warm failed: {e}"))?;
-        if let Err(reason) = check.verify(&next.model) {
-            if let Some(pool) = next.pool {
-                pool.shutdown();
-            }
-            return Err(reason);
-        }
+        check.verify(&next.model)?;
         drain.retire(self.publish(next));
         Ok(())
     }
-}
-
-/// Builds one serving epoch from first principles: deterministic model
-/// weights from `seed`, one stateless
-/// [`ShardService`](dlrm_sharding::ShardService) per plan shard, one
-/// worker thread per shard (each with `delay` of injected service time
-/// and its schedule from `faults`, looked up by `(shard index, 0)`), and
-/// the partitioned model wired to the pool's clients. It is epoch 0; a
-/// successor published by hand is renumbered to the serving epoch + 1.
-/// The model keeps the partitioner's RPC policy; set another with
-/// [`DistributedModel::set_rpc_policy`].
-///
-/// # Errors
-///
-/// Returns the builder's or partitioner's error message.
-pub fn build_epoch_serving(
-    spec: &ModelSpec,
-    plan: &ShardingPlan,
-    seed: u64,
-    delay: Duration,
-    faults: &FaultPlan,
-) -> Result<EpochServing, String> {
-    let (model, pool) = ReplicatedShardPool::assemble(spec, plan, seed, |services| {
-        Ok(ReplicatedShardPool::spawn(
-            services,
-            1,
-            delay,
-            faults,
-            HealthPolicy::default(),
-        ))
-    })?;
-    Ok(EpochServing {
-        epoch: 0,
-        model,
-        pool: Some(pool),
-    })
 }
 
 /// Seeded probe inputs for dual-read verification: `n` whole requests
@@ -246,11 +202,12 @@ impl ProbeCheck<'_> {
 
 /// Retired epochs waiting for their last in-flight batch. Workers
 /// release their per-batch `Arc`s promptly, so an epoch usually drains
-/// within one batch time of its cutover.
+/// within one batch time of its cutover. Draining drops the retiree here,
+/// on the controller's thread, so a demoted table's memory and its paged
+/// backing file are freed off the request path.
 #[derive(Debug, Default)]
 pub struct DrainQueue {
     retired: Vec<Arc<EpochServing>>,
-    transport: TransportSummary,
 }
 
 impl DrainQueue {
@@ -259,19 +216,12 @@ impl DrainQueue {
         self.retired.push(epoch);
     }
 
-    /// Shuts down every retired epoch nobody references any more (its
-    /// pool stops, its transport summary is absorbed); epochs still
-    /// held by an in-flight batch stay queued.
+    /// Drops every retired epoch nobody references any more; epochs
+    /// still held by an in-flight batch stay queued.
     pub fn poll(&mut self) {
         for entry in std::mem::take(&mut self.retired) {
-            match Arc::try_unwrap(entry) {
-                Ok(epoch) => {
-                    if let Some(pool) = epoch.pool {
-                        self.transport.absorb_retired(&pool.transport_summary());
-                        pool.shutdown();
-                    }
-                }
-                Err(still_held) => self.retired.push(still_held),
+            if let Err(still_held) = Arc::try_unwrap(entry) {
+                self.retired.push(still_held);
             }
         }
     }
@@ -287,41 +237,36 @@ impl DrainQueue {
             std::thread::sleep(Duration::from_micros(200));
         }
     }
-
-    /// Transport activity of every drained epoch, folded together.
-    #[must_use]
-    pub fn transport(&self) -> &TransportSummary {
-        &self.transport
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tenancy::build_tiered_epoch;
     use dlrm_model::rm;
-    use dlrm_sharding::{plan, ShardingStrategy};
+    use dlrm_sharding::{plan, ShardingStrategy, Tier};
     use dlrm_workload::PoolingProfile;
 
-    fn epoch_state(epoch: u64) -> EpochServing {
+    /// An in-process epoch, built as epoch 0.
+    fn epoch_state() -> EpochServing {
         let mut spec = rm::rm1().scaled_to_bytes(1 << 20);
         spec.mean_items_per_request = 4.0;
         spec.default_batch_size = 4;
         let profile = PoolingProfile::from_spec(&spec);
         let p = plan(&spec, &profile, ShardingStrategy::OneShard).unwrap();
-        let mut serving =
-            build_epoch_serving(&spec, &p, 1, Duration::ZERO, &FaultPlan::none()).unwrap();
-        serving.epoch = epoch;
-        serving
+        let tiers = vec![Tier::Dram; spec.tables.len()];
+        build_tiered_epoch(&spec, &p, 1, &tiers, 0).unwrap().0
     }
 
     #[test]
-    fn publish_swaps_atomically_and_the_retiree_drains_once_released() {
-        let switch = EpochSwitch::new(epoch_state(0));
+    fn publish_numbers_and_swaps_atomically_and_the_retiree_drains_once_released() {
+        let switch = EpochSwitch::new(epoch_state());
         assert_eq!(switch.epoch(), 0);
         assert_eq!(switch.cutovers(), 0);
         let held = switch.current();
         let mut drain = DrainQueue::default();
-        drain.retire(switch.publish(epoch_state(1)));
+        // Built as epoch 0 too: the switch numbers it.
+        drain.retire(switch.publish(epoch_state()));
         assert_eq!(switch.epoch(), 1);
         assert_eq!(switch.cutovers(), 1);
         // The held Arc still serves epoch 0 — a batch that resolved the

@@ -159,23 +159,6 @@ pub struct TransportSummary {
     pub rows_sent: u64,
 }
 
-impl TransportSummary {
-    /// Folds a retired transport's summary into this one — what a
-    /// [`DrainQueue`](crate::epoch::DrainQueue) applies when a retired
-    /// epoch's pool is drained: every counter adds.
-    pub fn absorb_retired(&mut self, retired: &TransportSummary) {
-        self.failovers += retired.failovers;
-        self.ejections += retired.ejections;
-        self.probes += retired.probes;
-        self.recoveries += retired.recoveries;
-        for (cause, n) in retired.errors_by_kind.iter() {
-            self.errors_by_kind.record_n(cause, n);
-        }
-        self.wire.merge(&retired.wire);
-        self.rows_sent += retired.rows_sent;
-    }
-}
-
 impl std::fmt::Display for TransportSummary {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
@@ -213,10 +196,8 @@ pub(crate) struct SeatConn {
 struct ShardGroup {
     shard: ShardId,
     /// The seats, fixed once the group is built: [`ReplicatedClient`]s
-    /// share the slice and read it without a lock. A standby taking
-    /// over a dead server's seat changes the control plane's routing
-    /// table (`control::reseat_standby`), not this list: a client built
-    /// earlier fails over past the dead seat.
+    /// share the slice and read it without a lock, and fail over past a
+    /// dead seat for good.
     seats: Arc<[SeatConn]>,
 }
 

@@ -36,7 +36,7 @@ use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -57,7 +57,9 @@ struct Seat {
 
 /// State shared by the accept loop and every connection thread.
 struct ServerShared {
-    seats: Mutex<HashMap<usize, Arc<Seat>>>,
+    /// Seats by shard index, installed once: a request reads the map
+    /// without a lock.
+    seats: OnceLock<HashMap<usize, Seat>>,
     state: AtomicU8,
     /// Admitted-but-unfinished requests; drain completes at zero.
     in_flight: AtomicU64,
@@ -122,7 +124,7 @@ impl TcpShardServer {
     /// The bind error, if the loopback listener cannot be created.
     pub fn spawn_empty() -> io::Result<Self> {
         let shared = Arc::new(ServerShared {
-            seats: Mutex::new(HashMap::new()),
+            seats: OnceLock::new(),
             state: AtomicU8::new(RUNNING),
             in_flight: AtomicU64::new(0),
             served: AtomicU64::new(0),
@@ -140,29 +142,34 @@ impl TcpShardServer {
         })
     }
 
-    /// Installs (or replaces) the hosted seats. Placement is static per
-    /// process over TCP: the `shard_server` binary installs once, at
-    /// start-up or on standby takeover. The seat lock is held while the
-    /// map is replaced, so a request sees the old seats or the new ones,
-    /// never a half-built map.
+    /// Installs the hosted seats. Placement is fixed once served: a
+    /// server installs its seats once, at start-up, and a request sees
+    /// no seats or all of them, never a half-built map.
+    ///
+    /// # Panics
+    ///
+    /// On a second call: the seat map is set once.
     pub fn install_seats(
         &self,
         seats: Vec<(Arc<ShardService>, ReplicaFaultSchedule)>,
         delay: Duration,
     ) {
-        let mut map = self.shared.seats.lock().expect("seat map lock");
-        map.clear();
-        for (service, faults) in seats {
-            map.insert(
-                service.shard_id().0,
-                Arc::new(Seat {
+        let map = seats
+            .into_iter()
+            .map(|(service, faults)| {
+                let seat = Seat {
                     service,
                     faults,
                     ordinal: AtomicU64::new(0),
                     delay,
-                }),
-            );
-        }
+                };
+                (seat.service.shard_id().0, seat)
+            })
+            .collect();
+        assert!(
+            self.shared.seats.set(map).is_ok(),
+            "shard server seats are installed once"
+        );
     }
 
     /// The bound (ephemeral) address.
@@ -177,9 +184,9 @@ impl TcpShardServer {
         let mut v: Vec<ShardId> = self
             .shared
             .seats
-            .lock()
-            .expect("seat map lock")
-            .keys()
+            .get()
+            .into_iter()
+            .flat_map(HashMap::keys)
             .map(|&s| ShardId(s))
             .collect();
         v.sort_unstable();
@@ -338,13 +345,9 @@ fn execute_with_faults(
     request: &ShardRequest,
 ) -> (Option<Message>, bool) {
     let reply_err = |error: RpcError| (Some(Message::ReplyErr { id, error }), true);
-    let seat = {
-        let map = shared.seats.lock().expect("seat map lock");
-        map.get(&shard.0).map(Arc::clone)
-    };
-    let Some(seat) = seat else {
-        // No seat for this shard (not assigned, or assignment still in
-        // flight): retryable, the client should try another replica.
+    let Some(seat) = shared.seats.get().and_then(|map| map.get(&shard.0)) else {
+        // No seat for this shard (not assigned, or not installed yet):
+        // retryable, the client should try another replica.
         return reply_err(RpcError::Transport {
             shard,
             message: format!("{shard} is not hosted on this server"),

@@ -24,10 +24,11 @@ pub type TieredShardService = ShardService;
 /// Builds one tenant serving epoch with the given per-table tier
 /// assignment: rebuilds the model deterministically from `seed`, slices
 /// it under `plan` into [`ShardService`]s holding each table at its
-/// tier, and partitions the graph over in-process clients.
+/// tier, and partitions the graph over in-process clients. The epoch
+/// is numbered `epoch`; [`EpochSwitch::publish`](crate::epoch::EpochSwitch::publish)
+/// renumbers a successor it serves.
 ///
-/// The returned [`EpochServing`] carries no replica pool (the clients
-/// are in-process). Its `model.shards` are the services — the byte
+/// The returned epoch's `model.shards` are the services — the byte
 /// accounting reads them there — so the second return value is the same
 /// `Arc`s again, for sysbench; the next `benchmark` PR drops it.
 /// Demoting a table genuinely releases its full-precision slice when
@@ -60,14 +61,7 @@ pub fn build_tiered_epoch(
         .collect();
     let dist = partition_with_clients(model, plan, services.clone(), clients)
         .map_err(|e| e.to_string())?;
-    Ok((
-        EpochServing {
-            epoch,
-            model: dist,
-            pool: None,
-        },
-        services,
-    ))
+    Ok((EpochServing { epoch, model: dist }, services))
 }
 
 #[cfg(test)]

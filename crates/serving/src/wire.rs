@@ -219,14 +219,6 @@ pub enum Message {
     Ping,
     /// Liveness reply.
     Pong,
-    /// Standby shard server → control plane: "I hold no seats — if any
-    /// seated server has died, vacate its seats and give them to me."
-    /// Answered with an [`Message::Assign`] (empty seats when the whole
-    /// fleet is healthy).
-    PollSeats {
-        /// The standby's `host:port`.
-        addr: String,
-    },
 }
 
 impl Message {
@@ -249,7 +241,6 @@ impl Message {
             Message::ShutdownAck => 13,
             Message::Ping => 14,
             Message::Pong => 15,
-            Message::PollSeats { .. } => 16,
         }
     }
 }
@@ -350,7 +341,7 @@ fn encode_payload(msg: &Message, out: &mut Vec<u8>) {
             put_u64(out, waited_us);
             put_str(out, message);
         }
-        Message::Register { addr } | Message::PollSeats { addr } => put_str(out, addr),
+        Message::Register { addr } => put_str(out, addr),
         Message::Assign(a) => {
             put_u32(out, a.seats.len() as u32);
             for (shard, replica) in &a.seats {
@@ -664,9 +655,6 @@ fn decode_payload(kind: u8, payload: &[u8]) -> Result<Message, WireError> {
         13 => Message::ShutdownAck,
         14 => Message::Ping,
         15 => Message::Pong,
-        16 => Message::PollSeats {
-            addr: c.str("poll addr")?,
-        },
         other => return Err(WireError::new(format!("unknown frame kind {other}"))),
     };
     if c.remaining() != 0 {
@@ -989,18 +977,6 @@ mod tests {
         frame[8..12].copy_from_slice(&1u32.to_le_bytes());
         let err = try_decode(&frame).unwrap_err();
         assert!(err.message.contains("trailing"), "{err}");
-    }
-
-    #[test]
-    fn poll_seats_round_trips() {
-        let msg = Message::PollSeats {
-            addr: "127.0.0.1:4242".to_string(),
-        };
-        assert_eq!(msg.kind(), 16);
-        let frame = encode_message(&msg);
-        let (back, consumed) = try_decode(&frame).unwrap().unwrap();
-        assert_eq!(consumed, frame.len());
-        assert_eq!(back, msg);
     }
 
     #[test]

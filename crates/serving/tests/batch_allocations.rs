@@ -77,10 +77,12 @@ fn spec(tables: usize) -> ModelSpec {
 }
 
 /// Allocations and batches of one frontend run of `n` backlogged
-/// requests (every arrival at once, so pickups merge full batches) on
-/// one worker. Every request has one shape: which requests share a batch
-/// depends on when the worker wakes, and with one shape that cannot
-/// change the sizes the pools see, so the count repeats run to run.
+/// requests (every arrival at once) on one worker. Every request has one
+/// shape, and every batch holds exactly one request: with a larger cap,
+/// how many requests a pickup merges depends on when the worker wakes,
+/// and that grouping moved the count by a couple of allocations per
+/// batch from run to run. One request per batch fixes the composition,
+/// so the count repeats.
 fn run(dist: &DistributedModel, n: usize) -> (u64, u64) {
     let db = TraceDb::generate(&dist.spec, 1, 17);
     let shape = materialize_frontend_requests(&dist.spec, &db, 23).remove(0);
@@ -93,7 +95,7 @@ fn run(dist: &DistributedModel, n: usize) -> (u64, u64) {
     let schedule = ArrivalSchedule::poisson(n, 1e9, 29);
     let cfg = FrontendConfig {
         queue_capacity: n,
-        max_batch_requests: 4,
+        max_batch_requests: 1,
         workers: 1,
         ..FrontendConfig::default()
     };
@@ -101,6 +103,7 @@ fn run(dist: &DistributedModel, n: usize) -> (u64, u64) {
     let report = run_frontend(dist, inputs, &schedule, &cfg);
     let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
     assert_eq!(report.completed, n as u64, "every request completes");
+    assert_eq!(report.batches, n as u64, "one request per batch");
     (allocations, report.batches)
 }
 
@@ -140,7 +143,8 @@ fn steady_state_batches_allocate_a_fixed_count_whatever_the_table_count() {
     }
     println!(
         "(before batches recycled their buffers, this test read 162 and 615 per batch \
-         in process and 192 and 746 threaded: about 9 and 11 per table)"
+         of up to four requests in process and 192 and 746 threaded: about 9 and 11 \
+         per table)"
     );
     for (transport, ten, sixty) in [
         ("in-process", rows[0].0, rows[1].0),

@@ -459,15 +459,15 @@ fn control_plane_routes_clients_end_to_end() {
         servers.push(server);
     }
 
-    // A third registrant is a seatless standby.
-    let standby = TcpShardServer::spawn_empty().expect("spawn standby");
+    // A third registrant is seatless: placement is fixed once served.
+    let seatless = TcpShardServer::spawn_empty().expect("spawn seatless registrant");
     let extra = control::register(
         &control_addr,
-        &standby.addr().to_string(),
+        &seatless.addr().to_string(),
         Duration::from_secs(5),
     )
-    .expect("register standby");
-    assert!(extra.seats.is_empty(), "standby got seats: {:?}", extra.seats);
+    .expect("register seatless registrant");
+    assert!(extra.seats.is_empty(), "seatless registrant got seats: {:?}", extra.seats);
 
     // Client bootstrap: the routing table is complete, carries the
     // ephemeral ports, and the metadata reproduces the published spec.
@@ -519,7 +519,10 @@ fn control_plane_routes_clients_end_to_end() {
     for (k, server) in servers.iter().enumerate() {
         assert!(server.is_stopped(), "server {k} survived cluster shutdown");
     }
-    assert!(standby.is_stopped(), "standby survived cluster shutdown");
+    assert!(
+        seatless.is_stopped(),
+        "seatless registrant survived cluster shutdown"
+    );
     let deadline = Instant::now() + Duration::from_secs(5);
     while !cp.is_stopped() {
         assert!(Instant::now() < deadline, "control plane never stopped");
@@ -527,133 +530,8 @@ fn control_plane_routes_clients_end_to_end() {
     }
 }
 
-// ---------------------------------------------------------------------
-// Standby takeover (satellite: re-registration into vacated seats)
-// ---------------------------------------------------------------------
-
 #[test]
-fn standby_takes_over_vacated_seats_after_server_death() {
-    let spec = chaos_spec();
-    let (p, services) = services_for(&spec, 2);
-    let spec_text = dlrm_model::publish::spec_to_text(&spec);
-    let plan_text = dlrm_sharding::publish::plan_to_text(&p);
-    // One replica per shard: the first registrant seats everything, the
-    // second is a pure standby.
-    let cp = ControlPlane::spawn(&spec_text, &plan_text, SEED, 1).expect("spawn control plane");
-    let control_addr = cp.addr().to_string();
-
-    let seated = TcpShardServer::spawn_empty().expect("spawn seated server");
-    let assignment = control::register(
-        &control_addr,
-        &seated.addr().to_string(),
-        Duration::from_secs(5),
-    )
-    .expect("register seated");
-    let expected_seats: Vec<_> = p.shards().map(|s| (s, 0)).collect();
-    assert_eq!(assignment.seats, expected_seats);
-    let install = |server: &TcpShardServer, seats: &[(dlrm_sharding::ShardId, usize)]| {
-        let built = seats
-            .iter()
-            .map(|&(shard, _)| {
-                (
-                    Arc::new(ShardService::build(
-                        &build_model(&spec, SEED).expect("build").tables,
-                        &p,
-                        shard,
-                    )),
-                    ReplicaFaultSchedule::none(),
-                )
-            })
-            .collect();
-        server.install_seats(built, Duration::ZERO);
-    };
-    install(&seated, &assignment.seats);
-
-    let standby = TcpShardServer::spawn_empty().expect("spawn standby");
-    let standby_addr = standby.addr().to_string();
-    let extra = control::register(&control_addr, &standby_addr, Duration::from_secs(5))
-        .expect("register standby");
-    assert!(extra.seats.is_empty(), "standby got seats: {:?}", extra.seats);
-
-    let before = control::connect_cluster(&control_addr, Duration::from_secs(5), no_ejection())
-        .expect("connect before takeover");
-    let version_before = before.routes().version;
-    assert!(before.routes().complete);
-
-    // While every seated server is alive, polling vacates nothing and
-    // the routing version stays put.
-    let offer = control::poll_seats(&control_addr, &standby_addr, Duration::from_secs(5))
-        .expect("poll with healthy fleet");
-    assert!(offer.seats.is_empty(), "healthy seats vacated: {:?}", offer.seats);
-
-    // Kill the seated server; the standby's poll loop (here run by the
-    // test, as the shard_server binary does) claims its seats.
-    seated.crash();
-    let deadline = Instant::now() + Duration::from_secs(10);
-    let offer = loop {
-        let offer = control::poll_seats(&control_addr, &standby_addr, Duration::from_secs(5))
-            .expect("poll after crash");
-        if !offer.seats.is_empty() {
-            break offer;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "standby never offered the dead server's seats"
-        );
-        std::thread::sleep(Duration::from_millis(20));
-    };
-    assert_eq!(offer.seats, expected_seats, "takeover moved the wrong seats");
-    install(&standby, &offer.seats);
-
-    // The routing table version bumped and every vacated route now
-    // points at the standby.
-    let after = control::connect_cluster(&control_addr, Duration::from_secs(5), no_ejection())
-        .expect("connect after takeover");
-    assert!(
-        after.routes().version > version_before,
-        "takeover must bump the routing version ({} -> {})",
-        version_before,
-        after.routes().version
-    );
-    assert!(after.routes().complete);
-    for shard in p.shards() {
-        assert_eq!(
-            after.routes().addr(shard, 0),
-            Some(standby_addr.as_str()),
-            "route for {shard} not moved to the standby"
-        );
-    }
-
-    // Stateless takeover is invisible to correctness: the rebuilt seats
-    // serve bit-exactly what the in-process baseline computes.
-    let inputs = request_inputs(&spec, 6);
-    let baseline_dist = partition(build_model(&spec, SEED).expect("build"), &p).expect("partition");
-    let mut dist = partition_with_clients(
-        build_model(&spec, SEED).expect("build"),
-        &p,
-        services,
-        after.clients(),
-    )
-    .expect("partition");
-    assert!(dist.set_rpc_policy(deterministic_policy()) >= 1);
-    for (i, inp) in inputs.iter().enumerate() {
-        let mut ws = Workspace::new();
-        inp.load_into(&spec, &mut ws);
-        let expect = baseline_dist
-            .run_overlapped(&mut ws, &mut NoopObserver)
-            .expect("baseline");
-        let mut ws = Workspace::new();
-        inp.load_into(&spec, &mut ws);
-        let got = dist
-            .run_overlapped(&mut ws, &mut NoopObserver)
-            .expect("post-takeover run");
-        assert_eq!(got, expect, "request {i} diverged after takeover");
-    }
-    control::shutdown_cluster(&control_addr, Duration::from_secs(10)).expect("shutdown");
-}
-
-#[test]
-fn seat_installs_replace_the_whole_seat_map() {
+fn a_server_refuses_until_its_seats_are_installed_once() {
     let spec = chaos_spec();
     let (_p, services) = services_for(&spec, 1);
     let shard = services[0].shard_id();
@@ -664,22 +542,24 @@ fn seat_installs_replace_the_whole_seat_map() {
         net: NetId(0),
         slices: vec![],
     };
-    let not_hosted = |client: &TcpShardClient| {
-        let err = client.execute(&request).unwrap_err().to_string();
-        assert!(err.contains("not hosted"), "{err}");
-    };
     // Seatless until the first install: refused, retryably.
-    not_hosted(&client);
+    let err = client.execute(&request).expect_err("a seatless server served");
+    assert!(err.is_retryable(), "{err}");
+    assert!(err.to_string().contains("not hosted"), "{err}");
     server.install_seats(
         vec![(Arc::clone(&services[0]), ReplicaFaultSchedule::none())],
         Duration::ZERO,
     );
     assert_eq!(server.shards(), vec![shard]);
     assert!(client.execute(&request).is_ok());
-    // A later install replaces the map rather than merging into it.
-    server.install_seats(vec![], Duration::ZERO);
-    assert!(server.shards().is_empty());
-    not_hosted(&client);
+    // The seat map is set once: a second install panics and leaves the
+    // installed seats serving.
+    let again = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        server.install_seats(vec![], Duration::ZERO);
+    }));
+    assert!(again.is_err(), "a second install was accepted");
+    assert_eq!(server.shards(), vec![shard]);
+    assert!(client.execute(&request).is_ok());
     server.shutdown();
 }
 
