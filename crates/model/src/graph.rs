@@ -378,7 +378,11 @@ fn recycle(ctx: &RuntimeCtx, blob: Blob) {
 }
 
 /// A graph operator: reads named blobs, writes named blobs.
-pub trait Operator: std::fmt::Debug + Send + Sync {
+///
+/// Every operator is `Clone`, and a clone shares the operator's
+/// parameters (FC weights, tables and shard clients sit behind `Arc`):
+/// cloning a [`NetDef`] copies its wiring, not its weights.
+pub trait Operator: CloneOperator + std::fmt::Debug + Send + Sync {
     /// Unique (within the net) operator name.
     fn name(&self) -> &str;
     /// Attribution group for compute breakdowns (Fig. 4).
@@ -423,6 +427,25 @@ pub trait Operator: std::fmt::Debug + Send + Sync {
     /// configuration return `None` (the default).
     fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
         None
+    }
+}
+
+/// The object-safe form of `Clone` for operators, implemented for every
+/// `Clone` one.
+pub trait CloneOperator {
+    /// A boxed clone of this operator.
+    fn clone_box(&self) -> Box<dyn Operator>;
+}
+
+impl<T: Operator + Clone + 'static> CloneOperator for T {
+    fn clone_box(&self) -> Box<dyn Operator> {
+        Box::new(self.clone())
+    }
+}
+
+impl Clone for Box<dyn Operator> {
+    fn clone(&self) -> Self {
+        (**self).clone_box()
     }
 }
 
@@ -593,7 +616,7 @@ impl ExecutionObserver for GroupTimingObserver {
 }
 
 /// An ordered list of operators — Caffe2's `NetDef`.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct NetDef {
     name: String,
     ops: Vec<Box<dyn Operator>>,
@@ -940,7 +963,7 @@ pub fn external_input_blobs(spec: &ModelSpec) -> HashSet<String> {
 mod tests {
     use super::*;
 
-    #[derive(Debug)]
+    #[derive(Debug, Clone)]
     struct AddOne {
         input: String,
         output: String,
@@ -1048,7 +1071,7 @@ mod tests {
     }
 
     /// A synchronous op that records its execution in the event log.
-    #[derive(Debug)]
+    #[derive(Debug, Clone)]
     struct LoggedAddOne {
         inner: AddOne,
         name: String,
@@ -1075,7 +1098,7 @@ mod tests {
     }
 
     /// A fake RPC op: issue reads the input, collect writes input + 10.
-    #[derive(Debug)]
+    #[derive(Debug, Clone)]
     struct TestRpc {
         name: String,
         input: String,

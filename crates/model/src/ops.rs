@@ -14,14 +14,15 @@ use std::sync::Arc;
 /// Weights are logically one output neuron per row (`out × in`),
 /// matching Caffe2's `FC` operator layout, and held **only** in the
 /// GEMM kernels' panel-major packing: they never change, so they are
-/// packed once here and [`Operator::run`] never packs.
-#[derive(Debug)]
+/// packed once here and [`Operator::run`] never packs. Weights and bias
+/// sit behind `Arc`, so a clone of the layer shares them.
+#[derive(Debug, Clone)]
 pub struct FullyConnected {
     name: String,
     input: String,
     output: String,
-    weights: PackedWeights,
-    bias: Vec<f32>,
+    weights: Arc<PackedWeights>,
+    bias: Arc<[f32]>,
 }
 
 impl FullyConnected {
@@ -58,8 +59,8 @@ impl FullyConnected {
             name: name.into(),
             input: input.into(),
             output: output.into(),
-            weights,
-            bias,
+            weights: Arc::new(weights),
+            bias: bias.into(),
         }
     }
 
@@ -94,7 +95,7 @@ impl FullyConnected {
 
     /// The packed weights (`out × in`).
     #[must_use]
-    pub fn weights(&self) -> &PackedWeights {
+    pub fn weights(&self) -> &Arc<PackedWeights> {
         &self.weights
     }
 
@@ -143,7 +144,7 @@ impl Operator for FullyConnected {
 }
 
 /// Element-wise ReLU.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Relu {
     name: String,
     input: String,
@@ -188,7 +189,7 @@ impl Operator for Relu {
 }
 
 /// Element-wise logistic sigmoid (the final ranking probability).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Sigmoid {
     name: String,
     input: String,
@@ -234,7 +235,7 @@ impl Operator for Sigmoid {
 
 /// Feature-interaction assembly: concatenates dense blobs column-wise
 /// (pooled embeddings + bottom-MLP output [+ previous net's output]).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Concat {
     name: String,
     inputs: Vec<String>,
@@ -302,7 +303,7 @@ impl Operator for Concat {
 /// These are the operators the partitioner relocates to sparse shards;
 /// they account for >97% of model capacity but only ~3–10% of operator
 /// compute (Fig. 4).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct SparseLengthsSum {
     name: String,
     table: Arc<EmbeddingTable>,
@@ -386,7 +387,7 @@ impl Operator for SparseLengthsSum {
 /// builder's default concat interaction); this operator is provided for
 /// the open-source DLRM's interaction so interaction choice can be
 /// ablated. The sharding partitioner is interaction-agnostic.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct DotInteraction {
     name: String,
     inputs: Vec<String>,
@@ -484,7 +485,7 @@ impl Operator for DotInteraction {
 /// Used by the partitioner to recombine the partial pools of a
 /// row-sharded table: sum pooling is additive, so summing each shard's
 /// partial `SparseLengthsSum` output reproduces the whole-table result.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ElementwiseSum {
     name: String,
     inputs: Vec<String>,

@@ -48,7 +48,7 @@ pub use dlrm_sharding::{Tier, TierBytes, DEMOTED_BITS};
 use crate::epoch::{probe_all, probe_inputs, EpochSwitch};
 use crate::frontend::{serve, EpochSource, FrontendReport, FrontendRequest, Lane, LaneRun};
 use dlrm_model::ModelSpec;
-use dlrm_sharding::{plan as make_plan, ShardingPlan, ShardingStrategy};
+use dlrm_sharding::{plan as make_plan, ShardingStrategy};
 use dlrm_tensor::Matrix;
 use dlrm_workload::{ArrivalSchedule, BatchInputs, OnlineProfiler, PoolingProfile};
 use std::sync::{Arc, Mutex};
@@ -61,9 +61,9 @@ pub struct TenantSpec {
     pub name: String,
     /// The model this tenant serves.
     pub spec: ModelSpec,
-    /// Seed its weights are (re)built from — tier transitions rebuild
-    /// deterministically from this, which is what makes promotion back
-    /// to DRAM bit-exact.
+    /// Seed its weights are drawn from. A ladder step that moves a table
+    /// off the 8-bit or paged rung redraws that one table from it, which
+    /// is what makes promotion back to DRAM bit-exact.
     pub seed: u64,
     /// How the tenant's tables spread over its shard set.
     pub strategy: ShardingStrategy,
@@ -82,7 +82,6 @@ pub struct TenantRuntime {
     pub(crate) name: String,
     pub(crate) spec: ModelSpec,
     pub(crate) seed: u64,
-    pub(crate) plan: ShardingPlan,
     pub(crate) weight: u64,
     pub(crate) queue_capacity: usize,
     pub(crate) sla: Duration,
@@ -206,7 +205,6 @@ impl TenantSet {
                 name: t.name,
                 spec: t.spec,
                 seed: t.seed,
-                plan,
                 weight: t.weight,
                 queue_capacity: t.queue_capacity,
                 sla: t.sla,
@@ -493,7 +491,7 @@ mod tests {
         assert!(cold.paged > 0);
         assert!(cold.resident() < before.resident());
 
-        // Back up the ladder: the rebuild from the tenant's seed must
+        // Back up the ladder: the table redrawn from the tenant's seed must
         // reproduce the golden predictions bit for bit.
         set.force_transition(0, 0, Tier::Quantized).unwrap();
         set.force_transition(0, 0, Tier::Dram).unwrap();

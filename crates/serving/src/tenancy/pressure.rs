@@ -28,7 +28,7 @@
 //! verification publishes nothing and is reported via
 //! [`PressureController::verify_failures`].
 
-use super::tiered::build_tiered_epoch;
+use super::tiered::retier_epoch;
 use super::TenantRuntime;
 use crate::epoch::{DrainQueue, ProbeCheck};
 use dlrm_model::TableId;
@@ -216,7 +216,7 @@ impl PressureController {
         published
     }
 
-    /// Builds, verifies, and publishes one tier transition atomically
+    /// Derives, verifies, and publishes one tier transition atomically
     /// for the affected tenant; other tenants' epochs are untouched.
     pub(super) fn apply(
         &self,
@@ -228,18 +228,20 @@ impl PressureController {
     ) -> Result<TierAction, String> {
         let tenant = &tenants[tenant_idx];
         // The switch publishes only under the tiers lock, so the epoch
-        // read beside the tiers names the state this transition builds
-        // on; if it moved by publish time, another transition won.
-        let (epoch, mut tiers) = {
+        // read beside the tiers is the state this transition derives
+        // from; if it moved by publish time, another transition won.
+        let (serving, mut tiers) = {
             let current = tenant.tiers.lock().expect("tenant tiers lock");
-            (tenant.switch.epoch() + 1, current.clone())
+            (tenant.switch.current(), current.clone())
         };
+        let epoch = serving.epoch + 1;
         if tiers[table] != from {
             return Err(format!("tier raced: expected {from}, found {}", tiers[table]));
         }
         tiers[table] = to;
-        let candidate = build_tiered_epoch(&tenant.spec, &tenant.plan, tenant.seed, &tiers, epoch)
-            .map(|(serving, _)| serving);
+        let candidate = retier_epoch(&serving, &tenant.spec, tenant.seed, table, to, epoch);
+        // Held past here, the serving epoch could not drain once retired.
+        drop(serving);
 
         // Dual read: the candidate must reproduce the tenant's golden
         // (all-DRAM) predictions. Bitwise unless a quantized rung is in
@@ -264,7 +266,7 @@ impl PressureController {
             *current = tiers;
         }
         // Wait (bounded) for the retiree's last in-flight batch so its
-        // memory is back before the next action builds another epoch;
+        // memory is back before the next action derives another epoch;
         // past the deadline it stays queued for the next action's poll.
         self.drain
             .lock()

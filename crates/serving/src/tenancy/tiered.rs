@@ -1,18 +1,21 @@
-//! Epoch builder for a tenant's tier assignment.
+//! Serving epochs for a tenant's tier assignment.
 //!
 //! Each embedding table of a tenant lives on exactly one rung of the
 //! capacity ladder it descends under DRAM pressure — DRAM f32, 8-bit
 //! quantized, paged to a backing file ([`Tier`]). *How* a shard holds a
 //! table at a rung, and the one service that answers
 //! [`ShardRequest`](dlrm_sharding::rpc::ShardRequest)s from any of them,
-//! is [`dlrm_sharding::ShardService`]; this module only turns a
-//! per-table assignment into a serving epoch. The pressure controller
-//! calls it with a new assignment and cuts the tenant over atomically
-//! via [`EpochSwitch`](crate::epoch::EpochSwitch) — no in-place
-//! mutation, every epoch immutable.
+//! is [`dlrm_sharding::ShardService`]; this module turns an assignment
+//! into a serving epoch. [`build_tiered_epoch`] builds a tenant's first
+//! epoch from its seed; every ladder step after that is
+//! `retier_epoch`, which derives the candidate from the serving epoch
+//! and rebuilds only the moved table. The pressure controller cuts the
+//! tenant over to the candidate atomically via
+//! [`EpochSwitch`](crate::epoch::EpochSwitch) — no in-place mutation,
+//! every epoch immutable.
 
 use crate::epoch::EpochServing;
-use dlrm_model::{build_model, ModelSpec};
+use dlrm_model::{build_model, EmbeddingTable, ModelSpec, TableId};
 use dlrm_sharding::rpc::SparseShardClient;
 use dlrm_sharding::{partition_with_clients, InProcessClient, ShardService, ShardingPlan, Tier};
 use std::sync::Arc;
@@ -22,7 +25,7 @@ use std::sync::Arc;
 pub type TieredShardService = ShardService;
 
 /// Builds one tenant serving epoch with the given per-table tier
-/// assignment: rebuilds the model deterministically from `seed`, slices
+/// assignment from scratch: draws the whole model from `seed`, slices
 /// it under `plan` into [`ShardService`]s holding each table at its
 /// tier, and partitions the graph over in-process clients. The epoch
 /// is numbered `epoch`; [`EpochSwitch::publish`](crate::epoch::EpochSwitch::publish)
@@ -31,8 +34,6 @@ pub type TieredShardService = ShardService;
 /// The returned epoch's `model.shards` are the services — the byte
 /// accounting reads them there — so the second return value is the same
 /// `Arc`s again, for sysbench; the next `benchmark` PR drops it.
-/// Demoting a table genuinely releases its full-precision slice when
-/// the old epoch drains: nothing else holds the model's tables.
 ///
 /// # Errors
 ///
@@ -55,22 +56,70 @@ pub fn build_tiered_epoch(
     for s in plan.shards() {
         services.push(Arc::new(ShardService::build_tiered(&model.tables, plan, s, tiers)?));
     }
-    let clients: Vec<Arc<dyn SparseShardClient>> = services
-        .iter()
-        .map(|s| Arc::new(InProcessClient::new(Arc::clone(s))) as Arc<dyn SparseShardClient>)
-        .collect();
+    let clients = services.iter().map(in_process).collect();
     let dist = partition_with_clients(model, plan, services.clone(), clients)
         .map_err(|e| e.to_string())?;
     Ok((EpochServing { epoch, model: dist }, services))
 }
 
+/// One ladder step: the successor of `serving` with table `table` held
+/// at `tier`, numbered `epoch`. Only the services hosting the table are
+/// rebuilt ([`ShardService::with_tier`]), each called in-process; every
+/// other store, service and dense operator is shared with `serving`
+/// ([`DistributedModel::with_shards`](dlrm_sharding::DistributedModel::with_shards)).
+/// A table leaving DRAM is cut from its serving f32 slices; one leaving
+/// a colder rung is redrawn alone from `seed`, once, with the bits
+/// [`build_model`] draws for it. The moved table's old store is freed
+/// when the last epoch holding it drains — a paged one's backing file
+/// with it.
+///
+/// # Errors
+///
+/// A message if a backing file cannot be created.
+pub(crate) fn retier_epoch(
+    serving: &EpochServing,
+    spec: &ModelSpec,
+    seed: u64,
+    table: usize,
+    tier: Tier,
+    epoch: u64,
+) -> Result<EpochServing, String> {
+    let model = &serving.model;
+    let id = TableId(table);
+    let mut full = None;
+    let mut replaced = Vec::new();
+    let placement = model.plan.placement(id);
+    for s in model.plan.shards().filter(|&s| placement.part_on(s).is_some()) {
+        let redraw = || {
+            let drawn = full.get_or_insert_with(|| {
+                Arc::new(EmbeddingTable::from_spec(&spec.tables[table], seed))
+            });
+            Arc::clone(drawn)
+        };
+        let service = Arc::new(model.shards[s.0].with_tier(&model.plan, id, tier, redraw)?);
+        replaced.push((Arc::clone(&service), in_process(&service)));
+    }
+    Ok(EpochServing {
+        epoch,
+        model: model.with_shards(replaced),
+    })
+}
+
+/// An in-process client of `service`.
+fn in_process(service: &Arc<ShardService>) -> Arc<dyn SparseShardClient> {
+    Arc::new(InProcessClient::new(Arc::clone(service)))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::epoch::{DrainQueue, EpochSwitch};
     use dlrm_model::graph::NoopObserver;
     use dlrm_model::{rm, Workspace};
-    use dlrm_sharding::{partition, plan, ShardingStrategy, TierBytes};
+    use dlrm_sharding::{partition, plan, ShardId, ShardingStrategy, TableStore, TierBytes};
     use dlrm_workload::{materialize_request, PoolingProfile, TraceDb};
+    use std::sync::Weak;
+    use std::time::Instant;
 
     fn toy_spec() -> ModelSpec {
         let mut s = rm::rm2().scaled_to_bytes(2 << 20);
@@ -176,5 +225,100 @@ mod tests {
         assert_eq!(paged.paged, dram.dram, "paged backing holds the f32 bytes");
         let ratio = dram.resident() as f64 / quant.resident() as f64;
         assert!(ratio > 3.0 && ratio < 4.2, "8-bit ratio {ratio}");
+    }
+
+    /// Whether two stores are one allocation.
+    fn same_store(a: &TableStore, b: &TableStore) -> bool {
+        match (a, b) {
+            (TableStore::Dram(a), TableStore::Dram(b)) => Arc::ptr_eq(a, b),
+            (TableStore::Quantized(a), TableStore::Quantized(b)) => Arc::ptr_eq(a, b),
+            (TableStore::Paged(a), TableStore::Paged(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
+    }
+
+    /// Publishes `next` while `held` (an in-flight batch on the serving
+    /// epoch) keeps the retiree from draining, then releases it; returns
+    /// whether `alive` was still alive before the release and after the
+    /// drain.
+    fn publish_past(
+        switch: &EpochSwitch,
+        held: Arc<EpochServing>,
+        next: EpochServing,
+        alive: &dyn Fn() -> bool,
+    ) -> (bool, bool) {
+        let mut drain = DrainQueue::default();
+        drain.retire(switch.publish(next));
+        assert_eq!(drain.finish(Instant::now()), 1, "a held retiree stays queued");
+        let before = alive();
+        drop(held);
+        assert_eq!(drain.finish(Instant::now()), 0, "a released retiree drains");
+        (before, alive())
+    }
+
+    #[test]
+    fn a_step_shares_all_but_the_moved_table_and_frees_its_old_store_on_drain() {
+        let spec = toy_spec();
+        let profile = PoolingProfile::from_spec(&spec);
+        let p = plan(&spec, &profile, ShardingStrategy::CapacityBalanced(3)).unwrap();
+        let (paged, moved) = (0, 1);
+        let mut tiers = vec![Tier::Dram; spec.tables.len()];
+        tiers[paged] = Tier::Paged;
+        let switch = EpochSwitch::new(build_tiered_epoch(&spec, &p, 5, &tiers, 0).unwrap().0);
+        let stores = |e: &EpochServing, t: usize| -> Vec<TableStore> {
+            e.model.shards.iter().filter_map(|s| s.store(TableId(t)).cloned()).collect()
+        };
+
+        // Demote one table: everything else is the serving epoch's own.
+        let old = switch.current();
+        let new = retier_epoch(&old, &spec, 5, moved, Tier::Quantized, 1).unwrap();
+        for t in (0..spec.tables.len()).filter(|&t| t != moved) {
+            let (a, b) = (stores(&old, t), stores(&new, t));
+            assert!(a.iter().zip(&b).all(|(a, b)| same_store(a, b)), "table {t}");
+        }
+        let fcs = |e: &EpochServing| -> Vec<_> {
+            let ops = e.model.nets.iter().flat_map(|net| net.ops());
+            ops.filter_map(|op| op.as_fully_connected().map(|fc| Arc::clone(fc.weights())))
+                .collect()
+        };
+        let (old_fcs, new_fcs) = (fcs(&old), fcs(&new));
+        assert!(!old_fcs.is_empty());
+        assert!(old_fcs.iter().zip(&new_fcs).all(|(a, b)| Arc::ptr_eq(a, b)), "FC weights");
+        let hosts = |s: usize| p.placement(TableId(moved)).part_on(ShardId(s)).is_some();
+        assert!((0..p.num_shards()).any(|s| !hosts(s)), "a shard hosts no moved table");
+        for (s, (a, b)) in old.model.shards.iter().zip(&new.model.shards).enumerate() {
+            assert_eq!(Arc::ptr_eq(a, b), !hosts(s), "shard {s}");
+        }
+        assert!(stores(&new, moved).iter().all(|s| matches!(s, TableStore::Quantized(_))));
+
+        // The moved table's f32 slice outlives the cutover only while a
+        // batch holds the retiree.
+        let f32_slices: Vec<Weak<EmbeddingTable>> = stores(&old, moved)
+            .iter()
+            .map(|s| match s {
+                TableStore::Dram(t) => Arc::downgrade(t),
+                other => panic!("{other:?} is not in DRAM"),
+            })
+            .collect();
+        let backing: Vec<Weak<_>> = stores(&old, paged)
+            .iter()
+            .map(|s| match s {
+                TableStore::Paged(t) => Arc::downgrade(t),
+                other => panic!("{other:?} is not paged"),
+            })
+            .collect();
+        assert!(!f32_slices.is_empty() && !backing.is_empty());
+        let f32_alive = || f32_slices.iter().any(|w| w.upgrade().is_some());
+        assert_eq!(publish_past(&switch, old, new, &f32_alive), (true, false));
+
+        // The paged table's backing file (the store owns its handle) is
+        // shared by both epochs, so it lives on in the serving one until
+        // a promotion's retiree drains too.
+        let backing_alive = || backing.iter().any(|w| w.upgrade().is_some());
+        assert!(backing_alive());
+        let old = switch.current();
+        let new = retier_epoch(&old, &spec, 5, paged, Tier::Quantized, 2).unwrap();
+        assert!(stores(&new, paged).iter().all(|s| matches!(s, TableStore::Quantized(_))));
+        assert_eq!(publish_past(&switch, old, new, &backing_alive), (true, false));
     }
 }

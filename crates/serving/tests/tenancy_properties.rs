@@ -10,18 +10,26 @@
 //!   numbers the epochs: each published step is the next one, and a
 //!   refused step (skipped rung, lost race, failed dual read) moves
 //!   neither the epoch nor the tiers.
+//! - **Derived steps** — a ladder step derives its candidate from the
+//!   serving epoch instead of rebuilding the model; along seeded random
+//!   walks over a plan that row-splits a table, every step serves the
+//!   predictions and byte breakdown of an epoch built from scratch at
+//!   the same tier assignment, bit for bit.
 //! - **Isolation** — a tenant offered 4× its admission capacity sheds
 //!   the overload out of its own bounded queue; its neighbor's SLA hit
 //!   rate and availability match that neighbor's solo-run values within
 //!   the smoke band, because the excess never reaches the shared
 //!   workers.
 
-use dlrm_model::{build_model, rm, ModelSpec};
+use dlrm_model::{build_model, rm, ModelSpec, TableId};
+use dlrm_serving::epoch::{probe_all, probe_inputs};
 use dlrm_serving::frontend::{materialize_frontend_requests, run_frontend, FrontendConfig};
 use dlrm_serving::tenancy::{
-    run_tenant_set, PressureConfig, TenancyRunConfig, TenantSet, TenantSpec, TenantWorkload, Tier,
+    build_tiered_epoch, run_tenant_set, PressureConfig, TenancyRunConfig, TenantSet, TenantSpec,
+    TenantWorkload, Tier, TierBytes,
 };
 use dlrm_sharding::{partition, plan, ShardingStrategy};
+use dlrm_sim::SimRng;
 use dlrm_workload::{ArrivalSchedule, PoolingProfile, TraceDb};
 use std::time::Duration;
 
@@ -203,6 +211,60 @@ fn step(set: &TenantSet, table: usize, to: Tier, epoch: &mut u64) {
 fn assert_serving(set: &TenantSet, table: usize, epoch: u64, tier: Tier) {
     assert_eq!(set.tenant(0).epoch(), epoch, "serving epoch");
     assert_eq!(set.tenant(0).tiers()[table], tier, "table {table} tier");
+}
+
+/// Seeded random ladder walks, each step one adjacent rung of a table
+/// drawn from a few (the row-split one among them): after every step
+/// the tenant serves what a fresh `build_tiered_epoch` at the same tier
+/// assignment serves — the same golden-probe predictions and the same
+/// bytes on every tier, bit for bit.
+#[test]
+fn derived_steps_match_a_fresh_build_at_every_assignment() {
+    const STEPS: usize = 8;
+    let spec = small_spec(rm::rm3());
+    let strategy = ShardingStrategy::NetSpecificBinPacking(4);
+    let p = plan(&spec, &PoolingProfile::from_spec(&spec), strategy).expect("plan");
+    let split = (0..spec.tables.len())
+        .find(|&t| p.placement(TableId(t)).is_row_sharded())
+        .expect("the plan row-splits a table");
+    let cfg = PressureConfig::default();
+    let inputs = probe_inputs(&spec, cfg.verify_requests, cfg.verify_seed);
+    let walked = [split, 1, 2];
+    let mut promotions_to_dram = 0;
+    for seed in [41u64, 42, 43] {
+        let t = TenantSpec {
+            strategy,
+            ..tenant("rm3", spec.clone(), seed, 64)
+        };
+        let set = TenantSet::build(vec![t], cfg.clone()).expect("build");
+        let mut rng = SimRng::seed_from(seed);
+        for step in 0..STEPS {
+            let table = walked[rng.next_index(walked.len())];
+            let from = set.tenant(0).tiers()[table];
+            let to = match (from.demoted(), from.promoted()) {
+                (Some(down), Some(up)) => [down, up][rng.next_index(2)],
+                (down, up) => down.or(up).expect("every rung has a neighbour"),
+            };
+            set.force_transition(0, table, to)
+                .unwrap_or_else(|e| panic!("seed {seed} step {step}: {e}"));
+            promotions_to_dram += usize::from(to == Tier::Dram);
+
+            let tiers = set.tenant(0).tiers();
+            let (fresh, _) = build_tiered_epoch(&spec, &p, seed, &tiers, 0).expect("fresh build");
+            let want = probe_all(&spec, &fresh.model, &inputs).expect("fresh probe");
+            let got = set.tenant(0).probe_current().expect("derived probe");
+            for (a, b) in got.iter().zip(&want) {
+                assert_eq!(a.as_slice(), b.as_slice(), "seed {seed} step {step}: {tiers:?}");
+            }
+            let mut bytes = TierBytes::default();
+            for s in &fresh.model.shards {
+                bytes.absorb(s.bytes_by_tier());
+            }
+            assert_eq!(set.tenant(0).bytes_by_tier(), bytes, "seed {seed} step {step}");
+        }
+        assert!(set.controller().verify_failures().is_empty());
+    }
+    assert!(promotions_to_dram > 0, "the walks must promote back to DRAM");
 }
 
 /// One tenant's open-loop workload: `n` seeded requests at `qps`.

@@ -57,5 +57,5 @@ pub use rpc::{RpcError, RpcPolicy};
 pub use plan::{Location, ShardId, ShardingPlan, TablePlacement};
 pub use planner::{plan, plan_with_stats, HotRowConfig, PlanError};
 pub use shard_service::{InProcessClient, ShardService};
-pub use store::{PagedTable, Tier, TierBytes, DEMOTED_BITS};
+pub use store::{PagedTable, TableStore, Tier, TierBytes, DEMOTED_BITS};
 pub use strategy::ShardingStrategy;

@@ -54,8 +54,9 @@ impl std::fmt::Display for PartitionError {
 impl std::error::Error for PartitionError {}
 
 /// A model partitioned for distributed inference: rewritten main-shard
-/// nets plus the sparse-shard services they call.
-#[derive(Debug)]
+/// nets plus the sparse-shard services they call. A clone shares the
+/// services, the operators' parameters, the cache and the schedule.
+#[derive(Debug, Clone)]
 pub struct DistributedModel {
     /// The model's static description.
     pub spec: ModelSpec,
@@ -72,8 +73,9 @@ pub struct DistributedModel {
     /// [`SparseRpc`] operator and read-only; each op reports what it
     /// absorbed in its `RpcOutcome`.
     pub cache: Option<Arc<HotRowCache>>,
-    /// The overlap plan of `nets`, compiled by the partitioner.
-    schedule: Schedule,
+    /// The overlap plan of `nets`, compiled by the partitioner and
+    /// shared by every successor ([`Self::with_shards`]).
+    schedule: Arc<Schedule>,
 }
 
 impl DistributedModel {
@@ -141,6 +143,29 @@ impl DistributedModel {
             }
         }
         configured
+    }
+
+    /// The successor of this model that serves each shard in `replaced`
+    /// from its new `(service, client)` pair, the shard being the
+    /// service's own: a clone of this model in which only the RPC
+    /// operators calling a replaced shard call its new client.
+    #[must_use]
+    pub fn with_shards(
+        &self,
+        replaced: Vec<(Arc<ShardService>, Arc<dyn SparseShardClient>)>,
+    ) -> Self {
+        let mut next = self.clone();
+        for (service, client) in replaced {
+            let shard = service.shard_id();
+            for op in next.nets.iter_mut().flat_map(NetDef::ops_mut) {
+                let rpc = op.as_any_mut().and_then(|any| any.downcast_mut::<SparseRpc>());
+                if let Some(rpc) = rpc.filter(|rpc| rpc.shard_id() == shard) {
+                    rpc.set_client(Arc::clone(&client));
+                }
+            }
+            next.shards[shard.0] = service;
+        }
+        next
     }
 
     /// Number of RPC operators across all nets — one RPC issued per
@@ -322,7 +347,7 @@ pub fn partition_with_clients(
         plan: plan.clone(),
         output_blob,
         cache,
-        schedule,
+        schedule: Arc::new(schedule),
     })
 }
 

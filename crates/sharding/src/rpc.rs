@@ -356,7 +356,7 @@ pub struct RpcFetch {
 /// bags with any cold row go to the shard whole, so per-bag float
 /// summation order — and therefore every output bit — is unchanged. An
 /// operator whose bags are all local skips the network entirely.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct SparseRpc {
     /// `Arc`ed, like `fetches`: every [`PendingSparseRpc`] this operator
     /// issues shares them instead of copying two strings per table.
@@ -397,6 +397,17 @@ impl SparseRpc {
     pub fn set_policy(&mut self, policy: RpcPolicy) {
         assert!(policy.max_attempts >= 1, "need at least one attempt");
         self.policy = policy;
+    }
+
+    /// Calls `client` instead: how a successor model reaches a rebuilt
+    /// shard service.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `client` serves another shard.
+    pub(crate) fn set_client(&mut self, client: Arc<dyn SparseShardClient>) {
+        assert_eq!(client.shard_id(), self.shard_id(), "a client for the same shard");
+        self.client = client;
     }
 
     /// Attaches the main shard's hot-row cache: fully-resident bags are

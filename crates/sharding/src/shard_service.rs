@@ -17,8 +17,9 @@ use std::sync::Arc;
 /// is stateless to avoid further complexity ... shards may fail and need
 /// to restart or replicas may be added" (§III-A1). Accordingly the
 /// service is immutable after construction and every request carries all
-/// the state it needs; a tier change means building a new service.
-#[derive(Debug)]
+/// the state it needs; a tier change means a new service
+/// ([`Self::with_tier`]), which shares every slice it does not move.
+#[derive(Debug, Clone)]
 pub struct ShardService {
     shard: ShardId,
     tables: HashMap<TableId, TableStore>,
@@ -82,6 +83,45 @@ impl ShardService {
             tables,
             pool: Pool::sequential(),
         })
+    }
+
+    /// This service with `table`'s slice held at `tier`, sharing every
+    /// other slice's store (the same `Arc`). The slice is the f32 store
+    /// this service holds when `table` is in DRAM here; otherwise it is
+    /// cut under `plan` from `full()`, the whole f32 table, as
+    /// [`Self::build_tiered`] cuts it.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::build_tiered`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if this service does not host `table`.
+    pub fn with_tier(
+        &self,
+        plan: &ShardingPlan,
+        table: TableId,
+        tier: Tier,
+        full: impl FnOnce() -> Arc<EmbeddingTable>,
+    ) -> Result<Self, String> {
+        let local = match self.store(table).expect("the service hosts the table") {
+            TableStore::Dram(local) => Arc::clone(local),
+            TableStore::Quantized(_) | TableStore::Paged(_) => {
+                let placement = plan.placement(table);
+                let part = placement.part_on(self.shard).expect("the plan places the table here");
+                local_slice(&full(), placement.parts(), part)
+            }
+        };
+        let mut next = self.clone();
+        next.tables.insert(table, TableStore::new(local, tier)?);
+        Ok(next)
+    }
+
+    /// The store holding `table`'s slice, if this service hosts it.
+    #[must_use]
+    pub fn store(&self, table: TableId) -> Option<&TableStore> {
+        self.tables.get(&table)
     }
 
     /// The shard this service implements.

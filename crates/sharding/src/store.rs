@@ -154,16 +154,23 @@ pub(crate) fn local_slice(
     ))
 }
 
-/// One hosted table slice, stored at its tier.
-#[derive(Debug)]
-pub(crate) enum TableStore {
+/// One hosted table slice, stored at its tier. Every variant is an
+/// `Arc`: services that hold the slice at the same tier share one
+/// store, and a paged slice's backing file lives until its last holder
+/// drops.
+#[derive(Debug, Clone)]
+pub enum TableStore {
+    /// Full-precision rows; a whole table shares the model's `Arc`.
     Dram(Arc<EmbeddingTable>),
-    Quantized(QuantizedTable),
-    Paged(PagedTable),
+    /// [`DEMOTED_BITS`]-bit row-wise quantized rows.
+    Quantized(Arc<QuantizedTable>),
+    /// Rows in a backing file.
+    Paged(Arc<PagedTable>),
 }
 
 impl TableStore {
-    /// Stores `local` at `tier`.
+    /// Stores `local` at `tier`: the one place that decides how a slice
+    /// is held on a rung.
     ///
     /// # Errors
     ///
@@ -172,11 +179,13 @@ impl TableStore {
     pub(crate) fn new(local: Arc<EmbeddingTable>, tier: Tier) -> Result<Self, String> {
         Ok(match tier {
             Tier::Dram => Self::Dram(local),
-            Tier::Quantized => Self::Quantized(QuantizedTable::quantize(&local, DEMOTED_BITS)),
-            Tier::Paged => Self::Paged(
+            Tier::Quantized => {
+                Self::Quantized(Arc::new(QuantizedTable::quantize(&local, DEMOTED_BITS)))
+            }
+            Tier::Paged => Self::Paged(Arc::new(
                 PagedTable::from_table(&local)
                     .map_err(|e| format!("paging {}: {e}", local.name()))?,
-            ),
+            )),
         })
     }
 

@@ -19,7 +19,8 @@
 # begin_execute defined by an impl), when a transport copies its request
 # in begin_shared, when the per-call ledger is written outside the
 # replica seat, when a shard's seat list or a shard server's seat map
-# takes a lock again (both are fixed once built), when the serving +
+# takes a lock again (both are fixed once built), when the pressure
+# controller rebuilds a tenant's whole model for a ladder step, when the serving +
 # sharding clock-site count rises, or when a size ceiling is exceeded.
 #
 # Usage: scripts/structure_gate.sh
@@ -177,12 +178,24 @@ cd "$(dirname "$0")/.."
 # pool with build_epoch_serving, the drain's transport fold and
 # TransportSummary::absorb_retired went, and a shard server's seat map
 # became set-once. Clock sites 39 -> 38: the standby poll loop's sleep.
-MAX_SERVING_CODE_LINES=5661
+# Deriving a ladder step's candidate from the serving epoch raised three
+# ceilings by exactly the lines it added, none of them a second path
+# (the step no longer calls build_tiered_epoch, which stays for a
+# tenant's first epoch and for sysbench): serving 5 661 -> 5 769 is
+# tenancy::tiered::retier_epoch with its in-process client helper (+27
+# non-test, net of the tenant's unread plan field) and the unit test
+# that pins what a step shares and when it frees the moved store (+81);
+# model + sharding 7 255 -> 7 315 is ShardService::with_tier and store,
+# DistributedModel::with_shards, SparseRpc::set_client and the Arc'd
+# TableStore variants (+47), and the object-safe operator clone that
+# lets a net be cloned with its weights shared (+13); serving +
+# sharding + compress 10 006 -> 10 161 is the serving and sharding lines.
+MAX_SERVING_CODE_LINES=5769
 MAX_SERVING_PUB_ITEMS=173
 MAX_CLUSTER_CODE_LINES=1712
 MAX_BENCH_CODE_LINES=3080
-MAX_ROW_SERVING_CODE_LINES=10006
-MAX_GRAPH_CODE_LINES=7255
+MAX_ROW_SERVING_CODE_LINES=10161
+MAX_GRAPH_CODE_LINES=7315
 MAX_KERNEL_CODE_LINES=2327
 MAX_CLOCK_SITES=38
 
@@ -378,6 +391,12 @@ seat_locks=$(non_test_code crates/serving/src/replica.rs | grep -c 'RwLock' || t
 server_seat_locks=$(non_test_code crates/serving/src/shard_server.rs | grep -cE 'Mutex|RwLock' || true)
 [ "$server_seat_locks" -eq 0 ] || flunk "$server_seat_locks Mutex|RwLock mentions in non-test serving/src/shard_server.rs (want 0: the seat map is installed once)"
 
+# A ladder step derives its candidate from the serving epoch and
+# rebuilds only the moved table: non-test tenancy/pressure.rs never
+# draws a whole model, directly or through build_tiered_epoch.
+rebuilds=$(non_test_code crates/serving/src/tenancy/pressure.rs | grep -cE '\b(build_model|build_tiered_epoch)\b' || true)
+[ "$rebuilds" -eq 0 ] || flunk "$rebuilds build_model|build_tiered_epoch mentions in non-test tenancy/pressure.rs (want 0: a step derives from the serving epoch)"
+
 # Wall-clock reads and sleeps in the serving and sharding control paths:
 # each is a loop only a wall-clock test can drive, so the count may only
 # fall.
@@ -445,6 +464,7 @@ echo "shard client: methods without a body: $bodiless(expect begin_shared shard_
 echo "shard service: $slicers slicer site, $executes execute definition outside client impls (expect 1 and 1)"
 echo "clock: $clock_sites Instant::now|sleep( sites in non-test serving + sharding code (ceiling $MAX_CLOCK_SITES); seat list: $seat_locks RwLock in non-test replica.rs, seat map: $server_seat_locks Mutex|RwLock in non-test shard_server.rs (expect 0 and 0)"
 echo "non-test serving code: $scopes thread::scope, $drains Arc::try_unwrap, $serve_spawns spawn( in frontend/mod.rs (expect 1, 1 and 2)"
+echo "ladder step: $rebuilds build_model|build_tiered_epoch mentions in non-test tenancy/pressure.rs (expect 0)"
 echo "f32 SLS: $sls_min_defs SLS_PAR_MIN_LOOKUPS definition, $prefetch_sites _mm_prefetch sites (expect 1 and 2: the gather's and the GEMM tiles')"
 echo "simd: $(grep -c . <<<"$unsafe_files" || true) files with unsafe outside tensor/src/simd.rs, $avx512_sites avx512f detection site, $zmm_fused _mm512_fmadd (expect 0, 1 and 0)"
 [ "$serving_lines" -le "$MAX_SERVING_CODE_LINES" ] || flunk "crates/serving/src code lines over the ceiling"
