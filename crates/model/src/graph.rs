@@ -161,9 +161,9 @@ pub struct Workspace {
     blobs: HashMap<String, Option<Blob>>,
     ctx: RuntimeCtx,
     /// Static consumer counts (reads per blob across all nets, plus one
-    /// for the model output): the oracle [`Self::take_dense`] and
-    /// [`Self::take_sparse`] consult to decide move-vs-copy. Empty (the
-    /// default) means "unknown", so every take falls back to a copy.
+    /// for the model output): the oracle [`Self::take_dense`] consults
+    /// to decide move-vs-copy. Empty (the default) means "unknown", so
+    /// every take falls back to a copy.
     consumers: Arc<HashMap<String, usize>>,
 }
 
@@ -235,28 +235,6 @@ impl Workspace {
         self.consumers.get(name).is_some_and(|&c| c == 1)
     }
 
-    /// Moves blob `name` out when it holds the variant `is_wanted`
-    /// accepts; a mistyped blob stays where it is.
-    fn take_blob(
-        &mut self,
-        name: &str,
-        op: &str,
-        expected: &'static str,
-        is_wanted: fn(&Blob) -> bool,
-    ) -> Result<Blob, GraphError> {
-        match self.blobs.get_mut(name) {
-            Some(slot) if slot.as_ref().is_some_and(is_wanted) => Ok(slot.take().expect("checked")),
-            Some(Some(_)) => Err(GraphError::TypeMismatch {
-                blob: name.into(),
-                expected,
-            }),
-            _ => Err(GraphError::MissingBlob {
-                blob: name.into(),
-                op: op.into(),
-            }),
-        }
-    }
-
     /// Fetches a dense blob *by value*: when the installed consumer
     /// counts prove this operator is the blob's only reader, the blob is
     /// moved out of the workspace (no copy); otherwise — including when
@@ -268,34 +246,15 @@ impl Workspace {
     ///
     /// [`GraphError::MissingBlob`] or [`GraphError::TypeMismatch`].
     pub fn take_dense(&mut self, name: &str, op: &str) -> Result<Matrix, GraphError> {
-        if self.sole_reader(name) {
-            match self.take_blob(name, op, "dense", |b| matches!(b, Blob::Dense(_)))? {
-                Blob::Dense(m) => Ok(m),
-                Blob::Sparse(_) => unreachable!("take_blob checked the variant"),
-            }
-        } else {
-            let src = self.dense(name, op)?;
+        let src = self.dense(name, op)?;
+        if !self.sole_reader(name) {
             let mut copy = self.alloc_dense(src.rows(), src.cols());
             copy.as_mut_slice().copy_from_slice(src.as_slice());
-            Ok(copy)
+            return Ok(copy);
         }
-    }
-
-    /// Moves a sparse blob out when the installed consumer counts prove
-    /// this operator is its only reader; `Ok(None)` when it has other
-    /// readers (or no counts are installed), so the caller reads it in
-    /// place with [`Self::sparse`].
-    ///
-    /// # Errors
-    ///
-    /// [`GraphError::MissingBlob`] or [`GraphError::TypeMismatch`].
-    pub fn take_sparse(&mut self, name: &str, op: &str) -> Result<Option<SparseInput>, GraphError> {
-        if !self.sole_reader(name) {
-            return Ok(None);
-        }
-        match self.take_blob(name, op, "sparse", |b| matches!(b, Blob::Sparse(_)))? {
-            Blob::Sparse(s) => Ok(Some(s)),
-            Blob::Dense(_) => unreachable!("take_blob checked the variant"),
+        match self.blobs.get_mut(name).and_then(Option::take) {
+            Some(Blob::Dense(m)) => Ok(m),
+            _ => unreachable!("dense() found a dense blob"),
         }
     }
 

@@ -23,10 +23,11 @@
 //! # Allocation reuse
 //!
 //! [`BufferPool`] recycles the `Vec<f32>` backing stores of dense
-//! activations, and the index and length vectors of sparse inputs,
-//! between requests, so a steady-state inference performs no buffer
-//! heap allocations per table (see [`BufferPool::fresh_allocs`] for the
-//! counter the tests assert on).
+//! activations, and the index and length vectors that sparse inputs
+//! are routed into for each shard request, between batches, so a
+//! steady-state batch performs no buffer heap allocations per table
+//! (see [`BufferPool::fresh_allocs`] for the counter the tests assert
+//! on).
 //!
 //! # Examples
 //!
@@ -73,9 +74,11 @@ pub struct RuntimeCtx {
     /// goes to [`BufferPool::shared`], where shard services draw their
     /// pooled outputs.
     pub buffers: Arc<BufferPool>,
-    /// Recycled index vectors of sparse blobs and shard requests.
+    /// Recycled index vectors of sparse blobs and of the shard requests
+    /// they are routed into.
     pub indices: Arc<BufferPool<u64>>,
-    /// Recycled length vectors of sparse blobs and shard requests.
+    /// Recycled length vectors of sparse blobs and of the shard requests
+    /// they are routed into.
     pub lengths: Arc<BufferPool<u32>>,
 }
 

@@ -17,7 +17,10 @@
 //! connection and the first reply wins. A connection is returned to the
 //! pool only when its call settled cleanly; dropping an unsettled
 //! completion (losing hedge, abandoned call) closes the socket, which
-//! is how the server learns the reply is unwanted. Every transport
+//! is how the server learns the reply is unwanted. A call that finds
+//! its peer closed or reset closes the pool's idle connections too, so
+//! the next call dials rather than spending a transmission on another
+//! stale socket. Every transport
 //! failure — connect refused, reset, malformed frame, mismatched reply
 //! — surfaces as a retryable [`RpcError::Transport`], never a panic,
 //! so the retry/hedge/failover stack above behaves exactly as it does
@@ -137,6 +140,14 @@ impl ConnPool {
         }
         // Else: drop closes the excess connection.
     }
+
+    /// Closes every idle connection: once one call finds its peer gone,
+    /// the others dialed before it went are stale too, and each would
+    /// spend a transmission failing after its send. The next call dials
+    /// instead, and to a dead host is refused at once.
+    fn close_idle(&self) {
+        self.idle.lock().expect("conn pool lock").clear();
+    }
 }
 
 /// A connection object to one remote shard seat (one `host:port`).
@@ -228,7 +239,10 @@ impl SparseShardClient for TcpShardClient {
             stream
                 .write_all(frame)
                 .and_then(|()| stream.flush())
-                .map_err(|e| self.transport_err(format!("send to {}: {e}", self.pool.addr)))?;
+                .map_err(|e| {
+                    self.pool.close_idle();
+                    self.transport_err(format!("send to {}: {e}", self.pool.addr))
+                })?;
         }
         self.stats.on_wire_sent(conn.frame.len());
         Ok(Box::new(TcpCompletion {
@@ -260,6 +274,13 @@ impl TcpCompletion {
             shard: self.shard,
             message: message.into(),
         }
+    }
+
+    /// The peer closed or reset the call's connection: the pool's idle
+    /// connections to it go too.
+    fn peer_gone(&self, message: String) -> RpcError {
+        self.pool.close_idle();
+        self.transport_err(message)
     }
 
     /// Lets go of the call's connection: back to the pool when
@@ -307,9 +328,9 @@ impl TcpCompletion {
             }
             Err(ReadError::TimedOut) => None,
             Err(ReadError::Closed) => Some(Err(
-                self.transport_err("connection closed before the reply")
+                self.peer_gone("connection closed before the reply".into())
             )),
-            Err(ReadError::Io(e)) => Some(Err(self.transport_err(format!("recv: {e}")))),
+            Err(ReadError::Io(e)) => Some(Err(self.peer_gone(format!("recv: {e}")))),
             Err(ReadError::Malformed(e)) => Some(Err(self.transport_err(format!("{e}")))),
         }
     }
@@ -358,6 +379,20 @@ mod tests {
             net: dlrm_model::NetId(0),
             slices: vec![],
         }
+    }
+
+    /// Reads one request from `conn` and, `delay` later, answers it.
+    fn answer(conn: &mut TcpStream, delay: Duration) {
+        let frame = wire::read_message(conn, &mut Vec::new()).unwrap();
+        let Message::Request { id, .. } = frame.message else {
+            panic!("expected request");
+        };
+        std::thread::sleep(delay);
+        let reply = Message::ReplyOk {
+            id,
+            response: ShardResponse { pooled: vec![] },
+        };
+        wire::write_message(conn, &reply).unwrap();
     }
 
     #[test]
@@ -430,23 +465,41 @@ mod tests {
     }
 
     #[test]
+    fn a_closed_peer_empties_the_pool_so_the_next_call_dials() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            // One call answered on each of two connections, then the
+            // server goes: both sockets and the listener close.
+            let mut conns: Vec<_> = (0..2).map(|_| listener.accept().unwrap().0).collect();
+            conns.iter_mut().for_each(|conn| answer(conn, Duration::ZERO));
+        });
+        let client =
+            TcpShardClient::new(ShardId(0), &addr.to_string(), Duration::from_secs(1)).unwrap();
+        // Two calls in flight at once ride two connections; both pool.
+        let first = client.begin_execute(&empty_request()).unwrap();
+        let second = client.begin_execute(&empty_request()).unwrap();
+        assert!(first.wait().is_ok() && second.wait().is_ok());
+        server.join().unwrap();
+        assert_eq!(client.pool.idle.lock().unwrap().len(), 2);
+        // The next call finds its pooled socket closed after the send ...
+        let err = client.execute(&empty_request()).unwrap_err();
+        assert!(!err.to_string().contains(": connect "), "{err}");
+        // ... and the other stale socket goes with it: the call after
+        // dials and is refused instead of failing after its send.
+        assert!(client.pool.idle.lock().unwrap().is_empty());
+        let err = client.execute(&empty_request()).unwrap_err();
+        assert!(err.to_string().contains(": connect "), "{err}");
+    }
+
+    #[test]
     fn wait_until_returns_none_then_settles_and_reuses_the_connection() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let server = std::thread::spawn(move || {
             let (mut conn, _) = listener.accept().unwrap();
-            let mut scratch = Vec::new();
             for _ in 0..2 {
-                let frame = wire::read_message(&mut conn, &mut scratch).unwrap();
-                let Message::Request { id, .. } = frame.message else {
-                    panic!("expected request");
-                };
-                std::thread::sleep(Duration::from_millis(30));
-                let reply = Message::ReplyOk {
-                    id,
-                    response: ShardResponse { pooled: vec![] },
-                };
-                wire::write_message(&mut conn, &reply).unwrap();
+                answer(&mut conn, Duration::from_millis(30));
             }
         });
         let client =

@@ -1,20 +1,25 @@
 //! A steady-state batch costs a fixed number of heap allocations,
-//! whatever the table count: the frontend's worker recycles its merged
-//! inputs, the workspace keeps its blob names, the RPC operator moves or
+//! whatever the table count: the frontend's worker recycles each
+//! batch's inputs, the workspace keeps its blob names, the RPC operator
 //! routes into recycled vectors and the shards pool into recycled
 //! stores. Its own test binary, because it counts every allocation in
 //! the process through a counting global allocator.
 
-use dlrm_model::{build_model, ModelSpec, NetId, NetSpec, TableId, TableSpec};
+use dlrm_model::graph::NoopObserver;
+use dlrm_model::{
+    build_model, ModelSpec, NetId, NetSpec, RuntimeCtx, TableId, TableSpec, Workspace,
+};
 use dlrm_serving::fault::FaultPlan;
 use dlrm_serving::frontend::{
-    materialize_frontend_requests, run_frontend, FrontendConfig, FrontendRequest,
+    materialize_frontend_requests, merge_inputs, run_frontend, split_rows, FrontendConfig,
+    FrontendRequest,
 };
 use dlrm_serving::replica::{HealthPolicy, ReplicatedShardPool};
 use dlrm_sharding::{partition, plan, DistributedModel, ShardingStrategy};
 use dlrm_workload::{ArrivalSchedule, PoolingProfile, TraceDb};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Counts every allocation and reallocation, on every thread.
@@ -115,9 +120,41 @@ fn per_batch(dist: &DistributedModel) -> f64 {
     (long - short) as f64 / (long_batches - short_batches) as f64
 }
 
+/// Steady-state allocations per merged batch: a worker-shaped loop (one
+/// context and workspace kept across batches, consumer counts
+/// installed, the merged prediction's store handed back, every blob
+/// recycled) over the same four requests merged with `merge_inputs`,
+/// each batch. `run_frontend` merges only what a pickup finds queued,
+/// so it cannot fix a merged batch's composition.
+fn merged_per_batch(dist: &DistributedModel) -> f64 {
+    const WARM: u64 = 16;
+    const BATCHES: u64 = 64;
+    let db = TraceDb::generate(&dist.spec, 4, 17);
+    let requests = materialize_frontend_requests(&dist.spec, &db, 23);
+    let parts: Vec<_> = requests.iter().map(|r| &r.inputs).collect();
+    let counts = Arc::new(dist.consumer_counts());
+    let mut ws = Workspace::with_ctx(RuntimeCtx::sequential());
+    let mut before = 0;
+    for i in 0..WARM + BATCHES {
+        if i == WARM {
+            before = ALLOCATIONS.load(Ordering::Relaxed);
+        }
+        let (merged, rows) = merge_inputs(&parts, ws.ctx());
+        ws.set_consumer_counts(Arc::clone(&counts));
+        merged.load_owned(&dist.spec, &mut ws);
+        let out = dist
+            .run_overlapped(&mut ws, &mut NoopObserver)
+            .expect("merged run");
+        assert_eq!(split_rows(&out, &rows).len(), parts.len());
+        ws.ctx().buffers.release(out.into_vec());
+        ws.recycle_all();
+    }
+    (ALLOCATIONS.load(Ordering::Relaxed) - before) as f64 / BATCHES as f64
+}
+
 #[test]
 fn steady_state_batches_allocate_a_fixed_count_whatever_the_table_count() {
-    let mut rows = Vec::new();
+    let (mut rows, mut merged_rows) = (Vec::new(), Vec::new());
     for tables in [10, 60] {
         let spec = spec(tables);
         let profile = PoolingProfile::from_spec(&spec);
@@ -134,21 +171,25 @@ fn steady_state_batches_allocate_a_fixed_count_whatever_the_table_count() {
         })
         .expect("threaded pool");
         let counts = (per_batch(&in_process), per_batch(&threaded));
+        let merged = (merged_per_batch(&in_process), merged_per_batch(&threaded));
         pool.shutdown();
         println!(
-            "{tables} tables: {:.1} allocations per steady-state batch in process, {:.1} threaded",
-            counts.0, counts.1
+            "{tables} tables: {:.1} allocations per steady-state batch in process, {:.1} threaded; \
+             merged batches of four: {:.1} and {:.1}",
+            counts.0, counts.1, merged.0, merged.1
         );
         rows.push(counts);
+        merged_rows.push(merged);
     }
     println!(
-        "(before batches recycled their buffers, this test read 162 and 615 per batch \
-         of up to four requests in process and 192 and 746 threaded: about 9 and 11 \
-         per table)"
+        "(before batches recycled their buffers, this test read 111.3 and 364.6 per \
+         batch in process and 141.6 and 495.7 threaded: about 5 and 7 per table)"
     );
     for (transport, ten, sixty) in [
         ("in-process", rows[0].0, rows[1].0),
         ("threaded", rows[0].1, rows[1].1),
+        ("merged in-process", merged_rows[0].0, merged_rows[1].0),
+        ("merged threaded", merged_rows[0].1, merged_rows[1].1),
     ] {
         assert!(
             ten <= 64.0 && sixty <= 64.0,

@@ -317,7 +317,7 @@ fn hedged_rpc(spec: &ModelSpec, client: Arc<dyn SparseShardClient>) -> RpcOutcom
     });
     let mut ws = Workspace::new();
     ws.put("in", Blob::Sparse(SparseInput::new(vec![0, 1], vec![2])));
-    let (outcome, result) = op.begin(&mut ws).expect("the input is loaded").collect(&mut ws);
+    let (outcome, result) = op.begin(&ws).expect("the input is loaded").collect(&mut ws);
     result.expect("a reply");
     outcome
 }

@@ -428,16 +428,26 @@ impl SparseRpc {
         self.client.shard_id()
     }
 
-    /// Builds the wire request from the workspace (exposed for tests and
-    /// for the serving layer's cost accounting).
+    /// Builds the wire request from the workspace: each fetch's input
+    /// blob routed into index and length vectors drawn from the
+    /// workspace's pools (exposed for tests and for the serving layer's
+    /// cost accounting).
     ///
     /// # Errors
     ///
     /// Propagates missing/mistyped sparse input blobs.
     pub fn build_request(&self, ws: &Workspace) -> Result<ShardRequest, GraphError> {
+        let ctx = ws.ctx();
         let mut slices = Vec::with_capacity(self.fetches.len());
         for f in self.fetches.iter() {
-            slices.push(self.routed_slice(f, ws)?);
+            let sparse = ws.sparse(&f.input_blob, &self.name)?;
+            let mut slice = TableSlice {
+                table: f.table,
+                indices: ctx.indices.acquire_empty(sparse.indices.len()),
+                lengths: ctx.lengths.acquire_empty(sparse.lengths.len()),
+            };
+            route_into(f, sparse, &mut slice);
+            slices.push(slice);
         }
         Ok(ShardRequest {
             net: self.net,
@@ -445,60 +455,21 @@ impl SparseRpc {
         })
     }
 
-    /// One fetch's slice, routed from its input blob into index and
-    /// length vectors drawn from the workspace's pools.
-    fn routed_slice(&self, f: &RpcFetch, ws: &Workspace) -> Result<TableSlice, GraphError> {
-        let sparse = ws.sparse(&f.input_blob, &self.name)?;
-        let ctx = ws.ctx();
-        let mut slice = TableSlice {
-            table: f.table,
-            indices: ctx.indices.acquire_empty(sparse.indices.len()),
-            lengths: ctx.lengths.acquire_empty(sparse.lengths.len()),
-        };
-        route_into(f, sparse, &mut slice);
-        Ok(slice)
-    }
-
     /// Issue half of the operator: builds the request from the
-    /// workspace — compacted to its cold bags when a cache is attached —
-    /// and sends it without waiting for the reply. A send that fails is
-    /// the first failed attempt: it settles in the collect half, which
-    /// owns the retry loop, like any other.
-    ///
-    /// A whole-table input whose only reader is this operator (consumer
-    /// count 1) is moved into the request, so its indices are not copied
-    /// between the request and the shard at all. Any other input — a
-    /// row-split table's, which every part's operator reads, included —
-    /// is routed into vectors from the workspace's pools.
+    /// workspace ([`Self::build_request`]) — compacted to its cold bags
+    /// when a cache is attached — and sends it without waiting for the
+    /// reply. A send that fails is the first failed attempt: it settles
+    /// in the collect half, which owns the retry loop, like any other.
     ///
     /// # Errors
     ///
     /// Propagates missing/mistyped input blobs.
-    pub fn begin(&self, ws: &mut Workspace) -> Result<PendingSparseRpc, GraphError> {
-        let mut slices = Vec::with_capacity(self.fetches.len());
-        for f in self.fetches.iter() {
-            let moved = if f.parts == 1 {
-                ws.take_sparse(&f.input_blob, &self.name)?
-            } else {
-                None
-            };
-            slices.push(match moved {
-                Some(s) => TableSlice {
-                    table: f.table,
-                    indices: s.indices,
-                    lengths: s.lengths,
-                },
-                None => self.routed_slice(f, ws)?,
-            });
-        }
+    pub fn begin(&self, ws: &Workspace) -> Result<PendingSparseRpc, GraphError> {
         let mut pending = PendingSparseRpc {
             op: Arc::clone(&self.name),
             fetches: Arc::clone(&self.fetches),
             client: Arc::clone(&self.client),
-            request: Arc::new(ShardRequest {
-                net: self.net,
-                slices,
-            }),
+            request: Arc::new(self.build_request(ws)?),
             policy: self.policy,
             outs: vec![None; self.fetches.len()],
             wired: (0..self.fetches.len()).map(|fi| (fi, None)).collect(),
@@ -1220,7 +1191,7 @@ mod tests {
     fn issue_collect_round_trip_writes_outputs() {
         let op = SparseRpc::new("rpc", NetId(0), Arc::new(ZeroClient), vec![fetch()]);
         let mut ws = ws_with_input();
-        let pending = op.begin(&mut ws).unwrap();
+        let pending = op.begin(&ws).unwrap();
         let outcome = settled(pending.collect(&mut ws));
         assert!(ws.dense("out", "t").is_ok());
         assert_eq!(outcome.retries, 0);
@@ -1245,7 +1216,7 @@ mod tests {
             },
         );
         let mut ws = ws_with_input();
-        let outcome = settled(op.begin(&mut ws).unwrap().collect(&mut ws));
+        let outcome = settled(op.begin(&ws).unwrap().collect(&mut ws));
         assert_eq!(outcome.retries, 2);
         assert!(!outcome.degraded);
         assert!(ws.dense("out", "t").is_ok());
@@ -1264,7 +1235,7 @@ mod tests {
             },
         );
         let mut ws = ws_with_input();
-        let (outcome, result) = op.begin(&mut ws).unwrap().collect(&mut ws);
+        let (outcome, result) = op.begin(&ws).unwrap().collect(&mut ws);
         let err = result.unwrap_err();
         assert!(err.to_string().contains("transport"), "{err}");
         // The failed op still reports both attempts and its cause.
@@ -1286,7 +1257,7 @@ mod tests {
             },
         );
         let mut ws = ws_with_input();
-        let outcome = settled(op.begin(&mut ws).unwrap().collect(&mut ws));
+        let outcome = settled(op.begin(&ws).unwrap().collect(&mut ws));
         assert!(outcome.degraded);
         assert_eq!(outcome.error_kind, Some("transport"));
         assert_eq!(outcome.retries, 1);
@@ -1316,7 +1287,7 @@ mod tests {
             },
         );
         let mut ws = ws_with_input();
-        let err = op.begin(&mut ws).unwrap().collect(&mut ws).1.unwrap_err();
+        let err = op.begin(&ws).unwrap().collect(&mut ws).1.unwrap_err();
         assert!(err.to_string().contains("not hosted"), "{err}");
         // Exactly one call went out: deterministic rejections burn no
         // retry budget.
@@ -1338,7 +1309,7 @@ mod tests {
         let mut ws = ws_with_input();
         // ReadyResponse defers the error to collect, so this exercises
         // the settled-error retry path.
-        let outcome = settled(op.begin(&mut ws).unwrap().collect(&mut ws));
+        let outcome = settled(op.begin(&ws).unwrap().collect(&mut ws));
         assert_eq!(outcome.retries, 1);
         assert!(ws.dense("out", "t").is_ok());
     }
@@ -1356,7 +1327,7 @@ mod tests {
             },
         );
         let mut ws = ws_with_input();
-        let outcome = settled(op.begin(&mut ws).unwrap().collect(&mut ws));
+        let outcome = settled(op.begin(&ws).unwrap().collect(&mut ws));
         let kinds: Vec<_> = outcome.attempts.iter().map(|a| (a.kind, a.winner)).collect();
         assert_eq!(kinds, [(RpcAttemptKind::Primary, false), (RpcAttemptKind::Retry, true)]);
         let error = outcome.attempts[0].error.as_deref().expect("the primary failed");
@@ -1378,7 +1349,7 @@ mod tests {
             },
         );
         let mut ws = ws_with_input();
-        let outcome = settled(op.begin(&mut ws).unwrap().collect(&mut ws));
+        let outcome = settled(op.begin(&ws).unwrap().collect(&mut ws));
         assert_eq!((outcome.retries, outcome.hedges), (0, 1));
         let winner = outcome.attempts.iter().find(|a| a.winner).expect("a winner");
         assert_eq!(winner.kind, RpcAttemptKind::Hedge);
@@ -1478,13 +1449,13 @@ mod tests {
             ..dim2_fetch()
         };
         let pure = SparseRpc::new("rpc", NetId(0), pure_client, vec![pure_fetch]);
-        settled(pure.begin(&mut ws).unwrap().collect(&mut ws));
+        settled(pure.begin(&ws).unwrap().collect(&mut ws));
 
         // Cached path.
         let client = Arc::new(PoolingClient::new(table.clone()));
         let mut op = SparseRpc::new("rpc", NetId(0), Arc::clone(&client) as _, vec![dim2_fetch()]);
         op.set_cache(cache_for(&table, vec![1, 2]));
-        let outcome = settled(op.begin(&mut ws).unwrap().collect(&mut ws));
+        let outcome = settled(op.begin(&ws).unwrap().collect(&mut ws));
 
         let cached = ws.dense("out", "t").unwrap().clone();
         let expect = ws.dense("out_pure", "t").unwrap();
@@ -1523,12 +1494,12 @@ mod tests {
         };
         let pure_client = Arc::new(PoolingClient::new(shard_table.clone()));
         let pure = SparseRpc::new("rpc", NetId(0), pure_client, vec![pure_fetch]);
-        settled(pure.begin(&mut ws).unwrap().collect(&mut ws));
+        settled(pure.begin(&ws).unwrap().collect(&mut ws));
 
         let client = Arc::new(PoolingClient::new(shard_table));
         let mut op = SparseRpc::new("rpc", NetId(0), Arc::clone(&client) as _, vec![odd_part]);
         op.set_cache(cache_for(&table, vec![1, 2, 3]));
-        let pending = op.begin(&mut ws).unwrap();
+        let pending = op.begin(&ws).unwrap();
         // Only the cold bag is wired, in local rows (global 1, 5 → 0, 2).
         assert_eq!(pending.request.slices.len(), 1);
         assert_eq!(pending.request.slices[0].indices, vec![0, 2]);
@@ -1566,7 +1537,7 @@ mod tests {
         ws.put("in", Blob::Sparse(SparseInput::new(vec![1, 2, 2], vec![1, 2])));
         let mut op = SparseRpc::new("rpc", NetId(0), Arc::new(NoWire), vec![dim2_fetch()]);
         op.set_cache(cache_for(&table, vec![1, 2]));
-        let outcome = settled(op.begin(&mut ws).unwrap().collect(&mut ws));
+        let outcome = settled(op.begin(&ws).unwrap().collect(&mut ws));
         assert!(outcome.attempts.is_empty(), "nothing should have been sent");
         assert_eq!(outcome.cache_hits, 2);
         assert_eq!(outcome.cache_local_rows, 3);
@@ -1590,7 +1561,7 @@ mod tests {
             degraded_fallback: true,
             ..RpcPolicy::default()
         });
-        let outcome = settled(op.begin(&mut ws).unwrap().collect(&mut ws));
+        let outcome = settled(op.begin(&ws).unwrap().collect(&mut ws));
         assert!(outcome.degraded);
         assert_eq!(outcome.cache_hits, 1);
         assert_eq!(outcome.cache_misses, 1);
@@ -1631,7 +1602,7 @@ mod tests {
         // Cache keyed to table 0 only (the plan has one table; attach a
         // cache whose table 1 entry is absent).
         op.set_cache(cache_for(&table, vec![1, 2]));
-        let pending = op.begin(&mut ws).unwrap();
+        let pending = op.begin(&ws).unwrap();
         assert_eq!(pending.wired, vec![(1, None)], "table 1 is wired whole");
         assert_eq!(pending.request.slices.len(), 1);
         let pure = op.build_request(&ws).unwrap();

@@ -28,174 +28,24 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# Ceilings (measured at PR 12: 9 184 / 286 / 4 103; the parent had
-# 9 541 / 316 / 4 238). Lower them when code goes; raising one needs a
-# reason in CHANGES.md. PR 13 raised the bench ceiling by 10 for the
-# serving-shape FC rows of benches/kernels.rs (measured 4 157); PR 14
-# by 58 for the serving-shape SLS rows (measured 4 215) and lowered the
-# serving ceiling by the 6 lines the shared slice range check removed.
-# PR 15 dropped the fc_*_percall rows and still raised the bench ceiling
-# by 40, exactly the lines added (measured 4 258): the per-tier FC rows
-# with their exact-peak ceiling in benches/kernels.rs and runtime_smoke's
-# AVX-512 gate; it lowered the serving ceiling by the 3 lines the
-# exact-size merge removed. PR 16 (batches form at worker pickup)
-# lowered the serving ceilings to what it measured, 9 191 → 8 973 code
-# lines and 295 → 283 public items (286 measured before it): the
-# batcher loop, the ready queue and the channel's try_send went. It
-# raised the bench ceiling by the 29 lines frontend_smoke's burst phase
-# and no-hold gates added (measured 4 287). PR 21 (one shard service)
-# lowered the serving ceilings to what it measured, 8 973 → 8 257 code
-# lines and 283 → 248 public items (the tiered service and client, the
-# in-tree channel and PagedTable's move), and added the combined ceiling
-# over serving + sharding + compress so a move between the three cannot
-# read as a deletion (13 688 at its parent, 13 007 measured). PR 23 (the
-# overlap schedule compiled at build, the FMA tier deleted) lowered the
-# bench ceiling by the 20 lines the FMA rows and runtime_smoke's FMA
-# branch removed (4 287 -> 4 267) and added two ceilings at what it
-# measured: model + sharding (7 413 at its parent: the per-request
-# scheduler, both validates and the partitioner's re-validate loop went,
-# the compile, the walker and their tests came) and tensor + runtime
-# (2 285 at its parent); the combined serving + sharding + compress
-# ceiling follows sharding down, 13 007 -> 12 984.
-# The bag-fused cold tiers raised four ceilings to what they measured,
-# each by code they added and nothing else: tensor + runtime 2 205 ->
-# 2 270 is the 8-bit bag loop's net lines in simd.rs (U8Rows, sls_bags_u8
-# and its AVX2 body, minus decode_accumulate_u8 and its AVX2 body);
-# sharding's +45 (serving + sharding + compress 12 984 -> 13 031, model
-# + sharding 7 410 -> 7 455) is the paged slab read (the read planner,
-# the per-slice read loop, the spill buffer; minus row_into and the
-# per-lookup loop: +21) and its read-count and error-value unit tests
-# (+24); compress is +2; bench 4 267 -> 4 276 is runtime_smoke's counter
-# check of the AVX-512 tier that replaced its ratio band.
-# Static placement over TCP lowered four ceilings to what it measured:
-# plan versioning (epoch, generations, plan-text v3, the epoch-checked
-# seat install) and the unread routes text format went, serving
-# 8 257 -> 8 170 code lines and 248 -> 245 public items, serving +
-# sharding + compress 13 031 -> 12 768, model + sharding 7 455 -> 7 279.
-# Deleting what no gate ran lowered four ceilings to what it measured:
-# bench 4 276 -> 3 275 (five legacy bench bins, two duplicated smokes,
-# the QPS sweep), serving + sharding + compress 12 768 -> 12 569 and
-# tensor + runtime 2 270 -> 2 144 (the pruned table and the 4-bit tier),
-# model + sharding 7 279 -> 7 278 (the quantized tier's front check).
-# One RPC op path lowered three ceilings to what it measured: the second
-# request builder, reply writer and degraded fill of the cache split, the
-# race's result enum and every completion's second wait body went
-# (rpc.rs 785 -> 583), and ShardService::with_pool with them: serving
-# 8 170 -> 8 131, serving + sharding + compress 12 569 -> 12 458, model +
-# sharding 7 278 -> 7 206.
-# Moving the simulator out of dlrm-serving into dlrm-cluster is a move,
-# not a deletion: the serving ceilings fell by what moved (8 131 -> 6 557
-# code lines, 245 -> 204 public items; serving + sharding + compress
-# 12 458 -> 10 884), and MAX_CLUSTER_CODE_LINES holds the moved code,
-# Study with it, at its measured size. Deleting unused accessors
-# (weights_mut, max_table_gib) lowered model + sharding 7 206 -> 7 196,
-# and ablation_faults calling Study::with_fault lowered bench 3 275 ->
-# 3 274.
-# The GEMM tiles' weight-stream prefetch raised two ceilings by exactly
-# the lines it added: tensor + runtime 2 144 -> 2 179 (GEMM_PREFETCH_BYTES,
-# the clamped offset helper, one prefetch per panel line in the ymm and
-# zmm tiles, and the clamp's unit test) and bench 3 274 -> 3 314 (the
-# fc_m*_k13400_n512_cold rows, which time the FC after an RM1-shaped
-# gather, and the record helper they share with Runner::bench).
-# Recording each batch once lowered the serving ceilings to what it
-# measured, 6 557 -> 6 393 code lines and 204 -> 194 public
-# items: RequestRecord's per-request copies of batch facts and the report's
-# two dedupe maps, TenantBreakdown with the combined tenancy report, the
-# observer's six counter getters and FrontendReport::tail went (BatchRecord,
-# BatchMember and RpcTally came). It raised model + sharding 7 196 -> 7 224,
-# the 28 lines sharding/src/rpc.rs grew by: the failure-cause parser
-# RpcError::kind_in beside the Display it inverts, the kind/prefix table
-# both read, and the classification test that moved with it from
-# frontend/sla.rs and gained the two misclassified messages; serving +
-# sharding + compress fell 10 884 -> 10 748.
-# Counting each RPC fact once lowered four ceilings to what it measured:
-# the hot-row cache's atomics, HotRowCache::record/totals, the pool's
-# cache slot, retired_cache, cache_refreshes and their TransportSummary
-# fields went, and so did RpcStats' latency histogram and the four
-# latency fields of ShardRpcSummary (a removed seat's counters now stay
-# in its shard's totals): serving 6 393 -> 6 315, serving + sharding +
-# compress 10 748 -> 10 662, model + sharding 7 224 -> 7 216. Bench
-# 3 314 -> 3 308: runtime_smoke checks the AVX2 and AVX-512 pools'
-# dispatch counts with one helper and no longer gates a ratio band.
-# One record per RPC lowered three ceilings to what it measured: the
-# executor reports an RPC through one hook (on_rpc) instead of three
-# plus an op timing, the tracing observer's pairing counter trick and
-# async skip went, the frontend reads a failure's cause from the RPC
-# tally instead of parsing it out of error text (RpcError::kind_in and
-# its kind/prefix table went), and SparseRpc::begin lost its issue-time
-# absorbable check: serving 6 315 -> 6 306, serving + sharding +
-# compress 10 662 -> 10 640, model + sharding 7 216 -> 7 205.
-# Recycling a batch's buffers from merge to shard and back raised four
-# ceilings by exactly the lines it added. Tensor + runtime 2 179 ->
-# 2 327: the size-class BufferPool generic over its element, its
-# peak-demand bound, its spill into the shared pool and the unzeroed
-# acquire, with their unit tests (+139), and RuntimeCtx's index and
-# length pools (+9). Model + sharding 7 205 -> 7 316: the workspace's
-# kept names, take_sparse and sparse recycling (+33), the one-buffer
-# blob name (+6), the RPC op's moved or pooled slices, shared request
-# and begin_shared send hook, recycled collect, one-pass-sized cache
-# split and reply stores handed back to the shared pool (+71), the
-# shard's SLS output drawn from the shared pool (+1). Serving 6 306 ->
-# 6 382: the pooled merge (+11), the replicated client's issue over
-# both send forms (+12), per-connection frame buffers on the client and
-# TCP's begin_shared (+16), per-connection reply buffers on the shard
-# server, which also returns a reply's stores to the shared pool (+13),
-# encoding into a caller's buffer (+19), the threaded request shared,
-# not cloned (+5). Serving + sharding + compress 10 640 -> 10 788 is the
-# serving and sharding lines above. The send-path clone clause below
-# is new with it.
-# One send per shard client, and the call ledger kept by the replica
-# seat, lowered three ceilings to what it measured. Serving 6 382 ->
-# 6 370: the threaded and TCP clients' execute/begin_execute bodies,
-# their completions' ledger fields, settle bookkeeping and Drop impls,
-# RpcStats::new (now derived) and the replicated client's send closure
-# went; the seat's Ledger guard and the seat-ledger test on both
-# transports came. Model + sharding 7 316 -> 7 308 and serving +
-# sharding + compress 10 788 -> 10 768: the trait's default bodies and
-# the unused ShardResponse::payload_bytes went, and the direct-call and
-# test clients implement begin_shared instead of execute.
-# Deleting the in-process Rebalancer (live re-plan, migration and replica
-# autoscaling) lowered five ceilings to what it measured. Serving 6 370
-# -> 5 808 code lines and 194 -> 177 public items:
-# rebalance/mod.rs and its config, report, record and handle types went,
-# epoch.rs moved up to crate::epoch with build_epoch_serving (two
-# arguments instead of a 16-field config), and the replica layer lost
-# scale_up/scale_down, add_seat/remove_seat, shard_rows, the removed-seat
-# ledger, the worker table's Mutex and the seat list's RwLock, with the
-# two autoscaling unit tests. Bench 3 308 -> 3 080: rebalance_smoke
-# went. Model + sharding 7 308 -> 7 255: ShardingPlan::same_layout
-# and three accessors only their own unit tests read
-# (ShardRequest::payload_bytes, HotRowCache::resident_bytes,
-# ShardService::table_count). Serving + sharding + compress 10 768 ->
-# 10 153 is the serving and sharding lines above. The clock-site
-# ceiling is new with it, at its measured value (43 before, 4 of them in
-# rebalance/mod.rs); it falls as the control loops move behind one clock.
-# Fixing placement once it is served lowered four ceilings to what it
-# measured. Serving 5 808 -> 5 661 code lines and 177 -> 173 public
-# items, serving + sharding + compress 10 153 -> 10 006: standby takeover
-# (the PollSeats frame, control::reseat_standby and poll_seats, the
-# binary's standby poll loop and its takeover test), the epoch's worker
-# pool with build_epoch_serving, the drain's transport fold and
-# TransportSummary::absorb_retired went, and a shard server's seat map
-# became set-once. Clock sites 39 -> 38: the standby poll loop's sleep.
-# Deriving a ladder step's candidate from the serving epoch raised three
-# ceilings by exactly the lines it added, none of them a second path
-# (the step no longer calls build_tiered_epoch, which stays for a
-# tenant's first epoch and for sysbench): serving 5 661 -> 5 769 is
-# tenancy::tiered::retier_epoch with its in-process client helper (+27
-# non-test, net of the tenant's unread plan field) and the unit test
-# that pins what a step shares and when it frees the moved store (+81);
-# model + sharding 7 255 -> 7 315 is ShardService::with_tier and store,
-# DistributedModel::with_shards, SparseRpc::set_client and the Arc'd
-# TableStore variants (+47), and the object-safe operator clone that
-# lets a net be cloned with its weights shared (+13); serving +
-# sharding + compress 10 006 -> 10 161 is the serving and sharding lines.
-MAX_SERVING_CODE_LINES=5769
+# Ceilings, each at its measured value. Lower one when code goes;
+# raising one needs a reason in CHANGES.md, which keeps their history.
+# Code lines are non-blank, non-comment lines, unit tests included.
+# - SERVING: crates/serving/src, the engine (frontend, tenancy,
+#   transports, replica seats, epochs, shard server); and its pub items.
+# - CLUSTER: crates/cluster/src, the calibrated simulator and planners.
+# - BENCH: crates/bench, the kernel benches and the smoke gates.
+# - ROW_SERVING: serving + sharding + compress, so a move between the
+#   three cannot read as a deletion.
+# - GRAPH: model + sharding, the executor, operators, partitioner, RPC op.
+# - KERNEL: tensor + runtime, the SIMD kernels, fork-join and buffer pools.
+# - CLOCK_SITES: Instant::now|sleep( in non-test serving + sharding code.
+MAX_SERVING_CODE_LINES=5802
 MAX_SERVING_PUB_ITEMS=173
 MAX_CLUSTER_CODE_LINES=1712
 MAX_BENCH_CODE_LINES=3080
-MAX_ROW_SERVING_CODE_LINES=10161
-MAX_GRAPH_CODE_LINES=7315
+MAX_ROW_SERVING_CODE_LINES=10172
+MAX_GRAPH_CODE_LINES=7264
 MAX_KERNEL_CODE_LINES=2327
 MAX_CLOCK_SITES=38
 
@@ -218,7 +68,7 @@ code_lines() {
   find "$1" -name '*.rs' -print0 | xargs -0 cat | grep -vcE '^\s*(//|$)'
 }
 
-deleted='ThreadedShardPool|worker_loop_live|tenant_worker_loop|BatchRanker|rank_request_parallel|run_sweep|mod local\b|batcher_loop|FormedBatch|QuantizedShardService|QuantizedClient|TieredClient|TierTable|mod channel|collect_in_flight|in_flight_producer|Avx2Fma|forced_fma|panel_fma|decode_accumulate_u8|decode_u8_accumulate_avx2|install_seats_epoch|with_versioning|HEADER_V3|dlrm-plan v3|fn succeed|plan_epoch|routes_to_text|routes_from_text|next_epoch|Pruned[T]able|prune_by_[m]agnitude|decode_accumulate_u[4]|decode_row_u[4]|pool_bags_u[4]|decode_u[4]_|Wait[O]utcome|wait_[d]eadline|Race[R]esult|Local[S]plit|build_request_[a]nd_split|route_bags_[g]lobal|Streaming[Q]uantile|fn with_[p]ool|weights_[m]ut|max_table_[g]ib|Tenant[B]reakdown|RequestRec[o]rd|batch_closed_[m]s|Histogra[m]|record_latenc[y]|LATENCY_SUB_BUCKET[S]|cache_retire[d]|cache_refreshe[s]|retired_cach[e]|on_rpc_issue[d]|on_rpc_collecte[d]|on_rpc_outcom[e]|kind_i[n]\(|(fn |\.)(rpc_retrie[s]|rpc_hedge[s]|degraded_rpc[s]|cache_hit[s]|cache_misse[s]|cache_local_row[s])\(|Rebalance[r]|RebalanceConfi[g]|MigrationRecor[d]|ScaleEven[t]|fn scale_u[p]|fn scale_dow[n]|shard_row[s]|add_sea[t]|remove_sea[t]|mod rebalanc[e]|PollSeat[s]|reseat_standb[y]|poll_seat[s]|STANDBY_POL[L]|build_epoch_servin[g]|absorb_retire[d]'
+deleted='ThreadedShardPool|worker_loop_live|tenant_worker_loop|BatchRanker|rank_request_parallel|run_sweep|mod local\b|batcher_loop|FormedBatch|QuantizedShardService|QuantizedClient|TieredClient|TierTable|mod channel|collect_in_flight|in_flight_producer|Avx2Fma|forced_fma|panel_fma|decode_accumulate_u8|decode_u8_accumulate_avx2|install_seats_epoch|with_versioning|HEADER_V3|dlrm-plan v3|fn succeed|plan_epoch|routes_to_text|routes_from_text|next_epoch|Pruned[T]able|prune_by_[m]agnitude|decode_accumulate_u[4]|decode_row_u[4]|pool_bags_u[4]|decode_u[4]_|Wait[O]utcome|wait_[d]eadline|Race[R]esult|Local[S]plit|build_request_[a]nd_split|route_bags_[g]lobal|Streaming[Q]uantile|fn with_[p]ool|weights_[m]ut|max_table_[g]ib|Tenant[B]reakdown|RequestRec[o]rd|batch_closed_[m]s|Histogra[m]|record_latenc[y]|LATENCY_SUB_BUCKET[S]|cache_retire[d]|cache_refreshe[s]|retired_cach[e]|on_rpc_issue[d]|on_rpc_collecte[d]|on_rpc_outcom[e]|kind_i[n]\(|(fn |\.)(rpc_retrie[s]|rpc_hedge[s]|degraded_rpc[s]|cache_hit[s]|cache_misse[s]|cache_local_row[s])\(|Rebalance[r]|RebalanceConfi[g]|MigrationRecor[d]|ScaleEven[t]|fn scale_u[p]|fn scale_dow[n]|shard_row[s]|add_sea[t]|remove_sea[t]|mod rebalanc[e]|PollSeat[s]|reseat_standb[y]|poll_seat[s]|STANDBY_POL[L]|build_epoch_servin[g]|absorb_retire[d]|take_spars[e]|take_blo[b]|routed_slic[e]'
 if hits=$(grep -rnE "$deleted" crates src tests examples); then
   flunk "deleted symbols are back:"
   echo "$hits" >&2
