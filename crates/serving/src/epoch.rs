@@ -4,22 +4,25 @@
 //!
 //! One *epoch* is one immutable serving configuration — a partitioned
 //! [`DistributedModel`] wired to its shard clients. The switch numbers
-//! epochs: the first is 0 and every successor is the serving epoch + 1
-//! (plans carry no epoch). Cutting over is publishing a new epoch: an
+//! epochs: the first is 0 and every successor is the epoch it was
+//! derived from + 1 (plans carry no epoch), so the epoch number is also
+//! the count of cutovers. Cutting over is publishing a new epoch: an
 //! atomic `Arc` swap that takes effect on the next batch any frontend
 //! worker picks up. Workers resolve the current epoch *once per batch*,
 //! so no batch ever mixes two epochs' state.
 //!
 //! [`EpochSwitch::transition`] is the sequence the tenancy
 //! [`PressureController`](crate::tenancy::PressureController) runs for
-//! every tier step: take a built successor → **verify** it by replaying
-//! probe inputs against expected outputs ([`ProbeCheck`]) → **publish**
-//! → hand the retiree to a [`DrainQueue`], which drops it on the
-//! controller's thread once the last in-flight batch holding its `Arc`
-//! completes. A successor that fails to build or to verify is dropped
-//! and nothing is published. An epoch holds a model, not a pool: whoever
-//! spawned the transport behind a model's clients stops it. Placement
-//! itself is static: no controller re-plans or reshards a serving tier.
+//! every tier step: take a successor built from a named serving epoch →
+//! **verify** it by replaying probe inputs against expected outputs
+//! ([`ProbeCheck`]) → **publish** it, only if the epoch it was derived
+//! from is still the one serving. The retiree is handed back and
+//! dropped: its stores are freed when the last in-flight batch holding
+//! its `Arc` releases it. A successor that fails to build or to verify,
+//! or whose parent was already replaced, is dropped and nothing is
+//! published. An epoch holds a model, not a pool: whoever spawned the
+//! transport behind a model's clients stops it. Placement itself is
+//! static: no controller re-plans or reshards a serving tier.
 
 use crate::engine_trace::RpcTracingObserver;
 use dlrm_model::{ModelSpec, Workspace};
@@ -27,17 +30,15 @@ use dlrm_sharding::DistributedModel;
 use dlrm_tensor::Matrix;
 use dlrm_trace::TraceId;
 use dlrm_workload::{BatchInputs, TraceDb};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
-use std::time::{Duration, Instant};
 
 /// One immutable serving epoch: the partitioned model, wired to its
 /// shard clients.
 #[derive(Debug)]
 pub struct EpochServing {
     /// The epoch number: 0 for the first configuration behind a switch,
-    /// and [`EpochSwitch::publish`] sets each successor's to the serving
-    /// epoch + 1.
+    /// and [`EpochSwitch::publish`] sets each successor's to its parent's
+    /// + 1.
     pub epoch: u64,
     /// The model partitioned under this epoch's plan.
     pub model: DistributedModel,
@@ -51,7 +52,6 @@ pub struct EpochServing {
 #[derive(Debug)]
 pub struct EpochSwitch {
     current: RwLock<Arc<EpochServing>>,
-    cutovers: AtomicU64,
 }
 
 impl EpochSwitch {
@@ -60,62 +60,69 @@ impl EpochSwitch {
     pub fn new(initial: EpochServing) -> Self {
         Self {
             current: RwLock::new(Arc::new(initial)),
-            cutovers: AtomicU64::new(0),
         }
     }
 
     /// The current epoch's serving state. Callers hold the returned
-    /// `Arc` for exactly one batch — holding it longer delays the
-    /// retired epoch's drain after a cutover.
+    /// `Arc` for exactly one batch — holding it longer keeps a retired
+    /// epoch's stores alive after a cutover.
     #[must_use]
     pub fn current(&self) -> Arc<EpochServing> {
         Arc::clone(&self.current.read().expect("epoch switch lock"))
     }
 
-    /// The current epoch number.
+    /// The current epoch number, which is also how many cutovers this
+    /// switch has published.
     #[must_use]
     pub fn epoch(&self) -> u64 {
         self.current().epoch
     }
 
-    /// Atomically cuts over to `next`, numbered the serving epoch + 1
-    /// whatever it was built as, and returns the retired epoch for the
-    /// caller to drain (see [`DrainQueue`]).
-    pub fn publish(&self, mut next: EpochServing) -> Arc<EpochServing> {
+    /// Atomically cuts over to `next`, derived from epoch `parent`, if
+    /// `parent` is still serving: `next` is numbered `parent + 1`
+    /// whatever it was built as, and the retired epoch is handed back.
+    /// Its stores are freed when the caller and every batch still
+    /// running on it have dropped their `Arc`s.
+    ///
+    /// # Errors
+    ///
+    /// If another epoch replaced `parent` first; `next` is dropped and
+    /// the serving epoch stays as it was.
+    pub fn publish(
+        &self,
+        parent: u64,
+        mut next: EpochServing,
+    ) -> Result<Arc<EpochServing>, String> {
         let mut slot = self.current.write().expect("epoch switch lock");
-        next.epoch = slot.epoch + 1;
-        let old = std::mem::replace(&mut *slot, Arc::new(next));
-        drop(slot);
-        self.cutovers.fetch_add(1, Ordering::Relaxed);
-        old
+        if slot.epoch != parent {
+            return Err(format!(
+                "epoch {parent} was replaced by epoch {} first",
+                slot.epoch
+            ));
+        }
+        next.epoch = parent + 1;
+        Ok(std::mem::replace(&mut *slot, Arc::new(next)))
     }
 
-    /// How many cutovers this switch has published.
-    #[must_use]
-    pub fn cutovers(&self) -> u64 {
-        self.cutovers.load(Ordering::Relaxed)
-    }
-
-    /// The transition pipeline: verify `candidate` against `check`,
-    /// publish it, and queue the retired epoch on `drain`. On any abort
-    /// — the build failed, a probe errored or came back degraded, or
-    /// the outputs diverged — the candidate is dropped, the serving
-    /// epoch and [`cutovers`](Self::cutovers) stay as they were, and
-    /// the reason is returned.
+    /// The transition pipeline: verify `candidate`, derived from epoch
+    /// `parent`, against `check`, then [`publish`](Self::publish) it and
+    /// drop the retiree. On any abort — the build failed, a probe
+    /// errored or came back degraded, the outputs diverged, or `parent`
+    /// was replaced meanwhile — the candidate is dropped, the serving
+    /// epoch stays as it was, and the reason is returned.
     ///
     /// # Errors
     ///
     /// The abort reason.
     pub fn transition(
         &self,
+        parent: u64,
         candidate: Result<EpochServing, String>,
         check: &ProbeCheck<'_>,
-        drain: &mut DrainQueue,
     ) -> Result<(), String> {
         let next = candidate.map_err(|e| format!("warm failed: {e}"))?;
         check.verify(&next.model)?;
-        drain.retire(self.publish(next));
-        Ok(())
+        self.publish(parent, next).map(drop)
     }
 }
 
@@ -200,45 +207,6 @@ impl ProbeCheck<'_> {
     }
 }
 
-/// Retired epochs waiting for their last in-flight batch. Workers
-/// release their per-batch `Arc`s promptly, so an epoch usually drains
-/// within one batch time of its cutover. Draining drops the retiree here,
-/// on the controller's thread, so a demoted table's memory and its paged
-/// backing file are freed off the request path.
-#[derive(Debug, Default)]
-pub struct DrainQueue {
-    retired: Vec<Arc<EpochServing>>,
-}
-
-impl DrainQueue {
-    /// Queues a retired epoch.
-    pub fn retire(&mut self, epoch: Arc<EpochServing>) {
-        self.retired.push(epoch);
-    }
-
-    /// Drops every retired epoch nobody references any more; epochs
-    /// still held by an in-flight batch stay queued.
-    pub fn poll(&mut self) {
-        for entry in std::mem::take(&mut self.retired) {
-            if let Err(still_held) = Arc::try_unwrap(entry) {
-                self.retired.push(still_held);
-            }
-        }
-    }
-
-    /// Polls until the queue is empty or `deadline` passes; returns how
-    /// many epochs are still undrained (they stay queued).
-    pub fn finish(&mut self, deadline: Instant) -> usize {
-        loop {
-            self.poll();
-            if self.retired.is_empty() || Instant::now() >= deadline {
-                return self.retired.len();
-            }
-            std::thread::sleep(Duration::from_micros(200));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -259,23 +227,34 @@ mod tests {
     }
 
     #[test]
-    fn publish_numbers_and_swaps_atomically_and_the_retiree_drains_once_released() {
+    fn publish_numbers_and_swaps_atomically_and_hands_back_the_retiree() {
         let switch = EpochSwitch::new(epoch_state());
         assert_eq!(switch.epoch(), 0);
-        assert_eq!(switch.cutovers(), 0);
         let held = switch.current();
-        let mut drain = DrainQueue::default();
         // Built as epoch 0 too: the switch numbers it.
-        drain.retire(switch.publish(epoch_state()));
+        let retiree = switch.publish(0, epoch_state()).unwrap();
         assert_eq!(switch.epoch(), 1);
-        assert_eq!(switch.cutovers(), 1);
         // The held Arc still serves epoch 0 — a batch that resolved the
-        // switch before the cutover finishes on the old state, and the
-        // retiree cannot drain under it.
+        // switch before the cutover finishes on the old state — and it
+        // is the retiree handed back.
         assert_eq!(held.epoch, 0);
-        assert_eq!(drain.finish(Instant::now()), 1);
+        assert!(Arc::ptr_eq(&held, &retiree));
+        let gone = Arc::downgrade(&retiree);
+        drop(retiree);
+        assert!(gone.upgrade().is_some(), "freed under an in-flight batch");
         drop(held);
-        // With the last outside reference gone the retiree drains.
-        assert_eq!(drain.finish(Instant::now()), 0);
+        assert!(gone.upgrade().is_none(), "the last holder did not free it");
+    }
+
+    #[test]
+    fn a_step_derived_from_a_replaced_epoch_is_refused() {
+        let switch = EpochSwitch::new(epoch_state());
+        drop(switch.publish(0, epoch_state()).unwrap());
+        let serving = switch.current();
+        // A second step derived from epoch 0, which no longer serves.
+        let err = switch.publish(0, epoch_state()).unwrap_err();
+        assert!(err.contains("replaced by epoch 1"), "{err}");
+        assert_eq!(switch.epoch(), 1);
+        assert!(Arc::ptr_eq(&serving, &switch.current()), "the serving epoch moved");
     }
 }

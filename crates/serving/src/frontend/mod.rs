@@ -295,24 +295,9 @@ pub fn serve(
         .collect()
 }
 
-/// [`serve`] for a single lane under `cfg`'s batch cap and worker count,
-/// folded into its [`FrontendReport`] — how a run behind an
-/// [`EpochSwitch`] (and with a profiler) is driven: build the lane with
-/// [`Lane::new`], set what differs, run it.
-///
-/// # Panics
-///
-/// As [`serve`].
-#[must_use]
-pub fn run_lane(lane: Lane<'_>, cfg: &FrontendConfig) -> FrontendReport {
-    serve(vec![lane], cfg.max_batch_requests, cfg.workers, None)
-        .pop()
-        .expect("one lane in, one run out")
-        .into_report()
-}
-
-/// Drives one open-loop serving run of a single pinned lane to
-/// completion — [`run_lane`] with `model` as every batch's epoch 0.
+/// Drives one open-loop serving run of a single lane pinned to `model`
+/// (every batch's epoch 0) to completion under `cfg`, folded into its
+/// [`FrontendReport`].
 ///
 /// # Panics
 ///
@@ -326,7 +311,10 @@ pub fn run_frontend(
     cfg: &FrontendConfig,
 ) -> FrontendReport {
     let lane = Lane::new(EpochSource::Pinned(model), requests, schedule, cfg);
-    run_lane(lane, cfg)
+    serve(vec![lane], cfg.max_batch_requests, cfg.workers, None)
+        .pop()
+        .expect("one lane in, one run out")
+        .into_report()
 }
 
 #[cfg(test)]

@@ -67,7 +67,8 @@ pub(crate) fn worker_loop(
         let picked_at = Instant::now();
         let lane = &lanes[i];
         // A switch lane holds its epoch's `Arc` for exactly this batch:
-        // the drain protocol depends on it being released promptly.
+        // a retired epoch is freed by whichever holder releases it last,
+        // here after the batch is recorded.
         let held;
         let (model, epoch) = match lane.source {
             EpochSource::Pinned(model) => (model, 0),

@@ -45,13 +45,13 @@ pub use tiered::{build_tiered_epoch, TieredShardService};
 // it from `dlrm_sharding`.
 pub use dlrm_sharding::{Tier, TierBytes, DEMOTED_BITS};
 
-use crate::epoch::{probe_all, probe_inputs, EpochSwitch};
+use crate::epoch::{probe_all, probe_inputs, EpochServing, EpochSwitch};
 use crate::frontend::{serve, EpochSource, FrontendReport, FrontendRequest, Lane, LaneRun};
-use dlrm_model::ModelSpec;
-use dlrm_sharding::{plan as make_plan, ShardingStrategy};
+use dlrm_model::{ModelSpec, TableId};
+use dlrm_sharding::{plan as make_plan, Location, ShardingStrategy};
 use dlrm_tensor::Matrix;
 use dlrm_workload::{ArrivalSchedule, BatchInputs, OnlineProfiler, PoolingProfile};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// The static description of one colocated tenant.
@@ -75,8 +75,10 @@ pub struct TenantSpec {
     pub sla: Duration,
 }
 
-/// One tenant's full runtime: spec, plan, serving epoch, profiler, and
-/// the golden probes its tier transitions are verified against.
+/// One tenant's full runtime: spec, serving epoch, profiler, and the
+/// golden probes its tier transitions are verified against. The serving
+/// epoch is the tenant's one record of its state: where each table
+/// lives, and how many cutovers it has served through.
 #[derive(Debug)]
 pub struct TenantRuntime {
     pub(crate) name: String,
@@ -86,10 +88,6 @@ pub struct TenantRuntime {
     pub(crate) queue_capacity: usize,
     pub(crate) sla: Duration,
     pub(crate) switch: EpochSwitch,
-    /// Current tier per table, indexed by `TableId`. Held across a
-    /// transition's verify and publish, so the tiers and the serving
-    /// epoch change together.
-    pub(crate) tiers: Mutex<Vec<Tier>>,
     pub(crate) profiler: OnlineProfiler,
     /// Probe inputs replayed to verify every tier transition.
     pub(crate) golden_inputs: Vec<BatchInputs>,
@@ -104,10 +102,10 @@ impl TenantRuntime {
         &self.name
     }
 
-    /// Current tier per table.
+    /// Current tier per table, as the serving epoch's shards hold it.
     #[must_use]
     pub fn tiers(&self) -> Vec<Tier> {
-        self.tiers.lock().expect("tenant tiers lock").clone()
+        tiers_of(&self.switch.current())
     }
 
     /// The live epoch's byte totals, split by tier.
@@ -120,14 +118,8 @@ impl TenantRuntime {
         b
     }
 
-    /// Epoch cutovers this tenant has served through.
-    #[must_use]
-    pub fn cutovers(&self) -> u64 {
-        self.switch.cutovers()
-    }
-
     /// The serving epoch: 0 at build, one more per published tier
-    /// transition.
+    /// transition, so also the cutovers this tenant has served through.
     #[must_use]
     pub fn epoch(&self) -> u64 {
         self.switch.epoch()
@@ -155,6 +147,19 @@ impl TenantRuntime {
     }
 }
 
+/// The tier of each table in `serving`, indexed by `TableId`: the rung
+/// of the shard stores that hold it. Every shard hosting a table holds
+/// it on one rung, and [`TenantSet::build`] admits no table without one.
+pub(crate) fn tiers_of(serving: &EpochServing) -> Vec<Tier> {
+    let model = &serving.model;
+    (0..model.spec.tables.len())
+        .map(|t| {
+            let store = model.shards.iter().find_map(|s| s.store(TableId(t)));
+            store.expect("every table lives on a shard").tier()
+        })
+        .collect()
+}
+
 /// The colocated tenants plus the pressure controller that arbitrates
 /// their shared DRAM budget.
 #[derive(Debug)]
@@ -171,7 +176,9 @@ impl TenantSet {
     ///
     /// # Errors
     ///
-    /// Any tenant whose plan, model build, or golden probe fails.
+    /// Any tenant whose plan, model build, or golden probe fails, or
+    /// whose plan keeps a table on the main shard, where no ladder step
+    /// can move it.
     ///
     /// # Panics
     ///
@@ -189,6 +196,12 @@ impl TenantSet {
             let profile = PoolingProfile::from_spec(&t.spec);
             let plan = make_plan(&t.spec, &profile, t.strategy)
                 .map_err(|e| format!("{}: {e}", t.name))?;
+            if let Some(p) = plan.placements().iter().find(|p| p.location == Location::Main) {
+                return Err(format!(
+                    "{}: {} stays on the main shard, off the tier ladder",
+                    t.name, p.table
+                ));
+            }
             let tiers = vec![Tier::Dram; t.spec.tables.len()];
             let (serving, _) = build_tiered_epoch(&t.spec, &plan, t.seed, &tiers, 0)
                 .map_err(|e| format!("{}: {e}", t.name))?;
@@ -201,7 +214,6 @@ impl TenantSet {
             tenants.push(Arc::new(TenantRuntime {
                 profiler: OnlineProfiler::without_rows(&t.spec),
                 switch: EpochSwitch::new(serving),
-                tiers: Mutex::new(tiers),
                 name: t.name,
                 spec: t.spec,
                 seed: t.seed,
@@ -242,7 +254,7 @@ impl TenantSet {
         &self.tenants[i]
     }
 
-    /// The pressure controller (budget, action log, counters).
+    /// The pressure controller (budget, action log, refused steps).
     #[must_use]
     pub fn controller(&self) -> &PressureController {
         &self.controller
@@ -324,13 +336,9 @@ pub struct TenancyReport {
     /// Each tenant's own report, in tenant order: its admission
     /// outcomes, its SLA verdicts against its own window, its latency
     /// tails, predictions and trace. Where its bytes live is
-    /// [`TenantRuntime::bytes_by_tier`].
+    /// [`TenantRuntime::bytes_by_tier`]; the tier steps published and
+    /// refused are the [`PressureController`]'s.
     pub per_tenant: Vec<FrontendReport>,
-    /// Every tier transition the pressure controller published, ever
-    /// (across runs on the same [`TenantSet`]).
-    pub actions: Vec<TierAction>,
-    /// Dual-read verification failures (empty on a healthy run).
-    pub verify_failures: Vec<String>,
 }
 
 /// Drives one multi-tenant open-loop run to completion: per-tenant load
@@ -385,8 +393,6 @@ pub fn run_tenant_set(
 
     TenancyReport {
         per_tenant: runs.into_iter().map(LaneRun::into_report).collect(),
-        actions: set.controller().actions(),
-        verify_failures: set.controller().verify_failures(),
     }
 }
 
@@ -460,7 +466,7 @@ mod tests {
             .collect();
         let report = run_tenant_set(&set, workloads, &TenancyRunConfig::default());
         assert_eq!(report.per_tenant.len(), 2);
-        assert!(report.verify_failures.is_empty());
+        assert!(set.controller().verify_failures().is_empty());
         // The worker pool is shared, but accounting never bleeds: each
         // tenant's report holds exactly its own ten requests.
         for (t, r) in set.tenants().iter().zip(&report.per_tenant) {
@@ -502,7 +508,7 @@ mod tests {
             assert_eq!(a.as_slice(), g.as_slice());
         }
         // The neighbor never moved: same epoch, same bits.
-        assert_eq!(set.tenant(1).cutovers(), 0);
+        assert_eq!(set.tenant(1).epoch(), 0);
         let witness_after = set.tenant(1).probe_current().unwrap();
         for (a, b) in witness_after.iter().zip(&witness_b) {
             assert_eq!(a.as_slice(), b.as_slice());
@@ -517,5 +523,14 @@ mod tests {
         let set = two_tenants();
         let err = set.force_transition(0, 0, Tier::Paged).unwrap_err();
         assert!(err.contains("not one ladder step"), "{err}");
+    }
+
+    #[test]
+    fn a_tenant_with_a_table_on_the_main_shard_is_refused() {
+        let mut t = tenant("rm1", small_spec(rm::rm1()), 3, 2);
+        t.strategy = ShardingStrategy::Singular;
+        let err = TenantSet::build(vec![t], PressureConfig::default()).unwrap_err();
+        assert!(err.starts_with("rm1: "), "{err}");
+        assert!(err.contains(&format!("{} stays on the main shard", TableId(0))), "{err}");
     }
 }

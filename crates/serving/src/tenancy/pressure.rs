@@ -23,19 +23,18 @@
 //! reproduce the tenant's all-DRAM golden predictions — bitwise when no
 //! table sits on the quantized rung, within the quantization bound
 //! otherwise. Only then does the new epoch publish through the tenant's
-//! [`EpochSwitch`](crate::epoch::EpochSwitch); the retired epoch
-//! drains by refcount ([`DrainQueue`]). A failed
-//! verification publishes nothing and is reported via
-//! [`PressureController::verify_failures`].
+//! [`EpochSwitch`](crate::epoch::EpochSwitch), and only if the epoch it
+//! was derived from still serves; the retired epoch is freed by its last
+//! in-flight batch. A failed verification publishes nothing and is
+//! reported via [`PressureController::verify_failures`].
 
 use super::tiered::retier_epoch;
 use super::TenantRuntime;
-use crate::epoch::{DrainQueue, ProbeCheck};
+use crate::epoch::ProbeCheck;
 use dlrm_model::TableId;
 use dlrm_sharding::{Tier, TierBytes};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
 
 /// Pressure-controller knobs.
 #[derive(Debug, Clone)]
@@ -118,9 +117,6 @@ pub struct PressureController {
     budget: AtomicU64,
     actions: Mutex<Vec<TierAction>>,
     failures: Mutex<Vec<String>>,
-    drain: Mutex<DrainQueue>,
-    demotions: AtomicU64,
-    promotions: AtomicU64,
 }
 
 impl PressureController {
@@ -133,9 +129,6 @@ impl PressureController {
             budget: AtomicU64::new(budget),
             actions: Mutex::new(Vec::new()),
             failures: Mutex::new(Vec::new()),
-            drain: Mutex::new(DrainQueue::default()),
-            demotions: AtomicU64::new(0),
-            promotions: AtomicU64::new(0),
         }
     }
 
@@ -165,13 +158,13 @@ impl PressureController {
     /// Published demotions so far.
     #[must_use]
     pub fn demotions(&self) -> u64 {
-        self.demotions.load(Ordering::Relaxed)
+        self.actions().iter().filter(|a| a.is_demotion()).count() as u64
     }
 
     /// Published promotions so far.
     #[must_use]
     pub fn promotions(&self) -> u64 {
-        self.promotions.load(Ordering::Relaxed)
+        self.actions().iter().filter(|a| !a.is_demotion()).count() as u64
     }
 
     /// One control round: demote while over budget, else promote into
@@ -227,20 +220,15 @@ impl PressureController {
         to: Tier,
     ) -> Result<TierAction, String> {
         let tenant = &tenants[tenant_idx];
-        // The switch publishes only under the tiers lock, so the epoch
-        // read beside the tiers is the state this transition derives
-        // from; if it moved by publish time, another transition won.
-        let (serving, mut tiers) = {
-            let current = tenant.tiers.lock().expect("tenant tiers lock");
-            (tenant.switch.current(), current.clone())
-        };
-        let epoch = serving.epoch + 1;
+        let serving = tenant.switch.current();
+        let parent = serving.epoch;
+        let mut tiers = super::tiers_of(&serving);
         if tiers[table] != from {
             return Err(format!("tier raced: expected {from}, found {}", tiers[table]));
         }
         tiers[table] = to;
-        let candidate = retier_epoch(&serving, &tenant.spec, tenant.seed, table, to, epoch);
-        // Held past here, the serving epoch could not drain once retired.
+        let candidate = retier_epoch(&serving, &tenant.spec, tenant.seed, table, to);
+        // Held past the publish, the retiree would outlive its last batch.
         drop(serving);
 
         // Dual read: the candidate must reproduce the tenant's golden
@@ -256,35 +244,17 @@ impl PressureController {
                 0.0
             },
         };
-        {
-            let mut current = tenant.tiers.lock().expect("tenant tiers lock");
-            if tenant.switch.epoch() + 1 != epoch {
-                return Err(format!("tier raced: epoch {epoch} published first"));
-            }
-            let mut drain = self.drain.lock().expect("drain lock");
-            tenant.switch.transition(candidate, &check, &mut drain)?;
-            *current = tiers;
-        }
-        // Wait (bounded) for the retiree's last in-flight batch so its
-        // memory is back before the next action derives another epoch;
-        // past the deadline it stays queued for the next action's poll.
-        self.drain
-            .lock()
-            .expect("drain lock")
-            .finish(Instant::now() + Duration::from_secs(2));
+        // Publishes only if `parent` still serves: of two steps derived
+        // from one epoch, the second to publish is refused.
+        tenant.switch.transition(parent, candidate, &check)?;
         let action = TierAction {
             tenant: tenant.name.clone(),
             table: TableId(table),
             from,
             to,
-            epoch,
+            epoch: parent + 1,
             resident_after: total_resident(tenants).resident(),
         };
-        if action.is_demotion() {
-            self.demotions.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.promotions.fetch_add(1, Ordering::Relaxed);
-        }
         self.actions
             .lock()
             .expect("actions lock")

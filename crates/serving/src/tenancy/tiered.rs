@@ -63,15 +63,15 @@ pub fn build_tiered_epoch(
 }
 
 /// One ladder step: the successor of `serving` with table `table` held
-/// at `tier`, numbered `epoch`. Only the services hosting the table are
+/// at `tier`. Only the services hosting the table are
 /// rebuilt ([`ShardService::with_tier`]), each called in-process; every
 /// other store, service and dense operator is shared with `serving`
 /// ([`DistributedModel::with_shards`](dlrm_sharding::DistributedModel::with_shards)).
 /// A table leaving DRAM is cut from its serving f32 slices; one leaving
 /// a colder rung is redrawn alone from `seed`, once, with the bits
 /// [`build_model`] draws for it. The moved table's old store is freed
-/// when the last epoch holding it drains — a paged one's backing file
-/// with it.
+/// when the last epoch holding it is released — a paged one's backing
+/// file with it.
 ///
 /// # Errors
 ///
@@ -82,7 +82,6 @@ pub(crate) fn retier_epoch(
     seed: u64,
     table: usize,
     tier: Tier,
-    epoch: u64,
 ) -> Result<EpochServing, String> {
     let model = &serving.model;
     let id = TableId(table);
@@ -100,7 +99,7 @@ pub(crate) fn retier_epoch(
         replaced.push((Arc::clone(&service), in_process(&service)));
     }
     Ok(EpochServing {
-        epoch,
+        epoch: serving.epoch + 1,
         model: model.with_shards(replaced),
     })
 }
@@ -113,13 +112,12 @@ fn in_process(service: &Arc<ShardService>) -> Arc<dyn SparseShardClient> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::epoch::{DrainQueue, EpochSwitch};
+    use crate::epoch::EpochSwitch;
     use dlrm_model::graph::NoopObserver;
     use dlrm_model::{rm, Workspace};
     use dlrm_sharding::{partition, plan, ShardId, ShardingStrategy, TableStore, TierBytes};
     use dlrm_workload::{materialize_request, PoolingProfile, TraceDb};
     use std::sync::Weak;
-    use std::time::Instant;
 
     fn toy_spec() -> ModelSpec {
         let mut s = rm::rm2().scaled_to_bytes(2 << 20);
@@ -237,27 +235,24 @@ mod tests {
         }
     }
 
-    /// Publishes `next` while `held` (an in-flight batch on the serving
-    /// epoch) keeps the retiree from draining, then releases it; returns
-    /// whether `alive` was still alive before the release and after the
-    /// drain.
+    /// Publishes `next`, derived from `held` (an in-flight batch on the
+    /// serving epoch), and drops the retiree the switch hands back, then
+    /// releases `held`; returns whether `alive` held before the release
+    /// and after it.
     fn publish_past(
         switch: &EpochSwitch,
         held: Arc<EpochServing>,
         next: EpochServing,
         alive: &dyn Fn() -> bool,
     ) -> (bool, bool) {
-        let mut drain = DrainQueue::default();
-        drain.retire(switch.publish(next));
-        assert_eq!(drain.finish(Instant::now()), 1, "a held retiree stays queued");
+        drop(switch.publish(held.epoch, next).expect("the parent still serves"));
         let before = alive();
         drop(held);
-        assert_eq!(drain.finish(Instant::now()), 0, "a released retiree drains");
         (before, alive())
     }
 
     #[test]
-    fn a_step_shares_all_but_the_moved_table_and_frees_its_old_store_on_drain() {
+    fn a_step_shares_all_but_the_moved_table_and_its_last_holder_frees_its_old_store() {
         let spec = toy_spec();
         let profile = PoolingProfile::from_spec(&spec);
         let p = plan(&spec, &profile, ShardingStrategy::CapacityBalanced(3)).unwrap();
@@ -271,7 +266,7 @@ mod tests {
 
         // Demote one table: everything else is the serving epoch's own.
         let old = switch.current();
-        let new = retier_epoch(&old, &spec, 5, moved, Tier::Quantized, 1).unwrap();
+        let new = retier_epoch(&old, &spec, 5, moved, Tier::Quantized).unwrap();
         for t in (0..spec.tables.len()).filter(|&t| t != moved) {
             let (a, b) = (stores(&old, t), stores(&new, t));
             assert!(a.iter().zip(&b).all(|(a, b)| same_store(a, b)), "table {t}");
@@ -313,11 +308,11 @@ mod tests {
 
         // The paged table's backing file (the store owns its handle) is
         // shared by both epochs, so it lives on in the serving one until
-        // a promotion's retiree drains too.
+        // a promotion's retiree is released too.
         let backing_alive = || backing.iter().any(|w| w.upgrade().is_some());
         assert!(backing_alive());
         let old = switch.current();
-        let new = retier_epoch(&old, &spec, 5, paged, Tier::Quantized, 2).unwrap();
+        let new = retier_epoch(&old, &spec, 5, paged, Tier::Quantized).unwrap();
         assert!(stores(&new, paged).iter().all(|s| matches!(s, TableStore::Quantized(_))));
         assert_eq!(publish_past(&switch, old, new, &backing_alive), (true, false));
     }

@@ -9,9 +9,7 @@
 
 use dlrm_model::graph::NoopObserver;
 use dlrm_model::{build_model, ModelSpec, NetId, NetSpec, TableId, TableSpec, Workspace};
-use dlrm_serving::epoch::{
-    probe_all, probe_inputs, DrainQueue, EpochServing, EpochSwitch, ProbeCheck,
-};
+use dlrm_serving::epoch::{probe_all, probe_inputs, EpochServing, EpochSwitch, ProbeCheck};
 use dlrm_serving::fault::{FaultPlan, ReplicaFaultSchedule};
 use dlrm_serving::frontend::{
     materialize_frontend_requests, merge_inputs, run_frontend, serve, split_rows, EpochSource,
@@ -26,6 +24,7 @@ use dlrm_workload::{
     materialize_request, ArrivalSchedule, BatchInputs, OnlineProfiler, PoolingProfile, TraceDb,
 };
 use std::collections::HashMap;
+use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 /// Draws a small but structurally varied model spec: 1–2 nets, 1–3
@@ -310,8 +309,9 @@ fn check_lane(run: &LaneRun, offered: usize, expected: &HashMap<u64, Matrix>, ct
 /// lanes ∈ {1, 2, 3} × pinned/switch sources × seeds, with a publisher
 /// cutting every switch lane over mid-run: each lane accounts exactly,
 /// every batch runs on one epoch, predictions stay bit-exact with
-/// sequential `run_overlapped`, and traffic after the cutover lands on
-/// the new epoch.
+/// sequential `run_overlapped`, traffic after the cutover lands on the
+/// new epoch, and the retired epoch is freed once its last batch is
+/// done.
 #[test]
 fn lanes_of_every_source_account_exactly_and_stay_bit_exact_across_a_cutover() {
     let spec = lane_spec();
@@ -372,20 +372,20 @@ fn lanes_of_every_source_account_exactly_and_stay_bit_exact_across_a_cutover() {
                 .map(|_| OnlineProfiler::for_spec(&spec))
                 .collect();
 
-            let runs = std::thread::scope(|s| {
+            let (runs, retirees) = std::thread::scope(|s| {
+                let mut publishers = Vec::new();
                 for i in (0..lanes).filter(|&i| is_switch(i)) {
                     let (switch, profiler) = (&switches[i], &profilers[i]);
                     let next = epoch0();
-                    s.spawn(move || {
+                    publishers.push(s.spawn(move || {
                         let deadline = Instant::now() + Duration::from_secs(30);
                         while profiler.total_accesses() == 0 {
                             assert!(Instant::now() < deadline, "lane {i} never served");
                             std::thread::sleep(Duration::from_millis(1));
                         }
-                        let mut drain = DrainQueue::default();
-                        drain.retire(switch.publish(next));
-                        assert_eq!(drain.finish(deadline), 0, "retired epoch never drained");
-                    });
+                        let retiree = switch.publish(0, next).expect("epoch 0 still serves");
+                        Arc::downgrade(&retiree)
+                    }));
                 }
                 let lane_list = streams
                     .iter()
@@ -401,9 +401,19 @@ fn lanes_of_every_source_account_exactly_and_stay_bit_exact_across_a_cutover() {
                         lane
                     })
                     .collect();
-                serve(lane_list, cfg.max_batch_requests, cfg.workers, None)
+                let runs = serve(lane_list, cfg.max_batch_requests, cfg.workers, None);
+                let retirees: Vec<Weak<EpochServing>> = publishers
+                    .into_iter()
+                    .map(|p| p.join().expect("publisher"))
+                    .collect();
+                (runs, retirees)
             });
 
+            // Every batch is done, so nothing holds a retired epoch.
+            assert!(
+                retirees.iter().all(|r| r.upgrade().is_none()),
+                "seed {seed}, {lanes} lanes: a retired epoch outlived its batches"
+            );
             assert_eq!(runs.len(), lanes);
             for (i, run) in runs.iter().enumerate() {
                 let ctx = format!("seed {seed}, {lanes} lanes, lane {i}");
@@ -415,7 +425,7 @@ fn lanes_of_every_source_account_exactly_and_stay_bit_exact_across_a_cutover() {
                     .max_by(|a, b| a.exec_start_ms.total_cmp(&b.exec_start_ms))
                     .expect("batches");
                 if is_switch(i) {
-                    assert_eq!(switches[i].cutovers(), 1, "{ctx}");
+                    assert_eq!(switches[i].epoch(), 1, "{ctx}");
                     assert_eq!(last.epoch, 1, "{ctx}: tail missed the cutover");
                 } else {
                     assert!(
@@ -428,24 +438,11 @@ fn lanes_of_every_source_account_exactly_and_stay_bit_exact_across_a_cutover() {
     }
 }
 
-/// Outcomes must depend only on fault schedules, never the wall clock.
-fn deterministic_policy() -> RpcPolicy {
-    RpcPolicy {
-        attempt_timeout: None,
-        max_attempts: 4,
-        backoff_base: Duration::from_micros(100),
-        backoff_cap: Duration::from_millis(1),
-        hedge_after: None,
-        degraded_fallback: true,
-    }
-}
-
 /// The transition pipeline's abort paths — the successor failed to
 /// warm, its probe outputs diverge, or a probe came back degraded —
-/// each leave the serving epoch, `cutovers()` and the drain queue as
-/// they were and name the reason; the same candidate shape built
-/// cleanly then publishes, numbered by the switch, and the retiree
-/// drains.
+/// each leave the serving epoch (its number and its state) as it was
+/// and name the reason; the same candidate shape built cleanly then
+/// publishes, numbered by the switch, and the retiree is freed with it.
 #[test]
 fn transition_aborts_leave_serving_untouched() {
     const SEED: u64 = 33;
@@ -459,7 +456,12 @@ fn transition_aborts_leave_serving_untouched() {
     let mut pools = Vec::new();
     let mut build = |seed: u64, faults: &FaultPlan| {
         let (mut model, pool) = threaded_cluster(&spec, &p, seed, Duration::ZERO, faults);
-        model.set_rpc_policy(deterministic_policy());
+        // Fall back to zero embeddings on a failed RPC, so a fault shows
+        // as a degraded probe.
+        model.set_rpc_policy(RpcPolicy {
+            degraded_fallback: true,
+            ..RpcPolicy::default()
+        });
         pools.push(pool);
         EpochServing { epoch: 0, model }
     };
@@ -472,10 +474,9 @@ fn transition_aborts_leave_serving_untouched() {
         expected: &expected,
         tolerance: 0.0,
     };
-    let mut drain = DrainQueue::default();
+    let serving = switch.current();
 
-    // A replica that crashes on first use degrades the first probe
-    // (the deterministic policy falls back to zero embeddings).
+    // A replica that crashes on first use degrades the first probe.
     let crashing = FaultPlan::none().with(0, 0, ReplicaFaultSchedule::crash_at(0));
     let aborts: [(&str, Result<EpochServing, String>); 3] = [
         ("warm failed", Err("no capacity".to_string())),
@@ -484,19 +485,12 @@ fn transition_aborts_leave_serving_untouched() {
         ("degraded", Ok(build(SEED, &crashing))),
     ];
     for (reason, candidate) in aborts {
-        let err = switch
-            .transition(candidate, &check, &mut drain)
-            .unwrap_err();
+        let err = switch.transition(0, candidate, &check).unwrap_err();
         assert!(err.contains(reason), "expected {reason:?} in {err:?}");
-        assert_eq!(
-            (switch.epoch(), switch.cutovers()),
-            (0, 0),
-            "{reason}: cut over anyway"
-        );
-        assert_eq!(
-            drain.finish(std::time::Instant::now()),
-            0,
-            "{reason}: something retired"
+        assert_eq!(switch.epoch(), 0, "{reason}: cut over anyway");
+        assert!(
+            Arc::ptr_eq(&switch.current(), &serving),
+            "{reason}: the serving epoch was replaced"
         );
         // The serving epoch still answers, bit for bit.
         let again = probe_all(&spec, &switch.current().model, &inputs).expect("serving probes");
@@ -505,15 +499,13 @@ fn transition_aborts_leave_serving_untouched() {
 
     // Built as epoch 0, like every candidate: the switch numbers it.
     let clean = build(SEED, &FaultPlan::none());
+    let retired = Arc::downgrade(&serving);
+    drop(serving);
     switch
-        .transition(Ok(clean), &check, &mut drain)
+        .transition(0, Ok(clean), &check)
         .expect("clean successor publishes");
-    assert_eq!((switch.epoch(), switch.cutovers()), (1, 1));
-    assert_eq!(
-        drain.finish(std::time::Instant::now()),
-        0,
-        "retiree never drained"
-    );
+    assert_eq!(switch.epoch(), 1);
+    assert!(retired.upgrade().is_none(), "the retiree outlived its last holder");
     drop(switch);
     for pool in pools {
         pool.shutdown();

@@ -1,12 +1,12 @@
-//! Network properties: the PR-5 chaos guarantees must survive the move
-//! from in-process channels to real sockets. Every test here drives the
-//! same replicated-transport stack as `chaos_properties`, but each
-//! (shard, replica) seat lives behind its own TCP listener on an
-//! ephemeral loopback port ([`TcpShardPool`]), so every RPC pays real
-//! serde and kernel time.
+//! Network properties: the chaos guarantees must survive the move from
+//! in-process channels to real sockets. The four properties every
+//! replicated transport keeps (`chaos/mod.rs`) run here over the same
+//! replicated-transport stack as `chaos_properties`, but each (shard,
+//! replica) seat lives behind its own TCP listener on an ephemeral
+//! loopback port ([`TcpShardPool`]), so every RPC pays real serde and
+//! kernel time.
 //!
-//! On top of the transported chaos properties, this file pins the
-//! transport-specific contracts:
+//! On top of them, this file pins the transport-specific contracts:
 //!
 //! - **Graceful drain** — a draining server finishes every admitted
 //!   request before acking; late arrivals are *refused* with a
@@ -18,308 +18,62 @@
 //! - **Robustness** — a peer speaking garbage is dropped without
 //!   disturbing the server or other connections.
 
-use dlrm_model::graph::{NoopObserver, RpcAttemptKind, RpcOutcome, SparseInput};
-use dlrm_model::{build_model, Blob, ModelSpec, NetId, TableId, Workspace};
+mod chaos;
+
+use chaos::{chaos_spec, deterministic_policy, no_ejection, request_inputs, services_for, SEED};
+use dlrm_model::graph::NoopObserver;
+use dlrm_model::{build_model, NetId, Workspace};
 use dlrm_serving::control::{self, ControlPlane};
-use dlrm_serving::engine_trace::RpcTracingObserver;
-use dlrm_serving::fault::{FaultPlan, FaultSpec, ReplicaFaultSchedule};
-use dlrm_serving::frontend::{materialize_frontend_requests, run_frontend, FrontendConfig};
+use dlrm_serving::fault::{FaultPlan, ReplicaFaultSchedule};
 use dlrm_serving::replica::HealthPolicy;
 use dlrm_serving::shard_server::{TcpShardPool, TcpShardServer};
 use dlrm_serving::tcp::TcpShardClient;
 use dlrm_serving::wire::Message;
-use dlrm_sharding::rpc::{RpcFetch, ShardRequest, SparseRpc, SparseShardClient};
-use dlrm_sharding::{
-    partition, partition_with_clients, plan, DistributedModel, RpcPolicy, ShardService,
-    ShardingPlan, ShardingStrategy,
-};
-use dlrm_tensor::Matrix;
-use dlrm_trace::TraceId;
-use dlrm_workload::{materialize_request, ArrivalSchedule, BatchInputs, PoolingProfile, TraceDb};
+use dlrm_sharding::rpc::{ShardRequest, SparseShardClient};
+use dlrm_sharding::{partition, partition_with_clients, ShardService};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-const SEED: u64 = 41;
-
-fn chaos_spec() -> ModelSpec {
-    let mut spec = dlrm_model::rm::rm1().scaled_to_bytes(1 << 20);
-    spec.mean_items_per_request = 6.0;
-    spec.default_batch_size = 4;
-    spec
-}
-
-fn capacity_plan(spec: &ModelSpec, shards: usize) -> ShardingPlan {
-    let profile = PoolingProfile::from_spec(spec);
-    plan(spec, &profile, ShardingStrategy::CapacityBalanced(shards)).expect("plan")
-}
-
-fn services_for(spec: &ModelSpec, shards: usize) -> (ShardingPlan, Vec<Arc<ShardService>>) {
-    let p = capacity_plan(spec, shards);
-    let model = build_model(spec, SEED).expect("build");
-    let services: Vec<Arc<ShardService>> = p
-        .shards()
-        .map(|s| Arc::new(ShardService::build(&model.tables, &p, s)))
-        .collect();
-    (p, services)
-}
-
-/// `p` behind loopback sockets: two single-seat servers per shard under
-/// `faults`, with `policy` on every RPC operator.
-fn tcp_cluster(
-    spec: &ModelSpec,
-    p: &ShardingPlan,
-    faults: &FaultPlan,
-    health: HealthPolicy,
-    policy: RpcPolicy,
-) -> (DistributedModel, TcpShardPool) {
-    let (mut dist, pool) = TcpShardPool::assemble(spec, p, SEED, |services| {
-        TcpShardPool::spawn(services, 2, Duration::ZERO, faults, health).map_err(|e| e.to_string())
-    })
-    .expect("assemble tcp cluster");
-    assert!(dist.set_rpc_policy(policy) >= 1);
-    (dist, pool)
-}
-
-/// Outcomes must depend only on the fault schedule, never the wall
-/// clock: no per-attempt deadline, no hedging, fallback on.
-fn deterministic_policy() -> RpcPolicy {
-    RpcPolicy {
-        attempt_timeout: None,
-        max_attempts: 4,
-        backoff_base: Duration::from_micros(100),
-        backoff_cap: Duration::from_millis(1),
-        hedge_after: None,
-        degraded_fallback: true,
-    }
-}
-
-/// Never eject: pins replica rotation to pure round-robin.
-fn no_ejection() -> HealthPolicy {
-    HealthPolicy {
-        eject_after: u32::MAX,
-        probe_after: Duration::from_secs(3600),
-    }
-}
-
-fn request_inputs(spec: &ModelSpec, n: usize) -> Vec<BatchInputs> {
-    let db = TraceDb::generate(spec, n, SEED);
-    (0..n)
-        .map(|i| {
-            materialize_request(spec, db.get(i), usize::MAX, SEED ^ 9)
-                .into_iter()
-                .next()
-                .expect("one engine batch per request")
-        })
-        .collect()
-}
-
-/// One closed-loop pass: each request run to completion in order.
-/// Returns `(prediction, degraded rpc count, retry count)` per request.
-fn closed_loop(
-    dist: &DistributedModel,
-    inputs: &[BatchInputs],
-) -> Vec<(Option<Matrix>, u64, u64)> {
-    inputs
-        .iter()
-        .enumerate()
-        .map(|(i, inputs)| {
-            let mut ws = Workspace::new();
-            inputs.load_into(&dist.spec, &mut ws);
-            let mut obs = RpcTracingObserver::new(TraceId(i as u64));
-            let out = dist.run_overlapped(&mut ws, &mut obs).ok();
-            (out, obs.tally().degraded, obs.tally().retries)
-        })
-        .collect()
+/// Two single-seat loopback servers per shard.
+fn tcp(services: Vec<Arc<ShardService>>, faults: &FaultPlan, health: HealthPolicy) -> TcpShardPool {
+    TcpShardPool::spawn(services, 2, Duration::ZERO, faults, health).expect("spawn tcp pool")
 }
 
 // ---------------------------------------------------------------------
-// The PR-5 chaos properties, transported over TCP loopback
+// The chaos properties, transported over TCP loopback
 // ---------------------------------------------------------------------
 
+/// A `Crash` here kills a whole server process stand-in — listener and
+/// all.
 #[test]
 fn tcp_non_degraded_completions_are_bit_exact_under_faults() {
-    let spec = chaos_spec();
-    let inputs = request_inputs(&spec, 16);
-
-    // Fault-free baseline through the in-process transport.
-    let p = capacity_plan(&spec, 2);
-    let baseline_dist = partition(build_model(&spec, SEED).expect("build"), &p).expect("partition");
-    let baseline: Vec<Matrix> = inputs
-        .iter()
-        .map(|inp| {
-            let mut ws = Workspace::new();
-            inp.load_into(&spec, &mut ws);
-            baseline_dist
-                .run_overlapped(&mut ws, &mut NoopObserver)
-                .expect("fault-free run")
-        })
-        .collect();
-
-    // Chaos run over sockets: 2 single-seat servers per shard under the
-    // same sampled fault plan the threaded twin uses. A `Crash` here
-    // kills a whole server process stand-in — listener and all.
-    let p = capacity_plan(&spec, 2);
-    let faults = FaultPlan::sample(
-        SEED ^ 0xC4A0,
-        p.num_shards(),
-        2,
-        &FaultSpec {
-            crash_prob: 0.5,
-            ..FaultSpec::default()
-        },
-    );
-    let (dist, pool) = tcp_cluster(&spec, &p, &faults, no_ejection(), deterministic_policy());
-
-    let outcomes = closed_loop(&dist, &inputs);
-
-    let mut clean = 0;
-    for (i, (out, degraded, _)) in outcomes.iter().enumerate() {
-        let Some(out) = out else { continue };
-        if *degraded > 0 {
-            continue; // zero-embedding fallback: allowed to differ
-        }
-        assert_eq!(out, &baseline[i], "request {i} diverged without degrading");
-        clean += 1;
-    }
-    assert!(clean >= 8, "only {clean}/16 non-degraded completions");
-
-    // Real sockets were crossed: the wire accounting says so.
-    let wire = pool.transport_summary().wire;
+    let wire = chaos::non_degraded_completions_are_bit_exact(tcp).wire;
+    // Real sockets were crossed, at least one frame per request.
     assert!(!wire.is_zero(), "no wire activity recorded: {wire:?}");
-    assert!(wire.frames_sent >= inputs.len() as u64);
-    pool.shutdown();
+    assert!(wire.frames_sent >= 16);
 }
 
 #[test]
 fn tcp_same_fault_seed_reproduces_per_request_outcomes() {
-    let spec = chaos_spec();
-    let inputs = request_inputs(&spec, 12);
-
-    let run = || {
-        let p = capacity_plan(&spec, 2);
-        let faults = FaultPlan::sample(
-            SEED ^ 0xFA11,
-            p.num_shards(),
-            2,
-            &FaultSpec {
-                crash_prob: 0.4,
-                transient_prob: 0.1,
-                drop_prob: 0.05,
-                ..FaultSpec::default()
-            },
-        );
-        let (dist, pool) = tcp_cluster(&spec, &p, &faults, no_ejection(), deterministic_policy());
-        let outcomes: Vec<(bool, u64)> = closed_loop(&dist, &inputs)
-            .into_iter()
-            // Retry *counts* can differ by a race on a crashing server
-            // (refused-at-connect vs dropped-after-accept both cost one
-            // retry, but a reply can also narrowly beat the crash), so
-            // the cross-run invariant is completion + degradation.
-            .map(|(out, degraded, _retries)| (out.is_some(), degraded))
-            .collect();
-        pool.shutdown();
-        outcomes
-    };
-
-    let first = run();
-    let second = run();
-    assert_eq!(
-        first, second,
-        "same fault seed must reproduce the same outcome sequence"
-    );
+    let first = chaos::same_fault_seed_reproduces_outcomes(tcp, false);
     assert!(
-        first.iter().any(|(ok, d)| !ok || *d > 0),
+        first.iter().any(|&(ok, d, _)| !ok || d > 0),
         "fault plan injected nothing observable: {first:?}"
     );
 }
 
 #[test]
 fn tcp_frontend_accounting_identities_hold_under_faults() {
-    let spec = chaos_spec();
-    let p = capacity_plan(&spec, 2);
-    let faults = FaultPlan::sample(
-        SEED ^ 0xACC7,
-        p.num_shards(),
-        2,
-        &FaultSpec {
-            crash_prob: 0.5,
-            transient_prob: 0.05,
-            ..FaultSpec::default()
-        },
-    );
-    let (dist, pool) = tcp_cluster(
-        &spec,
-        &p,
-        &faults,
-        HealthPolicy::default(),
-        RpcPolicy::resilient(),
-    );
-
-    let db = TraceDb::generate(&spec, 20, SEED ^ 4);
-    let requests = materialize_frontend_requests(&spec, &db, SEED ^ 5);
-    let n = requests.len();
-    let schedule = ArrivalSchedule::poisson(n, 1500.0, SEED ^ 6);
-    let cfg = FrontendConfig {
-        queue_capacity: n,
-        max_batch_requests: 4,
-        sla: Duration::from_millis(250),
-        workers: 2,
-        ..FrontendConfig::default()
-    };
-    let mut report = run_frontend(&dist, requests, &schedule, &cfg);
-    report.transport = Some(pool.transport_summary());
-    pool.shutdown();
-
-    assert_eq!(report.offered, n as u64);
-    assert_eq!(report.offered, report.admitted + report.shed);
-    assert_eq!(report.completed + report.failed, report.admitted);
-    assert_eq!(report.predictions.len(), report.completed as usize);
-    let mut ids: Vec<u64> = report.predictions.iter().map(|(id, _)| *id).collect();
-    ids.sort_unstable();
-    ids.dedup();
-    assert_eq!(ids.len(), report.completed as usize, "duplicate completions");
-    assert!(report.degraded <= report.completed);
-    assert_eq!(report.failed_by_cause.total(), report.failed);
-
-    // Satellite: per-shard wire accounting surfaces in the report. Over
-    // a real socket transport the totals must be non-zero and rendered.
+    let report = chaos::frontend_identities_hold_under_faults(tcp);
+    // Per-shard wire accounting surfaces in the report: over a real
+    // socket transport the totals are non-zero and rendered.
     let transport = report.transport.as_ref().expect("transport attached");
     assert!(
         !transport.wire.is_zero(),
         "TCP run recorded no wire activity"
     );
     assert!(transport.wire.bytes_sent > 0 && transport.wire.bytes_received > 0);
-    let text = report.to_string();
-    assert!(text.contains("transport:"), "{text}");
-    assert!(text.contains("wire:"), "{text}");
-}
-
-// ---------------------------------------------------------------------
-// Hedging over sockets
-// ---------------------------------------------------------------------
-
-/// One RPC for table 0 through `client`, allowed one hedge after 2 ms
-/// and no deadline: how it settled.
-fn hedged_rpc(spec: &ModelSpec, client: Arc<dyn SparseShardClient>) -> RpcOutcome {
-    let fetch = RpcFetch {
-        table: TableId(0),
-        input_blob: "in".into(),
-        output_blob: "out".into(),
-        parts: 1,
-        part: 0,
-        dim: spec.table(TableId(0)).dim as usize,
-    };
-    let mut op = SparseRpc::new("hedged", NetId(0), client, vec![fetch]);
-    op.set_policy(RpcPolicy {
-        max_attempts: 2,
-        hedge_after: Some(Duration::from_millis(2)),
-        ..RpcPolicy::default()
-    });
-    let mut ws = Workspace::new();
-    ws.put("in", Blob::Sparse(SparseInput::new(vec![0, 1], vec![2])));
-    let (outcome, result) = op.begin(&ws).expect("the input is loaded").collect(&mut ws);
-    result.expect("a reply");
-    outcome
+    assert!(report.to_string().contains("wire:"), "{report}");
 }
 
 /// Every racing attempt is read while another pends: the hedge's
@@ -327,22 +81,7 @@ fn hedged_rpc(spec: &ModelSpec, client: Arc<dyn SparseShardClient>) -> RpcOutcom
 /// returns a frame.
 #[test]
 fn tcp_hedge_wins_against_a_slow_primary() {
-    let spec = chaos_spec();
-    let (_p, services) = services_for(&spec, 1);
-    // Round robin sends the primary to the slow replica 0 and the hedge
-    // to replica 1.
-    let faults = FaultPlan::none().with(
-        0,
-        0,
-        ReplicaFaultSchedule::always_slow(Duration::from_millis(100)),
-    );
-    let pool = TcpShardPool::spawn(services, 2, Duration::ZERO, &faults, no_ejection())
-        .expect("spawn tcp pool");
-    let outcome = hedged_rpc(&spec, pool.clients().remove(0));
-    pool.shutdown();
-    let winner = outcome.attempts.iter().find(|a| a.winner).expect("a winner");
-    assert_eq!(winner.kind, RpcAttemptKind::Hedge, "{outcome:?}");
-    assert_eq!(outcome.hedges, 1);
+    chaos::hedge_wins_against_a_slow_primary(tcp);
 }
 
 // ---------------------------------------------------------------------

@@ -81,7 +81,7 @@ fn assert_neighbors_untouched(
             continue;
         }
         assert_eq!(
-            set.tenant(i).cutovers(),
+            set.tenant(i).epoch(),
             0,
             "{step}: neighbor {i} saw a cutover"
         );
@@ -133,7 +133,7 @@ fn full_ladder_round_trip_is_bit_exact_and_neighbors_never_move() {
         step(&set, table, Tier::Dram, &mut epoch);
         assert_neighbors_untouched(&set, 0, &witnesses, "after promote");
     }
-    assert_eq!(set.tenant(0).cutovers(), epoch);
+    assert_eq!(set.tenant(0).epoch(), epoch);
 
     // Round trip complete: resident bytes restored exactly, predictions
     // bit-exact with the all-DRAM goldens, every transition verified.
@@ -175,7 +175,7 @@ fn full_ladder_round_trip_is_bit_exact_and_neighbors_never_move() {
     epoch += 1;
     assert_eq!(won[0].epoch, epoch);
     assert_serving(&set, 0, epoch, Tier::Quantized);
-    assert_eq!(set.tenant(0).cutovers(), epoch);
+    assert_eq!(set.tenant(0).epoch(), epoch);
     step(&set, 0, Tier::Dram, &mut epoch);
 
     // A failed dual read: with no drift allowed, the quantized rung
@@ -193,7 +193,7 @@ fn full_ladder_round_trip_is_bit_exact_and_neighbors_never_move() {
         .expect_err("a quantized epoch must fail a bitwise dual read");
     assert!(err.contains("diverges"), "{err}");
     assert_serving(&strict, 0, 0, Tier::Dram);
-    assert_eq!(strict.tenant(0).cutovers(), 0);
+    assert_eq!(strict.tenant(0).epoch(), 0);
 }
 
 /// Forces one ladder step on tenant 0's `table`: the action publishes
@@ -349,7 +349,7 @@ fn overloaded_tenant_sheds_locally_and_neighbor_keeps_its_solo_sla() {
         b.sla_hit_rate(),
         solo_b.sla_hit_rate()
     );
-    assert!(report.verify_failures.is_empty());
+    assert!(set.controller().verify_failures().is_empty());
 }
 
 /// One run loop, two entry points: a one-tenant `run_tenant_set` and

@@ -3,8 +3,8 @@
 # one shard pool and one epoch-transition pipeline, and the code that
 # was deleted to get there stays deleted. Prints the current counts and
 # fails when a deleted symbol reappears, when non-test code under
-# crates/serving/src grows a second thread::scope or a second
-# Arc::try_unwrap drain site, when a batcher thread or a read of the
+# crates/serving/src grows a second thread::scope or any Arc::try_unwrap
+# drain site (a retired epoch is freed by its last holder), when a batcher thread or a read of the
 # retired batch_timeout knob comes back, when a second shard service or
 # slicer appears, when a per-request scheduler or the FMA kernel tier
 # comes back, when a bench other than benches/kernels.rs writes a
@@ -40,14 +40,14 @@ cd "$(dirname "$0")/.."
 # - GRAPH: model + sharding, the executor, operators, partitioner, RPC op.
 # - KERNEL: tensor + runtime, the SIMD kernels, fork-join and buffer pools.
 # - CLOCK_SITES: Instant::now|sleep( in non-test serving + sharding code.
-MAX_SERVING_CODE_LINES=5802
-MAX_SERVING_PUB_ITEMS=173
+MAX_SERVING_CODE_LINES=5763
+MAX_SERVING_PUB_ITEMS=166
 MAX_CLUSTER_CODE_LINES=1712
 MAX_BENCH_CODE_LINES=3080
-MAX_ROW_SERVING_CODE_LINES=10172
-MAX_GRAPH_CODE_LINES=7264
+MAX_ROW_SERVING_CODE_LINES=10141
+MAX_GRAPH_CODE_LINES=7253
 MAX_KERNEL_CODE_LINES=2327
-MAX_CLOCK_SITES=38
+MAX_CLOCK_SITES=35
 
 fail=0
 flunk() {
@@ -68,7 +68,7 @@ code_lines() {
   find "$1" -name '*.rs' -print0 | xargs -0 cat | grep -vcE '^\s*(//|$)'
 }
 
-deleted='ThreadedShardPool|worker_loop_live|tenant_worker_loop|BatchRanker|rank_request_parallel|run_sweep|mod local\b|batcher_loop|FormedBatch|QuantizedShardService|QuantizedClient|TieredClient|TierTable|mod channel|collect_in_flight|in_flight_producer|Avx2Fma|forced_fma|panel_fma|decode_accumulate_u8|decode_u8_accumulate_avx2|install_seats_epoch|with_versioning|HEADER_V3|dlrm-plan v3|fn succeed|plan_epoch|routes_to_text|routes_from_text|next_epoch|Pruned[T]able|prune_by_[m]agnitude|decode_accumulate_u[4]|decode_row_u[4]|pool_bags_u[4]|decode_u[4]_|Wait[O]utcome|wait_[d]eadline|Race[R]esult|Local[S]plit|build_request_[a]nd_split|route_bags_[g]lobal|Streaming[Q]uantile|fn with_[p]ool|weights_[m]ut|max_table_[g]ib|Tenant[B]reakdown|RequestRec[o]rd|batch_closed_[m]s|Histogra[m]|record_latenc[y]|LATENCY_SUB_BUCKET[S]|cache_retire[d]|cache_refreshe[s]|retired_cach[e]|on_rpc_issue[d]|on_rpc_collecte[d]|on_rpc_outcom[e]|kind_i[n]\(|(fn |\.)(rpc_retrie[s]|rpc_hedge[s]|degraded_rpc[s]|cache_hit[s]|cache_misse[s]|cache_local_row[s])\(|Rebalance[r]|RebalanceConfi[g]|MigrationRecor[d]|ScaleEven[t]|fn scale_u[p]|fn scale_dow[n]|shard_row[s]|add_sea[t]|remove_sea[t]|mod rebalanc[e]|PollSeat[s]|reseat_standb[y]|poll_seat[s]|STANDBY_POL[L]|build_epoch_servin[g]|absorb_retire[d]|take_spars[e]|take_blo[b]|routed_slic[e]'
+deleted='ThreadedShardPool|worker_loop_live|tenant_worker_loop|BatchRanker|rank_request_parallel|run_sweep|mod local\b|batcher_loop|FormedBatch|QuantizedShardService|QuantizedClient|TieredClient|TierTable|mod channel|collect_in_flight|in_flight_producer|Avx2Fma|forced_fma|panel_fma|decode_accumulate_u8|decode_u8_accumulate_avx2|install_seats_epoch|with_versioning|HEADER_V3|dlrm-plan v3|fn succeed|plan_epoch|routes_to_text|routes_from_text|next_epoch|Pruned[T]able|prune_by_[m]agnitude|decode_accumulate_u[4]|decode_row_u[4]|pool_bags_u[4]|decode_u[4]_|Wait[O]utcome|wait_[d]eadline|Race[R]esult|Local[S]plit|build_request_[a]nd_split|route_bags_[g]lobal|Streaming[Q]uantile|fn with_[p]ool|weights_[m]ut|max_table_[g]ib|Tenant[B]reakdown|RequestRec[o]rd|batch_closed_[m]s|Histogra[m]|record_latenc[y]|LATENCY_SUB_BUCKET[S]|cache_retire[d]|cache_refreshe[s]|retired_cach[e]|on_rpc_issue[d]|on_rpc_collecte[d]|on_rpc_outcom[e]|kind_i[n]\(|(fn |\.)(rpc_retrie[s]|rpc_hedge[s]|degraded_rpc[s]|cache_hit[s]|cache_misse[s]|cache_local_row[s])\(|Rebalance[r]|RebalanceConfi[g]|MigrationRecor[d]|ScaleEven[t]|fn scale_u[p]|fn scale_dow[n]|shard_row[s]|add_sea[t]|remove_sea[t]|mod rebalanc[e]|PollSeat[s]|reseat_standb[y]|poll_seat[s]|STANDBY_POL[L]|build_epoch_servin[g]|absorb_retire[d]|take_spars[e]|take_blo[b]|routed_slic[e]|Drain[Q]ueue|tiers: Mute[x]|cutovers: Atomi[c]|(demotions|promotions): Atomi[c]|cutover[s]\(|sparse_lengths_mea[n]|run_lan[e]'
 if hits=$(grep -rnE "$deleted" crates src tests examples); then
   flunk "deleted symbols are back:"
   echo "$hits" >&2
@@ -257,7 +257,7 @@ serving_non_test=$(non_test_code crates/serving/src)
 scopes=$(grep -c 'thread::scope' <<<"$serving_non_test" || true)
 drains=$(grep -c 'Arc::try_unwrap' <<<"$serving_non_test" || true)
 [ "$scopes" -eq 1 ] || flunk "$scopes thread::scope sites in non-test serving code (want 1: frontend::serve)"
-[ "$drains" -eq 1 ] || flunk "$drains Arc::try_unwrap sites in non-test serving code (want 1: DrainQueue::poll)"
+[ "$drains" -eq 0 ] || flunk "$drains Arc::try_unwrap sites in non-test serving code (want 0: a retired epoch is freed by its last holder)"
 
 # The only sleeps in the run loop are the generator's (to the next
 # arrival); the pressure tick waits on a condvar.
@@ -313,7 +313,7 @@ echo "observer: $observer_hooks ExecutionObserver methods (expect 2: on_op, on_r
 echo "shard client: methods without a body: $bodiless(expect begin_shared shard_id)"
 echo "shard service: $slicers slicer site, $executes execute definition outside client impls (expect 1 and 1)"
 echo "clock: $clock_sites Instant::now|sleep( sites in non-test serving + sharding code (ceiling $MAX_CLOCK_SITES); seat list: $seat_locks RwLock in non-test replica.rs, seat map: $server_seat_locks Mutex|RwLock in non-test shard_server.rs (expect 0 and 0)"
-echo "non-test serving code: $scopes thread::scope, $drains Arc::try_unwrap, $serve_spawns spawn( in frontend/mod.rs (expect 1, 1 and 2)"
+echo "non-test serving code: $scopes thread::scope, $drains Arc::try_unwrap, $serve_spawns spawn( in frontend/mod.rs (expect 1, 0 and 2)"
 echo "ladder step: $rebuilds build_model|build_tiered_epoch mentions in non-test tenancy/pressure.rs (expect 0)"
 echo "f32 SLS: $sls_min_defs SLS_PAR_MIN_LOOKUPS definition, $prefetch_sites _mm_prefetch sites (expect 1 and 2: the gather's and the GEMM tiles')"
 echo "simd: $(grep -c . <<<"$unsafe_files" || true) files with unsafe outside tensor/src/simd.rs, $avx512_sites avx512f detection site, $zmm_fused _mm512_fmadd (expect 0, 1 and 0)"
