@@ -206,6 +206,27 @@ impl EmbeddingTable {
             simd::sls_bags(level, slab, dim, indices, lengths, out_rows)
         })
     }
+
+    /// SparseLengthsSum with mean pooling instead of sum pooling
+    /// (`SparseLengthsMean` in the Caffe2 family). Zero-length elements
+    /// pool to zero.
+    ///
+    /// # Panics
+    ///
+    /// As for [`Self::sparse_lengths_sum`].
+    #[must_use]
+    pub fn sparse_lengths_mean(&self, indices: &[u64], lengths: &[u32]) -> Matrix {
+        let mut out = self.sparse_lengths_sum(indices, lengths);
+        for (b, &len) in lengths.iter().enumerate() {
+            if len > 1 {
+                let inv = 1.0 / len as f32;
+                for v in out.row_mut(b) {
+                    *v *= inv;
+                }
+            }
+        }
+        out
+    }
 }
 
 #[cfg(test)]
@@ -238,6 +259,13 @@ mod tests {
         let out = t.sparse_lengths_sum(&[], &[0, 0]);
         assert_eq!(out.row(0), &[0.0, 0.0]);
         assert_eq!(out.row(1), &[0.0, 0.0]);
+    }
+
+    #[test]
+    fn mean_pooling_divides_by_count() {
+        let t = table_with_rows(&[&[2.0], &[4.0]]);
+        let out = t.sparse_lengths_mean(&[0, 1], &[2]);
+        assert_eq!(out.get(0, 0), 3.0);
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //!
 //! One *epoch* is one immutable serving configuration — a partitioned
 //! [`DistributedModel`] wired to its shard clients. The switch numbers
-//! epochs: the first is 0 and every successor is the epoch it was
-//! derived from + 1 (plans carry no epoch), so the epoch number is also
-//! the count of cutovers. Cutting over is publishing a new epoch: an
+//! epochs: the first is 0 and every successor is built numbered the
+//! epoch it was derived from + 1 (plans carry no epoch), so the epoch
+//! number is also the count of cutovers. Cutting over is publishing a new epoch: an
 //! atomic `Arc` swap that takes effect on the next batch any frontend
 //! worker picks up. Workers resolve the current epoch *once per batch*,
 //! so no batch ever mixes two epochs' state.
@@ -16,7 +16,7 @@
 //! every tier step: take a successor built from a named serving epoch →
 //! **verify** it by replaying probe inputs against expected outputs
 //! ([`ProbeCheck`]) → **publish** it, only if the epoch it was derived
-//! from is still the one serving. The retiree is handed back and
+//! from (its own number − 1) is still the one serving. The retiree is handed back and
 //! dropped: its stores are freed when the last in-flight batch holding
 //! its `Arc` releases it. A successor that fails to build or to verify,
 //! or whose parent was already replaced, is dropped and nothing is
@@ -37,8 +37,8 @@ use std::sync::{Arc, RwLock};
 #[derive(Debug)]
 pub struct EpochServing {
     /// The epoch number: 0 for the first configuration behind a switch,
-    /// and [`EpochSwitch::publish`] sets each successor's to its parent's
-    /// + 1.
+    /// and each successor's is the epoch it was derived from + 1, which
+    /// [`EpochSwitch::publish`] checks.
     pub epoch: u64,
     /// The model partitioned under this epoch's plan.
     pub model: DistributedModel,
@@ -78,51 +78,45 @@ impl EpochSwitch {
         self.current().epoch
     }
 
-    /// Atomically cuts over to `next`, derived from epoch `parent`, if
-    /// `parent` is still serving: `next` is numbered `parent + 1`
-    /// whatever it was built as, and the retired epoch is handed back.
-    /// Its stores are freed when the caller and every batch still
+    /// Atomically cuts over to `next` if the epoch it was derived from,
+    /// `next.epoch - 1`, is still serving, and hands back the retired
+    /// epoch. Its stores are freed when the caller and every batch still
     /// running on it have dropped their `Arc`s.
     ///
     /// # Errors
     ///
-    /// If another epoch replaced `parent` first; `next` is dropped and
-    /// the serving epoch stays as it was.
-    pub fn publish(
-        &self,
-        parent: u64,
-        mut next: EpochServing,
-    ) -> Result<Arc<EpochServing>, String> {
+    /// If `next` does not succeed the serving epoch — another step
+    /// replaced its parent first; `next` is dropped and the serving
+    /// epoch stays as it was.
+    pub fn publish(&self, next: EpochServing) -> Result<Arc<EpochServing>, String> {
         let mut slot = self.current.write().expect("epoch switch lock");
-        if slot.epoch != parent {
+        if next.epoch != slot.epoch + 1 {
             return Err(format!(
-                "epoch {parent} was replaced by epoch {} first",
-                slot.epoch
+                "epoch {} does not succeed the serving epoch {}: its parent was replaced",
+                next.epoch, slot.epoch
             ));
         }
-        next.epoch = parent + 1;
         Ok(std::mem::replace(&mut *slot, Arc::new(next)))
     }
 
-    /// The transition pipeline: verify `candidate`, derived from epoch
-    /// `parent`, against `check`, then [`publish`](Self::publish) it and
-    /// drop the retiree. On any abort — the build failed, a probe
-    /// errored or came back degraded, the outputs diverged, or `parent`
-    /// was replaced meanwhile — the candidate is dropped, the serving
-    /// epoch stays as it was, and the reason is returned.
+    /// The transition pipeline: verify `candidate` against `check`, then
+    /// [`publish`](Self::publish) it and drop the retiree. On any abort
+    /// — the build failed, a probe errored or came back degraded, the
+    /// outputs diverged, or the candidate's parent was replaced
+    /// meanwhile — the candidate is dropped, the serving epoch stays as
+    /// it was, and the reason is returned.
     ///
     /// # Errors
     ///
     /// The abort reason.
     pub fn transition(
         &self,
-        parent: u64,
         candidate: Result<EpochServing, String>,
         check: &ProbeCheck<'_>,
     ) -> Result<(), String> {
         let next = candidate.map_err(|e| format!("warm failed: {e}"))?;
         check.verify(&next.model)?;
-        self.publish(parent, next).map(drop)
+        self.publish(next).map(drop)
     }
 }
 
@@ -215,24 +209,23 @@ mod tests {
     use dlrm_sharding::{plan, ShardingStrategy, Tier};
     use dlrm_workload::PoolingProfile;
 
-    /// An in-process epoch, built as epoch 0.
-    fn epoch_state() -> EpochServing {
+    /// An in-process epoch, numbered `epoch`.
+    fn epoch_state(epoch: u64) -> EpochServing {
         let mut spec = rm::rm1().scaled_to_bytes(1 << 20);
         spec.mean_items_per_request = 4.0;
         spec.default_batch_size = 4;
         let profile = PoolingProfile::from_spec(&spec);
         let p = plan(&spec, &profile, ShardingStrategy::OneShard).unwrap();
         let tiers = vec![Tier::Dram; spec.tables.len()];
-        build_tiered_epoch(&spec, &p, 1, &tiers, 0).unwrap().0
+        build_tiered_epoch(&spec, &p, 1, &tiers, epoch).unwrap().0
     }
 
     #[test]
-    fn publish_numbers_and_swaps_atomically_and_hands_back_the_retiree() {
-        let switch = EpochSwitch::new(epoch_state());
+    fn publish_swaps_atomically_and_hands_back_the_retiree() {
+        let switch = EpochSwitch::new(epoch_state(0));
         assert_eq!(switch.epoch(), 0);
         let held = switch.current();
-        // Built as epoch 0 too: the switch numbers it.
-        let retiree = switch.publish(0, epoch_state()).unwrap();
+        let retiree = switch.publish(epoch_state(1)).unwrap();
         assert_eq!(switch.epoch(), 1);
         // The held Arc still serves epoch 0 — a batch that resolved the
         // switch before the cutover finishes on the old state — and it
@@ -248,12 +241,12 @@ mod tests {
 
     #[test]
     fn a_step_derived_from_a_replaced_epoch_is_refused() {
-        let switch = EpochSwitch::new(epoch_state());
-        drop(switch.publish(0, epoch_state()).unwrap());
+        let switch = EpochSwitch::new(epoch_state(0));
+        drop(switch.publish(epoch_state(1)).unwrap());
         let serving = switch.current();
         // A second step derived from epoch 0, which no longer serves.
-        let err = switch.publish(0, epoch_state()).unwrap_err();
-        assert!(err.contains("replaced by epoch 1"), "{err}");
+        let err = switch.publish(epoch_state(1)).unwrap_err();
+        assert!(err.contains("parent was replaced"), "{err}");
         assert_eq!(switch.epoch(), 1);
         assert!(Arc::ptr_eq(&serving, &switch.current()), "the serving epoch moved");
     }

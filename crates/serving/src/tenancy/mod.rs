@@ -48,7 +48,7 @@ pub use dlrm_sharding::{Tier, TierBytes, DEMOTED_BITS};
 use crate::epoch::{probe_all, probe_inputs, EpochServing, EpochSwitch};
 use crate::frontend::{serve, EpochSource, FrontendReport, FrontendRequest, Lane, LaneRun};
 use dlrm_model::{ModelSpec, TableId};
-use dlrm_sharding::{plan as make_plan, Location, ShardingStrategy};
+use dlrm_sharding::{plan as make_plan, Location, ShardingStrategy, TableStore};
 use dlrm_tensor::Matrix;
 use dlrm_workload::{ArrivalSchedule, BatchInputs, OnlineProfiler, PoolingProfile};
 use std::sync::Arc;
@@ -155,7 +155,11 @@ pub(crate) fn tiers_of(serving: &EpochServing) -> Vec<Tier> {
     (0..model.spec.tables.len())
         .map(|t| {
             let store = model.shards.iter().find_map(|s| s.store(TableId(t)));
-            store.expect("every table lives on a shard").tier()
+            match store.expect("every table lives on a shard") {
+                TableStore::Dram(_) => Tier::Dram,
+                TableStore::Quantized(_) => Tier::Quantized,
+                TableStore::Paged(_) => Tier::Paged,
+            }
         })
         .collect()
 }

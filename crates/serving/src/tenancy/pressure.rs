@@ -244,9 +244,10 @@ impl PressureController {
                 0.0
             },
         };
-        // Publishes only if `parent` still serves: of two steps derived
-        // from one epoch, the second to publish is refused.
-        tenant.switch.transition(parent, candidate, &check)?;
+        // Numbered `parent + 1`, the candidate publishes only if `parent`
+        // still serves: of two steps derived from one epoch, the second
+        // to publish is refused.
+        tenant.switch.transition(candidate, &check)?;
         let action = TierAction {
             tenant: tenant.name.clone(),
             table: TableId(table),

@@ -28,8 +28,9 @@ pub type TieredShardService = ShardService;
 /// assignment from scratch: draws the whole model from `seed`, slices
 /// it under `plan` into [`ShardService`]s holding each table at its
 /// tier, and partitions the graph over in-process clients. The epoch
-/// is numbered `epoch`; [`EpochSwitch::publish`](crate::epoch::EpochSwitch::publish)
-/// renumbers a successor it serves.
+/// is numbered `epoch`: 0 for a first epoch, the serving epoch + 1 for
+/// a successor [`EpochSwitch::publish`](crate::epoch::EpochSwitch::publish)
+/// will take.
 ///
 /// The returned epoch's `model.shards` are the services — the byte
 /// accounting reads them there — so the second return value is the same
@@ -63,9 +64,10 @@ pub fn build_tiered_epoch(
 }
 
 /// One ladder step: the successor of `serving` with table `table` held
-/// at `tier`. Only the services hosting the table are
-/// rebuilt ([`ShardService::with_tier`]), each called in-process; every
-/// other store, service and dense operator is shared with `serving`
+/// at `tier`, numbered `serving.epoch + 1`. Only the services hosting
+/// the table are rebuilt ([`ShardService::with_tier`]), each called
+/// in-process; every other store, service and dense operator is shared
+/// with `serving`
 /// ([`DistributedModel::with_shards`](dlrm_sharding::DistributedModel::with_shards)).
 /// A table leaving DRAM is cut from its serving f32 slices; one leaving
 /// a colder rung is redrawn alone from `seed`, once, with the bits
@@ -245,7 +247,7 @@ mod tests {
         next: EpochServing,
         alive: &dyn Fn() -> bool,
     ) -> (bool, bool) {
-        drop(switch.publish(held.epoch, next).expect("the parent still serves"));
+        drop(switch.publish(next).expect("the parent still serves"));
         let before = alive();
         drop(held);
         (before, alive())

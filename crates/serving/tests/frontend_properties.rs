@@ -7,6 +7,11 @@
 //! must preserve the same property end to end, plus its accounting
 //! identities.
 
+// Only `deterministic_policy` is shared with the chaos suites.
+#[allow(dead_code)]
+mod chaos;
+
+use chaos::deterministic_policy;
 use dlrm_model::graph::NoopObserver;
 use dlrm_model::{build_model, ModelSpec, NetId, NetSpec, TableId, TableSpec, Workspace};
 use dlrm_serving::epoch::{probe_all, probe_inputs, EpochServing, EpochSwitch, ProbeCheck};
@@ -16,7 +21,6 @@ use dlrm_serving::frontend::{
     FrontendConfig, FrontendRequest, Lane, LaneRun,
 };
 use dlrm_serving::replica::{HealthPolicy, ReplicatedShardPool};
-use dlrm_sharding::rpc::RpcPolicy;
 use dlrm_sharding::{partition, plan, DistributedModel, ShardingPlan, ShardingStrategy};
 use dlrm_sim::SimRng;
 use dlrm_tensor::Matrix;
@@ -360,14 +364,14 @@ fn lanes_of_every_source_account_exactly_and_stay_bit_exact_across_a_cutover() {
             // Every epoch serves over its own worker threads; the pools
             // live here and stop when the lane count's run is over.
             let mut pools = Vec::new();
-            let mut epoch0 = || {
+            let mut epoch_state = |epoch: u64| {
                 let (model, pool) =
                     threaded_cluster(&spec, &p, seed, Duration::ZERO, &FaultPlan::none());
                 pools.push(pool);
-                EpochServing { epoch: 0, model }
+                EpochServing { epoch, model }
             };
             let switches: Vec<EpochSwitch> =
-                (0..lanes).map(|_| EpochSwitch::new(epoch0())).collect();
+                (0..lanes).map(|_| EpochSwitch::new(epoch_state(0))).collect();
             let profilers: Vec<OnlineProfiler> = (0..lanes)
                 .map(|_| OnlineProfiler::for_spec(&spec))
                 .collect();
@@ -376,14 +380,14 @@ fn lanes_of_every_source_account_exactly_and_stay_bit_exact_across_a_cutover() {
                 let mut publishers = Vec::new();
                 for i in (0..lanes).filter(|&i| is_switch(i)) {
                     let (switch, profiler) = (&switches[i], &profilers[i]);
-                    let next = epoch0();
+                    let next = epoch_state(1);
                     publishers.push(s.spawn(move || {
                         let deadline = Instant::now() + Duration::from_secs(30);
                         while profiler.total_accesses() == 0 {
                             assert!(Instant::now() < deadline, "lane {i} never served");
                             std::thread::sleep(Duration::from_millis(1));
                         }
-                        let retiree = switch.publish(0, next).expect("epoch 0 still serves");
+                        let retiree = switch.publish(next).expect("epoch 0 still serves");
                         Arc::downgrade(&retiree)
                     }));
                 }
@@ -442,7 +446,7 @@ fn lanes_of_every_source_account_exactly_and_stay_bit_exact_across_a_cutover() {
 /// warm, its probe outputs diverge, or a probe came back degraded —
 /// each leave the serving epoch (its number and its state) as it was
 /// and name the reason; the same candidate shape built cleanly then
-/// publishes, numbered by the switch, and the retiree is freed with it.
+/// publishes as epoch 1, and the retiree is freed with it.
 #[test]
 fn transition_aborts_leave_serving_untouched() {
     const SEED: u64 = 33;
@@ -456,16 +460,15 @@ fn transition_aborts_leave_serving_untouched() {
     let mut pools = Vec::new();
     let mut build = |seed: u64, faults: &FaultPlan| {
         let (mut model, pool) = threaded_cluster(&spec, &p, seed, Duration::ZERO, faults);
-        // Fall back to zero embeddings on a failed RPC, so a fault shows
-        // as a degraded probe.
-        model.set_rpc_policy(RpcPolicy {
-            degraded_fallback: true,
-            ..RpcPolicy::default()
-        });
+        model.set_rpc_policy(deterministic_policy());
         pools.push(pool);
-        EpochServing { epoch: 0, model }
+        // Every candidate succeeds epoch 0.
+        EpochServing { epoch: 1, model }
     };
-    let switch = EpochSwitch::new(build(SEED, &FaultPlan::none()));
+    let switch = EpochSwitch::new(EpochServing {
+        epoch: 0,
+        ..build(SEED, &FaultPlan::none())
+    });
     let inputs = probe_inputs(&spec, 3, SEED ^ 5);
     let expected = probe_all(&spec, &switch.current().model, &inputs).expect("serving probes");
     let check = ProbeCheck {
@@ -476,7 +479,9 @@ fn transition_aborts_leave_serving_untouched() {
     };
     let serving = switch.current();
 
-    // A replica that crashes on first use degrades the first probe.
+    // A replica that crashes on first use degrades the first probe
+    // (the deterministic policy falls back to zero embeddings once its
+    // retries run out).
     let crashing = FaultPlan::none().with(0, 0, ReplicaFaultSchedule::crash_at(0));
     let aborts: [(&str, Result<EpochServing, String>); 3] = [
         ("warm failed", Err("no capacity".to_string())),
@@ -485,7 +490,7 @@ fn transition_aborts_leave_serving_untouched() {
         ("degraded", Ok(build(SEED, &crashing))),
     ];
     for (reason, candidate) in aborts {
-        let err = switch.transition(0, candidate, &check).unwrap_err();
+        let err = switch.transition(candidate, &check).unwrap_err();
         assert!(err.contains(reason), "expected {reason:?} in {err:?}");
         assert_eq!(switch.epoch(), 0, "{reason}: cut over anyway");
         assert!(
@@ -497,12 +502,12 @@ fn transition_aborts_leave_serving_untouched() {
         assert_eq!(again, expected, "{reason}: serving epoch disturbed");
     }
 
-    // Built as epoch 0, like every candidate: the switch numbers it.
+    // The same candidate shape, built cleanly.
     let clean = build(SEED, &FaultPlan::none());
     let retired = Arc::downgrade(&serving);
     drop(serving);
     switch
-        .transition(0, Ok(clean), &check)
+        .transition(Ok(clean), &check)
         .expect("clean successor publishes");
     assert_eq!(switch.epoch(), 1);
     assert!(retired.upgrade().is_none(), "the retiree outlived its last holder");

@@ -189,16 +189,6 @@ impl TableStore {
         })
     }
 
-    /// The rung this slice is held on.
-    #[must_use]
-    pub fn tier(&self) -> Tier {
-        match self {
-            Self::Dram(_) => Tier::Dram,
-            Self::Quantized(_) => Tier::Quantized,
-            Self::Paged(_) => Tier::Paged,
-        }
-    }
-
     /// This slice's bytes, under the tier that holds them.
     pub(crate) fn bytes(&self) -> TierBytes {
         let mut b = TierBytes::default();

@@ -4,11 +4,12 @@
 # was deleted to get there stays deleted. Prints the current counts and
 # fails when a deleted symbol reappears, when non-test code under
 # crates/serving/src grows a second thread::scope or any Arc::try_unwrap
-# drain site (a retired epoch is freed by its last holder), when a batcher thread or a read of the
-# retired batch_timeout knob comes back, when a second shard service or
-# slicer appears, when a per-request scheduler or the FMA kernel tier
-# comes back, when a bench other than benches/kernels.rs writes a
-# BENCH_*.json or verify.sh runs a *_bench binary, when an RpcCompletion
+# drain site (a retired epoch is freed by its last holder), when a
+# batcher thread or a read of the retired batch_timeout knob comes
+# back, when a second shard service or slicer appears, when a
+# per-request scheduler or the FMA kernel tier comes back, when a bench
+# other than benches/kernels.rs writes a BENCH_*.json or verify.sh runs
+# a *_bench binary, when an RpcCompletion
 # impl grows a second wait method, when the engine (dlrm-serving) and the
 # simulator (dlrm-cluster) depend on each other or a simulator definition
 # reappears in the engine, when the frontend report grows a dedupe map
@@ -40,12 +41,12 @@ cd "$(dirname "$0")/.."
 # - GRAPH: model + sharding, the executor, operators, partitioner, RPC op.
 # - KERNEL: tensor + runtime, the SIMD kernels, fork-join and buffer pools.
 # - CLOCK_SITES: Instant::now|sleep( in non-test serving + sharding code.
-MAX_SERVING_CODE_LINES=5763
+MAX_SERVING_CODE_LINES=5761
 MAX_SERVING_PUB_ITEMS=166
 MAX_CLUSTER_CODE_LINES=1712
 MAX_BENCH_CODE_LINES=3080
-MAX_ROW_SERVING_CODE_LINES=10141
-MAX_GRAPH_CODE_LINES=7253
+MAX_ROW_SERVING_CODE_LINES=10131
+MAX_GRAPH_CODE_LINES=7264
 MAX_KERNEL_CODE_LINES=2327
 MAX_CLOCK_SITES=35
 
@@ -68,7 +69,7 @@ code_lines() {
   find "$1" -name '*.rs' -print0 | xargs -0 cat | grep -vcE '^\s*(//|$)'
 }
 
-deleted='ThreadedShardPool|worker_loop_live|tenant_worker_loop|BatchRanker|rank_request_parallel|run_sweep|mod local\b|batcher_loop|FormedBatch|QuantizedShardService|QuantizedClient|TieredClient|TierTable|mod channel|collect_in_flight|in_flight_producer|Avx2Fma|forced_fma|panel_fma|decode_accumulate_u8|decode_u8_accumulate_avx2|install_seats_epoch|with_versioning|HEADER_V3|dlrm-plan v3|fn succeed|plan_epoch|routes_to_text|routes_from_text|next_epoch|Pruned[T]able|prune_by_[m]agnitude|decode_accumulate_u[4]|decode_row_u[4]|pool_bags_u[4]|decode_u[4]_|Wait[O]utcome|wait_[d]eadline|Race[R]esult|Local[S]plit|build_request_[a]nd_split|route_bags_[g]lobal|Streaming[Q]uantile|fn with_[p]ool|weights_[m]ut|max_table_[g]ib|Tenant[B]reakdown|RequestRec[o]rd|batch_closed_[m]s|Histogra[m]|record_latenc[y]|LATENCY_SUB_BUCKET[S]|cache_retire[d]|cache_refreshe[s]|retired_cach[e]|on_rpc_issue[d]|on_rpc_collecte[d]|on_rpc_outcom[e]|kind_i[n]\(|(fn |\.)(rpc_retrie[s]|rpc_hedge[s]|degraded_rpc[s]|cache_hit[s]|cache_misse[s]|cache_local_row[s])\(|Rebalance[r]|RebalanceConfi[g]|MigrationRecor[d]|ScaleEven[t]|fn scale_u[p]|fn scale_dow[n]|shard_row[s]|add_sea[t]|remove_sea[t]|mod rebalanc[e]|PollSeat[s]|reseat_standb[y]|poll_seat[s]|STANDBY_POL[L]|build_epoch_servin[g]|absorb_retire[d]|take_spars[e]|take_blo[b]|routed_slic[e]|Drain[Q]ueue|tiers: Mute[x]|cutovers: Atomi[c]|(demotions|promotions): Atomi[c]|cutover[s]\(|sparse_lengths_mea[n]|run_lan[e]'
+deleted='ThreadedShardPool|worker_loop_live|tenant_worker_loop|BatchRanker|rank_request_parallel|run_sweep|mod local\b|batcher_loop|FormedBatch|QuantizedShardService|QuantizedClient|TieredClient|TierTable|mod channel|collect_in_flight|in_flight_producer|Avx2Fma|forced_fma|panel_fma|decode_accumulate_u8|decode_u8_accumulate_avx2|install_seats_epoch|with_versioning|HEADER_V3|dlrm-plan v3|fn succeed|plan_epoch|routes_to_text|routes_from_text|next_epoch|Pruned[T]able|prune_by_[m]agnitude|decode_accumulate_u[4]|decode_row_u[4]|pool_bags_u[4]|decode_u[4]_|Wait[O]utcome|wait_[d]eadline|Race[R]esult|Local[S]plit|build_request_[a]nd_split|route_bags_[g]lobal|Streaming[Q]uantile|fn with_[p]ool|weights_[m]ut|max_table_[g]ib|Tenant[B]reakdown|RequestRec[o]rd|batch_closed_[m]s|Histogra[m]|record_latenc[y]|LATENCY_SUB_BUCKET[S]|cache_retire[d]|cache_refreshe[s]|retired_cach[e]|on_rpc_issue[d]|on_rpc_collecte[d]|on_rpc_outcom[e]|kind_i[n]\(|(fn |\.)(rpc_retrie[s]|rpc_hedge[s]|degraded_rpc[s]|cache_hit[s]|cache_misse[s]|cache_local_row[s])\(|Rebalance[r]|RebalanceConfi[g]|MigrationRecor[d]|ScaleEven[t]|fn scale_u[p]|fn scale_dow[n]|shard_row[s]|add_sea[t]|remove_sea[t]|mod rebalanc[e]|PollSeat[s]|reseat_standb[y]|poll_seat[s]|STANDBY_POL[L]|build_epoch_servin[g]|absorb_retire[d]|take_spars[e]|take_blo[b]|routed_slic[e]|Drain[Q]ueue|tiers: Mute[x]|cutovers: Atomi[c]|(demotions|promotions): Atomi[c]|cutover[s]\(|run_lan[e]'
 if hits=$(grep -rnE "$deleted" crates src tests examples); then
   flunk "deleted symbols are back:"
   echo "$hits" >&2
