@@ -29,8 +29,8 @@ use dlrm_core::cluster::experiment::trace_config_for;
 use dlrm_core::cluster::{simulate, Cluster, CostModel, RunConfig};
 use dlrm_core::sharding::{plan, ShardingStrategy};
 use dlrm_core::sim::SimRng;
-use dlrm_core::tensor::simd::exact_peak_probe;
-use dlrm_core::tensor::{matmul_packed_into, Matrix, PackedWeights};
+use dlrm_core::tensor::simd::{self, exact_peak_probe};
+use dlrm_core::tensor::{matmul_packed_into, AlignedSlab, Matrix, PackedWeights};
 use dlrm_core::workload::{PoolingProfile, TraceDb};
 use std::hint::black_box;
 
@@ -98,6 +98,8 @@ fn bench_sls(r: &mut Runner) {
     // SLS kernels have no AVX-512 path — that tier measures the same
     // kernel the avx2 tier does, so skip it).
     let q8 = QuantizedTable::quantize(&table, 8);
+    let mut off16 = AlignedSlab::zeroed(table.as_slice().len() + 4);
+    off16[4..].copy_from_slice(table.as_slice());
     for (tier, pool) in dispatch_tiers() {
         if tier == "avx512" {
             continue;
@@ -107,6 +109,16 @@ fn bench_sls(r: &mut Runner) {
             Some(("bags/s", bags)),
             || black_box(table.sparse_lengths_sum_par(black_box(&indices), &lengths, &pool)),
         );
+        // The same gather over the same rows 16 bytes past a line, the
+        // offset of a block malloc mmaps: each 64-float row then touches
+        // five lines, not four.
+        let level = simd::effective_level(pool.dispatch().level());
+        r.bench(&format!("sls_4096_lookups_dim64_off16_{tier}"), Some(("bags/s", bags)), || {
+            let mut out = Matrix::zeros(lengths.len(), 64);
+            simd::sls_bags(level, &off16[4..], 64, black_box(&indices), &lengths, out.as_mut_slice())
+                .expect("indices in range");
+            black_box(out)
+        });
         r.bench(
             &format!("sls_quantized8_4096_lookups_{tier}"),
             Some(("bags/s", bags)),

@@ -125,11 +125,9 @@ impl QuantizedTable {
     /// Decodes the whole table back to `f32`.
     #[must_use]
     pub fn dequantize(&self) -> EmbeddingTable {
-        let mut m = Matrix::zeros(self.rows, self.dim);
-        for r in 0..self.rows {
-            self.row_into(r, m.row_mut(r));
-        }
-        EmbeddingTable::from_weights(self.name.clone(), m)
+        EmbeddingTable::from_row_fn(self.name.clone(), self.rows, self.dim, |r, row| {
+            self.row_into(r, row);
+        })
     }
 
     /// SparseLengthsSum with on-the-fly dequantization — what the

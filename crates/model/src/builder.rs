@@ -2,9 +2,10 @@
 
 use crate::graph::{external_input_blobs, Model, NetDef, Schedule};
 use crate::ops::{Concat, DotInteraction, FullyConnected, Relu, Sigmoid, SparseLengthsSum};
-use crate::spec::ModelSpec;
+use crate::spec::{ModelSpec, TableSpec};
 use crate::EmbeddingTable;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// Errors from model construction.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -93,6 +94,31 @@ pub mod blobs {
     }
 }
 
+/// Materializes `tables` on `workers` threads (the caller's among
+/// them), each taking the largest table not yet taken. Each table is
+/// drawn from its own `(seed, table id)` fork by one thread
+/// ([`EmbeddingTable::from_spec`]), so the weights are bit-identical for
+/// any worker count.
+fn build_tables(tables: &[TableSpec], seed: u64, workers: usize) -> Vec<Arc<EmbeddingTable>> {
+    let mut order: Vec<(usize, &TableSpec)> = tables.iter().enumerate().collect();
+    order.sort_by_key(|(_, t)| std::cmp::Reverse(t.bytes()));
+    let next = AtomicUsize::new(0);
+    let built: Vec<OnceLock<Arc<EmbeddingTable>>> = tables.iter().map(|_| OnceLock::new()).collect();
+    let work = || {
+        while let Some(&(i, t)) = order.get(next.fetch_add(1, Ordering::Relaxed)) {
+            let first = built[i].set(Arc::new(EmbeddingTable::from_spec(t, seed)));
+            assert!(first.is_ok(), "each table is taken once");
+        }
+    };
+    std::thread::scope(|s| {
+        for _ in 1..workers.min(tables.len()) {
+            s.spawn(work);
+        }
+        work();
+    });
+    built.into_iter().map(|t| t.into_inner().expect("every table drawn")).collect()
+}
+
 /// Builds an executable model with materialized, seeded parameters.
 ///
 /// Equivalent to [`build_model_with_limit`] with
@@ -176,11 +202,8 @@ pub fn build_model_with_options(
         return Err(BuildError::TooLarge { bytes, limit });
     }
 
-    let tables: Vec<Arc<EmbeddingTable>> = spec
-        .tables
-        .iter()
-        .map(|t| Arc::new(EmbeddingTable::from_spec(t, seed)))
-        .collect();
+    let workers = std::thread::available_parallelism().map_or(1, usize::from);
+    let tables = build_tables(&spec.tables, seed, workers);
 
     let mut nets = Vec::with_capacity(spec.nets.len());
     for net_spec in &spec.nets {
@@ -406,6 +429,19 @@ mod tests {
         let o1 = m1.run(&mut w1, &mut NoopObserver).unwrap();
         let o2 = m2.run(&mut w2, &mut NoopObserver).unwrap();
         assert_eq!(o1, o2);
+    }
+
+    /// Tables are bitwise equal for any worker count, and each equals
+    /// the one-table redraw a tier step makes.
+    #[test]
+    fn tables_are_bit_identical_for_any_worker_count() {
+        let spec = crate::rm::rm2().scaled_to_bytes(1 << 20);
+        let bits = |t: &EmbeddingTable| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let serial: Vec<_> = spec.tables.iter().map(|t| bits(&EmbeddingTable::from_spec(t, 5))).collect();
+        for workers in [1, 2, 3, 8] {
+            let built = build_tables(&spec.tables, 5, workers);
+            assert_eq!(built.iter().map(|t| bits(t)).collect::<Vec<_>>(), serial, "{workers} workers");
+        }
     }
 
     #[test]

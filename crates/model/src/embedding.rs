@@ -4,7 +4,7 @@ use crate::spec::TableSpec;
 use dlrm_runtime::{KernelStats, Pool};
 use dlrm_sim::SimRng;
 use dlrm_tensor::simd::{self, GatherError};
-use dlrm_tensor::Matrix;
+use dlrm_tensor::{AlignedSlab, Matrix};
 
 /// A materialized (in-memory, `f32`) embedding table.
 ///
@@ -27,17 +27,41 @@ use dlrm_tensor::Matrix;
 #[derive(Debug, Clone, PartialEq)]
 pub struct EmbeddingTable {
     name: String,
-    weights: Matrix,
+    rows: usize,
+    dim: usize,
+    /// `rows · dim` floats, row-major; row 0 starts a cache line, and so
+    /// does every row when `dim` is a multiple of 16.
+    slab: AlignedSlab,
 }
 
 impl EmbeddingTable {
+    /// Creates a `rows × dim` table whose row `r` is written in place,
+    /// in ascending `r`, by `fill(r, row)` (the row starts zeroed).
+    #[must_use]
+    pub fn from_row_fn(
+        name: impl Into<String>,
+        rows: usize,
+        dim: usize,
+        mut fill: impl FnMut(usize, &mut [f32]),
+    ) -> Self {
+        let mut slab = AlignedSlab::zeroed(rows * dim);
+        for r in 0..rows {
+            fill(r, &mut slab[r * dim..(r + 1) * dim]);
+        }
+        Self {
+            name: name.into(),
+            rows,
+            dim,
+            slab,
+        }
+    }
+
     /// Creates a table from explicit weights (rows = buckets, cols = dim).
     #[must_use]
     pub fn from_weights(name: impl Into<String>, weights: Matrix) -> Self {
-        Self {
-            name: name.into(),
-            weights,
-        }
+        Self::from_row_fn(name, weights.rows(), weights.cols(), |r, row| {
+            row.copy_from_slice(weights.row(r));
+        })
     }
 
     /// Creates a `rows × dim` table with reproducible pseudo-random
@@ -50,15 +74,11 @@ impl EmbeddingTable {
     #[must_use]
     pub fn seeded(name: impl Into<String>, rows: u64, dim: u32, seed: u64) -> Self {
         assert!(rows > 0 && dim > 0, "degenerate table shape {rows}x{dim}");
-        let rows_us = usize::try_from(rows).expect("materialized table too large");
+        let rows = usize::try_from(rows).expect("materialized table too large");
         let mut rng = SimRng::seed_from(seed);
-        let data: Vec<f32> = (0..rows_us * dim as usize)
-            .map(|_| rng.next_f32() - 0.5)
-            .collect();
-        Self {
-            name: name.into(),
-            weights: Matrix::from_vec(rows_us, dim as usize, data),
-        }
+        Self::from_row_fn(name, rows, dim as usize, |_, row| {
+            row.iter_mut().for_each(|v| *v = rng.next_f32() - 0.5);
+        })
     }
 
     /// Materializes `spec` with weights from the `(seed, table id)` fork
@@ -83,13 +103,13 @@ impl EmbeddingTable {
     /// Number of rows (hash buckets).
     #[must_use]
     pub fn rows(&self) -> usize {
-        self.weights.rows()
+        self.rows
     }
 
     /// Embedding dimension.
     #[must_use]
     pub fn dim(&self) -> usize {
-        self.weights.cols()
+        self.dim
     }
 
     /// Size in bytes at FP32 (the [`crate::Footprint`] of the table,
@@ -106,13 +126,13 @@ impl EmbeddingTable {
     /// Panics if `row` is out of bounds.
     #[must_use]
     pub fn row(&self, row: usize) -> &[f32] {
-        self.weights.row(row)
+        &self.slab[row * self.dim..(row + 1) * self.dim]
     }
 
-    /// Read access to the raw weights.
+    /// Every row, row-major, starting a cache line.
     #[must_use]
-    pub fn weights(&self) -> &Matrix {
-        &self.weights
+    pub fn as_slice(&self) -> &[f32] {
+        &self.slab
     }
 
     /// The SparseLengthsSum kernel: gathers `indices` and sums them per
@@ -189,22 +209,7 @@ impl EmbeddingTable {
         out: &mut Matrix,
         pool: &Pool,
     ) -> Result<(), GatherError> {
-        let dim = self.dim();
-        assert_eq!(
-            (out.rows(), out.cols()),
-            (lengths.len(), dim),
-            "SLS output must be {}x{dim}",
-            lengths.len(),
-        );
-        if dim == 0 {
-            return Ok(());
-        }
-        let level = simd::effective_level(pool.dispatch().level());
-        KernelStats::global().record_sls(level, indices.len());
-        let slab = self.weights.as_slice();
-        pool.par_bags(indices, lengths, dim, out.as_mut_slice(), |indices, lengths, out_rows| {
-            simd::sls_bags(level, slab, dim, indices, lengths, out_rows)
-        })
+        sls_rows_into(&self.slab, self.dim, indices, lengths, out, pool)
     }
 
     /// SparseLengthsSum with mean pooling instead of sum pooling
@@ -227,6 +232,42 @@ impl EmbeddingTable {
         }
         out
     }
+}
+
+/// SparseLengthsSum over `rows`, `dim` floats a row, row-major: the
+/// gather [`EmbeddingTable`] runs over its own rows and the paged tier
+/// over the rows it read, bag-parallel on `pool` through
+/// [`simd::sls_bags`].
+///
+/// # Errors
+///
+/// As [`EmbeddingTable::try_sparse_lengths_sum_into`].
+///
+/// # Panics
+///
+/// Panics if `out` is not `lengths.len() × dim`.
+pub fn sls_rows_into(
+    rows: &[f32],
+    dim: usize,
+    indices: &[u64],
+    lengths: &[u32],
+    out: &mut Matrix,
+    pool: &Pool,
+) -> Result<(), GatherError> {
+    assert_eq!(
+        (out.rows(), out.cols()),
+        (lengths.len(), dim),
+        "SLS output must be {}x{dim}",
+        lengths.len(),
+    );
+    if dim == 0 {
+        return Ok(());
+    }
+    let level = simd::effective_level(pool.dispatch().level());
+    KernelStats::global().record_sls(level, indices.len());
+    pool.par_bags(indices, lengths, dim, out.as_mut_slice(), |indices, lengths, out_rows| {
+        simd::sls_bags(level, rows, dim, indices, lengths, out_rows)
+    })
 }
 
 #[cfg(test)]
@@ -289,7 +330,7 @@ mod tests {
         };
         let t0 = EmbeddingTable::from_spec(&mk(0), 7);
         let t1 = EmbeddingTable::from_spec(&mk(1), 7);
-        assert_ne!(t0.weights(), t1.weights());
+        assert_ne!(t0.as_slice(), t1.as_slice());
     }
 
     #[test]

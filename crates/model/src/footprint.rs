@@ -48,7 +48,7 @@ impl Footprint for ModelSpec {
 impl Footprint for EmbeddingTable {
     /// Materialized FP32 weights: `rows × dim × 4`.
     fn footprint_bytes(&self) -> u64 {
-        self.weights().len() as u64 * F32_BYTES
+        self.as_slice().len() as u64 * F32_BYTES
     }
 }
 

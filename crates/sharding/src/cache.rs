@@ -19,6 +19,7 @@
 use crate::plan::ShardingPlan;
 use dlrm_model::{EmbeddingTable, TableId};
 use dlrm_tensor::simd::{self, SimdLevel};
+use dlrm_tensor::AlignedSlab;
 use std::sync::Arc;
 
 /// Cache-tier counters: how much lookup traffic the hot-row cache
@@ -81,7 +82,7 @@ pub(crate) struct TableCache {
     rows: Vec<u64>,
     dim: usize,
     /// Row weights in `rows` order, `dim` floats per row.
-    data: Vec<f32>,
+    data: AlignedSlab,
 }
 
 impl TableCache {
@@ -154,15 +155,15 @@ impl HotRowCache {
                     return None;
                 }
                 let dim = table.dim();
-                let mut data = Vec::with_capacity(rows.len() * dim);
-                for &r in rows {
+                let mut data = AlignedSlab::zeroed(rows.len() * dim);
+                for (slot, &r) in rows.iter().enumerate() {
                     let r = usize::try_from(r).expect("row exceeds usize");
                     assert!(
                         r < table.rows(),
                         "hot row {r} out of range for table {ti} ({} rows)",
                         table.rows()
                     );
-                    data.extend_from_slice(table.row(r));
+                    data[slot * dim..(slot + 1) * dim].copy_from_slice(table.row(r));
                 }
                 Some(TableCache {
                     rows: rows.to_vec(),
@@ -228,6 +229,7 @@ mod tests {
         let t = table(10, 4, 0.25);
         let cache = HotRowCache::build(std::slice::from_ref(&t), &one_table_plan(vec![1, 3, 7]));
         let tc = cache.table(TableId(0)).unwrap();
+        assert_eq!(tc.data.as_ptr() as usize % 64, 0, "cached rows start a cache line");
         let mut slots = Vec::new();
         assert!(!tc.resolve([3, 2], &mut slots));
         assert!(tc.resolve([3, 1, 7, 1], &mut slots));

@@ -21,6 +21,7 @@
 
 use crate::rpc::TableSlice;
 use dlrm_compress::QuantizedTable;
+use dlrm_model::embedding::sls_rows_into;
 use dlrm_model::{BufferPool, EmbeddingTable, Footprint, Pool};
 use dlrm_tensor::simd::{check_bags, GatherError};
 use dlrm_tensor::Matrix;
@@ -141,17 +142,13 @@ pub(crate) fn local_slice(
     }
     let rows = full.rows();
     let local_rows = rows.div_ceil(parts).max(1);
-    let mut m = Matrix::zeros(local_rows, full.dim());
-    for j in 0..local_rows {
+    let name = format!("{}[part {part}/{parts}]", full.name());
+    Arc::new(EmbeddingTable::from_row_fn(name, local_rows, full.dim(), |j, row| {
         let global = j * parts + part;
         if global < rows {
-            m.row_mut(j).copy_from_slice(full.row(global));
+            row.copy_from_slice(full.row(global));
         }
-    }
-    Arc::new(EmbeddingTable::from_weights(
-        format!("{}[part {part}/{parts}]", full.name()),
-        m,
-    ))
+    }))
 }
 
 /// One hosted table slice, stored at its tier. Every variant is an
@@ -261,7 +258,7 @@ static PAGED_FILE_SEQ: AtomicU64 = AtomicU64::new(0);
 /// block apart in one read, into a compact slab that lives for the
 /// call; DRAM residency is metadata only, which is what makes demoting
 /// a table here free the pressure controller's budget. The slab is
-/// pooled as a DRAM [`EmbeddingTable`], by the DRAM tier's own kernel,
+/// pooled in place by the DRAM tier's own kernel ([`sls_rows_into`]),
 /// over the same rows in the same order, so a paged table answers
 /// **bitwise identically** to its DRAM twin — only slower.
 ///
@@ -308,7 +305,7 @@ impl PagedTable {
         // and the kernel reclaims it on drop even if the process dies.
         std::fs::remove_file(&path)?;
         let mut image = BufWriter::with_capacity(SPILL_BYTES, &file);
-        for &v in table.weights().as_slice() {
+        for &v in table.as_slice() {
             image.write_all(&v.to_le_bytes())?;
         }
         image.flush()?;
@@ -426,10 +423,7 @@ impl PagedTable {
                 (starts[k] + i - reads[k].start) as u64
             })
             .collect();
-        let slab = Matrix::from_vec(slab.len() / dim, dim, slab);
-        EmbeddingTable::from_weights(self.name.as_str(), slab)
-            .try_sparse_lengths_sum_into(&local, lengths, &mut out, pool)
-            .map_err(invalid)?;
+        sls_rows_into(&slab, dim, &local, lengths, &mut out, pool).map_err(invalid)?;
         Ok(out)
     }
 }

@@ -43,10 +43,12 @@ mod matrix;
 mod ops;
 mod packed;
 pub mod simd;
+mod slab;
 
 pub use gemm::{matmul_into, matmul_packed_into, matmul_transb_into};
 pub use matrix::Matrix;
 pub use packed::PackedWeights;
+pub use slab::AlignedSlab;
 pub use ops::{concat_cols, concat_cols_into, relu, relu_inplace, sigmoid, sigmoid_inplace};
 
 /// Absolute tolerance used by [`Matrix::approx_eq`] in tests and

@@ -16,10 +16,8 @@
 //! change are packed once ([`crate::matmul_packed_into`] then runs
 //! pack-free); the `Matrix`-operand entry points pack per call.
 
+use crate::slab::AlignedSlab;
 use crate::Matrix;
-
-/// `f32`s per 64-byte cache line: the alignment slack a buffer carries.
-const LINE: usize = 16;
 
 /// Width of the panel that starts at output column `j` of an
 /// `n`-column packing (`j` must be a panel start).
@@ -52,20 +50,13 @@ pub(crate) fn panel_width(n: usize, j: usize) -> usize {
 pub struct PackedWeights {
     rows: usize,
     cols: usize,
-    /// `rows · cols` panel floats starting at `skip`, the first 64-byte
-    /// boundary of the allocation (moving the `Vec` never moves its
-    /// heap block, so the alignment holds for the value's lifetime —
-    /// which is why the type is not `Clone`).
-    buf: Vec<f32>,
-    skip: usize,
+    /// The `rows · cols` panel floats.
+    buf: AlignedSlab,
 }
 
 impl PackedWeights {
     fn zeroed(rows: usize, cols: usize) -> Self {
-        let buf = vec![0.0f32; rows * cols + LINE - 1];
-        let misalign = buf.as_ptr() as usize % 64;
-        let skip = if misalign == 0 { 0 } else { (64 - misalign) / 4 };
-        Self { rows, cols, buf, skip }
+        Self { rows, cols, buf: AlignedSlab::zeroed(rows * cols) }
     }
 
     /// Builds the packing in place from a generator called once per
@@ -162,7 +153,7 @@ impl PackedWeights {
     /// Heap bytes held, alignment slack included.
     #[must_use]
     pub fn bytes(&self) -> usize {
-        self.buf.len() * std::mem::size_of::<f32>()
+        self.buf.heap_bytes()
     }
 
     /// The row-major matrix this packing was built from, bit for bit.
@@ -181,18 +172,18 @@ impl PackedWeights {
 
     /// The `rows · cols` panel floats, 64-byte aligned.
     pub(crate) fn panels(&self) -> &[f32] {
-        &self.buf[self.skip..self.skip + self.rows * self.cols]
+        &self.buf
     }
 
     fn panels_mut(&mut self) -> &mut [f32] {
-        let len = self.rows * self.cols;
-        &mut self.buf[self.skip..self.skip + len]
+        &mut self.buf
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::slab::LINE;
 
     fn counting(rows: usize, cols: usize) -> Matrix {
         Matrix::from_vec(rows, cols, (0..rows * cols).map(|i| i as f32).collect())

@@ -21,8 +21,10 @@
 # in begin_shared, when the per-call ledger is written outside the
 # replica seat, when a shard's seat list or a shard server's seat map
 # takes a lock again (both are fixed once built), when the pressure
-# controller rebuilds a tenant's whole model for a ladder step, when the serving +
-# sharding clock-site count rises, or when a size ceiling is exceeded.
+# controller rebuilds a tenant's whole model for a ladder step, when
+# 64-byte alignment arithmetic appears outside the shared AlignedSlab or
+# an embedding table holds a Matrix again, when the serving + sharding
+# clock-site count rises, or when a size ceiling is exceeded.
 #
 # Usage: scripts/structure_gate.sh
 
@@ -44,10 +46,10 @@ cd "$(dirname "$0")/.."
 MAX_SERVING_CODE_LINES=5761
 MAX_SERVING_PUB_ITEMS=166
 MAX_CLUSTER_CODE_LINES=1712
-MAX_BENCH_CODE_LINES=3080
-MAX_ROW_SERVING_CODE_LINES=10131
-MAX_GRAPH_CODE_LINES=7264
-MAX_KERNEL_CODE_LINES=2327
+MAX_BENCH_CODE_LINES=3089
+MAX_ROW_SERVING_CODE_LINES=10125
+MAX_GRAPH_CODE_LINES=7310
+MAX_KERNEL_CODE_LINES=2388
 MAX_CLOCK_SITES=35
 
 fail=0
@@ -159,6 +161,18 @@ fi
 sls_min_defs=$(grep -rn 'const SLS_PAR_MIN_LOOKUPS' crates src | wc -l)
 [ "$sls_min_defs" -le 1 ] || flunk "SLS_PAR_MIN_LOOKUPS defined $sls_min_defs times (want 1: runtime/src/pool.rs)"
 prefetch_sites=$(grep -rn '_mm_prefetch::<' crates/*/src | wc -l)
+
+# One aligned store: every weight row the kernels stream (FC panels,
+# embedding rows, the hot-row cache) lives in tensor/src/slab.rs's
+# AlignedSlab, so no other non-test source does `% 64` alignment
+# arithmetic, and an embedding table holds no Matrix of weights.
+align_sites=$(for d in crates/*/src; do non_test_code "$d"; done | grep -E '% 64\b|align_offset' \
+  | grep -v '^crates/tensor/src/slab.rs:' || true)
+[ -z "$align_sites" ] || flunk "64-byte alignment arithmetic outside tensor/src/slab.rs:" "$align_sites"
+if hits=$(grep -nE '^ *(pub )?weights: Matrix,' crates/model/src/embedding.rs); then
+  flunk "an embedding table holds a Matrix again:"
+  echo "$hits" >&2
+fi
 
 # One audited home for unsafe and for the AVX-512 decision: no source
 # file but tensor/src/simd.rs holds an unsafe block, fn or impl or
