@@ -27,10 +27,10 @@
 
 use dlrm_bench::harness::{fail, predictions_on, replicated_cluster, smoke_spec};
 use dlrm_core::model::rm;
+use dlrm_core::serving::epoch::EpochSwitch;
 use dlrm_core::serving::fault::FaultPlan;
 use dlrm_core::serving::frontend::{
-    materialize_frontend_requests, run_frontend, serve, EpochSource, FrontendConfig,
-    FrontendReport, Lane,
+    materialize_frontend_requests, run_frontend, serve, FrontendConfig, FrontendReport, Lane,
 };
 use dlrm_core::serving::replica::ReplicatedShardPool;
 use dlrm_core::sharding::{plan, DistributedModel, ShardingStrategy};
@@ -76,7 +76,8 @@ fn main() {
         sla: Duration::from_millis(500),
         workers: 2,
     };
-    let lane = Lane::new(EpochSource::Pinned(&dist), requests.clone(), &schedule, &cfg);
+    let switch = EpochSwitch::new(dist.clone());
+    let lane = Lane::new(&switch, requests.clone(), &schedule, &cfg);
     let run = serve(vec![lane], cfg.max_batch_requests, cfg.workers, None)
         .pop()
         .expect("one lane in, one run out");

@@ -42,7 +42,6 @@ use dlrm_core::model::{build_model, rm, Pool, RuntimeCtx, Workspace};
 use dlrm_core::runtime::{KernelDispatch, KernelStats, KernelSummary};
 use dlrm_core::tensor::Matrix;
 use dlrm_core::workload::{materialize_request, TraceDb};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Single-thread blocked-vs-naive GEMM bound (acceptance criterion).
@@ -87,14 +86,9 @@ fn main() {
     let batch = &batches[0];
 
     let run_on = |pool: Pool| -> Matrix {
-        let ctx = RuntimeCtx::new(pool);
-        let counts = Arc::new(model.consumer_counts());
-        let mut ws = Workspace::with_ctx(ctx);
-        ws.set_consumer_counts(counts);
+        let mut ws = Workspace::with_ctx(RuntimeCtx::new(pool));
         batch.load_into(&spec, &mut ws);
-        model
-            .run_overlapped(&mut ws, &mut NoopObserver)
-            .expect("model run")
+        model.run(&mut ws, &mut NoopObserver).expect("model run")
     };
 
     // --- 1. Determinism across worker counts.
@@ -119,7 +113,7 @@ fn main() {
     let kernels = KernelStats::global().summary().since(&kernels_before);
     let pack_free = kernels.gemm_packs == 0 && kernels.total() > 0;
     println!(
-        "{} pack-free (0 per-call weight packs over run + run_overlapped) — {kernels}",
+        "{} pack-free (0 per-call weight packs over the three runs) — {kernels}",
         if pack_free { "PASS" } else { "FAIL" }
     );
     if !pack_free {

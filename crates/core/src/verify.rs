@@ -131,7 +131,7 @@ pub fn verify_distributed_equivalence(
             batch.load_into(spec, &mut ws_a);
             let mut ws_b = ws_a.clone();
             let out_a = singular.run(&mut ws_a, &mut NoopObserver)?;
-            let out_b = distributed.run(&mut ws_b, &mut NoopObserver)?;
+            let out_b = distributed.run_overlapped(&mut ws_b, &mut NoopObserver)?;
             max_diff = max_diff.max(out_a.max_abs_diff(&out_b));
             batches_run += 1;
         }

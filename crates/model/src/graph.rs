@@ -162,8 +162,8 @@ pub struct Workspace {
     ctx: RuntimeCtx,
     /// Static consumer counts (reads per blob across all nets, plus one
     /// for the model output): the oracle [`Self::take_dense`] consults
-    /// to decide move-vs-copy. Empty (the default) means "unknown", so
-    /// every take falls back to a copy.
+    /// to decide move-vs-copy. [`Schedule::walk`] installs its model's;
+    /// empty (the default) means "unknown", so every take copies.
     consumers: Arc<HashMap<String, usize>>,
 }
 
@@ -201,9 +201,9 @@ impl Workspace {
         &self.ctx.pool
     }
 
-    /// Installs the static consumer counts [`Self::take_dense`] consults
-    /// (see [`Model::consumer_counts`]). Counts are shared behind an
-    /// `Arc` so per-request workspaces install them without copying.
+    /// Installs static consumer counts for [`Self::take_dense`].
+    /// [`Schedule::walk`] installs its own on every run, so this is kept
+    /// only for the benchmark's pinned calls (ROADMAP 4 (a) deletes it).
     pub fn set_consumer_counts(&mut self, counts: Arc<HashMap<String, usize>>) {
         self.consumers = counts;
     }
@@ -672,6 +672,10 @@ pub struct Schedule {
     /// Operators across all nets at compile; another count at walk means
     /// the nets were edited since.
     ops: usize,
+    /// Readers of each blob across all nets, plus one for the output
+    /// blob (the caller's fetch): a blob read once is moved to its
+    /// reader, not copied ([`Workspace::take_dense`]).
+    consumers: Arc<HashMap<String, usize>>,
 }
 
 /// The operators of `nets` in execution order, each beside its net.
@@ -707,6 +711,11 @@ impl Schedule {
             message: format!("reads {blob}, which nothing before it produces or loads"),
         };
         let ops = flatten(nets);
+        let mut consumers: HashMap<String, usize> = HashMap::new();
+        for input in ops.iter().flat_map(|(_, op)| op.inputs()) {
+            *consumers.entry(input).or_insert(0) += 1;
+        }
+        *consumers.entry(output_blob.to_string()).or_insert(0) += 1;
         let mut ready = external;
         // Which issued, uncollected operator owes each not-yet-ready blob.
         let mut owed: HashMap<String, usize> = HashMap::new();
@@ -754,6 +763,7 @@ impl Schedule {
         Ok(Self {
             steps,
             ops: ops.len(),
+            consumers: Arc::new(consumers),
         })
     }
 
@@ -763,7 +773,16 @@ impl Schedule {
         &self.steps
     }
 
-    /// Executes the plan over `nets` — the nets it was compiled from.
+    /// Readers of each blob across the nets, plus one for the output
+    /// blob; the counts [`Self::walk`] installs.
+    #[must_use]
+    pub fn consumers(&self) -> &Arc<HashMap<String, usize>> {
+        &self.consumers
+    }
+
+    /// Executes the plan over `nets` — the nets it was compiled from —
+    /// on `ws` with this plan's consumer counts installed, so every
+    /// single-reader blob moves to its reader.
     /// Observer callbacks carry the name of each operator's own net, and
     /// every collected asynchronous operator reaches
     /// [`ExecutionObserver::on_rpc`], a failed one before its error
@@ -789,6 +808,7 @@ impl Schedule {
         if ops.len() != self.ops {
             return Err(edited("an operator"));
         }
+        ws.consumers = Arc::clone(&self.consumers);
         // Per issued, uncollected operator: its handle and when it was
         // issued.
         let mut in_flight: Vec<_> = ops.iter().map(|_| None).collect();
@@ -838,8 +858,9 @@ pub struct Model {
 }
 
 impl Model {
-    /// Runs all nets sequentially and returns the final prediction
-    /// (`batch × 1`, sigmoid output).
+    /// Walks the compiled plan ([`Schedule::walk`]; with no asynchronous
+    /// operator, every operator in list order) and returns the final
+    /// prediction (`batch × 1`, sigmoid output).
     ///
     /// # Errors
     ///
@@ -850,58 +871,17 @@ impl Model {
         ws: &mut Workspace,
         observer: &mut dyn ExecutionObserver,
     ) -> Result<Matrix, GraphError> {
-        for net in &self.nets {
-            net.run(ws, observer)?;
-        }
-        ws.take_dense(&self.output_blob, "model-output")
-    }
-
-    /// Walks the compiled overlap plan ([`Schedule::walk`]); bit-exact
-    /// with [`Self::run`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first operator failure.
-    pub fn run_overlapped(
-        &self,
-        ws: &mut Workspace,
-        observer: &mut dyn ExecutionObserver,
-    ) -> Result<Matrix, GraphError> {
         self.schedule.walk(&self.nets, ws, observer)?;
         ws.take_dense(&self.output_blob, "model-output")
     }
 
-    /// Static consumer counts for [`Workspace::set_consumer_counts`]:
-    /// how many operators (across all nets) read each blob, plus one
-    /// synthetic read of the output blob (the caller's fetch). A blob
-    /// with count 1 has exactly one reader, so that reader may *move*
-    /// the blob out of the workspace instead of cloning it
-    /// ([`Workspace::take_dense`]). Compute once per model and share the
-    /// `Arc` across request workspaces.
+    /// A copy of the compiled plan's consumer counts
+    /// ([`Schedule::consumers`]); kept only for the benchmark's pinned
+    /// calls (ROADMAP 4 (a) deletes it).
     #[must_use]
     pub fn consumer_counts(&self) -> HashMap<String, usize> {
-        let mut counts = consumer_counts_of(self.nets.iter());
-        *counts.entry(self.output_blob.clone()).or_insert(0) += 1;
-        counts
+        (**self.schedule.consumers()).clone()
     }
-}
-
-/// Counts how many operators across `nets` declare each blob as an
-/// input — the shared core of [`Model::consumer_counts`] and the
-/// distributed variant in `dlrm-sharding`.
-#[must_use]
-pub fn consumer_counts_of<'a>(
-    nets: impl Iterator<Item = &'a NetDef>,
-) -> HashMap<String, usize> {
-    let mut counts: HashMap<String, usize> = HashMap::new();
-    for net in nets {
-        for op in net.ops() {
-            for input in op.inputs() {
-                *counts.entry(input).or_insert(0) += 1;
-            }
-        }
-    }
-    counts
 }
 
 /// The blobs loaded into the workspace from outside the graph (the
@@ -1413,7 +1393,7 @@ mod tests {
     }
 
     #[test]
-    fn consumer_counts_of_counts_reads_across_nets() {
+    fn compile_counts_reads_across_nets_plus_the_output() {
         let mut a = NetDef::new("a");
         a.push(Box::new(AddOne {
             input: "x".into(),
@@ -1428,10 +1408,11 @@ mod tests {
             input: "y".into(),
             output: "w".into(),
         }));
-        let counts = consumer_counts_of([a, b].iter());
+        let counts = compile(&[a, b], "w").unwrap().consumers().clone();
         assert_eq!(counts.get("x"), Some(&1));
         assert_eq!(counts.get("y"), Some(&2));
         assert_eq!(counts.get("z"), None);
+        assert_eq!(counts.get("w"), Some(&1), "the caller's fetch reads the output");
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub use builder::{build_model, build_model_with_options, InteractionKind};
 pub use dlrm_runtime::{BufferPool, Pool, RuntimeCtx};
 pub use embedding::EmbeddingTable;
 pub use footprint::Footprint;
-pub use graph::{consumer_counts_of, Blob, Model, NetDef, Workspace};
+pub use graph::{Blob, Model, NetDef, Workspace};
 pub use spec::{ModelSpec, NetId, NetSpec, OpGroup, TableId, TableSpec};
 
 /// Bytes per single-precision float; all paper models are served

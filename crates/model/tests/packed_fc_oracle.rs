@@ -8,7 +8,7 @@
 //! on its `unpack()`ed weights plus bias, every `SparseLengthsSum` by
 //! the per-row loop the fused gather replaced (zero the bag's row, then
 //! `out += row` per lookup in index order), and every other operator
-//! runs as is. `Model::run` and `run_overlapped` must equal it bit for
+//! runs as is. `Model::run` must equal it bit for
 //! bit on scaled RM1, RM2 and RM3 (all their real MLP widths and
 //! embedding dims), at batch sizes that land on each row tile of the
 //! GEMM kernels, under every exact kernel tier the host runs.
@@ -93,14 +93,8 @@ fn model_run_equals_reference_forward_pass_bitwise() {
             let inputs = inputs(&mut rng, &spec, batch);
             let expect = oracle(&model, &mut load(KernelDispatch::scalar(), &inputs));
             for &tier in &tiers {
-                let mut ws = load(tier, &inputs);
-                let sequential = model.run(&mut ws.clone(), &mut NoopObserver).expect("run");
-                let overlapped = model
-                    .run_overlapped(&mut ws, &mut NoopObserver)
-                    .expect("run_overlapped");
-                let what = format!("{} at batch {batch} on {}", spec.name, tier.level());
-                assert_eq!(sequential, expect, "run: {what}");
-                assert_eq!(overlapped, expect, "run_overlapped: {what}");
+                let got = model.run(&mut load(tier, &inputs), &mut NoopObserver).expect("run");
+                assert_eq!(got, expect, "{} at batch {batch} on {}", spec.name, tier.level());
             }
         }
     }

@@ -1,6 +1,6 @@
 //! End-to-end properties of the intra-op runtime at the model level:
 //! predictions are bit-exact for any worker count (DESIGN §3.3's
-//! determinism contract), consumer-count moves never change results,
+//! determinism contract) and equal to the no-move sequential oracle,
 //! and steady-state requests stop allocating f32 backing stores once
 //! the shared buffer pool is warm.
 
@@ -13,8 +13,6 @@ use dlrm_model::{
 use dlrm_runtime::KernelDispatch;
 use dlrm_sim::SimRng;
 use dlrm_tensor::Matrix;
-use std::collections::HashMap;
-use std::sync::Arc;
 
 /// A compact single-net spec whose FC layers and SLS bags are large
 /// enough (at `batch` items) to clear the kernels' parallel-grain
@@ -76,20 +74,11 @@ fn load(ws: &mut Workspace, spec: &ModelSpec, dense: &Matrix, sparse: &[SparseIn
     }
 }
 
-/// One request on a given context, overlapped executor.
-fn run_once(
-    model: &Model,
-    ctx: &RuntimeCtx,
-    counts: Option<&Arc<HashMap<String, usize>>>,
-    dense: &Matrix,
-    sparse: &[SparseInput],
-) -> Matrix {
+/// One request on a given context.
+fn run_once(model: &Model, ctx: &RuntimeCtx, dense: &Matrix, sparse: &[SparseInput]) -> Matrix {
     let mut ws = Workspace::with_ctx(ctx.clone());
-    if let Some(c) = counts {
-        ws.set_consumer_counts(Arc::clone(c));
-    }
     load(&mut ws, &model.spec, dense, sparse);
-    let pred = model.run_overlapped(&mut ws, &mut NoopObserver).expect("run");
+    let pred = model.run(&mut ws, &mut NoopObserver).expect("run");
     ws.recycle_all();
     pred
 }
@@ -101,16 +90,20 @@ fn predictions_bit_exact_across_worker_counts() {
     let mut rng = SimRng::seed_from(0x52_55_4E).fork(1);
     let (dense, sparse) = inputs(&mut rng, &spec, 256);
 
-    // Oracle: the plain sequential executor, no runtime context at all.
+    // Oracle: the plain sequential executor, no runtime context and no
+    // consumer counts, so every blob is copied, none moved.
     let mut ws = Workspace::new();
     load(&mut ws, &spec, &dense, &sparse);
-    let oracle = model.run(&mut ws, &mut NoopObserver).expect("oracle run");
+    for net in &model.nets {
+        net.run(&mut ws, &mut NoopObserver).expect("oracle run");
+    }
+    let oracle = ws.dense(&model.output_blob, "oracle").expect("prediction");
     assert_eq!(oracle.rows(), 256);
 
     for workers in [1, 2, 4, 8] {
         let ctx = RuntimeCtx::new(Pool::new(workers));
-        let pred = run_once(&model, &ctx, None, &dense, &sparse);
-        assert_eq!(pred, oracle, "{workers} workers vs sequential oracle");
+        let pred = run_once(&model, &ctx, &dense, &sparse);
+        assert_eq!(pred, *oracle, "{workers} workers vs sequential oracle");
     }
 }
 
@@ -166,7 +159,7 @@ fn predictions_bit_exact_across_dispatch_tiers() {
     let (dense, sparse) = inputs(&mut rng, &spec, 128);
     let predict = |tier| {
         let ctx = RuntimeCtx::new(Pool::with_dispatch(2, tier));
-        run_once(&model, &ctx, None, &dense, &sparse)
+        run_once(&model, &ctx, &dense, &sparse)
     };
     let scalar_pred = predict(KernelDispatch::scalar());
     for tier in KernelDispatch::exact_tiers().into_iter().skip(1) {
@@ -175,31 +168,15 @@ fn predictions_bit_exact_across_dispatch_tiers() {
 }
 
 #[test]
-fn consumer_count_moves_do_not_change_predictions() {
-    let spec = spec(4);
-    let model = build_model(&spec, 23).expect("build");
-    let counts = Arc::new(model.consumer_counts());
-    let mut rng = SimRng::seed_from(0x52_55_4E).fork(2);
-    for case in 0..4 {
-        let (dense, sparse) = inputs(&mut rng, &spec, 32);
-        let ctx = RuntimeCtx::sequential();
-        let cloned = run_once(&model, &ctx, None, &dense, &sparse);
-        let moved = run_once(&model, &ctx, Some(&counts), &dense, &sparse);
-        assert_eq!(moved, cloned, "case {case}");
-    }
-}
-
-#[test]
 fn steady_state_requests_allocate_no_fresh_stores() {
     let spec = spec(4);
     let model = build_model(&spec, 31).expect("build");
-    let counts = Arc::new(model.consumer_counts());
     let ctx = RuntimeCtx::sequential();
     let mut rng = SimRng::seed_from(0x52_55_4E).fork(3);
     let (dense, sparse) = inputs(&mut rng, &spec, 64);
 
     let serve = || {
-        let pred = run_once(&model, &ctx, Some(&counts), &dense, &sparse);
+        let pred = run_once(&model, &ctx, &dense, &sparse);
         // The caller is done with the prediction: hand its store back,
         // as the serving workers do.
         ctx.buffers.release(pred.into_vec());

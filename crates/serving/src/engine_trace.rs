@@ -291,7 +291,7 @@ mod tests {
         let mut ws = Workspace::new();
         batch.load_into(&spec, &mut ws);
         let mut obs = RpcTracingObserver::new(TraceId(0));
-        model.run_overlapped(&mut ws, &mut obs).unwrap();
+        model.run(&mut ws, &mut obs).unwrap();
         assert_eq!(obs.rpc_count(), 0, "singular model has no RPC ops");
         let collector = obs.finish();
         let spans = collector.spans();

@@ -55,11 +55,11 @@ pub struct EpochSwitch {
 }
 
 impl EpochSwitch {
-    /// A switch serving `initial`.
+    /// A switch serving `model` as epoch 0.
     #[must_use]
-    pub fn new(initial: EpochServing) -> Self {
+    pub fn new(model: DistributedModel) -> Self {
         Self {
-            current: RwLock::new(Arc::new(initial)),
+            current: RwLock::new(Arc::new(EpochServing { epoch: 0, model })),
         }
     }
 
@@ -222,7 +222,7 @@ mod tests {
 
     #[test]
     fn publish_swaps_atomically_and_hands_back_the_retiree() {
-        let switch = EpochSwitch::new(epoch_state(0));
+        let switch = EpochSwitch::new(epoch_state(0).model);
         assert_eq!(switch.epoch(), 0);
         let held = switch.current();
         let retiree = switch.publish(epoch_state(1)).unwrap();
@@ -241,7 +241,7 @@ mod tests {
 
     #[test]
     fn a_step_derived_from_a_replaced_epoch_is_refused() {
-        let switch = EpochSwitch::new(epoch_state(0));
+        let switch = EpochSwitch::new(epoch_state(0).model);
         drop(switch.publish(epoch_state(1)).unwrap());
         let serving = switch.current();
         // A second step derived from epoch 0, which no longer serves.

@@ -21,9 +21,10 @@
 //!             per lane:  LaneRun ──▶ FrontendReport (SLA hit rate, breakdown, trace)
 //! ```
 //!
-//! [`run_frontend`] is one lane pinned to a model;
-//! [`crate::tenancy::run_tenant_set`] is one lane per tenant, each
-//! behind its own [`EpochSwitch`]. **Batching is work-conserving**: a
+//! Every lane reads an [`EpochSwitch`]: [`run_frontend`] is one lane
+//! whose switch never publishes; [`crate::tenancy::run_tenant_set`] is
+//! one lane per tenant, each behind the tenant's own.
+//! **Batching is work-conserving**: a
 //! batch is formed by the worker that will run it, at the moment it
 //! becomes free, from the requests already queued — nothing holds a
 //! request back hoping for company, so a request arriving at an idle
@@ -109,7 +110,11 @@ pub struct FrontendRequest {
 /// Materializes one request shape whole, as a single engine batch — the
 /// form the frontend batches and every dual-read probe replays.
 #[must_use]
-pub fn materialize_whole(spec: &ModelSpec, shape: &RequestShape, seed: u64) -> BatchInputs {
+pub(crate) fn materialize_whole(
+    spec: &ModelSpec,
+    shape: &RequestShape,
+    seed: u64,
+) -> BatchInputs {
     materialize_request(spec, shape, usize::MAX, seed)
         .into_iter()
         .next()
@@ -133,16 +138,6 @@ pub fn materialize_frontend_requests(
         .collect()
 }
 
-/// Where a lane's batches execute.
-#[derive(Debug, Clone, Copy)]
-pub enum EpochSource<'a> {
-    /// One model for the whole run, recorded as epoch 0.
-    Pinned(&'a DistributedModel),
-    /// The switch's current epoch, resolved once per batch — a cutover
-    /// published mid-run takes effect at the next batch pickup.
-    Switch(&'a EpochSwitch),
-}
-
 /// One request stream through [`serve`]: what is offered and when, its
 /// own bounded queue and SLA, its share of the workers, and where its
 /// batches execute.
@@ -160,8 +155,10 @@ pub struct Lane<'a> {
     pub weight: u64,
     /// Fed every admitted batch's sparse lookups, when given.
     pub profiler: Option<&'a OnlineProfiler>,
-    /// Where the lane's batches execute.
-    pub source: EpochSource<'a>,
+    /// Where the lane's batches execute: the switch's current epoch,
+    /// resolved once per batch, so a cutover published mid-run takes
+    /// effect at the next batch pickup.
+    pub switch: &'a EpochSwitch,
 }
 
 impl<'a> Lane<'a> {
@@ -169,7 +166,7 @@ impl<'a> Lane<'a> {
     /// from `cfg`.
     #[must_use]
     pub fn new(
-        source: EpochSource<'a>,
+        switch: &'a EpochSwitch,
         requests: Vec<FrontendRequest>,
         schedule: &'a ArrivalSchedule,
         cfg: &FrontendConfig,
@@ -181,7 +178,7 @@ impl<'a> Lane<'a> {
             sla: cfg.sla,
             weight: 1,
             profiler: None,
-            source,
+            switch,
         }
     }
 }
@@ -256,7 +253,7 @@ pub fn serve(
             "arrival schedule and request list must pair 1:1"
         );
         sinks.push(LaneSink {
-            source: lane.source,
+            switch: lane.switch,
             profiler: lane.profiler,
             batches: Mutex::new(Vec::new()),
             trace: Mutex::new(TraceCollector::new()),
@@ -295,9 +292,9 @@ pub fn serve(
         .collect()
 }
 
-/// Drives one open-loop serving run of a single lane pinned to `model`
-/// (every batch's epoch 0) to completion under `cfg`, folded into its
-/// [`FrontendReport`].
+/// Drives one open-loop serving run of a single lane serving `model`
+/// through a switch that never publishes (every batch's epoch 0) to
+/// completion under `cfg`, folded into its [`FrontendReport`].
 ///
 /// # Panics
 ///
@@ -310,7 +307,8 @@ pub fn run_frontend(
     schedule: &ArrivalSchedule,
     cfg: &FrontendConfig,
 ) -> FrontendReport {
-    let lane = Lane::new(EpochSource::Pinned(model), requests, schedule, cfg);
+    let switch = EpochSwitch::new(model.clone());
+    let lane = Lane::new(&switch, requests, schedule, cfg);
     serve(vec![lane], cfg.max_batch_requests, cfg.workers, None)
         .pop()
         .expect("one lane in, one run out")

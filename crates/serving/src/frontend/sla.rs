@@ -36,8 +36,8 @@ pub struct BatchMember {
 pub struct BatchRecord {
     /// Pickup sequence number (unique per run).
     pub seq: u64,
-    /// Serving epoch whose model executed the batch (0 on a pinned
-    /// lane), resolved once at pickup.
+    /// Serving epoch whose model executed the batch (0 until the lane's
+    /// switch publishes), resolved once at pickup.
     pub epoch: u64,
     /// When a worker picked the batch up: its members' queue wait ends
     /// and the batch forms at this one instant.

@@ -16,18 +16,14 @@ use super::arrival::QueuedRequest;
 use super::batcher::{merge_inputs, split_rows};
 use super::queue::LaneQueues;
 use super::sla::{BatchMember, BatchRecord};
-use super::EpochSource;
 use crate::engine_trace::RpcTracingObserver;
+use crate::epoch::EpochSwitch;
 use dlrm_model::{RuntimeCtx, Workspace};
 use dlrm_sharding::DistributedModel;
 use dlrm_trace::{ServerId, Span, SpanKind, TraceCollector, TraceId};
 use dlrm_workload::{BatchInputs, OnlineProfiler};
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::Instant;
-
-/// A partitioned graph's static per-blob consumer counts.
-type ConsumerCounts = Arc<HashMap<String, usize>>;
 
 /// Milliseconds from `origin` to `at` (zero if `at` precedes it).
 fn ms(origin: Instant, at: Instant) -> f64 {
@@ -37,7 +33,7 @@ fn ms(origin: Instant, at: Instant) -> f64 {
 /// One lane's run state: where its batches execute, where their
 /// outcomes land, and what its [`LaneRun`](super::LaneRun) reports.
 pub(crate) struct LaneSink<'a> {
-    pub(crate) source: EpochSource<'a>,
+    pub(crate) switch: &'a EpochSwitch,
     pub(crate) profiler: Option<&'a OnlineProfiler>,
     pub(crate) batches: Mutex<Vec<BatchRecord>>,
     pub(crate) trace: Mutex<TraceCollector>,
@@ -57,40 +53,25 @@ pub(crate) fn worker_loop(
     // Per-worker runtime context and workspace, kept across batches:
     // each batch recycles its dense stores, index and length vectors
     // into the context's pools and leaves its blob names in the
-    // workspace, and the next batch draws on both. Consumer counts are
-    // static per partitioned graph — computed once per (lane, epoch)
-    // and installed for each batch.
+    // workspace, and the next batch draws on both.
     let ctx = RuntimeCtx::from_env();
     let mut ws = Workspace::with_ctx(ctx.clone());
-    let mut consumers: Vec<Option<(u64, ConsumerCounts)>> = vec![None; lanes.len()];
     while let Some((i, seq, batch)) = queues.pickup() {
         let picked_at = Instant::now();
         let lane = &lanes[i];
-        // A switch lane holds its epoch's `Arc` for exactly this batch:
-        // a retired epoch is freed by whichever holder releases it last,
+        // The lane's epoch `Arc` is held for exactly this batch: a
+        // retired epoch is freed by whichever holder releases it last,
         // here after the batch is recorded.
-        let held;
-        let (model, epoch) = match lane.source {
-            EpochSource::Pinned(model) => (model, 0),
-            EpochSource::Switch(switch) => {
-                held = switch.current();
-                (&held.model, held.epoch)
-            }
-        };
+        let held = lane.switch.current();
         if let Some(p) = lane.profiler {
             for queued in &batch {
                 p.observe(&queued.request.inputs);
             }
         }
-        let counts = match &mut consumers[i] {
-            Some((cached, counts)) if *cached == epoch => &*counts,
-            slot => &slot.insert((epoch, Arc::new(model.consumer_counts()))).1,
-        };
         run_batch(
-            model,
-            epoch,
+            &held.model,
+            held.epoch,
             &mut ws,
-            counts,
             origin,
             seq,
             batch,
@@ -113,7 +94,6 @@ fn run_batch(
     model: &DistributedModel,
     epoch: u64,
     ws: &mut Workspace,
-    consumers: &ConsumerCounts,
     origin: Instant,
     seq: u64,
     batch: Vec<QueuedRequest>,
@@ -135,7 +115,6 @@ fn run_batch(
         Ok([only]) => (only, Vec::new()),
         Err(inputs) => merge_inputs(&inputs.iter().collect::<Vec<_>>(), ws.ctx()),
     };
-    ws.set_consumer_counts(Arc::clone(consumers));
     merged.load_owned(&model.spec, ws);
 
     // The observer's clock starts at its construction; capture the same

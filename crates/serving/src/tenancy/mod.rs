@@ -46,7 +46,7 @@ pub use tiered::{build_tiered_epoch, TieredShardService};
 pub use dlrm_sharding::{Tier, TierBytes, DEMOTED_BITS};
 
 use crate::epoch::{probe_all, probe_inputs, EpochServing, EpochSwitch};
-use crate::frontend::{serve, EpochSource, FrontendReport, FrontendRequest, Lane, LaneRun};
+use crate::frontend::{serve, FrontendReport, FrontendRequest, Lane, LaneRun};
 use dlrm_model::{ModelSpec, TableId};
 use dlrm_sharding::{plan as make_plan, Location, ShardingStrategy, TableStore};
 use dlrm_tensor::Matrix;
@@ -145,6 +145,13 @@ impl TenantRuntime {
     pub fn golden(&self) -> &[Matrix] {
         &self.golden
     }
+
+    /// The probe inputs [`Self::golden`] and [`Self::probe_current`]
+    /// answer.
+    #[must_use]
+    pub fn golden_inputs(&self) -> &[BatchInputs] {
+        &self.golden_inputs
+    }
 }
 
 /// The tier of each table in `serving`, indexed by `TableId`: the rung
@@ -211,13 +218,13 @@ impl TenantSet {
                 .map_err(|e| format!("{}: {e}", t.name))?;
 
             let golden_inputs =
-                probe_inputs(&t.spec, pressure.verify_requests, pressure.verify_seed);
+                probe_inputs(&t.spec, pressure::VERIFY_REQUESTS, pressure::VERIFY_SEED);
             let golden = probe_all(&t.spec, &serving.model, &golden_inputs)
                 .map_err(|e| format!("{} golden probe: {e}", t.name))?;
 
             tenants.push(Arc::new(TenantRuntime {
                 profiler: OnlineProfiler::without_rows(&t.spec),
-                switch: EpochSwitch::new(serving),
+                switch: EpochSwitch::new(serving.model),
                 name: t.name,
                 spec: t.spec,
                 seed: t.seed,
@@ -382,7 +389,7 @@ pub fn run_tenant_set(
             sla: t.sla,
             weight: t.weight,
             profiler: Some(&t.profiler),
-            source: EpochSource::Switch(&t.switch),
+            switch: &t.switch,
         })
         .collect();
     // The pressure loop rides the calling thread while traffic flows.

@@ -36,20 +36,20 @@ use dlrm_sharding::{Tier, TierBytes};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Pressure-controller knobs.
+/// Promotion hysteresis: promote only while the post-promotion resident
+/// estimate stays under `budget * (1 - HEADROOM_FRAC)`.
+const HEADROOM_FRAC: f64 = 0.1;
+/// Golden probe requests replayed to verify each action.
+pub(super) const VERIFY_REQUESTS: usize = 2;
+/// Seed the golden probe requests are drawn from.
+pub(super) const VERIFY_SEED: u64 = 0x7e9a_11c5;
+
+/// Pressure-controller knobs. The DRAM budget starts unbounded; move it
+/// with [`PressureController::set_budget`].
 #[derive(Debug, Clone)]
 pub struct PressureConfig {
-    /// Host DRAM budget the tenants' resident bytes must fit in.
-    pub dram_budget_bytes: u64,
-    /// Promotion hysteresis: promote only while the post-promotion
-    /// resident estimate stays under `budget * (1 - headroom_frac)`.
-    pub headroom_frac: f64,
     /// Maximum demotions + promotions per tick.
     pub max_actions_per_tick: usize,
-    /// Golden probe requests replayed to verify each action.
-    pub verify_requests: usize,
-    /// Seed the golden probe requests are drawn from.
-    pub verify_seed: u64,
     /// Output drift allowed when the verified epoch contains quantized
     /// tables (bitwise equality is demanded otherwise).
     pub quantized_tolerance: f32,
@@ -58,11 +58,7 @@ pub struct PressureConfig {
 impl Default for PressureConfig {
     fn default() -> Self {
         Self {
-            dram_budget_bytes: u64::MAX,
-            headroom_frac: 0.1,
             max_actions_per_tick: 4,
-            verify_requests: 2,
-            verify_seed: 0x7e9a_11c5,
             quantized_tolerance: 0.05,
         }
     }
@@ -120,13 +116,12 @@ pub struct PressureController {
 }
 
 impl PressureController {
-    /// A controller enforcing `cfg`.
+    /// A controller enforcing `cfg` under an unbounded budget.
     #[must_use]
     pub fn new(cfg: PressureConfig) -> Self {
-        let budget = cfg.dram_budget_bytes;
         Self {
             cfg,
-            budget: AtomicU64::new(budget),
+            budget: AtomicU64::new(u64::MAX),
             actions: Mutex::new(Vec::new()),
             failures: Mutex::new(Vec::new()),
         }
@@ -175,8 +170,7 @@ impl PressureController {
         for _ in 0..self.cfg.max_actions_per_tick {
             let resident = total_resident(tenants).resident();
             let budget = self.budget();
-            let promote_below =
-                (budget as f64 * (1.0 - self.cfg.headroom_frac)).max(0.0) as u64;
+            let promote_below = (budget as f64 * (1.0 - HEADROOM_FRAC)).max(0.0) as u64;
             let step = if resident > budget {
                 rank(tenants, false, |_, _, from| from.demoted())
             } else if resident < promote_below {

@@ -151,8 +151,8 @@ mod tests {
             let mut ws_a = Workspace::new();
             batch.load_into(&spec, &mut ws_a);
             let mut ws_b = ws_a.clone();
-            let a = exact.run(&mut ws_a, &mut NoopObserver).unwrap();
-            let b = serving.model.run(&mut ws_b, &mut NoopObserver).unwrap();
+            let a = exact.run_overlapped(&mut ws_a, &mut NoopObserver).unwrap();
+            let b = serving.model.run_overlapped(&mut ws_b, &mut NoopObserver).unwrap();
             assert_eq!(a.as_slice(), b.as_slice(), "all-DRAM tier must be bit-exact");
         }
         // ... and as cheap to hold: like `build`, it shares every whole
@@ -192,9 +192,9 @@ mod tests {
             batch.load_into(&spec, &mut ws);
             let mut ws_cold = ws.clone();
             let mut ws_mixed = ws.clone();
-            let a = base.model.run(&mut ws, &mut NoopObserver).unwrap();
-            let b = cold.model.run(&mut ws_cold, &mut NoopObserver).unwrap();
-            let c = mixed.model.run(&mut ws_mixed, &mut NoopObserver).unwrap();
+            let a = base.model.run_overlapped(&mut ws, &mut NoopObserver).unwrap();
+            let b = cold.model.run_overlapped(&mut ws_cold, &mut NoopObserver).unwrap();
+            let c = mixed.model.run_overlapped(&mut ws_mixed, &mut NoopObserver).unwrap();
             assert_eq!(a.as_slice(), b.as_slice(), "paged tier must be bit-exact");
             drift = drift.max(a.max_abs_diff(&c));
         }
@@ -261,7 +261,8 @@ mod tests {
         let (paged, moved) = (0, 1);
         let mut tiers = vec![Tier::Dram; spec.tables.len()];
         tiers[paged] = Tier::Paged;
-        let switch = EpochSwitch::new(build_tiered_epoch(&spec, &p, 5, &tiers, 0).unwrap().0);
+        let (first, _) = build_tiered_epoch(&spec, &p, 5, &tiers, 0).unwrap();
+        let switch = EpochSwitch::new(first.model);
         let stores = |e: &EpochServing, t: usize| -> Vec<TableStore> {
             e.model.shards.iter().filter_map(|s| s.store(TableId(t)).cloned()).collect()
         };

@@ -439,8 +439,8 @@ pub(crate) mod tests {
             let mut ws_a = Workspace::new();
             batch.load_into(&spec, &mut ws_a);
             let mut ws_b = ws_a.clone();
-            let a = threaded.run(&mut ws_a, &mut NoopObserver).unwrap();
-            let b = in_process.run(&mut ws_b, &mut NoopObserver).unwrap();
+            let a = threaded.run_overlapped(&mut ws_a, &mut NoopObserver).unwrap();
+            let b = in_process.run_overlapped(&mut ws_b, &mut NoopObserver).unwrap();
             assert_eq!(a, b);
         }
         pool.shutdown();
@@ -458,7 +458,7 @@ pub(crate) mod tests {
             .map(|b| {
                 let mut ws = Workspace::new();
                 b.load_into(&spec, &mut ws);
-                threaded.run(&mut ws, &mut NoopObserver).unwrap()
+                threaded.run_overlapped(&mut ws, &mut NoopObserver).unwrap()
             })
             .collect();
         // Every batch on its own thread, all sharing the shard workers.
@@ -497,24 +497,6 @@ pub(crate) mod tests {
         let (dist, pool) = build_threaded(&spec, ShardingStrategy::OneShard, 3);
         drop(dist); // clients dropped first
         drop(pool); // must not hang
-    }
-
-    #[test]
-    fn overlapped_matches_sequential_on_threaded_shards() {
-        let spec = toy_spec();
-        let (threaded, pool) = build_threaded(&spec, ShardingStrategy::LoadBalanced(4), 7);
-        let db = TraceDb::generate(&spec, 1, 5);
-        for batch in materialize_request(&spec, db.get(0), 6, 5) {
-            let mut ws_seq = Workspace::new();
-            batch.load_into(&spec, &mut ws_seq);
-            let mut ws_ovl = ws_seq.clone();
-            let a = threaded.run(&mut ws_seq, &mut NoopObserver).unwrap();
-            let b = threaded
-                .run_overlapped(&mut ws_ovl, &mut NoopObserver)
-                .unwrap();
-            assert_eq!(a, b);
-        }
-        pool.shutdown();
     }
 
     #[test]

@@ -19,7 +19,6 @@ use dlrm_sharding::{partition, plan, DistributedModel, ShardingStrategy};
 use dlrm_workload::{ArrivalSchedule, PoolingProfile, TraceDb};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Counts every allocation and reallocation, on every thread.
@@ -121,9 +120,8 @@ fn per_batch(dist: &DistributedModel) -> f64 {
 }
 
 /// Steady-state allocations per merged batch: a worker-shaped loop (one
-/// context and workspace kept across batches, consumer counts
-/// installed, the merged prediction's store handed back, every blob
-/// recycled) over the same four requests merged with `merge_inputs`,
+/// context and workspace kept across batches, the merged prediction's
+/// store handed back, every blob recycled) over the same four requests merged with `merge_inputs`,
 /// each batch. `run_frontend` merges only what a pickup finds queued,
 /// so it cannot fix a merged batch's composition.
 fn merged_per_batch(dist: &DistributedModel) -> f64 {
@@ -132,7 +130,6 @@ fn merged_per_batch(dist: &DistributedModel) -> f64 {
     let db = TraceDb::generate(&dist.spec, 4, 17);
     let requests = materialize_frontend_requests(&dist.spec, &db, 23);
     let parts: Vec<_> = requests.iter().map(|r| &r.inputs).collect();
-    let counts = Arc::new(dist.consumer_counts());
     let mut ws = Workspace::with_ctx(RuntimeCtx::sequential());
     let mut before = 0;
     for i in 0..WARM + BATCHES {
@@ -140,7 +137,6 @@ fn merged_per_batch(dist: &DistributedModel) -> f64 {
             before = ALLOCATIONS.load(Ordering::Relaxed);
         }
         let (merged, rows) = merge_inputs(&parts, ws.ctx());
-        ws.set_consumer_counts(Arc::clone(&counts));
         merged.load_owned(&dist.spec, &mut ws);
         let out = dist
             .run_overlapped(&mut ws, &mut NoopObserver)

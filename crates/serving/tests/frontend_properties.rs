@@ -17,7 +17,7 @@ use dlrm_model::{build_model, ModelSpec, NetId, NetSpec, TableId, TableSpec, Wor
 use dlrm_serving::epoch::{probe_all, probe_inputs, EpochServing, EpochSwitch, ProbeCheck};
 use dlrm_serving::fault::{FaultPlan, ReplicaFaultSchedule};
 use dlrm_serving::frontend::{
-    materialize_frontend_requests, merge_inputs, run_frontend, serve, split_rows, EpochSource,
+    materialize_frontend_requests, merge_inputs, run_frontend, serve, split_rows,
     FrontendConfig, FrontendRequest, Lane, LaneRun,
 };
 use dlrm_serving::replica::{HealthPolicy, ReplicatedShardPool};
@@ -269,7 +269,7 @@ fn full_frontend_run_is_bit_exact_and_accounts_exactly() {
 }
 
 // ---------------------------------------------------------------------
-// The one run loop: lanes × epoch sources, backpressure, shutdown
+// The one run loop: lanes × switches, backpressure, shutdown
 // ---------------------------------------------------------------------
 
 fn lane_spec() -> ModelSpec {
@@ -310,8 +310,9 @@ fn check_lane(run: &LaneRun, offered: usize, expected: &HashMap<u64, Matrix>, ct
     }
 }
 
-/// lanes ∈ {1, 2, 3} × pinned/switch sources × seeds, with a publisher
-/// cutting every switch lane over mid-run: each lane accounts exactly,
+/// lanes ∈ {1, 2, 3} × still/publishing switches × seeds, with a
+/// publisher cutting every publishing lane over mid-run (a still lane
+/// serves the in-process model as epoch 0): each lane accounts exactly,
 /// every batch runs on one epoch, predictions stay bit-exact with
 /// sequential `run_overlapped`, traffic after the cutover lands on the
 /// new epoch, and the retired epoch is freed once its last batch is
@@ -329,10 +330,10 @@ fn lanes_of_every_source_account_exactly_and_stay_bit_exact_across_a_cutover() {
         ..FrontendConfig::default()
     };
     for seed in [3u64, 11] {
-        let pinned = partition(build_model(&spec, seed).unwrap(), &p).unwrap();
+        let in_process = partition(build_model(&spec, seed).unwrap(), &p).unwrap();
         for lanes in 1..=3usize {
-            // Lane i is a switch lane when i + seed is odd, so every
-            // lane count sees both kinds (and their mixes).
+            // Lane i publishes when i + seed is odd, so every lane count
+            // sees both kinds (and their mixes).
             let is_switch = |i: usize| (i as u64 + seed) % 2 == 1;
             let streams: Vec<(Vec<FrontendRequest>, ArrivalSchedule)> = (0..lanes)
                 .map(|i| {
@@ -357,7 +358,7 @@ fn lanes_of_every_source_account_exactly_and_stay_bit_exact_across_a_cutover() {
                     requests
                         .iter()
                         .map(|r| r.id)
-                        .zip(sequential_predictions(&pinned, &inputs))
+                        .zip(sequential_predictions(&in_process, &inputs))
                         .collect()
                 })
                 .collect();
@@ -370,8 +371,12 @@ fn lanes_of_every_source_account_exactly_and_stay_bit_exact_across_a_cutover() {
                 pools.push(pool);
                 EpochServing { epoch, model }
             };
-            let switches: Vec<EpochSwitch> =
-                (0..lanes).map(|_| EpochSwitch::new(epoch_state(0))).collect();
+            let switches: Vec<EpochSwitch> = (0..lanes)
+                .map(|i| match is_switch(i) {
+                    true => EpochSwitch::new(epoch_state(0).model),
+                    false => EpochSwitch::new(in_process.clone()),
+                })
+                .collect();
             let profilers: Vec<OnlineProfiler> = (0..lanes)
                 .map(|_| OnlineProfiler::for_spec(&spec))
                 .collect();
@@ -395,12 +400,7 @@ fn lanes_of_every_source_account_exactly_and_stay_bit_exact_across_a_cutover() {
                     .iter()
                     .enumerate()
                     .map(|(i, (requests, schedule))| {
-                        let source = if is_switch(i) {
-                            EpochSource::Switch(&switches[i])
-                        } else {
-                            EpochSource::Pinned(&pinned)
-                        };
-                        let mut lane = Lane::new(source, requests.clone(), schedule, &cfg);
+                        let mut lane = Lane::new(&switches[i], requests.clone(), schedule, &cfg);
                         lane.profiler = Some(&profilers[i]);
                         lane
                     })
@@ -434,7 +434,7 @@ fn lanes_of_every_source_account_exactly_and_stay_bit_exact_across_a_cutover() {
                 } else {
                     assert!(
                         run.batches.iter().all(|b| b.epoch == 0),
-                        "{ctx}: pinned is epoch 0"
+                        "{ctx}: a still switch is epoch 0"
                     );
                 }
             }
@@ -465,10 +465,7 @@ fn transition_aborts_leave_serving_untouched() {
         // Every candidate succeeds epoch 0.
         EpochServing { epoch: 1, model }
     };
-    let switch = EpochSwitch::new(EpochServing {
-        epoch: 0,
-        ..build(SEED, &FaultPlan::none())
-    });
+    let switch = EpochSwitch::new(build(SEED, &FaultPlan::none()).model);
     let inputs = probe_inputs(&spec, 3, SEED ^ 5);
     let expected = probe_all(&spec, &switch.current().model, &inputs).expect("serving probes");
     let check = ProbeCheck {
@@ -530,9 +527,10 @@ fn a_lane_with_zero_requests_terminates() {
     let busy = ArrivalSchedule::poisson(requests.len(), 5_000.0, 7);
     let idle = ArrivalSchedule::poisson(0, 5_000.0, 7);
     let cfg = FrontendConfig::default();
+    let switch = EpochSwitch::new(dist);
     let lanes = vec![
-        Lane::new(EpochSource::Pinned(&dist), requests, &busy, &cfg),
-        Lane::new(EpochSource::Pinned(&dist), Vec::new(), &idle, &cfg),
+        Lane::new(&switch, requests, &busy, &cfg),
+        Lane::new(&switch, Vec::new(), &idle, &cfg),
     ];
     let runs = serve(lanes, cfg.max_batch_requests, cfg.workers, None);
     let served: usize = runs[0].batches.iter().map(|b| b.members.len()).sum();
@@ -564,11 +562,12 @@ fn sustained_overload_sheds_at_admission_and_bounds_the_pipeline() {
         workers: 1,
         ..FrontendConfig::default()
     };
+    let switch = EpochSwitch::new(dist);
     for seed in [1u64, 2, 3] {
         let db = TraceDb::generate(&spec, 80, seed);
         let requests = materialize_frontend_requests(&spec, &db, seed ^ 5);
         let schedule = ArrivalSchedule::poisson(requests.len(), 400.0, seed);
-        let lane = Lane::new(EpochSource::Pinned(&dist), requests, &schedule, &cfg);
+        let lane = Lane::new(&switch, requests, &schedule, &cfg);
         let run = serve(vec![lane], cfg.max_batch_requests, cfg.workers, None)
             .pop()
             .unwrap();
@@ -625,6 +624,7 @@ fn a_burst_behind_a_busy_worker_rides_in_full_fifo_batches() {
         workers: 1,
         ..FrontendConfig::default()
     };
+    let switch = EpochSwitch::new(dist);
     for seed in [1u64, 2] {
         let db = TraceDb::generate(&spec, 22, seed);
         let requests = materialize_frontend_requests(&spec, &db, seed ^ 5);
@@ -632,7 +632,7 @@ fn a_burst_behind_a_busy_worker_rides_in_full_fifo_batches() {
         // 22 arrivals about a microsecond apart: all in well before the
         // first batch's 5 ms shard round trip returns.
         let schedule = ArrivalSchedule::poisson(requests.len(), 1e6, seed);
-        let lane = Lane::new(EpochSource::Pinned(&dist), requests, &schedule, &cfg);
+        let lane = Lane::new(&switch, requests, &schedule, &cfg);
         let run = serve(vec![lane], cfg.max_batch_requests, cfg.workers, None)
             .pop()
             .unwrap();
@@ -682,8 +682,9 @@ fn a_run_whose_workers_all_panic_terminates() {
         ..FrontendConfig::default()
     };
     let tick = || ();
+    let switch = EpochSwitch::new(dist);
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let lane = Lane::new(EpochSource::Pinned(&dist), requests, &schedule, &cfg);
+        let lane = Lane::new(&switch, requests, &schedule, &cfg);
         let tick = Some((Duration::from_millis(1), &tick as &dyn Fn()));
         serve(vec![lane], cfg.max_batch_requests, cfg.workers, tick)
     }));

@@ -2,13 +2,16 @@
 //! model specs, shardings and inputs (deterministic [`SimRng`] streams —
 //! the in-tree replacement for proptest), the dependency-aware executor
 //! must produce bit-identical predictions to the strictly sequential
-//! reference, through in-process and thread-backed transports alike,
+//! reference ([`NetDef::run`] in net order, which moves no blob),
+//! through in-process and thread-backed transports alike,
 //! with every RPC of every net on the wire before the first reply is
 //! waited for; and a shard failure while other RPCs are in flight must propagate as
 //! an error, not a hang or a wrong answer.
 
 use dlrm_model::graph::NoopObserver;
-use dlrm_model::{build_model, ModelSpec, NetId, NetSpec, TableId, TableSpec, Workspace};
+use dlrm_model::{
+    build_model, ModelSpec, NetDef, NetId, NetSpec, OpGroup, TableId, TableSpec, Workspace,
+};
 use dlrm_serving::fault::FaultPlan;
 use dlrm_serving::replica::{HealthPolicy, ReplicatedShardPool};
 use dlrm_sharding::rpc::{
@@ -19,6 +22,7 @@ use dlrm_sharding::{
     ShardingPlan, ShardingStrategy,
 };
 use dlrm_sim::SimRng;
+use dlrm_tensor::Matrix;
 use dlrm_workload::{materialize_request, BatchInputs, TraceDb};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -154,23 +158,60 @@ fn shard_services(spec: &ModelSpec, p: &ShardingPlan, seed: u64) -> Vec<Arc<Shar
         .collect()
 }
 
+/// The sequential oracle: `batch` through every net in order with
+/// [`NetDef::run`] on a workspace with no consumer counts, so no blob
+/// moves; returns that workspace and the prediction.
+fn sequential(
+    nets: &[NetDef],
+    output: &str,
+    spec: &ModelSpec,
+    batch: &BatchInputs,
+) -> (Workspace, Matrix) {
+    let mut ws = Workspace::new();
+    batch.load_into(spec, &mut ws);
+    for net in nets {
+        net.run(&mut ws, &mut NoopObserver).unwrap();
+    }
+    let out = ws.dense(output, "oracle").unwrap().clone();
+    (ws, out)
+}
+
+/// Every activation's single-reader input has moved out of `ws` and is
+/// still in the no-move `oracle`: a walk on a workspace no caller
+/// installed counts on (what a dual-read probe builds) moves it anyway.
+fn assert_moved(nets: &[NetDef], oracle: &Workspace, ws: &Workspace, what: &str) {
+    let ops = || nets.iter().flat_map(NetDef::ops);
+    let readers = |blob: &String| ops().flat_map(|op| op.inputs()).filter(|i| i == blob).count();
+    let taken: Vec<String> = ops()
+        .filter(|op| op.group() == OpGroup::Activation)
+        .map(|op| op.inputs().remove(0))
+        .filter(|blob| readers(blob) == 1)
+        .collect();
+    assert!(!taken.is_empty(), "{what}: no single-reader activation input");
+    for blob in &taken {
+        assert!(oracle.blob(blob).is_some(), "{what}: the oracle moved {blob}");
+        assert!(ws.blob(blob).is_none(), "{what}: {blob} was copied, not moved");
+    }
+}
+
 /// Runs `batch` sequentially and overlapped; the predictions must agree
-/// bit for bit, and the overlapped run must have sent every RPC of
-/// every net before it waited for the first reply.
+/// bit for bit, the overlapped run must have moved its single-reader
+/// blobs, and it must have sent every RPC of every net before it waited
+/// for the first reply.
 fn assert_overlap_exact_and_all_issued_first(
     dist: &DistributedModel,
     tally: &IssueTally,
     batch: &BatchInputs,
     what: &str,
 ) {
-    let mut ws_seq = Workspace::new();
-    batch.load_into(&dist.spec, &mut ws_seq);
-    let mut ws_ovl = ws_seq.clone();
-    let a = dist.run(&mut ws_seq, &mut NoopObserver).unwrap();
+    let (oracle, a) = sequential(&dist.nets, &dist.output_blob, &dist.spec, batch);
+    let mut ws_ovl = Workspace::new();
+    batch.load_into(&dist.spec, &mut ws_ovl);
     tally.issued.store(0, Ordering::SeqCst);
     tally.issued_at_first_wait.store(0, Ordering::SeqCst);
     let b = dist.run_overlapped(&mut ws_ovl, &mut NoopObserver).unwrap();
     assert_eq!(a, b, "{what}");
+    assert_moved(&dist.nets, &oracle, &ws_ovl, what);
     let rpcs = dist.rpc_ops_per_inference();
     assert_eq!(tally.issued.load(Ordering::SeqCst), rpcs, "{what}");
     assert_eq!(
@@ -181,7 +222,8 @@ fn assert_overlap_exact_and_all_issued_first(
 }
 
 /// Overlap scheduler ≡ sequential executor, bit for bit, across random
-/// specs — singular models and in-process-partitioned models.
+/// specs — singular models (`Model::run`, the same walk) and
+/// in-process-partitioned models.
 #[test]
 fn overlapped_bit_identical_to_sequential_across_random_specs() {
     let mut rng = SimRng::seed_from(0x5e_41a9).fork(7);
@@ -193,14 +235,13 @@ fn overlapped_bit_identical_to_sequential_across_random_specs() {
         let db = TraceDb::generate(&spec, 2, seed ^ 1);
         let batches = materialize_request(&spec, db.get(0), spec.default_batch_size, seed ^ 2);
 
-        // Singular model: run vs run_overlapped.
         for batch in &batches {
-            let mut ws_seq = Workspace::new();
-            batch.load_into(&spec, &mut ws_seq);
-            let mut ws_ovl = ws_seq.clone();
-            let a = model.run(&mut ws_seq, &mut NoopObserver).unwrap();
-            let b = model.run_overlapped(&mut ws_ovl, &mut NoopObserver).unwrap();
-            assert_eq!(a, b, "case {case}: singular");
+            let (oracle, want) = sequential(&model.nets, &model.output_blob, &spec, batch);
+            let mut ws = Workspace::new();
+            batch.load_into(&spec, &mut ws);
+            let got = model.run(&mut ws, &mut NoopObserver).unwrap();
+            assert_eq!(got, want, "case {case}: singular");
+            assert_moved(&model.nets, &oracle, &ws, &format!("case {case}: singular"));
         }
 
         // Distributed model under a random strategy (skip plans the

@@ -16,8 +16,8 @@
 use dlrm_model::builder::blobs;
 use dlrm_model::graph::NoopObserver;
 use dlrm_model::{
-    build_model, BufferPool, Model, ModelSpec, NetId, NetSpec, RuntimeCtx, TableId, TableSpec,
-    Workspace,
+    build_model, BufferPool, Model, ModelSpec, NetDef, NetId, NetSpec, RuntimeCtx, TableId,
+    TableSpec, Workspace,
 };
 use dlrm_serving::fault::FaultPlan;
 use dlrm_serving::replica::{HealthPolicy, ReplicatedShardPool};
@@ -28,8 +28,6 @@ use dlrm_sharding::{
 use dlrm_sim::SimRng;
 use dlrm_tensor::Matrix;
 use dlrm_workload::{materialize_request, BatchInputs, PoolingProfile, TraceDb};
-use std::collections::HashMap;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// A small but structurally varied spec (the `overlap_properties`
@@ -111,17 +109,14 @@ fn threaded(
 }
 
 /// Runs `batches` the way a serving worker does: one context and one
-/// workspace for the whole loop, consumer counts installed, the
-/// prediction's store handed back and every blob recycled after each
-/// batch.
+/// workspace for the whole loop, the prediction's store handed back and
+/// every blob recycled after each batch.
 fn worker_predictions(dist: &DistributedModel, batches: &[&BatchInputs]) -> Vec<Matrix> {
     let ctx = RuntimeCtx::sequential();
-    let counts = Arc::new(dist.consumer_counts());
     let mut ws = Workspace::with_ctx(ctx.clone());
     batches
         .iter()
         .map(|batch| {
-            ws.set_consumer_counts(Arc::clone(&counts));
             (*batch).clone().load_owned(&dist.spec, &mut ws);
             let out = dist
                 .run_overlapped(&mut ws, &mut NoopObserver)
@@ -135,13 +130,14 @@ fn worker_predictions(dist: &DistributedModel, batches: &[&BatchInputs]) -> Vec<
 }
 
 /// The singular model's strictly sequential answer, on a fresh
-/// workspace.
+/// workspace with no consumer counts (nothing moves).
 fn reference(model: &Model, batch: &BatchInputs) -> Matrix {
     let mut ws = Workspace::new();
     batch.load_into(&model.spec, &mut ws);
-    model
-        .run(&mut ws, &mut NoopObserver)
-        .expect("sequential run")
+    for net in &model.nets {
+        net.run(&mut ws, &mut NoopObserver).expect("sequential run");
+    }
+    ws.dense(&model.output_blob, "reference").expect("prediction").clone()
 }
 
 fn bits(m: &Matrix) -> Vec<u32> {
@@ -190,9 +186,10 @@ fn recycled_stores_stay_bit_exact_under_nan_poison() {
             let in_process =
                 partition(build_model(&spec, seed).expect("build"), p).expect("partition");
             if *name == "row-split" {
-                let counts: HashMap<String, usize> = in_process.consumer_counts();
+                let input = blobs::sparse_input(&spec.tables[0]);
+                let readers = in_process.nets.iter().flat_map(NetDef::ops);
                 assert_eq!(
-                    counts[&blobs::sparse_input(&spec.tables[0])],
+                    readers.filter(|op| op.inputs().contains(&input)).count(),
                     2,
                     "case {case}: both parts' operators read the row-split input"
                 );
@@ -272,14 +269,12 @@ fn buffer_pool_reaches_a_steady_state_with_more_than_64_pooled_outputs() {
     // The sysbench engine loop's shape: one context, a workspace per
     // batch, the prediction handed back, everything recycled.
     let ctx = RuntimeCtx::sequential();
-    let counts = Arc::new(dist.consumer_counts());
     let mut after_warm = 0;
     for i in 0..BATCHES {
         if i == WARM {
             after_warm = ctx.buffers.fresh_allocs();
         }
         let mut ws = Workspace::with_ctx(ctx.clone());
-        ws.set_consumer_counts(Arc::clone(&counts));
         requests[i % requests.len()].load_into(&spec, &mut ws);
         let out = dist
             .run_overlapped(&mut ws, &mut NoopObserver)

@@ -22,7 +22,7 @@
 //!   workers.
 
 use dlrm_model::{build_model, rm, ModelSpec, TableId};
-use dlrm_serving::epoch::{probe_all, probe_inputs};
+use dlrm_serving::epoch::probe_all;
 use dlrm_serving::frontend::{materialize_frontend_requests, run_frontend, FrontendConfig};
 use dlrm_serving::tenancy::{
     build_tiered_epoch, run_tenant_set, PressureConfig, TenancyRunConfig, TenantSet, TenantSpec,
@@ -227,8 +227,6 @@ fn derived_steps_match_a_fresh_build_at_every_assignment() {
     let split = (0..spec.tables.len())
         .find(|&t| p.placement(TableId(t)).is_row_sharded())
         .expect("the plan row-splits a table");
-    let cfg = PressureConfig::default();
-    let inputs = probe_inputs(&spec, cfg.verify_requests, cfg.verify_seed);
     let walked = [split, 1, 2];
     let mut promotions_to_dram = 0;
     for seed in [41u64, 42, 43] {
@@ -236,7 +234,8 @@ fn derived_steps_match_a_fresh_build_at_every_assignment() {
             strategy,
             ..tenant("rm3", spec.clone(), seed, 64)
         };
-        let set = TenantSet::build(vec![t], cfg.clone()).expect("build");
+        let set = TenantSet::build(vec![t], PressureConfig::default()).expect("build");
+        let inputs = set.tenant(0).golden_inputs();
         let mut rng = SimRng::seed_from(seed);
         for step in 0..STEPS {
             let table = walked[rng.next_index(walked.len())];
@@ -251,7 +250,7 @@ fn derived_steps_match_a_fresh_build_at_every_assignment() {
 
             let tiers = set.tenant(0).tiers();
             let (fresh, _) = build_tiered_epoch(&spec, &p, seed, &tiers, 0).expect("fresh build");
-            let want = probe_all(&spec, &fresh.model, &inputs).expect("fresh probe");
+            let want = probe_all(&spec, &fresh.model, inputs).expect("fresh probe");
             let got = set.tenant(0).probe_current().expect("derived probe");
             for (a, b) in got.iter().zip(&want) {
                 assert_eq!(a.as_slice(), b.as_slice(), "seed {seed} step {step}: {tiers:?}");

@@ -79,28 +79,11 @@ pub struct DistributedModel {
 }
 
 impl DistributedModel {
-    /// Runs all main-shard nets sequentially (RPC operators call their
-    /// shards inline) and returns the final prediction.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first operator failure.
-    pub fn run(
-        &self,
-        ws: &mut Workspace,
-        observer: &mut dyn ExecutionObserver,
-    ) -> Result<Matrix, GraphError> {
-        for net in &self.nets {
-            net.run(ws, observer)?;
-        }
-        ws.take_dense(&self.output_blob, "distributed-output")
-    }
-
     /// Walks the compiled overlap plan ([`Schedule::walk`]): every
     /// [`SparseRpc`] of every net reads only request inputs, so all
     /// shard requests leave before the first dense operator and overlap
     /// with each other and with the dense compute of both nets (§IV-A).
-    /// Bit-exact with [`Self::run`].
+    /// Bit-exact with running the nets in order with [`NetDef::run`].
     ///
     /// # Errors
     ///
@@ -115,15 +98,12 @@ impl DistributedModel {
         ws.take_dense(&self.output_blob, "distributed-output")
     }
 
-    /// Static consumer counts for [`Workspace::set_consumer_counts`]:
-    /// reads per blob across the rewritten main-shard nets, plus one
-    /// synthetic read of the output blob. See
-    /// [`Model::consumer_counts`](dlrm_model::Model::consumer_counts).
+    /// A copy of the compiled plan's consumer counts
+    /// ([`Schedule::consumers`]); kept only for the benchmark's pinned
+    /// calls (ROADMAP 4 (a) deletes it).
     #[must_use]
     pub fn consumer_counts(&self) -> std::collections::HashMap<String, usize> {
-        let mut counts = dlrm_model::consumer_counts_of(self.nets.iter());
-        *counts.entry(self.output_blob.clone()).or_insert(0) += 1;
-        counts
+        (**self.schedule.consumers()).clone()
     }
 
     /// Applies one fault-tolerance [`RpcPolicy`](crate::rpc::RpcPolicy)
@@ -377,7 +357,7 @@ mod tests {
         let mut ws_b = ws_a.clone();
 
         let out_a = singular.run(&mut ws_a, &mut NoopObserver).unwrap();
-        let out_b = distributed.run(&mut ws_b, &mut NoopObserver).unwrap();
+        let out_b = distributed.run_overlapped(&mut ws_b, &mut NoopObserver).unwrap();
         (out_a, out_b, distributed)
     }
 
@@ -462,29 +442,6 @@ mod tests {
     }
 
     #[test]
-    fn overlapped_matches_sequential_on_distributed_nets() {
-        let spec = rm::rm1().scaled_to_bytes(4 << 20);
-        let profile = PoolingProfile::from_spec(&spec);
-        for strategy in [
-            ShardingStrategy::OneShard,
-            ShardingStrategy::CapacityBalanced(4),
-            ShardingStrategy::NetSpecificBinPacking(4),
-        ] {
-            let p = make_plan(&spec, &profile, strategy).unwrap();
-            let dist = partition(build_model(&spec, 42).unwrap(), &p).unwrap();
-            let db = TraceDb::generate(&spec, 2, 5);
-            for batch in materialize_request(&spec, db.get(1), 8, 9) {
-                let mut ws_seq = Workspace::new();
-                batch.load_into(&spec, &mut ws_seq);
-                let mut ws_ovl = ws_seq.clone();
-                let a = dist.run(&mut ws_seq, &mut NoopObserver).unwrap();
-                let b = dist.run_overlapped(&mut ws_ovl, &mut NoopObserver).unwrap();
-                assert_eq!(a, b, "{strategy}");
-            }
-        }
-    }
-
-    #[test]
     fn hot_row_aware_cache_matches_singular_bit_for_bit() {
         use crate::{plan_with_stats, CacheTotals, HotRowConfig};
         use dlrm_model::graph::{ExecutionObserver, Operator, RpcOutcome};
@@ -528,12 +485,9 @@ mod tests {
             let mut ws_a = Workspace::new();
             batch.load_into(&spec, &mut ws_a);
             let mut ws_b = ws_a.clone();
-            let mut ws_c = ws_a.clone();
             let a = singular.run(&mut ws_a, &mut NoopObserver).unwrap();
-            let b = dist.run(&mut ws_b, &mut NoopObserver).unwrap();
-            let c = dist.run_overlapped(&mut ws_c, &mut tally).unwrap();
+            let b = dist.run_overlapped(&mut ws_b, &mut tally).unwrap();
             assert_eq!(a, b, "cache tier must be bit-exact with singular");
-            assert_eq!(a, c, "overlapped cache tier must be bit-exact too");
         }
         let totals = tally.0;
         assert!(totals.hits > 0, "skewed traffic must hit the hot set: {totals}");

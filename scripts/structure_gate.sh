@@ -23,7 +23,9 @@
 # takes a lock again (both are fixed once built), when the pressure
 # controller rebuilds a tenant's whole model for a ladder step, when
 # 64-byte alignment arithmetic appears outside the shared AlignedSlab or
-# an embedding table holds a Matrix again, when the serving + sharding
+# an embedding table holds a Matrix again, when consumer counts are
+# installed or read anywhere but the compiled schedule, when a model
+# grows a second request path, when the serving + sharding
 # clock-site count rises, or when a size ceiling is exceeded.
 #
 # Usage: scripts/structure_gate.sh
@@ -43,12 +45,12 @@ cd "$(dirname "$0")/.."
 # - GRAPH: model + sharding, the executor, operators, partitioner, RPC op.
 # - KERNEL: tensor + runtime, the SIMD kernels, fork-join and buffer pools.
 # - CLOCK_SITES: Instant::now|sleep( in non-test serving + sharding code.
-MAX_SERVING_CODE_LINES=5761
-MAX_SERVING_PUB_ITEMS=166
+MAX_SERVING_CODE_LINES=5726
+MAX_SERVING_PUB_ITEMS=165
 MAX_CLUSTER_CODE_LINES=1712
-MAX_BENCH_CODE_LINES=3089
-MAX_ROW_SERVING_CODE_LINES=10125
-MAX_GRAPH_CODE_LINES=7310
+MAX_BENCH_CODE_LINES=3084
+MAX_ROW_SERVING_CODE_LINES=10053
+MAX_GRAPH_CODE_LINES=7260
 MAX_KERNEL_CODE_LINES=2388
 MAX_CLOCK_SITES=35
 
@@ -71,7 +73,7 @@ code_lines() {
   find "$1" -name '*.rs' -print0 | xargs -0 cat | grep -vcE '^\s*(//|$)'
 }
 
-deleted='ThreadedShardPool|worker_loop_live|tenant_worker_loop|BatchRanker|rank_request_parallel|run_sweep|mod local\b|batcher_loop|FormedBatch|QuantizedShardService|QuantizedClient|TieredClient|TierTable|mod channel|collect_in_flight|in_flight_producer|Avx2Fma|forced_fma|panel_fma|decode_accumulate_u8|decode_u8_accumulate_avx2|install_seats_epoch|with_versioning|HEADER_V3|dlrm-plan v3|fn succeed|plan_epoch|routes_to_text|routes_from_text|next_epoch|Pruned[T]able|prune_by_[m]agnitude|decode_accumulate_u[4]|decode_row_u[4]|pool_bags_u[4]|decode_u[4]_|Wait[O]utcome|wait_[d]eadline|Race[R]esult|Local[S]plit|build_request_[a]nd_split|route_bags_[g]lobal|Streaming[Q]uantile|fn with_[p]ool|weights_[m]ut|max_table_[g]ib|Tenant[B]reakdown|RequestRec[o]rd|batch_closed_[m]s|Histogra[m]|record_latenc[y]|LATENCY_SUB_BUCKET[S]|cache_retire[d]|cache_refreshe[s]|retired_cach[e]|on_rpc_issue[d]|on_rpc_collecte[d]|on_rpc_outcom[e]|kind_i[n]\(|(fn |\.)(rpc_retrie[s]|rpc_hedge[s]|degraded_rpc[s]|cache_hit[s]|cache_misse[s]|cache_local_row[s])\(|Rebalance[r]|RebalanceConfi[g]|MigrationRecor[d]|ScaleEven[t]|fn scale_u[p]|fn scale_dow[n]|shard_row[s]|add_sea[t]|remove_sea[t]|mod rebalanc[e]|PollSeat[s]|reseat_standb[y]|poll_seat[s]|STANDBY_POL[L]|build_epoch_servin[g]|absorb_retire[d]|take_spars[e]|take_blo[b]|routed_slic[e]|Drain[Q]ueue|tiers: Mute[x]|cutovers: Atomi[c]|(demotions|promotions): Atomi[c]|cutover[s]\(|run_lan[e]'
+deleted='ThreadedShardPool|worker_loop_live|tenant_worker_loop|BatchRanker|rank_request_parallel|run_sweep|mod local\b|batcher_loop|FormedBatch|QuantizedShardService|QuantizedClient|TieredClient|TierTable|mod channel|collect_in_flight|in_flight_producer|Avx2Fma|forced_fma|panel_fma|decode_accumulate_u8|decode_u8_accumulate_avx2|install_seats_epoch|with_versioning|HEADER_V3|dlrm-plan v3|fn succeed|plan_epoch|routes_to_text|routes_from_text|next_epoch|Pruned[T]able|prune_by_[m]agnitude|decode_accumulate_u[4]|decode_row_u[4]|pool_bags_u[4]|decode_u[4]_|Wait[O]utcome|wait_[d]eadline|Race[R]esult|Local[S]plit|build_request_[a]nd_split|route_bags_[g]lobal|Streaming[Q]uantile|fn with_[p]ool|weights_[m]ut|max_table_[g]ib|Tenant[B]reakdown|RequestRec[o]rd|batch_closed_[m]s|Histogra[m]|record_latenc[y]|LATENCY_SUB_BUCKET[S]|cache_retire[d]|cache_refreshe[s]|retired_cach[e]|on_rpc_issue[d]|on_rpc_collecte[d]|on_rpc_outcom[e]|kind_i[n]\(|(fn |\.)(rpc_retrie[s]|rpc_hedge[s]|degraded_rpc[s]|cache_hit[s]|cache_misse[s]|cache_local_row[s])\(|Rebalance[r]|RebalanceConfi[g]|MigrationRecor[d]|ScaleEven[t]|fn scale_u[p]|fn scale_dow[n]|shard_row[s]|add_sea[t]|remove_sea[t]|mod rebalanc[e]|PollSeat[s]|reseat_standb[y]|poll_seat[s]|STANDBY_POL[L]|build_epoch_servin[g]|absorb_retire[d]|take_spars[e]|take_blo[b]|routed_slic[e]|Drain[Q]ueue|tiers: Mute[x]|cutovers: Atomi[c]|(demotions|promotions): Atomi[c]|cutover[s]\(|run_lan[e]|Epoch[S]ource|consumer_counts_o[f]|Consumer[C]ounts'
 if hits=$(grep -rnE "$deleted" crates src tests examples); then
   flunk "deleted symbols are back:"
   echo "$hits" >&2
@@ -300,14 +302,31 @@ sla_maps=$(non_test_code crates/serving/src/frontend/sla.rs | grep -c 'HashMap' 
 
 # One scheduler, at build time: graph.rs keeps its maps for the
 # workspace (blobs, consumer counts), the group-timing observer,
-# consumer_counts_of, external_input_blobs and Schedule::compile; the
-# per-request walker builds none.
+# external_input_blobs and Schedule::compile (which also counts each
+# blob's readers); the per-request walker builds none.
 graph_maps=$(non_test_code crates/model/src/graph.rs | grep -cE 'HashSet|HashMap' || true)
 walker_maps=$(non_test_code crates/model/src/graph.rs | awk '/pub fn walk\(/ { on = 1 } on; on && /:    }$/ { on = 0 }' \
   | grep -cE 'HashSet|HashMap|\.inputs\(\)|\.outputs\(\)' || true)
 [ "$walker_maps" -eq 0 ] || flunk "$walker_maps set/map/inputs()/outputs() mentions inside Schedule::walk (want 0)"
 overlap_entries=$(grep -rn 'fn run_overlapped' crates | wc -l)
-[ "$overlap_entries" -eq 2 ] || flunk "$overlap_entries 'fn run_overlapped' definitions (want 2: Model, DistributedModel)"
+[ "$overlap_entries" -eq 1 ] || flunk "$overlap_entries 'fn run_overlapped' definitions (want 1: DistributedModel)"
+if hits=$(grep -n 'pub fn run(' crates/sharding/src/partition.rs); then
+  flunk "DistributedModel has a sequential run beside run_overlapped:"
+  echo "$hits" >&2
+fi
+
+# One move-vs-copy decision: the compiled schedule counts each blob's
+# readers and every walk installs them, so only graph.rs installs
+# counts, and the consumer_counts() accessors are read by sysbench/
+# alone (both are kept for its pinned calls).
+if hits=$(grep -rn 'set_consumer_counts(' crates src tests examples | grep -v '^crates/model/src/graph.rs:'); then
+  flunk "consumer counts are installed outside crates/model/src/graph.rs:"
+  echo "$hits" >&2
+fi
+if hits=$(grep -rnF '.consumer_counts()' crates src tests examples); then
+  flunk ".consumer_counts() is called (the accessors are for sysbench/ only):"
+  echo "$hits" >&2
+fi
 
 serving_lines=$(code_lines crates/serving/src)
 cluster_lines=$(code_lines crates/cluster/src)
@@ -323,7 +342,7 @@ echo "crates/{serving,sharding,compress}/src: $row_serving_lines code lines (cei
 echo "crates/bench: $bench_lines code lines (ceiling $MAX_BENCH_CODE_LINES)"
 echo "crates/{model,sharding}/src: $graph_lines code lines (ceiling $MAX_GRAPH_CODE_LINES)"
 echo "crates/{tensor,runtime}/src: $kernel_lines code lines (ceiling $MAX_KERNEL_CODE_LINES)"
-echo "overlap schedule: $overlap_entries run_overlapped entry points, $graph_maps HashSet|HashMap mentions in non-test graph.rs, $walker_maps inside the walker (expect 2, the build-time ones, and 0)"
+echo "overlap schedule: $overlap_entries run_overlapped entry points, $graph_maps HashSet|HashMap mentions in non-test graph.rs, $walker_maps inside the walker (expect 1 entry point, DistributedModel's, and 0 inside the walker)"
 echo "observer: $observer_hooks ExecutionObserver methods (expect 2: on_op, on_rpc)"
 echo "shard client: methods without a body: $bodiless(expect begin_shared shard_id)"
 echo "shard service: $slicers slicer site, $executes execute definition outside client impls (expect 1 and 1)"

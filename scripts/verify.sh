@@ -58,9 +58,10 @@ echo "    verified, all-DRAM footprint restored bit-exact"
 cargo run --release --offline -p dlrm-bench --bin tenant_smoke
 
 echo "==> sysbench: the benchmark builds against these crates, passes its unit"
-echo "    tests, and two workloads (the one-lane frontend, the tenants under tier"
-echo "    churn) pass their output check against Model::run (exit code only; a"
-echo "    4 s run measures nothing)"
+echo "    tests, and every workload (TCP shards, the hot-row cache over threads,"
+echo "    the in-process dense lane, the tenants under tier churn) passes its"
+echo "    output check against Model::run (exit code only; a 4 s run measures"
+echo "    nothing)"
 # Cargo rewrites sysbench/Cargo.lock whenever the workspace's crate
 # graph differs from the committed lock; put the committed lock back on
 # exit, so a run leaves no tracked file modified.
@@ -71,7 +72,7 @@ trap 'cp "$lock_snapshot" sysbench/Cargo.lock; rm -f "$lock_snapshot"' EXIT
 # benchmark refuses to run under a DLRM_SIMD override (it measures the
 # default dispatch), so drop one this script was started with.
 CARGO_TARGET_DIR="$PWD/target" cargo test -q --offline --manifest-path sysbench/Cargo.toml
-for workload in rm3_dense_inproc coloc2_rm2_churn; do
+for workload in rm1_dram_tcp rm2_zipf_cache_threaded rm3_dense_inproc coloc2_rm2_churn; do
   env -u DLRM_SIMD bash sysbench/run.sh --workload "$workload" --seed 1 --seconds 4 --trace 0 >/dev/null
 done
 

@@ -82,7 +82,7 @@ fn partitioner_is_interaction_agnostic() {
         batch.load_into(&spec, &mut ws_a);
         let mut ws_b = ws_a.clone();
         let a = singular.run(&mut ws_a, &mut NoopObserver).unwrap();
-        let b = distributed.run(&mut ws_b, &mut NoopObserver).unwrap();
+        let b = distributed.run_overlapped(&mut ws_b, &mut NoopObserver).unwrap();
         // RM3's plan row-shards the dominant table → tolerance equality.
         assert!(a.approx_eq(&b, 1e-4), "max diff {}", a.max_abs_diff(&b));
     }
@@ -138,7 +138,7 @@ fn materialized_batches_run_through_partitioned_graph() {
     for batch in materialize_request(&spec, db.get(1), spec.default_batch_size, 5) {
         let mut ws = Workspace::new();
         batch.load_into(&spec, &mut ws);
-        let out = dist.run(&mut ws, &mut NoopObserver).unwrap();
+        let out = dist.run_overlapped(&mut ws, &mut NoopObserver).unwrap();
         assert_eq!(out.rows(), batch.batch_size());
         assert!(out
             .as_slice()
