@@ -7,8 +7,9 @@
 //! the models' MLP layers, prepacked, per exact SIMD tier, beside a
 //! stream-copy ceiling and the tier's separate-mul-add peak) and SLS at
 //! the serving shape (one whole RM1 request against the same ceiling),
-//! then quantization, sharding planning, and one end-to-end simulated
-//! replay.
+//! the parameter draw beside the first-touch and read ceilings it
+//! competes with, then quantization, sharding planning, and one
+//! end-to-end simulated replay.
 //!
 //! Run with `cargo bench -p dlrm-bench --offline`. Pass `--quick` (or
 //! set `DLRM_BENCH_QUICK=1`) for a fast smoke run, and an optional
@@ -192,6 +193,56 @@ fn bench_stream_copy(r: &mut Runner) -> Option<f64> {
     .map(|ns| copy_gb / (ns * 1e-9))
 }
 
+/// What materializing a model costs per byte: the parameter draw alone
+/// into a pre-faulted 64 MiB buffer on the scalar and AVX2 tiers, the
+/// first touch of 64 MiB of fresh zeroed pages (one write per 4 KiB
+/// page, the buffer's allocation and release untimed), and the read
+/// ceiling of one and of two threads summing 256 MiB.
+fn bench_setup(r: &mut Runner) {
+    const FLOATS: usize = 16 << 20;
+    let gb = (FLOATS * 4) as f64 / 1e9;
+    let mut buf = vec![1.0f32; FLOATS];
+    for (tier, pool) in dispatch_tiers() {
+        if tier == "avx512" {
+            continue;
+        }
+        let level = pool.dispatch().level();
+        r.bench(&format!("fill_uniform_64mib_{tier}"), Some(("GB/s", gb)), || {
+            simd::fill_uniform(level, 7, 0, 1.0, black_box(&mut buf));
+        });
+    }
+    drop(buf);
+    if r.wants("first_touch_64mib") {
+        let spent = std::cell::Cell::new(None);
+        let touch = r.harness.bench_batched(
+            "first_touch_64mib",
+            || {
+                spent.take();
+                vec![0u8; FLOATS * 4]
+            },
+            |mut fresh| {
+                fresh.iter_mut().step_by(4096).for_each(|b| *b = 1);
+                spent.set(Some(fresh));
+            },
+        );
+        let ns = touch.median_ns();
+        r.record("first_touch_64mib", ns, Some(("GB/s", gb)));
+    }
+    let words = vec![1u64; 32 << 20];
+    let read_gb = (words.len() * 8) as f64 / 1e9;
+    let sum = |part: &[u64]| part.iter().fold(0u64, |a, &w| a.wrapping_add(w));
+    for threads in [1, 2] {
+        r.bench(&format!("read_gbps_{threads}_threads"), Some(("GB/s", read_gb)), || {
+            std::thread::scope(|s| {
+                let parts: Vec<_> =
+                    words.chunks(words.len() / threads).map(|p| s.spawn(move || sum(p))).collect();
+                let sums = parts.into_iter().map(|p| p.join().expect("a sum never panics"));
+                sums.fold(0, u64::wrapping_add)
+            })
+        });
+    }
+}
+
 /// SLS as a sparse shard runs it: one whole RM1 @ 512 MiB request —
 /// every table, its pooling factor split over the request's bags as the
 /// materializer splits it, uniform indices, so nearly every row is a
@@ -278,6 +329,13 @@ fn bench_exact_peaks(r: &mut Runner) -> Vec<(&'static str, Pool, Option<f64>)> {
     peaks
 }
 
+/// `n × k` FC weights of copy `c`: element `e` (row-major, from 1) is
+/// `((c + e) % 13) · 0.01`, so copies differ.
+fn fc_weights(n: usize, k: usize, c: usize) -> PackedWeights {
+    let w = (1..=n * k).map(|e| ((c + e) % 13) as f32 * 0.01);
+    PackedWeights::pack(&Matrix::from_vec(n, k, w.collect()))
+}
+
 /// FC as the serving path runs it: a 1- to 32-row batch (steady batches
 /// are 4–6 rows, saturated ones 6–36) against the widest top-MLP, a mid
 /// and a bottom-MLP layer shape, prepacked, on each exact SIMD tier.
@@ -291,15 +349,7 @@ fn bench_exact_peaks(r: &mut Runner) -> Vec<(&'static str, Pool, Option<f64>)> {
 /// tier's exact peak (what binds a tall one).
 fn bench_fc_serving(r: &mut Runner, ceiling: Option<f64>, tiers: &[(&str, Pool, Option<f64>)]) {
     for (k, n, copies) in [(13_400usize, 512usize, 4usize), (2_900, 256, 1), (512, 256, 1)] {
-        let packed: Vec<PackedWeights> = (0..copies)
-            .map(|c| {
-                let mut i = c;
-                PackedWeights::from_fn(n, k, || {
-                    i += 1;
-                    (i % 13) as f32 * 0.01
-                })
-            })
-            .collect();
+        let packed: Vec<PackedWeights> = (0..copies).map(|c| fc_weights(n, k, c)).collect();
         for m in [1usize, 4, 8, 16, 32] {
             let x = Matrix::from_vec(m, k, (0..m * k).map(|i| (i % 17) as f32 * 0.1).collect());
             let mut out = Matrix::zeros(m, n);
@@ -342,11 +392,7 @@ fn bench_fc_cold(r: &mut Runner, tiers: &[(&str, Pool, Option<f64>)]) {
     let lengths = vec![80u32; BAGS];
     let mut pooled = Matrix::zeros(BAGS, dim);
     let mut rng = SimRng::seed_from(13);
-    let mut i = 0usize;
-    let packed = PackedWeights::from_fn(n, k, || {
-        i += 1;
-        (i % 13) as f32 * 0.01
-    });
+    let packed = fc_weights(n, k, 0);
     for m in [1usize, 4, 16] {
         let x = Matrix::from_vec(m, k, (0..m * k).map(|i| (i % 17) as f32 * 0.1).collect());
         let mut out = Matrix::zeros(m, n);
@@ -482,6 +528,7 @@ fn main() {
     bench_sls(&mut runner);
     bench_gemm(&mut runner);
     let ceiling = bench_stream_copy(&mut runner);
+    bench_setup(&mut runner);
     let exact_tiers = bench_exact_peaks(&mut runner);
     bench_fc_serving(&mut runner, ceiling, &exact_tiers);
     bench_fc_cold(&mut runner, &exact_tiers);

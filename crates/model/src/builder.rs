@@ -1,11 +1,15 @@
 //! Builds an executable [`Model`] from a [`ModelSpec`].
 
 use crate::graph::{external_input_blobs, Model, NetDef, Schedule};
-use crate::ops::{Concat, DotInteraction, FullyConnected, Relu, Sigmoid, SparseLengthsSum};
-use crate::spec::{ModelSpec, TableSpec};
+use crate::ops::{
+    Concat, DotInteraction, FcParams, FullyConnected, Relu, Sigmoid, SparseLengthsSum,
+};
+use crate::spec::{ModelSpec, NetSpec};
 use crate::EmbeddingTable;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use dlrm_runtime::KernelDispatch;
+use dlrm_tensor::simd::{self, SimdLevel};
+use dlrm_tensor::AlignedSlab;
+use std::sync::{Arc, Mutex};
 
 /// Errors from model construction.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -94,29 +98,128 @@ pub mod blobs {
     }
 }
 
-/// Materializes `tables` on `workers` threads (the caller's among
-/// them), each taking the largest table not yet taken. Each table is
-/// drawn from its own `(seed, table id)` fork by one thread
-/// ([`EmbeddingTable::from_spec`]), so the weights are bit-identical for
-/// any worker count.
-fn build_tables(tables: &[TableSpec], seed: u64, workers: usize) -> Vec<Arc<EmbeddingTable>> {
-    let mut order: Vec<(usize, &TableSpec)> = tables.iter().enumerate().collect();
-    order.sort_by_key(|(_, t)| std::cmp::Reverse(t.bytes()));
-    let next = AtomicUsize::new(0);
-    let built: Vec<OnceLock<Arc<EmbeddingTable>>> = tables.iter().map(|_| OnceLock::new()).collect();
-    let work = || {
-        while let Some(&(i, t)) = order.get(next.fetch_add(1, Ordering::Relaxed)) {
-            let first = built[i].set(Arc::new(EmbeddingTable::from_spec(t, seed)));
-            assert!(first.is_ok(), "each table is taken once");
+/// Floats of a table one unit of the parameter draw covers: 1 MiB, so
+/// every core shares a table as large as RM3's dominant one (57 of its
+/// 64 MiB) and each unit still amortizes its queue pop over 256 Ki
+/// stores. A constant, not a knob.
+const TABLE_UNIT_FLOATS: usize = (1 << 20) / std::mem::size_of::<f32>();
+
+/// One unit of the parameter draw: `out` holds elements of the uniform
+/// stream `key` from `first`, in `width`-wide panel order when `width >
+/// 1`, times `scale` ([`simd::fill_uniform_panel`]).
+#[derive(Debug)]
+pub(crate) struct Draw<'a> {
+    pub(crate) key: u64,
+    pub(crate) first: u64,
+    pub(crate) width: usize,
+    pub(crate) scale: f32,
+    pub(crate) out: &'a mut [f32],
+}
+
+impl Draw<'_> {
+    pub(crate) fn run(self, level: SimdLevel) {
+        let Self { key, first, width, scale, out } = self;
+        simd::fill_uniform_panel(level, key, first, width, scale, out);
+    }
+}
+
+/// The stream of net `net`'s FC layer `layer` (bottom MLP then top,
+/// counted from 0).
+fn fc_seed(seed: u64, net: usize, layer: usize) -> u64 {
+    (seed ^ ((net as u64 + 1) << 32)).wrapping_add(layer as u64 + 1)
+}
+
+/// Width of `net`'s feature interaction: its top MLP's input.
+fn interaction_width(spec: &ModelSpec, net: &NetSpec, interaction: InteractionKind) -> usize {
+    let bottom = *net.bottom_mlp.last().expect("validated non-empty");
+    let prev = net.takes_prev_output.then(|| {
+        *spec.nets[net.id.0 - 1].top_mlp.last().expect("validated non-empty")
+    });
+    let tables = spec.tables_of_net(net.id);
+    match interaction {
+        InteractionKind::Concat => {
+            bottom + tables.map(|t| t.dim as usize).sum::<usize>() + prev.unwrap_or(0)
         }
+        InteractionKind::Dot => {
+            DotInteraction::output_width(1 + tables.count() + usize::from(prev.is_some()), bottom)
+        }
+    }
+}
+
+/// `(in, out)` widths of `net`'s FC layers: the bottom MLP over the
+/// dense features, then the top MLP over the interaction.
+fn fc_widths<'a>(
+    spec: &'a ModelSpec,
+    net: &'a NetSpec,
+    interaction: InteractionKind,
+) -> impl Iterator<Item = (usize, usize)> + 'a {
+    let bottom_in = std::iter::once(spec.dense_features).chain(net.bottom_mlp.iter().copied());
+    let top_in = std::iter::once(interaction_width(spec, net, interaction))
+        .chain(net.top_mlp.iter().copied());
+    let bottom = bottom_in.zip(net.bottom_mlp.iter().copied());
+    bottom.chain(top_in.zip(net.top_mlp.iter().copied()))
+}
+
+/// Every parameter of the model, drawn in one pass: each table's slab
+/// and each FC layer's packed weights are allocated zeroed on this
+/// thread, cut into units — [`TABLE_UNIT_FLOATS`] of a table, or one
+/// whole FC panel — and filled on `workers` threads (the caller's among
+/// them), each taking the largest unit not yet taken, so the pages are
+/// first touched on every core. A table equals
+/// [`EmbeddingTable::from_spec`] and a layer [`FullyConnected::seeded`]
+/// with [`fc_seed`]'s stream, bit for bit, for any worker count and
+/// tier: each element depends on its stream index alone. Returns the
+/// tables and, per net, its FC layers' parameters in graph order.
+fn draw_parameters(
+    spec: &ModelSpec,
+    seed: u64,
+    interaction: InteractionKind,
+    workers: usize,
+    level: SimdLevel,
+) -> (Vec<Arc<EmbeddingTable>>, Vec<Vec<FcParams>>) {
+    let mut slabs: Vec<AlignedSlab> =
+        spec.tables.iter().map(|t| EmbeddingTable::unfilled_slab(t.rows, t.dim)).collect();
+    let mut layers: Vec<Vec<FcParams>> = spec
+        .nets
+        .iter()
+        .map(|net| fc_widths(spec, net, interaction).map(|(i, o)| FcParams::zeroed(i, o)).collect())
+        .collect();
+    let mut draws = Vec::new();
+    for (t, slab) in spec.tables.iter().zip(&mut slabs) {
+        let key = EmbeddingTable::stream_key(t, seed);
+        draws.extend(slab.chunks_mut(TABLE_UNIT_FLOATS).enumerate().map(|(u, out)| Draw {
+            key,
+            first: (u * TABLE_UNIT_FLOATS) as u64,
+            width: 1,
+            scale: 1.0,
+            out,
+        }));
+    }
+    for (i, net) in layers.iter_mut().enumerate() {
+        for (j, layer) in net.iter_mut().enumerate() {
+            draws.extend(layer.draws(fc_seed(seed, i, j)));
+        }
+    }
+    draws.sort_by_key(|d| std::cmp::Reverse(d.out.len()));
+    let units = draws.len();
+    let queue = Mutex::new(draws.into_iter());
+    let work = || loop {
+        // Pop in its own statement: the guard must not live through the
+        // fill, or the workers would take turns.
+        let next = queue.lock().expect("a draw never panics").next();
+        let Some(draw) = next else { break };
+        draw.run(level);
     };
     std::thread::scope(|s| {
-        for _ in 1..workers.min(tables.len()) {
+        for _ in 1..workers.min(units) {
             s.spawn(work);
         }
         work();
     });
-    built.into_iter().map(|t| t.into_inner().expect("every table drawn")).collect()
+    let tables = spec.tables.iter().zip(slabs).map(|(t, slab)| {
+        Arc::new(EmbeddingTable::from_slab(t.name.clone(), t.rows as usize, t.dim as usize, slab))
+    });
+    (tables.collect(), layers)
 }
 
 /// Builds an executable model with materialized, seeded parameters.
@@ -203,28 +306,24 @@ pub fn build_model_with_options(
     }
 
     let workers = std::thread::available_parallelism().map_or(1, usize::from);
-    let tables = build_tables(&spec.tables, seed, workers);
+    let level = KernelDispatch::detect().level();
+    let (tables, layers) = draw_parameters(spec, seed, interaction, workers, level);
 
     let mut nets = Vec::with_capacity(spec.nets.len());
-    for net_spec in &spec.nets {
+    for (net_spec, layers) in spec.nets.iter().zip(layers) {
         let i = net_spec.id.0;
         let mut net = NetDef::new(net_spec.name.clone());
-        let mut op_seed = seed ^ ((i as u64 + 1) << 32);
+        let mut layers = layers.into_iter();
+        let mut fc = |name: String, input: &str, output: &str| {
+            let params = layers.next().expect("one drawn layer per FC");
+            Box::new(FullyConnected::with_params(name, input, output, params))
+        };
 
         // Bottom MLP over the dense features.
         let mut in_blob = blobs::DENSE_INPUT.to_string();
-        let mut in_dim = spec.dense_features;
-        for (j, &width) in net_spec.bottom_mlp.iter().enumerate() {
+        for j in 0..net_spec.bottom_mlp.len() {
             let out_blob = format!("net{i}/bottom{j}");
-            op_seed = op_seed.wrapping_add(1);
-            net.push(Box::new(FullyConnected::seeded(
-                format!("net{i}/fc_bottom{j}"),
-                &in_blob,
-                &out_blob,
-                in_dim,
-                width,
-                op_seed,
-            )));
+            net.push(fc(format!("net{i}/fc_bottom{j}"), &in_blob, &out_blob));
             let act_blob = format!("net{i}/bottom{j}_relu");
             net.push(Box::new(Relu::new(
                 format!("net{i}/relu_bottom{j}"),
@@ -232,16 +331,13 @@ pub fn build_model_with_options(
                 &act_blob,
             )));
             in_blob = act_blob;
-            in_dim = width;
         }
         let bottom_out = in_blob;
-        let bottom_dim = in_dim;
 
         // One SLS per table of this net, in table-id order (keeps the
         // float-summation order identical between singular and sharded
         // execution).
         let mut interact_inputs = vec![bottom_out];
-        let mut interact_dim = bottom_dim;
         for t in spec.tables_of_net(net_spec.id) {
             net.push(Box::new(SparseLengthsSum::new(
                 format!("net{i}/sls/{}", t.name),
@@ -250,14 +346,11 @@ pub fn build_model_with_options(
                 blobs::pooled(t),
             )));
             interact_inputs.push(blobs::pooled(t));
-            interact_dim += t.dim as usize;
         }
 
         // Dependent nets consume the previous net's output (RM1/RM2).
         if net_spec.takes_prev_output {
-            let prev = &spec.nets[i - 1];
-            interact_inputs.push(blobs::net_output(prev.id));
-            interact_dim += *prev.top_mlp.last().expect("validated non-empty");
+            interact_inputs.push(blobs::net_output(spec.nets[i - 1].id));
         }
 
         match interaction {
@@ -269,31 +362,20 @@ pub fn build_model_with_options(
                 )));
             }
             InteractionKind::Dot => {
-                let n_inputs = interact_inputs.len();
                 net.push(Box::new(DotInteraction::new(
                     format!("net{i}/interaction_dot"),
                     interact_inputs,
                     format!("net{i}/interaction"),
                 )));
-                interact_dim = DotInteraction::output_width(n_inputs, bottom_dim);
             }
         }
 
         // Top MLP.
         let mut in_blob = format!("net{i}/interaction");
-        let mut in_dim = interact_dim;
         let last = net_spec.top_mlp.len() - 1;
-        for (j, &width) in net_spec.top_mlp.iter().enumerate() {
+        for j in 0..net_spec.top_mlp.len() {
             let out_blob = format!("net{i}/top{j}");
-            op_seed = op_seed.wrapping_add(1);
-            net.push(Box::new(FullyConnected::seeded(
-                format!("net{i}/fc_top{j}"),
-                &in_blob,
-                &out_blob,
-                in_dim,
-                width,
-                op_seed,
-            )));
+            net.push(fc(format!("net{i}/fc_top{j}"), &in_blob, &out_blob));
             let is_final_layer = j == last;
             let act_blob = if is_final_layer {
                 blobs::net_output(net_spec.id)
@@ -315,7 +397,6 @@ pub fn build_model_with_options(
                 )));
             }
             in_blob = act_blob;
-            in_dim = width;
         }
         nets.push(net);
     }
@@ -431,16 +512,45 @@ mod tests {
         assert_eq!(o1, o2);
     }
 
-    /// Tables are bitwise equal for any worker count, and each equals
-    /// the one-table redraw a tier step makes.
+    /// The one-pass draw gives, for any worker count and on every exact
+    /// tier, tables bitwise equal to the one-table redraw a tier step
+    /// makes and FC layers bitwise equal to `FullyConnected::seeded`.
+    /// RM3 at 8 MiB puts its dominant table across several units.
     #[test]
     fn tables_are_bit_identical_for_any_worker_count() {
-        let spec = crate::rm::rm2().scaled_to_bytes(1 << 20);
-        let bits = |t: &EmbeddingTable| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        let serial: Vec<_> = spec.tables.iter().map(|t| bits(&EmbeddingTable::from_spec(t, 5))).collect();
-        for workers in [1, 2, 3, 8] {
-            let built = build_tables(&spec.tables, 5, workers);
-            assert_eq!(built.iter().map(|t| bits(t)).collect::<Vec<_>>(), serial, "{workers} workers");
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let fc_bits =
+            |fc: FullyConnected| (bits(fc.weights().unpack().as_slice()), bits(fc.bias()));
+        let concat = InteractionKind::Concat;
+        let rm3 = crate::rm::rm3().scaled_to_bytes(8 << 20);
+        let dominant = rm3.tables.iter().map(|t| t.bytes()).max().expect("rm3 has tables");
+        assert!(dominant > 4 * (TABLE_UNIT_FLOATS * 4) as u64, "a table spans several units");
+        for spec in [crate::rm::rm2().scaled_to_bytes(1 << 20), rm3] {
+            let tables: Vec<_> = (spec.tables.iter())
+                .map(|t| bits(EmbeddingTable::from_spec(t, 5).as_slice()))
+                .collect();
+            let layers: Vec<Vec<_>> = (spec.nets.iter().enumerate())
+                .map(|(i, net)| {
+                    let widths = fc_widths(&spec, net, concat).enumerate();
+                    let seeded =
+                        |(j, (k, n))| FullyConnected::seeded("", "", "", k, n, fc_seed(5, i, j));
+                    widths.map(|layer| fc_bits(seeded(layer))).collect()
+                })
+                .collect();
+            for tier in KernelDispatch::exact_tiers().into_iter().map(KernelDispatch::level) {
+                for workers in [1, 2, 3, 8] {
+                    let (built, params) = draw_parameters(&spec, 5, concat, workers, tier);
+                    let built: Vec<_> = built.iter().map(|t| bits(t.as_slice())).collect();
+                    assert_eq!(built, tables, "{} tables, {workers} workers on {tier}", spec.name);
+                    let drawn: Vec<Vec<_>> = (params.into_iter().map(Vec::into_iter))
+                        .map(|net| {
+                            net.map(|p| fc_bits(FullyConnected::with_params("", "", "", p))).collect()
+                        })
+                        .collect();
+                    let what = format!("{} FC layers, {workers} workers on {tier}", spec.name);
+                    assert_eq!(drawn, layers, "{what}");
+                }
+            }
         }
     }
 

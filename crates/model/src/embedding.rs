@@ -1,7 +1,7 @@
 //! Materialized embedding tables and the SparseLengthsSum kernel.
 
 use crate::spec::TableSpec;
-use dlrm_runtime::{KernelStats, Pool};
+use dlrm_runtime::{KernelDispatch, KernelStats, Pool};
 use dlrm_sim::SimRng;
 use dlrm_tensor::simd::{self, GatherError};
 use dlrm_tensor::{AlignedSlab, Matrix};
@@ -48,6 +48,17 @@ impl EmbeddingTable {
         for r in 0..rows {
             fill(r, &mut slab[r * dim..(r + 1) * dim]);
         }
+        Self::from_slab(name, rows, dim, slab)
+    }
+
+    /// A `rows × dim` table over `slab`, already written.
+    pub(crate) fn from_slab(
+        name: impl Into<String>,
+        rows: usize,
+        dim: usize,
+        slab: AlignedSlab,
+    ) -> Self {
+        debug_assert_eq!(slab.len(), rows * dim);
         Self {
             name: name.into(),
             rows,
@@ -66,19 +77,37 @@ impl EmbeddingTable {
 
     /// Creates a `rows × dim` table with reproducible pseudo-random
     /// weights in `[-0.5, 0.5)` — stand-ins for trained parameters,
-    /// which the characterization never depends on.
+    /// which the characterization never depends on. Element `i` of the
+    /// row-major slab is element `i` of the uniform stream `seed`
+    /// ([`simd::fill_uniform`]), drawn here on one thread; the model
+    /// builder draws the same elements in ranges on every core.
     ///
     /// # Panics
     ///
     /// Panics if `rows` or `dim` is zero.
     #[must_use]
     pub fn seeded(name: impl Into<String>, rows: u64, dim: u32, seed: u64) -> Self {
+        let mut slab = Self::unfilled_slab(rows, dim);
+        simd::fill_uniform(KernelDispatch::detect().level(), seed, 0, 1.0, &mut slab);
+        Self::from_slab(name, slab.len() / dim as usize, dim as usize, slab)
+    }
+
+    /// The zeroed slab of a `rows × dim` table, its pages not yet
+    /// touched.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` or `dim` is zero.
+    pub(crate) fn unfilled_slab(rows: u64, dim: u32) -> AlignedSlab {
         assert!(rows > 0 && dim > 0, "degenerate table shape {rows}x{dim}");
         let rows = usize::try_from(rows).expect("materialized table too large");
-        let mut rng = SimRng::seed_from(seed);
-        Self::from_row_fn(name, rows, dim as usize, |_, row| {
-            row.iter_mut().for_each(|v| *v = rng.next_f32() - 0.5);
-        })
+        AlignedSlab::zeroed(rows * dim as usize)
+    }
+
+    /// The stream `spec`'s weights are drawn from: the `(seed, table id)`
+    /// fork of the experiment stream.
+    pub(crate) fn stream_key(spec: &TableSpec, seed: u64) -> u64 {
+        SimRng::seed_from(seed).fork(spec.id.0 as u64).seed()
     }
 
     /// Materializes `spec` with weights from the `(seed, table id)` fork
@@ -86,12 +115,7 @@ impl EmbeddingTable {
     /// weights but repeated materializations are identical.
     #[must_use]
     pub fn from_spec(spec: &TableSpec, seed: u64) -> Self {
-        Self::seeded(
-            spec.name.clone(),
-            spec.rows,
-            spec.dim,
-            SimRng::seed_from(seed).fork(spec.id.0 as u64).seed(),
-        )
+        Self::seeded(spec.name.clone(), spec.rows, spec.dim, Self::stream_key(spec, seed))
     }
 
     /// Table name.

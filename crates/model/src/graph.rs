@@ -669,22 +669,14 @@ pub enum Step {
 #[derive(Debug)]
 pub struct Schedule {
     steps: Vec<Step>,
-    /// Operators across all nets at compile; another count at walk means
-    /// the nets were edited since.
-    ops: usize,
+    /// `(net index, op index)` of each operator a step names, so a walk
+    /// finds it without listing the nets; another operator count at
+    /// walk means the nets were edited since.
+    locations: Vec<(usize, usize)>,
     /// Readers of each blob across all nets, plus one for the output
     /// blob (the caller's fetch): a blob read once is moved to its
     /// reader, not copied ([`Workspace::take_dense`]).
     consumers: Arc<HashMap<String, usize>>,
-}
-
-/// The operators of `nets` in execution order, each beside its net.
-fn flatten(nets: &[NetDef]) -> Vec<(&NetDef, &dyn Operator)> {
-    let mut ops = Vec::new();
-    for net in nets {
-        ops.extend(net.ops().iter().map(|op| (net, op.as_ref())));
-    }
-    ops
 }
 
 impl Schedule {
@@ -710,9 +702,14 @@ impl Schedule {
             op: op.to_string(),
             message: format!("reads {blob}, which nothing before it produces or loads"),
         };
-        let ops = flatten(nets);
+        // Every operator in execution order, beside where it sits.
+        let (locations, ops): (Vec<_>, Vec<&dyn Operator>) = (nets.iter().enumerate())
+            .flat_map(|(n, net)| {
+                net.ops().iter().enumerate().map(move |(o, op)| ((n, o), op.as_ref()))
+            })
+            .unzip();
         let mut consumers: HashMap<String, usize> = HashMap::new();
-        for input in ops.iter().flat_map(|(_, op)| op.inputs()) {
+        for input in ops.iter().flat_map(|op| op.inputs()) {
             *consumers.entry(input).or_insert(0) += 1;
         }
         *consumers.entry(output_blob.to_string()).or_insert(0) += 1;
@@ -722,7 +719,7 @@ impl Schedule {
         let mut started = vec![false; ops.len()];
         let mut steps = Vec::new();
         while let Some(next) = started.iter().position(|&s| !s) {
-            for (i, (_, op)) in ops.iter().enumerate() {
+            for (i, op) in ops.iter().enumerate() {
                 let inputs_ready = || op.inputs().iter().all(|b| ready.contains(b));
                 if !started[i] && op.as_async().is_some() && inputs_ready() {
                     steps.push(Step::Issue(i));
@@ -733,7 +730,7 @@ impl Schedule {
             if started[next] {
                 continue;
             }
-            let op = ops[next].1;
+            let op = ops[next];
             for input in op.inputs() {
                 if ready.contains(&input) {
                     continue;
@@ -742,7 +739,7 @@ impl Schedule {
                     return Err(unproduced(op.name(), &input));
                 };
                 steps.push(Step::Collect(producer));
-                for out in ops[producer].1.outputs() {
+                for out in ops[producer].outputs() {
                     owed.remove(&out);
                     ready.insert(out);
                 }
@@ -762,7 +759,7 @@ impl Schedule {
         steps.extend(leftover.into_iter().map(Step::Collect));
         Ok(Self {
             steps,
-            ops: ops.len(),
+            locations,
             consumers: Arc::new(consumers),
         })
     }
@@ -804,17 +801,18 @@ impl Schedule {
             op: op.to_string(),
             message: "was added, removed or replaced after the schedule was compiled".into(),
         };
-        let ops = flatten(nets);
-        if ops.len() != self.ops {
+        if nets.iter().map(|net| net.ops().len()).sum::<usize>() != self.locations.len() {
             return Err(edited("an operator"));
         }
         ws.consumers = Arc::clone(&self.consumers);
         // Per issued, uncollected operator: its handle and when it was
         // issued.
-        let mut in_flight: Vec<_> = ops.iter().map(|_| None).collect();
+        let mut in_flight: Vec<_> = self.locations.iter().map(|_| None).collect();
         for &step in &self.steps {
             let (Step::Issue(i) | Step::Run(i) | Step::Collect(i)) = step;
-            let (net, op) = ops[i];
+            let (n, o) = self.locations[i];
+            let net = nets.get(n).filter(|net| o < net.ops().len()).ok_or_else(|| edited("a net"))?;
+            let op = net.ops()[o].as_ref();
             match step {
                 Step::Issue(_) => {
                     let async_op = op.as_async().ok_or_else(|| edited(op.name()))?;

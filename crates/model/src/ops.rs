@@ -1,9 +1,10 @@
 //! Concrete graph operators: the DLRM operator vocabulary.
 
+use crate::builder::Draw;
 use crate::graph::{Blob, GraphError, Operator, Workspace};
 use crate::spec::OpGroup;
 use crate::EmbeddingTable;
-use dlrm_sim::SimRng;
+use dlrm_runtime::KernelDispatch;
 use dlrm_tensor::{
     concat_cols_into, matmul_packed_into, relu_inplace, sigmoid_inplace, Matrix, PackedWeights,
 };
@@ -40,34 +41,38 @@ impl FullyConnected {
         weights: Matrix,
         bias: Vec<f32>,
     ) -> Self {
-        Self::from_packed(name, input, output, PackedWeights::pack(&weights), bias)
+        let params = FcParams { weights: PackedWeights::pack(&weights), bias };
+        Self::with_params(name, input, output, params)
     }
 
-    fn from_packed(
+    /// Wires `params` into a layer reading `input` and writing `output`.
+    pub(crate) fn with_params(
         name: impl Into<String>,
         input: impl Into<String>,
         output: impl Into<String>,
-        weights: PackedWeights,
-        bias: Vec<f32>,
+        params: FcParams,
     ) -> Self {
         assert_eq!(
-            bias.len(),
-            weights.rows(),
+            params.bias.len(),
+            params.weights.rows(),
             "bias length must equal output width"
         );
         Self {
             name: name.into(),
             input: input.into(),
             output: output.into(),
-            weights: Arc::new(weights),
-            bias: bias.into(),
+            weights: Arc::new(params.weights),
+            bias: params.bias.into(),
         }
     }
 
-    /// Creates an FC layer with reproducible random parameters scaled by
-    /// `1/sqrt(in_dim)` (keeps activations bounded through deep stacks).
-    /// Weights are drawn in row-major order straight into the packed
-    /// layout, then the bias.
+    /// Creates an FC layer with reproducible random parameters, uniform
+    /// in `±1/sqrt(in_dim)` (keeps activations bounded through deep
+    /// stacks): weight `(r, c)` is element `r·in_dim + c` of the uniform
+    /// stream `seed` ([`dlrm_tensor::simd::fill_uniform`]) times
+    /// `2/sqrt(in_dim)`, drawn straight into the packed panels, and bias
+    /// `j` is element `out_dim·in_dim + j` times 0.1. One thread draws
+    /// them here; the model builder draws the same panels on every core.
     #[must_use]
     pub fn seeded(
         name: impl Into<String>,
@@ -77,14 +82,10 @@ impl FullyConnected {
         out_dim: usize,
         seed: u64,
     ) -> Self {
-        let mut rng = SimRng::seed_from(seed);
-        let scale = 1.0 / (in_dim.max(1) as f32).sqrt();
-        let weights =
-            PackedWeights::from_fn(out_dim, in_dim, || (rng.next_f32() - 0.5) * 2.0 * scale);
-        let bias: Vec<f32> = (0..out_dim)
-            .map(|_| (rng.next_f32() - 0.5) * 0.1)
-            .collect();
-        Self::from_packed(name, input, output, weights, bias)
+        let mut params = FcParams::zeroed(in_dim, out_dim);
+        let level = KernelDispatch::detect().level();
+        params.draws(seed).for_each(|draw| draw.run(level));
+        Self::with_params(name, input, output, params)
     }
 
     /// Output width (number of neurons).
@@ -140,6 +141,39 @@ impl Operator for FullyConnected {
         y.add_row_bias(&self.bias);
         ws.put(self.output.as_str(), Blob::Dense(y));
         Ok(())
+    }
+}
+
+/// An FC layer's parameters before a graph wires them in: `out × in`
+/// weights in packed order and the bias, zero until [`Self::draws`]
+/// fills them.
+#[derive(Debug)]
+pub(crate) struct FcParams {
+    weights: PackedWeights,
+    bias: Vec<f32>,
+}
+
+impl FcParams {
+    /// An `in_dim → out_dim` layer of zeros.
+    pub(crate) fn zeroed(in_dim: usize, out_dim: usize) -> Self {
+        Self { weights: PackedWeights::zeroed(out_dim, in_dim), bias: vec![0.0; out_dim] }
+    }
+
+    /// The draws that give these parameters [`FullyConnected::seeded`]'s
+    /// values from stream `seed`: one per weight panel, then the bias.
+    pub(crate) fn draws(&mut self, seed: u64) -> impl Iterator<Item = Draw<'_>> {
+        let (k, n) = (self.weights.cols(), self.weights.rows());
+        let scale = 2.0 / (k.max(1) as f32).sqrt();
+        let panels = self.weights.panels_mut().map(move |(j, width, out)| Draw {
+            key: seed,
+            first: (j * k) as u64,
+            width,
+            scale,
+            out,
+        });
+        let bias = &mut self.bias;
+        let bias = Draw { key: seed, first: (n * k) as u64, width: 1, scale: 0.1, out: bias };
+        panels.chain(std::iter::once(bias))
     }
 }
 
@@ -553,6 +587,7 @@ impl Operator for ElementwiseSum {
 mod tests {
     use super::*;
     use crate::graph::{NoopObserver, SparseInput};
+    use dlrm_tensor::simd;
 
     #[test]
     fn fc_computes_affine_map() {
@@ -593,21 +628,23 @@ mod tests {
         assert_eq!(wa.dense("y", "t").unwrap(), wb.dense("y", "t").unwrap());
     }
 
-    /// The weights an FC layer draws must not depend on the layout it
-    /// stores them in: `seeded` yields the row-major draw sequence
-    /// (weights, then bias) of the pre-packing implementation.
+    /// The weights an FC layer draws do not depend on the layout it
+    /// stores them in: weight `(r, c)` is element `r·in + c` of the
+    /// layer's stream and bias `j` is element `out·in + j`, across a
+    /// 16-wide panel, an 8-wide one and a ragged tail.
     #[test]
-    fn seeded_fc_draws_row_major_weights_then_bias() {
-        let (in_dim, out_dim, seed) = (5, 19, 11);
+    fn seeded_fc_draws_weight_r_c_at_r_in_plus_c_then_bias() {
+        let (in_dim, out_dim, seed) = (5, 27, 11);
         let fc = FullyConnected::seeded("fc", "x", "y", in_dim, out_dim, seed);
-        let mut rng = SimRng::seed_from(seed);
-        let scale = 1.0 / (in_dim as f32).sqrt();
-        let weights: Vec<f32> = (0..in_dim * out_dim)
-            .map(|_| (rng.next_f32() - 0.5) * 2.0 * scale)
+        let scale = 2.0 / (in_dim as f32).sqrt();
+        let weights: Vec<f32> =
+            (0..in_dim * out_dim).map(|i| simd::uniform(seed, i as u64) * scale).collect();
+        let bias: Vec<f32> = (0..out_dim)
+            .map(|j| simd::uniform(seed, (out_dim * in_dim + j) as u64) * 0.1)
             .collect();
-        let bias: Vec<f32> = (0..out_dim).map(|_| (rng.next_f32() - 0.5) * 0.1).collect();
-        assert_eq!(fc.weights().unpack(), Matrix::from_vec(out_dim, in_dim, weights));
-        assert_eq!(fc.bias(), bias);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(fc.weights().unpack().as_slice()), bits(&weights));
+        assert_eq!(bits(fc.bias()), bits(&bias));
     }
 
     #[test]

@@ -55,25 +55,30 @@ pub struct PackedWeights {
 }
 
 impl PackedWeights {
-    fn zeroed(rows: usize, cols: usize) -> Self {
+    /// A `rows × cols` packing of zeros, to be written in place through
+    /// [`Self::panels_mut`].
+    #[must_use]
+    pub fn zeroed(rows: usize, cols: usize) -> Self {
         Self { rows, cols, buf: AlignedSlab::zeroed(rows * cols) }
     }
 
-    /// Builds the packing in place from a generator called once per
-    /// element in **row-major** order (`W[0][0], W[0][1], …`), so a
-    /// seeded RNG yields the same weights it would for a row-major
-    /// matrix without one ever existing.
-    #[must_use]
-    pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut() -> f32) -> Self {
-        let mut packed = Self::zeroed(rows, cols);
-        for r in 0..rows {
-            let (base, stride) = packed.row_span(r);
-            let data = packed.panels_mut();
-            for c in 0..cols {
-                data[base + c * stride] = f();
-            }
-        }
-        packed
+    /// Every panel in storage order, as `(j, w, floats)`: the panel of
+    /// the `w` rows from `j` holds `W[j + l][kk]` at `kk·w + l`, so
+    /// panels are filled independently (the model builder fills each on
+    /// any thread).
+    pub fn panels_mut(&mut self) -> impl Iterator<Item = (usize, usize, &mut [f32])> {
+        let (n, k) = (self.rows, self.cols);
+        let mut rest: &mut [f32] = &mut self.buf;
+        let mut j = 0;
+        std::iter::from_fn(move || {
+            (j < n).then(|| {
+                let w = panel_width(n, j);
+                let (panel, tail) = std::mem::take(&mut rest).split_at_mut(k * w);
+                rest = tail;
+                j += w;
+                (j - w, w, panel)
+            })
+        })
     }
 
     /// Packs a row-major `rows × cols` weight matrix (`A · Wᵀ` operand):
@@ -81,20 +86,14 @@ impl PackedWeights {
     /// of `W` across the panel's rows.
     #[must_use]
     pub fn pack(w: &Matrix) -> Self {
-        let (n, k) = (w.rows(), w.cols());
-        let src = w.as_slice();
-        let mut packed = Self::zeroed(n, k);
-        let data = packed.panels_mut();
-        let mut j = 0;
-        while j < n {
-            let width = panel_width(n, j);
-            let panel = &mut data[k * j..k * (j + width)];
+        let (src, k) = (w.as_slice(), w.cols());
+        let mut packed = Self::zeroed(w.rows(), k);
+        for (j, width, panel) in packed.panels_mut() {
             for (kk, group) in panel.chunks_exact_mut(width).enumerate() {
                 for (l, dst) in group.iter_mut().enumerate() {
                     *dst = src[(j + l) * k + kk];
                 }
             }
-            j += width;
         }
         packed
     }
@@ -106,7 +105,7 @@ impl PackedWeights {
     pub(crate) fn pack_transposed(b: &Matrix) -> Self {
         let (k, n) = (b.rows(), b.cols());
         let mut packed = Self::zeroed(n, k);
-        let data = packed.panels_mut();
+        let data = &mut packed.buf;
         for (kk, b_row) in b.as_slice().chunks_exact(n.max(1)).enumerate() {
             let mut j = 0;
             while j < n {
@@ -174,10 +173,6 @@ impl PackedWeights {
     pub(crate) fn panels(&self) -> &[f32] {
         &self.buf
     }
-
-    fn panels_mut(&mut self) -> &mut [f32] {
-        &mut self.buf
-    }
 }
 
 #[cfg(test)]
@@ -210,15 +205,18 @@ mod tests {
     fn every_constructor_agrees_and_unpack_inverts() {
         for (n, k) in [(1, 1), (7, 5), (8, 1), (17, 4), (33, 9), (40, 0), (0, 3)] {
             let w = counting(n, k);
-            let mut next = 0.0f32;
-            let filled = PackedWeights::from_fn(n, k, || {
-                next += 1.0;
-                next - 1.0
-            });
             let packed = PackedWeights::pack(&w);
             let transposed = PackedWeights::pack_transposed(&w.transpose());
-            assert_eq!(packed.panels(), filled.panels(), "{n}x{k} from_fn");
             assert_eq!(packed.panels(), transposed.panels(), "{n}x{k} transposed");
+            let mut by_panel = PackedWeights::zeroed(n, k);
+            for (j, w, panel) in by_panel.panels_mut() {
+                for (kk, group) in panel.chunks_exact_mut(w).enumerate() {
+                    for (l, v) in group.iter_mut().enumerate() {
+                        *v = ((j + l) * k + kk) as f32;
+                    }
+                }
+            }
+            assert_eq!(packed.panels(), by_panel.panels(), "{n}x{k} panels_mut");
             assert_eq!(packed.unpack(), w, "{n}x{k} unpack");
             assert!(packed.bytes() < (n * k + LINE) * 4);
         }

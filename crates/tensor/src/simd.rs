@@ -42,6 +42,12 @@
 //! round trip per lookup is gone. [`sls_bags_u8`] is the same loop over
 //! 8-bit row-wise quantized rows, decoding each row in registers.
 //!
+//! [`fill_uniform`] (and [`fill_uniform_panel`], the same draw in packed
+//! FC order) is the model's one parameter draw: element `i` of a stream
+//! is a pure function of `(key, i)`, integer hashing then an exact
+//! conversion and scaling, so it fills any range on any thread, and the
+//! AVX2 tier is bitwise equal to the scalar loop.
+//!
 //! # Unsafe audit notes
 //!
 //! Each `#[target_feature]` function documents its safety contract:
@@ -54,7 +60,10 @@
 //! exists. The GEMM tiles' weight prefetches go through
 //! `gemm_prefetch_offset`, which clamps every address to the last byte
 //! of the packed buffer, as the gather's `prefetch` clamps to the
-//! row's last byte. The only remaining obligation — the CPU actually supports
+//! row's last byte. The fill kernel stores only inside the slice it is
+//! handed, whole groups of `8·VECS` lanes (the wrappers leave a ragged
+//! tail to the scalar loop). The only remaining
+//! obligation — the CPU actually supports
 //! the instructions — is discharged by `level_supported` before every
 //! unsafe call. On non-x86_64 targets the module compiles to the scalar
 //! fallbacks only.
@@ -413,6 +422,129 @@ pub fn decode_row_u8(level: SimdLevel, codes: &[u8], scale: f32, bias: f32, out:
     }
 }
 
+/// The two 32-bit words keying stream `key`: its SplitMix64 finalizer,
+/// so keys that differ in one low bit (a net's FC layers are seeded one
+/// apart) share no structure.
+fn stream_keys(key: u64) -> [u32; 2] {
+    let mut z = key;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^= z >> 31;
+    [z as u32, (z >> 32) as u32]
+}
+
+/// A 32-bit integer finalizer (Wellons' "lowbias32"): a bijection whose
+/// every input bit reaches every output bit.
+#[inline(always)]
+fn lowbias32(mut x: u32) -> u32 {
+    x ^= x >> 16;
+    x = x.wrapping_mul(0x7FEB_352D);
+    x ^= x >> 15;
+    x = x.wrapping_mul(0x846C_A68B);
+    x ^ (x >> 16)
+}
+
+/// Element `i` of the stream keyed `keys`, times `scale`: two finalizer
+/// rounds, the first over the low word of `i`, the second over the high
+/// word folded into the first's output; the top 24 bits, centred, are an
+/// integer in `[-2²³, 2²³)` that converts to `f32` exactly and scales by
+/// 2⁻²⁴ exactly onto the grid `next_f32() - 0.5` draws from. Only the
+/// last multiply, by `scale`, rounds.
+#[inline(always)]
+fn uniform_scaled(keys: [u32; 2], i: u64, scale: f32) -> f32 {
+    let h = lowbias32(lowbias32(i as u32 ^ keys[0]) ^ (i >> 32) as u32 ^ keys[1]);
+    (((h >> 8) as i32 - (1 << 23)) as f32 * UNIFORM_STEP) * scale
+}
+
+/// The spacing of the uniform grid, 2⁻²⁴.
+const UNIFORM_STEP: f32 = 1.0 / (1u32 << 24) as f32;
+
+/// Element `i` of the counter-based uniform stream `key`: a pure function
+/// of `(key, i)` on the 2⁻²⁴ grid in `[-0.5, 0.5)` (Salmon et al.,
+/// "Parallel Random Numbers: As Easy as 1, 2, 3", SC 2011). The scalar
+/// reference of [`fill_uniform`] and [`fill_uniform_panel`].
+#[must_use]
+pub fn uniform(key: u64, i: u64) -> f32 {
+    uniform_scaled(stream_keys(key), i, 1.0)
+}
+
+/// `out[j] = uniform(key, start + j) * scale` — the model's weight draw.
+/// Since each element depends on its index alone, any split of a range
+/// into pieces filled anywhere, in any order, gives the bits of one
+/// fill. The AVX2 tier (which the AVX-512 level also runs) computes
+/// eight elements per store with the same integer ops, conversion and
+/// multiplies, so every tier is bitwise equal to the scalar loop.
+pub fn fill_uniform(level: SimdLevel, key: u64, start: u64, scale: f32, out: &mut [f32]) {
+    // The vector body keeps one high index word per run: a run that
+    // crosses a multiple of 2³² is filled as the two runs either side.
+    let head = (1u64 << 32) - u64::from(start as u32);
+    let head = usize::try_from(head).unwrap_or(usize::MAX);
+    if head < out.len() {
+        let (low, high) = out.split_at_mut(head);
+        fill_uniform(level, key, start, scale, low);
+        return fill_uniform(level, key, start.wrapping_add(head as u64), scale, high);
+    }
+    let (keys, mut vectored) = (stream_keys(key), 0);
+    #[cfg(target_arch = "x86_64")]
+    if usable(level) {
+        vectored = out.len() / 8 * 8;
+        // SAFETY: AVX2 verified by `usable`; the kernel gets whole
+        // groups of eight inside `out`, whose indices share a high word.
+        unsafe { x86::fill_avx2::<1>(keys, start, 1, 8, scale, &mut out[..vectored]) };
+    }
+    let _ = level;
+    for (j, v) in out.iter_mut().enumerate().skip(vectored) {
+        *v = uniform_scaled(keys, start.wrapping_add(j as u64), scale);
+    }
+}
+
+/// [`fill_uniform`] in the packed layout of [`crate::PackedWeights`]:
+/// `out` is one `width`-wide panel of `k = out.len() / width` groups, and
+/// `out[kk·width + l] = uniform(key, first + l·k + kk) * scale` — so the
+/// panel starting at weight row `j` of a `k`-column matrix, drawn with
+/// `first = j·k`, holds element `r·k + c` at `W[r][c]`, the row-major
+/// draw, with no row-major copy ever existing. The AVX2 tier takes the
+/// 8- and 16-wide panels one group per step; a 1-wide panel is a
+/// contiguous fill.
+///
+/// # Panics
+///
+/// Panics if `width` is zero or does not divide `out.len()`.
+pub fn fill_uniform_panel(
+    level: SimdLevel,
+    key: u64,
+    first: u64,
+    width: usize,
+    scale: f32,
+    out: &mut [f32],
+) {
+    assert!(width > 0 && out.len().is_multiple_of(width), "a panel is whole {width}-wide groups");
+    if width == 1 {
+        return fill_uniform(level, key, first, scale, out);
+    }
+    let (keys, k) = (stream_keys(key), out.len() / width);
+    let last = first.wrapping_add(out.len().saturating_sub(1) as u64);
+    #[cfg(target_arch = "x86_64")]
+    if usable(level) && matches!(width, 8 | 16) && last >= first && last >> 32 == first >> 32 {
+        // SAFETY: AVX2 verified by `usable`; `out` is `k` groups of
+        // `width` floats whose indices share the high word of `first`.
+        unsafe {
+            if width == 16 {
+                x86::fill_avx2::<2>(keys, first, k, 1, scale, out);
+            } else {
+                x86::fill_avx2::<1>(keys, first, k, 1, scale, out);
+            }
+        }
+        return;
+    }
+    let _ = (level, last);
+    for (kk, group) in out.chunks_exact_mut(width).enumerate() {
+        for (l, v) in group.iter_mut().enumerate() {
+            *v = uniform_scaled(keys, first.wrapping_add((l * k + kk) as u64), scale);
+        }
+    }
+}
+
 /// `out = A · Wᵀ` over a contiguous block of `A` rows (`a_rows`,
 /// `rows × k`) against packed weights (`panels`, the `k · n` floats of
 /// a [`crate::PackedWeights`]), writing every element of the matching
@@ -568,8 +700,11 @@ fn tile_scalar<const W: usize, const R: usize>(a: [&[f32]; R], panel: &[f32]) ->
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use core::arch::x86_64::{
-        __m256, _mm256_add_ps, _mm256_cvtepi32_ps, _mm256_cvtepu8_epi32,
-        _mm256_loadu_ps, _mm256_mul_ps, _mm256_set1_ps, _mm256_setzero_ps, _mm256_storeu_ps,
+        __m256, __m256i, _mm256_add_epi32, _mm256_add_ps, _mm256_cvtepi32_ps,
+        _mm256_cvtepu8_epi32, _mm256_loadu_ps, _mm256_mul_ps, _mm256_mullo_epi32,
+        _mm256_set1_epi32, _mm256_set1_ps, _mm256_setr_epi32, _mm256_setzero_ps,
+        _mm256_setzero_si256, _mm256_srli_epi32, _mm256_storeu_ps, _mm256_sub_epi32,
+        _mm256_xor_si256,
         _mm512_add_ps, _mm512_loadu_ps, _mm512_mul_ps, _mm512_set1_ps, _mm512_setzero_ps,
         _mm512_storeu_ps, _mm_loadl_epi64, _mm_prefetch, _MM_HINT_T0,
     };
@@ -1002,6 +1137,66 @@ mod x86 {
             }
             start = bag.1;
             out = out.add(rows.dim);
+        }
+    }
+
+    /// [`super::lowbias32`] on eight lanes.
+    #[inline(always)]
+    unsafe fn lowbias32_ymm(x: __m256i) -> __m256i {
+        let x = _mm256_xor_si256(x, _mm256_srli_epi32::<16>(x));
+        let x = _mm256_mullo_epi32(x, _mm256_set1_epi32(0x7FEB_352D));
+        let x = _mm256_xor_si256(x, _mm256_srli_epi32::<15>(x));
+        let x = _mm256_mullo_epi32(x, _mm256_set1_epi32(0x846C_A68B_u32 as i32));
+        _mm256_xor_si256(x, _mm256_srli_epi32::<16>(x))
+    }
+
+    /// [`super::uniform_scaled`] on eight indices sharing one high word:
+    /// `lo` holds their low words, `hi_key` the high word xor the
+    /// second key word. Integer ops, an exact conversion, an exact
+    /// multiply by 2⁻²⁴, then the one rounding multiply by `scale`.
+    #[inline(always)]
+    unsafe fn uniform_ymm(lo: __m256i, k0: __m256i, hi_key: __m256i, scale: __m256) -> __m256 {
+        let h = lowbias32_ymm(_mm256_xor_si256(lowbias32_ymm(_mm256_xor_si256(lo, k0)), hi_key));
+        let centred = _mm256_sub_epi32(_mm256_srli_epi32::<8>(h), _mm256_set1_epi32(1 << 23));
+        let unit = _mm256_mul_ps(_mm256_cvtepi32_ps(centred), _mm256_set1_ps(super::UNIFORM_STEP));
+        _mm256_mul_ps(unit, scale)
+    }
+
+    /// The AVX2 body of both fills: group `g` of `out` is `VECS` stores
+    /// of eight lanes, lane `l` of store `v` holding element `first +
+    /// g·step + (8·v + l)·stride` — consecutive runs with `(VECS,
+    /// stride, step) = (1, 1, 8)`, a packed panel's groups with `(width
+    /// / 8, k, 1)`.
+    ///
+    /// # Safety
+    ///
+    /// Caller verifies AVX2 support, that `out` is whole groups of
+    /// `8·VECS`, and that every index it names has the high word of
+    /// `first` (so the lane offsets fit 32 bits).
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn fill_avx2<const VECS: usize>(
+        keys: [u32; 2],
+        first: u64,
+        stride: usize,
+        step: usize,
+        scale: f32,
+        out: &mut [f32],
+    ) {
+        let (k0, vscale) = (_mm256_set1_epi32(keys[0] as i32), _mm256_set1_ps(scale));
+        let hi_key = _mm256_set1_epi32(((first >> 32) as u32 ^ keys[1]) as i32);
+        let mut offsets = [_mm256_setzero_si256(); VECS];
+        let mut lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+        for o in &mut offsets {
+            *o = _mm256_mullo_epi32(lane, _mm256_set1_epi32(stride as u32 as i32));
+            lane = _mm256_add_epi32(lane, _mm256_set1_epi32(8));
+        }
+        let op = out.as_mut_ptr();
+        for g in 0..out.len() / (8 * VECS) {
+            let base = _mm256_set1_epi32((first as u32).wrapping_add((g * step) as u32) as i32);
+            for (v, &o) in offsets.iter().enumerate() {
+                let lo = _mm256_add_epi32(base, o);
+                _mm256_storeu_ps(op.add((g * VECS + v) * 8), uniform_ymm(lo, k0, hi_key, vscale));
+            }
         }
     }
 

@@ -14,12 +14,14 @@
 //! pack-per-call entry points, on every exact kernel tier the host
 //! runs (scalar, AVX2, AVX-512) — and for the bag-fused SLS gathers,
 //! f32 ([`sls_bags`]) and 8-bit ([`sls_bags_u8`]), against the per-row
-//! loops they replaced.
+//! loops they replaced — and for the parameter draw ([`fill_uniform`]),
+//! whose ranges also compose into one fill.
 
 use dlrm_runtime::{KernelDispatch, Pool, SimdLevel};
 use dlrm_sim::SimRng;
 use dlrm_tensor::simd::{
-    sls_bags, sls_bags_u8, GatherError, U8Rows, GEMM_PREFETCH_BYTES, SLS_PREFETCH_ROWS,
+    fill_uniform, fill_uniform_panel, sls_bags, sls_bags_u8, uniform, GatherError, U8Rows,
+    GEMM_PREFETCH_BYTES, SLS_PREFETCH_ROWS,
 };
 use dlrm_tensor::{
     concat_cols, concat_cols_into, matmul_into, matmul_packed_into, matmul_transb_into, Matrix,
@@ -540,5 +542,86 @@ fn concat_cols_into_matches_allocating_concat() {
         let mut out = Matrix::from_vec(rows, total, vec![f32::NAN; rows * total]);
         concat_cols_into(&refs, &mut out);
         assert_eq!(out, concat_cols(&refs), "case {case}");
+    }
+}
+
+/// Index offsets the fill cases start from: zero, small, a ragged
+/// 8-lane block, just under and over a high-word boundary of the
+/// counter, and near the end of its range (indices wrap).
+const FILL_STARTS: [u64; 7] = [0, 1, 7, 1 << 20, (1 << 32) - 13, (1 << 32) + 5, u64::MAX - 40];
+
+/// The parameter draw on every exact tier equals the scalar loop, and
+/// the scalar loop is [`uniform`] times the scale, for ragged lengths
+/// and every start offset; filling a range in pieces of any size gives
+/// the bits of one fill.
+#[test]
+fn fill_uniform_matches_scalar_on_every_tier_and_any_split_equals_one_fill() {
+    let mut rng = SimRng::seed_from(0xF111_0000).fork(1);
+    for case in 0..CASES {
+        let len = rng.next_index(300);
+        let start = FILL_STARTS[case % FILL_STARTS.len()].wrapping_add(rng.next_index(8) as u64);
+        let (key, scale) = (rng.next_u64(), [1.0, 0.1, 0.37][case % 3]);
+        let at = |j: usize| start.wrapping_add(j as u64);
+        let oracle: Vec<f32> = (0..len).map(|j| uniform(key, at(j)) * scale).collect();
+        for level in sls_tiers() {
+            let mut one = vec![f32::NAN; len];
+            fill_uniform(level, key, start, scale, &mut one);
+            assert_eq!(bits(&one), bits(&oracle), "case {case}: {len} from {start} on {level}");
+            let mut pieces = vec![f32::NAN; len];
+            let mut j = 0;
+            while j < len {
+                let end = (j + 1 + rng.next_index(40)).min(len);
+                fill_uniform(level, key, at(j), scale, &mut pieces[j..end]);
+                j = end;
+            }
+            assert_eq!(bits(&pieces), bits(&oracle), "case {case}: pieces on {level}");
+        }
+    }
+}
+
+/// The packed-order draw holds element `first + l·k + kk` at
+/// `kk·width + l` on every tier, for the FC panel widths (16, 8, the
+/// 1-wide tail) and a width no panel has, including panels whose
+/// indices cross a high-word boundary.
+#[test]
+fn fill_uniform_panel_places_element_l_k_plus_kk_on_every_tier() {
+    let mut rng = SimRng::seed_from(0xF111_0000).fork(2);
+    for case in 0..CASES {
+        let (width, k) = ([16, 8, 1, 3][case % 4], rng.next_index(40));
+        let first = FILL_STARTS[case % FILL_STARTS.len()].wrapping_add(rng.next_index(8) as u64);
+        let (key, scale) = (rng.next_u64(), 0.25);
+        let mut oracle = vec![0.0f32; width * k];
+        for (kk, group) in oracle.chunks_exact_mut(width).enumerate() {
+            for (l, v) in group.iter_mut().enumerate() {
+                *v = uniform(key, first.wrapping_add((l * k + kk) as u64)) * scale;
+            }
+        }
+        for level in sls_tiers() {
+            let mut panel = vec![f32::NAN; width * k];
+            fill_uniform_panel(level, key, first, width, scale, &mut panel);
+            let what = format!("case {case}: {width}x{k} from {first} on {level}");
+            assert_eq!(bits(&panel), bits(&oracle), "{what}");
+        }
+    }
+}
+
+/// The stream is a uniform on `[-0.5, 0.5)`, not a degenerate hash:
+/// over 2²⁰ draws at each of three keys the mean is 0, the variance
+/// 1/12 and neighbours are uncorrelated, each within about six standard
+/// errors; every draw is on the 2⁻²⁴ grid and inside the interval.
+#[test]
+fn fill_uniform_has_the_moments_of_a_uniform() {
+    let n = 1 << 20;
+    for key in [0, 1, 0x9E37_79B9_7F4A_7C15] {
+        let mut v = vec![0.0f32; n];
+        fill_uniform(KernelDispatch::detect().level(), key, 0, 1.0, &mut v);
+        let on_grid = |x: f32| (-0.5..0.5).contains(&x) && (x * (1 << 24) as f32).fract() == 0.0;
+        assert!(v.iter().all(|&x| on_grid(x)), "key {key}: a draw off the 2^-24 grid");
+        let mean = v.iter().map(|&x| f64::from(x)).sum::<f64>() / n as f64;
+        let var = v.iter().map(|&x| (f64::from(x) - mean).powi(2)).sum::<f64>() / n as f64;
+        let lag1 = v.windows(2).map(|w| f64::from(w[0]) * f64::from(w[1])).sum::<f64>() / n as f64;
+        assert!(mean.abs() < 2e-3, "key {key}: mean {mean}");
+        assert!((var - 1.0 / 12.0).abs() < 5e-4, "key {key}: variance {var}");
+        assert!((lag1 / var).abs() < 6e-3, "key {key}: lag-1 correlation {}", lag1 / var);
     }
 }
